@@ -8,15 +8,12 @@ stops, and what the honest-user false-positive cost is.
 import random
 
 from repro.common.clock import SimulatedClock
-from repro.extensions.geolocation import GeoDatabase, GeoVelocityMonitor
-from repro.extensions.risk import (
-    PamRiskGateModule,
-    RiskAwareExemptionModule,
-    RiskEngine,
-)
 from repro.pam.acl import InMemoryExemptionACL
 from repro.pam.conversation import ScriptedConversation
 from repro.pam.framework import PAMResult, PAMSession, PAMStack
+from repro.pam.modules.exemption import MFAExemptionModule
+from repro.policy import PolicyEngine, RiskEngine
+from repro.policy.geo import GeoDatabase, GeoVelocityMonitor
 
 
 class _StolenPasswordModule:
@@ -41,15 +38,10 @@ class _TokenStub:
         )
 
 
-def build_stack(engine, acl):
+def build_stack(engine, acl, clock):
     stack = PAMStack("sshd")
-    if engine is not None:
-        stack.append("required", PamRiskGateModule(engine))
-        stack.append("sufficient", RiskAwareExemptionModule(acl))
-    else:
-        from repro.pam.modules.exemption import MFAExemptionModule
-
-        stack.append("sufficient", MFAExemptionModule(acl))
+    policy = PolicyEngine(exemptions=acl, clock=clock, risk=engine)
+    stack.append("sufficient", MFAExemptionModule(policy))
     stack.append("requisite", _StolenPasswordModule())
     stack.append("requisite", _TokenStub())
     return stack
@@ -63,7 +55,7 @@ def run_campaign(with_risk: bool):
     engine = (
         RiskEngine(clock=clock, step_up_threshold=0.2) if with_risk else None
     )
-    stack = build_stack(engine, acl)
+    stack = build_stack(engine, acl, clock)
     if engine is not None:
         engine.record_success("gateway01", "129.114.50.1")  # the real origin
     rng = random.Random(1)
@@ -89,7 +81,7 @@ class TestRiskGateEffect:
               f"({attempts} attempts):")
         print(f"      baseline policy:        {without} breaches")
         print(f"      with risk step-up:      {with_risk} breaches")
-        # The static exemption lets every attempt through; the risk gate's
+        # The static exemption lets every attempt through; the risk engine's
         # novel-origin step-up demands the token the attacker lacks.
         assert without == attempts
         assert with_risk == 0

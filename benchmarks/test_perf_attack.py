@@ -34,9 +34,8 @@ from benchlib import emit_bench
 
 from repro.common.clock import SimulatedClock
 from repro.crypto.totp import totp_at
-from repro.extensions.risk import RiskEngine
 from repro.otpserver import OTPServer
-from repro.policy import PolicyEngine, RiskStage
+from repro.policy import PolicyEngine, RiskEngine
 from repro.sim.attackers import AttackConfig, run_attack
 
 N_USERS = 64
@@ -56,7 +55,7 @@ def _rig():
     the replay floor never trips.
     """
     clock = SimulatedClock.at("2016-10-05T09:00:00")
-    stage = RiskStage(RiskEngine(clock=clock))
+    stage = RiskEngine(clock=clock)
     stage.add_watchlist("203.0.113.0/24")
     policy = PolicyEngine(clock=clock)
     server = OTPServer(clock=clock, rng=random.Random(1), policy=policy)

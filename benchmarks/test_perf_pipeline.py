@@ -4,14 +4,14 @@ The seed ``OTPServer`` wrapped every ``validate()`` in one server-wide
 critical section, so concurrent logins by *different* users serialized even
 when the storage tier underneath was sharded.  The authflow pipeline
 replaces that with per-user striped locks (``ConcurrencyConfig.lock_stripes``)
-and a threaded ``validate_many`` batch entry point.  Two claims, asserted:
+and a threaded ``submit_many`` batch entry point.  Two claims, asserted:
 
 * **Striped locks scale threaded multi-user validation.**  With a simulated
   per-op storage round trip, the default 64-stripe configuration must
   deliver at least twice the threaded throughput of ``lock_stripes=1``
   (the seed's single-lock behaviour, kept wireable for exactly this
   comparison).
-* **``validate_many`` parallelises a burst.**  Draining a multi-user batch
+* **``submit_many`` parallelises a burst.**  Draining a multi-user batch
   through the pipeline's worker pool must beat a sequential validate loop
   on the same server by at least 2x.
 * **The resolver chain is ~free for repeat users.**  Routing every login
@@ -132,16 +132,16 @@ class TestValidateManyBatching:
         assert all(r.ok for r in sequential)
 
         start = time.perf_counter()
-        batched = server.validate_many(requests)
+        batched = [ticket.result() for ticket in server.submit_many(requests)]
         batch_elapsed = time.perf_counter() - start
         assert all(r.ok for r in batched)
 
         speedup = seq_elapsed / batch_elapsed
         print(
-            f"\n=== validate_many ({len(requests)} logins, "
+            f"\n=== submit_many ({len(requests)} logins, "
             f"{server.pipeline.concurrency.batch_workers} workers) ===\n"
             f"    sequential loop: {seq_elapsed * 1e3:7.1f} ms\n"
-            f"    validate_many  : {batch_elapsed * 1e3:7.1f} ms"
+            f"    submit_many    : {batch_elapsed * 1e3:7.1f} ms"
             f"   (x{speedup:.2f})"
         )
         emit_bench(

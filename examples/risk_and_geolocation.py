@@ -3,11 +3,11 @@
 
 The paper's conclusion says the software "is ready to be grown to
 incorporate new features including geolocation services, dynamic risk
-assessment, or biometric security."  This example grows it: a PAM stack
-with a risk gate and geo-velocity checks in front of the Figure-1 modules,
-demonstrating impossible-travel detection, watchlists, and step-up
-authentication that overrides an exemption when a service account shows
-up from an origin it has never used.
+assessment, or biometric security."  This example grows it: the Figure-1
+PAM stack over a policy engine that carries a risk engine, with a
+geo-velocity check in front, demonstrating impossible-travel detection,
+watchlists, and step-up authentication that overrides an exemption when
+a service account shows up from an origin it has never used.
 
 Run:  python examples/risk_and_geolocation.py
 """
@@ -17,21 +17,15 @@ import random
 from repro.common.clock import SimulatedClock
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
-from repro.extensions.geolocation import (
-    GeoDatabase,
-    GeoVelocityMonitor,
-    PamGeoCheckModule,
-)
-from repro.extensions.risk import (
-    PamRiskGateModule,
-    RiskAwareExemptionModule,
-    RiskEngine,
-)
 from repro.pam.acl import InMemoryExemptionACL
 from repro.pam.conversation import ScriptedConversation
 from repro.pam.framework import PAMSession, PAMStack, PAMResult
+from repro.pam.modules.exemption import MFAExemptionModule
+from repro.pam.modules.geo import PamGeoCheckModule
 from repro.pam.modules.token import MFATokenModule
 from repro.pam.modules.unix_password import UnixPasswordModule
+from repro.policy import PolicyEngine, RiskEngine
+from repro.policy.geo import GeoDatabase, GeoVelocityMonitor
 
 
 def attempt(stack, clock, username, ip, responses):
@@ -50,26 +44,27 @@ def main() -> None:
 
     geo = GeoDatabase.with_sample_data()
     monitor = GeoVelocityMonitor(geo, clock)
-    engine = RiskEngine(clock=clock, geo_monitor=None, step_up_threshold=0.2)
+    engine = RiskEngine(clock=clock, step_up_threshold=0.2)
     acl = InMemoryExemptionACL("+ : sciencegw : ALL : ALL\n", clock=clock)
+    # One engine for both policy-backed modules: the risk verdict tightens
+    # the ACL (step-up withholds the waiver) and the ladder (deny refuses).
+    policy = PolicyEngine(exemptions=acl, clock=clock, risk=engine)
 
     center.create_user("alice", password="pw")
     _, secret = center.pair_soft("alice")
     device = TOTPGenerator(secret=secret, clock=clock)
     center.create_user("sciencegw", password="gw-pw")
 
-    # The grown stack: risk gate -> geo check -> password -> risk-aware
-    # exemption -> token.
+    # The grown stack: geo check -> password -> exemption -> token.
     stack = PAMStack("sshd")
-    stack.append("required", PamRiskGateModule(engine))
     stack.append("[success=ok ignore=ignore default=bad]",
                  PamGeoCheckModule(geo, monitor=monitor, denied_countries=[]))
     stack.append("requisite", UnixPasswordModule(center.identity))
-    stack.append("sufficient", RiskAwareExemptionModule(acl))
+    stack.append("sufficient", MFAExemptionModule(policy))
     stack.append("requisite", MFATokenModule(
         ldap=center.identity.ldap,
         radius=center.new_radius_client("10.3.1.5"),
-        mode="full",
+        policy=policy,
     ))
 
     # --- 1. Normal login from Austin ---------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.otpserver.results import ValidateResult
+from repro.common.results import ValidateResult
 from repro.otpserver.tokens import TokenType
 from repro.policy import Decision
 
@@ -44,6 +44,11 @@ class PipelineContext:
     #: username — possibly ``user@realm`` — onto the local account); ``None``
     #: on the legacy direct-lookup path.
     identity: object = None
+    #: The token store's key for this account — the resolved identity's
+    #: uid when a chain answered, else the submitted name.  Everything
+    #: keyed per account in storage (token rows, SMS challenge rows) uses
+    #: this, so it agrees with the admin operations, which take uids.
+    uid: str = ""
     rows: List[dict] = field(default_factory=list)  # all token rows
     row: Optional[dict] = None  # the active row being validated
     token_type: Optional[TokenType] = None

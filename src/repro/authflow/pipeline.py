@@ -14,33 +14,27 @@ settled attempt increments ``authflow_decisions_total`` (labelled by
 status), so operators can see both where validate time goes and what
 the fleet of attempts is deciding.
 
-Batching: :meth:`submit_many` (and the generic :meth:`map_batch`) fan a
-request list across a lazily-created thread pool, preserving input
-order — the entry point ``RADIUSServer.handle_batch`` uses to overlap
-distinct users' storage round trips.  The pipeline implements the
-:class:`~repro.otpserver.results.SubmitAPI` protocol with
-already-completed tickets; :meth:`validate_many` survives as a
-deprecated wrapper.
+Batching: :meth:`map_batch` fans an item list across a lazily-created
+thread pool, preserving input order — ``OTPServer.submit_many`` (the
+:class:`~repro.common.results.SubmitAPI` surface RADIUS batch drains
+call) rides it to overlap distinct users' storage round trips.
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 from repro.authflow.context import PipelineContext
-from repro.common.clock import Clock, WallClock
 from repro.authflow.locks import DEFAULT_STRIPES, StripedLockSet
-from repro.otpserver.results import Ticket, ValidateResult
+from repro.common.clock import Clock, WallClock
+from repro.common.results import ValidateResult
+from repro.telemetry import resolve_registry
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-#: (user_id, code) or (user_id, code, source)
-ValidateRequest = Tuple
 
 
 @dataclass(frozen=True)
@@ -80,10 +74,7 @@ class AuthPipeline:
         self._clock = clock or WallClock()
         self.concurrency = concurrency or ConcurrencyConfig()
         self.locks = StripedLockSet(self.concurrency.lock_stripes)
-        if telemetry is None:
-            from repro.telemetry import NOOP_REGISTRY
-
-            telemetry = NOOP_REGISTRY
+        telemetry = resolve_registry(telemetry)
         self._m_stage_seconds = telemetry.histogram(
             "authflow_stage_seconds", "wall time spent per pipeline stage"
         )
@@ -141,39 +132,6 @@ class AuthPipeline:
         if executor is None:
             return [fn(item) for item in items]
         return list(executor.map(fn, items))
-
-    # -- SubmitAPI -----------------------------------------------------------
-
-    def submit(self, request: ValidateRequest) -> Ticket:
-        """Run one attempt synchronously; the ticket is already resolved.
-
-        The pipeline has no queue of its own — front it with
-        :class:`repro.ingest.IngestQueue` for deferred, prioritized
-        admission.  Offering the same :class:`SubmitAPI` shape here lets
-        callers swap between the two without branching.
-        """
-        return Ticket.completed(self.run(*request))
-
-    def submit_many(self, requests: Sequence[ValidateRequest]) -> List[Ticket]:
-        """Run many attempts concurrently; order-preserving tickets.
-
-        Each request is ``(user_id, code)`` or ``(user_id, code, source)``.
-        Per-user serialization still holds — two requests for the same
-        user in one batch execute one after the other under their shared
-        lock stripe.
-        """
-        results = self.map_batch(lambda req: self.run(*req), list(requests))
-        return [Ticket.completed(result) for result in results]
-
-    def validate_many(self, requests: Sequence[ValidateRequest]) -> List[ValidateResult]:
-        """Deprecated alias for :meth:`submit_many` + ``result()``."""
-        warnings.warn(
-            "AuthPipeline.validate_many is deprecated; use submit_many and "
-            "Ticket.result() (the SubmitAPI protocol)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return [ticket.result() for ticket in self.submit_many(requests)]
 
     def close(self) -> None:
         """Tear down the batch executor (idempotent)."""

@@ -33,12 +33,14 @@ from __future__ import annotations
 
 from typing import Protocol, runtime_checkable
 
+from repro.authflow.context import PipelineContext
+from repro.common.results import ValidateResult, ValidateStatus
 from repro.crypto.hotp import verify_hotp
 from repro.crypto.totp import REASON_REPLAY, totp_at
-from repro.authflow.context import PipelineContext
-from repro.otpserver.results import ValidateResult, ValidateStatus
 from repro.otpserver.tokens import TokenType
 from repro.policy import AuthRequest, PolicyAction, PolicyEngine
+from repro.resolvers.base import ResolverUnavailableError
+from repro.resolvers.federation import AssertionInvalid, split_assertion_code
 
 
 @runtime_checkable
@@ -79,11 +81,9 @@ class ResolveIdentity:
         server = self.server
         with server._stats_lock:
             server.validate_requests += 1
-        lookup_id = ctx.user_id
+        ctx.uid = ctx.user_id
         chain = getattr(server, "resolvers", None)
         if chain is not None:
-            from repro.resolvers.base import ResolverUnavailableError
-
             try:
                 identity = chain.resolve(ctx.user_id)
             except ResolverUnavailableError as exc:
@@ -103,8 +103,8 @@ class ResolveIdentity:
                 )
                 return
             ctx.identity = identity
-            lookup_id = identity.uid
-        ctx.rows = server._user_tokens(lookup_id)
+            ctx.uid = identity.uid
+        ctx.rows = server._user_tokens(ctx.uid)
         if not ctx.rows:
             ctx.audit("validate", success=False, detail="no token")
             ctx.finish(
@@ -231,7 +231,7 @@ class ReplayGuard:
         if ctx.token_type is not TokenType.SMS:
             return
         challenges = self.server.db.table("challenges")
-        if not challenges.exists(ctx.user_id):
+        if not challenges.exists(ctx.uid):
             ctx.finish(
                 ValidateResult(
                     ValidateStatus.REJECT,
@@ -240,9 +240,9 @@ class ReplayGuard:
                 )
             )
             return
-        challenge = challenges.get(ctx.user_id)
+        challenge = challenges.get(ctx.uid)
         if challenge["expires_at"] <= self.server.clock.now():
-            challenges.delete(ctx.user_id)
+            challenges.delete(ctx.uid)
             ctx.finish(
                 ValidateResult(
                     ValidateStatus.REJECT, "token code expired", serial=ctx.row["serial"]
@@ -256,8 +256,8 @@ class ReplayGuard:
         row = ctx.row
         challenges = server.db.table("challenges")
         now = server.clock.now()
-        if challenges.exists(ctx.user_id):
-            outstanding = challenges.get(ctx.user_id)
+        if challenges.exists(ctx.uid):
+            outstanding = challenges.get(ctx.uid)
             if outstanding["expires_at"] > now:
                 # "LinOTP will not forward to Twilio and instead ... a
                 # response message ... that the SMS has already been sent."
@@ -271,7 +271,7 @@ class ReplayGuard:
                     outcome_applies=False,
                 )
                 return
-            challenges.delete(ctx.user_id)
+            challenges.delete(ctx.uid)
         secret = server._sealer.unseal(row["sealed_secret"])
         code = totp_at(
             secret, now, digits=server.config.digits, step=server.config.totp_step
@@ -281,7 +281,7 @@ class ReplayGuard:
         )
         challenges.insert(
             {
-                "user_id": ctx.user_id,
+                "user_id": ctx.uid,
                 "serial": row["serial"],
                 "sealed_code": server._sealer.seal(code.encode()),
                 "sent_at": now,
@@ -324,7 +324,7 @@ class DispatchByTokenType:
         expected = self.server._sealer.unseal(ctx.challenge["sealed_code"]).decode()
         if expected == ctx.code:
             # The code is nullified on success.
-            self.server.db.table("challenges").delete(ctx.user_id)
+            self.server.db.table("challenges").delete(ctx.uid)
             return ValidateResult(ValidateStatus.OK, serial=serial)
         # A mismatch leaves the challenge outstanding (Section 3.2: "In the
         # event of a token mismatch, the token code remains valid").
@@ -393,8 +393,6 @@ class DispatchByTokenType:
         assertion replay it, and it bounds brute-forcing the step-up PIN
         at one guess per freshly issued assertion.
         """
-        from repro.resolvers.federation import AssertionInvalid, split_assertion_code
-
         server = self.server
         row = ctx.row
         serial = row["serial"]

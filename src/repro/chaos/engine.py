@@ -14,7 +14,7 @@ anything about fault plans:
 
 Determinism is the contract: all probabilistic faults draw from per-fault
 ``random.Random`` instances seeded from ``(run seed, plan name, fault
-index, kind)`` via :func:`repro.radius.backoff.stable_seed`, time is the
+index, kind)`` via :func:`repro.common.resilience.stable_seed`, time is the
 deployment's :class:`~repro.common.clock.SimulatedClock`, and every
 injection is appended to an event log whose canonical JSON rendering is
 byte-identical across runs with the same seed.
@@ -41,8 +41,8 @@ from repro.chaos.faults import (
 )
 from repro.chaos.plan import FaultPlan
 from repro.common.clock import Clock
+from repro.common.resilience import stable_seed
 from repro.otpserver.sms_gateway import CarrierProfile
-from repro.radius.backoff import stable_seed
 from repro.telemetry import NOOP_REGISTRY
 
 

@@ -34,9 +34,9 @@ from repro.chaos.engine import ChaosEngine
 from repro.chaos.faults import BatchBackfill, ResolverOutage, ShardCrash
 from repro.chaos.plan import FaultPlan
 from repro.common.clock import SimulatedClock
+from repro.common.resilience import FailoverPolicy
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
-from repro.radius.health import FailoverPolicy
 from repro.simcore import EventScheduler
 from repro.ssh import SSHClient
 from repro.storage import StorageConfig

@@ -1,11 +1,28 @@
-"""Per-server health scoring and circuit breaking for the RADIUS client.
+"""Failover primitives shared by every client of a replicated service.
 
-The paper's client "communicate[s] with RADIUS servers in a round-robin
-fashion to provide load balancing and resiliency" — but blind round-robin
-keeps burning timeouts on a server that has been dead for an hour.  This
-module adds the memory: every response or timeout updates an EWMA health
-score and a consecutive-failure counter per server, and a circuit breaker
-ejects servers that keep failing:
+Two pieces, used together by the RADIUS client (servers) and the
+identity-resolver chain (resolver back ends), and by the chaos engine for
+its seeds — which is why they live below all three:
+
+**Retransmit backoff with seeded jitter.**  A client waits between
+retransmits to the same server so a congested or recovering server is not
+hammered at line rate.  The delay schedule is exponential with a cap,
+plus multiplicative jitter so a fleet of login nodes does not retry in
+lockstep.  Jitter is drawn from a seeded generator keyed on ``(seed,
+attempt)``: the schedule is a *pure function* of its inputs, which is
+what lets the chaos invariant suite assert that two runs with the same
+seed replay byte-identically.  Monotonicity is guaranteed by
+construction: the policy requires ``multiplier >= 1 + jitter``, so even a
+maximal jitter draw on attempt ``n`` cannot exceed a minimal draw on
+attempt ``n + 1`` (both pre-cap), and capping a non-decreasing sequence
+keeps it non-decreasing.
+
+**Per-server health scoring and circuit breaking.**  The paper's client
+"communicate[s] with RADIUS servers in a round-robin fashion to provide
+load balancing and resiliency" — but blind round-robin keeps burning
+timeouts on a server that has been dead for an hour.  Every response or
+timeout updates an EWMA health score and a consecutive-failure counter
+per server, and a circuit breaker ejects servers that keep failing:
 
 * ``CLOSED``    — healthy; the server takes its full share of traffic.
 * ``OPEN``      — ejected after ``failure_threshold`` consecutive
@@ -21,11 +38,65 @@ shows exactly which servers the client has given up on.
 
 from __future__ import annotations
 
+import random
+import zlib
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional
 
-from repro.radius.backoff import BackoffPolicy
+
+@dataclass(frozen=True)
+class BackoffPolicy:
+    """Shape of the retransmit delay curve."""
+
+    base: float = 0.25  # first retransmit delay, seconds
+    multiplier: float = 2.0  # growth factor per attempt
+    cap: float = 5.0  # delays never exceed this
+    jitter: float = 0.5  # max fractional inflation per delay
+
+    def __post_init__(self) -> None:
+        if self.base <= 0:
+            raise ValueError(f"base delay must be positive, got {self.base}")
+        if self.cap < self.base:
+            raise ValueError(f"cap {self.cap} below base delay {self.base}")
+        if not 0.0 <= self.jitter <= self.multiplier - 1.0:
+            # jitter > multiplier - 1 would let a lucky early draw overtake
+            # an unlucky later one, breaking the monotone-schedule guarantee.
+            raise ValueError(
+                f"jitter must be in [0, multiplier - 1], got {self.jitter}"
+            )
+
+
+def stable_seed(*parts: object) -> int:
+    """A process-independent integer seed from arbitrary key parts.
+
+    ``hash()`` is randomized per interpreter (PYTHONHASHSEED), so schedules
+    keyed on it would not replay across runs; CRC32 over the rendered key
+    is stable everywhere.
+    """
+    return zlib.crc32("|".join(str(p) for p in parts).encode("utf-8"))
+
+
+class BackoffSchedule:
+    """The per-server delay schedule: ``delay(n)`` is the wait before the
+    ``n``-th retransmit (n >= 1; the first attempt never waits)."""
+
+    def __init__(self, policy: BackoffPolicy, seed: int) -> None:
+        self.policy = policy
+        self.seed = int(seed)
+
+    def delay(self, attempt: int) -> float:
+        """Deterministic delay before retransmit ``attempt`` (1-based)."""
+        if attempt < 1:
+            return 0.0
+        p = self.policy
+        raw = p.base * (p.multiplier ** (attempt - 1))
+        unit = random.Random((self.seed << 20) ^ attempt).random()
+        return min(p.cap, raw * (1.0 + p.jitter * unit))
+
+    def delays(self, count: int) -> List[float]:
+        """The first ``count`` delays, for inspection and property tests."""
+        return [self.delay(n) for n in range(1, count + 1)]
 
 
 class CircuitState(str, Enum):
@@ -57,12 +128,6 @@ class FailoverPolicy:
     deadline_budget: Optional[float] = None  # per-call wall budget; None = unbounded
     health_decay: float = 0.7  # EWMA weight of history vs. the newest outcome
     backoff: BackoffPolicy = field(default_factory=BackoffPolicy)
-    #: When True and the deployment clock is simulated, timeouts and backoff
-    #: waits advance it — login latency becomes measurable in simulated
-    #: seconds and deadline budgets bind.  Off by default: moving shared
-    #: time mid-call shifts TOTP steps under the caller's feet, which only
-    #: the chaos/benchmark rigs opt into.
-    simulate_waits: bool = False
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
@@ -100,13 +165,15 @@ class HealthTracker:
     default metric names) and the identity-resolver chain reuses the same
     machinery for resolver backends by overriding the metric names and
     ``label`` — the EWMA/circuit semantics are identical either way.
+    ``telemetry`` is the caller's already-resolved registry (``common``
+    sits below :mod:`repro.telemetry` and cannot default it).
     """
 
     def __init__(
         self,
         servers: List[str],
         policy: FailoverPolicy,
-        telemetry=None,
+        telemetry,
         health_metric: str = "radius_server_health",
         circuit_metric: str = "radius_circuit_state",
         transitions_metric: str = "radius_circuit_transitions_total",
@@ -118,10 +185,6 @@ class HealthTracker:
         self._health: Dict[str, ServerHealth] = {
             s: ServerHealth(address=s) for s in servers
         }
-        if telemetry is None:
-            from repro.telemetry import NOOP_REGISTRY
-
-            telemetry = NOOP_REGISTRY
         self._g_health = telemetry.gauge(
             health_metric, f"EWMA health score per {subject} (1 = healthy)"
         )
@@ -161,9 +224,6 @@ class HealthTracker:
             self.policy.probe_interval_max,
         )
         return now - health.opened_at >= interval
-
-    def snapshot(self) -> Dict[str, ServerHealth]:
-        return dict(self._health)
 
     # -- transitions -------------------------------------------------------
 

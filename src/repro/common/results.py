@@ -1,10 +1,9 @@
 """Validation result types and the back-end protocol seam.
 
-Split out of :mod:`repro.otpserver.server` so the authflow pipeline
-stages can build :class:`ValidateResult` values without importing the
-server module (which itself imports the pipeline).  Everything here is
-re-exported from both ``repro.otpserver`` and ``repro.otpserver.server``
-for existing callers.
+The contract between anything that checks a second factor and anything
+that asks: the RADIUS servers, the ingestion queue and the authflow
+stages all build or consume these values, so they sit below all of
+them.  ``repro.otpserver`` re-exports them as its public surface.
 """
 
 from __future__ import annotations
@@ -139,17 +138,17 @@ class Ticket:
 
 @runtime_checkable
 class SubmitAPI(Protocol):
-    """The formal batch-submission surface, replacing the old duck-typed
-    ``getattr(backend, "validate_many", None)`` discovery.
+    """The formal batch-submission surface.
 
     ``submit`` hands one request to the backend and returns a
     :class:`Ticket`; ``submit_many`` does the same for a batch, preserving
-    order.  Synchronous implementations (:class:`~repro.authflow.pipeline
-    .AuthPipeline`, :class:`~repro.otpserver.server.OTPServer`) return
+    order.  Synchronous implementations
+    (:class:`~repro.otpserver.server.OTPServer`,
+    :class:`~repro.core.infrastructure.UsernameResolvingBackend`) return
     already-completed tickets; the ingestion queue
-    (:class:`~repro.ingest.IngestQueue`) returns live ones that resolve as
-    the queue drains.  ``validate_many`` remains on those classes as a
-    thin deprecated wrapper over ``submit_many``.
+    (:class:`~repro.ingest.IngestQueue`, and the
+    :class:`~repro.ingest.QueuedBackend` fronting it) returns live ones
+    that resolve as the queue drains.
     """
 
     def submit(self, request: SubmitRequest) -> Ticket: ...

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.common.clock import Clock, SystemClock
 from repro.common.errors import NotFoundError, ValidationError
 from repro.directory.identity import AccountClass, IdentityBackend, PairingStatus
+from repro.ingest import IngestConfig, IngestQueue, QueuedBackend
 # ValidateResult/ValidateStatus come from the package's public surface (not
 # the private server module) and at module level: the unknown-user branch
 # below sits on the per-login hot path, where a lazy import costs a dict
@@ -25,7 +26,6 @@ from repro.otpserver import (
     OTPServer,
     OTPServerConfig,
     SMSGateway,
-    SubmitAPI,
     Ticket,
     TokenBackend,
     ValidateResult,
@@ -38,11 +38,18 @@ from repro.pam.modules.exemption import MFAExemptionModule
 from repro.pam.modules.pubkey import PublicKeySuccessModule
 from repro.pam.modules.token import MFATokenModule
 from repro.pam.modules.unix_password import UnixPasswordModule
-from repro.extensions.risk import RiskEngine
-from repro.policy import EnforcementLadder, PolicyEngine, RiskStage
+from repro.pam.registry import PAMServiceManager, standard_registry
+from repro.policy import EnforcementLadder, PolicyEngine, RiskEngine
 from repro.radius.client import RADIUSClient
 from repro.radius.server import RADIUSServer
 from repro.radius.transport import UDPFabric
+from repro.resolvers import (
+    AttestationIssuer,
+    AttestationVerifier,
+    FederatedResolver,
+    ResolverConfig,
+    build_chain,
+)
 from repro.ssh.authlog import AuthLog
 from repro.ssh.daemon import SSHDaemon
 from repro.telemetry import resolve_registry
@@ -72,7 +79,7 @@ class UsernameResolvingBackend:
         # realm routing, caching and failover); pass the name through so
         # federated ``user@homesite`` logins and per-resolver telemetry
         # work.  Without one, do the legacy LDAP-side join here.
-        if getattr(self._otp, "resolvers", None) is not None:
+        if self._otp.resolvers is not None:
             return self._otp.validate(username, code)
         try:
             uid = self._identity.get(username).uid
@@ -91,11 +98,9 @@ class UsernameResolvingBackend:
         token" without occupying a slot in the OTP server's batch, and
         the rest ride its concurrent :class:`~repro.otpserver.SubmitAPI`.
         """
-        if getattr(self._otp, "resolvers", None) is not None:
+        if self._otp.resolvers is not None:
             # Resolver chain attached: the pipeline resolves names itself.
-            if isinstance(self._otp, SubmitAPI):
-                return self._otp.submit_many(list(requests))
-            return [Ticket.completed(self._otp.validate(*r)) for r in requests]
+            return self._otp.submit_many(list(requests))
         tickets: List[Optional[Ticket]] = [None] * len(requests)
         resolved_idx: List[int] = []
         resolved: List[Tuple] = []
@@ -111,25 +116,9 @@ class UsernameResolvingBackend:
             resolved_idx.append(i)
             resolved.append((uid, *rest))
         if resolved:
-            if isinstance(self._otp, SubmitAPI):
-                answers = self._otp.submit_many(resolved)
-            else:
-                answers = [Ticket.completed(self._otp.validate(*r)) for r in resolved]
-            for i, answer in zip(resolved_idx, answers):
+            for i, answer in zip(resolved_idx, self._otp.submit_many(resolved)):
                 tickets[i] = answer
         return tickets
-
-    def validate_many(self, requests: Sequence[Tuple]) -> List[ValidateResult]:
-        """Deprecated alias for :meth:`submit_many` + ``result()``."""
-        import warnings
-
-        warnings.warn(
-            "UsernameResolvingBackend.validate_many is deprecated; use "
-            "submit_many and Ticket.result() (the SubmitAPI protocol)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return [ticket.result() for ticket in self.submit_many(requests)]
 
 
 class HPCSystem:
@@ -166,8 +155,6 @@ class HPCSystem:
         # so config edits are live ("in effect as soon as written to disk").
         self._pam_manager = None
         if center.pam_dir is not None:
-            from repro.pam.registry import PAMServiceManager, standard_registry
-
             registry = standard_registry(
                 center.identity,
                 self.authlog,
@@ -201,7 +188,7 @@ class HPCSystem:
     # -- policy / PAM stack construction (the Figure-1 configuration) -----------
 
     def _build_policy(self) -> PolicyEngine:
-        # ``risk`` is the *deployment's* stage, shared with the OTP
+        # ``risk`` is the *deployment's* engine, shared with the OTP
         # server's pipeline engine: PAM and the back end see one verdict,
         # one flag log, one set of counters per attempt stream.
         return PolicyEngine(
@@ -314,22 +301,13 @@ class MFACenter:
             storage=storage,
         )
         # Optional risk-based authentication: ``risk`` is None (off), True
-        # (a default stage on the deployment clock), or a ready
-        # RiskStage/RiskEngine.  The one stage is wired into the OTP
-        # server's policy *and* every system's per-system engine, so the
-        # layers share a single risk verdict per attempt stream.
-        self.risk_stage: Optional[RiskStage] = None
+        # (a default engine on the deployment clock), or a ready
+        # RiskEngine.  The one engine is wired into the OTP server's
+        # policy *and* every system's per-system engine, so the layers
+        # share a single risk verdict per attempt stream.
         if risk:
-            if isinstance(risk, RiskStage):
-                stage = risk
-            elif isinstance(risk, RiskEngine):
-                stage = RiskStage(risk)
-            else:
-                stage = RiskStage(clock=self.clock)
-            if not stage.clock_injected:
-                stage.bind_clock(self.clock)
-            self.risk_stage = stage
-            self.otp.policy.set_risk(stage)
+            self.otp.policy.set_risk(risk)
+        self.risk_stage: Optional[RiskEngine] = self.otp.policy.risk
         # Optional identity-resolver chain: ``resolvers`` is None (the
         # legacy direct username→uid join), True (a default chain over the
         # identity back end), or a repro.resolvers.ResolverConfig.  When
@@ -342,12 +320,6 @@ class MFACenter:
         self._federated_resolver = None
         self._federation_issuers: Dict[str, object] = {}
         if resolvers:
-            from repro.resolvers import (
-                AttestationVerifier,
-                ResolverConfig,
-                build_chain,
-            )
-
             config = (
                 resolvers
                 if isinstance(resolvers, ResolverConfig)
@@ -380,8 +352,6 @@ class MFACenter:
         # through priority classes, backpressure, and SLA accounting.
         self.ingest_queue = None
         if ingest:
-            from repro.ingest import IngestConfig, IngestQueue, QueuedBackend
-
             config = ingest if isinstance(ingest, IngestConfig) else None
             self.ingest_queue = IngestQueue(
                 runner=self.radius_backend.validate,
@@ -523,8 +493,6 @@ class MFACenter:
             raise ValidationError(
                 "federation requires resolvers= to be enabled on MFACenter"
             )
-        from repro.resolvers import AttestationIssuer
-
         issuer = self._federation_issuers.get(site)
         if issuer is None:
             if key is None:
@@ -560,8 +528,6 @@ class MFACenter:
             )
         self.otp.enroll_federated(account.uid, principal, step_up_code=step_up_code)
         if self._federated_resolver is None:
-            from repro.resolvers import FederatedResolver
-
             self._federated_resolver = FederatedResolver()
         self._federated_resolver.map(principal, account.uid)
         self.resolver_chain.add_route(site, self._federated_resolver)

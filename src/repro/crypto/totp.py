@@ -94,7 +94,7 @@ class ValidationOutcome:
     resynchronization workflow admins run from the LinOTP UI.
 
     Shares the ``.ok``/``.reason`` accessor pair with
-    :class:`repro.otpserver.results.ValidateResult` so telemetry can label
+    :class:`repro.common.results.ValidateResult` so telemetry can label
     validation outcomes uniformly across layers.
     """
 

@@ -13,7 +13,7 @@ adds the admission layer (ROADMAP item 2):
   before critical), retry-with-backoff on
   :class:`~repro.common.errors.TransientBackendError`, and
   depth/age/shed/SLA telemetry; plus :class:`QueuedBackend`, which
-  fronts any :class:`~repro.otpserver.results.TokenBackend` with a
+  fronts any :class:`~repro.common.results.TokenBackend` with a
   queue.
 
 The same queue runs on real daemon threads (``start()``), on

@@ -4,8 +4,8 @@
 SMS dispatcher, resync backfills, admin sweeps) and a runner — any
 ``fn(*request) -> ValidateResult``, typically
 ``UsernameResolvingBackend.validate`` or ``AuthPipeline.run``.  It
-implements the :class:`~repro.otpserver.results.SubmitAPI` protocol:
-``submit`` returns a live :class:`~repro.otpserver.results.Ticket` that
+implements the :class:`~repro.common.results.SubmitAPI` protocol:
+``submit`` returns a live :class:`~repro.common.results.Ticket` that
 resolves when the item is serviced.
 
 Admission, in order:
@@ -48,6 +48,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.clock import Clock, WallClock
 from repro.common.errors import TransientBackendError
+from repro.common.results import Ticket, ValidateResult, ValidateStatus
 from repro.ingest.priority import (
     CLASS_RANK,
     ClassPolicy,
@@ -55,7 +56,8 @@ from repro.ingest.priority import (
     PriorityHeap,
     WorkItem,
 )
-from repro.otpserver.results import Ticket, ValidateResult, ValidateStatus
+from repro.policy import RateLimitConfig, TokenBucketLimiter
+from repro.telemetry import resolve_registry
 
 __all__ = ["IngestConfig", "IngestQueue", "QueuedBackend", "classify_request"]
 
@@ -154,8 +156,6 @@ class IngestQueue:
         self._clock = clock or WallClock()
         self._class_limiters: Optional[Dict[PriorityClass, object]] = None
         if limiter is None and self.config.admission_rate is not None:
-            from repro.policy import RateLimitConfig, TokenBucketLimiter
-
             bucket = RateLimitConfig(
                 rate=self.config.admission_rate,
                 burst=self.config.admission_burst,
@@ -187,13 +187,10 @@ class IngestQueue:
         self._pumping = False
         self._closed = False
 
-        from repro.telemetry import NOOP_REGISTRY
-
-        if telemetry is None:
-            telemetry = NOOP_REGISTRY
+        telemetry = resolve_registry(telemetry)
         # The admission path runs per datagram; skip even no-op metric
         # dispatch when nobody is collecting.
-        self._metered = telemetry is not NOOP_REGISTRY
+        self._metered = telemetry.enabled
         self._g_depth = telemetry.gauge(
             "ingest_depth", "queued items by priority class"
         )
@@ -229,18 +226,6 @@ class IngestQueue:
     ) -> List[Ticket]:
         """One live ticket per request, input order preserved."""
         return [self.submit_item(tuple(r), priority) for r in requests]
-
-    def validate_many(self, requests: Sequence[Sequence]) -> List[ValidateResult]:
-        """Deprecated alias for :meth:`submit_many` + ``result()``."""
-        import warnings
-
-        warnings.warn(
-            "IngestQueue.validate_many is deprecated; use submit_many and "
-            "Ticket.result() (the SubmitAPI protocol)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return [ticket.result() for ticket in self.submit_many(requests)]
 
     def submit_item(
         self, request: Tuple, priority: Optional[PriorityClass] = None
@@ -643,9 +628,6 @@ class QueuedBackend:
         priority: Optional[PriorityClass] = None,
     ) -> List[Ticket]:
         return self.queue.submit_many(requests, priority)
-
-    def validate_many(self, requests: Sequence[Sequence]) -> List[ValidateResult]:
-        return self.queue.validate_many(requests)
 
     def __getattr__(self, name):
         # Administrative surface (enroll, pairing queries, audit) passes

@@ -18,14 +18,14 @@ Subsystems:
   authenticates to with HTTP Digest.
 """
 
-from repro.otpserver.database import Database, Table
-from repro.otpserver.results import (
+from repro.common.results import (
     SubmitAPI,
     Ticket,
     TokenBackend,
     ValidateResult,
     ValidateStatus,
 )
+from repro.otpserver.database import Database, Table
 from repro.otpserver.server import OTPServer, OTPServerConfig
 from repro.otpserver.sms_gateway import SMSGateway, SMSPricing
 from repro.otpserver.tokens import HardTokenBatch, TokenRecord, TokenType

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import random
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -38,24 +37,16 @@ if TYPE_CHECKING:  # runtime import lives in OTPServer.__init__ (cycle)
 from repro.common.clock import Clock, SystemClock
 from repro.common.errors import NotFoundError, ValidationError
 from repro.common.ids import IdAllocator
+from repro.common.results import Ticket, ValidateResult
 from repro.crypto.secrets import SecretSealer, generate_secret
 from repro.crypto.totp import TOTPValidator
 from repro.otpserver.audit import AuditLog
 from repro.otpserver.database import Database
-from repro.otpserver.results import Ticket, TokenBackend, ValidateResult, ValidateStatus
 from repro.otpserver.sms_gateway import SMSGateway
 from repro.otpserver.tokens import HardTokenBatch, TokenRecord, TokenType
 from repro.policy import LockoutPolicy, PolicyEngine
 from repro.storage import StorageConfig, build_engine, find_layer
 from repro.telemetry import NOOP_REGISTRY
-
-__all__ = [
-    "OTPServer",
-    "OTPServerConfig",
-    "TokenBackend",
-    "ValidateResult",
-    "ValidateStatus",
-]
 
 
 @dataclass(frozen=True)
@@ -113,9 +104,9 @@ class OTPServer:
         policy: Optional[PolicyEngine] = None,
         concurrency: Optional[ConcurrencyConfig] = None,
     ) -> None:
-        # Imported here, not at module level: the authflow stages build
-        # ValidateResult values from repro.otpserver.results, so a module
-        # -level import either way would be circular.
+        # Imported here, not at module level: the authflow stages import
+        # repro.otpserver.tokens (so this package) — the one allowed
+        # authflow ⇄ otpserver cycle (tests/test_layering.py).
         from repro.authflow import AuthPipeline, default_stages
         self.clock = clock or SystemClock()
         self.config = config or OTPServerConfig()
@@ -497,16 +488,6 @@ class OTPServer:
             lambda request: self.validate(*request), list(requests)
         )
         return [Ticket.completed(result) for result in results]
-
-    def validate_many(self, requests: Sequence[Tuple]) -> List[ValidateResult]:
-        """Deprecated alias for :meth:`submit_many` + ``result()``."""
-        warnings.warn(
-            "OTPServer.validate_many is deprecated; use submit_many and "
-            "Ticket.result() (the SubmitAPI protocol)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return [ticket.result() for ticket in self.submit_many(requests)]
 
     def policy_snapshot(self) -> Dict[str, object]:
         """The active policy plus pipeline concurrency, for operators."""

@@ -217,7 +217,11 @@ def parse_pam_config(
         # Re-join bracketed controls that contain spaces before splitting.
         if line.split()[1].startswith("[") if len(line.split()) > 1 else False:
             facility, rest = line.split(None, 1)
-            close = rest.index("]")
+            close = rest.find("]")
+            if close < 0:
+                raise ConfigurationError(
+                    f"line {lineno}: unterminated bracketed control: {raw!r}"
+                )
             control = rest[: close + 1]
             remainder = rest[close + 1 :].split()
         else:

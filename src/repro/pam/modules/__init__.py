@@ -7,9 +7,14 @@ Four in-house modules (Section 3.4) plus the stock password module:
 * :class:`~repro.pam.modules.token.MFATokenModule`
 * :class:`~repro.pam.modules.solaris.SolarisMFAModule`
 * :class:`~repro.pam.modules.unix_password.UnixPasswordModule`
+
+and one grown from the paper's conclusion ("geolocation services"):
+
+* :class:`~repro.pam.modules.geo.PamGeoCheckModule`
 """
 
 from repro.pam.modules.exemption import MFAExemptionModule
+from repro.pam.modules.geo import PamGeoCheckModule
 from repro.pam.modules.pubkey import PublicKeySuccessModule
 from repro.pam.modules.solaris import SolarisMFAModule
 from repro.pam.modules.token import EnforcementMode, MFATokenModule
@@ -22,4 +27,5 @@ __all__ = [
     "EnforcementMode",
     "SolarisMFAModule",
     "UnixPasswordModule",
+    "PamGeoCheckModule",
 ]

@@ -107,9 +107,18 @@ class MFATokenModule:
             ),
             now=session.clock.now(),
         )
+        if decision.risk_action is not None:
+            session.items["risk_score"] = decision.risk_score
+            session.items["risk_signals"] = decision.risk_signals
         if decision.action is PolicyAction.THROTTLE:
             if session.conversation is not None:
                 session.conversation.error("too many attempts; try again later")
+            return PAMResult.AUTH_ERR
+        if decision.action is PolicyAction.DENY:
+            # Refused before any factor is asked for: no pairing lookup,
+            # no prompt, no RADIUS round trip.
+            if session.conversation is not None:
+                session.conversation.error("access denied by policy")
             return PAMResult.AUTH_ERR
         if decision.action is PolicyAction.EXEMPT:
             # Only reachable through a shared engine carrying an ACL; the
@@ -136,10 +145,6 @@ class MFATokenModule:
             return PAMResult.SUCCESS
         if decision.action is PolicyAction.NOTIFY:
             return self._countdown_notice(session, decision.countdown_days)
-        if decision.action is PolicyAction.DENY:
-            if session.conversation is not None:
-                session.conversation.error("access denied by policy")
-            return PAMResult.AUTH_ERR
         # CHALLENGE: prompt regardless; an unpaired user in `full` mode is
         # denied after the round trip (the prompt leaks nothing about
         # pairing state).

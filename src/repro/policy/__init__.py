@@ -1,6 +1,7 @@
 """Unified access policy: exemptions, enforcement ladder, lockout,
-admission control — one ``PolicyEngine.evaluate(request) -> Decision``
-consumed by both the PAM modules and the OTP server's authflow pipeline.
+admission control, risk — one ``PolicyEngine.evaluate(request) ->
+Decision`` consumed by both the PAM modules and the OTP server's
+authflow pipeline.
 """
 
 from repro.policy.engine import (
@@ -13,7 +14,7 @@ from repro.policy.engine import (
     PolicyEngine,
 )
 from repro.policy.ratelimit import RateLimitConfig, TokenBucketLimiter
-from repro.policy.risk import RiskStage
+from repro.policy.risk import RiskAction, RiskEngine, RiskWeights
 
 __all__ = [
     "AuthRequest",
@@ -24,6 +25,8 @@ __all__ = [
     "PolicyAction",
     "PolicyEngine",
     "RateLimitConfig",
-    "RiskStage",
+    "RiskAction",
+    "RiskEngine",
+    "RiskWeights",
     "TokenBucketLimiter",
 ]

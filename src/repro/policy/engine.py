@@ -8,7 +8,7 @@ threshold was an ``OTPServerConfig`` field applied deep inside the
 validate path.  Each layer could drift from the others — PAM could think
 a user exempt while the OTP server counted their failures.
 
-:class:`PolicyEngine` consolidates all four rule families:
+:class:`PolicyEngine` consolidates all five rule families:
 
 * **exemption ACLs** — any object with ``check(user, ip)`` (the existing
   :class:`repro.pam.acl.ExemptionACL` hierarchy);
@@ -18,7 +18,11 @@ a user exempt while the OTP server counted their failures.
 * the **lockout rule** (:class:`LockoutPolicy`) — the paper's "20
   consecutive failed validation attempts" threshold;
 * **admission control** (:class:`TokenBucketLimiter`) — new per-source
-  token buckets so abusive sources are refused before touching storage.
+  token buckets so abusive sources are refused before touching storage;
+* **risk** (:class:`~repro.policy.risk.RiskEngine`) — a per-attempt
+  verdict that only ever tightens the rules above: STEP_UP withholds
+  the exemption grant and upgrades passive outcomes to a challenge,
+  DENY refuses outright.
 
 Both the PAM token/exemption modules and the OTP server's authflow
 pipeline evaluate against the same engine type (and can share one
@@ -34,9 +38,9 @@ from math import ceil
 from typing import Callable, Optional
 
 from repro.common.clock import Clock, SystemClock, parse_date
-from repro.extensions.risk import QUIET_ALLOW, RiskAction, RiskDecision, RiskEngine
 from repro.policy.ratelimit import RateLimitConfig, TokenBucketLimiter
-from repro.policy.risk import RiskStage
+from repro.policy.risk import QUIET_ALLOW, RiskAction, RiskDecision, RiskEngine
+from repro.telemetry import resolve_registry
 
 
 class EnforcementMode(str, Enum):
@@ -114,7 +118,7 @@ class Decision:
         self.pairing = pairing
         self.pairing_resolved = pairing_resolved
         self.countdown_days = countdown_days
-        # Risk-stage verdict, stamped when the engine has a RiskStage:
+        # Risk verdict, stamped when the engine has a RiskEngine:
         # score in [0, 1], action "allow"/"step_up"/"deny", fired signals.
         self.risk_score = risk_score
         self.risk_action = risk_action
@@ -274,26 +278,25 @@ class PolicyEngine:
             # time; adopt it onto the engine's clock so both tick together.
             rate_limit.bind_clock(self.clock)
         self.admission: Optional[TokenBucketLimiter] = rate_limit
-        #: The risk stage (``None`` = risk scoring disabled).  Accepts a
-        #: ready :class:`RiskStage`, a bare :class:`RiskEngine` (wrapped),
-        #: or ``None``; engines left on the implicit wall clock are
-        #: adopted onto the engine's clock, like the limiter above.
-        self.risk: Optional[RiskStage] = self._adopt_risk(risk)
-        if telemetry is None:
-            from repro.telemetry import NOOP_REGISTRY
-
-            telemetry = NOOP_REGISTRY
+        #: The risk engine (``None`` = risk scoring disabled).  ``risk``
+        #: is ``None``, ``True`` (a default engine on this clock) or a
+        #: ready :class:`RiskEngine`; one left on the implicit wall clock
+        #: is adopted onto the engine's clock, like the limiter above.
+        self.risk: Optional[RiskEngine] = self._adopt_risk(risk)
+        telemetry = resolve_registry(telemetry)
         self._m_decisions = telemetry.counter(
             "policy_decisions_total", "policy engine decisions by action"
         )
         self._m_risk = telemetry.counter(
-            "policy_risk_assessments_total", "risk stage verdicts by action"
+            "policy_risk_assessments_total", "risk verdicts by action"
         )
 
-    def _adopt_risk(self, risk) -> Optional[RiskStage]:
-        if isinstance(risk, RiskEngine):
-            risk = RiskStage(risk)
-        if isinstance(risk, RiskStage) and not risk.clock_injected:
+    def _adopt_risk(self, risk) -> Optional[RiskEngine]:
+        if not risk:
+            return None
+        if risk is True:
+            return RiskEngine(clock=self.clock)
+        if not risk.clock_injected:
             risk.bind_clock(self.clock)
         return risk
 
@@ -323,7 +326,7 @@ class PolicyEngine:
         an ACL waiver: it short-circuits past the token module, so a
         step-up verdict must withhold the grant *there* — by the time
         ``evaluate`` runs inside the token module, the stack has already
-        let the exempt user through.  Without a risk stage the answer is
+        let the exempt user through.  Without a risk engine the answer is
         always ``False`` and the ACL behaves exactly as before.
         """
         if self.risk is None:
@@ -341,7 +344,7 @@ class PolicyEngine:
         """Fold every rule family into one :class:`Decision`.
 
         Order matters: admission control runs first (an abusive source
-        never reaches the ACL or directory), then the risk stage (a DENY
+        never reaches the ACL or directory), then the risk engine (a DENY
         verdict refuses outright, before lockout counters or storage are
         touched; a STEP_UP verdict withholds the exemption grant and
         upgrades passive ladder outcomes to a challenge), then exemptions
@@ -397,7 +400,7 @@ class PolicyEngine:
         pairing = request.resolve_pairing()
         if pairing is None:
             # Nothing to step up to: an unpaired account has no second
-            # factor.  The verdict stays flagged in the risk stage's log,
+            # factor.  The verdict stays flagged in the risk engine's log,
             # but the ladder outcome stands.
             if mode is EnforcementMode.OFF:
                 return _stamp_risk(
@@ -450,7 +453,7 @@ class PolicyEngine:
         self.version += 1
 
     def set_risk(self, risk) -> None:
-        """Attach, replace, or (with ``None``) remove the risk stage live.
+        """Attach, replace, or (with ``None``) remove the risk engine live.
 
         Bumps :attr:`version` like every other reconfiguration, so cached
         decisions made under the old scoring rules become unreachable.

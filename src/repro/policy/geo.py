@@ -1,17 +1,13 @@
 """Geolocation services (conclusion future-work item #1).
 
-Three pieces:
-
 * :class:`GeoDatabase` — a CIDR-prefix → location registry standing in
   for a MaxMind-style GeoIP database.  Lookups use longest-prefix match.
 * :class:`GeoVelocityMonitor` — the "impossible travel" detector: it
   remembers each user's last login location/time and computes the great-
-  circle speed a new login would imply.
-* :class:`PamGeoCheckModule` — a PAM module enforcing a country
-  allow/deny policy plus a speed ceiling, designed to sit between the
-  first factor and the token module (suspicious geography can then be
-  made to *require* the second factor rather than deny outright, via the
-  risk engine).
+  circle speed a new login would imply.  The risk engine
+  (:mod:`repro.policy.risk`) scores its verdict as one more signal; the
+  ``pam_geo_check`` module (:mod:`repro.pam.modules.geo`) enforces it
+  outright.
 """
 
 from __future__ import annotations
@@ -21,8 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.clock import Clock, SystemClock
-from repro.pam.acl import OriginMatcher
-from repro.pam.framework import PAMResult, PAMSession
+from repro.common.origin import OriginMatcher
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -140,51 +135,3 @@ class GeoVelocityMonitor:
 
     def forget(self, username: str) -> None:
         self._last_seen.pop(username, None)
-
-
-class PamGeoCheckModule:
-    """``pam_geo_check`` — country policy + impossible-travel enforcement.
-
-    Verdicts: SUCCESS when the origin is acceptable, AUTH_ERR when the
-    country is denied or the implied travel speed is impossible, IGNORE
-    for unmapped origins (policy decision: fail open on coverage gaps,
-    closed on positive signals — flip ``unmapped_is_error`` to harden).
-    """
-
-    name = "pam_geo_check"
-
-    def __init__(
-        self,
-        geo: GeoDatabase,
-        monitor: Optional[GeoVelocityMonitor] = None,
-        allowed_countries: Optional[List[str]] = None,
-        denied_countries: Optional[List[str]] = None,
-        unmapped_is_error: bool = False,
-    ) -> None:
-        self._geo = geo
-        self._monitor = monitor
-        self._allowed = set(allowed_countries or [])
-        self._denied = set(denied_countries or [])
-        self._unmapped_is_error = unmapped_is_error
-
-    def authenticate(self, session: PAMSession) -> PAMResult:
-        point = self._geo.lookup(session.remote_ip)
-        if point is None:
-            return PAMResult.AUTH_ERR if self._unmapped_is_error else PAMResult.IGNORE
-        session.items["geo_country"] = point.country
-        session.items["geo_city"] = point.city
-        if point.country in self._denied:
-            return PAMResult.AUTH_ERR
-        if self._allowed and point.country not in self._allowed:
-            return PAMResult.AUTH_ERR
-        if self._monitor is not None:
-            verdict = self._monitor.observe(session.username, session.remote_ip)
-            session.items["geo_speed_kmh"] = verdict.speed_kmh
-            if not verdict.plausible:
-                if session.conversation is not None:
-                    session.conversation.error(
-                        f"login from {verdict.to_city} would require travel at "
-                        f"{verdict.speed_kmh:.0f} km/h from {verdict.from_city}"
-                    )
-                return PAMResult.AUTH_ERR
-        return PAMResult.SUCCESS

@@ -1,14 +1,37 @@
-"""Risk scoring as a first-class policy stage (ROADMAP item 5).
+"""Dynamic risk assessment as a policy rule (conclusion future-work item #2).
 
-:class:`RiskStage` wraps a clock-injected
-:class:`~repro.extensions.risk.RiskEngine` so :class:`PolicyEngine`
-can fold a per-request risk verdict (ALLOW / STEP_UP / DENY) into its
-single ``evaluate()`` surface — the shape of the OpenStack RBA
-implementation (PAPERS.md, arXiv 2303.12361): risk *tightens* the
-static policy, never loosens it.
+One :class:`RiskEngine` scores each login attempt from signals the
+infrastructure already produces, maps the score to one of three actions,
+and keeps the record of what it decided.  :class:`PolicyEngine` folds the
+verdict into its single ``evaluate()`` surface — the shape of the
+OpenStack RBA implementation (PAPERS.md, arXiv 2303.12361): risk
+*tightens* the static policy, never loosens it.
 
-Beyond delegating to the engine, the stage keeps what the engine alone
-cannot answer after the fact:
+* **ALLOW** — proceed normally (the exemption/token policy still applies);
+* **STEP_UP** — force the second factor even where policy would have
+  waived it (e.g. an exempted account from a never-seen origin);
+* **DENY** — refuse outright.
+
+Signals and default weights:
+
+=====================  ======  ==========================================
+signal                 weight  source
+=====================  ======  ==========================================
+failure burst          0.40    recent failed logins for the account
+novel origin           0.25    first login ever from this IP
+unusual hour           0.10    00:00-05:00 local logins for day-working
+                               accounts
+impossible travel      0.50    :class:`~repro.policy.geo.GeoVelocityMonitor`
+watchlisted network    0.35    operator-maintained CIDR watchlist
+=====================  ======  ==========================================
+
+Scores clamp to [0, 1]; thresholds default to step-up at 0.3 and deny at
+0.7.  All weights/thresholds are constructor parameters, so deployments
+tune them — the point of *dynamic* assessment is that policy follows the
+measured threat, not a fixed ACL.
+
+Beyond scoring (:meth:`RiskEngine.assess`), the engine keeps what a
+score alone cannot answer after the fact (:meth:`RiskEngine.evaluate`):
 
 * counters (``assessed`` / ``step_ups`` / ``denies`` /
   ``honeytoken_alarms``) surfaced through ``GET /admin/policy``;
@@ -19,31 +42,104 @@ cannot answer after the fact:
 
 Honeytoken alarms (arXiv 2112.08431) enter here too: a decoy credential
 being *used* is the highest-confidence compromise signal there is, so
-the dispatch stage reports it to the shared stage and the verdict is
+the dispatch stage reports it to the shared engine and the verdict is
 visible to PAM and the OTP server alike.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from dataclasses import dataclass, field
+from enum import Enum
+from typing import Deque, Dict, List, Optional, Set
 
-from repro.common.clock import Clock
-from repro.extensions.risk import QUIET_ALLOW, RiskAction, RiskDecision, RiskEngine
+from repro.common.clock import Clock, SystemClock
+from repro.common.origin import OriginMatcher
+from repro.policy.geo import GeoVelocityMonitor
 
 
-class RiskStage:
-    """One risk verdict per request, shared by every policy consumer."""
+class RiskAction(str, Enum):
+    ALLOW = "allow"
+    STEP_UP = "step_up"
+    DENY = "deny"
+
+
+@dataclass(slots=True)
+class RiskDecision:
+    """Score, action, and the named signals that fired."""
+
+    score: float
+    action: RiskAction
+    signals: List[str] = field(default_factory=list)
+
+
+@dataclass
+class RiskWeights:
+    failure_burst: float = 0.40
+    novel_origin: float = 0.25
+    unusual_hour: float = 0.10
+    impossible_travel: float = 0.50
+    watchlisted_network: float = 0.35
+
+
+#: The shared nothing-fired verdict.  Treated as immutable by every
+#: consumer (the flag log copies signal lists before storing them), and
+#: exported so hot-path callers can recognise the quiet case by
+#: *identity* and skip flag/step-up bookkeeping entirely.
+QUIET_ALLOW = RiskDecision(0.0, RiskAction.ALLOW, [])
+
+
+class RiskEngine:
+    """Scores logins, remembers per-user history, records flagged verdicts.
+
+    One instance is shared by every policy consumer of a deployment (the
+    OTP server's pipeline engine and each system's PAM-side engine), so
+    they see one verdict stream, one flag log, one set of counters.
+    """
 
     def __init__(
         self,
-        engine: Optional[RiskEngine] = None,
         clock: Optional[Clock] = None,
+        weights: Optional[RiskWeights] = None,
+        geo_monitor: Optional[GeoVelocityMonitor] = None,
+        step_up_threshold: float = 0.3,
+        deny_threshold: float = 0.7,
+        failure_window: float = 600.0,
+        failure_burst_size: int = 3,
         flag_log_limit: int = 512,
     ) -> None:
-        self.engine = engine or RiskEngine(clock=clock)
-        if clock is not None and not self.engine.clock_injected:
-            self.engine.bind_clock(clock)
+        if not 0 <= step_up_threshold <= deny_threshold <= 1.0:
+            raise ValueError("thresholds must satisfy 0 <= step_up <= deny <= 1")
+        #: True when the caller supplied a clock; :class:`PolicyEngine`
+        #: checks this before adopting the engine onto its own clock (the
+        #: one place that happens).
+        self.clock_injected = clock is not None
+        self._clock = clock or SystemClock()
+        self.weights = weights or RiskWeights()
+        self._geo = geo_monitor
+        self.step_up_threshold = step_up_threshold
+        self.deny_threshold = deny_threshold
+        self._failure_window = failure_window
+        self._failure_burst_size = failure_burst_size
+        self._known_origins: Dict[str, Set[str]] = {}
+        self._failures: Dict[str, List[float]] = {}
+        self._watchlist: List[OriginMatcher] = []
+        #: Memoized per-IP watchlist verdicts.  ``assess`` sits on every
+        #: login's hot path and re-parsing the dotted quad against each
+        #: matcher dominated its cost; the verdict for a given address
+        #: only changes when the watchlist itself does.
+        self._watchlist_verdicts: Dict[str, bool] = {}
+        #: Memoized per-(user, ip) decisions.  A verdict is a pure
+        #: function of the engine's state and the hour bucket, so it can
+        #: be replayed until something it depends on changes: the global
+        #: epoch covers watchlist edits, the per-user epoch covers
+        #: failure/origin feeds, and entries are only written when the
+        #: account has no live failures (a burst ages out with *time*,
+        #: which no epoch can see).  Geo-monitored engines never cache:
+        #: ``observe`` itself advances per-user travel state.
+        self._verdict_cache: Dict[tuple, tuple] = {}
+        self._epoch = 0
+        self._user_epochs: Dict[str, int] = {}
         self.assessed = 0
         self.step_ups = 0
         self.denies = 0
@@ -51,21 +147,149 @@ class RiskStage:
         self._flag_log: Deque[dict] = deque(maxlen=flag_log_limit)
         self._flag_counts: Dict[str, int] = {}
 
-    # -- clock plumbing ------------------------------------------------------
-
-    @property
-    def clock_injected(self) -> bool:
-        return self.engine.clock_injected
-
     def bind_clock(self, clock: Clock) -> None:
-        """Rebind the wrapped engine (and its geo monitor) onto ``clock``."""
-        self.engine.bind_clock(clock)
+        """Adopt ``clock`` as the engine's time source.
+
+        Mirrors :meth:`repro.policy.TokenBucketLimiter.bind_clock`: an
+        engine left on the implicit wall clock would prune failure bursts
+        and compute the login hour against real time while the policy it
+        serves evaluates in virtual time.  An adopted geo monitor that was
+        not explicitly clock-injected follows along, so both pieces tick
+        together.
+        """
+        self._clock = clock
+        self.clock_injected = True
+        if self._geo is not None and not self._geo.clock_injected:
+            self._geo.bind_clock(clock)
+
+    # -- signal feeds ------------------------------------------------------------
+
+    def _bump(self, username: str) -> None:
+        self._user_epochs[username] = self._user_epochs.get(username, 0) + 1
+
+    def record_failure(self, username: str) -> None:
+        """Feed from the authlog: a failed login for this account."""
+        self._failures.setdefault(username, []).append(self._clock.now())
+        self._bump(username)
+
+    def record_success(self, username: str, ip: str) -> None:
+        """Feed on successful entry: the origin becomes known-good and the
+        failure burst resets (the legitimate user is clearly present).
+
+        Only a *change* bumps the user's epoch: the steady state — a
+        known origin logging in with no failures on the books — leaves
+        cached verdicts valid, which is what makes the cache worth
+        having.
+        """
+        known = self._known_origins.get(username)
+        if known is None:
+            known = self._known_origins[username] = set()
+        if ip not in known:
+            known.add(ip)
+            self._bump(username)
+        if self._failures.pop(username, None):
+            self._bump(username)
+
+    def add_watchlist(self, cidr: str) -> None:
+        """Operator action: flag a hostile network range."""
+        self._watchlist.append(OriginMatcher.parse(cidr))
+        self._watchlist_verdicts.clear()
+        self._epoch += 1
+
+    # -- scoring --------------------------------------------------------------------
+
+    def _recent_failures(self, username: str, now: float) -> int:
+        timestamps = self._failures.get(username)
+        if not timestamps:
+            return 0
+        cutoff = now - self._failure_window
+        if timestamps[0] >= cutoff:
+            # Append-only and time-ordered: nothing aged out, skip the copy.
+            return len(timestamps)
+        live = [t for t in timestamps if t >= cutoff]
+        self._failures[username] = live
+        return len(live)
+
+    def _watchlisted(self, ip: str) -> bool:
+        if not self._watchlist:
+            return False
+        verdict = self._watchlist_verdicts.get(ip)
+        if verdict is None:
+            verdict = any(m.matches(ip) for m in self._watchlist)
+            if len(self._watchlist_verdicts) >= 65536:
+                self._watchlist_verdicts.clear()
+            self._watchlist_verdicts[ip] = verdict
+        return verdict
+
+    def assess(self, username: str, ip: str) -> RiskDecision:
+        """Score one attempt (before the credentials are even checked)."""
+        now = self._clock.now()
+        hour = int(now // 3600)
+        cacheable = self._geo is None and not self._failures.get(username)
+        if cacheable:
+            key = (username, ip)
+            entry = self._verdict_cache.get(key)
+            if (
+                entry is not None
+                and entry[0] == self._epoch
+                and entry[1] == self._user_epochs.get(username, 0)
+                and entry[2] == hour
+            ):
+                return entry[3]
+        weights = self.weights
+        score = 0.0
+        signals: List[str] = []
+        if self._failures and self._recent_failures(
+            username, now
+        ) >= self._failure_burst_size:
+            score += weights.failure_burst
+            signals.append("failure_burst")
+        known = self._known_origins.get(username)
+        if known and ip not in known:
+            score += weights.novel_origin
+            signals.append("novel_origin")
+        if hour % 24 < 5:
+            score += weights.unusual_hour
+            signals.append("unusual_hour")
+        if self._watchlist and self._watchlisted(ip):
+            score += weights.watchlisted_network
+            signals.append("watchlisted_network")
+        if self._geo is not None:
+            verdict = self._geo.observe(username, ip)
+            if not verdict.plausible:
+                score += weights.impossible_travel
+                signals.append("impossible_travel")
+        if not signals and score < self.step_up_threshold:
+            # The overwhelmingly common quiet verdict, allocation-free:
+            # every login pays for `assess`, so the nothing-fired path
+            # reuses one immutable decision (guarded against a zero
+            # step-up threshold, where even a 0.0 score must step up).
+            decision = QUIET_ALLOW
+        else:
+            score = min(score, 1.0)
+            if score >= self.deny_threshold:
+                action = RiskAction.DENY
+            elif score >= self.step_up_threshold:
+                action = RiskAction.STEP_UP
+            else:
+                action = RiskAction.ALLOW
+            decision = RiskDecision(score, action, signals)
+        if cacheable:
+            if len(self._verdict_cache) >= 65536:
+                self._verdict_cache.clear()
+            self._verdict_cache[key] = (
+                self._epoch,
+                self._user_epochs.get(username, 0),
+                hour,
+                decision,
+            )
+        return decision
 
     # -- the verdict ---------------------------------------------------------
 
     def evaluate(self, username: str, source_ip: str) -> RiskDecision:
         """Score one attempt; STEP_UP and DENY verdicts are flagged."""
-        decision = self.engine.assess(username, source_ip or "")
+        decision = self.assess(username, source_ip or "")
         self.assessed += 1
         if decision is QUIET_ALLOW:
             # The overwhelmingly common verdict, recognised by identity:
@@ -139,24 +363,13 @@ class RiskStage:
         """The most recent flagged verdicts, oldest first."""
         return list(self._flag_log)
 
-    # -- signal feeds (delegated) --------------------------------------------
-
-    def record_failure(self, username: str) -> None:
-        self.engine.record_failure(username)
-
-    def record_success(self, username: str, ip: str) -> None:
-        self.engine.record_success(username, ip)
-
-    def add_watchlist(self, cidr: str) -> None:
-        self.engine.add_watchlist(cidr)
-
     # -- operator view -------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """The stage's state, shaped for ``GET /admin/policy``."""
+        """The engine's state, shaped for ``GET /admin/policy``."""
         return {
-            "step_up_threshold": self.engine.step_up_threshold,
-            "deny_threshold": self.engine.deny_threshold,
+            "step_up_threshold": self.step_up_threshold,
+            "deny_threshold": self.deny_threshold,
             "assessed": self.assessed,
             "step_ups": self.step_ups,
             "denies": self.denies,

@@ -13,14 +13,13 @@ calling "in a round-robin fashion to provide load balancing and resiliency".
 * :mod:`repro.radius.server` — validates requests against a back end
   (the OTP server) and answers Accept / Reject / Challenge.
 * :mod:`repro.radius.client` — the PAM-side client: round-robin across
-  servers, retries, failover, challenge state handling.
+  servers, retries, failover (:mod:`repro.common.resilience`), challenge
+  state handling.
 * :mod:`repro.radius.proxy` — proxy chaining between RADIUS realms.
 """
 
-from repro.radius.backoff import BackoffPolicy, BackoffSchedule, stable_seed
 from repro.radius.client import RADIUSClient
 from repro.radius.dictionary import Attr, PacketCode
-from repro.radius.health import CircuitState, FailoverPolicy, HealthTracker, ServerHealth
 from repro.radius.packet import RADIUSPacket, decode_packet, encode_packet
 from repro.radius.server import RADIUSServer
 from repro.radius.transport import UDPFabric
@@ -34,11 +33,4 @@ __all__ = [
     "UDPFabric",
     "RADIUSServer",
     "RADIUSClient",
-    "BackoffPolicy",
-    "BackoffSchedule",
-    "stable_seed",
-    "CircuitState",
-    "FailoverPolicy",
-    "HealthTracker",
-    "ServerHealth",
 ]

@@ -8,27 +8,31 @@ timeout (resiliency); response authenticators are verified so a spoofed
 server cannot mint an Access-Accept.
 
 On top of the paper's blind round-robin the client is *health-aware*: a
-per-server EWMA score and circuit breaker (:mod:`repro.radius.health`)
-eject servers that keep timing out, retransmits wait out a deterministic
-jittered backoff schedule (:mod:`repro.radius.backoff`), and an optional
-deadline budget bounds how much simulated time one authenticate() may
-burn before giving up.  Pass ``health_aware=False`` for the paper's
-original behaviour (the failover benchmark compares the two).
+per-server EWMA score and circuit breaker eject servers that keep timing
+out, retransmits wait out a deterministic jittered backoff schedule (both
+from :mod:`repro.common.resilience`), and an optional deadline budget
+bounds how much simulated time one authenticate() may burn before giving
+up.  Pass ``health_aware=False`` for the paper's original behaviour (the
+failover benchmark compares the two).
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.clock import Clock, VirtualClock
 from repro.common.errors import ConfigurationError, ProtocolError
-from repro.radius.backoff import BackoffSchedule, stable_seed
+from repro.common.resilience import (
+    BackoffSchedule,
+    CircuitState,
+    FailoverPolicy,
+    HealthTracker,
+    stable_seed,
+)
 from repro.radius.dictionary import Attr, PacketCode
-from repro.radius.health import CircuitState, FailoverPolicy, HealthTracker
 from repro.radius.packet import (
     RADIUSPacket,
     encode_packet,
@@ -113,17 +117,6 @@ class RADIUSClient:
         if clock is None:
             clock = VirtualClock()
             if wait_clock is None:
-                wait_clock = clock
-        elif self.policy.simulate_waits:
-            # Legacy knob: FailoverPolicy(simulate_waits=True) meant "charge
-            # waits to the deployment clock when it can be advanced".
-            warnings.warn(
-                "FailoverPolicy.simulate_waits is deprecated; pass the clock "
-                "to RADIUSClient(wait_clock=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if wait_clock is None and hasattr(clock, "advance"):
                 wait_clock = clock
         self._clock = clock
         self._wait_clock = wait_clock

@@ -14,7 +14,7 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ProtocolError
-from repro.otpserver import SubmitAPI, TokenBackend, ValidateStatus
+from repro.common.results import SubmitAPI, TokenBackend, ValidateStatus
 from repro.radius.dictionary import Attr, PacketCode
 from repro.radius.packet import (
     RADIUSPacket,
@@ -24,10 +24,6 @@ from repro.radius.packet import (
 )
 from repro.radius.transport import UDPFabric
 from repro.telemetry import NOOP_REGISTRY
-
-#: Deprecated alias: the back-end seam is the shared
-#: :class:`repro.otpserver.TokenBackend` protocol now.
-ValidationBackend = TokenBackend
 
 
 #: ValidateStatus -> (packet code, reply message)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.common.clock import Clock, WallClock
+from repro.common.errors import NotFoundError
 from repro.resolvers.base import (
     IdentityResolver,
     ResolvedIdentity,
@@ -59,8 +60,6 @@ class DirectoryResolver(IdentityResolver):
         self._identity = identity
 
     def _lookup(self, username: str) -> Optional[ResolvedIdentity]:
-        from repro.common.errors import NotFoundError
-
         local, realm = split_realm(username)
         try:
             account = self._identity.get(local)

@@ -10,7 +10,7 @@ chain fronts every account source a deployment knows about:
   source — exactly one route answers for any username, or none does.
 * **Health-aware failover** — each resolver gets an EWMA health score
   and a circuit breaker with the same CLOSED/HALF_OPEN/OPEN shape as
-  the RADIUS client (:mod:`repro.radius.health`, literally reused).
+  the RADIUS client (:mod:`repro.common.resilience`, literally shared).
   Healthy resolvers are tried best-score-first; open circuits are
   skipped until their (exponentially backed-off) probe timer fires.
   A resolver raising :class:`ResolverUnavailableError` fails the
@@ -30,13 +30,14 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.clock import Clock, WallClock
-from repro.radius.health import CircuitState, FailoverPolicy, HealthTracker
+from repro.common.resilience import CircuitState, FailoverPolicy, HealthTracker
 from repro.resolvers.base import (
     IdentityResolver,
     ResolvedIdentity,
     ResolverUnavailableError,
     split_realm,
 )
+from repro.telemetry import resolve_registry
 
 #: Cache entries beyond this are evicted oldest-first (insertion order).
 DEFAULT_CACHE_CAPACITY = 4096
@@ -73,10 +74,7 @@ class ResolverChain:
         self.negative_hits = 0
         self.failovers = 0
         self.unrouted = 0
-        if telemetry is None:
-            from repro.telemetry import NOOP_REGISTRY
-
-            telemetry = NOOP_REGISTRY
+        telemetry = resolve_registry(telemetry)
         self._h_lookup = telemetry.histogram(
             "resolver_lookup_seconds", "identity lookup latency by resolver"
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.radius.health import FailoverPolicy
+from repro.common.resilience import FailoverPolicy
 from repro.resolvers.backends import (
     DirectoryResolver,
     FlatFileResolver,

@@ -31,6 +31,7 @@ import hashlib
 import hmac
 import json
 import random
+import threading
 from typing import Dict, Optional
 
 from repro.common.clock import Clock, WallClock
@@ -112,10 +113,18 @@ class AttestationIssuer:
 
 
 class NonceCache:
-    """Single-use nonce ledger, TTL'd on each assertion's own expiry."""
+    """Single-use nonce ledger, TTL'd on each assertion's own expiry.
+
+    ``consume`` is check-then-set, and the pipeline's per-user lock
+    stripes do not cover it: two spellings of one account (``alice``,
+    ``alice@partner``) hash to different stripes, so the same assertion
+    can arrive on two threads at once.  The ledger's own lock makes the
+    burn exactly-once.
+    """
 
     def __init__(self, clock: Clock) -> None:
         self._clock = clock
+        self._lock = threading.Lock()
         self._seen: Dict[str, float] = {}
         self.replays_blocked = 0
 
@@ -125,13 +134,16 @@ class NonceCache:
     def consume(self, nonce: str, expires_at: float) -> bool:
         """Burn ``nonce``; False when it was already used (a replay)."""
         now = self._clock.now()
-        if len(self._seen) > 64 and any(exp <= now for exp in self._seen.values()):
-            self._seen = {n: exp for n, exp in self._seen.items() if exp > now}
-        if self._seen.get(nonce, 0.0) > now:
-            self.replays_blocked += 1
-            return False
-        self._seen[nonce] = expires_at
-        return True
+        with self._lock:
+            if len(self._seen) > 64 and any(
+                exp <= now for exp in self._seen.values()
+            ):
+                self._seen = {n: exp for n, exp in self._seen.items() if exp > now}
+            if self._seen.get(nonce, 0.0) > now:
+                self.replays_blocked += 1
+                return False
+            self._seen[nonce] = expires_at
+            return True
 
 
 class AttestationVerifier:

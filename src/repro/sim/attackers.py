@@ -40,10 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.common.clock import VirtualClock
+from repro.common.results import ValidateResult, ValidateStatus
 from repro.crypto.hotp import hotp
 from repro.crypto.totp import totp_at
-from repro.extensions.risk import RiskEngine
-from repro.otpserver.results import ValidateResult, ValidateStatus
 from repro.otpserver.server import OTPServer
 from repro.otpserver.tokens import HardTokenBatch, random_static_code
 from repro.policy import (
@@ -51,10 +51,9 @@ from repro.policy import (
     EnforcementLadder,
     LockoutPolicy,
     PolicyEngine,
-    RiskStage,
+    RiskEngine,
 )
 from repro.simcore import EventLog, EventScheduler
-from repro.common.clock import VirtualClock
 
 #: Same campaign epoch as the chaos harness (a Wednesday, 09:00 UTC):
 #: inside business hours, so the ``unusual_hour`` signal stays quiet and
@@ -289,10 +288,9 @@ class AttackSimulation:
         self.clock = self.scheduler.clock
         self.epoch = self.clock.now()
         self.log = EventLog(clock=self.clock, epoch=self.epoch)
-        stage = RiskStage(RiskEngine(clock=self.clock))
+        self.stage = stage = RiskEngine(clock=self.clock)
         for cidr in cfg.watchlist:
             stage.add_watchlist(cidr)
-        self.stage = stage
         # The paired ladder phase is the interesting one for deterrence:
         # unpaired accounts are the single-factor channel the literature's
         # baseline measures, everyone else must present a code.

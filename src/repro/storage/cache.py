@@ -35,8 +35,8 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.storage.engine import Predicate, Row, StorageEngine
-from repro.storage.instrument import resolve_registry
 from repro.storage.schema import TableSchema
+from repro.telemetry import resolve_registry
 
 DEFAULT_CAPACITY = 1024
 

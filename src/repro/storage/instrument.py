@@ -19,6 +19,7 @@ from typing import Any, List, Optional
 from repro.common.clock import Clock, WallClock
 from repro.storage.engine import Predicate, Row, StorageEngine
 from repro.storage.schema import TableSchema
+from repro.telemetry import resolve_registry
 
 #: Bucket bounds tuned for in-process/microsecond-scale engine operations
 #: (the registry default is tuned for whole-login latencies).
@@ -26,21 +27,6 @@ OP_LATENCY_BUCKETS = (
     1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5,
     1e-4, 2.5e-4, 5e-4, 1e-3, 5e-3, 2.5e-2, 1e-1,
 )
-
-
-def resolve_registry(telemetry):
-    """``telemetry`` or the process no-op registry.
-
-    Every storage layer accepts ``telemetry=None`` and must fall back to
-    :data:`repro.telemetry.NOOP_REGISTRY`; one helper keeps the lazy import
-    (telemetry imports nothing from storage, but the default registry is
-    only needed when no registry was injected) in a single place.
-    """
-    if telemetry is not None:
-        return telemetry
-    from repro.telemetry import NOOP_REGISTRY
-
-    return NOOP_REGISTRY
 
 
 class InstrumentedEngine:

@@ -33,10 +33,10 @@ from typing import Callable, Dict, List, Optional
 from repro.common.clock import Clock, WallClock
 from repro.common.errors import ValidationError
 from repro.storage.engine import StorageEngine
-from repro.storage.instrument import resolve_registry
 from repro.storage.memory import InMemoryEngine
 from repro.storage.sharding import DEFAULT_VIRTUAL_NODES, ShardedEngine
 from repro.storage.wal import WALEngine, WriteAheadLog, apply_record, replay, state_digest
+from repro.telemetry import resolve_registry
 
 __all__ = ["ReplicaGroup", "ReplicatedEngine"]
 

@@ -32,9 +32,9 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.common.errors import NotFoundError, ValidationError
 from repro.storage.engine import Predicate, Row, StorageEngine
-from repro.storage.instrument import resolve_registry
 from repro.storage.memory import InMemoryEngine
 from repro.storage.schema import TableSchema
+from repro.telemetry import resolve_registry
 
 DEFAULT_VIRTUAL_NODES = 64
 

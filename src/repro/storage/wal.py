@@ -38,9 +38,9 @@ from repro.common.clock import Clock, WallClock
 from repro.common.errors import ValidationError
 from repro.simcore.digest import canonical_line
 from repro.storage.engine import Predicate, Row, StorageEngine
-from repro.storage.instrument import resolve_registry
 from repro.storage.memory import InMemoryEngine
 from repro.storage.schema import TableSchema
+from repro.telemetry import resolve_registry
 
 __all__ = [
     "WALEngine",

@@ -12,10 +12,10 @@ import random
 import pytest
 
 from repro.common.clock import SimulatedClock
+from repro.common.results import ValidateStatus
 from repro.core import MFACenter
 from repro.directory.identity import IdentityBackend
 from repro.otpserver.admin_api import AdminAPI, AdminAPIClient
-from repro.otpserver.results import ValidateStatus
 from repro.otpserver.server import OTPServer
 from repro.resolvers import (
     AttestationIssuer,

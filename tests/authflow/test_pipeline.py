@@ -13,7 +13,7 @@ from repro.authflow import (
     default_stages,
 )
 from repro.common.clock import SimulatedClock
-from repro.otpserver.server import OTPServer, OTPServerConfig, ValidateStatus
+from repro.otpserver import OTPServer, OTPServerConfig, ValidateStatus
 from repro.policy import (
     EnforcementLadder,
     LockoutPolicy,
@@ -112,11 +112,14 @@ class TestStageTelemetry:
         assert counter.value(action="challenge") == 1
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def validate_many(server, requests):
+    return [ticket.result() for ticket in server.submit_many(requests)]
+
+
 class TestValidateMany:
-    """The deprecated wrapper must keep its exact legacy behaviour
-    (ordering, threading, telemetry) while it delegates to submit_many;
-    tests/ingest/test_submit_api.py covers the replacement surface."""
+    """Batched validation through ``OTPServer.submit_many``: ordering,
+    threading, telemetry (tests/ingest/test_submit_api.py covers the
+    ticket protocol itself)."""
 
     def test_results_positional_and_correct(self, clock):
         server = make_server(clock)
@@ -125,7 +128,7 @@ class TestValidateMany:
         requests = [(f"user{i}", f"{i}{i}{i}{i}{i}{i}" if i % 2 == 0 else "999999")
                     for i in range(6)]
         requests.append(("ghost", "123456"))
-        results = server.validate_many(requests)
+        results = validate_many(server, requests)
         assert len(results) == 7
         for i in range(6):
             assert results[i].ok == (i % 2 == 0)
@@ -134,12 +137,12 @@ class TestValidateMany:
     def test_single_request_batch(self, clock):
         server = make_server(clock)
         server.enroll_static("solo", "424242")
-        results = server.validate_many([("solo", "424242")])
+        results = validate_many(server, [("solo", "424242")])
         assert len(results) == 1 and results[0].ok
 
     def test_empty_batch(self, clock):
         server = make_server(clock)
-        assert server.validate_many([]) == []
+        assert validate_many(server, []) == []
 
     def test_same_user_race_keeps_failcount_exact(self, clock):
         """Concurrent failures for one user must serialize on their stripe."""
@@ -149,7 +152,7 @@ class TestValidateMany:
         server.enroll_static("alice", "424242")
         threads = [
             threading.Thread(
-                target=lambda: server.validate_many([("alice", "000000")] * 10)
+                target=lambda: validate_many(server, [("alice", "000000")] * 10)
             )
             for _ in range(8)
         ]
@@ -167,7 +170,7 @@ class TestValidateMany:
         for i in range(8):
             server.enroll_static(f"user{i}", "424242")
         requests = [(f"user{i % 8}", "424242") for i in range(64)]
-        results = server.validate_many(requests)
+        results = validate_many(server, requests)
         assert all(r.ok for r in results)
         decisions = telemetry.counter("authflow_decisions_total", "")
         assert decisions.value(status="ok") == 64

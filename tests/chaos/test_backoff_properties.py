@@ -7,7 +7,7 @@ respected, determinism — with exact reproducibility on failure.
 
 import pytest
 
-from repro.radius.backoff import BackoffPolicy, BackoffSchedule, stable_seed
+from repro.common.resilience import BackoffPolicy, BackoffSchedule, stable_seed
 
 SEEDS = list(range(60))
 

@@ -11,24 +11,26 @@ import random
 import pytest
 
 from repro.common.clock import SimulatedClock
-from repro.crypto.totp import TOTPGenerator
-from repro.otpserver.server import OTPServer
-from repro.radius.client import RADIUSClient
-from repro.radius.health import (
+from repro.common.resilience import (
     CIRCUIT_GAUGE_VALUE,
     CircuitState,
     FailoverPolicy,
     HealthTracker,
 )
+from repro.crypto.totp import TOTPGenerator
+from repro.otpserver.server import OTPServer
+from repro.radius.client import RADIUSClient
 from repro.radius.server import RADIUSServer
 from repro.radius.transport import UDPFabric
+from repro.telemetry import NOOP_REGISTRY
 
 SECRET = b"breaker-secret"
 
 
 class TestHealthTracker:
     def test_opens_after_threshold(self):
-        tracker = HealthTracker(["a"], FailoverPolicy(failure_threshold=3))
+        policy = FailoverPolicy(failure_threshold=3)
+        tracker = HealthTracker(["a"], policy, NOOP_REGISTRY)
         for i in range(2):
             tracker.on_failure("a", now=float(i))
             assert tracker.state("a") is CircuitState.CLOSED
@@ -36,7 +38,8 @@ class TestHealthTracker:
         assert tracker.state("a") is CircuitState.OPEN
 
     def test_success_resets_consecutive_failures(self):
-        tracker = HealthTracker(["a"], FailoverPolicy(failure_threshold=3))
+        policy = FailoverPolicy(failure_threshold=3)
+        tracker = HealthTracker(["a"], policy, NOOP_REGISTRY)
         tracker.on_failure("a", 0.0)
         tracker.on_failure("a", 1.0)
         tracker.on_success("a", 2.0)
@@ -46,7 +49,7 @@ class TestHealthTracker:
 
     def test_probe_due_after_interval(self):
         policy = FailoverPolicy(failure_threshold=1, probe_interval=30.0)
-        tracker = HealthTracker(["a"], policy)
+        tracker = HealthTracker(["a"], policy, NOOP_REGISTRY)
         tracker.on_failure("a", 10.0)
         assert tracker.state("a") is CircuitState.OPEN
         assert not tracker.probe_due("a", 39.9)
@@ -54,7 +57,7 @@ class TestHealthTracker:
 
     def test_failed_probe_reopens_with_fresh_timer(self):
         policy = FailoverPolicy(failure_threshold=1, probe_interval=30.0)
-        tracker = HealthTracker(["a"], policy)
+        tracker = HealthTracker(["a"], policy, NOOP_REGISTRY)
         tracker.on_failure("a", 0.0)
         tracker.begin_probe("a", 30.0)
         assert tracker.state("a") is CircuitState.HALF_OPEN
@@ -71,7 +74,7 @@ class TestHealthTracker:
             probe_backoff=2.0,
             probe_interval_max=100.0,
         )
-        tracker = HealthTracker(["a"], policy)
+        tracker = HealthTracker(["a"], policy, NOOP_REGISTRY)
         tracker.on_failure("a", 0.0)
         now, waits = 0.0, []
         for _ in range(4):
@@ -92,7 +95,7 @@ class TestHealthTracker:
 
     def test_successful_probe_closes(self):
         policy = FailoverPolicy(failure_threshold=1)
-        tracker = HealthTracker(["a"], policy)
+        tracker = HealthTracker(["a"], policy, NOOP_REGISTRY)
         tracker.on_failure("a", 0.0)
         tracker.begin_probe("a", 30.0)
         tracker.on_success("a", 30.5)
@@ -103,7 +106,7 @@ class TestHealthTracker:
 
     def test_score_is_ewma(self):
         policy = FailoverPolicy(health_decay=0.5, failure_threshold=10)
-        tracker = HealthTracker(["a"], policy)
+        tracker = HealthTracker(["a"], policy, NOOP_REGISTRY)
         assert tracker.health("a").score == 1.0
         tracker.on_failure("a", 0.0)
         assert tracker.health("a").score == 0.5

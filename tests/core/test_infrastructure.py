@@ -187,6 +187,23 @@ class TestEndToEndAuth:
         response = center.radius_backend.validate("ghost", "123456")
         assert response.status.value == "no_token"
 
+    def test_re_paired_sms_user_gets_a_fresh_challenge(self, clock):
+        """With a resolver chain the pipeline sees the login *name*, yet
+        challenge rows must be keyed like the admin operations that clear
+        them (by uid): an unpair takes the old pairing's outstanding
+        challenge with it, or the new pairing's first null request
+        answers "already sent" and texts nobody."""
+        center = MFACenter(clock=clock, rng=random.Random(1), resolvers=True)
+        center.create_user("alice", password="pw")
+        center.pair_sms("alice", "5125550001")
+        first = center.radius_backend.validate("alice", None)
+        assert first.status.value == "challenge_sent"
+        center.unpair("alice")
+        center.pair_sms("alice", "5125550002")
+        second = center.radius_backend.validate("alice", None)
+        assert second.status.value == "challenge_sent"
+        assert center.sms_gateway.messages_sent == 2
+
 
 class TestFileBackedPAM:
     """MFACenter(pam_dir=...) drives login-node stacks from pam.d files."""

@@ -1,16 +1,12 @@
-"""Geolocation extension: database, haversine, impossible travel, PAM."""
+"""Geolocation: database, haversine, impossible travel, PAM."""
 
 import pytest
 
 from repro.common.clock import SimulatedClock
-from repro.extensions.geolocation import (
-    GeoDatabase,
-    GeoPoint,
-    GeoVelocityMonitor,
-    PamGeoCheckModule,
-)
 from repro.pam.conversation import ScriptedConversation
 from repro.pam.framework import PAMResult, PAMSession
+from repro.pam.modules.geo import PamGeoCheckModule
+from repro.policy.geo import GeoDatabase, GeoPoint, GeoVelocityMonitor
 
 AUSTIN = GeoPoint(30.27, -97.74, "US", "Austin")
 GENEVA = GeoPoint(46.23, 6.05, "CH", "Geneva")

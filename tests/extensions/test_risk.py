@@ -3,17 +3,19 @@
 import pytest
 
 from repro.common.clock import SimulatedClock
-from repro.extensions.geolocation import GeoDatabase, GeoVelocityMonitor
-from repro.extensions.risk import (
-    PamRiskGateModule,
-    RiskAction,
-    RiskAwareExemptionModule,
-    RiskEngine,
-    RiskWeights,
-)
 from repro.pam.acl import InMemoryExemptionACL
 from repro.pam.conversation import ScriptedConversation
 from repro.pam.framework import PAMResult, PAMSession, PAMStack
+from repro.pam.modules.exemption import MFAExemptionModule
+from repro.pam.modules.token import MFATokenModule
+from repro.policy import (
+    EnforcementLadder,
+    PolicyEngine,
+    RiskAction,
+    RiskEngine,
+    RiskWeights,
+)
+from repro.policy.geo import GeoDatabase, GeoVelocityMonitor
 
 
 def noon_clock():
@@ -121,27 +123,42 @@ class TestThresholds:
 
 
 class TestPamIntegration:
+    """The policy-backed PAM modules consume the engine's verdict: DENY
+    fails before any factor, STEP_UP withholds the ACL waiver, scores
+    land in the session."""
+
     def session(self, clock, username="alice", ip="198.51.100.7"):
         return PAMSession(
             username=username, remote_ip=ip,
             conversation=ScriptedConversation(), clock=clock,
         )
 
+    def token_module(self, engine, clock, mode="full"):
+        """A token module over the engine; touching LDAP or RADIUS (which a
+        refusal or a waiver must never do) fails the test."""
+        policy = PolicyEngine(ladder=EnforcementLadder(mode), clock=clock, risk=engine)
+        return MFATokenModule(ldap=None, radius=None, policy=policy)
+
     def test_allow_passes_through(self, engine, clock):
-        module = PamRiskGateModule(engine)
+        module = self.token_module(engine, clock, mode="off")
         s = self.session(clock)
         assert module.authenticate(s) is PAMResult.SUCCESS
         assert s.items["risk_score"] == 0.0
+        assert s.items["risk_signals"] == []
 
     def test_deny_blocks_with_message(self, engine, clock):
         engine.add_watchlist("203.0.113.0/24")
         engine.record_success("alice", "1.1.1.1")
         for _ in range(3):
             engine.record_failure("alice")
-        module = PamRiskGateModule(engine)
+        module = self.token_module(engine, clock)
         s = self.session(clock, ip="203.0.113.66")
         assert module.authenticate(s) is PAMResult.AUTH_ERR
-        assert any("risk" in m for m in s.conversation.messages())
+        assert s.conversation.messages() == ["access denied by policy"]
+        # Refused before any factor: nothing was prompted for.
+        assert [kind for kind, _ in s.conversation.transcript] == ["error"]
+        assert s.items["risk_score"] == pytest.approx(1.0)
+        assert "watchlisted_network" in s.items["risk_signals"]
 
     def test_step_up_suppresses_exemption(self, clock):
         """The composition: risky exempted logins must present a token.
@@ -153,6 +170,7 @@ class TestPamIntegration:
         engine = RiskEngine(clock=clock, step_up_threshold=0.2)
         engine.record_success("gateway01", "203.0.113.50")
         acl = InMemoryExemptionACL("+ : gateway01 : ALL : ALL", clock=clock)
+        policy = PolicyEngine(exemptions=acl, clock=clock, risk=engine)
 
         class AlwaysToken:
             name = "token_stub"
@@ -163,8 +181,7 @@ class TestPamIntegration:
                 return PAMResult.SUCCESS
 
         stack = PAMStack("sshd")
-        stack.append("required", PamRiskGateModule(engine))
-        stack.append("sufficient", RiskAwareExemptionModule(acl))
+        stack.append("sufficient", MFAExemptionModule(policy))
         stack.append("requisite", AlwaysToken())
 
         # Known origin: exemption short-circuits, token never runs.
@@ -178,12 +195,15 @@ class TestPamIntegration:
         assert AlwaysToken.calls == 1
         assert s.items["risk_step_up"] is True
 
-    def test_risk_aware_exemption_without_step_up(self, clock):
+    def test_risk_aware_exemption_without_step_up(self, engine, clock):
         acl = InMemoryExemptionACL("+ : alice : ALL : ALL", clock=clock)
-        module = RiskAwareExemptionModule(acl)
+        module = MFAExemptionModule(
+            PolicyEngine(exemptions=acl, clock=clock, risk=engine)
+        )
         s = self.session(clock)
         assert module.authenticate(s) is PAMResult.SUCCESS
         assert s.items["mfa_exempt"] is True
+        assert "risk_step_up" not in s.items
 
 
 class TestClockBinding:

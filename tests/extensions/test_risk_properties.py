@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.clock import SimulatedClock
-from repro.extensions.risk import RiskAction, RiskEngine, RiskWeights
+from repro.policy.risk import RiskAction, RiskEngine, RiskWeights
 
 #: The signals a bare engine (no geo monitor) can fire, with the state
 #: manipulation that arms each one.

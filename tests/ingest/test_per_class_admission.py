@@ -11,8 +11,8 @@ the stronger contract: batch overload leaves the critical bucket full.
 import pytest
 
 from repro.common.clock import SimulatedClock
+from repro.common.results import ValidateResult, ValidateStatus
 from repro.ingest import IngestConfig, IngestQueue, PriorityClass
-from repro.otpserver.results import ValidateResult, ValidateStatus
 from repro.policy import RateLimitConfig, TokenBucketLimiter
 
 

@@ -15,6 +15,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
+from repro.common.results import Ticket
 from repro.ingest import (
     CLASS_RANK,
     ClassPolicy,
@@ -23,7 +24,6 @@ from repro.ingest import (
     SHED_ORDER,
     WorkItem,
 )
-from repro.otpserver.results import Ticket
 
 classes = st.sampled_from(list(PriorityClass))
 submissions = st.lists(classes, min_size=1, max_size=60)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.common.clock import SimulatedClock, WallClock
 from repro.common.errors import TransientBackendError
+from repro.common.results import ValidateResult, ValidateStatus
 from repro.ingest import (
     IngestConfig,
     IngestQueue,
@@ -13,7 +14,6 @@ from repro.ingest import (
     QueuedBackend,
     classify_request,
 )
-from repro.otpserver.results import ValidateResult, ValidateStatus
 from repro.policy import RateLimitConfig, TokenBucketLimiter
 from repro.simcore import EventScheduler
 
@@ -68,12 +68,6 @@ class TestInlineDrive:
         queue.submit_item(("inter1", "1"), PriorityClass.INTERACTIVE)
         queue.pump()
         assert served == ["crit1", "inter1", "batch1"]
-
-    def test_validate_many_deprecated_but_working(self, clock):
-        queue = IngestQueue(ok_runner, clock=clock)
-        with pytest.deprecated_call():
-            results = queue.validate_many([("a", "1"), ("b", "2")])
-        assert [r.ok for r in results] == [True, True]
 
 
 class TestThreadDrive:

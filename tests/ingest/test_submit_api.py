@@ -1,10 +1,8 @@
 """SubmitAPI conformance: every batch-capable seam speaks the protocol.
 
-The redesign replaced ``getattr(backend, "validate_many", None)`` duck
-typing with one formal contract (``submit``/``submit_many`` returning
-:class:`Ticket`).  These tests pin the protocol surface: conformance by
-``isinstance``, ticket semantics, and the deprecation path for the old
-``validate_many`` spelling.
+One formal contract (``submit``/``submit_many`` returning
+:class:`Ticket`) is the only batch spelling.  These tests pin the
+protocol surface: conformance by ``isinstance`` and ticket semantics.
 """
 
 import random
@@ -12,10 +10,10 @@ import random
 import pytest
 
 from repro.common.clock import SimulatedClock
+from repro.common.results import ValidateResult, ValidateStatus
 from repro.core import MFACenter
 from repro.ingest import IngestQueue, QueuedBackend
 from repro.otpserver import OTPServer, SubmitAPI, Ticket
-from repro.otpserver.results import ValidateResult, ValidateStatus
 
 
 @pytest.fixture
@@ -65,13 +63,15 @@ class TestConformance:
         queue = IngestQueue(otp.validate, clock=clock)
         implementations = {
             "OTPServer": otp,
-            "AuthPipeline": otp.pipeline,
             "UsernameResolvingBackend": center.radius_backend,
             "IngestQueue": queue,
             "QueuedBackend": QueuedBackend(otp, queue),
         }
         for name, impl in implementations.items():
             assert isinstance(impl, SubmitAPI), f"{name} lost SubmitAPI"
+            assert not hasattr(impl, "validate_many"), f"{name} kept the old spelling"
+        # The pipeline lends its worker pool; the server is the surface.
+        assert not isinstance(otp.pipeline, SubmitAPI)
 
     def test_plain_validate_only_backend_is_not_submitapi(self):
         class Legacy:
@@ -94,26 +94,6 @@ class TestOTPServer:
         outcomes = [t.result().ok for t in tickets]
         assert outcomes == [True, False, True]
 
-    def test_validate_many_warns_but_matches(self, otp):
-        requests = [("user0", "424242"), ("user1", "424242")]
-        with pytest.deprecated_call():
-            old = otp.validate_many(requests)
-        new = [t.result() for t in otp.submit_many(requests)]
-        assert [r.status for r in old] == [r.status for r in new]
-
-
-class TestAuthPipeline:
-    def test_submit_matches_run(self, otp):
-        pipeline = otp.pipeline
-        via_run = pipeline.run("user0", "424242")
-        via_submit = pipeline.submit(("user0", "424242")).result()
-        assert via_submit.status == via_run.status
-
-    def test_validate_many_deprecated(self, otp):
-        with pytest.deprecated_call():
-            results = otp.pipeline.validate_many([("user0", "424242")])
-        assert results[0].ok
-
 
 class TestUsernameResolvingBackend:
     def enroll(self, center, username):
@@ -132,12 +112,6 @@ class TestUsernameResolvingBackend:
         (ticket,) = center.radius_backend.submit_many([("ghost", "424242")])
         assert ticket.done()
         assert not ticket.result().ok
-
-    def test_validate_many_deprecated(self, center):
-        code = self.enroll(center, "bob")
-        with pytest.deprecated_call():
-            results = center.radius_backend.validate_many([("bob", code)])
-        assert results[0].ok
 
 
 class TestIngestDeployment:

@@ -5,13 +5,12 @@ import random
 import pytest
 
 from repro.common.clock import SimulatedClock
+from repro.common.results import ValidateStatus
 from repro.crypto.totp import totp_at
-from repro.extensions.risk import RiskEngine, RiskWeights
 from repro.otpserver.admin_api import AdminAPI, AdminAPIClient
-from repro.otpserver.results import ValidateStatus
 from repro.otpserver.server import OTPServer
 from repro.otpserver.tokens import TokenType
-from repro.policy import PolicyEngine, RiskStage
+from repro.policy import PolicyEngine, RiskEngine, RiskWeights
 from repro.telemetry import Registry
 
 ATTACKER_IP = "203.0.113.9"
@@ -124,7 +123,7 @@ class TestAlarms:
         assert series == {"accepted": 1.0, "probed": 1.0}
 
     def test_alarm_flags_through_risk_stage(self, clock):
-        stage = RiskStage(RiskEngine(clock=clock))
+        stage = RiskEngine(clock=clock)
         server = OTPServer(
             clock=clock,
             rng=random.Random(5),
@@ -139,9 +138,7 @@ class TestAlarms:
         """A probe refused upstream by the risk stage never reaches the
         dispatch handler — the policy stage must alarm instead, so no
         decoy use can go unrecorded."""
-        stage = RiskStage(
-            RiskEngine(clock=clock, weights=RiskWeights(watchlisted_network=1.0))
-        )
+        stage = RiskEngine(clock=clock, weights=RiskWeights(watchlisted_network=1.0))
         stage.add_watchlist("203.0.113.0/24")
         server = OTPServer(
             clock=clock,

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.common.clock import SimulatedClock
-from repro.otpserver.server import OTPServer, OTPServerConfig, ValidateStatus
+from repro.otpserver import OTPServer, OTPServerConfig, ValidateStatus
 
 THRESHOLD = 20
 

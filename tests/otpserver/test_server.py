@@ -7,7 +7,7 @@ import pytest
 from repro.common.clock import SimulatedClock
 from repro.common.errors import NotFoundError, ValidationError
 from repro.crypto.totp import TOTPGenerator
-from repro.otpserver.server import OTPServer, OTPServerConfig, ValidateStatus
+from repro.otpserver import OTPServer, OTPServerConfig, ValidateStatus
 from repro.otpserver.tokens import HardTokenBatch, TokenType
 
 

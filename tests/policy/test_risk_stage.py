@@ -1,9 +1,9 @@
-"""The risk stage inside the policy engine: one verdict for every layer.
+"""The risk stage of the policy engine: one verdict for every layer.
 
-Covers the tentpole wiring: STEP_UP withholding the exemption grant (at
-the engine and in the PAM stack), DENY short-circuiting before lockout
-counters move, the risk block in ``GET /admin/policy``, and the stage's
-flag log.
+Covers the wiring of :class:`~repro.policy.RiskEngine` into
+``PolicyEngine``: STEP_UP withholding the exemption grant (at the engine
+and in the PAM stack), DENY short-circuiting before lockout counters
+move, the risk block in ``GET /admin/policy``, and the engine's flag log.
 """
 
 import random
@@ -11,10 +11,8 @@ import random
 import pytest
 
 from repro.common.clock import SimulatedClock
-from repro.crypto.digest_auth import DigestCredentials
-from repro.extensions.risk import RiskAction, RiskEngine, RiskWeights
+from repro.common.results import ValidateStatus
 from repro.otpserver.admin_api import AdminAPI, AdminAPIClient
-from repro.otpserver.results import ValidateStatus
 from repro.otpserver.server import OTPServer
 from repro.pam.framework import PAMResult, PAMSession
 from repro.pam.modules.exemption import MFAExemptionModule
@@ -23,7 +21,9 @@ from repro.policy import (
     EnforcementLadder,
     PolicyAction,
     PolicyEngine,
-    RiskStage,
+    RiskAction,
+    RiskEngine,
+    RiskWeights,
 )
 
 ATTACKER_IP = "203.0.113.9"
@@ -39,7 +39,7 @@ def watchlisted_stage(clock, deny=False):
     """A stage whose verdict for the attacker subnet is fixed: STEP_UP by
     default, DENY when the watchlist weight is raised past the bar."""
     weights = RiskWeights(watchlisted_network=1.0) if deny else None
-    stage = RiskStage(RiskEngine(clock=clock, weights=weights))
+    stage = RiskEngine(clock=clock, weights=weights)
     stage.add_watchlist("203.0.113.0/24")
     return stage
 
@@ -55,12 +55,20 @@ class GrantAll:
 
 
 class TestAdoption:
-    def test_bare_engine_is_wrapped(self, clock):
-        policy = PolicyEngine(clock=clock, risk=RiskEngine(clock=clock))
-        assert isinstance(policy.risk, RiskStage)
+    def test_ready_engine_is_used_as_is(self, clock):
+        engine = RiskEngine(clock=clock)
+        assert PolicyEngine(clock=clock, risk=engine).risk is engine
+
+    def test_true_builds_an_engine_on_the_policy_clock(self, clock):
+        policy = PolicyEngine(clock=clock, risk=True)
+        for _ in range(3):
+            policy.risk.record_failure("alice")
+        assert "failure_burst" in policy.risk.assess("alice", HOME_IP).signals
+        clock.advance(601)
+        assert "failure_burst" not in policy.risk.assess("alice", HOME_IP).signals
 
     def test_uninjected_stage_adopts_engine_clock(self, clock):
-        stage = RiskStage()
+        stage = RiskEngine()
         assert stage.clock_injected is False
         PolicyEngine(clock=clock, risk=stage)
         assert stage.clock_injected is True
@@ -69,7 +77,7 @@ class TestAdoption:
         policy = PolicyEngine(clock=clock)
         assert policy.risk is None
         before = policy.version
-        policy.set_risk(RiskStage(RiskEngine(clock=clock)))
+        policy.set_risk(RiskEngine(clock=clock))
         assert policy.risk is not None
         assert policy.version == before + 1
 
@@ -191,9 +199,7 @@ class TestSnapshot:
 
 class TestFlagLog:
     def test_flag_log_eviction_keeps_counts(self, clock):
-        stage = RiskStage(
-            RiskEngine(clock=clock), flag_log_limit=4
-        )
+        stage = RiskEngine(clock=clock, flag_log_limit=4)
         stage.add_watchlist("203.0.113.0/24")
         for i in range(10):
             stage.evaluate(f"user{i}", ATTACKER_IP)
@@ -203,7 +209,7 @@ class TestFlagLog:
         assert sum(stage.snapshot()["flagged_users"] for _ in (1,)) == 10
 
     def test_honeytoken_alarm_flags_at_full_score(self, clock):
-        stage = RiskStage(RiskEngine(clock=clock))
+        stage = RiskEngine(clock=clock)
         stage.raise_alarm("decoy1", ATTACKER_IP, serial="LSHY0001", accepted=True)
         entry = stage.flagged()[-1]
         assert entry["action"] == "honeytoken"

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.common.clock import SimulatedClock
-from repro.otpserver.results import ValidateResult, ValidateStatus
+from repro.common.results import ValidateResult, ValidateStatus
 from repro.otpserver.server import OTPServer
 from repro.radius.dictionary import Attr, PacketCode
 from repro.radius.packet import (
@@ -132,7 +132,7 @@ class TestHandleBatch:
         assert server.duplicates_replayed == 1
 
     def test_uses_submit_api_when_offered(self, clock):
-        from repro.otpserver.results import Ticket
+        from repro.common.results import Ticket
 
         class BatchingBackend:
             def __init__(self):

@@ -1,19 +1,15 @@
 """Wait-clock injection: how RADIUS waits are charged to simulated time.
 
-The legacy knob (``FailoverPolicy.simulate_waits``) is folded into clock
-injection: pass ``wait_clock=`` to charge timeout/backoff waits to a
-clock, omit it for free waits.  The old knob keeps working behind a
-DeprecationWarning.
+Pass ``wait_clock=`` to charge timeout/backoff waits to a clock, omit it
+for free waits.
 """
 
 import random
 import warnings
 
-import pytest
-
-from repro.common.clock import VirtualClock, WallClock
+from repro.common.clock import VirtualClock
+from repro.common.resilience import FailoverPolicy
 from repro.radius.client import RADIUSClient
-from repro.radius.health import FailoverPolicy
 from repro.radius.transport import UDPFabric
 
 
@@ -60,36 +56,8 @@ class TestWaitClockInjection:
 
 
 class TestSimulateWaitsShim:
-    def test_legacy_knob_warns_and_charges_the_clock(self):
-        clock = VirtualClock(1000.0)
-        with pytest.warns(DeprecationWarning, match="simulate_waits"):
-            client = make_client(
-                clock=clock, policy=FailoverPolicy(simulate_waits=True)
-            )
-        client.authenticate("user", "123456")
-        assert clock.now() > 1000.0
-
-    def test_legacy_knob_never_real_sleeps_on_wall_clock(self):
-        # Historical behaviour: simulate_waits over a wall clock was a
-        # no-op (waits free), never a real sleep.
-        with pytest.warns(DeprecationWarning):
-            client = make_client(
-                clock=WallClock(), policy=FailoverPolicy(simulate_waits=True)
-            )
-        assert client._wait_clock is None
-
-    def test_explicit_wait_clock_wins_over_legacy_knob(self):
-        clock = VirtualClock(0.0)
-        waits = VirtualClock(0.0)
-        with pytest.warns(DeprecationWarning):
-            client = make_client(
-                clock=clock,
-                wait_clock=waits,
-                policy=FailoverPolicy(simulate_waits=True),
-            )
-        client.authenticate("user", "123456")
-        assert clock.now() == 0.0  # shared time untouched
-        assert waits.now() > 0.0  # waits charged to the dedicated clock
+    """``FailoverPolicy.simulate_waits`` is gone (``wait_clock=`` replaced
+    it); what stays pinned is that building a client warns about nothing."""
 
     def test_modern_path_emits_no_warning(self):
         clock = VirtualClock(0.0)

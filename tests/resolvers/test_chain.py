@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.clock import SimulatedClock
-from repro.radius.health import CircuitState, FailoverPolicy
+from repro.common.resilience import CircuitState, FailoverPolicy
 from repro.resolvers import (
     IdentityResolver,
     ResolvedIdentity,
