@@ -69,7 +69,7 @@ def challenge(world, username, code_provider):
 
 
 def sms_code(world):
-    world.center.otp.validate(world.center.uid_of("texter"), None)  # pre-trigger not needed; module does it
+    world.center.otp.validate("texter", None)  # pre-trigger not needed; module does it
     world.clock.advance(10)
     message = world.center.sms_gateway.latest("5125551234")
     return message.body.split()[-1] if message else "000000"

@@ -58,9 +58,8 @@ def main() -> None:
         print("  server said:", message)
 
     # --- "SMS already sent" guard ------------------------------------------
-    uid = center.uid_of("texter")
-    center.otp.validate(uid, None)  # first null request: sends
-    second = center.otp.validate(uid, None)  # second: guarded
+    center.otp.validate("texter", None)  # first null request: sends
+    second = center.otp.validate("texter", None)  # second: guarded
     print("\nsecond request while a code is active ->", second.reason)
 
     # --- billing -------------------------------------------------------------

@@ -20,7 +20,7 @@ from repro.policy import Decision
 
 @dataclass
 class AuditEvent:
-    """One buffered audit record (the user id is supplied at flush time)."""
+    """One buffered audit record (the uid is supplied at flush time)."""
 
     action: str
     serial: str = ""
@@ -32,6 +32,8 @@ class AuditEvent:
 class PipelineContext:
     """Everything the stages know about one validation attempt."""
 
+    #: The submitted login name — the key policy uses (exemptions, rate
+    #: limits, risk feeds and flags), because it is the name PAM also has.
     user_id: str
     code: Optional[str]
     #: Requesting source address, when the caller knows it (RADIUS batch
@@ -40,14 +42,14 @@ class PipelineContext:
     source: Optional[str] = None
 
     # -- resolved by the stages ---------------------------------------------
-    #: The resolver chain's answer when one is attached (maps the submitted
-    #: username — possibly ``user@realm`` — onto the local account); ``None``
-    #: on the legacy direct-lookup path.
+    #: The resolver chain's answer (maps the submitted name — possibly
+    #: ``user@realm`` — onto the local account); ``None`` on a bare
+    #: ``OTPServer`` with no chain attached.
     identity: object = None
-    #: The token store's key for this account — the resolved identity's
-    #: uid when a chain answered, else the submitted name.  Everything
-    #: keyed per account in storage (token rows, SMS challenge rows) uses
-    #: this, so it agrees with the admin operations, which take uids.
+    #: The storage key for this account — the resolved identity's uid
+    #: (the submitted id itself on a bare server).  Everything stored per
+    #: account (token rows, SMS challenge rows, audit rows) uses this, so
+    #: it agrees with the admin operations, which take uids.
     uid: str = ""
     rows: List[dict] = field(default_factory=list)  # all token rows
     row: Optional[dict] = None  # the active row being validated

@@ -56,19 +56,21 @@ class Stage(Protocol):
 
 
 class ResolveIdentity:
-    """Map the submitted username to an account, then load its token rows.
+    """The one username→uid join, then load the account's token rows.
 
-    Two resolution modes:
+    The submitted login name (which may carry a ``@realm`` suffix) goes
+    through the server's :class:`~repro.resolvers.chain.ResolverChain`;
+    from here on **storage keys on the resolved uid** (``ctx.uid``: token
+    rows, SMS challenges, audit rows — the key admin operations use) and
+    **policy keys on the login name** (``ctx.user_id``: exemptions, rate
+    limits, risk feeds and flags — the name PAM also has).  An
+    unresolved name is NO_TOKEN; a chain where every candidate resolver
+    is down is an explicit (audited) REJECT — unavailability must never
+    read as "this user does not exist".
 
-    * **legacy direct lookup** (no chain attached) — the submitted name
-      *is* the token database's user id, exactly the seed behavior;
-    * **resolver chain** (``server.attach_resolvers``) — the name (which
-      may carry a ``@realm`` suffix) goes through the
-      :class:`~repro.resolvers.chain.ResolverChain` first; the token
-      lookup then uses the resolved unique user id.  An unresolved name
-      is NO_TOKEN; a chain where every candidate resolver is down is an
-      explicit (audited) REJECT — unavailability must never read as
-      "this user does not exist".
+    A bare ``OTPServer`` with no chain attached treats the submitted id
+    as the storage key itself: the reference chained deployments are
+    compared against (``MFACenter`` always attaches a chain).
     """
 
     name = "resolve_identity"
@@ -82,7 +84,7 @@ class ResolveIdentity:
         with server._stats_lock:
             server.validate_requests += 1
         ctx.uid = ctx.user_id
-        chain = getattr(server, "resolvers", None)
+        chain = server.resolvers
         if chain is not None:
             try:
                 identity = chain.resolve(ctx.user_id)
@@ -396,7 +398,7 @@ class DispatchByTokenType:
         server = self.server
         row = ctx.row
         serial = row["serial"]
-        verifier = getattr(server, "federation", None)
+        verifier = server.federation
         if verifier is None:
             return ValidateResult(
                 ValidateStatus.REJECT, "federation not configured", serial=serial
@@ -468,7 +470,7 @@ class ApplyOutcome:
             ctx.audit("validate", serial=row["serial"], success=True)
             # Feed the shared risk stage: the origin becomes known-good and
             # the account's failure burst resets.  A sourceless call (the
-            # RADIUS backend chain drops the client address) still counts
+            # RADIUS server does not forward the client address) still counts
             # as a success but must not teach the engine an empty origin.
             if self.policy.risk is not None and ctx.source:
                 self.policy.risk.record_success(ctx.user_id, ctx.source)
@@ -505,7 +507,7 @@ class Audit:
         for event in ctx.audit_events:
             self.server.audit.record(
                 event.action,
-                ctx.user_id,
+                ctx.uid,
                 event.serial,
                 success=event.success,
                 detail=event.detail,

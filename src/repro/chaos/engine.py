@@ -285,7 +285,7 @@ class ChaosEngine:
         if self._resolvers is None:
             raise TypeError(
                 "plan has a resolver-outage fault but no resolver chain "
-                "attached (need a resolver-enabled deployment)"
+                "attached (pass resolvers=center.resolver_chain)"
             )
         try:
             target = self._resolvers.resolver(fault.resolver)

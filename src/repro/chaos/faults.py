@@ -231,9 +231,9 @@ class ResolverOutage(Fault):
     Exists to prove the resolver chain's failover contract — logins must
     keep succeeding through the remaining resolvers (zero invariant
     violations) while the downed resolver's EWMA score is demoted, and
-    must recover once the window closes.  Requires a resolver-enabled
-    deployment; the runner upgrades the default workload automatically
-    when a plan schedules one.
+    must recover once the window closes.  ``resolver`` names a resolver
+    on the deployment's chain with an outage knob; the runner's rig
+    registers ``"ldap"`` ahead of the directory.
     """
 
     resolver: str = ""

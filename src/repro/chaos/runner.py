@@ -31,12 +31,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.chaos.engine import ChaosEngine
-from repro.chaos.faults import BatchBackfill, ResolverOutage, ShardCrash
+from repro.chaos.faults import BatchBackfill, ShardCrash
 from repro.chaos.plan import FaultPlan
 from repro.common.clock import SimulatedClock
 from repro.common.resilience import FailoverPolicy
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
+from repro.resolvers import ResolverConfig
 from repro.simcore import EventScheduler
 from repro.ssh import SSHClient
 from repro.storage import StorageConfig
@@ -332,15 +333,6 @@ def run_chaos(
             max_depth=config.ingest_depth,
             service_cost_seconds=config.queue_service_cost,
         )
-    # A resolver-outage plan needs the identity-resolver chain (LDAP
-    # primary, directory fallback); enable it automatically so the shipped
-    # resolver-outage plan runs out of the box while every other plan
-    # keeps its historical direct identity path (and event-log digest).
-    resolver_config = None
-    if any(isinstance(f, ResolverOutage) for f in plan.faults):
-        from repro.resolvers import ResolverConfig
-
-        resolver_config = ResolverConfig(use_ldap=True)
     center = MFACenter(
         clock=clock,
         rng=random.Random(config.seed),
@@ -354,7 +346,9 @@ def run_chaos(
         radius_wait_clock=clock,
         ingest=ingest_config,
         risk=config.adversarial or None,
-        resolvers=resolver_config,
+        # LDAP primary, directory fallback: the shape a resolver-outage
+        # fault needs, and the one identity path every plan runs.
+        resolvers=ResolverConfig(use_ldap=True),
     )
     system = center.add_system("chaos-rig", login_nodes=1)
     node = system.login_node()

@@ -47,9 +47,10 @@ class TokenBackend(Protocol):
     """The validation surface RADIUS servers (and anything else that checks
     a second factor) call — LinOTP's ``/validate/check`` as a typed seam.
 
-    Implementations: :class:`repro.otpserver.server.OTPServer` itself, and
-    :class:`repro.core.infrastructure.UsernameResolvingBackend`, which joins
-    the RADIUS User-Name to the OTP key space through LDAP first.  ``code``
+    Implementations: :class:`repro.otpserver.server.OTPServer` itself
+    (with a resolver chain attached, ``user_id`` is the RADIUS User-Name
+    and the pipeline's ``ResolveIdentity`` stage joins it to the storage
+    uid) and :class:`repro.ingest.QueuedBackend` in front of it.  ``code``
     is ``None`` (or empty) for the SMS "null request".  Backends that can
     do better than one-at-a-time validation additionally implement
     :class:`SubmitAPI`; callers discover it with ``isinstance`` (see
@@ -142,9 +143,8 @@ class SubmitAPI(Protocol):
 
     ``submit`` hands one request to the backend and returns a
     :class:`Ticket`; ``submit_many`` does the same for a batch, preserving
-    order.  Synchronous implementations
-    (:class:`~repro.otpserver.server.OTPServer`,
-    :class:`~repro.core.infrastructure.UsernameResolvingBackend`) return
+    order.  The synchronous implementation
+    (:class:`~repro.otpserver.server.OTPServer`) returns
     already-completed tickets; the ingestion queue
     (:class:`~repro.ingest.IngestQueue`, and the
     :class:`~repro.ingest.QueuedBackend` fronting it) returns live ones

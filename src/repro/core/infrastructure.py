@@ -12,25 +12,13 @@ from __future__ import annotations
 
 import os
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.clock import Clock, SystemClock
 from repro.common.errors import NotFoundError, ValidationError
 from repro.directory.identity import AccountClass, IdentityBackend, PairingStatus
 from repro.ingest import IngestConfig, IngestQueue, QueuedBackend
-# ValidateResult/ValidateStatus come from the package's public surface (not
-# the private server module) and at module level: the unknown-user branch
-# below sits on the per-login hot path, where a lazy import costs a dict
-# probe and lock check per call.
-from repro.otpserver import (
-    OTPServer,
-    OTPServerConfig,
-    SMSGateway,
-    Ticket,
-    TokenBackend,
-    ValidateResult,
-    ValidateStatus,
-)
+from repro.otpserver import OTPServer, OTPServerConfig, SMSGateway, TokenBackend
 from repro.otpserver.tokens import HardTokenBatch, random_static_code
 from repro.pam.acl import InMemoryExemptionACL
 from repro.pam.framework import PAMStack
@@ -55,70 +43,6 @@ from repro.ssh.daemon import SSHDaemon
 from repro.telemetry import resolve_registry
 
 DEFAULT_RADIUS_SECRET = b"center-radius-secret"
-
-
-class UsernameResolvingBackend:
-    """Adapter between the RADIUS User-Name and the OTP server's key space.
-
-    RADIUS requests carry the login *username*; the OTP server stores
-    tokens under the unique user id "common to both databases" (Section
-    3.1).  This adapter performs the LDAP-side join before validation —
-    an unknown username validates to "no token" rather than erroring.
-
-    Implements the :class:`repro.otpserver.TokenBackend` protocol, like the
-    :class:`OTPServer` it wraps, so RADIUS servers accept either directly.
-    """
-
-    def __init__(self, identity: IdentityBackend, otp: OTPServer) -> None:
-        self._identity = identity
-        self._otp = otp
-
-    def validate(self, username: str, code: Optional[str]) -> ValidateResult:
-        # With a resolver chain attached, the OTP pipeline's own
-        # ResolveIdentity stage performs the username→uid mapping (with
-        # realm routing, caching and failover); pass the name through so
-        # federated ``user@homesite`` logins and per-resolver telemetry
-        # work.  Without one, do the legacy LDAP-side join here.
-        if self._otp.resolvers is not None:
-            return self._otp.validate(username, code)
-        try:
-            uid = self._identity.get(username).uid
-        except NotFoundError:
-            return ValidateResult(ValidateStatus.NO_TOKEN, "unknown user")
-        return self._otp.validate(uid, code)
-
-    def submit(self, request: Tuple) -> Ticket:
-        """One request as a ticket (resolved synchronously here)."""
-        return Ticket.completed(self.validate(*request))
-
-    def submit_many(self, requests: Sequence[Tuple]) -> List[Ticket]:
-        """Batch counterpart of :meth:`validate`, order-preserving tickets.
-
-        Usernames resolve through LDAP up front; unknown ones answer "no
-        token" without occupying a slot in the OTP server's batch, and
-        the rest ride its concurrent :class:`~repro.otpserver.SubmitAPI`.
-        """
-        if self._otp.resolvers is not None:
-            # Resolver chain attached: the pipeline resolves names itself.
-            return self._otp.submit_many(list(requests))
-        tickets: List[Optional[Ticket]] = [None] * len(requests)
-        resolved_idx: List[int] = []
-        resolved: List[Tuple] = []
-        for i, request in enumerate(requests):
-            username, rest = request[0], request[1:]
-            try:
-                uid = self._identity.get(username).uid
-            except NotFoundError:
-                tickets[i] = Ticket.completed(
-                    ValidateResult(ValidateStatus.NO_TOKEN, "unknown user")
-                )
-                continue
-            resolved_idx.append(i)
-            resolved.append((uid, *rest))
-        if resolved:
-            for i, answer in zip(resolved_idx, self._otp.submit_many(resolved)):
-                tickets[i] = answer
-        return tickets
 
 
 class HPCSystem:
@@ -308,29 +232,23 @@ class MFACenter:
         if risk:
             self.otp.policy.set_risk(risk)
         self.risk_stage: Optional[RiskEngine] = self.otp.policy.risk
-        # Optional identity-resolver chain: ``resolvers`` is None (the
-        # legacy direct username→uid join), True (a default chain over the
-        # identity back end), or a repro.resolvers.ResolverConfig.  When
-        # enabled, the OTP pipeline resolves submitted names through the
-        # chain (realm routing, health-aware failover, TTL caching), and a
-        # federation verifier is stood up so ``pair_federated`` can admit
-        # partner-site users through the same policy engine.
-        self.resolver_chain = None
-        self.federation_verifier = None
+        # The one username→uid join: the OTP pipeline's ResolveIdentity
+        # stage maps every submitted login name through this chain (realm
+        # routing, health-aware failover, TTL caching).  ``resolvers`` only
+        # tunes it — a repro.resolvers.ResolverConfig, else the defaults.
+        # The federation verifier lets ``pair_federated`` admit partner-site
+        # users through the same policy engine.
+        self.resolver_chain = build_chain(
+            resolvers if isinstance(resolvers, ResolverConfig) else ResolverConfig(),
+            self.identity,
+            self.clock,
+            self.telemetry,
+        )
+        self.otp.attach_resolvers(self.resolver_chain)
+        self.federation_verifier = AttestationVerifier(clock=self.clock)
+        self.otp.attach_federation(self.federation_verifier)
         self._federated_resolver = None
         self._federation_issuers: Dict[str, object] = {}
-        if resolvers:
-            config = (
-                resolvers
-                if isinstance(resolvers, ResolverConfig)
-                else ResolverConfig()
-            )
-            self.resolver_chain = build_chain(
-                config, self.identity, self.clock, self.telemetry
-            )
-            self.otp.attach_resolvers(self.resolver_chain)
-            self.federation_verifier = AttestationVerifier(clock=self.clock)
-            self.otp.attach_federation(self.federation_verifier)
         self.fabric = UDPFabric(
             loss_rate=fabric_loss_rate, rng=self.rng, telemetry=self.telemetry
         )
@@ -343,9 +261,9 @@ class MFACenter:
         # failover rigs), leave None for free waits.
         self.radius_policy = radius_policy
         self.radius_wait_clock = radius_wait_clock
-        self.radius_backend: TokenBackend = UsernameResolvingBackend(
-            self.identity, self.otp
-        )
+        # RADIUS carries the login name and so does the OTP server's
+        # validate: the farm talks to it directly.
+        self.radius_backend: TokenBackend = self.otp
         # Optional admission control: ``ingest`` is None (off), True (queue
         # with defaults), or a repro.ingest.IngestConfig.  When enabled the
         # RADIUS farm talks to a QueuedBackend, so every validation goes
@@ -353,13 +271,16 @@ class MFACenter:
         self.ingest_queue = None
         if ingest:
             config = ingest if isinstance(ingest, IngestConfig) else None
+            otp = self.otp
             self.ingest_queue = IngestQueue(
-                runner=self.radius_backend.validate,
+                # Late-bound: whatever ``otp.validate`` is at service time
+                # (instrumentation hangs proxies on the instance).
+                runner=lambda *request: otp.validate(*request),
                 config=config,
                 clock=self.clock,
                 telemetry=self.telemetry,
             )
-            self.radius_backend = QueuedBackend(self.radius_backend, self.ingest_queue)
+            self.radius_backend = QueuedBackend(self.otp, self.ingest_queue)
             self.otp.attach_ingest(self.ingest_queue)
         self.radius_servers: List[RADIUSServer] = []
         for i in range(num_radius_servers):
@@ -448,9 +369,13 @@ class MFACenter:
         password: str = "",
         account_class: AccountClass = AccountClass.INDIVIDUAL,
     ):
-        return self.identity.create_account(
+        account = self.identity.create_account(
             username, email or f"{username}@example.edu", password, account_class
         )
+        # A lookup that missed before the account existed must not keep
+        # answering "unknown user" for the chain's negative TTL.
+        self.resolver_chain.invalidate(username)
+        return account
 
     def pair_soft(self, username: str) -> Tuple[str, bytes]:
         """Direct soft-token pairing (no portal ceremony)."""
@@ -489,10 +414,6 @@ class MFACenter:
         band — here the center plays both sides so tests and simulations
         can mint assertions.
         """
-        if self.federation_verifier is None:
-            raise ValidationError(
-                "federation requires resolvers= to be enabled on MFACenter"
-            )
         issuer = self._federation_issuers.get(site)
         if issuer is None:
             if key is None:
@@ -516,10 +437,6 @@ class MFACenter:
         mint login assertions.  ``step_up_code`` arms the local second
         factor that risk-driven STEP_UP demands.
         """
-        if self.resolver_chain is None:
-            raise ValidationError(
-                "federated pairing requires resolvers= to be enabled on MFACenter"
-            )
         account = self.identity.get(username)
         _, _, site = principal.rpartition("@")
         if not site:
@@ -531,6 +448,7 @@ class MFACenter:
             self._federated_resolver = FederatedResolver()
         self._federated_resolver.map(principal, account.uid)
         self.resolver_chain.add_route(site, self._federated_resolver)
+        self.resolver_chain.invalidate(principal)  # as in create_user
         issuer = self.federation_issuer(site, key=home_site_key)
         self.identity.notify_pairing(username, PairingStatus.FEDERATED)
         return issuer
@@ -551,8 +469,8 @@ class MFACenter:
         self.otp.import_hard_batch(batch)
         return batch
 
-    # -- but the token module looks pairing up by *username* via LDAP while
-    #    the OTP server keys tokens by the shared unique uid; translate. ---------
+    # -- validate takes the login name; enrolment and /admin/* take the
+    #    shared unique uid the token rows are stored under. ---------------------
 
     def uid_of(self, username: str) -> str:
         return self.identity.get(username).uid

@@ -2,8 +2,8 @@
 
 :class:`IngestQueue` sits between submitters (RADIUS batch drains, the
 SMS dispatcher, resync backfills, admin sweeps) and a runner — any
-``fn(*request) -> ValidateResult``, typically
-``UsernameResolvingBackend.validate`` or ``AuthPipeline.run``.  It
+``fn(*request) -> ValidateResult``, typically ``OTPServer.validate``
+or ``AuthPipeline.run``.  It
 implements the :class:`~repro.common.results.SubmitAPI` protocol:
 ``submit`` returns a live :class:`~repro.common.results.Ticket` that
 resolves when the item is serviced.

@@ -161,7 +161,7 @@ class AdminAPI:
     def _handle_resolvers(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """Identity-resolver chain stats: realm routes, per-resolver circuit
         state and EWMA score, cache hit counters (``{"configured": false}``
-        when the deployment resolves identities directly)."""
+        on a bare server with no chain attached)."""
         return self.server.resolver_snapshot()
 
     def _handle_validate(self, params: Dict[str, Any]) -> Dict[str, Any]:

@@ -173,6 +173,14 @@ class OTPServer:
         #: the audit log and telemetry; this list is the cheap queryable
         #: record the adversarial invariants check against.
         self.honeytoken_alarms: List[Dict[str, object]] = []
+        #: The identity resolver chain (``attach_resolvers``).  ``None`` is
+        #: the bare server: the submitted id *is* the storage key — the
+        #: reference a chained deployment is compared against.
+        self.resolvers = None
+        #: The :class:`AttestationVerifier` federated dispatch consults
+        #: (``attach_federation``), or ``None``.
+        self.federation = None
+        self._ingest = None  # the deployment's ingestion queue, if any
         # The policy engine every validate consults.  The default engine
         # (full ladder, no exemptions, no admission control) reproduces
         # the paper's always-challenge server; the lockout threshold comes
@@ -451,6 +459,8 @@ class OTPServer:
     ) -> ValidateResult:
         """The ``/validate/check`` equivalent RADIUS servers call.
 
+        ``user_id`` is the login name once a resolver chain is attached
+        (every ``MFACenter``), the storage uid itself on a bare server.
         ``code=None`` (the "null request") triggers the SMS challenge for
         SMS-paired users; any other value is checked as a token code.
         ``source`` feeds the policy engine's per-source admission control
@@ -508,45 +518,33 @@ class OTPServer:
     def queue_snapshot(self) -> Dict[str, object]:
         """Admission-queue stats for operators, or a stub when no queue
         fronts this deployment (mirrors ``policy_snapshot`` conventions)."""
-        queue = getattr(self, "_ingest", None)
-        if queue is None:
+        if self._ingest is None:
             return {"configured": False}
-        return queue.snapshot()
+        return self._ingest.snapshot()
 
     # -- identity resolvers & federation --------------------------------------
 
     def attach_resolvers(self, chain) -> None:
-        """Swap identity resolution onto a :class:`ResolverChain`.
+        """Put identity resolution onto a :class:`ResolverChain`.
 
-        Once attached, the pipeline's ``ResolveIdentity`` stage maps
-        submitted usernames (including ``user@realm`` forms) through the
-        chain before the token lookup, and ``GET /admin/resolvers`` /
-        ``python -m repro resolvers`` report its health and cache state.
+        Once attached, ``validate`` takes *login names*: the pipeline's
+        ``ResolveIdentity`` stage maps them (including ``user@realm``
+        forms) through the chain to the uid the token rows are stored
+        under, and ``GET /admin/resolvers`` / ``python -m repro
+        resolvers`` report the chain's health and cache state.
         """
-        self._resolvers = chain
-
-    @property
-    def resolvers(self):
-        """The attached resolver chain, or ``None`` (legacy direct lookup)."""
-        return getattr(self, "_resolvers", None)
+        self.resolvers = chain
 
     def resolver_snapshot(self) -> Dict[str, object]:
-        """Resolver-chain stats for operators, or a stub when this
-        deployment resolves identities directly (mirrors ``queue_snapshot``
-        conventions)."""
-        chain = self.resolvers
-        if chain is None:
+        """Resolver-chain stats for operators, or a stub on a bare server
+        (mirrors ``queue_snapshot`` conventions)."""
+        if self.resolvers is None:
             return {"configured": False}
-        return chain.snapshot()
+        return self.resolvers.snapshot()
 
     def attach_federation(self, verifier) -> None:
         """Register the attestation verifier federated dispatch consults."""
-        self._federation = verifier
-
-    @property
-    def federation(self):
-        """The attached :class:`AttestationVerifier`, or ``None``."""
-        return getattr(self, "_federation", None)
+        self.federation = verifier
 
     # -- admin operations (the built-in web UI, Section 3.1) -----------------
 

@@ -112,6 +112,8 @@ class UserPortal:
     # -- shared session plumbing -------------------------------------------------
 
     def _uid(self, username: str) -> str:
+        """The key ``/admin/*`` takes; ``/validate/check`` takes the login
+        name and the OTP server resolves it."""
         return self.identity.get(username).uid
 
     def _new_session(self, username: str, method: str) -> PairingSession:
@@ -173,7 +175,7 @@ class UserPortal:
         )
         session.to_awaiting(body["serial"])
         # "The portal then triggers the LinOTP server to send a token code."
-        self._admin.call("POST", "/validate/check", {"user": self._uid(username)})
+        self._admin.call("POST", "/validate/check", {"user": username})
         return session
 
     # -- hard token pairing -----------------------------------------------------------
@@ -210,7 +212,7 @@ class UserPortal:
             body = self._admin.call(
                 "POST",
                 "/validate/check",
-                {"user": self._uid(session.username), "pass": code},
+                {"user": session.username, "pass": code},
             )
             if body["status"] != "ok":
                 span.annotate("result", "wrong_code")
@@ -236,7 +238,7 @@ class UserPortal:
             )
         if status is PairingStatus.SMS:
             # Trigger the SMS so the user has a current code to prove with.
-            self._admin.call("POST", "/validate/check", {"user": self._uid(username)})
+            self._admin.call("POST", "/validate/check", {"user": username})
         session_id = self._ids.next("unpair")
         self._unpair_sessions[session_id] = username
         return session_id
@@ -246,7 +248,7 @@ class UserPortal:
         if username is None:
             raise NotFoundError(f"no such unpair session: {session_id}")
         body = self._admin.call(
-            "POST", "/validate/check", {"user": self._uid(username), "pass": code}
+            "POST", "/validate/check", {"user": username, "pass": code}
         )
         if body["status"] != "ok":
             return False

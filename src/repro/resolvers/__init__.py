@@ -15,7 +15,6 @@ from repro.resolvers.base import (
     split_realm,
 )
 from repro.resolvers.backends import (
-    CachedRemoteResolver,
     DirectoryResolver,
     FlatFileResolver,
     LDAPSimResolver,
@@ -38,7 +37,6 @@ __all__ = [
     "AssertionInvalid",
     "AttestationIssuer",
     "AttestationVerifier",
-    "CachedRemoteResolver",
     "DirectoryResolver",
     "FederatedResolver",
     "FlatFileResolver",

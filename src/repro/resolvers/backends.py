@@ -1,4 +1,4 @@
-"""Concrete identity resolvers: directory, LDAP, flat-file, cached-remote.
+"""Concrete identity resolvers: directory, LDAP, flat-file.
 
 Each backend answers the resolver protocol over a different account
 source — the shapes LinOTP's UserIdResolver supports:
@@ -10,10 +10,10 @@ source — the shapes LinOTP's UserIdResolver supports:
   so chaos plans and benchmarks can make the "remote" source slow or
   dark on demand;
 * :class:`FlatFileResolver` — passwd-style ``username:uid`` lines, the
-  escape hatch every deployment keeps for service accounts;
-* :class:`CachedRemoteResolver` — a TTL'd read-through wrapper that makes
-  any slow resolver cheap on repeat lookups (the chain adds its own
-  cache on top; this one exists for composing remote sources directly).
+  escape hatch every deployment keeps for service accounts.
+
+Caching is the chain's job (:class:`~repro.resolvers.chain.ResolverChain`
+keeps the one TTL'd lookup cache); backends answer every call.
 """
 
 from __future__ import annotations
@@ -179,61 +179,3 @@ class FlatFileResolver(IdentityResolver):
         return ResolvedIdentity(
             username=username, uid=uid, realm=realm, resolver=self.name
         )
-
-
-class CachedRemoteResolver(IdentityResolver):
-    """A TTL'd read-through cache in front of another resolver.
-
-    Positive hits live for ``ttl`` seconds, authoritative misses for
-    ``negative_ttl`` (shorter, so a just-created account shows up fast).
-    Unavailability is never cached: if the inner resolver is down and the
-    cache is cold, the error propagates so the chain can fail over.
-    """
-
-    def __init__(
-        self,
-        inner: IdentityResolver,
-        clock: Optional[Clock] = None,
-        ttl: float = 300.0,
-        negative_ttl: float = 30.0,
-        name: Optional[str] = None,
-    ) -> None:
-        super().__init__(name or f"cached-{inner.name}")
-        if ttl <= 0 or negative_ttl <= 0:
-            raise ValueError("cache TTLs must be positive")
-        self.inner = inner
-        self._clock = clock or WallClock()
-        self._ttl = float(ttl)
-        self._negative_ttl = float(negative_ttl)
-        self._cache: Dict[str, tuple] = {}
-        self.cache_hits = 0
-
-    def invalidate(self, username: Optional[str] = None) -> None:
-        if username is None:
-            self._cache.clear()
-        else:
-            self._cache.pop(username, None)
-
-    def health(self) -> Dict[str, object]:
-        return self.inner.health()
-
-    def stats(self) -> Dict[str, object]:
-        stats = super().stats()
-        stats["cache_hits"] = self.cache_hits
-        stats["cache_entries"] = len(self._cache)
-        stats["inner"] = self.inner.stats()
-        return stats
-
-    def _lookup(self, username: str) -> Optional[ResolvedIdentity]:
-        now = self._clock.now()
-        cached = self._cache.get(username)
-        if cached is not None:
-            expires, identity = cached
-            if now < expires:
-                self.cache_hits += 1
-                return identity
-            del self._cache[username]
-        identity = self.inner.resolve(username)
-        ttl = self._ttl if identity is not None else self._negative_ttl
-        self._cache[username] = (now + ttl, identity)
-        return identity

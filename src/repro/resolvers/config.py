@@ -1,9 +1,9 @@
 """Deployment-facing resolver configuration (the ``StorageConfig`` shape).
 
-``MFACenter(resolvers=ResolverConfig(...))`` — or ``resolvers=True`` for
-the defaults — builds a :class:`~repro.resolvers.chain.ResolverChain`
-over the center's identity back end and swaps the auth pipeline's
-``ResolveIdentity`` stage onto it.
+Every ``MFACenter`` builds one :class:`~repro.resolvers.chain.ResolverChain`
+over its identity back end — the only username→uid join, run by the auth
+pipeline's ``ResolveIdentity`` stage.  ``MFACenter(resolvers=
+ResolverConfig(...))`` tunes it; anything else means the defaults.
 """
 
 from __future__ import annotations

@@ -60,6 +60,12 @@ class TestFederatedLogin:
         assert result.ok
         assert result.serial.startswith("LSFD")
 
+    def test_principal_probed_before_pairing_resolves_at_once(self, center):
+        """The unrouted-realm miss is negative-cached; pairing drops it."""
+        assert center.otp.validate(PRINCIPAL, "FED1.x.y").reason == "unknown user"
+        issuer = center.pair_federated("alice", PRINCIPAL)
+        assert center.otp.validate(PRINCIPAL, issuer.issue("ali"), source=HOME_IP).ok
+
     def test_replayed_assertion_rejected_and_counted(self, center, issuer):
         assertion = issuer.issue("ali")
         assert center.otp.validate(PRINCIPAL, assertion, source=HOME_IP).ok

@@ -9,7 +9,10 @@ from repro.common.errors import NotFoundError, ValidationError
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
 from repro.directory.identity import AccountClass
+from repro.policy import AuthRequest
+from repro.resolvers import ResolverConfig
 from repro.ssh import SSHClient
+from repro.storage import StorageConfig
 
 
 @pytest.fixture
@@ -75,7 +78,7 @@ class TestPairingConveniences:
         center.create_user("train01", account_class=AccountClass.TRAINING)
         code = center.pair_training("train01")
         assert len(code) == 6 and code.isdigit()
-        assert center.otp.validate(center.uid_of("train01"), code).ok
+        assert center.otp.validate("train01", code).ok
 
     def test_unpair(self, center):
         center.create_user("alice")
@@ -171,8 +174,8 @@ class TestExemptionManagement:
 
 class TestEndToEndAuth:
     def test_radius_username_uid_translation(self, center, clock):
-        """RADIUS carries usernames; tokens live under uids — the adapter
-        must join them (Section 3.1's shared unique ID)."""
+        """RADIUS carries usernames; tokens live under uids — the pipeline's
+        ResolveIdentity stage joins them (Section 3.1's shared unique ID)."""
         system = center.add_system("stampede", mode="full")
         center.create_user("alice", password="pw")
         _, secret = center.pair_soft("alice")
@@ -188,12 +191,12 @@ class TestEndToEndAuth:
         assert response.status.value == "no_token"
 
     def test_re_paired_sms_user_gets_a_fresh_challenge(self, clock):
-        """With a resolver chain the pipeline sees the login *name*, yet
-        challenge rows must be keyed like the admin operations that clear
-        them (by uid): an unpair takes the old pairing's outstanding
-        challenge with it, or the new pairing's first null request
-        answers "already sent" and texts nobody."""
-        center = MFACenter(clock=clock, rng=random.Random(1), resolvers=True)
+        """The pipeline sees the login *name*, yet challenge rows must be
+        keyed like the admin operations that clear them (by uid): an
+        unpair takes the old pairing's outstanding challenge with it, or
+        the new pairing's first null request answers "already sent" and
+        texts nobody."""
+        center = MFACenter(clock=clock, rng=random.Random(1))
         center.create_user("alice", password="pw")
         center.pair_sms("alice", "5125550001")
         first = center.radius_backend.validate("alice", None)
@@ -203,6 +206,60 @@ class TestEndToEndAuth:
         second = center.radius_backend.validate("alice", None)
         assert second.status.value == "challenge_sent"
         assert center.sms_gateway.messages_sent == 2
+
+
+PRODUCTION_STACK = dict(storage=StorageConfig(shards=4), ingest=True)
+
+
+class TestIdentityKeySpaces:
+    """One join, one rule: storage keys on the uid, policy on the login name."""
+
+    def test_every_center_resolves_through_the_chain(self, center):
+        assert center.resolver_chain is not None
+        assert center.otp.resolvers is center.resolver_chain
+        assert center.federation_verifier is not None
+        assert center.radius_backend is center.otp
+
+    def test_name_looked_up_before_its_account_exists(self, clock):
+        """A miss is negative-cached for ``negative_ttl``; creating the
+        account must drop that entry (the clock never moves here)."""
+        center = MFACenter(
+            clock=clock,
+            rng=random.Random(1),
+            resolvers=ResolverConfig(negative_ttl=30.0),
+        )
+        early = center.radius_backend.validate("alice", "000000")
+        assert (early.status.value, early.reason) == ("no_token", "unknown user")
+        center.create_user("alice", password="pw")
+        code = center.pair_training("alice")
+        assert center.radius_backend.validate("alice", code).ok
+
+    @pytest.mark.parametrize("stack", [{}, PRODUCTION_STACK], ids=["default", "production"])
+    def test_wrong_codes_over_ssh_feed_pam_verdict_and_uid_audit(self, clock, stack):
+        """Risk history is written by the back end and read by PAM under
+        the same key (the login name); validate's audit rows land next to
+        the admin rows (under the uid)."""
+        center = MFACenter(clock=clock, rng=random.Random(1), risk=True, **stack)
+        system = center.add_system("stampede", mode="full")
+        center.create_user("alice", password="pw")
+        center.pair_soft("alice")
+        client = SSHClient("198.51.100.7")
+        for _ in range(3):  # RiskEngine's default failure_burst_size
+            result, _ = client.connect(
+                system.login_node(), "alice", password="pw", token="000000"
+            )
+            assert not result.success
+        verdict = system.policy.evaluate(
+            AuthRequest("alice", "198.51.100.7", pairing="soft")
+        )
+        assert "failure_burst" in verdict.risk_signals
+        actions = [
+            entry.action
+            for entry in center.otp.audit.entries(user_id=center.uid_of("alice"))
+        ]
+        assert actions[0] == "enroll"
+        assert actions.count("validate") >= 3
+        assert not center.otp.audit.entries(user_id="alice")
 
 
 class TestFileBackedPAM:

@@ -63,7 +63,7 @@ class TestConformance:
         queue = IngestQueue(otp.validate, clock=clock)
         implementations = {
             "OTPServer": otp,
-            "UsernameResolvingBackend": center.radius_backend,
+            "MFACenter.radius_backend": center.radius_backend,
             "IngestQueue": queue,
             "QueuedBackend": QueuedBackend(otp, queue),
         }
@@ -96,22 +96,17 @@ class TestOTPServer:
 
 
 class TestUsernameResolvingBackend:
-    def enroll(self, center, username):
-        center.create_user(username, password="pw")
-        return center.pair_training(username)
+    """Login names through ``center.radius_backend`` (the OTP server)."""
 
     def test_submit_many_resolves_usernames(self, center):
-        code = self.enroll(center, "alice")
+        center.create_user("alice", password="pw")
+        code = center.pair_training("alice")
         tickets = center.radius_backend.submit_many(
-            [("alice", code), ("alice", "999999")]
+            [("alice", code), ("alice", "999999"), ("ghost", code)]
         )
         assert tickets[0].result().ok
         assert not tickets[1].result().ok
-
-    def test_unknown_user_rejected_without_backend_call(self, center):
-        (ticket,) = center.radius_backend.submit_many([("ghost", "424242")])
-        assert ticket.done()
-        assert not ticket.result().ok
+        assert tickets[2].result().reason == "unknown user"
 
 
 class TestIngestDeployment:
@@ -124,6 +119,38 @@ class TestIngestDeployment:
         code = center.pair_training("alice")
         assert center.radius_backend.validate("alice", code).ok
         assert center.ingest_queue.snapshot()["completed_total"] == 1
+
+    def test_source_address_survives_the_queue(self, clock, monkeypatch):
+        """``QueuedBackend.validate`` forwards ``source``; whatever the
+        queue runs must take it through to the policy request."""
+        center = MFACenter(clock=clock, rng=random.Random(3), ingest=True)
+        center.create_user("alice", password="pw")
+        code = center.pair_training("alice")
+        seen = []
+        evaluate = center.policy.evaluate
+
+        def recording(request, now=None):
+            seen.append(request.source_ip)
+            return evaluate(request, now=now)
+
+        monkeypatch.setattr(center.policy, "evaluate", recording)
+        result = center.radius_backend.validate("alice", code, "198.51.100.7")
+        assert result.ok, result.reason
+        assert seen == ["198.51.100.7"]
+
+    def test_queue_runner_is_late_bound(self, clock, monkeypatch):
+        """Instrumentation hangs a proxy on ``otp.validate`` after the
+        center is built; queued requests must go through it."""
+        center = MFACenter(clock=clock, rng=random.Random(3), ingest=True)
+        center.create_user("alice", password="pw")
+        code = center.pair_training("alice")
+        calls = []
+        validate = center.otp.validate
+        monkeypatch.setattr(
+            center.otp, "validate", lambda *a: calls.append(a) or validate(*a)
+        )
+        assert center.radius_backend.validate("alice", code).ok
+        assert calls == [("alice", code)]
 
     def test_center_without_ingest_has_no_queue(self, center):
         assert center.ingest_queue is None

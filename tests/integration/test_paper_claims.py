@@ -62,35 +62,32 @@ class TestSection3_1:
         a user account is temporarily deactivated"."""
         uid = world.center.uid_of("alice")
         for _ in range(19):
-            world.center.otp.validate(uid, "000000")
+            world.center.otp.validate("alice", "000000")
         assert not world.center.otp.is_locked(uid)
-        world.center.otp.validate(uid, "000000")
+        world.center.otp.validate("alice", "000000")
         assert world.center.otp.is_locked(uid)
 
     def test_lockout_visible_to_staff(self, world):
         """"this information is available to staff via an internal
         website"."""
-        uid = world.center.uid_of("alice")
         for _ in range(20):
-            world.center.otp.validate(uid, "000000")
+            world.center.otp.validate("alice", "000000")
         assert world.center.otp.audit.lockout_events()
 
 
 class TestSection3_2:
     def test_token_nullified_on_success(self, world):
         """"the provided token code is nullified"."""
-        uid = world.center.uid_of("alice")
         code = world.device.current_code()
-        assert world.center.otp.validate(uid, code).ok
-        assert not world.center.otp.validate(uid, code).ok
+        assert world.center.otp.validate("alice", code).ok
+        assert not world.center.otp.validate("alice", code).ok
 
     def test_token_remains_valid_on_mismatch(self, world):
         """"In the event of a token mismatch, the token code remains
         valid"."""
-        uid = world.center.uid_of("alice")
         code = world.device.current_code()
-        assert not world.center.otp.validate(uid, "000000").ok
-        assert world.center.otp.validate(uid, code).ok
+        assert not world.center.otp.validate("alice", "000000").ok
+        assert world.center.otp.validate("alice", code).ok
 
 
 class TestSection3_3:
@@ -103,8 +100,7 @@ class TestSection3_3:
     def test_300_second_drift_tolerance(self, world):
         """"keep a time that does not drift more than ... 300 seconds"."""
         world.device.skew = 299
-        uid = world.center.uid_of("alice")
-        assert world.center.otp.validate(uid, world.device.current_code()).ok
+        assert world.center.otp.validate("alice", world.device.current_code()).ok
 
     def test_twilio_pricing(self, world):
         """"a flat rate of $1 per month plus each US-based text message
@@ -132,9 +128,8 @@ class TestSection3_3:
         world.center.create_user("train01", password="x")
         old = world.center.pair_training("train01")
         new = world.center.pair_training("train01")
-        uid = world.center.uid_of("train01")
-        assert world.center.otp.validate(uid, new).ok
-        assert not world.center.otp.validate(uid, old).ok
+        assert world.center.otp.validate("train01", new).ok
+        assert not world.center.otp.validate("train01", old).ok
 
 
 class TestSection3_4:
@@ -202,8 +197,7 @@ class TestConclusions:
     def test_over_half_a_million_logins_headroom(self, world):
         """"With over half a million successful log ins and counting" —
         the audit log can absorb that volume (spot-check the counters)."""
-        uid = world.center.uid_of("alice")
         for _ in range(100):
             world.clock.advance(31)
-            assert world.center.otp.validate(uid, world.device.current_code()).ok
+            assert world.center.otp.validate("alice", world.device.current_code()).ok
         assert world.center.otp.audit.success_count("validate") == 100

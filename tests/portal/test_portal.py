@@ -12,6 +12,8 @@ from repro.otpserver.admin_api import AdminAPI, AdminAPIClient
 from repro.portal import HardTokenStore, UserPortal
 from repro.portal.pairing import PairingState
 from repro.qr import decode_matrix, parse_otpauth_uri
+from repro.resolvers import ResolverConfig
+from repro.storage import StorageConfig
 
 
 @pytest.fixture
@@ -19,9 +21,8 @@ def clock():
     return SimulatedClock.at("2016-08-15T10:00:00")
 
 
-@pytest.fixture
-def rig(clock):
-    center = MFACenter(clock=clock, rng=random.Random(1))
+def make_rig(clock, **stack):
+    center = MFACenter(clock=clock, rng=random.Random(1), **stack)
     api = AdminAPI(center.otp, rng=random.Random(2))
     api.add_admin("portal-svc", "s3cret")
     client = AdminAPIClient(api, "portal-svc", "s3cret", rng=random.Random(3))
@@ -34,6 +35,11 @@ def rig(clock):
     r = Rig()
     r.center, r.portal, r.clock = center, portal, clock
     return r
+
+
+@pytest.fixture
+def rig(clock):
+    return make_rig(clock)
 
 
 def scan_and_confirm(rig, username="alice"):
@@ -229,6 +235,22 @@ class TestUnpairing:
     def test_resolve_unknown_ticket(self, rig):
         with pytest.raises(NotFoundError):
             rig.portal.staff_resolve_hard_unpair("ticket-999999")
+
+
+class TestProductionStack(TestSoftPairing, TestSMSPairing, TestHardPairing, TestUnpairing):
+    """The same ceremonies where the portal's names meet the sharded,
+    queued, risk-scored back end behind an LDAP-primary resolver chain:
+    ``/validate/check`` gets the login name, ``/admin/*`` the uid."""
+
+    @pytest.fixture
+    def rig(self, clock):
+        return make_rig(
+            clock,
+            storage=StorageConfig(shards=4),
+            ingest=True,
+            risk=True,
+            resolvers=ResolverConfig(use_ldap=True),
+        )
 
 
 class TestOutOfBandUnpair:

@@ -1,11 +1,10 @@
-"""Concrete resolver backends: directory, LDAP sim, flat file, cached."""
+"""Concrete resolver backends: directory, LDAP sim, flat file."""
 
 import pytest
 
 from repro.common.clock import SimulatedClock
 from repro.directory.identity import IdentityBackend
 from repro.resolvers import (
-    CachedRemoteResolver,
     DirectoryResolver,
     FlatFileResolver,
     LDAPSimResolver,
@@ -151,46 +150,3 @@ class TestFlatFileResolver:
         resolver.add("ops", "42")
         assert resolver.resolve("ops").uid == "42"
         assert resolver.resolve("nobody") is None
-
-
-class TestCachedRemoteResolver:
-    def test_positive_hit_cached_for_ttl(self, identity, clock):
-        inner = LDAPSimResolver(identity.ldap, clock=clock)
-        cached = CachedRemoteResolver(inner, clock=clock, ttl=60.0)
-        cached.resolve("alice")
-        cached.resolve("alice")
-        assert cached.cache_hits == 1 and inner.lookups == 1
-        clock.advance(61.0)
-        cached.resolve("alice")
-        assert inner.lookups == 2
-
-    def test_negative_ttl_shorter_so_new_accounts_appear(self, identity, clock):
-        inner = DirectoryResolver(identity)
-        cached = CachedRemoteResolver(inner, clock=clock, ttl=300.0, negative_ttl=10.0)
-        assert cached.resolve("carol") is None
-        assert cached.resolve("carol") is None  # served from negative cache
-        assert inner.lookups == 1
-        clock.advance(11.0)
-        identity.create_account("carol", "carol@example.edu")
-        assert cached.resolve("carol") is not None
-
-    def test_unavailability_is_never_cached(self, identity, clock):
-        inner = LDAPSimResolver(identity.ldap, clock=clock)
-        cached = CachedRemoteResolver(inner, clock=clock)
-        inner.set_outage(True)
-        with pytest.raises(ResolverUnavailableError):
-            cached.resolve("alice")
-        inner.set_outage(False)
-        assert cached.resolve("alice") is not None
-
-    def test_invalidate_forces_refetch(self, identity, clock):
-        inner = DirectoryResolver(identity)
-        cached = CachedRemoteResolver(inner, clock=clock)
-        cached.resolve("alice")
-        cached.invalidate("alice")
-        cached.resolve("alice")
-        assert inner.lookups == 2
-
-    def test_ttls_must_be_positive(self, identity):
-        with pytest.raises(ValueError, match="TTLs must be positive"):
-            CachedRemoteResolver(DirectoryResolver(identity), ttl=0.0)
