@@ -1,19 +1,16 @@
-"""PERF — the staged validate pipeline: per-user striped locks and batching.
+"""PERF — the staged validate pipeline: per-user striped locks.
 
 The seed ``OTPServer`` wrapped every ``validate()`` in one server-wide
 critical section, so concurrent logins by *different* users serialized even
 when the storage tier underneath was sharded.  The authflow pipeline
-replaces that with per-user striped locks (``ConcurrencyConfig.lock_stripes``)
-and a threaded ``submit_many`` batch entry point.  Two claims, asserted:
+replaces that with per-user striped locks (``ConcurrencyConfig.lock_stripes``).
+Two claims, asserted:
 
 * **Striped locks scale threaded multi-user validation.**  With a simulated
   per-op storage round trip, the default 64-stripe configuration must
   deliver at least twice the threaded throughput of ``lock_stripes=1``
   (the seed's single-lock behaviour, kept wireable for exactly this
   comparison).
-* **``submit_many`` parallelises a burst.**  Draining a multi-user batch
-  through the pipeline's worker pool must beat a sequential validate loop
-  on the same server by at least 2x.
 * **The resolver chain is ~free for repeat users.**  Routing every login
   through the identity-resolver chain's warm TTL cache must cost at most
   5% of direct-lookup throughput on the same rig.
@@ -25,7 +22,7 @@ import random
 import threading
 import time
 
-from benchlib import emit_bench, percentile
+from benchlib import emit_bench
 
 from repro.authflow import ConcurrencyConfig
 from repro.common.clock import SimulatedClock, WallClock
@@ -113,54 +110,6 @@ class TestStripedLockThroughput:
         assert speedup >= 2.0, (
             f"striped-lock speedup only x{speedup:.2f} "
             f"({tput_single:.0f} -> {tput_striped:.0f} logins/s)"
-        )
-
-
-class TestValidateManyBatching:
-    def test_batch_beats_sequential_loop(self):
-        server, users = _pipeline_rig(stripes=64)
-        requests = [(user, "424242") for user in users] * 4
-
-        latencies = []
-        start = time.perf_counter()
-        sequential = []
-        for user, code in requests:
-            began = time.perf_counter()
-            sequential.append(server.validate(user, code))
-            latencies.append(time.perf_counter() - began)
-        seq_elapsed = time.perf_counter() - start
-        assert all(r.ok for r in sequential)
-
-        start = time.perf_counter()
-        batched = [ticket.result() for ticket in server.submit_many(requests)]
-        batch_elapsed = time.perf_counter() - start
-        assert all(r.ok for r in batched)
-
-        speedup = seq_elapsed / batch_elapsed
-        print(
-            f"\n=== submit_many ({len(requests)} logins, "
-            f"{server.pipeline.concurrency.batch_workers} workers) ===\n"
-            f"    sequential loop: {seq_elapsed * 1e3:7.1f} ms\n"
-            f"    submit_many    : {batch_elapsed * 1e3:7.1f} ms"
-            f"   (x{speedup:.2f})"
-        )
-        emit_bench(
-            "pipeline",
-            {
-                "batch": {
-                    "users": len(users),
-                    "requests": len(requests),
-                    "sequential_ops_per_sec": round(len(requests) / seq_elapsed, 1),
-                    "batched_ops_per_sec": round(len(requests) / batch_elapsed, 1),
-                    "validate_p50_ms": round(percentile(latencies, 50) * 1e3, 3),
-                    "validate_p99_ms": round(percentile(latencies, 99) * 1e3, 3),
-                    "speedup": round(speedup, 2),
-                }
-            },
-        )
-        assert speedup >= 2.0, (
-            f"batch speedup only x{speedup:.2f} "
-            f"({seq_elapsed * 1e3:.1f}ms -> {batch_elapsed * 1e3:.1f}ms)"
         )
 
 

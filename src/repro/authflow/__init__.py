@@ -3,8 +3,8 @@
 ``OTPServer`` assembles the six standard stages (ResolveIdentity →
 EvaluatePolicy → ReplayGuard → DispatchByTokenType → ApplyOutcome →
 Audit) into an :class:`AuthPipeline`, which runs each attempt under a
-per-user striped lock and lends its worker pool (``map_batch``) to the
-server's batched ``submit_many``.  See :mod:`repro.authflow.stages` for the stage semantics and
+per-user striped lock on the caller's thread.  See
+:mod:`repro.authflow.stages` for the stage semantics and
 docs/ARCHITECTURE.md for the decision-flow diagram.
 """
 

@@ -14,18 +14,15 @@ settled attempt increments ``authflow_decisions_total`` (labelled by
 status), so operators can see both where validate time goes and what
 the fleet of attempts is deciding.
 
-Batching: :meth:`map_batch` fans an item list across a lazily-created
-thread pool, preserving input order — ``OTPServer.submit_many`` (the
-:class:`~repro.common.results.SubmitAPI` surface RADIUS batch drains
-call) rides it to overlap distinct users' storage round trips.
+The pipeline owns no threads: callers bring their own (one per RADIUS
+datagram, or the ingestion queue's workers), and the striped lock is
+what lets them overlap distinct users' storage round trips.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Optional, Sequence
 
 from repro.authflow.context import PipelineContext
 from repro.authflow.locks import DEFAULT_STRIPES, StripedLockSet
@@ -33,13 +30,10 @@ from repro.common.clock import Clock, WallClock
 from repro.common.results import ValidateResult
 from repro.telemetry import resolve_registry
 
-T = TypeVar("T")
-R = TypeVar("R")
-
 
 @dataclass(frozen=True)
 class ConcurrencyConfig:
-    """Locking and batching shape of one pipeline.
+    """Locking shape of one pipeline.
 
     ``lock_stripes=1`` degenerates to a single server-wide validate lock
     (the seed's behaviour, kept available as the benchmark baseline);
@@ -47,17 +41,14 @@ class ConcurrencyConfig:
     """
 
     lock_stripes: int = DEFAULT_STRIPES
-    batch_workers: int = 8
 
     def __post_init__(self) -> None:
         if self.lock_stripes < 1:
             raise ValueError("need at least one lock stripe")
-        if self.batch_workers < 1:
-            raise ValueError("need at least one batch worker")
 
 
 class AuthPipeline:
-    """Runs the stage list for one attempt at a time, batched or not."""
+    """Runs the stage list for one attempt at a time."""
 
     def __init__(
         self,
@@ -81,10 +72,6 @@ class AuthPipeline:
         self._m_decisions = telemetry.counter(
             "authflow_decisions_total", "settled pipeline attempts by status"
         )
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._executor_lock = threading.Lock()
-
-    # -- single attempt ------------------------------------------------------
 
     def run(
         self, user_id: str, code: Optional[str], source: Optional[str] = None
@@ -108,34 +95,3 @@ class AuthPipeline:
             )
         self._m_decisions.inc(status=ctx.result.status.value)
         return ctx.result
-
-    # -- batching ------------------------------------------------------------
-
-    def _executor_for(self, n_items: int) -> Optional[ThreadPoolExecutor]:
-        if n_items <= 1 or self.concurrency.batch_workers <= 1:
-            return None
-        with self._executor_lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.concurrency.batch_workers,
-                    thread_name_prefix="authflow",
-                )
-            return self._executor
-
-    def map_batch(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Apply ``fn`` to every item, in parallel when worth it.
-
-        Results come back in input order.  Exceptions propagate (a stage
-        bug must not be swallowed into a partial batch).
-        """
-        executor = self._executor_for(len(items))
-        if executor is None:
-            return [fn(item) for item in items]
-        return list(executor.map(fn, items))
-
-    def close(self) -> None:
-        """Tear down the batch executor (idempotent)."""
-        with self._executor_lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)

@@ -9,9 +9,10 @@ them.  ``repro.otpserver`` re-exports them as its public surface.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Callable, Optional, Protocol, runtime_checkable
 
 
 class ValidateStatus(str, Enum):
@@ -51,18 +52,13 @@ class TokenBackend(Protocol):
     (with a resolver chain attached, ``user_id`` is the RADIUS User-Name
     and the pipeline's ``ResolveIdentity`` stage joins it to the storage
     uid) and :class:`repro.ingest.QueuedBackend` in front of it.  ``code``
-    is ``None`` (or empty) for the SMS "null request".  Backends that can
-    do better than one-at-a-time validation additionally implement
-    :class:`SubmitAPI`; callers discover it with ``isinstance`` (see
-    :meth:`repro.radius.server.RADIUSServer.handle_batch`).
+    is ``None`` (or empty) for the SMS "null request"; ``source`` is the
+    requesting address when the caller knows it.
     """
 
-    def validate(self, user_id: str, code: Optional[str]) -> ValidateResult: ...
-
-
-#: One submission: ``(user_id, code)``; ``code`` is ``None``/"" for the
-#: SMS null request that triggers a challenge.
-SubmitRequest = Tuple[str, Optional[str]]
+    def validate(
+        self, user_id: str, code: Optional[str], source: Optional[str] = None
+    ) -> ValidateResult: ...
 
 
 #: Guards lazy event attachment on tickets.  Shared (not per-ticket): it
@@ -71,19 +67,24 @@ SubmitRequest = Tuple[str, Optional[str]]
 _TICKET_LOCK = threading.Lock()
 
 
+#: How long a waiter parks on its ticket before looking at the queue again.
+_PARK_SECONDS = 0.05
+
+
 class Ticket:
-    """A claim check for one submitted validation.
+    """A claim check for one validation submitted to an
+    :class:`~repro.ingest.IngestQueue`.
 
     ``submit`` returns immediately with a ticket; the result materialises
-    when a worker thread (real time) or a queue pump (virtual time)
-    services the item.  ``result()`` blocks in thread mode and drives the
-    owning queue's pump inline when no workers are running, so the same
-    call sites work under :class:`~repro.common.clock.VirtualClock`.
+    when the item is serviced.  ``result()`` is **caller-runs**: while no
+    worker threads own the queue, the waiter services ready items itself
+    until its ticket is done, so the same call sites work on one thread
+    under :class:`~repro.common.clock.VirtualClock` and on many threads
+    without ``queue.start()``.
 
     The blocking :class:`threading.Event` is allocated lazily, only when
-    ``result()`` actually has to wait on another thread: the common paths
-    (synchronous backends via :meth:`completed`, the inline queue pump)
-    resolve on the caller's own thread, where a done flag suffices.
+    ``result()`` actually has to wait on another thread: the common path
+    resolves on the caller's own thread, where a done flag suffices.
     """
 
     __slots__ = ("_event", "_value", "_done", "_drain")
@@ -93,14 +94,6 @@ class Ticket:
         self._value: Optional[ValidateResult] = None
         self._done = False
         self._drain = drain
-
-    @classmethod
-    def completed(cls, value: ValidateResult) -> "Ticket":
-        """A ticket that is already resolved — for synchronous backends."""
-        ticket = cls()
-        ticket._value = value
-        ticket._done = True
-        return ticket
 
     def resolve(self, value: ValidateResult) -> None:
         self._value = value
@@ -119,38 +112,27 @@ class Ticket:
 
         Raises :class:`TimeoutError` when the deadline passes unresolved.
         """
-        if not self._done and self._drain is not None:
-            self._drain(self)
-        if not self._done:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not self._done:
+            drain = self._drain
+            if drain is not None:
+                drain(self)
+                if self._done:
+                    break
+            # Another thread holds the item.  Park in short slices, not
+            # forever: a transient failure puts the item back on the heap,
+            # and with no worker threads only a waiter looks there.
+            park = _PARK_SECONDS
+            if deadline is not None:
+                park = min(park, deadline - time.monotonic())
+                if park <= 0:
+                    raise TimeoutError(
+                        f"ticket unresolved after {timeout}s (queue not being drained?)"
+                    )
             with _TICKET_LOCK:
                 event = None if self._done else self._event
                 if event is None and not self._done:
                     event = self._event = threading.Event()
-            if event is not None and not event.wait(timeout):
-                raise TimeoutError(
-                    f"ticket unresolved after {timeout}s (queue not being drained?)"
-                )
-        if not self._done:
-            raise TimeoutError(
-                f"ticket unresolved after {timeout}s (queue not being drained?)"
-            )
+            if event is not None:
+                event.wait(park)
         return self._value
-
-
-@runtime_checkable
-class SubmitAPI(Protocol):
-    """The formal batch-submission surface.
-
-    ``submit`` hands one request to the backend and returns a
-    :class:`Ticket`; ``submit_many`` does the same for a batch, preserving
-    order.  The synchronous implementation
-    (:class:`~repro.otpserver.server.OTPServer`) returns
-    already-completed tickets; the ingestion queue
-    (:class:`~repro.ingest.IngestQueue`, and the
-    :class:`~repro.ingest.QueuedBackend` fronting it) returns live ones
-    that resolve as the queue drains.
-    """
-
-    def submit(self, request: SubmitRequest) -> Ticket: ...
-
-    def submit_many(self, requests: Sequence[SubmitRequest]) -> List[Ticket]: ...

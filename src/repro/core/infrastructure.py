@@ -84,6 +84,7 @@ class HPCSystem:
                 self.authlog,
                 self.acl,
                 radius_factory=lambda: center.new_radius_client(f"{ip_prefix}.5"),
+                policy_factory=self._build_policy,
             )
             self._pam_manager = PAMServiceManager(
                 os.path.join(center.pam_dir, name), registry
@@ -111,12 +112,13 @@ class HPCSystem:
 
     # -- policy / PAM stack construction (the Figure-1 configuration) -----------
 
-    def _build_policy(self) -> PolicyEngine:
+    def _build_policy(self, ladder: Optional[EnforcementLadder] = None) -> PolicyEngine:
         # ``risk`` is the *deployment's* engine, shared with the OTP
         # server's pipeline engine: PAM and the back end see one verdict,
-        # one flag log, one set of counters per attempt stream.
+        # one flag log, one set of counters per attempt stream.  A
+        # file-backed stack passes the ladder its pam.d line configures.
         return PolicyEngine(
-            ladder=EnforcementLadder(self.mode, self.deadline),
+            ladder=ladder or EnforcementLadder(self.mode, self.deadline),
             exemptions=self.acl,
             lockout=self.center.otp.policy.lockout,
             clock=self.center.clock,

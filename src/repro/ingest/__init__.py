@@ -16,10 +16,11 @@ adds the admission layer (ROADMAP item 2):
   fronts any :class:`~repro.common.results.TokenBackend` with a
   queue.
 
-The same queue runs on real daemon threads (``start()``), on
-:class:`~repro.simcore.EventScheduler` virtual time (``attach()``), or
-inline (``Ticket.result()`` pumps), so live deployments and
-million-user simulations exercise identical admission logic.
+One service loop, run by whoever has a thread to spend: the waiter
+itself (``Ticket.result()`` is caller-runs), daemon workers
+(``start()``), or a :class:`~repro.simcore.EventScheduler` event
+(``attach()``) — so live deployments and million-user simulations
+exercise identical admission logic.
 """
 
 from repro.ingest.priority import (

@@ -1,12 +1,12 @@
 """The priority ingestion queue fronting the authflow pipeline.
 
-:class:`IngestQueue` sits between submitters (RADIUS batch drains, the
-SMS dispatcher, resync backfills, admin sweeps) and a runner — any
-``fn(*request) -> ValidateResult``, typically ``OTPServer.validate``
-or ``AuthPipeline.run``.  It
-implements the :class:`~repro.common.results.SubmitAPI` protocol:
-``submit`` returns a live :class:`~repro.common.results.Ticket` that
-resolves when the item is serviced.
+:class:`IngestQueue` is the deferred seam into the back end: it sits
+between submitters (:class:`QueuedBackend` for each RADIUS validate,
+resync backfills, admin sweeps) and a runner — any
+``fn(*request) -> ValidateResult``, typically ``OTPServer.validate``.
+``submit`` / ``submit_item`` / ``submit_many`` return one live
+:class:`~repro.common.results.Ticket` per request, resolved when the
+item is serviced.
 
 Admission, in order:
 
@@ -17,23 +17,27 @@ Admission, in order:
    (``batch``, ``admin`` by default) are rejected when their bucket runs
    dry while ``critical``/``interactive``/``sms`` still enter — the
    "overload sheds batch before critical" contract.  Per-class buckets
-   multiply aggregate capacity to ``rate × len(PriorityClass)``;
-   ``admission_scope="shared"`` (or an *injected* ``limiter``) keeps the
-   historical single-shared-bucket semantics, where the configured rate
-   is the aggregate cap and every submission drains one pool.
+   multiply aggregate capacity to ``rate × len(PriorityClass)``; an
+   *injected* ``limiter`` is one shared pool instead, where its rate is
+   the aggregate cap and every submission drains it.
 2. **Backpressure shed** — at ``max_depth``, an arrival outranking the
    worst queued class evicts one item from that class (its ticket
    resolves REJECT with a ``shed:`` reason); otherwise the arrival
    itself is rejected.
 
-Service can be driven three ways, all sharing the same admission logic:
+There is one service loop — ``_pop`` takes the best ready item under
+the lock, ``_service`` runs it outside — and whoever has a thread to
+spend runs it:
 
-* ``start(workers=n)`` — real daemon threads, for live deployments;
-* ``attach(scheduler)`` — a repeating pump event on a
+* ``Ticket.result()`` is **caller-runs**: with no worker threads, every
+  waiter services ready items until its own ticket is done, so single
+  call sites need no ceremony and concurrent ones cannot strand each
+  other;
+* ``start(workers=n)`` — daemon threads take the loop over (waiters then
+  only wait), which is how a ``submit_many`` burst drains in parallel;
+* ``attach(scheduler)`` — a repeating ``pump`` event on a
   :class:`~repro.simcore.EventScheduler`, for virtual-time simulation
-  (drain rate = ``items_per_pump / interval``);
-* inline — ``Ticket.result()`` pumps the queue itself when no workers
-  are running, so single-call sites need no ceremony.
+  (drain rate = ``items_per_pump / interval``).
 
 Transient failures (:class:`~repro.common.errors.TransientBackendError`)
 requeue with exponential backoff up to the class's ``max_retries``; any
@@ -77,12 +81,11 @@ class IngestConfig:
     :class:`~repro.policy.TokenBucketLimiter` *per priority class* on the
     queue's clock when no limiter is injected (``None`` = no throttle
     shedding); each class refills independently at the same rate.  Note
-    the capacity semantics: with ``admission_scope="per_class"`` (the
-    default) the configured rate is a *per-class* budget, so aggregate
-    admission capacity is ``rate × len(PriorityClass)``.  Configs that
-    mean the rate as an *aggregate* cap set ``admission_scope="shared"``
-    to get one bucket every class drains (batch pressure can then starve
-    sheddable classes — the pre-per-class behavior).
+    the capacity semantics: the configured rate is a *per-class* budget,
+    so aggregate admission capacity is ``rate × len(PriorityClass)``.
+    Callers that mean a rate as an *aggregate* cap inject a ``limiter``
+    into the queue: one bucket every class drains (batch pressure can
+    then starve sheddable classes).
     ``service_cost_seconds`` charges the clock per serviced item — zero
     for live threads (the runner's real work is the cost), a small value
     under virtual time so queue delay becomes measurable in simulated
@@ -97,7 +100,6 @@ class IngestConfig:
     )
     admission_rate: Optional[float] = None
     admission_burst: float = 100.0
-    admission_scope: str = "per_class"
     retry_base_delay: float = 0.5
     retry_max_delay: float = 30.0
     service_cost_seconds: float = 0.0
@@ -108,8 +110,6 @@ class IngestConfig:
             raise ValueError("max_depth must be >= 1")
         if self.admission_rate is not None and self.admission_rate <= 0:
             raise ValueError("admission_rate must be > 0 when set")
-        if self.admission_scope not in ("per_class", "shared"):
-            raise ValueError("admission_scope must be 'per_class' or 'shared'")
         if self.retry_base_delay <= 0 or self.retry_max_delay < self.retry_base_delay:
             raise ValueError("need 0 < retry_base_delay <= retry_max_delay")
         if self.service_cost_seconds < 0:
@@ -160,18 +160,14 @@ class IngestQueue:
                 rate=self.config.admission_rate,
                 burst=self.config.admission_burst,
             )
-            if self.config.admission_scope == "shared":
-                # One pool at the configured rate: aggregate-cap semantics.
-                limiter = TokenBucketLimiter(bucket, clock=self._clock)
-            else:
-                # One bucket per class: refill pressure from one class (a
-                # batch backfill hammering admission) cannot drain another
-                # class's tokens, so critical admission never starves —
-                # and aggregate capacity is rate × number of classes.
-                self._class_limiters = {
-                    cls: TokenBucketLimiter(bucket, clock=self._clock)
-                    for cls in PriorityClass
-                }
+            # One bucket per class: refill pressure from one class (a
+            # batch backfill hammering admission) cannot drain another
+            # class's tokens, so critical admission never starves —
+            # and aggregate capacity is rate × number of classes.
+            self._class_limiters = {
+                cls: TokenBucketLimiter(bucket, clock=self._clock)
+                for cls in PriorityClass
+            }
         self._limiter = limiter
         self._shed_ranks = {CLASS_RANK[cls] for cls in self.config.shed_classes}
 
@@ -184,7 +180,6 @@ class IngestQueue:
         }
         self._workers: List[threading.Thread] = []
         self._running = False
-        self._pumping = False
         self._closed = False
 
         telemetry = resolve_registry(telemetry)
@@ -216,7 +211,7 @@ class IngestQueue:
     # -- admission -----------------------------------------------------------
 
     def submit(self, request: Sequence) -> Ticket:
-        """SubmitAPI entry point: classify and enqueue one request."""
+        """Classify one request by shape and enqueue it."""
         return self.submit_item(request)
 
     def submit_many(
@@ -384,25 +379,25 @@ class IngestQueue:
         item.ticket.resolve(result)
 
     def _pop(self) -> Optional[WorkItem]:
-        with self._lock:
-            item = self._heap.pop(self._clock.now())
-            if item is not None and self._metered:
-                self._g_depth.set(
-                    self._heap.depth(item.priority), priority=item.priority.value
-                )
-            return item
+        """The best ready item, or None.  Caller holds the lock."""
+        item = self._heap.pop(self._clock.now())
+        if item is not None and self._metered:
+            self._g_depth.set(
+                self._heap.depth(item.priority), priority=item.priority.value
+            )
+        return item
 
     def pump(self, max_items: Optional[int] = None) -> int:
-        """Service ready items inline on the caller's thread.
+        """Service ready items on the caller's thread; the service loop.
 
-        The virtual-time drive: a scheduler event (or a test) calls this;
         ``max_items`` bounds one pump so a scheduled drain has a rate
         (``items_per_pump / interval``) instead of finishing a 10k
         backfill in zero simulated seconds.
         """
         serviced = 0
         while max_items is None or serviced < max_items:
-            item = self._pop()
+            with self._lock:
+                item = self._pop()
             if item is None:
                 break
             self._service(item)
@@ -410,34 +405,28 @@ class IngestQueue:
         return serviced
 
     def _drain_for_ticket(self, ticket: Ticket) -> None:
-        """Inline drive for ``Ticket.result()`` when nothing else drains.
+        """Caller-runs drive for ``Ticket.result()``.
 
-        Pumps until the ticket resolves, advancing past retry backoffs on
-        the queue's own clock (virtual clocks jump; a wall clock really
-        waits, which is what a backoff means in live mode).  With workers
-        or an attached scheduler the ticket resolves without help, so
-        this stays a no-op.
+        While no worker threads own the queue, the waiter pumps ready
+        items — its own or anyone's, in service order — until its ticket
+        resolves, advancing past retry backoffs on the queue's own clock
+        (virtual clocks jump; a wall clock really waits, which is what a
+        backoff means in live mode).  It returns with the ticket
+        unresolved only when the heap is empty because another thread
+        holds the item.  Same-user work is serialised by the pipeline's
+        striped locks and the heap by the queue lock, so any number of
+        waiters may pump at once.
         """
-        with self._lock:
-            if self._running or self._pumping:
-                return
-            self._pumping = True
-        try:
-            while not ticket.done():
-                item = self._pop()
-                if item is not None:
-                    self._service(item)
-                    continue
-                with self._lock:
-                    next_ready = self._heap.next_ready()
-                if next_ready is None:
-                    break  # ticket must already be resolved (shed) or lost
-                delay = next_ready - self._clock.now()
-                if delay > 0:
-                    self._clock.sleep(delay)
-        finally:
+        while not (ticket.done() or self._running):
+            if self.pump(max_items=1):
+                continue
             with self._lock:
-                self._pumping = False
+                next_ready = self._heap.next_ready()
+            if next_ready is None:
+                return
+            delay = next_ready - self._clock.now()
+            if delay > 0:
+                self._clock.sleep(delay)
 
     # -- drives --------------------------------------------------------------
 
@@ -461,7 +450,7 @@ class IngestQueue:
             with self._lock:
                 if not self._running:
                     return
-                item = self._heap.pop(self._clock.now())
+                item = self._pop()
                 if item is None:
                     next_ready = self._heap.next_ready()
                     timeout = 0.05
@@ -471,10 +460,6 @@ class IngestQueue:
                         )
                     self._work.wait(timeout=max(timeout, 0.001))
                     continue
-                if self._metered:
-                    self._g_depth.set(
-                        self._heap.depth(item.priority), priority=item.priority.value
-                    )
             self._service(item)
 
     def stop(self) -> None:
@@ -603,12 +588,14 @@ class IngestQueue:
 
 
 class QueuedBackend:
-    """A :class:`TokenBackend` + :class:`SubmitAPI` that fronts another
-    backend with an :class:`IngestQueue`.
+    """A :class:`TokenBackend` that fronts another with an
+    :class:`IngestQueue`.
 
     ``validate`` (the synchronous seam RADIUS servers call per datagram)
-    submits and waits — under virtual time the ticket's inline pump
-    drains the queue, so single logins still resolve in the same event.
+    submits and waits — with no worker threads the ticket is caller-runs,
+    so a single login still resolves in the same event under virtual
+    time and concurrent logins each drain for themselves.  Deferred work
+    goes to ``.queue`` directly.
     """
 
     def __init__(self, inner, queue: IngestQueue) -> None:
@@ -617,17 +604,7 @@ class QueuedBackend:
 
     def validate(self, user_id, code, source=None) -> ValidateResult:
         request = (user_id, code) if source is None else (user_id, code, source)
-        return self.submit(request).result()
-
-    def submit(self, request: Sequence) -> Ticket:
-        return self.queue.submit(request)
-
-    def submit_many(
-        self,
-        requests: Sequence[Sequence],
-        priority: Optional[PriorityClass] = None,
-    ) -> List[Ticket]:
-        return self.queue.submit_many(requests, priority)
+        return self.queue.submit(request).result()
 
     def __getattr__(self, name):
         # Administrative surface (enroll, pairing queries, audit) passes

@@ -19,7 +19,6 @@ Subsystems:
 """
 
 from repro.common.results import (
-    SubmitAPI,
     Ticket,
     TokenBackend,
     ValidateResult,
@@ -35,7 +34,6 @@ __all__ = [
     "Table",
     "OTPServer",
     "OTPServerConfig",
-    "SubmitAPI",
     "Ticket",
     "TokenBackend",
     "ValidateResult",

@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # runtime import lives in OTPServer.__init__ (cycle)
     from repro.authflow import AuthPipeline, ConcurrencyConfig
@@ -37,7 +37,7 @@ if TYPE_CHECKING:  # runtime import lives in OTPServer.__init__ (cycle)
 from repro.common.clock import Clock, SystemClock
 from repro.common.errors import NotFoundError, ValidationError
 from repro.common.ids import IdAllocator
-from repro.common.results import Ticket, ValidateResult
+from repro.common.results import ValidateResult
 from repro.crypto.secrets import SecretSealer, generate_secret
 from repro.crypto.totp import TOTPValidator
 from repro.otpserver.audit import AuditLog
@@ -478,34 +478,10 @@ class OTPServer:
             self._g_audit_size.set(len(self.audit))
             return result
 
-    # -- SubmitAPI -----------------------------------------------------------
-
-    def submit(self, request: Tuple) -> Ticket:
-        """One validation as a :class:`Ticket` (already resolved — the
-        server itself is synchronous; front it with an ingestion queue for
-        deferred admission)."""
-        return Ticket.completed(self.validate(*request))
-
-    def submit_many(self, requests: Sequence[Tuple]) -> List[Ticket]:
-        """Batch ``validate``: one ticket per request, in input order.
-
-        Each request is ``(user_id, code)`` or ``(user_id, code, source)``.
-        Distinct users run concurrently on the pipeline's worker pool
-        (per-user striped locks keep same-user attempts serialized), so a
-        RADIUS server draining a burst overlaps the storage round trips.
-        """
-        results = self._pipeline.map_batch(
-            lambda request: self.validate(*request), list(requests)
-        )
-        return [Ticket.completed(result) for result in results]
-
     def policy_snapshot(self) -> Dict[str, object]:
         """The active policy plus pipeline concurrency, for operators."""
         snap = self.policy.snapshot()
-        snap["concurrency"] = {
-            "lock_stripes": self._pipeline.locks.stripes,
-            "batch_workers": self._pipeline.concurrency.batch_workers,
-        }
+        snap["concurrency"] = {"lock_stripes": self._pipeline.locks.stripes}
         return snap
 
     # -- ingestion queue (admission control) ---------------------------------

@@ -17,6 +17,7 @@ from typing import Callable, Dict, Optional
 
 from repro.common.errors import ConfigurationError, NotFoundError
 from repro.pam.framework import ModuleFactory, PAMResult, PAMSession, PAMStack, parse_pam_config
+from repro.policy import EnforcementLadder, PolicyEngine
 
 
 def standard_registry(
@@ -24,22 +25,34 @@ def standard_registry(
     authlog,
     acl,
     radius_factory: Callable[[], object],
+    policy_factory: Optional[Callable[..., PolicyEngine]] = None,
 ) -> Dict[str, ModuleFactory]:
     """The registry for the paper's stack: the four in-house modules plus
-    the stock password module, keyed by their .so names."""
+    the stock password module, keyed by their .so names.
+
+    ``policy_factory(ladder=None)`` builds the engine the two policy-backed
+    modules evaluate against — the per-system one from ``HPCSystem``, so
+    file-driven stacks share its ACL, lockout, clock and risk engine.  The
+    pam.d line's ``mode=``/``deadline=`` stay authoritative for the ladder.
+    Without a factory the engine carries just ``acl`` and that ladder.
+    """
     from repro.pam.modules.exemption import MFAExemptionModule
     from repro.pam.modules.pubkey import PublicKeySuccessModule
     from repro.pam.modules.solaris import SolarisMFAModule
     from repro.pam.modules.token import MFATokenModule
     from repro.pam.modules.unix_password import UnixPasswordModule
 
+    if policy_factory is None:
+        def policy_factory(ladder=None):
+            return PolicyEngine(ladder=ladder, exemptions=acl)
+
     def token_factory(options: Dict[str, str]):
+        ladder = EnforcementLadder(options.get("mode", "full"), options.get("deadline"))
         return MFATokenModule(
             ldap=identity.ldap,
             radius=radius_factory(),
-            mode=options.get("mode", "full"),
-            deadline=options.get("deadline"),
             info_url=options.get("url", "https://portal.center.edu/mfa"),
+            policy=policy_factory(ladder),
         )
 
     return {
@@ -47,7 +60,7 @@ def standard_registry(
             authlog, window_seconds=float(opts.get("window", 30.0))
         ),
         "pam_unix.so": lambda opts: UnixPasswordModule(identity),
-        "pam_mfa_exemption.so": lambda opts: MFAExemptionModule(acl),
+        "pam_mfa_exemption.so": lambda opts: MFAExemptionModule(policy_factory()),
         "pam_mfa_token.so": token_factory,
         "pam_solaris_mfa.so": lambda opts: SolarisMFAModule(authlog, acl),
     }

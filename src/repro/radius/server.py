@@ -11,10 +11,10 @@ describes.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.common.errors import ProtocolError
-from repro.common.results import SubmitAPI, TokenBackend, ValidateStatus
+from repro.common.results import TokenBackend, ValidateStatus
 from repro.radius.dictionary import Attr, PacketCode
 from repro.radius.packet import (
     RADIUSPacket,
@@ -126,112 +126,25 @@ class RADIUSServer:
                 return cached
             self.handled += 1
             self._m_requests.inc(server=self.name)
-            response = self._respond(request, secret)
-            self._cache_response(cache_key, response)
-            return response
-
-    def handle_batch(
-        self, datagrams: Sequence[Tuple[bytes, str]]
-    ) -> List[Optional[bytes]]:
-        """Drain a burst of ``(datagram, source)`` pairs in one call.
-
-        Each datagram goes through the same gauntlet as
-        :meth:`handle_datagram` — secret check, decode, dup cache — but the
-        surviving Access-Requests are submitted together through the back
-        end's :class:`~repro.otpserver.SubmitAPI` (when it implements the
-        protocol), so a burst of logins rides the OTP pipeline's striped
-        locks — or the ingestion queue's admission ordering — instead of
-        serialising.  Responses come back positionally: ``None`` where
-        the datagram was silently dropped.
-        """
-        with self._tracer.span(
-            "radius.server.batch", server=self.name, size=len(datagrams)
-        ):
-            responses: List[Optional[bytes]] = [None] * len(datagrams)
-            pending: List[Tuple[int, RADIUSPacket, bytes, Tuple[str, int, bytes]]] = []
-            to_validate: List[Tuple[str, Optional[str]]] = []
-            # A retransmission can land twice inside one burst; the second
-            # copy waits for the first to resolve, then replays its answer.
-            batch_dups: List[Tuple[int, Tuple[str, int, bytes]]] = []
-            seen_keys = set()
-            for i, (datagram, source) in enumerate(datagrams):
-                secret = self._secret_for(source)
-                if secret is None:
-                    self.rejected_clients += 1
-                    self._m_unknown.inc(server=self.name)
-                    continue
-                try:
-                    request = decode_packet(datagram)
-                except ProtocolError:
-                    continue
-                if request.code != PacketCode.ACCESS_REQUEST:
-                    continue
-                cache_key = (source, request.identifier, request.authenticator)
-                cached = self._response_cache.get(cache_key)
-                if cached is not None:
-                    self.duplicates_replayed += 1
-                    self._m_duplicates.inc(server=self.name)
-                    responses[i] = cached
-                    continue
-                if cache_key in seen_keys:
-                    self.duplicates_replayed += 1
-                    self._m_duplicates.inc(server=self.name)
-                    batch_dups.append((i, cache_key))
-                    continue
-                seen_keys.add(cache_key)
-                self.handled += 1
-                self._m_requests.inc(server=self.name)
-                username = request.get_str(Attr.USER_NAME)
-                if username is None:
-                    response = self._reply(
-                        request, secret, PacketCode.ACCESS_REJECT, "User-Name is required"
-                    )
-                    self._cache_response(cache_key, response)
-                    responses[i] = response
-                    continue
+            username = request.get_str(Attr.USER_NAME)
+            if username is None:
+                response = self._reply(
+                    request, secret, PacketCode.ACCESS_REJECT, "User-Name is required"
+                )
+            else:
                 hidden = request.get(Attr.USER_PASSWORD)
-                if hidden is None:
-                    code: Optional[str] = None
-                else:
+                code: Optional[str] = None
+                if hidden is not None:
                     try:
                         code = recover_password(hidden, secret, request.authenticator)
                     except ProtocolError:
-                        continue  # wrong shared secret or mangled packet
-                pending.append((i, request, secret, cache_key))
-                to_validate.append((username, code if code else None))
-            if pending:
-                if isinstance(self._backend, SubmitAPI) and len(to_validate) > 1:
-                    tickets = self._backend.submit_many(to_validate)
-                    results = [ticket.result() for ticket in tickets]
-                else:
-                    results = [
-                        self._backend.validate(user, code)
-                        for user, code in to_validate
-                    ]
-                for (i, request, secret, cache_key), result in zip(pending, results):
-                    response = self._access_response(request, secret, result)
-                    self._cache_response(cache_key, response)
-                    responses[i] = response
-            for i, cache_key in batch_dups:
-                responses[i] = self._response_cache.get(cache_key)
-            return responses
-
-    def _respond(self, request: RADIUSPacket, secret: bytes) -> Optional[bytes]:
-        username = request.get_str(Attr.USER_NAME)
-        if username is None:
-            return self._reply(
-                request, secret, PacketCode.ACCESS_REJECT, "User-Name is required"
-            )
-        hidden = request.get(Attr.USER_PASSWORD)
-        if hidden is None:
-            code: Optional[str] = None
-        else:
-            try:
-                code = recover_password(hidden, secret, request.authenticator)
-            except ProtocolError:
-                return None  # wrong shared secret or mangled packet
-        result = self._backend.validate(username, code if code else None)
-        return self._access_response(request, secret, result)
+                        # wrong shared secret or mangled packet
+                        span.annotate("drop", "bad_password_attribute")
+                        return None
+                result = self._backend.validate(username, code if code else None)
+                response = self._access_response(request, secret, result)
+            self._cache_response(cache_key, response)
+            return response
 
     def _access_response(
         self, request: RADIUSPacket, secret: bytes, result
@@ -251,10 +164,8 @@ class RADIUSServer:
         return encode_packet(response, secret, request.authenticator)
 
     def _cache_response(
-        self, cache_key: Tuple[str, int, bytes], response: Optional[bytes]
+        self, cache_key: Tuple[str, int, bytes], response: bytes
     ) -> None:
-        if response is None:
-            return
         self._response_cache[cache_key] = response
         while len(self._response_cache) > self._response_cache_size:
             self._response_cache.popitem(last=False)

@@ -1,4 +1,4 @@
-"""The staged validate pipeline: locks, batching, policy hooks, telemetry."""
+"""The staged validate pipeline: locks, threads, policy hooks, telemetry."""
 
 import random
 import threading
@@ -51,8 +51,6 @@ class TestStripedLocks:
     def test_concurrency_config_validation(self):
         with pytest.raises(ValueError):
             ConcurrencyConfig(lock_stripes=0)
-        with pytest.raises(ValueError):
-            ConcurrencyConfig(batch_workers=0)
 
 
 class TestPipelineWiring:
@@ -78,11 +76,9 @@ class TestPipelineWiring:
         assert server.pipeline.locks.stripes == 4
 
     def test_policy_snapshot_includes_concurrency(self, clock):
-        server = make_server(
-            clock, concurrency=ConcurrencyConfig(lock_stripes=4, batch_workers=2)
-        )
+        server = make_server(clock, concurrency=ConcurrencyConfig(lock_stripes=4))
         snap = server.policy_snapshot()
-        assert snap["concurrency"] == {"lock_stripes": 4, "batch_workers": 2}
+        assert snap["concurrency"] == {"lock_stripes": 4}
         assert snap["lockout"]["threshold"] == 20
 
 
@@ -112,14 +108,26 @@ class TestStageTelemetry:
         assert counter.value(action="challenge") == 1
 
 
-def validate_many(server, requests):
-    return [ticket.result() for ticket in server.submit_many(requests)]
+def validate_many(server, requests, threads=8):
+    """Every request validated, dealt round-robin over ``threads`` caller
+    threads (the pipeline owns none); results in request order."""
+    results = [None] * len(requests)
+
+    def work(offset):
+        for i in range(offset, len(requests), threads):
+            results[i] = server.validate(*requests[i])
+
+    workers = [threading.Thread(target=work, args=(n,)) for n in range(threads)]
+    for t in workers:
+        t.start()
+    for t in workers:
+        t.join()
+    return results
 
 
 class TestValidateMany:
-    """Batched validation through ``OTPServer.submit_many``: ordering,
-    threading, telemetry (tests/ingest/test_submit_api.py covers the
-    ticket protocol itself)."""
+    """Many validates at once from caller threads: the striped lock
+    serialises one user's attempts, instruments lose no increments."""
 
     def test_results_positional_and_correct(self, clock):
         server = make_server(clock)
@@ -134,37 +142,18 @@ class TestValidateMany:
             assert results[i].ok == (i % 2 == 0)
         assert results[6].status is ValidateStatus.NO_TOKEN
 
-    def test_single_request_batch(self, clock):
-        server = make_server(clock)
-        server.enroll_static("solo", "424242")
-        results = validate_many(server, [("solo", "424242")])
-        assert len(results) == 1 and results[0].ok
-
-    def test_empty_batch(self, clock):
-        server = make_server(clock)
-        assert validate_many(server, []) == []
-
     def test_same_user_race_keeps_failcount_exact(self, clock):
         """Concurrent failures for one user must serialize on their stripe."""
         server = make_server(
             clock, config=OTPServerConfig(lockout_threshold=500)
         )
         server.enroll_static("alice", "424242")
-        threads = [
-            threading.Thread(
-                target=lambda: validate_many(server, [("alice", "000000")] * 10)
-            )
-            for _ in range(8)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        validate_many(server, [("alice", "000000")] * 80)
         (token,) = server.user_tokens("alice")
         assert token.failcount == 80
 
     def test_batch_with_telemetry_registry_is_thread_safe(self, clock):
-        """Worker threads drive real instruments without losing increments."""
+        """Caller threads drive real instruments without losing increments."""
         telemetry = Registry()
         server = make_server(clock, telemetry=telemetry)
         for i in range(8):

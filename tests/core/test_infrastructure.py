@@ -9,7 +9,7 @@ from repro.common.errors import NotFoundError, ValidationError
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
 from repro.directory.identity import AccountClass
-from repro.policy import AuthRequest
+from repro.policy import AuthRequest, RiskEngine
 from repro.resolvers import ResolverConfig
 from repro.ssh import SSHClient
 from repro.storage import StorageConfig
@@ -234,15 +234,23 @@ class TestIdentityKeySpaces:
         code = center.pair_training("alice")
         assert center.radius_backend.validate("alice", code).ok
 
-    @pytest.mark.parametrize("stack", [{}, PRODUCTION_STACK], ids=["default", "production"])
-    def test_wrong_codes_over_ssh_feed_pam_verdict_and_uid_audit(self, clock, stack):
+    @pytest.mark.parametrize(
+        "stack",
+        [{}, PRODUCTION_STACK, {"pam_dir": "pam.d"}],
+        ids=["default", "production", "pam_dir"],
+    )
+    def test_wrong_codes_over_ssh_feed_pam_verdict_and_uid_audit(
+        self, clock, stack, tmp_path
+    ):
         """Risk history is written by the back end and read by PAM under
         the same key (the login name); validate's audit rows land next to
         the admin rows (under the uid)."""
+        if "pam_dir" in stack:
+            stack = {"pam_dir": str(tmp_path / stack["pam_dir"])}
         center = MFACenter(clock=clock, rng=random.Random(1), risk=True, **stack)
         system = center.add_system("stampede", mode="full")
         center.create_user("alice", password="pw")
-        center.pair_soft("alice")
+        _, secret = center.pair_soft("alice")
         client = SSHClient("198.51.100.7")
         for _ in range(3):  # RiskEngine's default failure_burst_size
             result, _ = client.connect(
@@ -253,6 +261,15 @@ class TestIdentityKeySpaces:
             AuthRequest("alice", "198.51.100.7", pairing="soft")
         )
         assert "failure_burst" in verdict.risk_signals
+        # ... and the PAM token module itself read that history.
+        result, _ = client.connect(
+            system.login_node(),
+            "alice",
+            password="pw",
+            token=TOTPGenerator(secret=secret, clock=clock).current_code,
+        )
+        assert result.success
+        assert "failure_burst" in result.session_items["risk_signals"]
         actions = [
             entry.action
             for entry in center.otp.audit.entries(user_id=center.uid_of("alice"))
@@ -260,6 +277,76 @@ class TestIdentityKeySpaces:
         assert actions[0] == "enroll"
         assert actions.count("validate") >= 3
         assert not center.otp.audit.entries(user_id="alice")
+
+
+@pytest.fixture(params=[False, True], ids=["in-memory", "pam_dir"])
+def risk_center(request, clock, tmp_path):
+    """A deployment whose risk engine watchlists 203.0.113.0/24 (a step-up
+    on its own, a deny on top of a failure burst from a novel origin), on
+    either kind of PAM stack."""
+    engine = RiskEngine(clock=clock)
+    engine.add_watchlist("203.0.113.0/24")
+    center = MFACenter(
+        clock=clock,
+        rng=random.Random(7),
+        risk=engine,
+        pam_dir=str(tmp_path / "pam.d") if request.param else None,
+    )
+    center.create_user("alice", password="pw")
+    return center
+
+
+class TestPamSideRisk:
+    """The PAM modules evaluate against the system's rules and the
+    deployment's risk engine, however the stack was built."""
+
+    def policy_modules(self, system):
+        daemon = system.login_node()
+        stack = daemon.stack_provider() if daemon.stack_provider else daemon.pam_stack
+        modules = [e.module for e in stack.entries if hasattr(e.module, "policy")]
+        assert [m.name for m in modules] == ["pam_mfa_exemption", "pam_mfa_token"]
+        return modules
+
+    def test_modules_share_the_system_rules(self, risk_center):
+        system = risk_center.add_system("stampede", mode="paired")
+        for module in self.policy_modules(system):
+            policy = module.policy
+            assert policy.risk is risk_center.risk_stage
+            assert policy.exemptions is system.acl
+            assert policy.lockout is risk_center.otp.policy.lockout
+            assert policy.clock is risk_center.clock
+            assert policy.ladder.configured_mode.value == "paired"
+
+    def test_step_up_withholds_the_exemption_waiver(self, risk_center, clock):
+        system = risk_center.add_system("stampede", mode="full")
+        system.add_exemption(accounts="alice")
+        _, secret = risk_center.pair_soft("alice")
+        node = system.login_node()
+        waived, _ = SSHClient("198.51.100.7").connect(node, "alice", password="pw")
+        assert waived.success and waived.session_items["mfa_exempt"] is True
+        risky = SSHClient("203.0.113.9")
+        refused, _ = risky.connect(node, "alice", password="pw")
+        assert not refused.success
+        code = TOTPGenerator(secret=secret, clock=clock).current_code
+        stepped_up, _ = risky.connect(node, "alice", password="pw", token=code)
+        assert stepped_up.success
+        assert stepped_up.session_items["risk_step_up"] is True
+        assert "mfa_exempt" not in stepped_up.session_items
+
+    def test_deny_is_refused_before_the_token_prompt(self, risk_center, clock):
+        system = risk_center.add_system("stampede", mode="full")
+        _, secret = risk_center.pair_soft("alice")
+        risk_center.risk_stage.record_success("alice", "198.51.100.7")
+        for _ in range(3):
+            risk_center.risk_stage.record_failure("alice")
+        code = TOTPGenerator(secret=secret, clock=clock).current_code
+        result, conversation = SSHClient("203.0.113.9").connect(
+            system.login_node(), "alice", password="pw", token=code
+        )
+        assert not result.success
+        assert "access denied by policy" in conversation.displayed
+        assert not any("token" in p.lower() for p in conversation.prompts_seen)
+        assert risk_center.otp.validate_requests == 0
 
 
 class TestFileBackedPAM:

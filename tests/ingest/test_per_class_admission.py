@@ -104,27 +104,3 @@ class TestSharedBucketCompatibility:
         # Critical still enters — but on the exemption, not on tokens.
         assert queue.submit_item(("c", "1"), PriorityClass.CRITICAL).result().ok
         assert queue.snapshot()["admission"]["tokens_available"] == 0.0
-
-    def test_admission_scope_shared_builds_one_pool_from_config(self, clock):
-        """Configs that mean admission_rate as an *aggregate* cap opt out
-        of the per-class 5x capacity via admission_scope='shared' without
-        having to construct and inject a limiter themselves."""
-        queue = IngestQueue(
-            ok_runner,
-            IngestConfig(
-                admission_rate=1.0, admission_burst=2.0, admission_scope="shared"
-            ),
-            clock=clock,
-        )
-        queue.submit_many([("b", "1")] * 2, priority=PriorityClass.BATCH)
-        refused = queue.submit_item(("b", "1"), PriorityClass.BATCH).result()
-        assert not refused.ok and "admission throttled" in refused.reason
-        snap = queue.snapshot()["admission"]
-        assert snap["per_class"] is False
-        assert snap["tokens_available"] == 0.0
-        # One pool: batch drained it, so admin (also sheddable) is refused.
-        assert not queue.submit_item(("a", "1"), PriorityClass.ADMIN).result().ok
-
-    def test_invalid_admission_scope_rejected(self):
-        with pytest.raises(ValueError, match="admission_scope"):
-            IngestConfig(admission_rate=1.0, admission_scope="global")

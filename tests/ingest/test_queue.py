@@ -1,4 +1,4 @@
-"""IngestQueue: admission, shedding, retries, and the three drive modes."""
+"""IngestQueue: admission, shedding, retries, and who runs the service loop."""
 
 import threading
 
@@ -68,6 +68,94 @@ class TestInlineDrive:
         queue.submit_item(("inter1", "1"), PriorityClass.INTERACTIVE)
         queue.pump()
         assert served == ["crit1", "inter1", "batch1"]
+
+
+class TestCallerRuns:
+    """With no worker threads every waiter drains for itself."""
+
+    def test_parked_waiter_does_not_strand_a_second_caller(self):
+        entered, release = threading.Event(), threading.Event()
+
+        def runner(user, code):
+            if user == "a":
+                entered.set()
+                assert release.wait(5.0)
+            return ValidateResult(ValidateStatus.OK, reason=user)
+
+        queue = IngestQueue(runner, clock=WallClock())
+        first = []
+        a = threading.Thread(
+            target=lambda: first.append(queue.submit(("a", "1")).result())
+        )
+        a.start()
+        assert entered.wait(5.0)  # A's result() is parked inside the runner
+        try:
+            second = queue.submit(("b", "1")).result(timeout=2.0)
+        finally:
+            release.set()
+            a.join(5.0)
+        assert (first[0].reason, second.reason) == ("a", "b")
+        assert queue.depth() == 0
+
+    def test_waiter_picks_up_an_item_another_thread_put_back(self):
+        """A pump that held the item hands it back on a transient failure
+        and leaves; the parked waiter must find it again."""
+        entered, release = threading.Event(), threading.Event()
+        attempts = []
+
+        def runner(user, code):
+            attempts.append(user)
+            if len(attempts) == 1:
+                entered.set()
+                assert release.wait(5.0)
+                raise TransientBackendError("blip")
+            return ValidateResult(ValidateStatus.OK)
+
+        queue = IngestQueue(
+            runner,
+            IngestConfig(retry_base_delay=0.01, retry_max_delay=0.01),
+            clock=WallClock(),
+        )
+        ticket = queue.submit(("b", "1"))
+        pumper = threading.Thread(target=queue.pump, kwargs={"max_items": 1})
+        pumper.start()
+        assert entered.wait(5.0)  # the pump holds b's item; the heap is empty
+        threading.Timer(0.1, release.set).start()
+        assert ticket.result(timeout=2.0).ok
+        pumper.join(5.0)
+        assert attempts == ["b", "b"] and queue.depth() == 0
+
+    def test_service_order_and_snapshot_shape_on_one_thread(self, clock):
+        """Caller-runs on one thread is the old inline drive: one waiter
+        drains everything ahead of its item, best class first, and the
+        snapshot keys operators and ``loginbench`` read are all there."""
+        served = []
+
+        def recorder(user, code):
+            served.append(user)
+            return ValidateResult(ValidateStatus.OK)
+
+        queue = IngestQueue(recorder, clock=clock)
+        queue.submit_item(("batch1", "1"), PriorityClass.BATCH)
+        queue.submit_item(("admin1", "1"), PriorityClass.ADMIN)
+        last = queue.submit_item(("batch2", "1"), PriorityClass.BATCH)
+        queue.submit(("sms1", None))
+        queue.submit(("inter1", "1"))
+        queue.submit_item(("crit1", "1"), PriorityClass.CRITICAL)
+        assert queue.depth() == 6
+        assert last.result().ok
+        assert served == ["crit1", "inter1", "sms1", "admin1", "batch1", "batch2"]
+        snap = queue.snapshot()
+        assert queue.depth() == snap["depth"] == 0
+        assert (snap["submitted_total"], snap["completed_total"]) == (6, 6)
+        assert snap["shed_total"] == 0 and snap["running_workers"] == 0
+        assert set(snap["classes"]) == {c.value for c in PriorityClass}
+        for lane in snap["classes"].values():
+            assert {
+                "rank", "depth", "oldest_age_seconds", "sla_seconds", "submitted",
+                "completed", "shed", "rejected", "retries", "errors",
+                "sla_hit_rate", "mean_wait_seconds", "max_wait_seconds",
+            } == set(lane)
 
 
 class TestThreadDrive:

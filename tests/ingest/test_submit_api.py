@@ -1,8 +1,6 @@
-"""SubmitAPI conformance: every batch-capable seam speaks the protocol.
-
-One formal contract (``submit``/``submit_many`` returning
-:class:`Ticket`) is the only batch spelling.  These tests pin the
-protocol surface: conformance by ``isinstance`` and ticket semantics.
+"""The two seams on a deployment: ``radius_backend.validate`` is the
+synchronous one, ``ingest_queue.submit*`` the deferred one; plus the
+:class:`Ticket` semantics both rest on.
 """
 
 import random
@@ -10,10 +8,9 @@ import random
 import pytest
 
 from repro.common.clock import SimulatedClock
-from repro.common.results import ValidateResult, ValidateStatus
 from repro.core import MFACenter
-from repro.ingest import IngestQueue, QueuedBackend
-from repro.otpserver import OTPServer, SubmitAPI, Ticket
+from repro.ingest import QueuedBackend
+from repro.otpserver import OTPServer, Ticket
 
 
 @pytest.fixture
@@ -37,12 +34,6 @@ def center(clock):
 
 
 class TestTicket:
-    def test_completed_is_done_immediately(self):
-        ticket = Ticket.completed("value")
-        assert ticket.done()
-        assert ticket.result() == "value"
-        assert ticket.result(timeout=0.0) == "value"  # idempotent
-
     def test_resolve_then_result(self):
         ticket = Ticket()
         assert not ticket.done()
@@ -58,57 +49,6 @@ class TestTicket:
         assert ticket.result(timeout=0.1) == "pumped"
 
 
-class TestConformance:
-    def test_all_batch_seams_satisfy_protocol(self, clock, otp, center):
-        queue = IngestQueue(otp.validate, clock=clock)
-        implementations = {
-            "OTPServer": otp,
-            "MFACenter.radius_backend": center.radius_backend,
-            "IngestQueue": queue,
-            "QueuedBackend": QueuedBackend(otp, queue),
-        }
-        for name, impl in implementations.items():
-            assert isinstance(impl, SubmitAPI), f"{name} lost SubmitAPI"
-            assert not hasattr(impl, "validate_many"), f"{name} kept the old spelling"
-        # The pipeline lends its worker pool; the server is the surface.
-        assert not isinstance(otp.pipeline, SubmitAPI)
-
-    def test_plain_validate_only_backend_is_not_submitapi(self):
-        class Legacy:
-            def validate(self, user, code):
-                return ValidateResult(ValidateStatus.OK)
-
-        assert not isinstance(Legacy(), SubmitAPI)
-
-
-class TestOTPServer:
-    def test_submit_returns_resolved_ticket(self, otp):
-        ticket = otp.submit(("user0", "424242"))
-        assert ticket.done()
-        assert ticket.result().ok
-
-    def test_submit_many_order_and_results(self, otp):
-        tickets = otp.submit_many(
-            [("user0", "424242"), ("user1", "000000"), ("user2", "424242")]
-        )
-        outcomes = [t.result().ok for t in tickets]
-        assert outcomes == [True, False, True]
-
-
-class TestUsernameResolvingBackend:
-    """Login names through ``center.radius_backend`` (the OTP server)."""
-
-    def test_submit_many_resolves_usernames(self, center):
-        center.create_user("alice", password="pw")
-        code = center.pair_training("alice")
-        tickets = center.radius_backend.submit_many(
-            [("alice", code), ("alice", "999999"), ("ghost", code)]
-        )
-        assert tickets[0].result().ok
-        assert not tickets[1].result().ok
-        assert tickets[2].result().reason == "unknown user"
-
-
 class TestIngestDeployment:
     def test_center_with_ingest_wraps_backend(self, clock):
         center = MFACenter(clock=clock, rng=random.Random(3), ingest=True)
@@ -119,6 +59,19 @@ class TestIngestDeployment:
         code = center.pair_training("alice")
         assert center.radius_backend.validate("alice", code).ok
         assert center.ingest_queue.snapshot()["completed_total"] == 1
+
+    def test_submit_many_resolves_usernames(self, clock):
+        """Deferred work takes login names too: the queue's runner is the
+        same ``otp.validate`` the synchronous seam reaches."""
+        center = MFACenter(clock=clock, rng=random.Random(2), ingest=True)
+        center.create_user("alice", password="pw")
+        code = center.pair_training("alice")
+        tickets = center.ingest_queue.submit_many(
+            [("alice", code), ("alice", "999999"), ("ghost", code)]
+        )
+        assert tickets[0].result().ok
+        assert not tickets[1].result().ok
+        assert tickets[2].result().reason == "unknown user"
 
     def test_source_address_survives_the_queue(self, clock, monkeypatch):
         """``QueuedBackend.validate`` forwards ``source``; whatever the

@@ -9,6 +9,13 @@ from repro.common.errors import ConfigurationError
 from repro.crypto.totp import TOTPGenerator
 from repro.otpserver.server import OTPServer
 from repro.radius.client import AuthStatus, RADIUSClient
+from repro.radius.dictionary import Attr, PacketCode
+from repro.radius.packet import (
+    RADIUSPacket,
+    decode_packet,
+    encode_packet,
+    hide_password,
+)
 from repro.radius.server import RADIUSServer
 from repro.radius.transport import UDPFabric
 
@@ -128,6 +135,60 @@ class TestClientSecurity:
             fabric, [farm[0].address], SECRET, "129.114.77.5", rng=random.Random(6)
         )
         assert other_node.authenticate("alice", device.current_code()).ok
+
+
+def raw_request(identifier=1, username="alice", code="424242", secret=SECRET):
+    authenticator = bytes([identifier]) * 16
+    request = RADIUSPacket(PacketCode.ACCESS_REQUEST, identifier, authenticator)
+    if username is not None:
+        request.add(Attr.USER_NAME, username)
+    if code is not None:
+        request.add(Attr.USER_PASSWORD, hide_password(code, secret, authenticator))
+    return encode_packet(request, secret)
+
+
+NOT_A_REQUEST = encode_packet(
+    RADIUSPacket(PacketCode.ACCESS_ACCEPT, 7, bytes(16)), SECRET, bytes(16)
+)
+
+
+class TestReceivePath:
+    """Every way ``handle_datagram`` refuses to reach the back end."""
+
+    @pytest.mark.parametrize(
+        "datagram, source, handled",
+        [
+            (raw_request(), "203.0.113.9", 0),  # unknown client
+            (b"garbage", NAS, 0),  # undecodable
+            (NOT_A_REQUEST, NAS, 0),
+            # Hidden under another secret, the password decrypts to bytes
+            # that are not text: counted as a request, never answered.
+            (raw_request(secret=b"wrong"), NAS, 1),
+        ],
+        ids=["unknown-client", "undecodable", "not-access-request", "wrong-secret"],
+    )
+    def test_silent_drops(self, farm, otp, datagram, source, handled):
+        otp.enroll_static("alice", "424242")
+        server = farm[0]
+        assert server.handle_datagram(datagram, source) is None
+        assert server.handled == handled
+        assert server.rejected_clients == (1 if source != NAS else 0)
+        assert otp.validate_requests == 0
+
+    def test_missing_user_name_is_rejected_without_validating(self, farm, otp):
+        wire = farm[0].handle_datagram(raw_request(9, username=None), NAS)
+        response = decode_packet(wire)
+        assert (response.code, response.identifier) == (PacketCode.ACCESS_REJECT, 9)
+        assert otp.validate_requests == 0
+
+    def test_duplicate_is_replayed_not_revalidated(self, farm, otp):
+        otp.enroll_static("alice", "424242")
+        server, wire = farm[0], raw_request()
+        first = server.handle_datagram(wire, NAS)
+        assert decode_packet(first).code == PacketCode.ACCESS_ACCEPT
+        assert server.handle_datagram(wire, NAS) == first
+        assert (server.handled, server.duplicates_replayed) == (1, 1)
+        assert otp.validate_requests == 1
 
 
 class TestLoadBalancingAndFailover:

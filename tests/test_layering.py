@@ -134,3 +134,26 @@ def test_no_deprecation_shims_in_src():
         if "DeprecationWarning" in path.read_text()
     ]
     assert offenders == []
+
+
+#: Names of the deleted batch path.  Shrink-only: nothing under
+#: ``src/`` may spell them again; ``validate`` and ``IngestQueue.submit*``
+#: are the two seams into the back end.
+RETIRED_NAMES = (
+    "SubmitAPI",
+    "handle_batch",
+    "map_batch",
+    "batch_workers",
+    "admission_scope",
+    "_pumping",
+)
+
+
+def test_retired_batch_path_stays_out_of_src():
+    offenders = sorted(
+        (str(path.relative_to(SRC)), name)
+        for path in SRC.rglob("*.py")
+        for name in RETIRED_NAMES
+        if name in path.read_text()
+    )
+    assert offenders == []
