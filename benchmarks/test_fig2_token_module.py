@@ -16,6 +16,7 @@ from repro.directory.identity import AccountClass
 from repro.pam.conversation import ScriptedConversation
 from repro.pam.framework import PAMResult, PAMSession
 from repro.pam.modules.token import MFATokenModule
+from repro.policy import EnforcementLadder, PolicyEngine
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +39,7 @@ def world():
     module = MFATokenModule(
         ldap=center.identity.ldap,
         radius=center.new_radius_client("10.3.1.5"),
-        mode="full",
+        policy=PolicyEngine(ladder=EnforcementLadder("full")),
     )
 
     class World:

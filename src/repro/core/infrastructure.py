@@ -18,16 +18,11 @@ from repro.common.clock import Clock, SystemClock
 from repro.common.errors import NotFoundError, ValidationError
 from repro.directory.identity import AccountClass, IdentityBackend, PairingStatus
 from repro.ingest import IngestConfig, IngestQueue, QueuedBackend
-from repro.otpserver import OTPServer, OTPServerConfig, SMSGateway, TokenBackend
+from repro.otpserver import OTPServer, SMSGateway, TokenBackend
 from repro.otpserver.tokens import HardTokenBatch, random_static_code
 from repro.pam.acl import InMemoryExemptionACL
-from repro.pam.framework import PAMStack
-from repro.pam.modules.exemption import MFAExemptionModule
-from repro.pam.modules.pubkey import PublicKeySuccessModule
-from repro.pam.modules.token import MFATokenModule
-from repro.pam.modules.unix_password import UnixPasswordModule
-from repro.pam.registry import PAMServiceManager, standard_registry
-from repro.policy import EnforcementLadder, PolicyEngine, RiskEngine
+from repro.pam.registry import PAMServiceManager, figure1_config, standard_registry
+from repro.policy import PolicyEngine, RiskEngine
 from repro.radius.client import RADIUSClient
 from repro.radius.server import RADIUSServer
 from repro.radius.transport import UDPFabric
@@ -39,14 +34,26 @@ from repro.resolvers import (
     build_chain,
 )
 from repro.ssh.authlog import AuthLog
-from repro.ssh.daemon import SSHDaemon
+from repro.ssh.daemon import PAM_SERVICE, SSHDaemon
 from repro.telemetry import resolve_registry
 
 DEFAULT_RADIUS_SECRET = b"center-radius-secret"
 
 
 class HPCSystem:
-    """One production system: login nodes + ACL + enforcement mode."""
+    """One production system: login nodes + ACL + enforcement mode.
+
+    The system owns **one** :class:`~repro.policy.PolicyEngine` for its
+    lifetime (:attr:`policy`: its ACL and ladder over the deployment's
+    lockout, clock, telemetry and risk engine) and every login node has
+    one libpam (:class:`~repro.pam.registry.PAMServiceManager`) and one
+    RADIUS client for *its* lifetime.  What a node enforces is whatever its
+    ``sshd`` pam.d text says — a file under ``pam_dir/<system>/`` when the
+    center has a directory, the same text held in memory when it has none —
+    parsed through :func:`~repro.pam.registry.standard_registry`, so every
+    policy-backed module of every stack asks :attr:`policy`, and the
+    ``pam_mfa_token.so mode=…`` line is what sets its ladder.
+    """
 
     def __init__(
         self,
@@ -60,8 +67,6 @@ class HPCSystem:
         self.center = center
         self.name = name
         self.ip_prefix = ip_prefix  # e.g. "10.3.1"
-        self.mode = mode
-        self.deadline = deadline
         # "Within each HPC system, an MFA exemption is configured to allow
         # any SSH traffic to move freely from IP addresses that are a part
         # of that particular system."
@@ -69,96 +74,62 @@ class HPCSystem:
             f"+ : ALL : {ip_prefix}.0/24 : ALL\n", clock=center.clock
         )
         self._extra_acl_lines: List[str] = []
-        # The per-system policy engine: this system's ACL and ladder over
-        # the deployment-wide lockout rule (shared with the OTP server's
-        # pipeline, so PAM and the back end agree on every rule family).
-        self.policy = self._build_policy()
+        # ``lockout`` and ``risk`` are the *deployment's*, shared with the
+        # OTP server's pipeline engine: PAM and the back end see one
+        # verdict, one flag log, one set of counters per attempt stream.
+        self.policy = PolicyEngine(
+            exemptions=self.acl,
+            lockout=center.otp.policy.lockout,
+            clock=center.clock,
+            telemetry=center.telemetry,
+            risk=center.risk_stage,
+        )
         self.authlog = AuthLog(center.clock)
-        # File-backed PAM configuration when the center has a pam.d
-        # directory: every login resolves the stack through the manager,
-        # so config edits are live ("in effect as soon as written to disk").
-        self._pam_manager = None
-        if center.pam_dir is not None:
+        pam_dir = os.path.join(center.pam_dir, name) if center.pam_dir else None
+        self.daemons: List[SSHDaemon] = []
+        for i in range(login_nodes):
             registry = standard_registry(
                 center.identity,
                 self.authlog,
-                self.acl,
-                radius_factory=lambda: center.new_radius_client(f"{ip_prefix}.5"),
-                policy_factory=self._build_policy,
+                self.policy,
+                center.new_radius_client(f"{ip_prefix}.5"),
             )
-            self._pam_manager = PAMServiceManager(
-                os.path.join(center.pam_dir, name), registry
-            )
-            self._pam_manager.set_enforcement_mode("sshd", mode, deadline)
-        self.daemons: List[SSHDaemon] = []
-        for i in range(login_nodes):
-            address = f"{ip_prefix}.{10 + i}"
             daemon = SSHDaemon(
                 hostname=f"login{i + 1}.{name}",
-                address=address,
+                address=f"{ip_prefix}.{10 + i}",
                 identity=center.identity,
-                pam_stack=None if self._pam_manager else self._build_stack(),
-                stack_provider=(
-                    (lambda: self._pam_manager.stack("sshd"))
-                    if self._pam_manager
-                    else None
-                ),
+                pam=PAMServiceManager(pam_dir, registry),
                 authlog=self.authlog,
                 clock=center.clock,
                 banner=f"*** {name}: multi-factor authentication in effect ***",
                 telemetry=center.telemetry,
             )
             self.daemons.append(daemon)
+        self.set_mode(mode, deadline)
 
-    # -- policy / PAM stack construction (the Figure-1 configuration) -----------
+    # -- enforcement mode (the Figure-1 configuration) ---------------------------
 
-    def _build_policy(self, ladder: Optional[EnforcementLadder] = None) -> PolicyEngine:
-        # ``risk`` is the *deployment's* engine, shared with the OTP
-        # server's pipeline engine: PAM and the back end see one verdict,
-        # one flag log, one set of counters per attempt stream.  A
-        # file-backed stack passes the ladder its pam.d line configures.
-        return PolicyEngine(
-            ladder=ladder or EnforcementLadder(self.mode, self.deadline),
-            exemptions=self.acl,
-            lockout=self.center.otp.policy.lockout,
-            clock=self.center.clock,
-            telemetry=self.center.telemetry,
-            risk=self.center.risk_stage,
-        )
+    @property
+    def mode(self) -> str:
+        return self.policy.ladder.configured_mode.value
 
-    def _build_stack(self) -> PAMStack:
-        stack = PAMStack("sshd")
-        # Public key success? yes -> jump over the password module.
-        stack.append(
-            "[success=1 default=ignore]",
-            PublicKeySuccessModule(self.authlog),
-        )
-        stack.append("requisite", UnixPasswordModule(self.center.identity))
-        stack.append("sufficient", MFAExemptionModule(self.policy))
-        stack.append(
-            "requisite",
-            MFATokenModule(
-                ldap=self.center.identity.ldap,
-                radius=self.center.new_radius_client(f"{self.ip_prefix}.5"),
-                mode=self.mode,
-                deadline=self.deadline,
-                policy=self.policy,
-            ),
-        )
-        return stack
+    @property
+    def deadline(self) -> Optional[str]:
+        deadline = self.policy.ladder.deadline
+        return deadline.isoformat() if deadline else None
 
     def set_mode(self, mode: str, deadline: Optional[str] = None) -> None:
-        """Switch enforcement mode; effective immediately — via an actual
-        pam.d file write when the center is file-backed."""
-        self.mode = mode
-        if deadline is not None:
-            self.deadline = deadline
-        self.policy = self._build_policy()
-        if self._pam_manager is not None:
-            self._pam_manager.set_enforcement_mode("sshd", mode, self.deadline)
-            return
+        """Switch enforcement mode, effective immediately: the Figure-1
+        text is pushed to every login node (an actual pam.d file write when
+        the center is file-backed) and the ladder follows.  An unknown mode
+        raises :class:`ConfigurationError` and changes nothing; without a
+        ``deadline`` the previous one is kept."""
+        if deadline is None:
+            deadline = self.deadline
+        text = figure1_config(mode, deadline)
         for daemon in self.daemons:
-            daemon.pam_stack = self._build_stack()
+            daemon.pam.write_config(PAM_SERVICE, text)
+        self.policy.set_ladder(mode, deadline)
 
     # -- exemption policy --------------------------------------------------------
 
@@ -192,7 +163,6 @@ class MFACenter:
         rng: Optional[random.Random] = None,
         num_radius_servers: int = 3,
         radius_secret: bytes = DEFAULT_RADIUS_SECRET,
-        otp_config: Optional[OTPServerConfig] = None,
         fabric_loss_rate: float = 0.0,
         pam_dir: Optional[str] = None,
         telemetry=None,
@@ -220,7 +190,6 @@ class MFACenter:
         # (built against this deployment's registry), or a ready engine.
         self.otp = OTPServer(
             clock=self.clock,
-            config=otp_config,
             sms_gateway=self.sms_gateway,
             rng=self.rng,
             telemetry=self.telemetry,

@@ -209,7 +209,9 @@ def parse_pam_config(
     between enforcement modes — "any of these modes may be set during
     production operation and are in effect as soon as written to disk".
     """
-    stack = PAMStack(service)
+    # Two passes: every line is checked before any module is built, so a
+    # text that does not parse builds (and, through a factory, sets) nothing.
+    lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -244,5 +246,12 @@ def parse_pam_config(
         factory = registry.get(module_name)
         if factory is None:
             raise ConfigurationError(f"line {lineno}: unknown module {module_name!r}")
-        stack.entries.append(StackEntry(parse_control(control), factory(options), options))
+        lines.append((lineno, parse_control(control), factory, options))
+    stack = PAMStack(service)
+    for lineno, actions, factory, options in lines:
+        try:
+            module = factory(options)
+        except ValueError as exc:
+            raise ConfigurationError(f"line {lineno}: bad module option: {exc}") from exc
+        stack.entries.append(StackEntry(actions, module, options))
     return stack

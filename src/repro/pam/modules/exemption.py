@@ -9,10 +9,9 @@ In the Figure-1 stack the module is ``sufficient``: a granted exemption
 short-circuits past the token module; a denial is ignored and the user
 continues to the token prompt.
 
-The module consults the unified :class:`repro.policy.PolicyEngine` — it
-accepts either a ready engine (the per-system one, shared with the token
-module) or a bare ACL, which it wraps, so existing call sites keep
-working unchanged.
+The module asks the :class:`repro.policy.PolicyEngine` it is handed (its
+system's one engine, shared with the token module): the engine's ACL
+answers, and its risk rule may withhold the waiver.
 """
 
 from __future__ import annotations
@@ -26,11 +25,8 @@ class MFAExemptionModule:
 
     name = "pam_mfa_exemption"
 
-    def __init__(self, acl) -> None:
-        if isinstance(acl, PolicyEngine):
-            self._policy = acl
-        else:
-            self._policy = PolicyEngine(exemptions=acl)
+    def __init__(self, policy: PolicyEngine) -> None:
+        self._policy = policy
 
     @property
     def policy(self) -> PolicyEngine:

@@ -3,16 +3,22 @@
 "a module specific for use on Oracle Solaris operating systems that combine
 the public key and MFA exemption checks to accommodate differences in PAM
 stack processing logic" (Section 3.4).  Solaris PAM lacks the Linux jump
-actions, so the two checks are fused: success means *either* the public key
+actions, so the two checks are fused: success means *both* the public key
 already passed *and* an exemption applies (skip everything), and the module
 communicates partial outcomes through session items instead of stack
 position.
+
+The fusion is literal: the module runs ``pam_pubkey_success`` and
+``pam_mfa_exemption`` and combines their answers, so the Solaris waiver is
+the Linux waiver — same engine, same ACL, withheld by the same risk rule.
 """
 
 from __future__ import annotations
 
-from repro.pam.acl import ExemptionACL
 from repro.pam.framework import PAMResult, PAMSession
+from repro.pam.modules.exemption import MFAExemptionModule
+from repro.pam.modules.pubkey import DEFAULT_WINDOW_SECONDS, PublicKeySuccessModule
+from repro.policy import PolicyEngine
 from repro.ssh.authlog import AuthLog
 
 
@@ -24,22 +30,19 @@ class SolarisMFAModule:
     def __init__(
         self,
         authlog: AuthLog,
-        acl: ExemptionACL,
-        window_seconds: float = 30.0,
+        policy: PolicyEngine,
+        window_seconds: float = DEFAULT_WINDOW_SECONDS,
     ) -> None:
-        self._authlog = authlog
-        self._acl = acl
-        self._window = window_seconds
+        self._pubkey = PublicKeySuccessModule(authlog, window_seconds)
+        self._exemption = MFAExemptionModule(policy)
+
+    @property
+    def policy(self) -> PolicyEngine:
+        return self._exemption.policy
 
     def authenticate(self, session: PAMSession) -> PAMResult:
-        pubkey_ok = self._authlog.publickey_accepted_recently(
-            session.username, session.remote_ip, self._window
-        )
-        if pubkey_ok:
-            session.items["first_factor"] = "publickey"
-        exempt = self._acl.check(session.username, session.remote_ip)
-        if exempt:
-            session.items["mfa_exempt"] = True
+        pubkey_ok = self._pubkey.authenticate(session) is PAMResult.SUCCESS
+        exempt = self._exemption.authenticate(session) is PAMResult.SUCCESS
         if pubkey_ok and exempt:
             # First factor proven and second factor waived: nothing left for
             # the rest of the stack to ask.

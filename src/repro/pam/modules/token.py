@@ -12,10 +12,12 @@ Section 3.4:
 * ``full``      — everyone is challenged; no pairing means no entry
   (phase 3).  Configuration errors also land here: the module fails closed.
 
-The ladder itself lives in :class:`repro.policy.PolicyEngine` — the same
-engine the OTP server's validate pipeline consults — so PAM and the back
-end can never disagree about the active phase.  This module turns the
-engine's :class:`~repro.policy.Decision` into PAM conversation behaviour:
+The ladder itself lives in the :class:`repro.policy.PolicyEngine` the
+module is handed — its system's one engine, the same type the OTP server's
+validate pipeline consults — and the module's ``mode=``/``deadline=``
+options in the pam.d text are what set it (:mod:`repro.pam.registry`); the
+module owns no rules of its own.  It turns the engine's
+:class:`~repro.policy.Decision` into PAM conversation behaviour:
 the pairing type comes from an LDAP query (lazily, so ``off`` mode costs
 no directory round trip); the token code round trip runs over the
 round-robin RADIUS client, including the SMS null-request /
@@ -27,13 +29,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.pam.framework import PAMResult, PAMSession
-from repro.policy import (
-    AuthRequest,
-    EnforcementLadder,
-    EnforcementMode,
-    PolicyAction,
-    PolicyEngine,
-)
+from repro.policy import AuthRequest, EnforcementMode, PolicyAction, PolicyEngine
 from repro.radius.client import AuthStatus, RADIUSClient
 
 __all__ = ["DEFAULT_PROMPT", "EnforcementMode", "MFATokenModule"]
@@ -50,16 +46,15 @@ class MFATokenModule:
         self,
         ldap,
         radius: RADIUSClient,
+        policy: PolicyEngine,
         base_dn: str = "ou=people,dc=center,dc=edu",
-        mode: str = "full",
-        deadline: Optional[str] = None,
         info_url: str = "https://portal.center.edu/mfa",
         prompt: str = DEFAULT_PROMPT,
         passive_notice: bool = False,
-        policy: Optional[PolicyEngine] = None,
     ) -> None:
         self._ldap = ldap
         self._radius = radius
+        self._policy = policy
         self._base_dn = base_dn
         self._info_url = info_url
         self._prompt = prompt
@@ -67,12 +62,6 @@ class MFATokenModule:
         # unpaired interactive users a passive one-line notice (no
         # acknowledgement required — that escalation is `countdown` mode).
         self._passive_notice = passive_notice
-        # A shared engine (e.g. the per-system one HPCSystem builds) wins;
-        # otherwise the module owns a private engine carrying just the
-        # ladder parsed from its own mode/deadline arguments.
-        self._policy = policy or PolicyEngine(
-            ladder=EnforcementLadder(mode, deadline)
-        )
 
     @property
     def effective_mode(self) -> EnforcementMode:
@@ -84,7 +73,7 @@ class MFATokenModule:
 
     @property
     def policy(self) -> PolicyEngine:
-        """The engine this module evaluates against (shared or private)."""
+        """The engine this module evaluates against."""
         return self._policy
 
     # -- LDAP pairing lookup (Figure 2, first box) ----------------------------
@@ -121,8 +110,8 @@ class MFATokenModule:
                 session.conversation.error("access denied by policy")
             return PAMResult.AUTH_ERR
         if decision.action is PolicyAction.EXEMPT:
-            # Only reachable through a shared engine carrying an ACL; the
-            # Figure-1 stack normally grants exemptions one module earlier.
+            # The Figure-1 stack normally grants exemptions one module
+            # earlier; a stack without that line is waived here.
             session.items["mfa_exempt"] = True
             return PAMResult.SUCCESS
         if decision.mode is EnforcementMode.OFF:

@@ -9,14 +9,8 @@ ResolverConfig(...))`` tunes it; anything else means the defaults.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
-
 from repro.common.resilience import FailoverPolicy
-from repro.resolvers.backends import (
-    DirectoryResolver,
-    FlatFileResolver,
-    LDAPSimResolver,
-)
+from repro.resolvers.backends import DirectoryResolver, LDAPSimResolver
 from repro.resolvers.chain import DEFAULT_CACHE_CAPACITY, ResolverChain
 
 
@@ -28,9 +22,6 @@ class ResolverConfig:
       center's LDAP model *ahead of* the directory resolver, so the
       "remote" source is primary and the in-process directory is the
       failover target (the chaos ``resolver-outage`` plan's shape);
-    * ``ldap_latency`` — simulated seconds each LDAP lookup costs;
-    * ``flat_file`` — optional passwd-style ``username:uid`` text served
-      by a :class:`FlatFileResolver` on the default realm (last);
     * ``cache_ttl`` / ``negative_ttl`` — the chain's positive/negative
       lookup-cache lifetimes;
     * ``failover`` — the EWMA circuit-breaker policy (identical shape to
@@ -38,8 +29,6 @@ class ResolverConfig:
     """
 
     use_ldap: bool = False
-    ldap_latency: float = 0.0
-    flat_file: Optional[str] = None
     cache_ttl: float = 300.0
     negative_ttl: float = 30.0
     cache_capacity: int = DEFAULT_CACHE_CAPACITY
@@ -50,8 +39,6 @@ class ResolverConfig:
             raise ValueError("cache TTLs must be positive")
         if self.cache_capacity < 1:
             raise ValueError("cache capacity must be at least 1")
-        if self.ldap_latency < 0:
-            raise ValueError("LDAP latency must be non-negative")
 
 
 def build_chain(
@@ -60,9 +47,8 @@ def build_chain(
     """Assemble the chain a :class:`ResolverConfig` describes.
 
     Route order on the default realm: LDAP (when enabled) first, the
-    authoritative directory second, the flat file last — so the remote
-    source takes traffic while healthy and the in-process directory
-    catches its failures.
+    authoritative directory second — so the remote source takes traffic
+    while healthy and the in-process directory catches its failures.
     """
     chain = ResolverChain(
         clock=clock,
@@ -73,10 +59,6 @@ def build_chain(
         cache_capacity=config.cache_capacity,
     )
     if config.use_ldap:
-        chain.register(
-            LDAPSimResolver(identity.ldap, clock=clock, latency=config.ldap_latency)
-        )
+        chain.register(LDAPSimResolver(identity.ldap, clock=clock))
     chain.register(DirectoryResolver(identity))
-    if config.flat_file is not None:
-        chain.register(FlatFileResolver(config.flat_file))
     return chain

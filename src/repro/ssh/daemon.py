@@ -6,7 +6,10 @@ Reproduces the authentication choreography of Section 3.4:
    and, on success, writes "Accepted publickey" to the secure log — the
    only trace PAM gets of it.
 2. The authentication decision is then handed to the PAM stack
-   (keyboard-interactive), which runs the Figure-1 modules.
+   (keyboard-interactive): the node's libpam resolves the ``sshd`` service
+   from its pam.d text once per connection — so an edit is live on the very
+   next login — and runs the modules that text names.  A service with no
+   usable stack (file missing, unparseable or empty) lets nobody in.
 3. "If the password entry is incorrect, the PAM stack is restarted and the
    user is prompted once again for a password, up to a maximum of two more
    times before SSH disconnect."
@@ -23,12 +26,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.common.clock import Clock, SystemClock
+from repro.common.errors import ConfigurationError, NotFoundError
 from repro.common.ids import IdAllocator
 from repro.pam.conversation import Conversation, ConversationError
 from repro.pam.framework import PAMResult, PAMSession, PAMStack
+from repro.pam.registry import PAMServiceManager
 from repro.ssh.authlog import AuthLog
 from repro.ssh.keys import KeyPair
 from repro.telemetry import NOOP_REGISTRY
@@ -57,6 +62,10 @@ class _MasterConnection:
     channels: int = 1
 
 
+#: The pam.d service name sshd authenticates under.
+PAM_SERVICE = "sshd"
+
+
 class SSHDaemon:
     """One login node's sshd."""
 
@@ -65,8 +74,7 @@ class SSHDaemon:
         hostname: str,
         address: str,
         identity,
-        pam_stack: Optional[PAMStack] = None,
-        stack_provider: Optional[Callable[[], PAMStack]] = None,
+        pam: PAMServiceManager,
         authlog: Optional[AuthLog] = None,
         clock: Optional[Clock] = None,
         banner: str = "",
@@ -75,15 +83,11 @@ class SSHDaemon:
         accounting=None,
         telemetry=None,
     ) -> None:
-        if pam_stack is None and stack_provider is None:
-            raise ValueError("daemon needs a pam_stack or a stack_provider")
         self.hostname = hostname
         self.address = address
         self.identity = identity
-        self.pam_stack = pam_stack
-        # When set, the stack is resolved per connection — the hook that
-        # lets a pam.d file edit take effect on the very next login.
-        self.stack_provider = stack_provider
+        #: The node's libpam: owns the pam.d text and the stack built from it.
+        self.pam = pam
         self.clock = clock or SystemClock()
         # Explicit None check: an empty AuthLog is falsy (it has __len__),
         # and a shared-but-empty log must not be replaced.
@@ -113,6 +117,11 @@ class SSHDaemon:
             "PAM stack runs consumed per connection",
             buckets=(1.0, 2.0, 3.0),
         )
+
+    @property
+    def pam_stack(self) -> PAMStack:
+        """The live ``sshd`` stack (rebuilt first if its text changed)."""
+        return self.pam.stack(PAM_SERVICE)
 
     # -- key management ---------------------------------------------------------
 
@@ -179,8 +188,11 @@ class SSHDaemon:
                     "accepted_publickey", username, source_ip, detail=key.fingerprint
                 )
 
-        stack = self.stack_provider() if self.stack_provider else self.pam_stack
-        assert stack is not None
+        try:
+            stack = self.pam.stack(PAM_SERVICE)
+        except NotFoundError:
+            # No service file is no stack: nobody gets in (see below).
+            stack = PAMStack(PAM_SERVICE)
         result = PAMResult.AUTH_ERR
         attempts = 0
         items: Dict[str, object] = {}
@@ -197,6 +209,11 @@ class SSHDaemon:
                 result = stack.authenticate(session)
             except ConversationError:
                 result = PAMResult.ABORT
+            except ConfigurationError:
+                # A stack with no modules — the service text did not parse,
+                # or names none — fails closed; asking again cannot help.
+                result = PAMResult.AUTH_ERR
+                break
             items = session.items
             if result is PAMResult.SUCCESS or result is PAMResult.ABORT:
                 break

@@ -54,9 +54,8 @@ class StorageConfig:
     benchmarks, and defaults to free.  ``durability`` turns on write-ahead
     logging (per shard when sharded); ``replicas`` > 0 additionally gives
     every shard that many log-shipping replicas (and implies durability,
-    since replication *is* log shipping).  ``wal_latency``/``replica_latency``
-    are the simulated fsync and ship round trips, charged to the deployment
-    clock; ``wal_dir`` persists each shard's log to ``<wal_dir>/shardN.wal``.
+    since replication *is* log shipping); ``wal_dir`` persists each shard's
+    log to ``<wal_dir>/shardN.wal``.
     """
 
     shards: int = 1
@@ -66,8 +65,6 @@ class StorageConfig:
     durability: bool = False
     replicas: int = 0
     snapshot_every: int = 0
-    wal_latency: float = 0.0
-    replica_latency: float = 0.0
     wal_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -76,8 +73,6 @@ class StorageConfig:
         if self.cache_capacity < 0 or self.latency < 0 or self.virtual_nodes < 1:
             raise ValueError("invalid storage configuration")
         if self.replicas < 0 or self.snapshot_every < 0:
-            raise ValueError("invalid storage configuration")
-        if self.wal_latency < 0 or self.replica_latency < 0:
             raise ValueError("invalid storage configuration")
 
     @property
@@ -105,8 +100,6 @@ def build_engine(
             engine_factory=node,
             virtual_nodes=config.virtual_nodes,
             snapshot_every=config.snapshot_every,
-            append_latency=config.wal_latency,
-            ship_latency=config.replica_latency,
             wal_dir=config.wal_dir,
             clock=clock,
             telemetry=telemetry,
@@ -117,7 +110,6 @@ def build_engine(
                 node(),
                 path=f"{config.wal_dir}/shard{index}.wal" if config.wal_dir else None,
                 snapshot_every=config.snapshot_every,
-                append_latency=config.wal_latency,
                 clock=clock,
                 telemetry=telemetry,
             )

@@ -1,17 +1,22 @@
 """MFACenter facade: topology, pairing conveniences, mode switching."""
 
+import os
 import random
 
 import pytest
 
+from hypothesis import example, given, settings, strategies as st
+
 from repro.common.clock import SimulatedClock
-from repro.common.errors import NotFoundError, ValidationError
+from repro.common.errors import ConfigurationError, NotFoundError, ValidationError
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
 from repro.directory.identity import AccountClass
-from repro.policy import AuthRequest, RiskEngine
+from repro.pam.registry import FIGURE1_CONFIG, figure1_config
+from repro.policy import AuthRequest, RiskAction, RiskEngine
+from repro.common.resilience import CircuitState
 from repro.resolvers import ResolverConfig
-from repro.ssh import SSHClient
+from repro.ssh import KeyPair, SSHClient
 from repro.storage import StorageConfig
 
 
@@ -21,8 +26,24 @@ def clock():
 
 
 @pytest.fixture
-def center(clock):
-    return MFACenter(clock=clock, rng=random.Random(1))
+def pam_dir():
+    """No pam.d directory: login nodes hold their service text in memory.
+    The ``...OnFiles`` classes override this with a real directory."""
+    return None
+
+
+@pytest.fixture
+def center(clock, pam_dir):
+    return MFACenter(clock=clock, rng=random.Random(1), pam_dir=pam_dir)
+
+
+def policy_modules(daemon):
+    """The modules of a node's live stack that evaluate policy."""
+    return [e.module for e in daemon.pam_stack.entries if hasattr(e.module, "policy")]
+
+
+def radius_client(daemon):
+    return daemon.pam_stack.entries[-1].module._radius
 
 
 class TestTopology:
@@ -127,6 +148,83 @@ class TestModeSwitch:
         result, _ = client.connect(system.login_node(), "alice", password="pw")
         assert result.success
 
+    def test_unknown_mode_is_refused_and_changes_nothing(self, center):
+        system = center.add_system("stampede", mode="paired")
+        text = system.login_node().pam.read_config("sshd")
+        version = system.policy.version
+        with pytest.raises(ConfigurationError):
+            system.set_mode("ludicrous")
+        assert system.mode == "paired"
+        assert not system.policy.ladder.config_error
+        assert system.policy.version == version
+        assert [d.pam.read_config("sshd") for d in system.daemons] == [text, text]
+        with pytest.raises(ConfigurationError):
+            center.add_system("lonestar", mode="ludicrous")
+
+    def test_countdown_without_a_deadline_keeps_the_previous_one(self, center):
+        system = center.add_system("stampede", mode="countdown", deadline="2016-11-01")
+        system.set_mode("full")
+        assert system.mode == "full"
+        system.set_mode("countdown")
+        assert system.mode == "countdown" and not system.policy.ladder.config_error
+        assert system.policy.snapshot()["ladder"]["deadline"].startswith("2016-11-01")
+        assert "deadline=2016-11-01" in system.login_node().pam.read_config("sshd")
+
+    def test_one_engine_and_one_radius_client_per_node_for_life(self, center):
+        """Whatever rewrites the text — ``set_mode`` or a hand edit — the
+        next stack is built over the same engine and the same client."""
+        system = center.add_system("stampede", mode="paired")
+        center.create_user("alice", password="pw")
+        engine = system.policy
+        clients = [radius_client(d) for d in system.daemons]
+        assert len(set(map(id, clients))) == len(system.daemons)
+
+        def check(ladder_mode):
+            assert system.policy is engine
+            assert system.policy.snapshot()["ladder"]["configured_mode"] == ladder_mode
+            for daemon, client in zip(system.daemons, clients):
+                modules = policy_modules(daemon)
+                assert [m.name for m in modules] == ["pam_mfa_exemption", "pam_mfa_token"]
+                assert all(m.policy is engine for m in modules)
+                assert radius_client(daemon) is client
+
+        check("paired")
+        system.set_mode("off")
+        check("off")
+        for daemon in system.daemons:  # the hand edit, pushed to every node
+            daemon.pam.write_config("sshd", figure1_config("full"))
+        result, _ = SSHClient("198.51.100.7").connect(
+            system.login_node(), "alice", password="pw", token="000000"
+        )
+        assert not result.success
+        check("full")
+
+    def test_circuit_state_survives_a_mode_switch(self, center):
+        """A phase switch must not forget which RADIUS servers are dark."""
+        system = center.add_system("stampede", mode="full")
+        center.create_user("alice", password="pw")
+        dark = center.radius_servers[0].address
+        center.fabric.unregister(dark)
+        node = system.login_node()
+        for _ in range(6):
+            SSHClient("198.51.100.7").connect(node, "alice", password="pw", token="000000")
+        assert radius_client(node).health.state(dark) is CircuitState.OPEN
+        system.set_mode("paired")
+        system.set_mode("full")
+        assert radius_client(node).health.state(dark) is CircuitState.OPEN
+
+
+class OnFiles:
+    """Mixin: the same tests when the text lives in ``pam_dir/<system>/sshd``."""
+
+    @pytest.fixture
+    def pam_dir(self, tmp_path):
+        return str(tmp_path / "pam.d")
+
+
+class TestModeSwitchOnFiles(OnFiles, TestModeSwitch):
+    pass
+
 
 class TestExemptionManagement:
     def test_add_exemption_live(self, center):
@@ -170,6 +268,10 @@ class TestExemptionManagement:
         result, _ = client.connect(system.login_node(), "alice", password="pw",
                                    token="000000")
         assert not result.success
+
+
+class TestExemptionManagementOnFiles(OnFiles, TestExemptionManagement):
+    pass
 
 
 class TestEndToEndAuth:
@@ -279,18 +381,28 @@ class TestIdentityKeySpaces:
         assert not center.otp.audit.entries(user_id="alice")
 
 
-@pytest.fixture(params=[False, True], ids=["in-memory", "pam_dir"])
-def risk_center(request, clock, tmp_path):
+#: ``pam_solaris_mfa`` ahead of the Figure-1 lines: the Solaris waiver
+#: (public key + exemption) skips the rest, anything else falls through.
+SOLARIS_LINE = "auth sufficient pam_solaris_mfa.so\n"
+
+
+@pytest.fixture(params=["in-memory", "pam_dir", "solaris"])
+def stack_kind(request):
+    return request.param
+
+
+@pytest.fixture
+def risk_center(stack_kind, clock, tmp_path):
     """A deployment whose risk engine watchlists 203.0.113.0/24 (a step-up
     on its own, a deny on top of a failure burst from a novel origin), on
-    either kind of PAM stack."""
+    every kind of PAM stack."""
     engine = RiskEngine(clock=clock)
     engine.add_watchlist("203.0.113.0/24")
     center = MFACenter(
         clock=clock,
         rng=random.Random(7),
         risk=engine,
-        pam_dir=str(tmp_path / "pam.d") if request.param else None,
+        pam_dir=None if stack_kind == "in-memory" else str(tmp_path / "pam.d"),
     )
     center.create_user("alice", password="pw")
     return center
@@ -298,27 +410,33 @@ def risk_center(request, clock, tmp_path):
 
 class TestPamSideRisk:
     """The PAM modules evaluate against the system's rules and the
-    deployment's risk engine, however the stack was built."""
+    deployment's risk engine, whatever text the stack was built from."""
 
-    def policy_modules(self, system):
-        daemon = system.login_node()
-        stack = daemon.stack_provider() if daemon.stack_provider else daemon.pam_stack
-        modules = [e.module for e in stack.entries if hasattr(e.module, "policy")]
-        assert [m.name for m in modules] == ["pam_mfa_exemption", "pam_mfa_token"]
-        return modules
+    def add_system(self, center, stack_kind, mode):
+        system = center.add_system("stampede", mode=mode)
+        if stack_kind == "solaris":
+            system.login_node().pam.write_config(
+                "sshd", SOLARIS_LINE + figure1_config(mode)
+            )
+        return system
 
-    def test_modules_share_the_system_rules(self, risk_center):
-        system = risk_center.add_system("stampede", mode="paired")
-        for module in self.policy_modules(system):
-            policy = module.policy
-            assert policy.risk is risk_center.risk_stage
-            assert policy.exemptions is system.acl
-            assert policy.lockout is risk_center.otp.policy.lockout
-            assert policy.clock is risk_center.clock
-            assert policy.ladder.configured_mode.value == "paired"
+    def test_modules_share_the_system_rules(self, risk_center, stack_kind):
+        system = self.add_system(risk_center, stack_kind, "paired")
+        modules = policy_modules(system.login_node())
+        assert [m.name for m in modules] == (
+            ["pam_solaris_mfa"] if stack_kind == "solaris" else []
+        ) + ["pam_mfa_exemption", "pam_mfa_token"]
+        for module in modules:
+            assert module.policy is system.policy
+        policy = system.policy
+        assert policy.risk is risk_center.risk_stage
+        assert policy.exemptions is system.acl
+        assert policy.lockout is risk_center.otp.policy.lockout
+        assert policy.clock is risk_center.clock
+        assert policy.ladder.configured_mode.value == "paired"
 
-    def test_step_up_withholds_the_exemption_waiver(self, risk_center, clock):
-        system = risk_center.add_system("stampede", mode="full")
+    def test_step_up_withholds_the_exemption_waiver(self, risk_center, stack_kind, clock):
+        system = self.add_system(risk_center, stack_kind, "full")
         system.add_exemption(accounts="alice")
         _, secret = risk_center.pair_soft("alice")
         node = system.login_node()
@@ -333,8 +451,29 @@ class TestPamSideRisk:
         assert stepped_up.session_items["risk_step_up"] is True
         assert "mfa_exempt" not in stepped_up.session_items
 
-    def test_deny_is_refused_before_the_token_prompt(self, risk_center, clock):
-        system = risk_center.add_system("stampede", mode="full")
+    def test_step_up_withholds_the_waiver_from_a_public_key_login(
+        self, risk_center, stack_kind, clock
+    ):
+        """The Solaris module fuses public key + exemption into one
+        ``sufficient`` answer; risk must bind there as it does on Linux."""
+        system = self.add_system(risk_center, stack_kind, "full")
+        system.add_exemption(accounts="alice")
+        _, secret = risk_center.pair_soft("alice")
+        node = system.login_node()
+        key = KeyPair.generate(rng=random.Random(3))
+        node.authorize_key("alice", key)
+        source = "203.0.113.9"  # watchlisted
+        assert risk_center.risk_stage.assess("alice", source).action is RiskAction.STEP_UP
+        refused, _ = SSHClient(source).connect(node, "alice", key=key)
+        assert not refused.success
+        code = TOTPGenerator(secret=secret, clock=clock).current_code
+        stepped_up, _ = SSHClient(source).connect(node, "alice", key=key, token=code)
+        assert stepped_up.success
+        assert stepped_up.session_items["first_factor"] == "publickey"
+        assert "mfa_exempt" not in stepped_up.session_items
+
+    def test_deny_is_refused_before_the_token_prompt(self, risk_center, stack_kind, clock):
+        system = self.add_system(risk_center, stack_kind, "full")
         _, secret = risk_center.pair_soft("alice")
         risk_center.risk_stage.record_success("alice", "198.51.100.7")
         for _ in range(3):
@@ -360,10 +499,18 @@ class TestFileBackedPAM:
         center.create_user("alice", password="pw")
         return center, system
 
+    def hand_edit(self, tmp_path, text):
+        """What the administrator does: overwrite the file, nothing else."""
+        path = tmp_path / "pam.d" / "stampede" / "sshd"
+        before = path.stat().st_mtime
+        path.write_text(text, encoding="utf-8")
+        os.utime(path, (before + 1, before + 1))
+
     def test_config_file_exists(self, clock, tmp_path):
         _, system = self.make(clock, tmp_path)
-        text = system._pam_manager.read_config("sshd")
+        text = (tmp_path / "pam.d" / "stampede" / "sshd").read_text()
         assert "pam_mfa_token.so mode=paired" in text
+        assert system.login_node().pam.read_config("sshd") == text
 
     def test_login_through_file_backed_stack(self, clock, tmp_path):
         center, system = self.make(clock, tmp_path)
@@ -372,23 +519,95 @@ class TestFileBackedPAM:
         assert result.success  # unpaired + paired mode
 
     def test_file_edit_takes_effect_next_login(self, clock, tmp_path):
-        """The operational act itself: an admin edits the file directly."""
+        """The operational act itself: an admin edits the file directly —
+        and the system's one engine is what the edit reconfigures."""
         center, system = self.make(clock, tmp_path)
+        engine = system.policy
         client = SSHClient("198.51.100.7")
         assert client.connect(system.login_node(), "alice", password="pw")[0].success
-        # Hand-edit the pam.d file (not via set_mode).
-        from repro.pam.registry import figure1_config
-
-        system._pam_manager.write_config("sshd", figure1_config("full"))
+        self.hand_edit(tmp_path, figure1_config("full"))
         result, _ = client.connect(
             system.login_node(), "alice", password="pw", token="000000"
         )
         assert not result.success
+        assert system.policy is engine
+        assert system.policy.snapshot()["ladder"]["configured_mode"] == "full"
+        assert system.mode == "full"
+        for daemon in system.daemons:
+            modules = policy_modules(daemon)
+            assert len(modules) == 2
+            assert all(module.policy is system.policy for module in modules)
+
+    def test_hand_edited_unknown_mode_fails_closed_to_full(self, clock, tmp_path):
+        """"If any configuration errors occur, the token module defaults
+        to the fourth enforcement mode" — for text ``set_mode`` would have
+        refused to write."""
+        center, system = self.make(clock, tmp_path)
+        self.hand_edit(tmp_path, FIGURE1_CONFIG.format(mode="ludicrous", deadline_opt=""))
+        result, _ = SSHClient("198.51.100.7").connect(
+            system.login_node(), "alice", password="pw", token="000000"
+        )
+        assert not result.success
+        assert system.mode == "full" and system.policy.ladder.config_error
+
+    def test_broken_edit_denies_logins_until_the_next_good_write(self, clock, tmp_path):
+        center, system = self.make(clock, tmp_path)
+        node = system.login_node()
+        client = SSHClient("198.51.100.7")
+        self.hand_edit(
+            tmp_path, figure1_config("off").replace("pam_mfa_token", "pam_mfa_tokn")
+        )
+        result, _ = client.connect(node, "alice", password="pw")
+        assert not result.success and result.detail == "auth_err"
+        assert node.logins_rejected == 1
+        assert system.authlog.entries()[-1].event == "auth_failure"
+        assert "unknown module 'pam_mfa_tokn.so'" in node.pam.last_error
+        assert system.mode == "paired"  # the broken text set nothing
+        self.hand_edit(tmp_path, figure1_config("off"))
+        assert client.connect(node, "alice", password="pw")[0].success
+        assert node.pam.last_error is None
+
+    def test_deleted_service_file_denies_logins(self, clock, tmp_path):
+        center, system = self.make(clock, tmp_path)
+        (tmp_path / "pam.d" / "stampede" / "sshd").unlink()
+        result, _ = SSHClient("198.51.100.7").connect(
+            system.login_node(), "alice", password="pw"
+        )
+        assert not result.success
+        system.set_mode("paired")
+        assert SSHClient("198.51.100.7").connect(
+            system.login_node(), "alice", password="pw"
+        )[0].success
+
+    def test_connect_never_raises_whatever_the_file_says(self, clock, tmp_path):
+        center, system = self.make(clock, tmp_path)
+        node = system.login_node()
+        client = SSHClient("198.51.100.7")
+
+        @settings(max_examples=60, deadline=None)
+        @given(body=st.text())
+        @example(body="auth requisite pam_mfa_token.so mode=off\nauth required pam_nope.so")
+        @example(body="auth [success=1 pam_unix.so")
+        @example(body="auth required pam_pubkey_success.so window=soon")
+        @example(body="session required pam_unix.so")
+        @example(body="\x00\x0c# \u2028auth")
+        def check(body):
+            counted = node.logins_accepted + node.logins_rejected
+            self.hand_edit(tmp_path, body)
+            result, _ = client.connect(node, "alice", password="pw", token="000000")
+            assert node.logins_accepted + node.logins_rejected == counted + 1
+            if node.pam.last_error or not node.pam_stack.entries:
+                assert not result.success
+                assert system.mode == "paired"
+
+        check()
+        self.hand_edit(tmp_path, figure1_config("paired"))
+        assert client.connect(node, "alice", password="pw")[0].success
 
     def test_set_mode_writes_the_file(self, clock, tmp_path):
         center, system = self.make(clock, tmp_path)
         system.set_mode("full")
-        assert "mode=full" in system._pam_manager.read_config("sshd")
+        assert "mode=full" in system.login_node().pam.read_config("sshd")
         client = SSHClient("198.51.100.7")
         result, _ = client.connect(
             system.login_node(), "alice", password="pw", token="000000"

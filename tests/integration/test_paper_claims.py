@@ -169,14 +169,17 @@ class TestSection3_4:
     def test_config_error_defaults_to_full(self, world):
         """"if any configuration errors occur, the token module defaults to
         the fourth enforcement mode"."""
-        from repro.pam.modules.token import EnforcementMode, MFATokenModule
+        from repro.pam.modules.token import EnforcementMode
+        from repro.pam.registry import FIGURE1_CONFIG
 
-        module = MFATokenModule(
-            ldap=world.center.identity.ldap,
-            radius=world.center.new_radius_client("10.3.1.5"),
-            mode="not-a-mode",
+        world.system.set_mode("off")
+        world.node.pam.write_config(
+            "sshd", FIGURE1_CONFIG.format(mode="not-a-mode", deadline_opt="")
         )
+        module = world.node.pam_stack.entries[-1].module
         assert module.effective_mode is EnforcementMode.FULL
+        assert module.had_config_error
+        assert world.system.mode == "full"
 
 
 class TestSection5:

@@ -16,6 +16,7 @@ from repro.pam.modules.pubkey import PublicKeySuccessModule
 from repro.pam.modules.solaris import SolarisMFAModule
 from repro.pam.modules.token import EnforcementMode, MFATokenModule
 from repro.pam.modules.unix_password import UnixPasswordModule
+from repro.policy import EnforcementLadder, PolicyEngine
 from repro.radius.client import RADIUSClient
 from repro.radius.server import RADIUSServer
 from repro.radius.transport import UDPFabric
@@ -57,6 +58,16 @@ def rig(clock):
     )
     rig.clock = clock
     return rig
+
+
+def token_module(rig, mode, deadline=None, **kwargs):
+    """A token module over an engine that carries just that ladder."""
+    return MFATokenModule(
+        ldap=rig.identity.ldap,
+        radius=rig.radius,
+        policy=PolicyEngine(ladder=EnforcementLadder(mode, deadline)),
+        **kwargs,
+    )
 
 
 def make_session(clock, username="alice", ip="198.51.100.7", responses=None):
@@ -130,14 +141,14 @@ class TestUnixPasswordModule:
 class TestExemptionModule:
     def test_granted(self, clock):
         acl = InMemoryExemptionACL("+ : alice : ALL : ALL", clock=clock)
-        module = MFAExemptionModule(acl)
+        module = MFAExemptionModule(PolicyEngine(exemptions=acl))
         session = make_session(clock)
         assert module.authenticate(session) is PAMResult.SUCCESS
         assert session.items["mfa_exempt"] is True
 
     def test_denied(self, clock):
         acl = InMemoryExemptionACL("", clock=clock)
-        module = MFAExemptionModule(acl)
+        module = MFAExemptionModule(PolicyEngine(exemptions=acl))
         session = make_session(clock)
         assert module.authenticate(session) is PAMResult.AUTH_ERR
         assert "mfa_exempt" not in session.items
@@ -145,12 +156,7 @@ class TestExemptionModule:
 
 class TestTokenModuleModes:
     def make_module(self, rig, mode, deadline=None):
-        return MFATokenModule(
-            ldap=rig.identity.ldap,
-            radius=rig.radius,
-            mode=mode,
-            deadline=deadline,
-        )
+        return token_module(rig, mode, deadline)
 
     def pair_soft(self, rig, username="alice"):
         _, secret = rig.otp.enroll_soft(username)
@@ -225,29 +231,21 @@ class TestTokenModuleModes:
 
 class TestTokenModuleConfigErrors:
     def test_bad_mode_falls_back_to_full(self, rig):
-        module = MFATokenModule(ldap=rig.identity.ldap, radius=rig.radius, mode="banana")
+        module = token_module(rig, "banana")
         assert module.effective_mode is EnforcementMode.FULL
         assert module.had_config_error
 
     def test_bad_deadline_falls_back_to_full(self, rig):
-        module = MFATokenModule(
-            ldap=rig.identity.ldap, radius=rig.radius,
-            mode="countdown", deadline="whenever",
-        )
+        module = token_module(rig, "countdown", deadline="whenever")
         assert module.effective_mode is EnforcementMode.FULL
         assert module.had_config_error
 
     def test_countdown_without_deadline_is_config_error(self, rig):
-        module = MFATokenModule(
-            ldap=rig.identity.ldap, radius=rig.radius, mode="countdown"
-        )
+        module = token_module(rig, "countdown")
         assert module.effective_mode is EnforcementMode.FULL
 
     def test_valid_config_no_error(self, rig):
-        module = MFATokenModule(
-            ldap=rig.identity.ldap, radius=rig.radius,
-            mode="countdown", deadline="2016-10-04",
-        )
+        module = token_module(rig, "countdown", deadline="2016-10-04")
         assert module.effective_mode is EnforcementMode.COUNTDOWN
         assert not module.had_config_error
 
@@ -256,7 +254,7 @@ class TestTokenModuleSMS:
     def test_sms_flow_through_module(self, rig, clock):
         rig.otp.enroll_sms("alice", "5125551234")
         rig.identity.notify_pairing("alice", PairingStatus.SMS)
-        module = MFATokenModule(ldap=rig.identity.ldap, radius=rig.radius, mode="full")
+        module = token_module(rig, "full")
 
         class SMSConversation(ScriptedConversation):
             def prompt_echo_off(self, prompt):
@@ -280,7 +278,7 @@ class TestSolarisModule:
         log = AuthLog(clock)
         log.append("accepted_publickey", "alice", "198.51.100.7")
         acl = InMemoryExemptionACL("+ : alice : ALL : ALL", clock=clock)
-        module = SolarisMFAModule(log, acl)
+        module = SolarisMFAModule(log, PolicyEngine(exemptions=acl))
         session = make_session(clock)
         assert module.authenticate(session) is PAMResult.SUCCESS
         assert session.items["first_factor"] == "publickey"
@@ -289,7 +287,9 @@ class TestSolarisModule:
     def test_pubkey_only_continues(self, clock):
         log = AuthLog(clock)
         log.append("accepted_publickey", "alice", "198.51.100.7")
-        module = SolarisMFAModule(log, InMemoryExemptionACL("", clock=clock))
+        module = SolarisMFAModule(
+            log, PolicyEngine(exemptions=InMemoryExemptionACL("", clock=clock))
+        )
         session = make_session(clock)
         assert module.authenticate(session) is PAMResult.IGNORE
         assert session.items["first_factor"] == "publickey"
@@ -297,13 +297,15 @@ class TestSolarisModule:
 
     def test_exempt_only_continues(self, clock):
         acl = InMemoryExemptionACL("+ : alice : ALL : ALL", clock=clock)
-        module = SolarisMFAModule(AuthLog(clock), acl)
+        module = SolarisMFAModule(AuthLog(clock), PolicyEngine(exemptions=acl))
         session = make_session(clock)
         assert module.authenticate(session) is PAMResult.IGNORE
         assert session.items["mfa_exempt"] is True
 
     def test_neither_continues(self, clock):
-        module = SolarisMFAModule(AuthLog(clock), InMemoryExemptionACL("", clock=clock))
+        module = SolarisMFAModule(
+            AuthLog(clock), PolicyEngine(exemptions=InMemoryExemptionACL("", clock=clock))
+        )
         session = make_session(clock)
         assert module.authenticate(session) is PAMResult.IGNORE
         assert not session.items
@@ -320,11 +322,8 @@ class TestFigure1StackPaths:
         stack = PAMStack("sshd")
         stack.append("[success=1 default=ignore]", PublicKeySuccessModule(log))
         stack.append("requisite", UnixPasswordModule(rig.identity))
-        stack.append("sufficient", MFAExemptionModule(acl))
-        stack.append(
-            "requisite",
-            MFATokenModule(ldap=rig.identity.ldap, radius=rig.radius, mode="full"),
-        )
+        stack.append("sufficient", MFAExemptionModule(PolicyEngine(exemptions=acl)))
+        stack.append("requisite", token_module(rig, "full"))
         rig.log = log
         rig.stack = stack
         return rig
@@ -380,10 +379,7 @@ class TestPassiveNotice:
     """Section 4.2's first messaging wave: a passive notice in paired mode."""
 
     def test_unpaired_sees_notice_without_ack(self, rig, clock):
-        module = MFATokenModule(
-            ldap=rig.identity.ldap, radius=rig.radius,
-            mode="paired", passive_notice=True,
-        )
+        module = token_module(rig, "paired", passive_notice=True)
         session = make_session(clock)
         assert module.authenticate(session) is PAMResult.SUCCESS
         messages = " ".join(session.conversation.messages())
@@ -394,9 +390,7 @@ class TestPassiveNotice:
         )
 
     def test_default_is_silent(self, rig, clock):
-        module = MFATokenModule(
-            ldap=rig.identity.ldap, radius=rig.radius, mode="paired"
-        )
+        module = token_module(rig, "paired")
         session = make_session(clock)
         assert module.authenticate(session) is PAMResult.SUCCESS
         assert session.conversation.messages() == []
@@ -405,10 +399,7 @@ class TestPassiveNotice:
         _, secret = rig.otp.enroll_soft("alice")
         rig.identity.notify_pairing("alice", PairingStatus.SOFT)
         device = TOTPGenerator(secret=secret, clock=clock)
-        module = MFATokenModule(
-            ldap=rig.identity.ldap, radius=rig.radius,
-            mode="paired", passive_notice=True,
-        )
+        module = token_module(rig, "paired", passive_notice=True)
         session = make_session(clock, responses=[device.current_code()])
         assert module.authenticate(session) is PAMResult.SUCCESS
         assert not any(

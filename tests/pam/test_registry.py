@@ -1,4 +1,4 @@
-"""File-driven PAM service management: registry, hot reload, mode flips."""
+"""Text-driven PAM service management: registry, hot reload, mode flips."""
 
 import random
 
@@ -12,6 +12,7 @@ from repro.pam.acl import InMemoryExemptionACL
 from repro.pam.conversation import ScriptedConversation
 from repro.pam.framework import PAMResult, PAMSession
 from repro.pam.registry import PAMServiceManager, figure1_config, standard_registry
+from repro.policy import PolicyEngine
 from repro.ssh.authlog import AuthLog
 
 
@@ -21,23 +22,29 @@ def clock():
 
 
 @pytest.fixture
-def rig(clock, tmp_path):
+def pam_dir(tmp_path):
+    return str(tmp_path / "pam.d")
+
+
+@pytest.fixture
+def rig(clock, pam_dir):
     center = MFACenter(clock=clock, rng=random.Random(1))
     center.add_system("stampede")  # provides the RADIUS farm wiring
     center.create_user("alice", password="pw")
     authlog = AuthLog(clock)
     acl = InMemoryExemptionACL("", clock=clock)
+    policy = PolicyEngine(exemptions=acl, clock=clock)
     registry = standard_registry(
-        center.identity, authlog, acl,
-        radius_factory=lambda: center.new_radius_client("10.3.1.5"),
+        center.identity, authlog, policy, center.new_radius_client("10.3.1.5")
     )
-    manager = PAMServiceManager(str(tmp_path / "pam.d"), registry)
+    manager = PAMServiceManager(pam_dir, registry)
 
     class Rig:
         pass
 
     r = Rig()
     r.center, r.manager, r.authlog, r.acl, r.clock = center, manager, authlog, acl, clock
+    r.policy = policy  # the one engine every module built by the registry asks
     return r
 
 
@@ -142,3 +149,92 @@ class TestLivePolicyFlip:
             rig.manager.authenticate("sshd", session(rig.clock, ["pw", "000000"]))
             is PAMResult.AUTH_ERR
         )
+
+
+class InMemory:
+    """Mixin: the same semantics when the manager holds the text itself."""
+
+    @pytest.fixture
+    def pam_dir(self):
+        return None
+
+
+class TestServiceTextInMemory(InMemory, TestServiceFiles):
+    pass
+
+
+class TestLivePolicyFlipInMemory(InMemory, TestLivePolicyFlip):
+    pass
+
+
+BROKEN_CONFIGS = {
+    "typo'd module": figure1_config("off").replace("pam_mfa_token", "pam_mfa_tokn"),
+    "bad control": figure1_config("off").replace("requisite", "requisit"),
+    "bad option": figure1_config("off").replace(
+        "pam_pubkey_success.so", "pam_pubkey_success.so window=soon"
+    ),
+    "too few fields": "auth requisite\n",
+    "no modules": "# everything commented out\n",
+}
+
+
+class TestBrokenEdit:
+    """A text that does not parse fails closed and says why."""
+
+    @pytest.mark.parametrize("text", BROKEN_CONFIGS.values(), ids=BROKEN_CONFIGS)
+    def test_nothing_authenticates_and_nothing_is_set(self, rig, text):
+        rig.manager.set_enforcement_mode("sshd", "full")
+        rig.manager.stack("sshd")
+        rig.manager.write_config("sshd", text)
+        with pytest.raises(ConfigurationError):
+            rig.manager.authenticate("sshd", session(rig.clock, ["pw"]))
+        assert rig.manager.stack("sshd").entries == []
+        # The broken text's mode=off line never reached the ladder.
+        assert rig.policy.ladder.configured_mode.value == "full"
+
+    def test_last_error_names_the_line_until_the_next_good_write(self, rig):
+        rig.manager.write_config("sshd", BROKEN_CONFIGS["typo'd module"])
+        rig.manager.stack("sshd")
+        assert "line 6" in rig.manager.last_error
+        assert "pam_mfa_tokn.so" in rig.manager.last_error
+        assert rig.manager.stack("sshd").entries == []  # cached, not re-parsed
+        assert rig.manager.reload_count == 1
+        rig.manager.set_enforcement_mode("sshd", "off")
+        assert rig.manager.authenticate("sshd", session(rig.clock, ["pw"])) is (
+            PAMResult.SUCCESS
+        )
+        assert rig.manager.last_error is None
+
+
+class TestOneEngine:
+    """Every policy-backed module of every reload asks the registry's
+    engine, and the token line is what sets its ladder."""
+
+    def test_token_line_sets_the_ladder(self, rig):
+        rig.manager.set_enforcement_mode("sshd", "countdown", deadline="2016-10-04")
+        stack = rig.manager.stack("sshd")
+        assert rig.policy.snapshot()["ladder"]["configured_mode"] == "countdown"
+        assert all(
+            entry.module.policy is rig.policy
+            for entry in stack.entries
+            if hasattr(entry.module, "policy")
+        )
+
+    def test_hand_edited_unknown_mode_fails_closed_to_full(self, rig):
+        rig.manager.set_enforcement_mode("sshd", "off")
+        rig.manager.stack("sshd")
+        rig.manager.write_config(
+            "sshd", figure1_config("off").replace("mode=off", "mode=ludicrous")
+        )
+        result = rig.manager.authenticate("sshd", session(rig.clock, ["pw", "000000"]))
+        assert result is PAMResult.AUTH_ERR
+        assert rig.policy.ladder.config_error
+        assert rig.policy.ladder.configured_mode.value == "full"
+
+    def test_reload_keeps_the_radius_client(self, rig):
+        rig.manager.set_enforcement_mode("sshd", "paired")
+        before = rig.manager.stack("sshd").entries[-1].module
+        rig.manager.set_enforcement_mode("sshd", "full")
+        after = rig.manager.stack("sshd").entries[-1].module
+        assert after is not before
+        assert after._radius is before._radius

@@ -149,11 +149,36 @@ RETIRED_NAMES = (
 )
 
 
-def test_retired_batch_path_stays_out_of_src():
-    offenders = sorted(
+def _spelled_in_src(names):
+    return sorted(
         (str(path.relative_to(SRC)), name)
         for path in SRC.rglob("*.py")
-        for name in RETIRED_NAMES
+        for name in names
         if name in path.read_text()
     )
+
+
+def test_retired_batch_path_stays_out_of_src():
+    assert _spelled_in_src(RETIRED_NAMES) == []
+
+
+#: Names of the second way to configure a login node.  Shrink-only, as
+#: above: the pam.d text through ``standard_registry`` is the one Figure-1
+#: stack, resolved per connection by the node's ``PAMServiceManager``.
+RETIRED_STACK_NAMES = ("stack_provider", "_build_stack", "policy_factory")
+
+
+def test_retired_stack_fork_stays_out_of_src():
+    assert _spelled_in_src(RETIRED_STACK_NAMES) == []
+
+
+def test_pam_builds_no_policy_engine_of_its_own():
+    """Every policy-backed module asks the engine it is handed (its
+    system's); a module-private fallback is where PAM and the system's
+    rules drift apart."""
+    offenders = [
+        str(path.relative_to(SRC))
+        for path in (SRC / "pam").rglob("*.py")
+        if "PolicyEngine(" in path.read_text()
+    ]
     assert offenders == []
