@@ -31,6 +31,7 @@ from typing import Optional
 from repro.pam.framework import PAMResult, PAMSession
 from repro.policy import AuthRequest, EnforcementMode, PolicyAction, PolicyEngine
 from repro.radius.client import AuthStatus, RADIUSClient
+from repro.resolvers import escape_filter_value
 
 __all__ = ["DEFAULT_PROMPT", "EnforcementMode", "MFATokenModule"]
 
@@ -79,7 +80,11 @@ class MFATokenModule:
     # -- LDAP pairing lookup (Figure 2, first box) ----------------------------
 
     def _pairing_type(self, username: str) -> Optional[str]:
-        entries = self._ldap.search(self._base_dn, f"(uid={username})")
+        # The login name is attacker-chosen text: escaped, it can only be a
+        # literal uid, never a wildcard or a broken filter.
+        entries = self._ldap.search(
+            self._base_dn, f"(uid={escape_filter_value(username)})"
+        )
         if not entries:
             return None
         pairing = entries[0].first("mfaPairingType", "unpaired")

@@ -288,6 +288,58 @@ class TestEndToEndAuth:
         )
         assert result.success
 
+    def test_account_named_with_a_paren_logs_in(self, center, clock):
+        """``(uid=al)ice)`` used to be handed to the filter parser raw: the
+        ValueError went straight through ``connect``."""
+        system = center.add_system("stampede", mode="full")
+        center.create_user("al)ice", password="pw")
+        _, secret = center.pair_soft("al)ice")
+        device = TOTPGenerator(secret=secret, clock=clock)
+        client = SSHClient("198.51.100.7")
+        result, _ = client.connect(
+            system.login_node(), "al)ice", password="pw", token=device.current_code
+        )
+        assert result.success
+        result, _ = client.connect(
+            system.login_node(), "al)ice", password="pw", token="000000"
+        )
+        assert not result.success
+
+    def test_account_named_star_gets_its_own_pairing_type(self, center):
+        """``(uid=*)`` is a presence filter: the unpaired ``*`` account was
+        answered with the first directory entry's pairing and challenged."""
+        system = center.add_system("stampede", mode="paired")
+        center.create_user("alice", password="pw")
+        center.pair_soft("alice")
+        center.create_user("*", password="pw")
+        client = SSHClient("198.51.100.7")
+        result, conversation = client.connect(system.login_node(), "*", password="pw")
+        assert result.success  # unpaired in `paired` mode: no token asked
+        assert not any("Token" in prompt for prompt in conversation.prompts_seen)
+        assert not client.connect(system.login_node(), "alice", password="pw")[0].success
+
+    def test_connect_never_raises_whatever_the_login_name(self, center):
+        system = center.add_system("stampede", mode="full")
+        center.create_user("alice", password="pw")
+        center.pair_soft("alice")
+        node = system.login_node()
+        client = SSHClient("198.51.100.7")
+
+        @settings(max_examples=100, deadline=None)
+        @given(name=st.text())
+        @example(name="*")
+        @example(name="al)ice")
+        @example(name="a)(uid=alice")
+        @example(name="alice\\")
+        @example(name="\x00")
+        def check(name):
+            counted = node.logins_accepted + node.logins_rejected
+            result, _ = client.connect(node, name, password="pw", token="000000")
+            assert not result.success
+            assert node.logins_accepted + node.logins_rejected == counted + 1
+
+        check()
+
     def test_unknown_user_gets_no_token_path(self, center):
         response = center.radius_backend.validate("ghost", "123456")
         assert response.status.value == "no_token"

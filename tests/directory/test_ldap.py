@@ -119,6 +119,38 @@ class TestFilters:
         with pytest.raises(ValueError):
             parse_filter(bad)
 
+    def test_escaped_star_is_a_literal_star(self):
+        f = parse_filter("(uid=a\\2ab)")
+        assert f(LDAPEntry("x", {"uid": ["a*b"]}))
+        assert not f(LDAPEntry("x", {"uid": ["axb"]}))
+        assert not f(LDAPEntry("x", {"uid": ["a\\2ab"]}))
+
+    def test_escaped_star_alone_is_not_presence(self):
+        f = parse_filter("(uid=\\2A)")
+        assert f(LDAPEntry("x", {"uid": ["*"]}))
+        assert not f(LDAPEntry("x", {"uid": ["alice"]}))
+
+    def test_escapes_inside_a_substring_pattern(self):
+        f = parse_filter("(uid=a\\2a*\\29)")
+        assert f(LDAPEntry("x", {"uid": ["a*lice)"]}))
+        assert not f(LDAPEntry("x", {"uid": ["alice)"]}))
+        assert not f(LDAPEntry("x", {"uid": ["a*lice"]}))
+
+    def test_every_metacharacter_escape(self):
+        f = parse_filter("(uid=\\28\\29\\5c\\2a\\00)")
+        assert f(LDAPEntry("x", {"uid": ["()\\*\x00"]}))
+
+    def test_escapes_are_utf8_octets(self):
+        assert parse_filter("(cn=ren\\c3\\a9e)")(LDAPEntry("x", {"cn": ["Ren\u00e9e"]}))
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["(uid=\\zz)", "(uid=a\\)", "(uid=\\2)", "(uid=a*\\g0)", "(uid=\\ff)", "(uid=\\ 1)"],
+    )
+    def test_malformed_escape_rejected(self, bad):
+        with pytest.raises(ValueError):
+            parse_filter(bad)
+
 
 class TestSearch:
     def test_sub_scope(self, directory):
@@ -142,6 +174,10 @@ class TestSearch:
     def test_invalid_scope(self, directory):
         with pytest.raises(ValueError):
             directory.search("dc=center,dc=edu", "(uid=*)", scope="tree")
+
+    def test_invalid_scope_rejected_before_any_entry_is_looked_at(self):
+        with pytest.raises(ValueError, match="invalid scope 'bogus'"):
+            LDAPDirectory().search("x", scope="bogus")
 
     def test_query_counter(self, directory):
         before = directory.query_count

@@ -1,9 +1,11 @@
 """Concrete resolver backends: directory, LDAP sim, flat file."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common.clock import SimulatedClock
 from repro.directory.identity import IdentityBackend
+from repro.directory.ldap import LDAPDirectory
 from repro.resolvers import (
     DirectoryResolver,
     FlatFileResolver,
@@ -105,6 +107,33 @@ class TestLDAPSimResolver:
         assert escape_filter_value("alice") == "alice"
         assert escape_filter_value("*") == "\\2a"
         assert escape_filter_value("a(b)c\\d\x00") == "a\\28b\\29c\\5cd\\00"
+
+    @settings(max_examples=200, deadline=None)
+    @given(uid=st.text(), other=st.text())
+    @example(uid="*", other="alice")
+    @example(uid="a*b", other="axb")
+    @example(uid="al)ice", other="al")
+    @example(uid="\\2a", other="*")
+    @example(uid="", other="*")
+    def test_escaped_uid_finds_its_entry_and_no_other(self, uid, other):
+        base = "ou=people,dc=center,dc=edu"
+        ldap = LDAPDirectory()
+        ldap.add(f"cn=bystander,{base}", {"uid": "bystander"})
+        target = ldap.add(f"cn=target,{base}", {"uid": uid})
+        hits = ldap.search(base, f"(uid={escape_filter_value(uid)})")
+        assert target in hits
+        assert len(hits) == 1 or uid.lower() == "bystander"
+        found = target in ldap.search(base, f"(uid={escape_filter_value(other)})")
+        assert found == (other.lower() == uid.lower())
+
+    @pytest.mark.parametrize("name", ["a*b", "al)ice", "(", "back\\slash", "*"])
+    def test_account_with_metacharacters_in_its_name_resolves(self, clock, name):
+        identity = IdentityBackend()
+        identity.create_account("axb", "axb@example.edu")
+        account = identity.create_account(name, "odd@example.edu")
+        resolver = LDAPSimResolver(identity.ldap, clock=clock)
+        assert resolver.resolve(name).uid == account.uid
+        assert resolver.resolve("axb").uid == identity.get("axb").uid
 
 
 class TestFlatFileResolver:
