@@ -319,7 +319,6 @@ class TestStorageMetricsVisible:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert "storage_op_seconds" in proc.stdout
-        assert "storage_ops_total" in proc.stdout
+        assert "storage_op_seconds_count" in proc.stdout
         assert "storage_shard_rows" in proc.stdout
         assert "storage_cache" in proc.stdout

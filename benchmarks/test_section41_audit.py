@@ -8,7 +8,7 @@ the outreach list, and the minority-automates-majority skew.
 import pytest
 
 from repro.sim.population import Population
-from repro.sim.preaudit import run_information_gathering
+from repro.analysis.preaudit import run_information_gathering
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,7 @@ import random
 
 from repro.common.clock import SimulatedClock
 from repro.sim.population import Population
-from repro.sim.preaudit import run_information_gathering
+from repro.analysis.preaudit import run_information_gathering
 from repro.workload.scheduler import BatchScheduler, MailEvent
 
 

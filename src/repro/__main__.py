@@ -29,24 +29,18 @@ Commands:
   tally, the risk-stage counters and the determinism digest; exits
   non-zero if either adversarial invariant was violated.  Output is
   byte-identical across runs with the same arguments.
-* ``policy [--mode MODE]`` — print the active policy snapshot (enforcement
-  ladder, exemptions, lockout threshold, rate limits, lock striping) of a
-  demo deployment as JSON.
-* ``resolvers [--outage] [--json]`` — run a resolver-chain deployment
-  (LDAP primary, directory fallback) through a cached repeat login and a
-  federated home-site login, then print the chain snapshot: realm routes,
-  per-resolver circuit state and EWMA score, cache hit counters;
-  ``--outage`` additionally takes the LDAP resolver down mid-run and
-  shows the per-request failover keeping logins green.
-* ``queue [--stats] [--json] [--interactive N] [--batch N]`` — run a
-  mixed-priority workload (N interactive soft-token logins alongside an
-  N-item batch backfill) through the ingestion queue of an
-  admission-controlled deployment and print the queue snapshot: per-class
-  depth, SLA hit-rate, wait times, shed/retry counters.
-* ``storage [--stats] [--replay WAL] [--demo DIR] [--shards N]
-  [--replicas N]`` — the durability toolbox: ``--stats`` prints the
-  storage tier's admin view (shards, cache hit ratio, WAL position,
-  replica lag) after a demo login; ``--demo DIR`` runs the demo with
+* ``status [SECTION] [--json] [--shards N] [--cache N] [--durability]
+  [--replicas N] [--mode MODE] [--deadline DATE]`` — the operator view,
+  ``OTPServer.status()``, of a production-shaped demo deployment (ingest
+  queue and LDAP resolver chain on) after one fixed scenario: the demo
+  login, a repeat validate (a resolver cache hit), a federated home-site
+  login and a short batch backfill.  Prints every section — ``storage``,
+  ``policy``, ``resolvers``, ``systems`` (each system's enforcement
+  ladder; ``--mode``/``--deadline`` set it), ``queue`` — or the one named,
+  as JSON (the only rendering; ``--json`` says so explicitly).  The same
+  dict is ``GET /admin/status`` on the admin API.
+* ``storage --demo DIR [--shards N] [--replicas N]`` / ``storage --replay
+  WAL`` — the durability toolbox: ``--demo DIR`` runs the demo login with
   per-shard WAL files written under DIR and prints each file's live state
   digest; ``--replay WAL`` rebuilds an engine offline from a WAL file and
   prints the recovered digest (equal to the live one for an intact log).
@@ -66,13 +60,17 @@ def _cmd_report(args: list) -> int:
     return 0
 
 
-def _flag_value(args: list, flag: str, default: int) -> int:
+def _str_flag(args: list, flag: str, default=None):
     if flag in args:
         index = args.index(flag)
         if index + 1 >= len(args):
             raise SystemExit(f"{flag} requires a value")
-        return int(args[index + 1])
+        return args[index + 1]
     return default
+
+
+def _flag_value(args: list, flag: str, default: int) -> int:
+    return int(_str_flag(args, flag, default))
 
 
 def _demo_login(
@@ -82,8 +80,14 @@ def _demo_login(
     durability: bool = False,
     replicas: int = 0,
     wal_dir=None,
+    mode: str = "full",
+    deadline=None,
+    **center_options,
 ):
-    """The shared quickstart scenario: pair a soft token, log in once."""
+    """The shared quickstart scenario: pair a soft token, log in once.
+
+    Returns ``(center, login result, the demo user's token device)``.
+    """
     import random
 
     from repro.common.clock import SimulatedClock
@@ -104,8 +108,9 @@ def _demo_login(
             replicas=replicas,
             wal_dir=wal_dir,
         ),
+        **center_options,
     )
-    system = center.add_system("stampede", mode="full")
+    system = center.add_system("stampede", mode=mode, deadline=deadline)
     center.create_user("demo", password="demo-password")
     _, secret = center.pair_soft("demo")
     device = TOTPGenerator(secret=secret, clock=clock)
@@ -114,13 +119,13 @@ def _demo_login(
         system.login_node(), "demo",
         password="demo-password", token=device.current_code,
     )
-    return center, result
+    return center, result, device
 
 
 def _cmd_demo(args: list) -> int:
     dump = "--telemetry-dump" in args
     replicas = _flag_value(args, "--replicas", 0)
-    center, result = _demo_login(
+    center, result, _ = _demo_login(
         telemetry=True if dump else None,
         shards=_flag_value(args, "--shards", 1),
         cache=_flag_value(args, "--cache", 64),
@@ -130,21 +135,22 @@ def _cmd_demo(args: list) -> int:
     print("demo login:", "GRANTED" if result.success else "DENIED")
     print("session items:", result.session_items)
     if "--durability" in args or replicas:
-        stats = center.otp.storage_stats()
-        wal = stats.get("wal")
-        if isinstance(wal, dict):
-            wal = [wal]
-        for shard_wal in wal or []:
+        shards = center.otp.status("storage")["shards"]
+        for shard in shards:
+            wal = shard["wal"]
             print(
-                f"wal: {shard_wal['records']} records, last lsn "
-                f"{shard_wal['last_lsn']}, {shard_wal['snapshots']} snapshots"
+                f"wal: {wal['records']} records, last lsn "
+                f"{wal['last_lsn']}, {wal['snapshots']} snapshots"
             )
-        replication = stats.get("replication")
-        if replication:
+        if replicas:
+            followers = [
+                replica
+                for shard in shards
+                for replica in shard["replication"]["replicas"]
+            ]
             print(
-                f"replication: {replication['shards']} shards x "
-                f"{replication['replicas_per_shard']} replicas, "
-                f"all caught up: {replication['all_caught_up']}"
+                f"replication: {len(shards)} shards x {replicas} replicas, "
+                f"all caught up: {all(r['caught_up'] for r in followers)}"
             )
     if dump:
         from repro.telemetry import render_text, render_trace_text
@@ -159,7 +165,7 @@ def _cmd_demo(args: list) -> int:
 def _cmd_telemetry(args: list) -> int:
     from repro.telemetry import render_json, render_text, render_trace_text
 
-    center, result = _demo_login(
+    center, result, _ = _demo_login(
         telemetry=True,
         shards=_flag_value(args, "--shards", 1),
         cache=_flag_value(args, "--cache", 64),
@@ -330,191 +336,55 @@ def _cmd_attack(args: list) -> int:
     return 1 if summary["violations"] else 0
 
 
-def _cmd_resolvers(args: list) -> int:
+def _cmd_status(args: list) -> int:
     import json
-    import random
 
-    from repro.common.clock import SimulatedClock
-    from repro.core import MFACenter
-    from repro.crypto.totp import TOTPGenerator
+    from repro.common.errors import NotFoundError
+    from repro.ingest import PriorityClass
     from repro.resolvers import ResolverConfig
 
-    clock = SimulatedClock.at("2016-10-05T09:00:00")
-    center = MFACenter(
-        clock=clock,
-        rng=random.Random(42),
+    section = args[0] if args and not args[0].startswith("--") else None
+    center, login, device = _demo_login(
+        shards=_flag_value(args, "--shards", 1),
+        cache=_flag_value(args, "--cache", 64),
+        durability="--durability" in args,
+        replicas=_flag_value(args, "--replicas", 0),
+        mode=_str_flag(args, "--mode", "full"),
+        deadline=_str_flag(args, "--deadline"),
+        ingest=True,
         resolvers=ResolverConfig(use_ldap=True),
     )
-    center.add_system("stampede", mode="full")
-    # A local user logging in twice: the second resolution is a cache hit.
-    center.create_user("demo", password="pw-demo")
-    _, secret = center.pair_soft("demo")
-    device = TOTPGenerator(secret=secret, clock=clock)
-    center.otp.validate("demo", device.current_code())
-    clock.advance(31)
-    center.otp.validate("demo", device.current_code())
-    # A federated visitor: home-site assertion through the same pipeline.
+    backend = center.radius_backend
+    # The same user again: the chain answers from its cache.
+    center.clock.advance(31)
+    repeat = backend.validate("demo", device.current_code())
+    # A federated visitor: a home-site assertion through the same pipeline.
     center.create_user("visitor", password="pw-visitor")
     issuer = center.pair_federated("visitor", "alice@partner")
-    federated = center.otp.validate("alice@partner", issuer.issue("alice"))
-    failover = None
-    if "--outage" in args:
-        # Take the primary (LDAP) resolver down and log in again: the
-        # chain fails over to the directory resolver per-request.
-        chain = center.resolver_chain
-        chain.resolver("ldap").set_outage(True)
-        chain.invalidate()
-        clock.advance(31)
-        failover = center.otp.validate("demo", device.current_code())
-    snapshot = center.otp.resolver_snapshot()
-    if "--json" in args:
-        print(json.dumps(snapshot, indent=2))
-        return 0
-    print("realm routes:")
-    for realm, names in snapshot["realms"].items():
-        print(f"  {realm:12s} -> {' -> '.join(names)}")
-    print("resolvers:")
-    for name, info in snapshot["resolvers"].items():
-        stats = info["stats"]
-        print(
-            f"  {name:12s} {info['state']:9s} score {info['score']:.3f}  "
-            f"{stats['lookups']} lookups ({stats['hits']} hits, "
-            f"{stats['misses']} misses, {stats['errors']} errors)"
-        )
-    cache = snapshot["cache"]
-    print(
-        f"cache: {cache['entries']} entries, {cache['hits']} hits "
-        f"({cache['negative_hits']} negative), ttl {cache['ttl_seconds']:g}s/"
-        f"{cache['negative_ttl_seconds']:g}s"
-    )
-    print(f"lookups: {snapshot['lookups']}  failovers: {snapshot['failovers']}")
-    print(f"federated login: {'GRANTED' if federated.ok else 'DENIED'}")
-    if failover is not None:
-        print(
-            f"login during ldap outage: "
-            f"{'GRANTED (failed over)' if failover.ok else 'DENIED'}"
-        )
-        return 0 if failover.ok else 1
-    return 0 if federated.ok else 1
-
-
-def _cmd_policy(args: list) -> int:
-    import json
-    import random
-
-    from repro.common.clock import SimulatedClock
-    from repro.core import MFACenter
-
-    def _str_flag(flag: str, default):
-        if flag in args:
-            index = args.index(flag)
-            if index + 1 >= len(args):
-                raise SystemExit(f"{flag} requires a value")
-            return args[index + 1]
-        return default
-
-    mode = _str_flag("--mode", "full")
-    deadline = _str_flag("--deadline", None)
-    clock = SimulatedClock.at("2016-10-05T09:00:00")
-    center = MFACenter(clock=clock, rng=random.Random(42))
-    system = center.add_system("stampede", mode=mode, deadline=deadline)
-    snapshot = {
-        "server": center.otp.policy_snapshot(),
-        "system": {"name": system.name, **system.policy.snapshot()},
-    }
-    print(json.dumps(snapshot, indent=2, default=str))
-    return 0
-
-
-def _cmd_queue(args: list) -> int:
-    import json
-    import random
-
-    from repro.common.clock import SimulatedClock
-    from repro.core import MFACenter
-    from repro.crypto.totp import TOTPGenerator
-    from repro.ingest import PriorityClass
-
-    interactive = _flag_value(args, "--interactive", 8)
-    batch_items = _flag_value(args, "--batch", 200)
-    clock = SimulatedClock.at("2016-10-05T09:00:00")
-    center = MFACenter(clock=clock, rng=random.Random(42), ingest=True)
-    center.add_system("stampede", mode="full")
-    queue = center.ingest_queue
-
-    # Interactive lane: soft-token users each submitting one valid login.
-    tickets = []
-    for i in range(interactive):
-        username = f"cli{i + 1}"
-        center.create_user(username, password=f"pw-{username}")
-        _, secret = center.pair_soft(username)
-        device = TOTPGenerator(secret=secret, clock=clock)
-        tickets.append(queue.submit((username, device.current_code())))
-
-    # Batch lane: a training-code backfill (static codes revalidate freely,
-    # so one account can absorb the whole sweep without tripping lockout).
+    federated = backend.validate("alice@partner", issuer.issue("alice"))
+    # A batch backfill next to the interactive logins above (a training
+    # account's static code revalidates freely, so no lockout trips).
     center.create_user("resync", password="pw-resync")
     code = center.pair_training("resync")
-    tickets.extend(
-        queue.submit_many(
-            [("resync", code)] * batch_items, priority=PriorityClass.BATCH
-        )
-    )
-    for ticket in tickets:
+    for ticket in center.ingest_queue.submit_many(
+        [("resync", code)] * 20, priority=PriorityClass.BATCH
+    ):
         ticket.result()
-
-    snapshot = queue.snapshot()
-    if "--json" in args:
-        print(json.dumps(snapshot, indent=2))
-        return 0
-    # --stats (the default view)
-    print(
-        f"queue: {snapshot['submitted_total']} submitted, "
-        f"{snapshot['completed_total']} completed, "
-        f"{snapshot['shed_total']} shed, {snapshot['retry_total']} retries"
-    )
-    print(
-        f"depth {snapshot['depth']}/{snapshot['max_depth']}  "
-        f"shed order: {', '.join(snapshot['shed_classes'])} first"
-    )
-    for name, lane in snapshot["classes"].items():
-        hit = lane["sla_hit_rate"]
-        wait = lane["mean_wait_seconds"]
-        print(
-            f"  {name:12s} rank {lane['rank']}  sla {lane['sla_seconds']:g}s  "
-            f"done {lane['completed']:>5d}  "
-            f"sla-hit {'-' if hit is None else format(hit, '.0%'):>4s}  "
-            f"mean wait {'-' if wait is None else format(wait * 1000, '.2f') + ' ms'}"
-        )
-    return 0
-
-
-def _shard_digests(engine) -> list:
-    """Live per-shard state digests, whatever the stack's shape."""
-    from repro.storage import find_layer
-
-    replicated = find_layer(engine, "state_digests")
-    if replicated is not None:
-        return replicated.state_digests()
-    walled = find_layer(engine, "wal_stats")
-    if walled is not None:
-        return [walled.state_digest()]
-    sharded = find_layer(engine, "shard_sizes")
-    if sharded is not None:
-        return [
-            shard.state_digest()
-            for shard in sharded.shards
-            if find_layer(shard, "state_digest") is shard
-        ]
-    return []
+    try:
+        print(json.dumps(center.otp.status(section), indent=2))
+    except NotFoundError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    return 0 if login.success and repeat.ok and federated.ok else 1
 
 
 def _cmd_storage(args: list) -> int:
     import json
+    import os
+
+    from repro.storage import load_wal, replay, state_digest
 
     if "--replay" in args:
-        from repro.storage import load_wal, replay, state_digest
-
         index = args.index("--replay")
         if index + 1 >= len(args):
             raise SystemExit("--replay requires a WAL file path")
@@ -531,38 +401,33 @@ def _cmd_storage(args: list) -> int:
         print(json.dumps(out, indent=2))
         return 0
 
-    wal_dir = None
-    if "--demo" in args:
-        import os
-
-        index = args.index("--demo")
-        if index + 1 >= len(args):
-            raise SystemExit("--demo requires a directory")
-        wal_dir = args[index + 1]
-        os.makedirs(wal_dir, exist_ok=True)
-
-    shards = _flag_value(args, "--shards", 2)
-    center, result = _demo_login(
-        shards=shards,
+    if "--demo" not in args:
+        print("usage: python -m repro storage --demo DIR | --replay WAL", file=sys.stderr)
+        return 2
+    index = args.index("--demo")
+    if index + 1 >= len(args):
+        raise SystemExit("--demo requires a directory")
+    wal_dir = args[index + 1]
+    os.makedirs(wal_dir, exist_ok=True)
+    center, result, _ = _demo_login(
+        shards=_flag_value(args, "--shards", 2),
         cache=_flag_value(args, "--cache", 64),
         durability=True,
         replicas=_flag_value(args, "--replicas", 0),
         wal_dir=wal_dir,
     )
-    if wal_dir is not None:
-        digests = _shard_digests(center.otp.db.engine)
-        out = {
-            "login": "GRANTED" if result.success else "DENIED",
-            "digests": {
-                f"{wal_dir}/shard{i}.wal": digest
-                for i, digest in enumerate(digests)
-            },
-            "stats": center.otp.storage_stats(),
-        }
-        print(json.dumps(out, indent=2))
-        return 0 if result.success else 1
-    # --stats (the default view)
-    print(json.dumps(center.otp.storage_stats(), indent=2))
+    engine = center.otp.db.engine
+    stats = center.otp.status("storage")
+    out = {
+        "login": "GRANTED" if result.success else "DENIED",
+        # One log file per shard; an unsharded stack is its own one shard.
+        "digests": {
+            entry["wal"]["path"]: state_digest(shard)
+            for entry, shard in zip(stats["shards"], getattr(engine, "shards", [engine]))
+        },
+        "stats": stats,
+    }
+    print(json.dumps(out, indent=2))
     return 0 if result.success else 1
 
 
@@ -575,9 +440,7 @@ def main(argv: list) -> int:
         "chaos": _cmd_chaos,
         "simulate": _cmd_simulate,
         "attack": _cmd_attack,
-        "policy": _cmd_policy,
-        "resolvers": _cmd_resolvers,
-        "queue": _cmd_queue,
+        "status": _cmd_status,
         "storage": _cmd_storage,
     }
     if not argv or argv[0] not in commands:

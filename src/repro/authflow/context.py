@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.common.results import ValidateResult
-from repro.otpserver.tokens import TokenType
+from repro.common.results import TokenType, ValidateResult
 from repro.policy import Decision
 
 

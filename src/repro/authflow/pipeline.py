@@ -9,10 +9,9 @@ failcount read-modify-write, the SMS challenge lifecycle — still
 serialize.
 
 Observability: every stage execution lands in the
-``authflow_stage_seconds`` histogram (labelled by stage) and every
-settled attempt increments ``authflow_decisions_total`` (labelled by
-status), so operators can see both where validate time goes and what
-the fleet of attempts is deciding.
+``authflow_stage_seconds`` histogram (labelled by stage), so operators
+can see where validate time goes; what the attempts decided is the
+server's ``otp_validate_total`` (labelled by status).
 
 The pipeline owns no threads: callers bring their own (one per RADIUS
 datagram, or the ingestion queue's workers), and the striped lock is
@@ -69,9 +68,6 @@ class AuthPipeline:
         self._m_stage_seconds = telemetry.histogram(
             "authflow_stage_seconds", "wall time spent per pipeline stage"
         )
-        self._m_decisions = telemetry.counter(
-            "authflow_decisions_total", "settled pipeline attempts by status"
-        )
 
     def run(
         self, user_id: str, code: Optional[str], source: Optional[str] = None
@@ -93,5 +89,4 @@ class AuthPipeline:
             raise RuntimeError(
                 f"pipeline completed without a result for user {user_id!r}"
             )
-        self._m_decisions.inc(status=ctx.result.status.value)
         return ctx.result

@@ -34,10 +34,9 @@ from __future__ import annotations
 from typing import Protocol, runtime_checkable
 
 from repro.authflow.context import PipelineContext
-from repro.common.results import ValidateResult, ValidateStatus
+from repro.common.results import TokenType, ValidateResult, ValidateStatus
 from repro.crypto.hotp import verify_hotp
 from repro.crypto.totp import REASON_REPLAY, totp_at
-from repro.otpserver.tokens import TokenType
 from repro.policy import AuthRequest, PolicyAction, PolicyEngine
 from repro.resolvers.base import ResolverUnavailableError
 from repro.resolvers.federation import AssertionInvalid, split_assertion_code

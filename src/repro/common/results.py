@@ -24,6 +24,26 @@ class ValidateStatus(str, Enum):
     NO_TOKEN = "no_token"
 
 
+class TokenType(str, Enum):
+    """The device kinds a pairing can have (Section 3.3; devices and
+    batches are modelled in :mod:`repro.otpserver.tokens`)."""
+
+    SOFT = "soft"
+    SMS = "sms"
+    HARD = "hard"
+    STATIC = "static"
+    HOTP = "hotp"  # event-based fob (c100-class); not offered publicly
+    #: Decoy credential (arXiv 2112.08431): enrolled on accounts that should
+    #: never log in, validated exactly like a soft token so an attacker who
+    #: stole the seed cannot tell it apart — but any use raises an alarm.
+    HONEY = "honey"
+    #: Federated bearer token (arXiv 1908.07573): the "code" is an
+    #: HMAC-signed attestation from a trusted home site; the record maps
+    #: the local account onto its ``user@homesite`` principal.  An optional
+    #: sealed step-up PIN satisfies risk-driven STEP_UP locally.
+    FEDERATED = "federated"
+
+
 @dataclass
 class ValidateResult:
     """Outcome of one ``/validate/check`` call.

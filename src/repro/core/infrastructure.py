@@ -252,7 +252,7 @@ class MFACenter:
                 telemetry=self.telemetry,
             )
             self.radius_backend = QueuedBackend(self.otp, self.ingest_queue)
-            self.otp.attach_ingest(self.ingest_queue)
+            self.otp.status_sections["queue"] = self.ingest_queue.snapshot
         self.radius_servers: List[RADIUSServer] = []
         for i in range(num_radius_servers):
             server = RADIUSServer(
@@ -267,6 +267,11 @@ class MFACenter:
             server.add_client("10.", radius_secret)
             self.radius_servers.append(server)
         self.systems: Dict[str, HPCSystem] = {}
+        # Each system's PAM-side engine (its ladder, its exemption ACL)
+        # sits next to the back end's own policy in the operator view.
+        self.otp.status_sections["systems"] = lambda: {
+            name: system.policy.snapshot() for name, system in self.systems.items()
+        }
         self._storage_systems: List[str] = []
         self._next_system_subnet = 3
 

@@ -508,7 +508,7 @@ class IngestQueue:
     def snapshot(self) -> Dict[str, object]:
         """Operator view: per-class depth/age/SLA plus queue-wide totals.
 
-        Shape mirrors ``/admin/policy`` and ``/admin/storage``: plain
+        The ``queue`` section of ``OTPServer.status()``: plain
         JSON-serializable scalars, stable keys.
         """
         with self._lock:

@@ -21,13 +21,14 @@ Subsystems:
 from repro.common.results import (
     Ticket,
     TokenBackend,
+    TokenType,
     ValidateResult,
     ValidateStatus,
 )
 from repro.otpserver.database import Database, Table
 from repro.otpserver.server import OTPServer, OTPServerConfig
 from repro.otpserver.sms_gateway import SMSGateway, SMSPricing
-from repro.otpserver.tokens import HardTokenBatch, TokenRecord, TokenType
+from repro.otpserver.tokens import HardTokenBatch, TokenRecord
 
 __all__ = [
     "Database",

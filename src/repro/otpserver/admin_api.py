@@ -51,10 +51,7 @@ class AdminAPI:
             ("POST", "/admin/resync"): self._handle_resync,
             ("POST", "/admin/reset"): self._handle_reset,
             ("GET", "/admin/show"): self._handle_show,
-            ("GET", "/admin/storage"): self._handle_storage,
-            ("GET", "/admin/policy"): self._handle_policy,
-            ("GET", "/admin/queue"): self._handle_queue,
-            ("GET", "/admin/resolvers"): self._handle_resolvers,
+            ("GET", "/admin/status"): self._handle_status,
             ("POST", "/validate/check"): self._handle_validate,
         }
         self.request_count = 0
@@ -145,24 +142,14 @@ class AdminAPI:
         ]
         return {"tokens": tokens}
 
-    def _handle_storage(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Operational view of the storage tier (shards, caches, row counts)."""
-        return self.server.storage_stats()
-
-    def _handle_policy(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """The active policy: ladder mode, exemptions, lockout, rate limits."""
-        return self.server.policy_snapshot()
-
-    def _handle_queue(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Admission-queue stats: per-class depth/age, shed/retry counters,
-        SLA hit-rates (``{"configured": false}`` without an ingest queue)."""
-        return self.server.queue_snapshot()
-
-    def _handle_resolvers(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Identity-resolver chain stats: realm routes, per-resolver circuit
-        state and EWMA score, cache hit counters (``{"configured": false}``
-        on a bare server with no chain attached)."""
-        return self.server.resolver_snapshot()
+    def _handle_status(self, params: Dict[str, Any]) -> Dict[str, Any]:
+        """The operator view: every wired section (storage, policy, and —
+        when the deployment has them — resolvers, queue, systems), or the
+        one named by ``section``; 404 for a section that is not wired."""
+        section = params.get("section")
+        if section is not None and not isinstance(section, str):
+            raise ValidationError("parameter 'section' must be a string")
+        return self.server.status(section)
 
     def _handle_validate(self, params: Dict[str, Any]) -> Dict[str, Any]:
         result = self.server.validate(

@@ -29,23 +29,21 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-if TYPE_CHECKING:  # runtime import lives in OTPServer.__init__ (cycle)
-    from repro.authflow import AuthPipeline, ConcurrencyConfig
-
+from repro.authflow import AuthPipeline, ConcurrencyConfig, default_stages
 from repro.common.clock import Clock, SystemClock
 from repro.common.errors import NotFoundError, ValidationError
 from repro.common.ids import IdAllocator
-from repro.common.results import ValidateResult
+from repro.common.results import TokenType, ValidateResult
 from repro.crypto.secrets import SecretSealer, generate_secret
 from repro.crypto.totp import TOTPValidator
 from repro.otpserver.audit import AuditLog
 from repro.otpserver.database import Database
 from repro.otpserver.sms_gateway import SMSGateway
-from repro.otpserver.tokens import HardTokenBatch, TokenRecord, TokenType
+from repro.otpserver.tokens import HardTokenBatch, TokenRecord
 from repro.policy import LockoutPolicy, PolicyEngine
-from repro.storage import StorageConfig, build_engine, find_layer
+from repro.storage import StorageConfig, build_engine
 from repro.telemetry import NOOP_REGISTRY
 
 
@@ -104,10 +102,6 @@ class OTPServer:
         policy: Optional[PolicyEngine] = None,
         concurrency: Optional[ConcurrencyConfig] = None,
     ) -> None:
-        # Imported here, not at module level: the authflow stages import
-        # repro.otpserver.tokens (so this package) — the one allowed
-        # authflow ⇄ otpserver cycle (tests/test_layering.py).
-        from repro.authflow import AuthPipeline, default_stages
         self.clock = clock or SystemClock()
         self.config = config or OTPServerConfig()
         self._rng = rng or random.Random()
@@ -180,7 +174,6 @@ class OTPServer:
         #: The :class:`AttestationVerifier` federated dispatch consults
         #: (``attach_federation``), or ``None``.
         self.federation = None
-        self._ingest = None  # the deployment's ingestion queue, if any
         # The policy engine every validate consults.  The default engine
         # (full ladder, no exemptions, no admission control) reproduces
         # the paper's always-challenge server; the lockout threshold comes
@@ -196,12 +189,15 @@ class OTPServer:
             telemetry=self.telemetry,
             clock=self.clock,
         )
-        # Version the read-through cache by the policy engine: a live
-        # reconfiguration (set_ladder) orphans every entry cached under the
-        # old rules, so no stale row outlives the policy that cached it.
-        cache = find_layer(self.db.engine, "set_version_source")
-        if cache is not None:
-            cache.set_version_source(lambda: self.policy.version)
+        #: The operator view (:meth:`status`): section name -> zero-argument
+        #: callable returning that subsystem's dict.  Whoever wires a
+        #: subsystem in adds its section (``attach_resolvers`` here,
+        #: ``MFACenter`` for the ingest queue); a section nobody wired is
+        #: absent.
+        self.status_sections: Dict[str, Callable[[], Dict[str, object]]] = {
+            "storage": self.db.engine.describe,
+            "policy": self._policy_status,
+        }
 
     @property
     def pipeline(self) -> AuthPipeline:
@@ -478,25 +474,24 @@ class OTPServer:
             self._g_audit_size.set(len(self.audit))
             return result
 
-    def policy_snapshot(self) -> Dict[str, object]:
-        """The active policy plus pipeline concurrency, for operators."""
+    # -- operator view (the built-in web UI's status pages, Section 3.1) ------
+
+    def status(self, section: Optional[str] = None) -> Dict[str, object]:
+        """Every wired section of the back end as one dict — ``GET
+        /admin/status`` and ``python -m repro status`` print exactly this —
+        or one ``section`` alone; asking for a section that is not wired
+        raises :class:`NotFoundError`."""
+        if section is None:
+            return {name: report() for name, report in self.status_sections.items()}
+        report = self.status_sections.get(section)
+        if report is None:
+            raise NotFoundError(f"no status section {section!r}")
+        return report()
+
+    def _policy_status(self) -> Dict[str, object]:
         snap = self.policy.snapshot()
         snap["concurrency"] = {"lock_stripes": self._pipeline.locks.stripes}
         return snap
-
-    # -- ingestion queue (admission control) ---------------------------------
-
-    def attach_ingest(self, queue) -> None:
-        """Register the deployment's ingestion queue so the admin surface
-        (``GET /admin/queue``, ``python -m repro queue``) can report it."""
-        self._ingest = queue
-
-    def queue_snapshot(self) -> Dict[str, object]:
-        """Admission-queue stats for operators, or a stub when no queue
-        fronts this deployment (mirrors ``policy_snapshot`` conventions)."""
-        if self._ingest is None:
-            return {"configured": False}
-        return self._ingest.snapshot()
 
     # -- identity resolvers & federation --------------------------------------
 
@@ -506,17 +501,11 @@ class OTPServer:
         Once attached, ``validate`` takes *login names*: the pipeline's
         ``ResolveIdentity`` stage maps them (including ``user@realm``
         forms) through the chain to the uid the token rows are stored
-        under, and ``GET /admin/resolvers`` / ``python -m repro
-        resolvers`` report the chain's health and cache state.
+        under, and ``status("resolvers")`` reports the chain's health and
+        cache state.
         """
         self.resolvers = chain
-
-    def resolver_snapshot(self) -> Dict[str, object]:
-        """Resolver-chain stats for operators, or a stub on a bare server
-        (mirrors ``queue_snapshot`` conventions)."""
-        if self.resolvers is None:
-            return {"configured": False}
-        return self.resolvers.snapshot()
+        self.status_sections["resolvers"] = chain.snapshot
 
     def attach_federation(self, verifier) -> None:
         """Register the attestation verifier federated dispatch consults."""
@@ -585,41 +574,3 @@ class OTPServer:
             if n:
                 counts[token_type.value] = n
         return counts
-
-    def storage_stats(self) -> Dict[str, object]:
-        """Shape and size of the storage tier (the admin API exposes this).
-
-        Capability layers are located with :func:`repro.storage.find_layer`
-        (``hasattr`` lies on delegating wrappers): per-shard row counts from
-        the sharded layer, hit ratio and key version from the cache, WAL
-        position/snapshot stats from the durability layer, and replica
-        lag/promotion counts from the replication layer.
-        """
-        engine = self.db.engine
-        stats: Dict[str, object] = {
-            "tables": {name: self.db.table(name).count() for name in self.db.tables()},
-        }
-        sharded = find_layer(engine, "shard_sizes")
-        if sharded is not None:
-            stats["shards"] = sharded.shard_sizes()
-            stats["shard_tables"] = sharded.shard_table_sizes()
-        cache = find_layer(engine, "cache_info")
-        if cache is not None:
-            stats["cache"] = cache.cache_info()
-        replicated = find_layer(engine, "replication_stats")
-        if replicated is not None:
-            stats["replication"] = replicated.replication_stats()
-            stats["wal"] = [group.wal_stats() for group in replicated.groups]
-        else:
-            wal = find_layer(engine, "wal_stats")
-            if wal is not None:
-                stats["wal"] = wal.wal_stats()
-            elif sharded is not None:
-                shard_wals = [
-                    shard.wal_stats()
-                    for shard in sharded.shards
-                    if find_layer(shard, "wal_stats") is shard
-                ]
-                if shard_wals:
-                    stats["wal"] = shard_wals
-        return stats

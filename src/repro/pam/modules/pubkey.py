@@ -16,7 +16,6 @@ is skipped.
 from __future__ import annotations
 
 from repro.pam.framework import PAMResult, PAMSession
-from repro.ssh.authlog import AuthLog
 
 #: How far back in the secure log a pubkey acceptance still counts as "this
 #: connection".  sshd runs PAM within the same handshake, so seconds suffice.
@@ -24,11 +23,17 @@ DEFAULT_WINDOW_SECONDS = 30.0
 
 
 class PublicKeySuccessModule:
-    """Checks the secure log for a just-accepted public key."""
+    """Checks the secure log for a just-accepted public key.
+
+    ``authlog`` is the node's secure-log reader — anything answering
+    ``publickey_accepted_recently(username, remote_ip, window)``; sshd's
+    ``AuthLog`` in a deployment.  PAM reads the log, it does not import
+    the daemon that writes it.
+    """
 
     name = "pam_pubkey_success"
 
-    def __init__(self, authlog: AuthLog, window_seconds: float = DEFAULT_WINDOW_SECONDS) -> None:
+    def __init__(self, authlog, window_seconds: float = DEFAULT_WINDOW_SECONDS) -> None:
         self._authlog = authlog
         self._window = window_seconds
 

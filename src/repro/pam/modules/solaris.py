@@ -19,7 +19,6 @@ from repro.pam.framework import PAMResult, PAMSession
 from repro.pam.modules.exemption import MFAExemptionModule
 from repro.pam.modules.pubkey import DEFAULT_WINDOW_SECONDS, PublicKeySuccessModule
 from repro.policy import PolicyEngine
-from repro.ssh.authlog import AuthLog
 
 
 class SolarisMFAModule:
@@ -29,7 +28,7 @@ class SolarisMFAModule:
 
     def __init__(
         self,
-        authlog: AuthLog,
+        authlog,
         policy: PolicyEngine,
         window_seconds: float = DEFAULT_WINDOW_SECONDS,
     ) -> None:

@@ -261,10 +261,6 @@ class PolicyEngine:
     ) -> None:
         self.clock = clock or SystemClock()
         self.ladder = ladder or EnforcementLadder("full")
-        #: Monotonic reconfiguration counter.  Bumped by every live policy
-        #: change; the storage cache folds it into its keys so entries
-        #: cached under the old rules become unreachable, not stale.
-        self.version = 0
         self.exemptions = exemptions
         self.lockout = lockout or LockoutPolicy()
         if isinstance(rate_limit, RateLimitConfig):
@@ -450,26 +446,19 @@ class PolicyEngine:
         """Switch enforcement phase live ("any of these modes may be set
         during production operation")."""
         self.ladder = EnforcementLadder(mode, deadline)
-        self.version += 1
 
     def set_risk(self, risk) -> None:
-        """Attach, replace, or (with ``None``) remove the risk engine live.
-
-        Bumps :attr:`version` like every other reconfiguration, so cached
-        decisions made under the old scoring rules become unreachable.
-        """
+        """Attach, replace, or (with ``None``) remove the risk engine live."""
         self.risk = self._adopt_risk(risk)
-        self.version += 1
 
     # -- operator view -------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """The active policy, shaped for ``GET /admin/policy``."""
+        """The active policy (the ``policy`` section of ``OTPServer.status()``)."""
         moment = datetime.fromtimestamp(self.clock.now(), tz=timezone.utc)
         ladder = self.ladder.snapshot()
         ladder["effective_mode"] = self.ladder.effective_mode(moment).value
         snap: dict = {
-            "version": self.version,
             "ladder": ladder,
             "lockout": self.lockout.snapshot(),
             "exemptions": self._exemptions_snapshot(),

@@ -34,7 +34,7 @@ Beyond scoring (:meth:`RiskEngine.assess`), the engine keeps what a
 score alone cannot answer after the fact (:meth:`RiskEngine.evaluate`):
 
 * counters (``assessed`` / ``step_ups`` / ``denies`` /
-  ``honeytoken_alarms``) surfaced through ``GET /admin/policy``;
+  ``honeytoken_alarms``) surfaced through ``status("policy")``;
 * a bounded log of **flagged** verdicts — every STEP_UP, DENY, and
   honeytoken alarm — plus a per-user flag count that survives log
   eviction.  The chaos invariant "no attacker success without a flagged
@@ -366,7 +366,7 @@ class RiskEngine:
     # -- operator view -------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """The engine's state, shaped for ``GET /admin/policy``."""
+        """The engine's state (``risk`` under ``status("policy")``)."""
         return {
             "step_up_threshold": self.step_up_threshold,
             "deny_threshold": self.deny_threshold,

@@ -16,7 +16,7 @@ The contract (:class:`IdentityResolver`) is deliberately tiny:
   user), and raises :class:`ResolverUnavailableError` when the source
   itself is down — the distinction the chain's failover logic lives on;
 * ``health()`` is the resolver's own liveness view;
-* ``stats()`` is its counters, surfaced through ``GET /admin/resolvers``.
+* ``stats()`` is its counters, surfaced through ``status("resolvers")``.
 """
 
 from __future__ import annotations

@@ -23,10 +23,15 @@ chain fronts every account source a deployment knows about:
 
 Everything is Clock-injected: virtual-time simulations drive cache
 expiry, probe timers and latency measurement without wall time.
+
+Every validate resolves through the chain, from as many threads as the
+RADIUS tier runs: one lock guards the cache (lookup, expiry, eviction)
+and the counters, and is never held across a resolver call.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.clock import Clock, WallClock
@@ -69,6 +74,7 @@ class ResolverChain:
         self._order: Dict[str, int] = {}
         # username -> (expires_at, identity-or-None)
         self._cache: Dict[str, Tuple[float, Optional[ResolvedIdentity]]] = {}
+        self._lock = threading.Lock()  # the cache and the five counters
         self.lookups = 0
         self.cache_hits = 0
         self.negative_hits = 0
@@ -135,16 +141,19 @@ class ResolverChain:
 
     def invalidate(self, username: Optional[str] = None) -> None:
         """Drop one cached lookup (or the whole cache)."""
-        if username is None:
-            self._cache.clear()
-        else:
-            self._cache.pop(username, None)
+        with self._lock:
+            if username is None:
+                self._cache.clear()
+            else:
+                self._cache.pop(username, None)
 
     def _cache_put(self, username: str, identity: Optional[ResolvedIdentity]) -> None:
         ttl = self.cache_ttl if identity is not None else self.negative_ttl
-        if len(self._cache) >= self._cache_capacity and username not in self._cache:
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[username] = (self.clock.now() + ttl, identity)
+        expires = self.clock.now() + ttl
+        with self._lock:
+            if len(self._cache) >= self._cache_capacity and username not in self._cache:
+                self._cache.pop(next(iter(self._cache)))
+            self._cache[username] = (expires, identity)
 
     # -- resolution --------------------------------------------------------
 
@@ -179,21 +188,23 @@ class ResolverChain:
         realm — fail closed).  Raises :class:`ResolverUnavailableError`
         only when every candidate on the route is down.
         """
-        self.lookups += 1
         now = self.clock.now()
-        cached = self._cache.get(username)
-        if cached is not None:
-            expires, identity = cached
-            if now < expires:
-                self.cache_hits += 1
-                if identity is None:
-                    self.negative_hits += 1
-                return identity
-            del self._cache[username]
+        with self._lock:
+            self.lookups += 1
+            cached = self._cache.get(username)
+            if cached is not None:
+                expires, identity = cached
+                if now < expires:
+                    self.cache_hits += 1
+                    if identity is None:
+                        self.negative_hits += 1
+                    return identity
+                del self._cache[username]
         _, realm = split_realm(username)
         route = self._routes.get(realm)
         if not route:
-            self.unrouted += 1
+            with self._lock:
+                self.unrouted += 1
             self._c_lookups.inc(resolver="(unrouted)", outcome="miss")
             self._cache_put(username, None)
             return None
@@ -217,7 +228,8 @@ class ResolverChain:
                 outcome="hit" if identity is not None else "miss",
             )
             if attempts > 1:
-                self.failovers += 1
+                with self._lock:
+                    self.failovers += 1
             self._cache_put(username, identity)
             return identity
         raise ResolverUnavailableError(
@@ -227,7 +239,8 @@ class ResolverChain:
     # -- admin view --------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
-        """The ``GET /admin/resolvers`` view: routes, health, cache, stats."""
+        """The ``resolvers`` section of ``OTPServer.status()``: routes,
+        health, cache, stats."""
         now = self.clock.now()
         resolvers = {}
         for name, resolver in self._resolvers.items():
@@ -241,23 +254,24 @@ class ResolverChain:
                 "health": resolver.health(),
                 "stats": resolver.stats(),
             }
-        live = sum(1 for exp, _ in self._cache.values() if now < exp)
-        return {
-            "configured": True,
-            "realms": {
-                realm or "(default)": [r.name for r in route]
-                for realm, route in sorted(self._routes.items())
-            },
-            "resolvers": resolvers,
-            "cache": {
-                "entries": len(self._cache),
-                "live": live,
-                "ttl_seconds": self.cache_ttl,
-                "negative_ttl_seconds": self.negative_ttl,
-                "hits": self.cache_hits,
-                "negative_hits": self.negative_hits,
-            },
-            "lookups": self.lookups,
-            "failovers": self.failovers,
-            "unrouted": self.unrouted,
+        realms = {
+            realm or "(default)": [r.name for r in route]
+            for realm, route in sorted(self._routes.items())
         }
+        with self._lock:
+            return {
+                "configured": True,
+                "realms": realms,
+                "resolvers": resolvers,
+                "cache": {
+                    "entries": len(self._cache),
+                    "live": sum(1 for exp, _ in self._cache.values() if now < exp),
+                    "ttl_seconds": self.cache_ttl,
+                    "negative_ttl_seconds": self.negative_ttl,
+                    "hits": self.cache_hits,
+                    "negative_hits": self.negative_hits,
+                },
+                "lookups": self.lookups,
+                "failovers": self.failovers,
+                "unrouted": self.unrouted,
+            }

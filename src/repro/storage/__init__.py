@@ -14,7 +14,7 @@ The package extracts the relational store behind
   replicas, with deterministic promotion on primary crash and
   rejoin-by-replay;
 * :class:`CachingEngine` — read-through LRU over point lookups with
-  write-invalidation and versioned keys;
+  write-invalidation;
 * :class:`InstrumentedEngine` — op latency/count series in the telemetry
   registry.
 
@@ -101,7 +101,6 @@ def build_engine(
             virtual_nodes=config.virtual_nodes,
             snapshot_every=config.snapshot_every,
             wal_dir=config.wal_dir,
-            clock=clock,
             telemetry=telemetry,
         )
     elif config.durable:
@@ -110,7 +109,6 @@ def build_engine(
                 node(),
                 path=f"{config.wal_dir}/shard{index}.wal" if config.wal_dir else None,
                 snapshot_every=config.snapshot_every,
-                clock=clock,
                 telemetry=telemetry,
             )
 

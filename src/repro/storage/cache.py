@@ -17,14 +17,8 @@ Invalidation rules:
   may have cached uncommitted state that the rollback then reverted.
 
 ``select``/``count`` pass straight through (range scans would thrash a
-point cache).
-
-Every cache key is prefixed with a **version**: a local counter bumped on
-schema changes (``create_table``, explicit :meth:`~CachingEngine.bump_version`)
-combined with an optional external source (the deployment wires the policy
-engine's version in, so a policy reconfiguration orphans every entry cached
-under the old rules instead of serving them stale).  Old-version entries are
-unreachable immediately and age out of the LRU.
+point cache).  Cached values are raw storage rows, so nothing outside a
+write to the row — no schema addition, no policy change — can stale one.
 """
 
 from __future__ import annotations
@@ -32,7 +26,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from repro.storage.engine import Predicate, Row, StorageEngine
 from repro.storage.schema import TableSchema
@@ -58,8 +52,6 @@ class CachingEngine:
         #: Cached unique-lookup keys per table, for O(per-table) invalidation.
         self._unique_keys: Dict[str, Set[tuple]] = {}
         self._lock = threading.Lock()
-        self._version = 0
-        self._version_source: Optional[Callable[[], int]] = None
         self._hit_count = 0
         self._miss_count = 0
         telemetry = resolve_registry(telemetry)
@@ -72,23 +64,6 @@ class CachingEngine:
         self._g_entries = telemetry.gauge(
             "storage_cache_entries", "rows currently held in the LRU cache"
         )
-
-    # -- versioning ---------------------------------------------------------
-
-    def version(self) -> tuple:
-        """The current key prefix: (local schema version, external version)."""
-        external = self._version_source() if self._version_source is not None else 0
-        return (self._version, external)
-
-    def bump_version(self) -> None:
-        """Orphan every current entry (schema or policy changed under us)."""
-        with self._lock:
-            self._version += 1
-
-    def set_version_source(self, source: Optional[Callable[[], int]]) -> None:
-        """Fold an external version counter (e.g. the policy engine's) into
-        every cache key, so its bumps invalidate without a cache reference."""
-        self._version_source = source
 
     # -- cache plumbing -----------------------------------------------------
 
@@ -109,17 +84,17 @@ class CachingEngine:
         with self._lock:
             self._lru[key] = dict(row)
             self._lru.move_to_end(key)
-            if key[2] == "unique":
+            if key[1] == "unique":
                 self._unique_keys.setdefault(table, set()).add(key)
             while len(self._lru) > self.capacity:
                 evicted, _ = self._lru.popitem(last=False)
-                if evicted[2] == "unique":
-                    self._unique_keys.get(evicted[1], set()).discard(evicted)
+                if evicted[1] == "unique":
+                    self._unique_keys.get(evicted[0], set()).discard(evicted)
             self._g_entries.set(len(self._lru))
 
     def _invalidate_row(self, table: str, pk: Any) -> None:
         with self._lock:
-            self._lru.pop((self.version(), table, "pk", pk), None)
+            self._lru.pop((table, "pk", pk), None)
             for key in self._unique_keys.pop(table, ()):
                 self._lru.pop(key, None)
             self._g_entries.set(len(self._lru))
@@ -139,13 +114,18 @@ class CachingEngine:
                 "hits": self._hit_count,
                 "misses": self._miss_count,
                 "hit_ratio": round(self._hit_count / total, 4) if total else 0.0,
-                "version": list(self.version()),
             }
+
+    def describe(self) -> Dict[str, Any]:
+        """The wrapped engine's status with this LRU as its ``cache``."""
+        status = self.inner.describe()
+        status["cache"] = self.cache_info()
+        return status
 
     # -- reads --------------------------------------------------------------
 
     def get(self, table: str, pk: Any) -> Row:
-        key = (self.version(), table, "pk", pk)
+        key = (table, "pk", pk)
         row = self._lookup(key, table)
         if row is not None:
             return row
@@ -155,12 +135,12 @@ class CachingEngine:
 
     def exists(self, table: str, pk: Any) -> bool:
         with self._lock:
-            if (self.version(), table, "pk", pk) in self._lru:
+            if (table, "pk", pk) in self._lru:
                 return True
         return self.inner.exists(table, pk)
 
     def get_by_unique(self, table: str, column: str, value: Any) -> Row:
-        key = (self.version(), table, "unique", column, value)
+        key = (table, "unique", column, value)
         row = self._lookup(key, table)
         if row is not None:
             return row
@@ -198,7 +178,6 @@ class CachingEngine:
 
     def create_table(self, name: str, schema: TableSchema) -> None:
         self.inner.create_table(name, schema)
-        self.bump_version()
 
     def has_table(self, name: str) -> bool:
         return self.inner.has_table(name)

@@ -73,13 +73,22 @@ class StorageEngine(Protocol):
     # -- transactions ------------------------------------------------------
     def transaction(self) -> ContextManager[Any]: ...
 
+    # -- operator view -----------------------------------------------------
+    def describe(self) -> Dict[str, Any]:
+        """The storage section of ``OTPServer.status()``: ``tables`` (row
+        counts), ``cache``, and one ``shards`` entry per shard carrying its
+        ``tables``, ``wal`` and ``replication`` facts.  Same keys on every
+        stack; a wrapper fills in what it owns over its inner engine's
+        answer (:meth:`InMemoryEngine.describe` has the defaults)."""
+        ...
+
 
 def find_layer(engine: Any, attr: str) -> Optional[Any]:
     """Walk an engine stack's ``.inner`` chain to the first layer *defining*
     ``attr`` in its class (not merely delegating it via ``__getattr__``).
 
     The assembled stack is instrumentation → cache → sharding/replication →
-    memory; capabilities like the cache's ``bump_version`` or the
+    memory; capabilities like the cache's ``cache_info`` or the
     replication layer's ``crash_primary`` live on one specific layer.
     Returns ``None`` when no layer owns the attribute.
     """

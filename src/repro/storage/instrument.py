@@ -3,12 +3,12 @@
 Wraps any :class:`~repro.storage.engine.StorageEngine` and reports into
 the PR-1 registry:
 
-* ``storage_op_seconds{op,table}`` — latency histogram per operation;
-* ``storage_ops_total{op,table}`` — operation counter;
+* ``storage_op_seconds{op,table}`` — latency histogram per operation (its
+  ``_count`` series is the operation counter);
 * ``storage_transactions_total{outcome}`` — commit/abort counter.
 
 With the default :data:`~repro.telemetry.NOOP_REGISTRY` the wrapper costs
-two clock reads and two no-op calls per operation.
+two clock reads and one no-op call per operation.
 """
 
 from __future__ import annotations
@@ -49,9 +49,6 @@ class InstrumentedEngine:
             "storage engine operation latency",
             buckets=OP_LATENCY_BUCKETS,
         )
-        self._c_ops = telemetry.counter(
-            "storage_ops_total", "storage engine operations by op and table"
-        )
         self._c_txn = telemetry.counter(
             "storage_transactions_total", "storage transactions by outcome"
         )
@@ -62,7 +59,6 @@ class InstrumentedEngine:
             return fn(*args)
         finally:
             self._h_latency.observe(self._clock.now() - start, op=op, table=table)
-            self._c_ops.inc(op=op, table=table)
 
     # -- row operations -----------------------------------------------------
 
@@ -133,5 +129,5 @@ class InstrumentedEngine:
             )
 
     def __getattr__(self, name: str):
-        # Surface engine-specific extras (shard_sizes, cache_info, ...).
+        # Surface engine-specific extras (describe, shard_sizes, cache_info, ...).
         return getattr(self.inner, name)

@@ -314,6 +314,38 @@ class InMemoryEngine:
                 return len(self._table(table).rows)
             return sum(len(t.rows) for t in self._tables.values())
 
+    def describe(self) -> Dict[str, Any]:
+        """The storage section of ``OTPServer.status()`` for a bare engine.
+
+        Every stack bottoms out in this engine, so the section's shape is
+        written down here once: one shard, no log, no replicas, no cache.
+        A layer above overwrites the one value it owns (``cache``, a
+        shard's ``wal`` or ``replication``) and never adds a key, so the
+        key set is the same on every stack.
+        """
+        with self._lock:
+            tables = {name: len(t.rows) for name, t in self._tables.items()}
+        return {
+            "tables": tables,
+            "cache": {
+                "entries": 0, "capacity": 0, "hits": 0, "misses": 0, "hit_ratio": 0.0,
+            },
+            "shards": [
+                {
+                    "tables": dict(tables),
+                    "wal": {
+                        "records": 0, "last_lsn": 0, "snapshots": 0,
+                        "last_snapshot_lsn": 0, "bytes": 0, "path": None,
+                        "snapshot_every": 0,
+                    },
+                    "replication": {
+                        "primary": 0, "promotions": 0, "crashed_node": None,
+                        "replicas": [],
+                    },
+                }
+            ],
+        }
+
     def bulk_load(self, table: str, rows: List[Row]) -> int:
         """Load rows known-valid in one pass (WAL snapshot restore).
 

@@ -21,16 +21,12 @@ work unchanged; it adds the failure-handling verbs the chaos engine drives:
 * :meth:`rejoin` — the crashed node returns empty and rebuilds purely by
   log replay (latest snapshot + tail), then re-enters the group as a
   replica.
-
-Ship latency is charged to the injected clock once per shipped record, so
-replicated storage costs simulated (not wall) seconds under a VirtualClock.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.common.clock import Clock, WallClock
 from repro.common.errors import ValidationError
 from repro.storage.engine import StorageEngine
 from repro.storage.memory import InMemoryEngine
@@ -69,9 +65,6 @@ class ReplicaGroup(WALEngine):
         wal: Optional[WriteAheadLog] = None,
         path: Optional[str] = None,
         snapshot_every: int = 0,
-        append_latency: float = 0.0,
-        ship_latency: float = 0.0,
-        clock: Optional[Clock] = None,
         telemetry=None,
         name: str = "group0",
     ) -> None:
@@ -82,13 +75,10 @@ class ReplicaGroup(WALEngine):
             wal=wal,
             path=path,
             snapshot_every=snapshot_every,
-            append_latency=append_latency,
-            clock=clock,
             telemetry=telemetry,
         )
         self.name = name
         self._engine_factory = engine_factory
-        self._ship_latency = ship_latency
         self._next_node = 0
         self.primary_id = self._take_node_id()
         self.replicas: List[_Replica] = [
@@ -114,8 +104,6 @@ class ReplicaGroup(WALEngine):
     def _append(self, record: dict) -> int:
         """Append to the WAL, then ship to every live replica."""
         lsn = super()._append(record)
-        if self._ship_latency:
-            self._clock.sleep(self._ship_latency)
         for replica in self.replicas:
             if not replica.alive:
                 continue
@@ -208,11 +196,12 @@ class ReplicaGroup(WALEngine):
         for replica in self.replicas:
             replica.engine.set_latency(latency)
 
-    def group_stats(self) -> Dict[str, object]:
-        return {
-            "group": self.name,
+    def describe(self) -> Dict[str, Any]:
+        """The primary's status with this group as its shard's ``replication``."""
+        status = super().describe()
+        head = self.wal.last_lsn
+        status["shards"][0]["replication"] = {
             "primary": self.primary_id,
-            "last_lsn": self.wal.last_lsn,
             "promotions": self.promotions,
             "crashed_node": self._crashed,
             "replicas": [
@@ -220,12 +209,12 @@ class ReplicaGroup(WALEngine):
                     "node": replica.node_id,
                     "applied_lsn": replica.applied_lsn,
                     "alive": replica.alive,
-                    "caught_up": replica.applied_lsn == self.wal.last_lsn,
+                    "caught_up": replica.applied_lsn == head,
                 }
                 for replica in self.replicas
             ],
-            "wal": self.wal_stats(),
         }
+        return status
 
 
 class ReplicatedEngine(ShardedEngine):
@@ -238,24 +227,17 @@ class ReplicatedEngine(ShardedEngine):
         engine_factory: Callable[[], StorageEngine] = InMemoryEngine,
         virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
         snapshot_every: int = 0,
-        append_latency: float = 0.0,
-        ship_latency: float = 0.0,
         wal_dir: Optional[str] = None,
-        clock: Optional[Clock] = None,
         telemetry=None,
     ) -> None:
         if shards < 1:
             raise ValueError("need at least one shard")
-        clock = clock or WallClock()
         self.groups = [
             ReplicaGroup(
                 replicas=replicas,
                 engine_factory=engine_factory,
                 path=f"{wal_dir}/shard{index}.wal" if wal_dir else None,
                 snapshot_every=snapshot_every,
-                append_latency=append_latency,
-                ship_latency=ship_latency,
-                clock=clock,
                 telemetry=telemetry,
                 name=f"shard{index}",
             )
@@ -270,25 +252,3 @@ class ReplicatedEngine(ShardedEngine):
 
     def rejoin(self, shard: int) -> Dict[str, object]:
         return self.groups[shard].rejoin()
-
-    # -- introspection ------------------------------------------------------
-
-    def replication_stats(self) -> Dict[str, object]:
-        groups = [group.group_stats() for group in self.groups]
-        return {
-            "shards": len(self.groups),
-            "replicas_per_shard": (
-                len(self.groups[0].replicas) + (1 if self.groups[0]._crashed is not None else 0)
-            ),
-            "promotions": sum(group.promotions for group in self.groups),
-            "all_caught_up": all(
-                replica["caught_up"]
-                for group in groups
-                for replica in group["replicas"]
-            ),
-            "groups": groups,
-        }
-
-    def state_digests(self) -> List[str]:
-        """Per-shard primary state digests (the recovery witnesses)."""
-        return [group.state_digest() for group in self.groups]

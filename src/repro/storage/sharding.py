@@ -137,9 +137,16 @@ class ShardedEngine:
     def shard_sizes(self, table: Optional[str] = None) -> List[int]:
         return [shard.row_count(table) for shard in self.shards]
 
-    def shard_table_sizes(self) -> Dict[str, List[int]]:
-        """Per-table, per-shard row counts (the admin API's placement view)."""
-        return {table: self.shard_sizes(table) for table in self._schemas}
+    def describe(self) -> Dict[str, Any]:
+        """The shards' statuses merged into one: their ``shards`` entries in
+        ring order (one per shard), their row counts summed."""
+        status = self.shards[0].describe()
+        for shard in self.shards[1:]:
+            other = shard.describe()
+            status["shards"].extend(other["shards"])
+            for table, rows in other["tables"].items():
+                status["tables"][table] += rows
+        return status
 
     def row_count(self, table: Optional[str] = None) -> int:
         return sum(self.shard_sizes(table))

@@ -18,11 +18,6 @@ the reproduction's in-process engines the same property:
   deterministic: the same WAL always reconstructs the same state, witnessed
   by :func:`state_digest` (SHA-256 over the canonical rendering every other
   deterministic harness in the repo uses, via :mod:`repro.simcore.digest`).
-
-Append latency is charged to the injected :class:`~repro.common.clock.Clock`
-— the stand-in for the fsync/commit round trip — so a deployment on a
-VirtualClock pays it in simulated seconds and the million-user simulation
-stays virtual-time-fast.
 """
 
 from __future__ import annotations
@@ -34,7 +29,6 @@ import zlib
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.clock import Clock, WallClock
 from repro.common.errors import ValidationError
 from repro.simcore.digest import canonical_line
 from repro.storage.engine import Predicate, Row, StorageEngine
@@ -282,17 +276,13 @@ class WALEngine:
         wal: Optional[WriteAheadLog] = None,
         path: Optional[str] = None,
         snapshot_every: int = 0,
-        append_latency: float = 0.0,
-        clock: Optional[Clock] = None,
         telemetry=None,
     ) -> None:
-        if snapshot_every < 0 or append_latency < 0:
-            raise ValueError("snapshot_every and append_latency must be >= 0")
+        if snapshot_every < 0:
+            raise ValueError("snapshot_every must be >= 0")
         self.inner = inner if inner is not None else InMemoryEngine()
         self.wal = wal or WriteAheadLog(path)
         self.snapshot_every = snapshot_every
-        self._append_latency = append_latency
-        self._clock = clock or WallClock()
         self._lock = threading.RLock()
         #: Stack of per-transaction record buffers (nested = savepoints).
         self._txn_buffers: List[List[dict]] = []
@@ -318,10 +308,6 @@ class WALEngine:
             self.snapshot()
 
     def _append(self, record: dict) -> int:
-        if self._append_latency:
-            # The durability round trip (fsync / commit ack), charged to the
-            # deployment clock: simulated time on a VirtualClock.
-            self._clock.sleep(self._append_latency)
         lsn = self.wal.append(record)
         self._c_appends.inc(op=record["op"])
         return lsn
@@ -336,10 +322,13 @@ class WALEngine:
             self._ops_since_snapshot = 0
             return lsn
 
-    def wal_stats(self) -> Dict[str, object]:
-        stats = self.wal.stats()
-        stats["snapshot_every"] = self.snapshot_every
-        return stats
+    def describe(self) -> Dict[str, Any]:
+        """The wrapped engine's status with this log as its shard's ``wal``."""
+        status = self.inner.describe()
+        status["shards"][0]["wal"] = {
+            **self.wal.stats(), "snapshot_every": self.snapshot_every,
+        }
+        return status
 
     def state_digest(self) -> str:
         return state_digest(self.inner)

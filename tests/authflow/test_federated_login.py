@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro.common.clock import SimulatedClock
+from repro.common.errors import ValidationError
 from repro.common.results import ValidateStatus
 from repro.core import MFACenter
 from repro.directory.identity import IdentityBackend
@@ -163,16 +164,21 @@ class TestAdminView:
         api.add_admin("portal", "s3cret")
         client = AdminAPIClient(api, "portal", "s3cret", rng=random.Random(4))
         center.otp.validate(PRINCIPAL, issuer.issue("ali"), source=HOME_IP)
-        body = client.call("GET", "/admin/resolvers")
+        body = client.call("GET", "/admin/status", {"section": "resolvers"})
+        assert body == center.resolver_chain.snapshot()
+        assert body == client.call("GET", "/admin/status")["resolvers"]
         assert body["configured"] is True
         assert body["realms"]["partner.edu"] == ["federated"]
         assert set(body["realms"]["(default)"]) == {"ldap", "directory"}
         assert body["resolvers"]["federated"]["stats"]["hits"] == 1
         assert body["resolvers"]["ldap"]["state"] == "closed"
 
-    def test_unconfigured_deployment_reports_stub(self, clock):
+    def test_bare_server_has_no_resolvers_section(self, clock):
+        """No chain attached: the section is absent (a 404), not a stub."""
         server = OTPServer(clock=clock, rng=random.Random(5))
         api = AdminAPI(server, rng=random.Random(6))
         api.add_admin("portal", "s3cret")
         client = AdminAPIClient(api, "portal", "s3cret", rng=random.Random(7))
-        assert client.call("GET", "/admin/resolvers") == {"configured": False}
+        assert "resolvers" not in client.call("GET", "/admin/status")
+        with pytest.raises(ValidationError, match="no status section 'resolvers'"):
+            client.call("GET", "/admin/status", {"section": "resolvers"})

@@ -77,7 +77,7 @@ class TestPipelineWiring:
 
     def test_policy_snapshot_includes_concurrency(self, clock):
         server = make_server(clock, concurrency=ConcurrencyConfig(lock_stripes=4))
-        snap = server.policy_snapshot()
+        snap = server.status("policy")
         assert snap["concurrency"] == {"lock_stripes": 4}
         assert snap["lockout"]["threshold"] == 20
 
@@ -95,7 +95,7 @@ class TestStageTelemetry:
                       "dispatch", "apply_outcome", "audit"):
             assert histogram.count(stage=stage) == 2, stage
 
-        decisions = telemetry.counter("authflow_decisions_total", "")
+        decisions = telemetry.counter("otp_validate_total", "")
         assert decisions.value(status="ok") == 1
         assert decisions.value(status="reject") == 1
 
@@ -161,7 +161,7 @@ class TestValidateMany:
         requests = [(f"user{i % 8}", "424242") for i in range(64)]
         results = validate_many(server, requests)
         assert all(r.ok for r in results)
-        decisions = telemetry.counter("authflow_decisions_total", "")
+        decisions = telemetry.counter("otp_validate_total", "")
         assert decisions.value(status="ok") == 64
 
 

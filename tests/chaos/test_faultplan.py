@@ -236,7 +236,11 @@ class TestStatefulFaults:
         engine.tick()
         rejoin_events = [e for e in engine.events if e["kind"] == "shard_rejoin"]
         assert rejoin_events and rejoin_events[0]["digest_match"] is True
-        assert replicated.replication_stats()["all_caught_up"] is True
+        assert all(
+            replica["caught_up"]
+            for shard in replicated.describe()["shards"]
+            for replica in shard["replication"]["replicas"]
+        )
 
     def test_shard_crash_needs_replicated_storage(self):
         clock = SimulatedClock(0.0)

@@ -151,12 +151,12 @@ class TestModeSwitch:
     def test_unknown_mode_is_refused_and_changes_nothing(self, center):
         system = center.add_system("stampede", mode="paired")
         text = system.login_node().pam.read_config("sshd")
-        version = system.policy.version
+        ladder = system.policy.ladder
         with pytest.raises(ConfigurationError):
             system.set_mode("ludicrous")
         assert system.mode == "paired"
         assert not system.policy.ladder.config_error
-        assert system.policy.version == version
+        assert system.policy.ladder is ladder
         assert [d.pam.read_config("sshd") for d in system.daemons] == [text, text]
         with pytest.raises(ConfigurationError):
             center.add_system("lonestar", mode="ludicrous")

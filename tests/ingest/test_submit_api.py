@@ -119,15 +119,21 @@ class TestIngestDeployment:
         center.create_user("alice", password="pw")
         code = center.pair_training("alice")
         center.radius_backend.validate("alice", code)
-        body = client.call("GET", "/admin/queue")
+        body = client.call("GET", "/admin/status", {"section": "queue"})
+        assert body == center.ingest_queue.snapshot()
+        assert body == client.call("GET", "/admin/status")["queue"]
         assert body["configured"] is True
         assert body["completed_total"] == 1
         assert set(body["classes"]) >= {"critical", "interactive", "batch"}
 
     def test_admin_queue_route_unconfigured(self, otp):
+        """No queue in front of the server: no section (a 404), not a stub."""
+        from repro.common.errors import ValidationError
         from repro.otpserver.admin_api import AdminAPI, AdminAPIClient
 
         api = AdminAPI(otp, rng=random.Random(7))
         api.add_admin("portal", "portal-secret")
         client = AdminAPIClient(api, "portal", "portal-secret", rng=random.Random(8))
-        assert client.call("GET", "/admin/queue") == {"configured": False}
+        assert "queue" not in client.call("GET", "/admin/status")
+        with pytest.raises(ValidationError, match="no status section 'queue'"):
+            client.call("GET", "/admin/status", {"section": "queue"})

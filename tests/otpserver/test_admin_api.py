@@ -56,8 +56,9 @@ class TestRoutes:
         with pytest.raises(ValidationError):
             client.call("GET", "/admin/nonexistent", {})
 
-    def test_policy_snapshot(self, client):
-        body = client.call("GET", "/admin/policy")
+    def test_policy_snapshot(self, client, server):
+        body = client.call("GET", "/admin/status", {"section": "policy"})
+        assert body == {**server.policy.snapshot(), "concurrency": body["concurrency"]}
         assert body["ladder"]["effective_mode"] == "full"
         assert body["lockout"]["threshold"] == 20
         assert body["exemptions"] == {"configured": False}
@@ -65,7 +66,7 @@ class TestRoutes:
         assert body["concurrency"]["lock_stripes"] == 64
 
     def test_policy_requires_auth(self, api):
-        response = api.request("GET", "/admin/policy")
+        response = api.request("GET", "/admin/status", {"section": "policy"})
         assert response.status == 401
 
     def test_init_soft(self, client, server):

@@ -3,7 +3,7 @@
 Covers the wiring of :class:`~repro.policy.RiskEngine` into
 ``PolicyEngine``: STEP_UP withholding the exemption grant (at the engine
 and in the PAM stack), DENY short-circuiting before lockout counters
-move, the risk block in ``GET /admin/policy``, and the engine's flag log.
+move, the risk block in ``GET /admin/status``, and the engine's flag log.
 """
 
 import random
@@ -73,13 +73,16 @@ class TestAdoption:
         PolicyEngine(clock=clock, risk=stage)
         assert stage.clock_injected is True
 
-    def test_set_risk_bumps_version(self, clock):
+    def test_set_risk_attaches_and_removes_live(self, clock):
         policy = PolicyEngine(clock=clock)
         assert policy.risk is None
-        before = policy.version
-        policy.set_risk(RiskEngine(clock=clock))
-        assert policy.risk is not None
-        assert policy.version == before + 1
+        stage = RiskEngine()
+        policy.set_risk(stage)
+        assert policy.risk is stage and stage.clock_injected is True
+        assert policy.snapshot()["risk"]["configured"] is True
+        policy.set_risk(None)
+        assert policy.risk is None
+        assert policy.snapshot()["risk"] == {"configured": False}
 
 
 class TestStepUp:
@@ -191,7 +194,7 @@ class TestSnapshot:
         client = AdminAPIClient(api, "portal", "secret", rng=rng)
         server.enroll_soft("alice")
         server.validate("alice", "123456", source=ATTACKER_IP)
-        body = client.call("GET", "/admin/policy")
+        body = client.call("GET", "/admin/status", {"section": "policy"})
         assert body["risk"]["configured"] is True
         assert body["risk"]["assessed"] >= 1
         assert body["risk"]["flagged_users"] >= 0

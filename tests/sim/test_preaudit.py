@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.population import Population
-from repro.sim.preaudit import run_information_gathering
+from repro.analysis.preaudit import run_information_gathering
 
 
 @pytest.fixture(scope="module")

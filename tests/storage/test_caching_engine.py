@@ -92,32 +92,6 @@ class TestReadThrough:
 
 
 class TestVersioning:
-    def test_bump_version_orphans_entries(self):
-        inner, cached = _rig()
-        cached.get("tokens", "S1")
-        cached.get("tokens", "S1")
-        assert inner.backend_reads == 1
-        cached.bump_version()
-        cached.get("tokens", "S1")  # old-version key is unreachable
-        assert inner.backend_reads == 2
-
-    def test_external_version_source_invalidates(self):
-        inner, cached = _rig()
-        policy_version = {"n": 0}
-        cached.set_version_source(lambda: policy_version["n"])
-        cached.get("tokens", "S1")
-        cached.get("tokens", "S1")
-        assert inner.backend_reads == 1
-        policy_version["n"] += 1  # live policy reconfiguration
-        cached.get("tokens", "S1")
-        assert inner.backend_reads == 2
-
-    def test_create_table_bumps_version(self):
-        _, cached = _rig()
-        before = cached.version()
-        cached.create_table("extra", TableSchema(("id",), "id"))
-        assert cached.version() > before
-
     def test_hit_ratio_reported(self):
         _, cached = _rig()
         cached.get("tokens", "S1")
@@ -167,12 +141,10 @@ class TestInstrumentedEngine:
         engine.insert("t", {"k": 1})
         engine.get("t", 1)
         engine.select("t")
-        ops = registry.counter("storage_ops_total")
-        assert ops.value(op="insert", table="t") == 1
-        assert ops.value(op="get", table="t") == 1
-        assert ops.value(op="select", table="t") == 1
-        latency = registry.histogram("storage_op_seconds")
-        assert latency.count(op="insert", table="t") == 1
+        ops = registry.histogram("storage_op_seconds")
+        assert ops.count(op="insert", table="t") == 1
+        assert ops.count(op="get", table="t") == 1
+        assert ops.count(op="select", table="t") == 1
 
     def test_transaction_outcomes_counted(self):
         registry = Registry()

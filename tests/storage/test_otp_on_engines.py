@@ -15,7 +15,7 @@ from repro.common.clock import SimulatedClock
 from repro.crypto.totp import totp_at
 from repro.otpserver import OTPServer, ValidateStatus
 from repro.otpserver.admin_api import AdminAPI, AdminAPIClient
-from repro.storage import StorageConfig
+from repro.storage import StorageConfig, find_layer
 from repro.telemetry import Registry, render_text
 
 STACKS = [
@@ -80,9 +80,12 @@ class TestStorageStats:
         server, _ = _server(StorageConfig(shards=4, cache_capacity=32))
         for i in range(8):
             server.enroll_soft(f"u{i}")
-        stats = server.storage_stats()
+        stats = server.status("storage")
         assert stats["tables"]["tokens"] == 8
-        assert len(stats["shards"]) == 4 and sum(stats["shards"]) == 8
+        placed = [shard["tables"]["tokens"] for shard in stats["shards"]]
+        assert len(placed) == 4 and sum(placed) == 8
+        assert placed == find_layer(server.db.engine, "shard_sizes").shard_sizes("tokens")
+        assert stats["cache"] == find_layer(server.db.engine, "cache_info").cache_info()
         assert stats["cache"]["capacity"] == 32
 
     def test_admin_api_storage_route(self):
@@ -91,7 +94,8 @@ class TestStorageStats:
         api = AdminAPI(server, rng=random.Random(2))
         api.add_admin("portal", "secret")
         client = AdminAPIClient(api, "portal", "secret", rng=random.Random(3))
-        body = client.call("GET", "/admin/storage")
+        body = client.call("GET", "/admin/status", {"section": "storage"})
+        assert body == client.call("GET", "/admin/status")["storage"]
         assert body["tables"]["tokens"] == 1
         assert len(body["shards"]) == 2
 
@@ -106,9 +110,8 @@ class TestStorageTelemetry:
         server.validate("u1", totp_at(secret, clock.now()))
         server.validate("u1", totp_at(secret, clock.now()))  # replay reject
         text = render_text(registry.snapshot())
-        assert "storage_ops_total" in text
-        assert "storage_op_seconds" in text
+        assert "storage_op_seconds_count" in text
         assert "storage_shard_rows" in text
-        ops = registry.counter("storage_ops_total")
-        assert ops.value(op="select", table="tokens") > 0
-        assert ops.value(op="update", table="tokens") > 0
+        ops = registry.histogram("storage_op_seconds")
+        assert ops.count(op="select", table="tokens") > 0
+        assert ops.count(op="update", table="tokens") > 0

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.common.clock import VirtualClock
 from repro.common.errors import ValidationError
 from repro.storage import (
     ReplicaGroup,
@@ -26,6 +25,14 @@ def _group(replicas=2, **kwargs):
     group = ReplicaGroup(replicas=replicas, **kwargs)
     group.create_table("t", SCHEMA)
     return group
+
+
+def _all_caught_up(engine):
+    return all(
+        replica["caught_up"]
+        for shard in engine.describe()["shards"]
+        for replica in shard["replication"]["replicas"]
+    )
 
 
 def _fill(engine, start=0, count=10):
@@ -72,15 +79,6 @@ class TestShipping:
         for replica in group.replicas:
             assert replica.applied_lsn == group.wal.last_lsn
             assert state_digest(replica.engine) == state_digest(group.inner)
-
-    def test_ship_latency_charged_to_injected_clock(self):
-        clock = VirtualClock(start=0.0)
-        group = ReplicaGroup(replicas=1, ship_latency=0.5, clock=clock)
-        group.create_table("t", SCHEMA)
-        before = clock.now()
-        _fill(group, count=4)
-        # 4 insert records x 0.5 s simulated ship time, no wall sleeping.
-        assert clock.now() - before == pytest.approx(2.0)
 
 
 class TestPromotion:
@@ -155,10 +153,10 @@ class TestRejoin:
 class TestReplicatedEngine:
     def test_build_engine_assembles_replication(self):
         engine = build_engine(StorageConfig(shards=2, replicas=2))
-        layer = find_layer(engine, "replication_stats")
-        assert layer is not None
-        stats = layer.replication_stats()
-        assert stats["shards"] == 2 and stats["replicas_per_shard"] == 2
+        assert find_layer(engine, "crash_primary") is not None
+        shards = engine.describe()["shards"]
+        assert len(shards) == 2
+        assert [len(s["replication"]["replicas"]) for s in shards] == [2, 2]
 
     def test_replicas_imply_durability(self):
         assert StorageConfig(replicas=1).durable
@@ -169,28 +167,50 @@ class TestReplicatedEngine:
         engine = ReplicatedEngine(shards=3, replicas=2)
         engine.create_table("t", SCHEMA)
         _fill(engine, count=30)
-        digests = engine.state_digests()
+        digests = [group.state_digest() for group in engine.groups]
         for shard in range(3):
             assert engine.crash_primary(shard)["match"] is True
-        assert engine.state_digests() == digests
+        assert [group.state_digest() for group in engine.groups] == digests
         assert engine.row_count("t") == 30
         # Unique routing still enforced across shards after promotions.
         with pytest.raises(ValidationError):
             engine.insert("t", {"id": 999, "name": "n5", "secret": b""})
         for shard in range(3):
             assert engine.rejoin(shard)["match"] is True
-        assert engine.replication_stats()["all_caught_up"] is True
+        assert _all_caught_up(engine)
+        assert [s["replication"]["promotions"] for s in engine.describe()["shards"]] == [1] * 3
 
     def test_replication_stats_shape(self):
         engine = ReplicatedEngine(shards=2, replicas=1)
         engine.create_table("t", SCHEMA)
         _fill(engine, count=4)
-        stats = engine.replication_stats()
-        assert stats["promotions"] == 0
-        assert stats["all_caught_up"] is True
-        assert len(stats["groups"]) == 2
-        group = stats["groups"][0]
-        assert {"group", "primary", "last_lsn", "replicas", "wal"} <= set(group)
+        shards = engine.describe()["shards"]
+        assert len(shards) == 2
+        for shard, group in zip(shards, engine.groups):
+            assert shard["tables"] == {"t": group.row_count("t")}
+            assert shard["wal"] == {**group.wal.stats(), "snapshot_every": 0}
+            assert shard["replication"] == {
+                "primary": 0,
+                "promotions": 0,
+                "crashed_node": None,
+                "replicas": [
+                    {
+                        "node": 1,
+                        "applied_lsn": group.wal.last_lsn,
+                        "alive": True,
+                        "caught_up": True,
+                    }
+                ],
+            }
+
+    def test_status_tracks_a_crashed_node(self):
+        group = _group(replicas=2)
+        _fill(group)
+        group.crash_primary()
+        replication = group.describe()["shards"][0]["replication"]
+        assert replication["primary"] == group.primary_id == 1
+        assert replication["crashed_node"] == 0 and replication["promotions"] == 1
+        assert [r["node"] for r in replication["replicas"]] == [2]
 
     def test_wal_files_per_shard(self, tmp_path):
         engine = ReplicatedEngine(shards=2, replicas=1, wal_dir=str(tmp_path))

@@ -4,14 +4,21 @@ Builds the ``repro.*`` package import graph from source with ``ast`` —
 function-level imports count, since a lazy import hides a cycle without
 removing it — and asserts the diagram in docs/ARCHITECTURE.md ("Package
 dependency layers"): :data:`LAYERS` is that diagram, bottom row first,
-and a package imports only from rows below its own, except inside the
-three pairs of :data:`ALLOWED_CYCLES`.  That list is shrink-only:
-breaking a pair means deleting its entry, and nothing may be added.
+and a package imports only from rows below its own.  There are no
+exceptions left: :data:`ALLOWED_CYCLES` is shrink-only and has shrunk to
+empty, so nothing may be added to it.
+
+The same graph, one level down, answers "is this module used?": every
+module is imported by another package (directly, or by name through its
+own package's re-export) or by ``__main__``, or it is on the shrink-only
+:data:`INVENTORY_ONLY` list of paper-inventory modules that only examples,
+tests and paper-figure benchmarks drive.
 """
 
 import ast
+import functools
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -20,18 +27,17 @@ LAYERS = [
     {"telemetry", "simcore", "crypto", "directory"},
     {"storage", "qr", "policy", "resolvers", "radius"},
     {"ingest"},
-    {"authflow", "otpserver"},
-    {"pam", "ssh", "portal"},
+    {"authflow"},
+    {"otpserver"},
+    {"pam", "portal"},
+    {"ssh"},
     {"core", "workload"},
-    {"analysis", "sim", "chaos"},
+    {"sim", "chaos"},
+    {"analysis"},
     {"__init__", "__main__"},
 ]
 
-ALLOWED_CYCLES = {
-    frozenset({"authflow", "otpserver"}),
-    frozenset({"pam", "ssh"}),
-    frozenset({"analysis", "sim"}),
-}
+ALLOWED_CYCLES: Set[FrozenSet[str]] = set()
 
 
 def _package_of(path: Path) -> str:
@@ -124,7 +130,7 @@ def test_every_cycle_is_an_allowed_pair():
     assert found <= ALLOWED_CYCLES, sorted(map(sorted, found - ALLOWED_CYCLES))
     # Shrink-only: an entry whose cycle has been cut must be deleted.
     assert ALLOWED_CYCLES <= found, sorted(map(sorted, ALLOWED_CYCLES - found))
-    assert max(map(len, found)) == 2
+    assert ALLOWED_CYCLES == set()
 
 
 def test_no_deprecation_shims_in_src():
@@ -182,3 +188,148 @@ def test_pam_builds_no_policy_engine_of_its_own():
         if "PolicyEngine(" in path.read_text()
     ]
     assert offenders == []
+
+
+#: Names of the per-subsystem operator surfaces and of the knobs nothing
+#: set.  Shrink-only, as above: ``OTPServer.status()`` behind ``GET
+#: /admin/status`` and ``python -m repro status`` is the one operator view.
+RETIRED_SURFACE_NAMES = (
+    "storage_stats",
+    "policy_snapshot",
+    "queue_snapshot",
+    "resolver_snapshot",
+    "attach_ingest",
+    "/admin/storage",
+    "/admin/policy",
+    "/admin/queue",
+    "/admin/resolvers",
+    "set_version_source",
+    "ship_latency",
+)
+
+
+def test_retired_status_surfaces_stay_out_of_src():
+    assert _spelled_in_src(RETIRED_SURFACE_NAMES) == []
+
+
+def test_status_code_does_not_probe_the_stack_shape():
+    """Each storage layer reports itself (``describe``); the code that
+    serves or prints the operator view never walks the stack to find out
+    what it is made of."""
+    for name in ("otpserver/server.py", "otpserver/admin_api.py", "__main__.py"):
+        assert "find_layer" not in (SRC / name).read_text(), name
+    assert "isinstance" not in (SRC / "__main__.py").read_text()
+
+
+# -- reachability ---------------------------------------------------------------
+
+#: Modules of the paper's inventory (DESIGN.md §2, by its S-numbers) that
+#: no other package and no CLI command imports: examples, tests and the
+#: paper-figure benchmarks are their only drivers.  Shrink-only — a module
+#: either gets a caller in ``src/`` (delete its entry) or goes; nothing may
+#: be added.
+INVENTORY_ONLY = {
+    "qr.decoder",  # S3: the phone app's side of the pairing round trip
+    "radius.proxy",  # S6: proxy chaining between RADIUS realms
+    "portal.portal",  # S11: the user portal ...
+    "portal.pairing",  # ... its pairing sessions ...
+    "portal.store",  # ... and its hard-token web store
+    "analysis.loginaudit",  # S13: the Section 4.1 log audit ...
+    "analysis.preaudit",  # S21: ... and the campaign that feeds it
+    "radius.accounting",  # S16: RFC 2866 accounting
+    "pam.modules.geo",  # S18: the conclusion's pam_geo_check
+    "workload.scheduler",  # S20: the Section 5 workload-manager mitigations
+    "sim.sweep",  # SWEEP: cross-seed confidence intervals (DESIGN.md §3)
+}
+
+
+def _module_of(path: Path) -> str:
+    return ".".join(path.relative_to(SRC).with_suffix("").parts)
+
+
+MODULES = {_module_of(path): path for path in SRC.rglob("*.py")}
+
+
+@functools.lru_cache(maxsize=None)
+def _imports(path: Path) -> Tuple[Tuple[str, Optional[str]], ...]:
+    """``(module, name)`` per import, relative to ``repro``; ``name`` is
+    ``None`` for a plain ``import a.b``."""
+    found: List[Tuple[str, Optional[str]]] = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.extend(
+                (alias.name[len("repro."):], None)
+                for alias in node.names
+                if alias.name.startswith("repro.")
+            )
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module == "repro" or node.module.startswith("repro."):
+                module = node.module[len("repro."):]
+                found.extend((module, alias.name) for alias in node.names)
+    return tuple(found)
+
+
+def _resolve(module: str, name: Optional[str]) -> Optional[str]:
+    """The source module an import lands in: the submodule or module named,
+    or — for a name imported from a package — wherever that package's
+    ``__init__`` got it from (the ``__init__`` itself if it defines it)."""
+    if name is not None and f"{module}.{name}" in MODULES:
+        return f"{module}.{name}"
+    if module in MODULES:
+        return module
+    init = f"{module}.__init__"
+    if init not in MODULES or name is None:
+        return None
+    for source, exported in _imports(MODULES[init]):
+        if exported == name:
+            return _resolve(source, name)
+    return init
+
+
+def _names_read(path: Path) -> Set[str]:
+    return {
+        node.id
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_module_has_a_caller_or_is_inventory():
+    package = {module: module.split(".")[0] for module in MODULES}
+    importers: Dict[str, Set[str]] = {module: set() for module in MODULES}
+    for importer, path in MODULES.items():
+        reexporting = importer.endswith("__init__")
+        names_read = _names_read(path) if reexporting else set()
+        for module, name in _imports(path):
+            target = _resolve(module, name)
+            if target is None or target == importer:
+                continue
+            # A package's ``__init__`` re-exporting a name is not a use of
+            # it (someone importing the name from the package is); an
+            # ``__init__`` whose own code reads the name (``build_engine``)
+            # is a caller like any other.
+            if reexporting and package[target] == package[importer]:
+                if name not in names_read:
+                    continue
+            importers[target].add(importer)
+    # Used from outside its package (``__main__`` and the root ``__init__``
+    # are packages of their own here), or by a sibling that is.
+    used = {
+        module
+        for module in MODULES
+        if any(package[importer] != package[module] for importer in importers[module])
+    }
+    frontier = set(used)
+    while frontier:
+        frontier = {
+            module
+            for module in set(MODULES) - used
+            if any(importer in used for importer in importers[module])
+        }
+        used |= frontier
+    unused = {
+        module
+        for module in set(MODULES) - used
+        if not module.endswith("__init__") and module != "__main__"
+    }
+    assert unused == INVENTORY_ONLY, sorted(unused ^ INVENTORY_ONLY)
