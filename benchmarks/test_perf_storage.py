@@ -320,5 +320,6 @@ class TestStorageMetricsVisible:
         )
         assert proc.returncode == 0, proc.stderr
         assert "storage_op_seconds_count" in proc.stdout
-        assert "storage_shard_rows" in proc.stdout
+        # Rows per shard are state, not events: scraped from status().
+        assert 'repro_status{path="storage.shards.1.tables.tokens"}' in proc.stdout
         assert "storage_cache" in proc.stdout

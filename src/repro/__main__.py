@@ -12,7 +12,8 @@ Commands:
   ``--telemetry-dump``, print the telemetry snapshot of the login.
 * ``telemetry [--json] [--shards N] [--cache N]`` — run one instrumented
   login and dump the resulting metrics snapshot and span tree (text by
-  default), including the storage-engine op series.
+  default), including the storage-engine op series, then the operator
+  view as ``repro_status{path=…}`` lines (``--json``: a ``"status"`` key).
 * ``qr <text>`` — render any text as a terminal QR code (the portal's
   pairing renderer, exposed because it is genuinely handy).
 * ``chaos [--plan NAME] [--seed N] [--logins M] [--json] [--list]`` — run
@@ -35,8 +36,9 @@ Commands:
   queue and LDAP resolver chain on) after one fixed scenario: the demo
   login, a repeat validate (a resolver cache hit), a federated home-site
   login and a short batch backfill.  Prints every section — ``storage``,
-  ``policy``, ``resolvers``, ``systems`` (each system's enforcement
-  ladder; ``--mode``/``--deadline`` set it), ``queue`` — or the one named,
+  ``policy``, ``audit``, ``resolvers``, ``queue``, ``systems`` (each
+  system's enforcement ladder — ``--mode``/``--deadline`` set it — and
+  its login nodes' RADIUS client health), ``radius`` — or the one named,
   as JSON (the only rendering; ``--json`` says so explicitly).  The same
   dict is ``GET /admin/status`` on the admin API.
 * ``storage --demo DIR [--shards N] [--replicas N]`` / ``storage --replay
@@ -153,29 +155,38 @@ def _cmd_demo(args: list) -> int:
                 f"all caught up: {all(r['caught_up'] for r in followers)}"
             )
     if dump:
-        from repro.telemetry import render_text, render_trace_text
-
-        snapshot = center.telemetry.snapshot()
         print()
-        print(render_text(snapshot))
-        print(render_trace_text(snapshot))
+        _print_telemetry(center)
     return 0 if result.success else 1
 
 
-def _cmd_telemetry(args: list) -> int:
-    from repro.telemetry import render_json, render_text, render_trace_text
+def _print_telemetry(center, as_json: bool = False) -> None:
+    """The registry's series, then the state ``status()`` holds (as
+    ``repro_status`` lines; JSON: under ``"status"``), then the span trees."""
+    from repro.telemetry import (
+        render_json,
+        render_status_text,
+        render_text,
+        render_trace_text,
+    )
 
+    snapshot = center.telemetry.snapshot()
+    status = center.otp.status()
+    if as_json:
+        print(render_json({**snapshot, "status": status}))
+        return
+    print(render_text(snapshot), end="")
+    print(render_status_text(status))
+    print(render_trace_text(snapshot))
+
+
+def _cmd_telemetry(args: list) -> int:
     center, result, _ = _demo_login(
         telemetry=True,
         shards=_flag_value(args, "--shards", 1),
         cache=_flag_value(args, "--cache", 64),
     )
-    snapshot = center.telemetry.snapshot()
-    if "--json" in args:
-        print(render_json(snapshot))
-    else:
-        print(render_text(snapshot))
-        print(render_trace_text(snapshot))
+    _print_telemetry(center, as_json="--json" in args)
     return 0 if result.success else 1
 
 
@@ -336,23 +347,14 @@ def _cmd_attack(args: list) -> int:
     return 1 if summary["violations"] else 0
 
 
-def _cmd_status(args: list) -> int:
-    import json
-
-    from repro.common.errors import NotFoundError
+def _status_scenario(**demo_options):
+    """The ``status`` subcommand's fixed scenario on a production-shaped
+    center; returns ``(center, whether all three logins passed)``."""
     from repro.ingest import PriorityClass
     from repro.resolvers import ResolverConfig
 
-    section = args[0] if args and not args[0].startswith("--") else None
     center, login, device = _demo_login(
-        shards=_flag_value(args, "--shards", 1),
-        cache=_flag_value(args, "--cache", 64),
-        durability="--durability" in args,
-        replicas=_flag_value(args, "--replicas", 0),
-        mode=_str_flag(args, "--mode", "full"),
-        deadline=_str_flag(args, "--deadline"),
-        ingest=True,
-        resolvers=ResolverConfig(use_ldap=True),
+        ingest=True, resolvers=ResolverConfig(use_ldap=True), **demo_options
     )
     backend = center.radius_backend
     # The same user again: the chain answers from its cache.
@@ -370,12 +372,29 @@ def _cmd_status(args: list) -> int:
         [("resync", code)] * 20, priority=PriorityClass.BATCH
     ):
         ticket.result()
+    return center, login.success and repeat.ok and federated.ok
+
+
+def _cmd_status(args: list) -> int:
+    import json
+
+    from repro.common.errors import NotFoundError
+
+    section = args[0] if args and not args[0].startswith("--") else None
+    center, passed = _status_scenario(
+        shards=_flag_value(args, "--shards", 1),
+        cache=_flag_value(args, "--cache", 64),
+        durability="--durability" in args,
+        replicas=_flag_value(args, "--replicas", 0),
+        mode=_str_flag(args, "--mode", "full"),
+        deadline=_str_flag(args, "--deadline"),
+    )
     try:
         print(json.dumps(center.otp.status(section), indent=2))
     except NotFoundError as exc:
         print(exc, file=sys.stderr)
         return 2
-    return 0 if login.success and repeat.ok and federated.ok else 1
+    return 0 if passed else 1
 
 
 def _cmd_storage(args: list) -> int:

@@ -43,7 +43,11 @@ class StripedLockSet:
         return len(self._locks)
 
     def stripe_for(self, key: str) -> int:
-        """The stripe index ``key`` maps to (stable across processes)."""
+        """The stripe index ``key`` maps to (stable across processes).  A
+        key that is not a string — validate takes ids from outside — is
+        placed by its ``repr``: it needs *a* lock, not a crash."""
+        if not isinstance(key, str):
+            key = repr(key)
         return stable_hash(key) % len(self._locks)
 
     def lock_for(self, key: str) -> threading.RLock:

@@ -13,6 +13,11 @@ Observability: every stage execution lands in the
 can see where validate time goes; what the attempts decided is the
 server's ``otp_validate_total`` (labelled by status).
 
+A stage that throws (a storage fault, an id no resolver can parse) fails
+the attempt *closed* — REJECT "internal error", an audit row naming the
+stage and exception type, ``authflow_stage_errors_total{stage}`` — and the
+terminal stages still run: ``run`` never raises on a stage's account.
+
 The pipeline owns no threads: callers bring their own (one per RADIUS
 datagram, or the ingestion queue's workers), and the striped lock is
 what lets them overlap distinct users' storage round trips.
@@ -26,7 +31,7 @@ from typing import Optional, Sequence
 from repro.authflow.context import PipelineContext
 from repro.authflow.locks import DEFAULT_STRIPES, StripedLockSet
 from repro.common.clock import Clock, WallClock
-from repro.common.results import ValidateResult
+from repro.common.results import ValidateResult, ValidateStatus
 from repro.telemetry import resolve_registry
 
 
@@ -68,6 +73,9 @@ class AuthPipeline:
         self._m_stage_seconds = telemetry.histogram(
             "authflow_stage_seconds", "wall time spent per pipeline stage"
         )
+        self._m_stage_errors = telemetry.counter(
+            "authflow_stage_errors_total", "stage exceptions failed closed, by stage"
+        )
 
     def run(
         self, user_id: str, code: Optional[str], source: Optional[str] = None
@@ -81,6 +89,16 @@ class AuthPipeline:
                 started = self._clock.now()
                 try:
                     stage.run(ctx)
+                except Exception as exc:  # noqa: BLE001 — validate must not raise
+                    # Fail closed, overriding even an OK a later stage
+                    # could not apply; the client sees no exception text.
+                    ctx.finish(
+                        ValidateResult(ValidateStatus.REJECT, "internal error"),
+                        outcome_applies=False,
+                    )
+                    error = f"{stage.name} raised {type(exc).__name__}"
+                    ctx.audit("validate", success=False, detail=f"internal error: {error}")
+                    self._m_stage_errors.inc(stage=stage.name)
                 finally:
                     self._m_stage_seconds.observe(
                         self._clock.now() - started, stage=stage.name

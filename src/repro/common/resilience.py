@@ -31,14 +31,15 @@ per server, and a circuit breaker ejects servers that keep failing:
   passed, the next authenticate() spends a single attempt on the server;
   success re-admits it (CLOSED), another timeout re-opens the circuit.
 
-State transitions are exported as ``radius_server_health`` /
-``radius_circuit_state`` gauges and a transitions counter, so a dashboard
-shows exactly which servers the client has given up on.
+Scores, states and a per-server transition count are kept on
+:class:`ServerHealth` and read through :meth:`HealthTracker.snapshot` —
+``OTPServer.status()`` shows which servers each client has given up on.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 import zlib
 from dataclasses import dataclass, field
 from enum import Enum
@@ -105,14 +106,6 @@ class CircuitState(str, Enum):
     OPEN = "open"
 
 
-#: Gauge encoding of circuit state (0 is healthy, higher is worse).
-CIRCUIT_GAUGE_VALUE = {
-    CircuitState.CLOSED: 0,
-    CircuitState.HALF_OPEN: 1,
-    CircuitState.OPEN: 2,
-}
-
-
 @dataclass(frozen=True)
 class FailoverPolicy:
     """Tunables for health-aware failover."""
@@ -156,55 +149,31 @@ class ServerHealth:
     probe_failures: int = 0  # failed half-open trials since last success
     successes: int = 0
     failures: int = 0
+    transitions: int = 0  # circuit state changes, any direction
 
 
 class HealthTracker:
     """Health scores and circuit state for one client's server list.
 
-    The tracker is subject-agnostic: the RADIUS client tracks servers (the
-    default metric names) and the identity-resolver chain reuses the same
-    machinery for resolver backends by overriding the metric names and
-    ``label`` — the EWMA/circuit semantics are identical either way.
-    ``telemetry`` is the caller's already-resolved registry (``common``
-    sits below :mod:`repro.telemetry` and cannot default it).
+    The tracker is subject-agnostic: the RADIUS client tracks servers and
+    the identity-resolver chain reuses the same machinery for resolver
+    back ends — the EWMA/circuit semantics are identical either way.
+    Every validate thread reports outcomes here, so one lock guards the
+    read-modify-write of a :class:`ServerHealth`; the plain queries read
+    single attributes and stay lock-free.
     """
 
-    def __init__(
-        self,
-        servers: List[str],
-        policy: FailoverPolicy,
-        telemetry,
-        health_metric: str = "radius_server_health",
-        circuit_metric: str = "radius_circuit_state",
-        transitions_metric: str = "radius_circuit_transitions_total",
-        subject: str = "RADIUS server",
-        label: str = "server",
-    ) -> None:
+    def __init__(self, servers: List[str], policy: FailoverPolicy) -> None:
         self.policy = policy
-        self._label = label
+        self._lock = threading.Lock()
         self._health: Dict[str, ServerHealth] = {
             s: ServerHealth(address=s) for s in servers
         }
-        self._g_health = telemetry.gauge(
-            health_metric, f"EWMA health score per {subject} (1 = healthy)"
-        )
-        self._g_circuit = telemetry.gauge(
-            circuit_metric,
-            f"circuit state per {subject} (0 closed, 1 half-open, 2 open)",
-        )
-        self._c_transitions = telemetry.counter(
-            transitions_metric, f"circuit state changes by {label}"
-        )
-        for health in self._health.values():
-            self._publish(health)
 
-    def add(self, server: str) -> ServerHealth:
+    def add(self, server: str) -> None:
         """Start tracking a subject registered after construction."""
-        health = self._health.get(server)
-        if health is None:
-            health = self._health[server] = ServerHealth(address=server)
-            self._publish(health)
-        return health
+        with self._lock:
+            self._health.setdefault(server, ServerHealth(address=server))
 
     # -- queries -----------------------------------------------------------
 
@@ -227,53 +196,63 @@ class HealthTracker:
 
     # -- transitions -------------------------------------------------------
 
-    def _publish(self, health: ServerHealth) -> None:
-        labels = {self._label: health.address}
-        self._g_health.set(round(health.score, 6), **labels)
-        self._g_circuit.set(CIRCUIT_GAUGE_VALUE[health.state], **labels)
-
     def _transition(self, health: ServerHealth, state: CircuitState, now: float) -> None:
+        """Caller holds the lock."""
         if health.state is state:
             return
-        self._c_transitions.inc(
-            from_state=health.state.value,
-            to_state=state.value,
-            **{self._label: health.address},
-        )
+        health.transitions += 1
         health.state = state
         if state is not CircuitState.CLOSED:
             health.opened_at = now
 
     def begin_probe(self, server: str, now: float) -> None:
         """An open circuit's probe timer fired: the next attempt is a trial."""
-        self._transition(self._health[server], CircuitState.HALF_OPEN, now)
-        self._publish(self._health[server])
+        with self._lock:
+            self._transition(self._health[server], CircuitState.HALF_OPEN, now)
 
     def on_success(self, server: str, now: float) -> None:
-        health = self._health[server]
-        health.successes += 1
-        health.consecutive_failures = 0
-        health.probe_failures = 0
-        health.score = (
-            self.policy.health_decay * health.score + (1 - self.policy.health_decay)
-        )
-        self._transition(health, CircuitState.CLOSED, now)
-        self._publish(health)
+        with self._lock:
+            health = self._health[server]
+            health.successes += 1
+            health.consecutive_failures = 0
+            health.probe_failures = 0
+            health.score = (
+                self.policy.health_decay * health.score
+                + (1 - self.policy.health_decay)
+            )
+            self._transition(health, CircuitState.CLOSED, now)
 
     def on_failure(self, server: str, now: float) -> None:
-        health = self._health[server]
-        health.failures += 1
-        health.consecutive_failures += 1
-        health.score = self.policy.health_decay * health.score
-        if health.state is CircuitState.HALF_OPEN:
-            # The probe itself failed: straight back to OPEN with a fresh
-            # timer, and the next probe waits exponentially longer.
-            health.probe_failures += 1
-            self._transition(health, CircuitState.OPEN, now)
-            health.opened_at = now
-        elif (
-            health.state is CircuitState.CLOSED
-            and health.consecutive_failures >= self.policy.failure_threshold
-        ):
-            self._transition(health, CircuitState.OPEN, now)
-        self._publish(health)
+        with self._lock:
+            health = self._health[server]
+            health.failures += 1
+            health.consecutive_failures += 1
+            health.score = self.policy.health_decay * health.score
+            if health.state is CircuitState.HALF_OPEN:
+                # The probe itself failed: straight back to OPEN with a fresh
+                # timer, and the next probe waits exponentially longer.
+                health.probe_failures += 1
+                self._transition(health, CircuitState.OPEN, now)
+                health.opened_at = now
+            elif (
+                health.state is CircuitState.CLOSED
+                and health.consecutive_failures >= self.policy.failure_threshold
+            ):
+                self._transition(health, CircuitState.OPEN, now)
+
+    # -- operator view -------------------------------------------------------
+
+    def snapshot(self) -> Dict[str, Dict[str, object]]:
+        """Per-subject health as plain scalars, one consistent reading."""
+        with self._lock:
+            return {
+                address: {
+                    "state": health.state.value,
+                    "score": round(health.score, 6),
+                    "successes": health.successes,
+                    "failures": health.failures,
+                    "consecutive_failures": health.consecutive_failures,
+                    "transitions": health.transitions,
+                }
+                for address, health in self._health.items()
+            }

@@ -87,13 +87,12 @@ class HPCSystem:
         self.authlog = AuthLog(center.clock)
         pam_dir = os.path.join(center.pam_dir, name) if center.pam_dir else None
         self.daemons: List[SSHDaemon] = []
+        #: Each login node's RADIUS client, in ``daemons`` order.
+        self.radius_clients: List[RADIUSClient] = []
         for i in range(login_nodes):
-            registry = standard_registry(
-                center.identity,
-                self.authlog,
-                self.policy,
-                center.new_radius_client(f"{ip_prefix}.5"),
-            )
+            client = center.new_radius_client(f"{ip_prefix}.5")
+            self.radius_clients.append(client)
+            registry = standard_registry(center.identity, self.authlog, self.policy, client)
             daemon = SSHDaemon(
                 hostname=f"login{i + 1}.{name}",
                 address=f"{ip_prefix}.{10 + i}",
@@ -152,6 +151,16 @@ class HPCSystem:
 
     def login_node(self, index: int = 0) -> SSHDaemon:
         return self.daemons[index]
+
+    def snapshot(self) -> Dict[str, object]:
+        """This system's entry in the ``systems`` status section: its PAM-side
+        policy plus, per login node, its client's view of the RADIUS farm."""
+        snap = self.policy.snapshot()
+        snap["radius"] = {
+            daemon.hostname: client.health.snapshot()
+            for daemon, client in zip(self.daemons, self.radius_clients)
+        }
+        return snap
 
 
 class MFACenter:
@@ -270,7 +279,10 @@ class MFACenter:
         # Each system's PAM-side engine (its ladder, its exemption ACL)
         # sits next to the back end's own policy in the operator view.
         self.otp.status_sections["systems"] = lambda: {
-            name: system.policy.snapshot() for name, system in self.systems.items()
+            name: system.snapshot() for name, system in self.systems.items()
+        }
+        self.otp.status_sections["radius"] = lambda: {
+            server.name: server.snapshot() for server in self.radius_servers
         }
         self._storage_systems: List[str] = []
         self._next_system_subnet = 3

@@ -25,9 +25,9 @@ Admission, in order:
    resolves REJECT with a ``shed:`` reason); otherwise the arrival
    itself is rejected.
 
-There is one service loop — ``_pop`` takes the best ready item under
-the lock, ``_service`` runs it outside — and whoever has a thread to
-spend runs it:
+There is one service loop — the best ready item is popped under the
+lock, ``_service`` runs it outside — and whoever has a thread to spend
+runs it:
 
 * ``Ticket.result()`` is **caller-runs**: with no worker threads, every
   waiter services ready items until its own ticket is done, so single
@@ -183,29 +183,11 @@ class IngestQueue:
         self._closed = False
 
         telemetry = resolve_registry(telemetry)
-        # The admission path runs per datagram; skip even no-op metric
-        # dispatch when nobody is collecting.
-        self._metered = telemetry.enabled
-        self._g_depth = telemetry.gauge(
-            "ingest_depth", "queued items by priority class"
-        )
-        self._m_submitted = telemetry.counter(
-            "ingest_submitted_total", "admitted submissions by class"
-        )
         self._m_shed = telemetry.counter(
             "ingest_shed_total", "items shed by class and cause"
         )
-        self._m_retries = telemetry.counter(
-            "ingest_retries_total", "transient-failure requeues by class"
-        )
-        self._m_completed = telemetry.counter(
-            "ingest_completed_total", "serviced items by class"
-        )
         self._m_wait = telemetry.histogram(
             "ingest_wait_seconds", "queue wait from admission to service"
-        )
-        self._m_sla = telemetry.counter(
-            "ingest_sla_total", "SLA window hits/misses by class"
         )
 
     # -- admission -----------------------------------------------------------
@@ -257,9 +239,6 @@ class IngestQueue:
             )
             self._heap.push(item)
             self._stats[cls].submitted += 1
-            if self._metered:
-                self._m_submitted.inc(priority=cls.value)
-                self._g_depth.set(self._heap.depth(cls), priority=cls.value)
             if self._running:
                 self._work.notify()
         return ticket
@@ -288,10 +267,6 @@ class IngestQueue:
             f"evicted for {incoming.value} under backpressure",
             "backpressure",
         )
-        if self._metered:
-            self._g_depth.set(
-                self._heap.depth(victim.priority), priority=victim.priority.value
-            )
         return True
 
     def _resolve_shed(
@@ -312,8 +287,7 @@ class IngestQueue:
             stats.submitted += 1
             if cause == "backpressure":
                 stats.rejected += 1
-        if self._metered:
-            self._m_shed.inc(priority=cls.value, cause=cause)
+        self._m_shed.inc(priority=cls.value, cause=cause)
         ticket.resolve(ValidateResult(ValidateStatus.REJECT, reason=f"shed: {detail}"))
 
     # -- service -------------------------------------------------------------
@@ -327,12 +301,7 @@ class IngestQueue:
         policy = self._heap.policy_for(item.priority)
         waited = max(0.0, now - item.enqueued_at)
         stats = self._stats[item.priority]
-        if self._metered:
-            self._m_wait.observe(waited, priority=item.priority.value)
-            self._m_sla.inc(
-                priority=item.priority.value,
-                outcome="hit" if waited <= policy.sla_seconds else "miss",
-            )
+        self._m_wait.observe(waited, priority=item.priority.value)
         if self.config.service_cost_seconds > 0:
             self._clock.sleep(self.config.service_cost_seconds)
         errored = False
@@ -350,12 +319,6 @@ class IngestQueue:
                     item.ready_at = self._clock.now() + delay
                     self._heap.push(item)
                     stats.retries += 1
-                    if self._metered:
-                        self._m_retries.inc(priority=item.priority.value)
-                        self._g_depth.set(
-                            self._heap.depth(item.priority),
-                            priority=item.priority.value,
-                        )
                     self._work.notify()
                 return
             result = ValidateResult(
@@ -374,18 +337,7 @@ class IngestQueue:
             stats.completed += 1
             if errored:
                 stats.errors += 1
-        if self._metered:
-            self._m_completed.inc(priority=item.priority.value)
         item.ticket.resolve(result)
-
-    def _pop(self) -> Optional[WorkItem]:
-        """The best ready item, or None.  Caller holds the lock."""
-        item = self._heap.pop(self._clock.now())
-        if item is not None and self._metered:
-            self._g_depth.set(
-                self._heap.depth(item.priority), priority=item.priority.value
-            )
-        return item
 
     def pump(self, max_items: Optional[int] = None) -> int:
         """Service ready items on the caller's thread; the service loop.
@@ -397,7 +349,7 @@ class IngestQueue:
         serviced = 0
         while max_items is None or serviced < max_items:
             with self._lock:
-                item = self._pop()
+                item = self._heap.pop(self._clock.now())
             if item is None:
                 break
             self._service(item)
@@ -450,7 +402,7 @@ class IngestQueue:
             with self._lock:
                 if not self._running:
                     return
-                item = self._pop()
+                item = self._heap.pop(self._clock.now())
                 if item is None:
                     next_ready = self._heap.next_ready()
                     timeout = 0.05
@@ -490,14 +442,8 @@ class IngestQueue:
         self.stop()
         with self._lock:
             self._closed = True
-            leftovers = self._heap.drain()
-            for item in leftovers:
-                self._stats[item.priority].shed += 1
-                self._m_shed.inc(priority=item.priority.value, cause="closed")
-        for item in leftovers:
-            item.ticket.resolve(
-                ValidateResult(ValidateStatus.REJECT, reason="shed: queue closed")
-            )
+            for item in self._heap.drain():
+                self._resolve_shed(item.ticket, item.priority, "queue closed", "closed")
 
     # -- observability -------------------------------------------------------
 
@@ -529,6 +475,8 @@ class IngestQueue:
                     "rejected": s.rejected,
                     "retries": s.retries,
                     "errors": s.errors,
+                    "sla_hits": s.sla_hits,
+                    "sla_misses": s.sla_misses,
                     "sla_hit_rate": (
                         round(s.sla_hits / serviced, 6) if serviced else None
                     ),

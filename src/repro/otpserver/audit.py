@@ -40,10 +40,10 @@ class AuditLog:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def latest(self) -> Optional[AuditEntry]:
-        """The newest record, or None on an empty log (telemetry reads
-        this to measure audit lag without copying the whole trail)."""
-        return self._entries[-1] if self._entries else None
+    def snapshot(self) -> dict:
+        """The ``audit`` section of ``OTPServer.status()``."""
+        latest = self._entries[-1].timestamp if self._entries else None
+        return {"records": len(self._entries), "latest_timestamp": latest}
 
     def record(
         self,

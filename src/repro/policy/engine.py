@@ -279,12 +279,8 @@ class PolicyEngine:
         #: ready :class:`RiskEngine`; one left on the implicit wall clock
         #: is adopted onto the engine's clock, like the limiter above.
         self.risk: Optional[RiskEngine] = self._adopt_risk(risk)
-        telemetry = resolve_registry(telemetry)
-        self._m_decisions = telemetry.counter(
+        self._m_decisions = resolve_registry(telemetry).counter(
             "policy_decisions_total", "policy engine decisions by action"
-        )
-        self._m_risk = telemetry.counter(
-            "policy_risk_assessments_total", "risk verdicts by action"
         )
 
     def _adopt_risk(self, risk) -> Optional[RiskEngine]:
@@ -327,12 +323,7 @@ class PolicyEngine:
         """
         if self.risk is None:
             return False
-        decision = self.risk.evaluate(username, source_ip)
-        if decision is QUIET_ALLOW:
-            self._m_risk.inc(action="allow")
-            return False
-        self._m_risk.inc(action=decision.action.value)
-        return decision.action is not RiskAction.ALLOW
+        return self.risk.evaluate(username, source_ip).action is not RiskAction.ALLOW
 
     # -- the one call every layer makes -------------------------------------
 
@@ -367,22 +358,16 @@ class PolicyEngine:
         step_up = False
         if self.risk is not None:
             risk = self.risk.evaluate(request.username, request.source_ip)
-            if risk is QUIET_ALLOW:
-                # Identity check for the common quiet verdict skips the
-                # enum ``.value`` walk and the DENY/STEP_UP comparisons.
-                self._m_risk.inc(action="allow")
-            else:
-                self._m_risk.inc(action=risk.action.value)
-                if risk.action is RiskAction.DENY:
-                    return _stamp_risk(
-                        Decision(
-                            PolicyAction.DENY,
-                            f"risk score {risk.score:.2f} at or above deny "
-                            f"threshold ({', '.join(risk.signals)})",
-                        ),
-                        risk,
-                    )
-                step_up = risk.action is RiskAction.STEP_UP
+            if risk.action is RiskAction.DENY:
+                return _stamp_risk(
+                    Decision(
+                        PolicyAction.DENY,
+                        f"risk score {risk.score:.2f} at or above deny "
+                        f"threshold ({', '.join(risk.signals)})",
+                    ),
+                    risk,
+                )
+            step_up = risk.action is RiskAction.STEP_UP
         if not step_up and self.is_exempt(request.username, request.source_ip):
             return _stamp_risk(
                 Decision(PolicyAction.EXEMPT, "exemption ACL grant"), risk

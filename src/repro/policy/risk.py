@@ -48,6 +48,7 @@ visible to PAM and the OTP server alike.
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -129,17 +130,9 @@ class RiskEngine:
         #: matcher dominated its cost; the verdict for a given address
         #: only changes when the watchlist itself does.
         self._watchlist_verdicts: Dict[str, bool] = {}
-        #: Memoized per-(user, ip) decisions.  A verdict is a pure
-        #: function of the engine's state and the hour bucket, so it can
-        #: be replayed until something it depends on changes: the global
-        #: epoch covers watchlist edits, the per-user epoch covers
-        #: failure/origin feeds, and entries are only written when the
-        #: account has no live failures (a burst ages out with *time*,
-        #: which no epoch can see).  Geo-monitored engines never cache:
-        #: ``observe`` itself advances per-user travel state.
-        self._verdict_cache: Dict[tuple, tuple] = {}
-        self._epoch = 0
-        self._user_epochs: Dict[str, int] = {}
+        # Every validate thread feeds and reads this engine: one lock for
+        # the feeds, the counters and the flag log.
+        self._lock = threading.Lock()
         self.assessed = 0
         self.step_ups = 0
         self.denies = 0
@@ -164,51 +157,43 @@ class RiskEngine:
 
     # -- signal feeds ------------------------------------------------------------
 
-    def _bump(self, username: str) -> None:
-        self._user_epochs[username] = self._user_epochs.get(username, 0) + 1
-
     def record_failure(self, username: str) -> None:
         """Feed from the authlog: a failed login for this account."""
-        self._failures.setdefault(username, []).append(self._clock.now())
-        self._bump(username)
+        with self._lock:
+            self._failures.setdefault(username, []).append(self._clock.now())
 
     def record_success(self, username: str, ip: str) -> None:
         """Feed on successful entry: the origin becomes known-good and the
-        failure burst resets (the legitimate user is clearly present).
-
-        Only a *change* bumps the user's epoch: the steady state — a
-        known origin logging in with no failures on the books — leaves
-        cached verdicts valid, which is what makes the cache worth
-        having.
-        """
-        known = self._known_origins.get(username)
-        if known is None:
-            known = self._known_origins[username] = set()
-        if ip not in known:
-            known.add(ip)
-            self._bump(username)
-        if self._failures.pop(username, None):
-            self._bump(username)
+        failure burst resets (the legitimate user is clearly present)."""
+        with self._lock:
+            known = self._known_origins.get(username)
+            if known is None:
+                known = self._known_origins[username] = set()
+            if ip not in known:
+                known.add(ip)
+            self._failures.pop(username, None)
 
     def add_watchlist(self, cidr: str) -> None:
         """Operator action: flag a hostile network range."""
-        self._watchlist.append(OriginMatcher.parse(cidr))
-        self._watchlist_verdicts.clear()
-        self._epoch += 1
+        matcher = OriginMatcher.parse(cidr)
+        with self._lock:
+            self._watchlist.append(matcher)
+            self._watchlist_verdicts.clear()
 
     # -- scoring --------------------------------------------------------------------
 
     def _recent_failures(self, username: str, now: float) -> int:
-        timestamps = self._failures.get(username)
-        if not timestamps:
-            return 0
-        cutoff = now - self._failure_window
-        if timestamps[0] >= cutoff:
-            # Append-only and time-ordered: nothing aged out, skip the copy.
-            return len(timestamps)
-        live = [t for t in timestamps if t >= cutoff]
-        self._failures[username] = live
-        return len(live)
+        with self._lock:
+            timestamps = self._failures.get(username)
+            if not timestamps:
+                return 0
+            cutoff = now - self._failure_window
+            if timestamps[0] >= cutoff:
+                # Append-only and time-ordered: nothing aged out, skip the copy.
+                return len(timestamps)
+            live = [t for t in timestamps if t >= cutoff]
+            self._failures[username] = live
+            return len(live)
 
     def _watchlisted(self, ip: str) -> bool:
         if not self._watchlist:
@@ -225,17 +210,6 @@ class RiskEngine:
         """Score one attempt (before the credentials are even checked)."""
         now = self._clock.now()
         hour = int(now // 3600)
-        cacheable = self._geo is None and not self._failures.get(username)
-        if cacheable:
-            key = (username, ip)
-            entry = self._verdict_cache.get(key)
-            if (
-                entry is not None
-                and entry[0] == self._epoch
-                and entry[1] == self._user_epochs.get(username, 0)
-                and entry[2] == hour
-            ):
-                return entry[3]
         weights = self.weights
         score = 0.0
         signals: List[str] = []
@@ -264,49 +238,39 @@ class RiskEngine:
             # every login pays for `assess`, so the nothing-fired path
             # reuses one immutable decision (guarded against a zero
             # step-up threshold, where even a 0.0 score must step up).
-            decision = QUIET_ALLOW
+            return QUIET_ALLOW
+        score = min(score, 1.0)
+        if score >= self.deny_threshold:
+            action = RiskAction.DENY
+        elif score >= self.step_up_threshold:
+            action = RiskAction.STEP_UP
         else:
-            score = min(score, 1.0)
-            if score >= self.deny_threshold:
-                action = RiskAction.DENY
-            elif score >= self.step_up_threshold:
-                action = RiskAction.STEP_UP
-            else:
-                action = RiskAction.ALLOW
-            decision = RiskDecision(score, action, signals)
-        if cacheable:
-            if len(self._verdict_cache) >= 65536:
-                self._verdict_cache.clear()
-            self._verdict_cache[key] = (
-                self._epoch,
-                self._user_epochs.get(username, 0),
-                hour,
-                decision,
-            )
-        return decision
+            action = RiskAction.ALLOW
+        return RiskDecision(score, action, signals)
 
     # -- the verdict ---------------------------------------------------------
 
     def evaluate(self, username: str, source_ip: str) -> RiskDecision:
         """Score one attempt; STEP_UP and DENY verdicts are flagged."""
         decision = self.assess(username, source_ip or "")
-        self.assessed += 1
-        if decision is QUIET_ALLOW:
-            # The overwhelmingly common verdict, recognised by identity:
-            # nothing fired, nothing to flag, no enum comparisons needed.
-            return decision
-        if decision.action is RiskAction.STEP_UP:
-            self.step_ups += 1
-        elif decision.action is RiskAction.DENY:
-            self.denies += 1
-        if decision.action is not RiskAction.ALLOW:
-            self._flag(
-                username,
-                source_ip,
-                decision.score,
-                decision.action.value,
-                decision.signals,
-            )
+        with self._lock:
+            self.assessed += 1
+            if decision is QUIET_ALLOW:
+                # The overwhelmingly common verdict, recognised by identity:
+                # nothing fired, nothing to flag, no enum comparisons needed.
+                return decision
+            if decision.action is RiskAction.STEP_UP:
+                self.step_ups += 1
+            elif decision.action is RiskAction.DENY:
+                self.denies += 1
+            if decision.action is not RiskAction.ALLOW:
+                self._flag(
+                    username,
+                    source_ip,
+                    decision.score,
+                    decision.action.value,
+                    decision.signals,
+                )
         return decision
 
     def raise_alarm(
@@ -322,16 +286,17 @@ class RiskEngine:
         whether the submitted code verified (``accepted``) or not — means
         an attacker holds the user's credential material.
         """
-        self.honeytoken_alarms += 1
-        self._flag(
-            username,
-            source_ip,
-            1.0,
-            "honeytoken",
-            ["honeytoken_use"],
-            serial=serial,
-            accepted=accepted,
-        )
+        with self._lock:
+            self.honeytoken_alarms += 1
+            self._flag(
+                username,
+                source_ip,
+                1.0,
+                "honeytoken",
+                ["honeytoken_use"],
+                serial=serial,
+                accepted=accepted,
+            )
 
     def _flag(
         self,
@@ -342,6 +307,7 @@ class RiskEngine:
         signals: List[str],
         **extra,
     ) -> None:
+        """Append to the flag log.  Caller holds the lock."""
         entry = {
             "user": username,
             "ip": source_ip or "",

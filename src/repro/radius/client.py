@@ -121,7 +121,7 @@ class RADIUSClient:
         self._clock = clock
         self._wait_clock = wait_clock
         self.health_aware = health_aware
-        self.health = HealthTracker(self._servers, self.policy, self.telemetry)
+        self.health = HealthTracker(self._servers, self.policy)
         # Backoff schedules are keyed per (source, server): deterministic
         # across runs (CRC-based seed, no shared-RNG draws) yet distinct
         # across the fleet so retries never synchronize.

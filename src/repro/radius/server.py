@@ -10,6 +10,7 @@ describes.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
@@ -25,6 +26,8 @@ from repro.radius.packet import (
 from repro.radius.transport import UDPFabric
 from repro.telemetry import NOOP_REGISTRY
 
+
+_CacheKey = Tuple[str, int, bytes]  # (source, identifier, request authenticator)
 
 #: ValidateStatus -> (packet code, reply message)
 _STATUS_MAP = {
@@ -61,27 +64,20 @@ class RADIUSServer:
         self.name = name or address
         self._backend = backend
         self._clients: Dict[str, bytes] = {}
+        # Guards the counts and the duplicate cache; never held across validate.
+        self._lock = threading.Lock()
         self.handled = 0
         self.rejected_clients = 0
         self.duplicates_replayed = 0
+        self.duplicates_dropped = 0
         self.telemetry = telemetry if telemetry is not None else NOOP_REGISTRY
         self._tracer = self.telemetry.tracer()
-        self._m_requests = self.telemetry.counter(
-            "radius_server_requests_total", "Access-Requests validated, by server"
-        )
-        self._m_duplicates = self.telemetry.counter(
-            "radius_server_duplicates_total",
-            "retransmissions answered from the RFC 5080 dup cache",
-        )
-        self._m_unknown = self.telemetry.counter(
-            "radius_server_unknown_clients_total",
-            "datagrams silently dropped from unauthorized sources",
-        )
         # RFC 5080 duplicate detection: retransmissions of a request we
         # already answered get the cached response replayed instead of
         # being re-validated (which would burn the one-time code when the
-        # original response was lost in flight).
-        self._response_cache: "OrderedDict[Tuple[str, int, bytes], bytes]" = OrderedDict()
+        # original response was lost in flight).  A request is claimed here
+        # *before* it is validated — ``None`` marks it in flight.
+        self._response_cache: "OrderedDict[_CacheKey, Optional[bytes]]" = OrderedDict()
         self._response_cache_size = 1024
         fabric.register(address, self.handle_datagram)
 
@@ -105,8 +101,8 @@ class RADIUSServer:
         with self._tracer.span("radius.server.handle", server=self.name) as span:
             secret = self._secret_for(source)
             if secret is None:
-                self.rejected_clients += 1
-                self._m_unknown.inc(server=self.name)
+                with self._lock:
+                    self.rejected_clients += 1
                 span.annotate("drop", "unknown_client")
                 return None
             try:
@@ -118,33 +114,50 @@ class RADIUSServer:
                 span.annotate("drop", "not_access_request")
                 return None
             cache_key = (source, request.identifier, request.authenticator)
-            cached = self._response_cache.get(cache_key)
-            if cached is not None:
-                self.duplicates_replayed += 1
-                self._m_duplicates.inc(server=self.name)
-                span.annotate("duplicate", True)
-                return cached
-            self.handled += 1
-            self._m_requests.inc(server=self.name)
-            username = request.get_str(Attr.USER_NAME)
-            if username is None:
-                response = self._reply(
-                    request, secret, PacketCode.ACCESS_REJECT, "User-Name is required"
-                )
-            else:
-                hidden = request.get(Attr.USER_PASSWORD)
-                code: Optional[str] = None
-                if hidden is not None:
-                    try:
-                        code = recover_password(hidden, secret, request.authenticator)
-                    except ProtocolError:
-                        # wrong shared secret or mangled packet
-                        span.annotate("drop", "bad_password_attribute")
-                        return None
-                result = self._backend.validate(username, code if code else None)
-                response = self._access_response(request, secret, result)
-            self._cache_response(cache_key, response)
-            return response
+            with self._lock:
+                if cache_key in self._response_cache:
+                    cached = self._response_cache[cache_key]
+                    if cached is None:
+                        # Still being validated: drop silently (RFC 5080 section
+                        # 2.2.2) — the client's next retransmit finds the answer.
+                        self.duplicates_dropped += 1
+                        span.annotate("drop", "duplicate_in_flight")
+                    else:
+                        self.duplicates_replayed += 1
+                        span.annotate("duplicate", True)
+                    return cached
+                self._store(cache_key, None)
+                self.handled += 1
+            response: Optional[bytes] = None
+            try:
+                response = self._respond(request, secret, span)
+                return response
+            finally:
+                # The response replaces the claim; no response (a dropped
+                # packet, a raising back end) releases it.
+                with self._lock:
+                    if response is None:
+                        self._response_cache.pop(cache_key, None)
+                    else:
+                        self._store(cache_key, response)
+
+    def _respond(self, request: RADIUSPacket, secret: bytes, span) -> Optional[bytes]:
+        username = request.get_str(Attr.USER_NAME)
+        if username is None:
+            return self._reply(
+                request, secret, PacketCode.ACCESS_REJECT, "User-Name is required"
+            )
+        hidden = request.get(Attr.USER_PASSWORD)
+        code: Optional[str] = None
+        if hidden is not None:
+            try:
+                code = recover_password(hidden, secret, request.authenticator)
+            except ProtocolError:
+                # wrong shared secret or mangled packet
+                span.annotate("drop", "bad_password_attribute")
+                return None
+        result = self._backend.validate(username, code if code else None)
+        return self._access_response(request, secret, result)
 
     def _access_response(
         self, request: RADIUSPacket, secret: bytes, result
@@ -163,12 +176,21 @@ class RADIUSServer:
             response.add(Attr.PROXY_STATE, proxy_state)
         return encode_packet(response, secret, request.authenticator)
 
-    def _cache_response(
-        self, cache_key: Tuple[str, int, bytes], response: bytes
-    ) -> None:
+    def _store(self, cache_key: _CacheKey, response: Optional[bytes]) -> None:
+        """Caller holds the lock."""
         self._response_cache[cache_key] = response
         while len(self._response_cache) > self._response_cache_size:
             self._response_cache.popitem(last=False)
+
+    def snapshot(self) -> Dict[str, object]:
+        """This server's entry in the ``radius`` section of ``status()``."""
+        with self._lock:
+            return {
+                "handled": self.handled,
+                "duplicates_replayed": self.duplicates_replayed,
+                "duplicates_dropped": self.duplicates_dropped,
+                "rejected_clients": self.rejected_clients,
+            }
 
     def _reply(
         self, request: RADIUSPacket, secret: bytes, code: PacketCode, message: str

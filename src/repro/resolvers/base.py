@@ -21,6 +21,7 @@ The contract (:class:`IdentityResolver`) is deliberately tiny:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -65,12 +66,15 @@ class ResolvedIdentity:
 class IdentityResolver:
     """Base class with the shared bookkeeping every resolver wants.
 
-    Subclasses implement :meth:`_lookup`; this base counts outcomes and
-    exposes the ``health()``/``stats()`` halves of the protocol.
+    Subclasses implement :meth:`_lookup`; this base counts outcomes (under
+    a lock never held across the lookup itself — the chain calls from
+    every validate thread) and exposes the ``health()``/``stats()`` halves
+    of the protocol.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
+        self._lock = threading.Lock()
         self.lookups = 0
         self.hits = 0
         self.misses = 0
@@ -80,16 +84,19 @@ class IdentityResolver:
 
     def resolve(self, username: str) -> Optional[ResolvedIdentity]:
         """Map ``username`` to a local identity (``None`` = no such user)."""
-        self.lookups += 1
         try:
             identity = self._lookup(username)
         except ResolverUnavailableError:
-            self.errors += 1
+            with self._lock:
+                self.lookups += 1
+                self.errors += 1
             raise
-        if identity is None:
-            self.misses += 1
-        else:
-            self.hits += 1
+        with self._lock:
+            self.lookups += 1
+            if identity is None:
+                self.misses += 1
+            else:
+                self.hits += 1
         return identity
 
     def health(self) -> Dict[str, object]:
@@ -97,12 +104,13 @@ class IdentityResolver:
         return {"available": True}
 
     def stats(self) -> Dict[str, object]:
-        return {
-            "lookups": self.lookups,
-            "hits": self.hits,
-            "misses": self.misses,
-            "errors": self.errors,
-        }
+        with self._lock:
+            return {
+                "lookups": self.lookups,
+                "hits": self.hits,
+                "misses": self.misses,
+                "errors": self.errors,
+            }
 
     # -- subclass hook -----------------------------------------------------
 

@@ -80,23 +80,10 @@ class ResolverChain:
         self.negative_hits = 0
         self.failovers = 0
         self.unrouted = 0
-        telemetry = resolve_registry(telemetry)
-        self._h_lookup = telemetry.histogram(
+        self._h_lookup = resolve_registry(telemetry).histogram(
             "resolver_lookup_seconds", "identity lookup latency by resolver"
         )
-        self._c_lookups = telemetry.counter(
-            "resolver_lookups_total", "identity lookups by resolver and outcome"
-        )
-        self._tracker = HealthTracker(
-            [],
-            self.policy,
-            telemetry,
-            health_metric="resolver_health",
-            circuit_metric="resolver_circuit_state",
-            transitions_metric="resolver_circuit_transitions_total",
-            subject="identity resolver",
-            label="resolver",
-        )
+        self._tracker = HealthTracker([], self.policy)
 
     # -- registration ------------------------------------------------------
 
@@ -205,7 +192,6 @@ class ResolverChain:
         if not route:
             with self._lock:
                 self.unrouted += 1
-            self._c_lookups.inc(resolver="(unrouted)", outcome="miss")
             self._cache_put(username, None)
             return None
         attempts = 0
@@ -218,15 +204,10 @@ class ResolverChain:
                 identity = resolver.resolve(username)
             except ResolverUnavailableError:
                 self._tracker.on_failure(resolver.name, self.clock.now())
-                self._c_lookups.inc(resolver=resolver.name, outcome="error")
                 continue
             elapsed = self.clock.now() - began
             self._tracker.on_success(resolver.name, self.clock.now())
             self._h_lookup.observe(elapsed, resolver=resolver.name)
-            self._c_lookups.inc(
-                resolver=resolver.name,
-                outcome="hit" if identity is not None else "miss",
-            )
             if attempts > 1:
                 with self._lock:
                     self.failovers += 1
@@ -242,18 +223,15 @@ class ResolverChain:
         """The ``resolvers`` section of ``OTPServer.status()``: routes,
         health, cache, stats."""
         now = self.clock.now()
-        resolvers = {}
-        for name, resolver in self._resolvers.items():
-            health = self._tracker.health(name)
-            resolvers[name] = {
-                "state": health.state.value,
-                "score": round(health.score, 6),
-                "successes": health.successes,
-                "failures": health.failures,
-                "consecutive_failures": health.consecutive_failures,
+        tracked = self._tracker.snapshot()
+        resolvers = {
+            name: {
+                **tracked[name],
                 "health": resolver.health(),
                 "stats": resolver.stats(),
             }
+            for name, resolver in self._resolvers.items()
+        }
         realms = {
             realm or "(default)": [r.name for r in route]
             for realm, route in sorted(self._routes.items())

@@ -12,8 +12,6 @@ consistency check).
 
 Modules:
 
-* :mod:`repro.sim.events` — a small discrete-event engine driving the
-  timeline (phase switches, announcements, daily ticks).
 * :mod:`repro.sim.population` — the synthetic user population with the
   account classes, activity skew and device preferences of Section 2/3.3.
 * :mod:`repro.sim.behavior` — per-user daily behaviour: login propensity,
@@ -28,7 +26,6 @@ Modules:
 """
 
 from repro.sim.attackers import AttackConfig, AttackReport, AttackSimulation, run_attack
-from repro.sim.events import EventQueue
 from repro.sim.metrics import DailyMetrics
 from repro.sim.population import Population, UserProfile
 from repro.sim.rollout import RolloutConfig, RolloutSimulation
@@ -38,7 +35,6 @@ __all__ = [
     "AttackReport",
     "AttackSimulation",
     "run_attack",
-    "EventQueue",
     "Population",
     "UserProfile",
     "RolloutConfig",

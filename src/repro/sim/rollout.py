@@ -44,8 +44,8 @@ from repro.sim.behavior import (
 from repro.sim.metrics import DailyMetrics
 from repro.sim.population import Population, UserProfile
 from repro.portal.mailer import Mailer
-from repro.sim.events import EventQueue
 from repro.sim.tickets import TicketModel
+from repro.simcore import EventScheduler
 from repro.ssh.client import SSHClient
 
 
@@ -251,8 +251,9 @@ class RolloutSimulation:
         tick per simulated day, with the clock advanced by the queue."""
         if self._ran:
             return self.metrics
-        queue = EventQueue(self.clock)
-        queue.schedule_daily(self._day_tick, days=self.config.days)
+        queue = EventScheduler(clock=self.clock)
+        for day in range(self.config.days):
+            queue.schedule(day * 86400.0, self._day_tick, day)
         queue.run_until(self.clock.now() + self.config.days * 86400.0)
         self._ran = True
         return self.metrics

@@ -118,7 +118,6 @@ def build_engine(
             engine = ShardedEngine(
                 [walled(index) for index in range(config.shards)],
                 virtual_nodes=config.virtual_nodes,
-                telemetry=telemetry,
             )
     elif config.shards == 1:
         engine = node()
@@ -126,7 +125,6 @@ def build_engine(
         engine = ShardedEngine(
             [node() for _ in range(config.shards)],
             virtual_nodes=config.virtual_nodes,
-            telemetry=telemetry,
         )
     if config.cache_capacity:
         engine = CachingEngine(engine, config.cache_capacity, telemetry=telemetry)

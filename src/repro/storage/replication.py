@@ -86,12 +86,8 @@ class ReplicaGroup(WALEngine):
         ]
         self.promotions = 0
         self._crashed: Optional[int] = None  # node id awaiting rejoin
-        registry = resolve_registry(telemetry)
-        self._c_shipped = registry.counter(
+        self._c_shipped = resolve_registry(telemetry).counter(
             "storage_replica_ship_total", "WAL records shipped to replicas"
-        )
-        self._c_promotions = registry.counter(
-            "storage_promotions_total", "replica promotions after primary loss"
         )
 
     def _take_node_id(self) -> int:
@@ -147,7 +143,6 @@ class ReplicaGroup(WALEngine):
             self.inner = best.engine
             self.replicas.remove(best)
             self.promotions += 1
-            self._c_promotions.inc()
             post_digest = state_digest(self.inner)
             return {
                 "group": self.name,
@@ -243,7 +238,7 @@ class ReplicatedEngine(ShardedEngine):
             )
             for index in range(shards)
         ]
-        super().__init__(self.groups, virtual_nodes=virtual_nodes, telemetry=telemetry)
+        super().__init__(self.groups, virtual_nodes=virtual_nodes)
 
     # -- failure handling (what the ShardCrash chaos fault drives) ----------
 

@@ -34,14 +34,15 @@ from repro.common.errors import NotFoundError, ValidationError
 from repro.storage.engine import Predicate, Row, StorageEngine
 from repro.storage.memory import InMemoryEngine
 from repro.storage.schema import TableSchema
-from repro.telemetry import resolve_registry
 
 DEFAULT_VIRTUAL_NODES = 64
 
 
 def stable_hash(key: str) -> int:
-    """A process-independent 64-bit hash (``hash()`` is salted per run)."""
-    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
+    """A process-independent 64-bit hash (``hash()`` is salted per run).  A
+    lone surrogate — login names are outside input — hashes, never raises."""
+    data = key.encode("utf-8", "surrogatepass")
+    digest = hashlib.blake2b(data, digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 
@@ -71,7 +72,6 @@ class ShardedEngine:
         self,
         shards: Union[int, Sequence[StorageEngine]],
         virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
-        telemetry=None,
     ) -> None:
         if isinstance(shards, int):
             shards = [InMemoryEngine() for _ in range(shards)]
@@ -83,10 +83,6 @@ class ShardedEngine:
         # (table, column) -> value -> {shard index: row refcount}
         self._routes: Dict[Tuple[str, str], Dict[Any, Dict[int, int]]] = {}
         self._route_lock = threading.Lock()
-        telemetry = resolve_registry(telemetry)
-        self._g_rows = telemetry.gauge(
-            "storage_shard_rows", "rows held per shard, by table"
-        )
 
     def set_shard_latency(self, index: int, latency: float) -> None:
         """Retune one shard's simulated round trip (chaos slow-shard fault).
@@ -188,11 +184,6 @@ class ShardedEngine:
                 for row in shard.select(table):
                     self._route_adjust(table, row, index, +1)
 
-    def _refresh_gauges(self) -> None:
-        for table in self._schemas:
-            for index, size in enumerate(self.shard_sizes(table)):
-                self._g_rows.set(size, shard=str(index), table=table)
-
     # -- row operations -----------------------------------------------------
 
     def insert(self, table: str, row: Row) -> Row:
@@ -232,9 +223,6 @@ class ShardedEngine:
                 if col in schema.unique and col not in schema.indexed:
                     continue  # unclaimed unique column means its value is None
                 self._route_bump(table, col, stored.get(col), index, +1)
-        self._g_rows.set(
-            self.shards[index].row_count(table), shard=str(index), table=table
-        )
         return stored
 
     def get(self, table: str, pk: Any) -> Row:
@@ -280,9 +268,6 @@ class ShardedEngine:
         index = self._shard_of(table, pk)
         row = self.shards[index].delete(table, pk)
         self._route_adjust(table, row, index, -1)
-        self._g_rows.set(
-            self.shards[index].row_count(table), shard=str(index), table=table
-        )
         return row
 
     # -- queries ------------------------------------------------------------
@@ -331,5 +316,4 @@ class ShardedEngine:
                 yield self
         except BaseException:
             self._rebuild_routes()
-            self._refresh_gauges()
             raise

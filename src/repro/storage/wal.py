@@ -287,12 +287,8 @@ class WALEngine:
         #: Stack of per-transaction record buffers (nested = savepoints).
         self._txn_buffers: List[List[dict]] = []
         self._ops_since_snapshot = 0
-        telemetry = resolve_registry(telemetry)
-        self._c_appends = telemetry.counter(
+        self._c_appends = resolve_registry(telemetry).counter(
             "storage_wal_appends_total", "WAL records appended, by op"
-        )
-        self._c_snapshots = telemetry.counter(
-            "storage_wal_snapshots_total", "snapshot records written"
         )
 
     # -- logging plumbing ---------------------------------------------------
@@ -318,7 +314,6 @@ class WALEngine:
             if self._txn_buffers:
                 raise ValidationError("cannot snapshot inside a transaction")
             lsn = self._append({"op": "snapshot", "state": capture_state(self.inner)})
-            self._c_snapshots.inc()
             self._ops_since_snapshot = 0
             return lsn
 

@@ -15,7 +15,14 @@ login path:
   snapshot/reset, and the allocation-free ``NOOP_REGISTRY`` every
   component defaults to when telemetry is off;
 * :mod:`repro.telemetry.export` — Prometheus-style text and JSON
-  renderings of a snapshot.
+  renderings of a snapshot, and of ``OTPServer.status()`` as
+  ``repro_status{path=…}`` lines.
+
+The rule for what becomes a series: the registry records *events* that
+cannot be recomputed later (latency distributions, per-label event counts
+no attribute keeps, span trees); a level or total a subsystem already
+keeps for ``status()`` is read from that attribute when someone looks,
+never mirrored per request.
 
 Enable it for a deployment with ``MFACenter(telemetry=True)`` and read
 ``center.telemetry`` — or ``python -m repro telemetry`` for a one-shot
@@ -24,6 +31,7 @@ instrumented login and snapshot dump.
 
 from repro.telemetry.export import (
     render_json,
+    render_status_text,
     render_text,
     render_trace_text,
 )
@@ -71,5 +79,6 @@ __all__ = [
     "NOOP_TRACER",
     "render_text",
     "render_json",
+    "render_status_text",
     "render_trace_text",
 ]

@@ -76,6 +76,26 @@ def render_text(snapshot: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def render_status_text(status: dict) -> str:
+    """``OTPServer.status()`` as exposition lines: every numeric or boolean
+    leaf becomes ``repro_status{path="queue.classes.batch.depth"} 0`` (list
+    items by index; strings and ``None`` carry no sample and are skipped)."""
+    lines = ["# TYPE repro_status gauge"]
+
+    def walk(node, path: tuple) -> None:
+        if isinstance(node, (list, tuple)):
+            node = dict(enumerate(node))
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, path + (str(key),))
+        elif isinstance(node, (bool, int, float)):
+            labels = _format_labels({"path": ".".join(path)})
+            lines.append(f"repro_status{labels} {_format_value(float(node))}")
+
+    walk(status, ())
+    return "\n".join(lines) + "\n"
+
+
 def render_json(snapshot: dict, indent: int = 2) -> str:
     """The snapshot as stable, sorted JSON."""
     return json.dumps(snapshot, indent=indent, sort_keys=True)

@@ -69,39 +69,25 @@ class _Instrument:
             return OVERFLOW_KEY
         return key
 
+    def reset(self) -> None:
+        with self._lock:
+            self._series.clear()
+            self.overflow_count = 0
 
-class Counter(_Instrument):
-    """A monotonically increasing value per label set."""
 
-    kind = "counter"
+class _ScalarInstrument(_Instrument):
+    """One float per label set: what :class:`Counter` and :class:`Gauge` share."""
 
     def __init__(self, name: str, help: str = "", max_series: int = DEFAULT_MAX_SERIES) -> None:
         super().__init__(name, help, max_series)
         self._series: Dict[LabelKey, float] = {}
 
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease (amount={amount})")
-        with self._lock:
-            key = self._resolve_key(self._series, labels)
-            self._series[key] = self._series.get(key, 0.0) + amount
-
     def value(self, **labels: object) -> float:
         return self._series.get(label_key(labels), 0.0)
-
-    def total(self) -> float:
-        """Sum over every series (all label sets)."""
-        with self._lock:
-            return sum(self._series.values())
 
     def series(self) -> Dict[LabelKey, float]:
         with self._lock:
             return dict(self._series)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._series.clear()
-            self.overflow_count = 0
 
     def snapshot(self) -> dict:
         return {
@@ -115,14 +101,28 @@ class Counter(_Instrument):
         }
 
 
-class Gauge(_Instrument):
+class Counter(_ScalarInstrument):
+    """A monotonically increasing value per label set."""
+
+    kind = "counter"
+
+    def inc(self, amount: float = 1.0, **labels: object) -> None:
+        if amount < 0:
+            raise ValueError(f"counter {self.name} cannot decrease (amount={amount})")
+        with self._lock:
+            key = self._resolve_key(self._series, labels)
+            self._series[key] = self._series.get(key, 0.0) + amount
+
+    def total(self) -> float:
+        """Sum over every series (all label sets)."""
+        with self._lock:
+            return sum(self._series.values())
+
+
+class Gauge(_ScalarInstrument):
     """A value that can move both ways (queue depths, table sizes)."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help: str = "", max_series: int = DEFAULT_MAX_SERIES) -> None:
-        super().__init__(name, help, max_series)
-        self._series: Dict[LabelKey, float] = {}
 
     def set(self, value: float, **labels: object) -> None:
         with self._lock:
@@ -136,29 +136,6 @@ class Gauge(_Instrument):
 
     def dec(self, amount: float = 1.0, **labels: object) -> None:
         self.inc(-amount, **labels)
-
-    def value(self, **labels: object) -> float:
-        return self._series.get(label_key(labels), 0.0)
-
-    def series(self) -> Dict[LabelKey, float]:
-        with self._lock:
-            return dict(self._series)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._series.clear()
-            self.overflow_count = 0
-
-    def snapshot(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "help": self.help,
-            "series": [
-                {"labels": dict(key), "value": value}
-                for key, value in sorted(self.series().items())
-            ],
-        }
 
 
 class _HistogramSeries:
@@ -247,11 +224,6 @@ class Histogram(_Instrument):
             if cumulative >= target:
                 return bound
         return series.max if series.max is not None else self.buckets[-1]
-
-    def reset(self) -> None:
-        with self._lock:
-            self._series.clear()
-            self.overflow_count = 0
 
     def snapshot(self) -> dict:
         out = []

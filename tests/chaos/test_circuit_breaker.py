@@ -12,7 +12,6 @@ import pytest
 
 from repro.common.clock import SimulatedClock
 from repro.common.resilience import (
-    CIRCUIT_GAUGE_VALUE,
     CircuitState,
     FailoverPolicy,
     HealthTracker,
@@ -22,7 +21,6 @@ from repro.otpserver.server import OTPServer
 from repro.radius.client import RADIUSClient
 from repro.radius.server import RADIUSServer
 from repro.radius.transport import UDPFabric
-from repro.telemetry import NOOP_REGISTRY
 
 SECRET = b"breaker-secret"
 
@@ -30,7 +28,7 @@ SECRET = b"breaker-secret"
 class TestHealthTracker:
     def test_opens_after_threshold(self):
         policy = FailoverPolicy(failure_threshold=3)
-        tracker = HealthTracker(["a"], policy, NOOP_REGISTRY)
+        tracker = HealthTracker(["a"], policy)
         for i in range(2):
             tracker.on_failure("a", now=float(i))
             assert tracker.state("a") is CircuitState.CLOSED
@@ -39,7 +37,7 @@ class TestHealthTracker:
 
     def test_success_resets_consecutive_failures(self):
         policy = FailoverPolicy(failure_threshold=3)
-        tracker = HealthTracker(["a"], policy, NOOP_REGISTRY)
+        tracker = HealthTracker(["a"], policy)
         tracker.on_failure("a", 0.0)
         tracker.on_failure("a", 1.0)
         tracker.on_success("a", 2.0)
@@ -49,7 +47,7 @@ class TestHealthTracker:
 
     def test_probe_due_after_interval(self):
         policy = FailoverPolicy(failure_threshold=1, probe_interval=30.0)
-        tracker = HealthTracker(["a"], policy, NOOP_REGISTRY)
+        tracker = HealthTracker(["a"], policy)
         tracker.on_failure("a", 10.0)
         assert tracker.state("a") is CircuitState.OPEN
         assert not tracker.probe_due("a", 39.9)
@@ -57,7 +55,7 @@ class TestHealthTracker:
 
     def test_failed_probe_reopens_with_fresh_timer(self):
         policy = FailoverPolicy(failure_threshold=1, probe_interval=30.0)
-        tracker = HealthTracker(["a"], policy, NOOP_REGISTRY)
+        tracker = HealthTracker(["a"], policy)
         tracker.on_failure("a", 0.0)
         tracker.begin_probe("a", 30.0)
         assert tracker.state("a") is CircuitState.HALF_OPEN
@@ -74,7 +72,7 @@ class TestHealthTracker:
             probe_backoff=2.0,
             probe_interval_max=100.0,
         )
-        tracker = HealthTracker(["a"], policy, NOOP_REGISTRY)
+        tracker = HealthTracker(["a"], policy)
         tracker.on_failure("a", 0.0)
         now, waits = 0.0, []
         for _ in range(4):
@@ -95,7 +93,7 @@ class TestHealthTracker:
 
     def test_successful_probe_closes(self):
         policy = FailoverPolicy(failure_threshold=1)
-        tracker = HealthTracker(["a"], policy, NOOP_REGISTRY)
+        tracker = HealthTracker(["a"], policy)
         tracker.on_failure("a", 0.0)
         tracker.begin_probe("a", 30.0)
         tracker.on_success("a", 30.5)
@@ -106,19 +104,39 @@ class TestHealthTracker:
 
     def test_score_is_ewma(self):
         policy = FailoverPolicy(health_decay=0.5, failure_threshold=10)
-        tracker = HealthTracker(["a"], policy, NOOP_REGISTRY)
+        tracker = HealthTracker(["a"], policy)
         assert tracker.health("a").score == 1.0
         tracker.on_failure("a", 0.0)
         assert tracker.health("a").score == 0.5
         tracker.on_success("a", 1.0)
         assert tracker.health("a").score == 0.75
 
-    def test_gauge_encoding_ordered_by_severity(self):
-        assert (
-            CIRCUIT_GAUGE_VALUE[CircuitState.CLOSED]
-            < CIRCUIT_GAUGE_VALUE[CircuitState.HALF_OPEN]
-            < CIRCUIT_GAUGE_VALUE[CircuitState.OPEN]
-        )
+    def test_snapshot_counts_every_transition(self):
+        policy = FailoverPolicy(failure_threshold=1, health_decay=0.5)
+        tracker = HealthTracker(["a", "b"], policy)
+        tracker.on_failure("a", 0.0)  # closed -> open
+        tracker.begin_probe("a", 30.0)  # open -> half-open
+        tracker.begin_probe("a", 30.0)  # no change: not a transition
+        tracker.on_success("a", 30.5)  # half-open -> closed
+        assert tracker.health("a").transitions == 3
+        assert tracker.snapshot() == {
+            "a": {
+                "state": "closed",
+                "score": 0.75,
+                "successes": 1,
+                "failures": 1,
+                "consecutive_failures": 0,
+                "transitions": 3,
+            },
+            "b": {
+                "state": "closed",
+                "score": 1.0,
+                "successes": 0,
+                "failures": 0,
+                "consecutive_failures": 0,
+                "transitions": 0,
+            },
+        }
 
 
 @pytest.fixture

@@ -1,9 +1,9 @@
 """The resolver chain's cache and counters hold under concurrent validates.
 
 Every ``validate`` resolves its login name through the one
-:class:`ResolverChain`, from as many threads as the RADIUS tier runs, and
-``AuthPipeline.run`` has no exception guard — so an eviction race in the
-chain is a crashed validate.  A cache far smaller than the name pool keeps
+:class:`ResolverChain`, from as many threads as the RADIUS tier runs — so
+an eviction race in the chain is a correct login refused ("internal
+error").  A cache far smaller than the name pool keeps
 lookup, expiry and eviction interleaving; no call may raise and no counter
 update may be lost.
 """

@@ -153,8 +153,8 @@ class TestCallerRuns:
         for lane in snap["classes"].values():
             assert {
                 "rank", "depth", "oldest_age_seconds", "sla_seconds", "submitted",
-                "completed", "shed", "rejected", "retries", "errors",
-                "sla_hit_rate", "mean_wait_seconds", "max_wait_seconds",
+                "completed", "shed", "rejected", "retries", "errors", "sla_hits",
+                "sla_misses", "sla_hit_rate", "mean_wait_seconds", "max_wait_seconds",
             } == set(lane)
 
 

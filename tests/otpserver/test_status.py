@@ -81,7 +81,7 @@ class TestShapeIndependence:
         center = _center(config, ingest)
         otp, engine = center.otp, center.otp.db.engine
         status = otp.status()
-        expected = ["storage", "policy", "resolvers", "systems"]
+        expected = ["audit", "policy", "radius", "resolvers", "storage", "systems"]
         assert sorted(status) == sorted(expected + ["queue"] * bool(ingest))
 
         # /admin/storage: table sizes, placement, cache, WAL, replication.
@@ -126,8 +126,24 @@ class TestShapeIndependence:
             "concurrency": {"lock_stripes": otp.pipeline.locks.stripes},
         }
         assert status["resolvers"] == center.resolver_chain.snapshot()
-        assert status["systems"] == {"stampede": center.system("stampede").policy.snapshot()}
+        stampede = center.system("stampede")
+        assert status["systems"] == {
+            "stampede": {
+                **stampede.policy.snapshot(),
+                "radius": {
+                    node.hostname: client.health.snapshot()
+                    for node, client in zip(stampede.daemons, stampede.radius_clients)
+                },
+            }
+        }
         assert status["systems"]["stampede"]["ladder"]["configured_mode"] == "paired"
+        assert status["audit"] == {
+            "records": len(otp.audit),
+            "latest_timestamp": otp.audit.entries()[-1].timestamp,
+        }
+        assert status["radius"] == {
+            server.name: server.snapshot() for server in center.radius_servers
+        }
         if ingest:
             assert status["queue"] == center.ingest_queue.snapshot()
             assert status["queue"]["completed_total"] == 6
@@ -138,8 +154,9 @@ class TestShapeIndependence:
 class TestBareServer:
     def test_sections_are_what_was_wired(self):
         server = OTPServer(rng=random.Random(1))
-        assert sorted(server.status()) == ["policy", "storage"]
-        for missing in ("queue", "resolvers", "systems", "nonsense", ""):
+        assert sorted(server.status()) == ["audit", "policy", "storage"]
+        assert server.status("audit") == {"records": 0, "latest_timestamp": None}
+        for missing in ("queue", "radius", "resolvers", "systems", "nonsense", ""):
             with pytest.raises(NotFoundError, match="no status section"):
                 server.status(missing)
 
@@ -216,7 +233,9 @@ class TestSubcommand:
     def test_whole_view_on_the_production_shape(self, capsys, reference):
         code, view, _ = self._run(capsys, "--json", "--shards", "2", "--replicas", "1")
         assert code == 0
-        assert sorted(view) == ["policy", "queue", "resolvers", "storage", "systems"]
+        assert sorted(view) == [
+            "audit", "policy", "queue", "radius", "resolvers", "storage", "systems",
+        ]
         assert_same_keys(view["storage"], reference)
         assert view["resolvers"]["cache"]["hits"] > 0
         assert view["resolvers"]["resolvers"]["federated"]["stats"]["hits"] == 1

@@ -1,14 +1,19 @@
-"""Discrete-event engine: ordering, clock advancement, daily ticks."""
+"""The rollout's timeline on the discrete-event core: the ordering and
+clock-advancing guarantees the scenario leans on, held on the
+:class:`~repro.simcore.EventScheduler` it schedules onto, and the daily
+ticks ``RolloutSimulation.run`` lays down (``repro.sim.events`` is gone;
+general scheduler semantics live in ``tests/simcore/test_scheduler.py``)."""
 
 import pytest
 
 from repro.common.clock import SimulatedClock
-from repro.sim.events import EventQueue
+from repro.sim import RolloutConfig, RolloutSimulation
+from repro.simcore import EventScheduler
 
 
 @pytest.fixture
 def queue():
-    return EventQueue(SimulatedClock(0.0))
+    return EventScheduler(clock=SimulatedClock(0.0))
 
 
 class TestScheduling:
@@ -42,7 +47,7 @@ class TestScheduling:
     def test_schedule_in(self, queue):
         queue.clock.advance(10)
         fired = []
-        queue.schedule_in(5.0, lambda: fired.append(queue.clock.now()))
+        queue.schedule(5.0, lambda: fired.append(queue.clock.now()))
         queue.run_until(100.0)
         assert fired == [15.0]
 
@@ -61,7 +66,7 @@ class TestScheduling:
 
         def first():
             fired.append("first")
-            queue.schedule_in(1.0, lambda: fired.append("second"))
+            queue.schedule(1.0, lambda: fired.append("second"))
 
         queue.schedule_at(10.0, first)
         queue.run_until(100.0)
@@ -69,14 +74,25 @@ class TestScheduling:
 
 
 class TestDaily:
-    def test_daily_tick_indices(self, queue):
-        days = []
-        queue.schedule_daily(lambda d: days.append(d), days=5)
-        queue.run_until(5 * 86400.0)
-        assert days == [0, 1, 2, 3, 4]
+    """``RolloutSimulation.run``: one tick per simulated day."""
 
-    def test_daily_spacing(self, queue):
-        times = []
-        queue.schedule_daily(lambda d: times.append(queue.clock.now()), days=3)
-        queue.run_until(10 * 86400.0)
-        assert times == [0.0, 86400.0, 172800.0]
+    @pytest.fixture
+    def ticks(self, monkeypatch):
+        seen = []
+        sim = RolloutSimulation(RolloutConfig(population_size=50, seed=3))
+        start = sim.clock.now()
+        monkeypatch.setattr(
+            sim, "_day_tick", lambda day: seen.append((day, sim.clock.now() - start))
+        )
+        sim.run()
+        assert sim.clock.now() - start == sim.config.days * 86400.0
+        return sim, seen
+
+    def test_daily_tick_indices(self, ticks):
+        sim, seen = ticks
+        assert [day for day, _ in seen] == list(range(sim.config.days))
+
+    def test_daily_spacing(self, ticks):
+        _, seen = ticks
+        assert [offset for _, offset in seen[:3]] == [0.0, 86400.0, 172800.0]
+        assert all(offset == day * 86400.0 for day, offset in seen)

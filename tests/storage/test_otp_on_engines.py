@@ -16,7 +16,7 @@ from repro.crypto.totp import totp_at
 from repro.otpserver import OTPServer, ValidateStatus
 from repro.otpserver.admin_api import AdminAPI, AdminAPIClient
 from repro.storage import StorageConfig, find_layer
-from repro.telemetry import Registry, render_text
+from repro.telemetry import Registry, render_status_text, render_text
 
 STACKS = [
     pytest.param(None, id="default"),
@@ -111,7 +111,13 @@ class TestStorageTelemetry:
         server.validate("u1", totp_at(secret, clock.now()))  # replay reject
         text = render_text(registry.snapshot())
         assert "storage_op_seconds_count" in text
-        assert "storage_shard_rows" in text
+        # Per-shard row counts are state, not events: they scrape from status().
+        sizes = find_layer(server.db.engine, "shard_sizes").shard_sizes("tokens")
+        placed = [
+            f'repro_status{{path="storage.shards.{n}.tables.tokens"}} {rows}'
+            for n, rows in enumerate(sizes)
+        ]
+        assert set(placed) <= set(render_status_text(server.status()).splitlines())
         ops = registry.histogram("storage_op_seconds")
         assert ops.count(op="select", table="tokens") > 0
         assert ops.count(op="update", table="tokens") > 0

@@ -6,7 +6,6 @@ import pytest
 
 from repro.common.errors import NotFoundError, ValidationError
 from repro.storage import HashRing, InMemoryEngine, ShardedEngine, TableSchema
-from repro.telemetry import Registry
 
 
 def _schema():
@@ -110,16 +109,14 @@ class TestShardedCRUD:
         assert engine.select("tokens", where={"user_id": "u4"}) == []
         engine.insert("tokens", {"serial": "S200", "user_id": "u4"})
 
-    def test_shard_row_gauge(self):
-        registry = Registry()
-        engine = ShardedEngine(2, telemetry=registry)
+    def test_shard_rows_in_describe(self):
+        engine = ShardedEngine(2)
         engine.create_table("tokens", _schema())
         _fill(engine, 12)
-        gauge = registry.gauge("storage_shard_rows")
-        total = sum(
-            gauge.value(shard=str(i), table="tokens") for i in range(2)
-        )
-        assert total == 12
+        engine.delete("tokens", "S4")
+        placed = [shard["tables"]["tokens"] for shard in engine.describe()["shards"]]
+        assert placed == engine.shard_sizes("tokens")
+        assert sum(placed) == engine.describe()["tables"]["tokens"] == 11
 
 
 class TestShardedTransactions:

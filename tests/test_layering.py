@@ -212,6 +212,57 @@ def test_retired_status_surfaces_stay_out_of_src():
     assert _spelled_in_src(RETIRED_SURFACE_NAMES) == []
 
 
+#: The 21 series that mirrored a count ``status()`` already reports, and the
+#: plumbing that existed only to feed them.  Shrink-only, as above: a level
+#: or total a subsystem keeps is read from ``OTPServer.status()`` (and
+#: scraped as ``repro_status{path=…}``), never registered as a twin series.
+#: Series names are matched quoted — ``ingest_depth`` is also a
+#: ``WorkloadConfig`` field.
+RETIRED_SERIES = (
+    "ingest_depth",
+    "ingest_submitted_total",
+    "ingest_completed_total",
+    "ingest_retries_total",
+    "ingest_sla_total",
+    "resolver_lookups_total",
+    "resolver_health",
+    "resolver_circuit_state",
+    "resolver_circuit_transitions_total",
+    "radius_server_health",
+    "radius_circuit_state",
+    "radius_circuit_transitions_total",
+    "radius_server_requests_total",
+    "radius_server_duplicates_total",
+    "radius_server_unknown_clients_total",
+    "policy_risk_assessments_total",
+    "storage_shard_rows",
+    "storage_wal_snapshots_total",
+    "storage_promotions_total",
+    "otp_audit_log_size",
+    "otp_audit_lag_seconds",
+)
+RETIRED_SERIES_PLUMBING = (
+    "_metered",
+    "_refresh_gauges",
+    "_verdict_cache",
+    "health_metric",
+    "circuit_metric",
+    "transitions_metric",
+    "CIRCUIT_GAUGE_VALUE",
+    "sim.events",
+)
+
+
+def test_retired_twin_series_stay_out_of_src():
+    assert len(set(RETIRED_SERIES)) == 21
+    assert _spelled_in_src([f'"{name}"' for name in RETIRED_SERIES]) == []
+    assert _spelled_in_src(RETIRED_SERIES_PLUMBING) == []
+    # ``common.resilience`` takes no registry from a layer above it, and the
+    # sharding layer reports its rows through ``describe()`` alone.
+    for name in ("common/resilience.py", "storage/sharding.py"):
+        assert "telemetry" not in (SRC / name).read_text(), name
+
+
 def test_status_code_does_not_probe_the_stack_shape():
     """Each storage layer reports itself (``describe``); the code that
     serves or prints the operator view never walks the stack to find out
