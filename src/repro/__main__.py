@@ -4,13 +4,13 @@ Commands:
 
 * ``report [population] [seed]`` — run the rollout simulation and print
   the paper-vs-measured evaluation report (default 1500 accounts).
-* ``demo [--telemetry-dump] [--shards N] [--cache N] [--durability]
-  [--replicas N]`` — the quickstart walkthrough (pair a token, log in);
-  ``--shards``/``--cache`` run the OTP back end on a sharded and/or
-  LRU-cached storage stack, ``--durability`` adds write-ahead logging and
-  ``--replicas`` gives every shard N log-shipping replicas; with
-  ``--telemetry-dump``, print the telemetry snapshot of the login.
-* ``telemetry [--json] [--shards N] [--cache N]`` — run one instrumented
+* ``demo [--telemetry-dump] [--shards N] [--durability] [--replicas N]``
+  — the quickstart walkthrough (pair a token, log in); ``--shards`` runs
+  the OTP back end on a sharded storage stack, ``--durability`` adds
+  write-ahead logging and ``--replicas`` gives every shard N log-shipping
+  replicas; with ``--telemetry-dump``, print the telemetry snapshot of the
+  login.
+* ``telemetry [--json] [--shards N]`` — run one instrumented
   login and dump the resulting metrics snapshot and span tree (text by
   default), including the storage-engine op series, then the operator
   view as ``repro_status{path=…}`` lines (``--json``: a ``"status"`` key).
@@ -30,8 +30,8 @@ Commands:
   tally, the risk-stage counters and the determinism digest; exits
   non-zero if either adversarial invariant was violated.  Output is
   byte-identical across runs with the same arguments.
-* ``status [SECTION] [--json] [--shards N] [--cache N] [--durability]
-  [--replicas N] [--mode MODE] [--deadline DATE]`` — the operator view,
+* ``status [SECTION] [--json] [--shards N] [--durability] [--replicas N]
+  [--mode MODE] [--deadline DATE]`` — the operator view,
   ``OTPServer.status()``, of a production-shaped demo deployment (ingest
   queue and LDAP resolver chain on) after one fixed scenario: the demo
   login, a repeat validate (a resolver cache hit), a federated home-site
@@ -78,7 +78,6 @@ def _flag_value(args: list, flag: str, default: int) -> int:
 def _demo_login(
     telemetry=None,
     shards: int = 1,
-    cache: int = 64,
     durability: bool = False,
     replicas: int = 0,
     wal_dir=None,
@@ -105,7 +104,7 @@ def _demo_login(
         telemetry=telemetry,
         storage=StorageConfig(
             shards=shards,
-            cache_capacity=cache,
+            cache_capacity=64,
             durability=durability,
             replicas=replicas,
             wal_dir=wal_dir,
@@ -130,7 +129,6 @@ def _cmd_demo(args: list) -> int:
     center, result, _ = _demo_login(
         telemetry=True if dump else None,
         shards=_flag_value(args, "--shards", 1),
-        cache=_flag_value(args, "--cache", 64),
         durability="--durability" in args,
         replicas=replicas,
     )
@@ -182,9 +180,7 @@ def _print_telemetry(center, as_json: bool = False) -> None:
 
 def _cmd_telemetry(args: list) -> int:
     center, result, _ = _demo_login(
-        telemetry=True,
-        shards=_flag_value(args, "--shards", 1),
-        cache=_flag_value(args, "--cache", 64),
+        telemetry=True, shards=_flag_value(args, "--shards", 1)
     )
     _print_telemetry(center, as_json="--json" in args)
     return 0 if result.success else 1
@@ -383,7 +379,6 @@ def _cmd_status(args: list) -> int:
     section = args[0] if args and not args[0].startswith("--") else None
     center, passed = _status_scenario(
         shards=_flag_value(args, "--shards", 1),
-        cache=_flag_value(args, "--cache", 64),
         durability="--durability" in args,
         replicas=_flag_value(args, "--replicas", 0),
         mode=_str_flag(args, "--mode", "full"),
@@ -430,7 +425,6 @@ def _cmd_storage(args: list) -> int:
     os.makedirs(wal_dir, exist_ok=True)
     center, result, _ = _demo_login(
         shards=_flag_value(args, "--shards", 2),
-        cache=_flag_value(args, "--cache", 64),
         durability=True,
         replicas=_flag_value(args, "--replicas", 0),
         wal_dir=wal_dir,

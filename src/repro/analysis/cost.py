@@ -13,10 +13,10 @@ function of user count, and the crossover point where in-house wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.otpserver.sms_gateway import SMSPricing
+from repro.otpserver.sms_gateway import MONTHLY_FLAT, PER_MESSAGE_US
 from repro.otpserver.tokens import HARD_TOKEN_UNIT_COST, HARD_TOKEN_USER_FEE
 
 
@@ -45,7 +45,6 @@ class InHouseCosts:
     staff_fte_annual: float = 110_000.0
     one_time_development: float = 140_000.0  # the nine-month build
     development_amortization_years: float = 3.0
-    sms_pricing: SMSPricing = field(default_factory=SMSPricing)
     #: Usage assumptions for SMS users.
     sms_user_fraction: float = 0.4022  # Table 1
     sms_messages_per_user_per_month: float = 12.0
@@ -60,10 +59,10 @@ class InHouseCosts:
             fixed += self.one_time_development / self.development_amortization_years
         sms_users = users * self.sms_user_fraction
         sms = 12.0 * (
-            self.sms_pricing.monthly_flat / 12.0 * 12.0  # flat $1/month total
+            MONTHLY_FLAT / 12.0 * 12.0  # flat $1/month total
             + sms_users
             * self.sms_messages_per_user_per_month
-            * self.sms_pricing.per_message_us
+            * PER_MESSAGE_US
         )
         # Hard tokens are user-funded at $25 against ~$12.50 unit cost; the
         # margin covers processing, so they net to ~zero for the center.

@@ -17,6 +17,7 @@ from typing import Optional
 from repro.analysis.cost import CostModel
 from repro.sim import RolloutConfig, RolloutSimulation
 from repro.sim.metrics import DailyMetrics
+from repro.sim.rollout import END, START
 
 PAPER_TABLE1 = {"soft": 55.38, "sms": 40.22, "training": 2.97, "hard": 1.43}
 
@@ -113,7 +114,7 @@ def evaluation_report(
     out.write(
         "Reproduction report — Proctor et al., Securing HPC (SC'17)\n"
         f"population={len(sim.population)} seed={sim.config.seed} "
-        f"window={sim.config.start}..{sim.config.end}\n"
+        f"window={START}..{END}\n"
     )
     out.write(
         f"consistency: {m.real_logins_run} real-path logins sampled, "

@@ -41,6 +41,9 @@ from repro.policy import AuthRequest, PolicyAction, PolicyEngine
 from repro.resolvers.base import ResolverUnavailableError
 from repro.resolvers.federation import AssertionInvalid, split_assertion_code
 
+#: Who an SMS token code says it is from.
+SMS_ISSUER = "HPC-Center"
+
 
 @runtime_checkable
 class Stage(Protocol):
@@ -231,7 +234,7 @@ class ReplayGuard:
             return
         if ctx.token_type is not TokenType.SMS:
             return
-        challenges = self.server.db.table("challenges")
+        challenges = self.server.challenges
         if not challenges.exists(ctx.uid):
             ctx.finish(
                 ValidateResult(
@@ -255,7 +258,7 @@ class ReplayGuard:
     def _start_sms_challenge(self, ctx: PipelineContext) -> None:
         server = self.server
         row = ctx.row
-        challenges = server.db.table("challenges")
+        challenges = server.challenges
         now = server.clock.now()
         if challenges.exists(ctx.uid):
             outstanding = challenges.get(ctx.uid)
@@ -277,9 +280,7 @@ class ReplayGuard:
         code = totp_at(
             secret, now, digits=server.config.digits, step=server.config.totp_step
         )
-        server.sms.send(
-            row["phone_number"], f"Your {server.config.issuer} token code is {code}"
-        )
+        server.sms.send(row["phone_number"], f"Your {SMS_ISSUER} token code is {code}")
         challenges.insert(
             {
                 "user_id": ctx.uid,
@@ -325,7 +326,7 @@ class DispatchByTokenType:
         expected = self.server._sealer.unseal(ctx.challenge["sealed_code"]).decode()
         if expected == ctx.code:
             # The code is nullified on success.
-            self.server.db.table("challenges").delete(ctx.uid)
+            self.server.challenges.delete(ctx.uid)
             return ValidateResult(ValidateStatus.OK, serial=serial)
         # A mismatch leaves the challenge outstanding (Section 3.2: "In the
         # event of a token mismatch, the token code remains valid").
@@ -345,7 +346,7 @@ class DispatchByTokenType:
         if matched is not None:
             # Advance past the matched counter: consumed codes and any
             # skipped presses can never be replayed.
-            server.db.table("tokens").update(row["serial"], {"hotp_counter": matched + 1})
+            server.tokens.update(row["serial"], {"hotp_counter": matched + 1})
             return ValidateResult(ValidateStatus.OK, serial=row["serial"])
         return ValidateResult(
             ValidateStatus.REJECT, "invalid token code", serial=row["serial"]
@@ -463,7 +464,7 @@ class ApplyOutcome:
             return
         server = self.server
         row = ctx.row
-        tokens = server.db.table("tokens")
+        tokens = server.tokens
         if ctx.result.ok:
             tokens.update(row["serial"], {"failcount": 0, "pairing_confirmed": True})
             ctx.audit("validate", serial=row["serial"], success=True)

@@ -16,13 +16,12 @@ Determinism is the contract: all probabilistic faults draw from per-fault
 ``random.Random`` instances seeded from ``(run seed, plan name, fault
 index, kind)`` via :func:`repro.common.resilience.stable_seed`, time is the
 deployment's :class:`~repro.common.clock.SimulatedClock`, and every
-injection is appended to an event log whose canonical JSON rendering is
-byte-identical across runs with the same seed.
+injection is appended to a :class:`~repro.simcore.EventLog`, whose
+canonical JSON rendering is byte-identical across runs with the same seed.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from typing import Dict, List, Optional
 
@@ -43,6 +42,7 @@ from repro.chaos.plan import FaultPlan
 from repro.common.clock import Clock
 from repro.common.resilience import stable_seed
 from repro.otpserver.sms_gateway import CarrierProfile
+from repro.simcore import EventLog
 from repro.telemetry import NOOP_REGISTRY
 
 
@@ -67,7 +67,7 @@ class ChaosEngine:
         self.seed = seed
         self._clock = clock
         self.epoch = clock.now()  # plan-relative t=0
-        self.events: List[dict] = []
+        self.log = EventLog(clock, self.epoch)
         self.telemetry = telemetry if telemetry is not None else NOOP_REGISTRY
         self._m_injected = self.telemetry.counter(
             "chaos_faults_injected_total", "fault injections by kind"
@@ -88,10 +88,13 @@ class ChaosEngine:
         self._storage = storage
         self._devices = devices or {}
         # Backfill faults: ``backfill(items)`` dumps a batch-class load
-        # into ``ingest`` (an IngestQueue), whose per-class counters the
-        # engine reads back at window close to judge the drain.
+        # into ``ingest`` (an IngestQueue) and returns the handle of the
+        # scheduled pump that drains it.  The window owns that pump — the
+        # engine cancels it at window close, after reading the queue's
+        # per-class counters back to judge the drain.
         self._ingest = ingest
         self._backfill = backfill
+        self._pumps: List[object] = []  # one live handle per open backfill window
         # Resolver-outage faults toggle a named resolver's outage knob on
         # ``resolvers`` (a ResolverChain); the lookup cache is flushed on
         # both edges so the chain actually exercises failover/recovery.
@@ -107,18 +110,17 @@ class ChaosEngine:
 
     # -- event log ----------------------------------------------------------
 
+    @property
+    def events(self) -> List[dict]:
+        return self.log.events
+
     def record(self, kind: str, **fields) -> None:
-        event = {"t": round(self.t, 3), "kind": kind}
-        event.update(fields)
-        self.events.append(event)
+        self.log.append(kind, **fields)
         self._m_injected.inc(kind=kind)
 
     def event_log_lines(self) -> List[str]:
         """Canonical JSON, one event per line — byte-stable across reruns."""
-        return [
-            json.dumps(event, sort_keys=True, separators=(",", ":"))
-            for event in self.events
-        ]
+        return self.log.lines()
 
     # -- the fabric hook ----------------------------------------------------
 
@@ -250,7 +252,8 @@ class ChaosEngine:
                 device.skew = fault.skew if entering else 0.0
 
     def _run_backfill(self, fault: BatchBackfill, entering: bool) -> None:
-        """Dump the backfill at window open; audit the drain at close.
+        """Dump the backfill and start its pump at window open; audit the
+        drain and stop the pump at close.
 
         The ``backfill_drain`` event carries the batch lane's remaining
         depth — nonzero means the queue could not keep up inside the
@@ -262,9 +265,10 @@ class ChaosEngine:
                 "attached (need an ingest-enabled deployment)"
             )
         if entering:
-            self._backfill(fault.items)
+            self._pumps.append(self._backfill(fault.items))
             self.record("backfill_start", items=fault.items, depth=self._ingest.depth())
         else:
+            self._pumps.pop().cancel()
             snap = self._ingest.snapshot()
             batch = snap["classes"]["batch"]
             self.record(

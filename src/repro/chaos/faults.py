@@ -163,8 +163,7 @@ class ShardCrash(Fault):
     At window open the primary is killed and the most caught-up replica is
     deterministically promoted; at window close the crashed node rejoins
     and rebuilds purely by log replay.  Requires a replicated storage
-    stack (``StorageConfig(replicas=...)``); the runner upgrades the
-    default workload automatically when a plan schedules one.
+    stack (``StorageConfig(replicas=...)``), which the runner's rig is.
     """
 
     shard: int = 0
@@ -209,8 +208,9 @@ class BatchBackfill(Fault):
     delayed directly.  The invariant it exists to test is SLA isolation —
     interactive logins must keep their latency while the backfill drains,
     and the backfill must fully drain before the window closes.  Requires
-    an ingest-enabled deployment; the runner upgrades the default
-    workload automatically when a plan schedules one.
+    an ingest-enabled deployment, which the runner's rig is; the window
+    owns the scheduled pump that drains it (started at open, cancelled at
+    close), so a plan with no backfill schedules none.
     """
 
     items: int = 10_000

@@ -24,21 +24,19 @@ d. **Determinism** — identical seeds yield identical event logs (checked
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.chaos.engine import ChaosEngine
-from repro.chaos.faults import BatchBackfill, ShardCrash
 from repro.chaos.plan import FaultPlan
 from repro.common.clock import SimulatedClock
 from repro.common.resilience import FailoverPolicy
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
+from repro.ingest import IngestConfig, PriorityClass
 from repro.resolvers import ResolverConfig
-from repro.simcore import EventScheduler
+from repro.simcore import EventLog, EventScheduler
 from repro.ssh import SSHClient
 from repro.storage import StorageConfig
 
@@ -46,83 +44,57 @@ from repro.storage import StorageConfig
 #: deterministic scenarios (the week of the paper's production rollout).
 EPOCH = "2016-10-05T09:00:00"
 
+#: The legitimate login train: ``USERS`` soft-token users round-robin,
+#: one login every ``STEP_SECONDS``.  4 users x 17 s spaces one user's
+#: logins 68 s apart — always a fresh TOTP step, so replay protection never
+#: rejects an honest login.
+USERS = 4
+STEP_SECONDS = 17.0
+#: Every Nth login deliberately presents a wrong code (the false-accept probe).
+WRONG_EVERY = 9
+#: Per-authenticate simulated-time budget for the RADIUS client.
+DEADLINE_BUDGET = 8.0
+INGEST_DEPTH = 16384
+#: Simulated seconds of service time charged per queued item, so queue
+#: wait and login latency are measurable in virtual time.
+QUEUE_SERVICE_COST = 0.0005
+#: Distinct static-code accounts a backfill cycles through.  Static tokens
+#: have no replay nullification, so re-validating the same code thousands
+#: of times cannot trip failcounts or lockouts (which would corrupt the
+#: availability invariant with self-inflicted denials).
+BACKFILL_USERS = 16
+#: The adversarial workload: decoy accounts planted, attempts made, their
+#: spacing, and where the attacker operates from (the watchlisted network).
+HONEYTOKENS = 2
+ATTACKER_ATTEMPTS = 12
+ATTACKER_STEP_SECONDS = 23.0
+ATTACKER_IP = "203.0.113.66"
+ATTACKER_SUBNET = "203.0.113.0/24"
+
 
 @dataclass(frozen=True)
 class WorkloadConfig:
-    """Shape of the login workload driven under the fault plan."""
+    """The workload driven under the fault plan — never the deployment's
+    shape, which is one for every plan (see :func:`run_chaos`)."""
 
     seed: int = 101
     logins: int = 120
-    users: int = 4
-    #: Seconds between logins.  With 4 users round-robin this spaces one
-    #: user's logins 68 s apart — always a fresh TOTP step, so replay
-    #: protection never rejects an honest login.
-    step_seconds: float = 17.0
-    #: Every Nth login deliberately presents a wrong code (the false-accept
-    #: probe); 0 disables.
-    wrong_every: int = 9
-    #: Per-authenticate simulated-time budget for the RADIUS client.
-    deadline_budget: float = 8.0
-    shards: int = 2
-    #: Log-shipping replicas per shard (0 = none).  A plan containing a
-    #: :class:`~repro.chaos.faults.ShardCrash` needs at least one; the
-    #: runner upgrades a default (0-replica) config to 2 automatically so
-    #: the shipped kill-a-shard plan runs out of the box while every other
-    #: plan keeps its historical storage stack (and event-log digest).
-    replicas: int = 0
-    #: Write-ahead logging without replication (implied by replicas > 0).
-    durability: bool = False
-    #: Route every RADIUS validation through the priority ingestion queue
-    #: (:mod:`repro.ingest`).  A plan containing a
-    #: :class:`~repro.chaos.faults.BatchBackfill` needs the queue; the
-    #: runner enables it automatically so the shipped resync-storm plan
-    #: runs out of the box while every other plan keeps its historical
-    #: direct path (and event-log digest).
-    ingest: bool = False
-    ingest_depth: int = 16384
-    #: Scheduled queue pump: ``pump_items / pump_interval`` items per
-    #: simulated second (defaults: 160/s — a 10k backfill drains in ~63 s).
+    #: Run an attacker alongside the legitimate workload: the attacker's
+    #: network is watchlisted, ``HONEYTOKENS`` decoy accounts are planted,
+    #: and an SSH attacker alternates correct-code decoy logins with
+    #: wrong-code stuffing of the legitimate users.
+    adversarial: bool = False
+    #: The pump a backfill window schedules: ``pump_items / pump_interval``
+    #: items per simulated second (defaults: 160/s — a 10k backfill drains
+    #: in ~63 s).
     pump_interval: float = 0.25
     pump_items: int = 40
-    #: Simulated seconds of service time charged per queued item, so queue
-    #: wait and login latency are measurable in virtual time.
-    queue_service_cost: float = 0.0005
-    #: Distinct static-code accounts a backfill cycles through.  Static
-    #: tokens have no replay nullification, so re-validating the same code
-    #: thousands of times cannot trip failcounts or lockouts.
-    backfill_users: int = 16
-    #: Run an attacker alongside the legitimate workload: the deployment
-    #: gets a shared risk stage with the attacker's network watchlisted,
-    #: ``honeytokens`` decoy accounts are planted, and an SSH attacker
-    #: alternates correct-code decoy logins with wrong-code stuffing of
-    #: the legitimate users.  Off by default so every historical plan
-    #: keeps its event-log digest.
-    adversarial: bool = False
-    honeytokens: int = 2
-    attacker_attempts: int = 12
-    attacker_step_seconds: float = 23.0
-    attacker_ip: str = "203.0.113.66"
-    attacker_subnet: str = "203.0.113.0/24"
 
     def __post_init__(self) -> None:
-        if self.logins < 1 or self.users < 1:
-            raise ValueError("need at least one login and one user")
-        if self.step_seconds <= 0:
-            raise ValueError("step must be positive")
-        if self.wrong_every < 0:
-            raise ValueError("wrong_every must be >= 0")
-        if self.replicas < 0:
-            raise ValueError("replicas must be >= 0")
-        if self.ingest_depth < 1 or self.backfill_users < 1:
-            raise ValueError("ingest_depth and backfill_users must be >= 1")
+        if self.logins < 1:
+            raise ValueError("need at least one login")
         if self.pump_interval <= 0 or self.pump_items < 1:
             raise ValueError("need pump_interval > 0 and pump_items >= 1")
-        if self.queue_service_cost < 0:
-            raise ValueError("queue_service_cost must be >= 0")
-        if self.honeytokens < 0 or self.attacker_attempts < 0:
-            raise ValueError("honeytokens and attacker_attempts must be >= 0")
-        if self.attacker_step_seconds <= 0:
-            raise ValueError("attacker_step_seconds must be positive")
 
 
 @dataclass(frozen=True)
@@ -135,8 +107,7 @@ class AttemptRecord:
     healthy: bool  # >= 1 RADIUS server free of deterministic blocking
     success: bool
     reasons: Tuple[str, ...]  # user-visible messages beyond the banner
-    #: Simulated seconds the login took end to end.  Kept out of the
-    #: event log so pre-ingest plans keep their historical digests.
+    #: Simulated seconds the login took end to end.
     latency: float = 0.0
 
 
@@ -146,8 +117,14 @@ class ChaosReport:
 
     plan: FaultPlan
     config: WorkloadConfig
+    #: The engine's event log; the run appends to it, the verdicts read it.
+    log: EventLog
     attempts: List[AttemptRecord] = field(default_factory=list)
-    event_lines: List[str] = field(default_factory=list)
+
+    @property
+    def event_lines(self) -> List[str]:
+        """The canonical rendering, one event per line."""
+        return self.log.lines()
 
     # -- aggregates ---------------------------------------------------------
 
@@ -174,9 +151,8 @@ class ChaosReport:
         committed pairing or lockout write did not survive the failure.
         """
         out = []
-        for line in self.event_lines:
-            event = json.loads(line)
-            if event.get("kind") in ("shard_crash", "shard_rejoin"):
+        for event in self.log.events:
+            if event["kind"] in ("shard_crash", "shard_rejoin"):
                 if not event.get("digest_match", True):
                     out.append(
                         f"{event['kind']} on shard {event.get('shard')} at "
@@ -193,9 +169,8 @@ class ChaosReport:
         could not absorb the storm inside the window.
         """
         out = []
-        for line in self.event_lines:
-            event = json.loads(line)
-            if event.get("kind") == "backfill_drain" and event.get("remaining", 0):
+        for event in self.log.events:
+            if event["kind"] == "backfill_drain" and event.get("remaining", 0):
                 out.append(
                     f"backfill window closed at t={event.get('t')} with "
                     f"{event['remaining']} item(s) still queued"
@@ -204,11 +179,7 @@ class ChaosReport:
 
     def attacker_events(self) -> List[dict]:
         """Every ``attacker_attempt`` event (empty for non-adversarial runs)."""
-        return [
-            event
-            for event in (json.loads(line) for line in self.event_lines)
-            if event.get("kind") == "attacker_attempt"
-        ]
+        return [e for e in self.log.events if e["kind"] == "attacker_attempt"]
 
     def adversarial_violations(self) -> List[str]:
         """The two adversarial invariants, judged per attacker attempt:
@@ -251,8 +222,7 @@ class ChaosReport:
 
     def digest(self) -> str:
         """SHA-256 of the canonical event log — the determinism witness."""
-        joined = "\n".join(self.event_lines).encode("utf-8")
-        return hashlib.sha256(joined).hexdigest()
+        return self.log.digest()
 
     # -- the invariants -----------------------------------------------------
 
@@ -297,7 +267,7 @@ class ChaosReport:
             "attacker_attempts": len(self.attacker_events()),
             "adversarial_violations": len(self.adversarial_violations()),
             "interactive_p99_seconds": round(self.interactive_p99(), 6),
-            "events": len(self.event_lines),
+            "events": len(self.log),
             "digest": self.digest(),
             "violations": self.invariant_violations(),
         }
@@ -309,77 +279,70 @@ def wrong_code(code: str) -> str:
 
 
 def run_chaos(
-    plan: FaultPlan, config: Optional[WorkloadConfig] = None
+    plan: FaultPlan, config: WorkloadConfig = WorkloadConfig()
 ) -> ChaosReport:
-    """Execute one seeded chaos run and return its report."""
-    config = config or WorkloadConfig()
-    clock = SimulatedClock.at(EPOCH)
-    replicas = config.replicas
-    if replicas == 0 and any(isinstance(f, ShardCrash) for f in plan.faults):
-        # A shard-crash plan needs something to promote; give the default
-        # workload a replicated stack without touching any other plan's.
-        replicas = 2
-    # A backfill plan needs the admission queue; enable it automatically so
-    # resync-storm runs out of the box while every other plan keeps its
-    # historical direct validate path (and event-log digest).
-    use_ingest = config.ingest or any(
-        isinstance(f, BatchBackfill) for f in plan.faults
-    )
-    ingest_config = None
-    if use_ingest:
-        from repro.ingest import IngestConfig
+    """Execute one seeded chaos run and return its report.
 
-        ingest_config = IngestConfig(
-            max_depth=config.ingest_depth,
-            service_cost_seconds=config.queue_service_cost,
-        )
+    Every plan, adversarial or not, meets the same deployment — the
+    production shape ``python -m repro status`` and loginbench's back-end
+    rig run: sharded and replicated storage, the ingest queue, the risk
+    stage, the LDAP-first resolver chain, telemetry.  The plan and the
+    config choose what happens *to* it, never what it is made of.
+    """
+    clock = SimulatedClock.at(EPOCH)
     center = MFACenter(
         clock=clock,
         rng=random.Random(config.seed),
         telemetry=True,
-        storage=StorageConfig(
-            shards=config.shards,
-            durability=config.durability,
-            replicas=replicas,
-        ),
-        radius_policy=FailoverPolicy(deadline_budget=config.deadline_budget),
+        storage=StorageConfig(shards=2, replicas=2),
+        radius_policy=FailoverPolicy(deadline_budget=DEADLINE_BUDGET),
         radius_wait_clock=clock,
-        ingest=ingest_config,
-        risk=config.adversarial or None,
-        # LDAP primary, directory fallback: the shape a resolver-outage
-        # fault needs, and the one identity path every plan runs.
+        ingest=IngestConfig(
+            max_depth=INGEST_DEPTH, service_cost_seconds=QUEUE_SERVICE_COST
+        ),
+        risk=True,
         resolvers=ResolverConfig(use_ldap=True),
     )
     system = center.add_system("chaos-rig", login_nodes=1)
     node = system.login_node()
     users: List[str] = []
     devices: Dict[str, TOTPGenerator] = {}
-    for i in range(config.users):
+    for i in range(USERS):
         username = f"chaos{i + 1}"
         center.create_user(username, password=f"pw-{username}")
         _, secret = center.pair_soft(username)
         users.append(username)
         devices[username] = TOTPGenerator(secret=secret, clock=clock)
-    backfill = None
-    if use_ingest:
-        from repro.ingest import PriorityClass
+    resync_creds: List[Tuple[str, str]] = []
+    for i in range(BACKFILL_USERS):
+        username = f"resync{i + 1}"
+        center.create_user(username, password=f"pw-{username}")
+        resync_creds.append((username, center.pair_training(username)))
 
-        # Static-code accounts for the backfill: static tokens have no
-        # replay nullification, so the same code can validate thousands of
-        # times without tripping failcounts (which would corrupt the
-        # lockout/availability invariants with self-inflicted denials).
-        resync_creds: List[Tuple[str, str]] = []
-        for i in range(config.backfill_users):
-            username = f"resync{i + 1}"
-            center.create_user(username, password=f"pw-{username}")
-            code = center.pair_training(username)
-            resync_creds.append((username, code))
+    # Everything is events on one heap: fault-window boundary ticks first
+    # (exact activation instants, no polling drift), then the login train
+    # at fixed offsets — same-instant ties resolve tick-before-login by
+    # scheduling order.  A login that burns simulated time (retransmits,
+    # latency faults) pushes the clock forward; later logins whose slots
+    # already passed fire immediately, still in order.
+    scheduler = EventScheduler(clock=clock, seed=config.seed)
 
-        def backfill(items: int) -> None:
-            requests = [
-                resync_creds[i % len(resync_creds)] for i in range(items)
-            ]
-            center.ingest_queue.submit_many(requests, priority=PriorityClass.BATCH)
+    def backfill(items: int):
+        """Dump a batch-class storm and start the pump that drains it.
+
+        Synchronous validates are caller-runs and need no pump; deferred
+        work does, so the backfill window schedules one (and the engine
+        cancels the returned handle when the window closes).
+        """
+        center.ingest_queue.submit_many(
+            [resync_creds[i % len(resync_creds)] for i in range(items)],
+            priority=PriorityClass.BATCH,
+        )
+        return center.ingest_queue.attach(
+            scheduler,
+            interval=config.pump_interval,
+            items_per_pump=config.pump_items,
+        )
 
     engine = ChaosEngine(
         plan,
@@ -394,14 +357,17 @@ def run_chaos(
         backfill=backfill,
         resolvers=center.resolver_chain,
     )
+    # A digest names its run: two seeds of a plan with no probabilistic
+    # fault would otherwise log identical events.
+    engine.record("run", plan=plan.name, seed=config.seed, logins=config.logins)
     # The adversarial workload: watchlist the attacker's network, plant
     # decoy accounts whose full credentials (password *and* seed) sit in
     # the dump the attacker bought, and let the attacker run alongside
     # the legitimate login train.
     decoys: List[Tuple[str, TOTPGenerator]] = []
     if config.adversarial:
-        center.risk_stage.add_watchlist(config.attacker_subnet)
-        for i in range(config.honeytokens):
+        center.risk_stage.add_watchlist(ATTACKER_SUBNET)
+        for i in range(HONEYTOKENS):
             username = f"decoy{i + 1}"
             center.create_user(username, password=f"pw-{username}")
             _, secret = center.pair_honeytoken(username)
@@ -409,15 +375,12 @@ def run_chaos(
 
     client = SSHClient(source_ip="198.51.100.9")
     farm = [server.address for server in center.radius_servers]
-    report = ChaosReport(plan=plan, config=config)
+    report = ChaosReport(plan=plan, config=config, log=engine.log)
 
     def _login(index: int) -> None:
         username = users[index % len(users)]
         device = devices[username]
-        expect_success = not (
-            config.wrong_every
-            and index % config.wrong_every == config.wrong_every - 1
-        )
+        expect_success = index % WRONG_EVERY != WRONG_EVERY - 1
         token = (
             device.current_code
             if expect_success
@@ -454,13 +417,13 @@ def run_chaos(
             )
         )
 
-    attacker = SSHClient(source_ip=config.attacker_ip)
+    attacker = SSHClient(source_ip=ATTACKER_IP)
 
     def _attacker_attempt(k: int) -> None:
         # Odd attempts spend the stolen decoy credentials (correct code —
         # indistinguishability is the decoy's job); even attempts stuff a
         # legitimate account's compromised password with a guessed code.
-        decoy = bool(decoys) and k % 2 == 1
+        decoy = k % 2 == 1
         if decoy:
             username, device = decoys[(k // 2) % len(decoys)]
             token = device.current_code
@@ -484,39 +447,20 @@ def run_chaos(
             alarmed=len(center.otp.honeytoken_alarms) > alarms_before,
         )
 
-    # Everything is events on one heap: fault-window boundary ticks first
-    # (exact activation instants, no polling drift), then the login train
-    # at fixed offsets — same-instant ties resolve tick-before-login by
-    # scheduling order.  A login that burns simulated time (retransmits,
-    # latency faults) pushes the clock forward; later logins whose slots
-    # already passed fire immediately, still in order.
-    scheduler = EventScheduler(clock=clock, seed=config.seed)
     engine.schedule_ticks(scheduler)
     base = clock.now()
-    pump_handle = None
-    if use_ingest:
-        # The queue's virtual-time drive: a repeating pump event draining
-        # at pump_items / pump_interval items per simulated second.
-        pump_handle = center.ingest_queue.attach(
-            scheduler,
-            interval=config.pump_interval,
-            items_per_pump=config.pump_items,
-        )
     for index in range(config.logins):
-        scheduler.schedule_at(base + index * config.step_seconds, _login, index)
+        scheduler.schedule_at(base + index * STEP_SECONDS, _login, index)
     if config.adversarial:
         # Offset so attacker attempts interleave with (never tie against)
         # the legitimate train's slots.
-        for k in range(config.attacker_attempts):
+        for k in range(ATTACKER_ATTEMPTS):
             scheduler.schedule_at(
-                base + 5.0 + k * config.attacker_step_seconds, _attacker_attempt, k
+                base + 5.0 + k * ATTACKER_STEP_SECONDS, _attacker_attempt, k
             )
     try:
-        scheduler.run_until(base + config.logins * config.step_seconds)
+        scheduler.run_until(base + config.logins * STEP_SECONDS)
         engine.tick()  # close any windows that ended exactly at the horizon
     finally:
-        if pump_handle is not None:
-            pump_handle.cancel()
         engine.detach()
-    report.event_lines = engine.event_log_lines()
     return report

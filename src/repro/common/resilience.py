@@ -41,7 +41,7 @@ from __future__ import annotations
 import random
 import threading
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional
 
@@ -117,16 +117,14 @@ class FailoverPolicy:
     #: timeout ladder ever more rarely instead of once per interval.
     probe_backoff: float = 2.0
     probe_interval_max: float = 240.0
-    timeout: float = 1.0  # simulated seconds one unanswered attempt costs
     deadline_budget: Optional[float] = None  # per-call wall budget; None = unbounded
     health_decay: float = 0.7  # EWMA weight of history vs. the newest outcome
-    backoff: BackoffPolicy = field(default_factory=BackoffPolicy)
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
             raise ValueError("failure threshold must be at least 1")
-        if self.probe_interval < 0 or self.timeout < 0:
-            raise ValueError("probe interval and timeout must be non-negative")
+        if self.probe_interval < 0:
+            raise ValueError("probe interval must be non-negative")
         if self.probe_backoff < 1.0:
             raise ValueError("probe backoff must be >= 1")
         if self.probe_interval_max < self.probe_interval:

@@ -70,21 +70,20 @@ class ClassPolicy:
     ``sla_seconds`` is the queue-wait budget (hit/miss counted at service
     time); ``promote_after`` is the age per one-rank promotion
     (``inf`` = never promotes); ``max_promotion`` caps how many ranks age
-    can buy; ``max_retries`` bounds transient-failure requeues.
+    can buy.
     """
 
     sla_seconds: float = 1.0
     promote_after: float = math.inf
     max_promotion: int = 2
-    max_retries: int = 3
 
     def __post_init__(self) -> None:
         if self.sla_seconds <= 0:
             raise ValueError(f"sla_seconds must be > 0, got {self.sla_seconds}")
         if self.promote_after <= 0:
             raise ValueError(f"promote_after must be > 0, got {self.promote_after}")
-        if self.max_promotion < 0 or self.max_retries < 0:
-            raise ValueError("max_promotion and max_retries must be >= 0")
+        if self.max_promotion < 0:
+            raise ValueError("max_promotion must be >= 0")
 
 
 #: Defaults shaped like the paper's deployment: a human waits about a

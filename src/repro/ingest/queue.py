@@ -14,8 +14,8 @@ Admission, in order:
    gets its *own* :class:`~repro.policy.TokenBucketLimiter`: a batch
    backfill can only drain the batch bucket, so refill pressure from one
    class can never starve another's admission.  Sheddable classes
-   (``batch``, ``admin`` by default) are rejected when their bucket runs
-   dry while ``critical``/``interactive``/``sms`` still enter — the
+   (``SHED_CLASSES``: ``batch``, ``admin``) are rejected when their bucket
+   runs dry while ``critical``/``interactive``/``sms`` still enter — the
    "overload sheds batch before critical" contract.  Per-class buckets
    multiply aggregate capacity to ``rate × len(PriorityClass)``; an
    *injected* ``limiter`` is one shared pool instead, where its rate is
@@ -40,7 +40,7 @@ runs it:
   (drain rate = ``items_per_pump / interval``).
 
 Transient failures (:class:`~repro.common.errors.TransientBackendError`)
-requeue with exponential backoff up to the class's ``max_retries``; any
+requeue with exponential backoff up to ``MAX_RETRIES`` times; any
 other exception resolves the ticket REJECT rather than killing a worker.
 """
 
@@ -48,14 +48,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.clock import Clock, WallClock
 from repro.common.errors import TransientBackendError
 from repro.common.results import Ticket, ValidateResult, ValidateStatus
 from repro.ingest.priority import (
     CLASS_RANK,
-    ClassPolicy,
     PriorityClass,
     PriorityHeap,
     WorkItem,
@@ -64,6 +63,11 @@ from repro.policy import RateLimitConfig, TokenBucketLimiter
 from repro.telemetry import resolve_registry
 
 __all__ = ["IngestConfig", "IngestQueue", "QueuedBackend", "classify_request"]
+
+#: The classes a dry admission bucket refuses; the rest always enter.
+SHED_CLASSES = (PriorityClass.BATCH, PriorityClass.ADMIN)
+#: Transient-failure requeues per item before its ticket resolves REJECT.
+MAX_RETRIES = 3
 
 
 def classify_request(request: Sequence) -> PriorityClass:
@@ -94,16 +98,11 @@ class IngestConfig:
     """
 
     max_depth: int = 1024
-    shed_classes: Tuple[PriorityClass, ...] = (
-        PriorityClass.BATCH,
-        PriorityClass.ADMIN,
-    )
     admission_rate: Optional[float] = None
     admission_burst: float = 100.0
     retry_base_delay: float = 0.5
     retry_max_delay: float = 30.0
     service_cost_seconds: float = 0.0
-    policies: Optional[Mapping[PriorityClass, ClassPolicy]] = None
 
     def __post_init__(self) -> None:
         if self.max_depth < 1:
@@ -169,11 +168,10 @@ class IngestQueue:
                 for cls in PriorityClass
             }
         self._limiter = limiter
-        self._shed_ranks = {CLASS_RANK[cls] for cls in self.config.shed_classes}
 
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
-        self._heap = PriorityHeap(self.config.policies)
+        self._heap = PriorityHeap()
         self._seq = 0
         self._stats: Dict[PriorityClass, _ClassStats] = {
             cls: _ClassStats() for cls in PriorityClass
@@ -252,7 +250,7 @@ class IngestQueue:
             allowed = self._limiter.allow("ingest", now=now)
         else:
             return True
-        return allowed or CLASS_RANK[cls] not in self._shed_ranks
+        return allowed or cls not in SHED_CLASSES
 
     def _evict_for(self, incoming: PriorityClass) -> bool:
         """Backpressure: make room by shedding strictly worse-ranked work."""
@@ -309,7 +307,7 @@ class IngestQueue:
             result = self._runner(*item.request)
         except TransientBackendError as exc:
             item.attempts += 1
-            if item.attempts <= policy.max_retries:
+            if item.attempts <= MAX_RETRIES:
                 delay = min(
                     self.config.retry_max_delay,
                     self.config.retry_base_delay * (2 ** (item.attempts - 1)),
@@ -499,7 +497,7 @@ class IngestQueue:
                 "running_workers": len(self._workers) if self._running else 0,
                 "max_depth": self.config.max_depth,
                 "depth": len(self._heap),
-                "shed_classes": [cls.value for cls in self.config.shed_classes],
+                "shed_classes": [cls.value for cls in SHED_CLASSES],
                 "classes": classes,
                 "submitted_total": totals.submitted,
                 "completed_total": totals.completed,

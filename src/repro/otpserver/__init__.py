@@ -27,7 +27,7 @@ from repro.common.results import (
 )
 from repro.otpserver.database import Database, Table
 from repro.otpserver.server import OTPServer, OTPServerConfig
-from repro.otpserver.sms_gateway import SMSGateway, SMSPricing
+from repro.otpserver.sms_gateway import SMSGateway
 from repro.otpserver.tokens import HardTokenBatch, TokenRecord
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "ValidateResult",
     "ValidateStatus",
     "SMSGateway",
-    "SMSPricing",
     "TokenRecord",
     "TokenType",
     "HardTokenBatch",

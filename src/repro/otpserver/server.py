@@ -57,7 +57,6 @@ class OTPServerConfig:
     digits: int = 6
     sms_code_validity: float = 300.0  # how long an SMS code stays usable
     hotp_look_ahead: int = 10  # event-token counter search window
-    issuer: str = "HPC-Center"
 
     def __post_init__(self) -> None:
         if self.lockout_threshold < 1:
@@ -85,6 +84,9 @@ _TOKEN_COLUMNS = (
 )
 
 _CHALLENGE_COLUMNS = ("user_id", "serial", "sealed_code", "sent_at", "expires_at")
+
+#: What a token type with no seed of its own (static, federated) stores.
+_NO_SECRET = b"\x00" * 20
 
 
 class OTPServer:
@@ -136,13 +138,15 @@ class OTPServer:
         self.db = Database("linotp", engine=storage)
         # token_type is indexed so the Table-1 style per-type breakdown is
         # an index length lookup, not a full-table scan.
-        self.db.create_table(
+        self.tokens = self.db.create_table(
             "tokens",
             _TOKEN_COLUMNS,
             primary_key="serial",
             indexed=("user_id", "token_type"),
         )
-        self.db.create_table("challenges", _CHALLENGE_COLUMNS, primary_key="user_id")
+        self.challenges = self.db.create_table(
+            "challenges", _CHALLENGE_COLUMNS, primary_key="user_id"
+        )
         self.audit = AuditLog(self.clock)
         self._validator = TOTPValidator(
             clock=self.clock,
@@ -200,24 +204,43 @@ class OTPServer:
 
     # -- enrollment ---------------------------------------------------------
 
-    def _insert_token(self, record: TokenRecord, static_code: Optional[str]) -> None:
-        self.db.table("tokens").insert(
+    def _enroll(
+        self,
+        user_id: str,
+        token_type: TokenType,
+        serial: str,
+        secret: bytes,
+        detail: str,
+        phone_number: Optional[str] = None,
+        code: Optional[str] = None,
+        federated_principal: Optional[str] = None,
+    ) -> str:
+        """The one enrolment path: seal, insert the token row, audit.
+
+        The public ``enroll_*`` methods validate, pick the serial and the
+        secret (a token type with no seed of its own stores ``_NO_SECRET``),
+        and hand over; ``code`` is the static or step-up code kept sealed
+        next to the secret.
+        """
+        self.tokens.insert(
             {
-                "serial": record.serial,
-                "user_id": record.user_id,
-                "token_type": record.token_type.value,
-                "sealed_secret": record.sealed_secret,
-                "active": record.active,
-                "failcount": record.failcount,
-                "phone_number": record.phone_number,
+                "serial": serial,
+                "user_id": user_id,
+                "token_type": token_type.value,
+                "sealed_secret": self._sealer.seal(secret),
+                "active": True,
+                "failcount": 0,
+                "phone_number": phone_number,
                 "static_code_sealed": (
-                    self._sealer.seal(static_code.encode()) if static_code else None
+                    self._sealer.seal(code.encode()) if code else None
                 ),
-                "pairing_confirmed": record.pairing_confirmed,
+                "pairing_confirmed": False,
                 "hotp_counter": 0,
-                "federated_principal": record.federated_principal,
+                "federated_principal": federated_principal,
             }
         )
+        self.audit.record("enroll", user_id, serial, detail=detail)
+        return serial
 
     def enroll_hotp(self, user_id: str, secret: Optional[bytes] = None) -> Tuple[str, bytes]:
         """Create an event-based (HOTP, Feitian c100-class) token.
@@ -229,15 +252,7 @@ class OTPServer:
         self._ensure_unpaired(user_id)
         secret = secret or generate_secret(rng=self._rng)
         serial = self._ids.next("LSHO")
-        record = TokenRecord(
-            serial=serial,
-            user_id=user_id,
-            token_type=TokenType.HOTP,
-            sealed_secret=self._sealer.seal(secret),
-        )
-        self._insert_token(record, None)
-        self.audit.record("enroll", user_id, serial, detail="hotp")
-        return serial, secret
+        return self._enroll(user_id, TokenType.HOTP, serial, secret, "hotp"), secret
 
     def enroll_soft(self, user_id: str) -> Tuple[str, bytes]:
         """Create a soft token; returns (serial, secret) — the secret leaves
@@ -245,15 +260,7 @@ class OTPServer:
         self._ensure_unpaired(user_id)
         secret = generate_secret(rng=self._rng)
         serial = self._ids.next("LSSO")
-        record = TokenRecord(
-            serial=serial,
-            user_id=user_id,
-            token_type=TokenType.SOFT,
-            sealed_secret=self._sealer.seal(secret),
-        )
-        self._insert_token(record, None)
-        self.audit.record("enroll", user_id, serial, detail="soft")
-        return serial, secret
+        return self._enroll(user_id, TokenType.SOFT, serial, secret, "soft"), secret
 
     def enroll_honeytoken(self, user_id: str) -> Tuple[str, bytes]:
         """Plant a decoy credential on an account nobody should use.
@@ -269,15 +276,7 @@ class OTPServer:
         self._ensure_unpaired(user_id)
         secret = generate_secret(rng=self._rng)
         serial = self._ids.next("LSHY")
-        record = TokenRecord(
-            serial=serial,
-            user_id=user_id,
-            token_type=TokenType.HONEY,
-            sealed_secret=self._sealer.seal(secret),
-        )
-        self._insert_token(record, None)
-        self.audit.record("enroll", user_id, serial, detail="honey")
-        return serial, secret
+        return self._enroll(user_id, TokenType.HONEY, serial, secret, "honey"), secret
 
     def raise_honeytoken_alarm(
         self, user_id: str, serial: str, accepted: bool, source: Optional[str]
@@ -305,21 +304,14 @@ class OTPServer:
             raise ValidationError("SMS enrollment requires a phone number")
         secret = generate_secret(rng=self._rng)
         serial = self._ids.next("LSSM")
-        record = TokenRecord(
-            serial=serial,
-            user_id=user_id,
-            token_type=TokenType.SMS,
-            sealed_secret=self._sealer.seal(secret),
-            phone_number=phone_number,
+        return self._enroll(
+            user_id, TokenType.SMS, serial, secret, "sms", phone_number=phone_number
         )
-        self._insert_token(record, None)
-        self.audit.record("enroll", user_id, serial, detail="sms")
-        return serial
 
     def import_hard_batch(self, batch: HardTokenBatch) -> int:
         """Load a manufacturer batch's (serial, secret) pairs into inventory."""
         for serial in batch.serials():
-            if serial in self._hard_inventory or self.db.table("tokens").exists(serial):
+            if serial in self._hard_inventory or self.tokens.exists(serial):
                 raise ValidationError(f"duplicate hard-token serial {serial}")
             self._hard_inventory[serial] = batch.secret_for(serial)
         self.audit.record("import_batch", "-", detail=f"{len(batch)} fobs")
@@ -334,35 +326,22 @@ class OTPServer:
         secret = self._hard_inventory.pop(serial, None)
         if secret is None:
             raise NotFoundError(f"serial {serial!r} is not in hard-token inventory")
-        record = TokenRecord(
-            serial=serial,
-            user_id=user_id,
-            token_type=TokenType.HARD,
-            sealed_secret=self._sealer.seal(secret),
-        )
-        self._insert_token(record, None)
-        self.audit.record("enroll", user_id, serial, detail="hard")
-        return serial
+        return self._enroll(user_id, TokenType.HARD, serial, secret, "hard")
 
     def enroll_static(self, user_id: str, code: str) -> str:
         """Assign a training account its static six-digit code."""
         if len(code) != self.config.digits or not code.isdigit():
             raise ValidationError(f"static code must be {self.config.digits} digits")
         serial = self._ids.next("LSST")
-        record = TokenRecord(
-            serial=serial,
-            user_id=user_id,
-            token_type=TokenType.STATIC,
-            sealed_secret=self._sealer.seal(b"\x00" * 20),
-        )
         # Replacing the previous session code and inserting the new one is
         # one atomic step: a failure mid-way must not leave the trainee
         # codeless.
         with self.db.transaction():
             for row in self._user_tokens(user_id):
-                self.db.table("tokens").delete(row["serial"])
-            self._insert_token(record, code)
-        self.audit.record("enroll", user_id, serial, detail="static")
+                self.tokens.delete(row["serial"])
+            self._enroll(
+                user_id, TokenType.STATIC, serial, _NO_SECRET, "static", code=code
+            )
         return serial
 
     def enroll_federated(
@@ -389,17 +368,15 @@ class OTPServer:
             raise ValidationError(
                 f"step-up code must be {self.config.digits} digits"
             )
-        serial = self._ids.next("LSFD")
-        record = TokenRecord(
-            serial=serial,
-            user_id=user_id,
-            token_type=TokenType.FEDERATED,
-            sealed_secret=self._sealer.seal(b"\x00" * 20),
+        return self._enroll(
+            user_id,
+            TokenType.FEDERATED,
+            self._ids.next("LSFD"),
+            _NO_SECRET,
+            f"federated {principal}",
+            code=step_up_code,
             federated_principal=principal,
         )
-        self._insert_token(record, step_up_code)
-        self.audit.record("enroll", user_id, serial, detail=f"federated {principal}")
-        return serial
 
     def _ensure_unpaired(self, user_id: str) -> None:
         # Device pairings are "mutually exclusive" (Section 1): one active
@@ -410,26 +387,24 @@ class OTPServer:
     # -- queries ------------------------------------------------------------
 
     def _user_tokens(self, user_id: str) -> List[dict]:
-        return self.db.table("tokens").select(where={"user_id": user_id})
+        return self.tokens.select(where={"user_id": user_id})
 
     def user_tokens(self, user_id: str) -> List[TokenRecord]:
         """The admin view of a user's pairings."""
-        out = []
-        for row in self._user_tokens(user_id):
-            out.append(
-                TokenRecord(
-                    serial=row["serial"],
-                    user_id=row["user_id"],
-                    token_type=TokenType(row["token_type"]),
-                    sealed_secret=row["sealed_secret"],
-                    active=row["active"],
-                    failcount=row["failcount"],
-                    phone_number=row["phone_number"],
-                    pairing_confirmed=row["pairing_confirmed"],
-                    federated_principal=row.get("federated_principal"),
-                )
+        return [
+            TokenRecord(
+                serial=row["serial"],
+                user_id=row["user_id"],
+                token_type=TokenType(row["token_type"]),
+                sealed_secret=row["sealed_secret"],
+                active=row["active"],
+                failcount=row["failcount"],
+                phone_number=row["phone_number"],
+                pairing_confirmed=row["pairing_confirmed"],
+                federated_principal=row.get("federated_principal"),
             )
-        return out
+            for row in self._user_tokens(user_id)
+        ]
 
     def has_pairing(self, user_id: str) -> bool:
         return bool(self._user_tokens(user_id))
@@ -507,9 +482,7 @@ class OTPServer:
         """Clear failure counters and re-activate the user's tokens."""
         cleared = 0
         for row in self._user_tokens(user_id):
-            self.db.table("tokens").update(
-                row["serial"], {"failcount": 0, "active": True}
-            )
+            self.tokens.update(row["serial"], {"failcount": 0, "active": True})
             cleared += 1
         self.audit.record("clear_failcount", user_id)
         return cleared
@@ -527,13 +500,13 @@ class OTPServer:
         return False
 
     def disable_token(self, serial: str) -> None:
-        self.db.table("tokens").update(serial, {"active": False})
-        row = self.db.table("tokens").get(serial)
+        self.tokens.update(serial, {"active": False})
+        row = self.tokens.get(serial)
         self.audit.record("disable", row["user_id"], serial)
 
     def enable_token(self, serial: str) -> None:
-        self.db.table("tokens").update(serial, {"active": True, "failcount": 0})
-        row = self.db.table("tokens").get(serial)
+        self.tokens.update(serial, {"active": True, "failcount": 0})
+        row = self.tokens.get(serial)
         self.audit.record("enable", row["user_id"], serial)
 
     def unpair(self, user_id: str) -> int:
@@ -543,11 +516,11 @@ class OTPServer:
         # undo log guarantees no half-unpaired state is ever visible.
         with self.db.transaction():
             for row in self._user_tokens(user_id):
-                self.db.table("tokens").delete(row["serial"])
+                self.tokens.delete(row["serial"])
                 self._validator.forget(row["serial"])
                 removed += 1
-            if self.db.table("challenges").exists(user_id):
-                self.db.table("challenges").delete(user_id)
+            if self.challenges.exists(user_id):
+                self.challenges.delete(user_id)
         self.audit.record("unpair", user_id, detail=f"{removed} token(s)")
         return removed
 
@@ -557,10 +530,9 @@ class OTPServer:
         Served from the ``token_type`` secondary index — one O(1) count per
         device type instead of a scan over every enrolled token.
         """
-        tokens = self.db.table("tokens")
         counts: Dict[str, int] = {}
         for token_type in TokenType:
-            n = tokens.count(where={"token_type": token_type.value})
+            n = self.tokens.count(where={"token_type": token_type.value})
             if n:
                 counts[token_type.value] = n
         return counts

@@ -25,13 +25,10 @@ from repro.common.errors import ValidationError
 from repro.telemetry import NOOP_REGISTRY
 
 
-@dataclass(frozen=True)
-class SMSPricing:
-    """Twilio's published rates from the paper."""
-
-    monthly_flat: float = 1.00
-    per_message_us: float = 0.0075
-    per_message_intl: float = 0.05  # "International ... cost more"
+#: Twilio's published rates from the paper (dollars).
+MONTHLY_FLAT = 1.00
+PER_MESSAGE_US = 0.0075
+PER_MESSAGE_INTL = 0.05  # "International ... cost more"
 
 
 @dataclass
@@ -76,13 +73,11 @@ class SMSGateway:
     def __init__(
         self,
         clock: Clock,
-        pricing: Optional[SMSPricing] = None,
         carrier: Optional[CarrierProfile] = None,
         rng: Optional[random.Random] = None,
         telemetry=None,
     ) -> None:
         self._clock = clock
-        self.pricing = pricing or SMSPricing()
         self.carrier = carrier or CarrierProfile()
         self._rng = rng or random.Random()
         self.telemetry = telemetry if telemetry is not None else NOOP_REGISTRY
@@ -114,10 +109,10 @@ class SMSGateway:
     def bill_month(self) -> float:
         """Accrue one month of the flat service fee."""
         self.months_billed += 1
-        return self.pricing.monthly_flat
+        return MONTHLY_FLAT
 
     def total_cost(self) -> float:
-        return self.months_billed * self.pricing.monthly_flat + self.message_charges
+        return self.months_billed * MONTHLY_FLAT + self.message_charges
 
     def send(self, to_number: str, body: str) -> SMSMessage:
         """Queue a message for delivery; returns the in-flight record."""
@@ -136,11 +131,7 @@ class SMSGateway:
                 delay = carrier.base_delay + self._rng.random() * carrier.delay_jitter
                 attempts = 1
             us_destination = is_us_number(to_number)
-            cost = (
-                self.pricing.per_message_us
-                if us_destination
-                else self.pricing.per_message_intl
-            )
+            cost = PER_MESSAGE_US if us_destination else PER_MESSAGE_INTL
             message = SMSMessage(
                 to_number=to_number,
                 body=body,

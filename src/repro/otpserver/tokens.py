@@ -43,7 +43,6 @@ class TokenRecord:
     active: bool = True
     failcount: int = 0
     phone_number: Optional[str] = None  # SMS tokens only
-    static_code: Optional[str] = None  # training tokens only
     pairing_confirmed: bool = False
     federated_principal: Optional[str] = None  # federated tokens only
 
@@ -89,22 +88,17 @@ class HardTokenBatch:
     user pairing by serial number needs no key exchange.
     """
 
-    def __init__(
-        self,
-        size: int,
-        vendor: str = "Feitian",
-        model: str = "OTP c200",
-        serial_prefix: str = "FT",
-        rng: Optional[random.Random] = None,
-    ) -> None:
+    vendor = "Feitian"
+    model = "OTP c200"
+    serial_prefix = "FT"
+
+    def __init__(self, size: int, rng: Optional[random.Random] = None) -> None:
         if size <= 0:
             raise ValidationError(f"batch size must be positive, got {size}")
-        self.vendor = vendor
-        self.model = model
         rng = rng or random.Random()
         self._units: Dict[str, HardTokenUnit] = {}
         for i in range(size):
-            serial = f"{serial_prefix}{rng.randrange(10**8):08d}-{i:04d}"
+            serial = f"{self.serial_prefix}{rng.randrange(10**8):08d}-{i:04d}"
             self._units[serial] = HardTokenUnit(serial, generate_secret(rng=rng))
 
     def __len__(self) -> int:

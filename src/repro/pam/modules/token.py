@@ -33,9 +33,9 @@ from repro.policy import AuthRequest, EnforcementMode, PolicyAction, PolicyEngin
 from repro.radius.client import AuthStatus, RADIUSClient
 from repro.resolvers import escape_filter_value
 
-__all__ = ["DEFAULT_PROMPT", "EnforcementMode", "MFATokenModule"]
+__all__ = ["PROMPT", "EnforcementMode", "MFATokenModule"]
 
-DEFAULT_PROMPT = "Token Code: "
+PROMPT = "Token Code: "
 
 
 class MFATokenModule:
@@ -50,7 +50,6 @@ class MFATokenModule:
         policy: PolicyEngine,
         base_dn: str = "ou=people,dc=center,dc=edu",
         info_url: str = "https://portal.center.edu/mfa",
-        prompt: str = DEFAULT_PROMPT,
         passive_notice: bool = False,
     ) -> None:
         self._ldap = ldap
@@ -58,7 +57,6 @@ class MFATokenModule:
         self._policy = policy
         self._base_dn = base_dn
         self._info_url = info_url
-        self._prompt = prompt
         # Section 4.2's first messaging wave: in `paired` mode, show
         # unpaired interactive users a passive one-line notice (no
         # acknowledgement required — that escalation is `countdown` mode).
@@ -182,7 +180,7 @@ class MFATokenModule:
             else:
                 session.conversation.error(response.message)
                 return PAMResult.AUTH_ERR
-        code = session.conversation.prompt_echo_off(self._prompt)
+        code = session.conversation.prompt_echo_off(PROMPT)
         response = self._radius.authenticate(session.username, code, state=state)
         if response.status is AuthStatus.ACCEPT:
             session.items["second_factor"] = pairing or "none"

@@ -12,20 +12,22 @@ from __future__ import annotations
 from repro.pam.framework import PAMResult, PAMSession
 
 
+PROMPT = "Password: "
+
+
 class UnixPasswordModule:
     """Prompts for and verifies the account password."""
 
     name = "pam_unix"
 
-    def __init__(self, identity, prompt: str = "Password: ") -> None:
+    def __init__(self, identity) -> None:
         # ``identity`` is any object with check_password(username, password).
         self._identity = identity
-        self._prompt = prompt
 
     def authenticate(self, session: PAMSession) -> PAMResult:
         if session.conversation is None:
             return PAMResult.AUTH_ERR
-        password = session.conversation.prompt_echo_off(self._prompt)
+        password = session.conversation.prompt_echo_off(PROMPT)
         if self._identity.check_password(session.username, password):
             session.items["first_factor"] = "password"
             return PAMResult.SUCCESS

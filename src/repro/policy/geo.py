@@ -20,6 +20,8 @@ from repro.common.clock import Clock, SystemClock
 from repro.common.origin import OriginMatcher
 
 EARTH_RADIUS_KM = 6371.0
+#: Airliner cruise: travel between two logins faster than this is fake.
+MAX_SPEED_KMH = 950.0
 
 
 @dataclass(frozen=True)
@@ -92,14 +94,12 @@ class GeoVelocityMonitor:
         self,
         geo: GeoDatabase,
         clock: Optional[Clock] = None,
-        max_speed_kmh: float = 950.0,  # airliner cruise: anything above is fake
     ) -> None:
         self._geo = geo
         #: True when the caller supplied a clock; engines that adopt the
         #: monitor check this before rebinding it onto their own clock.
         self.clock_injected = clock is not None
         self._clock = clock or SystemClock()
-        self.max_speed_kmh = max_speed_kmh
         self._last_seen: Dict[str, Tuple[float, GeoPoint]] = {}
 
     def bind_clock(self, clock: Clock) -> None:
@@ -129,9 +129,7 @@ class GeoVelocityMonitor:
         if distance < 50.0:
             return TravelVerdict(True, 0.0, there.city, point.city)
         speed = distance / elapsed_h
-        return TravelVerdict(
-            speed <= self.max_speed_kmh, speed, there.city, point.city
-        )
+        return TravelVerdict(speed <= MAX_SPEED_KMH, speed, there.city, point.city)
 
     def forget(self, username: str) -> None:
         self._last_seen.pop(username, None)

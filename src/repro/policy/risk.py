@@ -89,6 +89,11 @@ class RiskWeights:
 #: *identity* and skip flag/step-up bookkeeping entirely.
 QUIET_ALLOW = RiskDecision(0.0, RiskAction.ALLOW, [])
 
+#: The failure-burst signal: this many failed attempts on one account
+#: inside this many seconds.
+FAILURE_BURST_SIZE = 3
+FAILURE_WINDOW = 600.0
+
 
 class RiskEngine:
     """Scores logins, remembers per-user history, records flagged verdicts.
@@ -105,8 +110,6 @@ class RiskEngine:
         geo_monitor: Optional[GeoVelocityMonitor] = None,
         step_up_threshold: float = 0.3,
         deny_threshold: float = 0.7,
-        failure_window: float = 600.0,
-        failure_burst_size: int = 3,
         flag_log_limit: int = 512,
     ) -> None:
         if not 0 <= step_up_threshold <= deny_threshold <= 1.0:
@@ -120,8 +123,6 @@ class RiskEngine:
         self._geo = geo_monitor
         self.step_up_threshold = step_up_threshold
         self.deny_threshold = deny_threshold
-        self._failure_window = failure_window
-        self._failure_burst_size = failure_burst_size
         self._known_origins: Dict[str, Set[str]] = {}
         self._failures: Dict[str, List[float]] = {}
         self._watchlist: List[OriginMatcher] = []
@@ -187,7 +188,7 @@ class RiskEngine:
             timestamps = self._failures.get(username)
             if not timestamps:
                 return 0
-            cutoff = now - self._failure_window
+            cutoff = now - FAILURE_WINDOW
             if timestamps[0] >= cutoff:
                 # Append-only and time-ordered: nothing aged out, skip the copy.
                 return len(timestamps)
@@ -213,9 +214,10 @@ class RiskEngine:
         weights = self.weights
         score = 0.0
         signals: List[str] = []
-        if self._failures and self._recent_failures(
-            username, now
-        ) >= self._failure_burst_size:
+        if (
+            self._failures
+            and self._recent_failures(username, now) >= FAILURE_BURST_SIZE
+        ):
             score += weights.failure_burst
             signals.append("failure_burst")
         known = self._known_origins.get(username)

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.common.clock import Clock, VirtualClock
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.common.resilience import (
+    BackoffPolicy,
     BackoffSchedule,
     CircuitState,
     FailoverPolicy,
@@ -42,6 +43,14 @@ from repro.radius.packet import (
 )
 from repro.radius.transport import UDPFabric
 from repro.telemetry import NOOP_REGISTRY
+
+
+#: What every login node calls itself in NAS-Identifier.
+NAS_IDENTIFIER = "login-node"
+#: Simulated seconds one unanswered attempt costs before the retransmit.
+ATTEMPT_TIMEOUT = 1.0
+#: The retransmit delay curve (exponential, capped, seeded jitter).
+BACKOFF = BackoffPolicy()
 
 
 class AuthStatus(str, Enum):
@@ -80,7 +89,6 @@ class RADIUSClient:
         servers: List[str],
         secret: bytes,
         source: str,
-        nas_identifier: str = "login-node",
         retries: int = 3,
         rng: Optional[random.Random] = None,
         telemetry=None,
@@ -97,7 +105,6 @@ class RADIUSClient:
         self._servers = list(servers)
         self._secret = secret
         self._source = source
-        self._nas_identifier = nas_identifier
         self._retries = retries
         self._rng = rng or random.Random()
         self._next_start = 0
@@ -126,7 +133,7 @@ class RADIUSClient:
         # across runs (CRC-based seed, no shared-RNG draws) yet distinct
         # across the fleet so retries never synchronize.
         self._backoff: Dict[str, BackoffSchedule] = {
-            s: BackoffSchedule(self.policy.backoff, stable_seed(source, s))
+            s: BackoffSchedule(BACKOFF, stable_seed(source, s))
             for s in self._servers
         }
         self._m_requests = self.telemetry.counter(
@@ -216,7 +223,7 @@ class RADIUSClient:
             )
             request.add(Attr.USER_NAME, username)
             request.add(Attr.USER_PASSWORD, hide_password(password, self._secret, authenticator))
-            request.add(Attr.NAS_IDENTIFIER, self._nas_identifier)
+            request.add(Attr.NAS_IDENTIFIER, NAS_IDENTIFIER)
             if state is not None:
                 request.add(Attr.STATE, state)
             wire = encode_packet(request, self._secret)
@@ -249,7 +256,7 @@ class RADIUSClient:
                     self._m_requests.inc(server=server)
                     response_bytes = self._fabric.send_request(server, wire, source)
                     if response_bytes is None:
-                        self._elapse(self.policy.timeout)
+                        self._elapse(ATTEMPT_TIMEOUT)
                         self.health.on_failure(server, self._now())
                         continue  # timeout: retransmit
                     try:
@@ -257,11 +264,11 @@ class RADIUSClient:
                             response_bytes, authenticator, self._secret
                         )
                     except ProtocolError:
-                        self._elapse(self.policy.timeout)
+                        self._elapse(ATTEMPT_TIMEOUT)
                         self.health.on_failure(server, self._now())
                         continue  # forged/corrupt response is treated as a timeout
                     if response.identifier != request.identifier:
-                        self._elapse(self.policy.timeout)
+                        self._elapse(ATTEMPT_TIMEOUT)
                         self.health.on_failure(server, self._now())
                         continue
                     self.health.on_success(server, self._now())

@@ -46,6 +46,8 @@ from repro.telemetry import resolve_registry
 
 #: Cache entries beyond this are evicted oldest-first (insertion order).
 DEFAULT_CACHE_CAPACITY = 4096
+#: Seconds a resolved identity stays cached.
+CACHE_TTL = 300.0
 
 
 class ResolverChain:
@@ -56,17 +58,15 @@ class ResolverChain:
         clock: Optional[Clock] = None,
         telemetry=None,
         policy: Optional[FailoverPolicy] = None,
-        cache_ttl: float = 300.0,
         negative_ttl: float = 30.0,
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
     ) -> None:
-        if cache_ttl <= 0 or negative_ttl <= 0:
+        if negative_ttl <= 0:
             raise ValueError("cache TTLs must be positive")
         if cache_capacity < 1:
             raise ValueError("cache capacity must be at least 1")
         self.clock = clock or WallClock()
         self.policy = policy or FailoverPolicy()
-        self.cache_ttl = float(cache_ttl)
         self.negative_ttl = float(negative_ttl)
         self._cache_capacity = int(cache_capacity)
         self._routes: Dict[str, List[IdentityResolver]] = {}
@@ -135,7 +135,7 @@ class ResolverChain:
                 self._cache.pop(username, None)
 
     def _cache_put(self, username: str, identity: Optional[ResolvedIdentity]) -> None:
-        ttl = self.cache_ttl if identity is not None else self.negative_ttl
+        ttl = CACHE_TTL if identity is not None else self.negative_ttl
         expires = self.clock.now() + ttl
         with self._lock:
             if len(self._cache) >= self._cache_capacity and username not in self._cache:
@@ -244,7 +244,7 @@ class ResolverChain:
                 "cache": {
                     "entries": len(self._cache),
                     "live": sum(1 for exp, _ in self._cache.values() if now < exp),
-                    "ttl_seconds": self.cache_ttl,
+                    "ttl_seconds": CACHE_TTL,
                     "negative_ttl_seconds": self.negative_ttl,
                     "hits": self.cache_hits,
                     "negative_hits": self.negative_hits,

@@ -8,8 +8,8 @@ ResolverConfig(...))`` tunes it; anything else means the defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from repro.common.resilience import FailoverPolicy
+from dataclasses import dataclass
+
 from repro.resolvers.backends import DirectoryResolver, LDAPSimResolver
 from repro.resolvers.chain import DEFAULT_CACHE_CAPACITY, ResolverChain
 
@@ -22,20 +22,16 @@ class ResolverConfig:
       center's LDAP model *ahead of* the directory resolver, so the
       "remote" source is primary and the in-process directory is the
       failover target (the chaos ``resolver-outage`` plan's shape);
-    * ``cache_ttl`` / ``negative_ttl`` — the chain's positive/negative
-      lookup-cache lifetimes;
-    * ``failover`` — the EWMA circuit-breaker policy (identical shape to
-      the RADIUS client's).
+    * ``negative_ttl`` / ``cache_capacity`` — how long the chain's lookup
+      cache remembers a miss, and how many entries it holds.
     """
 
     use_ldap: bool = False
-    cache_ttl: float = 300.0
     negative_ttl: float = 30.0
     cache_capacity: int = DEFAULT_CACHE_CAPACITY
-    failover: FailoverPolicy = field(default_factory=FailoverPolicy)
 
     def __post_init__(self) -> None:
-        if self.cache_ttl <= 0 or self.negative_ttl <= 0:
+        if self.negative_ttl <= 0:
             raise ValueError("cache TTLs must be positive")
         if self.cache_capacity < 1:
             raise ValueError("cache capacity must be at least 1")
@@ -53,8 +49,6 @@ def build_chain(
     chain = ResolverChain(
         clock=clock,
         telemetry=telemetry,
-        policy=config.failover,
-        cache_ttl=config.cache_ttl,
         negative_ttl=config.negative_ttl,
         cache_capacity=config.cache_capacity,
     )

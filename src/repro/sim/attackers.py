@@ -38,7 +38,7 @@ two runs with the same config were byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.common.clock import VirtualClock
 from repro.common.results import ValidateResult, ValidateStatus
@@ -86,6 +86,17 @@ GROUP_OF = {
 }
 
 
+#: The unpaired tail of the population (``_KINDS``' ``none``).
+UNPAIRED_FRACTION = 0.02
+#: Stuffing guesses per compromised account.  Four is enough to cross the
+#: risk engine's failure-burst size, so the campaign exercises both the OTP
+#: rejection path and the risk DENY path.
+ATTEMPTS_PER_TARGET = 4
+#: The network the risk stage treats as hostile from the start (threat
+#: intelligence feed); the attacker operates out of it.
+WATCHLIST = "203.0.113.0/24"
+
+
 @dataclass(frozen=True)
 class AttackConfig:
     """One adversarial campaign, fully determined by its fields."""
@@ -97,15 +108,7 @@ class AttackConfig:
     #: (the credential-dump premise of the stuffing literature).
     compromised_fraction: float = 0.01
     honeytoken_fraction: float = 0.005
-    unpaired_fraction: float = 0.02
-    #: Stuffing guesses per compromised account.  Four is enough to cross
-    #: the risk engine's failure-burst size, so the campaign exercises
-    #: both the OTP rejection path and the risk DENY path.
-    attempts_per_target: int = 4
     duration_seconds: float = 6 * 3600.0
-    #: Networks the risk stage treats as hostile from the start (threat
-    #: intelligence feed); the attacker operates from the first of them.
-    watchlist: Tuple[str, ...] = ("203.0.113.0/24",)
     #: Fraction of phished victims who complete the real login before the
     #: attacker relays, consuming the one-time code.
     victim_consumes: float = 0.3
@@ -121,10 +124,6 @@ class AttackConfig:
             raise ValueError("compromised_fraction must be in (0, 0.2]")
         if not 0 <= self.honeytoken_fraction <= 0.1:
             raise ValueError("honeytoken_fraction must be in [0, 0.1]")
-        if not 0 <= self.unpaired_fraction <= 0.5:
-            raise ValueError("unpaired_fraction must be in [0, 0.5]")
-        if self.attempts_per_target < 1:
-            raise ValueError("attempts_per_target must be at least 1")
         if self.duration_seconds < 3600:
             raise ValueError("campaigns run at least one virtual hour")
         if not 0 <= self.victim_consumes <= 1:
@@ -289,8 +288,7 @@ class AttackSimulation:
         self.epoch = self.clock.now()
         self.log = EventLog(clock=self.clock, epoch=self.epoch)
         self.stage = stage = RiskEngine(clock=self.clock)
-        for cidr in cfg.watchlist:
-            stage.add_watchlist(cidr)
+        stage.add_watchlist(WATCHLIST)
         # The paired ladder phase is the interesting one for deterrence:
         # unpaired accounts are the single-factor channel the literature's
         # baseline measures, everyone else must present a code.
@@ -355,8 +353,8 @@ class AttackSimulation:
         """
         cfg = self.config
         g = self.scheduler.streams.numpy_generator("attack-population")
-        paired = 1.0 - cfg.unpaired_fraction - cfg.honeytoken_fraction
-        fractions = [cfg.unpaired_fraction, cfg.honeytoken_fraction] + [
+        paired = 1.0 - UNPAIRED_FRACTION - cfg.honeytoken_fraction
+        fractions = [UNPAIRED_FRACTION, cfg.honeytoken_fraction] + [
             paired * _PAIRED_SPLIT[k] for k in _KINDS[2:]
         ]
         bounds = []
@@ -574,7 +572,7 @@ class AttackSimulation:
             if channel == "federated" and t.kind != "federated":
                 channel = "stuffing"
             if channel == "stuffing":
-                for k in range(cfg.attempts_per_target if t.kind != "none" else 1):
+                for k in range(ATTEMPTS_PER_TARGET if t.kind != "none" else 1):
                     self.scheduler.schedule_at(
                         base + 7.0 * k, self._stuffing_attempt, t, r
                     )

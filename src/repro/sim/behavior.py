@@ -28,6 +28,39 @@ SPRING_SEMESTER = date(2017, 1, 17)
 
 WEEKEND_FACTOR = 0.40
 HOLIDAY_FACTOR = 0.25
+#: Scripted traffic thins over the holidays (jobs finish, nobody resubmits).
+HOLIDAY_AUTOMATION_FACTOR = 0.7
+
+# -- the adoption table ----------------------------------------------------
+# When an unpaired user pairs.  Both rollout simulators read these — the
+# object-per-user ``AdoptionModel`` below and ``sim.scale``'s vectorised day
+# step — so the two curves can only differ by their draws, never by a number.
+#: Voluntary opt-in after the announcement: daily hazard at full eagerness,
+#: halving every ``VOLUNTARY_HALFLIFE`` days.
+VOLUNTARY_SCALE = 0.055
+VOLUNTARY_HALFLIFE = 12.0
+#: Pairing the day after a countdown prompt: first sighting, then repeats,
+#: each scaled by ``max(COUNTDOWN_EAGERNESS_FLOOR, eagerness +
+#: COUNTDOWN_EAGERNESS_BOOST)``.
+COUNTDOWN_FIRST_PROB = 0.70
+COUNTDOWN_REPEAT_PROB = 0.30
+COUNTDOWN_EAGERNESS_FLOOR = 0.35
+COUNTDOWN_EAGERNESS_BOOST = 0.3
+#: Response to the phase-2 announcement itself (mass email/user news):
+#: unpaired users pair the next day with this probability scaled by
+#: eagerness, independent of whether they hit the SSH countdown prompt.
+#: This is what concentrates the paper's biggest pairing day on Sep 7.
+PHASE2_ANNOUNCE_PROB = 0.20
+#: Probability an unpaired user reacts to the mandatory-day banner and
+#: mass email by pairing that same day (the rest pair when MFA first
+#: blocks them).  Low enough that Oct 4 is a spike but not the peak —
+#: the paper ranks it fourth, behind the Sep 7 countdown response.
+DEADLINE_PROB = 0.08
+#: A user MFA blocks in full mode pairs through the portal that same day
+#: with this probability; the rest become lockout tickets.
+BLOCKED_PAIRS_SAME_DAY_PROB = 0.8
+#: Unadapted automation that breaks at the deadline is fixed within days.
+BROKEN_AUTOMATION_ADAPTS_DAYS = 3
 
 
 def day_date(start: date, day_index: int) -> date:
@@ -62,17 +95,17 @@ def interactive_sessions(user: UserProfile, rng: random.Random) -> int:
         k += 1
 
 
-def automated_connections(user: UserProfile, d: date, rng: random.Random) -> int:
-    """Scripted connection volume (cron transfers, job polling).
+def automation_factor(d: date) -> float:
+    """Multiplier on scripted traffic: automation does not take weekends
+    off, but holidays thin it slightly."""
+    return HOLIDAY_AUTOMATION_FACTOR if HOLIDAY_START <= d <= HOLIDAY_END else 1.0
 
-    Automation does not take weekends off, but holidays thin it slightly
-    (jobs finish, nobody resubmits).
-    """
+
+def automated_connections(user: UserProfile, d: date, rng: random.Random) -> int:
+    """Scripted connection volume (cron transfers, job polling)."""
     if not user.automated:
         return 0
-    lam = user.automated_daily_connections
-    if HOLIDAY_START <= d <= HOLIDAY_END:
-        lam *= 0.7
+    lam = user.automated_daily_connections * automation_factor(d)
     # Normal approximation for the large-lambda Poisson.
     return max(0, int(rng.gauss(lam, math.sqrt(lam))))
 
@@ -95,45 +128,31 @@ class AdoptionModel:
     announcement_day: int
     phase2_day: int
     phase3_day: int
-    voluntary_scale: float = 0.055
-    voluntary_halflife: float = 12.0
-    countdown_first_prob: float = 0.70
-    countdown_repeat_prob: float = 0.30
-    #: Response to the phase-2 announcement itself (mass email/user news):
-    #: unpaired users pair the next day with this probability scaled by
-    #: eagerness, independent of whether they hit the SSH countdown prompt.
-    #: This is what concentrates the paper's biggest pairing day on Sep 7.
-    phase2_announce_prob: float = 0.20
-    #: Probability an unpaired user reacts to the mandatory-day banner and
-    #: mass email by pairing that same day (the rest pair when MFA first
-    #: blocks them).  Low enough that Oct 4 is a spike but not the peak —
-    #: the paper ranks it fourth, behind the Sep 7 countdown response.
-    deadline_prob: float = 0.08
 
     def pairs_after_phase2_announcement(
         self, user: UserProfile, rng: random.Random
     ) -> bool:
-        return rng.random() < self.phase2_announce_prob * user.eagerness
+        return rng.random() < PHASE2_ANNOUNCE_PROB * user.eagerness
 
     def voluntary_hazard(self, user: UserProfile, day: int) -> float:
         """Daily probability of spontaneous opt-in during phases 1-2."""
         if day < self.announcement_day:
             return 0.0
         age = day - self.announcement_day
-        decay = 0.5 ** (age / self.voluntary_halflife)
-        return self.voluntary_scale * user.eagerness * decay
+        decay = 0.5 ** (age / VOLUNTARY_HALFLIFE)
+        return VOLUNTARY_SCALE * user.eagerness * decay
 
     def pairs_after_countdown(
         self, user: UserProfile, encounters: int, rng: random.Random
     ) -> bool:
         """Decision made the day after seeing the countdown message."""
-        prob = (
-            self.countdown_first_prob if encounters <= 1 else self.countdown_repeat_prob
+        prob = COUNTDOWN_FIRST_PROB if encounters <= 1 else COUNTDOWN_REPEAT_PROB
+        return rng.random() < prob * max(
+            COUNTDOWN_EAGERNESS_FLOOR, user.eagerness + COUNTDOWN_EAGERNESS_BOOST
         )
-        return rng.random() < prob * max(0.35, user.eagerness + 0.3)
 
     def pairs_at_deadline(self, user: UserProfile, rng: random.Random) -> bool:
-        return rng.random() < self.deadline_prob
+        return rng.random() < DEADLINE_PROB
 
 
 @dataclass

@@ -15,25 +15,67 @@ Encodes the facts the paper gives about TACC's user base:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.directory.identity import AccountClass
 
+# -- the population table ----------------------------------------------------
+# Both rollout simulators read it — ``Population`` below (one ``UserProfile``
+# per account) and ``sim.scale`` (one numpy array per trait) — so no number
+# of the model is spelled twice.
+
 #: Device choice distribution among non-training pairings, renormalized
 #: from Table 1 (training accounts always pair with the static type).
-_DEVICE_WEIGHTS = (("soft", 55.38), ("sms", 40.22), ("hard", 1.43))
+DEVICE_WEIGHTS = (("soft", 55.38), ("sms", 40.22), ("hard", 1.43))
 
 #: Class mix.  Training sized so training pairings land near Table 1's
 #: 2.97% of all pairings; gateway/community "that number again" interface
 #: through a much smaller count of shared accounts.
-_CLASS_MIX = (
+CLASS_MIX = (
     (AccountClass.STAFF, 0.010),
     (AccountClass.GATEWAY, 0.004),
     (AccountClass.COMMUNITY, 0.006),
     (AccountClass.TRAINING, 0.030),
 )
+
+
+class Draw(NamedTuple):
+    """One trait's distribution: its two parameters (gauss ``mean, sd`` unless
+    noted), then the bounds the draw is clipped to."""
+
+    a: float
+    b: float
+    low: float = -math.inf
+    high: float = math.inf
+
+
+#: Staff "tend to be quite active" (Section 4.1) and opt in early.
+STAFF_LOGIN_RATE = Draw(0.70, 0.10, high=0.95)
+STAFF_SESSIONS = Draw(6.0, 2.0, low=2.0)
+STAFF_EXTERNAL_FRACTION = 0.35
+STAFF_EAGERNESS = Draw(0.85, 0.10, 0.35, 1.0)
+#: Training accounts are only active around workshop days; staff pair them
+#: before each session.
+TRAINING_LOGIN_RATE = 0.03
+TRAINING_SESSIONS = 2.0
+TRAINING_EXTERNAL_FRACTION = 0.9
+TRAINING_EAGERNESS = 1.0
+#: Gateways negotiate "in an automated fashion on behalf of these users":
+#: hundreds of connections a day.
+SERVICE_CONNECTIONS = Draw(220.0, 80.0, low=50.0)
+#: "a non-negligible number of user accounts, on the order of hundreds" out
+#: of >10k -> ~3.5% of individuals automate (lognormal daily connections).
+AUTOMATED_SHARE = 0.035
+AUTOMATED_CONNECTIONS = Draw(3.6, 0.9, low=10.0)
+#: Heavy-tailed interactive activity (lognormal): most users log in a few
+#: times a week; a long tail is on daily.
+INDIVIDUAL_LOGIN_RATE = Draw(-1.8, 0.8, high=0.9)
+INDIVIDUAL_SESSIONS = Draw(2.5, 1.0, low=1.0)
+INDIVIDUAL_EXTERNAL_FRACTION = Draw(0.75, 0.12, 0.4, 0.95)
+INDIVIDUAL_EAGERNESS = Draw(1.6, 2.4, 0.02, 1.0)  # beta
 
 
 @dataclass
@@ -61,20 +103,25 @@ class UserProfile:
 
 
 def _choose_device(rng: random.Random) -> str:
-    total = sum(w for _, w in _DEVICE_WEIGHTS)
+    total = sum(w for _, w in DEVICE_WEIGHTS)
     pick = rng.random() * total
     acc = 0.0
-    for device, weight in _DEVICE_WEIGHTS:
+    for device, weight in DEVICE_WEIGHTS:
         acc += weight
         if pick <= acc:
             return device
-    return _DEVICE_WEIGHTS[-1][0]
+    return DEVICE_WEIGHTS[-1][0]
+
+
+def _draw(sample, trait: Draw) -> float:
+    """``sample(a, b)`` (a ``random.Random`` method) clipped to the bounds."""
+    return min(trait.high, max(trait.low, sample(trait.a, trait.b)))
 
 
 def _sample_class(rng: random.Random) -> AccountClass:
     pick = rng.random()
     acc = 0.0
-    for account_class, share in _CLASS_MIX:
+    for account_class, share in CLASS_MIX:
         acc += share
         if pick < acc:
             return account_class
@@ -91,8 +138,6 @@ class Population:
         rng = random.Random(seed)
         self.users: List[UserProfile] = []
         automated_individuals = 0
-        # "a non-negligible number of user accounts, on the order of
-        # hundreds" out of >10k -> ~3.5% of individuals automate.
         for i in range(size):
             account_class = _sample_class(rng)
             username = f"{account_class.value[:2]}user{i:05d}"
@@ -101,24 +146,24 @@ class Population:
                     username=username,
                     account_class=account_class,
                     device_preference=_choose_device(rng),
-                    login_rate=min(0.95, rng.gauss(0.70, 0.10)),
-                    sessions_per_active_day=max(2.0, rng.gauss(6.0, 2.0)),
-                    external_fraction=0.35,
+                    login_rate=_draw(rng.gauss, STAFF_LOGIN_RATE),
+                    sessions_per_active_day=_draw(rng.gauss, STAFF_SESSIONS),
+                    external_fraction=STAFF_EXTERNAL_FRACTION,
                     automated=False,
                     automated_daily_connections=0.0,
-                    eagerness=min(1.0, max(0.35, rng.gauss(0.85, 0.10))),
+                    eagerness=_draw(rng.gauss, STAFF_EAGERNESS),
                 )
             elif account_class is AccountClass.TRAINING:
                 profile = UserProfile(
                     username=username,
                     account_class=account_class,
                     device_preference="training",
-                    login_rate=0.03,  # only active around workshop days
-                    sessions_per_active_day=2.0,
-                    external_fraction=0.9,
+                    login_rate=TRAINING_LOGIN_RATE,
+                    sessions_per_active_day=TRAINING_SESSIONS,
+                    external_fraction=TRAINING_EXTERNAL_FRACTION,
                     automated=False,
                     automated_daily_connections=0.0,
-                    eagerness=1.0,  # staff pair these before each session
+                    eagerness=TRAINING_EAGERNESS,
                 )
             elif account_class in (AccountClass.GATEWAY, AccountClass.COMMUNITY):
                 profile = UserProfile(
@@ -129,30 +174,28 @@ class Population:
                     sessions_per_active_day=0.0,
                     external_fraction=1.0,
                     automated=True,
-                    # Gateways negotiate "in an automated fashion on behalf
-                    # of these users": hundreds of connections a day.
-                    automated_daily_connections=max(50.0, rng.gauss(220.0, 80.0)),
+                    automated_daily_connections=_draw(rng.gauss, SERVICE_CONNECTIONS),
                     eagerness=0.0,
                 )
             else:
-                automated = rng.random() < 0.035
+                automated = rng.random() < AUTOMATED_SHARE
                 if automated:
                     automated_individuals += 1
-                # Heavy-tailed interactive activity: most users log in a few
-                # times a week; a long tail is on daily.
-                rate = min(0.9, rng.lognormvariate(-1.8, 0.8))
+                rate = _draw(rng.lognormvariate, INDIVIDUAL_LOGIN_RATE)
                 profile = UserProfile(
                     username=username,
                     account_class=account_class,
                     device_preference=_choose_device(rng),
                     login_rate=rate,
-                    sessions_per_active_day=max(1.0, rng.gauss(2.5, 1.0)),
-                    external_fraction=min(0.95, max(0.4, rng.gauss(0.75, 0.12))),
+                    sessions_per_active_day=_draw(rng.gauss, INDIVIDUAL_SESSIONS),
+                    external_fraction=_draw(rng.gauss, INDIVIDUAL_EXTERNAL_FRACTION),
                     automated=automated,
                     automated_daily_connections=(
-                        max(10.0, rng.lognormvariate(3.6, 0.9)) if automated else 0.0
+                        _draw(rng.lognormvariate, AUTOMATED_CONNECTIONS)
+                        if automated
+                        else 0.0
                     ),
-                    eagerness=min(1.0, max(0.02, rng.betavariate(1.6, 2.4))),
+                    eagerness=_draw(rng.betavariate, INDIVIDUAL_EAGERNESS),
                 )
                 profile.uses_multiplexing = automated and rng.random() < 0.5
             self.users.append(profile)

@@ -32,6 +32,8 @@ from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
 from repro.directory.identity import AccountClass
 from repro.sim.behavior import (
+    BLOCKED_PAIRS_SAME_DAY_PROB,
+    BROKEN_AUTOMATION_ADAPTS_DAYS,
     SPRING_SEMESTER,
     AdaptationModel,
     AdoptionModel,
@@ -42,39 +44,38 @@ from repro.sim.behavior import (
     logs_in_today,
 )
 from repro.sim.metrics import DailyMetrics
-from repro.sim.population import Population, UserProfile
+from repro.sim.population import DEVICE_WEIGHTS, Population, UserProfile
 from repro.portal.mailer import Mailer
 from repro.sim.tickets import TicketModel
 from repro.simcore import EventScheduler
 from repro.ssh.client import SSHClient
 
 
+#: The simulated window, and when staff began contacting targeted users.
+START = date(2016, 8, 1)
+END = date(2017, 3, 31)
+OUTREACH = date(2016, 8, 5)
+#: New accounts per day per 1000 existing (pairing at signup from late
+#: August; doubled for three weeks at the spring semester).
+NEW_ACCOUNTS_PER_1K = 0.35
+
+
 @dataclass
 class RolloutConfig:
-    """All scenario knobs, defaulted to the paper's timeline."""
+    """The scenario knobs, defaulted to the paper's timeline."""
 
     population_size: int = 2000
     seed: int = 20160810
-    start: date = date(2016, 8, 1)
-    end: date = date(2017, 3, 31)
     announcement: date = date(2016, 8, 10)
     phase2: date = date(2016, 9, 6)
     phase3: date = date(2016, 10, 4)
-    outreach: date = date(2016, 8, 5)
     #: Fraction of interactive external logins executed through the real
     #: SSH/PAM/RADIUS/OTP path as a consistency check.
     real_login_fraction: float = 0.003
-    #: New accounts per day per 1000 existing (pairing at signup from late
-    #: August; doubled for three weeks at the spring semester).
-    new_accounts_per_1k: float = 0.35
-    #: Storage tier for the OTP back end: None for the default in-memory
-    #: engine, or a :class:`repro.storage.StorageConfig` to run the rollout
-    #: against a sharded/cached stack (scaling studies sweep this).
-    storage: Optional[object] = None
 
     @property
     def days(self) -> int:
-        return (self.end - self.start).days + 1
+        return (END - START).days + 1
 
 
 @dataclass
@@ -101,21 +102,19 @@ class RolloutSimulation:
         self.config = config or RolloutConfig()
         cfg = self.config
         self.rng = random.Random(cfg.seed)
-        self.clock = SimulatedClock.at(f"{cfg.start.isoformat()}T00:00:00")
-        self.center = MFACenter(
-            clock=self.clock, rng=random.Random(cfg.seed + 1), storage=cfg.storage
-        )
+        self.clock = SimulatedClock.at(f"{START.isoformat()}T00:00:00")
+        self.center = MFACenter(clock=self.clock, rng=random.Random(cfg.seed + 1))
         self.system = self.center.add_system("stampede", login_nodes=2, mode="paired")
         self.population = Population(cfg.population_size, seed=cfg.seed + 2)
-        self.metrics = DailyMetrics(cfg.start, cfg.days)
+        self.metrics = DailyMetrics(START, cfg.days)
         self.tickets = TicketModel(cfg.population_size)
         self.adoption = AdoptionModel(
-            announcement_day=(cfg.announcement - cfg.start).days,
-            phase2_day=(cfg.phase2 - cfg.start).days,
-            phase3_day=(cfg.phase3 - cfg.start).days,
+            announcement_day=(cfg.announcement - START).days,
+            phase2_day=(cfg.phase2 - START).days,
+            phase3_day=(cfg.phase3 - START).days,
         )
         self.adaptation = AdaptationModel(
-            outreach_day=(cfg.outreach - cfg.start).days,
+            outreach_day=(OUTREACH - START).days,
             phase2_day=self.adoption.phase2_day,
             phase3_day=self.adoption.phase3_day,
         )
@@ -202,7 +201,7 @@ class RolloutSimulation:
     # -- new account arrivals ----------------------------------------------------------
 
     def _arrivals_today(self, d: date) -> int:
-        rate = self.config.new_accounts_per_1k * len(self.population.users) / 1000.0
+        rate = NEW_ACCOUNTS_PER_1K * len(self.population.users) / 1000.0
         if SPRING_SEMESTER <= d <= date(2017, 2, 7):
             rate *= 2.2  # spring-semester signup wave
         rate *= activity_factor(d) / max(activity_factor(d), 1.0) or 1.0
@@ -219,12 +218,11 @@ class RolloutSimulation:
         """A fresh signup; from late August they pair during registration."""
         self._next_new_user += 1
         username = f"newuser{self._next_new_user:05d}"
+        devices, weights = zip(*DEVICE_WEIGHTS)
         profile = UserProfile(
             username=username,
             account_class=AccountClass.INDIVIDUAL,
-            device_preference=self.rng.choices(
-                ["soft", "sms", "hard"], weights=[55.38, 40.22, 1.43]
-            )[0],
+            device_preference=self.rng.choices(devices, weights=weights)[0],
             login_rate=min(0.9, self.rng.lognormvariate(-1.9, 0.7)),
             sessions_per_active_day=max(1.0, self.rng.gauss(2.0, 0.8)),
             external_fraction=0.8,
@@ -238,7 +236,7 @@ class RolloutSimulation:
         )
         state = _UserState(profile=profile)
         self._states[username] = state
-        instructed_from = (date(2016, 8, 22) - self.config.start).days
+        instructed_from = (date(2016, 8, 22) - START).days
         if day >= instructed_from:
             if profile.device_preference == "hard" and not self._hard_batch.unshipped():
                 profile.device_preference = "soft"
@@ -263,7 +261,7 @@ class RolloutSimulation:
         phase2_day = self.adoption.phase2_day
         phase3_day = self.adoption.phase3_day
         announcement_day = self.adoption.announcement_day
-        d = day_date(cfg.start, day)
+        d = day_date(START, day)
         if day == announcement_day:
             self._mass_email(
                 "Multi-factor authentication is coming",
@@ -357,7 +355,7 @@ class RolloutSimulation:
                         deadline_lockouts_today += 1
                         self._maybe_real_login(state, day, expect_success=False)
                         if user.device_preference != "training" and (
-                            self.rng.random() < 0.8
+                            self.rng.random() < BLOCKED_PAIRS_SAME_DAY_PROB
                         ):
                             self._pair(state, day)
                             # Their retry succeeds with MFA.
@@ -399,9 +397,8 @@ class RolloutSimulation:
                 elif day >= phase3_day:
                     # Unadapted, unexempted automation breaks at the
                     # deadline; they adapt within days.
-                    state.adaptation_day = min(
-                        state.adaptation_day or (day + 3), day + 3
-                    )
+                    adapts_by = day + BROKEN_AUTOMATION_ADAPTS_DAYS
+                    state.adaptation_day = min(state.adaptation_day or adapts_by, adapts_by)
                     deadline_lockouts_today += 1
                 else:
                     self.metrics.external_nonmfa[day] += conns

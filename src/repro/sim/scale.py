@@ -17,11 +17,11 @@ Determinism is structural, not incidental:
 * per-day aggregates land in a canonical-JSON :class:`~repro.simcore.EventLog`
   whose SHA-256 :meth:`digest` is byte-identical across same-seed runs.
 
-The behavioural shape mirrors :mod:`repro.sim.behavior` — the same class
-mix, calendar factors, adoption triggers (announcement hazard, countdown
-reaction, deadline forcing) and automated-workflow adaptation — compressed
-onto a configurable horizon via phase fractions, so a 14-day scaled run
-and the paper's 243-day timeline produce the same curve shapes.
+The behaviour is the full rollout's, read from the same table — the class
+mix and trait distributions of :mod:`repro.sim.population`, the calendar
+factors and adoption probabilities of :mod:`repro.sim.behavior` — and
+compressed onto a configurable horizon via phase fractions, so a 14-day
+scaled run and the paper's 243-day timeline produce the same curve shapes.
 """
 
 from __future__ import annotations
@@ -32,10 +32,20 @@ from typing import Optional
 
 import numpy as np
 
-from repro.sim.behavior import activity_factor
+from repro.directory.identity import AccountClass
+from repro.sim import behavior
+from repro.sim import population as table
 from repro.sim.metrics import DailyMetrics
 from repro.sim.tickets import TicketModel
 from repro.simcore import EventLog, EventScheduler, VirtualClock
+
+#: The first announcement lands this far into the horizon.
+ANNOUNCEMENT_FRAC = 0.10
+#: Fraction of eligible users already paired at t=0 (the rollout began
+#: with early adopters from the pilot).
+INITIAL_PAIRED_FRACTION = 0.15
+#: Spread of workflow-adaptation days around phase 2, as a share of the horizon.
+ADAPTATION_SPREAD_FRAC = 0.08
 
 
 @dataclass(frozen=True)
@@ -51,24 +61,20 @@ class ScaleConfig:
     days: int = 14
     seed: int = 20160810
     start: date = date(2016, 8, 1)
-    announcement_frac: float = 0.10
     phase2_frac: float = 0.40
     phase3_frac: float = 0.70
-    #: Fraction of eligible users already paired at t=0 (the rollout began
-    #: with early adopters from the pilot).
-    initial_paired_fraction: float = 0.15
 
     def __post_init__(self) -> None:
         if self.users < 100:
             raise ValueError(f"scaled runs start at 100 users, got {self.users}")
         if self.days < 1:
             raise ValueError(f"need at least one day, got {self.days}")
-        if not 0.0 <= self.announcement_frac <= self.phase2_frac <= self.phase3_frac <= 1.0:
+        if not ANNOUNCEMENT_FRAC <= self.phase2_frac <= self.phase3_frac <= 1.0:
             raise ValueError("phase fractions must be ordered within [0, 1]")
 
     @property
     def announcement_day(self) -> int:
-        return int(self.days * self.announcement_frac)
+        return int(self.days * ANNOUNCEMENT_FRAC)
 
     @property
     def phase2_day(self) -> int:
@@ -82,17 +88,11 @@ class ScaleConfig:
 class ScaledRollout:
     """Vectorised population state driven by daily scheduled events."""
 
-    def __init__(
-        self,
-        config: Optional[ScaleConfig] = None,
-        scheduler: Optional[EventScheduler] = None,
-    ) -> None:
+    def __init__(self, config: Optional[ScaleConfig] = None) -> None:
         self.config = config or ScaleConfig()
         cfg = self.config
-        if scheduler is None:
-            clock = VirtualClock.at(f"{cfg.start.isoformat()}T00:00:00")
-            scheduler = EventScheduler(clock=clock, seed=cfg.seed)
-        self.scheduler = scheduler
+        clock = VirtualClock.at(f"{cfg.start.isoformat()}T00:00:00")
+        self.scheduler = scheduler = EventScheduler(clock=clock, seed=cfg.seed)
         self.metrics = DailyMetrics(cfg.start, cfg.days)
         self.log = EventLog(clock=scheduler.clock, epoch=scheduler.clock.now())
         self.tickets = TicketModel(cfg.users)
@@ -109,70 +109,83 @@ class ScaledRollout:
         n = cfg.users
         g = self.scheduler.streams.numpy_generator("population")
         pick = g.random(n)
-        # Class mix from repro.sim.population: staff 1.0%, gateway 0.4%,
-        # community 0.6%, training 3.0%, the rest individual accounts.
-        self.is_staff = pick < 0.010
-        self.is_service = (pick >= 0.010) & (pick < 0.020)
-        self.is_training = (pick >= 0.020) & (pick < 0.050)
-        individual = pick >= 0.050
+        # The class mix as cumulative thresholds on one uniform draw;
+        # gateway and community accounts are one "service" band here.
+        mix = dict(table.CLASS_MIX)
+        staff = mix[AccountClass.STAFF]
+        service = staff + mix[AccountClass.GATEWAY] + mix[AccountClass.COMMUNITY]
+        training = service + mix[AccountClass.TRAINING]
+        self.is_staff = pick < staff
+        self.is_service = (pick >= staff) & (pick < service)
+        self.is_training = (pick >= service) & (pick < training)
+        individual = pick >= training
+
+        def draw(sample, trait: table.Draw, size: int = n):
+            return np.clip(sample(trait.a, trait.b, size), trait.low, trait.high)
 
         self.login_rate = np.where(
             self.is_staff,
-            np.clip(g.normal(0.70, 0.10, n), 0.05, 0.95),
+            np.maximum(0.05, draw(g.normal, table.STAFF_LOGIN_RATE)),
             np.where(
                 self.is_training,
-                0.03,
-                np.minimum(0.9, g.lognormal(-1.8, 0.8, n)),
+                table.TRAINING_LOGIN_RATE,
+                draw(g.lognormal, table.INDIVIDUAL_LOGIN_RATE),
             ),
         )
         self.login_rate[self.is_service] = 0.0
         self.sessions = np.where(
             self.is_staff,
-            np.maximum(2.0, g.normal(6.0, 2.0, n)),
-            np.where(self.is_training, 2.0, np.maximum(1.0, g.normal(2.5, 1.0, n))),
+            draw(g.normal, table.STAFF_SESSIONS),
+            np.where(
+                self.is_training,
+                table.TRAINING_SESSIONS,
+                draw(g.normal, table.INDIVIDUAL_SESSIONS),
+            ),
         )
         self.external_frac = np.where(
             self.is_staff,
-            0.35,
+            table.STAFF_EXTERNAL_FRACTION,
             np.where(
                 self.is_training,
-                0.9,
-                np.clip(g.normal(0.75, 0.12, n), 0.4, 0.95),
+                table.TRAINING_EXTERNAL_FRACTION,
+                draw(g.normal, table.INDIVIDUAL_EXTERNAL_FRACTION),
             ),
         )
         self.eagerness = np.where(
             self.is_staff,
-            np.clip(g.normal(0.85, 0.10, n), 0.35, 1.0),
+            draw(g.normal, table.STAFF_EAGERNESS),
             np.where(
                 self.is_training,
-                1.0,
-                np.clip(g.beta(1.6, 2.4, n), 0.02, 1.0),
+                table.TRAINING_EAGERNESS,
+                draw(g.beta, table.INDIVIDUAL_EAGERNESS),
             ),
         )
-        # Automation: every service account, plus ~3.5% of individuals.
-        self.automated = self.is_service | (individual & (g.random(n) < 0.035))
+        # Automation: every service account, plus a share of individuals.
+        self.automated = self.is_service | (
+            individual & (g.random(n) < table.AUTOMATED_SHARE)
+        )
         self.auto_conns = np.zeros(n)
-        self.auto_conns[self.is_service] = np.maximum(
-            50.0, g.normal(220.0, 80.0, int(self.is_service.sum()))
+        self.auto_conns[self.is_service] = draw(
+            g.normal, table.SERVICE_CONNECTIONS, int(self.is_service.sum())
         )
         auto_ind = self.automated & ~self.is_service
-        self.auto_conns[auto_ind] = np.maximum(
-            10.0, g.lognormal(3.6, 0.9, int(auto_ind.sum()))
+        self.auto_conns[auto_ind] = draw(
+            g.lognormal, table.AUTOMATED_CONNECTIONS, int(auto_ind.sum())
         )
         # Automated individuals adapt their workflows around phase 2, with
         # a straggler tail (behavior.AdaptationModel, discretised).
-        spread = max(1.0, cfg.days * 0.08)
+        spread = max(1.0, cfg.days * ADAPTATION_SPREAD_FRAC)
         self.adaptation_day = np.full(n, np.iinfo(np.int32).max, dtype=np.int64)
         self.adaptation_day[auto_ind] = np.clip(
             np.rint(g.normal(cfg.phase2_day, spread, int(auto_ind.sum()))),
             max(0, cfg.announcement_day),
-            cfg.days + 3,
+            cfg.days + behavior.BROKEN_AUTOMATION_ADAPTS_DAYS,
         ).astype(np.int64)
 
         #: Pairing eligibility: service accounts are exempt (real ACL rules
         #: in the full rollout) and never pair.
         self.eligible = ~self.is_service
-        self.paired = self.eligible & (g.random(n) < cfg.initial_paired_fraction)
+        self.paired = self.eligible & (g.random(n) < INITIAL_PAIRED_FRACTION)
         # Training accounts pair just before "their" workshop day.
         self.workshop_day = g.integers(0, cfg.days, n)
         self.paired &= ~self.is_training
@@ -225,7 +238,7 @@ class ScaledRollout:
         d = cfg.start + timedelta(days=day)
         g = self.scheduler.streams.numpy_generator("day", day)
         n = cfg.users
-        factor = activity_factor(d)
+        factor = behavior.activity_factor(d)
         phase2, phase3 = cfg.phase2_day, cfg.phase3_day
 
         # 1. Pairings decided yesterday (countdown / announcement reactions).
@@ -237,17 +250,19 @@ class ScaledRollout:
         if cfg.announcement_day <= day < phase3:
             age = day - cfg.announcement_day
             decay = 0.5 ** (age / max(2.0, cfg.days * 0.05))
-            hazard = 0.055 * self.eagerness * decay
+            hazard = behavior.VOLUNTARY_SCALE * self.eagerness * decay
             pair_now |= unpaired & (g.random(n) < hazard)
         # The phase-2 mass email lands: part of the unpaired pool reacts by
         # pairing the following day (the paper's Sep 7 peak).
         if day == phase2:
-            self.pending_pair |= unpaired & (g.random(n) < 0.20 * self.eagerness)
+            self.pending_pair |= unpaired & (
+                g.random(n) < behavior.PHASE2_ANNOUNCE_PROB * self.eagerness
+            )
         # Training workshops pair on their session day.
         pair_now |= self.is_training & ~self.paired & (self.workshop_day == day)
         # Mandatory-deadline day: some holdouts pair proactively.
         if day == phase3:
-            pair_now |= unpaired & (g.random(n) < 0.08)
+            pair_now |= unpaired & (g.random(n) < behavior.DEADLINE_PROB)
 
         # 2. Interactive logins.
         active = g.random(n) < self.login_rate * factor
@@ -270,7 +285,9 @@ class ScaledRollout:
             # portal and their retry succeeds with MFA.
             blocked = np.flatnonzero(unpaired_at & (external > 0))
             lockouts = int(blocked.size)
-            recover = blocked[g.random(blocked.size) < 0.8]
+            recover = blocked[
+                g.random(blocked.size) < behavior.BLOCKED_PAIRS_SAME_DAY_PROB
+            ]
             pair_now[idx[recover]] = True
             ext_mfa += int(external[recover].sum())
             unique += int(recover.size)
@@ -282,15 +299,18 @@ class ScaledRollout:
                 countdown_encounters = int(seen.size)
                 seen_idx = idx[seen]
                 first = ~self.countdown_seen[seen_idx]
-                prob = np.where(first, 0.70, 0.30) * np.maximum(
-                    0.35, self.eagerness[seen_idx] + 0.3
+                prob = np.where(
+                    first, behavior.COUNTDOWN_FIRST_PROB, behavior.COUNTDOWN_REPEAT_PROB
+                ) * np.maximum(
+                    behavior.COUNTDOWN_EAGERNESS_FLOOR,
+                    self.eagerness[seen_idx] + behavior.COUNTDOWN_EAGERNESS_BOOST,
                 )
                 self.countdown_seen[seen_idx] = True
                 self.pending_pair[seen_idx[g.random(seen_idx.size) < prob]] = True
 
         # 3. Automated traffic (does not take weekends off).
         auto_idx = np.flatnonzero(self.automated)
-        lam = self.auto_conns[auto_idx] * (0.7 if factor < 0.3 else 1.0)
+        lam = self.auto_conns[auto_idx] * behavior.automation_factor(d)
         conns = np.maximum(
             0.0, g.normal(lam, np.sqrt(np.maximum(lam, 1.0)))
         ).astype(np.int64)
@@ -307,7 +327,8 @@ class ScaledRollout:
             broke = np.flatnonzero(pre & (conns > 0))
             lockouts += int(broke.size)
             self.adaptation_day[auto_idx[broke]] = np.minimum(
-                self.adaptation_day[auto_idx[broke]], day + 3
+                self.adaptation_day[auto_idx[broke]],
+                day + behavior.BROKEN_AUTOMATION_ADAPTS_DAYS,
             )
         else:
             ext_nonmfa += int(conns[pre].sum())

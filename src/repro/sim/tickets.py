@@ -23,21 +23,23 @@ from datetime import date
 from repro.sim.behavior import activity_factor
 
 
+#: Baseline non-MFA tickets per weekday per 10k accounts (TACC's >10k
+#: accounts generated on the order of dozens of tickets a day).
+BASELINE_PER_10K = 55.0
+PAIRING_TICKET_PROB = 0.020  # pairing trouble / questions
+COUNTDOWN_TICKET_PROB = 0.008  # "what is this message?"
+LOCKOUT_TICKET_PROB = 0.08  # locked out at the deadline
+STEADY_MFA_RATE_PER_10K = 1.7  # new users / device changes
+
+
 @dataclass
 class TicketModel:
     """Converts daily event counts into ticket counts."""
 
     population: int
-    #: Baseline non-MFA tickets per weekday, scaled with population (TACC's
-    #: >10k accounts generated on the order of dozens of tickets a day).
-    baseline_per_10k: float = 55.0
-    pairing_ticket_prob: float = 0.020  # pairing trouble / questions
-    countdown_ticket_prob: float = 0.008  # "what is this message?"
-    lockout_ticket_prob: float = 0.08  # locked out at the deadline
-    steady_mfa_rate_per_10k: float = 1.7  # new users / device changes
 
     def other_tickets(self, d: date, rng: random.Random) -> int:
-        lam = self.baseline_per_10k * self.population / 10_000.0 * activity_factor(d)
+        lam = BASELINE_PER_10K * self.population / 10_000.0 * activity_factor(d)
         return max(0, int(rng.gauss(lam, math.sqrt(max(lam, 1.0)))))
 
     def mfa_tickets(
@@ -49,10 +51,10 @@ class TicketModel:
         rng: random.Random,
     ) -> int:
         lam = (
-            new_pairings * self.pairing_ticket_prob
-            + countdown_encounters * self.countdown_ticket_prob
-            + deadline_lockouts * self.lockout_ticket_prob
-            + self.steady_mfa_rate_per_10k
+            new_pairings * PAIRING_TICKET_PROB
+            + countdown_encounters * COUNTDOWN_TICKET_PROB
+            + deadline_lockouts * LOCKOUT_TICKET_PROB
+            + STEADY_MFA_RATE_PER_10K
             * self.population
             / 10_000.0
             * activity_factor(d)

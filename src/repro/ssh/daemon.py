@@ -64,6 +64,8 @@ class _MasterConnection:
 
 #: The pam.d service name sshd authenticates under.
 PAM_SERVICE = "sshd"
+#: Stack runs one connection gets before sshd hangs up (MaxAuthTries).
+MAX_AUTH_ATTEMPTS = 3
 
 
 class SSHDaemon:
@@ -78,7 +80,6 @@ class SSHDaemon:
         authlog: Optional[AuthLog] = None,
         clock: Optional[Clock] = None,
         banner: str = "",
-        max_auth_attempts: int = 3,
         rng: Optional[random.Random] = None,
         accounting=None,
         telemetry=None,
@@ -93,7 +94,6 @@ class SSHDaemon:
         # and a shared-but-empty log must not be replaced.
         self.authlog = authlog if authlog is not None else AuthLog(self.clock)
         self.banner = banner
-        self.max_auth_attempts = max_auth_attempts
         self._rng = rng or random.Random()
         self._verifiers: Dict[str, KeyPair] = {}
         self._masters: Dict[str, _MasterConnection] = {}
@@ -196,7 +196,7 @@ class SSHDaemon:
         result = PAMResult.AUTH_ERR
         attempts = 0
         items: Dict[str, object] = {}
-        for attempts in range(1, self.max_auth_attempts + 1):
+        for attempts in range(1, MAX_AUTH_ATTEMPTS + 1):
             session = PAMSession(
                 username=username,
                 remote_ip=source_ip,

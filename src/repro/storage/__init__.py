@@ -35,7 +35,7 @@ from repro.storage.instrument import InstrumentedEngine
 from repro.storage.memory import InMemoryEngine
 from repro.storage.replication import ReplicatedEngine, ReplicaGroup
 from repro.storage.schema import TableSchema
-from repro.storage.sharding import DEFAULT_VIRTUAL_NODES, HashRing, ShardedEngine
+from repro.storage.sharding import HashRing, ShardedEngine
 from repro.storage.wal import (
     WALEngine,
     WriteAheadLog,
@@ -60,7 +60,6 @@ class StorageConfig:
 
     shards: int = 1
     cache_capacity: int = 0  # 0 disables the read-through cache
-    virtual_nodes: int = DEFAULT_VIRTUAL_NODES
     latency: float = 0.0
     durability: bool = False
     replicas: int = 0
@@ -70,7 +69,7 @@ class StorageConfig:
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError("need at least one shard")
-        if self.cache_capacity < 0 or self.latency < 0 or self.virtual_nodes < 1:
+        if self.cache_capacity < 0 or self.latency < 0:
             raise ValueError("invalid storage configuration")
         if self.replicas < 0 or self.snapshot_every < 0:
             raise ValueError("invalid storage configuration")
@@ -98,7 +97,6 @@ def build_engine(
             shards=config.shards,
             replicas=config.replicas,
             engine_factory=node,
-            virtual_nodes=config.virtual_nodes,
             snapshot_every=config.snapshot_every,
             wal_dir=config.wal_dir,
             telemetry=telemetry,
@@ -115,17 +113,11 @@ def build_engine(
         if config.shards == 1:
             engine = walled(0)
         else:
-            engine = ShardedEngine(
-                [walled(index) for index in range(config.shards)],
-                virtual_nodes=config.virtual_nodes,
-            )
+            engine = ShardedEngine([walled(index) for index in range(config.shards)])
     elif config.shards == 1:
         engine = node()
     else:
-        engine = ShardedEngine(
-            [node() for _ in range(config.shards)],
-            virtual_nodes=config.virtual_nodes,
-        )
+        engine = ShardedEngine([node() for _ in range(config.shards)])
     if config.cache_capacity:
         engine = CachingEngine(engine, config.cache_capacity, telemetry=telemetry)
     return InstrumentedEngine(engine, telemetry=telemetry, clock=clock)
@@ -134,7 +126,6 @@ def build_engine(
 __all__ = [
     "CachingEngine",
     "DEFAULT_CAPACITY",
-    "DEFAULT_VIRTUAL_NODES",
     "HashRing",
     "InMemoryEngine",
     "InstrumentedEngine",

@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.common.errors import ValidationError
 from repro.storage.engine import StorageEngine
 from repro.storage.memory import InMemoryEngine
-from repro.storage.sharding import DEFAULT_VIRTUAL_NODES, ShardedEngine
+from repro.storage.sharding import ShardedEngine
 from repro.storage.wal import WALEngine, WriteAheadLog, apply_record, replay, state_digest
 from repro.telemetry import resolve_registry
 
@@ -220,7 +220,6 @@ class ReplicatedEngine(ShardedEngine):
         shards: int = 1,
         replicas: int = 1,
         engine_factory: Callable[[], StorageEngine] = InMemoryEngine,
-        virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
         snapshot_every: int = 0,
         wal_dir: Optional[str] = None,
         telemetry=None,
@@ -238,7 +237,7 @@ class ReplicatedEngine(ShardedEngine):
             )
             for index in range(shards)
         ]
-        super().__init__(self.groups, virtual_nodes=virtual_nodes)
+        super().__init__(self.groups)
 
     # -- failure handling (what the ShardCrash chaos fault drives) ----------
 

@@ -35,7 +35,8 @@ from repro.storage.engine import Predicate, Row, StorageEngine
 from repro.storage.memory import InMemoryEngine
 from repro.storage.schema import TableSchema
 
-DEFAULT_VIRTUAL_NODES = 64
+#: Ring points per shard: enough that keys spread evenly across shards.
+VIRTUAL_NODES = 64
 
 
 def stable_hash(key: str) -> int:
@@ -49,12 +50,12 @@ def stable_hash(key: str) -> int:
 class HashRing:
     """Consistent-hash ring over ``n_shards`` with virtual nodes."""
 
-    def __init__(self, n_shards: int, virtual_nodes: int = DEFAULT_VIRTUAL_NODES) -> None:
-        if n_shards < 1 or virtual_nodes < 1:
-            raise ValueError("need at least one shard and one virtual node")
+    def __init__(self, n_shards: int) -> None:
+        if n_shards < 1:
+            raise ValueError("need at least one shard")
         points: List[Tuple[int, int]] = []
         for shard in range(n_shards):
-            for vnode in range(virtual_nodes):
+            for vnode in range(VIRTUAL_NODES):
                 points.append((stable_hash(f"shard{shard}:vnode{vnode}"), shard))
         points.sort()
         self._hashes = [h for h, _ in points]
@@ -68,17 +69,13 @@ class HashRing:
 class ShardedEngine:
     """N engines behind one :class:`StorageEngine` surface."""
 
-    def __init__(
-        self,
-        shards: Union[int, Sequence[StorageEngine]],
-        virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
-    ) -> None:
+    def __init__(self, shards: Union[int, Sequence[StorageEngine]]) -> None:
         if isinstance(shards, int):
             shards = [InMemoryEngine() for _ in range(shards)]
         self.shards: List[StorageEngine] = list(shards)
         if not self.shards:
             raise ValueError("sharded engine needs at least one shard")
-        self._ring = HashRing(len(self.shards), virtual_nodes)
+        self._ring = HashRing(len(self.shards))
         self._schemas: Dict[str, TableSchema] = {}
         # (table, column) -> value -> {shard index: row refcount}
         self._routes: Dict[Tuple[str, str], Dict[Any, Dict[int, int]]] = {}

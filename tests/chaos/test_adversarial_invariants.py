@@ -19,6 +19,7 @@ from functools import lru_cache
 import pytest
 
 from repro.chaos import WorkloadConfig, run_chaos, shipped_plans
+from repro.chaos.runner import ATTACKER_ATTEMPTS
 
 PLANS = ("resync-storm", "partition")
 
@@ -42,7 +43,7 @@ class TestAdversarialInvariants:
     def test_attacker_actually_ran(self, plan_name, seed):
         report = adversarial_report(plan_name, seed)
         events = report.attacker_events()
-        assert len(events) == report.config.attacker_attempts
+        assert len(events) == ATTACKER_ATTEMPTS
         assert any(e["decoy"] for e in events)
 
     def test_every_decoy_hit_alarmed(self, plan_name, seed):
@@ -57,7 +58,7 @@ class TestAdversarialInvariants:
         report = adversarial_report(plan_name, seed)
         summary = report.summary()
         assert summary["adversarial_violations"] == 0
-        assert summary["attacker_attempts"] == report.config.attacker_attempts
+        assert summary["attacker_attempts"] == ATTACKER_ATTEMPTS
         for violation in report.adversarial_violations():
             assert violation in report.invariant_violations()
 
@@ -85,8 +86,8 @@ class TestDeterminism:
         assert a.summary() == b.summary()
 
     def test_plain_run_digest_unchanged_by_adversarial_code(self, seed):
-        """Adding the attacker must not perturb non-adversarial runs: the
-        same plan without ``adversarial`` keeps its historical digest."""
+        """Adding the attacker must not perturb non-adversarial runs: a
+        plain rerun of the plan reproduces the plain run's digest."""
         from tests.chaos.conftest import report_for
 
         plain = report_for("resync-storm", seed)

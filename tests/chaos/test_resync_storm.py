@@ -4,8 +4,8 @@ batch backfill drains through the ingestion queue.
 Three claims, each its own test class:
 
 * **Isolation** — interactive login p99 under the storm is within 1.5x of
-  an idle ingest-enabled baseline (in practice it is identical: capped
-  promotion means batch never outranks interactive);
+  the idle baseline plan on the same rig (in practice it is identical:
+  capped promotion means batch never outranks interactive);
 * **Drain** — the backfill fully completes inside its fault window (the
   ``backfill_drain`` event reports zero remaining, and a nonzero remainder
   would be an invariant violation);
@@ -30,8 +30,8 @@ def storm_report():
 
 @pytest.fixture(scope="module")
 def idle_report():
-    # Same workload, same queue wiring, no backfill: the latency baseline.
-    return run_chaos(shipped_plans()["baseline"], WorkloadConfig(seed=101, ingest=True))
+    # Same workload, same rig, no backfill: the latency baseline.
+    return run_chaos(shipped_plans()["baseline"], WorkloadConfig(seed=101))
 
 
 class TestInteractiveIsolation:

@@ -406,7 +406,7 @@ class TestIdentityKeySpaces:
         center.create_user("alice", password="pw")
         _, secret = center.pair_soft("alice")
         client = SSHClient("198.51.100.7")
-        for _ in range(3):  # RiskEngine's default failure_burst_size
+        for _ in range(3):  # policy.risk.FAILURE_BURST_SIZE
             result, _ = client.connect(
                 system.login_node(), "alice", password="pw", token="000000"
             )

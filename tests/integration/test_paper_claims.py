@@ -12,6 +12,7 @@ import pytest
 from repro.common.clock import SimulatedClock
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
+from repro.otpserver import sms_gateway
 from repro.ssh import KeyPair, SSHClient
 
 
@@ -105,15 +106,11 @@ class TestSection3_3:
     def test_twilio_pricing(self, world):
         """"a flat rate of $1 per month plus each US-based text message
         costs an additional $0.0075"."""
-        gateway = world.center.sms_gateway
-        assert gateway.pricing.monthly_flat == 1.00
-        assert gateway.pricing.per_message_us == 0.0075
+        assert sms_gateway.MONTHLY_FLAT == 1.00
+        assert sms_gateway.PER_MESSAGE_US == 0.0075
 
     def test_international_messages_cost_more(self, world):
-        assert (
-            world.center.sms_gateway.pricing.per_message_intl
-            > world.center.sms_gateway.pricing.per_message_us
-        )
+        assert sms_gateway.PER_MESSAGE_INTL > sms_gateway.PER_MESSAGE_US
 
     def test_hard_tokens_preprogrammed(self, world):
         """"came pre-programmed with a secret key, all of which were

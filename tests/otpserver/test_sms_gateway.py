@@ -7,9 +7,10 @@ import pytest
 from repro.common.clock import SimulatedClock
 from repro.common.errors import ValidationError
 from repro.otpserver.sms_gateway import (
+    MONTHLY_FLAT,
+    PER_MESSAGE_US,
     CarrierProfile,
     SMSGateway,
-    SMSPricing,
     is_us_number,
 )
 
@@ -36,9 +37,8 @@ class TestNumbers:
 
 class TestBilling:
     def test_paper_rates(self):
-        pricing = SMSPricing()
-        assert pricing.monthly_flat == 1.00
-        assert pricing.per_message_us == 0.0075
+        assert MONTHLY_FLAT == 1.00
+        assert PER_MESSAGE_US == 0.0075
 
     def test_per_message_charge(self, gateway):
         gateway.send("5125551234", "code 123456")

@@ -64,7 +64,7 @@ class TestRegistration:
 
     def test_invalid_cache_settings_rejected(self, clock):
         with pytest.raises(ValueError, match="TTLs must be positive"):
-            make_chain(clock, cache_ttl=0.0)
+            make_chain(clock, negative_ttl=0.0)
         with pytest.raises(ValueError, match="capacity"):
             make_chain(clock, cache_capacity=0)
 
@@ -189,7 +189,7 @@ class TestCache:
         assert chain.cache_hits == 1 and backend.lookups == 1
 
     def test_negative_entries_expire_faster(self, clock):
-        chain = make_chain(clock, cache_ttl=300.0, negative_ttl=30.0)
+        chain = make_chain(clock, negative_ttl=30.0)
         backend = chain.register(StubResolver("a", users=[]))
         assert chain.resolve("newbie") is None
         clock.advance(31.0)

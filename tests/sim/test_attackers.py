@@ -18,10 +18,8 @@ from repro.sim.attackers import (
 )
 
 
-def campaign(scenario, seed=101, accounts=10_000, **overrides):
-    return AttackConfig(
-        scenario=scenario, seed=seed, accounts=accounts, **overrides
-    )
+def campaign(scenario, seed=101, accounts=10_000):
+    return AttackConfig(scenario=scenario, seed=seed, accounts=accounts)
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,11 @@
 """The vectorised scaled rollout: determinism, resume, figure shapes."""
 
+import ast
+import inspect
+
 import pytest
 
+from repro.sim import behavior, population, scale
 from repro.sim.scale import ScaleConfig, ScaledRollout, simulate
 
 
@@ -105,3 +109,55 @@ class TestEventLog:
         assert summary["digest"] == rollout.digest()
         assert summary["users"] == 1000
         assert summary["new_pairings_total"] > 0
+
+
+def _numbers(node):
+    """Every numeric literal under ``node`` (``-1.8`` parses as ``-(1.8)``)."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Constant) and type(sub.value) in (int, float):
+            found.add(sub.value)
+        if isinstance(sub, ast.UnaryOp) and isinstance(sub.op, ast.USub):
+            if isinstance(sub.operand, ast.Constant):
+                found.add(-sub.operand.value)
+    return found
+
+
+def _table(module):
+    """The numbers in a module's upper-case constants."""
+    found = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, ast.Assign) and all(
+            name.id.isupper()
+            for target in node.targets
+            for name in ast.walk(target)
+            if isinstance(name, ast.Name)
+        ):
+            found |= _numbers(node.value)
+    return found
+
+
+class TestOneBehaviourTable:
+    """Both rollout simulators read one table: ``sim.behavior`` holds the
+    adoption numbers, ``sim.population`` the class mix and trait
+    distributions, and the vectorised loop imports them."""
+
+    #: Too ordinary to mean anything on their own (a zero, a unit, a pair).
+    EVERYDAY = {0, 1, 2}
+
+    def test_scaled_loop_spells_no_number_of_the_model(self):
+        shared = (_table(behavior) | _table(population)) - self.EVERYDAY
+        assert {0.055, 0.20, 0.08, 0.70, 0.35, 0.010, -1.8, 2.5, 220.0} <= shared
+        tree = ast.parse(inspect.getsource(scale))
+        (loop,) = [
+            node
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == "ScaledRollout"
+        ]
+        assert _numbers(loop) & shared == set()
+
+    def test_values_did_not_move(self):
+        # simulate(2000, 14, 99) at the commit before the table was shared.
+        assert simulate(2000, 14, 99).digest() == (
+            "381d843fdc0a977b7f174b6b55058c4f34e13a6ec35000669c79c8e3905c8fb0"
+        )

@@ -216,8 +216,7 @@ def test_retired_status_surfaces_stay_out_of_src():
 #: plumbing that existed only to feed them.  Shrink-only, as above: a level
 #: or total a subsystem keeps is read from ``OTPServer.status()`` (and
 #: scraped as ``repro_status{path=…}``), never registered as a twin series.
-#: Series names are matched quoted — ``ingest_depth`` is also a
-#: ``WorkloadConfig`` field.
+#: Series names are matched quoted, as a registration would spell them.
 RETIRED_SERIES = (
     "ingest_depth",
     "ingest_submitted_total",
@@ -384,3 +383,213 @@ def test_every_module_has_a_caller_or_is_inventory():
         if not module.endswith("__init__") and module != "__main__"
     }
     assert unused == INVENTORY_ONLY, sorted(unused ^ INVENTORY_ONLY)
+
+
+# -- configuration census -------------------------------------------------------
+#
+# The rule (docs/ARCHITECTURE.md "Configuration"): a configuration field stays
+# only while some caller sets it.  A value nothing sets is a module constant
+# next to the code that reads it; a harness never derives the deployment's
+# shape from the workload it is about to run.
+
+ROOT = SRC.parent.parent
+
+#: The configuration dataclasses under ``src/repro`` (everything but
+#: ``analysis``).  Any other ``@dataclass`` there whose name ends ``Config``,
+#: ``Policy`` or ``Model`` is counted as well, so a new one cannot dodge.
+CONFIG_CLASSES = {
+    "WorkloadConfig", "AttackConfig", "ScaleConfig", "RolloutConfig",
+    "AdoptionModel", "AdaptationModel", "TicketModel", "IngestConfig",
+    "ClassPolicy", "StorageConfig", "ResolverConfig", "OTPServerConfig",
+    "FailoverPolicy", "BackoffPolicy", "RateLimitConfig", "CarrierProfile",
+    "ConcurrencyConfig", "RiskWeights",
+}  # fmt: skip
+
+#: Fields only tests, the old bench fleet (``benchmarks/*.py``) or examples
+#: set.  Exact and shrink-only: the debt is listed here, not paid — most of
+#: it goes with the old bench fleet (ROADMAP item 2) — and a field leaves the
+#: list by getting a caller in ``src/`` or by becoming a constant.
+TEST_ONLY_FIELDS = {
+    ("AttackConfig", "compromised_fraction"),
+    ("AttackConfig", "duration_seconds"),
+    ("AttackConfig", "honeytoken_fraction"),
+    ("AttackConfig", "victim_consumes"),
+    ("BackoffPolicy", "base"),
+    ("BackoffPolicy", "cap"),
+    ("BackoffPolicy", "jitter"),
+    ("BackoffPolicy", "multiplier"),
+    ("ClassPolicy", "max_promotion"),
+    ("ConcurrencyConfig", "lock_stripes"),
+    ("FailoverPolicy", "failure_threshold"),
+    ("FailoverPolicy", "health_decay"),
+    ("FailoverPolicy", "probe_backoff"),
+    ("FailoverPolicy", "probe_interval"),
+    ("FailoverPolicy", "probe_interval_max"),
+    ("IngestConfig", "admission_burst"),
+    ("IngestConfig", "admission_rate"),
+    ("IngestConfig", "retry_base_delay"),
+    ("IngestConfig", "retry_max_delay"),
+    ("OTPServerConfig", "digits"),
+    ("OTPServerConfig", "drift_seconds"),
+    ("OTPServerConfig", "hotp_look_ahead"),
+    ("OTPServerConfig", "lockout_threshold"),
+    ("OTPServerConfig", "sms_code_validity"),
+    ("OTPServerConfig", "totp_step"),
+    ("ResolverConfig", "cache_capacity"),
+    ("ResolverConfig", "negative_ttl"),
+    ("RiskWeights", "failure_burst"),
+    ("RiskWeights", "impossible_travel"),
+    ("RiskWeights", "novel_origin"),
+    ("RiskWeights", "unusual_hour"),
+    ("RiskWeights", "watchlisted_network"),
+    ("RolloutConfig", "announcement"),
+    ("RolloutConfig", "phase2"),
+    ("RolloutConfig", "phase3"),
+    ("ScaleConfig", "phase2_frac"),
+    ("ScaleConfig", "phase3_frac"),
+    ("StorageConfig", "latency"),
+    ("WorkloadConfig", "adversarial"),
+    ("WorkloadConfig", "pump_interval"),
+    ("WorkloadConfig", "pump_items"),
+}
+
+#: Call sites that set fields through a ``**mapping`` the AST cannot read:
+#: ``(file, class) -> the fields the mapping carries``, with the reason.
+OPAQUE_CALLS = {
+    # ``STORAGE = dict(...)`` splatted next to ``wal_dir=``; the file is frozen.
+    ("benchmarks/loginbench/rigs.py", "StorageConfig"): (
+        "shards", "durability", "cache_capacity", "snapshot_every",
+    ),
+    # hypothesis ``fixed_dictionaries`` over that file's ``SIGNALS``.
+    ("tests/extensions/test_risk_properties.py", "RiskWeights"): (
+        "failure_burst", "novel_origin", "unusual_hour", "watchlisted_network",
+    ),
+}  # fmt: skip
+
+#: The fields the census retired, by class (``None``: the whole class).
+#: Shrink-only, as above: none of them comes back as a field.
+RETIRED_FIELDS = {
+    "WorkloadConfig": (
+        "users", "step_seconds", "wrong_every", "deadline_budget", "shards",
+        "replicas", "durability", "ingest", "ingest_depth", "queue_service_cost",
+        "backfill_users", "honeytokens", "attacker_attempts",
+        "attacker_step_seconds", "attacker_ip", "attacker_subnet",
+    ),
+    "AdoptionModel": (
+        "voluntary_scale", "voluntary_halflife", "countdown_first_prob",
+        "countdown_repeat_prob", "phase2_announce_prob", "deadline_prob",
+    ),
+    "TicketModel": (
+        "baseline_per_10k", "pairing_ticket_prob", "countdown_ticket_prob",
+        "lockout_ticket_prob", "steady_mfa_rate_per_10k",
+    ),
+    "RolloutConfig": ("start", "end", "outreach", "new_accounts_per_1k", "storage"),
+    "ScaleConfig": ("announcement_frac", "initial_paired_fraction"),
+    "AttackConfig": ("unpaired_fraction", "attempts_per_target", "watchlist"),
+    "SMSPricing": None,
+    "IngestConfig": ("shed_classes", "policies"),
+    "ClassPolicy": ("max_retries",),
+    "FailoverPolicy": ("timeout", "backoff"),
+    "ResolverConfig": ("cache_ttl", "failover"),
+    "OTPServerConfig": ("issuer",),
+    "StorageConfig": ("virtual_nodes",),
+}  # fmt: skip
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", "")
+        if name == "dataclass":
+            return True
+    return False
+
+
+@functools.lru_cache(maxsize=None)
+def _config_fields() -> Dict[str, List[str]]:
+    """Config class name -> its fields, in declaration (= positional) order."""
+    found: Dict[str, List[str]] = {}
+    for path in SRC.rglob("*.py"):
+        if _package_of(path) == "analysis":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
+                continue
+            if node.name in CONFIG_CLASSES or node.name in RETIRED_FIELDS or (
+                node.name.endswith(("Config", "Policy", "Model"))
+            ):
+                found[node.name] = [
+                    stmt.target.id
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                ]
+    return found
+
+
+def _field_setters(fields: Dict[str, List[str]]):
+    """``(class, field) -> the files that set it`` and the opaque call sites,
+    read off every call in ``src``, ``tests``, ``benchmarks`` and ``examples``:
+    keyword and positional arguments of the class itself, and the keywords of
+    ``dataclasses.replace`` (credited to every class that has the field)."""
+    setters: Dict[Tuple[str, str], Set[str]] = {
+        (name, field): set() for name, names in fields.items() for field in names
+    }
+    opaque: Set[Tuple[str, str]] = set()
+    for top in ("src", "tests", "benchmarks", "examples"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            where = path.relative_to(ROOT).as_posix()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                if name in fields:
+                    for position, arg in enumerate(node.args):
+                        if isinstance(arg, ast.Starred):
+                            opaque.add((where, name))
+                            break
+                        setters[(name, fields[name][position])].add(where)
+                    for keyword in node.keywords:
+                        if keyword.arg is None:
+                            opaque.add((where, name))
+                        elif (name, keyword.arg) in setters:
+                            setters[(name, keyword.arg)].add(where)
+                elif name == "replace":
+                    for keyword in node.keywords:
+                        for owner, names in fields.items():
+                            if keyword.arg in names:
+                                setters[(owner, keyword.arg)].add(where)
+    return setters, opaque
+
+
+def _is_test_side(where: str) -> bool:
+    """Tests, examples and the old bench fleet; loginbench is a real caller."""
+    return not where.startswith(("src/", "benchmarks/loginbench/"))
+
+
+def test_every_config_field_has_a_setter():
+    fields = _config_fields()
+    assert CONFIG_CLASSES <= set(fields), sorted(CONFIG_CLASSES - set(fields))
+    setters, opaque = _field_setters(fields)
+    for (where, name), carried in OPAQUE_CALLS.items():
+        for field in carried:
+            setters[(name, field)].add(where)
+    unset = sorted(key for key, files in setters.items() if not files)
+    assert unset == [], "no caller sets these: make each a module constant"
+    assert opaque == set(OPAQUE_CALLS), sorted(opaque ^ set(OPAQUE_CALLS))
+    test_only = {
+        key for key, files in setters.items() if all(map(_is_test_side, files))
+    }
+    assert test_only == TEST_ONLY_FIELDS, sorted(test_only ^ TEST_ONLY_FIELDS)
+    # Shrink-only, from the census of PR 19: 127 fields -> 78, 42 -> 41.
+    assert len(TEST_ONLY_FIELDS) <= 41
+    assert len(setters) <= 78
+
+
+def test_retired_config_fields_stay_retired():
+    fields = _config_fields()
+    for name, retired in RETIRED_FIELDS.items():
+        if retired is None:
+            assert name not in fields, name
+        else:
+            assert set(fields[name]) & set(retired) == set(), name
