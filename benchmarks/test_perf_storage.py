@@ -322,4 +322,4 @@ class TestStorageMetricsVisible:
         assert "storage_op_seconds_count" in proc.stdout
         # Rows per shard are state, not events: scraped from status().
         assert 'repro_status{path="storage.shards.1.tables.tokens"}' in proc.stdout
-        assert "storage_cache" in proc.stdout
+        assert 'repro_status{path="storage.cache.hits"}' in proc.stdout

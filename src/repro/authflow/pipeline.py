@@ -63,16 +63,21 @@ class AuthPipeline:
     ) -> None:
         if not stages:
             raise ValueError("pipeline needs at least one stage")
-        self.stages = list(stages)
+        # Fixed for the pipeline's life: the per-stage instrument children
+        # below are bound to exactly these names.
+        self.stages = tuple(stages)
         # Stage durations read the injected clock: wall seconds normally,
         # simulated seconds when the server runs on a VirtualClock.
         self._clock = clock or WallClock()
         self.concurrency = concurrency or ConcurrencyConfig()
         self.locks = StripedLockSet(self.concurrency.lock_stripes)
         telemetry = resolve_registry(telemetry)
-        self._m_stage_seconds = telemetry.histogram(
+        seconds = telemetry.histogram(
             "authflow_stage_seconds", "wall time spent per pipeline stage"
         )
+        self._m_stage_seconds = {
+            stage.name: seconds.labels(stage=stage.name) for stage in self.stages
+        }
         self._m_stage_errors = telemetry.counter(
             "authflow_stage_errors_total", "stage exceptions failed closed, by stage"
         )
@@ -83,10 +88,12 @@ class AuthPipeline:
         """One validation attempt under the user's striped lock."""
         ctx = PipelineContext(user_id=user_id, code=code, source=source)
         with self.locks.lock_for(user_id):
+            # One clock read per stage boundary: the end of a stage is the
+            # start of the next one that runs (a skipped stage reads nothing).
+            boundary = self._clock.now()
             for stage in self.stages:
                 if ctx.finished and not stage.terminal:
                     continue
-                started = self._clock.now()
                 try:
                     stage.run(ctx)
                 except Exception as exc:  # noqa: BLE001 — validate must not raise
@@ -100,9 +107,8 @@ class AuthPipeline:
                     ctx.audit("validate", success=False, detail=f"internal error: {error}")
                     self._m_stage_errors.inc(stage=stage.name)
                 finally:
-                    self._m_stage_seconds.observe(
-                        self._clock.now() - started, stage=stage.name
-                    )
+                    started, boundary = boundary, self._clock.now()
+                    self._m_stage_seconds[stage.name].observe(boundary - started)
         if ctx.result is None:
             raise RuntimeError(
                 f"pipeline completed without a result for user {user_id!r}"

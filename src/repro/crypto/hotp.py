@@ -9,7 +9,6 @@ counter-based primitive directly (it is also what LinOTP's resync uses).
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 
 
@@ -33,7 +32,7 @@ def hotp(
     if algorithm not in ("sha1", "sha256", "sha512"):
         raise ValueError(f"unsupported HOTP algorithm {algorithm!r}")
     msg = counter.to_bytes(8, "big")
-    digest = hmac.new(secret, msg, getattr(hashlib, algorithm)).digest()
+    digest = hmac.digest(secret, msg, algorithm)
     # Dynamic truncation (RFC 4226 section 5.3): the low nibble of the last
     # byte selects a 4-byte window; the top bit of that window is masked.
     offset = digest[-1] & 0x0F

@@ -10,7 +10,6 @@ the validation path.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 import random
 
@@ -42,6 +41,13 @@ def secret_to_base32(secret: bytes) -> str:
     return b32encode(secret, pad=False)
 
 
+def _xor(data: bytes, stream: bytes) -> bytes:
+    """``data ^ stream`` (equal lengths) as one big-integer operation."""
+    return (
+        int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
+    ).to_bytes(len(data), "big")
+
+
 class SecretSealer:
     """Seals/unseals OTP seeds for at-rest storage.
 
@@ -68,10 +74,9 @@ class SecretSealer:
         out = bytearray()
         counter = 0
         while len(out) < length:
-            block = hmac.new(
-                self._key, nonce + counter.to_bytes(4, "big"), hashlib.sha256
-            ).digest()
-            out.extend(block)
+            out.extend(
+                hmac.digest(self._key, nonce + counter.to_bytes(4, "big"), "sha256")
+            )
             counter += 1
         return bytes(out[:length])
 
@@ -79,8 +84,8 @@ class SecretSealer:
         """Return ``nonce || ciphertext || tag`` for storage."""
         nonce = bytes(self._rng.getrandbits(8) for _ in range(self._NONCE_LEN))
         stream = self._keystream(nonce, len(secret))
-        ciphertext = bytes(a ^ b for a, b in zip(secret, stream))
-        tag = hmac.new(self._key, nonce + ciphertext, hashlib.sha256).digest()
+        ciphertext = _xor(secret, stream)
+        tag = hmac.digest(self._key, nonce + ciphertext, "sha256")
         return nonce + ciphertext + tag[: self._TAG_LEN]
 
     def unseal(self, blob: bytes) -> bytes:
@@ -90,8 +95,8 @@ class SecretSealer:
         nonce = blob[: self._NONCE_LEN]
         ciphertext = blob[self._NONCE_LEN : -self._TAG_LEN]
         tag = blob[-self._TAG_LEN :]
-        expected = hmac.new(self._key, nonce + ciphertext, hashlib.sha256).digest()
+        expected = hmac.digest(self._key, nonce + ciphertext, "sha256")
         if not hmac.compare_digest(expected[: self._TAG_LEN], tag):
             raise ValueError("sealed blob failed integrity check")
         stream = self._keystream(nonce, len(ciphertext))
-        return bytes(a ^ b for a, b in zip(ciphertext, stream))
+        return _xor(ciphertext, stream)

@@ -66,6 +66,9 @@ __all__ = ["IngestConfig", "IngestQueue", "QueuedBackend", "classify_request"]
 
 #: The classes a dry admission bucket refuses; the rest always enter.
 SHED_CLASSES = (PriorityClass.BATCH, PriorityClass.ADMIN)
+#: Why an item is shed: refused at a closed queue, by a dry admission
+#: bucket, or for want of room.
+SHED_CAUSES = ("closed", "throttle", "backpressure")
 #: Transient-failure requeues per item before its ticket resolves REJECT.
 MAX_RETRIES = 3
 
@@ -181,12 +184,16 @@ class IngestQueue:
         self._closed = False
 
         telemetry = resolve_registry(telemetry)
-        self._m_shed = telemetry.counter(
-            "ingest_shed_total", "items shed by class and cause"
-        )
-        self._m_wait = telemetry.histogram(
+        shed = telemetry.counter("ingest_shed_total", "items shed by class and cause")
+        self._m_shed = {
+            (cls, cause): shed.labels(priority=cls.value, cause=cause)
+            for cls in PriorityClass
+            for cause in SHED_CAUSES
+        }
+        wait = telemetry.histogram(
             "ingest_wait_seconds", "queue wait from admission to service"
         )
+        self._m_wait = {cls: wait.labels(priority=cls.value) for cls in PriorityClass}
 
     # -- admission -----------------------------------------------------------
 
@@ -285,7 +292,7 @@ class IngestQueue:
             stats.submitted += 1
             if cause == "backpressure":
                 stats.rejected += 1
-        self._m_shed.inc(priority=cls.value, cause=cause)
+        self._m_shed[cls, cause].inc()
         ticket.resolve(ValidateResult(ValidateStatus.REJECT, reason=f"shed: {detail}"))
 
     # -- service -------------------------------------------------------------
@@ -299,7 +306,7 @@ class IngestQueue:
         policy = self._heap.policy_for(item.priority)
         waited = max(0.0, now - item.enqueued_at)
         stats = self._stats[item.priority]
-        self._m_wait.observe(waited, priority=item.priority.value)
+        self._m_wait[item.priority].observe(waited)
         if self.config.service_cost_seconds > 0:
             self._clock.sleep(self.config.service_cost_seconds)
         errored = False

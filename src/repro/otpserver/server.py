@@ -35,7 +35,7 @@ from repro.authflow import AuthPipeline, ConcurrencyConfig, default_stages
 from repro.common.clock import Clock, SystemClock
 from repro.common.errors import NotFoundError, ValidationError
 from repro.common.ids import IdAllocator
-from repro.common.results import TokenType, ValidateResult
+from repro.common.results import TokenType, ValidateResult, ValidateStatus
 from repro.crypto.secrets import SecretSealer, generate_secret
 from repro.crypto.totp import TOTPValidator
 from repro.otpserver.audit import AuditLog
@@ -109,9 +109,12 @@ class OTPServer:
         self._rng = rng or random.Random()
         self.telemetry = telemetry if telemetry is not None else NOOP_REGISTRY
         self._tracer = self.telemetry.tracer()
-        self._m_validate = self.telemetry.counter(
+        validated = self.telemetry.counter(
             "otp_validate_total", "OTP validate calls by status"
         )
+        self._m_validate = {
+            status: validated.labels(status=status.value) for status in ValidateStatus
+        }
         self._m_lockouts = self.telemetry.counter(
             "otp_lockouts_total", "tokens deactivated by the 20-strike rule"
         )
@@ -436,7 +439,7 @@ class OTPServer:
             span.annotate("status", result.status.value)
             if result.reason:
                 span.annotate("reason", result.reason)
-            self._m_validate.inc(status=result.status.value)
+            self._m_validate[result.status].inc()
             return result
 
     # -- operator view (the built-in web UI's status pages, Section 3.1) ------

@@ -279,9 +279,12 @@ class PolicyEngine:
         #: ready :class:`RiskEngine`; one left on the implicit wall clock
         #: is adopted onto the engine's clock, like the limiter above.
         self.risk: Optional[RiskEngine] = self._adopt_risk(risk)
-        self._m_decisions = resolve_registry(telemetry).counter(
+        decisions = resolve_registry(telemetry).counter(
             "policy_decisions_total", "policy engine decisions by action"
         )
+        self._m_decisions = {
+            action: decisions.labels(action=action.value) for action in PolicyAction
+        }
 
     def _adopt_risk(self, risk) -> Optional[RiskEngine]:
         if not risk:
@@ -343,7 +346,7 @@ class PolicyEngine:
         timestamp = self.clock.now() if now is None else now
         moment = datetime.fromtimestamp(timestamp, tz=timezone.utc)
         decision = self._evaluate(request, moment, timestamp)
-        self._m_decisions.inc(action=decision.action.value)
+        self._m_decisions[decision.action].inc()
         return decision
 
     def _evaluate(

@@ -83,6 +83,8 @@ class ResolverChain:
         self._h_lookup = resolve_registry(telemetry).histogram(
             "resolver_lookup_seconds", "identity lookup latency by resolver"
         )
+        #: resolver name → its bound series, added as resolvers register.
+        self._h_lookup_by_name: Dict[str, object] = {}
         self._tracker = HealthTracker([], self.policy)
 
     # -- registration ------------------------------------------------------
@@ -101,6 +103,9 @@ class ResolverChain:
         self._resolvers[resolver.name] = resolver
         self._order[resolver.name] = len(self._order)
         self._tracker.add(resolver.name)
+        self._h_lookup_by_name[resolver.name] = self._h_lookup.labels(
+            resolver=resolver.name
+        )
         for realm in realms:
             self._routes.setdefault(realm, []).append(resolver)
         return resolver
@@ -207,7 +212,7 @@ class ResolverChain:
                 continue
             elapsed = self.clock.now() - began
             self._tracker.on_success(resolver.name, self.clock.now())
-            self._h_lookup.observe(elapsed, resolver=resolver.name)
+            self._h_lookup_by_name[resolver.name].observe(elapsed)
             if attempts > 1:
                 with self._lock:
                     self.failovers += 1

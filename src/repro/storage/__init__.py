@@ -119,7 +119,7 @@ def build_engine(
     else:
         engine = ShardedEngine([node() for _ in range(config.shards)])
     if config.cache_capacity:
-        engine = CachingEngine(engine, config.cache_capacity, telemetry=telemetry)
+        engine = CachingEngine(engine, config.cache_capacity)
     return InstrumentedEngine(engine, telemetry=telemetry, clock=clock)
 
 

@@ -30,7 +30,6 @@ from typing import Any, Dict, List, Optional, Set
 
 from repro.storage.engine import Predicate, Row, StorageEngine
 from repro.storage.schema import TableSchema
-from repro.telemetry import resolve_registry
 
 DEFAULT_CAPACITY = 1024
 
@@ -38,12 +37,7 @@ DEFAULT_CAPACITY = 1024
 class CachingEngine:
     """LRU read-through wrapper with write invalidation."""
 
-    def __init__(
-        self,
-        inner: StorageEngine,
-        capacity: int = DEFAULT_CAPACITY,
-        telemetry=None,
-    ) -> None:
+    def __init__(self, inner: StorageEngine, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"cache capacity must be positive, got {capacity}")
         self.inner = inner
@@ -54,31 +48,17 @@ class CachingEngine:
         self._lock = threading.Lock()
         self._hit_count = 0
         self._miss_count = 0
-        telemetry = resolve_registry(telemetry)
-        self._hits = telemetry.counter(
-            "storage_cache_hits_total", "point reads served from the LRU cache"
-        )
-        self._misses = telemetry.counter(
-            "storage_cache_misses_total", "point reads that fell through to the engine"
-        )
-        self._g_entries = telemetry.gauge(
-            "storage_cache_entries", "rows currently held in the LRU cache"
-        )
 
     # -- cache plumbing -----------------------------------------------------
 
-    def _lookup(self, key: tuple, table: str) -> Optional[Row]:
+    def _lookup(self, key: tuple) -> Optional[Row]:
         with self._lock:
             row = self._lru.get(key)
             if row is not None:
                 self._lru.move_to_end(key)
             self._hit_count += row is not None
             self._miss_count += row is None
-        if row is None:
-            self._misses.inc(table=table)
-            return None
-        self._hits.inc(table=table)
-        return dict(row)
+        return dict(row) if row is not None else None
 
     def _store(self, key: tuple, table: str, row: Row) -> None:
         with self._lock:
@@ -90,20 +70,17 @@ class CachingEngine:
                 evicted, _ = self._lru.popitem(last=False)
                 if evicted[1] == "unique":
                     self._unique_keys.get(evicted[0], set()).discard(evicted)
-            self._g_entries.set(len(self._lru))
 
     def _invalidate_row(self, table: str, pk: Any) -> None:
         with self._lock:
             self._lru.pop((table, "pk", pk), None)
             for key in self._unique_keys.pop(table, ()):
                 self._lru.pop(key, None)
-            self._g_entries.set(len(self._lru))
 
     def _clear(self) -> None:
         with self._lock:
             self._lru.clear()
             self._unique_keys.clear()
-            self._g_entries.set(0)
 
     def cache_info(self) -> Dict[str, object]:
         with self._lock:
@@ -126,7 +103,7 @@ class CachingEngine:
 
     def get(self, table: str, pk: Any) -> Row:
         key = (table, "pk", pk)
-        row = self._lookup(key, table)
+        row = self._lookup(key)
         if row is not None:
             return row
         row = self.inner.get(table, pk)
@@ -141,7 +118,7 @@ class CachingEngine:
 
     def get_by_unique(self, table: str, column: str, value: Any) -> Row:
         key = (table, "unique", column, value)
-        row = self._lookup(key, table)
+        row = self._lookup(key)
         if row is not None:
             return row
         row = self.inner.get_by_unique(table, column, value)

@@ -14,7 +14,7 @@ two clock reads and one no-op call per operation.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.clock import Clock, WallClock
 from repro.storage.engine import Predicate, Row, StorageEngine
@@ -49,16 +49,29 @@ class InstrumentedEngine:
             "storage engine operation latency",
             buckets=OP_LATENCY_BUCKETS,
         )
-        self._c_txn = telemetry.counter(
+        #: ``(op, table)`` → its bound series, filled on first use: tables
+        #: are created after the wrapper is.
+        self._h_by_op: Dict[Tuple[str, str], Any] = {}
+        self._h_txn = self._h_latency.labels(op="transaction", table="*")
+        txn = telemetry.counter(
             "storage_transactions_total", "storage transactions by outcome"
         )
+        self._c_commit = txn.labels(outcome="commit")
+        self._c_abort = txn.labels(outcome="abort")
 
     def _timed(self, op: str, table: str, fn, *args):
         start = self._clock.now()
         try:
             return fn(*args)
         finally:
-            self._h_latency.observe(self._clock.now() - start, op=op, table=table)
+            elapsed = self._clock.now() - start
+            try:
+                series = self._h_by_op[op, table]
+            except KeyError:
+                series = self._h_by_op[op, table] = self._h_latency.labels(
+                    op=op, table=table
+                )
+            series.observe(elapsed)
 
     # -- row operations -----------------------------------------------------
 
@@ -119,14 +132,12 @@ class InstrumentedEngine:
             with self.inner.transaction():
                 yield self
         except BaseException:
-            self._c_txn.inc(outcome="abort")
+            self._c_abort.inc()
             raise
         else:
-            self._c_txn.inc(outcome="commit")
+            self._c_commit.inc()
         finally:
-            self._h_latency.observe(
-                self._clock.now() - start, op="transaction", table="*"
-            )
+            self._h_txn.observe(self._clock.now() - start)
 
     def __getattr__(self, name: str):
         # Surface engine-specific extras (describe, shard_sizes, cache_info, ...).

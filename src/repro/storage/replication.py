@@ -86,8 +86,10 @@ class ReplicaGroup(WALEngine):
         ]
         self.promotions = 0
         self._crashed: Optional[int] = None  # node id awaiting rejoin
-        self._c_shipped = resolve_registry(telemetry).counter(
-            "storage_replica_ship_total", "WAL records shipped to replicas"
+        self._c_shipped = (
+            resolve_registry(telemetry)
+            .counter("storage_replica_ship_total", "WAL records shipped to replicas")
+            .labels()
         )
 
     def _take_node_id(self) -> int:

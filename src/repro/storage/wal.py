@@ -166,6 +166,9 @@ def load_wal(path: str) -> Tuple[List[dict], int]:
 
 # -- replay -------------------------------------------------------------------
 
+#: Every ``op`` a record can carry (what :func:`apply_record` dispatches on).
+RECORD_OPS = ("insert", "update", "delete", "create_table", "txn", "snapshot")
+
 
 def apply_record(engine: StorageEngine, record: dict) -> None:
     """Apply one WAL record to an engine (replica shipping / recovery)."""
@@ -287,9 +290,10 @@ class WALEngine:
         #: Stack of per-transaction record buffers (nested = savepoints).
         self._txn_buffers: List[List[dict]] = []
         self._ops_since_snapshot = 0
-        self._c_appends = resolve_registry(telemetry).counter(
+        appends = resolve_registry(telemetry).counter(
             "storage_wal_appends_total", "WAL records appended, by op"
         )
+        self._c_appends = {op: appends.labels(op=op) for op in RECORD_OPS}
 
     # -- logging plumbing ---------------------------------------------------
 
@@ -305,7 +309,7 @@ class WALEngine:
 
     def _append(self, record: dict) -> int:
         lsn = self.wal.append(record)
-        self._c_appends.inc(op=record["op"])
+        self._c_appends[record["op"]].inc()
         return lsn
 
     def snapshot(self) -> int:

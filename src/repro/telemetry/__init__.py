@@ -6,7 +6,7 @@ logs, LinOTP audit records, failure and lockout counts, SSH traffic graphs
 login path:
 
 * :mod:`repro.telemetry.metrics` — ``Counter``/``Gauge``/``Histogram``
-  with labeled series and bounded cardinality;
+  with labeled series, bound label children and bounded cardinality;
 * :mod:`repro.telemetry.trace` — ``Span``/``Tracer`` building one span
   tree per login attempt across every layer (sshd, each PAM module, the
   RADIUS client's retries/failovers, the RADIUS server's dup-cache, OTP
@@ -23,6 +23,13 @@ cannot be recomputed later (latency distributions, per-label event counts
 no attribute keeps, span trees); a level or total a subsystem already
 keeps for ``status()`` is read from that attribute when someone looks,
 never mirrored per request.
+
+The rule for how a label set reaches an instrument: labels are resolved
+where they are known.  A site whose label values form a closed set binds a
+child once (``child = histogram.labels(stage=name)``; binding creates no
+series) and updates it with no label arguments (``child.observe(value)``);
+the keyword form (``counter.inc(server=address)``) is for open-valued
+labels.  Both are one implementation — see :mod:`repro.telemetry.metrics`.
 
 Enable it for a deployment with ``MFACenter(telemetry=True)`` and read
 ``center.telemetry`` — or ``python -m repro telemetry`` for a one-shot

@@ -7,6 +7,20 @@ These are the in-process equivalents: each instrument holds any number of
 counter carries ``{module=pam_unix, result=success}`` next to
 ``{module=pam_mfa_token, result=auth_err}``.
 
+A label set reaches an instrument one of two ways.  A site whose label
+values form a closed set known up front (a stage name, a validate status)
+binds once — ``child = instrument.labels(stage="replay_guard")`` — and then
+calls ``child.observe(value)`` / ``child.inc()`` / ``child.set(value)`` with
+no label arguments: the key was normalized at binding, so an update is the
+instrument's private update and nothing else.  A site whose label values
+are open (a server address, a phone destination) keeps the keyword form,
+``instrument.inc(server=address)``, which normalizes per event.  Both end
+in the same private update, so the lock, the series lookup and the
+cardinality cap are one piece of code.  Binding creates no series — a child
+that never fires is absent from the snapshot and the exposition text — and
+a child bound before ``reset()`` keeps working after it (it holds the key,
+not a cell).
+
 Design constraints:
 
 * no external dependencies — the snapshot/export layer produces the
@@ -21,6 +35,8 @@ Design constraints:
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Tuple
 
 #: A label set normalized to a hashable, order-independent key.
@@ -62,9 +78,14 @@ class _Instrument:
         # threads, and a lost increment is a silently wrong dashboard.
         self._lock = threading.Lock()
 
-    def _resolve_key(self, series: Dict[LabelKey, object], labels: Dict[str, object]) -> LabelKey:
-        key = label_key(labels)
-        if key not in series and len(series) >= self._max_series:
+    def _admit(self, key: LabelKey) -> LabelKey:
+        """Where an update to a label set with no series yet lands: its own
+        new series while the budget lasts, the overflow series after.
+
+        Called under the lock, from the private update of every kind — the
+        one place the cap is applied, per update, for both calling forms.
+        """
+        if len(self._series) >= self._max_series:
             self.overflow_count += 1
             return OVERFLOW_KEY
         return key
@@ -78,9 +99,23 @@ class _Instrument:
 class _ScalarInstrument(_Instrument):
     """One float per label set: what :class:`Counter` and :class:`Gauge` share."""
 
+    #: Whether ``_add`` refuses a negative amount (counters do).
+    _monotonic = False
+
     def __init__(self, name: str, help: str = "", max_series: int = DEFAULT_MAX_SERIES) -> None:
         super().__init__(name, help, max_series)
         self._series: Dict[LabelKey, float] = {}
+
+    def _add(self, key: LabelKey, amount: float = 1.0) -> None:
+        if amount < 0 and self._monotonic:
+            raise ValueError(f"counter {self.name} cannot decrease (amount={amount})")
+        with self._lock:
+            series = self._series
+            try:
+                series[key] += amount
+            except KeyError:
+                key = self._admit(key)
+                series[key] = series.get(key, 0.0) + amount
 
     def value(self, **labels: object) -> float:
         return self._series.get(label_key(labels), 0.0)
@@ -101,17 +136,30 @@ class _ScalarInstrument(_Instrument):
         }
 
 
+class BoundCounter:
+    """``counter.labels(...)``: one label set of a counter, resolved once.
+
+    ``inc(amount=1.0)`` is the counter's private update with the key
+    already in hand (bound in C by ``partial``: no forwarding frame).
+    """
+
+    __slots__ = ("inc",)
+
+    def __init__(self, counter: "Counter", key: LabelKey) -> None:
+        self.inc = partial(counter._add, key)
+
+
 class Counter(_ScalarInstrument):
     """A monotonically increasing value per label set."""
 
     kind = "counter"
+    _monotonic = True
+
+    def labels(self, **labels: object) -> BoundCounter:
+        return BoundCounter(self, label_key(labels))
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease (amount={amount})")
-        with self._lock:
-            key = self._resolve_key(self._series, labels)
-            self._series[key] = self._series.get(key, 0.0) + amount
+        self._add(label_key(labels), amount)
 
     def total(self) -> float:
         """Sum over every series (all label sets)."""
@@ -119,23 +167,43 @@ class Counter(_ScalarInstrument):
             return sum(self._series.values())
 
 
+class BoundGauge:
+    """``gauge.labels(...)``: ``set(value)``, ``inc(amount=1.0)`` and
+    ``dec(amount=1.0)`` on one label set, resolved once."""
+
+    __slots__ = ("inc", "set")
+
+    def __init__(self, gauge: "Gauge", key: LabelKey) -> None:
+        self.inc = partial(gauge._add, key)
+        self.set = partial(gauge._set, key)
+
+    def dec(self, amount: float = 1.0) -> None:
+        self.inc(-amount)
+
+
 class Gauge(_ScalarInstrument):
     """A value that can move both ways (queue depths, table sizes)."""
 
     kind = "gauge"
 
-    def set(self, value: float, **labels: object) -> None:
+    def _set(self, key: LabelKey, value: float) -> None:
         with self._lock:
-            key = self._resolve_key(self._series, labels)
-            self._series[key] = float(value)
+            series = self._series
+            if key not in series:
+                key = self._admit(key)
+            series[key] = float(value)
+
+    def labels(self, **labels: object) -> BoundGauge:
+        return BoundGauge(self, label_key(labels))
+
+    def set(self, value: float, **labels: object) -> None:
+        self._set(label_key(labels), value)
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
-        with self._lock:
-            key = self._resolve_key(self._series, labels)
-            self._series[key] = self._series.get(key, 0.0) + amount
+        self._add(label_key(labels), amount)
 
     def dec(self, amount: float = 1.0, **labels: object) -> None:
-        self.inc(-amount, **labels)
+        self._add(label_key(labels), -amount)
 
 
 class _HistogramSeries:
@@ -149,6 +217,16 @@ class _HistogramSeries:
         self.sum = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
+
+
+class BoundHistogram:
+    """``histogram.labels(...)``: ``observe(value)`` on one label set,
+    resolved once."""
+
+    __slots__ = ("observe",)
+
+    def __init__(self, histogram: "Histogram", key: LabelKey) -> None:
+        self.observe = partial(histogram._observe, key)
 
 
 class Histogram(_Instrument):
@@ -170,26 +248,34 @@ class Histogram(_Instrument):
         self.buckets = bounds
         self._series: Dict[LabelKey, _HistogramSeries] = {}
 
-    def _get_series(self, labels: Dict[str, object]) -> _HistogramSeries:
-        key = self._resolve_key(self._series, labels)
-        series = self._series.get(key)
-        if series is None:
-            series = self._series[key] = _HistogramSeries(len(self.buckets))
-        return series
+    def _observe(self, key: LabelKey, value: float) -> None:
+        if value != value:
+            # NaN: dropped.  Counted once, it would turn the series' sum —
+            # and every later mean and ``_sum`` line — into NaN for good.
+            return
+        index = bisect_left(self.buckets, value)  # first bound >= value, else +Inf
+        with self._lock:
+            series = self._series
+            try:
+                cell = series[key]
+            except KeyError:
+                key = self._admit(key)
+                cell = series.get(key)
+                if cell is None:
+                    cell = series[key] = _HistogramSeries(len(self.buckets))
+            cell.bucket_counts[index] += 1
+            cell.count += 1
+            cell.sum += value
+            if cell.min is None or value < cell.min:
+                cell.min = value
+            if cell.max is None or value > cell.max:
+                cell.max = value
+
+    def labels(self, **labels: object) -> BoundHistogram:
+        return BoundHistogram(self, label_key(labels))
 
     def observe(self, value: float, **labels: object) -> None:
-        index = len(self.buckets)  # default: the +Inf bucket
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                index = i
-                break
-        with self._lock:
-            series = self._get_series(labels)
-            series.bucket_counts[index] += 1
-            series.count += 1
-            series.sum += value
-            series.min = value if series.min is None else min(series.min, value)
-            series.max = value if series.max is None else max(series.max, value)
+        self._observe(label_key(labels), value)
 
     def count(self, **labels: object) -> int:
         series = self._series.get(label_key(labels))
@@ -220,6 +306,8 @@ class Histogram(_Instrument):
         target = q * series.count
         cumulative = 0
         for i, bound in enumerate(self.buckets):
+            if not series.bucket_counts[i]:
+                continue  # an empty bucket holds no observation to answer with
             cumulative += series.bucket_counts[i]
             if cumulative >= target:
                 return bound

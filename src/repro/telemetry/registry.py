@@ -92,12 +92,18 @@ class Registry:
 
 
 class _NoopInstrument:
-    """Counter/Gauge/Histogram stand-in: accepts everything, records nothing."""
+    """Counter/Gauge/Histogram stand-in — and its own bound child: accepts
+    everything, records nothing."""
 
     __slots__ = ()
     name = ""
     help = ""
+    kind = "noop"
+    buckets = ()
     overflow_count = 0
+
+    def labels(self, **labels: object) -> "_NoopInstrument":
+        return self
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         pass
@@ -126,8 +132,17 @@ class _NoopInstrument:
     def mean(self, **labels: object) -> float:
         return 0.0
 
+    def bucket_counts(self, **labels: object) -> list:
+        return [0]
+
+    def quantile(self, q: float, **labels: object) -> float:
+        return 0.0
+
     def series(self) -> dict:
         return {}
+
+    def snapshot(self) -> dict:
+        return {"name": self.name, "kind": self.kind, "help": self.help, "series": []}
 
     def reset(self) -> None:
         pass

@@ -13,6 +13,7 @@ from repro.authflow import (
     default_stages,
 )
 from repro.common.clock import SimulatedClock
+from repro.common.results import ValidateResult
 from repro.otpserver import OTPServer, OTPServerConfig, ValidateStatus
 from repro.policy import (
     EnforcementLadder,
@@ -106,6 +107,39 @@ class TestStageTelemetry:
         server.validate("alice", "424242")
         counter = telemetry.counter("policy_decisions_total", "")
         assert counter.value(action="challenge") == 1
+
+
+class TestStageClock:
+    """One clock read per stage boundary: a stage's end is the next one's
+    start, and a skipped stage reads nothing."""
+
+    class _Stage:
+        def __init__(self, name, clock, seconds, finish=False, terminal=False):
+            self.name, self.terminal = name, terminal
+            self._clock, self._seconds, self._finish = clock, seconds, finish
+
+        def run(self, ctx):
+            self._clock.advance(self._seconds)
+            if self._finish:
+                ctx.finish(ValidateResult(ValidateStatus.REJECT, "done"))
+
+    def test_reads_and_durations(self, clock):
+        reads = []
+        now = clock.now
+        clock.now = lambda: reads.append(None) or now()
+        telemetry = Registry()
+        stages = [
+            self._Stage("first", clock, 2.0),
+            self._Stage("deciding", clock, 3.0, finish=True),
+            self._Stage("skipped", clock, 100.0),
+            self._Stage("last", clock, 5.0, terminal=True),
+        ]
+        pipeline = AuthPipeline(stages, telemetry=telemetry, clock=clock)
+        assert pipeline.run("alice", "123456").reason == "done"
+        assert len(reads) == 3 + 1  # the stages that ran, plus the first boundary
+        seconds = telemetry.histogram("authflow_stage_seconds")
+        assert [seconds.sum(stage=s.name) for s in stages] == [2.0, 3.0, 0.0, 5.0]
+        assert [seconds.count(stage=s.name) for s in stages] == [1, 1, 0, 1]
 
 
 def validate_many(server, requests, threads=8):

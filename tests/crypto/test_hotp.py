@@ -20,6 +20,21 @@ class TestRFCVectors:
         assert hotp(SECRET, counter) == code
 
 
+    # RFC 6238 appendix B, times 59 and 1111111109 (30 s steps, 8 digits):
+    # the digest is picked by name, so each name gets its own vectors.
+    @pytest.mark.parametrize(
+        "algorithm,seed,codes",
+        [
+            ("sha1", SECRET, ("94287082", "07081804")),
+            ("sha256", SECRET + b"123456789012", ("46119246", "68084774")),
+            ("sha512", SECRET * 3 + b"1234", ("90693936", "25091201")),
+        ],
+    )
+    def test_every_digest(self, algorithm, seed, codes):
+        for counter, code in zip((59 // 30, 1111111109 // 30), codes):
+            assert hotp(seed, counter, digits=8, algorithm=algorithm) == code
+
+
 class TestParameters:
     def test_negative_counter_rejected(self):
         with pytest.raises(ValueError):

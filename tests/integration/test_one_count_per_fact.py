@@ -29,12 +29,16 @@ from tests.test_layering import RETIRED_SERIES
 @pytest.fixture(scope="module")
 def center():
     """The ``status`` subcommand's scenario, telemetry on, every storage
-    layer present, plus one shed arrival and one promotion so no compared
-    count is trivially zero."""
+    layer present, plus one shed arrival, one promotion and two point reads
+    of one row (a cache miss, then a hit) so no compared count is trivially
+    zero."""
     center, passed = _status_scenario(telemetry=True, shards=2, replicas=1, risk=True)
     assert passed
     center.ingest_queue.close()  # a closed queue refuses at the door
     assert not center.ingest_queue.submit(("demo", "000000")).result().ok
+    engine = center.otp.db.engine
+    serial = engine.select("tokens")[0]["serial"]
+    assert engine.get("tokens", serial) == engine.get("tokens", serial)
     find_layer(center.otp.db.engine, "crash_primary").crash_primary(0)
     return center
 
@@ -58,6 +62,10 @@ def _client_health(center, node, server):
 
 def _shards(center):
     return find_layer(center.otp.db.engine, "shard_sizes").shards
+
+
+def _cache(center):
+    return find_layer(center.otp.db.engine, "cache_info")
 
 
 #: (retired series, status() path, the one count that stays).
@@ -113,6 +121,10 @@ FACTS = [
      lambda c: _shards(c)[0].wal.snapshots),
     ("storage_promotions_total", "storage.shards.0.replication.promotions",
      lambda c: _shards(c)[0].promotions),
+    ("storage_cache_entries", "storage.cache.entries", lambda c: len(_cache(c)._lru)),
+    ("storage_cache_hits_total", "storage.cache.hits", lambda c: _cache(c)._hit_count),
+    ("storage_cache_misses_total", "storage.cache.misses",
+     lambda c: _cache(c)._miss_count),
     ("otp_audit_log_size", "audit.records", lambda c: len(c.otp.audit)),
     ("otp_audit_lag_seconds", "audit.latest_timestamp",
      lambda c: c.otp.audit.entries()[-1].timestamp),
@@ -178,6 +190,9 @@ def test_counts_in_the_scenario_are_not_vacuous(center):
     assert _at(status, "radius.radius1.handled") == 1
     assert _at(status, "policy.risk.assessed") >= 3
     assert _at(status, "storage.shards.0.replication.promotions") == 1
+    assert _at(status, "storage.cache") == {
+        "entries": 1, "capacity": 64, "hits": 1, "misses": 1, "hit_ratio": 0.5,
+    }
     assert _at(status, "audit.records") == len(center.otp.audit) > 20
     assert _at(status, "systems.stampede.radius.login1.stampede.10.0.0.10:1812.successes") == 1
 

@@ -1,5 +1,6 @@
 """Unit tests for the metric primitives, registry and exporters."""
 
+import inspect
 import json
 
 import pytest
@@ -128,6 +129,30 @@ class TestHistogram:
         with pytest.raises(ValueError):
             h.quantile(1.5)
 
+    def test_quantile_skips_buckets_nothing_was_observed_in(self):
+        h = Histogram("h")
+        h.observe(5.0)
+        # Not 0.001, the lowest bound: that bucket holds no observation.
+        assert h.quantile(0.0) == 5.0
+        assert h.quantile(1.0) == 5.0
+
+    def test_bucket_is_the_first_bound_at_or_above_the_value(self):
+        h = Histogram("h", buckets=(1.0, 2.0, 3.0))
+        for value in (-1.0, 1.0, 1.0000001, 3.0, 3.5):
+            h.observe(value)
+        assert h.bucket_counts() == [2, 1, 1, 1]
+
+    def test_nan_observation_is_dropped(self):
+        h = Histogram("h", buckets=(1.0, 2.0))
+        h.observe(float("nan"), op="x")  # before the series exists: creates none
+        assert h.snapshot()["series"] == []
+        h.observe(1.5, op="x")
+        before = h.snapshot()
+        h.observe(float("nan"), op="x")
+        h.labels(op="x").observe(float("nan"))
+        assert h.snapshot() == before
+        assert h.mean(op="x") == 1.5
+
     def test_labeled_series_independent(self):
         h = Histogram("h", buckets=(1.0,))
         h.observe(0.5, op="a")
@@ -205,6 +230,36 @@ class TestNoopRegistry:
         assert r.instruments() == {}
         snap = r.snapshot()
         assert snap["enabled"] is False and snap["traces"] == []
+
+    def test_noop_answers_every_name_an_instrument_does(self):
+        """Code written against a real instrument or bound child runs
+        unchanged with telemetry off: same public names, and every call a
+        real one accepts the no-op accepts too."""
+        noop = NOOP_REGISTRY.counter("anything")
+        real = [Counter("c"), Gauge("g"), Histogram("h")]
+        real += [instrument.labels(k="v") for instrument in real]
+        for instrument in real:
+            names = [n for n in dir(instrument) if not n.startswith("_")]
+            assert names, instrument
+            for name in names:
+                theirs, ours = getattr(instrument, name), getattr(noop, name)
+                if not callable(theirs):
+                    assert not callable(ours), name
+                    continue
+                wanted = inspect.signature(theirs).parameters.values()
+                offered = inspect.signature(ours).parameters
+                keywords = any(p.kind is p.VAR_KEYWORD for p in offered.values())
+                for parameter in wanted:
+                    if parameter.kind is parameter.VAR_KEYWORD:
+                        assert keywords, name
+                        continue
+                    assert parameter.name in offered, (name, parameter.name)
+                    mine = offered[parameter.name]
+                    assert (mine.default is mine.empty) == (
+                        parameter.default is parameter.empty
+                    ), (name, parameter.name)
+        assert noop.quantile(0.99) == 0.0 and noop.bucket_counts() == [0]
+        assert noop.snapshot()["series"] == []
 
 
 class TestExporters:
