@@ -58,6 +58,7 @@ class PipelineContext:
     span: object = None  # the enclosing trace span, if any
 
     # -- outcome -------------------------------------------------------------
+    #: Set once some stage has produced the final result.
     result: Optional[ValidateResult] = None
     #: Whether ApplyOutcome may touch failure counters for this result.
     #: Paths that never reached a token check (no pairing, locked account,
@@ -65,11 +66,6 @@ class PipelineContext:
     #: ``outcome_applies=False`` — nothing was guessed, so nothing counts.
     outcome_applies: bool = True
     audit_events: List[AuditEvent] = field(default_factory=list)
-
-    @property
-    def finished(self) -> bool:
-        """True once some stage has produced the final result."""
-        return self.result is not None
 
     def finish(self, result: ValidateResult, outcome_applies: bool = True) -> None:
         """Settle the outcome; decision stages after this are skipped."""

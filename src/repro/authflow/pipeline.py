@@ -92,7 +92,7 @@ class AuthPipeline:
             # start of the next one that runs (a skipped stage reads nothing).
             boundary = self._clock.now()
             for stage in self.stages:
-                if ctx.finished and not stage.terminal:
+                if ctx.result is not None and not stage.terminal:
                     continue
                 try:
                     stage.run(ctx)

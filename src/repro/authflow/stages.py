@@ -138,7 +138,7 @@ class EvaluatePolicy:
     def run(self, ctx: PipelineContext) -> None:
         # Pairing is already resolved — rows are loaded — so the request
         # carries it as a literal instead of a lookup.
-        pairing = TokenType(ctx.rows[0]["token_type"]).value if ctx.rows else None
+        pairing = TokenType(ctx.rows[0]["token_type"])._value_ if ctx.rows else None
         decision = self.policy.evaluate(
             AuthRequest(ctx.user_id, ctx.source or "", pairing=pairing),
             now=self.server.clock.now(),

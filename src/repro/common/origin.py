@@ -3,25 +3,34 @@
 One parser for every layer that asks "is this address in that range":
 the exemption ACL's origin field, the risk engine's watchlist and the
 geolocation database's prefix table.
+
+An octet is one to three ASCII digits, a CIDR prefix one or two — not what
+``str.isdigit()`` accepts: ``²`` makes ``int()`` raise, a full-width ``１``
+respells a waived address.  Text that is not an address matches nothing.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.common.errors import ConfigurationError
 
+_OCTET = "([0-9]{1,3})"
+_IPV4 = re.compile(rf"{_OCTET}\.{_OCTET}\.{_OCTET}\.{_OCTET}")
+_PREFIX = re.compile("[0-9]{1,2}")
 
-def _ipv4_to_int(text: str) -> int:
-    parts = text.split(".")
-    if len(parts) != 4:
-        raise ConfigurationError(f"invalid IPv4 address {text!r}")
-    value = 0
-    for part in parts:
-        if not part.isdigit() or not 0 <= int(part) <= 255:
-            raise ConfigurationError(f"invalid IPv4 octet in {text!r}")
-        value = (value << 8) | int(part)
-    return value
+
+def ipv4_to_int(text: str) -> Optional[int]:
+    """The dotted-quad ``text`` as a 32-bit integer; ``None`` if it is not one."""
+    match = _IPV4.fullmatch(text)
+    if match is None:
+        return None
+    a, b, c, d = map(int, match.groups())
+    if a > 255 or b > 255 or c > 255 or d > 255:
+        return None
+    return a << 24 | b << 16 | c << 8 | d
 
 
 @dataclass(frozen=True)
@@ -38,21 +47,24 @@ class OriginMatcher:
         text = text.strip()
         if text.upper() == "ALL":
             return cls(raw="ALL", match_all=True)
-        if "/" in text:
-            base, _, prefix_text = text.partition("/")
-            if not prefix_text.isdigit() or not 0 <= int(prefix_text) <= 32:
+        base, slash, prefix_text = text.partition("/")
+        prefix = 32
+        if slash:
+            if not _PREFIX.fullmatch(prefix_text) or int(prefix_text) > 32:
                 raise ConfigurationError(f"invalid CIDR prefix in {text!r}")
             prefix = int(prefix_text)
-            mask = 0 if prefix == 0 else (0xFFFFFFFF << (32 - prefix)) & 0xFFFFFFFF
-            network = _ipv4_to_int(base) & mask
-            return cls(raw=text, network=network, mask=mask)
-        return cls(raw=text, network=_ipv4_to_int(text), mask=0xFFFFFFFF)
+        network = ipv4_to_int(base)
+        if network is None:
+            raise ConfigurationError(f"invalid IPv4 address in {text!r}")
+        mask = (0xFFFFFFFF << (32 - prefix)) & 0xFFFFFFFF
+        return cls(raw=text, network=network & mask, mask=mask)
 
     def matches(self, ip: str) -> bool:
+        return self.covers(ipv4_to_int(ip))
+
+    def covers(self, address: Optional[int]) -> bool:
+        """:meth:`matches` for an origin a rule walker parsed once already
+        (``None``: it was not an address)."""
         if self.match_all:
             return True
-        try:
-            value = _ipv4_to_int(ip)
-        except ConfigurationError:
-            return False
-        return (value & self.mask) == self.network
+        return address is not None and (address & self.mask) == self.network

@@ -26,7 +26,8 @@ INDEXED_ATTR = "uid"
 
 
 def _normalize_dn(dn: str) -> str:
-    return ",".join(part.strip().lower() for part in dn.split(","))
+    # (lowering first is exact: it neither makes nor removes whitespace)
+    return ",".join(map(str.strip, dn.lower().split(",")))
 
 
 def _dn_parent(dn: str) -> str:
@@ -88,6 +89,8 @@ class LDAPEntry:
 FilterFn = Callable[[LDAPEntry], bool]
 #: ``(attr, lowered value)`` equalities without which a filter cannot match.
 Required = Tuple[Tuple[str, str], ...]
+#: A filter ready to run: its predicate and what it requires.
+CompiledFilter = Tuple[FilterFn, Required]
 
 _HEX_PAIR = re.compile("[0-9a-fA-F]{2}")
 
@@ -119,6 +122,19 @@ def _match_substring(parts: List[str], value: str) -> bool:
             return False
         pos = found + len(middle)
     return pos <= len(value) - len(parts[-1])
+
+
+def equality_filter(attr: str, value: str) -> CompiledFilter:
+    """``(attr=value)`` for a *literal* ``value``: the parser's equality
+    leaf, and what a caller holding untrusted text (a login name) hands
+    :meth:`LDAPDirectory.search` directly — no filter text exists, so ``*``,
+    ``(`` or NUL in it are characters to compare, not syntax to escape."""
+    attr = attr.lower()
+    value = value.lower()
+    return (
+        lambda e, a=attr, v=value: v in map(str.lower, e.get(a)),
+        ((attr, value),),
+    )
 
 
 def _parse_expr(text: str, pos: int) -> Tuple[FilterFn, Required, int]:
@@ -166,15 +182,10 @@ def _parse_expr(text: str, pos: int) -> Tuple[FilterFn, Required, int]:
             (),
             end + 1,
         )
-    value = _unescape(value).lower()
-    return (
-        lambda e, a=attr, v=value: any(x.lower() == v for x in e.get(a)),
-        ((attr, value),),
-        end + 1,
-    )
+    return (*equality_filter(attr, _unescape(value)), end + 1)
 
 
-def _compile_filter(text: str) -> Tuple[FilterFn, Required]:
+def _compile_filter(text: str) -> CompiledFilter:
     text = text.strip()
     if not text.startswith("("):
         text = f"({text})"
@@ -279,9 +290,13 @@ class LDAPDirectory:
         entry._directory = None  # a detached entry no longer reports changes
 
     def search(
-        self, base: str, filter_text: str = "(objectclass=*)", scope: str = "sub"
+        self,
+        base: str,
+        filter: Union[str, CompiledFilter] = "(objectclass=*)",
+        scope: str = "sub",
     ) -> List[LDAPEntry]:
-        """Search under ``base`` with an RFC 4515 filter.
+        """Search under ``base`` with an RFC 4515 filter — its text, or one
+        already compiled (:func:`equality_filter`).
 
         ``scope`` is ``base`` (the entry itself), ``one`` (direct children)
         or ``sub`` (the whole subtree).  Results come in directory order.
@@ -290,7 +305,9 @@ class LDAPDirectory:
         if scope not in ("base", "one", "sub"):
             raise ValueError(f"invalid scope {scope!r}")
         base_norm = _normalize_dn(base)
-        predicate, required = _compile_filter(filter_text)
+        predicate, required = (
+            _compile_filter(filter) if isinstance(filter, str) else filter
+        )
         # Only entries filed under a required uid value can match; the scope
         # test and the whole predicate still run on each of them, so the
         # index narrows the walk and never decides the answer.

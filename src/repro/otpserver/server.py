@@ -436,7 +436,7 @@ class OTPServer:
         """
         with self._tracer.span("otp.validate", user=user_id) as span:
             result = self._pipeline.run(user_id, code, source)
-            span.annotate("status", result.status.value)
+            span.annotate("status", result.status._value_)
             if result.reason:
                 span.annotate("reason", result.reason)
             self._m_validate[result.status].inc()

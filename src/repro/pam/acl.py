@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime
 from typing import List, Optional, Tuple
 
 from repro.common.clock import Clock, SystemClock, parse_date
 from repro.common.errors import ConfigurationError
-from repro.common.origin import OriginMatcher
+from repro.common.origin import OriginMatcher, ipv4_to_int
 
 
 @dataclass(frozen=True)
@@ -42,12 +42,15 @@ class ExemptionRule:
     expiry: Optional[datetime]  # None == ALL (never expires)
     lineno: int = 0
 
-    def matches(self, username: str, ip: str, now: datetime) -> bool:
-        if self.expiry is not None and now > self.expiry:
-            return False  # "temporary variances that will automatically expire"
+    def matches(self, username: str, address: Optional[int], now: float) -> bool:
+        """``address`` is the origin as :func:`ipv4_to_int` read it."""
         if self.accounts and username not in self.accounts:
             return False
-        return any(origin.matches(ip) for origin in self.origins)
+        for origin in self.origins:
+            if origin.covers(address):
+                # "temporary variances that will automatically expire"
+                return self.expiry is None or now <= self.expiry.timestamp()
+        return False
 
 
 def parse_rules(text: str) -> List[ExemptionRule]:
@@ -148,9 +151,11 @@ class ExemptionACL:
     def check(self, username: str, ip: str) -> bool:
         """True iff an exemption is granted.  First match wins; default deny."""
         self._maybe_reload()
-        now = datetime.fromtimestamp(self._clock.now(), tz=timezone.utc)
+        # Read once per request, in the form every rule uses them.
+        address = ipv4_to_int(ip)
+        now = self._clock.now()
         for rule in self._rules:
-            if rule.matches(username, ip, now):
+            if rule.matches(username, address, now):
                 return rule.grant
         return False
 

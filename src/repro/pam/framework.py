@@ -20,9 +20,10 @@ The engine deliberately mirrors libpam's behaviour:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Dict, List, Optional, Protocol
+from typing import Any, Callable, Dict, List, Optional, Protocol, Union
 
 from repro.common.clock import Clock, SystemClock
 from repro.common.errors import ConfigurationError
@@ -81,27 +82,40 @@ _KEYWORD_CONTROLS: Dict[str, Dict[str, str]] = {
 
 _VALID_ACTIONS = {"ok", "done", "bad", "die", "ignore", "reset"}
 
+#: A named action, or the number of modules a jump action skips.
+Action = Union[str, int]
+#: A jump count: ASCII digits (``"²".isdigit()`` is true, ``int("²")`` raises).
+_JUMP = re.compile("[0-9]{1,9}")
 
-def parse_control(text: str) -> Dict[str, str]:
-    """Parse a control field — keyword or ``[code=action ...]`` form."""
+
+def parse_control(text: str) -> Dict[str, Action]:
+    """Parse a control field — keyword or ``[code=action ...]`` form.
+
+    Resolved here, once: a jump count is an ``int`` and every
+    :class:`PAMResult` code the control does not name gets its default.
+    """
     text = text.strip()
     if not text.startswith("["):
-        control = _KEYWORD_CONTROLS.get(text)
-        if control is None:
+        if text not in _KEYWORD_CONTROLS:
             raise ConfigurationError(f"unknown PAM control keyword {text!r}")
-        return dict(control)
-    if not text.endswith("]"):
+        actions: Dict[str, Action] = dict(_KEYWORD_CONTROLS[text])
+    elif not text.endswith("]"):
         raise ConfigurationError(f"unterminated control bracket: {text!r}")
-    actions: Dict[str, str] = {}
-    for pair in text[1:-1].split():
-        code, _, action = pair.partition("=")
-        if not action:
-            raise ConfigurationError(f"malformed action {pair!r}")
-        if not (action in _VALID_ACTIONS or action.isdigit()):
-            raise ConfigurationError(f"invalid action {action!r}")
-        actions[code] = action
-    if "default" not in actions:
-        actions["default"] = "bad"
+    else:
+        actions = {}
+        for pair in text[1:-1].split():
+            code, _, action = pair.partition("=")
+            if not action:
+                raise ConfigurationError(f"malformed action {pair!r}")
+            if action in _VALID_ACTIONS:
+                actions[code] = action
+            elif _JUMP.fullmatch(action):
+                actions[code] = int(action)
+            else:
+                raise ConfigurationError(f"invalid action {action!r}")
+    default = actions.setdefault("default", "bad")
+    for result in PAMResult:
+        actions.setdefault(result.value, default)
     return actions
 
 
@@ -109,7 +123,7 @@ def parse_control(text: str) -> Dict[str, str]:
 class StackEntry:
     """One configured line: control actions + the module + its options."""
 
-    actions: Dict[str, str]
+    actions: Dict[str, Action]
     module: PAMModule
     options: Dict[str, str] = field(default_factory=dict)
 
@@ -129,10 +143,10 @@ class PAMStack:
         tracer = session.telemetry.tracer()
         with tracer.span("pam.stack", service=self.service) as span:
             verdict = self._run(session, tracer)
-            span.annotate("result", verdict.value)
+            span.annotate("result", verdict._value_)
             session.telemetry.counter(
                 "pam_stack_results_total", "PAM stack verdicts by service"
-            ).inc(service=self.service, result=verdict.value)
+            ).inc(service=self.service, result=verdict._value_)
             return verdict
 
     def _run(self, session: PAMSession, tracer) -> PAMResult:
@@ -148,20 +162,22 @@ class PAMStack:
             if skip > 0:
                 skip -= 1
                 continue
-            with tracer.span("pam." + entry.module.name) as module_span:
+            name = entry.module.name
+            with tracer.span("pam." + name) as module_span:
                 try:
                     code = entry.module.authenticate(session)
                 except ConversationError:
                     code = PAMResult.ABORT
-                module_span.annotate("result", code.value)
-            module_counter.inc(module=entry.module.name, result=code.value)
-            session.record(f"{entry.module.name}: {code.value}")
-            action = entry.actions.get(code.value, entry.actions["default"])
-            if action.isdigit():
+                result = code._value_
+                module_span.annotate("result", result)
+            module_counter.inc(module=name, result=result)
+            session.record(f"{name}: {result}")
+            action = entry.actions[result]
+            if type(action) is int:
                 # Jump action: success contribution plus skipping N modules.
                 if recorded_failure is None:
                     recorded_success = True
-                skip = int(action)
+                skip = action
             elif action == "ok":
                 if recorded_failure is None:
                     recorded_success = True

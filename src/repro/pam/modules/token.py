@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.directory.ldap import equality_filter
 from repro.pam.framework import PAMResult, PAMSession
 from repro.policy import AuthRequest, EnforcementMode, PolicyAction, PolicyEngine
 from repro.radius.client import AuthStatus, RADIUSClient
-from repro.resolvers import escape_filter_value
 
 __all__ = ["PROMPT", "EnforcementMode", "MFATokenModule"]
 
@@ -78,11 +78,9 @@ class MFATokenModule:
     # -- LDAP pairing lookup (Figure 2, first box) ----------------------------
 
     def _pairing_type(self, username: str) -> Optional[str]:
-        # The login name is attacker-chosen text: escaped, it can only be a
-        # literal uid, never a wildcard or a broken filter.
-        entries = self._ldap.search(
-            self._base_dn, f"(uid={escape_filter_value(username)})"
-        )
+        # The login name is attacker-chosen text: compared as a literal uid,
+        # never parsed, it cannot be a wildcard or a broken filter.
+        entries = self._ldap.search(self._base_dn, equality_filter("uid", username))
         if not entries:
             return None
         pairing = entries[0].first("mfaPairingType", "unpaired")
@@ -125,7 +123,7 @@ class MFATokenModule:
         session.telemetry.counter(
             "pam_token_enforcement_total",
             "token-module decisions by effective mode and pairing type",
-        ).inc(mode=decision.mode.value, pairing=decision.pairing or "unpaired")
+        ).inc(mode=decision.mode._value_, pairing=decision.pairing or "unpaired")
 
         if decision.action is PolicyAction.ALLOW:
             # Unpaired user during the opt-in (`paired`) phase.

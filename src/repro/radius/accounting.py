@@ -15,9 +15,7 @@ kind of number an accounting log answers.  This module adds:
 
 from __future__ import annotations
 
-import hashlib
 import hmac
-import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -30,6 +28,7 @@ from repro.radius.packet import (
     _attr_bytes,
     decode_packet,
     encode_packet,
+    response_authenticator,
 )
 from repro.radius.transport import UDPFabric
 
@@ -37,15 +36,9 @@ from repro.radius.transport import UDPFabric
 def accounting_request_authenticator(
     code: int, identifier: int, attributes, secret: bytes
 ) -> bytes:
-    """RFC 2866 section 3: MD5 over the packet with a zeroed authenticator."""
-    attrs = _attr_bytes(attributes)
-    length = HEADER.size + len(attrs)
-    return hashlib.md5(
-        struct.pack("!BBH", code, identifier, length)
-        + b"\x00" * 16
-        + attrs
-        + secret
-    ).digest()
+    """RFC 2866 section 3: MD5 over the packet with a zeroed authenticator —
+    the response digest of RFC 2865 with sixteen zero octets for the nonce."""
+    return response_authenticator(code, identifier, attributes, b"\x00" * 16, secret)
 
 
 def encode_accounting_request(packet: RADIUSPacket, secret: bytes) -> bytes:

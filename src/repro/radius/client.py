@@ -148,9 +148,12 @@ class RADIUSClient:
             "radius_client_failovers_total",
             "server switches after a server exhausted its retries",
         )
-        self._m_responses = self.telemetry.counter(
+        responses = self.telemetry.counter(
             "radius_client_responses_total", "authenticate() outcomes by status"
         )
+        self._m_responses = {
+            status: responses.labels(status=status.value) for status in AuthStatus
+        }
         self._m_skipped = self.telemetry.counter(
             "radius_client_ejected_skips_total",
             "sends avoided because the target's circuit was open",
@@ -161,9 +164,6 @@ class RADIUSClient:
         return self._identifier
 
     # -- time ----------------------------------------------------------------
-
-    def _now(self) -> float:
-        return self._clock.now()
 
     def _elapse(self, seconds: float) -> None:
         """Charge a wait to the injected wait clock (no clock = free)."""
@@ -183,24 +183,21 @@ class RADIUSClient:
         retransmit budget: a single-shot attempt whose Access-Accept is
         lost has no dup-cache rescue and poisons the one-time code.
         """
-        rotated = [
-            self._servers[(start + offset) % len(self._servers)]
-            for offset in range(len(self._servers))
-        ]
+        rotated = self._servers[start:] + self._servers[:start]
         if not self.health_aware:
             return [(server, False) for server in rotated]
-        now = self._now()
-        probes = [s for s in rotated if self.health.probe_due(s, now)]
-        closed = [
-            s
-            for s in rotated
-            if self.health.state(s) is CircuitState.CLOSED and s not in probes
-        ]
-        cooling = [s for s in rotated if s not in probes and s not in closed]
-        plan = [(s, True) for s in probes]
-        plan += [(s, False) for s in closed]
-        plan += [(s, False) for s in cooling]
-        return plan
+        now = self._clock.now()
+        probes: List[Tuple[str, bool]] = []
+        closed: List[Tuple[str, bool]] = []
+        cooling: List[Tuple[str, bool]] = []
+        for server in rotated:
+            if self.health.probe_due(server, now):
+                probes.append((server, True))
+            elif self.health.state(server) is CircuitState.CLOSED:
+                closed.append((server, False))
+            else:
+                cooling.append((server, False))
+        return probes + closed + cooling
 
     # -- the call --------------------------------------------------------------
 
@@ -244,7 +241,7 @@ class RADIUSClient:
                 if index and not is_probe:
                     self._m_failovers.inc(to_server=server)
                 if is_probe:
-                    self.health.begin_probe(server, self._now())
+                    self.health.begin_probe(server, self._clock.now())
                 for attempt in range(self._retries):
                     if deadline.expired():
                         deadline_hit = True
@@ -257,7 +254,7 @@ class RADIUSClient:
                     response_bytes = self._fabric.send_request(server, wire, source)
                     if response_bytes is None:
                         self._elapse(ATTEMPT_TIMEOUT)
-                        self.health.on_failure(server, self._now())
+                        self.health.on_failure(server, self._clock.now())
                         continue  # timeout: retransmit
                     try:
                         response = verify_response(
@@ -265,17 +262,17 @@ class RADIUSClient:
                         )
                     except ProtocolError:
                         self._elapse(ATTEMPT_TIMEOUT)
-                        self.health.on_failure(server, self._now())
+                        self.health.on_failure(server, self._clock.now())
                         continue  # forged/corrupt response is treated as a timeout
                     if response.identifier != request.identifier:
                         self._elapse(ATTEMPT_TIMEOUT)
-                        self.health.on_failure(server, self._now())
+                        self.health.on_failure(server, self._clock.now())
                         continue
-                    self.health.on_success(server, self._now())
+                    self.health.on_success(server, self._clock.now())
                     auth_response = self._to_auth_response(response, server)
                     span.annotate("server", server)
-                    span.annotate("status", auth_response.status.value)
-                    self._m_responses.inc(status=auth_response.status.value)
+                    span.annotate("status", auth_response.status._value_)
+                    self._m_responses[auth_response.status].inc()
                     return auth_response
                 if deadline_hit:
                     break
@@ -287,11 +284,11 @@ class RADIUSClient:
                 )
                 if ejected:
                     self._m_skipped.inc(ejected)
-            span.annotate("status", AuthStatus.TIMEOUT.value)
+            span.annotate("status", AuthStatus.TIMEOUT._value_)
             if deadline_hit:
                 span.annotate("deadline_exhausted", True)
             span.set_status("error")
-            self._m_responses.inc(status=AuthStatus.TIMEOUT.value)
+            self._m_responses[AuthStatus.TIMEOUT].inc()
             message = (
                 "RADIUS deadline budget exhausted"
                 if deadline_hit

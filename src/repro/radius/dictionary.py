@@ -1,8 +1,7 @@
 """RADIUS attribute and packet-code registries (RFC 2865 section 5).
 
-Only the attributes the MFA path exercises are registered, but the codec is
-table-driven so extending the dictionary is one line per attribute — the
-same way FreeRADIUS dictionary files work.
+Only the attributes the MFA path exercises are registered; a new one is one
+line, the way a FreeRADIUS dictionary file grows.
 """
 
 from __future__ import annotations
@@ -45,24 +44,3 @@ class AcctStatusType(IntEnum):
     START = 1
     STOP = 2
     INTERIM_UPDATE = 3
-
-
-#: Attributes whose value is protected/hidden on the wire.
-ENCRYPTED_ATTRS = frozenset({Attr.USER_PASSWORD})
-
-#: Human-readable names, mirroring a FreeRADIUS dictionary file.
-ATTR_NAMES = {
-    Attr.USER_NAME: "User-Name",
-    Attr.USER_PASSWORD: "User-Password",
-    Attr.NAS_IP_ADDRESS: "NAS-IP-Address",
-    Attr.SERVICE_TYPE: "Service-Type",
-    Attr.REPLY_MESSAGE: "Reply-Message",
-    Attr.STATE: "State",
-    Attr.CALLED_STATION_ID: "Called-Station-Id",
-    Attr.CALLING_STATION_ID: "Calling-Station-Id",
-    Attr.NAS_IDENTIFIER: "NAS-Identifier",
-    Attr.PROXY_STATE: "Proxy-State",
-    Attr.ACCT_STATUS_TYPE: "Acct-Status-Type",
-    Attr.ACCT_SESSION_ID: "Acct-Session-Id",
-    Attr.ACCT_SESSION_TIME: "Acct-Session-Time",
-}

@@ -19,7 +19,9 @@ from repro.common.errors import ProtocolError
 from repro.radius.dictionary import PacketCode
 
 HEADER = struct.Struct("!BBH16s")
+_CODE_ID_LENGTH = struct.Struct("!BBH")
 MAX_PACKET = 4096
+_PACKET_CODES = {int(code): code for code in PacketCode}
 
 
 @dataclass
@@ -58,59 +60,70 @@ class RADIUSPacket:
 
 
 def _attr_bytes(attributes: List[Tuple[int, bytes]]) -> bytes:
-    out = bytearray()
+    out = b""
     for attr, value in attributes:
-        out.append(attr)
-        out.append(len(value) + 2)
-        out.extend(value)
-    return bytes(out)
+        out += bytes((attr, len(value) + 2)) + value
+    return out
 
 
 def new_request_authenticator(rng: Optional[random.Random] = None) -> bytes:
-    """The random 16-byte Request Authenticator for an Access-Request."""
+    """The random 16-byte Request Authenticator for an Access-Request.
+
+    One draw for sixteen ``getrandbits(8)``: each of those is the top octet
+    of a 32-bit Mersenne Twister word, so the top octets of one 16-word draw
+    are the same bytes and leave a shared seeded ``rng`` in the same place.
+    """
     rng = rng or random.Random()
-    return bytes(rng.getrandbits(8) for _ in range(16))
+    return rng.getrandbits(512).to_bytes(64, "little")[3::4]
 
 
 def hide_password(password: str, secret: bytes, authenticator: bytes) -> bytes:
     """RFC 2865 section 5.2 User-Password protection.
 
-    The password is padded to a 16-byte multiple and XORed with an MD5
-    chain seeded by the shared secret and the request authenticator.
+    The password is padded to a 16-byte multiple and XORed (a block as one
+    integer) with an MD5 chain seeded by the shared secret and the request
+    authenticator.
     """
-    data = password.encode()
-    if len(data) > 128:
+    data = password.encode() or b"\x00"
+    size = len(data)
+    if size > 128:
         raise ProtocolError("password longer than 128 octets")
-    if not data:
-        data = b"\x00"
-    padded = data + b"\x00" * ((16 - len(data) % 16) % 16)
-    result = bytearray()
+    data += b"\x00" * (-size % 16)
+    result = b""
     prev = authenticator
-    for i in range(0, len(padded), 16):
+    for i in range(0, size, 16):
         digest = hashlib.md5(secret + prev).digest()
-        block = bytes(p ^ d for p, d in zip(padded[i : i + 16], digest))
-        result.extend(block)
-        prev = block
-    return bytes(result)
+        prev = (
+            int.from_bytes(data[i : i + 16], "big") ^ int.from_bytes(digest, "big")
+        ).to_bytes(16, "big")
+        result += prev
+    return result
 
 
 def recover_password(hidden: bytes, secret: bytes, authenticator: bytes) -> str:
     """Invert :func:`hide_password` (the server side)."""
-    if len(hidden) % 16:
+    size = len(hidden)
+    if size % 16:
         raise ProtocolError("hidden password length not a 16-byte multiple")
-    result = bytearray()
+    result = b""
     prev = authenticator
-    for i in range(0, len(hidden), 16):
+    for i in range(0, size, 16):
         digest = hashlib.md5(secret + prev).digest()
-        block = hidden[i : i + 16]
-        result.extend(h ^ d for h, d in zip(block, digest))
-        prev = block
+        prev = hidden[i : i + 16]
+        result += (
+            int.from_bytes(prev, "big") ^ int.from_bytes(digest, "big")
+        ).to_bytes(16, "big")
     try:
-        return bytes(result).rstrip(b"\x00").decode()
+        return result.rstrip(b"\x00").decode()
     except UnicodeDecodeError as exc:
         # Garbage after de-XOR means the two ends disagree on the shared
         # secret; callers treat this like any other protocol violation.
         raise ProtocolError("password recovery produced non-text bytes") from exc
+
+
+def _response_digest(header: bytes, nonce: bytes, attrs: bytes, secret: bytes) -> bytes:
+    """MD5(code + id + length, the request's authenticator, attributes, secret)."""
+    return hashlib.md5(header + nonce + attrs + secret).digest()
 
 
 def response_authenticator(
@@ -122,13 +135,12 @@ def response_authenticator(
 ) -> bytes:
     """RFC 2865 section 3: MD5 over the response with the request's nonce."""
     attrs = _attr_bytes(attributes)
-    length = HEADER.size + len(attrs)
-    return hashlib.md5(
-        struct.pack("!BBH", code, identifier, length)
-        + request_authenticator
-        + attrs
-        + secret
-    ).digest()
+    return _response_digest(
+        _CODE_ID_LENGTH.pack(code, identifier, HEADER.size + len(attrs)),
+        request_authenticator,
+        attrs,
+        secret,
+    )
 
 
 def encode_packet(
@@ -146,38 +158,36 @@ def encode_packet(
     length = HEADER.size + len(attrs)
     if length > MAX_PACKET:
         raise ProtocolError(f"packet length {length} exceeds maximum {MAX_PACKET}")
-    if packet.code == PacketCode.ACCESS_REQUEST:
-        authenticator = packet.authenticator
-    else:
+    header = _CODE_ID_LENGTH.pack(packet.code, packet.identifier, length)
+    if packet.code != PacketCode.ACCESS_REQUEST:
         if request_authenticator is None:
             raise ProtocolError("responses require the request authenticator")
-        authenticator = response_authenticator(
-            packet.code, packet.identifier, packet.attributes,
-            request_authenticator, secret,
+        packet.authenticator = _response_digest(
+            header, request_authenticator, attrs, secret
         )
-        packet.authenticator = authenticator
-    return HEADER.pack(packet.code, packet.identifier, length, authenticator) + attrs
+    return header + packet.authenticator + attrs
 
 
 def decode_packet(data: bytes) -> RADIUSPacket:
     """Parse wire bytes; raises :class:`ProtocolError` on malformed input."""
-    if len(data) < HEADER.size:
-        raise ProtocolError(f"packet of {len(data)} bytes is shorter than the header")
+    size = len(data)
+    if size < HEADER.size:
+        raise ProtocolError(f"packet of {size} bytes is shorter than the header")
     code, identifier, length, authenticator = HEADER.unpack_from(data)
-    if length != len(data):
-        raise ProtocolError(f"length field {length} does not match {len(data)} bytes")
+    if length != size:
+        raise ProtocolError(f"length field {length} does not match {size} bytes")
     try:
-        packet_code = PacketCode(code)
-    except ValueError as exc:
+        packet_code = _PACKET_CODES[code]
+    except KeyError as exc:
         raise ProtocolError(f"unknown packet code {code}") from exc
     packet = RADIUSPacket(packet_code, identifier, authenticator)
     pos = HEADER.size
-    while pos < len(data):
-        if pos + 2 > len(data):
+    while pos < size:
+        if pos + 2 > size:
             raise ProtocolError("truncated attribute header")
         attr = data[pos]
         attr_len = data[pos + 1]
-        if attr_len < 2 or pos + attr_len > len(data):
+        if attr_len < 2 or pos + attr_len > size:
             raise ProtocolError(f"invalid attribute length {attr_len}")
         packet.attributes.append((attr, data[pos + 2 : pos + attr_len]))
         pos += attr_len
@@ -191,11 +201,13 @@ def verify_response(
 
     A forged or corrupted response — or one protected by the wrong shared
     secret — fails here, which is how RADIUS clients authenticate servers.
+    The digest is over the datagram as received: ``decode_packet`` checked
+    that its length field and TLVs cover it exactly, so these are the bytes
+    encoding the decoded packet again would give.
     """
     packet = decode_packet(response_bytes)
-    expected = response_authenticator(
-        packet.code, packet.identifier, packet.attributes,
-        request_authenticator, secret,
+    expected = _response_digest(
+        response_bytes[:4], request_authenticator, response_bytes[HEADER.size :], secret
     )
     if not hmac.compare_digest(expected, packet.authenticator):
         raise ProtocolError("response authenticator verification failed")

@@ -30,13 +30,9 @@ from repro.resolvers.base import (
 )
 
 #: RFC 4515 metacharacters and their mandatory hex escapes.
-_FILTER_ESCAPES = {
-    "\\": "\\5c",
-    "*": "\\2a",
-    "(": "\\28",
-    ")": "\\29",
-    "\x00": "\\00",
-}
+_FILTER_ESCAPES = str.maketrans(
+    {"\\": "\\5c", "*": "\\2a", "(": "\\28", ")": "\\29", "\x00": "\\00"}
+)
 
 
 def escape_filter_value(value: str) -> str:
@@ -49,7 +45,7 @@ def escape_filter_value(value: str) -> str:
     literally contains them — for any real directory that means a crafted
     username is an authoritative miss, never a wildcard hit or a crash.
     """
-    return "".join(_FILTER_ESCAPES.get(ch, ch) for ch in value)
+    return value.translate(_FILTER_ESCAPES)
 
 
 class DirectoryResolver(IdentityResolver):

@@ -16,7 +16,7 @@ The package extracts the relational store behind
 * :class:`CachingEngine` — read-through LRU over point lookups with
   write-invalidation;
 * :class:`InstrumentedEngine` — op latency/count series in the telemetry
-  registry.
+  registry (outermost, and only when telemetry is on).
 
 :func:`build_engine` assembles the stack from a :class:`StorageConfig`;
 ``OTPServer``/``MFACenter`` accept either a config or a ready engine via
@@ -43,6 +43,7 @@ from repro.storage.wal import (
     replay,
     state_digest,
 )
+from repro.telemetry import resolve_registry
 
 
 @dataclass(frozen=True)
@@ -82,12 +83,14 @@ class StorageConfig:
 def build_engine(
     config: StorageConfig = None, telemetry=None, clock=None
 ) -> StorageEngine:
-    """Assemble cache → (replication | WAL) → shards → memory, instrumented.
+    """Assemble cache → (replication | WAL) → shards → memory, instrumented
+    when telemetry is on.
 
     ``clock`` is the deployment clock simulated latency is charged to and
     op durations are read from; None keeps wall time (real sleeps).
     """
     config = config or StorageConfig()
+    telemetry = resolve_registry(telemetry)
 
     def node() -> InMemoryEngine:
         return InMemoryEngine(latency=config.latency, clock=clock)
@@ -120,6 +123,8 @@ def build_engine(
         engine = ShardedEngine([node() for _ in range(config.shards)])
     if config.cache_capacity:
         engine = CachingEngine(engine, config.cache_capacity)
+    if not telemetry.enabled:
+        return engine  # off means absent: nothing times ops nobody will read
     return InstrumentedEngine(engine, telemetry=telemetry, clock=clock)
 
 

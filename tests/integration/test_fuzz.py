@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.otpserver.server import OTPServer
-from repro.pam.acl import parse_rules
-from repro.pam.framework import parse_pam_config
+from repro.pam.acl import InMemoryExemptionACL, parse_rules
+from repro.pam.framework import PAMResult, PAMSession, parse_pam_config
 from repro.qr.decoder import QRDecodeError, decode_matrix
 from repro.radius.packet import decode_packet
 from repro.radius.server import RADIUSServer
@@ -65,6 +65,25 @@ class TestACLFuzz:
             pass
 
 
+    @given(
+        st.lists(
+            st.text(alphabet=" :+-AL0123456789./,²¹１２٣०", max_size=40), max_size=5
+        ),
+        st.text(alphabet="0123456789.²１٣", max_size=16),
+    )
+    @settings(max_examples=150)
+    def test_unicode_digits_fail_closed(self, lines, origin):
+        """``²`` and ``１`` pass ``str.isdigit()``: the loader must answer
+        ConfigurationError (never ValueError), and a check must answer."""
+        text = "\n".join(lines)
+        try:
+            parse_rules(text)
+        except ConfigurationError:
+            pass
+        acl = InMemoryExemptionACL(text, clock=SimulatedClock(0.0))
+        assert acl.check("alice", origin) in (True, False)
+
+
 class TestPAMConfigFuzz:
     @given(st.text(max_size=300))
     @settings(max_examples=150)
@@ -73,6 +92,29 @@ class TestPAMConfigFuzz:
             parse_pam_config("sshd", text, {})
         except ConfigurationError:
             pass
+
+    @given(
+        code=st.sampled_from(["success", "default", "auth_err"]),
+        action=st.text(alphabet="0123456789²³１٣okdie", min_size=1, max_size=6),
+    )
+    @settings(max_examples=150)
+    def test_a_control_that_parses_runs(self, code, action):
+        """Whatever jump count the parser lets through, the stack can take."""
+        registry = {"pam_ok.so": lambda options: _AlwaysSucceeds()}
+        text = f"auth [{code}={action} default=bad] pam_ok.so\nauth required pam_ok.so\n"
+        try:
+            stack = parse_pam_config("sshd", text, registry)
+        except ConfigurationError:
+            return
+        session = PAMSession(username="alice", remote_ip="10.1.2.3")
+        assert isinstance(stack.authenticate(session), PAMResult)
+
+
+class _AlwaysSucceeds:
+    name = "pam_ok"
+
+    def authenticate(self, session):
+        return PAMResult.SUCCESS
 
 
 class TestQRFuzz:

@@ -1,0 +1,97 @@
+"""A login computes a value once, in the form it is used.
+
+The guard for docs/ARCHITECTURE.md "Hot path": one warm first-try login on
+a default deployment (telemetry off) is profiled, and the work the front
+tier used to repeat must be absent — by name, not by a call-count budget
+that every unrelated change would have to renegotiate.
+"""
+
+import cProfile
+import os
+import random
+
+import pytest
+
+from repro.common.clock import SimulatedClock
+from repro.core import MFACenter
+from repro.crypto.totp import TOTPGenerator
+from repro.ssh import SSHClient
+
+
+@pytest.fixture(scope="module")
+def login_profile():
+    """``{(file name, function name): calls}`` of one warm soft-token login."""
+    clock = SimulatedClock.at("2016-10-05T09:00:00")
+    center = MFACenter(clock=clock, rng=random.Random(20160810))
+    system = center.add_system("stampede", mode="full")
+    center.create_user("alice", password="hunter2")
+    _, secret = center.pair_soft("alice")
+    device = TOTPGenerator(secret=secret, clock=clock)
+    client = SSHClient(source_ip="198.51.100.7")
+    node = system.login_node()
+
+    def login(profiler=None):
+        clock.advance(31)  # a fresh TOTP step: no replay
+        code = device.current_code()
+        if profiler is not None:
+            profiler.enable()
+        result, _ = client.connect(node, "alice", password="hunter2", token=code)
+        if profiler is not None:
+            profiler.disable()
+        assert result.success
+
+    login()  # warm: imports, first-use tables
+    profiler = cProfile.Profile()
+    login(profiler)
+    calls = {}
+    for entry in profiler.getstats():
+        code = entry.code
+        key = (
+            ("~", code) if isinstance(code, str)
+            else (os.path.basename(code.co_filename), code.co_name)
+        )
+        calls[key] = calls.get(key, 0) + entry.callcount
+    return calls
+
+
+def count(profile, file_name, function):
+    return sum(
+        n for (file, name), n in profile.items() if file == file_name and name == function
+    )
+
+
+def test_no_enum_value_descriptor_round_trip(login_profile):
+    # ``member.value`` is ``enum.property.__get__`` (``types.DynamicClassAttribute``
+    # before 3.11) plus the ``value`` function behind it: two calls per read.
+    assert count(login_profile, "enum.py", "__get__") == 0
+    assert count(login_profile, "types.py", "__get__") == 0
+    assert count(login_profile, "enum.py", "value") == 0
+
+
+def test_the_uid_probe_never_reaches_the_filter_parser(login_profile):
+    assert count(login_profile, "ldap.py", "_parse_expr") == 0
+    assert count(login_profile, "ldap.py", "_compile_filter") == 0
+    assert count(login_profile, "backends.py", "escape_filter_value") == 0
+    assert count(login_profile, "ldap.py", "search") == 1
+
+
+def test_the_radius_codec_runs_no_per_byte_generator(login_profile):
+    assert count(login_profile, "packet.py", "<genexpr>") == 0
+    # RFC 2865's own four: hide, recover, sign the response, verify it.
+    md5 = sum(n for (_, name), n in login_profile.items() if "openssl_md5" in name)
+    assert md5 == 4
+    # The attribute bytes are built once per packet sent (request, response).
+    assert count(login_profile, "packet.py", "_attr_bytes") == 2
+
+
+def test_telemetry_off_has_no_storage_timing_layer(login_profile):
+    assert count(login_profile, "instrument.py", "_timed") == 0
+    assert not any(file == "instrument.py" for file, _ in login_profile)
+
+
+def test_the_profile_saw_the_login(login_profile):
+    """The zeros above mean something: the layers they name did run."""
+    assert count(login_profile, "packet.py", "hide_password") == 1
+    assert count(login_profile, "packet.py", "recover_password") == 1
+    assert count(login_profile, "framework.py", "_run") == 1
+    assert count(login_profile, "memory.py", "select") == 1

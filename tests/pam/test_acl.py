@@ -62,6 +62,48 @@ class TestOriginMatcher:
         assert not OriginMatcher.parse("10.0.0.0/8").matches("not-an-ip")
 
 
+class TestDigitsAreAsciiDigits:
+    """``str.isdigit()`` says yes to ``²`` (which ``int()`` refuses) and to a
+    full-width ``１`` (which ``int()`` reads as 1): neither is an octet, a
+    CIDR prefix or — tests/pam/test_framework.py — a PAM jump count."""
+
+    RULE = "+ : alice : 10.0.0.0/8 : ALL"
+
+    def test_superscript_octet_is_no_address_and_raises_nothing(self, clock):
+        assert acl(self.RULE, clock).check("alice", "10.1.2.²") is False
+        assert not OriginMatcher.parse("10.0.0.0/8").matches("10.1.2.²")
+
+    def test_full_width_spelling_of_a_waived_address_gets_no_waiver(self, clock):
+        a = acl(self.RULE, clock)
+        assert a.check("alice", "10.1.2.3")
+        assert a.check("alice", "１0.1.2.3") is False
+        assert a.check("alice", "10.1.2.٣") is False  # Arabic-Indic three
+
+    def test_bad_prefix_in_a_file_fails_closed_with_last_error(self, clock, tmp_path):
+        text = "+ : alice : ALL : ALL\n+ : bob : 10.0.0.0/² : ALL\n"
+        with pytest.raises(ConfigurationError):
+            parse_rules(text)
+        in_memory = acl(text, clock)
+        assert in_memory.last_error and not in_memory.check("alice", "10.1.2.3")
+        path = tmp_path / "mfa_exempt.conf"
+        path.write_text(text, encoding="utf-8")
+        on_disk = ExemptionACL(str(path), clock=clock)
+        assert on_disk.last_error and not on_disk.check("alice", "10.1.2.3")
+
+    @pytest.mark.parametrize(
+        "origin",
+        ["１0.0.0.0/8", "10.0.0.0/１6", "10.0.0.²", "10.0.0.0/" + "0" * 5000],
+        ids=["full-width-octet", "full-width-prefix", "superscript-octet", "5000-digit-prefix"],
+    )
+    def test_unicode_digits_in_an_origin_are_a_configuration_error(self, origin):
+        with pytest.raises(ConfigurationError):
+            OriginMatcher.parse(origin)
+
+    def test_an_absurdly_long_octet_is_no_address_either(self, clock):
+        # int() refuses more than 4300 digits with a ValueError of its own.
+        assert acl(self.RULE, clock).check("alice", "10.1.2." + "9" * 5000) is False
+
+
 class TestParsing:
     def test_comments_and_blanks_skipped(self):
         rules = parse_rules("# header\n\n+ : alice : ALL : ALL  # trailing\n")

@@ -75,3 +75,55 @@ class TestACLAgainstReference:
     def test_no_rules_means_deny(self, rules):
         acl = InMemoryExemptionACL("", clock=SimulatedClock(0.0))
         assert not acl.check("anyone", "1.2.3.4")
+
+
+#: Every character ``str.isdigit()`` accepts beyond 0-9 in a few scripts,
+#: beside the ASCII ones and the separators an address is written with.
+DIGITISH = "0123456789./²³¹１２３٠١٢٣०१२ ߀"
+
+
+def reference_address(text):
+    """Four runs of one to three ASCII digits, each at most 255 — or None."""
+    parts = text.split(".")
+    if len(parts) != 4 or not all(
+        p.isascii() and p.isdigit() and len(p) <= 3 and int(p) <= 255 for p in parts
+    ):
+        return None
+    return ipaddress.IPv4Address(".".join(str(int(p)) for p in parts))
+
+
+class TestOriginsAreAnyText:
+    """The origin comes off the wire (``PAM_RHOST``): whatever it is, the
+    answer is a bool, and only a plain dotted quad can be inside a range."""
+
+    RULES = "- : mallory : ALL : ALL\n+ : alice : 10.0.0.0/8,203.0.113.7 : ALL\n"
+
+    @given(origin=st.one_of(st.text(max_size=30), st.text(alphabet=DIGITISH, max_size=16)))
+    def test_check_is_a_bool_and_agrees_with_stdlib(self, origin):
+        acl = InMemoryExemptionACL(self.RULES, clock=SimulatedClock(0.0))
+        granted = acl.check("alice", origin)
+        assert granted is True or granted is False
+        address = reference_address(origin)
+        assert granted == (
+            address is not None
+            and (
+                address in ipaddress.ip_network("10.0.0.0/8")
+                or address == ipaddress.IPv4Address("203.0.113.7")
+            )
+        )
+
+    @given(
+        origin=st.text(alphabet=DIGITISH, min_size=1, max_size=16).filter(
+            lambda text: not text.isascii()
+        )
+    )
+    def test_non_ascii_spelling_is_never_inside_a_range(self, origin):
+        assert not OriginMatcher.parse("0.0.0.0/0").matches(origin)
+        assert not InMemoryExemptionACL(
+            "+ : ALL : 0.0.0.0/0 : ALL", clock=SimulatedClock(0.0)
+        ).check("alice", origin)
+
+    @given(field=st.text(alphabet=DIGITISH + ",ALal", max_size=24))
+    def test_origins_field_parses_or_is_a_configuration_error(self, field):
+        acl = InMemoryExemptionACL(f"+ : alice : {field} : ALL", clock=SimulatedClock(0.0))
+        assert (acl.last_error is None) or not acl.check("alice", "10.1.2.3")

@@ -38,7 +38,7 @@ class TestParseControl:
 
     def test_bracket_form(self):
         actions = parse_control("[success=2 default=ignore]")
-        assert actions["success"] == "2"
+        assert actions["success"] == 2
         assert actions["default"] == "ignore"
 
     def test_bracket_default_bad(self):
@@ -55,6 +55,27 @@ class TestParseControl:
             parse_control("[success]")
         with pytest.raises(ConfigurationError):
             parse_control("[success=frobnicate]")
+
+    @pytest.mark.parametrize(
+        "count",
+        ["²", "１", "٣", "1²", "9" * 5000],
+        ids=["superscript", "full-width", "arabic-indic", "mixed", "5000-digits"],
+    )
+    def test_jump_count_is_ascii_digits(self, count):
+        """``"²".isdigit()`` is true and ``int("²")`` raises: accepted at
+        parse time, it crashed every login that reached the jump."""
+        with pytest.raises(ConfigurationError):
+            parse_control(f"[success={count} default=bad]")
+        with pytest.raises(ConfigurationError):
+            parse_pam_config(
+                "sshd", f"auth [success={count} default=bad] pam_a.so", {"pam_a.so": None}
+            )
+
+    def test_default_is_filled_in_for_every_return_code(self):
+        actions = parse_control("[success=1 default=ignore]")
+        assert actions["success"] == 1
+        assert {actions[result.value] for result in PAMResult} == {1, "ignore"}
+        assert parse_control("requisite")["auth_err"] == "die"
 
 
 class TestStackSemantics:

@@ -37,9 +37,9 @@ class TestWaitClockInjection:
 
     def test_without_any_clock_private_virtual_time_still_moves(self):
         client = make_client()
-        before = client._now()
+        before = client._clock.now()
         client.authenticate("user", "123456")
-        assert client._now() > before
+        assert client._clock.now() > before
 
     def test_deadline_budget_binds_under_wait_clock(self):
         clock = VirtualClock(0.0)

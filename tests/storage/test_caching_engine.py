@@ -1,8 +1,14 @@
 """Read-through LRU cache and the instrumentation wrapper."""
 
+import random
+
 import pytest
 
+from repro.common.clock import SimulatedClock
 from repro.common.errors import NotFoundError
+from repro.core import MFACenter
+from repro.crypto.totp import TOTPGenerator
+from repro.ssh import SSHClient
 from repro.storage import (
     CachingEngine,
     InMemoryEngine,
@@ -161,11 +167,53 @@ class TestInstrumentedEngine:
         assert not engine.exists("t", 2)
 
 
+class _CountingClock(SimulatedClock):
+    """Counts the reads made of it."""
+
+    reads = 0
+
+    def now(self):
+        self.reads += 1
+        return super().now()
+
+
+def _one_login(center, clock):
+    system = center.add_system("stampede", mode="full")
+    center.create_user("alice", password="pw")
+    _, secret = center.pair_soft("alice")
+    code = TOTPGenerator(secret=secret, clock=clock).current_code
+    result, _ = SSHClient(source_ip="198.51.100.7").connect(
+        system.login_node(), "alice", password="pw", token=code
+    )
+    assert result.success
+
+
 class TestBuildEngine:
-    def test_default_is_instrumented_memory(self):
-        engine = build_engine()
+    def test_telemetry_on_is_instrumented_memory(self):
+        engine = build_engine(telemetry=Registry())
         assert isinstance(engine, InstrumentedEngine)
         assert isinstance(engine.inner, InMemoryEngine)
+        center = MFACenter(clock=SimulatedClock.at("2016-10-05T09:00:00"), telemetry=True)
+        assert isinstance(center.otp.db.engine, InstrumentedEngine)
+
+    def test_telemetry_off_has_no_timing_layer(self):
+        """Off means absent: nothing reads a clock on storage's behalf."""
+        storage_clock = _CountingClock(1475658000.0)
+        engine = build_engine(clock=storage_clock)
+        assert isinstance(engine, InMemoryEngine)
+        clock = SimulatedClock.at("2016-10-05T09:00:00")
+        center = MFACenter(clock=clock, rng=random.Random(7), storage=engine)
+        assert not center.telemetry.enabled
+        _one_login(center, clock)
+        assert storage_clock.reads == 0
+        # The default deployment is built the same way, and its status view
+        # renders the one storage shape with no wrapper to pass through.
+        default = MFACenter(clock=clock, rng=random.Random(7))
+        assert isinstance(default.otp.db.engine, InMemoryEngine)
+        _one_login(default, clock)
+        section = default.otp.status("storage")
+        assert section["tables"]["tokens"] == 1
+        assert set(section) == set(center.otp.status("storage"))
 
     def test_full_stack_composes(self):
         engine = build_engine(StorageConfig(shards=3, cache_capacity=16))
