@@ -1,8 +1,8 @@
 """Shared fixtures for the benchmark harness.
 
 The rollout simulation (Figures 3-6, Table 1) is expensive relative to the
-other benches, so it runs once per session at the paper-scale default
-configuration and is shared by every figure bench.
+other benches, so it runs once per session at the paper's population
+(10,000 accounts) and is shared by every figure bench.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.sim import RolloutConfig, RolloutSimulation
 def rollout():
     """The full rollout scenario (seeded; identical on every run)."""
     simulation = RolloutSimulation(
-        RolloutConfig(population_size=2000, seed=20160810, real_login_fraction=0.002)
+        RolloutConfig(population_size=10_000, seed=20160810, real_login_fraction=0.002)
     )
     simulation.run()
     return simulation

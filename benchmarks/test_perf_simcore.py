@@ -1,15 +1,10 @@
-"""PERF — the discrete-event core and the million-user scaled rollout.
+"""PERF — the discrete-event core.
 
-Two claims, asserted and exported as ``BENCH_simcore.json``:
-
-* **The event heap is cheap.**  Scheduling and draining 200k events
-  (with the usual mix of same-instant ties and mid-run scheduling) must
-  sustain well over 100k events/second, with sub-millisecond p99
-  dispatch — the scheduler must never be the bottleneck of a simulation.
-* **A million-user virtual fortnight fits in minutes.**  The vectorised
-  scaled rollout (``repro.sim.scale``) at 1M users x 14 virtual days must
-  complete well under the 10-minute acceptance bar — in practice seconds
-  — and two same-seed runs must produce byte-identical SHA-256 digests.
+One claim, asserted and exported as ``BENCH_simcore.json``: **the event
+heap is cheap.**  Scheduling and draining 200k events (with the usual mix
+of same-instant ties and mid-run scheduling) must sustain well over 100k
+events/second, with sub-millisecond p99 dispatch — the scheduler must
+never be the bottleneck of a simulation.
 """
 
 from __future__ import annotations
@@ -18,15 +13,9 @@ import time
 
 from benchlib import emit_bench, percentile
 
-from repro.sim.scale import simulate
 from repro.simcore import EventScheduler, VirtualClock
 
 SCHEDULER_EVENTS = 200_000
-ROLLOUT_USERS = 1_000_000
-ROLLOUT_DAYS = 14
-ROLLOUT_SEED = 20160810
-#: The issue's acceptance bar for the 1M x 14-day rollout (seconds).
-ACCEPTANCE_WALL_SECONDS = 600.0
 
 
 class TestSchedulerThroughput:
@@ -73,41 +62,3 @@ class TestSchedulerThroughput:
         )
         assert ops_per_sec > 100_000, f"only {ops_per_sec:,.0f} events/s"
         assert p99 < 1e-3, f"p99 dispatch gap {p99 * 1e3:.2f}ms"
-
-
-class TestScaledRolloutWall:
-    def test_million_users_fourteen_days_within_budget(self):
-        began = time.perf_counter()
-        first = simulate(ROLLOUT_USERS, ROLLOUT_DAYS, ROLLOUT_SEED)
-        first_wall = time.perf_counter() - began
-
-        began = time.perf_counter()
-        second = simulate(ROLLOUT_USERS, ROLLOUT_DAYS, ROLLOUT_SEED)
-        second_wall = time.perf_counter() - began
-
-        user_days_per_sec = ROLLOUT_USERS * ROLLOUT_DAYS / first_wall
-        print(
-            f"\n=== scaled rollout ({ROLLOUT_USERS:,} users x "
-            f"{ROLLOUT_DAYS} virtual days) ===\n"
-            f"    run 1: {first_wall:6.2f}s   run 2: {second_wall:6.2f}s"
-            f"   ({user_days_per_sec:,.0f} user-days/s)\n"
-            f"    digest: {first.digest()[:32]}..."
-        )
-        emit_bench(
-            "simcore",
-            {
-                "scaled_rollout": {
-                    "population": ROLLOUT_USERS,
-                    "virtual_days": ROLLOUT_DAYS,
-                    "wall_seconds": round(first_wall, 3),
-                    "user_days_per_sec": round(user_days_per_sec, 1),
-                    "paired_fraction": first.summary()["paired_fraction"],
-                    "digest": first.digest(),
-                }
-            },
-        )
-        assert first_wall < ACCEPTANCE_WALL_SECONDS, (
-            f"1M-user fortnight took {first_wall:.1f}s, "
-            f"over the {ACCEPTANCE_WALL_SECONDS:.0f}s bar"
-        )
-        assert first.digest() == second.digest(), "same-seed digests diverged"

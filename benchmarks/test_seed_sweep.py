@@ -7,34 +7,27 @@ reproduced shapes are properties of the model, not of one lucky seed.
 
 import pytest
 
+from repro.analysis.report import PAPER
 from repro.sim.sweep import aggregate, run_sweep
 
 SEEDS = [20160810, 7, 123, 2024]
-
-PAPER_REFERENCE = {
-    "sep7_rank": 1,
-    "oct4_rank": 4,
-    "ticket_share_2016": 0.067,
-    "ticket_share_2017": 0.027,
-    "soft_percent": 55.38,
-    "sms_percent": 40.22,
-    "training_percent": 2.97,
-    "hard_percent": 1.43,
-}
+#: The paper's population: under ~2,000 accounts the hard-token share (1.43 %)
+#: is a dozen pairings and Table 1's ordering is noise.
+POPULATION = 10_000
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    return run_sweep(SEEDS, population=800, processes=2)
+    return run_sweep(SEEDS, population=POPULATION, processes=2)
 
 
 class TestSweep:
     def test_print_cross_seed_table(self, sweep):
         stats = aggregate(sweep)
-        print(f"\n=== Cross-seed sweep ({len(sweep)} seeds x 800 accounts) ===")
+        print(f"\n=== Cross-seed sweep ({len(sweep)} seeds x {POPULATION:,} accounts) ===")
         print(f"    {'statistic':<22} {'mean':>8} {'min':>8} {'max':>8} {'paper':>8}")
         for name, entry in stats.items():
-            paper = PAPER_REFERENCE.get(name)
+            paper = PAPER.get(name)
             paper_text = f"{paper:>8}" if paper is not None else "       -"
             print(
                 f"    {name:<22} {entry['mean']:>8.3f} {entry['min']:>8.3f} "

@@ -11,7 +11,9 @@ Run:  python examples/phased_rollout.py [population]
 import sys
 from datetime import date
 
+from repro.analysis.report import PAPER
 from repro.sim import RolloutConfig, RolloutSimulation
+from repro.sim.sweep import summarize
 
 
 def sparkline(values, width=60):
@@ -29,10 +31,11 @@ def sparkline(values, width=60):
 
 
 def main() -> None:
-    population = int(sys.argv[1]) if len(sys.argv) > 1 else 1500
+    population = int(sys.argv[1]) if len(sys.argv) > 1 else 10_000
     print(f"simulating {population} accounts, 2016-08-01 .. 2017-03-31 ...")
     sim = RolloutSimulation(RolloutConfig(population_size=population))
     m = sim.run()
+    stats = summarize(m, sim.config.seed, population)
     print(f"done. {m.real_logins_run} sampled logins ran through the real "
           f"SSH/PAM/RADIUS/OTP path; {m.real_login_mismatches} mismatches.\n")
 
@@ -44,16 +47,15 @@ def main() -> None:
     print("   blue (ext MFA):    ", sparkline(list(m.external_mfa)))
     print("   red  (ext total):  ", sparkline(list(m.external_total)))
     print("   black (all):       ", sparkline(list(m.all_traffic)))
-    p1 = m.mean_over(m.external_nonmfa, date(2016, 8, 10), date(2016, 9, 5))
-    p2 = m.mean_over(m.external_nonmfa, date(2016, 9, 10), date(2016, 10, 3))
-    print(f"   external non-MFA traffic: {p1:.0f}/day in phase 1 -> "
-          f"{p2:.0f}/day in phase 2 ({100 * (1 - p2 / p1):.0f}% drop)\n")
+    print(f"   external non-MFA traffic: {stats.nonmfa_phase1:.0f}/day in phase 1 -> "
+          f"{stats.nonmfa_phase2:.0f}/day in phase 2 "
+          f"({stats.phase2_traffic_drop:.0%} drop)\n")
 
     print("Figure 5 — support tickets")
-    share_2016 = m.mfa_ticket_share(date(2016, 8, 10), date(2016, 12, 31))
-    share_2017 = m.mfa_ticket_share(date(2017, 1, 1), date(2017, 3, 31))
-    print(f"   MFA share of tickets Aug-Dec: {share_2016:.1%}  (paper: 6.7%)")
-    print(f"   MFA share of tickets Jan-Mar: {share_2017:.1%}  (paper: 2.7%)\n")
+    print(f"   MFA share of tickets Aug-Dec: {stats.ticket_share_2016:.1%}  "
+          f"(paper: {PAPER['ticket_share_2016']:.1%})")
+    print(f"   MFA share of tickets Jan-Mar: {stats.ticket_share_2017:.1%}  "
+          f"(paper: {PAPER['ticket_share_2017']:.1%})\n")
 
     print("Figure 6 — new pairings/day")
     print("  ", sparkline(list(m.new_pairings)))
@@ -65,11 +67,10 @@ def main() -> None:
     print()
 
     print("Table 1 — pairing type breakdown (%)")
-    paper = {"soft": 55.38, "sms": 40.22, "training": 2.97, "hard": 1.43}
-    breakdown = m.pairing_breakdown_percent()
     print(f"   {'type':<10}{'measured':>10}{'paper':>8}")
     for kind in ("soft", "sms", "training", "hard"):
-        print(f"   {kind:<10}{breakdown.get(kind, 0):>9.2f}{paper[kind]:>8.2f}")
+        field = f"{kind}_percent"
+        print(f"   {kind:<10}{getattr(stats, field):>9.2f}{PAPER[field]:>8.2f}")
 
 
 if __name__ == "__main__":

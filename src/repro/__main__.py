@@ -2,8 +2,10 @@
 
 Commands:
 
-* ``report [population] [seed]`` — run the rollout simulation and print
-  the paper-vs-measured evaluation report (default 1500 accounts).
+* ``report [population] [seed] [--seeds N]`` — run the rollout simulation
+  and print the paper-vs-measured evaluation report (default: the paper's
+  10,000 accounts, seed 20160810); ``--seeds N`` also runs the next N-1
+  seeds and prints each statistic's cross-seed mean and range.
 * ``demo [--telemetry-dump] [--shards N] [--durability] [--replicas N]``
   — the quickstart walkthrough (pair a token, log in); ``--shards`` runs
   the OTP back end on a sharded storage stack, ``--durability`` adds
@@ -19,10 +21,6 @@ Commands:
 * ``chaos [--plan NAME] [--seed N] [--logins M] [--json] [--list]`` — run
   a login workload under a seeded fault plan and report the invariant
   verdicts; exits non-zero if any invariant was violated.
-* ``simulate [--users N] [--days D] [--seed S] [--json] [--csv PATH]`` —
-  run the vectorised scaled rollout (defaults: 100k users, 14 virtual
-  days) on the discrete-event core and print the summary, including the
-  SHA-256 determinism digest; ``--csv`` also writes the daily series.
 * ``attack [--scenario NAME] [--seed N] [--accounts N] [--json]`` — run a
   seeded adversarial campaign (credential stuffing, real-time phishing,
   SIM-swap interception, or mixed) against a simulated deployment and
@@ -53,12 +51,30 @@ from __future__ import annotations
 import sys
 
 
+REPORT_USAGE = "usage: python -m repro report [population] [seed] [--seeds N]"
+
+
 def _cmd_report(args: list) -> int:
     from repro.analysis.report import evaluation_report
 
-    population = int(args[0]) if args else 1500
-    seed = int(args[1]) if len(args) > 1 else 20160810
-    print(evaluation_report(population=population, seed=seed))
+    population, seed, seeds = 10_000, 20160810, 1
+    try:
+        if "--seeds" in args:
+            index = args.index("--seeds")
+            seeds = int(args[index + 1])
+            args = args[:index] + args[index + 2 :]
+        if len(args) > 2 or seeds < 1:
+            raise ValueError("at most a population and a seed; --seeds N >= 1")
+        if args:
+            population = int(args[0])
+        if len(args) > 1:
+            seed = int(args[1])
+        # ``Population`` raises ValueError for a size too small to simulate.
+        text = evaluation_report(population=population, seed=seed, seeds=seeds)
+    except (ValueError, IndexError) as exc:
+        print(f"{exc}\n{REPORT_USAGE}", file=sys.stderr)
+        return 2
+    print(text)
     return 0
 
 
@@ -241,49 +257,6 @@ def _cmd_chaos(args: list) -> int:
     return 1 if summary["violations"] else 0
 
 
-def _cmd_simulate(args: list) -> int:
-    import json
-    import time
-
-    from repro.sim.scale import simulate
-
-    users = _flag_value(args, "--users", 100_000)
-    days = _flag_value(args, "--days", 14)
-    seed = _flag_value(args, "--seed", 20160810)
-    began = time.time()
-    rollout = simulate(users, days, seed)
-    elapsed = time.time() - began
-    summary = rollout.summary()
-    summary["wall_seconds"] = round(elapsed, 3)
-    if "--csv" in args:
-        index = args.index("--csv")
-        if index + 1 >= len(args):
-            raise SystemExit("--csv requires a path")
-        rollout.metrics.to_csv(args[index + 1])
-    if "--json" in args:
-        print(json.dumps(summary, indent=2))
-        return 0
-    m = rollout.metrics
-    print(f"scaled rollout: {users:,} users x {days} virtual days (seed {seed})")
-    print(f"wall time: {elapsed:.2f}s  events: {summary['events']}")
-    phases = summary["phase_days"]
-    print(
-        f"phases: announcement day {phases['announcement']}, "
-        f"countdown day {phases['phase2']}, mandatory day {phases['phase3']}"
-    )
-    print(f"paired: {summary['paired_fraction']:.1%} of eligible users")
-    print(f"new pairings: {summary['new_pairings_total']:,}")
-    print(
-        f"traffic: {summary['external_mfa_total']:,} external MFA, "
-        f"{summary['external_nonmfa_total']:,} external non-MFA, "
-        f"{summary['internal_total']:,} internal"
-    )
-    peak = int(m.unique_mfa_users.max())
-    print(f"unique MFA users: peak {peak:,}, final {summary['unique_mfa_users_final']:,}")
-    print(f"digest: {summary['digest']}")
-    return 0
-
-
 def _cmd_attack(args: list) -> int:
     import json
 
@@ -451,7 +424,6 @@ def main(argv: list) -> int:
         "telemetry": _cmd_telemetry,
         "qr": _cmd_qr,
         "chaos": _cmd_chaos,
-        "simulate": _cmd_simulate,
         "attack": _cmd_attack,
         "status": _cmd_status,
         "storage": _cmd_storage,

@@ -20,6 +20,8 @@ Modules:
 * :mod:`repro.sim.tickets` — the support-ticket load model (Figure 5).
 * :mod:`repro.sim.metrics` — per-day aggregation and the figure-shaped
   series/rankings the benchmarks print.
+* :mod:`repro.sim.sweep` — the one reduction of a run to its figure-level
+  statistics, and its mean/min/max across seeds.
 * :mod:`repro.sim.attackers` — seeded adversarial workloads (credential
   stuffing, phishing relay, SIM swap) against the real validate path,
   with blocked-attack rates by token type.

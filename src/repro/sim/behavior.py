@@ -32,9 +32,7 @@ HOLIDAY_FACTOR = 0.25
 HOLIDAY_AUTOMATION_FACTOR = 0.7
 
 # -- the adoption table ----------------------------------------------------
-# When an unpaired user pairs.  Both rollout simulators read these — the
-# object-per-user ``AdoptionModel`` below and ``sim.scale``'s vectorised day
-# step — so the two curves can only differ by their draws, never by a number.
+# When an unpaired user pairs; ``AdoptionModel`` below reads these.
 #: Voluntary opt-in after the announcement: daily hazard at full eagerness,
 #: halving every ``VOLUNTARY_HALFLIFE`` days.
 VOLUNTARY_SCALE = 0.055

@@ -23,9 +23,8 @@ from typing import Dict, List, NamedTuple, Optional
 from repro.directory.identity import AccountClass
 
 # -- the population table ----------------------------------------------------
-# Both rollout simulators read it — ``Population`` below (one ``UserProfile``
-# per account) and ``sim.scale`` (one numpy array per trait) — so no number
-# of the model is spelled twice.
+# Every number of the synthetic population; ``Population`` below draws one
+# ``UserProfile`` per account from it.
 
 #: Device choice distribution among non-training pairings, renormalized
 #: from Table 1 (training accounts always pair with the static type).

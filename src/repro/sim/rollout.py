@@ -64,7 +64,7 @@ NEW_ACCOUNTS_PER_1K = 0.35
 class RolloutConfig:
     """The scenario knobs, defaulted to the paper's timeline."""
 
-    population_size: int = 2000
+    population_size: int = 10_000
     seed: int = 20160810
     announcement: date = date(2016, 8, 10)
     phase2: date = date(2016, 9, 6)
@@ -204,7 +204,7 @@ class RolloutSimulation:
         rate = NEW_ACCOUNTS_PER_1K * len(self.population.users) / 1000.0
         if SPRING_SEMESTER <= d <= date(2017, 2, 7):
             rate *= 2.2  # spring-semester signup wave
-        rate *= activity_factor(d) / max(activity_factor(d), 1.0) or 1.0
+        rate *= activity_factor(d)
         count = 0
         acc = rate
         while acc >= 1.0:
@@ -389,9 +389,6 @@ class RolloutSimulation:
                     if state.paired:
                         self.metrics.external_mfa[day] += max(
                             1, int(conns * mux_share * 0.05)
-                        )
-                        self.metrics.unique_mfa_users[day] += (
-                            0 if logs_in_today(user, d, self.rng) else 0
                         )
                     self.metrics.external_nonmfa[day] += int(conns * variance_share)
                 elif day >= phase3_day:

@@ -1,7 +1,7 @@
 """Canonical event logs and determinism digests.
 
-Every deterministic harness in the repo (the chaos runner, the scaled
-rollout) proves determinism the same way: append structured events to a
+Every deterministic harness in the repo (the chaos runner, the attack
+campaigns) proves determinism the same way: append structured events to a
 log, render each as canonical JSON (sorted keys, no whitespace), and
 SHA-256 the joined lines.  Two runs with the same seed must produce
 byte-identical digests — the cheap witness that nothing nondeterministic

@@ -47,10 +47,9 @@ class RngStreams:
     def numpy_generator(self, *actor: object):
         """A fresh numpy ``Generator`` for one actor key.
 
-        Not cached: vectorised consumers (the scaled rollout) want a
-        generator whose draw sequence is a pure function of the key, so a
-        day's tick replays identically whether or not earlier days ran in
-        this process.
+        Not cached: vectorised consumers (the attack campaign's population
+        draw) want a generator whose draw sequence is a pure function of
+        the key, whatever else ran in this process.
         """
         import numpy as np
 

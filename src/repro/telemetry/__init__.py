@@ -5,7 +5,7 @@ logs, LinOTP audit records, failure and lockout counts, SSH traffic graphs
 (Figures 3-6).  This package is that measurement substrate for the live
 login path:
 
-* :mod:`repro.telemetry.metrics` — ``Counter``/``Gauge``/``Histogram``
+* :mod:`repro.telemetry.metrics` — ``Counter``/``Histogram``
   with labeled series, bound label children and bounded cardinality;
 * :mod:`repro.telemetry.trace` — ``Span``/``Tracer`` building one span
   tree per login attempt across every layer (sshd, each PAM module, the
@@ -46,7 +46,6 @@ from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
     DEFAULT_MAX_SERIES,
     Counter,
-    Gauge,
     Histogram,
     OVERFLOW_KEY,
     label_key,
@@ -68,7 +67,6 @@ from repro.telemetry.trace import (
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "DEFAULT_BUCKETS",
     "DEFAULT_MAX_SERIES",

@@ -44,7 +44,7 @@ def render_text(snapshot: dict) -> str:
     lines = []
     if not snapshot.get("enabled", False):
         lines.append("# telemetry disabled (no-op registry)")
-    for kind in ("counters", "gauges", "histograms"):
+    for kind in ("counters", "histograms"):
         for metric in snapshot.get(kind, []):
             name = metric["name"]
             if metric.get("help"):

@@ -1,4 +1,4 @@
-"""Metric primitives: labeled counters, gauges and histograms.
+"""Metric primitives: labeled counters and histograms.
 
 The paper's operations story (Section 4, Figures 3-6) is built on watching
 the rollout live — per-layer auth logs, failure counts, traffic graphs.
@@ -10,7 +10,7 @@ counter carries ``{module=pam_unix, result=success}`` next to
 A label set reaches an instrument one of two ways.  A site whose label
 values form a closed set known up front (a stage name, a validate status)
 binds once — ``child = instrument.labels(stage="replay_guard")`` — and then
-calls ``child.observe(value)`` / ``child.inc()`` / ``child.set(value)`` with
+calls ``child.observe(value)`` / ``child.inc()`` with
 no label arguments: the key was normalized at binding, so an update is the
 instrument's private update and nothing else.  A site whose label values
 are open (a server address, a phone destination) keeps the keyword form,
@@ -62,7 +62,7 @@ def label_key(labels: Dict[str, object]) -> LabelKey:
 
 
 class _Instrument:
-    """Shared series bookkeeping for all three metric kinds."""
+    """Shared series bookkeeping for both metric kinds."""
 
     kind = "instrument"
 
@@ -96,18 +96,30 @@ class _Instrument:
             self.overflow_count = 0
 
 
-class _ScalarInstrument(_Instrument):
-    """One float per label set: what :class:`Counter` and :class:`Gauge` share."""
+class BoundCounter:
+    """``counter.labels(...)``: one label set of a counter, resolved once.
 
-    #: Whether ``_add`` refuses a negative amount (counters do).
-    _monotonic = False
+    ``inc(amount=1.0)`` is the counter's private update with the key
+    already in hand (bound in C by ``partial``: no forwarding frame).
+    """
+
+    __slots__ = ("inc",)
+
+    def __init__(self, counter: "Counter", key: LabelKey) -> None:
+        self.inc = partial(counter._add, key)
+
+
+class Counter(_Instrument):
+    """A monotonically increasing value per label set."""
+
+    kind = "counter"
 
     def __init__(self, name: str, help: str = "", max_series: int = DEFAULT_MAX_SERIES) -> None:
         super().__init__(name, help, max_series)
         self._series: Dict[LabelKey, float] = {}
 
     def _add(self, key: LabelKey, amount: float = 1.0) -> None:
-        if amount < 0 and self._monotonic:
+        if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease (amount={amount})")
         with self._lock:
             series = self._series
@@ -117,8 +129,19 @@ class _ScalarInstrument(_Instrument):
                 key = self._admit(key)
                 series[key] = series.get(key, 0.0) + amount
 
+    def labels(self, **labels: object) -> BoundCounter:
+        return BoundCounter(self, label_key(labels))
+
+    def inc(self, amount: float = 1.0, **labels: object) -> None:
+        self._add(label_key(labels), amount)
+
     def value(self, **labels: object) -> float:
         return self._series.get(label_key(labels), 0.0)
+
+    def total(self) -> float:
+        """Sum over every series (all label sets)."""
+        with self._lock:
+            return sum(self._series.values())
 
     def series(self) -> Dict[LabelKey, float]:
         with self._lock:
@@ -134,76 +157,6 @@ class _ScalarInstrument(_Instrument):
                 for key, value in sorted(self.series().items())
             ],
         }
-
-
-class BoundCounter:
-    """``counter.labels(...)``: one label set of a counter, resolved once.
-
-    ``inc(amount=1.0)`` is the counter's private update with the key
-    already in hand (bound in C by ``partial``: no forwarding frame).
-    """
-
-    __slots__ = ("inc",)
-
-    def __init__(self, counter: "Counter", key: LabelKey) -> None:
-        self.inc = partial(counter._add, key)
-
-
-class Counter(_ScalarInstrument):
-    """A monotonically increasing value per label set."""
-
-    kind = "counter"
-    _monotonic = True
-
-    def labels(self, **labels: object) -> BoundCounter:
-        return BoundCounter(self, label_key(labels))
-
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        self._add(label_key(labels), amount)
-
-    def total(self) -> float:
-        """Sum over every series (all label sets)."""
-        with self._lock:
-            return sum(self._series.values())
-
-
-class BoundGauge:
-    """``gauge.labels(...)``: ``set(value)``, ``inc(amount=1.0)`` and
-    ``dec(amount=1.0)`` on one label set, resolved once."""
-
-    __slots__ = ("inc", "set")
-
-    def __init__(self, gauge: "Gauge", key: LabelKey) -> None:
-        self.inc = partial(gauge._add, key)
-        self.set = partial(gauge._set, key)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
-
-class Gauge(_ScalarInstrument):
-    """A value that can move both ways (queue depths, table sizes)."""
-
-    kind = "gauge"
-
-    def _set(self, key: LabelKey, value: float) -> None:
-        with self._lock:
-            series = self._series
-            if key not in series:
-                key = self._admit(key)
-            series[key] = float(value)
-
-    def labels(self, **labels: object) -> BoundGauge:
-        return BoundGauge(self, label_key(labels))
-
-    def set(self, value: float, **labels: object) -> None:
-        self._set(label_key(labels), value)
-
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        self._add(label_key(labels), amount)
-
-    def dec(self, amount: float = 1.0, **labels: object) -> None:
-        self._add(label_key(labels), -amount)
 
 
 class _HistogramSeries:

@@ -14,12 +14,7 @@ from typing import Dict, Iterable, Optional, Union
 
 from repro.common.clock import Clock, SystemClock
 from repro.common.errors import ConfigurationError
-from repro.telemetry.metrics import (
-    DEFAULT_MAX_SERIES,
-    Counter,
-    Gauge,
-    Histogram,
-)
+from repro.telemetry.metrics import DEFAULT_MAX_SERIES, Counter, Histogram
 from repro.telemetry.trace import DEFAULT_MAX_TRACES, NOOP_TRACER, NoopTracer, Tracer
 
 
@@ -53,9 +48,6 @@ class Registry:
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get(name, Counter, lambda: Counter(name, help, self._max_series))
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get(name, Gauge, lambda: Gauge(name, help, self._max_series))
-
     def histogram(
         self, name: str, help: str = "", buckets: Optional[Iterable[float]] = None
     ) -> Histogram:
@@ -71,12 +63,7 @@ class Registry:
 
     def snapshot(self, include_traces: bool = True) -> dict:
         """A point-in-time dump of every series (and retained traces)."""
-        snap: dict = {
-            "enabled": True,
-            "counters": [],
-            "gauges": [],
-            "histograms": [],
-        }
+        snap: dict = {"enabled": True, "counters": [], "histograms": []}
         for name in sorted(self._instruments):
             instrument = self._instruments[name]
             snap[instrument.kind + "s"].append(instrument.snapshot())
@@ -92,7 +79,7 @@ class Registry:
 
 
 class _NoopInstrument:
-    """Counter/Gauge/Histogram stand-in — and its own bound child: accepts
+    """Counter/Histogram stand-in — and its own bound child: accepts
     everything, records nothing."""
 
     __slots__ = ()
@@ -106,12 +93,6 @@ class _NoopInstrument:
         return self
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0, **labels: object) -> None:
-        pass
-
-    def set(self, value: float, **labels: object) -> None:
         pass
 
     def observe(self, value: float, **labels: object) -> None:
@@ -160,9 +141,6 @@ class NoopRegistry:
     def counter(self, name: str, help: str = "") -> _NoopInstrument:
         return _NOOP_INSTRUMENT
 
-    def gauge(self, name: str, help: str = "") -> _NoopInstrument:
-        return _NOOP_INSTRUMENT
-
     def histogram(
         self, name: str, help: str = "", buckets: Optional[Iterable[float]] = None
     ) -> _NoopInstrument:
@@ -175,7 +153,7 @@ class NoopRegistry:
         return {}
 
     def snapshot(self, include_traces: bool = True) -> dict:
-        snap: dict = {"enabled": False, "counters": [], "gauges": [], "histograms": []}
+        snap: dict = {"enabled": False, "counters": [], "histograms": []}
         if include_traces:
             snap["traces"] = []
         return snap

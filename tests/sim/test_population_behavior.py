@@ -1,11 +1,13 @@
 """Population generation and daily-behaviour models."""
 
+import hashlib
 import random
 from datetime import date
 
 import pytest
 
 from repro.directory.identity import AccountClass
+from repro.sim import behavior, population as population_table, tickets
 from repro.sim.behavior import (
     AdaptationModel,
     AdoptionModel,
@@ -182,3 +184,22 @@ class TestAdaptationModel:
             internal, mux, variance = model.adapted_split(rng)
             assert internal + mux + variance == pytest.approx(1.0)
             assert internal > 0 and mux > 0 and variance >= 0
+
+
+class TestOneBehaviourTable:
+    """The model's numbers live in the upper-case constants of
+    ``sim.behavior``, ``sim.population`` and ``sim.tickets``; the figures
+    are re-measured, never re-tuned."""
+
+    def test_values_did_not_move(self):
+        table = sorted(
+            f"{module.__name__}.{name}={value!r}"
+            for module in (behavior, population_table, tickets)
+            for name, value in vars(module).items()
+            if name.isupper()
+        )
+        assert len(table) == 38
+        # The table at the commit before the figures moved to 10,000 accounts.
+        assert hashlib.sha256("\n".join(table).encode()).hexdigest() == (
+            "992d8c496a059654b7796582be5611cd85f66c374a1c0f38d680b72f0c7745ab"
+        ), "\n".join(table)

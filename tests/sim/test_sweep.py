@@ -1,6 +1,6 @@
 """Parallel seed sweeps: worker correctness, pool equivalence, aggregation."""
 
-from repro.sim.sweep import SeedSummary, aggregate, run_sweep, summarize
+from repro.sim.sweep import aggregate, run_sweep, summarize
 from repro.sim import RolloutConfig, RolloutSimulation
 
 
@@ -57,11 +57,5 @@ class TestAggregate:
     def test_summary_is_picklable(self):
         import pickle
 
-        summary = SeedSummary(
-            seed=1, population=10, sep7_rank=1, oct4_rank=2,
-            predeadline_share=0.7, ticket_share_2016=0.08,
-            ticket_share_2017=0.02, phase2_traffic_drop=0.4,
-            soft_percent=55.0, sms_percent=40.0, training_percent=3.0,
-            hard_percent=1.5, holiday_dip=0.3,
-        )
+        (summary,) = run_sweep([3], population=300)
         assert pickle.loads(pickle.dumps(summary)) == summary

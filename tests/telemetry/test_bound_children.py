@@ -23,7 +23,6 @@ from repro.telemetry import (
     NOOP_REGISTRY,
     OVERFLOW_KEY,
     Counter,
-    Gauge,
     Histogram,
     Registry,
     render_text,
@@ -45,9 +44,6 @@ LABEL_POOL = (
 #: (instrument, method); the instrument names are the registry's.
 UPDATES = (
     ("events_total", "inc"),
-    ("level", "set"),
-    ("level", "inc"),
-    ("level", "dec"),
     ("seconds", "observe"),
 )
 finite = st.floats(allow_nan=False, allow_infinity=False, width=32)
@@ -69,7 +65,6 @@ def _drive(sequence, choose_bound, max_series, reset_at):
     registry = Registry(max_series=max_series)
     instruments = {
         "events_total": registry.counter("events_total", "events"),
-        "level": registry.gauge("level", "a level"),
         "seconds": registry.histogram("seconds", "a latency", buckets=(0.0, 1.0, 100.0)),
     }
     children = {
@@ -80,10 +75,9 @@ def _drive(sequence, choose_bound, max_series, reset_at):
     for position, ((name, method), index, value, flag) in enumerate(sequence):
         if position == reset_at:
             registry.reset()
-        if value != value and method != "observe":
-            value = 1.0  # only a histogram has a rule for NaN
-        if method == "inc" and name == "events_total":
-            value = abs(value)
+        if method == "inc":
+            # Only a histogram has a rule for NaN; a counter only goes up.
+            value = 1.0 if value != value else abs(value)
         if choose_bound(flag):
             getattr(children[name, index], method)(value)
         else:
@@ -118,10 +112,9 @@ def test_keyword_order_does_not_matter():
 def test_binding_creates_no_series():
     registry = Registry()
     registry.counter("c").labels(result="never")
-    registry.gauge("g").labels()
     registry.histogram("h").labels(stage="never")
     snapshot = registry.snapshot(include_traces=False)
-    for kind in ("counters", "gauges", "histograms"):
+    for kind in ("counters", "histograms"):
         assert [metric["series"] for metric in snapshot[kind]] == [[]]
     assert "never" not in render_text(snapshot)
 
@@ -158,13 +151,8 @@ def test_cap_applies_to_every_update_of_a_child():
 def test_children_keep_each_kind_s_rules():
     with pytest.raises(ValueError):
         Counter("n").labels(k="v").inc(-1.0)
-    gauge = Gauge("g")
-    child = gauge.labels(k="v")
-    child.set(5)
-    child.inc(2)
-    child.dec(4)
-    child.dec()
-    assert gauge.value(k="v") == 2.0
+    with pytest.raises(ValueError):
+        Counter("n").inc(-1.0, k="v")
     assert not hasattr(Counter("n").labels(), "set")
 
 
@@ -230,30 +218,25 @@ FIVE_LABELS = {"a": 1, "b": 2, "c": 3, "d": 4, "e": 5}
 @pytest.mark.parametrize("labels", [{}, ONE_LABEL, FIVE_LABELS], ids=["0", "1", "5"])
 @pytest.mark.parametrize("other_series", [0, 400])
 def test_bound_update_cost_is_flat(labels, other_series):
-    counter, gauge, histogram = Counter("c"), Gauge("g"), Histogram("h")
+    counter, histogram = Counter("c"), Histogram("h")
     for n in range(other_series):
         counter.inc(n=n)
-        gauge.set(n, n=n)
         histogram.observe(n, n=n)
     inc = counter.labels(**labels).inc
-    set_ = gauge.labels(**labels).set
     observe = histogram.labels(**labels).observe
-    for warm in (inc, set_, observe):
+    for warm in (inc, observe):
         warm(1.0)  # steady state: the series exists
     assert _calls(inc) <= 2  # the update, the lock release
-    assert _calls(set_, 3.0) <= 2
     assert _calls(observe, 0.02) <= 3  # ... and the bucket bisect
 
 
 def test_keyword_update_costs_no_more_than_it_did():
-    counter, gauge, histogram = Counter("c"), Gauge("g"), Histogram("h")
+    counter, histogram = Counter("c"), Histogram("h")
     for warm in (counter.inc, histogram.observe):
         warm(1.0, **ONE_LABEL)
-    gauge.set(1.0)
     # The counts of the implementation the children replaced.
     assert _calls(counter.inc, **ONE_LABEL) <= 9
     assert _calls(histogram.observe, 0.02, **ONE_LABEL) <= 13
-    assert _calls(gauge.set, 3.0) <= 4
 
 
 # -- the measured path ---------------------------------------------------------------

@@ -11,7 +11,6 @@ from repro.telemetry import (
     NOOP_REGISTRY,
     OVERFLOW_KEY,
     Counter,
-    Gauge,
     Histogram,
     Registry,
     label_key,
@@ -88,20 +87,6 @@ class TestCounter:
         assert snap["series"] == [{"labels": {"kind": "a"}, "value": 1.0}]
 
 
-class TestGauge:
-    def test_set_inc_dec(self):
-        g = Gauge("depth")
-        g.set(5, queue="sms")
-        g.inc(queue="sms")
-        g.dec(2.0, queue="sms")
-        assert g.value(queue="sms") == 4.0
-
-    def test_can_go_negative(self):
-        g = Gauge("depth")
-        g.dec(3.0)
-        assert g.value() == -3.0
-
-
 class TestHistogram:
     def test_aggregates(self):
         h = Histogram("latency", buckets=(0.1, 1.0, 10.0))
@@ -173,14 +158,11 @@ class TestRegistry:
     def test_same_name_same_instrument(self):
         r = Registry(clock=SimulatedClock(0.0))
         assert r.counter("a") is r.counter("a")
-        assert r.gauge("g") is r.gauge("g")
         assert r.histogram("h") is r.histogram("h")
 
     def test_kind_mismatch_raises(self):
         r = Registry(clock=SimulatedClock(0.0))
         r.counter("a")
-        with pytest.raises(ConfigurationError):
-            r.gauge("a")
         with pytest.raises(ConfigurationError):
             r.histogram("a")
 
@@ -188,14 +170,13 @@ class TestRegistry:
         clock = SimulatedClock(0.0)
         r = Registry(clock=clock)
         r.counter("c").inc(x="1")
-        r.gauge("g").set(2.0)
         r.histogram("h", buckets=(1.0,)).observe(0.5)
         with r.tracer().span("root"):
             clock.advance(1.0)
         snap = r.snapshot()
         assert snap["enabled"] is True
         assert [m["name"] for m in snap["counters"]] == ["c"]
-        assert [m["name"] for m in snap["gauges"]] == ["g"]
+        assert "gauges" not in snap
         assert [m["name"] for m in snap["histograms"]] == ["h"]
         assert len(snap["traces"]) == 1
         assert "traces" not in r.snapshot(include_traces=False)
@@ -221,7 +202,7 @@ class TestNoopRegistry:
         c = r.counter("anything")
         c.inc(label="x")
         assert c.value(label="x") == 0.0
-        assert r.counter("a") is r.gauge("b") is r.histogram("c")
+        assert r.counter("a") is r.histogram("c")
         r.histogram("h").observe(3.0)
         with r.tracer().span("s") as span:
             span.annotate("k", "v")
@@ -236,7 +217,7 @@ class TestNoopRegistry:
         unchanged with telemetry off: same public names, and every call a
         real one accepts the no-op accepts too."""
         noop = NOOP_REGISTRY.counter("anything")
-        real = [Counter("c"), Gauge("g"), Histogram("h")]
+        real = [Counter("c"), Histogram("h")]
         real += [instrument.labels(k="v") for instrument in real]
         for instrument in real:
             names = [n for n in dir(instrument) if not n.startswith("_")]

@@ -265,6 +265,17 @@ def test_retired_twin_series_stay_out_of_src():
         assert "telemetry" not in (SRC / name).read_text(), name
 
 
+#: The second rollout engine (a numpy twin of ``sim.rollout``'s day loop,
+#: with its own CLI command and config class) and the instrument kind no
+#: line of ``src/`` registered.  Shrink-only, as above: Figures 3-6 and
+#: Table 1 have one loop, and a level is read from ``status()``.
+RETIRED_TWIN_NAMES = ("sim.scale", "ScaledRollout", "ScaleConfig", "_cmd_simulate", "gauge(")
+
+
+def test_retired_rollout_twin_and_gauges_stay_out_of_src():
+    assert _spelled_in_src(RETIRED_TWIN_NAMES) == []
+
+
 def test_status_code_does_not_probe_the_stack_shape():
     """Each storage layer reports itself (``describe``); the code that
     serves or prints the operator view never walks the stack to find out
@@ -292,7 +303,6 @@ INVENTORY_ONLY = {
     "radius.accounting",  # S16: RFC 2866 accounting
     "pam.modules.geo",  # S18: the conclusion's pam_geo_check
     "workload.scheduler",  # S20: the Section 5 workload-manager mitigations
-    "sim.sweep",  # SWEEP: cross-seed confidence intervals (DESIGN.md §3)
 }
 
 
@@ -401,7 +411,7 @@ ROOT = SRC.parent.parent
 #: ``analysis``).  Any other ``@dataclass`` there whose name ends ``Config``,
 #: ``Policy`` or ``Model`` is counted as well, so a new one cannot dodge.
 CONFIG_CLASSES = {
-    "WorkloadConfig", "AttackConfig", "ScaleConfig", "RolloutConfig",
+    "WorkloadConfig", "AttackConfig", "RolloutConfig",
     "AdoptionModel", "AdaptationModel", "TicketModel", "IngestConfig",
     "ClassPolicy", "StorageConfig", "ResolverConfig", "OTPServerConfig",
     "FailoverPolicy", "BackoffPolicy", "RateLimitConfig", "CarrierProfile",
@@ -448,8 +458,6 @@ TEST_ONLY_FIELDS = {
     ("RolloutConfig", "announcement"),
     ("RolloutConfig", "phase2"),
     ("RolloutConfig", "phase3"),
-    ("ScaleConfig", "phase2_frac"),
-    ("ScaleConfig", "phase3_frac"),
     ("StorageConfig", "latency"),
     ("WorkloadConfig", "adversarial"),
     ("WorkloadConfig", "pump_interval"),
@@ -487,7 +495,6 @@ RETIRED_FIELDS = {
         "lockout_ticket_prob", "steady_mfa_rate_per_10k",
     ),
     "RolloutConfig": ("start", "end", "outreach", "new_accounts_per_1k", "storage"),
-    "ScaleConfig": ("announcement_frac", "initial_paired_fraction"),
     "AttackConfig": ("unpaired_fraction", "attempts_per_target", "watchlist"),
     "SMSPricing": None,
     "IngestConfig": ("shed_classes", "policies"),
@@ -584,9 +591,9 @@ def test_every_config_field_has_a_setter():
         key for key, files in setters.items() if all(map(_is_test_side, files))
     }
     assert test_only == TEST_ONLY_FIELDS, sorted(test_only ^ TEST_ONLY_FIELDS)
-    # Shrink-only, from the census of PR 19: 127 fields -> 78, 42 -> 41.
-    assert len(TEST_ONLY_FIELDS) <= 41
-    assert len(setters) <= 78
+    # Shrink-only, from the census of PR 19: 127 fields -> 78 -> 72, 42 -> 39.
+    assert len(TEST_ONLY_FIELDS) <= 39
+    assert len(setters) <= 72
 
 
 def test_retired_config_fields_stay_retired():
