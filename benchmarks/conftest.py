@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
 from repro.sim import RolloutConfig, RolloutSimulation
@@ -35,7 +35,7 @@ def metrics(rollout):
 @pytest.fixture
 def auth_rig():
     """A small wired deployment for authentication-path benches."""
-    clock = SimulatedClock.at("2016-10-05T09:00:00")
+    clock = VirtualClock.at("2016-10-05T09:00:00")
     center = MFACenter(clock=clock, rng=random.Random(1))
     system = center.add_system("stampede", mode="full")
     center.create_user("alice", password="pw")

@@ -16,7 +16,7 @@ from datetime import date
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
 from repro.otpserver.server import OTPServer, OTPServerConfig
@@ -28,7 +28,7 @@ class TestLockoutThreshold:
     def fat_finger_rate(self, threshold, trials=300):
         """Users mistype ~15% of codes; how many honest users get locked
         out during a burst of 8 login attempts?"""
-        clock = SimulatedClock.at("2016-10-05T09:00:00")
+        clock = VirtualClock.at("2016-10-05T09:00:00")
         rng = random.Random(threshold)
         server = OTPServer(
             clock=clock,
@@ -66,7 +66,7 @@ class TestLockoutThreshold:
 
 class TestDriftWindow:
     def drifted_login_success(self, drift, skews):
-        clock = SimulatedClock.at("2016-10-05T09:00:00")
+        clock = VirtualClock.at("2016-10-05T09:00:00")
         server = OTPServer(
             clock=clock,
             config=OTPServerConfig(drift_seconds=drift),
@@ -94,7 +94,7 @@ class TestDriftWindow:
     def test_wide_window_still_blocks_stale_codes(self):
         """The security cost of ±300 s is bounded: codes older than the
         window are dead, and used codes die immediately."""
-        clock = SimulatedClock.at("2016-10-05T09:00:00")
+        clock = VirtualClock.at("2016-10-05T09:00:00")
         server = OTPServer(clock=clock, rng=random.Random(4))
         _, secret = server.enroll_soft("alice")
         stale = TOTPGenerator(secret=secret, clock=clock).current_code()
@@ -104,7 +104,7 @@ class TestDriftWindow:
 
 class TestRADIUSRedundancy:
     def availability(self, num_servers, outage_fraction, trials=120):
-        clock = SimulatedClock.at("2016-10-05T09:00:00")
+        clock = VirtualClock.at("2016-10-05T09:00:00")
         center = MFACenter(
             clock=clock, rng=random.Random(5), num_radius_servers=num_servers
         )
@@ -140,7 +140,7 @@ class TestFirstFactorGating:
     def test_gating_filters_hostile_traffic(self):
         """"This effectively filters most illegitimate SSH traffic before
         the second factor is ever reached" (Section 3.1)."""
-        clock = SimulatedClock.at("2016-10-05T09:00:00")
+        clock = VirtualClock.at("2016-10-05T09:00:00")
         center = MFACenter(clock=clock, rng=random.Random(7))
         system = center.add_system("stampede", mode="full")
         center.create_user("alice", password="pw")
@@ -157,7 +157,7 @@ class TestFirstFactorGating:
 
     def test_bench_hostile_attempt_cost(self, benchmark):
         """How cheap is rejecting a password-guessing bot?"""
-        clock = SimulatedClock.at("2016-10-05T09:00:00")
+        clock = VirtualClock.at("2016-10-05T09:00:00")
         center = MFACenter(clock=clock, rng=random.Random(8))
         system = center.add_system("stampede", mode="full")
         center.create_user("alice", password="pw")
@@ -178,7 +178,7 @@ class TestPollingVsMailMitigation:
         remote cron polling job state over SSH every five minutes."""
         from repro.workload.scheduler import BatchScheduler, MailEvent
 
-        clock = SimulatedClock.at("2016-10-05T09:00:00")
+        clock = VirtualClock.at("2016-10-05T09:00:00")
         scheduler = BatchScheduler(clock=clock, nodes=4, rng=random.Random(1))
         # Five 8-hour jobs with mail; a poller would check each every 5 min.
         for i in range(5):
@@ -200,7 +200,7 @@ class TestPollingVsMailMitigation:
         from repro.workload.scheduler import BatchScheduler
 
         def run_batch():
-            clock = SimulatedClock.at("2016-10-05T09:00:00")
+            clock = VirtualClock.at("2016-10-05T09:00:00")
             scheduler = BatchScheduler(clock=clock, nodes=16, rng=random.Random(2))
             previous = None
             for i in range(40):

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from repro.analysis.cost import CommercialVendor, CostModel, InHouseCosts
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.otpserver.sms_gateway import SMSGateway
 from repro.otpserver.tokens import HARD_TOKEN_UNIT_COST, HARD_TOKEN_USER_FEE
 
@@ -59,7 +59,7 @@ class TestTwilioEconomics:
         assert annual < 10_000
 
     def test_gateway_accounting_matches_pricing(self):
-        clock = SimulatedClock(0.0)
+        clock = VirtualClock(0.0)
         gateway = SMSGateway(clock, rng=random.Random(1))
         for _ in range(1000):
             gateway.send("5125551234", "code")
@@ -67,7 +67,7 @@ class TestTwilioEconomics:
         assert gateway.total_cost() == pytest.approx(1.0 + 1000 * 0.0075)
 
     def test_bench_sms_send_accounting(self, benchmark):
-        clock = SimulatedClock(0.0)
+        clock = VirtualClock(0.0)
         gateway = SMSGateway(clock, rng=random.Random(2))
         message = benchmark(lambda: gateway.send("5125551234", "code 123456"))
         assert message.cost == pytest.approx(0.0075)

@@ -7,7 +7,7 @@ stops, and what the honest-user false-positive cost is.
 
 import random
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.pam.acl import InMemoryExemptionACL
 from repro.pam.conversation import ScriptedConversation
 from repro.pam.framework import PAMResult, PAMSession, PAMStack
@@ -50,7 +50,7 @@ def build_stack(engine, acl, clock):
 def run_campaign(with_risk: bool):
     """A credential-stuffing campaign against an *exempted* account — the
     worst case, because the baseline policy waives the second factor."""
-    clock = SimulatedClock.at("2016-11-15T14:00:00")
+    clock = VirtualClock.at("2016-11-15T14:00:00")
     acl = InMemoryExemptionACL("+ : gateway01 : ALL : ALL\n", clock=clock)
     engine = (
         RiskEngine(clock=clock, step_up_threshold=0.2) if with_risk else None
@@ -87,7 +87,7 @@ class TestRiskGateEffect:
         assert with_risk == 0
 
     def test_bench_risk_assessment(self, benchmark):
-        clock = SimulatedClock.at("2016-11-15T14:00:00")
+        clock = VirtualClock.at("2016-11-15T14:00:00")
         engine = RiskEngine(clock=clock)
         engine.record_success("alice", "129.114.0.1")
         decision = benchmark(lambda: engine.assess("alice", "203.0.113.9"))
@@ -98,7 +98,7 @@ class TestGeoVelocityEffect:
     def test_impossible_travel_detection_rates(self):
         """Detection of hijacked sessions vs false alarms on travelers."""
         geo = GeoDatabase.with_sample_data()
-        clock = SimulatedClock.at("2016-11-15T14:00:00")
+        clock = VirtualClock.at("2016-11-15T14:00:00")
         monitor = GeoVelocityMonitor(geo, clock)
         # Hijack: Austin login, Beijing 5 minutes later x 50 users.
         hijacks_flagged = 0
@@ -129,7 +129,7 @@ class TestGeoVelocityEffect:
 
     def test_bench_velocity_observe(self, benchmark):
         geo = GeoDatabase.with_sample_data()
-        clock = SimulatedClock.at("2016-11-15T14:00:00")
+        clock = VirtualClock.at("2016-11-15T14:00:00")
         monitor = GeoVelocityMonitor(geo, clock)
         monitor.observe("alice", "129.114.0.1")
 

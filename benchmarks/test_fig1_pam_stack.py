@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
 from repro.ssh import KeyPair, SSHClient
@@ -29,7 +29,7 @@ CASES = [
 
 @pytest.fixture(scope="module")
 def world():
-    clock = SimulatedClock.at("2016-10-05T09:00:00")
+    clock = VirtualClock.at("2016-10-05T09:00:00")
     center = MFACenter(clock=clock, rng=random.Random(1))
     system = center.add_system("stampede", mode="full")
     users = {}

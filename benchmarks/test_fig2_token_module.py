@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
 from repro.directory.identity import AccountClass
@@ -21,7 +21,7 @@ from repro.policy import EnforcementLadder, PolicyEngine
 
 @pytest.fixture(scope="module")
 def world():
-    clock = SimulatedClock.at("2016-10-05T09:00:00")
+    clock = VirtualClock.at("2016-10-05T09:00:00")
     center = MFACenter(clock=clock, rng=random.Random(1))
     center.add_system("stampede", mode="full")
 

@@ -32,7 +32,7 @@ import time
 
 from benchlib import emit_bench
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.crypto.totp import totp_at
 from repro.otpserver import OTPServer
 from repro.policy import PolicyEngine, RiskEngine
@@ -54,7 +54,7 @@ def _rig():
     step per round of users), so every submission is a fresh code and
     the replay floor never trips.
     """
-    clock = SimulatedClock.at("2016-10-05T09:00:00")
+    clock = VirtualClock.at("2016-10-05T09:00:00")
     stage = RiskEngine(clock=clock)
     stage.add_watchlist("203.0.113.0/24")
     policy = PolicyEngine(clock=clock)

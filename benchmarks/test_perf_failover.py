@@ -20,7 +20,7 @@ from statistics import median
 
 from benchlib import emit_bench
 from repro.chaos import ChaosEngine, FaultPlan, LatencyFault
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
 from repro.ssh import SSHClient
@@ -33,7 +33,7 @@ NOMINAL_RTT = 0.05
 
 def login_latencies(down_servers: int = 0, health_aware: bool = True):
     """Per-login simulated seconds for a fresh deployment."""
-    clock = SimulatedClock.at("2016-10-05T09:00:00")
+    clock = VirtualClock.at("2016-10-05T09:00:00")
     center = MFACenter(
         clock=clock,
         rng=random.Random(3),

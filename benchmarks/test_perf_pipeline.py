@@ -25,7 +25,7 @@ import time
 from benchlib import emit_bench
 
 from repro.authflow import ConcurrencyConfig
-from repro.common.clock import SimulatedClock, WallClock
+from repro.common.clock import VirtualClock, WallClock
 from repro.otpserver import OTPServer
 from repro.storage import StorageConfig, build_engine
 
@@ -36,7 +36,7 @@ SIMULATED_OP_LATENCY = 150e-6
 
 def _pipeline_rig(stripes: int, n_users: int = 32):
     """An OTP server on 4 storage shards with ``stripes`` validate locks."""
-    clock = SimulatedClock.at("2016-10-05T09:00:00")
+    clock = VirtualClock.at("2016-10-05T09:00:00")
     # The storage stack gets an explicit WallClock: its per-op latency must
     # really sleep (releasing the GIL) so thread scaling measures actual
     # lock contention — on the server's virtual clock the round trip would

@@ -25,7 +25,7 @@ import time
 
 from benchlib import emit_bench
 
-from repro.common.clock import SimulatedClock, WallClock
+from repro.common.clock import VirtualClock, WallClock
 from repro.ingest import IngestConfig, IngestQueue, PriorityClass
 from repro.otpserver import OTPServer
 from repro.policy import RateLimitConfig, TokenBucketLimiter
@@ -41,7 +41,7 @@ REPEATS = 3
 
 
 def _server(op_latency: float = SIMULATED_OP_LATENCY) -> OTPServer:
-    clock = SimulatedClock.at("2016-10-05T09:00:00")
+    clock = VirtualClock.at("2016-10-05T09:00:00")
     # The storage stack sleeps on a real clock so every path pays the
     # same simulated round trips (see test_perf_pipeline.py).
     storage = build_engine(
@@ -117,7 +117,7 @@ def test_queued_overhead_within_ten_percent():
 def test_shed_under_overload_is_cheap():
     server = _server()
     users = [f"user{i:02d}" for i in range(N_USERS)]
-    clock = SimulatedClock.at("2016-10-05T09:00:00")
+    clock = VirtualClock.at("2016-10-05T09:00:00")
 
     serviced_queue = IngestQueue(server.validate, clock=WallClock())
 

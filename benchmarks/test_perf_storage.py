@@ -28,7 +28,7 @@ import time
 from pathlib import Path
 
 from benchlib import emit_bench, percentile
-from repro.common.clock import SimulatedClock, WallClock
+from repro.common.clock import VirtualClock, WallClock
 from repro.otpserver import OTPServer
 from repro.storage import (
     InMemoryEngine,
@@ -115,7 +115,7 @@ class TestUndoLogTransactionCost:
 
 def _login_rig(shards: int, n_users: int = 32):
     """An OTP server on ``shards`` shards with static-token users enrolled."""
-    clock = SimulatedClock.at("2016-10-05T09:00:00")
+    clock = VirtualClock.at("2016-10-05T09:00:00")
     # Explicit WallClock for the storage stack: the per-op latency must
     # really sleep (releasing the GIL) so shard scaling measures actual
     # contention — charged to the server's virtual clock it would be free.

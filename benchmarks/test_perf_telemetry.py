@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 import time
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
 from repro.ssh import SSHClient
@@ -28,7 +28,7 @@ OPS_PER_LOGIN = 100
 
 
 def _rig(telemetry=None):
-    clock = SimulatedClock.at("2016-10-05T09:00:00")
+    clock = VirtualClock.at("2016-10-05T09:00:00")
     center = MFACenter(clock=clock, rng=random.Random(1), telemetry=telemetry)
     system = center.add_system("stampede", mode="full")
     center.create_user("alice", password="pw")

@@ -13,7 +13,7 @@ Run:  python examples/gateway_workflows.py
 
 import random
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
 from repro.directory.identity import AccountClass
@@ -21,7 +21,7 @@ from repro.ssh import KeyPair, SSHClient
 
 
 def main() -> None:
-    clock = SimulatedClock.at("2016-10-05T09:00:00")
+    clock = VirtualClock.at("2016-10-05T09:00:00")
     center = MFACenter(clock=clock, rng=random.Random(7))
     stampede = center.add_system("stampede", mode="full")
     node = stampede.login_node()

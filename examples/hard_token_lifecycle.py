@@ -11,7 +11,7 @@ Run:  python examples/hard_token_lifecycle.py
 
 import random
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
 from repro.directory.identity import AccountClass
@@ -21,7 +21,7 @@ from repro.ssh import SSHClient
 
 
 def main() -> None:
-    clock = SimulatedClock.at("2016-08-01T09:00:00")
+    clock = VirtualClock.at("2016-08-01T09:00:00")
     center = MFACenter(clock=clock, rng=random.Random(9))
     stampede = center.add_system("stampede", mode="full")
     api = AdminAPI(center.otp, rng=random.Random(10))

@@ -13,7 +13,7 @@ Run:  python examples/information_gathering.py
 
 import random
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.sim.population import Population
 from repro.analysis.preaudit import run_information_gathering
 from repro.workload.scheduler import BatchScheduler, MailEvent
@@ -48,7 +48,7 @@ def main() -> None:
 
     # --- the mitigation staff proposed in those conversations ----------------
     print("\n--- replacing cron polling with scheduler mail ---")
-    clock = SimulatedClock.at("2016-09-01T08:00:00")
+    clock = VirtualClock.at("2016-09-01T08:00:00")
     scheduler = BatchScheduler(clock=clock, nodes=8, rng=random.Random(7))
     # A five-stage pipeline submitted up front with dependencies: zero
     # interactive decisions while it runs.

@@ -11,7 +11,7 @@ Run:  python examples/quickstart.py
 
 import random
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
 from repro.qr import decode_matrix, encode, build_otpauth_uri, parse_otpauth_uri
@@ -21,7 +21,7 @@ from repro.ssh import SSHClient
 def main() -> None:
     # A simulated clock keeps the demo deterministic; pass no clock to use
     # wall time.
-    clock = SimulatedClock.at("2016-10-05T09:00:00")
+    clock = VirtualClock.at("2016-10-05T09:00:00")
     center = MFACenter(clock=clock, rng=random.Random(42))
     stampede = center.add_system("stampede", login_nodes=2, mode="full")
     print("deployment: 3 RADIUS servers, system 'stampede' in full mode\n")

@@ -14,7 +14,7 @@ Run:  python examples/risk_and_geolocation.py
 
 import random
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
 from repro.pam.acl import InMemoryExemptionACL
@@ -38,7 +38,7 @@ def attempt(stack, clock, username, ip, responses):
 
 
 def main() -> None:
-    clock = SimulatedClock.at("2016-11-15T14:00:00")
+    clock = VirtualClock.at("2016-11-15T14:00:00")
     center = MFACenter(clock=clock, rng=random.Random(13))
     center.add_system("stampede")
 

@@ -12,7 +12,7 @@ Run:  python examples/sms_token_flow.py
 
 import random
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.core import MFACenter
 from repro.otpserver.admin_api import AdminAPI, AdminAPIClient
 from repro.otpserver.sms_gateway import CarrierProfile, SMSGateway
@@ -22,7 +22,7 @@ from repro.ssh import SSHClient
 
 
 def main() -> None:
-    clock = SimulatedClock.at("2016-09-20T10:00:00")
+    clock = VirtualClock.at("2016-09-20T10:00:00")
     center = MFACenter(clock=clock, rng=random.Random(3))
     stampede = center.add_system("stampede", mode="full")
 
@@ -71,7 +71,7 @@ def main() -> None:
 
     # --- the delayed-SMS failure (Section 5) --------------------------------
     print("\n--- carrier stall reproduction ---")
-    stall_clock = SimulatedClock.at("2016-09-20T10:00:00")
+    stall_clock = VirtualClock.at("2016-09-20T10:00:00")
     stalled_gateway = SMSGateway(
         stall_clock,
         carrier=CarrierProfile(stall_probability=1.0, stall_delay=700.0),

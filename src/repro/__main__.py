@@ -1,94 +1,29 @@
 """Command-line entry point: ``python -m repro <command>``.
 
-Commands:
-
-* ``report [population] [seed] [--seeds N]`` — run the rollout simulation
-  and print the paper-vs-measured evaluation report (default: the paper's
-  10,000 accounts, seed 20160810); ``--seeds N`` also runs the next N-1
-  seeds and prints each statistic's cross-seed mean and range.
-* ``demo [--telemetry-dump] [--shards N] [--durability] [--replicas N]``
-  — the quickstart walkthrough (pair a token, log in); ``--shards`` runs
-  the OTP back end on a sharded storage stack, ``--durability`` adds
-  write-ahead logging and ``--replicas`` gives every shard N log-shipping
-  replicas; with ``--telemetry-dump``, print the telemetry snapshot of the
-  login.
-* ``telemetry [--json] [--shards N]`` — run one instrumented
-  login and dump the resulting metrics snapshot and span tree (text by
-  default), including the storage-engine op series, then the operator
-  view as ``repro_status{path=…}`` lines (``--json``: a ``"status"`` key).
-* ``qr <text>`` — render any text as a terminal QR code (the portal's
-  pairing renderer, exposed because it is genuinely handy).
-* ``chaos [--plan NAME] [--seed N] [--logins M] [--json] [--list]`` — run
-  a login workload under a seeded fault plan and report the invariant
-  verdicts; exits non-zero if any invariant was violated.
-* ``attack [--scenario NAME] [--seed N] [--accounts N] [--json]`` — run a
-  seeded adversarial campaign (credential stuffing, real-time phishing,
-  SIM-swap interception, or mixed) against a simulated deployment and
-  print the blocked-attack rates by token type, the honeytoken alarm
-  tally, the risk-stage counters and the determinism digest; exits
-  non-zero if either adversarial invariant was violated.  Output is
-  byte-identical across runs with the same arguments.
-* ``status [SECTION] [--json] [--shards N] [--durability] [--replicas N]
-  [--mode MODE] [--deadline DATE]`` — the operator view,
-  ``OTPServer.status()``, of a production-shaped demo deployment (ingest
-  queue and LDAP resolver chain on) after one fixed scenario: the demo
-  login, a repeat validate (a resolver cache hit), a federated home-site
-  login and a short batch backfill.  Prints every section — ``storage``,
-  ``policy``, ``audit``, ``resolvers``, ``queue``, ``systems`` (each
-  system's enforcement ladder — ``--mode``/``--deadline`` set it — and
-  its login nodes' RADIUS client health), ``radius`` — or the one named,
-  as JSON (the only rendering; ``--json`` says so explicitly).  The same
-  dict is ``GET /admin/status`` on the admin API.
-* ``storage --demo DIR [--shards N] [--replicas N]`` / ``storage --replay
-  WAL`` — the durability toolbox: ``--demo DIR`` runs the demo login with
-  per-shard WAL files written under DIR and prints each file's live state
-  digest; ``--replay WAL`` rebuilds an engine offline from a WAL file and
-  prints the recovered digest (equal to the live one for an intact log).
+``python -m repro --help`` lists the commands and ``python -m repro
+<command> --help`` a command's flags; an unknown command or flag, or a
+missing or malformed value, prints the usage on stderr and exits 2.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 
 
-REPORT_USAGE = "usage: python -m repro report [population] [seed] [--seeds N]"
-
-
-def _cmd_report(args: list) -> int:
+def _cmd_report(args) -> int:
     from repro.analysis.report import evaluation_report
 
-    population, seed, seeds = 10_000, 20160810, 1
+    if args.seeds < 1:
+        args.error("--seeds N needs N >= 1")
     try:
-        if "--seeds" in args:
-            index = args.index("--seeds")
-            seeds = int(args[index + 1])
-            args = args[:index] + args[index + 2 :]
-        if len(args) > 2 or seeds < 1:
-            raise ValueError("at most a population and a seed; --seeds N >= 1")
-        if args:
-            population = int(args[0])
-        if len(args) > 1:
-            seed = int(args[1])
-        # ``Population`` raises ValueError for a size too small to simulate.
-        text = evaluation_report(population=population, seed=seed, seeds=seeds)
-    except (ValueError, IndexError) as exc:
-        print(f"{exc}\n{REPORT_USAGE}", file=sys.stderr)
-        return 2
+        text = evaluation_report(
+            population=args.population, seed=args.seed, seeds=args.seeds
+        )
+    except ValueError as exc:  # ``Population``: a size too small to simulate
+        args.error(str(exc))
     print(text)
     return 0
-
-
-def _str_flag(args: list, flag: str, default=None):
-    if flag in args:
-        index = args.index(flag)
-        if index + 1 >= len(args):
-            raise SystemExit(f"{flag} requires a value")
-        return args[index + 1]
-    return default
-
-
-def _flag_value(args: list, flag: str, default: int) -> int:
-    return int(_str_flag(args, flag, default))
 
 
 def _demo_login(
@@ -107,13 +42,13 @@ def _demo_login(
     """
     import random
 
-    from repro.common.clock import SimulatedClock
+    from repro.common.clock import VirtualClock
     from repro.core import MFACenter
     from repro.crypto.totp import TOTPGenerator
     from repro.ssh import SSHClient
     from repro.storage import StorageConfig
 
-    clock = SimulatedClock.at("2016-10-05T09:00:00")
+    clock = VirtualClock.at("2016-10-05T09:00:00")
     center = MFACenter(
         clock=clock,
         rng=random.Random(42),
@@ -139,18 +74,17 @@ def _demo_login(
     return center, result, device
 
 
-def _cmd_demo(args: list) -> int:
-    dump = "--telemetry-dump" in args
-    replicas = _flag_value(args, "--replicas", 0)
+def _cmd_demo(args) -> int:
+    dump, replicas = args.telemetry_dump, args.replicas
     center, result, _ = _demo_login(
         telemetry=True if dump else None,
-        shards=_flag_value(args, "--shards", 1),
-        durability="--durability" in args,
+        shards=args.shards,
+        durability=args.durability,
         replicas=replicas,
     )
     print("demo login:", "GRANTED" if result.success else "DENIED")
     print("session items:", result.session_items)
-    if "--durability" in args or replicas:
+    if args.durability or replicas:
         shards = center.otp.status("storage")["shards"]
         for shard in shards:
             wal = shard["wal"]
@@ -194,53 +128,38 @@ def _print_telemetry(center, as_json: bool = False) -> None:
     print(render_trace_text(snapshot))
 
 
-def _cmd_telemetry(args: list) -> int:
-    center, result, _ = _demo_login(
-        telemetry=True, shards=_flag_value(args, "--shards", 1)
-    )
-    _print_telemetry(center, as_json="--json" in args)
+def _cmd_telemetry(args) -> int:
+    center, result, _ = _demo_login(telemetry=True, shards=args.shards)
+    _print_telemetry(center, as_json=args.json)
     return 0 if result.success else 1
 
 
-def _cmd_qr(args: list) -> int:
+def _cmd_qr(args) -> int:
     from repro.qr import encode
 
-    if not args:
-        print("usage: python -m repro qr <text>", file=sys.stderr)
-        return 2
-    qr = encode(" ".join(args), level="M")
+    qr = encode(" ".join(args.text), level="M")
     print(qr.to_text(dark="##", light="  ", border=2))
     return 0
 
 
-def _cmd_chaos(args: list) -> int:
+def _cmd_chaos(args) -> int:
     import json
 
     from repro.chaos import WorkloadConfig, run_chaos, shipped_plans
 
     plans = shipped_plans()
-    if "--list" in args:
+    if args.list:
         for plan in plans.values():
             print(f"{plan.name:14s} floor={plan.availability_floor:.2f}  "
                   f"{plan.description}")
         return 0
-    name = "kitchen-sink"
-    if "--plan" in args:
-        index = args.index("--plan")
-        if index + 1 >= len(args):
-            raise SystemExit("--plan requires a value")
-        name = args[index + 1]
-    plan = plans.get(name)
+    plan = plans.get(args.plan)
     if plan is None:
-        print(f"unknown plan {name!r}; try --list", file=sys.stderr)
+        print(f"unknown plan {args.plan!r}; try --list", file=sys.stderr)
         return 2
-    config = WorkloadConfig(
-        seed=_flag_value(args, "--seed", 101),
-        logins=_flag_value(args, "--logins", 120),
-    )
-    report = run_chaos(plan, config)
+    report = run_chaos(plan, WorkloadConfig(seed=args.seed, logins=args.logins))
     summary = report.summary()
-    if "--json" in args:
+    if args.json:
         print(json.dumps(summary, indent=2))
     else:
         print(f"plan: {summary['plan']} (seed {summary['seed']})")
@@ -257,30 +176,21 @@ def _cmd_chaos(args: list) -> int:
     return 1 if summary["violations"] else 0
 
 
-def _cmd_attack(args: list) -> int:
+def _cmd_attack(args) -> int:
     import json
 
     from repro.sim.attackers import SCENARIOS, AttackConfig, run_attack
 
-    scenario = "stuffing"
-    if "--scenario" in args:
-        index = args.index("--scenario")
-        if index + 1 >= len(args):
-            raise SystemExit("--scenario requires a value")
-        scenario = args[index + 1]
+    scenario = args.scenario
     if scenario not in SCENARIOS:
         print(
             f"unknown scenario {scenario!r}; expected one of {', '.join(SCENARIOS)}",
             file=sys.stderr,
         )
         return 2
-    config = AttackConfig(
-        scenario=scenario,
-        seed=_flag_value(args, "--seed", 101),
-        accounts=_flag_value(args, "--accounts", 100_000),
-    )
+    config = AttackConfig(scenario=scenario, seed=args.seed, accounts=args.accounts)
     summary = run_attack(config).summary()
-    if "--json" in args:
+    if args.json:
         print(json.dumps(summary, indent=2))
         return 1 if summary["violations"] else 0
     print(
@@ -344,38 +254,34 @@ def _status_scenario(**demo_options):
     return center, login.success and repeat.ok and federated.ok
 
 
-def _cmd_status(args: list) -> int:
+def _cmd_status(args) -> int:
     import json
 
     from repro.common.errors import NotFoundError
 
-    section = args[0] if args and not args[0].startswith("--") else None
     center, passed = _status_scenario(
-        shards=_flag_value(args, "--shards", 1),
-        durability="--durability" in args,
-        replicas=_flag_value(args, "--replicas", 0),
-        mode=_str_flag(args, "--mode", "full"),
-        deadline=_str_flag(args, "--deadline"),
+        shards=args.shards,
+        durability=args.durability,
+        replicas=args.replicas,
+        mode=args.mode,
+        deadline=args.deadline,
     )
     try:
-        print(json.dumps(center.otp.status(section), indent=2))
+        print(json.dumps(center.otp.status(args.section), indent=2))
     except NotFoundError as exc:
         print(exc, file=sys.stderr)
         return 2
     return 0 if passed else 1
 
 
-def _cmd_storage(args: list) -> int:
+def _cmd_storage(args) -> int:
     import json
     import os
 
     from repro.storage import load_wal, replay, state_digest
 
-    if "--replay" in args:
-        index = args.index("--replay")
-        if index + 1 >= len(args):
-            raise SystemExit("--replay requires a WAL file path")
-        path = args[index + 1]
+    if args.replay is not None:
+        path = args.replay
         records, dropped = load_wal(path)
         engine = replay(records)
         out = {
@@ -388,19 +294,9 @@ def _cmd_storage(args: list) -> int:
         print(json.dumps(out, indent=2))
         return 0
 
-    if "--demo" not in args:
-        print("usage: python -m repro storage --demo DIR | --replay WAL", file=sys.stderr)
-        return 2
-    index = args.index("--demo")
-    if index + 1 >= len(args):
-        raise SystemExit("--demo requires a directory")
-    wal_dir = args[index + 1]
-    os.makedirs(wal_dir, exist_ok=True)
+    os.makedirs(args.demo, exist_ok=True)
     center, result, _ = _demo_login(
-        shards=_flag_value(args, "--shards", 2),
-        durability=True,
-        replicas=_flag_value(args, "--replicas", 0),
-        wal_dir=wal_dir,
+        shards=args.shards, durability=True, replicas=args.replicas, wal_dir=args.demo
     )
     engine = center.otp.db.engine
     stats = center.otp.status("storage")
@@ -417,21 +313,116 @@ def _cmd_storage(args: list) -> int:
     return 0 if result.success else 1
 
 
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="The paper's MFA infrastructure, end to end, from the command line.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(dest="command", metavar="command", required=True)
+
+    def command(name, run, summary):
+        sub = commands.add_parser(
+            name, help=summary, description=summary, allow_abbrev=False
+        )
+        # ``error`` prints this command's usage on stderr and exits 2.
+        sub.set_defaults(run=run, error=sub.error)
+        return sub
+
+    def stack_flags(sub, shards=1):
+        sub.add_argument("--shards", type=int, default=shards, metavar="N",
+                         help=f"shard the OTP back end's storage N ways (default {shards})")
+        sub.add_argument("--replicas", type=int, default=0, metavar="N",
+                         help="give every shard N log-shipping replicas")
+
+    sub = command(
+        "report", _cmd_report,
+        "Run the rollout simulation and print the paper-vs-measured evaluation report.",
+    )
+    sub.add_argument("population", nargs="?", type=int, default=10_000,
+                     help="accounts (default: the paper's 10,000)")
+    sub.add_argument("seed", nargs="?", type=int, default=20160810)
+    sub.add_argument("--seeds", type=int, default=1, metavar="N",
+                     help="also run the next N-1 seeds and print each statistic's "
+                          "cross-seed mean and range")
+
+    sub = command("demo", _cmd_demo, "The quickstart walkthrough: pair a token, log in.")
+    sub.add_argument("--telemetry-dump", action="store_true",
+                     help="print the login's telemetry snapshot, status view and span tree")
+    stack_flags(sub)
+    sub.add_argument("--durability", action="store_true", help="add write-ahead logging")
+
+    sub = command(
+        "telemetry", _cmd_telemetry,
+        "Run one instrumented login and dump the series, the operator view as "
+        "repro_status{path=...} lines, and the span tree.",
+    )
+    sub.add_argument("--json", action="store_true",
+                     help="one JSON document (the operator view under \"status\")")
+    sub.add_argument("--shards", type=int, default=1, metavar="N")
+
+    sub = command(
+        "qr", _cmd_qr, "Render text as a terminal QR code (the portal's pairing renderer)."
+    )
+    sub.add_argument("text", nargs="+")
+
+    sub = command(
+        "chaos", _cmd_chaos,
+        "Run a login workload under a seeded fault plan and report the invariant "
+        "verdicts; exits 1 if any invariant was violated.",
+    )
+    sub.add_argument("--plan", default="kitchen-sink", metavar="NAME")
+    sub.add_argument("--seed", type=int, default=101, metavar="N")
+    sub.add_argument("--logins", type=int, default=120, metavar="M")
+    sub.add_argument("--json", action="store_true")
+    sub.add_argument("--list", action="store_true", help="list the shipped plans and exit")
+
+    sub = command(
+        "attack", _cmd_attack,
+        "Run a seeded adversarial campaign and print the blocked-attack rates by token "
+        "type, the honeytoken alarm tally, the risk-stage counters and the determinism "
+        "digest; exits 1 if an adversarial invariant was violated.",
+    )
+    sub.add_argument("--scenario", default="stuffing", metavar="NAME")
+    sub.add_argument("--seed", type=int, default=101, metavar="N")
+    sub.add_argument("--accounts", type=int, default=100_000, metavar="N")
+    sub.add_argument("--json", action="store_true")
+
+    sub = command(
+        "status", _cmd_status,
+        "The operator view, OTPServer.status() (= GET /admin/status), of a "
+        "production-shaped demo deployment after one fixed scenario, as JSON.",
+    )
+    sub.add_argument("section", nargs="?", metavar="SECTION",
+                     help="print one section (storage, queue, systems, sms, ...; "
+                          "default: all of them)")
+    sub.add_argument("--json", action="store_true", help="JSON is the only rendering")
+    stack_flags(sub)
+    sub.add_argument("--durability", action="store_true", help="add write-ahead logging")
+    sub.add_argument("--mode", default="full", metavar="MODE",
+                     help="the system's enforcement mode")
+    sub.add_argument("--deadline", metavar="DATE", help="the countdown ladder's deadline")
+
+    sub = command("storage", _cmd_storage, "The durability toolbox.")
+    action = sub.add_mutually_exclusive_group(required=True)
+    action.add_argument("--demo", metavar="DIR",
+                        help="run the demo login with per-shard WAL files under DIR and "
+                             "print each file's live state digest")
+    action.add_argument("--replay", metavar="WAL",
+                        help="rebuild an engine offline from a WAL file and print the "
+                             "recovered digest")
+    stack_flags(sub, shards=2)
+    return parser
+
+
 def main(argv: list) -> int:
-    commands = {
-        "report": _cmd_report,
-        "demo": _cmd_demo,
-        "telemetry": _cmd_telemetry,
-        "qr": _cmd_qr,
-        "chaos": _cmd_chaos,
-        "attack": _cmd_attack,
-        "status": _cmd_status,
-        "storage": _cmd_storage,
-    }
-    if not argv or argv[0] not in commands:
-        print(__doc__, file=sys.stderr)
-        return 2
-    return commands[argv[0]](argv[1:])
+    try:
+        args, extra = _parser().parse_known_args(argv)
+        if extra:
+            args.error(f"unrecognized arguments: {' '.join(extra)}")
+        return args.run(args)
+    except SystemExit as exc:  # argparse printed the usage (2) or the help (0)
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from datetime import date
 from typing import List
 
 from repro.analysis.loginaudit import LoginAuditor, UserActivity
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.directory.identity import AccountClass
 from repro.sim.behavior import (
     automated_connections,
@@ -52,7 +52,7 @@ def run_information_gathering(
     seed: int = 41,
 ) -> InformationGatheringResult:
     """Simulate the observation window and run the targeting pipeline."""
-    clock = SimulatedClock.at(f"{start.isoformat()}T00:00:00")
+    clock = VirtualClock.at(f"{start.isoformat()}T00:00:00")
     rng = random.Random(seed)
     authlog = AuthLog(clock, max_entries=10_000_000)
     for day in range(days):

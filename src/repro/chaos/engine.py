@@ -15,7 +15,7 @@ anything about fault plans:
 Determinism is the contract: all probabilistic faults draw from per-fault
 ``random.Random`` instances seeded from ``(run seed, plan name, fault
 index, kind)`` via :func:`repro.common.resilience.stable_seed`, time is the
-deployment's :class:`~repro.common.clock.SimulatedClock`, and every
+deployment's :class:`~repro.common.clock.VirtualClock`, and every
 injection is appended to a :class:`~repro.simcore.EventLog`, whose
 canonical JSON rendering is byte-identical across runs with the same seed.
 """
@@ -43,7 +43,6 @@ from repro.common.clock import Clock
 from repro.common.resilience import stable_seed
 from repro.otpserver.sms_gateway import CarrierProfile
 from repro.simcore import EventLog
-from repro.telemetry import NOOP_REGISTRY
 
 
 class ChaosEngine:
@@ -58,7 +57,6 @@ class ChaosEngine:
         sms_gateway=None,
         storage=None,
         devices: Optional[Dict[str, object]] = None,
-        telemetry=None,
         ingest=None,
         backfill=None,
         resolvers=None,
@@ -68,10 +66,6 @@ class ChaosEngine:
         self._clock = clock
         self.epoch = clock.now()  # plan-relative t=0
         self.log = EventLog(clock, self.epoch)
-        self.telemetry = telemetry if telemetry is not None else NOOP_REGISTRY
-        self._m_injected = self.telemetry.counter(
-            "chaos_faults_injected_total", "fault injections by kind"
-        )
         # One RNG per fault, seeded independently of the deployment RNG:
         # adding or removing a fault never shifts another fault's draws,
         # and the deployment's own seeded behaviour is untouched.
@@ -116,7 +110,6 @@ class ChaosEngine:
 
     def record(self, kind: str, **fields) -> None:
         self.log.append(kind, **fields)
-        self._m_injected.inc(kind=kind)
 
     def event_log_lines(self) -> List[str]:
         """Canonical JSON, one event per line — byte-stable across reruns."""

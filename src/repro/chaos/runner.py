@@ -30,7 +30,7 @@ from typing import Dict, List, Tuple
 
 from repro.chaos.engine import ChaosEngine
 from repro.chaos.plan import FaultPlan
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.common.resilience import FailoverPolicy
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
@@ -289,7 +289,7 @@ def run_chaos(
     stage, the LDAP-first resolver chain, telemetry.  The plan and the
     config choose what happens *to* it, never what it is made of.
     """
-    clock = SimulatedClock.at(EPOCH)
+    clock = VirtualClock.at(EPOCH)
     center = MFACenter(
         clock=clock,
         rng=random.Random(config.seed),
@@ -352,7 +352,6 @@ def run_chaos(
         sms_gateway=center.sms_gateway,
         storage=center.otp.db.engine,
         devices=devices,
-        telemetry=center.telemetry,
         ingest=center.ingest_queue,
         backfill=backfill,
         resolvers=center.resolver_chain,

@@ -12,8 +12,6 @@ three contracts several tiers share (imported from their modules):
 from repro.common.clock import (
     Clock,
     Deadline,
-    SimulatedClock,
-    SystemClock,
     VirtualClock,
     WallClock,
 )
@@ -30,8 +28,6 @@ from repro.common.ids import IdAllocator
 __all__ = [
     "Clock",
     "Deadline",
-    "SimulatedClock",
-    "SystemClock",
     "VirtualClock",
     "WallClock",
     "ReproError",

@@ -17,8 +17,7 @@ operations:
 
 Production deployments use :class:`WallClock`; tests and the
 discrete-event simulation (:mod:`repro.simcore`) use :class:`VirtualClock`,
-which only moves when told to.  ``SystemClock`` and ``SimulatedClock`` are
-the pre-redesign names, kept as aliases.
+which only moves when told to.
 """
 
 from __future__ import annotations
@@ -142,11 +141,6 @@ class VirtualClock(Clock):
         if dt.tzinfo is None:
             dt = dt.replace(tzinfo=timezone.utc)
         return cls(dt.timestamp())
-
-
-#: Pre-redesign names; every existing call site keeps working.
-SystemClock = WallClock
-SimulatedClock = VirtualClock
 
 
 def parse_date(text: str) -> datetime:

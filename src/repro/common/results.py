@@ -96,11 +96,10 @@ class Ticket:
     :class:`~repro.ingest.IngestQueue`.
 
     ``submit`` returns immediately with a ticket; the result materialises
-    when the item is serviced.  ``result()`` is **caller-runs**: while no
-    worker threads own the queue, the waiter services ready items itself
-    until its ticket is done, so the same call sites work on one thread
-    under :class:`~repro.common.clock.VirtualClock` and on many threads
-    without ``queue.start()``.
+    when the item is serviced.  ``result()`` is **caller-runs**: the
+    waiter services ready items itself until its ticket is done, so the
+    same call sites work on one thread under
+    :class:`~repro.common.clock.VirtualClock` and on many threads at once.
 
     The blocking :class:`threading.Event` is allocated lazily, only when
     ``result()`` actually has to wait on another thread: the common path
@@ -141,7 +140,7 @@ class Ticket:
                     break
             # Another thread holds the item.  Park in short slices, not
             # forever: a transient failure puts the item back on the heap,
-            # and with no worker threads only a waiter looks there.
+            # and only a waiter looks there.
             park = _PARK_SECONDS
             if deadline is not None:
                 park = min(park, deadline - time.monotonic())

@@ -14,7 +14,7 @@ import os
 import random
 from typing import Dict, List, Optional, Tuple
 
-from repro.common.clock import Clock, SystemClock
+from repro.common.clock import Clock, WallClock
 from repro.common.errors import NotFoundError, ValidationError
 from repro.directory.identity import AccountClass, IdentityBackend, PairingStatus
 from repro.ingest import IngestConfig, IngestQueue, QueuedBackend
@@ -154,10 +154,12 @@ class HPCSystem:
 
     def snapshot(self) -> Dict[str, object]:
         """This system's entry in the ``systems`` status section: its PAM-side
-        policy plus, per login node, its client's view of the RADIUS farm."""
+        policy plus, per login node, its sshd's login tallies and its
+        client's view of the RADIUS farm."""
         snap = self.policy.snapshot()
+        snap["nodes"] = {daemon.hostname: daemon.snapshot() for daemon in self.daemons}
         snap["radius"] = {
-            daemon.hostname: client.health.snapshot()
+            daemon.hostname: client.snapshot()
             for daemon, client in zip(self.daemons, self.radius_clients)
         }
         return snap
@@ -182,7 +184,7 @@ class MFACenter:
         risk=None,
         resolvers=None,
     ) -> None:
-        self.clock = clock or SystemClock()
+        self.clock = clock or WallClock()
         self.rng = rng or random.Random()
         # One registry for the whole deployment: every layer reports into
         # it, which is what stitches a login's spans into a single trace.
@@ -229,9 +231,7 @@ class MFACenter:
         self.otp.attach_federation(self.federation_verifier)
         self._federated_resolver = None
         self._federation_issuers: Dict[str, object] = {}
-        self.fabric = UDPFabric(
-            loss_rate=fabric_loss_rate, rng=self.rng, telemetry=self.telemetry
-        )
+        self.fabric = UDPFabric(loss_rate=fabric_loss_rate, rng=self.rng)
         self.radius_secret = radius_secret
         # Failover tuning for every login node's RADIUS client (circuit
         # breaker thresholds, backoff curve, deadline budget); None means
@@ -284,6 +284,8 @@ class MFACenter:
         self.otp.status_sections["radius"] = lambda: {
             server.name: server.snapshot() for server in self.radius_servers
         }
+        self.otp.status_sections["sms"] = self.sms_gateway.snapshot
+        self.otp.status_sections["fabric"] = self.fabric.snapshot
         self._storage_systems: List[str] = []
         self._next_system_subnet = 3
 

@@ -15,7 +15,7 @@ import hmac
 from typing import Optional
 from urllib.parse import parse_qs, urlencode, urlsplit
 
-from repro.common.clock import Clock, SystemClock
+from repro.common.clock import Clock, WallClock
 
 #: How long an unpairing link stays valid (matches common practice of a
 #: small number of hours; the paper does not specify a figure).
@@ -29,7 +29,7 @@ class URLSigner:
         if len(key) < 16:
             raise ValueError("signing key must be at least 16 bytes")
         self._key = key
-        self._clock = clock or SystemClock()
+        self._clock = clock or WallClock()
 
     def _signature(self, path: str, username: str, expires: int) -> str:
         payload = f"{path}|{username}|{expires}".encode()

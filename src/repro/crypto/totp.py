@@ -22,7 +22,7 @@ import hmac
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.common.clock import Clock, SystemClock
+from repro.common.clock import Clock, WallClock
 from repro.crypto.hotp import hotp
 
 #: The step length every device in the paper uses.
@@ -66,7 +66,7 @@ class TOTPGenerator:
     """
 
     secret: bytes
-    clock: Clock = field(default_factory=SystemClock)
+    clock: Clock = field(default_factory=WallClock)
     digits: int = 6
     step: int = DEFAULT_STEP
     skew: float = 0.0
@@ -115,7 +115,7 @@ class TOTPValidator:
     ) -> None:
         if drift < 0:
             raise ValueError(f"drift must be non-negative, got {drift}")
-        self.clock = clock or SystemClock()
+        self.clock = clock or WallClock()
         self.digits = digits
         self.step = step
         self.drift = drift

@@ -29,19 +29,19 @@ There is one service loop — the best ready item is popped under the
 lock, ``_service`` runs it outside — and whoever has a thread to spend
 runs it:
 
-* ``Ticket.result()`` is **caller-runs**: with no worker threads, every
-  waiter services ready items until its own ticket is done, so single
-  call sites need no ceremony and concurrent ones cannot strand each
-  other;
-* ``start(workers=n)`` — daemon threads take the loop over (waiters then
-  only wait), which is how a ``submit_many`` burst drains in parallel;
+* ``Ticket.result()`` is **caller-runs**: every waiter services ready
+  items until its own ticket is done, so single call sites need no
+  ceremony, concurrent ones cannot strand each other, and a
+  ``submit_many`` burst drains in parallel on as many threads as wait
+  on it;
 * ``attach(scheduler)`` — a repeating ``pump`` event on a
   :class:`~repro.simcore.EventScheduler`, for virtual-time simulation
   (drain rate = ``items_per_pump / interval``).
 
 Transient failures (:class:`~repro.common.errors.TransientBackendError`)
 requeue with exponential backoff up to ``MAX_RETRIES`` times; any
-other exception resolves the ticket REJECT rather than killing a worker.
+other exception resolves the ticket REJECT rather than reaching the
+thread that happened to service it.
 """
 
 from __future__ import annotations
@@ -173,14 +173,11 @@ class IngestQueue:
         self._limiter = limiter
 
         self._lock = threading.Lock()
-        self._work = threading.Condition(self._lock)
         self._heap = PriorityHeap()
         self._seq = 0
         self._stats: Dict[PriorityClass, _ClassStats] = {
             cls: _ClassStats() for cls in PriorityClass
         }
-        self._workers: List[threading.Thread] = []
-        self._running = False
         self._closed = False
 
         telemetry = resolve_registry(telemetry)
@@ -244,8 +241,6 @@ class IngestQueue:
             )
             self._heap.push(item)
             self._stats[cls].submitted += 1
-            if self._running:
-                self._work.notify()
         return ticket
 
     def _admit_throttle(self, cls: PriorityClass, now: float) -> bool:
@@ -324,7 +319,6 @@ class IngestQueue:
                     item.ready_at = self._clock.now() + delay
                     self._heap.push(item)
                     stats.retries += 1
-                    self._work.notify()
                 return
             result = ValidateResult(
                 ValidateStatus.REJECT,
@@ -332,7 +326,7 @@ class IngestQueue:
                     f"backend unavailable after {item.attempts} attempts: {exc}"
                 ),
             )
-        except Exception as exc:  # noqa: BLE001 — a worker must survive runner bugs
+        except Exception as exc:  # noqa: BLE001 — a runner bug fails its own ticket only
             errored = True
             result = ValidateResult(
                 ValidateStatus.REJECT, reason=f"backend error: {exc}"
@@ -364,17 +358,16 @@ class IngestQueue:
     def _drain_for_ticket(self, ticket: Ticket) -> None:
         """Caller-runs drive for ``Ticket.result()``.
 
-        While no worker threads own the queue, the waiter pumps ready
-        items — its own or anyone's, in service order — until its ticket
-        resolves, advancing past retry backoffs on the queue's own clock
-        (virtual clocks jump; a wall clock really waits, which is what a
-        backoff means in live mode).  It returns with the ticket
-        unresolved only when the heap is empty because another thread
-        holds the item.  Same-user work is serialised by the pipeline's
-        striped locks and the heap by the queue lock, so any number of
-        waiters may pump at once.
+        The waiter pumps ready items — its own or anyone's, in service
+        order — until its ticket resolves, advancing past retry backoffs
+        on the queue's own clock (virtual clocks jump; a wall clock really
+        waits, which is what a backoff means in live mode).  It returns
+        with the ticket unresolved only when the heap is empty because
+        another thread holds the item.  Same-user work is serialised by
+        the pipeline's striped locks and the heap by the queue lock, so
+        any number of waiters may pump at once.
         """
-        while not (ticket.done() or self._running):
+        while not ticket.done():
             if self.pump(max_items=1):
                 continue
             with self._lock:
@@ -386,47 +379,6 @@ class IngestQueue:
                 self._clock.sleep(delay)
 
     # -- drives --------------------------------------------------------------
-
-    def start(self, workers: int = 2) -> None:
-        """Spawn daemon worker threads (live mode).  Idempotent."""
-        if workers < 1:
-            raise ValueError("need at least one worker")
-        with self._lock:
-            if self._running:
-                return
-            self._running = True
-        for i in range(workers):
-            thread = threading.Thread(
-                target=self._worker_loop, name=f"ingest-{i}", daemon=True
-            )
-            thread.start()
-            self._workers.append(thread)
-
-    def _worker_loop(self) -> None:
-        while True:
-            with self._lock:
-                if not self._running:
-                    return
-                item = self._heap.pop(self._clock.now())
-                if item is None:
-                    next_ready = self._heap.next_ready()
-                    timeout = 0.05
-                    if next_ready is not None:
-                        timeout = min(
-                            timeout, max(0.0, next_ready - self._clock.now())
-                        )
-                    self._work.wait(timeout=max(timeout, 0.001))
-                    continue
-            self._service(item)
-
-    def stop(self) -> None:
-        """Stop worker threads; queued items stay queued."""
-        with self._lock:
-            self._running = False
-            self._work.notify_all()
-        for thread in self._workers:
-            thread.join(timeout=5.0)
-        self._workers.clear()
 
     def attach(self, scheduler, interval: float = 0.5, items_per_pump: int = 50):
         """Drive the queue from a :class:`~repro.simcore.EventScheduler`.
@@ -443,8 +395,7 @@ class IngestQueue:
         )
 
     def close(self) -> None:
-        """Stop workers and fail everything still queued (shed: closed)."""
-        self.stop()
+        """Refuse new arrivals and fail everything still queued (shed: closed)."""
         with self._lock:
             self._closed = True
             for item in self._heap.drain():
@@ -501,7 +452,6 @@ class IngestQueue:
             serviced = totals.sla_hits + totals.sla_misses
             snap: Dict[str, object] = {
                 "configured": True,
-                "running_workers": len(self._workers) if self._running else 0,
                 "max_depth": self.config.max_depth,
                 "depth": len(self._heap),
                 "shed_classes": [cls.value for cls in SHED_CLASSES],

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.authflow import AuthPipeline, ConcurrencyConfig, default_stages
-from repro.common.clock import Clock, SystemClock
+from repro.common.clock import Clock, WallClock
 from repro.common.errors import NotFoundError, ValidationError
 from repro.common.ids import IdAllocator
 from repro.common.results import TokenType, ValidateResult, ValidateStatus
@@ -104,7 +104,7 @@ class OTPServer:
         policy: Optional[PolicyEngine] = None,
         concurrency: Optional[ConcurrencyConfig] = None,
     ) -> None:
-        self.clock = clock or SystemClock()
+        self.clock = clock or WallClock()
         self.config = config or OTPServerConfig()
         self._rng = rng or random.Random()
         self.telemetry = telemetry if telemetry is not None else NOOP_REGISTRY
@@ -124,10 +124,6 @@ class OTPServer:
         )
         self._m_sms_challenges = self.telemetry.counter(
             "otp_sms_challenges_total", "SMS challenge starts by result"
-        )
-        self._m_honeytoken = self.telemetry.counter(
-            "otp_honeytoken_alarms_total",
-            "honeytoken uses, by whether the submitted code verified",
         )
         self.sms = sms_gateway or SMSGateway(
             self.clock, rng=self._rng, telemetry=self.telemetry
@@ -164,8 +160,8 @@ class OTPServer:
         self.validate_requests = 0
         self._stats_lock = threading.Lock()
         #: Every honeytoken use, in arrival order.  Alarms also flow into
-        #: the audit log and telemetry; this list is the cheap queryable
-        #: record the adversarial invariants check against.
+        #: the audit log and the risk flag log; this list is the record the
+        #: adversarial invariants check against, and the only count.
         self.honeytoken_alarms: List[Dict[str, object]] = []
         #: The identity resolver chain (``attach_resolvers``).  ``None`` is
         #: the bare server: the submitted id *is* the storage key — the
@@ -197,7 +193,7 @@ class OTPServer:
         self.status_sections: Dict[str, Callable[[], Dict[str, object]]] = {
             "storage": self.db.engine.describe,
             "policy": self._policy_status,
-            "audit": self.audit.snapshot,
+            "audit": self._audit_status,
         }
 
     @property
@@ -273,8 +269,8 @@ class OTPServer:
         verify and consume normally — so an attacker who lifts the seed
         from a seeded credential dump learns nothing from the server's
         responses.  What differs is the server side: *any* validate
-        against it raises an alarm through telemetry, the audit stage,
-        and the shared risk stage (arXiv 2112.08431).
+        against it raises an alarm (``honeytoken_alarms``) that the audit
+        stage and the shared risk stage also record (arXiv 2112.08431).
         """
         self._ensure_unpaired(user_id)
         secret = generate_secret(rng=self._rng)
@@ -294,7 +290,6 @@ class OTPServer:
                 "t": self.clock.now(),
             }
         )
-        self._m_honeytoken.inc(result="accepted" if accepted else "probed")
         if self.policy.risk is not None:
             self.policy.risk.raise_alarm(
                 user_id, source or "", serial=serial, accepted=accepted
@@ -455,6 +450,11 @@ class OTPServer:
         if report is None:
             raise NotFoundError(f"no status section {section!r}")
         return report()
+
+    def _audit_status(self) -> Dict[str, object]:
+        snap = self.audit.snapshot()
+        snap["honeytoken_alarms"] = len(self.honeytoken_alarms)
+        return snap
 
     def _policy_status(self) -> Dict[str, object]:
         snap = self.policy.snapshot()

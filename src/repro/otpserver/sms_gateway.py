@@ -82,12 +82,6 @@ class SMSGateway:
         self._rng = rng or random.Random()
         self.telemetry = telemetry if telemetry is not None else NOOP_REGISTRY
         self._tracer = self.telemetry.tracer()
-        self._m_messages = self.telemetry.counter(
-            "sms_messages_total", "messages handed to the carrier, by destination"
-        )
-        self._m_cost = self.telemetry.counter(
-            "sms_cost_dollars_total", "accumulated per-message charges"
-        )
         self._m_stalls = self.telemetry.counter(
             "sms_carrier_stalls_total", "messages the carrier sat on before retry"
         )
@@ -113,6 +107,16 @@ class SMSGateway:
 
     def total_cost(self) -> float:
         return self.months_billed * MONTHLY_FLAT + self.message_charges
+
+    def snapshot(self) -> Dict[str, object]:
+        """The ``sms`` section of the status view: the provider's bill."""
+        return {
+            "messages_sent": self.messages_sent,
+            "message_charges": round(self.message_charges, 6),
+            "months_billed": self.months_billed,
+            "total_cost": round(self.total_cost(), 6),
+            "pending": self.pending_count(),
+        }
 
     def send(self, to_number: str, body: str) -> SMSMessage:
         """Queue a message for delivery; returns the in-flight record."""
@@ -143,11 +147,8 @@ class SMSGateway:
             self._in_flight.setdefault(to_number, []).append(message)
             self.messages_sent += 1
             self.message_charges += cost
-            destination = "us" if us_destination else "intl"
-            self._m_messages.inc(destination=destination)
-            self._m_cost.inc(cost, destination=destination)
             self._m_delay.observe(delay)
-            span.annotate("destination", destination)
+            span.annotate("destination", "us" if us_destination else "intl")
             span.annotate("delay", round(delay, 3))
             return message
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import List, Optional, Tuple
 
-from repro.common.clock import Clock, SystemClock, parse_date
+from repro.common.clock import Clock, WallClock, parse_date
 from repro.common.errors import ConfigurationError
 from repro.common.origin import OriginMatcher, ipv4_to_int
 
@@ -110,7 +110,7 @@ class ExemptionACL:
 
     def __init__(self, path: str, clock: Optional[Clock] = None) -> None:
         self.path = path
-        self._clock = clock or SystemClock()
+        self._clock = clock or WallClock()
         self._rules: List[ExemptionRule] = []
         self._mtime: Optional[float] = None
         self.last_error: Optional[str] = None
@@ -165,7 +165,7 @@ class InMemoryExemptionACL(ExemptionACL):
     thousands of per-system policies without touching the filesystem."""
 
     def __init__(self, text: str = "", clock: Optional[Clock] = None) -> None:
-        self._clock = clock or SystemClock()
+        self._clock = clock or WallClock()
         self.path = "<memory>"
         self._mtime = None
         self.last_error = None

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Dict, List, Optional, Protocol, Union
 
-from repro.common.clock import Clock, SystemClock
+from repro.common.clock import Clock, WallClock
 from repro.common.errors import ConfigurationError
 from repro.pam.conversation import Conversation, ConversationError
 from repro.telemetry import NOOP_REGISTRY
@@ -51,7 +51,7 @@ class PAMSession:
     remote_ip: str
     service: str = "sshd"
     conversation: Optional[Conversation] = None
-    clock: Clock = field(default_factory=SystemClock)
+    clock: Clock = field(default_factory=WallClock)
     items: Dict[str, Any] = field(default_factory=dict)
     log: List[str] = field(default_factory=list)
     # The deployment's telemetry registry; the SSH daemon stamps its own in

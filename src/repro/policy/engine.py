@@ -37,7 +37,7 @@ from enum import Enum
 from math import ceil
 from typing import Callable, Optional
 
-from repro.common.clock import Clock, SystemClock, parse_date
+from repro.common.clock import Clock, WallClock, parse_date
 from repro.policy.ratelimit import RateLimitConfig, TokenBucketLimiter
 from repro.policy.risk import QUIET_ALLOW, RiskAction, RiskDecision, RiskEngine
 from repro.telemetry import resolve_registry
@@ -259,7 +259,7 @@ class PolicyEngine:
         telemetry=None,
         risk=None,
     ) -> None:
-        self.clock = clock or SystemClock()
+        self.clock = clock or WallClock()
         self.ladder = ladder or EnforcementLadder("full")
         self.exemptions = exemptions
         self.lockout = lockout or LockoutPolicy()

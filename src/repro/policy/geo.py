@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.common.clock import Clock, SystemClock
+from repro.common.clock import Clock, WallClock
 from repro.common.origin import OriginMatcher
 
 EARTH_RADIUS_KM = 6371.0
@@ -99,7 +99,7 @@ class GeoVelocityMonitor:
         #: True when the caller supplied a clock; engines that adopt the
         #: monitor check this before rebinding it onto their own clock.
         self.clock_injected = clock is not None
-        self._clock = clock or SystemClock()
+        self._clock = clock or WallClock()
         self._last_seen: Dict[str, Tuple[float, GeoPoint]] = {}
 
     def bind_clock(self, clock: Clock) -> None:

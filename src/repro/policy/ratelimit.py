@@ -10,7 +10,7 @@ credential-stuffing run cannot drive the 20-strike lockout for users it
 is guessing against faster than the bucket refills).
 
 Buckets are refilled lazily from the injected :class:`Clock`, so the
-limiter is fully deterministic under :class:`SimulatedClock` and costs
+limiter is fully deterministic under :class:`VirtualClock` and costs
 one dict probe plus arithmetic per admission check.
 """
 
@@ -20,7 +20,7 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.common.clock import Clock, SystemClock
+from repro.common.clock import Clock, WallClock
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class TokenBucketLimiter:
         #: implicit wall clock gets rebound by any PolicyEngine that
         #: adopts it, so engine and limiter can never time-travel apart.
         self.clock_injected = clock is not None
-        self._clock = clock or SystemClock()
+        self._clock = clock or WallClock()
         # source -> (tokens, last refill timestamp)
         self._buckets: Dict[str, Tuple[float, float]] = {}
         self._lock = threading.Lock()

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Deque, Dict, List, Optional, Set
 
-from repro.common.clock import Clock, SystemClock
+from repro.common.clock import Clock, WallClock
 from repro.common.origin import OriginMatcher
 from repro.policy.geo import GeoVelocityMonitor
 
@@ -118,7 +118,7 @@ class RiskEngine:
         #: checks this before adopting the engine onto its own clock (the
         #: one place that happens).
         self.clock_injected = clock is not None
-        self._clock = clock or SystemClock()
+        self._clock = clock or WallClock()
         self.weights = weights or RiskWeights()
         self._geo = geo_monitor
         self.step_up_threshold = step_up_threshold

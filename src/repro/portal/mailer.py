@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.common.clock import Clock, SystemClock
+from repro.common.clock import Clock, WallClock
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class Mailer:
     """Collects sent mail; tests and simulated users read their inboxes."""
 
     def __init__(self, clock: Optional[Clock] = None) -> None:
-        self._clock = clock or SystemClock()
+        self._clock = clock or WallClock()
         self._inboxes: Dict[str, List[Email]] = {}
         self.sent_count = 0
 

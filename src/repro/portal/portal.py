@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.common.clock import Clock, SystemClock
+from repro.common.clock import Clock, WallClock
 from repro.common.errors import NotFoundError, ValidationError
 from repro.common.ids import IdAllocator
 from repro.crypto.signing import URLSigner
@@ -30,7 +30,6 @@ from repro.otpserver.admin_api import AdminAPIClient
 from repro.portal.mailer import Mailer
 from repro.portal.pairing import PairingSession, PairingState
 from repro.qr import QRCode, build_otpauth_uri, encode
-from repro.telemetry import NOOP_REGISTRY
 
 
 @dataclass
@@ -68,22 +67,10 @@ class UserPortal:
         clock: Optional[Clock] = None,
         issuer: str = "HPC-Center",
         rng: Optional[random.Random] = None,
-        telemetry=None,
     ) -> None:
         self.identity = identity
         self._admin = admin_client
-        self.clock = clock or SystemClock()
-        self.telemetry = telemetry if telemetry is not None else NOOP_REGISTRY
-        self._tracer = self.telemetry.tracer()
-        self._m_logins = self.telemetry.counter(
-            "portal_logins_total", "portal web logins by result"
-        )
-        self._m_pairings = self.telemetry.counter(
-            "portal_pairings_total", "pairing-flow events by method and stage"
-        )
-        self._m_unpairs = self.telemetry.counter(
-            "portal_unpairs_total", "completed device removals by path"
-        )
+        self.clock = clock or WallClock()
         self.mailer = mailer if mailer is not None else Mailer(self.clock)
         self._signer = signer or URLSigner(b"portal-unpair-signing-key!!", self.clock)
         self.issuer = issuer
@@ -100,13 +87,11 @@ class UserPortal:
         """Web login.  Unpaired users get the interstitial prompt; they can
         dismiss it "but they are re-prompted upon each log in"."""
         if not self.identity.check_password(username, password):
-            self._m_logins.inc(result="rejected")
             return PortalLogin(False)
         status = self.identity.get(username).pairing_status
         needs_prompt = status is PairingStatus.UNPAIRED
         if needs_prompt:
             self.interstitial_shown += 1
-        self._m_logins.inc(result="accepted")
         return PortalLogin(True, username, needs_prompt, status)
 
     # -- shared session plumbing -------------------------------------------------
@@ -123,7 +108,6 @@ class UserPortal:
                 self._abort_and_rollback(session)
         session = PairingSession(self._ids.next("pair"), username, method)
         self._sessions[session.session_id] = session
-        self._m_pairings.inc(method=method, stage="started")
         return session
 
     def _get_session(self, session_id: str) -> PairingSession:
@@ -138,7 +122,6 @@ class UserPortal:
             self._admin.call("POST", "/admin/remove", {"user": self._uid(session.username)})
         if session.live:
             session.abort()
-            self._m_pairings.inc(method=session.method, stage="aborted")
 
     def refresh(self, session_id: str) -> None:
         """The browser refresh / back-button event: abort the flow."""
@@ -206,23 +189,16 @@ class UserPortal:
             raise ValidationError(
                 f"pairing session is {session.state.value}; restart the flow"
             )
-        with self._tracer.span(
-            "portal.pairing.confirm", method=session.method, user=session.username
-        ) as span:
-            body = self._admin.call(
-                "POST",
-                "/validate/check",
-                {"user": session.username, "pass": code},
-            )
-            if body["status"] != "ok":
-                span.annotate("result", "wrong_code")
-                self._m_pairings.inc(method=session.method, stage="code_rejected")
-                return False
-            session.confirm()
-            self.identity.notify_pairing(session.username, PairingStatus(session.method))
-            span.annotate("result", "confirmed")
-            self._m_pairings.inc(method=session.method, stage="confirmed")
-            return True
+        body = self._admin.call(
+            "POST",
+            "/validate/check",
+            {"user": session.username, "pass": code},
+        )
+        if body["status"] != "ok":
+            return False
+        session.confirm()
+        self.identity.notify_pairing(session.username, PairingStatus(session.method))
+        return True
 
     # -- unpairing -------------------------------------------------------------------
 
@@ -254,7 +230,6 @@ class UserPortal:
             return False
         del self._unpair_sessions[session_id]
         self._remove_pairing(username)
-        self._m_unpairs.inc(path="code")
         return True
 
     def _remove_pairing(self, username: str) -> None:
@@ -284,7 +259,6 @@ class UserPortal:
             self._remove_pairing(username)
         except NotFoundError:
             return False
-        self._m_unpairs.inc(path="email")
         return True
 
     # -- hard-token support path -----------------------------------------------------
@@ -307,6 +281,5 @@ class UserPortal:
                 self._remove_pairing(ticket.username)
                 ticket.closed = True
                 ticket.resolution = "hard token disabled; pairing removed"
-                self._m_unpairs.inc(path="ticket")
                 return
         raise NotFoundError(f"no open ticket {ticket_id}")

@@ -19,7 +19,7 @@ import hmac
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.common.clock import Clock, SystemClock
+from repro.common.clock import Clock, WallClock
 from repro.common.errors import ProtocolError
 from repro.radius.dictionary import AcctStatusType, Attr, PacketCode
 from repro.radius.packet import (
@@ -98,7 +98,7 @@ class AccountingServer:
     ) -> None:
         self.address = address
         self._secret = secret
-        self._clock = clock or SystemClock()
+        self._clock = clock or WallClock()
         self.sessions: Dict[str, SessionRecord] = {}
         self.duplicates = 0
         self._seen: set = set()

@@ -136,10 +136,6 @@ class RADIUSClient:
             s: BackoffSchedule(BACKOFF, stable_seed(source, s))
             for s in self._servers
         }
-        self._m_requests = self.telemetry.counter(
-            "radius_client_requests_total",
-            "datagrams sent, by target server (round-robin balance)",
-        )
         self._m_retransmits = self.telemetry.counter(
             "radius_client_retransmits_total",
             "same-server retransmissions after a timeout",
@@ -250,7 +246,6 @@ class RADIUSClient:
                         self._m_retransmits.inc(server=server)
                         self._elapse(self._backoff[server].delay(attempt))
                     self.per_server_attempts[server] += 1
-                    self._m_requests.inc(server=server)
                     response_bytes = self._fabric.send_request(server, wire, source)
                     if response_bytes is None:
                         self._elapse(ATTEMPT_TIMEOUT)
@@ -295,6 +290,15 @@ class RADIUSClient:
                 else "no RADIUS server responded"
             )
             return AuthResponse(AuthStatus.TIMEOUT, message)
+
+    def snapshot(self) -> Dict[str, Dict[str, object]]:
+        """Per server: its circuit's health plus the datagrams this client
+        sent it (the round-robin balance) — one login node's entry under
+        ``systems.<name>.radius`` in the status view."""
+        snap = self.health.snapshot()
+        for server, entry in snap.items():
+            entry["attempts"] = self.per_server_attempts[server]
+        return snap
 
     @staticmethod
     def _to_auth_response(packet: RADIUSPacket, server: str) -> AuthResponse:

@@ -18,10 +18,8 @@ knowing anything about fault plans.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Optional
-
-from repro.telemetry import NOOP_REGISTRY
 
 Handler = Callable[[bytes, str], Optional[bytes]]
 
@@ -41,7 +39,6 @@ class UDPFabric:
         self,
         loss_rate: float = 0.0,
         rng: Optional[random.Random] = None,
-        telemetry=None,
     ) -> None:
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss rate must be in [0, 1), got {loss_rate}")
@@ -53,30 +50,19 @@ class UDPFabric:
         #: Optional chaos policy with ``on_datagram(address, source)`` →
         #: drop-reason string or None; installed by the chaos engine.
         self.chaos = None
-        self.telemetry = telemetry if telemetry is not None else NOOP_REGISTRY
-        self._m_bindings = self.telemetry.counter(
-            "udp_fabric_bindings_total", "endpoint bind/unbind operations by outcome"
-        )
-        self._m_chaos_drops = self.telemetry.counter(
-            "udp_fabric_chaos_drops_total", "datagrams vetoed by the chaos policy"
-        )
 
     def register(self, address: str, handler: Handler) -> None:
         """Bind ``handler`` to ``address`` (e.g. ``"10.0.1.5:1812"``)."""
         if address in self._listeners:
-            self._m_bindings.inc(op="bind", outcome="duplicate")
             raise ValueError(f"address {address} already bound")
         self._listeners[address] = handler
-        self._m_bindings.inc(op="bind", outcome="ok")
 
     def unregister(self, address: str) -> None:
         """Release ``address``; raises like :meth:`register` does for the
         symmetric mistake (unbinding something that was never bound)."""
         if address not in self._listeners:
-            self._m_bindings.inc(op="unbind", outcome="unknown")
             raise ValueError(f"address {address} not bound")
         del self._listeners[address]
-        self._m_bindings.inc(op="unbind", outcome="ok")
 
     def is_registered(self, address: str) -> bool:
         return address in self._listeners
@@ -91,6 +77,15 @@ class UDPFabric:
     def is_down(self, address: str) -> bool:
         return address in self._down
 
+    def snapshot(self) -> Dict[str, object]:
+        """The ``fabric`` section of the status view: the datagram tallies,
+        how many endpoints are bound and which addresses are down."""
+        return {
+            **asdict(self.stats),
+            "listeners": len(self._listeners),
+            "down": sorted(self._down),
+        }
+
     def send_request(self, address: str, datagram: bytes, source: str = "") -> Optional[bytes]:
         """Send and wait one round trip.  ``None`` means timeout — the
         datagram or its response was lost, the server is down, or nothing
@@ -103,10 +98,8 @@ class UDPFabric:
             self.stats.dropped += 1
             return None
         if self.chaos is not None:
-            reason = self.chaos.on_datagram(address, source)
-            if reason is not None:
+            if self.chaos.on_datagram(address, source) is not None:
                 self.stats.dropped += 1
-                self._m_chaos_drops.inc(reason=reason)
                 return None
         if self.loss_rate and self._rng.random() < self.loss_rate:
             self.stats.dropped += 1

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Dict, Optional
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
 from repro.directory.identity import AccountClass
@@ -102,7 +102,7 @@ class RolloutSimulation:
         self.config = config or RolloutConfig()
         cfg = self.config
         self.rng = random.Random(cfg.seed)
-        self.clock = SimulatedClock.at(f"{START.isoformat()}T00:00:00")
+        self.clock = VirtualClock.at(f"{START.isoformat()}T00:00:00")
         self.center = MFACenter(clock=self.clock, rng=random.Random(cfg.seed + 1))
         self.system = self.center.add_system("stampede", login_nodes=2, mode="paired")
         self.population = Population(cfg.population_size, seed=cfg.seed + 2)

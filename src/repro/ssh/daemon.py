@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.common.clock import Clock, SystemClock
+from repro.common.clock import Clock, WallClock
 from repro.common.errors import ConfigurationError, NotFoundError
 from repro.common.ids import IdAllocator
 from repro.pam.conversation import Conversation, ConversationError
@@ -89,7 +89,7 @@ class SSHDaemon:
         self.identity = identity
         #: The node's libpam: owns the pam.d text and the stack built from it.
         self.pam = pam
-        self.clock = clock or SystemClock()
+        self.clock = clock or WallClock()
         # Explicit None check: an empty AuthLog is falsy (it has __len__),
         # and a shared-but-empty log must not be replaced.
         self.authlog = authlog if authlog is not None else AuthLog(self.clock)
@@ -106,9 +106,6 @@ class SSHDaemon:
         self._session_starts: Dict[str, float] = {}
         self.telemetry = telemetry if telemetry is not None else NOOP_REGISTRY
         self._tracer = self.telemetry.tracer()
-        self._m_logins = self.telemetry.counter(
-            "ssh_logins_total", "connection attempts by host and result"
-        )
         self._m_channels = self.telemetry.counter(
             "ssh_multiplexed_channels_total", "channels attached without re-auth"
         )
@@ -164,7 +161,6 @@ class SSHDaemon:
             span.annotate("result", outcome)
             if result.detail:
                 span.annotate("detail", result.detail)
-            self._m_logins.inc(host=self.hostname, result=outcome)
             self._m_attempts.observe(result.password_attempts)
             return result
 
@@ -290,3 +286,11 @@ class SSHDaemon:
 
     def open_connections(self) -> List[str]:
         return list(self._masters)
+
+    def snapshot(self) -> Dict[str, int]:
+        """This node's entry under ``systems.<name>.nodes`` in the status view."""
+        return {
+            "logins_accepted": self.logins_accepted,
+            "logins_rejected": self.logins_rejected,
+            "open_connections": len(self._masters),
+        }

@@ -32,7 +32,6 @@ from repro.storage.engine import StorageEngine
 from repro.storage.memory import InMemoryEngine
 from repro.storage.sharding import ShardedEngine
 from repro.storage.wal import WALEngine, WriteAheadLog, apply_record, replay, state_digest
-from repro.telemetry import resolve_registry
 
 __all__ = ["ReplicaGroup", "ReplicatedEngine"]
 
@@ -86,11 +85,6 @@ class ReplicaGroup(WALEngine):
         ]
         self.promotions = 0
         self._crashed: Optional[int] = None  # node id awaiting rejoin
-        self._c_shipped = (
-            resolve_registry(telemetry)
-            .counter("storage_replica_ship_total", "WAL records shipped to replicas")
-            .labels()
-        )
 
     def _take_node_id(self) -> int:
         node = self._next_node
@@ -108,7 +102,6 @@ class ReplicaGroup(WALEngine):
             if record["op"] != "snapshot":
                 apply_record(replica.engine, record)
             replica.applied_lsn = lsn
-            self._c_shipped.inc()
         return lsn
 
     # -- failure handling ---------------------------------------------------

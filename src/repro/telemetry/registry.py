@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Union
 
-from repro.common.clock import Clock, SystemClock
+from repro.common.clock import Clock, WallClock
 from repro.common.errors import ConfigurationError
 from repro.telemetry.metrics import DEFAULT_MAX_SERIES, Counter, Histogram
 from repro.telemetry.trace import DEFAULT_MAX_TRACES, NOOP_TRACER, NoopTracer, Tracer
@@ -29,7 +29,7 @@ class Registry:
         max_series: int = DEFAULT_MAX_SERIES,
         max_traces: int = DEFAULT_MAX_TRACES,
     ) -> None:
-        self.clock = clock or SystemClock()
+        self.clock = clock or WallClock()
         self._max_series = max_series
         self._instruments: Dict[str, object] = {}
         self._tracer = Tracer(self.clock, max_traces=max_traces)

@@ -25,7 +25,7 @@ import threading
 from collections import deque
 from typing import Deque, Dict, Iterator, List, Optional
 
-from repro.common.clock import Clock, SystemClock
+from repro.common.clock import Clock, WallClock
 
 #: How many finished traces a tracer retains by default.
 DEFAULT_MAX_TRACES = 256
@@ -123,7 +123,7 @@ class Tracer:
     """Builds span trees from the synchronous call stack."""
 
     def __init__(self, clock: Optional[Clock] = None, max_traces: int = DEFAULT_MAX_TRACES) -> None:
-        self._clock = clock or SystemClock()
+        self._clock = clock or WallClock()
         # Each thread builds its own span tree: a worker validating one
         # user must not become a child of another worker's span.  Finished
         # traces from every thread land in the shared ring buffer.

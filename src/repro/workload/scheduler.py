@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Set
 
-from repro.common.clock import Clock, SystemClock
+from repro.common.clock import Clock, WallClock
 from repro.common.errors import NotFoundError, ValidationError
 from repro.common.ids import IdAllocator
 from repro.portal.mailer import Mailer
@@ -64,7 +64,7 @@ class BatchScheduler:
     ) -> None:
         if nodes < 1:
             raise ValidationError(f"scheduler needs at least one node, got {nodes}")
-        self.clock = clock or SystemClock()
+        self.clock = clock or WallClock()
         self.mailer = mailer if mailer is not None else Mailer(self.clock)
         self.nodes = nodes
         self._rng = rng or random.Random()

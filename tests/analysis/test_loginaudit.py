@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.analysis.loginaudit import LoginAuditor
 from repro.ssh.authlog import AuthLog
 
 
 @pytest.fixture
 def log():
-    clock = SimulatedClock(0.0)
+    clock = VirtualClock(0.0)
     authlog = AuthLog(clock)
     # Heavy automated user: 200 TTY-less entries from one host.
     for _ in range(200):

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.common.errors import ValidationError
 from repro.common.results import ValidateStatus
 from repro.core import MFACenter
@@ -33,7 +33,7 @@ STEP_UP_CODE = "123456"
 
 @pytest.fixture
 def clock():
-    return SimulatedClock.at("2016-10-05T12:00:00")
+    return VirtualClock.at("2016-10-05T12:00:00")
 
 
 @pytest.fixture

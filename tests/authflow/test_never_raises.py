@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.common.results import ValidateResult, ValidateStatus
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
@@ -26,7 +26,7 @@ from repro.ssh import SSHClient
 
 
 def _center(ingest):
-    clock = SimulatedClock.at("2016-10-05T09:00:00")
+    clock = VirtualClock.at("2016-10-05T09:00:00")
     center = MFACenter(
         clock=clock, rng=random.Random(11), telemetry=True, ingest=ingest
     )
@@ -96,7 +96,7 @@ _anything = st.one_of(st.text(max_size=40), st.binary(max_size=40))
 def every_token_type():
     """One account per token type on a chained, risk-scoring center, plus a
     bare server (no resolver chain) holding the same kinds."""
-    clock = SimulatedClock.at("2016-10-05T09:00:00")
+    clock = VirtualClock.at("2016-10-05T09:00:00")
     center = MFACenter(
         clock=clock,
         rng=random.Random(5),

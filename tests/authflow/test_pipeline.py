@@ -12,7 +12,7 @@ from repro.authflow import (
     StripedLockSet,
     default_stages,
 )
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.common.results import ValidateResult
 from repro.otpserver import OTPServer, OTPServerConfig, ValidateStatus
 from repro.policy import (
@@ -26,7 +26,7 @@ from repro.telemetry import Registry
 
 @pytest.fixture
 def clock():
-    return SimulatedClock.at("2016-10-05T09:00:00")
+    return VirtualClock.at("2016-10-05T09:00:00")
 
 
 def make_server(clock, **kwargs):

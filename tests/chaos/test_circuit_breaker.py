@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.common.resilience import (
     CircuitState,
     FailoverPolicy,
@@ -141,7 +141,7 @@ class TestHealthTracker:
 
 @pytest.fixture
 def rig():
-    clock = SimulatedClock.at("2016-10-05T09:00:00")
+    clock = VirtualClock.at("2016-10-05T09:00:00")
     otp = OTPServer(clock=clock, rng=random.Random(5))
     fabric = UDPFabric(rng=random.Random(6))
     farm = []

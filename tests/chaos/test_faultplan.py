@@ -18,7 +18,7 @@ from repro.chaos import (
     SMSBrownout,
     shipped_plans,
 )
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.crypto.totp import TOTPGenerator
 from repro.otpserver.sms_gateway import SMSGateway
 from repro.radius.transport import UDPFabric
@@ -89,7 +89,7 @@ class TestPlan:
         # availability invariant would be vacuous.
         farm = [f"10.0.0.{10 + i}:1812" for i in range(3)]
         for plan in shipped_plans().values():
-            clock = SimulatedClock(0.0)
+            clock = VirtualClock(0.0)
             engine = ChaosEngine(plan, clock, seed=1)
             t = 0.0
             while t <= plan.horizon:
@@ -106,7 +106,7 @@ class TestPlan:
 
 class TestEngineDatagrams:
     def test_partition_vetoes_matching_traffic(self):
-        clock = SimulatedClock(0.0)
+        clock = VirtualClock(0.0)
         plan = FaultPlan(
             "p", "", (Partition(start=0, duration=100, targets=("10.0.0.10",)),)
         )
@@ -117,11 +117,11 @@ class TestEngineDatagrams:
         plan2 = FaultPlan(
             "p2", "", (Partition(start=0, duration=100, targets=("10.3.",)),)
         )
-        engine2 = ChaosEngine(plan2, SimulatedClock(0.0), seed=3)
+        engine2 = ChaosEngine(plan2, VirtualClock(0.0), seed=3)
         assert engine2.on_datagram("10.0.0.10:1812", "10.3.1.5") == "partition"
 
     def test_flap_drops_only_in_downtime(self):
-        clock = SimulatedClock(0.0)
+        clock = VirtualClock(0.0)
         plan = FaultPlan(
             "p",
             "",
@@ -142,7 +142,7 @@ class TestEngineDatagrams:
         plan = FaultPlan("p", "", (LossBurst(start=0, duration=100, loss_rate=0.5),))
 
         def outcomes(seed):
-            engine = ChaosEngine(plan, SimulatedClock(0.0), seed=seed)
+            engine = ChaosEngine(plan, VirtualClock(0.0), seed=seed)
             return [engine.on_datagram("a", "") for _ in range(50)]
 
         assert outcomes(9) == outcomes(9)  # same seed, same drops
@@ -151,7 +151,7 @@ class TestEngineDatagrams:
         assert 10 <= dropped <= 40  # ~50% of 50
 
     def test_latency_charges_the_clock(self):
-        clock = SimulatedClock(0.0)
+        clock = VirtualClock(0.0)
         plan = FaultPlan(
             "p", "", (LatencyFault(start=0, duration=100, delay=0.4, target="a"),)
         )
@@ -162,25 +162,36 @@ class TestEngineDatagrams:
         assert clock.now() == pytest.approx(0.4)
 
     def test_fabric_integration_counts_chaos_drops(self):
-        from repro.telemetry import Registry
-
-        telemetry = Registry()
-        fabric = UDPFabric(rng=random.Random(1), telemetry=telemetry)
+        fabric = UDPFabric(rng=random.Random(1))
         fabric.register("a", lambda d, s: b"ok")
-        clock = SimulatedClock(0.0)
+        clock = VirtualClock(0.0)
         plan = FaultPlan("p", "", (Partition(start=0, duration=10, targets=("a",)),))
-        ChaosEngine(plan, clock, seed=6, fabric=fabric)
+        engine = ChaosEngine(plan, clock, seed=6, fabric=fabric)
         assert fabric.send_request("a", b"x") is None
         clock.set(20)
         assert fabric.send_request("a", b"x") == b"ok"
-        drops = telemetry.counter("udp_fabric_chaos_drops_total")
-        assert drops.value(reason="partition") == 1
+        # Counted once where it happened, logged once with its reason.
+        assert (fabric.stats.sent, fabric.stats.dropped, fabric.stats.delivered) == (2, 1, 1)
+        assert [event["kind"] for event in engine.events] == ["partition_drop"]
+
+    def test_record_touches_no_registry(self):
+        """The event log is the count: the engine takes no registry, so the
+        runner's ``attempt`` rows are events and nothing else."""
+        from repro.telemetry import Registry
+
+        plan, clock = FaultPlan("p", "", ()), VirtualClock(0.0)
+        with pytest.raises(TypeError):
+            ChaosEngine(plan, clock, seed=6, telemetry=Registry())
+        engine = ChaosEngine(plan, clock, seed=6)
+        engine.record("attempt", user="alice", ok=True)
+        assert [event["kind"] for event in engine.events] == ["attempt"]
+        assert not hasattr(engine, "telemetry")
 
 
 class TestStatefulFaults:
     def test_slow_shard_applied_and_reverted(self):
         sharded = ShardedEngine([InMemoryEngine(), InMemoryEngine()])
-        clock = SimulatedClock(0.0)
+        clock = VirtualClock(0.0)
         plan = FaultPlan(
             "p", "", (SlowShard(start=10, duration=10, shard=1, latency=0.5),)
         )
@@ -197,7 +208,7 @@ class TestStatefulFaults:
 
     def test_slow_shard_on_unsharded_stack(self):
         engine_mem = InMemoryEngine()
-        clock = SimulatedClock(0.0)
+        clock = VirtualClock(0.0)
         plan = FaultPlan(
             "p", "", (SlowShard(start=0, duration=10, shard=0, latency=0.3),)
         )
@@ -208,7 +219,7 @@ class TestStatefulFaults:
         plan2 = FaultPlan(
             "p2", "", (SlowShard(start=0, duration=10, shard=3, latency=0.3),)
         )
-        chaos2 = ChaosEngine(plan2, SimulatedClock(0.0), seed=8, storage=InMemoryEngine())
+        chaos2 = ChaosEngine(plan2, VirtualClock(0.0), seed=8, storage=InMemoryEngine())
         with pytest.raises(TypeError):
             chaos2.tick()
 
@@ -221,7 +232,7 @@ class TestStatefulFaults:
         )
         for i in range(10):
             replicated.insert("t", {"id": i, "v": i})
-        clock = SimulatedClock(0.0)
+        clock = VirtualClock(0.0)
         plan = FaultPlan(
             "p", "", (ShardCrash(start=10, duration=10, shard=0),)
         )
@@ -243,14 +254,14 @@ class TestStatefulFaults:
         )
 
     def test_shard_crash_needs_replicated_storage(self):
-        clock = SimulatedClock(0.0)
+        clock = VirtualClock(0.0)
         plan = FaultPlan("p", "", (ShardCrash(start=0, duration=10, shard=0),))
         chaos = ChaosEngine(plan, clock, seed=8, storage=InMemoryEngine())
         with pytest.raises(TypeError):
             chaos.tick()
         plan2 = FaultPlan("p2", "", (ShardCrash(start=0, duration=10),))
         with pytest.raises(TypeError):
-            ChaosEngine(plan2, SimulatedClock(0.0), seed=8).tick()
+            ChaosEngine(plan2, VirtualClock(0.0), seed=8).tick()
 
     def test_shard_crash_validation(self):
         with pytest.raises(ValueError):
@@ -258,7 +269,7 @@ class TestStatefulFaults:
         assert ShardCrash(start=0, duration=10).kind == "shard_crash"
 
     def test_clock_skew_applied_per_user(self):
-        clock = SimulatedClock(0.0)
+        clock = VirtualClock(0.0)
         devices = {
             "u1": TOTPGenerator(secret=b"s1", clock=clock),
             "u2": TOTPGenerator(secret=b"s2", clock=clock),
@@ -275,7 +286,7 @@ class TestStatefulFaults:
         assert devices["u2"].skew == 0.0
 
     def test_sms_brownout_stalls_the_carrier(self):
-        clock = SimulatedClock(0.0)
+        clock = VirtualClock(0.0)
         gateway = SMSGateway(clock, rng=random.Random(11))
         plan = FaultPlan(
             "p",
@@ -299,7 +310,7 @@ class TestStatefulFaults:
         assert any(e["kind"] == "sms_brownout" for e in engine.events)
 
     def test_detach_restores_everything(self):
-        clock = SimulatedClock(0.0)
+        clock = VirtualClock(0.0)
         fabric = UDPFabric(rng=random.Random(13))
         gateway = SMSGateway(clock, rng=random.Random(14))
         mem = InMemoryEngine()
@@ -324,7 +335,7 @@ class TestStatefulFaults:
 
 class TestEventLog:
     def test_lines_are_canonical_json(self):
-        clock = SimulatedClock(0.0)
+        clock = VirtualClock(0.0)
         plan = FaultPlan("p", "", (Partition(start=0, duration=10, targets=("a",)),))
         engine = ChaosEngine(plan, clock, seed=16)
         engine.on_datagram("a", "src")

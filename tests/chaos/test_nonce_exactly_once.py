@@ -10,7 +10,7 @@ import random
 import sys
 import threading
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.resolvers.federation import NonceCache
 
 THREADS = 16
@@ -18,7 +18,7 @@ ROUNDS = 200
 
 
 def test_concurrent_consume_is_exactly_once(seed):
-    clock = SimulatedClock.at("2016-10-05T09:00:00")
+    clock = VirtualClock.at("2016-10-05T09:00:00")
     cache = NonceCache(clock)
     rng = random.Random(seed)
     nonces = [f"{rng.getrandbits(96):024x}" for _ in range(ROUNDS)]

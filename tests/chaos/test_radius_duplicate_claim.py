@@ -16,7 +16,7 @@ import threading
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.common.results import ValidateResult, ValidateStatus
 from repro.crypto.totp import totp_at
 from repro.otpserver import OTPServer
@@ -60,7 +60,7 @@ def _request(rng, identifier, username, code):
 
 
 def test_concurrent_retransmissions_validate_once(seed):
-    clock = SimulatedClock.at("2016-10-05T09:00:00")
+    clock = VirtualClock.at("2016-10-05T09:00:00")
     rng = random.Random(seed)
     otp = OTPServer(clock=clock, rng=rng)
     backend = CountingBackend(otp)

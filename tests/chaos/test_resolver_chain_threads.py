@@ -12,7 +12,7 @@ import random
 import sys
 import threading
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.resolvers import ResolverChain
 from repro.resolvers.base import IdentityResolver, ResolvedIdentity
 
@@ -37,7 +37,7 @@ class CountingResolver(IdentityResolver):
 
 def test_concurrent_resolves_never_raise_and_count_exactly(seed):
     chain = ResolverChain(
-        clock=SimulatedClock.at("2016-10-05T09:00:00"), cache_capacity=2
+        clock=VirtualClock.at("2016-10-05T09:00:00"), cache_capacity=2
     )
     resolver = chain.register(CountingResolver())
     errors = []

@@ -103,12 +103,12 @@ class TestForcedOverloadShedOrder:
     def test_batch_shed_before_critical_through_deployment_limiter(self):
         import random
 
-        from repro.common.clock import SimulatedClock
+        from repro.common.clock import VirtualClock
         from repro.core import MFACenter
         from repro.ingest import IngestQueue, PriorityClass
         from repro.policy import RateLimitConfig, TokenBucketLimiter
 
-        clock = SimulatedClock.at("2016-10-05T09:00:00")
+        clock = VirtualClock.at("2016-10-05T09:00:00")
         center = MFACenter(clock=clock, rng=random.Random(11), ingest=True)
         center.add_system("stampede", mode="full")
         center.create_user("alice", password="pw")

@@ -2,49 +2,49 @@
 
 import pytest
 
-from repro.common.clock import SimulatedClock, SystemClock, parse_date
+from repro.common.clock import VirtualClock, WallClock, parse_date
 
 
 class TestSimulatedClock:
     def test_starts_at_given_time(self):
-        assert SimulatedClock(100.0).now() == 100.0
+        assert VirtualClock(100.0).now() == 100.0
 
     def test_advance_moves_forward(self):
-        clock = SimulatedClock(10.0)
+        clock = VirtualClock(10.0)
         assert clock.advance(5.0) == 15.0
         assert clock.now() == 15.0
 
     def test_advance_rejects_negative(self):
         with pytest.raises(ValueError):
-            SimulatedClock().advance(-1.0)
+            VirtualClock().advance(-1.0)
 
     def test_set_rejects_backwards(self):
-        clock = SimulatedClock(100.0)
+        clock = VirtualClock(100.0)
         with pytest.raises(ValueError):
             clock.set(99.0)
 
     def test_set_same_time_allowed(self):
-        clock = SimulatedClock(100.0)
+        clock = VirtualClock(100.0)
         assert clock.set(100.0) == 100.0
 
     def test_at_iso_string(self):
-        clock = SimulatedClock.at("2016-10-04T00:00:00")
+        clock = VirtualClock.at("2016-10-04T00:00:00")
         assert clock.today().year == 2016
         assert clock.today().month == 10
         assert clock.today().day == 4
 
     def test_at_assumes_utc(self):
-        a = SimulatedClock.at("2016-10-04T00:00:00")
-        b = SimulatedClock.at("2016-10-04T00:00:00+00:00")
+        a = VirtualClock.at("2016-10-04T00:00:00")
+        b = VirtualClock.at("2016-10-04T00:00:00+00:00")
         assert a.now() == b.now()
 
     def test_today_is_aware(self):
-        assert SimulatedClock(0.0).today().tzinfo is not None
+        assert VirtualClock(0.0).today().tzinfo is not None
 
 
 class TestSystemClock:
     def test_now_progresses(self):
-        clock = SystemClock()
+        clock = WallClock()
         first = clock.now()
         assert clock.now() >= first
 

@@ -10,14 +10,14 @@ import random
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.core import MFACenter
 
 
 @pytest.fixture
-def clock() -> SimulatedClock:
+def clock() -> VirtualClock:
     """A clock parked mid-rollout (phase 3, MFA mandatory)."""
-    return SimulatedClock.at("2016-10-05T09:00:00")
+    return VirtualClock.at("2016-10-05T09:00:00")
 
 
 @pytest.fixture

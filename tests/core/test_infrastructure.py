@@ -7,7 +7,7 @@ import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.common.errors import ConfigurationError, NotFoundError, ValidationError
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
@@ -22,7 +22,7 @@ from repro.storage import StorageConfig
 
 @pytest.fixture
 def clock():
-    return SimulatedClock.at("2016-10-05T09:00:00")
+    return VirtualClock.at("2016-10-05T09:00:00")
 
 
 @pytest.fixture

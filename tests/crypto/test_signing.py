@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.crypto.signing import URLSigner
 
 KEY = b"portal-unpair-signing-key!!"
@@ -10,7 +10,7 @@ KEY = b"portal-unpair-signing-key!!"
 
 @pytest.fixture
 def clock():
-    return SimulatedClock(1_000_000.0)
+    return VirtualClock(1_000_000.0)
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.crypto.totp import (
     DEFAULT_DRIFT,
     TOTPGenerator,
@@ -44,12 +44,12 @@ class TestTimeStep:
 
 class TestGenerator:
     def test_current_code_is_six_digits(self):
-        gen = TOTPGenerator(secret=SECRET, clock=SimulatedClock(1_000_000))
+        gen = TOTPGenerator(secret=SECRET, clock=VirtualClock(1_000_000))
         code = gen.current_code()
         assert len(code) == 6 and code.isdigit()
 
     def test_code_stable_within_step(self):
-        clock = SimulatedClock(1_000_010)  # 20s into the step at 999_990
+        clock = VirtualClock(1_000_010)  # 20s into the step at 999_990
         gen = TOTPGenerator(secret=SECRET, clock=clock)
         first = gen.current_code()
         clock.advance(9)
@@ -58,20 +58,20 @@ class TestGenerator:
         assert gen.current_code() != first
 
     def test_skew_shifts_code(self):
-        clock = SimulatedClock(1_000_000)
+        clock = VirtualClock(1_000_000)
         on_time = TOTPGenerator(secret=SECRET, clock=clock)
         drifted = TOTPGenerator(secret=SECRET, clock=clock, skew=90.0)
         assert drifted.current_code() == on_time.code_at(1_000_090)
 
     def test_seconds_remaining(self):
-        clock = SimulatedClock(1_000_010)  # 20s into the step at 999_990
+        clock = VirtualClock(1_000_010)  # 20s into the step at 999_990
         gen = TOTPGenerator(secret=SECRET, clock=clock)
         assert gen.seconds_remaining() == pytest.approx(10.0)
 
 
 class TestValidator:
     def make(self, start=1_000_000.0, drift=DEFAULT_DRIFT):
-        clock = SimulatedClock(start)
+        clock = VirtualClock(start)
         return clock, TOTPValidator(clock=clock, drift=drift)
 
     def test_exact_code_validates(self):
@@ -144,7 +144,7 @@ class TestValidator:
     @given(offset=st.integers(min_value=-10, max_value=10))
     @settings(max_examples=30)
     def test_any_step_in_window_validates(self, offset):
-        clock = SimulatedClock(1_000_000.0)
+        clock = VirtualClock(1_000_000.0)
         validator = TOTPValidator(clock=clock)
         code = totp_at(SECRET, clock.now() + offset * 30)
         assert validator.validate(f"k{offset}", SECRET, code).ok
@@ -152,7 +152,7 @@ class TestValidator:
 
 class TestResync:
     def test_resync_far_drifted_token(self):
-        clock = SimulatedClock(1_000_000.0)
+        clock = VirtualClock(1_000_000.0)
         validator = TOTPValidator(clock=clock)
         # Device is 2 hours fast: far outside the validation window.
         future = clock.now() + 7200
@@ -163,14 +163,14 @@ class TestResync:
         assert outcome.ok and outcome.offset == 240
 
     def test_resync_requires_consecutive_codes(self):
-        clock = SimulatedClock(1_000_000.0)
+        clock = VirtualClock(1_000_000.0)
         validator = TOTPValidator(clock=clock)
         code1 = totp_at(SECRET, clock.now() + 7200)
         code_wrong = totp_at(SECRET, clock.now() + 7290)  # not consecutive
         assert not validator.resync("t1", SECRET, code1, code_wrong, search=500).ok
 
     def test_resync_anchors_replay_floor(self):
-        clock = SimulatedClock(1_000_000.0)
+        clock = VirtualClock(1_000_000.0)
         validator = TOTPValidator(clock=clock)
         future = clock.now() + 3000
         code1 = totp_at(SECRET, future)

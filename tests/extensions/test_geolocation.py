@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.pam.conversation import ScriptedConversation
 from repro.pam.framework import PAMResult, PAMSession
 from repro.pam.modules.geo import PamGeoCheckModule
@@ -15,7 +15,7 @@ BEIJING = GeoPoint(39.90, 116.41, "CN", "Beijing")
 
 @pytest.fixture
 def clock():
-    return SimulatedClock.at("2016-10-05T09:00:00")
+    return VirtualClock.at("2016-10-05T09:00:00")
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.pam.acl import InMemoryExemptionACL
 from repro.pam.conversation import ScriptedConversation
 from repro.pam.framework import PAMResult, PAMSession, PAMStack
@@ -20,7 +20,7 @@ from repro.policy.geo import GeoDatabase, GeoVelocityMonitor
 
 def noon_clock():
     """A clock parked mid-day so the unusual-hour signal stays quiet."""
-    return SimulatedClock.at("2016-10-05T12:00:00")
+    return VirtualClock.at("2016-10-05T12:00:00")
 
 
 @pytest.fixture
@@ -72,7 +72,7 @@ class TestSignals:
         assert "novel_origin" not in engine.assess("alice", "198.51.100.7").signals
 
     def test_unusual_hour_signal(self):
-        clock = SimulatedClock.at("2016-10-05T03:00:00")
+        clock = VirtualClock.at("2016-10-05T03:00:00")
         engine = RiskEngine(clock=clock)
         assert "unusual_hour" in engine.assess("alice", "1.2.3.4").signals
 
@@ -235,7 +235,7 @@ class TestClockBinding:
 
     def test_unusual_hour_follows_bound_clock(self):
         engine = RiskEngine()
-        engine.bind_clock(SimulatedClock.at("2016-10-05T03:00:00"))
+        engine.bind_clock(VirtualClock.at("2016-10-05T03:00:00"))
         assert "unusual_hour" in engine.assess("alice", "10.0.0.1").signals
 
     def test_bind_clock_propagates_to_geo_monitor(self, clock):
@@ -250,7 +250,7 @@ class TestClockBinding:
         assert "impossible_travel" in engine.assess("alice", "203.0.113.9").signals
 
     def test_bind_clock_respects_geo_monitors_own_clock(self, clock):
-        own = SimulatedClock.at("2016-10-05T12:00:00")
+        own = VirtualClock.at("2016-10-05T12:00:00")
         monitor = GeoVelocityMonitor(GeoDatabase.with_sample_data(), own)
         engine = RiskEngine(geo_monitor=monitor)
         engine.bind_clock(clock)

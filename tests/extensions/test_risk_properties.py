@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.policy.risk import RiskAction, RiskEngine, RiskWeights
 
 #: The signals a bare engine (no geo monitor) can fire, with the state
@@ -31,7 +31,7 @@ ATTACKER_IP = "203.0.113.5"
 
 def build_engine(flags, weights, step_up=0.0, deny=1.0):
     """An engine whose next ``assess`` fires exactly the flagged signals."""
-    clock = SimulatedClock.at(
+    clock = VirtualClock.at(
         "2016-10-05T03:00:00" if flags["unusual_hour"] else "2016-10-05T12:00:00"
     )
     engine = RiskEngine(

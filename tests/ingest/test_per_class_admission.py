@@ -10,7 +10,7 @@ the stronger contract: batch overload leaves the critical bucket full.
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.common.results import ValidateResult, ValidateStatus
 from repro.ingest import IngestConfig, IngestQueue, PriorityClass
 from repro.policy import RateLimitConfig, TokenBucketLimiter
@@ -22,7 +22,7 @@ def ok_runner(user, code, source=None):
 
 @pytest.fixture
 def clock():
-    return SimulatedClock.at("2016-10-05T09:00:00")
+    return VirtualClock.at("2016-10-05T09:00:00")
 
 
 def make_queue(clock, rate=1.0, burst=2.0):

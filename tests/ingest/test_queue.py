@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.common.clock import SimulatedClock, WallClock
+from repro.common.clock import VirtualClock, WallClock
 from repro.common.errors import TransientBackendError
 from repro.common.results import ValidateResult, ValidateStatus
 from repro.ingest import (
@@ -20,7 +20,7 @@ from repro.simcore import EventScheduler
 
 @pytest.fixture
 def clock():
-    return SimulatedClock.at("2016-10-05T09:00:00")
+    return VirtualClock.at("2016-10-05T09:00:00")
 
 
 def ok_runner(user, code):
@@ -148,7 +148,7 @@ class TestCallerRuns:
         snap = queue.snapshot()
         assert queue.depth() == snap["depth"] == 0
         assert (snap["submitted_total"], snap["completed_total"]) == (6, 6)
-        assert snap["shed_total"] == 0 and snap["running_workers"] == 0
+        assert snap["shed_total"] == 0
         assert set(snap["classes"]) == {c.value for c in PriorityClass}
         for lane in snap["classes"].values():
             assert {
@@ -160,41 +160,45 @@ class TestCallerRuns:
 
 class TestThreadDrive:
     def test_workers_drain_submissions(self):
+        """One ``submit_many`` burst, drained in parallel by the plain
+        threads that wait on it."""
         queue = IngestQueue(ok_runner, clock=WallClock())
-        queue.start(workers=3)
-        try:
-            tickets = queue.submit_many([(f"u{i}", "1") for i in range(50)])
-            results = [t.result(timeout=5.0) for t in tickets]
-        finally:
-            queue.stop()
+        tickets = queue.submit_many([(f"u{i}", "1") for i in range(50)])
+        results = [None] * len(tickets)
+
+        def waiter(slot):
+            for index in range(slot, len(tickets), 3):
+                results[index] = tickets[index].result(timeout=5.0)
+
+        threads = [threading.Thread(target=waiter, args=(n,)) for n in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10.0)
+        assert not any(t.is_alive() for t in threads)
         assert all(r.ok for r in results)
         assert queue.snapshot()["completed_total"] == 50
 
-    def test_start_idempotent_stop_joins(self):
-        queue = IngestQueue(ok_runner, clock=WallClock())
-        queue.start(workers=1)
-        queue.start(workers=1)
-        queue.stop()
-        assert not any(t.is_alive() for t in queue._workers)
-
     def test_worker_survives_runner_crash(self):
-        calls = []
-
         def flaky(user, code):
-            calls.append(user)
             if user == "boom":
                 raise RuntimeError("backend fell over")
             return ValidateResult(ValidateStatus.OK)
 
         queue = IngestQueue(flaky, clock=WallClock())
-        queue.start(workers=1)
-        try:
-            bad = queue.submit(("boom", "1")).result(timeout=5.0)
-            good = queue.submit(("fine", "1")).result(timeout=5.0)
-        finally:
-            queue.stop()
-        assert not bad.ok and "backend error" in bad.reason
-        assert good.ok
+        results = {}
+
+        def waiter():
+            # The thread that services the crashing item goes on to the next.
+            for user in ("boom", "fine"):
+                results[user] = queue.submit((user, "1")).result(timeout=5.0)
+
+        thread = threading.Thread(target=waiter)
+        thread.start()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert not results["boom"].ok and "backend error" in results["boom"].reason
+        assert results["fine"].ok
         assert queue.snapshot()["error_total"] == 1
 
 
@@ -406,16 +410,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             IngestConfig(service_cost_seconds=-1.0)
 
-    def test_worker_count_validated(self, clock):
-        queue = IngestQueue(ok_runner, clock=clock)
-        with pytest.raises(ValueError):
-            queue.start(workers=0)
-
 
 class TestConcurrentSubmitters:
     def test_many_threads_submit_one_queue_drains(self):
         queue = IngestQueue(ok_runner, clock=WallClock())
-        queue.start(workers=2)
         results = []
         lock = threading.Lock()
 
@@ -429,7 +427,7 @@ class TestConcurrentSubmitters:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
-        queue.stop()
+            t.join(timeout=10.0)
+        assert not any(t.is_alive() for t in threads)
         assert len(results) == 80
         assert all(r.ok for r in results)

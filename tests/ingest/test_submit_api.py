@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.core import MFACenter
 from repro.ingest import QueuedBackend
 from repro.otpserver import OTPServer, Ticket
@@ -15,7 +15,7 @@ from repro.otpserver import OTPServer, Ticket
 
 @pytest.fixture
 def clock():
-    return SimulatedClock.at("2016-10-05T09:00:00")
+    return VirtualClock.at("2016-10-05T09:00:00")
 
 
 @pytest.fixture

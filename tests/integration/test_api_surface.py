@@ -2,7 +2,7 @@
 
 import random
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.directory.ldap import LDAPEntry
 from repro.pam.conversation import CallbackConversation, ScriptedConversation
 from repro.portal.store import HardTokenStore
@@ -60,7 +60,7 @@ class TestCallbackConversation:
 
 class TestStoreOrdersFor:
     def test_lists_user_orders(self):
-        clock = SimulatedClock(0.0)
+        clock = VirtualClock(0.0)
         batch = HardTokenBatch(3, rng=random.Random(1))
         store = HardTokenStore(batch, clock)
         store.order("alice")

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
 from repro.directory.identity import AccountClass
@@ -16,7 +16,7 @@ from repro.ssh import KeyPair, SSHClient
 
 @pytest.fixture
 def clock():
-    return SimulatedClock.at("2016-08-15T10:00:00")
+    return VirtualClock.at("2016-08-15T10:00:00")
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from repro.qr.decoder import QRDecodeError, decode_matrix
 from repro.radius.packet import decode_packet
 from repro.radius.server import RADIUSServer
 from repro.radius.transport import UDPFabric
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 
 
 class TestRADIUSFuzz:
@@ -33,7 +33,7 @@ class TestRADIUSFuzz:
     @given(st.binary(max_size=300))
     @settings(max_examples=100)
     def test_server_never_crashes_on_garbage(self, noise):
-        clock = SimulatedClock(0.0)
+        clock = VirtualClock(0.0)
         fabric = UDPFabric()
         server = RADIUSServer("fuzz:1812", fabric, OTPServer(clock=clock))
         server.add_client("10.", b"secret")
@@ -80,7 +80,7 @@ class TestACLFuzz:
             parse_rules(text)
         except ConfigurationError:
             pass
-        acl = InMemoryExemptionACL(text, clock=SimulatedClock(0.0))
+        acl = InMemoryExemptionACL(text, clock=VirtualClock(0.0))
         assert acl.check("alice", origin) in (True, False)
 
 
@@ -133,7 +133,7 @@ class TestOTPInputFuzz:
     @given(code=st.text(max_size=20))
     @settings(max_examples=150)
     def test_validate_handles_any_code_text(self, code):
-        clock = SimulatedClock(1_000_000.0)
+        clock = VirtualClock(1_000_000.0)
         server = OTPServer(clock=clock, rng=random.Random(1))
         server.enroll_soft("alice")
         result = server.validate("alice", code)

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
 from repro.ssh import SSHClient
@@ -21,7 +21,7 @@ from repro.ssh import SSHClient
 @pytest.fixture(scope="module")
 def login_profile():
     """``{(file name, function name): calls}`` of one warm soft-token login."""
-    clock = SimulatedClock.at("2016-10-05T09:00:00")
+    clock = VirtualClock.at("2016-10-05T09:00:00")
     center = MFACenter(clock=clock, rng=random.Random(20160810))
     system = center.add_system("stampede", mode="full")
     center.create_user("alice", password="hunter2")

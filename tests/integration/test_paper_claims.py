@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
 from repro.otpserver import sms_gateway
@@ -18,7 +18,7 @@ from repro.ssh import KeyPair, SSHClient
 
 @pytest.fixture
 def world():
-    clock = SimulatedClock.at("2016-10-05T09:00:00")
+    clock = VirtualClock.at("2016-10-05T09:00:00")
     center = MFACenter(clock=clock, rng=random.Random(1))
     system = center.add_system("stampede", mode="full")
     center.create_user("alice", password="pw")

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
 from repro.ssh import SSHClient
@@ -18,7 +18,7 @@ from repro.ssh import SSHClient
 
 @pytest.fixture(scope="module")
 def deployment():
-    clock = SimulatedClock.at("2016-10-05T09:00:00")
+    clock = VirtualClock.at("2016-10-05T09:00:00")
     center = MFACenter(clock=clock, rng=random.Random(99))
     system = center.add_system("stampede", login_nodes=4, mode="full")
     rng = random.Random(100)

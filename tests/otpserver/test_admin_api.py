@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.common.errors import ProtocolError, ValidationError
 from repro.crypto.totp import TOTPGenerator
 from repro.otpserver.admin_api import AdminAPI, AdminAPIClient
@@ -14,7 +14,7 @@ from repro.otpserver.tokens import HardTokenBatch
 
 @pytest.fixture
 def clock():
-    return SimulatedClock.at("2016-10-05T09:00:00")
+    return VirtualClock.at("2016-10-05T09:00:00")
 
 
 @pytest.fixture

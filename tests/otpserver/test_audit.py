@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.otpserver.audit import AuditLog
 
 
 @pytest.fixture
 def log():
-    clock = SimulatedClock(1000.0)
+    clock = VirtualClock(1000.0)
     audit = AuditLog(clock)
     audit.record("validate", "u1", "S1", success=True)
     clock.advance(10)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.common.results import ValidateStatus
 from repro.crypto.totp import totp_at
 from repro.otpserver.admin_api import AdminAPI, AdminAPIClient
@@ -18,7 +18,7 @@ ATTACKER_IP = "203.0.113.9"
 
 @pytest.fixture
 def clock():
-    return SimulatedClock.at("2016-10-05T12:00:00")
+    return VirtualClock.at("2016-10-05T12:00:00")
 
 
 @pytest.fixture
@@ -109,18 +109,17 @@ class TestAlarms:
         assert len(events) == 1
         assert ATTACKER_IP in events[0].detail
 
-    def test_alarm_counts_in_telemetry(self, clock):
+    def test_alarm_counts_in_status(self, clock):
+        """The alarm list is the one count: ``status()`` reads its length,
+        and no series mirrors it."""
         telemetry = Registry()
         server = OTPServer(clock=clock, rng=random.Random(5), telemetry=telemetry)
         _, secret = server.enroll_honeytoken("decoy1")
         server.validate("decoy1", totp_at(secret, clock.now()))
         server.validate("decoy1", "000000")
-        counters = telemetry.snapshot()["counters"]
-        metric = next(
-            c for c in counters if c["name"] == "otp_honeytoken_alarms_total"
-        )
-        series = {s["labels"]["result"]: s["value"] for s in metric["series"]}
-        assert series == {"accepted": 1.0, "probed": 1.0}
+        assert [alarm["accepted"] for alarm in server.honeytoken_alarms] == [True, False]
+        assert server.status("audit")["honeytoken_alarms"] == 2
+        assert not [name for name in telemetry.instruments() if "honeytoken" in name]
 
     def test_alarm_flags_through_risk_stage(self, clock):
         stage = RiskEngine(clock=clock)

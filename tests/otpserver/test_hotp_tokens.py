@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.crypto.hotp import hotp
 from repro.otpserver.server import OTPServer, OTPServerConfig
 from repro.otpserver.tokens import TokenType
@@ -25,7 +25,7 @@ class EventFob:
 
 @pytest.fixture
 def clock():
-    return SimulatedClock.at("2016-10-05T09:00:00")
+    return VirtualClock.at("2016-10-05T09:00:00")
 
 
 @pytest.fixture
@@ -114,7 +114,7 @@ class TestLookAheadEdges:
     LOOK_AHEAD = 10
 
     def _server(self, seed):
-        clock = SimulatedClock.at("2016-10-05T09:00:00")
+        clock = VirtualClock.at("2016-10-05T09:00:00")
         server = OTPServer(
             clock=clock,
             config=OTPServerConfig(hotp_look_ahead=self.LOOK_AHEAD),

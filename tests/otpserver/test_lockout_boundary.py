@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.otpserver import OTPServer, OTPServerConfig, ValidateStatus
 
 THRESHOLD = 20
@@ -18,7 +18,7 @@ THRESHOLD = 20
 
 @pytest.fixture
 def server():
-    clock = SimulatedClock.at("2016-10-05T09:00:00")
+    clock = VirtualClock.at("2016-10-05T09:00:00")
     server = OTPServer(
         clock=clock,
         config=OTPServerConfig(lockout_threshold=THRESHOLD),

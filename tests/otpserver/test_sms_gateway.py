@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.common.errors import ValidationError
 from repro.otpserver.sms_gateway import (
     MONTHLY_FLAT,
@@ -17,7 +17,7 @@ from repro.otpserver.sms_gateway import (
 
 @pytest.fixture
 def clock():
-    return SimulatedClock(1_000_000.0)
+    return VirtualClock(1_000_000.0)
 
 
 @pytest.fixture

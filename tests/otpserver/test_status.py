@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.__main__ import main
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.common.errors import NotFoundError, ValidationError
 from repro.core import MFACenter
 from repro.otpserver import OTPServer
@@ -49,7 +49,7 @@ def assert_same_keys(left, right, path="storage"):
 
 
 def _center(storage, ingest):
-    clock = SimulatedClock.at("2016-10-05T09:00:00")
+    clock = VirtualClock.at("2016-10-05T09:00:00")
     center = MFACenter(
         clock=clock, rng=random.Random(7), storage=storage, ingest=ingest
     )
@@ -81,7 +81,9 @@ class TestShapeIndependence:
         center = _center(config, ingest)
         otp, engine = center.otp, center.otp.db.engine
         status = otp.status()
-        expected = ["audit", "policy", "radius", "resolvers", "storage", "systems"]
+        expected = [
+            "audit", "fabric", "policy", "radius", "resolvers", "sms", "storage", "systems",
+        ]
         assert sorted(status) == sorted(expected + ["queue"] * bool(ingest))
 
         # /admin/storage: table sizes, placement, cache, WAL, replication.
@@ -130,8 +132,9 @@ class TestShapeIndependence:
         assert status["systems"] == {
             "stampede": {
                 **stampede.policy.snapshot(),
+                "nodes": {node.hostname: node.snapshot() for node in stampede.daemons},
                 "radius": {
-                    node.hostname: client.health.snapshot()
+                    node.hostname: client.snapshot()
                     for node, client in zip(stampede.daemons, stampede.radius_clients)
                 },
             }
@@ -140,10 +143,15 @@ class TestShapeIndependence:
         assert status["audit"] == {
             "records": len(otp.audit),
             "latest_timestamp": otp.audit.entries()[-1].timestamp,
+            "honeytoken_alarms": 0,
         }
         assert status["radius"] == {
             server.name: server.snapshot() for server in center.radius_servers
         }
+        assert status["sms"] == center.sms_gateway.snapshot()
+        assert status["fabric"] == center.fabric.snapshot()
+        assert status["fabric"]["sent"] == status["fabric"]["delivered"] == 0
+        assert status["fabric"]["listeners"] == len(center.radius_servers)
         if ingest:
             assert status["queue"] == center.ingest_queue.snapshot()
             assert status["queue"]["completed_total"] == 6
@@ -155,8 +163,10 @@ class TestBareServer:
     def test_sections_are_what_was_wired(self):
         server = OTPServer(rng=random.Random(1))
         assert sorted(server.status()) == ["audit", "policy", "storage"]
-        assert server.status("audit") == {"records": 0, "latest_timestamp": None}
-        for missing in ("queue", "radius", "resolvers", "systems", "nonsense", ""):
+        assert server.status("audit") == {
+            "records": 0, "latest_timestamp": None, "honeytoken_alarms": 0,
+        }
+        for missing in ("queue", "radius", "resolvers", "systems", "sms", "fabric", "nonsense", ""):
             with pytest.raises(NotFoundError, match="no status section"):
                 server.status(missing)
 
@@ -234,7 +244,8 @@ class TestSubcommand:
         code, view, _ = self._run(capsys, "--json", "--shards", "2", "--replicas", "1")
         assert code == 0
         assert sorted(view) == [
-            "audit", "policy", "queue", "radius", "resolvers", "storage", "systems",
+            "audit", "fabric", "policy", "queue", "radius", "resolvers", "sms",
+            "storage", "systems",
         ]
         assert_same_keys(view["storage"], reference)
         assert view["resolvers"]["cache"]["hits"] > 0
@@ -261,4 +272,4 @@ class TestSubcommand:
     )
     def test_retired_subcommands_are_usage_errors(self, capsys, argv):
         assert main(argv) == 2
-        assert "storage --demo DIR" in capsys.readouterr().err  # either usage text
+        assert "usage: python -m repro" in capsys.readouterr().err

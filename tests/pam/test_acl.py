@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.common.errors import ConfigurationError
 from repro.pam.acl import (
     ExemptionACL,
@@ -17,7 +17,7 @@ from repro.pam.acl import (
 
 @pytest.fixture
 def clock():
-    return SimulatedClock.at("2016-09-15T12:00:00")
+    return VirtualClock.at("2016-09-15T12:00:00")
 
 
 def acl(text, clock):
@@ -180,7 +180,7 @@ class TestExpiry:
         assert not a.check("alice", "1.2.3.4")
 
     def test_expires_at_end_of_day(self):
-        clock = SimulatedClock.at("2016-10-15T20:00:00")
+        clock = VirtualClock.at("2016-10-15T20:00:00")
         a = acl("+ : alice : ALL : 2016-10-15", clock)
         assert a.check("alice", "1.2.3.4")  # still the named day
         clock.advance(5 * 3600)  # past midnight

@@ -4,7 +4,7 @@ import ipaddress
 
 from hypothesis import given, strategies as st
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.pam.acl import InMemoryExemptionACL, OriginMatcher
 
 ipv4 = st.integers(min_value=0, max_value=2**32 - 1).map(
@@ -68,12 +68,12 @@ class TestACLAgainstReference:
     )
     def test_first_match_semantics(self, rules, username, ip):
         text = "\n".join(f"{p} : {a} : {o} : ALL" for p, a, o in rules)
-        acl = InMemoryExemptionACL(text, clock=SimulatedClock(0.0))
+        acl = InMemoryExemptionACL(text, clock=VirtualClock(0.0))
         assert acl.check(username, ip) == reference_check(rules, username, ip)
 
     @given(rules=st.lists(rule_strategy, max_size=6))
     def test_no_rules_means_deny(self, rules):
-        acl = InMemoryExemptionACL("", clock=SimulatedClock(0.0))
+        acl = InMemoryExemptionACL("", clock=VirtualClock(0.0))
         assert not acl.check("anyone", "1.2.3.4")
 
 
@@ -100,7 +100,7 @@ class TestOriginsAreAnyText:
 
     @given(origin=st.one_of(st.text(max_size=30), st.text(alphabet=DIGITISH, max_size=16)))
     def test_check_is_a_bool_and_agrees_with_stdlib(self, origin):
-        acl = InMemoryExemptionACL(self.RULES, clock=SimulatedClock(0.0))
+        acl = InMemoryExemptionACL(self.RULES, clock=VirtualClock(0.0))
         granted = acl.check("alice", origin)
         assert granted is True or granted is False
         address = reference_address(origin)
@@ -120,10 +120,10 @@ class TestOriginsAreAnyText:
     def test_non_ascii_spelling_is_never_inside_a_range(self, origin):
         assert not OriginMatcher.parse("0.0.0.0/0").matches(origin)
         assert not InMemoryExemptionACL(
-            "+ : ALL : 0.0.0.0/0 : ALL", clock=SimulatedClock(0.0)
+            "+ : ALL : 0.0.0.0/0 : ALL", clock=VirtualClock(0.0)
         ).check("alice", origin)
 
     @given(field=st.text(alphabet=DIGITISH + ",ALal", max_size=24))
     def test_origins_field_parses_or_is_a_configuration_error(self, field):
-        acl = InMemoryExemptionACL(f"+ : alice : {field} : ALL", clock=SimulatedClock(0.0))
+        acl = InMemoryExemptionACL(f"+ : alice : {field} : ALL", clock=VirtualClock(0.0))
         assert (acl.last_error is None) or not acl.check("alice", "10.1.2.3")

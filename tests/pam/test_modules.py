@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.crypto.totp import TOTPGenerator
 from repro.directory.identity import IdentityBackend, PairingStatus
 from repro.otpserver.server import OTPServer
@@ -25,7 +25,7 @@ from repro.ssh.authlog import AuthLog
 
 @pytest.fixture
 def clock():
-    return SimulatedClock.at("2016-09-15T12:00:00")
+    return VirtualClock.at("2016-09-15T12:00:00")
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ from datetime import datetime, timezone
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.policy import (
     AuthRequest,
     EnforcementLadder,
@@ -88,7 +88,7 @@ class TestLockoutPolicy:
 
 class TestEvaluate:
     def _engine(self, **kwargs):
-        kwargs.setdefault("clock", SimulatedClock.at("2016-10-05T09:00:00"))
+        kwargs.setdefault("clock", VirtualClock.at("2016-10-05T09:00:00"))
         return PolicyEngine(**kwargs)
 
     def test_off_mode_allows_without_pairing_lookup(self):
@@ -144,7 +144,7 @@ class TestEvaluate:
         )
 
     def test_throttle_precedes_exemption(self):
-        clock = SimulatedClock.at("2016-10-05T09:00:00")
+        clock = VirtualClock.at("2016-10-05T09:00:00")
         engine = self._engine(
             clock=clock,
             exemptions=FakeACL(granted={"staff"}),
@@ -179,7 +179,7 @@ class TestVirtualClockAdmission:
     def test_ready_limiter_rebound_onto_engine_clock(self):
         from repro.policy import TokenBucketLimiter
 
-        clock = SimulatedClock.at("2016-10-05T09:00:00")
+        clock = VirtualClock.at("2016-10-05T09:00:00")
         # A limiter built without a clock silently sat on wall time; the
         # engine must adopt it onto its own (virtual) clock at wiring.
         limiter = TokenBucketLimiter(RateLimitConfig(rate=1.0, burst=2.0))
@@ -194,18 +194,18 @@ class TestVirtualClockAdmission:
         assert engine.evaluate(request).action is PolicyAction.THROTTLE
 
     def test_explicitly_clocked_limiter_left_alone(self):
-        from repro.common.clock import SystemClock
+        from repro.common.clock import WallClock
         from repro.policy import TokenBucketLimiter
 
-        wall = SystemClock()
+        wall = WallClock()
         limiter = TokenBucketLimiter(RateLimitConfig(rate=1.0, burst=2.0), clock=wall)
         PolicyEngine(
-            rate_limit=limiter, clock=SimulatedClock.at("2016-10-05T09:00:00")
+            rate_limit=limiter, clock=VirtualClock.at("2016-10-05T09:00:00")
         )
         assert limiter._clock is wall  # the caller's choice is respected
 
     def test_evaluate_now_threads_into_admission(self):
-        clock = SimulatedClock.at("2016-10-05T09:00:00")
+        clock = VirtualClock.at("2016-10-05T09:00:00")
         engine = PolicyEngine(
             rate_limit=RateLimitConfig(rate=1.0, burst=1.0), clock=clock
         )
@@ -219,7 +219,7 @@ class TestVirtualClockAdmission:
         assert later.action is PolicyAction.CHALLENGE
 
     def test_admit_accepts_explicit_now(self):
-        clock = SimulatedClock.at("2016-10-05T09:00:00")
+        clock = VirtualClock.at("2016-10-05T09:00:00")
         engine = PolicyEngine(
             rate_limit=RateLimitConfig(rate=1.0, burst=1.0), clock=clock
         )
@@ -231,7 +231,7 @@ class TestVirtualClockAdmission:
 
 class TestLiveReconfiguration:
     def test_set_ladder_switches_phase(self):
-        engine = PolicyEngine(clock=SimulatedClock.at("2016-10-05T09:00:00"))
+        engine = PolicyEngine(clock=VirtualClock.at("2016-10-05T09:00:00"))
         request = AuthRequest("alice", pairing_lookup=lambda u: None)
         assert engine.evaluate(request).action is PolicyAction.CHALLENGE
         engine.set_ladder("paired")
@@ -240,7 +240,7 @@ class TestLiveReconfiguration:
 
 class TestSnapshot:
     def test_shape_without_optional_families(self):
-        engine = PolicyEngine(clock=SimulatedClock.at("2016-10-05T09:00:00"))
+        engine = PolicyEngine(clock=VirtualClock.at("2016-10-05T09:00:00"))
         snap = engine.snapshot()
         assert snap["ladder"]["effective_mode"] == "full"
         assert snap["lockout"] == {"threshold": 20}
@@ -248,7 +248,7 @@ class TestSnapshot:
         assert snap["rate_limit"] == {"configured": False}
 
     def test_countdown_effective_mode_reflects_now(self):
-        clock = SimulatedClock.at("2016-12-01T00:00:00")
+        clock = VirtualClock.at("2016-12-01T00:00:00")
         engine = PolicyEngine(
             ladder=EnforcementLadder("countdown", "2016-11-01"), clock=clock
         )
@@ -263,7 +263,7 @@ class TestSnapshot:
         )
         from repro.pam.acl import ExemptionACL
 
-        clock = SimulatedClock.at("2016-10-05T09:00:00")
+        clock = VirtualClock.at("2016-10-05T09:00:00")
         engine = PolicyEngine(
             exemptions=ExemptionACL(str(acl_file), clock=clock), clock=clock
         )
@@ -278,7 +278,7 @@ class TestSnapshot:
 
     def test_rate_limit_snapshot(self):
         engine = PolicyEngine(
-            clock=SimulatedClock.at("2016-10-05T09:00:00"),
+            clock=VirtualClock.at("2016-10-05T09:00:00"),
             rate_limit=RateLimitConfig(rate=5.0, burst=10.0),
         )
         engine.evaluate(AuthRequest("alice", "1.2.3.4", pairing="soft"))

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.common.results import ValidateStatus
 from repro.otpserver.admin_api import AdminAPI, AdminAPIClient
 from repro.otpserver.server import OTPServer
@@ -32,7 +32,7 @@ HOME_IP = "198.51.100.7"
 
 @pytest.fixture
 def clock():
-    return SimulatedClock.at("2016-10-05T12:00:00")
+    return VirtualClock.at("2016-10-05T12:00:00")
 
 
 def watchlisted_stage(clock, deny=False):

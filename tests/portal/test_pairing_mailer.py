@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.common.errors import ValidationError
 from repro.portal.mailer import Mailer
 from repro.portal.pairing import PairingSession, PairingState
@@ -68,7 +68,7 @@ class TestPairingSession:
 
 class TestMailer:
     def test_send_and_read(self):
-        mailer = Mailer(SimulatedClock(100.0))
+        mailer = Mailer(VirtualClock(100.0))
         mailer.send("a@x.edu", "subject", "body text")
         inbox = mailer.inbox("a@x.edu")
         assert len(inbox) == 1
@@ -76,7 +76,7 @@ class TestMailer:
         assert inbox[0].sent_at == 100.0
 
     def test_latest(self):
-        clock = SimulatedClock(0.0)
+        clock = VirtualClock(0.0)
         mailer = Mailer(clock)
         mailer.send("a@x.edu", "first", "1")
         clock.advance(10)
@@ -84,12 +84,12 @@ class TestMailer:
         assert mailer.latest("a@x.edu").subject == "second"
 
     def test_empty_inbox(self):
-        mailer = Mailer(SimulatedClock(0.0))
+        mailer = Mailer(VirtualClock(0.0))
         assert mailer.inbox("nobody@x.edu") == []
         assert mailer.latest("nobody@x.edu") is None
 
     def test_broadcast(self):
-        mailer = Mailer(SimulatedClock(0.0))
+        mailer = Mailer(VirtualClock(0.0))
         count = mailer.broadcast(["a@x", "b@x", "c@x"], "MFA announcement", "...")
         assert count == 3
         assert mailer.sent_count == 3

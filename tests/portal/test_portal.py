@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.common.errors import NotFoundError, ValidationError
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
@@ -18,7 +18,7 @@ from repro.storage import StorageConfig
 
 @pytest.fixture
 def clock():
-    return SimulatedClock.at("2016-08-15T10:00:00")
+    return VirtualClock.at("2016-08-15T10:00:00")
 
 
 def make_rig(clock, **stack):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.crypto.totp import TOTPGenerator
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.qr import build_otpauth_uri, decode_matrix, encode, parse_otpauth_uri
 
 SECRET = b"12345678901234567890"
@@ -59,7 +59,7 @@ class TestParse:
 class TestProvisioningRoundTrip:
     def test_qr_scan_seeds_working_device(self):
         """The complete soft-token pairing path: URI -> QR -> scan -> TOTP."""
-        clock = SimulatedClock(1_000_000.0)
+        clock = VirtualClock(1_000_000.0)
         uri = build_otpauth_uri(SECRET, "HPC-Center", "alice")
         qr = encode(uri, level="M")
         scanned = parse_otpauth_uri(decode_matrix(qr.matrix).decode())

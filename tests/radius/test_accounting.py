@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.common.errors import ProtocolError
 from repro.radius.accounting import (
     AccountingClient,
@@ -21,7 +21,7 @@ SECRET = b"acct-secret"
 
 @pytest.fixture
 def clock():
-    return SimulatedClock(1_000_000.0)
+    return VirtualClock(1_000_000.0)
 
 
 @pytest.fixture

@@ -286,12 +286,12 @@ class TestSameCodec:
     def test_seeded_login_datagrams_are_the_parents(self):
         """One seeded login's request and response, byte for byte as the
         commit before the integer-XOR codec put them on the wire."""
-        from repro.common.clock import SimulatedClock
+        from repro.common.clock import VirtualClock
         from repro.core import MFACenter
         from repro.crypto.totp import TOTPGenerator
         from repro.ssh import SSHClient
 
-        clock = SimulatedClock.at("2016-10-05T09:00:00")
+        clock = VirtualClock.at("2016-10-05T09:00:00")
         center = MFACenter(clock=clock, rng=random.Random(20160810))
         system = center.add_system("stampede", mode="full")
         center.create_user("alice", password="hunter2")

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.crypto.totp import TOTPGenerator
 from repro.otpserver.server import OTPServer
 from repro.radius.client import AuthStatus, RADIUSClient
@@ -18,7 +18,7 @@ EDGE_SECRET = b"edge-realm-secret"
 
 @pytest.fixture
 def clock():
-    return SimulatedClock.at("2016-10-05T09:00:00")
+    return VirtualClock.at("2016-10-05T09:00:00")
 
 
 @pytest.fixture

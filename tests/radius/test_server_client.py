@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.common.errors import ConfigurationError
 from repro.crypto.totp import TOTPGenerator
 from repro.otpserver.server import OTPServer
@@ -25,7 +25,7 @@ NAS = "129.114.0.10"
 
 @pytest.fixture
 def clock():
-    return SimulatedClock.at("2016-10-05T09:00:00")
+    return VirtualClock.at("2016-10-05T09:00:00")
 
 
 @pytest.fixture

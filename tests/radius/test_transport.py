@@ -43,22 +43,21 @@ class TestRegistration:
         with pytest.raises(ValueError):
             fabric.unregister("a")  # double release
 
-    def test_binding_telemetry(self):
-        from repro.telemetry import Registry
-
-        telemetry = Registry()
-        fabric = UDPFabric(telemetry=telemetry)
+    def test_bindings_show_in_the_snapshot(self):
+        fabric = UDPFabric()
         fabric.register("a", lambda d, s: d)
+        fabric.register("b", lambda d, s: d)
         with pytest.raises(ValueError):
             fabric.register("a", lambda d, s: d)
         fabric.unregister("a")
         with pytest.raises(ValueError):
             fabric.unregister("a")
-        bindings = telemetry.counter("udp_fabric_bindings_total")
-        assert bindings.value(op="bind", outcome="ok") == 1
-        assert bindings.value(op="bind", outcome="duplicate") == 1
-        assert bindings.value(op="unbind", outcome="ok") == 1
-        assert bindings.value(op="unbind", outcome="unknown") == 1
+        fabric.set_down("b")
+        assert fabric.send_request("b", b"x") is None
+        assert fabric.snapshot() == {
+            "sent": 1, "delivered": 0, "dropped": 1, "no_listener": 0,
+            "listeners": 1, "down": ["b"],
+        }
 
     def test_source_passed_to_handler(self):
         fabric = UDPFabric()

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.directory.identity import IdentityBackend
 from repro.directory.ldap import LDAPDirectory
 from repro.resolvers import (
@@ -17,7 +17,7 @@ from repro.resolvers import (
 
 @pytest.fixture
 def clock():
-    return SimulatedClock.at("2016-10-05T09:00:00")
+    return VirtualClock.at("2016-10-05T09:00:00")
 
 
 @pytest.fixture

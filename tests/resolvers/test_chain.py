@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.common.resilience import CircuitState, FailoverPolicy
 from repro.resolvers import (
     IdentityResolver,
@@ -35,7 +35,7 @@ class StubResolver(IdentityResolver):
 
 @pytest.fixture
 def clock():
-    return SimulatedClock.at("2016-10-05T09:00:00")
+    return VirtualClock.at("2016-10-05T09:00:00")
 
 
 def make_chain(clock, **kwargs):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.resolvers import (
     AssertionInvalid,
     AttestationIssuer,
@@ -19,7 +19,7 @@ OTHER_KEY = b"fedcba9876543210fedcba9876543210"
 
 @pytest.fixture
 def clock():
-    return SimulatedClock.at("2016-10-05T09:00:00")
+    return VirtualClock.at("2016-10-05T09:00:00")
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ pattern an operator (or chaos plan) can produce:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.resolvers import IdentityResolver, ResolvedIdentity, ResolverChain
 from repro.resolvers.base import ResolverUnavailableError, split_realm
 
@@ -42,7 +42,7 @@ class TableResolver(IdentityResolver):
 
 
 def fresh_clock():
-    return SimulatedClock.at("2016-10-05T09:00:00")
+    return VirtualClock.at("2016-10-05T09:00:00")
 
 
 local_name = st.text(

@@ -6,14 +6,14 @@ general scheduler semantics live in ``tests/simcore/test_scheduler.py``)."""
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.sim import RolloutConfig, RolloutSimulation
 from repro.simcore import EventScheduler
 
 
 @pytest.fixture
 def queue():
-    return EventScheduler(clock=SimulatedClock(0.0))
+    return EventScheduler(clock=VirtualClock(0.0))
 
 
 class TestScheduling:

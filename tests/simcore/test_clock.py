@@ -5,20 +5,10 @@ import time
 
 import pytest
 
-from repro.common.clock import (
-    Clock,
-    SimulatedClock,
-    SystemClock,
-    VirtualClock,
-    WallClock,
-)
+from repro.common.clock import Clock, VirtualClock, WallClock
 
 
 class TestAliases:
-    def test_pre_redesign_names_still_resolve(self):
-        assert SystemClock is WallClock
-        assert SimulatedClock is VirtualClock
-
     def test_both_implement_the_protocol(self):
         assert isinstance(WallClock(), Clock)
         assert isinstance(VirtualClock(), Clock)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
 from repro.radius.accounting import AccountingClient, AccountingServer
@@ -13,7 +13,7 @@ from repro.ssh import SSHClient
 
 @pytest.fixture
 def rig():
-    clock = SimulatedClock.at("2016-10-05T09:00:00")
+    clock = VirtualClock.at("2016-10-05T09:00:00")
     center = MFACenter(clock=clock, rng=random.Random(1))
     system = center.add_system("stampede", mode="full")
     acct_server = AccountingServer(

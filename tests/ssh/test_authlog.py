@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.ssh.authlog import AuthLog
 
 
 @pytest.fixture
 def clock():
-    return SimulatedClock(1000.0)
+    return VirtualClock(1000.0)
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.crypto.totp import TOTPGenerator
 from repro.core import MFACenter
 from repro.ssh.client import PromptAnswers, SSHClient
@@ -13,7 +13,7 @@ from repro.ssh.keys import KeyPair
 
 @pytest.fixture
 def clock():
-    return SimulatedClock.at("2016-10-05T09:00:00")
+    return VirtualClock.at("2016-10-05T09:00:00")
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.common.errors import NotFoundError
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
@@ -167,7 +167,7 @@ class TestInstrumentedEngine:
         assert not engine.exists("t", 2)
 
 
-class _CountingClock(SimulatedClock):
+class _CountingClock(VirtualClock):
     """Counts the reads made of it."""
 
     reads = 0
@@ -193,7 +193,7 @@ class TestBuildEngine:
         engine = build_engine(telemetry=Registry())
         assert isinstance(engine, InstrumentedEngine)
         assert isinstance(engine.inner, InMemoryEngine)
-        center = MFACenter(clock=SimulatedClock.at("2016-10-05T09:00:00"), telemetry=True)
+        center = MFACenter(clock=VirtualClock.at("2016-10-05T09:00:00"), telemetry=True)
         assert isinstance(center.otp.db.engine, InstrumentedEngine)
 
     def test_telemetry_off_has_no_timing_layer(self):
@@ -201,7 +201,7 @@ class TestBuildEngine:
         storage_clock = _CountingClock(1475658000.0)
         engine = build_engine(clock=storage_clock)
         assert isinstance(engine, InMemoryEngine)
-        clock = SimulatedClock.at("2016-10-05T09:00:00")
+        clock = VirtualClock.at("2016-10-05T09:00:00")
         center = MFACenter(clock=clock, rng=random.Random(7), storage=engine)
         assert not center.telemetry.enabled
         _one_login(center, clock)

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.crypto.totp import totp_at
 from repro.otpserver import OTPServer, ValidateStatus
 from repro.otpserver.admin_api import AdminAPI, AdminAPIClient
@@ -27,7 +27,7 @@ STACKS = [
 
 
 def _server(storage, telemetry=None):
-    clock = SimulatedClock.at("2016-10-05T09:00:00")
+    clock = VirtualClock.at("2016-10-05T09:00:00")
     return (
         OTPServer(
             clock=clock, rng=random.Random(1), telemetry=telemetry, storage=storage

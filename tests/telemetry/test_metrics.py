@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.common.errors import ConfigurationError
 from repro.telemetry import (
     NOOP_REGISTRY,
@@ -156,18 +156,18 @@ class TestHistogram:
 
 class TestRegistry:
     def test_same_name_same_instrument(self):
-        r = Registry(clock=SimulatedClock(0.0))
+        r = Registry(clock=VirtualClock(0.0))
         assert r.counter("a") is r.counter("a")
         assert r.histogram("h") is r.histogram("h")
 
     def test_kind_mismatch_raises(self):
-        r = Registry(clock=SimulatedClock(0.0))
+        r = Registry(clock=VirtualClock(0.0))
         r.counter("a")
         with pytest.raises(ConfigurationError):
             r.histogram("a")
 
     def test_snapshot_and_reset(self):
-        clock = SimulatedClock(0.0)
+        clock = VirtualClock(0.0)
         r = Registry(clock=clock)
         r.counter("c").inc(x="1")
         r.histogram("h", buckets=(1.0,)).observe(0.5)
@@ -189,7 +189,7 @@ class TestRegistry:
     def test_resolve_registry(self):
         assert resolve_registry(None) is NOOP_REGISTRY
         assert resolve_registry(False) is NOOP_REGISTRY
-        clock = SimulatedClock(7.0)
+        clock = VirtualClock(7.0)
         enabled = resolve_registry(True, clock=clock)
         assert enabled.enabled and enabled.clock is clock
         assert resolve_registry(enabled) is enabled
@@ -245,7 +245,7 @@ class TestNoopRegistry:
 
 class TestExporters:
     def _registry(self):
-        r = Registry(clock=SimulatedClock(0.0))
+        r = Registry(clock=VirtualClock(0.0))
         r.counter("logins_total", "logins by result").inc(result="ok")
         r.counter("logins_total").inc(result="bad")
         r.histogram("lat", "latency", buckets=(1.0, 2.0)).observe(1.5)

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.telemetry import NOOP_SPAN, NOOP_TRACER, Tracer
 
 
 @pytest.fixture
 def clock():
-    return SimulatedClock(100.0)
+    return VirtualClock(100.0)
 
 
 @pytest.fixture

@@ -1,0 +1,65 @@
+"""``python -m repro``: one argument parser, one answer to a bad command line.
+
+A misspelt flag used to be ignored by every command (``chaos --plann
+resolver-outage`` ran ``kitchen-sink`` and a CI gate passed vacuously) and a
+malformed value died with a traceback; now every command prints its usage
+on stderr and exits 2 before doing any work.
+"""
+
+import pytest
+
+from repro.__main__ import main
+
+#: command -> (arguments it cannot run without, one of its integer flags).
+COMMANDS = {
+    "report": ((), "--seeds"),
+    "demo": ((), "--shards"),
+    "telemetry": ((), "--shards"),
+    "qr": ((), None),
+    "chaos": ((), "--seed"),
+    "attack": ((), "--accounts"),
+    "status": ((), "--replicas"),
+    "storage": (("--demo", "never-created"), "--shards"),
+}
+
+def _cases():
+    for command, (required, flag) in COMMANDS.items():
+        yield command, "unknown-flag", [*required, "--no-such-flag"]
+        if flag is not None:
+            yield command, "non-integer", [*required, flag, "abc"]
+            yield command, "missing-value", [*required, flag]
+    yield "qr", "missing-value", []
+
+
+CASES = list(_cases())
+
+
+@pytest.mark.parametrize(
+    ("command", "argv"),
+    [(command, argv) for command, _, argv in CASES],
+    ids=[f"{command}-{kind}" for command, kind, _ in CASES],
+)
+def test_bad_command_line_is_a_usage_error(capsys, tmp_path, monkeypatch, command, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"usage: python -m repro {command}" in captured.err
+    assert "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []  # ``storage --demo`` made no directory
+
+
+def test_a_misspelt_flag_does_not_run_the_default(capsys):
+    assert main(["chaos", "--plann", "resolver-outage", "--logins", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--plann" in captured.err
+    # A prefix is a misspelling too (``--seed`` must never mean ``--seeds``).
+    assert main(["report", "300", "--seed", "3"]) == 2
+
+
+def test_help_lists_every_command(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert all(f"\n    {command}" in out for command in COMMANDS)
+    assert main(["chaos", "--help"]) == 0
+    assert "--plan NAME" in capsys.readouterr().out

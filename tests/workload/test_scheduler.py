@@ -4,14 +4,14 @@ import random
 
 import pytest
 
-from repro.common.clock import SimulatedClock
+from repro.common.clock import VirtualClock
 from repro.common.errors import NotFoundError, ValidationError
 from repro.workload.scheduler import BatchScheduler, JobState, MailEvent
 
 
 @pytest.fixture
 def clock():
-    return SimulatedClock(1_000_000.0)
+    return VirtualClock(1_000_000.0)
 
 
 @pytest.fixture
