@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.clock import Clock, WallClock
 from repro.common.errors import NotFoundError, ValidationError
+from repro.common.ids import random_octets
 from repro.directory.identity import AccountClass, IdentityBackend, PairingStatus
 from repro.ingest import IngestConfig, IngestQueue, QueuedBackend
 from repro.otpserver import OTPServer, SMSGateway, TokenBackend
@@ -407,7 +408,7 @@ class MFACenter:
         issuer = self._federation_issuers.get(site)
         if issuer is None:
             if key is None:
-                key = bytes(self.rng.getrandbits(8) for _ in range(32))
+                key = random_octets(self.rng, 32)
             issuer = AttestationIssuer(site, key, clock=self.clock, rng=self.rng)
             self.federation_verifier.trust(site, key)
             self._federation_issuers[site] = issuer

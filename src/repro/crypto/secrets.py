@@ -13,6 +13,7 @@ from __future__ import annotations
 import hmac
 import random
 
+from repro.common.ids import random_octets
 from repro.crypto.base32 import b32encode
 
 #: RFC 4226 recommends seeds of at least 128 bits; 160 matches SHA-1 output
@@ -32,8 +33,7 @@ def generate_secret(
     """
     if nbytes < 16:
         raise ValueError(f"secret must be at least 16 bytes, got {nbytes}")
-    rng = rng or random.Random()
-    return bytes(rng.getrandbits(8) for _ in range(nbytes))
+    return random_octets(rng or random.Random(), nbytes)
 
 
 def secret_to_base32(secret: bytes) -> str:
@@ -82,7 +82,7 @@ class SecretSealer:
 
     def seal(self, secret: bytes) -> bytes:
         """Return ``nonce || ciphertext || tag`` for storage."""
-        nonce = bytes(self._rng.getrandbits(8) for _ in range(self._NONCE_LEN))
+        nonce = random_octets(self._rng, self._NONCE_LEN)
         stream = self._keystream(nonce, len(secret))
         ciphertext = _xor(secret, stream)
         tag = hmac.digest(self._key, nonce + ciphertext, "sha256")

@@ -10,7 +10,6 @@ account, or used after they lapse.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 from typing import Optional
 from urllib.parse import parse_qs, urlencode, urlsplit
@@ -33,7 +32,7 @@ class URLSigner:
 
     def _signature(self, path: str, username: str, expires: int) -> str:
         payload = f"{path}|{username}|{expires}".encode()
-        return hmac.new(self._key, payload, hashlib.sha256).hexdigest()
+        return hmac.digest(self._key, payload, "sha256").hex()
 
     def sign(self, path: str, username: str, ttl: int = DEFAULT_TTL) -> str:
         """Return ``path?user=...&expires=...&sig=...``."""

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.common.errors import ProtocolError
+from repro.common.ids import random_octets
 from repro.radius.dictionary import PacketCode
 
 HEADER = struct.Struct("!BBH16s")
@@ -67,14 +68,8 @@ def _attr_bytes(attributes: List[Tuple[int, bytes]]) -> bytes:
 
 
 def new_request_authenticator(rng: Optional[random.Random] = None) -> bytes:
-    """The random 16-byte Request Authenticator for an Access-Request.
-
-    One draw for sixteen ``getrandbits(8)``: each of those is the top octet
-    of a 32-bit Mersenne Twister word, so the top octets of one 16-word draw
-    are the same bytes and leave a shared seeded ``rng`` in the same place.
-    """
-    rng = rng or random.Random()
-    return rng.getrandbits(512).to_bytes(64, "little")[3::4]
+    """The random 16-byte Request Authenticator for an Access-Request."""
+    return random_octets(rng or random.Random(), 16)
 
 
 def hide_password(password: str, secret: bytes, authenticator: bytes) -> bytes:

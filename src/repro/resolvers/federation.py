@@ -27,7 +27,6 @@ Keys follow the :mod:`repro.crypto.signing` rule: at least 16 bytes.
 from __future__ import annotations
 
 import base64
-import hashlib
 import hmac
 import json
 import random
@@ -58,7 +57,7 @@ def _unb64url(text: str) -> bytes:
 
 
 def _sign(key: bytes, signing_input: str) -> str:
-    return hmac.new(key, signing_input.encode("ascii"), hashlib.sha256).hexdigest()
+    return hmac.digest(key, signing_input.encode("ascii"), "sha256").hex()
 
 
 class AttestationIssuer:

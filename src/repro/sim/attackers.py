@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.common.clock import VirtualClock
+from repro.common.ids import random_octets
 from repro.common.results import ValidateResult, ValidateStatus
 from repro.crypto.hotp import hotp
 from repro.crypto.totp import totp_at
@@ -315,8 +316,8 @@ class AttackSimulation:
             )
 
             key_rng = self.scheduler.rng("federation-key")
-            key = bytes(key_rng.getrandbits(8) for _ in range(32))
-            rogue = bytes(key_rng.getrandbits(8) for _ in range(32))
+            key = random_octets(key_rng, 32)
+            rogue = random_octets(key_rng, 32)
             self.issuer = AttestationIssuer(
                 HOME_SITE,
                 key,

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 
 from repro.common.clock import Clock, WallClock
 from repro.common.errors import ConfigurationError, NotFoundError
-from repro.common.ids import IdAllocator
+from repro.common.ids import IdAllocator, random_octets
 from repro.pam.conversation import Conversation, ConversationError
 from repro.pam.framework import PAMResult, PAMSession, PAMStack
 from repro.pam.registry import PAMServiceManager
@@ -130,16 +130,19 @@ class SSHDaemon:
         retained as the verifier stand-in); the identity backend records
         the fingerprint.
         """
-        self.identity.add_public_key(username, keypair.fingerprint)
-        self._verifiers[keypair.fingerprint] = keypair
+        fingerprint = keypair.fingerprint
+        self.identity.add_public_key(username, fingerprint)
+        self._verifiers[fingerprint] = keypair
 
-    def _verify_publickey(self, username: str, key: KeyPair) -> bool:
-        if not self.identity.has_public_key(username, key.fingerprint):
+    def _verify_publickey(
+        self, username: str, key: KeyPair, fingerprint: str
+    ) -> bool:
+        if not self.identity.has_public_key(username, fingerprint):
             return False
-        verifier = self._verifiers.get(key.fingerprint)
+        verifier = self._verifiers.get(fingerprint)
         if verifier is None:
             return False
-        challenge = bytes(self._rng.getrandbits(8) for _ in range(32))
+        challenge = random_octets(self._rng, 32)
         return verifier.verify_with_public(challenge, key.sign(challenge))
 
     # -- connection handling ------------------------------------------------------
@@ -178,10 +181,11 @@ class SSHDaemon:
         account_ok = username in self.identity
         pubkey_ok = False
         if key is not None and account_ok:
-            pubkey_ok = self._verify_publickey(username, key)
+            fingerprint = key.fingerprint  # two SHA-256s: derived once a connect
+            pubkey_ok = self._verify_publickey(username, key, fingerprint)
             if pubkey_ok:
                 self.authlog.append(
-                    "accepted_publickey", username, source_ip, detail=key.fingerprint
+                    "accepted_publickey", username, source_ip, detail=fingerprint
                 )
 
         try:

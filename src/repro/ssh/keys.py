@@ -17,6 +17,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.common.ids import random_octets
+
 
 def fingerprint(public_key: str) -> str:
     """OpenSSH-style SHA256 fingerprint of a public key string."""
@@ -33,8 +35,7 @@ class KeyPair:
 
     @classmethod
     def generate(cls, comment: str = "", rng: Optional[random.Random] = None) -> "KeyPair":
-        rng = rng or random.Random()
-        return cls(bytes(rng.getrandbits(8) for _ in range(32)), comment)
+        return cls(random_octets(rng or random.Random(), 32), comment)
 
     @property
     def public_key(self) -> str:
@@ -48,7 +49,7 @@ class KeyPair:
 
     def sign(self, challenge: bytes) -> bytes:
         """Prove possession of the private half."""
-        return hmac.new(self.private_seed, b"sig:" + challenge, hashlib.sha256).digest()
+        return hmac.digest(self.private_seed, b"sig:" + challenge, "sha256")
 
     def verify_with_public(self, challenge: bytes, signature: bytes) -> bool:
         """Verification as the daemon would do with the public key.

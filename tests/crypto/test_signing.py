@@ -23,6 +23,16 @@ class TestSigning:
         url = signer.sign("/mfa/unpair", "alice")
         assert signer.verify(url) == "alice"
 
+    def test_signed_url_is_the_one_already_mailed(self, signer):
+        # Minted by the ``hmac.new(...).hexdigest()`` implementation: links
+        # sitting in inboxes must verify, and a re-sign must reproduce them.
+        url = (
+            "/mfa/unpair?user=alice&expires=1086400&sig="
+            "519bbfca7be7d4ea5e0cbe121fe3b04fbb1792dce6cd50591f33ea0e87495c99"
+        )
+        assert signer.sign("/mfa/unpair", "alice") == url
+        assert signer.verify(url) == "alice"
+
     def test_url_contains_user_expiry_sig(self, signer):
         url = signer.sign("/mfa/unpair", "alice")
         assert "user=alice" in url and "expires=" in url and "sig=" in url

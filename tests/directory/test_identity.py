@@ -1,5 +1,7 @@
 """Identity backend: accounts, shared uid, passwords, pairing notifications."""
 
+import cProfile
+
 import pytest
 
 from repro.common.errors import NotFoundError, ValidationError
@@ -76,6 +78,39 @@ class TestPasswords:
     def test_same_password_different_users_different_hash(self, identity):
         identity.create_account("bob", "b@x.edu", password="hunter2")
         assert identity.get("alice").password_hash != identity.get("bob").password_hash
+
+    def test_hash_input_is_not_ambiguous(self, identity):
+        # Password and salt are separate KDF arguments, not one joined string:
+        # nothing forbids ":" in a login name.
+        identity.create_account("a", "a@x.edu", password="b:c")
+        identity.create_account("a:b", "ab@x.edu", password="c")
+        assert identity.get("a").password_hash != identity.get("a:b").password_hash
+
+    @pytest.mark.parametrize(
+        "username, password, verdict",
+        [
+            ("alice", "hunter2", True),
+            ("alice", "wrong", False),
+            ("ghost", "hunter2", False),
+            ("retired", "hunter2", False),
+            ("nopw", "", False),
+            ("", "", False),  # the very input the stand-in hash was made from
+        ],
+    )
+    def test_one_kdf_call_whatever_the_account_state(
+        self, identity, username, password, verdict
+    ):
+        """No account enumeration by timing: counted by the profiler, not
+        the clock — the KDF is the ~300 µs, everything else is ~1 µs."""
+        identity.create_account("retired", "r@x.edu", password="hunter2")
+        identity.get("retired").active = False
+        identity.create_account("nopw", "n@x.edu")
+        profiler = cProfile.Profile()
+        answer = profiler.runcall(identity.check_password, username, password)
+        assert answer is verdict
+        for builtin in ("pbkdf2_hmac", "compare_digest"):
+            calls = [e.callcount for e in profiler.getstats() if builtin in str(e.code)]
+            assert calls == [1], builtin
 
 
 class TestPublicKeys:

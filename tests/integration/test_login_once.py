@@ -16,33 +16,15 @@ from repro.common.clock import VirtualClock
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
 from repro.ssh import SSHClient
+from repro.ssh.keys import KeyPair
 
 
-@pytest.fixture(scope="module")
-def login_profile():
-    """``{(file name, function name): calls}`` of one warm soft-token login."""
-    clock = VirtualClock.at("2016-10-05T09:00:00")
-    center = MFACenter(clock=clock, rng=random.Random(20160810))
-    system = center.add_system("stampede", mode="full")
-    center.create_user("alice", password="hunter2")
-    _, secret = center.pair_soft("alice")
-    device = TOTPGenerator(secret=secret, clock=clock)
-    client = SSHClient(source_ip="198.51.100.7")
-    node = system.login_node()
-
-    def login(profiler=None):
-        clock.advance(31)  # a fresh TOTP step: no replay
-        code = device.current_code()
-        if profiler is not None:
-            profiler.enable()
-        result, _ = client.connect(node, "alice", password="hunter2", token=code)
-        if profiler is not None:
-            profiler.disable()
-        assert result.success
-
-    login()  # warm: imports, first-use tables
+def profile_second_call(login):
+    """``{(file name, function name): calls}`` of ``login(run)``'s ``run(...)``,
+    the second time round (the first warms imports and first-use tables)."""
+    login(lambda function, *args, **kwargs: function(*args, **kwargs))
     profiler = cProfile.Profile()
-    login(profiler)
+    login(profiler.runcall)
     calls = {}
     for entry in profiler.getstats():
         code = entry.code
@@ -52,6 +34,47 @@ def login_profile():
         )
         calls[key] = calls.get(key, 0) + entry.callcount
     return calls
+
+
+@pytest.fixture(scope="module")
+def login_profile():
+    """One warm soft-token login from outside: password, then token."""
+    clock = VirtualClock.at("2016-10-05T09:00:00")
+    center = MFACenter(clock=clock, rng=random.Random(20160810))
+    system = center.add_system("stampede", mode="full")
+    center.create_user("alice", password="hunter2")
+    _, secret = center.pair_soft("alice")
+    device = TOTPGenerator(secret=secret, clock=clock)
+    client = SSHClient(source_ip="198.51.100.7")
+    node = system.login_node()
+
+    def login(run):
+        clock.advance(31)  # a fresh TOTP step: no replay
+        code = device.current_code()
+        result, _ = run(client.connect, node, "alice", password="hunter2", token=code)
+        assert result.success
+
+    return profile_second_call(login)
+
+
+@pytest.fixture(scope="module")
+def pubkey_profile():
+    """One warm public-key connect from inside: Figure 4's commonest login."""
+    clock = VirtualClock.at("2016-10-05T09:00:00")
+    center = MFACenter(clock=clock, rng=random.Random(20160810))
+    system = center.add_system("stampede", mode="full")
+    center.create_user("alice", password="hunter2")
+    key = KeyPair.generate("alice", rng=random.Random(7))
+    node = system.login_node()
+    node.authorize_key("alice", key)
+    client = SSHClient(source_ip="10.3.1.20")  # the system's own /24: exempt
+
+    def login(run):
+        result, _ = run(client.connect, node, "alice", key=key)
+        assert result.success
+        assert result.session_items["first_factor"] == "publickey"
+
+    return profile_second_call(login)
 
 
 def count(profile, file_name, function):
@@ -82,6 +105,29 @@ def test_the_radius_codec_runs_no_per_byte_generator(login_profile):
     assert md5 == 4
     # The attribute bytes are built once per packet sent (request, response).
     assert count(login_profile, "packet.py", "_attr_bytes") == 2
+
+
+def builtin(profile, fragment):
+    return sum(n for (file, name), n in profile.items() if file == "~" and fragment in name)
+
+
+def test_the_password_rounds_loop_inside_one_call(login_profile):
+    assert builtin(login_profile, "pbkdf2_hmac") == 1
+    assert builtin(login_profile, "openssl_sha256") == 0
+
+
+def test_a_public_key_connect_draws_once_and_derives_once(pubkey_profile):
+    for file in ("daemon.py", "keys.py", "secrets.py", "ids.py"):
+        assert count(pubkey_profile, file, "<genexpr>") == 0
+    assert builtin(pubkey_profile, "getrandbits") == 1  # the 32-octet challenge
+    # The fingerprint is two SHA-256s (the ``public_key`` line, then its
+    # digest): the property, and the function of the same name behind it.
+    assert count(pubkey_profile, "keys.py", "public_key") == 1
+    assert count(pubkey_profile, "keys.py", "fingerprint") == 2
+    # Signing is the one-shot ``hmac.digest``, not an ``HMAC`` object.
+    assert count(pubkey_profile, "keys.py", "sign") == 2  # client, verifier
+    assert count(pubkey_profile, "hmac.py", "__init__") == 0
+    assert builtin(pubkey_profile, "pbkdf2_hmac") == 0
 
 
 def test_telemetry_off_has_no_storage_timing_layer(login_profile):

@@ -44,6 +44,18 @@ class TestIssuer:
         assert len(signature) == 64 and int(signature, 16) >= 0
         assert issuer.issued == 1
 
+    def test_assertion_is_the_one_a_home_site_already_mints(self, issuer, verifier):
+        # Minted by the ``hmac.new(...).hexdigest()`` implementation: a home
+        # site that has not upgraded signs exactly this, and it must verify.
+        assertion = (
+            "FED1.eyJhdWQiOiJocGMtY2VudGVyIiwiZXhwIjoxNDc1NjU4MzAwLjAsImlhdCI6MTQ3"
+            "NTY1ODAwMC4wLCJub25jZSI6IjY1MTMyNzBlMjY5ZTBkMzdmMmE3NGRlNDUyZTZiNDM4Iiwi"
+            "c2l0ZSI6InBhcnRuZXIuZWR1Iiwic3ViIjoiYWxpY2UifQ."
+            "c735da5b6d98923e3a8958821162197e3efa295c223eda4fd1ce9ff7d7c628bd"
+        )
+        assert issuer.issue("alice") == assertion
+        assert verifier.verify(assertion)["sub"] == "alice"
+
     def test_short_key_rejected(self, clock):
         with pytest.raises(ValueError, match=">= 16 bytes"):
             AttestationIssuer("partner.edu", b"short", clock=clock)

@@ -322,6 +322,24 @@ def test_retired_clock_aliases_stay_out_of_src():
     assert _spelled_in_src(RETIRED_CLOCK_NAMES) == []
 
 
+def test_octets_and_rounds_loop_in_c_not_in_the_interpreter():
+    """docs/ARCHITECTURE.md "A loop over rounds or octets runs inside one C
+    call".  Shrink-only, as above: an octet string is one draw
+    (``common.ids.random_octets``), never a generator of 8-bit draws, and a
+    keyed digest is the one-shot ``hmac.digest``."""
+    per_octet_draws = sorted(
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "getrandbits"
+        and [getattr(arg, "value", None) for arg in node.args] == [8]
+    )
+    assert per_octet_draws == []
+    assert _spelled_in_src(("hmac.new(",)) == []
+
+
 def test_status_code_does_not_probe_the_stack_shape():
     """Each storage layer reports itself (``describe``); the code that
     serves or prints the operator view never walks the stack to find out
