@@ -19,6 +19,7 @@ import hmac
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.common.cache import MISSING, BoundedCache
 from repro.common.clock import Clock, WallClock
 from repro.common.errors import ProtocolError
 from repro.radius.dictionary import AcctStatusType, Attr, PacketCode
@@ -30,6 +31,7 @@ from repro.radius.packet import (
     encode_packet,
     response_authenticator,
 )
+from repro.radius.server import DUPLICATE_WINDOW
 from repro.radius.transport import UDPFabric
 
 
@@ -101,7 +103,7 @@ class AccountingServer:
         self._clock = clock or WallClock()
         self.sessions: Dict[str, SessionRecord] = {}
         self.duplicates = 0
-        self._seen: set = set()
+        self._seen = BoundedCache(DUPLICATE_WINDOW)
         fabric.register(address, self.handle_datagram)
 
     def handle_datagram(self, datagram: bytes, source: str) -> Optional[bytes]:
@@ -110,8 +112,8 @@ class AccountingServer:
         except ProtocolError:
             return None  # silently discard, per RFC 2866
         dedup_key = (source, request.identifier, request.authenticator)
-        if dedup_key not in self._seen:
-            self._seen.add(dedup_key)
+        if self._seen.get(dedup_key) is MISSING:
+            self._seen.put(dedup_key, True)
             self._apply(request)
         else:
             self.duplicates += 1

@@ -11,9 +11,9 @@ describes.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
+from repro.common.cache import MISSING, BoundedCache
 from repro.common.errors import ProtocolError
 from repro.common.results import TokenBackend, ValidateStatus
 from repro.radius.dictionary import Attr, PacketCode
@@ -26,8 +26,8 @@ from repro.radius.packet import (
 from repro.radius.transport import UDPFabric
 from repro.telemetry import NOOP_REGISTRY
 
-
-_CacheKey = Tuple[str, int, bytes]  # (source, identifier, request authenticator)
+#: Requests remembered for duplicate detection; the oldest is forgotten first.
+DUPLICATE_WINDOW = 1024
 
 #: ValidateStatus -> (packet code, reply message)
 _STATUS_MAP = {
@@ -64,7 +64,7 @@ class RADIUSServer:
         self.name = name or address
         self._backend = backend
         self._clients: Dict[str, bytes] = {}
-        # Guards the counts and the duplicate cache; never held across validate.
+        # Guards the counts and the duplicate window; never held across validate.
         self._lock = threading.Lock()
         self.handled = 0
         self.rejected_clients = 0
@@ -77,8 +77,7 @@ class RADIUSServer:
         # being re-validated (which would burn the one-time code when the
         # original response was lost in flight).  A request is claimed here
         # *before* it is validated — ``None`` marks it in flight.
-        self._response_cache: "OrderedDict[_CacheKey, Optional[bytes]]" = OrderedDict()
-        self._response_cache_size = 1024
+        self._responses = BoundedCache(DUPLICATE_WINDOW)
         fabric.register(address, self.handle_datagram)
 
     def add_client(self, source: str, secret: bytes) -> None:
@@ -115,8 +114,8 @@ class RADIUSServer:
                 return None
             cache_key = (source, request.identifier, request.authenticator)
             with self._lock:
-                if cache_key in self._response_cache:
-                    cached = self._response_cache[cache_key]
+                cached = self._responses.get(cache_key)
+                if cached is not MISSING:
                     if cached is None:
                         # Still being validated: drop silently (RFC 5080 section
                         # 2.2.2) — the client's next retransmit finds the answer.
@@ -126,7 +125,7 @@ class RADIUSServer:
                         self.duplicates_replayed += 1
                         span.annotate("duplicate", True)
                     return cached
-                self._store(cache_key, None)
+                self._responses.put(cache_key, None)
                 self.handled += 1
             response: Optional[bytes] = None
             try:
@@ -137,9 +136,9 @@ class RADIUSServer:
                 # packet, a raising back end) releases it.
                 with self._lock:
                     if response is None:
-                        self._response_cache.pop(cache_key, None)
+                        self._responses.pop(cache_key)
                     else:
-                        self._store(cache_key, response)
+                        self._responses.put(cache_key, response)
 
     def _respond(self, request: RADIUSPacket, secret: bytes, span) -> Optional[bytes]:
         username = request.get_str(Attr.USER_NAME)
@@ -175,12 +174,6 @@ class RADIUSServer:
         for proxy_state in request.get_all(Attr.PROXY_STATE):
             response.add(Attr.PROXY_STATE, proxy_state)
         return encode_packet(response, secret, request.authenticator)
-
-    def _store(self, cache_key: _CacheKey, response: Optional[bytes]) -> None:
-        """Caller holds the lock."""
-        self._response_cache[cache_key] = response
-        while len(self._response_cache) > self._response_cache_size:
-            self._response_cache.popitem(last=False)
 
     def snapshot(self) -> Dict[str, object]:
         """This server's entry in the ``radius`` section of ``status()``."""

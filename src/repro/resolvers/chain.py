@@ -17,9 +17,10 @@ chain fronts every account source a deployment knows about:
   request *over*, not *down*: the next candidate answers and the caller
   never notices.  An authoritative miss, by contrast, is an answer —
   it never triggers failover.
-* **TTL'd lookup cache** — positive and negative entries, so repeat-user
-  resolution costs a dict probe.  Negative entries expire faster
-  (``negative_ttl``) so freshly created accounts appear promptly.
+* **TTL'd lookup cache** — positive and negative entries in one
+  :class:`~repro.common.cache.BoundedCache`, so repeat-user resolution
+  costs a dict probe.  Negative entries expire faster (``NEGATIVE_TTL``)
+  so freshly created accounts appear promptly.
 
 Everything is Clock-injected: virtual-time simulations drive cache
 expiry, probe timers and latency measurement without wall time.
@@ -34,6 +35,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional, Tuple
 
+from repro.common.cache import MISSING, BoundedCache
 from repro.common.clock import Clock, WallClock
 from repro.common.resilience import CircuitState, FailoverPolicy, HealthTracker
 from repro.resolvers.base import (
@@ -45,9 +47,11 @@ from repro.resolvers.base import (
 from repro.telemetry import resolve_registry
 
 #: Cache entries beyond this are evicted oldest-first (insertion order).
-DEFAULT_CACHE_CAPACITY = 4096
+CACHE_CAPACITY = 4096
 #: Seconds a resolved identity stays cached.
 CACHE_TTL = 300.0
+#: Seconds a miss stays cached.
+NEGATIVE_TTL = 30.0
 
 
 class ResolverChain:
@@ -58,25 +62,14 @@ class ResolverChain:
         clock: Optional[Clock] = None,
         telemetry=None,
         policy: Optional[FailoverPolicy] = None,
-        negative_ttl: float = 30.0,
-        cache_capacity: int = DEFAULT_CACHE_CAPACITY,
     ) -> None:
-        if negative_ttl <= 0:
-            raise ValueError("cache TTLs must be positive")
-        if cache_capacity < 1:
-            raise ValueError("cache capacity must be at least 1")
         self.clock = clock or WallClock()
         self.policy = policy or FailoverPolicy()
-        self.negative_ttl = float(negative_ttl)
-        self._cache_capacity = int(cache_capacity)
         self._routes: Dict[str, List[IdentityResolver]] = {}
         self._resolvers: Dict[str, IdentityResolver] = {}
         self._order: Dict[str, int] = {}
-        # username -> (expires_at, identity-or-None)
-        self._cache: Dict[str, Tuple[float, Optional[ResolvedIdentity]]] = {}
-        self._lock = threading.Lock()  # the cache and the five counters
-        self.lookups = 0
-        self.cache_hits = 0
+        self._cache = BoundedCache(CACHE_CAPACITY)  # name -> identity, None: a miss
+        self._lock = threading.Lock()  # the cache and the three counters
         self.negative_hits = 0
         self.failovers = 0
         self.unrouted = 0
@@ -131,21 +124,27 @@ class ResolverChain:
 
     # -- cache -------------------------------------------------------------
 
+    @property
+    def lookups(self) -> int:
+        return self._cache.hits + self._cache.misses
+
+    @property
+    def cache_hits(self) -> int:
+        return self._cache.hits
+
     def invalidate(self, username: Optional[str] = None) -> None:
         """Drop one cached lookup (or the whole cache)."""
         with self._lock:
             if username is None:
                 self._cache.clear()
             else:
-                self._cache.pop(username, None)
+                self._cache.pop(username)
 
     def _cache_put(self, username: str, identity: Optional[ResolvedIdentity]) -> None:
-        ttl = CACHE_TTL if identity is not None else self.negative_ttl
+        ttl = CACHE_TTL if identity is not None else NEGATIVE_TTL
         expires = self.clock.now() + ttl
         with self._lock:
-            if len(self._cache) >= self._cache_capacity and username not in self._cache:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[username] = (expires, identity)
+            self._cache.put(username, identity, expires)
 
     # -- resolution --------------------------------------------------------
 
@@ -182,16 +181,11 @@ class ResolverChain:
         """
         now = self.clock.now()
         with self._lock:
-            self.lookups += 1
-            cached = self._cache.get(username)
-            if cached is not None:
-                expires, identity = cached
-                if now < expires:
-                    self.cache_hits += 1
-                    if identity is None:
-                        self.negative_hits += 1
-                    return identity
-                del self._cache[username]
+            identity = self._cache.get(username, now)
+            if identity is not MISSING:
+                if identity is None:
+                    self.negative_hits += 1
+                return identity
         _, realm = split_realm(username)
         route = self._routes.get(realm)
         if not route:
@@ -227,7 +221,6 @@ class ResolverChain:
     def snapshot(self) -> Dict[str, object]:
         """The ``resolvers`` section of ``OTPServer.status()``: routes,
         health, cache, stats."""
-        now = self.clock.now()
         tracked = self._tracker.snapshot()
         resolvers = {
             name: {
@@ -246,14 +239,8 @@ class ResolverChain:
                 "configured": True,
                 "realms": realms,
                 "resolvers": resolvers,
-                "cache": {
-                    "entries": len(self._cache),
-                    "live": sum(1 for exp, _ in self._cache.values() if now < exp),
-                    "ttl_seconds": CACHE_TTL,
-                    "negative_ttl_seconds": self.negative_ttl,
-                    "hits": self.cache_hits,
-                    "negative_hits": self.negative_hits,
-                },
+                "cache": self._cache.snapshot(),
+                "negative_hits": self.negative_hits,
                 "lookups": self.lookups,
                 "failovers": self.failovers,
                 "unrouted": self.unrouted,

@@ -27,11 +27,12 @@ Keys follow the :mod:`repro.crypto.signing` rule: at least 16 bytes.
 from __future__ import annotations
 
 import base64
+import heapq
 import hmac
 import json
 import random
 import threading
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.clock import Clock, WallClock
 from repro.common.errors import ValidationError
@@ -114,6 +115,12 @@ class AttestationIssuer:
 class NonceCache:
     """Single-use nonce ledger, TTL'd on each assertion's own expiry.
 
+    A ledger, not a cache: forgetting a live nonce would replay its
+    assertion, so it has no capacity.  Lifetimes differ per issuer and per
+    assertion, so expiry order is not burn order: a heap of expiries, soonest
+    first, lets each burn drop every expired entry and nothing else, so no
+    expired nonce outlives the next burn.
+
     ``consume`` is check-then-set, and the pipeline's per-user lock
     stripes do not cover it: two spellings of one account (``alice``,
     ``alice@partner``) hash to different stripes, so the same assertion
@@ -124,7 +131,9 @@ class NonceCache:
     def __init__(self, clock: Clock) -> None:
         self._clock = clock
         self._lock = threading.Lock()
-        self._seen: Dict[str, float] = {}
+        self._seen: Set[str] = set()
+        #: ``(expires_at, nonce)`` for each member of ``_seen``, soonest first.
+        self._expiries: List[Tuple[float, str]] = []
         self.replays_blocked = 0
 
     def __len__(self) -> int:
@@ -134,14 +143,14 @@ class NonceCache:
         """Burn ``nonce``; False when it was already used (a replay)."""
         now = self._clock.now()
         with self._lock:
-            if len(self._seen) > 64 and any(
-                exp <= now for exp in self._seen.values()
-            ):
-                self._seen = {n: exp for n, exp in self._seen.items() if exp > now}
-            if self._seen.get(nonce, 0.0) > now:
+            expiries = self._expiries
+            while expiries and expiries[0][0] <= now:
+                self._seen.remove(heapq.heappop(expiries)[1])
+            if nonce in self._seen:  # every member is live after the purge
                 self.replays_blocked += 1
                 return False
-            self._seen[nonce] = expires_at
+            self._seen.add(nonce)
+            heapq.heappush(expiries, (expires_at, nonce))
             return True
 
 

@@ -13,7 +13,7 @@ The package extracts the relational store behind
 * :class:`ReplicatedEngine` — each shard a primary + N log-shipping
   replicas, with deterministic promotion on primary crash and
   rejoin-by-replay;
-* :class:`CachingEngine` — read-through LRU over point lookups with
+* :class:`CachingEngine` — read-through cache over point lookups with
   write-invalidation;
 * :class:`InstrumentedEngine` — op latency/count series in the telemetry
   registry (outermost, and only when telemetry is on).
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.storage.cache import DEFAULT_CAPACITY, CachingEngine
+from repro.storage.cache import CachingEngine
 from repro.storage.engine import Row, StorageEngine, find_layer
 from repro.storage.instrument import InstrumentedEngine
 from repro.storage.memory import InMemoryEngine
@@ -130,7 +130,6 @@ def build_engine(
 
 __all__ = [
     "CachingEngine",
-    "DEFAULT_CAPACITY",
     "HashRing",
     "InMemoryEngine",
     "InstrumentedEngine",

@@ -1,9 +1,10 @@
-"""A read-through LRU cache in front of any storage engine.
+"""A read-through cache in front of any storage engine.
 
 Hot token/user lookups on the validate path are point reads (``get`` by
-serial, ``get_by_unique`` by user id); the cache keeps the most recent
-``capacity`` of them and invalidates on write, so a login storm against
-the same accounts stops paying the backing engine's round trip.
+serial, ``get_by_unique`` by user id); the cache keeps the latest
+``capacity`` of them (a :class:`~repro.common.cache.BoundedCache`) and
+invalidates on write, so a login storm against the same accounts stops
+paying the backing engine's round trip.
 
 Invalidation rules:
 
@@ -24,106 +25,73 @@ write to the row — no schema addition, no policy change — can stale one.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Set
 
+from repro.common.cache import MISSING, BoundedCache
 from repro.storage.engine import Predicate, Row, StorageEngine
 from repro.storage.schema import TableSchema
 
-DEFAULT_CAPACITY = 1024
-
 
 class CachingEngine:
-    """LRU read-through wrapper with write invalidation."""
+    """Read-through wrapper with write invalidation."""
 
-    def __init__(self, inner: StorageEngine, capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError(f"cache capacity must be positive, got {capacity}")
+    def __init__(self, inner: StorageEngine, capacity: int) -> None:
         self.inner = inner
-        self.capacity = capacity
-        self._lru: "OrderedDict[tuple, Row]" = OrderedDict()
+        self._cache = BoundedCache(capacity)
         #: Cached unique-lookup keys per table, for O(per-table) invalidation.
         self._unique_keys: Dict[str, Set[tuple]] = {}
         self._lock = threading.Lock()
-        self._hit_count = 0
-        self._miss_count = 0
 
     # -- cache plumbing -----------------------------------------------------
 
-    def _lookup(self, key: tuple) -> Optional[Row]:
+    def _read_through(self, key: tuple, table: str, fetch, *args: Any) -> Row:
         with self._lock:
-            row = self._lru.get(key)
-            if row is not None:
-                self._lru.move_to_end(key)
-            self._hit_count += row is not None
-            self._miss_count += row is None
-        return dict(row) if row is not None else None
-
-    def _store(self, key: tuple, table: str, row: Row) -> None:
+            row = self._cache.get(key)
+        if row is not MISSING:
+            return dict(row)
+        row = fetch(table, *args)
         with self._lock:
-            self._lru[key] = dict(row)
-            self._lru.move_to_end(key)
             if key[1] == "unique":
                 self._unique_keys.setdefault(table, set()).add(key)
-            while len(self._lru) > self.capacity:
-                evicted, _ = self._lru.popitem(last=False)
-                if evicted[1] == "unique":
-                    self._unique_keys.get(evicted[0], set()).discard(evicted)
+            evicted = self._cache.put(key, dict(row))
+            if evicted is not MISSING and evicted[1] == "unique":
+                self._unique_keys.get(evicted[0], set()).discard(evicted)
+        return row
 
     def _invalidate_row(self, table: str, pk: Any) -> None:
         with self._lock:
-            self._lru.pop((table, "pk", pk), None)
+            self._cache.pop((table, "pk", pk))
             for key in self._unique_keys.pop(table, ()):
-                self._lru.pop(key, None)
+                self._cache.pop(key)
 
     def _clear(self) -> None:
         with self._lock:
-            self._lru.clear()
+            self._cache.clear()
             self._unique_keys.clear()
 
     def cache_info(self) -> Dict[str, object]:
         with self._lock:
-            total = self._hit_count + self._miss_count
-            return {
-                "entries": len(self._lru),
-                "capacity": self.capacity,
-                "hits": self._hit_count,
-                "misses": self._miss_count,
-                "hit_ratio": round(self._hit_count / total, 4) if total else 0.0,
-            }
+            return self._cache.snapshot()
 
     def describe(self) -> Dict[str, Any]:
-        """The wrapped engine's status with this LRU as its ``cache``."""
-        status = self.inner.describe()
-        status["cache"] = self.cache_info()
-        return status
+        """The wrapped engine's status with this cache as its ``cache``."""
+        return {**self.inner.describe(), "cache": self.cache_info()}
 
     # -- reads --------------------------------------------------------------
 
     def get(self, table: str, pk: Any) -> Row:
-        key = (table, "pk", pk)
-        row = self._lookup(key)
-        if row is not None:
-            return row
-        row = self.inner.get(table, pk)
-        self._store(key, table, row)
-        return row
+        return self._read_through((table, "pk", pk), table, self.inner.get, pk)
 
     def exists(self, table: str, pk: Any) -> bool:
         with self._lock:
-            if (table, "pk", pk) in self._lru:
+            if (table, "pk", pk) in self._cache:
                 return True
         return self.inner.exists(table, pk)
 
     def get_by_unique(self, table: str, column: str, value: Any) -> Row:
         key = (table, "unique", column, value)
-        row = self._lookup(key)
-        if row is not None:
-            return row
-        row = self.inner.get_by_unique(table, column, value)
-        self._store(key, table, row)
-        return row
+        return self._read_through(key, table, self.inner.get_by_unique, column, value)
 
     def select(
         self,

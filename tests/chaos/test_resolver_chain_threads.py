@@ -14,6 +14,7 @@ import threading
 
 from repro.common.clock import VirtualClock
 from repro.resolvers import ResolverChain
+from repro.resolvers import chain as chain_module
 from repro.resolvers.base import IdentityResolver, ResolvedIdentity
 
 THREADS = 8
@@ -35,10 +36,9 @@ class CountingResolver(IdentityResolver):
         return ResolvedIdentity(username, f"uid-{username}", resolver=self.name)
 
 
-def test_concurrent_resolves_never_raise_and_count_exactly(seed):
-    chain = ResolverChain(
-        clock=VirtualClock.at("2016-10-05T09:00:00"), cache_capacity=2
-    )
+def test_concurrent_resolves_never_raise_and_count_exactly(seed, monkeypatch):
+    monkeypatch.setattr(chain_module, "CACHE_CAPACITY", 2)
+    chain = ResolverChain(clock=VirtualClock.at("2016-10-05T09:00:00"))
     resolver = chain.register(CountingResolver())
     errors = []
     snapshots = []

@@ -15,7 +15,6 @@ from repro.directory.identity import AccountClass
 from repro.pam.registry import FIGURE1_CONFIG, figure1_config
 from repro.policy import AuthRequest, RiskAction, RiskEngine
 from repro.common.resilience import CircuitState
-from repro.resolvers import ResolverConfig
 from repro.ssh import KeyPair, SSHClient
 from repro.storage import StorageConfig
 
@@ -375,13 +374,9 @@ class TestIdentityKeySpaces:
         assert center.radius_backend is center.otp
 
     def test_name_looked_up_before_its_account_exists(self, clock):
-        """A miss is negative-cached for ``negative_ttl``; creating the
+        """A miss is negative-cached for ``NEGATIVE_TTL``; creating the
         account must drop that entry (the clock never moves here)."""
-        center = MFACenter(
-            clock=clock,
-            rng=random.Random(1),
-            resolvers=ResolverConfig(negative_ttl=30.0),
-        )
+        center = MFACenter(clock=clock, rng=random.Random(1))
         early = center.radius_backend.validate("alice", "000000")
         assert (early.status.value, early.reason) == ("no_token", "unknown user")
         center.create_user("alice", password="pw")

@@ -21,6 +21,7 @@ from repro.common.clock import VirtualClock
 from repro.core import MFACenter
 from repro.ingest import PriorityClass
 from repro.resolvers import ResolverConfig
+from repro.resolvers import chain as chain_module
 from repro.ssh import SSHClient
 from repro.storage import StorageConfig, find_layer
 from repro.telemetry import render_status_text
@@ -152,10 +153,10 @@ FACTS = [
      lambda c: _shards(c)[0].wal.snapshots),
     ("storage_promotions_total", "storage.shards.0.replication.promotions",
      lambda c: _shards(c)[0].promotions),
-    ("storage_cache_entries", "storage.cache.entries", lambda c: len(_cache(c)._lru)),
-    ("storage_cache_hits_total", "storage.cache.hits", lambda c: _cache(c)._hit_count),
+    ("storage_cache_entries", "storage.cache.entries", lambda c: len(_cache(c)._cache)),
+    ("storage_cache_hits_total", "storage.cache.hits", lambda c: _cache(c)._cache.hits),
     ("storage_cache_misses_total", "storage.cache.misses",
-     lambda c: _cache(c)._miss_count),
+     lambda c: _cache(c)._cache.misses),
     ("otp_audit_log_size", "audit.records", lambda c: len(c.otp.audit)),
     ("otp_audit_lag_seconds", "audit.latest_timestamp",
      lambda c: c.otp.audit.entries()[-1].timestamp),
@@ -307,7 +308,9 @@ def _run_on_threads(worker):
     assert not any(thread.is_alive() for thread in threads)
 
 
-def test_status_totals_are_exact_under_threads():
+def test_status_totals_are_exact_under_threads(monkeypatch):
+    # A cache far smaller than the user pool: resolvers keep answering.
+    monkeypatch.setattr(chain_module, "CACHE_CAPACITY", 8)
     clock = VirtualClock.at("2016-10-05T09:00:00")
     center = MFACenter(
         clock=clock,
@@ -316,8 +319,7 @@ def test_status_totals_are_exact_under_threads():
         storage=StorageConfig(shards=2, durability=True),
         ingest=True,
         risk=True,
-        # A cache far smaller than the user pool: resolvers keep answering.
-        resolvers=ResolverConfig(use_ldap=True, cache_capacity=8),
+        resolvers=ResolverConfig(use_ldap=True),
     )
     center.add_system("stampede", mode="full")
     codes = {}

@@ -128,6 +128,8 @@ class TestShapeIndependence:
             "concurrency": {"lock_stripes": otp.pipeline.locks.stripes},
         }
         assert status["resolvers"] == center.resolver_chain.snapshot()
+        # One cache shape, whichever tier keeps the cache (or none does).
+        assert sorted(status["resolvers"]["cache"]) == sorted(storage["cache"])
         stampede = center.system("stampede")
         assert status["systems"] == {
             "stampede": {

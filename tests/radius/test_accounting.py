@@ -14,6 +14,7 @@ from repro.radius.accounting import (
 )
 from repro.radius.dictionary import AcctStatusType, Attr, PacketCode
 from repro.radius.packet import RADIUSPacket
+from repro.radius.server import DUPLICATE_WINDOW
 from repro.radius.transport import UDPFabric
 
 SECRET = b"acct-secret"
@@ -107,6 +108,28 @@ class TestSessions:
         assert rig.fabric.send_request(rig.server.address, wire, "nas") is not None
         assert rig.server.duplicates == 1
         assert rig.server.total_sessions() == 1
+
+    def test_dedup_ledger_is_bounded_by_the_duplicate_window(self, rig):
+        """One remembered request per Accounting-Request, oldest forgotten
+        first: the ledger stops at the window instead of growing forever."""
+
+        def record(n):
+            packet = RADIUSPacket(PacketCode.ACCOUNTING_REQUEST, n % 256)
+            packet.add(Attr.USER_NAME, "alice")
+            packet.add(Attr.ACCT_SESSION_ID, f"s{n}")
+            packet.add(Attr.ACCT_STATUS_TYPE, int(AcctStatusType.START).to_bytes(4, "big"))
+            return encode_accounting_request(packet, SECRET)
+
+        for n in range(DUPLICATE_WINDOW + 1):
+            assert rig.server.handle_datagram(record(n), "nas") is not None
+        assert len(rig.server._seen) == DUPLICATE_WINDOW
+        assert rig.server.total_sessions() == DUPLICATE_WINDOW + 1
+        # A retransmission of a request still inside the window is answered
+        # and counted, and applied once.
+        rig.clock.advance(60)
+        assert rig.server.handle_datagram(record(DUPLICATE_WINDOW), "nas") is not None
+        assert rig.server.duplicates == 1
+        assert rig.server.sessions[f"s{DUPLICATE_WINDOW}"].started_at == 1_000_000.0
 
     def test_lossy_fabric_retries(self, clock):
         fabric = UDPFabric(loss_rate=0.4, rng=random.Random(3))

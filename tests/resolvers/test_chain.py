@@ -10,6 +10,7 @@ from repro.resolvers import (
     ResolverChain,
     ResolverUnavailableError,
 )
+from repro.resolvers import chain as chain_module
 from repro.resolvers.base import split_realm
 
 
@@ -62,11 +63,10 @@ class TestRegistration:
         assert chain.resolve("alice@site-a").uid == "uid-alice"
         assert chain.resolve("alice@site-b").uid == "uid-alice"
 
-    def test_invalid_cache_settings_rejected(self, clock):
-        with pytest.raises(ValueError, match="TTLs must be positive"):
-            make_chain(clock, negative_ttl=0.0)
+    def test_invalid_cache_settings_rejected(self, clock, monkeypatch):
+        monkeypatch.setattr(chain_module, "CACHE_CAPACITY", 0)
         with pytest.raises(ValueError, match="capacity"):
-            make_chain(clock, cache_capacity=0)
+            make_chain(clock)
 
 
 class TestRealmRouting:
@@ -189,15 +189,17 @@ class TestCache:
         assert chain.cache_hits == 1 and backend.lookups == 1
 
     def test_negative_entries_expire_faster(self, clock):
-        chain = make_chain(clock, negative_ttl=30.0)
+        chain = make_chain(clock)
         backend = chain.register(StubResolver("a", users=[]))
         assert chain.resolve("newbie") is None
-        clock.advance(31.0)
+        assert chain_module.NEGATIVE_TTL < chain_module.CACHE_TTL
+        clock.advance(chain_module.NEGATIVE_TTL + 1.0)
         backend.users["newbie"] = "uid-newbie"
         assert chain.resolve("newbie") is not None  # fresh account visible
 
-    def test_capacity_evicts_oldest_first(self, clock):
-        chain = make_chain(clock, cache_capacity=2)
+    def test_capacity_evicts_oldest_first(self, clock, monkeypatch):
+        monkeypatch.setattr(chain_module, "CACHE_CAPACITY", 2)
+        chain = make_chain(clock)
         backend = chain.register(StubResolver("a", users=["u1", "u2", "u3"]))
         chain.resolve("u1")
         chain.resolve("u2")
@@ -231,5 +233,9 @@ class TestSnapshot:
         assert snap["realms"] == {"(default)": ["a"], "partner": ["fed"]}
         assert snap["resolvers"]["a"]["state"] == "closed"
         assert snap["resolvers"]["a"]["stats"]["hits"] == 1
-        assert snap["cache"]["entries"] == 1 and snap["cache"]["live"] == 1
+        assert snap["cache"] == {
+            "entries": 1, "capacity": chain_module.CACHE_CAPACITY,
+            "hits": 0, "misses": 1, "hit_ratio": 0.0,
+        }
         assert snap["lookups"] == 1 and snap["failovers"] == 0
+        assert snap["negative_hits"] == 0

@@ -6,17 +6,19 @@ pattern an operator (or chaos plan) can produce:
 * **routing is exclusive** — a username resolves through exactly one
   realm route, or fails closed; no lookup ever crosses realms;
 * **negative-cache TTL** — an authoritative miss is served from cache
-  until ``negative_ttl`` elapses, and refetched right after;
+  until ``NEGATIVE_TTL`` elapses, and refetched right after;
 * **failover/recovery ordering** — the EWMA score keeps a once-failed
   primary demoted below the healthy fallback until the primary actually
   answers again, and recovery never routes through the dead resolver.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.clock import VirtualClock
 from repro.resolvers import IdentityResolver, ResolvedIdentity, ResolverChain
+from repro.resolvers import chain as chain_module
 from repro.resolvers.base import ResolverUnavailableError, split_realm
 
 
@@ -102,9 +104,13 @@ def test_negative_cache_serves_misses_until_ttl_then_refetches(
     negative_ttl, probe_offsets
 ):
     clock = fresh_clock()
-    chain = ResolverChain(clock=clock, negative_ttl=negative_ttl)
+    chain = ResolverChain(clock=clock)
     backend = chain.register(TableResolver("only", users=[]))
-    assert chain.resolve("ghost") is None
+    # The TTL is stamped on the entry as an absolute expiry when the miss is
+    # cached, so the constant only has to hold for that one lookup.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chain_module, "NEGATIVE_TTL", negative_ttl)
+        assert chain.resolve("ghost") is None
     assert backend.lookups == 1
     # Any number of probes strictly inside the TTL window hit the
     # negative cache without consulting the backend.

@@ -1,4 +1,4 @@
-"""Read-through LRU cache and the instrumentation wrapper."""
+"""Read-through cache and the instrumentation wrapper."""
 
 import random
 

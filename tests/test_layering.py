@@ -322,6 +322,19 @@ def test_retired_clock_aliases_stay_out_of_src():
     assert _spelled_in_src(RETIRED_CLOCK_NAMES) == []
 
 
+#: The hand-rolled eviction loops that ``common.cache`` replaced.  Shrink-only,
+#: as above: a keyed, bounded record is a ``BoundedCache`` under its owner's
+#: lock.
+RETIRED_CACHE_NAMES = (
+    "OrderedDict", ".popitem(", ".move_to_end(",
+    "_response_cache", "DEFAULT_CAPACITY", "DEFAULT_CACHE_CAPACITY",
+)  # fmt: skip
+
+
+def test_one_eviction_implementation():
+    assert _spelled_in_src(RETIRED_CACHE_NAMES) == []
+
+
 def test_octets_and_rounds_loop_in_c_not_in_the_interpreter():
     """docs/ARCHITECTURE.md "A loop over rounds or octets runs inside one C
     call".  Shrink-only, as above: an octet string is one draw
@@ -483,9 +496,11 @@ CONFIG_CLASSES = {
 }  # fmt: skip
 
 #: Fields only tests, the old bench fleet (``benchmarks/*.py``) or examples
-#: set.  Exact and shrink-only: the debt is listed here, not paid — most of
-#: it goes with the old bench fleet (ROADMAP item 2) — and a field leaves the
-#: list by getting a caller in ``src/`` or by becoming a constant.
+#: set.  Exact and shrink-only: the debt is listed here, not paid — of the
+#: 37, the fleet's ``benchmarks/test_perf_*`` alone set two (``lock_stripes``,
+#: ``latency``), the paper-figure ablations five, tests the other thirty — and
+#: a field leaves the list by getting a caller in ``src/`` or by becoming a
+#: constant.
 TEST_ONLY_FIELDS = {
     ("AttackConfig", "compromised_fraction"),
     ("AttackConfig", "duration_seconds"),
@@ -512,8 +527,6 @@ TEST_ONLY_FIELDS = {
     ("OTPServerConfig", "lockout_threshold"),
     ("OTPServerConfig", "sms_code_validity"),
     ("OTPServerConfig", "totp_step"),
-    ("ResolverConfig", "cache_capacity"),
-    ("ResolverConfig", "negative_ttl"),
     ("RiskWeights", "failure_burst"),
     ("RiskWeights", "impossible_travel"),
     ("RiskWeights", "novel_origin"),
@@ -564,7 +577,7 @@ RETIRED_FIELDS = {
     "IngestConfig": ("shed_classes", "policies"),
     "ClassPolicy": ("max_retries",),
     "FailoverPolicy": ("timeout", "backoff"),
-    "ResolverConfig": ("cache_ttl", "failover"),
+    "ResolverConfig": ("cache_ttl", "failover", "negative_ttl", "cache_capacity"),
     "OTPServerConfig": ("issuer",),
     "StorageConfig": ("virtual_nodes",),
 }  # fmt: skip
@@ -655,9 +668,10 @@ def test_every_config_field_has_a_setter():
         key for key, files in setters.items() if all(map(_is_test_side, files))
     }
     assert test_only == TEST_ONLY_FIELDS, sorted(test_only ^ TEST_ONLY_FIELDS)
-    # Shrink-only, from the census of PR 19: 127 fields -> 78 -> 72, 42 -> 39.
-    assert len(TEST_ONLY_FIELDS) <= 39
-    assert len(setters) <= 72
+    # Shrink-only, from the first census: 127 fields -> 78 -> 72 -> 70,
+    # 42 -> 39 -> 37.
+    assert len(TEST_ONLY_FIELDS) <= 37
+    assert len(setters) <= 70
 
 
 def test_retired_config_fields_stay_retired():
