@@ -5,9 +5,10 @@ Two questions, one per class:
 * What does a fully *instrumented* login cost next to the no-op default?
   (`test_bench_password_token_login` in test_perf_authpath.py is the
   uninstrumented twin of these benches.)
-* Is the no-op default actually free?  Every instrumented call site pays a
-  handful of no-op method calls even when telemetry is off; the derived
-  assertion bounds that tax at under 5% of a real login.
+* Is the no-op default actually free?  The login path checks ``enabled``
+  and makes no telemetry call when it is off, but code elsewhere may still
+  call the no-op instruments; the derived assertion bounds what 100 such
+  calls would cost at under 5% of a real login.
 """
 
 from __future__ import annotations

@@ -66,12 +66,12 @@ class AuthPipeline:
         # Fixed for the pipeline's life: the per-stage instrument children
         # below are bound to exactly these names.
         self.stages = tuple(stages)
-        # Stage durations read the injected clock: wall seconds normally,
-        # simulated seconds when the server runs on a VirtualClock.
+        # Stage durations (telemetry on only) read the injected clock: wall
+        # seconds normally, simulated seconds on a VirtualClock.
         self._clock = clock or WallClock()
         self.concurrency = concurrency or ConcurrencyConfig()
         self.locks = StripedLockSet(self.concurrency.lock_stripes)
-        telemetry = resolve_registry(telemetry)
+        self.telemetry = telemetry = resolve_registry(telemetry)
         seconds = telemetry.histogram(
             "authflow_stage_seconds", "wall time spent per pipeline stage"
         )
@@ -87,10 +87,11 @@ class AuthPipeline:
     ) -> ValidateResult:
         """One validation attempt under the user's striped lock."""
         ctx = PipelineContext(user_id=user_id, code=code, source=source)
+        live = self.telemetry.enabled
         with self.locks.lock_for(user_id):
             # One clock read per stage boundary: the end of a stage is the
             # start of the next one that runs (a skipped stage reads nothing).
-            boundary = self._clock.now()
+            boundary = self._clock.now() if live else 0.0
             for stage in self.stages:
                 if ctx.result is not None and not stage.terminal:
                     continue
@@ -105,10 +106,12 @@ class AuthPipeline:
                     )
                     error = f"{stage.name} raised {type(exc).__name__}"
                     ctx.audit("validate", success=False, detail=f"internal error: {error}")
-                    self._m_stage_errors.inc(stage=stage.name)
+                    if live:
+                        self._m_stage_errors.inc(stage=stage.name)
                 finally:
-                    started, boundary = boundary, self._clock.now()
-                    self._m_stage_seconds[stage.name].observe(boundary - started)
+                    if live:
+                        started, boundary = boundary, self._clock.now()
+                        self._m_stage_seconds[stage.name].observe(boundary - started)
         if ctx.result is None:
             raise RuntimeError(
                 f"pipeline completed without a result for user {user_id!r}"

@@ -265,7 +265,8 @@ class ReplayGuard:
             if outstanding["expires_at"] > now:
                 # "LinOTP will not forward to Twilio and instead ... a
                 # response message ... that the SMS has already been sent."
-                server._m_sms_challenges.inc(result="pending")
+                if server.telemetry.enabled:
+                    server._m_sms_challenges.inc(result="pending")
                 ctx.finish(
                     ValidateResult(
                         ValidateStatus.CHALLENGE_PENDING,
@@ -291,7 +292,8 @@ class ReplayGuard:
             }
         )
         ctx.audit("sms_challenge", serial=row["serial"])
-        server._m_sms_challenges.inc(result="sent")
+        if server.telemetry.enabled:
+            server._m_sms_challenges.inc(result="sent")
         ctx.finish(
             ValidateResult(
                 ValidateStatus.CHALLENGE_SENT, "SMS token code sent", serial=row["serial"]
@@ -366,7 +368,7 @@ class DispatchByTokenType:
         row = ctx.row
         secret = server._sealer.unseal(row["sealed_secret"])
         outcome = server._validator.validate(row["serial"], secret, ctx.code)
-        if outcome.reason == REASON_REPLAY:
+        if outcome.reason == REASON_REPLAY and server.telemetry.enabled:
             server._m_replay.inc(serial=row["serial"])
         return ValidateResult(
             ValidateStatus.OK if outcome.ok else ValidateStatus.REJECT,
@@ -482,7 +484,8 @@ class ApplyOutcome:
         )
         if self.policy.lockout.is_lockout(failcount):
             changes["active"] = False
-            server._m_lockouts.inc()
+            if server.telemetry.enabled:
+                server._m_lockouts.inc()
             ctx.audit(
                 "lockout",
                 serial=row["serial"],

@@ -429,6 +429,8 @@ class OTPServer:
         ``source`` feeds the policy engine's per-source admission control
         when the caller knows the requesting address.
         """
+        if not self.telemetry.enabled:
+            return self._pipeline.run(user_id, code, source)
         with self._tracer.span("otp.validate", user=user_id) as span:
             result = self._pipeline.run(user_id, code, source)
             span.annotate("status", result.status._value_)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.clock import Clock
 from repro.common.errors import ValidationError
@@ -122,35 +122,43 @@ class SMSGateway:
         """Queue a message for delivery; returns the in-flight record."""
         if not to_number:
             raise ValidationError("destination number is required")
+        if not self.telemetry.enabled:
+            return self._queue(to_number, body)[0]
         with self._tracer.span("sms.send") as span:
-            now = self._clock.now()
-            carrier = self.carrier
-            if self.carrier_override is not None:
-                carrier = self.carrier_override() or carrier
-            if self._rng.random() < carrier.stall_probability:
-                delay = carrier.stall_delay + self._rng.random() * carrier.stall_delay
-                attempts = 2  # the carrier retried before it finally landed
+            message, delay = self._queue(to_number, body)
+            if message.attempts > 1:
                 self._m_stalls.inc()
-            else:
-                delay = carrier.base_delay + self._rng.random() * carrier.delay_jitter
-                attempts = 1
-            us_destination = is_us_number(to_number)
-            cost = PER_MESSAGE_US if us_destination else PER_MESSAGE_INTL
-            message = SMSMessage(
-                to_number=to_number,
-                body=body,
-                sent_at=now,
-                deliver_at=now + delay,
-                cost=cost,
-                attempts=attempts,
-            )
-            self._in_flight.setdefault(to_number, []).append(message)
-            self.messages_sent += 1
-            self.message_charges += cost
             self._m_delay.observe(delay)
+            us_destination = message.cost == PER_MESSAGE_US
             span.annotate("destination", "us" if us_destination else "intl")
             span.annotate("delay", round(delay, 3))
             return message
+
+    def _queue(self, to_number: str, body: str) -> Tuple[SMSMessage, float]:
+        """Bill and schedule one message; returns it and its carrier delay."""
+        now = self._clock.now()
+        carrier = self.carrier
+        if self.carrier_override is not None:
+            carrier = self.carrier_override() or carrier
+        if self._rng.random() < carrier.stall_probability:
+            delay = carrier.stall_delay + self._rng.random() * carrier.stall_delay
+            attempts = 2  # the carrier retried before it finally landed
+        else:
+            delay = carrier.base_delay + self._rng.random() * carrier.delay_jitter
+            attempts = 1
+        cost = PER_MESSAGE_US if is_us_number(to_number) else PER_MESSAGE_INTL
+        message = SMSMessage(
+            to_number=to_number,
+            body=body,
+            sent_at=now,
+            deliver_at=now + delay,
+            cost=cost,
+            attempts=attempts,
+        )
+        self._in_flight.setdefault(to_number, []).append(message)
+        self.messages_sent += 1
+        self.message_charges += cost
+        return message, delay
 
     def _deliver_due(self, number: str) -> None:
         now = self._clock.now()

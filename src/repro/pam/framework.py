@@ -140,6 +140,8 @@ class PAMStack:
 
     def authenticate(self, session: PAMSession) -> PAMResult:
         """Run the stack to a final verdict."""
+        if not session.telemetry.enabled:
+            return self._run(session, None)
         tracer = session.telemetry.tracer()
         with tracer.span("pam.stack", service=self.service) as span:
             verdict = self._run(session, tracer)
@@ -152,9 +154,10 @@ class PAMStack:
     def _run(self, session: PAMSession, tracer) -> PAMResult:
         if not self.entries:
             raise ConfigurationError(f"service {self.service!r} has an empty stack")
-        module_counter = session.telemetry.counter(
-            "pam_module_results_total", "per-module return codes"
-        )
+        if tracer is not None:
+            module_counter = session.telemetry.counter(
+                "pam_module_results_total", "per-module return codes"
+            )
         recorded_failure: Optional[PAMResult] = None
         recorded_success = False
         skip = 0
@@ -163,14 +166,20 @@ class PAMStack:
                 skip -= 1
                 continue
             name = entry.module.name
-            with tracer.span("pam." + name) as module_span:
-                try:
-                    code = entry.module.authenticate(session)
-                except ConversationError:
-                    code = PAMResult.ABORT
-                result = code._value_
+            if tracer is not None:
+                # Telemetry on (``tracer`` is None when off).  Opened by hand so
+                # one call site serves both; pam.stack's close ends a raiser's.
+                scope = tracer.span("pam." + name)
+                module_span = scope.__enter__()
+            try:
+                code = entry.module.authenticate(session)
+            except ConversationError:
+                code = PAMResult.ABORT
+            result = code._value_
+            if tracer is not None:
                 module_span.annotate("result", result)
-            module_counter.inc(module=name, result=result)
+                scope.__exit__(None, None, None)
+                module_counter.inc(module=name, result=result)
             session.record(f"{name}: {result}")
             action = entry.actions[result]
             if type(action) is int:

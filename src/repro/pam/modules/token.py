@@ -120,10 +120,11 @@ class MFATokenModule:
             return PAMResult.SUCCESS
 
         session.items["mfa_pairing"] = decision.pairing
-        session.telemetry.counter(
-            "pam_token_enforcement_total",
-            "token-module decisions by effective mode and pairing type",
-        ).inc(mode=decision.mode._value_, pairing=decision.pairing or "unpaired")
+        if session.telemetry.enabled:
+            session.telemetry.counter(
+                "pam_token_enforcement_total",
+                "token-module decisions by effective mode and pairing type",
+            ).inc(mode=decision.mode._value_, pairing=decision.pairing or "unpaired")
 
         if decision.action is PolicyAction.ALLOW:
             # Unpaired user during the opt-in (`paired`) phase.

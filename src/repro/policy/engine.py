@@ -279,7 +279,8 @@ class PolicyEngine:
         #: ready :class:`RiskEngine`; one left on the implicit wall clock
         #: is adopted onto the engine's clock, like the limiter above.
         self.risk: Optional[RiskEngine] = self._adopt_risk(risk)
-        decisions = resolve_registry(telemetry).counter(
+        self.telemetry = resolve_registry(telemetry)
+        decisions = self.telemetry.counter(
             "policy_decisions_total", "policy engine decisions by action"
         )
         self._m_decisions = {
@@ -344,14 +345,12 @@ class PolicyEngine:
         ladder.
         """
         timestamp = self.clock.now() if now is None else now
-        moment = datetime.fromtimestamp(timestamp, tz=timezone.utc)
-        decision = self._evaluate(request, moment, timestamp)
-        self._m_decisions[decision.action].inc()
+        decision = self._evaluate(request, timestamp)
+        if self.telemetry.enabled:
+            self._m_decisions[decision.action].inc()
         return decision
 
-    def _evaluate(
-        self, request: AuthRequest, moment: datetime, timestamp: float
-    ) -> Decision:
+    def _evaluate(self, request: AuthRequest, timestamp: float) -> Decision:
         if not self.admit(request.source_ip, now=timestamp):
             return Decision(
                 PolicyAction.THROTTLE,
@@ -375,7 +374,11 @@ class PolicyEngine:
             return _stamp_risk(
                 Decision(PolicyAction.EXEMPT, "exemption ACL grant"), risk
             )
-        mode = self.ladder.effective_mode(moment)
+        mode = self.ladder.configured_mode
+        if mode is EnforcementMode.COUNTDOWN:
+            # Only a countdown reads the date: every other mode holds at any time.
+            moment = datetime.fromtimestamp(timestamp, tz=timezone.utc)
+            mode = self.ladder.effective_mode(moment)
         if mode is EnforcementMode.OFF and not step_up:
             # Single-factor phase: no pairing lookup, no challenge.
             return _stamp_risk(

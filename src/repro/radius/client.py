@@ -209,87 +209,98 @@ class RADIUSClient:
         ``password`` is the token code ("" sends the SMS null request);
         ``state`` echoes an Access-Challenge's State attribute back.
         """
+        args = (username, password, state, source_override)
+        if not self.telemetry.enabled:
+            return self._authenticate(*args, False)[0]
         with self._tracer.span("radius.client.authenticate", user=username) as span:
-            authenticator = new_request_authenticator(self._rng)
-            request = RADIUSPacket(
-                PacketCode.ACCESS_REQUEST, self._next_identifier(), authenticator
-            )
-            request.add(Attr.USER_NAME, username)
-            request.add(Attr.USER_PASSWORD, hide_password(password, self._secret, authenticator))
-            request.add(Attr.NAS_IDENTIFIER, NAS_IDENTIFIER)
-            if state is not None:
-                request.add(Attr.STATE, state)
-            wire = encode_packet(request, self._secret)
+            auth_response, deadline_hit = self._authenticate(*args, True)
+            if auth_response.server:
+                span.annotate("server", auth_response.server)
+            span.annotate("status", auth_response.status._value_)
+            if auth_response.status is AuthStatus.TIMEOUT:
+                if deadline_hit:
+                    span.annotate("deadline_exhausted", True)
+                span.set_status("error")
+            self._m_responses[auth_response.status].inc()
+            return auth_response
 
-            start = self._next_start
-            self._next_start = (self._next_start + 1) % len(self._servers)
-            source = source_override or self._source
-            deadline = self._clock.deadline(self.policy.deadline_budget)
-            # Retransmit to the same server before failing over: the server's
-            # duplicate-detection cache (RFC 5080) can then replay a response
-            # whose first copy was lost, instead of re-consuming the one-time
-            # code on a different server.
-            deadline_hit = False
-            for index, (server, is_probe) in enumerate(self._attempt_plan(start)):
+    def _authenticate(
+        self, username: str, password: str, state, source_override, live: bool
+    ) -> Tuple[AuthResponse, bool]:
+        """The round trip, and whether the deadline budget cut it short;
+        ``live`` says whether the failover counters record."""
+        authenticator = new_request_authenticator(self._rng)
+        request = RADIUSPacket(
+            PacketCode.ACCESS_REQUEST, self._next_identifier(), authenticator
+        )
+        request.add(Attr.USER_NAME, username)
+        request.add(Attr.USER_PASSWORD, hide_password(password, self._secret, authenticator))
+        request.add(Attr.NAS_IDENTIFIER, NAS_IDENTIFIER)
+        if state is not None:
+            request.add(Attr.STATE, state)
+        wire = encode_packet(request, self._secret)
+
+        start = self._next_start
+        self._next_start = (self._next_start + 1) % len(self._servers)
+        source = source_override or self._source
+        deadline = self._clock.deadline(self.policy.deadline_budget)
+        # Retransmit to the same server before failing over: the server's
+        # duplicate-detection cache (RFC 5080) can then replay a response
+        # whose first copy was lost, instead of re-consuming the one-time
+        # code on a different server.
+        deadline_hit = False
+        for index, (server, is_probe) in enumerate(self._attempt_plan(start)):
+            if deadline.expired():
+                deadline_hit = True
+                break
+            if index and not is_probe and live:
+                self._m_failovers.inc(to_server=server)
+            if is_probe:
+                self.health.begin_probe(server, self._clock.now())
+            for attempt in range(self._retries):
                 if deadline.expired():
                     deadline_hit = True
                     break
-                if index and not is_probe:
-                    self._m_failovers.inc(to_server=server)
-                if is_probe:
-                    self.health.begin_probe(server, self._clock.now())
-                for attempt in range(self._retries):
-                    if deadline.expired():
-                        deadline_hit = True
-                        break
-                    if attempt:
+                if attempt:
+                    if live:
                         self._m_retransmits.inc(server=server)
-                        self._elapse(self._backoff[server].delay(attempt))
-                    self.per_server_attempts[server] += 1
-                    response_bytes = self._fabric.send_request(server, wire, source)
-                    if response_bytes is None:
-                        self._elapse(ATTEMPT_TIMEOUT)
-                        self.health.on_failure(server, self._clock.now())
-                        continue  # timeout: retransmit
-                    try:
-                        response = verify_response(
-                            response_bytes, authenticator, self._secret
-                        )
-                    except ProtocolError:
-                        self._elapse(ATTEMPT_TIMEOUT)
-                        self.health.on_failure(server, self._clock.now())
-                        continue  # forged/corrupt response is treated as a timeout
-                    if response.identifier != request.identifier:
-                        self._elapse(ATTEMPT_TIMEOUT)
-                        self.health.on_failure(server, self._clock.now())
-                        continue
-                    self.health.on_success(server, self._clock.now())
-                    auth_response = self._to_auth_response(response, server)
-                    span.annotate("server", server)
-                    span.annotate("status", auth_response.status._value_)
-                    self._m_responses[auth_response.status].inc()
-                    return auth_response
-                if deadline_hit:
-                    break
-            if self.health_aware:
-                ejected = sum(
-                    1
-                    for s in self._servers
-                    if self.health.state(s) is not CircuitState.CLOSED
-                )
-                if ejected:
-                    self._m_skipped.inc(ejected)
-            span.annotate("status", AuthStatus.TIMEOUT._value_)
+                    self._elapse(self._backoff[server].delay(attempt))
+                self.per_server_attempts[server] += 1
+                response_bytes = self._fabric.send_request(server, wire, source)
+                if response_bytes is None:
+                    self._elapse(ATTEMPT_TIMEOUT)
+                    self.health.on_failure(server, self._clock.now())
+                    continue  # timeout: retransmit
+                try:
+                    response = verify_response(
+                        response_bytes, authenticator, self._secret
+                    )
+                except ProtocolError:
+                    self._elapse(ATTEMPT_TIMEOUT)
+                    self.health.on_failure(server, self._clock.now())
+                    continue  # forged/corrupt response is treated as a timeout
+                if response.identifier != request.identifier:
+                    self._elapse(ATTEMPT_TIMEOUT)
+                    self.health.on_failure(server, self._clock.now())
+                    continue
+                self.health.on_success(server, self._clock.now())
+                return self._to_auth_response(response, server), False
             if deadline_hit:
-                span.annotate("deadline_exhausted", True)
-            span.set_status("error")
-            self._m_responses[AuthStatus.TIMEOUT].inc()
-            message = (
-                "RADIUS deadline budget exhausted"
-                if deadline_hit
-                else "no RADIUS server responded"
+                break
+        if self.health_aware and live:
+            ejected = sum(
+                1
+                for s in self._servers
+                if self.health.state(s) is not CircuitState.CLOSED
             )
-            return AuthResponse(AuthStatus.TIMEOUT, message)
+            if ejected:
+                self._m_skipped.inc(ejected)
+        message = (
+            "RADIUS deadline budget exhausted"
+            if deadline_hit
+            else "no RADIUS server responded"
+        )
+        return AuthResponse(AuthStatus.TIMEOUT, message), deadline_hit
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Per server: its circuit's health plus the datagrams this client

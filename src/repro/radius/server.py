@@ -97,50 +97,58 @@ class RADIUSServer:
         """The UDP receive path.  Unknown clients and undecodable packets
         are silently discarded, per RFC 2865 (never answer an unauthenticated
         speaker — answering would leak the secret check)."""
+        if not self.telemetry.enabled:
+            return self._receive(datagram, source)[0]
         with self._tracer.span("radius.server.handle", server=self.name) as span:
-            secret = self._secret_for(source)
-            if secret is None:
-                with self._lock:
-                    self.rejected_clients += 1
-                span.annotate("drop", "unknown_client")
-                return None
-            try:
-                request = decode_packet(datagram)
-            except ProtocolError:
-                span.annotate("drop", "undecodable")
-                return None
-            if request.code != PacketCode.ACCESS_REQUEST:
-                span.annotate("drop", "not_access_request")
-                return None
-            cache_key = (source, request.identifier, request.authenticator)
-            with self._lock:
-                cached = self._responses.get(cache_key)
-                if cached is not MISSING:
-                    if cached is None:
-                        # Still being validated: drop silently (RFC 5080 section
-                        # 2.2.2) — the client's next retransmit finds the answer.
-                        self.duplicates_dropped += 1
-                        span.annotate("drop", "duplicate_in_flight")
-                    else:
-                        self.duplicates_replayed += 1
-                        span.annotate("duplicate", True)
-                    return cached
-                self._responses.put(cache_key, None)
-                self.handled += 1
-            response: Optional[bytes] = None
-            try:
-                response = self._respond(request, secret, span)
-                return response
-            finally:
-                # The response replaces the claim; no response (a dropped
-                # packet, a raising back end) releases it.
-                with self._lock:
-                    if response is None:
-                        self._responses.pop(cache_key)
-                    else:
-                        self._responses.put(cache_key, response)
+            response, note = self._receive(datagram, source)
+            if note is not None:
+                span.annotate(*note)
+            return response
 
-    def _respond(self, request: RADIUSPacket, secret: bytes, span) -> Optional[bytes]:
+    def _receive(self, datagram: bytes, source: str) -> tuple:
+        """The reply, and the ``(key, value)`` note a dropped or duplicate
+        datagram leaves on the span (``None`` for a fresh request)."""
+        secret = self._secret_for(source)
+        if secret is None:
+            with self._lock:
+                self.rejected_clients += 1
+            return None, ("drop", "unknown_client")
+        try:
+            request = decode_packet(datagram)
+        except ProtocolError:
+            return None, ("drop", "undecodable")
+        if request.code != PacketCode.ACCESS_REQUEST:
+            return None, ("drop", "not_access_request")
+        cache_key = (source, request.identifier, request.authenticator)
+        with self._lock:
+            cached = self._responses.get(cache_key)
+            if cached is not MISSING:
+                if cached is None:
+                    # Still being validated: drop silently (RFC 5080 section
+                    # 2.2.2) — the client's next retransmit finds the answer.
+                    self.duplicates_dropped += 1
+                    return None, ("drop", "duplicate_in_flight")
+                self.duplicates_replayed += 1
+                return cached, ("duplicate", True)
+            self._responses.put(cache_key, None)
+            self.handled += 1
+        response: Optional[bytes] = None
+        try:
+            response = self._respond(request, secret)
+            if response is None:
+                return None, ("drop", "bad_password_attribute")
+            return response, None
+        finally:
+            # The response replaces the claim; no response (a dropped
+            # packet, a raising back end) releases it.
+            with self._lock:
+                if response is None:
+                    self._responses.pop(cache_key)
+                else:
+                    self._responses.put(cache_key, response)
+
+    def _respond(self, request: RADIUSPacket, secret: bytes) -> Optional[bytes]:
+        """The reply; ``None`` when User-Password does not decrypt."""
         username = request.get_str(Attr.USER_NAME)
         if username is None:
             return self._reply(
@@ -152,22 +160,21 @@ class RADIUSServer:
             try:
                 code = recover_password(hidden, secret, request.authenticator)
             except ProtocolError:
-                # wrong shared secret or mangled packet
-                span.annotate("drop", "bad_password_attribute")
                 return None
         result = self._backend.validate(username, code if code else None)
-        return self._access_response(request, secret, result)
-
-    def _access_response(
-        self, request: RADIUSPacket, secret: bytes, result
-    ) -> bytes:
         # Reply with the canned per-status message, never the back end's
         # internal reason — drift-window details and replay diagnostics
         # would hand an attacker an oracle.
-        packet_code, message = _STATUS_MAP[result.status]
-        response = RADIUSPacket(packet_code, request.identifier)
+        return self._reply(request, secret, *_STATUS_MAP[result.status])
+
+    def _reply(
+        self, request: RADIUSPacket, secret: bytes, code: PacketCode, message: str
+    ) -> bytes:
+        """Every answer this server sends.  RFC 2865 section 5.33: the reply
+        copies each Proxy-State of the request unmodified and in order."""
+        response = RADIUSPacket(code, request.identifier)
         response.add(Attr.REPLY_MESSAGE, message)
-        if packet_code == PacketCode.ACCESS_CHALLENGE:
+        if code == PacketCode.ACCESS_CHALLENGE:
             # Opaque challenge state the client must echo back with the code.
             username = request.get_str(Attr.USER_NAME) or ""
             response.add(Attr.STATE, f"sms-challenge:{username}".encode())
@@ -184,10 +191,3 @@ class RADIUSServer:
                 "duplicates_dropped": self.duplicates_dropped,
                 "rejected_clients": self.rejected_clients,
             }
-
-    def _reply(
-        self, request: RADIUSPacket, secret: bytes, code: PacketCode, message: str
-    ) -> bytes:
-        response = RADIUSPacket(code, request.identifier)
-        response.add(Attr.REPLY_MESSAGE, message)
-        return encode_packet(response, secret, request.authenticator)

@@ -73,7 +73,8 @@ class ResolverChain:
         self.negative_hits = 0
         self.failovers = 0
         self.unrouted = 0
-        self._h_lookup = resolve_registry(telemetry).histogram(
+        self.telemetry = resolve_registry(telemetry)
+        self._h_lookup = self.telemetry.histogram(
             "resolver_lookup_seconds", "identity lookup latency by resolver"
         )
         #: resolver name → its bound series, added as resolvers register.
@@ -194,19 +195,20 @@ class ResolverChain:
             self._cache_put(username, None)
             return None
         attempts = 0
+        timed = self.telemetry.enabled
         for resolver, needs_probe in self._candidates(route, now):
             attempts += 1
             if needs_probe:
                 self._tracker.begin_probe(resolver.name, self.clock.now())
-            began = self.clock.now()
+            began = self.clock.now() if timed else 0.0
             try:
                 identity = resolver.resolve(username)
             except ResolverUnavailableError:
                 self._tracker.on_failure(resolver.name, self.clock.now())
                 continue
-            elapsed = self.clock.now() - began
+            if timed:
+                self._h_lookup_by_name[resolver.name].observe(self.clock.now() - began)
             self._tracker.on_success(resolver.name, self.clock.now())
-            self._h_lookup_by_name[resolver.name].observe(elapsed)
             if attempts > 1:
                 with self._lock:
                     self.failovers += 1

@@ -156,12 +156,13 @@ class SSHDaemon:
         tty: bool = True,
     ) -> SSHResult:
         """One full SSH authentication: optional public key, then PAM."""
+        if not self.telemetry.enabled:
+            return self._connect(username, source_ip, conversation, key, tty)
         with self._tracer.span(
             "ssh.connect", host=self.hostname, user=username, source=source_ip
         ) as span:
             result = self._connect(username, source_ip, conversation, key, tty)
-            outcome = "accepted" if result.success else "rejected"
-            span.annotate("result", outcome)
+            span.annotate("result", "accepted" if result.success else "rejected")
             if result.detail:
                 span.annotate("detail", result.detail)
             self._m_attempts.observe(result.password_attempts)
@@ -268,7 +269,8 @@ class SSHDaemon:
         if master is None:
             return False
         master.channels += 1
-        self._m_channels.inc(host=self.hostname)
+        if self.telemetry.enabled:
+            self._m_channels.inc(host=self.hostname)
         self.authlog.append(
             "multiplexed_channel",
             master.username,

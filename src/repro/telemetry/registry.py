@@ -1,11 +1,11 @@
 """The process-wide instrument registry and its free no-op twin.
 
 Every instrumented component takes an optional ``telemetry`` argument and
-falls back to :data:`NOOP_REGISTRY`, so the hot login path pays only a
-handful of no-op method calls when measurement is off.  A real
-:class:`Registry` is enabled per deployment (``MFACenter(telemetry=True)``)
-and shared by every layer, which is what lets the tracer stitch one span
-tree across sshd → PAM → RADIUS → OTP → SMS.
+falls back to :data:`NOOP_REGISTRY`; the login path checks ``enabled`` and,
+when measurement is off, calls nothing here at all.  A real :class:`Registry`
+is enabled per deployment (``MFACenter(telemetry=True)``) and shared by every
+layer, which is what lets the tracer stitch one span tree across sshd → PAM →
+RADIUS → OTP → SMS.
 """
 
 from __future__ import annotations

@@ -195,11 +195,7 @@ class NoopSpan:
     """Absorbs annotations; shared singleton, allocates nothing."""
 
     __slots__ = ()
-    name = ""
     status = "ok"
-    children: tuple = ()
-    attributes: dict = {}
-    duration = 0.0
 
     def annotate(self, key: str, value: object) -> None:
         pass

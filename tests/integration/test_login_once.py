@@ -3,7 +3,9 @@
 The guard for docs/ARCHITECTURE.md "Hot path": one warm first-try login on
 a default deployment (telemetry off) is profiled, and the work the front
 tier used to repeat must be absent — by name, not by a call-count budget
-that every unrelated change would have to renegotiate.
+that every unrelated change would have to renegotiate.  The same profiles,
+with an SMS login and a wrong-code login beside them, guard "Off means
+absent": no telemetry function is entered and no stage is timed.
 """
 
 import cProfile
@@ -18,21 +20,41 @@ from repro.crypto.totp import TOTPGenerator
 from repro.ssh import SSHClient
 from repro.ssh.keys import KeyPair
 
+SMS_PHONE = "5125550000"
+
+
+class Profile(dict):
+    """``{(file, function): calls}``, and ``edges``: ``{(caller, callee): calls}``
+    over the same keys."""
+
+    def __init__(self):
+        super().__init__()
+        self.edges = {}
+
+
+def where(code):
+    """A profile key: a file of this package by its path inside it
+    (``radius/packet.py``), any other by its base name, a builtin as ``~``."""
+    if isinstance(code, str):
+        return ("~", code)
+    path = code.co_filename.replace(os.sep, "/")
+    _, package, inside = path.rpartition("/repro/")
+    return (inside if package else os.path.basename(path), code.co_name)
+
 
 def profile_second_call(login):
-    """``{(file name, function name): calls}`` of ``login(run)``'s ``run(...)``,
-    the second time round (the first warms imports and first-use tables)."""
+    """The :class:`Profile` of ``login(run)``'s ``run(...)``, the second time
+    round (the first warms imports and first-use tables)."""
     login(lambda function, *args, **kwargs: function(*args, **kwargs))
     profiler = cProfile.Profile()
     login(profiler.runcall)
-    calls = {}
+    calls = Profile()
     for entry in profiler.getstats():
-        code = entry.code
-        key = (
-            ("~", code) if isinstance(code, str)
-            else (os.path.basename(code.co_filename), code.co_name)
-        )
+        key = where(entry.code)
         calls[key] = calls.get(key, 0) + entry.callcount
+        for callee in entry.calls or ():
+            edge = (key, where(callee.code))
+            calls.edges[edge] = calls.edges.get(edge, 0) + callee.callcount
     return calls
 
 
@@ -77,10 +99,67 @@ def pubkey_profile():
     return profile_second_call(login)
 
 
+@pytest.fixture(scope="module")
+def sms_profile():
+    """One warm SMS login from outside: the null request, the text, the code."""
+    clock = VirtualClock.at("2016-10-05T09:00:00")
+    center = MFACenter(clock=clock, rng=random.Random(20160810))
+    system = center.add_system("stampede", mode="full")
+    center.create_user("texter", password="pw-texter")
+    center.pair_sms("texter", SMS_PHONE)
+    client = SSHClient(source_ip="198.51.100.8")
+    node = system.login_node()
+
+    def read_text():
+        clock.advance(20)
+        return center.sms_gateway.latest(SMS_PHONE).body.split()[-1]
+
+    def login(run):
+        clock.advance(31)
+        result, _ = run(
+            client.connect, node, "texter", password="pw-texter", token=read_text
+        )
+        assert result.success
+
+    return profile_second_call(login)
+
+
+@pytest.fixture(scope="module")
+def wrong_code_profile():
+    """One warm soft-token login that types a wrong code at all three tries."""
+    clock = VirtualClock.at("2016-10-05T09:00:00")
+    center = MFACenter(clock=clock, rng=random.Random(20160810))
+    system = center.add_system("stampede", mode="full")
+    center.create_user("alice", password="hunter2")
+    _, secret = center.pair_soft("alice")
+    device = TOTPGenerator(secret=secret, clock=clock)
+    client = SSHClient(source_ip="198.51.100.7")
+    node = system.login_node()
+
+    def login(run):
+        clock.advance(31)
+        wrong = f"{(int(device.current_code()) + 1) % 1_000_000:06d}"
+        result, _ = run(client.connect, node, "alice", password="hunter2", token=wrong)
+        assert not result.success and result.password_attempts == 3
+
+    return profile_second_call(login)
+
+
+#: Every profile above, by fixture name.
+PROFILES = ("login_profile", "pubkey_profile", "sms_profile", "wrong_code_profile")
+
+
 def count(profile, file_name, function):
     return sum(
-        n for (file, name), n in profile.items() if file == file_name and name == function
+        n
+        for (file, name), n in profile.items()
+        if _is(file, file_name) and name == function
     )
+
+
+def _is(file, file_name):
+    """``file`` is ``file_name``, given whole or as its base name."""
+    return file == file_name or file.endswith("/" + file_name)
 
 
 def test_no_enum_value_descriptor_round_trip(login_profile):
@@ -132,7 +211,41 @@ def test_a_public_key_connect_draws_once_and_derives_once(pubkey_profile):
 
 def test_telemetry_off_has_no_storage_timing_layer(login_profile):
     assert count(login_profile, "instrument.py", "_timed") == 0
-    assert not any(file == "instrument.py" for file, _ in login_profile)
+    assert not any(_is(file, "instrument.py") for file, _ in login_profile)
+
+
+#: The telemetry package's instruments, tracer and registries.
+TELEMETRY_FILES = (
+    "telemetry/trace.py",
+    "telemetry/metrics.py",
+    "telemetry/registry.py",
+)
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_telemetry_off_makes_no_telemetry_call(request, profile):
+    calls = request.getfixturevalue(profile)
+    entered = sorted(
+        f"{file}:{name}" for file, name in calls if file in TELEMETRY_FILES
+    )
+    assert entered == []
+
+
+@pytest.mark.parametrize("profile", [p for p in PROFILES if p != "pubkey_profile"])
+def test_telemetry_off_times_no_stage(request, profile):
+    calls = request.getfixturevalue(profile)
+    assert count(calls, "authflow/pipeline.py", "run") >= 1
+    clock_reads = sum(
+        n
+        for (caller, callee), n in calls.edges.items()
+        if caller[0] == "authflow/pipeline.py" and callee == ("common/clock.py", "now")
+    )
+    assert clock_reads == 0
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_a_full_mode_ladder_builds_no_datetime(request, profile):
+    assert builtin(request.getfixturevalue(profile), "fromtimestamp") == 0
 
 
 def test_the_profile_saw_the_login(login_profile):

@@ -4,16 +4,19 @@ The acceptance scenario for the observability layer — a full SSHClient
 login through an instrumented MFACenter must leave behind (a) a single
 trace whose spans cover every layer of the auth path and (b) counters for
 the PAM module results, RADIUS retries/failovers and OTP validate
-statuses.  Also covers the CLI dump path and the no-op default.
+statuses.  Also covers the CLI dump path and the no-op default, and pins
+one soft-token and one SMS login's span tree and series to golden values.
 """
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from repro.common.clock import VirtualClock
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
 from repro.ssh import SSHClient
@@ -140,6 +143,202 @@ class TestCounters:
         text = render_text(tcenter.telemetry.snapshot())
         assert 'otp_validate_total{status="ok"} 1' in text
         assert 'radius_client_responses_total{status="accept"} 1' in text
+
+
+def span_shape(span):
+    """A span tree without its timings: name, status, attributes, children."""
+    return [
+        span.name,
+        span.status,
+        dict(span.attributes),
+        [span_shape(child) for child in span.children],
+    ]
+
+
+def series_counts(registry):
+    """Every series of the snapshot: a counter's value, a histogram's count."""
+    snap = registry.snapshot(include_traces=False)
+    counts = {}
+    for kind, field in (("counters", "value"), ("histograms", "count")):
+        for instrument in snap[kind]:
+            for series in instrument["series"]:
+                labels = sorted(series["labels"].items())
+                labels = ",".join(f"{k}={v}" for k, v in labels)
+                counts[f"{instrument['name']}{{{labels}}}"] = series[field]
+    return counts
+
+
+SMS_PHONE = "5125550000"
+
+
+def build_golden(profile):
+    """``(center, login)``: an instrumented deployment with one paired user,
+    and the call that logs that user in from outside with the right code."""
+    clock = VirtualClock.at("2016-10-05T09:00:00")
+    center = MFACenter(clock=clock, rng=random.Random(20160810), telemetry=True)
+    node = center.add_system("stampede", mode="full").login_node()
+    center.create_user("alice", password="pw")
+    if profile == "soft":
+        _, secret = center.pair_soft("alice")
+        token = TOTPGenerator(secret=secret, clock=clock).current_code
+    else:
+        center.pair_sms("alice", SMS_PHONE)
+
+        def token():
+            clock.advance(20)
+            return center.sms_gateway.latest(SMS_PHONE).body.split()[-1]
+
+    def login():
+        result, _ = SSHClient("198.51.100.7").connect(
+            node, "alice", password="pw", token=token
+        )
+        assert result.success
+
+    return center, login
+
+
+def _front(token_module):
+    """The span tree down to the token module, which ``token_module`` fills."""
+    return [
+        "ssh.connect",
+        "ok",
+        {
+            "host": "login1.stampede",
+            "result": "accepted",
+            "source": "198.51.100.7",
+            "user": "alice",
+        },
+        [
+            [
+                "pam.stack",
+                "ok",
+                {"result": "success", "service": "sshd"},
+                [
+                    ["pam.pam_pubkey_success", "ok", {"result": "auth_err"}, []],
+                    ["pam.pam_unix", "ok", {"result": "success"}, []],
+                    ["pam.pam_mfa_exemption", "ok", {"result": "auth_err"}, []],
+                    ["pam.pam_mfa_token", "ok", {"result": "success"}, token_module],
+                ],
+            ]
+        ],
+    ]
+
+
+def _round_trip(server, status, validate_attributes, validate_children=()):
+    return [
+        "radius.client.authenticate",
+        "ok",
+        {"server": f"10.0.0.{9 + server}:1812", "status": status, "user": "alice"},
+        [
+            [
+                "radius.server.handle",
+                "ok",
+                {"server": f"radius{server}"},
+                [
+                    [
+                        "otp.validate",
+                        "ok",
+                        {"user": "alice", **validate_attributes},
+                        list(validate_children),
+                    ]
+                ],
+            ]
+        ],
+    ]
+
+
+#: One soft-token login's span tree, timings aside.
+SOFT_SHAPE = _front([_round_trip(1, "accept", {"status": "ok"})])
+
+#: One SMS login's span tree: the null request, then the code.
+SMS_SHAPE = _front(
+    [
+        _round_trip(
+            1,
+            "challenge",
+            {"reason": "SMS token code sent", "status": "challenge_sent"},
+            [["sms.send", "ok", {"delay": 4.759, "destination": "us"}, []]],
+        ),
+        _round_trip(2, "accept", {"status": "ok"}),
+    ]
+)
+
+_FRONT_SERIES = {
+    "pam_module_results_total{module=pam_mfa_exemption,result=auth_err}": 1.0,
+    "pam_module_results_total{module=pam_mfa_token,result=success}": 1.0,
+    "pam_module_results_total{module=pam_pubkey_success,result=auth_err}": 1.0,
+    "pam_module_results_total{module=pam_unix,result=success}": 1.0,
+    "pam_stack_results_total{result=success,service=sshd}": 1.0,
+    "resolver_lookup_seconds{resolver=directory}": 1,
+    "ssh_password_attempts{}": 1,
+}
+
+#: The series one soft-token login leaves: counter values, histogram counts.
+SOFT_SERIES = {
+    **_FRONT_SERIES,
+    **{
+        f"authflow_stage_seconds{{stage={stage}}}": 1
+        for stage in (
+            "resolve_identity",
+            "evaluate_policy",
+            "replay_guard",
+            "dispatch",
+            "apply_outcome",
+            "audit",
+        )
+    },
+    "otp_validate_total{status=ok}": 1.0,
+    "pam_token_enforcement_total{mode=full,pairing=soft}": 1.0,
+    "policy_decisions_total{action=challenge}": 2.0,
+    "radius_client_responses_total{status=accept}": 1.0,
+    "storage_op_seconds{op=select,table=tokens}": 1,
+    "storage_op_seconds{op=update,table=tokens}": 1,
+}
+
+#: The series one SMS login leaves: the challenge validate skips dispatch.
+SMS_SERIES = {
+    **_FRONT_SERIES,
+    **{
+        f"authflow_stage_seconds{{stage={stage}}}": 2
+        for stage in (
+            "resolve_identity",
+            "evaluate_policy",
+            "replay_guard",
+            "apply_outcome",
+            "audit",
+        )
+    },
+    "authflow_stage_seconds{stage=dispatch}": 1,
+    "otp_sms_challenges_total{result=sent}": 1.0,
+    "otp_validate_total{status=challenge_sent}": 1.0,
+    "otp_validate_total{status=ok}": 1.0,
+    "pam_token_enforcement_total{mode=full,pairing=sms}": 1.0,
+    "policy_decisions_total{action=challenge}": 3.0,
+    "radius_client_responses_total{status=accept}": 1.0,
+    "radius_client_responses_total{status=challenge}": 1.0,
+    "sms_delivery_delay_seconds{}": 1,
+    "storage_op_seconds{op=delete,table=challenges}": 1,
+    "storage_op_seconds{op=exists,table=challenges}": 2,
+    "storage_op_seconds{op=get,table=challenges}": 1,
+    "storage_op_seconds{op=insert,table=challenges}": 1,
+    "storage_op_seconds{op=select,table=tokens}": 2,
+    "storage_op_seconds{op=update,table=tokens}": 1,
+}
+
+
+class TestGoldenLogin:
+    """With telemetry on, a login records exactly what it always has."""
+
+    GOLDEN = {"soft": (SOFT_SHAPE, SOFT_SERIES), "sms": (SMS_SHAPE, SMS_SERIES)}
+
+    @pytest.mark.parametrize("profile", sorted(GOLDEN))
+    def test_span_tree_and_series_are_pinned(self, profile):
+        shape, series = self.GOLDEN[profile]
+        center, login = build_golden(profile)
+        center.telemetry.reset()
+        login()
+        assert span_shape(center.telemetry.tracer().last_trace()) == shape
+        assert series_counts(center.telemetry) == series
 
 
 class TestNoopDefault:

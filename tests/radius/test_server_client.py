@@ -137,13 +137,17 @@ class TestClientSecurity:
         assert other_node.authenticate("alice", device.current_code()).ok
 
 
-def raw_request(identifier=1, username="alice", code="424242", secret=SECRET):
+def raw_request(
+    identifier=1, username="alice", code="424242", secret=SECRET, proxy_states=()
+):
     authenticator = bytes([identifier]) * 16
     request = RADIUSPacket(PacketCode.ACCESS_REQUEST, identifier, authenticator)
     if username is not None:
         request.add(Attr.USER_NAME, username)
     if code is not None:
         request.add(Attr.USER_PASSWORD, hide_password(code, secret, authenticator))
+    for state in proxy_states:
+        request.add(Attr.PROXY_STATE, state)
     return encode_packet(request, secret)
 
 
@@ -180,6 +184,17 @@ class TestReceivePath:
         response = decode_packet(wire)
         assert (response.code, response.identifier) == (PacketCode.ACCESS_REJECT, 9)
         assert otp.validate_requests == 0
+
+    def test_missing_user_name_reject_echoes_every_proxy_state(self, farm):
+        # RFC 2865 section 5.33: every reply carries each Proxy-State of its
+        # request unmodified and in order, the early reject included.
+        hops = [b"hop-1", b"hop-2"]
+        wire = farm[0].handle_datagram(
+            raw_request(9, username=None, proxy_states=hops), NAS
+        )
+        response = decode_packet(wire)
+        assert response.code == PacketCode.ACCESS_REJECT
+        assert response.get_all(Attr.PROXY_STATE) == hops
 
     def test_duplicate_is_replayed_not_revalidated(self, farm, otp):
         otp.enroll_static("alice", "424242")
