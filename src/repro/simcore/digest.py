@@ -17,9 +17,9 @@ from typing import List, Optional
 from repro.common.clock import Clock
 
 
-def canonical_line(event: dict) -> str:
-    """One event as byte-stable JSON."""
-    return json.dumps(event, sort_keys=True, separators=(",", ":"))
+#: One event as byte-stable JSON: one encoder's bound method (``json.dumps``
+#: with keywords builds a fresh ``JSONEncoder`` per call — per WAL record).
+canonical_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class EventLog:

@@ -34,7 +34,8 @@ from repro.storage.schema import TableSchema
 
 
 class _MemoryTable:
-    """Rows keyed by primary key, with unique and secondary indices."""
+    """Rows keyed by primary key, with unique and secondary indices.  An index
+    holds the values live rows hold: a value's entry goes with its last row."""
 
     def __init__(self, name: str, schema: TableSchema) -> None:
         self.name = name
@@ -52,18 +53,19 @@ class _MemoryTable:
 
     def insert(self, row: Row) -> Row:
         self._check_columns(row)
-        pk = row.get(self.schema.primary_key)
+        stored = dict.fromkeys(self.schema.columns)
+        stored.update(row)  # _check_columns passed: adds no key, keeps the order
+        pk = stored[self.schema.primary_key]
         if pk is None:
             raise ValidationError(f"{self.name}: missing primary key")
         if pk in self.rows:
             raise ValidationError(f"{self.name}: duplicate primary key {pk!r}")
         for col, index in self.unique.items():
-            value = row.get(col)
+            value = stored[col]
             if value is not None and value in index:
                 raise ValidationError(
                     f"{self.name}: unique constraint violated on {col}={value!r}"
                 )
-        stored = {c: row.get(c) for c in self.schema.columns}
         self.rows[pk] = stored
         self._link(pk, stored)
         return stored
@@ -104,32 +106,39 @@ class _MemoryTable:
         row = self.rows[pk]
         old: Row = {}
         for col, new in changes.items():
-            previous = row.get(col)
-            old[col] = previous
+            previous = old[col] = row[col]
             if col in self.unique:
                 if previous is not None:
                     self.unique[col].pop(previous, None)
                 if new is not None:
                     self.unique[col][new] = pk
             if col in self.indices:
-                self.indices[col].get(previous, set()).discard(pk)
-                self.indices[col].setdefault(new, set()).add(pk)
+                index = self.indices[col]
+                keys = index[previous]
+                keys.discard(pk)
+                if not keys:
+                    del index[previous]
+                index.setdefault(new, set()).add(pk)
             row[col] = new
         return old
 
     def _link(self, pk: Any, stored: Row) -> None:
         for col, index in self.unique.items():
-            if stored.get(col) is not None:
+            if stored[col] is not None:
                 index[stored[col]] = pk
         for col, index in self.indices.items():
-            index.setdefault(stored.get(col), set()).add(pk)
+            index.setdefault(stored[col], set()).add(pk)
 
     def _unlink(self, pk: Any, row: Row) -> None:
         for col, index in self.unique.items():
-            if row.get(col) is not None:
+            if row[col] is not None:
                 index.pop(row[col], None)
         for col, index in self.indices.items():
-            index.get(row.get(col), set()).discard(pk)
+            value = row[col]
+            keys = index[value]
+            keys.discard(pk)
+            if not keys:
+                del index[value]
 
     def undo_insert(self, pk: Any) -> None:
         row = self.rows.pop(pk)
@@ -162,12 +171,6 @@ class InMemoryEngine:
 
     # -- plumbing -----------------------------------------------------------
 
-    def _pause(self) -> None:
-        # The simulated backing-store round trip (held under the lock, like
-        # a connection checked out of a pool for the duration of the query).
-        if self._latency:
-            self._clock.sleep(self._latency)
-
     @property
     def latency(self) -> float:
         return self._latency
@@ -180,10 +183,21 @@ class InMemoryEngine:
         self._latency = latency
 
     def _table(self, name: str) -> _MemoryTable:
-        table = self._tables.get(name)
-        if table is None:
-            raise NotFoundError(f"no such table: {name}")
-        return table
+        try:
+            return self._tables[name]
+        except KeyError:
+            raise NotFoundError(f"no such table: {name}") from None
+
+    def _open(self, name: str) -> _MemoryTable:
+        """``_table`` for one row op, after the simulated backing-store round
+        trip (held under the lock, like a connection checked out of a pool
+        for the duration of the query)."""
+        if self._latency:
+            self._clock.sleep(self._latency)
+        try:
+            return self._tables[name]
+        except KeyError:
+            raise NotFoundError(f"no such table: {name}") from None
 
     # -- schema -------------------------------------------------------------
 
@@ -206,8 +220,7 @@ class InMemoryEngine:
 
     def insert(self, table: str, row: Row) -> Row:
         with self._lock:
-            self._pause()
-            t = self._table(table)
+            t = self._open(table)
             stored = t.insert(row)
             if self._txn_depth:
                 self._log.append(("insert", table, stored[t.schema.primary_key]))
@@ -215,21 +228,18 @@ class InMemoryEngine:
 
     def get(self, table: str, pk: Any) -> Row:
         with self._lock:
-            self._pause()
-            row = self._table(table).rows.get(pk)
+            row = self._open(table).rows.get(pk)
             if row is None:
                 raise NotFoundError(f"{table}: no row with key {pk!r}")
             return dict(row)
 
     def exists(self, table: str, pk: Any) -> bool:
         with self._lock:
-            self._pause()
-            return pk in self._table(table).rows
+            return pk in self._open(table).rows
 
     def get_by_unique(self, table: str, column: str, value: Any) -> Row:
         with self._lock:
-            self._pause()
-            t = self._table(table)
+            t = self._open(table)
             if column not in t.unique:
                 raise ValidationError(f"{table}: {column} has no unique index")
             pk = t.unique[column].get(value)
@@ -239,8 +249,7 @@ class InMemoryEngine:
 
     def update(self, table: str, pk: Any, changes: Row) -> Row:
         with self._lock:
-            self._pause()
-            t = self._table(table)
+            t = self._open(table)
             old, row = t.update(pk, changes)
             if self._txn_depth:
                 self._log.append(("update", table, pk, old))
@@ -248,8 +257,7 @@ class InMemoryEngine:
 
     def delete(self, table: str, pk: Any) -> Row:
         with self._lock:
-            self._pause()
-            row = self._table(table).delete(pk)
+            row = self._open(table).delete(pk)
             if self._txn_depth:
                 self._log.append(("delete", table, row))
             return dict(row)
@@ -262,8 +270,7 @@ class InMemoryEngine:
     ) -> List[Row]:
         """Return matching rows; equality ``where`` uses indices when it can."""
         with self._lock:
-            self._pause()
-            t = self._table(table)
+            t = self._open(table)
             candidates = None
             if where:
                 for col, value in where.items():
@@ -292,8 +299,7 @@ class InMemoryEngine:
 
     def count(self, table: str, where: Optional[Row] = None) -> int:
         with self._lock:
-            self._pause()
-            t = self._table(table)
+            t = self._open(table)
             if not where:
                 return len(t.rows)
             if len(where) == 1:

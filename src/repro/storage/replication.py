@@ -85,6 +85,8 @@ class ReplicaGroup(WALEngine):
         ]
         self.promotions = 0
         self._crashed: Optional[int] = None  # node id awaiting rejoin
+        #: How many of the WAL's records the replicas have been sent.
+        self._shipped = len(self.wal.records)
 
     def _take_node_id(self) -> int:
         node = self._next_node
@@ -93,16 +95,18 @@ class ReplicaGroup(WALEngine):
 
     # -- shipping -----------------------------------------------------------
 
-    def _append(self, record: dict) -> int:
-        """Append to the WAL, then ship to every live replica."""
-        lsn = super()._append(record)
-        for replica in self.replicas:
-            if not replica.alive:
-                continue
-            if record["op"] != "snapshot":
-                apply_record(replica.engine, record)
-            replica.applied_lsn = lsn
-        return lsn
+    def _log(self, record: dict) -> None:
+        """Log, then apply what the WAL gained (nothing while a transaction
+        buffers; a record and the snapshot it triggered), in LSN order, to
+        every live replica."""
+        super()._log(record)
+        for appended in self.wal.records[self._shipped:]:
+            for replica in self.replicas:
+                if replica.alive:
+                    if appended["op"] != "snapshot":
+                        apply_record(replica.engine, appended)
+                    replica.applied_lsn = appended["lsn"]
+        self._shipped = len(self.wal.records)
 
     # -- failure handling ---------------------------------------------------
 

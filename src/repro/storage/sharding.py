@@ -77,6 +77,8 @@ class ShardedEngine:
             raise ValueError("sharded engine needs at least one shard")
         self._ring = HashRing(len(self.shards))
         self._schemas: Dict[str, TableSchema] = {}
+        #: table -> its indexed then unique columns, each once (what is routed)
+        self._routed: Dict[str, Tuple[str, ...]] = {}
         # (table, column) -> value -> {shard index: row refcount}
         self._routes: Dict[Tuple[str, str], Dict[Any, Dict[int, int]]] = {}
         self._route_lock = threading.Lock()
@@ -102,8 +104,9 @@ class ShardedEngine:
         for shard in self.shards:
             shard.create_table(name, schema)
         self._schemas[name] = schema
+        self._routed[name] = tuple(dict.fromkeys((*schema.indexed, *schema.unique)))
         with self._route_lock:
-            for col in self._routed_columns(schema):
+            for col in self._routed[name]:
                 self._routes[(name, col)] = {}
 
     def has_table(self, name: str) -> bool:
@@ -113,14 +116,10 @@ class ShardedEngine:
         return list(self._schemas)
 
     def schema(self, table: str) -> TableSchema:
-        schema = self._schemas.get(table)
-        if schema is None:
-            raise NotFoundError(f"no such table: {table}")
-        return schema
-
-    @staticmethod
-    def _routed_columns(schema: TableSchema) -> List[str]:
-        return list(dict.fromkeys(list(schema.indexed) + list(schema.unique)))
+        try:
+            return self._schemas[table]
+        except KeyError:
+            raise NotFoundError(f"no such table: {table}") from None
 
     # -- placement ----------------------------------------------------------
 
@@ -154,8 +153,8 @@ class ShardedEngine:
     def _route_adjust(self, table: str, row: Row, index: int, delta: int) -> None:
         schema = self._schemas[table]
         with self._route_lock:
-            for col in self._routed_columns(schema):
-                value = row.get(col)
+            for col in self._routed[table]:
+                value = row[col]
                 if col in schema.unique and col not in schema.indexed and value is None:
                     continue  # NULLs never participate in unique constraints
                 self._route_bump(table, col, value, index, delta)
@@ -212,14 +211,12 @@ class ShardedEngine:
                 for col, value in claimed:
                     self._route_bump(table, col, value, index, -1)
             raise
-        # Claimed unique columns are already routed; add the rest.
+        # Claimed unique columns are already routed (an unclaimed unique-only
+        # column holds None, which is not routed); route the indexed rest.
         with self._route_lock:
-            for col in self._routed_columns(schema):
-                if (col, stored.get(col)) in claimed:
-                    continue
-                if col in schema.unique and col not in schema.indexed:
-                    continue  # unclaimed unique column means its value is None
-                self._route_bump(table, col, stored.get(col), index, +1)
+            for col in schema.indexed:
+                if (col, stored[col]) not in claimed:
+                    self._route_bump(table, col, stored[col], index, +1)
         return stored
 
     def get(self, table: str, pk: Any) -> Row:
@@ -252,7 +249,7 @@ class ShardedEngine:
                         f"{table}: unique constraint violated on "
                         f"{col}={changes[col]!r}"
                     )
-        tracked = [c for c in self._routed_columns(schema) if c in changes]
+        tracked = [c for c in self._routed[table] if c in changes]
         old = self.shards[index].get(table, pk) if tracked else None
         row = self.shards[index].update(table, pk, changes)
         if tracked:
@@ -274,7 +271,7 @@ class ShardedEngine:
         if where:
             if schema.primary_key in where:
                 return [self._shard_of(table, where[schema.primary_key])]
-            for col in self._routed_columns(schema):
+            for col in self._routed[table]:
                 if col in where:
                     return self._route_shards(table, col, where[col])
         return range(len(self.shards))

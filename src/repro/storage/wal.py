@@ -67,7 +67,8 @@ def decode_value(value: Any) -> Any:
 
 
 def encode_row(row: Row) -> Dict[str, Any]:
-    return {column: encode_value(value) for column, value in row.items()}
+    # encode_value, inlined: a row costs one comprehension, not two calls a column.
+    return {c: {_BYTES_TAG: v.hex()} if v.__class__ is bytes else v for c, v in row.items()}
 
 
 def decode_row(row: Dict[str, Any]) -> Row:
@@ -92,14 +93,11 @@ class WriteAheadLog:
         self.bytes_written = 0
         self.snapshots = 0
         self.last_snapshot_lsn = 0
-
-    @property
-    def last_lsn(self) -> int:
-        return self.records[-1]["lsn"] if self.records else 0
+        self.last_lsn = 0
 
     def append(self, record: dict) -> int:
         """Assign the next LSN, render canonically, persist; returns the LSN."""
-        lsn = self.last_lsn + 1
+        lsn = self.last_lsn = self.last_lsn + 1
         record = dict(record, lsn=lsn)
         line = canonical_line(record)
         self.records.append(record)
@@ -136,28 +134,29 @@ class WriteAheadLog:
 def load_wal(path: str) -> Tuple[List[dict], int]:
     """Read a WAL file back; returns ``(valid records, dropped lines)``.
 
-    Reading stops at the first record that fails its CRC or does not parse
-    — a torn tail from a crash mid-append, or corruption.  Everything from
-    that point on is dropped (count returned), never partially applied:
-    records after a gap could depend on the lost one.
+    Reading stops at the first record that fails its CRC, is not UTF-8 or
+    does not parse to a JSON object — a torn tail from a crash mid-append,
+    or corruption.  Everything from that point on is dropped (count
+    returned), never partially applied: records after a gap could depend on
+    the lost one.  Any bytes at all read this way; none raise.
     """
     records: List[dict] = []
     dropped = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    with open(path, "rb") as handle:
+        lines = handle.read().splitlines()
     for index, raw in enumerate(lines):
         try:
-            crc_hex, line = raw.split(" ", 1)
-            if int(crc_hex, 16) != zlib.crc32(line.encode("utf-8")):
+            crc_hex, line = raw.split(b" ", 1)
+            if int(crc_hex, 16) != zlib.crc32(line):
                 raise ValueError("crc mismatch")
-            record = json.loads(line)
+            record = json.loads(line.decode("utf-8"))
+            if not isinstance(record, dict):
+                raise ValueError("not a record")
             if not isinstance(record.get("lsn"), int):
                 raise ValueError("missing lsn")
             if records and record["lsn"] != records[-1]["lsn"] + 1:
                 raise ValueError("lsn gap")
-        except ValueError:
+        except (ValueError, RecursionError):
             dropped = len(lines) - index
             break
         records.append(record)
@@ -289,7 +288,6 @@ class WALEngine:
         self._lock = threading.RLock()
         #: Stack of per-transaction record buffers (nested = savepoints).
         self._txn_buffers: List[List[dict]] = []
-        self._ops_since_snapshot = 0
         appends = resolve_registry(telemetry).counter(
             "storage_wal_appends_total", "WAL records appended, by op"
         )
@@ -302,24 +300,18 @@ class WALEngine:
         if self._txn_buffers:
             self._txn_buffers[-1].append(record)
             return
-        self._append(record)
-        self._ops_since_snapshot += 1
-        if self.snapshot_every and self._ops_since_snapshot >= self.snapshot_every:
-            self.snapshot()
-
-    def _append(self, record: dict) -> int:
         lsn = self.wal.append(record)
         self._c_appends[record["op"]].inc()
-        return lsn
+        if self.snapshot_every and lsn - self.wal.last_snapshot_lsn >= self.snapshot_every:
+            self.snapshot()
 
     def snapshot(self) -> int:
         """Write a full-state snapshot record; returns its LSN."""
         with self._lock:
             if self._txn_buffers:
                 raise ValidationError("cannot snapshot inside a transaction")
-            lsn = self._append({"op": "snapshot", "state": capture_state(self.inner)})
-            self._ops_since_snapshot = 0
-            return lsn
+            self._log({"op": "snapshot", "state": capture_state(self.inner)})
+            return self.wal.last_lsn
 
     def describe(self) -> Dict[str, Any]:
         """The wrapped engine's status with this log as its shard's ``wal``."""

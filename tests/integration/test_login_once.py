@@ -17,7 +17,9 @@ import pytest
 from repro.common.clock import VirtualClock
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
+from repro.otpserver.admin_api import AdminAPI, AdminAPIClient
 from repro.ssh import SSHClient
+from repro.storage import StorageConfig
 from repro.ssh.keys import KeyPair
 
 SMS_PHONE = "5125550000"
@@ -147,6 +149,46 @@ def wrong_code_profile():
 
 #: Every profile above, by fixture name.
 PROFILES = ("login_profile", "pubkey_profile", "sms_profile", "wrong_code_profile")
+
+
+@pytest.fixture(scope="module")
+def admin_init_profile(tmp_path_factory):
+    """One warm ``/admin/init`` of a soft token on the production storage
+    stack: four WAL-logged shards to disk under a read-through cache,
+    telemetry on."""
+    clock = VirtualClock.at("2016-10-05T09:00:00")
+    center = MFACenter(
+        clock=clock,
+        rng=random.Random(20160810),
+        storage=StorageConfig(
+            shards=4, durability=True, cache_capacity=64,
+            wal_dir=str(tmp_path_factory.mktemp("wal")),
+        ),
+        telemetry=True,
+    )
+    uids = [center.create_user(name).uid for name in ("alice", "bob")]
+    api = AdminAPI(center.otp, rng=random.Random(1))
+    api.add_admin("portal", "portal-secret")
+    admin = AdminAPIClient(api, "portal", "portal-secret", rng=random.Random(2))
+
+    def init(run):
+        body = run(admin.call, "POST", "/admin/init", {"user": uids.pop(), "type": "soft"})
+        assert body["serial"]
+
+    return profile_second_call(init)
+
+
+def test_a_storage_op_runs_no_per_column_call(admin_init_profile):
+    """docs/ARCHITECTURE.md "Storage engines": a row's columns are encoded,
+    copied and routed inside C calls, and a WAL record is rendered by one
+    encoder built once."""
+    assert count(admin_init_profile, "storage/wal.py", "encode_value") == 0
+    assert count(admin_init_profile, "storage/sharding.py", "_routed_columns") == 0
+    assert admin_init_profile.get(("encoder.py", "__init__"), 0) == 0  # json's
+    # ... and the layers those zeros speak for did run.
+    assert count(admin_init_profile, "storage/wal.py", "encode_row") >= 1
+    assert count(admin_init_profile, "storage/sharding.py", "insert") >= 1
+    assert count(admin_init_profile, "storage/memory.py", "insert") >= 1
 
 
 def count(profile, file_name, function):

@@ -69,6 +69,48 @@ class TestCRUD:
         assert len(engine.select("tokens", where={"serial": "S1"})) == 1
 
 
+class TestIndexHoldsLiveValuesOnly:
+    """A removed row takes its index entries with it: the index of a table
+    whose rows come and go does not grow with every value ever stored."""
+
+    @pytest.fixture
+    def tokens(self):
+        e = InMemoryEngine()
+        e.create_table(
+            "tokens",
+            TableSchema(("serial", "user_id", "type"), "serial", indexed=("user_id", "type")),
+        )
+        return e
+
+    def test_deleted_users_leave_no_index_keys(self, tokens):
+        tokens.insert("tokens", {"serial": "keep", "user_id": "kept", "type": "soft"})
+        for n in range(50):
+            tokens.insert("tokens", {"serial": f"S{n}", "user_id": f"u{n}", "type": "sms"})
+            tokens.delete("tokens", f"S{n}")
+        indices = tokens._table("tokens").indices
+        assert indices["user_id"] == {"kept": {"keep"}}
+        assert indices["type"] == {"soft": {"keep"}}
+        assert tokens.select("tokens", where={"user_id": "u7"}) == []
+        assert tokens.count("tokens", where={"user_id": "u7"}) == 0
+        assert tokens.count("tokens", where={"type": "sms"}) == 0
+        assert tokens.count("tokens", where={"user_id": "kept"}) == 1
+        assert [row["serial"] for row in tokens.select("tokens")] == ["keep"]
+
+    def test_moved_and_rolled_back_rows_leave_no_index_keys(self, tokens):
+        tokens.insert("tokens", {"serial": "S1", "user_id": "u1", "type": "soft"})
+        tokens.update("tokens", "S1", {"user_id": "u2"})
+        with pytest.raises(RuntimeError):
+            with tokens.transaction():
+                tokens.insert("tokens", {"serial": "S2", "user_id": "u3", "type": "hard"})
+                tokens.update("tokens", "S1", {"user_id": "u4"})
+                raise RuntimeError("abort")
+        indices = tokens._table("tokens").indices
+        assert indices["user_id"] == {"u2": {"S1"}}
+        assert indices["type"] == {"soft": {"S1"}}
+        assert tokens.select("tokens", where={"user_id": "u2"})[0]["serial"] == "S1"
+        assert tokens.count("tokens", where={"user_id": "u1"}) == 0
+
+
 class TestUndoLogTransactions:
     def test_commit_keeps_writes(self, engine):
         with engine.transaction():

@@ -16,10 +16,13 @@ assert the durability contract:
   bit-flipped line stops :func:`load_wal` at the last intact record.
 """
 
+import json
 import os
+import tempfile
+import zlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common.errors import ValidationError
 from repro.storage import (
@@ -181,8 +184,6 @@ class TestFileRoundTrip:
     @settings(max_examples=20, deadline=None)
     @given(ops=_OPS)
     def test_file_reload_matches(self, ops):
-        import tempfile
-
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "t.wal")
             engine = _build(ops, path=path)
@@ -235,6 +236,44 @@ class TestFileRoundTrip:
             handle.write("\n".join(lines) + "\n")
         records, _ = load_wal(path)
         assert len(records) == 2
+
+
+def _framed(payload: bytes) -> bytes:
+    """``payload`` as a log line with a correct CRC: only its content can fail."""
+    return b"%08x %s\n" % (zlib.crc32(payload), payload)
+
+
+#: JSON that is not a record: scalars, lists and objects without an ``lsn``.
+_NOT_RECORDS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text().filter(lambda key: key != "lsn"), inner, max_size=3),
+    max_leaves=6,
+).map(lambda value: _framed(json.dumps(value).encode("utf-8")))
+
+_TAILS = st.lists(st.binary(max_size=24) | _NOT_RECORDS, max_size=4).map(b"".join)
+
+
+class TestArbitraryTails:
+    """``load_wal`` is a boundary: whatever follows a valid log — garbage,
+    bytes that are not UTF-8, CRC-valid lines that are not records — is a
+    torn tail, dropped and counted, and the read never raises."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(tail=_TAILS)
+    @example(tail=b"\xff\xfe garbage\n")  # not UTF-8
+    @example(tail=_framed(b"5"))  # CRC-valid JSON that is not an object
+    @example(tail=_framed(b"[" * 100_000))  # CRC-valid, nested past the parser
+    def test_any_bytes_after_a_valid_log_are_a_dropped_tail(self, tail):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.wal")
+            engine = _build([("insert", pk, f"v{pk}") for pk in range(3)], path=path)
+            engine.wal.close()
+            with open(path, "ab") as handle:
+                handle.write(tail)
+            records, dropped = load_wal(path)
+        assert records == engine.wal.records
+        assert dropped == len(tail.splitlines())
 
 
 class TestEncodingAndState:

@@ -351,6 +351,22 @@ def test_octets_and_rounds_loop_in_c_not_in_the_interpreter():
     )
     assert per_octet_draws == []
     assert _spelled_in_src(("hmac.new(",)) == []
+    # ... nor over a row's columns: a storage op costs a fixed number of
+    # calls per layer, whatever the row's width.
+    assert _spelled_in_src(RETIRED_COLUMN_LOOPS) == []
+    assert "json.dumps(" not in (SRC / "simcore" / "digest.py").read_text()
+
+
+#: The per-column and per-op frames a storage op used to pay for: two calls
+#: per column to encode a WAL row, one ``.get`` per column to store a row,
+#: the routed columns rebuilt per op, and a call per op to sleep for a
+#: latency of zero.  Shrink-only, as above.
+RETIRED_COLUMN_LOOPS = (
+    "encode_value(value) for",
+    "for c in self.schema.columns}",
+    "_routed_columns",
+    "_pause(",
+)
 
 
 def test_status_code_does_not_probe_the_stack_shape():
