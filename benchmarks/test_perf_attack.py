@@ -36,7 +36,7 @@ from repro.common.clock import VirtualClock
 from repro.crypto.totp import totp_at
 from repro.otpserver import OTPServer
 from repro.policy import PolicyEngine, RiskEngine
-from repro.sim.attackers import AttackConfig, run_attack
+from repro.chaos import campaigns, run
 
 N_USERS = 64
 ROUNDS_PER_SEGMENT = 4
@@ -140,17 +140,17 @@ class TestRiskStageOverhead:
 
 
 class TestCampaignThroughput:
-    def test_stuffing_campaign_rate(self):
-        config = AttackConfig(scenario="stuffing", seed=101, accounts=20_000)
+    def test_stuffing_campaign_rate(self, monkeypatch):
+        monkeypatch.setattr(campaigns, "ACCOUNTS", 20_000)
         start = time.perf_counter()
-        report = run_attack(config)
+        report = run("stuffing", 101)
         elapsed = time.perf_counter() - start
         summary = report.summary()
         assert summary["violations"] == []
         events_per_sec = summary["events"] / elapsed
         print(
-            f"\n=== stuffing campaign, {config.accounts:,} accounts ===\n"
-            f"    {summary['attempts']} attacks + {summary['legit']['logins']} "
+            f"\n=== stuffing campaign, {campaigns.ACCOUNTS:,} accounts ===\n"
+            f"    {summary['attack']['attempts']} attacks + {summary['honest']['attempts']} "
             f"legit logins in {elapsed:.2f}s wall "
             f"({events_per_sec:,.0f} events/s)"
         )
@@ -158,8 +158,8 @@ class TestCampaignThroughput:
             "attack",
             {
                 "campaign": {
-                    "accounts": config.accounts,
-                    "attempts": summary["attempts"],
+                    "accounts": campaigns.ACCOUNTS,
+                    "attempts": summary["attack"]["attempts"],
                     "events": summary["events"],
                     "campaign_events_ops_per_sec": round(events_per_sec, 1),
                     "wall_seconds": round(elapsed, 3),

@@ -142,83 +142,39 @@ def _cmd_qr(args) -> int:
     return 0
 
 
-def _cmd_chaos(args) -> int:
+def _cmd_scenario(args) -> int:
     import json
 
-    from repro.chaos import WorkloadConfig, run_chaos, shipped_plans
+    from repro.chaos import run, scenarios
 
-    plans = shipped_plans()
+    catalogue = scenarios()
     if args.list:
-        for plan in plans.values():
-            print(f"{plan.name:14s} floor={plan.availability_floor:.2f}  "
-                  f"{plan.description}")
+        for name, scenario in catalogue.items():
+            print(f"{name:16s}{scenario.description}")
         return 0
-    plan = plans.get(args.plan)
-    if plan is None:
-        print(f"unknown plan {args.plan!r}; try --list", file=sys.stderr)
-        return 2
-    report = run_chaos(plan, WorkloadConfig(seed=args.seed, logins=args.logins))
-    summary = report.summary()
-    if args.json:
-        print(json.dumps(summary, indent=2))
-    else:
-        print(f"plan: {summary['plan']} (seed {summary['seed']})")
-        print(f"logins: {summary['successes']}/{summary['attempts']} succeeded")
-        print(
-            f"availability: {summary['availability']:.4f} "
-            f"(floor {summary['availability_floor']:.2f})"
-        )
-        print(f"false accepts: {summary['false_accepts']}")
-        print(f"reasonless denials: {summary['reasonless_denials']}")
-        print(f"chaos events: {summary['events']}  digest: {summary['digest'][:16]}")
-        for violation in summary["violations"]:
-            print(f"INVARIANT VIOLATED: {violation}")
-    return 1 if summary["violations"] else 0
-
-
-def _cmd_attack(args) -> int:
-    import json
-
-    from repro.sim.attackers import SCENARIOS, AttackConfig, run_attack
-
-    scenario = args.scenario
-    if scenario not in SCENARIOS:
-        print(
-            f"unknown scenario {scenario!r}; expected one of {', '.join(SCENARIOS)}",
-            file=sys.stderr,
-        )
-        return 2
-    config = AttackConfig(scenario=scenario, seed=args.seed, accounts=args.accounts)
-    summary = run_attack(config).summary()
+    if args.name not in catalogue:
+        args.error(f"unknown scenario {args.name!r}; try --list")
+    summary = run(catalogue[args.name], args.seed).summary()
     if args.json:
         print(json.dumps(summary, indent=2))
         return 1 if summary["violations"] else 0
+    honest, attack = summary["honest"], summary["attack"]
+    print(f"scenario: {args.name} (seed {args.seed})")
     print(
-        f"attack campaign: {summary['scenario']} (seed {summary['seed']}, "
-        f"{summary['accounts']:,} accounts, {summary['targets']:,} compromised)"
+        f"honest logins: {honest['succeeded']}/{honest['attempts']} succeeded, "
+        f"availability {honest['availability']:.4f} (floor {honest['floor']:.2f}), "
+        f"p99 {honest['p99_latency_seconds']} s"
     )
-    print(f"attempts: {summary['attempts']}")
-    print("blocked-attack rate by token type:")
-    for group, row in summary["by_token_type"].items():
-        print(
-            f"  {group:10s} {row['blocked_rate']:8.1%}  "
-            f"({row['blocked']}/{row['attempts']} blocked, "
-            f"{row['targets']} targets)"
-        )
-    blocked = ", ".join(f"{k}={v}" for k, v in summary["blocked_by"].items())
-    print(f"blocked by: {blocked or 'nothing'}")
-    succ = ", ".join(f"{k}={v}" for k, v in summary["success_channels"].items())
-    print(f"successes: {succ or 'none'}")
-    honey = summary["honeytoken"]
-    print(f"honeytoken: {honey['uses']} uses, {honey['alarms']} alarms")
+    print(f"attacks: {attack['succeeded']}/{attack['attempts']} got in; blocked rate by token type:")
+    for group, row in attack["by_group"].items():
+        print(f"  {group:10s} {row['blocked_rate']:8.1%}  ({row['blocked']}/{row['attempts']} blocked)")
+    for label, counts in (("blocked by", attack["blocked_by"]), ("successes", attack["success_channels"])):
+        print(f"{label}: {', '.join(f'{k}={v}' for k, v in counts.items()) or 'none'}")
+    print(f"honeytoken: {attack['honeytoken']['uses']} uses, {attack['honeytoken']['alarms']} alarms")
     risk = summary["risk"]
     print(
         f"risk stage: {risk['assessed']} assessed, {risk['step_ups']} step-ups, "
         f"{risk['denies']} denies, {risk['flagged_users']} flagged users"
-    )
-    print(
-        f"legit traffic: {summary['legit']['succeeded']}/"
-        f"{summary['legit']['logins']} logins succeeded"
     )
     print(f"events: {summary['events']}  digest: {summary['digest']}")
     for violation in summary["violations"]:
@@ -367,26 +323,17 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_argument("text", nargs="+")
 
     sub = command(
-        "chaos", _cmd_chaos,
-        "Run a login workload under a seeded fault plan and report the invariant "
-        "verdicts; exits 1 if any invariant was violated.",
+        "scenario", _cmd_scenario,
+        "Run a seeded adversarial scenario (a fault plan under an honest login "
+        "train and an attacker, or an attack campaign) and report its honest and "
+        "attack outcomes, the risk-stage counters, the determinism digest and the "
+        "invariant verdicts; exits 1 if any invariant was violated.",
     )
-    sub.add_argument("--plan", default="kitchen-sink", metavar="NAME")
+    sub.add_argument("name", nargs="?", default="kitchen-sink", metavar="NAME",
+                     help="the scenario (default: kitchen-sink; see --list)")
     sub.add_argument("--seed", type=int, default=101, metavar="N")
-    sub.add_argument("--logins", type=int, default=120, metavar="M")
     sub.add_argument("--json", action="store_true")
-    sub.add_argument("--list", action="store_true", help="list the shipped plans and exit")
-
-    sub = command(
-        "attack", _cmd_attack,
-        "Run a seeded adversarial campaign and print the blocked-attack rates by token "
-        "type, the honeytoken alarm tally, the risk-stage counters and the determinism "
-        "digest; exits 1 if an adversarial invariant was violated.",
-    )
-    sub.add_argument("--scenario", default="stuffing", metavar="NAME")
-    sub.add_argument("--seed", type=int, default=101, metavar="N")
-    sub.add_argument("--accounts", type=int, default=100_000, metavar="N")
-    sub.add_argument("--json", action="store_true")
+    sub.add_argument("--list", action="store_true", help="list the scenarios and exit")
 
     sub = command(
         "status", _cmd_status,

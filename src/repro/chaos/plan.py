@@ -6,10 +6,10 @@ the right bar depends on the faults: a deterministic partition that leaves
 one RADIUS server healthy must still clear 99% (the headline invariant),
 while a heavy probabilistic loss burst is allowed a slightly lower floor.
 
-``shipped_plans()`` is the catalogue the tests and ``python -m repro
-chaos`` run; every shipped plan keeps at least one of the default RADIUS
-farm's servers (``10.0.0.{10,11,12}:1812``) free of deterministic
-blocking, so the availability invariant is always meaningful.
+``shipped_plans()`` is the fault half of the scenario catalogue the tests
+and ``python -m repro scenario`` run; every shipped plan keeps at least one
+of the default RADIUS farm's servers (``10.0.0.{10,11,12}:1812``) free of
+deterministic blocking, so the availability invariant is always meaningful.
 """
 
 from __future__ import annotations

@@ -22,21 +22,13 @@ Modules:
   series/rankings the benchmarks print.
 * :mod:`repro.sim.sweep` — the one reduction of a run to its figure-level
   statistics, and its mean/min/max across seeds.
-* :mod:`repro.sim.attackers` — seeded adversarial workloads (credential
-  stuffing, phishing relay, SIM swap) against the real validate path,
-  with blocked-attack rates by token type.
 """
 
-from repro.sim.attackers import AttackConfig, AttackReport, AttackSimulation, run_attack
 from repro.sim.metrics import DailyMetrics
 from repro.sim.population import Population, UserProfile
 from repro.sim.rollout import RolloutConfig, RolloutSimulation
 
 __all__ = [
-    "AttackConfig",
-    "AttackReport",
-    "AttackSimulation",
-    "run_attack",
     "Population",
     "UserProfile",
     "RolloutConfig",

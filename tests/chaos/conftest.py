@@ -1,9 +1,10 @@
-"""Shared fixtures for the chaos invariant suite.
+"""Shared fixtures for the adversarial scenario suite.
 
 ``CHAOS_SEEDS`` (comma-separated integers, default ``101``) selects which
-seeds the whole-workload invariant tests run under; CI's chaos-smoke job
-sets two.  Reports are cached per ``(plan, seed)`` because one run drives
-120 full-stack logins and several tests interrogate the same run.
+seeds the whole-workload invariant tests run under; CI's scenario-smoke job
+sets two.  Reports are cached per ``(scenario, seed)`` because one run
+drives 120 full-stack logins (or a whole campaign) and several tests
+interrogate the same run.
 """
 
 import os
@@ -11,7 +12,7 @@ from functools import lru_cache
 
 import pytest
 
-from repro.chaos import WorkloadConfig, run_chaos, shipped_plans
+from repro.chaos import run
 
 
 def chaos_seeds():
@@ -20,9 +21,8 @@ def chaos_seeds():
 
 
 @lru_cache(maxsize=None)
-def report_for(plan_name: str, seed: int):
-    plan = shipped_plans()[plan_name]
-    return run_chaos(plan, WorkloadConfig(seed=seed))
+def report_for(name: str, seed: int):
+    return run(name, seed)
 
 
 @pytest.fixture(params=chaos_seeds(), ids=lambda s: f"seed{s}")

@@ -14,7 +14,7 @@ d. identical seeds yield byte-identical event logs.
 
 import pytest
 
-from repro.chaos import WorkloadConfig, run_chaos, shipped_plans
+from repro.chaos import run, shipped_plans
 
 from .conftest import report_for
 
@@ -24,60 +24,54 @@ PLAN_NAMES = sorted(shipped_plans())
 @pytest.mark.parametrize("plan_name", PLAN_NAMES)
 class TestInvariants:
     def test_no_false_accepts(self, plan_name, seed):
-        report = report_for(plan_name, seed)
-        assert report.false_accepts() == []
+        rows = report_for(plan_name, seed).rows("attempt")
+        assert [row for row in rows if row["ok"] and not row["expect"]] == []
 
     def test_availability_floor(self, plan_name, seed):
         report = report_for(plan_name, seed)
-        floor = report.plan.availability_floor
-        eligible = [a for a in report.attempts if a.expect_success and a.healthy]
+        eligible = [row for row in report.rows("attempt") if row["expect"] and row["healthy"]]
         assert eligible, "workload produced no eligible honest logins"
-        assert report.availability() >= floor
+        assert sum(row["ok"] for row in eligible) / len(eligible) >= report.floor
 
     def test_every_denial_has_a_reason(self, plan_name, seed):
-        report = report_for(plan_name, seed)
-        assert report.reasonless_denials() == []
+        rows = report_for(plan_name, seed).rows("attempt")
+        assert [row for row in rows if not row["ok"] and row["silent"]] == []
 
     def test_no_violations_reported(self, plan_name, seed):
-        # The report's own judgement agrees with the individual assertions.
-        assert report_for(plan_name, seed).invariant_violations() == []
+        # The judge agrees with the individual assertions.
+        assert report_for(plan_name, seed).violations() == []
 
 
 class TestDeterminism:
     @pytest.mark.parametrize("plan_name", ["partition", "kitchen-sink"])
     def test_same_seed_same_event_log(self, plan_name, seed):
         cached = report_for(plan_name, seed)
-        fresh = run_chaos(shipped_plans()[plan_name], WorkloadConfig(seed=seed))
-        assert fresh.event_lines == cached.event_lines
-        assert fresh.digest() == cached.digest()
-        assert [a.success for a in fresh.attempts] == [
-            a.success for a in cached.attempts
-        ]
+        fresh = run(plan_name, seed)
+        assert fresh.log.lines() == cached.log.lines()
+        assert fresh.log.digest() == cached.log.digest()
 
     def test_different_seeds_differ(self):
         a = report_for("loss-burst", 101)
-        b = run_chaos(shipped_plans()["loss-burst"], WorkloadConfig(seed=102))
-        assert a.digest() != b.digest()
+        b = run("loss-burst", 102)
+        assert a.log.digest() != b.log.digest()
 
 
 class TestWorkloadShape:
     def test_wrong_code_probes_present(self, seed):
-        report = report_for("baseline", seed)
-        probes = [a for a in report.attempts if not a.expect_success]
+        rows = report_for("baseline", seed).rows("attempt")
+        probes = [row for row in rows if not row["expect"]]
         assert len(probes) == 120 // 9
-        assert all(not a.success for a in probes)
+        assert all(not row["ok"] for row in probes)
         # Probes are rejected with the wire's uniform error, not silently.
-        assert all(a.reasons for a in probes)
+        assert all(not row["silent"] for row in probes)
 
     def test_baseline_all_honest_logins_succeed(self, seed):
-        report = report_for("baseline", seed)
-        honest = [a for a in report.attempts if a.expect_success]
-        assert all(a.success for a in honest)
+        rows = report_for("baseline", seed).rows("attempt")
+        assert all(row["ok"] for row in rows if row["expect"])
 
     def test_partition_marks_servers_unhealthy_not_the_farm(self, seed):
         # Two of three servers blocked still leaves the farm "healthy" for
         # the availability invariant — and logins keep succeeding.
         report = report_for("partition", seed)
-        assert all(a.healthy for a in report.attempts)
-        drops = [line for line in report.event_lines if "partition_drop" in line]
-        assert drops, "the partition never actually vetoed a datagram"
+        assert all(row["healthy"] for row in report.rows("attempt"))
+        assert report.rows("partition_drop"), "the partition never vetoed a datagram"

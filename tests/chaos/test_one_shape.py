@@ -1,22 +1,15 @@
 """One deployment under test.
 
-``run_chaos`` builds the same ``MFACenter`` — the production shape: sharded
+``run_plan`` builds the same ``MFACenter`` — the production shape: sharded
 and replicated storage, ingest queue, risk stage, LDAP-first resolvers —
-for every shipped plan and both ``adversarial`` settings.  The plan decides
-what happens to the deployment, never what it is made of, so every fault
-meets the stack that ships.
+for every shipped plan, with or without the attacker's attempts.  The plan
+decides what happens to the deployment, never what it is made of, so every
+fault meets the stack that ships.
 """
 
 import pytest
 
-from repro.chaos import (
-    BatchBackfill,
-    FaultPlan,
-    WorkloadConfig,
-    run_chaos,
-    runner,
-    shipped_plans,
-)
+from repro.chaos import BatchBackfill, FaultPlan, run, runner, shipped_plans
 
 from .conftest import report_for
 
@@ -25,13 +18,14 @@ class _Built(Exception):
     """Raised by the spy: the deployment's shape is known, skip the run."""
 
 
-def center_kwargs(monkeypatch, plan_name: str, adversarial: bool) -> dict:
+def center_kwargs(monkeypatch, plan_name: str, attacker: bool) -> dict:
     def spy(**kwargs):
         raise _Built(kwargs)
 
     monkeypatch.setattr(runner, "MFACenter", spy)
+    monkeypatch.setattr(runner, "ATTACKER_ATTEMPTS", 12 if attacker else 0)
     with pytest.raises(_Built) as built:
-        run_chaos(shipped_plans()[plan_name], WorkloadConfig(adversarial=adversarial))
+        run(shipped_plans()[plan_name], 101)
     kwargs = dict(built.value.args[0])
     # Live objects compare by what they were built from.
     clock, rng = kwargs.pop("clock"), kwargs.pop("rng")
@@ -41,27 +35,25 @@ def center_kwargs(monkeypatch, plan_name: str, adversarial: bool) -> dict:
     return kwargs
 
 
-@pytest.mark.parametrize("adversarial", [False, True])
+@pytest.mark.parametrize("attacker", [False, True])
 @pytest.mark.parametrize("plan_name", sorted(shipped_plans()))
-def test_every_plan_builds_the_same_deployment(monkeypatch, plan_name, adversarial):
+def test_every_plan_builds_the_same_deployment(monkeypatch, plan_name, attacker):
     reference = center_kwargs(monkeypatch, "baseline", False)
-    assert center_kwargs(monkeypatch, plan_name, adversarial) == reference
+    assert center_kwargs(monkeypatch, plan_name, attacker) == reference
     assert reference["storage"].replicas == 2 and reference["storage"].shards == 2
     assert reference["ingest"] and reference["risk"] is True
     assert reference["resolvers"].use_ldap and reference["radius_wait_clock"]
 
 
 def test_shard_crash_still_promotes_and_rejoins_on_the_one_shape(seed):
-    events = report_for("kill-a-shard", seed).log.events
-    crash = [e for e in events if e["kind"] == "shard_crash"]
-    rejoin = [e for e in events if e["kind"] == "shard_rejoin"]
+    report = report_for("kill-a-shard", seed)
+    crash, rejoin = report.rows("shard_crash"), report.rows("shard_rejoin")
     assert len(crash) == len(rejoin) == 1
     assert crash[0]["digest_match"] is True and rejoin[0]["digest_match"] is True
 
 
 def test_backfill_still_drains_on_the_one_shape(seed):
-    events = report_for("resync-storm", seed).log.events
-    drains = [e for e in events if e["kind"] == "backfill_drain"]
+    drains = report_for("resync-storm", seed).rows("backfill_drain")
     assert len(drains) == 1 and drains[0]["remaining"] == 0
 
 
@@ -76,16 +68,20 @@ def test_a_plan_without_deferred_work_schedules_no_pump(monkeypatch):
         "attach",
         lambda self, *a, **kw: attached.append(1) or attach(self, *a, **kw),
     )
-    run_chaos(shipped_plans()["partition"], WorkloadConfig(logins=5))
+    monkeypatch.setattr(runner, "LOGINS", 5)
+    run("partition", 101)
     assert attached == []
+    monkeypatch.setattr(runner, "LOGINS", 3)
     storm = FaultPlan("mini-storm", "", (BatchBackfill(start=10, duration=20, items=50),))
-    report = run_chaos(storm, WorkloadConfig(logins=3))
+    report = run(storm, 101)
     assert attached == [1]
-    assert report.backfill_violations() == []
+    assert report.rows("backfill_drain")[0]["remaining"] == 0
 
 
-def test_first_event_names_the_run():
-    report = run_chaos(shipped_plans()["baseline"], WorkloadConfig(seed=7, logins=3))
+def test_first_event_names_the_run(monkeypatch):
+    monkeypatch.setattr(runner, "LOGINS", 3)
+    report = run("baseline", 7)
     assert report.log.events[0] == {
-        "kind": "run", "t": 0.0, "plan": "baseline", "seed": 7, "logins": 3,
+        "kind": "run", "t": 0.0, "scenario": "baseline", "seed": 7, "logins": 3,
     }
+    assert report.summary()["run"] == {"scenario": "baseline", "seed": 7, "logins": 3}

@@ -7,11 +7,9 @@ denial), the chain's health tracking must demote the dead primary, and
 the run must stay violation-free and bit-for-bit deterministic.
 """
 
-import json
-
 import pytest
 
-from repro.chaos import WorkloadConfig, run_chaos, shipped_plans
+from repro.chaos import run
 from repro.chaos.engine import ChaosEngine
 from repro.chaos.faults import ResolverOutage
 from repro.chaos.plan import FaultPlan
@@ -21,52 +19,41 @@ from .conftest import report_for
 
 @pytest.fixture(scope="module")
 def outage_report():
-    return run_chaos(shipped_plans()["resolver-outage"], WorkloadConfig(seed=101))
-
-
-def events_of(report, kind):
-    return [
-        event
-        for event in (json.loads(line) for line in report.event_lines)
-        if event["kind"] == kind
-    ]
+    return run("resolver-outage", 101)
 
 
 class TestFailoverUnderOutage:
     def test_outage_and_restore_events_bracket_the_window(self, outage_report):
-        (outage,) = events_of(outage_report, "resolver_outage")
-        (restore,) = events_of(outage_report, "resolver_restore")
+        (outage,) = outage_report.rows("resolver_outage")
+        (restore,) = outage_report.rows("resolver_restore")
         assert outage["resolver"] == "ldap"
         assert outage["t"] == 300 and restore["t"] == 900
 
     def test_traffic_failed_over_instead_of_failing(self, outage_report):
-        (restore,) = events_of(outage_report, "resolver_restore")
+        (restore,) = outage_report.rows("resolver_restore")
         assert restore["failovers"] >= 1
-        assert outage_report.availability() == 1.0
+        assert outage_report.summary()["honest"]["availability"] == 1.0
 
     def test_dead_primary_demoted_while_dark(self, outage_report):
         # The outage event snapshots the chain right after the first
         # failover: ldap already took its scoring hit.
-        (outage,) = events_of(outage_report, "resolver_outage")
-        (restore,) = events_of(outage_report, "resolver_restore")
+        (outage,) = outage_report.rows("resolver_outage")
+        (restore,) = outage_report.rows("resolver_restore")
         assert outage["state"] in ("closed", "half_open", "open")
         assert restore["state"] in ("closed", "half_open", "open")
 
     def test_no_invariant_violations(self, outage_report):
-        assert outage_report.invariant_violations() == []
+        assert outage_report.violations() == []
 
 
 class TestDeterminism:
     def test_same_seed_same_digest(self, outage_report):
-        rerun = run_chaos(
-            shipped_plans()["resolver-outage"], WorkloadConfig(seed=101)
-        )
-        assert rerun.digest() == outage_report.digest()
+        assert run("resolver-outage", 101).log.digest() == outage_report.log.digest()
 
     def test_different_seed_different_digest(self, outage_report, seed):
         if seed == 101:
             pytest.skip("same seed as the module fixture")
-        assert report_for("resolver-outage", seed).digest() != outage_report.digest()
+        assert report_for("resolver-outage", seed).log.digest() != outage_report.log.digest()
 
 
 class TestFaultValidation:

@@ -189,7 +189,7 @@ NOT_IN_STATUS = {
     "portal_logins_total": "no fact kept",
     "portal_pairings_total": "storage.tables.tokens",
     "portal_unpairs_total": "audit.records",
-    # The harness's event log is the count (``ChaosReport.summary()["events"]``);
+    # The harness's event log is the count (``Report.summary()["events"]``);
     # the series also counted every ``attempt`` and ``run`` row as a fault.
     "chaos_faults_injected_total": "ChaosEngine.events",
 }

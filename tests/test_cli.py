@@ -3,7 +3,7 @@
 A misspelt flag used to be ignored by every command (``chaos --plann
 resolver-outage`` ran ``kitchen-sink`` and a CI gate passed vacuously) and a
 malformed value died with a traceback; now every command prints its usage
-on stderr and exits 2 before doing any work.
+on stderr and exits 2 before doing any work — an unknown scenario name too.
 """
 
 import pytest
@@ -16,8 +16,7 @@ COMMANDS = {
     "demo": ((), "--shards"),
     "telemetry": ((), "--shards"),
     "qr": ((), None),
-    "chaos": ((), "--seed"),
-    "attack": ((), "--accounts"),
+    "scenario": ((), "--seed"),
     "status": ((), "--replicas"),
     "storage": (("--demo", "never-created"), "--shards"),
 }
@@ -29,6 +28,7 @@ def _cases():
             yield command, "non-integer", [*required, flag, "abc"]
             yield command, "missing-value", [*required, flag]
     yield "qr", "missing-value", []
+    yield "scenario", "unknown-name", ["nope"]
 
 
 CASES = list(_cases())
@@ -50,9 +50,9 @@ def test_bad_command_line_is_a_usage_error(capsys, tmp_path, monkeypatch, comman
 
 
 def test_a_misspelt_flag_does_not_run_the_default(capsys):
-    assert main(["chaos", "--plann", "resolver-outage", "--logins", "10"]) == 2
+    assert main(["scenario", "resolver-outage", "--sed", "202"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "--plann" in captured.err
+    assert captured.out == "" and "--sed" in captured.err
     # A prefix is a misspelling too (``--seed`` must never mean ``--seeds``).
     assert main(["report", "300", "--seed", "3"]) == 2
 
@@ -61,5 +61,5 @@ def test_help_lists_every_command(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert all(f"\n    {command}" in out for command in COMMANDS)
-    assert main(["chaos", "--help"]) == 0
-    assert "--plan NAME" in capsys.readouterr().out
+    assert main(["scenario", "--help"]) == 0
+    assert "--seed N" in capsys.readouterr().out

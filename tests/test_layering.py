@@ -312,6 +312,20 @@ def test_retired_rollout_twin_and_gauges_stay_out_of_src():
     assert _spelled_in_src(RETIRED_TWIN_NAMES) == []
 
 
+#: The second adversarial harness: the campaigns' and the fault plans' own
+#: config classes, attempt records, reports and CLI commands.  Shrink-only,
+#: as above: ``repro.chaos.run`` dispatches every scenario, ``Report`` judges
+#: it, and ``python -m repro scenario`` is the one command.
+RETIRED_HARNESS_NAMES = (
+    "ChaosReport", "AttackReport", "AttemptRecord", "run_attack",
+    "WorkloadConfig", "AttackConfig", "_cmd_chaos", "_cmd_attack",
+)  # fmt: skip
+
+
+def test_retired_harness_names_stay_out_of_src():
+    assert _spelled_in_src(RETIRED_HARNESS_NAMES) == []
+
+
 #: The clocks' pre-redesign names, aliased in ``common.clock`` until every
 #: spelling was renamed.  Shrink-only, as above.  (Spelled in two pieces so
 #: that ``git grep -w`` for a straggler finds none here.)
@@ -504,8 +518,7 @@ ROOT = SRC.parent.parent
 #: ``analysis``).  Any other ``@dataclass`` there whose name ends ``Config``,
 #: ``Policy`` or ``Model`` is counted as well, so a new one cannot dodge.
 CONFIG_CLASSES = {
-    "WorkloadConfig", "AttackConfig", "RolloutConfig",
-    "AdoptionModel", "AdaptationModel", "TicketModel", "IngestConfig",
+    "RolloutConfig", "AdoptionModel", "AdaptationModel", "TicketModel", "IngestConfig",
     "ClassPolicy", "StorageConfig", "ResolverConfig", "OTPServerConfig",
     "FailoverPolicy", "BackoffPolicy", "RateLimitConfig", "CarrierProfile",
     "ConcurrencyConfig", "RiskWeights",
@@ -513,15 +526,11 @@ CONFIG_CLASSES = {
 
 #: Fields only tests, the old bench fleet (``benchmarks/*.py``) or examples
 #: set.  Exact and shrink-only: the debt is listed here, not paid — of the
-#: 37, the fleet's ``benchmarks/test_perf_*`` alone set two (``lock_stripes``,
-#: ``latency``), the paper-figure ablations five, tests the other thirty — and
+#: 30, the fleet's ``benchmarks/test_perf_*`` alone set two (``lock_stripes``,
+#: ``latency``), the paper-figure ablations five, tests the other 23 — and
 #: a field leaves the list by getting a caller in ``src/`` or by becoming a
 #: constant.
 TEST_ONLY_FIELDS = {
-    ("AttackConfig", "compromised_fraction"),
-    ("AttackConfig", "duration_seconds"),
-    ("AttackConfig", "honeytoken_fraction"),
-    ("AttackConfig", "victim_consumes"),
     ("BackoffPolicy", "base"),
     ("BackoffPolicy", "cap"),
     ("BackoffPolicy", "jitter"),
@@ -552,9 +561,6 @@ TEST_ONLY_FIELDS = {
     ("RolloutConfig", "phase2"),
     ("RolloutConfig", "phase3"),
     ("StorageConfig", "latency"),
-    ("WorkloadConfig", "adversarial"),
-    ("WorkloadConfig", "pump_interval"),
-    ("WorkloadConfig", "pump_items"),
 }
 
 #: Call sites that set fields through a ``**mapping`` the AST cannot read:
@@ -573,12 +579,7 @@ OPAQUE_CALLS = {
 #: The fields the census retired, by class (``None``: the whole class).
 #: Shrink-only, as above: none of them comes back as a field.
 RETIRED_FIELDS = {
-    "WorkloadConfig": (
-        "users", "step_seconds", "wrong_every", "deadline_budget", "shards",
-        "replicas", "durability", "ingest", "ingest_depth", "queue_service_cost",
-        "backfill_users", "honeytokens", "attacker_attempts",
-        "attacker_step_seconds", "attacker_ip", "attacker_subnet",
-    ),
+    "WorkloadConfig": None,
     "AdoptionModel": (
         "voluntary_scale", "voluntary_halflife", "countdown_first_prob",
         "countdown_repeat_prob", "phase2_announce_prob", "deadline_prob",
@@ -588,7 +589,7 @@ RETIRED_FIELDS = {
         "lockout_ticket_prob", "steady_mfa_rate_per_10k",
     ),
     "RolloutConfig": ("start", "end", "outreach", "new_accounts_per_1k", "storage"),
-    "AttackConfig": ("unpaired_fraction", "attempts_per_target", "watchlist"),
+    "AttackConfig": None,
     "SMSPricing": None,
     "IngestConfig": ("shed_classes", "policies"),
     "ClassPolicy": ("max_retries",),
@@ -684,10 +685,10 @@ def test_every_config_field_has_a_setter():
         key for key, files in setters.items() if all(map(_is_test_side, files))
     }
     assert test_only == TEST_ONLY_FIELDS, sorted(test_only ^ TEST_ONLY_FIELDS)
-    # Shrink-only, from the first census: 127 fields -> 78 -> 72 -> 70,
-    # 42 -> 39 -> 37.
-    assert len(TEST_ONLY_FIELDS) <= 37
-    assert len(setters) <= 70
+    # Shrink-only, from the first census: 127 fields -> 78 -> 72 -> 70 -> 58,
+    # 42 -> 39 -> 37 -> 30.
+    assert len(TEST_ONLY_FIELDS) <= 30
+    assert len(setters) <= 58
 
 
 def test_retired_config_fields_stay_retired():
