@@ -468,7 +468,20 @@ class ApplyOutcome:
         row = ctx.row
         tokens = server.tokens
         if ctx.result.ok:
-            tokens.update(row["serial"], {"failcount": 0, "pairing_confirmed": True})
+            # Write only the columns that differ from the row ResolveIdentity
+            # read: a warm success writes nothing.  The read and this check
+            # run under the login name's striped lock, so every validate
+            # that could raise this name's failcount is serialised behind
+            # them.  Two names resolving to one uid may take different
+            # stripes; there either write could already land last, so
+            # skipping a no-op adds no state a full write could not reach.
+            changes = {}
+            if row["failcount"]:
+                changes["failcount"] = 0
+            if not row["pairing_confirmed"]:
+                changes["pairing_confirmed"] = True
+            if changes:
+                tokens.update(row["serial"], changes)
             ctx.audit("validate", serial=row["serial"], success=True)
             # Feed the shared risk stage: the origin becomes known-good and
             # the account's failure burst resets.  A sourceless call (the

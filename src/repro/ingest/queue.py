@@ -191,6 +191,8 @@ class IngestQueue:
             "ingest_wait_seconds", "queue wait from admission to service"
         )
         self._m_wait = {cls: wait.labels(priority=cls.value) for cls in PriorityClass}
+        # Telemetry off: a serviced item makes no histogram call at all.
+        self._timed = telemetry.enabled
 
     # -- admission -----------------------------------------------------------
 
@@ -301,7 +303,8 @@ class IngestQueue:
         policy = self._heap.policy_for(item.priority)
         waited = max(0.0, now - item.enqueued_at)
         stats = self._stats[item.priority]
-        self._m_wait[item.priority].observe(waited)
+        if self._timed:
+            self._m_wait[item.priority].observe(waited)
         if self.config.service_cost_seconds > 0:
             self._clock.sleep(self.config.service_cost_seconds)
         errored = False

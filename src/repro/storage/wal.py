@@ -288,10 +288,13 @@ class WALEngine:
         self._lock = threading.RLock()
         #: Stack of per-transaction record buffers (nested = savepoints).
         self._txn_buffers: List[List[dict]] = []
-        appends = resolve_registry(telemetry).counter(
+        registry = resolve_registry(telemetry)
+        appends = registry.counter(
             "storage_wal_appends_total", "WAL records appended, by op"
         )
         self._c_appends = {op: appends.labels(op=op) for op in RECORD_OPS}
+        # Telemetry off: an append makes no counter call at all.
+        self._counted = registry.enabled
 
     # -- logging plumbing ---------------------------------------------------
 
@@ -301,7 +304,8 @@ class WALEngine:
             self._txn_buffers[-1].append(record)
             return
         lsn = self.wal.append(record)
-        self._c_appends[record["op"]].inc()
+        if self._counted:
+            self._c_appends[record["op"]].inc()
         if self.snapshot_every and lsn - self.wal.last_snapshot_lsn >= self.snapshot_every:
             self.snapshot()
 

@@ -147,8 +147,46 @@ def wrong_code_profile():
     return profile_second_call(login)
 
 
+def trainee_on_two_wal_shards(tmp_path_factory, **center_options):
+    """A center on two WAL-logged shards written to disk, and the static code
+    of its one training account."""
+    center = MFACenter(
+        clock=VirtualClock.at("2016-10-05T09:00:00"),
+        rng=random.Random(20160810),
+        storage=StorageConfig(
+            shards=2, durability=True,
+            wal_dir=str(tmp_path_factory.mktemp("wal")),
+        ),
+        **center_options,
+    )
+    center.create_user("trainee", password="pw-trainee")
+    return center, center.pair_training("trainee", "424242")
+
+
+@pytest.fixture(scope="module")
+def durable_queue_profile(tmp_path_factory):
+    """A warm wrong code, then the right one, straight to the back end on the
+    durable, queued stack (two WAL-logged shards to disk behind the ingest
+    queue), telemetry off: each validate is serviced by the queue and writes
+    the token row (``failcount`` 1, then 0), so both reach the WAL."""
+    center, code = trainee_on_two_wal_shards(tmp_path_factory, ingest=True)
+    assert center.radius_backend.validate("trainee", code).ok  # confirms the pairing
+
+    def login(run):
+        assert not run(center.radius_backend.validate, "trainee", "000000").ok
+        assert run(center.radius_backend.validate, "trainee", code).ok
+
+    return profile_second_call(login)
+
+
 #: Every profile above, by fixture name.
-PROFILES = ("login_profile", "pubkey_profile", "sms_profile", "wrong_code_profile")
+PROFILES = (
+    "login_profile",
+    "pubkey_profile",
+    "sms_profile",
+    "wrong_code_profile",
+    "durable_queue_profile",
+)
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +227,29 @@ def test_a_storage_op_runs_no_per_column_call(admin_init_profile):
     assert count(admin_init_profile, "storage/wal.py", "encode_row") >= 1
     assert count(admin_init_profile, "storage/sharding.py", "insert") >= 1
     assert count(admin_init_profile, "storage/memory.py", "insert") >= 1
+
+
+@pytest.fixture(scope="module")
+def warm_success_profile(tmp_path_factory):
+    """One warm valid validate on the production storage stack: two
+    WAL-logged shards to disk, telemetry on.  The profiled success follows
+    one that already confirmed the pairing with no failure since."""
+    center, code = trainee_on_two_wal_shards(tmp_path_factory, telemetry=True)
+
+    def validate(run):
+        assert run(center.radius_backend.validate, "trainee", code).ok
+
+    return profile_second_call(validate)
+
+
+def test_a_warm_success_writes_nothing(warm_success_profile):
+    """docs/ARCHITECTURE.md "Storage engines": a success writes only the token
+    columns that differ from the row it read, and a warm one differs in none."""
+    assert count(warm_success_profile, "storage/wal.py", "append") == 0
+    assert count(warm_success_profile, "storage/sharding.py", "update") == 0
+    assert count(warm_success_profile, "storage/memory.py", "update") == 0
+    # ... and the row those zeros speak for was read.
+    assert count(warm_success_profile, "storage/memory.py", "select") == 1
 
 
 def count(profile, file_name, function):

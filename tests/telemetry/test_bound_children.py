@@ -244,7 +244,10 @@ def test_keyword_update_costs_no_more_than_it_did():
 #: What one warm, valid validate on the production-shaped center records —
 #: ``Registry.snapshot()`` before and after, counts only — taken at the
 #: commit before children existed (less the replica-ship count, which is
-#: ``applied_lsn`` in ``status()``).
+#: ``applied_lsn`` in ``status()``).  Since a success writes only the token
+#: columns that differ, this warm one writes nothing: the
+#: ``storage_op_seconds{op=update,table=tokens}`` observation and the
+#: ``storage_wal_appends_total{op=update}`` count it used to move are gone.
 ONE_VALIDATE = {
     ("authflow_stage_seconds", (("stage", "apply_outcome"),)): 1,
     ("authflow_stage_seconds", (("stage", "audit"),)): 1,
@@ -256,8 +259,6 @@ ONE_VALIDATE = {
     ("otp_validate_total", (("status", "ok"),)): 1,
     ("policy_decisions_total", (("action", "challenge"),)): 1,
     ("storage_op_seconds", (("op", "select"), ("table", "tokens"))): 1,
-    ("storage_op_seconds", (("op", "update"), ("table", "tokens"))): 1,
-    ("storage_wal_appends_total", (("op", "update"),)): 1,
 }
 
 
