@@ -9,7 +9,7 @@ Two claims, asserted:
   storage round trip — the same MariaDB stand-in
   ``benchmarks/test_perf_pipeline.py`` uses, because a queue tax only
   matters relative to the real work it fronts.
-* **Shedding under overload is cheap.**  With the admission bucket dry,
+* **Shedding under overload is cheap.**  With the batch bucket dry,
   refusing a sheddable submission is a constant-time door turn-away that
   never touches the backend — asserted as shed throughput strictly above
   serviced throughput on the same rig.
@@ -28,7 +28,6 @@ from benchlib import emit_bench
 from repro.common.clock import VirtualClock, WallClock
 from repro.ingest import IngestConfig, IngestQueue, PriorityClass
 from repro.otpserver import OTPServer
-from repro.policy import RateLimitConfig, TokenBucketLimiter
 from repro.storage import StorageConfig, build_engine
 
 #: Simulated backing-store round trip per engine op (seconds) — keep in
@@ -128,16 +127,11 @@ def test_shed_under_overload_is_cheap():
             ).result().ok
 
     def overloaded():
-        # A starved bucket on virtual time (it never refills mid-run):
+        # Starved buckets on virtual time (they never refill mid-run):
         # after `burst` admissions every further batch item is shed at
         # the door without touching the backend.
-        limiter = TokenBucketLimiter(
-            RateLimitConfig(rate=0.001, burst=8.0), clock=clock
-        )
-        queue = IngestQueue(
-            server.validate, IngestConfig(max_depth=64), clock=clock,
-            limiter=limiter,
-        )
+        config = IngestConfig(max_depth=64, admission_rate=0.001, admission_burst=8.0)
+        queue = IngestQueue(server.validate, config, clock=clock)
         shed = 0
         for i in range(N_OPS):
             result = queue.submit_item(
@@ -146,7 +140,7 @@ def test_shed_under_overload_is_cheap():
             if not result.ok:
                 shed += 1
         assert shed == N_OPS - 8
-        # Critical work still lands on the same dry bucket.
+        # Critical work still lands: batch drained only its own bucket.
         assert queue.submit_item(
             (users[0], "424242"), PriorityClass.CRITICAL
         ).result().ok

@@ -43,6 +43,10 @@ from repro.resolvers.federation import AssertionInvalid, split_assertion_code
 
 #: Who an SMS token code says it is from.
 SMS_ISSUER = "HPC-Center"
+#: Seconds an SMS token code stays usable after it is sent.
+SMS_CODE_VALIDITY = 300.0
+#: Presses past the stored counter an event (HOTP) token may be ahead.
+HOTP_LOOK_AHEAD = 10
 
 
 @runtime_checkable
@@ -278,9 +282,8 @@ class ReplayGuard:
                 return
             challenges.delete(ctx.uid)
         secret = server._sealer.unseal(row["sealed_secret"])
-        code = totp_at(
-            secret, now, digits=server.config.digits, step=server.config.totp_step
-        )
+        validator = server._validator
+        code = totp_at(secret, now, digits=validator.digits, step=validator.step)
         server.sms.send(row["phone_number"], f"Your {SMS_ISSUER} token code is {code}")
         challenges.insert(
             {
@@ -288,7 +291,7 @@ class ReplayGuard:
                 "serial": row["serial"],
                 "sealed_code": server._sealer.seal(code.encode()),
                 "sent_at": now,
-                "expires_at": now + server.config.sms_code_validity,
+                "expires_at": now + SMS_CODE_VALIDITY,
             }
         )
         ctx.audit("sms_challenge", serial=row["serial"])
@@ -342,8 +345,8 @@ class DispatchByTokenType:
             secret,
             ctx.code,
             counter=row["hotp_counter"],
-            look_ahead=server.config.hotp_look_ahead,
-            digits=server.config.digits,
+            look_ahead=HOTP_LOOK_AHEAD,
+            digits=server._validator.digits,
         )
         if matched is not None:
             # Advance past the matched counter: consumed codes and any

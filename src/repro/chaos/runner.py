@@ -23,7 +23,6 @@ from repro.chaos.engine import ChaosEngine
 from repro.chaos.plan import FaultPlan
 from repro.chaos.report import EPOCH, WATCHLIST, Report
 from repro.common.clock import VirtualClock
-from repro.common.resilience import FailoverPolicy
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
 from repro.ingest import IngestConfig, PriorityClass
@@ -91,7 +90,7 @@ def run_plan(plan: FaultPlan, seed: int) -> Report:
         rng=random.Random(seed),
         telemetry=True,
         storage=StorageConfig(shards=2, replicas=2),
-        radius_policy=FailoverPolicy(deadline_budget=DEADLINE_BUDGET),
+        radius_deadline=DEADLINE_BUDGET,
         radius_wait_clock=clock,
         ingest=IngestConfig(
             max_depth=INGEST_DEPTH, service_cost_seconds=QUEUE_SERVICE_COST

@@ -12,10 +12,10 @@ lockstep.  Jitter is drawn from a seeded generator keyed on ``(seed,
 attempt)``: the schedule is a *pure function* of its inputs, which is
 what lets the chaos invariant suite assert that two runs with the same
 seed replay byte-identically.  Monotonicity is guaranteed by
-construction: the policy requires ``multiplier >= 1 + jitter``, so even a
-maximal jitter draw on attempt ``n`` cannot exceed a minimal draw on
-attempt ``n + 1`` (both pre-cap), and capping a non-decreasing sequence
-keeps it non-decreasing.
+construction: the constants keep ``BACKOFF_MULTIPLIER >= 1 +
+BACKOFF_JITTER``, so even a maximal jitter draw on attempt ``n`` cannot
+exceed a minimal draw on attempt ``n + 1`` (both pre-cap), and capping a
+non-decreasing sequence keeps it non-decreasing.
 
 **Per-server health scoring and circuit breaking.**  The paper's client
 "communicate[s] with RADIUS servers in a round-robin fashion to provide
@@ -25,9 +25,9 @@ timeout updates an EWMA health score and a consecutive-failure counter
 per server, and a circuit breaker ejects servers that keep failing:
 
 * ``CLOSED``    — healthy; the server takes its full share of traffic.
-* ``OPEN``      — ejected after ``failure_threshold`` consecutive
+* ``OPEN``      — ejected after ``FAILURE_THRESHOLD`` consecutive
   timeouts; skipped entirely while the probe timer runs.
-* ``HALF_OPEN`` — the probe state: once ``probe_interval`` seconds have
+* ``HALF_OPEN`` — the probe state: once ``PROBE_INTERVAL`` seconds have
   passed, the next authenticate() spends a single attempt on the server;
   success re-admits it (CLOSED), another timeout re-opens the circuit.
 
@@ -43,29 +43,26 @@ import threading
 import zlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict, List
 
+#: The retransmit delay curve: the first retransmit waits ``BACKOFF_BASE``
+#: seconds, each later one ``BACKOFF_MULTIPLIER`` times longer, never more
+#: than ``BACKOFF_CAP``, inflated by up to ``BACKOFF_JITTER`` of itself.
+BACKOFF_BASE = 0.25
+BACKOFF_MULTIPLIER = 2.0
+BACKOFF_CAP = 5.0
+BACKOFF_JITTER = 0.5
 
-@dataclass(frozen=True)
-class BackoffPolicy:
-    """Shape of the retransmit delay curve."""
-
-    base: float = 0.25  # first retransmit delay, seconds
-    multiplier: float = 2.0  # growth factor per attempt
-    cap: float = 5.0  # delays never exceed this
-    jitter: float = 0.5  # max fractional inflation per delay
-
-    def __post_init__(self) -> None:
-        if self.base <= 0:
-            raise ValueError(f"base delay must be positive, got {self.base}")
-        if self.cap < self.base:
-            raise ValueError(f"cap {self.cap} below base delay {self.base}")
-        if not 0.0 <= self.jitter <= self.multiplier - 1.0:
-            # jitter > multiplier - 1 would let a lucky early draw overtake
-            # an unlucky later one, breaking the monotone-schedule guarantee.
-            raise ValueError(
-                f"jitter must be in [0, multiplier - 1], got {self.jitter}"
-            )
+#: Consecutive failures before a circuit opens.
+FAILURE_THRESHOLD = 3
+#: Seconds an open circuit waits before its first probe; every failed probe
+#: multiplies the wait by ``PROBE_BACKOFF`` up to ``PROBE_INTERVAL_MAX``, so
+#: a server that stays dead costs one timeout ladder ever more rarely.
+PROBE_INTERVAL = 30.0
+PROBE_BACKOFF = 2.0
+PROBE_INTERVAL_MAX = 240.0
+#: EWMA weight of a subject's history against its newest outcome.
+HEALTH_DECAY = 0.7
 
 
 def stable_seed(*parts: object) -> int:
@@ -82,18 +79,16 @@ class BackoffSchedule:
     """The per-server delay schedule: ``delay(n)`` is the wait before the
     ``n``-th retransmit (n >= 1; the first attempt never waits)."""
 
-    def __init__(self, policy: BackoffPolicy, seed: int) -> None:
-        self.policy = policy
+    def __init__(self, seed: int) -> None:
         self.seed = int(seed)
 
     def delay(self, attempt: int) -> float:
         """Deterministic delay before retransmit ``attempt`` (1-based)."""
         if attempt < 1:
             return 0.0
-        p = self.policy
-        raw = p.base * (p.multiplier ** (attempt - 1))
+        raw = BACKOFF_BASE * (BACKOFF_MULTIPLIER ** (attempt - 1))
         unit = random.Random((self.seed << 20) ^ attempt).random()
-        return min(p.cap, raw * (1.0 + p.jitter * unit))
+        return min(BACKOFF_CAP, raw * (1.0 + BACKOFF_JITTER * unit))
 
     def delays(self, count: int) -> List[float]:
         """The first ``count`` delays, for inspection and property tests."""
@@ -106,35 +101,6 @@ class CircuitState(str, Enum):
     OPEN = "open"
 
 
-@dataclass(frozen=True)
-class FailoverPolicy:
-    """Tunables for health-aware failover."""
-
-    failure_threshold: int = 3  # consecutive timeouts before the circuit opens
-    probe_interval: float = 30.0  # seconds an open circuit waits before a probe
-    #: Every failed probe multiplies the next probe wait by this factor (up
-    #: to ``probe_interval_max``), so a server that stays dead costs one
-    #: timeout ladder ever more rarely instead of once per interval.
-    probe_backoff: float = 2.0
-    probe_interval_max: float = 240.0
-    deadline_budget: Optional[float] = None  # per-call wall budget; None = unbounded
-    health_decay: float = 0.7  # EWMA weight of history vs. the newest outcome
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ValueError("failure threshold must be at least 1")
-        if self.probe_interval < 0:
-            raise ValueError("probe interval must be non-negative")
-        if self.probe_backoff < 1.0:
-            raise ValueError("probe backoff must be >= 1")
-        if self.probe_interval_max < self.probe_interval:
-            raise ValueError("probe interval cap below the base interval")
-        if self.deadline_budget is not None and self.deadline_budget <= 0:
-            raise ValueError("deadline budget must be positive when set")
-        if not 0.0 <= self.health_decay < 1.0:
-            raise ValueError("health decay must be in [0, 1)")
-
-
 @dataclass
 class ServerHealth:
     """Everything the client remembers about one server."""
@@ -144,7 +110,9 @@ class ServerHealth:
     consecutive_failures: int = 0
     state: CircuitState = CircuitState.CLOSED
     opened_at: float = 0.0
-    probe_failures: int = 0  # failed half-open trials since last success
+    #: Failed half-open trials since the last success, counted only while
+    #: they still lengthen the probe wait.
+    probe_failures: int = 0
     successes: int = 0
     failures: int = 0
     transitions: int = 0  # circuit state changes, any direction
@@ -161,8 +129,7 @@ class HealthTracker:
     single attributes and stay lock-free.
     """
 
-    def __init__(self, servers: List[str], policy: FailoverPolicy) -> None:
-        self.policy = policy
+    def __init__(self, servers: List[str]) -> None:
         self._lock = threading.Lock()
         self._health: Dict[str, ServerHealth] = {
             s: ServerHealth(address=s) for s in servers
@@ -186,9 +153,8 @@ class HealthTracker:
         if health.state is CircuitState.CLOSED:
             return False
         interval = min(
-            self.policy.probe_interval
-            * (self.policy.probe_backoff ** health.probe_failures),
-            self.policy.probe_interval_max,
+            PROBE_INTERVAL * PROBE_BACKOFF**health.probe_failures,
+            PROBE_INTERVAL_MAX,
         )
         return now - health.opened_at >= interval
 
@@ -214,10 +180,7 @@ class HealthTracker:
             health.successes += 1
             health.consecutive_failures = 0
             health.probe_failures = 0
-            health.score = (
-                self.policy.health_decay * health.score
-                + (1 - self.policy.health_decay)
-            )
+            health.score = HEALTH_DECAY * health.score + (1 - HEALTH_DECAY)
             self._transition(health, CircuitState.CLOSED, now)
 
     def on_failure(self, server: str, now: float) -> None:
@@ -225,16 +188,22 @@ class HealthTracker:
             health = self._health[server]
             health.failures += 1
             health.consecutive_failures += 1
-            health.score = self.policy.health_decay * health.score
+            health.score = HEALTH_DECAY * health.score
             if health.state is CircuitState.HALF_OPEN:
                 # The probe itself failed: straight back to OPEN with a fresh
-                # timer, and the next probe waits exponentially longer.
-                health.probe_failures += 1
+                # timer, and the next probe waits exponentially longer --
+                # until the wait reaches its cap.  Counting on past the cap
+                # would overflow the power after 1,024 failed probes.
+                if (
+                    PROBE_INTERVAL * PROBE_BACKOFF**health.probe_failures
+                    < PROBE_INTERVAL_MAX
+                ):
+                    health.probe_failures += 1
                 self._transition(health, CircuitState.OPEN, now)
                 health.opened_at = now
             elif (
                 health.state is CircuitState.CLOSED
-                and health.consecutive_failures >= self.policy.failure_threshold
+                and health.consecutive_failures >= FAILURE_THRESHOLD
             ):
                 self._transition(health, CircuitState.OPEN, now)
 

@@ -179,7 +179,7 @@ class MFACenter:
         pam_dir: Optional[str] = None,
         telemetry=None,
         storage=None,
-        radius_policy=None,
+        radius_deadline: Optional[float] = None,
         radius_wait_clock: Optional[Clock] = None,
         ingest=None,
         risk=None,
@@ -234,13 +234,14 @@ class MFACenter:
         self._federation_issuers: Dict[str, object] = {}
         self.fabric = UDPFabric(loss_rate=fabric_loss_rate, rng=self.rng)
         self.radius_secret = radius_secret
-        # Failover tuning for every login node's RADIUS client (circuit
-        # breaker thresholds, backoff curve, deadline budget); None means
-        # the FailoverPolicy defaults.  ``radius_wait_clock`` is the clock
+        # Every login node's RADIUS client fails over on the constants of
+        # ``repro.common.resilience`` (circuit breaker, backoff curve).
+        # ``radius_deadline`` bounds the simulated seconds one authenticate
+        # may spend (None: unbounded); ``radius_wait_clock`` is the clock
         # RADIUS waits are charged to: pass the deployment's VirtualClock to
         # make retransmit timeouts consume simulated time (the chaos and
         # failover rigs), leave None for free waits.
-        self.radius_policy = radius_policy
+        self.radius_deadline = radius_deadline
         self.radius_wait_clock = radius_wait_clock
         # RADIUS carries the login name and so does the OTP server's
         # validate: the farm talks to it directly.
@@ -306,7 +307,7 @@ class MFACenter:
             rng=self.rng,
             telemetry=self.telemetry,
             clock=self.clock,
-            policy=self.radius_policy,
+            deadline_budget=self.radius_deadline,
             wait_clock=self.radius_wait_clock,
         )
 

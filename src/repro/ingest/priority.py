@@ -17,7 +17,7 @@ first and ``critical`` last.
 
 Anti-starvation: a lane whose head item has waited ``promote_after``
 seconds is treated one rank better per elapsed window, capped at
-``max_promotion`` ranks.  The cap is load-bearing for the SLA story — a
+``MAX_PROMOTION`` ranks.  The cap is load-bearing for the SLA story — a
 10k-item ``batch`` backfill promotes at most to rank 2, so it can
 overtake ``admin`` work but never an ``interactive`` login, which is how
 interactive p99 stays flat while the backfill drains.
@@ -36,7 +36,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 class PriorityClass(str, Enum):
@@ -62,6 +62,9 @@ SHED_ORDER: Tuple[PriorityClass, ...] = tuple(
     sorted(PriorityClass, key=lambda c: -CLASS_RANK[c])
 )
 
+#: The most ranks age can buy a lane's head.
+MAX_PROMOTION = 2
+
 
 @dataclass(frozen=True)
 class ClassPolicy:
@@ -69,21 +72,17 @@ class ClassPolicy:
 
     ``sla_seconds`` is the queue-wait budget (hit/miss counted at service
     time); ``promote_after`` is the age per one-rank promotion
-    (``inf`` = never promotes); ``max_promotion`` caps how many ranks age
-    can buy.
+    (``inf`` = never promotes).
     """
 
     sla_seconds: float = 1.0
     promote_after: float = math.inf
-    max_promotion: int = 2
 
     def __post_init__(self) -> None:
         if self.sla_seconds <= 0:
             raise ValueError(f"sla_seconds must be > 0, got {self.sla_seconds}")
         if self.promote_after <= 0:
             raise ValueError(f"promote_after must be > 0, got {self.promote_after}")
-        if self.max_promotion < 0:
-            raise ValueError("max_promotion must be >= 0")
 
 
 #: Defaults shaped like the paper's deployment: a human waits about a
@@ -164,7 +163,7 @@ class _Lane:
         if not self.items or not self.promotes:
             return self.rank
         promoted = int(self.head_age(now) // self.policy.promote_after)
-        return self.rank - min(self.policy.max_promotion, promoted)
+        return self.rank - min(MAX_PROMOTION, promoted)
 
 
 class PriorityHeap:
@@ -174,15 +173,10 @@ class PriorityHeap:
     the lock.
     """
 
-    def __init__(
-        self, policies: Optional[Mapping[PriorityClass, ClassPolicy]] = None
-    ) -> None:
-        merged = dict(DEFAULT_POLICIES)
-        if policies:
-            merged.update(policies)
+    def __init__(self) -> None:
         # _lanes is in service (rank) order; shed walks it backwards.
         self._lanes: Dict[PriorityClass, _Lane] = {
-            cls: _Lane(cls, merged[cls])
+            cls: _Lane(cls, DEFAULT_POLICIES[cls])
             for cls in sorted(PriorityClass, key=CLASS_RANK.__getitem__)
         }
         self._lane_list = list(self._lanes.values())  # pop's iteration order

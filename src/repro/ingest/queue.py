@@ -17,9 +17,8 @@ Admission, in order:
    (``SHED_CLASSES``: ``batch``, ``admin``) are rejected when their bucket
    runs dry while ``critical``/``interactive``/``sms`` still enter — the
    "overload sheds batch before critical" contract.  Per-class buckets
-   multiply aggregate capacity to ``rate × len(PriorityClass)``; an
-   *injected* ``limiter`` is one shared pool instead, where its rate is
-   the aggregate cap and every submission drains it.
+   multiply aggregate capacity to ``rate × len(PriorityClass)``; there is
+   no shared pool.
 2. **Backpressure shed** — at ``max_depth``, an arrival outranking the
    worst queued class evicts one item from that class (its ticket
    resolves REJECT with a ``shed:`` reason); otherwise the arrival
@@ -39,7 +38,8 @@ runs it:
   (drain rate = ``items_per_pump / interval``).
 
 Transient failures (:class:`~repro.common.errors.TransientBackendError`)
-requeue with exponential backoff up to ``MAX_RETRIES`` times; any
+requeue with exponential backoff (``RETRY_BASE_DELAY`` doubling per
+attempt up to ``RETRY_MAX_DELAY``) up to ``MAX_RETRIES`` times; any
 other exception resolves the ticket REJECT rather than reaching the
 thread that happened to service it.
 """
@@ -69,8 +69,11 @@ SHED_CLASSES = (PriorityClass.BATCH, PriorityClass.ADMIN)
 #: Why an item is shed: refused at a closed queue, by a dry admission
 #: bucket, or for want of room.
 SHED_CAUSES = ("closed", "throttle", "backpressure")
-#: Transient-failure requeues per item before its ticket resolves REJECT.
+#: Transient-failure requeues per item before its ticket resolves REJECT,
+#: and the backoff before each: doubling from the base, capped.
 MAX_RETRIES = 3
+RETRY_BASE_DELAY = 0.5
+RETRY_MAX_DELAY = 30.0
 
 
 def classify_request(request: Sequence) -> PriorityClass:
@@ -86,25 +89,19 @@ class IngestConfig:
 
     ``admission_rate``/``admission_burst`` build one private
     :class:`~repro.policy.TokenBucketLimiter` *per priority class* on the
-    queue's clock when no limiter is injected (``None`` = no throttle
-    shedding); each class refills independently at the same rate.  Note
-    the capacity semantics: the configured rate is a *per-class* budget,
-    so aggregate admission capacity is ``rate × len(PriorityClass)``.
-    Callers that mean a rate as an *aggregate* cap inject a ``limiter``
-    into the queue: one bucket every class drains (batch pressure can
-    then starve sheddable classes).
+    queue's clock (``None`` = no throttle shedding); each class refills
+    independently at the same rate.  Note the capacity semantics: the
+    configured rate is a *per-class* budget, so aggregate admission
+    capacity is ``rate × len(PriorityClass)``.
     ``service_cost_seconds`` charges the clock per serviced item — zero
     for live threads (the runner's real work is the cost), a small value
     under virtual time so queue delay becomes measurable in simulated
-    seconds.  ``retry_base_delay`` doubles per attempt up to
-    ``retry_max_delay``.
+    seconds.
     """
 
     max_depth: int = 1024
     admission_rate: Optional[float] = None
     admission_burst: float = 100.0
-    retry_base_delay: float = 0.5
-    retry_max_delay: float = 30.0
     service_cost_seconds: float = 0.0
 
     def __post_init__(self) -> None:
@@ -112,8 +109,6 @@ class IngestConfig:
             raise ValueError("max_depth must be >= 1")
         if self.admission_rate is not None and self.admission_rate <= 0:
             raise ValueError("admission_rate must be > 0 when set")
-        if self.retry_base_delay <= 0 or self.retry_max_delay < self.retry_base_delay:
-            raise ValueError("need 0 < retry_base_delay <= retry_max_delay")
         if self.service_cost_seconds < 0:
             raise ValueError("service_cost_seconds must be >= 0")
 
@@ -150,14 +145,13 @@ class IngestQueue:
         runner: Callable[..., ValidateResult],
         config: Optional[IngestConfig] = None,
         clock: Optional[Clock] = None,
-        limiter=None,
         telemetry=None,
     ) -> None:
         self._runner = runner
         self.config = config or IngestConfig()
         self._clock = clock or WallClock()
         self._class_limiters: Optional[Dict[PriorityClass, object]] = None
-        if limiter is None and self.config.admission_rate is not None:
+        if self.config.admission_rate is not None:
             bucket = RateLimitConfig(
                 rate=self.config.admission_rate,
                 burst=self.config.admission_burst,
@@ -170,7 +164,6 @@ class IngestQueue:
                 cls: TokenBucketLimiter(bucket, clock=self._clock)
                 for cls in PriorityClass
             }
-        self._limiter = limiter
 
         self._lock = threading.Lock()
         self._heap = PriorityHeap()
@@ -246,14 +239,11 @@ class IngestQueue:
         return ticket
 
     def _admit_throttle(self, cls: PriorityClass, now: float) -> bool:
-        """Drain the class's own bucket (or the injected shared one);
-        refuse only sheddable classes on empty."""
-        if self._class_limiters is not None:
-            allowed = self._class_limiters[cls].allow(cls.value, now=now)
-        elif self._limiter is not None:
-            allowed = self._limiter.allow("ingest", now=now)
-        else:
+        """Drain the class's own bucket; refuse only sheddable classes on
+        empty."""
+        if self._class_limiters is None:
             return True
+        allowed = self._class_limiters[cls].allow(cls.value, now=now)
         return allowed or cls not in SHED_CLASSES
 
     def _evict_for(self, incoming: PriorityClass) -> bool:
@@ -314,8 +304,7 @@ class IngestQueue:
             item.attempts += 1
             if item.attempts <= MAX_RETRIES:
                 delay = min(
-                    self.config.retry_max_delay,
-                    self.config.retry_base_delay * (2 ** (item.attempts - 1)),
+                    RETRY_MAX_DELAY, RETRY_BASE_DELAY * (2 ** (item.attempts - 1))
                 )
                 with self._lock:
                     stats.observe_wait(waited, policy.sla_seconds)
@@ -471,7 +460,6 @@ class IngestQueue:
             }
             if self._class_limiters is not None:
                 snap["admission"] = {
-                    "per_class": True,
                     "rate": self.config.admission_rate,
                     "burst": self.config.admission_burst,
                     "tokens_available": {
@@ -480,15 +468,6 @@ class IngestQueue:
                         )
                         for cls, lim in self._class_limiters.items()
                     },
-                }
-            elif self._limiter is not None:
-                snap["admission"] = {
-                    "per_class": False,
-                    "tokens_available": round(
-                        self._limiter.tokens_available("ingest", now=now), 3
-                    ),
-                    "rate": self._limiter.config.rate,
-                    "burst": self._limiter.config.burst,
                 }
             return snap
 

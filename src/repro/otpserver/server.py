@@ -47,26 +47,25 @@ from repro.storage import StorageConfig, build_engine
 from repro.telemetry import NOOP_REGISTRY
 
 
+#: Every code the server checks is this many digits, and a TOTP code
+#: changes every ``TOTP_STEP`` seconds (the paper's devices, Section 3.3).
+DIGITS = 6
+TOTP_STEP = 30
+
+
 @dataclass(frozen=True)
 class OTPServerConfig:
-    """Tunables, defaulted to the paper's deployment values."""
+    """The two values the paper's ablations vary, defaulted to the
+    deployment's."""
 
     lockout_threshold: int = 20  # consecutive failures before deactivation
     drift_seconds: int = 300  # device clock drift tolerance
-    totp_step: int = 30
-    digits: int = 6
-    sms_code_validity: float = 300.0  # how long an SMS code stays usable
-    hotp_look_ahead: int = 10  # event-token counter search window
 
     def __post_init__(self) -> None:
         if self.lockout_threshold < 1:
             raise ValueError("lockout threshold must be at least 1")
-        if self.drift_seconds < 0 or self.totp_step <= 0:
-            raise ValueError("invalid drift/step configuration")
-        if not 6 <= self.digits <= 10:
-            raise ValueError("digits must be in [6, 10]")
-        if self.sms_code_validity <= 0 or self.hotp_look_ahead < 0:
-            raise ValueError("invalid SMS validity / HOTP look-ahead")
+        if self.drift_seconds < 0:
+            raise ValueError("drift tolerance must be non-negative")
 
 
 _TOKEN_COLUMNS = (
@@ -149,8 +148,8 @@ class OTPServer:
         self.audit = AuditLog(self.clock)
         self._validator = TOTPValidator(
             clock=self.clock,
-            digits=self.config.digits,
-            step=self.config.totp_step,
+            digits=DIGITS,
+            step=TOTP_STEP,
             drift=self.config.drift_seconds,
         )
         self._ids = IdAllocator()
@@ -328,8 +327,8 @@ class OTPServer:
 
     def enroll_static(self, user_id: str, code: str) -> str:
         """Assign a training account its static six-digit code."""
-        if len(code) != self.config.digits or not code.isdigit():
-            raise ValidationError(f"static code must be {self.config.digits} digits")
+        if len(code) != DIGITS or not code.isdigit():
+            raise ValidationError(f"static code must be {DIGITS} digits")
         serial = self._ids.next("LSST")
         # Replacing the previous session code and inserting the new one is
         # one atomic step: a failure mid-way must not leave the trainee
@@ -361,11 +360,9 @@ class OTPServer:
                 f"federated principal needs a home-site realm: {principal!r}"
             )
         if step_up_code is not None and (
-            len(step_up_code) != self.config.digits or not step_up_code.isdigit()
+            len(step_up_code) != DIGITS or not step_up_code.isdigit()
         ):
-            raise ValidationError(
-                f"step-up code must be {self.config.digits} digits"
-            )
+            raise ValidationError(f"step-up code must be {DIGITS} digits")
         return self._enroll(
             user_id,
             TokenType.FEDERATED,

@@ -14,7 +14,7 @@ from repro.policy.engine import (
     PolicyEngine,
 )
 from repro.policy.ratelimit import RateLimitConfig, TokenBucketLimiter
-from repro.policy.risk import RiskAction, RiskEngine, RiskWeights
+from repro.policy.risk import RiskAction, RiskEngine
 
 __all__ = [
     "AuthRequest",
@@ -27,6 +27,5 @@ __all__ = [
     "RateLimitConfig",
     "RiskAction",
     "RiskEngine",
-    "RiskWeights",
     "TokenBucketLimiter",
 ]

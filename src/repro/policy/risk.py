@@ -12,7 +12,7 @@ OpenStack RBA implementation (PAPERS.md, arXiv 2303.12361): risk
   waived it (e.g. an exempted account from a never-seen origin);
 * **DENY** — refuse outright.
 
-Signals and default weights:
+Signals and their weights:
 
 =====================  ======  ==========================================
 signal                 weight  source
@@ -25,10 +25,9 @@ impossible travel      0.50    :class:`~repro.policy.geo.GeoVelocityMonitor`
 watchlisted network    0.35    operator-maintained CIDR watchlist
 =====================  ======  ==========================================
 
-Scores clamp to [0, 1]; thresholds default to step-up at 0.3 and deny at
-0.7.  All weights/thresholds are constructor parameters, so deployments
-tune them — the point of *dynamic* assessment is that policy follows the
-measured threat, not a fixed ACL.
+Scores clamp to [0, 1]; a login steps up at 0.3 (``step_up_threshold``,
+the one knob a deployment sets) and is denied at ``DENY_THRESHOLD`` (0.7).
+The weights and the deny bar are module constants.
 
 Beyond scoring (:meth:`RiskEngine.assess`), the engine keeps what a
 score alone cannot answer after the fact (:meth:`RiskEngine.evaluate`):
@@ -74,14 +73,16 @@ class RiskDecision:
     signals: List[str] = field(default_factory=list)
 
 
-@dataclass
-class RiskWeights:
-    failure_burst: float = 0.40
-    novel_origin: float = 0.25
-    unusual_hour: float = 0.10
-    impossible_travel: float = 0.50
-    watchlisted_network: float = 0.35
-
+#: What each signal adds to the score (the table above).
+FAILURE_BURST_WEIGHT = 0.40
+NOVEL_ORIGIN_WEIGHT = 0.25
+UNUSUAL_HOUR_WEIGHT = 0.10
+IMPOSSIBLE_TRAVEL_WEIGHT = 0.50
+WATCHLISTED_NETWORK_WEIGHT = 0.35
+#: A score at or above this is a DENY.
+DENY_THRESHOLD = 0.7
+#: Flagged verdicts kept in the detailed log; per-user counts survive it.
+FLAG_LOG_LIMIT = 512
 
 #: The shared nothing-fired verdict.  Treated as immutable by every
 #: consumer (the flag log copies signal lists before storing them), and
@@ -106,23 +107,18 @@ class RiskEngine:
     def __init__(
         self,
         clock: Optional[Clock] = None,
-        weights: Optional[RiskWeights] = None,
         geo_monitor: Optional[GeoVelocityMonitor] = None,
         step_up_threshold: float = 0.3,
-        deny_threshold: float = 0.7,
-        flag_log_limit: int = 512,
     ) -> None:
-        if not 0 <= step_up_threshold <= deny_threshold <= 1.0:
-            raise ValueError("thresholds must satisfy 0 <= step_up <= deny <= 1")
+        if not 0 <= step_up_threshold <= DENY_THRESHOLD:
+            raise ValueError("need 0 <= step_up_threshold <= DENY_THRESHOLD")
         #: True when the caller supplied a clock; :class:`PolicyEngine`
         #: checks this before adopting the engine onto its own clock (the
         #: one place that happens).
         self.clock_injected = clock is not None
         self._clock = clock or WallClock()
-        self.weights = weights or RiskWeights()
         self._geo = geo_monitor
         self.step_up_threshold = step_up_threshold
-        self.deny_threshold = deny_threshold
         self._known_origins: Dict[str, Set[str]] = {}
         self._failures: Dict[str, List[float]] = {}
         self._watchlist: List[OriginMatcher] = []
@@ -138,7 +134,7 @@ class RiskEngine:
         self.step_ups = 0
         self.denies = 0
         self.honeytoken_alarms = 0
-        self._flag_log: Deque[dict] = deque(maxlen=flag_log_limit)
+        self._flag_log: Deque[dict] = deque(maxlen=FLAG_LOG_LIMIT)
         self._flag_counts: Dict[str, int] = {}
 
     def bind_clock(self, clock: Clock) -> None:
@@ -211,29 +207,28 @@ class RiskEngine:
         """Score one attempt (before the credentials are even checked)."""
         now = self._clock.now()
         hour = int(now // 3600)
-        weights = self.weights
         score = 0.0
         signals: List[str] = []
         if (
             self._failures
             and self._recent_failures(username, now) >= FAILURE_BURST_SIZE
         ):
-            score += weights.failure_burst
+            score += FAILURE_BURST_WEIGHT
             signals.append("failure_burst")
         known = self._known_origins.get(username)
         if known and ip not in known:
-            score += weights.novel_origin
+            score += NOVEL_ORIGIN_WEIGHT
             signals.append("novel_origin")
         if hour % 24 < 5:
-            score += weights.unusual_hour
+            score += UNUSUAL_HOUR_WEIGHT
             signals.append("unusual_hour")
         if self._watchlist and self._watchlisted(ip):
-            score += weights.watchlisted_network
+            score += WATCHLISTED_NETWORK_WEIGHT
             signals.append("watchlisted_network")
         if self._geo is not None:
             verdict = self._geo.observe(username, ip)
             if not verdict.plausible:
-                score += weights.impossible_travel
+                score += IMPOSSIBLE_TRAVEL_WEIGHT
                 signals.append("impossible_travel")
         if not signals and score < self.step_up_threshold:
             # The overwhelmingly common quiet verdict, allocation-free:
@@ -242,7 +237,7 @@ class RiskEngine:
             # step-up threshold, where even a 0.0 score must step up).
             return QUIET_ALLOW
         score = min(score, 1.0)
-        if score >= self.deny_threshold:
+        if score >= DENY_THRESHOLD:
             action = RiskAction.DENY
         elif score >= self.step_up_threshold:
             action = RiskAction.STEP_UP
@@ -337,7 +332,7 @@ class RiskEngine:
         """The engine's state (``risk`` under ``status("policy")``)."""
         return {
             "step_up_threshold": self.step_up_threshold,
-            "deny_threshold": self.deny_threshold,
+            "deny_threshold": DENY_THRESHOLD,
             "assessed": self.assessed,
             "step_ups": self.step_ups,
             "denies": self.denies,

@@ -26,10 +26,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.common.clock import Clock, VirtualClock
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.common.resilience import (
-    BackoffPolicy,
     BackoffSchedule,
     CircuitState,
-    FailoverPolicy,
     HealthTracker,
     stable_seed,
 )
@@ -49,8 +47,13 @@ from repro.telemetry import NOOP_REGISTRY
 NAS_IDENTIFIER = "login-node"
 #: Simulated seconds one unanswered attempt costs before the retransmit.
 ATTEMPT_TIMEOUT = 1.0
-#: The retransmit delay curve (exponential, capped, seeded jitter).
-BACKOFF = BackoffPolicy()
+#: Attempts per server before failing over.  Same-server retransmits matter
+#: beyond raw loss recovery: when an Access-Accept is lost on the response
+#: leg the server has already consumed the one-time code, and only a
+#: retransmit of the *same* packet to the *same* server can be rescued by
+#: its RFC 5080 duplicate-detection cache -- a different server
+#: replay-rejects.  Three is the classic RADIUS retransmit count.
+RETRIES = 3
 
 
 class AuthStatus(str, Enum):
@@ -77,42 +80,33 @@ class AuthResponse:
 class RADIUSClient:
     """Health-aware round-robin RADIUS client with circuit breaking."""
 
-    # Same-server retransmits matter beyond raw loss recovery: when an
-    # Access-Accept is lost on the response leg the server has already
-    # consumed the one-time code, and only a retransmit of the *same*
-    # packet to the *same* server can be rescued by its RFC 5080
-    # duplicate-detection cache — a different server replay-rejects.
-    # Three attempts per server is the classic RADIUS retransmit count.
     def __init__(
         self,
         fabric: UDPFabric,
         servers: List[str],
         secret: bytes,
         source: str,
-        retries: int = 3,
         rng: Optional[random.Random] = None,
         telemetry=None,
         clock: Optional[Clock] = None,
-        policy: Optional[FailoverPolicy] = None,
+        deadline_budget: Optional[float] = None,
         health_aware: bool = True,
         wait_clock: Optional[Clock] = None,
     ) -> None:
         if not servers:
             raise ConfigurationError("RADIUS client requires at least one server")
-        if retries < 1:
-            raise ConfigurationError(f"retries must be >= 1, got {retries}")
         self._fabric = fabric
         self._servers = list(servers)
         self._secret = secret
         self._source = source
-        self._retries = retries
+        #: Simulated seconds one authenticate() may spend; None = unbounded.
+        self._deadline_budget = deadline_budget
         self._rng = rng or random.Random()
         self._next_start = 0
         self._identifier = self._rng.randrange(256)
         self.per_server_attempts = {s: 0 for s in servers}
         self.telemetry = telemetry if telemetry is not None else NOOP_REGISTRY
         self._tracer = self.telemetry.tracer()
-        self.policy = policy or FailoverPolicy()
         # Time is read from ``clock`` and waiting (timeouts, backoff) is
         # charged to ``wait_clock.sleep()`` — injecting a VirtualClock makes
         # waits advance simulated time so deadline budgets bind; wait_clock
@@ -128,13 +122,12 @@ class RADIUSClient:
         self._clock = clock
         self._wait_clock = wait_clock
         self.health_aware = health_aware
-        self.health = HealthTracker(self._servers, self.policy)
+        self.health = HealthTracker(self._servers)
         # Backoff schedules are keyed per (source, server): deterministic
         # across runs (CRC-based seed, no shared-RNG draws) yet distinct
         # across the fleet so retries never synchronize.
         self._backoff: Dict[str, BackoffSchedule] = {
-            s: BackoffSchedule(BACKOFF, stable_seed(source, s))
-            for s in self._servers
+            s: BackoffSchedule(stable_seed(source, s)) for s in self._servers
         }
         self._m_retransmits = self.telemetry.counter(
             "radius_client_retransmits_total",
@@ -243,7 +236,7 @@ class RADIUSClient:
         start = self._next_start
         self._next_start = (self._next_start + 1) % len(self._servers)
         source = source_override or self._source
-        deadline = self._clock.deadline(self.policy.deadline_budget)
+        deadline = self._clock.deadline(self._deadline_budget)
         # Retransmit to the same server before failing over: the server's
         # duplicate-detection cache (RFC 5080) can then replay a response
         # whose first copy was lost, instead of re-consuming the one-time
@@ -257,7 +250,7 @@ class RADIUSClient:
                 self._m_failovers.inc(to_server=server)
             if is_probe:
                 self.health.begin_probe(server, self._clock.now())
-            for attempt in range(self._retries):
+            for attempt in range(RETRIES):
                 if deadline.expired():
                     deadline_hit = True
                     break

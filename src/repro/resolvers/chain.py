@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.cache import MISSING, BoundedCache
 from repro.common.clock import Clock, WallClock
-from repro.common.resilience import CircuitState, FailoverPolicy, HealthTracker
+from repro.common.resilience import CircuitState, HealthTracker
 from repro.resolvers.base import (
     IdentityResolver,
     ResolvedIdentity,
@@ -57,14 +57,8 @@ NEGATIVE_TTL = 30.0
 class ResolverChain:
     """Route usernames to resolvers; cache, score and fail over."""
 
-    def __init__(
-        self,
-        clock: Optional[Clock] = None,
-        telemetry=None,
-        policy: Optional[FailoverPolicy] = None,
-    ) -> None:
+    def __init__(self, clock: Optional[Clock] = None, telemetry=None) -> None:
         self.clock = clock or WallClock()
-        self.policy = policy or FailoverPolicy()
         self._routes: Dict[str, List[IdentityResolver]] = {}
         self._resolvers: Dict[str, IdentityResolver] = {}
         self._order: Dict[str, int] = {}
@@ -79,7 +73,7 @@ class ResolverChain:
         )
         #: resolver name → its bound series, added as resolvers register.
         self._h_lookup_by_name: Dict[str, object] = {}
-        self._tracker = HealthTracker([], self.policy)
+        self._tracker = HealthTracker([])
 
     # -- registration ------------------------------------------------------
 

@@ -3,32 +3,42 @@
 Covers the state machine directly (HealthTracker) and through the wire
 (RADIUSClient against a real in-process farm), including the regression
 the satellite demands: a recovered server is probed and re-admitted
-within one probe interval even while its peers are healthy.
+within one probe interval even while its peers are healthy.  The
+breaker's thresholds are module constants of ``repro.common.resilience``;
+a test that needs other values sets them with ``tune``.
 """
 
 import random
 
 import pytest
 
+from repro.common import resilience
 from repro.common.clock import VirtualClock
-from repro.common.resilience import (
-    CircuitState,
-    FailoverPolicy,
-    HealthTracker,
-)
+from repro.common.resilience import CircuitState, HealthTracker
 from repro.crypto.totp import TOTPGenerator
 from repro.otpserver.server import OTPServer
-from repro.radius.client import RADIUSClient
+from repro.radius import client as client_module
+from repro.radius.client import AuthStatus, RADIUSClient
 from repro.radius.server import RADIUSServer
 from repro.radius.transport import UDPFabric
 
 SECRET = b"breaker-secret"
 
 
+@pytest.fixture
+def tune(monkeypatch):
+    """Set ``repro.common.resilience`` constants for one test."""
+
+    def tune(**values):
+        for name, value in values.items():
+            monkeypatch.setattr(resilience, name, value)
+
+    return tune
+
+
 class TestHealthTracker:
     def test_opens_after_threshold(self):
-        policy = FailoverPolicy(failure_threshold=3)
-        tracker = HealthTracker(["a"], policy)
+        tracker = HealthTracker(["a"])  # FAILURE_THRESHOLD = 3
         for i in range(2):
             tracker.on_failure("a", now=float(i))
             assert tracker.state("a") is CircuitState.CLOSED
@@ -36,8 +46,7 @@ class TestHealthTracker:
         assert tracker.state("a") is CircuitState.OPEN
 
     def test_success_resets_consecutive_failures(self):
-        policy = FailoverPolicy(failure_threshold=3)
-        tracker = HealthTracker(["a"], policy)
+        tracker = HealthTracker(["a"])
         tracker.on_failure("a", 0.0)
         tracker.on_failure("a", 1.0)
         tracker.on_success("a", 2.0)
@@ -45,17 +54,17 @@ class TestHealthTracker:
         tracker.on_failure("a", 4.0)
         assert tracker.state("a") is CircuitState.CLOSED
 
-    def test_probe_due_after_interval(self):
-        policy = FailoverPolicy(failure_threshold=1, probe_interval=30.0)
-        tracker = HealthTracker(["a"], policy)
+    def test_probe_due_after_interval(self, tune):
+        tune(FAILURE_THRESHOLD=1)
+        tracker = HealthTracker(["a"])  # PROBE_INTERVAL = 30 s
         tracker.on_failure("a", 10.0)
         assert tracker.state("a") is CircuitState.OPEN
         assert not tracker.probe_due("a", 39.9)
         assert tracker.probe_due("a", 40.0)
 
-    def test_failed_probe_reopens_with_fresh_timer(self):
-        policy = FailoverPolicy(failure_threshold=1, probe_interval=30.0)
-        tracker = HealthTracker(["a"], policy)
+    def test_failed_probe_reopens_with_fresh_timer(self, tune):
+        tune(FAILURE_THRESHOLD=1)
+        tracker = HealthTracker(["a"])
         tracker.on_failure("a", 0.0)
         tracker.begin_probe("a", 30.0)
         assert tracker.state("a") is CircuitState.HALF_OPEN
@@ -65,14 +74,9 @@ class TestHealthTracker:
         assert not tracker.probe_due("a", 61.0)
         assert tracker.probe_due("a", 91.0)
 
-    def test_probe_schedule_backs_off_exponentially(self):
-        policy = FailoverPolicy(
-            failure_threshold=1,
-            probe_interval=30.0,
-            probe_backoff=2.0,
-            probe_interval_max=100.0,
-        )
-        tracker = HealthTracker(["a"], policy)
+    def test_probe_schedule_backs_off_exponentially(self, tune):
+        tune(FAILURE_THRESHOLD=1, PROBE_INTERVAL_MAX=100.0)
+        tracker = HealthTracker(["a"])
         tracker.on_failure("a", 0.0)
         now, waits = 0.0, []
         for _ in range(4):
@@ -91,9 +95,33 @@ class TestHealthTracker:
         assert not tracker.probe_due("a", now + 29.0)
         assert tracker.probe_due("a", now + 30.0)
 
-    def test_successful_probe_closes(self):
-        policy = FailoverPolicy(failure_threshold=1)
-        tracker = HealthTracker(["a"], policy)
+    def test_probes_outlive_a_server_dead_for_days(self, tune):
+        """1,100 failed probes are ~73 h of one dead server at the capped
+        240 s interval.  The wait stopped growing at the cap, so the count
+        behind it must stop too: ``2.0 ** 1024`` overflowed a float, and
+        from then on every authenticate on the node raised."""
+        tune(FAILURE_THRESHOLD=1)
+        clock = VirtualClock.at("2016-10-05T09:00:00")
+        dead = "10.0.7.9:1812"  # nothing listens there
+        client = RADIUSClient(
+            UDPFabric(rng=random.Random(6)), [dead], SECRET, "10.1.1.5",
+            rng=random.Random(7), clock=clock,
+        )  # fmt: skip
+        tracker = client.health
+        tracker.on_failure(dead, clock.now())
+        for _ in range(1100):
+            clock.advance(resilience.PROBE_INTERVAL_MAX)
+            assert tracker.probe_due(dead, clock.now())
+            tracker.begin_probe(dead, clock.now())
+            tracker.on_failure(dead, clock.now())
+        assert not tracker.probe_due(dead, clock.now())
+        clock.advance(resilience.PROBE_INTERVAL_MAX)
+        response = client.authenticate("grace", "123456")
+        assert response.status is AuthStatus.TIMEOUT
+
+    def test_successful_probe_closes(self, tune):
+        tune(FAILURE_THRESHOLD=1)
+        tracker = HealthTracker(["a"])
         tracker.on_failure("a", 0.0)
         tracker.begin_probe("a", 30.0)
         tracker.on_success("a", 30.5)
@@ -102,18 +130,18 @@ class TestHealthTracker:
         assert health.consecutive_failures == 0
         assert health.successes == 1
 
-    def test_score_is_ewma(self):
-        policy = FailoverPolicy(health_decay=0.5, failure_threshold=10)
-        tracker = HealthTracker(["a"], policy)
+    def test_score_is_ewma(self, tune):
+        tune(HEALTH_DECAY=0.5, FAILURE_THRESHOLD=10)
+        tracker = HealthTracker(["a"])
         assert tracker.health("a").score == 1.0
         tracker.on_failure("a", 0.0)
         assert tracker.health("a").score == 0.5
         tracker.on_success("a", 1.0)
         assert tracker.health("a").score == 0.75
 
-    def test_snapshot_counts_every_transition(self):
-        policy = FailoverPolicy(failure_threshold=1, health_decay=0.5)
-        tracker = HealthTracker(["a", "b"], policy)
+    def test_snapshot_counts_every_transition(self, tune):
+        tune(FAILURE_THRESHOLD=1, HEALTH_DECAY=0.5)
+        tracker = HealthTracker(["a", "b"])
         tracker.on_failure("a", 0.0)  # closed -> open
         tracker.begin_probe("a", 30.0)  # open -> half-open
         tracker.begin_probe("a", 30.0)  # no change: not a transition
@@ -138,6 +166,14 @@ class TestHealthTracker:
             },
         }
 
+    def test_constants_hold_their_invariants(self):
+        """What the deleted constructor checks rejected: a probe wait that
+        starts above its cap, or a decay that never forgets."""
+        assert resilience.FAILURE_THRESHOLD >= 1
+        assert resilience.PROBE_BACKOFF >= 1.0
+        assert 0.0 <= resilience.PROBE_INTERVAL <= resilience.PROBE_INTERVAL_MAX
+        assert 0.0 <= resilience.HEALTH_DECAY < 1.0
+
 
 @pytest.fixture
 def rig():
@@ -156,8 +192,7 @@ def rig():
         "10.1.1.5",
         rng=random.Random(7),
         clock=clock,
-        policy=FailoverPolicy(failure_threshold=3, probe_interval=30.0),
-    )
+    )  # the breaker's defaults: 3 failures open, probe after 30 s
     devices = {}
     for user in ("grace", "heidi"):
         _, secret = otp.enroll_soft(user)
@@ -228,4 +263,4 @@ class TestClientCircuits:
         for _ in range(4):
             assert blind.authenticate("grace", device.current_code()).ok
             clock.advance(31)
-        assert blind.per_server_attempts[farm[0].address] == 2 * blind._retries
+        assert blind.per_server_attempts[farm[0].address] == 2 * client_module.RETRIES

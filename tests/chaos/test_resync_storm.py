@@ -10,8 +10,8 @@ Three claims, each its own test class:
   ``backfill_drain`` event reports zero remaining, and a nonzero remainder
   would be an invariant violation);
 * **Shed order** — under forced admission overload the queue sheds
-  ``batch`` before ``critical``, end to end through the deployment's own
-  :class:`TokenBucketLimiter`.
+  ``batch`` before ``critical``, end to end through the deployment's
+  per-class admission buckets.
 """
 
 import json
@@ -101,23 +101,22 @@ class TestForcedOverloadShedOrder:
 
         from repro.common.clock import VirtualClock
         from repro.core import MFACenter
-        from repro.ingest import IngestQueue, PriorityClass
-        from repro.policy import RateLimitConfig, TokenBucketLimiter
+        from repro.ingest import IngestConfig, IngestQueue, PriorityClass
 
         clock = VirtualClock.at("2016-10-05T09:00:00")
         center = MFACenter(clock=clock, rng=random.Random(11), ingest=True)
         center.add_system("stampede", mode="full")
         center.create_user("alice", password="pw")
         code = center.pair_training("alice")
-        # Rebuild the deployment's queue with a starved admission bucket:
+        # Rebuild the deployment's queue with starved admission buckets:
         # the overload knob, everything else identical.
-        limiter = TokenBucketLimiter(RateLimitConfig(rate=0.1, burst=1.0), clock=clock)
         queue = IngestQueue(
-            center.ingest_queue._runner, center.ingest_queue.config,
-            clock=clock, limiter=limiter,
+            center.ingest_queue._runner,
+            IngestConfig(admission_rate=0.1, admission_burst=1.0),
+            clock=clock,
         )
         assert queue.submit_item(("alice", code), PriorityClass.BATCH).result().ok
-        # Bucket now empty: batch is refused at the door...
+        # Batch's bucket now empty: batch is refused at the door...
         refused = queue.submit_item(("alice", code), PriorityClass.BATCH).result()
         assert not refused.ok and "admission throttled" in refused.reason
         # ...while critical and interactive still get through.

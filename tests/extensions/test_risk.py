@@ -13,8 +13,8 @@ from repro.policy import (
     PolicyEngine,
     RiskAction,
     RiskEngine,
-    RiskWeights,
 )
+from repro.policy import risk
 from repro.policy.geo import GeoDatabase, GeoVelocityMonitor
 
 
@@ -102,21 +102,26 @@ class TestThresholds:
         assert decision.action is RiskAction.DENY
         assert decision.score == pytest.approx(1.0)
 
-    def test_score_clamped(self, clock):
-        engine = RiskEngine(
-            clock=clock, weights=RiskWeights(failure_burst=0.9, novel_origin=0.9)
-        )
+    def test_score_clamped(self, clock, monkeypatch):
+        monkeypatch.setattr(risk, "FAILURE_BURST_WEIGHT", 0.9)
+        monkeypatch.setattr(risk, "NOVEL_ORIGIN_WEIGHT", 0.9)
+        engine = RiskEngine(clock=clock)
         engine.record_success("alice", "1.1.1.1")
         for _ in range(3):
             engine.record_failure("alice")
         assert engine.assess("alice", "2.2.2.2").score == 1.0
 
     def test_invalid_thresholds(self, clock):
+        # The deny bar is a constant; the one settable threshold sits below it.
+        assert RiskEngine(clock=clock).step_up_threshold <= risk.DENY_THRESHOLD <= 1.0
         with pytest.raises(ValueError):
-            RiskEngine(clock=clock, step_up_threshold=0.8, deny_threshold=0.5)
+            RiskEngine(clock=clock, step_up_threshold=0.8)
+        with pytest.raises(ValueError):
+            RiskEngine(clock=clock, step_up_threshold=-0.1)
 
-    def test_custom_thresholds(self, clock):
-        strict = RiskEngine(clock=clock, step_up_threshold=0.05, deny_threshold=0.2)
+    def test_custom_thresholds(self, clock, monkeypatch):
+        monkeypatch.setattr(risk, "DENY_THRESHOLD", 0.2)
+        strict = RiskEngine(clock=clock, step_up_threshold=0.05)
         strict.record_success("alice", "1.1.1.1")
         decision = strict.assess("alice", "2.2.2.2")  # novel: 0.25
         assert decision.action is RiskAction.DENY

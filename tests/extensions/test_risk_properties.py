@@ -8,14 +8,20 @@ which weights an operator dials in:
   more evidence of attack cannot make a login look safer);
 * the threshold ordering ``step_up <= deny`` is enforced at construction,
   and the action mapping respects it for every score.
+
+The weights and the deny bar are module constants of
+:mod:`repro.policy.risk`; each example patches them for its own duration.
 """
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.clock import VirtualClock
-from repro.policy.risk import RiskAction, RiskEngine, RiskWeights
+from repro.policy import risk
+from repro.policy.risk import RiskAction, RiskEngine
 
 #: The signals a bare engine (no geo monitor) can fire, with the state
 #: manipulation that arms each one.
@@ -29,17 +35,24 @@ threshold = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 ATTACKER_IP = "203.0.113.5"
 
 
-def build_engine(flags, weights, step_up=0.0, deny=1.0):
-    """An engine whose next ``assess`` fires exactly the flagged signals."""
+def constants(weights=None, deny=1.0):
+    """Patch the signal weights and the deny bar for one example."""
+    values = {f"{name.upper()}_WEIGHT": w for name, w in (weights or {}).items()}
+    return mock.patch.multiple(risk, DENY_THRESHOLD=deny, **values)
+
+
+def assess(flags, weights, step_up=0.0, deny=1.0):
+    """Score the attacker's attempt on an engine that fires exactly the
+    flagged signals, under the given weights and thresholds."""
+    with constants(weights, deny):
+        return build_engine(flags, step_up).assess("alice", ATTACKER_IP)
+
+
+def build_engine(flags, step_up):
     clock = VirtualClock.at(
         "2016-10-05T03:00:00" if flags["unusual_hour"] else "2016-10-05T12:00:00"
     )
-    engine = RiskEngine(
-        clock=clock,
-        weights=RiskWeights(impossible_travel=0.0, **weights),
-        step_up_threshold=step_up,
-        deny_threshold=deny,
-    )
+    engine = RiskEngine(clock=clock, step_up_threshold=step_up)
     if flags["novel_origin"]:
         # A known origin that is not the attacker's address.  Recorded
         # *before* the failures: a success resets the burst window.
@@ -55,14 +68,14 @@ def build_engine(flags, weights, step_up=0.0, deny=1.0):
 @settings(max_examples=60, deadline=None)
 @given(flags=flags_strategy, weights=weights_strategy)
 def test_score_always_clamped(flags, weights):
-    decision = build_engine(flags, weights).assess("alice", ATTACKER_IP)
+    decision = assess(flags, weights)
     assert 0.0 <= decision.score <= 1.0
 
 
 @settings(max_examples=60, deadline=None)
 @given(flags=flags_strategy, weights=weights_strategy)
 def test_score_is_clamped_signal_sum(flags, weights):
-    decision = build_engine(flags, weights).assess("alice", ATTACKER_IP)
+    decision = assess(flags, weights)
     expected = min(sum(weights[name] for name in SIGNALS if flags[name]), 1.0)
     assert decision.score == pytest.approx(expected)
     assert sorted(decision.signals) == sorted(n for n in SIGNALS if flags[n])
@@ -75,20 +88,21 @@ def test_score_is_clamped_signal_sum(flags, weights):
     extra=st.sampled_from(SIGNALS),
 )
 def test_adding_a_signal_never_lowers_score(flags, weights, extra):
-    base = build_engine(flags, weights).assess("alice", ATTACKER_IP)
-    more = build_engine({**flags, extra: True}, weights).assess("alice", ATTACKER_IP)
+    base = assess(flags, weights)
+    more = assess({**flags, extra: True}, weights)
     assert more.score >= base.score
 
 
 @settings(max_examples=60, deadline=None)
 @given(step_up=threshold, deny=threshold)
 def test_threshold_ordering_enforced_at_construction(step_up, deny):
-    if step_up <= deny:
-        engine = RiskEngine(step_up_threshold=step_up, deny_threshold=deny)
-        assert engine.step_up_threshold <= engine.deny_threshold
-    else:
-        with pytest.raises(ValueError):
-            RiskEngine(step_up_threshold=step_up, deny_threshold=deny)
+    with constants(deny=deny):
+        if step_up <= deny:
+            engine = RiskEngine(step_up_threshold=step_up)
+            assert engine.step_up_threshold <= engine.snapshot()["deny_threshold"]
+        else:
+            with pytest.raises(ValueError):
+                RiskEngine(step_up_threshold=step_up)
 
 
 @settings(max_examples=60, deadline=None)
@@ -101,8 +115,7 @@ def test_threshold_ordering_enforced_at_construction(step_up, deny):
 def test_action_respects_threshold_ordering(flags, weights, step_up, deny):
     if step_up > deny:
         step_up, deny = deny, step_up
-    engine = build_engine(flags, weights, step_up=step_up, deny=deny)
-    decision = engine.assess("alice", ATTACKER_IP)
+    decision = assess(flags, weights, step_up=step_up, deny=deny)
     if decision.score >= deny:
         assert decision.action is RiskAction.DENY
     elif decision.score >= step_up:

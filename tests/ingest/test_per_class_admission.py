@@ -1,11 +1,10 @@
 """Per-class admission buckets: refill pressure in one class can never
 starve another's admission.
 
-The historical shared-bucket mode (an *injected* limiter) let a batch
-backfill drain the one pool every class admitted from — ``critical``
-survived only because non-sheddable classes ignore an empty bucket.  The
-config-driven mode now builds one bucket per class, so these tests pin
-the stronger contract: batch overload leaves the critical bucket full.
+``admission_rate`` builds one bucket per class, and there is no other
+admission path: no shared pool a batch backfill could drain for everyone.
+These tests pin the contract: batch overload leaves the critical bucket
+full.
 """
 
 import pytest
@@ -13,7 +12,6 @@ import pytest
 from repro.common.clock import VirtualClock
 from repro.common.results import ValidateResult, ValidateStatus
 from repro.ingest import IngestConfig, IngestQueue, PriorityClass
-from repro.policy import RateLimitConfig, TokenBucketLimiter
 
 
 def ok_runner(user, code, source=None):
@@ -76,31 +74,7 @@ class TestPerClassBuckets:
         assert tokens["batch"] == 1.0
 
     def test_snapshot_marks_mode(self, clock):
-        per_class = make_queue(clock).snapshot()["admission"]
-        assert per_class["per_class"] is True
-        assert per_class["rate"] == 1.0 and per_class["burst"] == 2.0
-        shared = IngestQueue(
-            ok_runner,
-            clock=clock,
-            limiter=TokenBucketLimiter(
-                RateLimitConfig(rate=1.0, burst=2.0), clock=clock
-            ),
-        ).snapshot()["admission"]
-        assert shared["per_class"] is False
-        assert isinstance(shared["tokens_available"], float)
-
-
-class TestSharedBucketCompatibility:
-    def test_injected_limiter_keeps_shared_semantics(self, clock):
-        """An injected limiter is still one pool: batch drains it and
-        critical rides the non-sheddable exemption on empty."""
-        limiter = TokenBucketLimiter(
-            RateLimitConfig(rate=1.0, burst=2.0), clock=clock
-        )
-        queue = IngestQueue(ok_runner, clock=clock, limiter=limiter)
-        queue.submit_many([("b", "1")] * 2, priority=PriorityClass.BATCH)
-        refused = queue.submit_item(("b", "1"), PriorityClass.BATCH).result()
-        assert not refused.ok
-        # Critical still enters — but on the exemption, not on tokens.
-        assert queue.submit_item(("c", "1"), PriorityClass.CRITICAL).result().ok
-        assert queue.snapshot()["admission"]["tokens_available"] == 0.0
+        admission = make_queue(clock).snapshot()["admission"]
+        assert admission["rate"] == 1.0 and admission["burst"] == 2.0
+        assert set(admission["tokens_available"]) == {c.value for c in PriorityClass}
+        assert "admission" not in IngestQueue(ok_runner, clock=clock).snapshot()

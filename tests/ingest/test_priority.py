@@ -24,6 +24,7 @@ from repro.ingest import (
     SHED_ORDER,
     WorkItem,
 )
+from repro.ingest import priority
 
 classes = st.sampled_from(list(PriorityClass))
 submissions = st.lists(classes, min_size=1, max_size=60)
@@ -82,7 +83,7 @@ class TestPromotion:
     @given(st.floats(min_value=0.0, max_value=100_000.0))
     def test_batch_never_overtakes_interactive(self, age):
         # Whatever the batch head's age, a *fresh* interactive arrival is
-        # served first: max_promotion=2 floors batch at rank 2 > rank 1.
+        # served first: MAX_PROMOTION = 2 floors batch at rank 2 > rank 1.
         heap = PriorityHeap()
         heap.push(make_item(0, PriorityClass.BATCH, t=0.0))
         heap.push(make_item(1, PriorityClass.INTERACTIVE, t=age))
@@ -127,14 +128,14 @@ class TestPromotion:
         heap.push(make_item(1, PriorityClass.CRITICAL, t=1e9))
         assert heap.pop(1e9).priority is PriorityClass.CRITICAL
 
-    def test_custom_policy_overrides_default(self):
-        heap = PriorityHeap(
-            {
-                PriorityClass.BATCH: ClassPolicy(
-                    sla_seconds=1.0, promote_after=1.0, max_promotion=4
-                )
-            }
-        )
+    def test_custom_policy_overrides_default(self, monkeypatch):
+        policies = {
+            **priority.DEFAULT_POLICIES,
+            PriorityClass.BATCH: ClassPolicy(sla_seconds=1.0, promote_after=1.0),
+        }
+        monkeypatch.setattr(priority, "DEFAULT_POLICIES", policies)
+        monkeypatch.setattr(priority, "MAX_PROMOTION", 4)
+        heap = PriorityHeap()
         heap.push(make_item(0, PriorityClass.BATCH, t=0.0))
         heap.push(make_item(1, PriorityClass.INTERACTIVE, t=10.0))
         # Four windows of promotion take batch to rank 0 — now it may
@@ -225,8 +226,7 @@ class TestValidation:
             ClassPolicy(sla_seconds=0.0)
         with pytest.raises(ValueError):
             ClassPolicy(promote_after=0.0)
-        with pytest.raises(ValueError):
-            ClassPolicy(max_promotion=-1)
+        assert priority.MAX_PROMOTION >= 0
 
     def test_infinite_promote_window_is_valid(self):
         policy = ClassPolicy(promote_after=math.inf)

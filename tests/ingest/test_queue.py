@@ -14,7 +14,7 @@ from repro.ingest import (
     QueuedBackend,
     classify_request,
 )
-from repro.policy import RateLimitConfig, TokenBucketLimiter
+from repro.ingest import queue as queue_module
 from repro.simcore import EventScheduler
 
 
@@ -97,9 +97,11 @@ class TestCallerRuns:
         assert (first[0].reason, second.reason) == ("a", "b")
         assert queue.depth() == 0
 
-    def test_waiter_picks_up_an_item_another_thread_put_back(self):
+    def test_waiter_picks_up_an_item_another_thread_put_back(self, monkeypatch):
         """A pump that held the item hands it back on a transient failure
         and leaves; the parked waiter must find it again."""
+        monkeypatch.setattr(queue_module, "RETRY_BASE_DELAY", 0.01)
+        monkeypatch.setattr(queue_module, "RETRY_MAX_DELAY", 0.01)
         entered, release = threading.Event(), threading.Event()
         attempts = []
 
@@ -111,11 +113,7 @@ class TestCallerRuns:
                 raise TransientBackendError("blip")
             return ValidateResult(ValidateStatus.OK)
 
-        queue = IngestQueue(
-            runner,
-            IngestConfig(retry_base_delay=0.01, retry_max_delay=0.01),
-            clock=WallClock(),
-        )
+        queue = IngestQueue(runner, clock=WallClock())
         ticket = queue.submit(("b", "1"))
         pumper = threading.Thread(target=queue.pump, kwargs={"max_items": 1})
         pumper.start()
@@ -234,11 +232,7 @@ class TestRetries:
                 raise TransientBackendError("shard momentarily gone")
             return ValidateResult(ValidateStatus.OK)
 
-        queue = IngestQueue(
-            flaky,
-            IngestConfig(retry_base_delay=0.5, retry_max_delay=30.0),
-            clock=clock,
-        )
+        queue = IngestQueue(flaky, clock=clock)  # 0.5 s base, 30 s cap
         start = clock.now()
         result = queue.submit(("alice", "1")).result()
         assert result.ok
@@ -255,7 +249,8 @@ class TestRetries:
         assert not result.ok
         assert "backend unavailable after 4 attempts" in result.reason
 
-    def test_sla_measures_from_first_admission(self, clock):
+    def test_sla_measures_from_first_admission(self, clock, monkeypatch):
+        monkeypatch.setattr(queue_module, "RETRY_BASE_DELAY", 2.0)
         calls = []
 
         def flaky(user, code):
@@ -264,10 +259,7 @@ class TestRetries:
                 raise TransientBackendError("blip")
             return ValidateResult(ValidateStatus.OK)
 
-        queue = IngestQueue(
-            flaky, IngestConfig(retry_base_delay=2.0, retry_max_delay=2.0),
-            clock=clock,
-        )
+        queue = IngestQueue(flaky, clock=clock)
         assert queue.submit(("alice", "1")).result().ok
         lane = queue.snapshot()["classes"]["interactive"]
         # The retry waited 2 s against a 1 s SLA: hit on first service,
@@ -306,15 +298,13 @@ class TestBackpressure:
 
 class TestThrottleShed:
     def make_queue(self, clock, runner=ok_runner):
-        limiter = TokenBucketLimiter(
-            RateLimitConfig(rate=1.0, burst=2.0), clock=clock
-        )
-        return IngestQueue(runner, clock=clock, limiter=limiter)
+        config = IngestConfig(admission_rate=1.0, admission_burst=2.0)
+        return IngestQueue(runner, config, clock=clock)
 
     def test_overload_sheds_batch_before_critical(self, clock):
         queue = self.make_queue(clock)
-        # Drain the burst with batch work, then overload: batch refused,
-        # critical still admitted on the same empty bucket.
+        # Drain batch's burst, then overload: batch refused, critical
+        # still admitted from its own bucket.
         queue.submit_many([("b", "1")] * 2, priority=PriorityClass.BATCH)
         refused = queue.submit_item(("b3", "1"), PriorityClass.BATCH).result()
         assert not refused.ok and "admission throttled" in refused.reason
@@ -406,9 +396,8 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             IngestConfig(admission_rate=0.0)
         with pytest.raises(ValueError):
-            IngestConfig(retry_base_delay=2.0, retry_max_delay=1.0)
-        with pytest.raises(ValueError):
             IngestConfig(service_cost_seconds=-1.0)
+        assert 0 < queue_module.RETRY_BASE_DELAY <= queue_module.RETRY_MAX_DELAY
 
 
 class TestConcurrentSubmitters:

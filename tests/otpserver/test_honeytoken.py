@@ -10,7 +10,7 @@ from repro.crypto.totp import totp_at
 from repro.otpserver.admin_api import AdminAPI, AdminAPIClient
 from repro.otpserver.server import OTPServer
 from repro.otpserver.tokens import TokenType
-from repro.policy import PolicyEngine, RiskEngine, RiskWeights
+from repro.policy import PolicyEngine, RiskEngine, risk
 from repro.telemetry import Registry
 
 ATTACKER_IP = "203.0.113.9"
@@ -133,11 +133,12 @@ class TestAlarms:
         assert stage.flags_for("decoy1") == 1
         assert stage.snapshot()["honeytoken_alarms"] == 1
 
-    def test_risk_denied_probe_still_alarms(self, clock):
+    def test_risk_denied_probe_still_alarms(self, clock, monkeypatch):
         """A probe refused upstream by the risk stage never reaches the
         dispatch handler — the policy stage must alarm instead, so no
         decoy use can go unrecorded."""
-        stage = RiskEngine(clock=clock, weights=RiskWeights(watchlisted_network=1.0))
+        monkeypatch.setattr(risk, "WATCHLISTED_NETWORK_WEIGHT", 1.0)
+        stage = RiskEngine(clock=clock)
         stage.add_watchlist("203.0.113.0/24")
         server = OTPServer(
             clock=clock,

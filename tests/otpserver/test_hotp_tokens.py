@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.authflow import stages
 from repro.common.clock import VirtualClock
 from repro.crypto.hotp import hotp
 from repro.otpserver.server import OTPServer, OTPServerConfig
@@ -91,11 +92,9 @@ class TestHOTPTokens:
         with pytest.raises(ValidationError):
             server.enroll_soft("alice")
 
-    def test_custom_look_ahead(self, clock):
-        server = OTPServer(
-            clock=clock, config=OTPServerConfig(hotp_look_ahead=2),
-            rng=random.Random(3),
-        )
+    def test_custom_look_ahead(self, clock, monkeypatch):
+        monkeypatch.setattr(stages, "HOTP_LOOK_AHEAD", 2)
+        server = OTPServer(clock=clock, rng=random.Random(3))
         _, secret = server.enroll_hotp("carol")
         fob = EventFob(secret)
         for _ in range(3):
@@ -111,15 +110,11 @@ class TestLookAheadEdges:
     does not.
     """
 
-    LOOK_AHEAD = 10
+    LOOK_AHEAD = stages.HOTP_LOOK_AHEAD
 
     def _server(self, seed):
         clock = VirtualClock.at("2016-10-05T09:00:00")
-        server = OTPServer(
-            clock=clock,
-            config=OTPServerConfig(hotp_look_ahead=self.LOOK_AHEAD),
-            rng=random.Random(seed),
-        )
+        server = OTPServer(clock=clock, rng=random.Random(seed))
         _, secret = server.enroll_hotp("dave")
         return server, secret
 

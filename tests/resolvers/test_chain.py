@@ -3,7 +3,8 @@
 import pytest
 
 from repro.common.clock import VirtualClock
-from repro.common.resilience import CircuitState, FailoverPolicy
+from repro.common import resilience
+from repro.common.resilience import CircuitState
 from repro.resolvers import (
     IdentityResolver,
     ResolvedIdentity,
@@ -39,8 +40,8 @@ def clock():
     return VirtualClock.at("2016-10-05T09:00:00")
 
 
-def make_chain(clock, **kwargs):
-    return ResolverChain(clock=clock, **kwargs)
+def make_chain(clock):
+    return ResolverChain(clock=clock)
 
 
 class TestRegistration:
@@ -130,14 +131,14 @@ class TestFailover:
         assert primary.errors == 1
         assert chain.failovers == 1
 
-    def test_untried_due_probe_is_not_consumed_by_enumeration(self, clock):
+    def test_untried_due_probe_is_not_consumed_by_enumeration(self, clock, monkeypatch):
         """Enumerating candidates must not burn a probe: when two circuits
         are due and the first probe answers, the second resolver was never
         actually tried, so it must stay OPEN with its timer intact and be
         probed (and recover) on the very next lookup — not sit HALF_OPEN
         waiting out another backed-off interval."""
-        policy = FailoverPolicy(failure_threshold=1, probe_interval=30.0)
-        chain = make_chain(clock, policy=policy)
+        monkeypatch.setattr(resilience, "FAILURE_THRESHOLD", 1)
+        chain = make_chain(clock)  # probes after PROBE_INTERVAL = 30 s
         a = chain.register(StubResolver("a", users=["alice"], down=True))
         b = chain.register(StubResolver("b", users=["alice"], down=True))
         with pytest.raises(ResolverUnavailableError):
@@ -159,8 +160,7 @@ class TestFailover:
         )
 
     def test_sole_resolver_circuit_opens_then_probe_recovers(self, clock):
-        policy = FailoverPolicy(failure_threshold=3, probe_interval=30.0)
-        chain = make_chain(clock, policy=policy)
+        chain = make_chain(clock)  # opens after 3 failures, probes after 30 s
         only = chain.register(StubResolver("only", users=["alice"], down=True))
         for _ in range(3):
             with pytest.raises(ResolverUnavailableError):
