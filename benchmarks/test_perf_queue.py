@@ -9,10 +9,12 @@ Two claims, asserted:
   storage round trip — the same MariaDB stand-in
   ``benchmarks/test_perf_pipeline.py`` uses, because a queue tax only
   matters relative to the real work it fronts.
-* **Shedding under overload is cheap.**  With the batch bucket dry,
-  refusing a sheddable submission is a constant-time door turn-away that
-  never touches the backend — asserted as shed throughput strictly above
-  serviced throughput on the same rig.
+* **Shedding under overload is cheap.**  With the queue full of batch
+  work, refusing another batch submission (``queue full``) is a
+  constant-time door turn-away that never touches the backend — asserted
+  as shed throughput strictly above serviced throughput on the same rig.
+  A ``critical`` arrival at the full queue still evicts a batch item and
+  is served.
 
 ``BENCH_queue.json`` carries the numbers for the CI regression gate
 (``benchmarks/check_regression.py`` compares every ``*ops_per_sec``).
@@ -126,29 +128,36 @@ def test_shed_under_overload_is_cheap():
                 (users[i % N_USERS], "424242")
             ).result().ok
 
-    def overloaded():
-        # Starved buckets on virtual time (they never refill mid-run):
-        # after `burst` admissions every further batch item is shed at
-        # the door without touching the backend.
-        config = IngestConfig(max_depth=64, admission_rate=0.001, admission_burst=8.0)
-        queue = IngestQueue(server.validate, config, clock=clock)
-        shed = 0
+    def fill():
+        queue = IngestQueue(server.validate, IngestConfig(max_depth=64), clock=clock)
+        for i in range(64):
+            queue.submit_item((users[i % N_USERS], "424242"), PriorityClass.BATCH)
+        return queue
+
+    def overloaded(queue):
+        # Nobody waits on the queued batch tickets, so the queue stays
+        # full: every further batch item is shed at the door without
+        # touching the backend.
         for i in range(N_OPS):
             result = queue.submit_item(
                 (users[i % N_USERS], "424242"), PriorityClass.BATCH
             ).result()
-            if not result.ok:
-                shed += 1
-        assert shed == N_OPS - 8
-        # Critical work still lands: batch drained only its own bucket.
+            assert result.reason == "shed: queue full (batch rejected)"
+
+    def critical_lands(queue):
+        # Critical work still lands: it evicts one batch item and is served.
         assert queue.submit_item(
             (users[0], "424242"), PriorityClass.CRITICAL
         ).result().ok
+        assert queue.snapshot()["classes"]["batch"]["shed"] == N_OPS + 1
 
     serviced()  # warm
-    overloaded()
+    full = fill()
+    overloaded(full)
+    critical_lands(full)
     serviced_ops = _best_throughput(serviced, N_OPS)
-    shed_ops = _best_throughput(overloaded, N_OPS)
+    full = fill()
+    shed_ops = _best_throughput(lambda: overloaded(full), N_OPS)
 
     print(f"\nserviced:   {serviced_ops:10.0f} ops/s")
     print(f"overloaded: {shed_ops:10.0f} decisions/s")

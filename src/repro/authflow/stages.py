@@ -124,12 +124,12 @@ class ResolveIdentity:
 class EvaluatePolicy:
     """Ask the policy engine, then apply the lockout state.
 
-    The engine's admission control and exemption checks run first — an
-    exempt source passes even a locked account, matching the PAM stack
-    where the sufficient exemption module precedes the token module.
-    The default OTP-server engine (full ladder, no exemptions, no rate
-    limit) always answers CHALLENGE, which reduces this stage to the
-    seed's locked-account check.
+    The engine's risk and exemption checks run first — an exempt source
+    passes even a locked account, matching the PAM stack where the
+    sufficient exemption module precedes the token module.  The default
+    OTP-server engine (full ladder, no exemptions, no risk) always
+    answers CHALLENGE, which reduces this stage to the seed's
+    locked-account check.
     """
 
     name = "evaluate_policy"
@@ -148,14 +148,6 @@ class EvaluatePolicy:
             now=self.server.clock.now(),
         )
         ctx.decision = decision
-        if decision.action is PolicyAction.THROTTLE:
-            ctx.audit("validate", success=False, detail="rate limited")
-            self._alarm_if_decoy(ctx, "throttled")
-            ctx.finish(
-                ValidateResult(ValidateStatus.REJECT, decision.reason),
-                outcome_applies=False,
-            )
-            return
         if decision.action in (PolicyAction.EXEMPT, PolicyAction.ALLOW):
             # Policy says no token code is required (ACL grant, or the
             # ladder is off/opt-in): succeed without touching counters.

@@ -603,8 +603,6 @@ def _classify(result: ValidateResult) -> str:
     reason = result.reason or ""
     if reason.startswith("risk score"):
         return "risk_deny"
-    if reason.startswith("rate limit"):
-        return "throttle"
     if reason.startswith("risk step-up"):
         return "step_up"
     if "replayed" in reason:

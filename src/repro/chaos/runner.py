@@ -65,7 +65,6 @@ ATTACKER_IP = "203.0.113.66"
 #: campaigns' ``blocked_by`` names); any other refusal is the token check's.
 REFUSALS = {
     "access denied by policy": "risk_deny",
-    "too many attempts; try again later": "throttle",
     "authentication service unavailable; try again later": "unavailable",
 }
 

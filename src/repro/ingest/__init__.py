@@ -1,26 +1,25 @@
 """Priority-queued admission control in front of the authflow pipeline.
 
-The serving path used to admit all work — interactive logins, SMS
-dispatch, batch resyncs, admin sweeps — in arrival order.  This package
-adds the admission layer (ROADMAP item 2):
+Interactive logins, SMS dispatch, batch resyncs and admin sweeps share
+one back end; this package decides who is served first and who is shed:
 
 * :mod:`repro.ingest.priority` — the five priority classes
   (``critical``/``interactive``/``sms``/``admin``/``batch``), per-class
   SLA windows, and the anti-starvation heap (age-based promotion capped
   below ``interactive`` so backfills can never starve humans);
 * :mod:`repro.ingest.queue` — :class:`IngestQueue`, the bounded queue
-  with backpressure shedding, token-bucket throttle shedding (batch dies
-  before critical), retry-with-backoff on
+  with backpressure shedding by class rank (batch dies before
+  critical), retry-with-backoff on
   :class:`~repro.common.errors.TransientBackendError`, and
-  depth/age/shed/SLA telemetry; plus :class:`QueuedBackend`, which
+  depth/age/shed/SLA counters; plus :class:`QueuedBackend`, which
   fronts any :class:`~repro.common.results.TokenBackend` with a
   queue.
 
 One service loop, run by whoever has a thread to spend: the waiter
-itself (``Ticket.result()`` is caller-runs), daemon workers
-(``start()``), or a :class:`~repro.simcore.EventScheduler` event
-(``attach()``) — so live deployments and million-user simulations
-exercise identical admission logic.
+itself (``Ticket.result()`` is caller-runs) or a
+:class:`~repro.simcore.EventScheduler` event (``attach()``) — so live
+deployments and million-user simulations exercise identical admission
+logic.
 """
 
 from repro.ingest.priority import (

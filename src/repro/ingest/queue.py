@@ -8,21 +8,11 @@ resync backfills, admin sweeps) and a runner — any
 :class:`~repro.common.results.Ticket` per request, resolved when the
 item is serviced.
 
-Admission, in order:
-
-1. **Throttle shed** — with ``admission_rate`` configured, every class
-   gets its *own* :class:`~repro.policy.TokenBucketLimiter`: a batch
-   backfill can only drain the batch bucket, so refill pressure from one
-   class can never starve another's admission.  Sheddable classes
-   (``SHED_CLASSES``: ``batch``, ``admin``) are rejected when their bucket
-   runs dry while ``critical``/``interactive``/``sms`` still enter — the
-   "overload sheds batch before critical" contract.  Per-class buckets
-   multiply aggregate capacity to ``rate × len(PriorityClass)``; there is
-   no shared pool.
-2. **Backpressure shed** — at ``max_depth``, an arrival outranking the
-   worst queued class evicts one item from that class (its ticket
-   resolves REJECT with a ``shed:`` reason); otherwise the arrival
-   itself is rejected.
+Admission has one shed path, **backpressure**: at ``max_depth``, an
+arrival outranking the worst queued class evicts one item from that
+class (its ticket resolves REJECT with a ``shed:`` reason); otherwise
+the arrival itself is rejected.  Eviction goes by class rank, so an
+overloaded queue sheds ``batch`` before ``critical``.
 
 There is one service loop — the best ready item is popped under the
 lock, ``_service`` runs it outside — and whoever has a thread to spend
@@ -59,16 +49,12 @@ from repro.ingest.priority import (
     PriorityHeap,
     WorkItem,
 )
-from repro.policy import RateLimitConfig, TokenBucketLimiter
 from repro.telemetry import resolve_registry
 
 __all__ = ["IngestConfig", "IngestQueue", "QueuedBackend", "classify_request"]
 
-#: The classes a dry admission bucket refuses; the rest always enter.
-SHED_CLASSES = (PriorityClass.BATCH, PriorityClass.ADMIN)
-#: Why an item is shed: refused at a closed queue, by a dry admission
-#: bucket, or for want of room.
-SHED_CAUSES = ("closed", "throttle", "backpressure")
+#: Why an item is shed: refused at a closed queue, or for want of room.
+SHED_CAUSES = ("closed", "backpressure")
 #: Transient-failure requeues per item before its ticket resolves REJECT,
 #: and the backoff before each: doubling from the base, capped.
 MAX_RETRIES = 3
@@ -87,12 +73,6 @@ def classify_request(request: Sequence) -> PriorityClass:
 class IngestConfig:
     """Shape of one admission queue.
 
-    ``admission_rate``/``admission_burst`` build one private
-    :class:`~repro.policy.TokenBucketLimiter` *per priority class* on the
-    queue's clock (``None`` = no throttle shedding); each class refills
-    independently at the same rate.  Note the capacity semantics: the
-    configured rate is a *per-class* budget, so aggregate admission
-    capacity is ``rate × len(PriorityClass)``.
     ``service_cost_seconds`` charges the clock per serviced item — zero
     for live threads (the runner's real work is the cost), a small value
     under virtual time so queue delay becomes measurable in simulated
@@ -100,15 +80,11 @@ class IngestConfig:
     """
 
     max_depth: int = 1024
-    admission_rate: Optional[float] = None
-    admission_burst: float = 100.0
     service_cost_seconds: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        if self.admission_rate is not None and self.admission_rate <= 0:
-            raise ValueError("admission_rate must be > 0 when set")
         if self.service_cost_seconds < 0:
             raise ValueError("service_cost_seconds must be >= 0")
 
@@ -150,21 +126,6 @@ class IngestQueue:
         self._runner = runner
         self.config = config or IngestConfig()
         self._clock = clock or WallClock()
-        self._class_limiters: Optional[Dict[PriorityClass, object]] = None
-        if self.config.admission_rate is not None:
-            bucket = RateLimitConfig(
-                rate=self.config.admission_rate,
-                burst=self.config.admission_burst,
-            )
-            # One bucket per class: refill pressure from one class (a
-            # batch backfill hammering admission) cannot drain another
-            # class's tokens, so critical admission never starves —
-            # and aggregate capacity is rate × number of classes.
-            self._class_limiters = {
-                cls: TokenBucketLimiter(bucket, clock=self._clock)
-                for cls in PriorityClass
-            }
-
         self._lock = threading.Lock()
         self._heap = PriorityHeap()
         self._seq = 0
@@ -213,13 +174,6 @@ class IngestQueue:
             if self._closed:
                 self._resolve_shed(ticket, cls, "queue closed", "closed", arrival=True)
                 return ticket
-            now = self._clock.now()
-            if not self._admit_throttle(cls, now):
-                self._resolve_shed(
-                    ticket, cls, f"admission throttled ({cls.value})", "throttle",
-                    arrival=True,
-                )
-                return ticket
             if len(self._heap) >= self.config.max_depth and not self._evict_for(cls):
                 self._resolve_shed(
                     ticket, cls, f"queue full ({cls.value} rejected)", "backpressure",
@@ -232,19 +186,11 @@ class IngestQueue:
                 priority=cls,
                 request=request,
                 ticket=ticket,
-                enqueued_at=now,
+                enqueued_at=self._clock.now(),
             )
             self._heap.push(item)
             self._stats[cls].submitted += 1
         return ticket
-
-    def _admit_throttle(self, cls: PriorityClass, now: float) -> bool:
-        """Drain the class's own bucket; refuse only sheddable classes on
-        empty."""
-        if self._class_limiters is None:
-            return True
-        allowed = self._class_limiters[cls].allow(cls.value, now=now)
-        return allowed or cls not in SHED_CLASSES
 
     def _evict_for(self, incoming: PriorityClass) -> bool:
         """Backpressure: make room by shedding strictly worse-ranked work."""
@@ -442,11 +388,10 @@ class IngestQueue:
                 totals.sla_hits += s.sla_hits
                 totals.sla_misses += s.sla_misses
             serviced = totals.sla_hits + totals.sla_misses
-            snap: Dict[str, object] = {
+            return {
                 "configured": True,
                 "max_depth": self.config.max_depth,
                 "depth": len(self._heap),
-                "shed_classes": [cls.value for cls in SHED_CLASSES],
                 "classes": classes,
                 "submitted_total": totals.submitted,
                 "completed_total": totals.completed,
@@ -458,18 +403,6 @@ class IngestQueue:
                     round(totals.sla_hits / serviced, 6) if serviced else None
                 ),
             }
-            if self._class_limiters is not None:
-                snap["admission"] = {
-                    "rate": self.config.admission_rate,
-                    "burst": self.config.admission_burst,
-                    "tokens_available": {
-                        cls.value: round(
-                            lim.tokens_available(cls.value, now=now), 3
-                        )
-                        for cls, lim in self._class_limiters.items()
-                    },
-                }
-            return snap
 
 
 class QueuedBackend:

@@ -17,14 +17,13 @@ from repro.pam.modules.exemption import MFAExemptionModule
 from repro.pam.modules.geo import PamGeoCheckModule
 from repro.pam.modules.pubkey import PublicKeySuccessModule
 from repro.pam.modules.solaris import SolarisMFAModule
-from repro.pam.modules.token import EnforcementMode, MFATokenModule
+from repro.pam.modules.token import MFATokenModule
 from repro.pam.modules.unix_password import UnixPasswordModule
 
 __all__ = [
     "PublicKeySuccessModule",
     "MFAExemptionModule",
     "MFATokenModule",
-    "EnforcementMode",
     "SolarisMFAModule",
     "UnixPasswordModule",
     "PamGeoCheckModule",

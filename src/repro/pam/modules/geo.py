@@ -17,7 +17,8 @@ class PamGeoCheckModule:
     closed on positive signals — flip ``unmapped_is_error`` to harden).
     Sits between the first factor and the token module; to make
     suspicious geography *require* the second factor rather than deny,
-    give the monitor to the risk engine (``RiskEngine(geo_monitor=...)``).
+    give the monitor to the risk engine, on the clock both share
+    (``RiskEngine(clock, geo_monitor=GeoVelocityMonitor(geo, clock))``).
     """
 
     name = "pam_geo_check"

@@ -33,7 +33,7 @@ from repro.pam.framework import PAMResult, PAMSession
 from repro.policy import AuthRequest, EnforcementMode, PolicyAction, PolicyEngine
 from repro.radius.client import AuthStatus, RADIUSClient
 
-__all__ = ["PROMPT", "EnforcementMode", "MFATokenModule"]
+__all__ = ["PROMPT", "MFATokenModule"]
 
 PROMPT = "Token Code: "
 
@@ -100,10 +100,6 @@ class MFATokenModule:
         if decision.risk_action is not None:
             session.items["risk_score"] = decision.risk_score
             session.items["risk_signals"] = decision.risk_signals
-        if decision.action is PolicyAction.THROTTLE:
-            if session.conversation is not None:
-                session.conversation.error("too many attempts; try again later")
-            return PAMResult.AUTH_ERR
         if decision.action is PolicyAction.DENY:
             # Refused before any factor is asked for: no pairing lookup,
             # no prompt, no RADIUS round trip.

@@ -1,7 +1,6 @@
-"""Unified access policy: exemptions, enforcement ladder, lockout,
-admission control, risk — one ``PolicyEngine.evaluate(request) ->
-Decision`` consumed by both the PAM modules and the OTP server's
-authflow pipeline.
+"""Unified access policy: exemptions, enforcement ladder, lockout and
+risk — one ``PolicyEngine.evaluate(request) -> Decision`` consumed by
+both the PAM modules and the OTP server's authflow pipeline.
 """
 
 from repro.policy.engine import (
@@ -13,7 +12,6 @@ from repro.policy.engine import (
     PolicyAction,
     PolicyEngine,
 )
-from repro.policy.ratelimit import RateLimitConfig, TokenBucketLimiter
 from repro.policy.risk import RiskAction, RiskEngine
 
 __all__ = [
@@ -24,8 +22,6 @@ __all__ = [
     "LockoutPolicy",
     "PolicyAction",
     "PolicyEngine",
-    "RateLimitConfig",
     "RiskAction",
     "RiskEngine",
-    "TokenBucketLimiter",
 ]

@@ -8,7 +8,7 @@ threshold was an ``OTPServerConfig`` field applied deep inside the
 validate path.  Each layer could drift from the others — PAM could think
 a user exempt while the OTP server counted their failures.
 
-:class:`PolicyEngine` consolidates all five rule families:
+:class:`PolicyEngine` consolidates all four rule families:
 
 * **exemption ACLs** — any object with ``check(user, ip)`` (the existing
   :class:`repro.pam.acl.ExemptionACL` hierarchy);
@@ -17,8 +17,6 @@ a user exempt while the OTP server counted their failures.
   and countdown deadlines expiring into ``full``;
 * the **lockout rule** (:class:`LockoutPolicy`) — the paper's "20
   consecutive failed validation attempts" threshold;
-* **admission control** (:class:`TokenBucketLimiter`) — new per-source
-  token buckets so abusive sources are refused before touching storage;
 * **risk** (:class:`~repro.policy.risk.RiskEngine`) — a per-attempt
   verdict that only ever tightens the rules above: STEP_UP withholds
   the exemption grant and upgrades passive outcomes to a challenge,
@@ -38,14 +36,12 @@ from math import ceil
 from typing import Callable, Optional
 
 from repro.common.clock import Clock, WallClock, parse_date
-from repro.policy.ratelimit import RateLimitConfig, TokenBucketLimiter
 from repro.policy.risk import QUIET_ALLOW, RiskAction, RiskDecision, RiskEngine
 from repro.telemetry import resolve_registry
 
 
 class EnforcementMode(str, Enum):
-    """Section 3.4's four-tier opt-in ladder (canonical definition;
-    ``repro.pam.modules.token`` re-exports it for compatibility)."""
+    """Section 3.4's four-tier opt-in ladder."""
 
     OFF = "off"
     PAIRED = "paired"
@@ -61,7 +57,6 @@ class PolicyAction(str, Enum):
     NOTIFY = "notify"  # countdown: allow, but show the pair-by notice
     CHALLENGE = "challenge"  # demand a token code
     DENY = "deny"  # refuse outright
-    THROTTLE = "throttle"  # admission control refused the source
 
 
 #: Decisions that let the user in without a token code.
@@ -244,9 +239,6 @@ class PolicyEngine:
     ``exemptions`` is duck-typed: anything with ``check(user, ip)``
     (and optionally ``rules()``/``last_error`` for the snapshot) fits,
     so the existing file-backed and in-memory ACLs plug in unchanged.
-    ``rate_limit`` accepts a :class:`RateLimitConfig` (a limiter is built
-    on the engine's clock), a ready :class:`TokenBucketLimiter`, or
-    ``None`` to disable admission control.
     """
 
     def __init__(
@@ -254,7 +246,6 @@ class PolicyEngine:
         ladder: Optional[EnforcementLadder] = None,
         exemptions=None,
         lockout: Optional[LockoutPolicy] = None,
-        rate_limit=None,
         clock: Optional[Clock] = None,
         telemetry=None,
         risk=None,
@@ -263,21 +254,9 @@ class PolicyEngine:
         self.ladder = ladder or EnforcementLadder("full")
         self.exemptions = exemptions
         self.lockout = lockout or LockoutPolicy()
-        if isinstance(rate_limit, RateLimitConfig):
-            rate_limit = TokenBucketLimiter(rate_limit, clock=self.clock)
-        elif (
-            isinstance(rate_limit, TokenBucketLimiter)
-            and not rate_limit.clock_injected
-        ):
-            # A ready limiter left on the implicit wall clock would refill
-            # against real time while the engine evaluates in virtual
-            # time; adopt it onto the engine's clock so both tick together.
-            rate_limit.bind_clock(self.clock)
-        self.admission: Optional[TokenBucketLimiter] = rate_limit
         #: The risk engine (``None`` = risk scoring disabled).  ``risk``
         #: is ``None``, ``True`` (a default engine on this clock) or a
-        #: ready :class:`RiskEngine`; one left on the implicit wall clock
-        #: is adopted onto the engine's clock, like the limiter above.
+        #: ready :class:`RiskEngine`, which keeps the clock it was built on.
         self.risk: Optional[RiskEngine] = self._adopt_risk(risk)
         self.telemetry = resolve_registry(telemetry)
         decisions = self.telemetry.counter(
@@ -291,23 +270,10 @@ class PolicyEngine:
         if not risk:
             return None
         if risk is True:
-            return RiskEngine(clock=self.clock)
-        if not risk.clock_injected:
-            risk.bind_clock(self.clock)
+            return RiskEngine(self.clock)
         return risk
 
     # -- individual rule surfaces -------------------------------------------
-
-    def admit(self, source: str, now: Optional[float] = None) -> bool:
-        """Admission control: may ``source`` spend a validation attempt?
-
-        ``now`` keeps the bucket refill on the same timestamp the caller
-        is evaluating at (``evaluate`` threads its own reading through),
-        so virtual-time runs never fall back to a second clock read.
-        """
-        if self.admission is None or not source:
-            return True
-        return self.admission.allow(source, now=now)
 
     def is_exempt(self, username: str, source_ip: str) -> bool:
         """Figure 1's "MFA Exemption Granted?" (default deny)."""
@@ -334,11 +300,10 @@ class PolicyEngine:
     def evaluate(self, request: AuthRequest, now: Optional[float] = None) -> Decision:
         """Fold every rule family into one :class:`Decision`.
 
-        Order matters: admission control runs first (an abusive source
-        never reaches the ACL or directory), then the risk engine (a DENY
-        verdict refuses outright, before lockout counters or storage are
-        touched; a STEP_UP verdict withholds the exemption grant and
-        upgrades passive ladder outcomes to a challenge), then exemptions
+        Order matters: the risk engine runs first (a DENY verdict refuses
+        outright, before lockout counters or storage are touched; a
+        STEP_UP verdict withholds the exemption grant and upgrades passive
+        ladder outcomes to a challenge), then exemptions
         (a granted exemption requires "no further action by the user",
         including for locked accounts — matching the PAM stack, where the
         sufficient exemption module precedes the token module), then the
@@ -351,11 +316,6 @@ class PolicyEngine:
         return decision
 
     def _evaluate(self, request: AuthRequest, timestamp: float) -> Decision:
-        if not self.admit(request.source_ip, now=timestamp):
-            return Decision(
-                PolicyAction.THROTTLE,
-                f"rate limit exceeded for source {request.source_ip}",
-            )
         risk: Optional[RiskDecision] = None
         step_up = False
         if self.risk is not None:
@@ -453,11 +413,6 @@ class PolicyEngine:
             "ladder": ladder,
             "lockout": self.lockout.snapshot(),
             "exemptions": self._exemptions_snapshot(),
-            "rate_limit": (
-                {"configured": True, **self.admission.snapshot()}
-                if self.admission is not None
-                else {"configured": False}
-            ),
             "risk": (
                 {"configured": True, **self.risk.snapshot()}
                 if self.risk is not None

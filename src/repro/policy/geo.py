@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.common.clock import Clock, WallClock
+from repro.common.clock import Clock
 from repro.common.origin import OriginMatcher
 
 EARTH_RADIUS_KM = 6371.0
@@ -90,28 +90,10 @@ class TravelVerdict:
 class GeoVelocityMonitor:
     """Impossible-travel detection across consecutive logins."""
 
-    def __init__(
-        self,
-        geo: GeoDatabase,
-        clock: Optional[Clock] = None,
-    ) -> None:
+    def __init__(self, geo: GeoDatabase, clock: Clock) -> None:
         self._geo = geo
-        #: True when the caller supplied a clock; engines that adopt the
-        #: monitor check this before rebinding it onto their own clock.
-        self.clock_injected = clock is not None
-        self._clock = clock or WallClock()
-        self._last_seen: Dict[str, Tuple[float, GeoPoint]] = {}
-
-    def bind_clock(self, clock: Clock) -> None:
-        """Adopt ``clock`` as the monitor's time source.
-
-        Mirrors :meth:`repro.policy.TokenBucketLimiter.bind_clock`: a
-        monitor left on the implicit wall clock would judge travel speed
-        against real time while the rest of a simulation runs in virtual
-        time, making every virtual-hours-apart login look instantaneous.
-        """
         self._clock = clock
-        self.clock_injected = True
+        self._last_seen: Dict[str, Tuple[float, GeoPoint]] = {}
 
     def observe(self, username: str, ip: str) -> TravelVerdict:
         """Record a login and judge the travel it implies."""

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Deque, Dict, List, Optional, Set
 
-from repro.common.clock import Clock, WallClock
+from repro.common.clock import Clock
 from repro.common.origin import OriginMatcher
 from repro.policy.geo import GeoVelocityMonitor
 
@@ -106,17 +106,13 @@ class RiskEngine:
 
     def __init__(
         self,
-        clock: Optional[Clock] = None,
+        clock: Clock,
         geo_monitor: Optional[GeoVelocityMonitor] = None,
         step_up_threshold: float = 0.3,
     ) -> None:
         if not 0 <= step_up_threshold <= DENY_THRESHOLD:
             raise ValueError("need 0 <= step_up_threshold <= DENY_THRESHOLD")
-        #: True when the caller supplied a clock; :class:`PolicyEngine`
-        #: checks this before adopting the engine onto its own clock (the
-        #: one place that happens).
-        self.clock_injected = clock is not None
-        self._clock = clock or WallClock()
+        self._clock = clock
         self._geo = geo_monitor
         self.step_up_threshold = step_up_threshold
         self._known_origins: Dict[str, Set[str]] = {}
@@ -136,21 +132,6 @@ class RiskEngine:
         self.honeytoken_alarms = 0
         self._flag_log: Deque[dict] = deque(maxlen=FLAG_LOG_LIMIT)
         self._flag_counts: Dict[str, int] = {}
-
-    def bind_clock(self, clock: Clock) -> None:
-        """Adopt ``clock`` as the engine's time source.
-
-        Mirrors :meth:`repro.policy.TokenBucketLimiter.bind_clock`: an
-        engine left on the implicit wall clock would prune failure bursts
-        and compute the login hour against real time while the policy it
-        serves evaluates in virtual time.  An adopted geo monitor that was
-        not explicitly clock-injected follows along, so both pieces tick
-        together.
-        """
-        self._clock = clock
-        self.clock_injected = True
-        if self._geo is not None and not self._geo.clock_injected:
-            self._geo.bind_clock(clock)
 
     # -- signal feeds ------------------------------------------------------------
 

@@ -15,12 +15,7 @@ from repro.authflow import (
 from repro.common.clock import VirtualClock
 from repro.common.results import ValidateResult
 from repro.otpserver import OTPServer, OTPServerConfig, ValidateStatus
-from repro.policy import (
-    EnforcementLadder,
-    LockoutPolicy,
-    PolicyEngine,
-    RateLimitConfig,
-)
+from repro.policy import EnforcementLadder, PolicyEngine
 from repro.telemetry import Registry
 
 
@@ -200,32 +195,6 @@ class TestValidateMany:
 
 
 class TestPolicyHooks:
-    def test_rate_limited_source_rejected_without_burning_failcount(self, clock):
-        policy = PolicyEngine(
-            lockout=LockoutPolicy(20),
-            rate_limit=RateLimitConfig(rate=1.0, burst=2.0),
-            clock=clock,
-        )
-        server = make_server(clock, policy=policy)
-        server.enroll_static("alice", "424242")
-        source = "203.0.113.9"
-        assert server.validate("alice", "424242", source=source).ok
-        assert server.validate("alice", "424242", source=source).ok
-        throttled = server.validate("alice", "424242", source=source)
-        assert throttled.status is ValidateStatus.REJECT
-        assert "rate limit" in throttled.reason
-        (token,) = server.user_tokens("alice")
-        assert token.failcount == 0
-
-    def test_requests_without_source_bypass_admission(self, clock):
-        policy = PolicyEngine(
-            rate_limit=RateLimitConfig(rate=1.0, burst=1.0), clock=clock
-        )
-        server = make_server(clock, policy=policy)
-        server.enroll_static("alice", "424242")
-        for _ in range(4):
-            assert server.validate("alice", "424242").ok
-
     def test_exempt_user_passes_without_code(self, clock):
         class GrantAll:
             def check(self, username, ip):

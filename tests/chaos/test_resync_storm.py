@@ -9,9 +9,8 @@ Three claims, each its own test class:
 * **Drain** — the backfill fully completes inside its fault window (the
   ``backfill_drain`` event reports zero remaining, and a nonzero remainder
   would be an invariant violation);
-* **Shed order** — under forced admission overload the queue sheds
-  ``batch`` before ``critical``, end to end through the deployment's
-  per-class admission buckets.
+* **Shed order** — with the deployment's queue full, it sheds ``batch``
+  before ``critical``, end to end through the deployment's depth bound.
 """
 
 import json
@@ -96,33 +95,32 @@ class TestDeterminism:
 
 
 class TestForcedOverloadShedOrder:
-    def test_batch_shed_before_critical_through_deployment_limiter(self):
+    def test_batch_shed_before_critical_through_deployment_queue(self):
         import random
 
         from repro.common.clock import VirtualClock
         from repro.core import MFACenter
-        from repro.ingest import IngestConfig, IngestQueue, PriorityClass
+        from repro.ingest import PriorityClass
 
         clock = VirtualClock.at("2016-10-05T09:00:00")
         center = MFACenter(clock=clock, rng=random.Random(11), ingest=True)
         center.add_system("stampede", mode="full")
         center.create_user("alice", password="pw")
         code = center.pair_training("alice")
-        # Rebuild the deployment's queue with starved admission buckets:
-        # the overload knob, everything else identical.
-        queue = IngestQueue(
-            center.ingest_queue._runner,
-            IngestConfig(admission_rate=0.1, admission_burst=1.0),
-            clock=clock,
+        queue = center.ingest_queue
+        # Nobody waits on the backfill, so it fills the queue to its bound.
+        backfill = queue.submit_many(
+            [("alice", code)] * queue.config.max_depth, priority=PriorityClass.BATCH
         )
-        assert queue.submit_item(("alice", code), PriorityClass.BATCH).result().ok
-        # Batch's bucket now empty: batch is refused at the door...
+        # More batch is refused at the door...
         refused = queue.submit_item(("alice", code), PriorityClass.BATCH).result()
-        assert not refused.ok and "admission throttled" in refused.reason
-        # ...while critical and interactive still get through.
-        assert queue.submit_item(("alice", code), PriorityClass.CRITICAL).result().ok
-        assert queue.submit_item(("alice", code), PriorityClass.INTERACTIVE).result().ok
+        assert not refused.ok and "queue full" in refused.reason
+        # ...while critical and interactive each evict a batch item and land.
+        critical = queue.submit_item(("alice", code), PriorityClass.CRITICAL)
+        interactive = queue.submit_item(("alice", code), PriorityClass.INTERACTIVE)
+        assert critical.result().ok and interactive.result().ok
         snap = queue.snapshot()
-        assert snap["classes"]["batch"]["shed"] == 1
+        assert snap["classes"]["batch"]["shed"] == 3
         assert snap["classes"]["critical"]["shed"] == 0
         assert snap["classes"]["interactive"]["shed"] == 0
+        assert sum(not t.done() for t in backfill) == queue.config.max_depth - 2

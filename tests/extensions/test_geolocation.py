@@ -155,20 +155,8 @@ class TestPamGeoCheckModule:
 
 
 class TestClockBinding:
-    """bind_clock on the velocity monitor (the risk engine's geo seam)."""
+    """The monitor judges travel on the clock it is built on."""
 
-    def test_default_clock_is_not_injected(self, geo):
-        assert GeoVelocityMonitor(geo).clock_injected is False
-
-    def test_supplied_clock_is_injected(self, geo, clock):
-        assert GeoVelocityMonitor(geo, clock).clock_injected is True
-
-    def test_bind_clock_drives_velocity_math(self, geo, clock):
-        monitor = GeoVelocityMonitor(geo)
-        monitor.bind_clock(clock)
-        assert monitor.clock_injected is True
-        assert monitor.observe("alice", "129.114.0.1").plausible
-        clock.advance(600)
-        verdict = monitor.observe("alice", "203.0.113.9")
-        assert not verdict.plausible
-        assert verdict.speed_kmh > 950.0
+    def test_clock_is_required(self, geo):
+        with pytest.raises(TypeError):
+            GeoVelocityMonitor(geo)

@@ -212,51 +212,13 @@ class TestPamIntegration:
 
 
 class TestClockBinding:
-    """The limiter's clock-injection seam, mirrored on the risk engine.
+    """The engine keeps the clock it is built on: there is no wall-clock
+    fallback to drift from a virtual run."""
 
-    Regression coverage for the bug where an engine built without a clock
-    silently kept the wall clock: failure bursts pruned against real time
-    while the policy engine evaluated in virtual time, so the burst
-    signal could never fire in a simulation.
-    """
-
-    def test_default_clock_is_not_injected(self):
-        assert RiskEngine().clock_injected is False
-
-    def test_supplied_clock_is_injected(self, clock):
-        assert RiskEngine(clock=clock).clock_injected is True
-
-    def test_bind_clock_adopts_and_marks(self, clock):
-        engine = RiskEngine()
-        engine.bind_clock(clock)
-        assert engine.clock_injected is True
-        # Failure pruning now follows the bound clock: a burst recorded
-        # in virtual time ages out when *virtual* time advances.
-        for _ in range(3):
-            engine.record_failure("alice")
-        assert "failure_burst" in engine.assess("alice", "10.0.0.1").signals
-        clock.advance(601)
-        assert "failure_burst" not in engine.assess("alice", "10.0.0.1").signals
+    def test_clock_is_required(self):
+        with pytest.raises(TypeError):
+            RiskEngine()
 
     def test_unusual_hour_follows_bound_clock(self):
-        engine = RiskEngine()
-        engine.bind_clock(VirtualClock.at("2016-10-05T03:00:00"))
+        engine = RiskEngine(VirtualClock.at("2016-10-05T03:00:00"))
         assert "unusual_hour" in engine.assess("alice", "10.0.0.1").signals
-
-    def test_bind_clock_propagates_to_geo_monitor(self, clock):
-        monitor = GeoVelocityMonitor(GeoDatabase.with_sample_data())
-        engine = RiskEngine(geo_monitor=monitor)
-        engine.bind_clock(clock)
-        assert monitor.clock_injected is True
-        # Austin then Beijing ten simulated minutes later: impossible on
-        # the bound clock, invisible on the wall clock.
-        engine.assess("alice", "129.114.0.1")
-        clock.advance(600)
-        assert "impossible_travel" in engine.assess("alice", "203.0.113.9").signals
-
-    def test_bind_clock_respects_geo_monitors_own_clock(self, clock):
-        own = VirtualClock.at("2016-10-05T12:00:00")
-        monitor = GeoVelocityMonitor(GeoDatabase.with_sample_data(), own)
-        engine = RiskEngine(geo_monitor=monitor)
-        engine.bind_clock(clock)
-        assert monitor._clock is own

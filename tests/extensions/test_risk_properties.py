@@ -97,12 +97,13 @@ def test_adding_a_signal_never_lowers_score(flags, weights, extra):
 @given(step_up=threshold, deny=threshold)
 def test_threshold_ordering_enforced_at_construction(step_up, deny):
     with constants(deny=deny):
+        clock = VirtualClock.at("2016-10-05T09:00:00")
         if step_up <= deny:
-            engine = RiskEngine(step_up_threshold=step_up)
+            engine = RiskEngine(clock, step_up_threshold=step_up)
             assert engine.step_up_threshold <= engine.snapshot()["deny_threshold"]
         else:
             with pytest.raises(ValueError):
-                RiskEngine(step_up_threshold=step_up)
+                RiskEngine(clock, step_up_threshold=step_up)
 
 
 @settings(max_examples=60, deadline=None)

@@ -295,43 +295,17 @@ class TestBackpressure:
         assert not refused.ok and "queue full" in refused.reason
         assert first.result().ok
 
-
-class TestThrottleShed:
-    def make_queue(self, clock, runner=ok_runner):
-        config = IngestConfig(admission_rate=1.0, admission_burst=2.0)
-        return IngestQueue(runner, config, clock=clock)
-
     def test_overload_sheds_batch_before_critical(self, clock):
-        queue = self.make_queue(clock)
-        # Drain batch's burst, then overload: batch refused, critical
-        # still admitted from its own bucket.
+        queue = IngestQueue(ok_runner, IngestConfig(max_depth=2), clock=clock)
         queue.submit_many([("b", "1")] * 2, priority=PriorityClass.BATCH)
+        # Full of batch work: more batch is refused at the door...
         refused = queue.submit_item(("b3", "1"), PriorityClass.BATCH).result()
-        assert not refused.ok and "admission throttled" in refused.reason
-        admitted = queue.submit_item(("c", "1"), PriorityClass.CRITICAL)
-        assert admitted.result().ok
+        assert not refused.ok and "queue full" in refused.reason
+        # ...while critical evicts a batch item and is served.
+        assert queue.submit_item(("c", "1"), PriorityClass.CRITICAL).result().ok
         snap = queue.snapshot()
-        assert snap["classes"]["batch"]["shed"] == 1
+        assert snap["classes"]["batch"]["shed"] == 2
         assert snap["classes"]["critical"]["shed"] == 0
-
-    def test_refill_readmits_batch(self, clock):
-        queue = self.make_queue(clock)
-        queue.submit_many([("b", "1")] * 2, priority=PriorityClass.BATCH)
-        assert not queue.submit_item(("b", "1"), PriorityClass.BATCH).result().ok
-        clock.advance(2.0)  # rate=1/s -> 2 tokens back
-        assert queue.submit_item(("b", "1"), PriorityClass.BATCH).result().ok
-
-    def test_private_limiter_from_config(self, clock):
-        queue = IngestQueue(
-            ok_runner,
-            IngestConfig(admission_rate=1.0, admission_burst=1.0),
-            clock=clock,
-        )
-        snap = queue.snapshot()
-        assert snap["admission"]["rate"] == 1.0
-        queue.submit_item(("b", "1"), PriorityClass.BATCH)
-        refused = queue.submit_item(("b", "1"), PriorityClass.BATCH).result()
-        assert "admission throttled" in refused.reason
 
 
 class TestClose:
@@ -357,7 +331,6 @@ class TestSnapshot:
         lane = snap["classes"]["interactive"]
         assert lane["submitted"] == lane["completed"] == 1
         assert lane["sla_hit_rate"] == 1.0
-        assert snap["shed_classes"] == ["batch", "admin"]
         import json
 
         json.dumps(snap)  # must stay plain JSON-serializable
@@ -393,8 +366,6 @@ class TestConfigValidation:
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
             IngestConfig(max_depth=0)
-        with pytest.raises(ValueError):
-            IngestConfig(admission_rate=0.0)
         with pytest.raises(ValueError):
             IngestConfig(service_cost_seconds=-1.0)
         assert 0 < queue_module.RETRY_BASE_DELAY <= queue_module.RETRY_MAX_DELAY

@@ -166,7 +166,7 @@ class TestSection3_4:
     def test_config_error_defaults_to_full(self, world):
         """"if any configuration errors occur, the token module defaults to
         the fourth enforcement mode"."""
-        from repro.pam.modules.token import EnforcementMode
+        from repro.policy import EnforcementMode
         from repro.pam.registry import FIGURE1_CONFIG
 
         world.system.set_mode("off")

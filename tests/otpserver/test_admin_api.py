@@ -62,7 +62,7 @@ class TestRoutes:
         assert body["ladder"]["effective_mode"] == "full"
         assert body["lockout"]["threshold"] == 20
         assert body["exemptions"] == {"configured": False}
-        assert body["rate_limit"] == {"configured": False}
+        assert body["risk"] == {"configured": False}
         assert body["concurrency"]["lock_stripes"] == 64
 
     def test_policy_requires_auth(self, api):

@@ -14,9 +14,9 @@ from repro.pam.framework import PAMResult, PAMSession, PAMStack
 from repro.pam.modules.exemption import MFAExemptionModule
 from repro.pam.modules.pubkey import PublicKeySuccessModule
 from repro.pam.modules.solaris import SolarisMFAModule
-from repro.pam.modules.token import EnforcementMode, MFATokenModule
+from repro.pam.modules.token import MFATokenModule
 from repro.pam.modules.unix_password import UnixPasswordModule
-from repro.policy import EnforcementLadder, PolicyEngine
+from repro.policy import EnforcementLadder, EnforcementMode, PolicyEngine
 from repro.radius.client import RADIUSClient
 from repro.radius.server import RADIUSServer
 from repro.radius.transport import UDPFabric

@@ -1,4 +1,4 @@
-"""PolicyEngine: the ladder, exemptions, admission control, snapshots."""
+"""PolicyEngine: the ladder, exemptions, lockout, snapshots."""
 
 from datetime import datetime, timezone
 
@@ -12,7 +12,6 @@ from repro.policy import (
     LockoutPolicy,
     PolicyAction,
     PolicyEngine,
-    RateLimitConfig,
 )
 from repro.telemetry import Registry
 
@@ -143,26 +142,6 @@ class TestEvaluate:
             PolicyAction.CHALLENGE
         )
 
-    def test_throttle_precedes_exemption(self):
-        clock = VirtualClock.at("2016-10-05T09:00:00")
-        engine = self._engine(
-            clock=clock,
-            exemptions=FakeACL(granted={"staff"}),
-            rate_limit=RateLimitConfig(rate=1.0, burst=2.0),
-        )
-        request = AuthRequest("staff", "198.51.100.9", pairing="soft")
-        assert engine.evaluate(request).action is PolicyAction.EXEMPT
-        assert engine.evaluate(request).action is PolicyAction.EXEMPT
-        throttled = engine.evaluate(request)
-        assert throttled.action is PolicyAction.THROTTLE
-        assert "rate limit" in throttled.reason
-
-    def test_empty_source_never_throttled(self):
-        engine = self._engine(rate_limit=RateLimitConfig(rate=1.0, burst=1.0))
-        for _ in range(5):
-            decision = engine.evaluate(AuthRequest("alice", "", pairing="soft"))
-            assert decision.action is PolicyAction.CHALLENGE
-
     def test_decision_counter_increments(self):
         telemetry = Registry()
         engine = self._engine(telemetry=telemetry)
@@ -170,63 +149,6 @@ class TestEvaluate:
         engine.evaluate(AuthRequest("bob", pairing_lookup=lambda u: None))
         counter = telemetry.counter("policy_decisions_total", "")
         assert counter.value(action="challenge") == 2
-
-
-class TestVirtualClockAdmission:
-    """Regression: the engine must never let its limiter refill on a
-    different clock than the one driving evaluation."""
-
-    def test_ready_limiter_rebound_onto_engine_clock(self):
-        from repro.policy import TokenBucketLimiter
-
-        clock = VirtualClock.at("2016-10-05T09:00:00")
-        # A limiter built without a clock silently sat on wall time; the
-        # engine must adopt it onto its own (virtual) clock at wiring.
-        limiter = TokenBucketLimiter(RateLimitConfig(rate=1.0, burst=2.0))
-        engine = PolicyEngine(rate_limit=limiter, clock=clock)
-        assert limiter.clock_injected
-        request = AuthRequest("alice", "198.51.100.9", pairing="soft")
-        assert engine.evaluate(request).action is PolicyAction.CHALLENGE
-        assert engine.evaluate(request).action is PolicyAction.CHALLENGE
-        assert engine.evaluate(request).action is PolicyAction.THROTTLE
-        clock.advance(1.0)  # virtual second -> one token; wall time is free
-        assert engine.evaluate(request).action is PolicyAction.CHALLENGE
-        assert engine.evaluate(request).action is PolicyAction.THROTTLE
-
-    def test_explicitly_clocked_limiter_left_alone(self):
-        from repro.common.clock import WallClock
-        from repro.policy import TokenBucketLimiter
-
-        wall = WallClock()
-        limiter = TokenBucketLimiter(RateLimitConfig(rate=1.0, burst=2.0), clock=wall)
-        PolicyEngine(
-            rate_limit=limiter, clock=VirtualClock.at("2016-10-05T09:00:00")
-        )
-        assert limiter._clock is wall  # the caller's choice is respected
-
-    def test_evaluate_now_threads_into_admission(self):
-        clock = VirtualClock.at("2016-10-05T09:00:00")
-        engine = PolicyEngine(
-            rate_limit=RateLimitConfig(rate=1.0, burst=1.0), clock=clock
-        )
-        request = AuthRequest("alice", "198.51.100.9", pairing="soft")
-        start = clock.now()
-        assert engine.evaluate(request, now=start).action is PolicyAction.CHALLENGE
-        assert engine.evaluate(request, now=start).action is PolicyAction.THROTTLE
-        # The caller's timestamp alone drives the refill — the engine's
-        # clock has not moved, yet admission follows the handed-in time.
-        later = engine.evaluate(request, now=start + 1.0)
-        assert later.action is PolicyAction.CHALLENGE
-
-    def test_admit_accepts_explicit_now(self):
-        clock = VirtualClock.at("2016-10-05T09:00:00")
-        engine = PolicyEngine(
-            rate_limit=RateLimitConfig(rate=1.0, burst=1.0), clock=clock
-        )
-        start = clock.now()
-        assert engine.admit("198.51.100.9", now=start)
-        assert not engine.admit("198.51.100.9", now=start)
-        assert engine.admit("198.51.100.9", now=start + 1.0)
 
 
 class TestLiveReconfiguration:
@@ -245,7 +167,8 @@ class TestSnapshot:
         assert snap["ladder"]["effective_mode"] == "full"
         assert snap["lockout"] == {"threshold": 20}
         assert snap["exemptions"] == {"configured": False}
-        assert snap["rate_limit"] == {"configured": False}
+        assert snap["risk"] == {"configured": False}
+        assert "rate_limit" not in snap
 
     def test_countdown_effective_mode_reflects_now(self):
         clock = VirtualClock.at("2016-12-01T00:00:00")
@@ -275,15 +198,3 @@ class TestSnapshot:
             "denials": 1,
             "last_error": None,
         }
-
-    def test_rate_limit_snapshot(self):
-        engine = PolicyEngine(
-            clock=VirtualClock.at("2016-10-05T09:00:00"),
-            rate_limit=RateLimitConfig(rate=5.0, burst=10.0),
-        )
-        engine.evaluate(AuthRequest("alice", "1.2.3.4", pairing="soft"))
-        snap = engine.snapshot()["rate_limit"]
-        assert snap["configured"]
-        assert snap["rate"] == 5.0
-        assert snap["burst"] == 10.0
-        assert snap["sources_tracked"] == 1

@@ -72,18 +72,12 @@ class TestAdoption:
         clock.advance(601)
         assert "failure_burst" not in policy.risk.assess("alice", HOME_IP).signals
 
-    def test_uninjected_stage_adopts_engine_clock(self, clock):
-        stage = RiskEngine()
-        assert stage.clock_injected is False
-        PolicyEngine(clock=clock, risk=stage)
-        assert stage.clock_injected is True
-
     def test_set_risk_attaches_and_removes_live(self, clock):
         policy = PolicyEngine(clock=clock)
         assert policy.risk is None
-        stage = RiskEngine()
+        stage = RiskEngine(clock)
         policy.set_risk(stage)
-        assert policy.risk is stage and stage.clock_injected is True
+        assert policy.risk is stage
         assert policy.snapshot()["risk"]["configured"] is True
         policy.set_risk(None)
         assert policy.risk is None

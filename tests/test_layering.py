@@ -336,6 +336,39 @@ def test_retired_clock_aliases_stay_out_of_src():
     assert _spelled_in_src(RETIRED_CLOCK_NAMES) == []
 
 
+#: The admission throttle nothing turned on, and the clock-adoption fork it
+#: brought.  Shrink-only, as above: the depth bound is the one shed path, and
+#: a policy object takes its clock in its constructor.
+RETIRED_THROTTLE_NAMES = (
+    "TokenBucketLimiter", "THROTTLE", "bind_clock", "clock_injected",
+)  # fmt: skip
+
+
+def _identifier(node) -> str:
+    """The name a node binds or reads, if it is a name at all."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return node.name
+    if isinstance(node, ast.arg):
+        return node.arg
+    if isinstance(node, ast.alias):
+        return node.asname or node.name.rpartition(".")[2]
+    return ""
+
+
+def test_retired_throttle_stays_out_of_src():
+    found = sorted(
+        (str(path.relative_to(SRC)), name)
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (name := _identifier(node)) in RETIRED_THROTTLE_NAMES
+    )
+    assert found == []
+
+
 #: The hand-rolled eviction loops that ``common.cache`` replaced.  Shrink-only,
 #: as above: a keyed, bounded record is a ``BoundedCache`` under its owner's
 #: lock.
@@ -520,7 +553,7 @@ ROOT = SRC.parent.parent
 CONFIG_CLASSES = {
     "RolloutConfig", "AdoptionModel", "AdaptationModel", "TicketModel", "IngestConfig",
     "ClassPolicy", "StorageConfig", "ResolverConfig", "OTPServerConfig",
-    "RateLimitConfig", "CarrierProfile", "ConcurrencyConfig",
+    "CarrierProfile", "ConcurrencyConfig",
 }  # fmt: skip
 
 #: Fields only tests, the old bench fleet (``benchmarks/*.py``) or examples
@@ -528,13 +561,11 @@ CONFIG_CLASSES = {
 #: entry waits on something named — the fleet's ``benchmarks/test_perf_*``
 #: (``lock_stripes``, ``latency``: ROADMAP item 1 deletes it), the
 #: paper-figure ablations (the lockout threshold, the drift window and the
-#: three rollout dates), and the admission buckets (no deployment throttles
-#: its queue yet).  A field leaves the list by getting a caller in ``src/``
-#: or by becoming a constant.
+#: three rollout dates).  A field leaves the list by getting a caller in
+#: ``src/`` or by becoming a constant — or with the mechanism it turns on,
+#: when nothing else does.
 TEST_ONLY_FIELDS = {
     ("ConcurrencyConfig", "lock_stripes"),
-    ("IngestConfig", "admission_burst"),
-    ("IngestConfig", "admission_rate"),
     ("OTPServerConfig", "drift_seconds"),
     ("OTPServerConfig", "lockout_threshold"),
     ("RolloutConfig", "announcement"),
@@ -570,7 +601,11 @@ RETIRED_FIELDS = {
     "BackoffPolicy": None,
     "FailoverPolicy": None,
     "RiskWeights": None,
-    "IngestConfig": ("shed_classes", "policies", "retry_base_delay", "retry_max_delay"),
+    "RateLimitConfig": None,
+    "IngestConfig": (
+        "shed_classes", "policies", "retry_base_delay", "retry_max_delay",
+        "admission_rate", "admission_burst",
+    ),
     "ClassPolicy": ("max_retries", "max_promotion"),
     "ResolverConfig": ("cache_ttl", "failover", "negative_ttl", "cache_capacity"),
     "OTPServerConfig": (
@@ -580,11 +615,13 @@ RETIRED_FIELDS = {
 }  # fmt: skip
 
 #: ``__init__`` parameters that only tests passed, now module constants (or,
-#: for ``IngestQueue.limiter``, a deleted second admission path).
+#: for ``IngestQueue.limiter`` and ``PolicyEngine.rate_limit``, a deleted
+#: admission throttle).
 #: Shrink-only, as above: none of them comes back.
 RETIRED_PARAMETERS = {
     "IngestQueue": ("limiter",),
     "PriorityHeap": ("policies",),
+    "PolicyEngine": ("rate_limit",),
     "RiskEngine": ("weights", "deny_threshold", "flag_log_limit"),
     "HealthTracker": ("policy",),
     "ResolverChain": ("policy",),
@@ -679,9 +716,9 @@ def test_every_config_field_has_a_setter():
     }
     assert test_only == TEST_ONLY_FIELDS, sorted(test_only ^ TEST_ONLY_FIELDS)
     # Shrink-only, from the first census: 127 fields -> 78 -> 72 -> 70 -> 58,
-    # 42 -> 39 -> 37 -> 30 -> 9.
-    assert len(TEST_ONLY_FIELDS) <= 9
-    assert len(setters) <= 36
+    # 42 -> 39 -> 37 -> 30 -> 9 -> 7.
+    assert len(TEST_ONLY_FIELDS) <= 7
+    assert len(setters) <= 32
 
 
 def test_retired_config_fields_stay_retired():
