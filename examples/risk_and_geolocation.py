@@ -4,10 +4,11 @@
 The paper's conclusion says the software "is ready to be grown to
 incorporate new features including geolocation services, dynamic risk
 assessment, or biometric security."  This example grows it: the Figure-1
-PAM stack over a policy engine that carries a risk engine, with a
-geo-velocity check in front, demonstrating impossible-travel detection,
-watchlists, and step-up authentication that overrides an exemption when
-a service account shows up from an origin it has never used.
+PAM stack over a policy engine that carries a risk engine, whose
+geo-velocity monitor makes impossible travel one more risk signal,
+demonstrating impossible-travel detection, watchlists, and step-up
+authentication that overrides an exemption when a service account shows
+up from an origin it has never used.
 
 Run:  python examples/risk_and_geolocation.py
 """
@@ -21,7 +22,6 @@ from repro.pam.acl import InMemoryExemptionACL
 from repro.pam.conversation import ScriptedConversation
 from repro.pam.framework import PAMSession, PAMStack, PAMResult
 from repro.pam.modules.exemption import MFAExemptionModule
-from repro.pam.modules.geo import PamGeoCheckModule
 from repro.pam.modules.token import MFATokenModule
 from repro.pam.modules.unix_password import UnixPasswordModule
 from repro.policy import PolicyEngine, RiskEngine
@@ -43,8 +43,9 @@ def main() -> None:
     center.add_system("stampede")
 
     geo = GeoDatabase.with_sample_data()
-    monitor = GeoVelocityMonitor(geo, clock)
-    engine = RiskEngine(clock=clock, step_up_threshold=0.2)
+    engine = RiskEngine(
+        clock, geo_monitor=GeoVelocityMonitor(geo, clock), step_up_threshold=0.2
+    )
     acl = InMemoryExemptionACL("+ : sciencegw : ALL : ALL\n", clock=clock)
     # One engine for both policy-backed modules: the risk verdict tightens
     # the ACL (step-up withholds the waiver) and the ladder (deny refuses).
@@ -55,10 +56,9 @@ def main() -> None:
     device = TOTPGenerator(secret=secret, clock=clock)
     center.create_user("sciencegw", password="gw-pw")
 
-    # The grown stack: geo check -> password -> exemption -> token.
+    # Figure 1's stack: password -> exemption -> token, both policy-backed
+    # modules asking the one engine (and so the one risk verdict).
     stack = PAMStack("sshd")
-    stack.append("[success=ok ignore=ignore default=bad]",
-                 PamGeoCheckModule(geo, monitor=monitor, denied_countries=[]))
     stack.append("requisite", UnixPasswordModule(center.identity))
     stack.append("sufficient", MFAExemptionModule(policy))
     stack.append("requisite", MFATokenModule(
@@ -72,24 +72,25 @@ def main() -> None:
                               ["pw", device.current_code()])
     engine.record_success("alice", "129.114.7.7")
     print(f"Austin login: {result.value}  "
-          f"(risk={session.items['risk_score']:.2f}, "
-          f"geo={session.items.get('geo_city')})")
+          f"(risk={session.items['risk_score']:.2f})")
 
     # --- 2. Impossible travel: Beijing ten minutes later --------------------
     clock.advance(600)
     result, session = attempt(stack, clock, "alice", "203.0.113.9",
                               ["pw", device.current_code()])
     print(f"Beijing 10 min later: {result.value}  "
-          f"(implied speed {session.items.get('geo_speed_kmh', 0):.0f} km/h)")
+          f"(risk={session.items['risk_score']:.2f}, "
+          f"signals={session.items['risk_signals']})")
     for message in session.conversation.messages():
         print("   server said:", message)
+    assert "impossible_travel" in session.items["risk_signals"]
 
     # --- 3. A real itinerary: Geneva 14 hours later --------------------------
     clock.advance(14 * 3600)
     result, session = attempt(stack, clock, "alice", "192.0.2.10",
                               ["pw", device.current_code()])
     print(f"Geneva 14 h later: {result.value}  "
-          f"({session.items.get('geo_speed_kmh', 0):.0f} km/h — a plane)")
+          f"(signals={session.items['risk_signals']} — a plane, not a hijack)")
 
     # --- 4. Watchlisted network + failure burst -> outright deny -------------
     clock.advance(3600)

@@ -1,9 +1,9 @@
 """The one bounded, keyed record of recent answers.
 
-The RADIUS duplicate window, the accounting dedup window, the resolver
-chain's lookup cache and the storage read-through cache are one dict that
-forgets its oldest insertion once full (a re-``put`` keeps its place).  An
-entry may carry an absolute ``expires_at``; from then on it is missing.
+The RADIUS duplicate window, the resolver chain's lookup cache and the
+storage read-through cache are one dict that forgets its oldest insertion
+once full (a re-``put`` keeps its place).  An entry may carry an absolute
+``expires_at``; from then on it is missing.
 :data:`MISSING`, not ``None``, means "not held": ``None`` is a value (an
 in-flight RADIUS claim, a negative resolver entry).  No lock: each owner
 calls it under the lock it already holds.  A record that must never forget

@@ -8,13 +8,12 @@ Four in-house modules (Section 3.4) plus the stock password module:
 * :class:`~repro.pam.modules.solaris.SolarisMFAModule`
 * :class:`~repro.pam.modules.unix_password.UnixPasswordModule`
 
-and one grown from the paper's conclusion ("geolocation services"):
-
-* :class:`~repro.pam.modules.geo.PamGeoCheckModule`
+The conclusion's "geolocation services" reach PAM through the policy
+engine: impossible travel is a :class:`~repro.policy.RiskEngine` signal
+that ``pam_mfa_exemption`` and ``pam_mfa_token`` both act on.
 """
 
 from repro.pam.modules.exemption import MFAExemptionModule
-from repro.pam.modules.geo import PamGeoCheckModule
 from repro.pam.modules.pubkey import PublicKeySuccessModule
 from repro.pam.modules.solaris import SolarisMFAModule
 from repro.pam.modules.token import MFATokenModule
@@ -26,5 +25,4 @@ __all__ = [
     "MFATokenModule",
     "SolarisMFAModule",
     "UnixPasswordModule",
-    "PamGeoCheckModule",
 ]

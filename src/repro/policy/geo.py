@@ -5,9 +5,8 @@
 * :class:`GeoVelocityMonitor` — the "impossible travel" detector: it
   remembers each user's last login location/time and computes the great-
   circle speed a new login would imply.  The risk engine
-  (:mod:`repro.policy.risk`) scores its verdict as one more signal; the
-  ``pam_geo_check`` module (:mod:`repro.pam.modules.geo`) enforces it
-  outright.
+  (:mod:`repro.policy.risk`) scores its verdict as one more signal, so the
+  OTP pipeline and both policy-backed PAM modules act on it alike.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ calling "in a round-robin fashion to provide load balancing and resiliency".
 * :mod:`repro.radius.client` — the PAM-side client: round-robin across
   servers, retries, failover (:mod:`repro.common.resilience`), challenge
   state handling.
-* :mod:`repro.radius.proxy` — proxy chaining between RADIUS realms.
 """
 
 from repro.radius.client import RADIUSClient

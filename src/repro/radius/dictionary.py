@@ -15,8 +15,6 @@ class PacketCode(IntEnum):
     ACCESS_REQUEST = 1
     ACCESS_ACCEPT = 2
     ACCESS_REJECT = 3
-    ACCOUNTING_REQUEST = 4
-    ACCOUNTING_RESPONSE = 5
     ACCESS_CHALLENGE = 11
 
 
@@ -33,14 +31,4 @@ class Attr(IntEnum):
     CALLING_STATION_ID = 31
     NAS_IDENTIFIER = 32
     PROXY_STATE = 33
-    ACCT_STATUS_TYPE = 40
-    ACCT_SESSION_ID = 44
-    ACCT_SESSION_TIME = 46
 
-
-class AcctStatusType(IntEnum):
-    """Acct-Status-Type values (RFC 2866 section 5.1)."""
-
-    START = 1
-    STOP = 2
-    INTERIM_UPDATE = 3

@@ -81,7 +81,6 @@ class SSHDaemon:
         clock: Optional[Clock] = None,
         banner: str = "",
         rng: Optional[random.Random] = None,
-        accounting=None,
         telemetry=None,
     ) -> None:
         self.hostname = hostname
@@ -100,10 +99,6 @@ class SSHDaemon:
         self._ids = IdAllocator()
         self.logins_accepted = 0
         self.logins_rejected = 0
-        # Optional RFC 2866 accounting emitter (see repro.radius.accounting):
-        # session start on entry, stop on disconnect.
-        self._accounting = accounting
-        self._session_starts: Dict[str, float] = {}
         self.telemetry = telemetry if telemetry is not None else NOOP_REGISTRY
         self._tracer = self.telemetry.tracer()
         self._m_channels = self.telemetry.counter(
@@ -251,9 +246,6 @@ class SSHDaemon:
             tty=tty,
         )
         self.logins_accepted += 1
-        if self._accounting is not None:
-            self._accounting.start(username, connection_id)
-            self._session_starts[connection_id] = self.clock.now()
         return SSHResult(
             True,
             username,
@@ -281,14 +273,7 @@ class SSHDaemon:
         return True
 
     def disconnect(self, connection_id: str) -> None:
-        master = self._masters.pop(connection_id, None)
-        if master is not None and self._accounting is not None:
-            started = self._session_starts.pop(connection_id, self.clock.now())
-            self._accounting.stop(
-                master.username,
-                connection_id,
-                session_time=int(self.clock.now() - started),
-            )
+        self._masters.pop(connection_id, None)
 
     def open_connections(self) -> List[str]:
         return list(self._masters)

@@ -1,11 +1,12 @@
-"""Geolocation: database, haversine, impossible travel, PAM."""
+"""Geolocation: database, haversine, impossible travel, PAM via risk."""
 
 import pytest
 
 from repro.common.clock import VirtualClock
 from repro.pam.conversation import ScriptedConversation
 from repro.pam.framework import PAMResult, PAMSession
-from repro.pam.modules.geo import PamGeoCheckModule
+from repro.pam.modules.token import MFATokenModule
+from repro.policy import PolicyEngine, RiskEngine
 from repro.policy.geo import GeoDatabase, GeoPoint, GeoVelocityMonitor
 
 AUSTIN = GeoPoint(30.27, -97.74, "US", "Austin")
@@ -103,55 +104,28 @@ class TestGeoVelocity:
         assert monitor.observe("alice", "203.0.113.9").plausible
 
 
-class TestPamGeoCheckModule:
-    def session(self, clock, ip):
-        return PAMSession(
-            username="alice", remote_ip=ip,
-            conversation=ScriptedConversation(), clock=clock,
-        )
-
-    def test_allowed_country(self, geo, clock):
-        module = PamGeoCheckModule(geo, allowed_countries=["US", "CH"])
-        s = self.session(clock, "129.114.0.1")
-        assert module.authenticate(s) is PAMResult.SUCCESS
-        assert s.items["geo_country"] == "US"
-
-    def test_outside_allowlist_denied(self, geo, clock):
-        module = PamGeoCheckModule(geo, allowed_countries=["US"])
-        assert (
-            module.authenticate(self.session(clock, "203.0.113.9"))
-            is PAMResult.AUTH_ERR
-        )
-
-    def test_denied_country(self, geo, clock):
-        module = PamGeoCheckModule(geo, denied_countries=["CN"])
-        assert (
-            module.authenticate(self.session(clock, "203.0.113.9"))
-            is PAMResult.AUTH_ERR
-        )
-        assert (
-            module.authenticate(self.session(clock, "129.114.0.1"))
-            is PAMResult.SUCCESS
-        )
-
-    def test_unmapped_default_ignore(self, geo, clock):
-        module = PamGeoCheckModule(geo)
-        assert module.authenticate(self.session(clock, "8.8.8.8")) is PAMResult.IGNORE
-
-    def test_unmapped_hardened(self, geo, clock):
-        module = PamGeoCheckModule(geo, unmapped_is_error=True)
-        assert (
-            module.authenticate(self.session(clock, "8.8.8.8")) is PAMResult.AUTH_ERR
-        )
+class TestImpossibleTravelInPAM:
+    """Impossible travel reaches PAM as a risk signal of the one policy
+    engine, so the Figure-1 token module refuses it before any prompt."""
 
     def test_impossible_travel_denied_with_message(self, geo, clock):
-        monitor = GeoVelocityMonitor(geo, clock)
-        module = PamGeoCheckModule(geo, monitor=monitor)
-        assert module.authenticate(self.session(clock, "129.114.0.1")) is PAMResult.SUCCESS
+        engine = RiskEngine(clock, geo_monitor=GeoVelocityMonitor(geo, clock))
+        module = MFATokenModule(
+            ldap=None, radius=None, policy=PolicyEngine(clock=clock, risk=engine)
+        )
+
+        # An Austin login the engine scored and saw succeed ...
+        assert engine.evaluate("alice", "129.114.0.1").signals == []
+        engine.record_success("alice", "129.114.0.1")
+        # ... then Beijing ten minutes later.
         clock.advance(600)
-        s = self.session(clock, "203.0.113.9")
+        s = PAMSession(
+            username="alice", remote_ip="203.0.113.9",
+            conversation=ScriptedConversation(), clock=clock,
+        )
         assert module.authenticate(s) is PAMResult.AUTH_ERR
-        assert any("km/h" in m for m in s.conversation.messages())
+        assert "impossible_travel" in s.items["risk_signals"]
+        assert s.conversation.messages() == ["access denied by policy"]
 
 
 class TestClockBinding:

@@ -359,14 +359,19 @@ def _identifier(node) -> str:
     return ""
 
 
-def test_retired_throttle_stays_out_of_src():
-    found = sorted(
+def _identifiers_in_src(names) -> List[Tuple[str, str]]:
+    """``(file, name)`` for every node under ``src/repro`` that binds or
+    reads one of ``names``; comments and docstrings do not count."""
+    return sorted(
         (str(path.relative_to(SRC)), name)
         for path in SRC.rglob("*.py")
         for node in ast.walk(ast.parse(path.read_text()))
-        if (name := _identifier(node)) in RETIRED_THROTTLE_NAMES
+        if (name := _identifier(node)) in names
     )
-    assert found == []
+
+
+def test_retired_throttle_stays_out_of_src():
+    assert _identifiers_in_src(RETIRED_THROTTLE_NAMES) == []
 
 
 #: The hand-rolled eviction loops that ``common.cache`` replaced.  Shrink-only,
@@ -434,15 +439,26 @@ def test_status_code_does_not_probe_the_stack_shape():
 #: be added.
 INVENTORY_ONLY = {
     "qr.decoder",  # S3: the phone app's side of the pairing round trip
-    "radius.proxy",  # S6: proxy chaining between RADIUS realms
     "portal.portal",  # S11: the user portal ...
     "portal.pairing",  # ... its pairing sessions ...
     "portal.store",  # ... and its hard-token web store
     "analysis.loginaudit",  # S13: the Section 4.1 log audit ...
     "analysis.preaudit",  # S21: ... and the campaign that feeds it
-    "radius.accounting",  # S16: RFC 2866 accounting
-    "pam.modules.geo",  # S18: the conclusion's pam_geo_check
     "workload.scheduler",  # S20: the Section 5 workload-manager mitigations
+}
+
+#: Inventory modules that copied a path the deployment already runs, so they
+#: were deleted rather than given a caller: the RADIUS proxy hop (the
+#: client's own round-robin failover, and the server's Proxy-State echo),
+#: RFC 2866 accounting behind ``SSHDaemon(accounting=)`` (the authlog's
+#: ``session_open`` rows and the node's login tallies) and ``pam_geo_check``
+#: (the risk engine's impossible-travel signal, which both policy-backed
+#: PAM modules already act on).  Shrink-only, as above: neither the modules
+#: nor their classes come back.
+RETIRED_INVENTORY = {
+    "radius.proxy": ("RADIUSProxy",),
+    "radius.accounting": ("AccountingServer", "AccountingClient", "AcctStatusType"),
+    "pam.modules.geo": ("PamGeoCheckModule",),
 }
 
 
@@ -536,6 +552,14 @@ def test_every_module_has_a_caller_or_is_inventory():
         if not module.endswith("__init__") and module != "__main__"
     }
     assert unused == INVENTORY_ONLY, sorted(unused ^ INVENTORY_ONLY)
+    # Shrink-only: 10 entries at the first count -> 7.
+    assert len(INVENTORY_ONLY) <= 7
+
+
+def test_retired_inventory_stays_out_of_src():
+    assert set(RETIRED_INVENTORY) & set(MODULES) == set()
+    names = {name for retired in RETIRED_INVENTORY.values() for name in retired}
+    assert _identifiers_in_src(names) == []
 
 
 # -- configuration census -------------------------------------------------------
@@ -616,7 +640,8 @@ RETIRED_FIELDS = {
 
 #: ``__init__`` parameters that only tests passed, now module constants (or,
 #: for ``IngestQueue.limiter`` and ``PolicyEngine.rate_limit``, a deleted
-#: admission throttle).
+#: admission throttle, and for ``SSHDaemon.accounting`` the deleted RFC 2866
+#: emitter).
 #: Shrink-only, as above: none of them comes back.
 RETIRED_PARAMETERS = {
     "IngestQueue": ("limiter",),
@@ -627,6 +652,7 @@ RETIRED_PARAMETERS = {
     "ResolverChain": ("policy",),
     "RADIUSClient": ("policy", "retries"),
     "MFACenter": ("radius_policy",),
+    "SSHDaemon": ("accounting",),
 }
 
 
