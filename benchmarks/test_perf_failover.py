@@ -140,7 +140,7 @@ def test_storage_promotion_latency():
                 "rows": rows,
                 "promote_seconds": round(promote_seconds, 4),
                 "rejoin_replay_seconds": round(rejoin_seconds, 4),
-                "log_records": len(group.wal.records),
+                "log_records": group.wal.last_lsn,
             }
         },
     )

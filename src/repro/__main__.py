@@ -234,6 +234,7 @@ def _cmd_storage(args) -> int:
     import json
     import os
 
+    from repro.common.errors import ConfigurationError
     from repro.storage import load_wal, replay, state_digest
 
     if args.replay is not None:
@@ -251,9 +252,12 @@ def _cmd_storage(args) -> int:
         return 0
 
     os.makedirs(args.demo, exist_ok=True)
-    center, result, _ = _demo_login(
-        shards=args.shards, durability=True, replicas=args.replicas, wal_dir=args.demo
-    )
+    try:
+        center, result, _ = _demo_login(
+            shards=args.shards, durability=True, replicas=args.replicas, wal_dir=args.demo
+        )
+    except ConfigurationError as exc:  # a shard WAL written by an earlier run
+        args.error(str(exc))
     engine = center.otp.db.engine
     stats = center.otp.status("storage")
     out = {

@@ -15,12 +15,17 @@ from __future__ import annotations
 import hashlib
 import hmac
 import random
-from dataclasses import dataclass, field
-from typing import Dict
+import re
+import threading
+from dataclasses import dataclass
+from typing import Dict, Optional
+
+from repro.common.cache import MISSING, BoundedCache
 
 
 def _h(text: str) -> str:
-    return hashlib.md5(text.encode()).hexdigest()
+    # "surrogatepass": a lone surrogate in a header field hashes, not raises.
+    return hashlib.md5(text.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 def ha1(username: str, realm: str, password: str) -> str:
@@ -65,26 +70,38 @@ class DigestCredentials:
 
 
 class DigestClient:
-    """Client half: answer challenges for a (username, password) pair."""
+    """Client half: answer challenges for a (username, password) pair, and
+    sign later requests under the last one with the next nonce count (RFC
+    7616 §3.4, as ``requests``' ``HTTPDigestAuth`` does)."""
 
     def __init__(self, username: str, password: str, rng: random.Random | None = None) -> None:
         self.username = username
         self._password = password
         self._rng = rng or random.Random()
-        self._nonce_counts: Dict[str, int] = {}
+        self._challenge: Optional[DigestChallenge] = None
+        self._ha1 = ""
+        self._nc = 0
 
     def respond(self, challenge: DigestChallenge, method: str, uri: str) -> DigestCredentials:
-        """Build credentials for one request under ``challenge``."""
-        self._nonce_counts[challenge.nonce] = self._nonce_counts.get(challenge.nonce, 0) + 1
-        nc = f"{self._nonce_counts[challenge.nonce]:08x}"
+        """Build credentials for one request under ``challenge`` (a new
+        challenge starts its nonce count at 1)."""
+        if challenge != self._challenge:
+            self._challenge = challenge
+            self._ha1 = ha1(self.username, challenge.realm, self._password)
+            self._nc = 0
+        return self.reuse(method, uri)
+
+    def reuse(self, method: str, uri: str) -> Optional[DigestCredentials]:
+        """Credentials under the last challenge answered, with the next
+        nonce count; None before the first challenge."""
+        challenge = self._challenge
+        if challenge is None:
+            return None
+        self._nc += 1
+        nc = f"{self._nc:08x}"
         cnonce = f"{self._rng.getrandbits(64):016x}"
         resp = digest_response(
-            ha1(self.username, challenge.realm, self._password),
-            challenge.nonce,
-            nc,
-            cnonce,
-            challenge.qop,
-            ha2(method, uri),
+            self._ha1, challenge.nonce, nc, cnonce, challenge.qop, ha2(method, uri)
         )
         return DigestCredentials(
             username=self.username,
@@ -98,10 +115,9 @@ class DigestClient:
         )
 
 
-@dataclass
-class _NonceState:
-    issued: bool = True
-    seen_counts: set = field(default_factory=set)
+#: How many issued nonces the verifier remembers; the oldest goes first.
+NONCE_TABLE = 1024
+_NC = re.compile(r"[0-9a-f]{8}")  # RFC 7616's nc: eight lower-case hex digits
 
 
 class DigestVerifier:
@@ -110,38 +126,45 @@ class DigestVerifier:
     Tracks nonce counts so a captured Authorization header cannot be
     replayed — part of the "hardened to handle form resubmissions and
     replays" behaviour of the portlet application.
+
+    The nonce table holds issued nonces, so it may be bounded: forgetting
+    one fails closed (a 401 and a fresh challenge, never a pass), unlike the
+    federation ``NonceCache`` of used nonces, where forgetting is a replay.
     """
 
     def __init__(self, realm: str, rng: random.Random | None = None) -> None:
         self.realm = realm
         self._rng = rng or random.Random()
         self._users: Dict[str, str] = {}
-        self._nonces: Dict[str, _NonceState] = {}
+        self._lock = threading.Lock()
+        self._nonces = BoundedCache(NONCE_TABLE)  # nonce -> highest nc accepted
 
     def add_user(self, username: str, password: str) -> None:
         self._users[username] = ha1(username, self.realm, password)
 
     def challenge(self) -> DigestChallenge:
         nonce = f"{self._rng.getrandbits(128):032x}"
-        self._nonces[nonce] = _NonceState()
+        with self._lock:
+            self._nonces.put(nonce, 0)
         return DigestChallenge(realm=self.realm, nonce=nonce)
 
     def verify(self, creds: DigestCredentials, method: str, uri: str) -> bool:
-        """Return True iff the credentials authenticate this request."""
+        """Return True iff the credentials authenticate this request (any
+        field strings get a bool, never an exception)."""
         stored_ha1 = self._users.get(creds.username)
-        if stored_ha1 is None:
+        if stored_ha1 is None or creds.uri != uri or creds.realm != self.realm:
             return False
-        state = self._nonces.get(creds.nonce)
-        if state is None:
-            return False  # stale or fabricated nonce
-        if creds.nc in state.seen_counts:
-            return False  # replay of an already-used nonce count
-        if creds.uri != uri or creds.realm != self.realm:
-            return False
+        if not (_NC.fullmatch(creds.nc) and creds.response.isascii()):
+            return False  # a malformed count; a response no hex digest equals
         expected = digest_response(
             stored_ha1, creds.nonce, creds.nc, creds.cnonce, creds.qop, ha2(method, uri)
         )
         if not hmac.compare_digest(expected, creds.response):
             return False
-        state.seen_counts.add(creds.nc)
+        nc = int(creds.nc, 16)
+        with self._lock:  # lookup and advance in one step: one request per nc
+            highest = self._nonces.get(creds.nonce)
+            if highest is MISSING or nc <= highest:
+                return False  # a stale, fabricated or forgotten nonce; a replay
+            self._nonces.put(creds.nonce, nc)
         return True

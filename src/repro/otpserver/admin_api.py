@@ -8,10 +8,10 @@ Authentication over a TLS-secured connection."
 :class:`AdminAPI` is the server side: a route table over
 :class:`~repro.otpserver.server.OTPServer` guarded by
 :class:`~repro.crypto.digest_auth.DigestVerifier`.  :class:`AdminAPIClient`
-is the portal side: it performs the 401-challenge/retry digest handshake on
-every request, never sending the admin password itself.  The transport is a
-direct call (our stand-in for HTTPS on a private network), but request and
-response shapes are those of a JSON-over-HTTP API.
+is the portal side: it answers a 401 digest challenge once and signs later
+requests under the same nonce, never sending the admin password itself.
+The transport is a direct call (our stand-in for HTTPS on a private
+network), but request and response shapes are those of a JSON-over-HTTP API.
 """
 
 from __future__ import annotations
@@ -180,17 +180,19 @@ class AdminAPIClient:
     def call(
         self, method: str, path: str, params: Optional[Dict[str, Any]] = None
     ) -> Dict[str, Any]:
-        """One authenticated request: absorb the 401 challenge and retry."""
-        first = self._api.request(method, path, params)
-        if first.status != 401:
+        """One request signed under the last challenge; a 401 (a first call,
+        a forgotten nonce) is answered once and the request retried."""
+        creds = self._digest.reuse(method, path)
+        response = self._api.request(method, path, params, credentials=creds)
+        if response.status == 401:
+            creds = self._digest.respond(response.challenge, method, path)
+            response = self._api.request(method, path, params, credentials=creds)
+            if response.status == 401:
+                raise ProtocolError("admin API rejected digest credentials")
+        elif creds is None:
             # Server accepted without auth — should not happen; treat as
             # protocol violation rather than silently trusting it.
             raise ProtocolError("admin API accepted an unauthenticated request")
-        assert first.challenge is not None
-        creds = self._digest.respond(first.challenge, method, path)
-        response = self._api.request(method, path, params, credentials=creds)
-        if response.status == 401:
-            raise ProtocolError("admin API rejected digest credentials")
         if response.status != 200:
             raise ValidationError(
                 response.body.get("error", f"HTTP {response.status}")

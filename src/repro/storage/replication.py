@@ -85,8 +85,6 @@ class ReplicaGroup(WALEngine):
         ]
         self.promotions = 0
         self._crashed: Optional[int] = None  # node id awaiting rejoin
-        #: How many of the WAL's records the replicas have been sent.
-        self._shipped = len(self.wal.records)
 
     def _take_node_id(self) -> int:
         node = self._next_node
@@ -95,18 +93,18 @@ class ReplicaGroup(WALEngine):
 
     # -- shipping -----------------------------------------------------------
 
-    def _log(self, record: dict) -> None:
+    def _log(self, record: dict) -> List[dict]:
         """Log, then apply what the WAL gained (nothing while a transaction
         buffers; a record and the snapshot it triggered), in LSN order, to
         every live replica."""
-        super()._log(record)
-        for appended in self.wal.records[self._shipped:]:
+        gained = super()._log(record)
+        for appended in gained:
             for replica in self.replicas:
                 if replica.alive:
                     if appended["op"] != "snapshot":
                         apply_record(replica.engine, appended)
                     replica.applied_lsn = appended["lsn"]
-        self._shipped = len(self.wal.records)
+        return gained
 
     # -- failure handling ---------------------------------------------------
 
@@ -133,7 +131,7 @@ class ReplicaGroup(WALEngine):
             # Deterministic promotion: most caught-up wins, ties to the
             # lowest node id — every run picks the same new primary.
             best = max(live, key=lambda replica: (replica.applied_lsn, -replica.node_id))
-            for record in self.wal.records_after(best.applied_lsn):
+            for record in self.wal.read()[best.applied_lsn:]:  # record n at n - 1
                 if record["op"] != "snapshot":
                     apply_record(best.engine, record)
                 best.applied_lsn = record["lsn"]
@@ -163,7 +161,8 @@ class ReplicaGroup(WALEngine):
         with self._lock:
             if self._crashed is None:
                 raise ValidationError(f"{self.name}: no crashed node to rejoin")
-            rebuilt = replay(self.wal.records, self._engine_factory)
+            records = self.wal.read()
+            rebuilt = replay(records, self._engine_factory)
             head = self.wal.last_lsn
             replica = _Replica(self._crashed, rebuilt, applied_lsn=head)
             self.replicas.append(replica)
@@ -174,7 +173,7 @@ class ReplicaGroup(WALEngine):
             return {
                 "group": self.name,
                 "node": replica.node_id,
-                "caught_up_records": len(self.wal.records),
+                "caught_up_records": len(records),
                 "lsn": head,
                 "rejoined_digest": rebuilt_digest,
                 "primary_digest": primary_digest,

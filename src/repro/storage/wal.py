@@ -29,7 +29,7 @@ import zlib
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.errors import ValidationError
+from repro.common.errors import ConfigurationError, ValidationError
 from repro.simcore.digest import canonical_line
 from repro.storage.engine import Predicate, Row, StorageEngine
 from repro.storage.memory import InMemoryEngine
@@ -81,43 +81,48 @@ def decode_row(row: Dict[str, Any]) -> Row:
 class WriteAheadLog:
     """An append-only, CRC'd, canonical-JSON record store.
 
-    In memory by default; with ``path`` every record is also written as a
-    line ``<crc32 hex> <canonical json>`` and flushed, so an offline
-    ``python -m repro storage --replay`` can rebuild state from the file.
+    In memory by default; with ``path`` every record is only written, as a
+    line ``<crc32 hex> <canonical json>``, and flushed: the file is the
+    history :meth:`read` and an offline ``storage --replay`` load back.
     """
 
     def __init__(self, path: Optional[str] = None) -> None:
-        self.records: List[dict] = []
+        self._records: List[dict] = []  # a path-less log's history
         self.path = path
         self._file = open(path, "a", encoding="utf-8") if path else None
+        if self._file is not None and self._file.tell():  # LSNs restart at 1
+            self._file.close()
+            raise ConfigurationError(f"{path} already holds a WAL (see storage --replay)")
         self.bytes_written = 0
         self.snapshots = 0
         self.last_snapshot_lsn = 0
         self.last_lsn = 0
 
-    def append(self, record: dict) -> int:
-        """Assign the next LSN, render canonically, persist; returns the LSN."""
+    def append(self, record: dict) -> dict:
+        """Assign the next LSN, render canonically, persist; returns the record."""
         lsn = self.last_lsn = self.last_lsn + 1
         record = dict(record, lsn=lsn)
         line = canonical_line(record)
-        self.records.append(record)
         self.bytes_written += len(line) + 10  # "crc " prefix + newline
         if record.get("op") == "snapshot":
             self.snapshots += 1
             self.last_snapshot_lsn = lsn
-        if self._file is not None:
+        if self._file is None:
+            self._records.append(record)
+        else:  # after close() the write raises rather than drop the record
             crc = zlib.crc32(line.encode("utf-8"))
             self._file.write(f"{crc:08x} {line}\n")
             self._file.flush()
-        return lsn
+        return record
 
-    def records_after(self, lsn: int) -> List[dict]:
-        """Records with LSN strictly greater than ``lsn`` (replica catch-up)."""
-        return [record for record in self.records if record["lsn"] > lsn]
+    def read(self) -> List[dict]:
+        """Every record logged so far, in LSN order (record ``n`` at index
+        ``n - 1``): the file's, or the in-memory list's."""
+        return load_wal(self.path)[0] if self.path else self._records
 
     def stats(self) -> Dict[str, object]:
         return {
-            "records": len(self.records),
+            "records": self.last_lsn,
             "last_lsn": self.last_lsn,
             "snapshots": self.snapshots,
             "last_snapshot_lsn": self.last_snapshot_lsn,
@@ -128,7 +133,6 @@ class WriteAheadLog:
     def close(self) -> None:
         if self._file is not None:
             self._file.close()
-            self._file = None
 
 
 def load_wal(path: str) -> Tuple[List[dict], int]:
@@ -298,16 +302,22 @@ class WALEngine:
 
     # -- logging plumbing ---------------------------------------------------
 
-    def _log(self, record: dict) -> None:
-        """Buffer under a transaction, else append (and maybe snapshot)."""
+    def _log(self, record: dict) -> List[dict]:
+        """Buffer under a transaction, else append; returns what the log
+        gained, in LSN order (nothing, or a record and its snapshot)."""
         if self._txn_buffers:
             self._txn_buffers[-1].append(record)
-            return
-        lsn = self.wal.append(record)
+            return []
+        gained = [self.wal.append(record)]
         if self._counted:
             self._c_appends[record["op"]].inc()
+        lsn = gained[0]["lsn"]
         if self.snapshot_every and lsn - self.wal.last_snapshot_lsn >= self.snapshot_every:
-            self.snapshot()
+            # This class's ``_log``, not a subclass's: a subclass ships the
+            # snapshot with the record that triggered it, once.
+            snapshot = {"op": "snapshot", "state": capture_state(self.inner)}
+            gained += WALEngine._log(self, snapshot)
+        return gained
 
     def snapshot(self) -> int:
         """Write a full-state snapshot record; returns its LSN."""

@@ -6,6 +6,7 @@ import pytest
 
 from repro.common.clock import VirtualClock
 from repro.common.errors import ProtocolError, ValidationError
+from repro.crypto.digest_auth import NONCE_TABLE
 from repro.crypto.totp import TOTPGenerator
 from repro.otpserver.admin_api import AdminAPI, AdminAPIClient
 from repro.otpserver.server import OTPServer
@@ -49,6 +50,25 @@ class TestAuthenticationGate:
         server.enroll_soft("alice")
         body = client.call("GET", "/admin/show", {"user": "alice"})
         assert body["tokens"][0]["type"] == "soft"
+
+
+class TestNonceTable:
+    def test_unauthenticated_requests_do_not_grow_it(self, api):
+        for _ in range(10_000):
+            assert api.request("GET", "/admin/show", {"user": "x"}).status == 401
+        assert len(api._verifier._nonces) <= NONCE_TABLE
+
+    def test_an_evicted_nonce_costs_one_extra_401(self, api, client, server):
+        server.enroll_soft("alice")
+        client.call("GET", "/admin/show", {"user": "alice"})
+        for _ in range(NONCE_TABLE):  # newer challenges push the client's out
+            api.request("GET", "/admin/show", {"user": "x"})
+        before = api.request_count
+        body = client.call("GET", "/admin/show", {"user": "alice"})
+        assert body["tokens"][0]["type"] == "soft"
+        assert api.request_count == before + 2  # refused, challenged, retried
+        client.call("GET", "/admin/show", {"user": "alice"})
+        assert api.request_count == before + 3
 
 
 class TestRoutes:
@@ -143,5 +163,8 @@ class TestRoutes:
         server.enroll_soft("alice")
         before = api.request_count
         client.call("GET", "/admin/show", {"user": "alice"})
-        # One 401 challenge round plus the authenticated request.
+        # The first call: one 401 challenge round plus the authenticated request.
         assert api.request_count == before + 2
+        client.call("GET", "/admin/show", {"user": "alice"})
+        # Later calls sign under the same nonce with the next count: one request.
+        assert api.request_count == before + 3

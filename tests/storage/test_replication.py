@@ -10,6 +10,8 @@ from repro.storage import (
     TableSchema,
     build_engine,
     find_layer,
+    load_wal,
+    replay,
     state_digest,
 )
 
@@ -222,3 +224,25 @@ class TestReplicatedEngine:
             "shard0.wal",
             "shard1.wal",
         ]
+
+
+class TestFileBackedGroups:
+    """With ``wal_dir`` the shard's file is its log: promotion catches up
+    from it and a rejoining node is rebuilt by replaying it."""
+
+    def test_crash_write_rejoin_replays_the_file(self, tmp_path):
+        engine = ReplicatedEngine(
+            shards=2, replicas=1, wal_dir=str(tmp_path), snapshot_every=50
+        )
+        engine.create_table("t", SCHEMA)
+        _fill(engine, count=120)
+        crashed = engine.crash_primary(0)
+        _fill(engine, start=120, count=80)
+        rejoined = engine.rejoin(0)
+        assert crashed["match"] is True and rejoined["match"] is True
+        records, dropped = load_wal(str(tmp_path / "shard0.wal"))
+        assert dropped == 0 and records[-1]["lsn"] == rejoined["lsn"]
+        assert rejoined["caught_up_records"] == len(records)
+        assert state_digest(replay(records)) == rejoined["primary_digest"]
+        assert engine.groups[0].wal.snapshots >= 1
+        assert _all_caught_up(engine)

@@ -19,20 +19,23 @@ assert the durability contract:
 import json
 import os
 import tempfile
+import tracemalloc
 import zlib
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.common.errors import ValidationError
+from repro.common.errors import ConfigurationError, ValidationError
 from repro.storage import (
     InMemoryEngine,
     TableSchema,
     WALEngine,
+    WriteAheadLog,
     load_wal,
     replay,
     state_digest,
 )
+from repro.storage import wal as wal_module
 from repro.storage.wal import capture_state, decode_row, encode_row
 
 SCHEMA = TableSchema(
@@ -85,14 +88,14 @@ class TestReplayReconstructs:
     @given(ops=_OPS)
     def test_replay_matches_live_state(self, ops):
         engine = _build(ops)
-        assert state_digest(replay(engine.wal.records)) == engine.state_digest()
+        assert state_digest(replay(engine.wal.read())) == engine.state_digest()
 
     @settings(max_examples=30, deadline=None)
     @given(ops=_OPS)
     def test_replay_is_idempotent(self, ops):
         engine = _build(ops)
-        first = state_digest(replay(engine.wal.records))
-        second = state_digest(replay(engine.wal.records))
+        first = state_digest(replay(engine.wal.read()))
+        second = state_digest(replay(engine.wal.read()))
         assert first == second == engine.state_digest()
 
     @settings(max_examples=30, deadline=None)
@@ -101,7 +104,7 @@ class TestReplayReconstructs:
         plain = _build(ops)
         snapshotted = _build(ops, snapshot_every=every)
         assert (
-            state_digest(replay(snapshotted.wal.records))
+            state_digest(replay(snapshotted.wal.read()))
             == plain.state_digest()
         )
 
@@ -109,7 +112,7 @@ class TestReplayReconstructs:
     @given(ops=_OPS)
     def test_bytes_round_trip(self, ops):
         engine = _build(ops)
-        recovered = replay(engine.wal.records)
+        recovered = replay(engine.wal.read())
         live = sorted(engine.select("t"), key=lambda r: r["id"])
         back = sorted(recovered.select("t"), key=lambda r: r["id"])
         assert live == back  # bytes columns byte-identical, not reprs
@@ -120,7 +123,7 @@ class TestPrefixesAreValidStates:
     @given(ops=_OPS, data=st.data())
     def test_any_prefix_replays_cleanly(self, ops, data):
         engine = _build(ops)
-        records = engine.wal.records
+        records = engine.wal.read()
         cut = data.draw(st.integers(min_value=0, max_value=len(records)))
         replay(records[:cut])  # must not raise for any boundary
 
@@ -130,7 +133,7 @@ class TestPrefixesAreValidStates:
         """The engine applies, then logs; a crash in between loses exactly
         the unlogged op.  Recovery must equal the state *before* it."""
         engine = _build(ops)
-        records = engine.wal.records
+        records = engine.wal.read()
         if len(records) <= 1:
             return
         shadow = replay(records[:-1])
@@ -139,13 +142,13 @@ class TestPrefixesAreValidStates:
 
     def test_txn_abort_leaves_no_trace(self):
         engine = _build([("insert", 1, "a")])
-        before = len(engine.wal.records)
+        before = engine.wal.last_lsn
         with pytest.raises(ValidationError):
             with engine.transaction():
                 engine.insert("t", {"id": 2, "val": "x", "blob": b""})
                 engine.insert("t", {"id": 2, "val": "dup", "blob": b""})
-        assert len(engine.wal.records) == before
-        assert state_digest(replay(engine.wal.records)) == engine.state_digest()
+        assert engine.wal.last_lsn == before
+        assert state_digest(replay(engine.wal.read())) == engine.state_digest()
 
     def test_txn_is_one_atomic_record(self):
         engine = _build([])
@@ -153,10 +156,10 @@ class TestPrefixesAreValidStates:
             engine.insert("t", {"id": 1, "val": "a", "blob": b""})
             engine.insert("t", {"id": 2, "val": "b", "blob": b""})
             engine.update("t", 1, {"val": "c"})
-        txn = engine.wal.records[-1]
+        txn = engine.wal.read()[-1]
         assert txn["op"] == "txn" and len(txn["ops"]) == 3
         # Dropping the txn record recovers the exact pre-transaction state.
-        recovered = replay(engine.wal.records[:-1])
+        recovered = replay(engine.wal.read()[:-1])
         assert recovered.row_count("t") == 0
 
 
@@ -167,7 +170,7 @@ def _build_prefix_state(ops, records):
     target = len(records) - 1
     live = set()
     for op, pk, value in ops:
-        if len(shadow.wal.records) >= target:
+        if shadow.wal.last_lsn >= target:
             break
         if op == "insert" and pk not in live:
             shadow.insert("t", {"id": pk, "val": value, "blob": b"\x00" * (pk + 1)})
@@ -190,9 +193,8 @@ class TestFileRoundTrip:
             engine.wal.close()
             records, dropped = load_wal(path)
             assert dropped == 0
-            assert [r["lsn"] for r in records] == [
-                r["lsn"] for r in engine.wal.records
-            ]
+            # The file holds exactly what a path-less log of the same run holds.
+            assert records == _build(ops).wal.read()
             assert state_digest(replay(records)) == engine.state_digest()
 
     def test_torn_tail_truncated(self, tmp_path):
@@ -201,6 +203,7 @@ class TestFileRoundTrip:
             [("insert", i, f"v{i}") for i in range(5)], path=path
         )
         engine.wal.close()
+        before = engine.wal.read()  # captured before the tear
         with open(path, "r+", encoding="utf-8") as handle:
             content = handle.read()
             handle.seek(0)
@@ -208,7 +211,7 @@ class TestFileRoundTrip:
             handle.write(content[: len(content) - 12])  # tear the last line
         records, dropped = load_wal(path)
         assert dropped == 1
-        assert len(records) == len(engine.wal.records) - 1
+        assert records == before[:-1]
         replay(records)  # the surviving prefix is a valid state
 
     def test_corrupted_line_stops_the_read(self, tmp_path):
@@ -236,6 +239,82 @@ class TestFileRoundTrip:
             handle.write("\n".join(lines) + "\n")
         records, _ = load_wal(path)
         assert len(records) == 2
+
+
+class TestFileBackedLog:
+    """A log with a path keeps its history in one place: the file."""
+
+    def test_history_is_not_held_in_memory(self, tmp_path):
+        # Six columns, like a token row: a row dict of five keys or fewer
+        # would take its keys table from CPython's small-dict free list,
+        # where a logged record's table has just gone, and tracemalloc
+        # charges a recycled block to the line that first allocated it.
+        wide = TableSchema(
+            columns=("id", "val", "blob", "a", "b", "c"), primary_key="id"
+        )
+        tracemalloc.start()
+        try:
+            engine = WALEngine(InMemoryEngine(), path=str(tmp_path / "t.wal"))
+            engine.create_table("t", wide)
+            for pk in range(5_000):
+                engine.insert("t", {"id": pk, "val": f"v{pk}", "blob": b"\x00" * 8})
+            held = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, wal_module.__file__)]
+            )
+        finally:
+            tracemalloc.stop()
+        engine.wal.close()
+        assert sum(stat.size for stat in held.statistics("filename")) < 64 * 1024
+        assert engine.wal.stats()["records"] == engine.wal.last_lsn == 5_001
+
+    def test_read_is_the_file(self, tmp_path):
+        path = str(tmp_path / "t.wal")
+        engine = _build([("insert", pk, f"v{pk}") for pk in range(4)], path=path)
+        assert engine.wal.read() == load_wal(path)[0]
+        assert [r["lsn"] for r in engine.wal.read()] == [1, 2, 3, 4, 5]
+
+    def test_a_used_file_is_refused(self, tmp_path):
+        path = str(tmp_path / "t.wal")
+        _build([("insert", 1, "a")], path=path).wal.close()
+        with open(path, "rb") as handle:
+            written = handle.read()
+        with pytest.raises(ConfigurationError, match="--replay"):
+            WriteAheadLog(path)
+        with pytest.raises(ConfigurationError, match="already holds a WAL"):
+            WALEngine(InMemoryEngine(), path=path)
+        with open(path, "rb") as handle:
+            assert handle.read() == written  # no second history appended
+        assert load_wal(path) == (_build([("insert", 1, "a")]).wal.read(), 0)
+
+    def test_a_closed_log_refuses_appends(self, tmp_path):
+        log = WriteAheadLog(str(tmp_path / "t.wal"))
+        log.close()
+        with pytest.raises(ValueError):
+            log.append({"op": "delete", "table": "t", "pk": 1})
+        assert log.read() == []
+
+    def test_an_empty_file_is_a_fresh_log(self, tmp_path):
+        path = tmp_path / "t.wal"
+        path.touch()
+        log = WriteAheadLog(str(path))
+        assert log.read() == []
+        log.close()
+
+    def test_an_append_returns_its_record_and_snapshot_once(self):
+        gained = []
+
+        class Recording(WALEngine):
+            def _log(self, record):
+                appended = super()._log(record)
+                gained.extend(appended)
+                return appended
+
+        engine = Recording(InMemoryEngine(), snapshot_every=3)
+        engine.create_table("t", SCHEMA)
+        for pk in range(5):
+            engine.insert("t", {"id": pk, "val": None, "blob": None})
+        assert gained == engine.wal.read()
+        assert [r["op"] for r in gained].count("snapshot") == 2
 
 
 def _framed(payload: bytes) -> bytes:
@@ -269,10 +348,11 @@ class TestArbitraryTails:
             path = os.path.join(tmp, "t.wal")
             engine = _build([("insert", pk, f"v{pk}") for pk in range(3)], path=path)
             engine.wal.close()
+            before = engine.wal.read()  # captured before the tail lands
             with open(path, "ab") as handle:
                 handle.write(tail)
             records, dropped = load_wal(path)
-        assert records == engine.wal.records
+        assert records == before
         assert dropped == len(tail.splitlines())
 
 

@@ -63,3 +63,21 @@ def test_help_lists_every_command(capsys):
     assert all(f"\n    {command}" in out for command in COMMANDS)
     assert main(["scenario", "--help"]) == 0
     assert "--seed N" in capsys.readouterr().out
+
+
+def test_storage_demo_refuses_a_used_directory(capsys, tmp_path):
+    """A second ``storage --demo`` on one directory used to append a second
+    history, LSNs from 1 again, and the next replay dropped all of it."""
+    wals = str(tmp_path / "wals")
+    assert main(["storage", "--demo", wals]) == 0
+    with open(f"{wals}/shard0.wal", "rb") as handle:
+        written = handle.read()
+    capsys.readouterr()
+    assert main(["storage", "--demo", wals]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "already holds a WAL" in captured.err and "--replay" in captured.err
+    with open(f"{wals}/shard0.wal", "rb") as handle:
+        assert handle.read() == written
+    assert main(["storage", "--replay", f"{wals}/shard0.wal"]) == 0
+    assert '"dropped": 0' in capsys.readouterr().out
