@@ -84,7 +84,6 @@ class IdentityBackend:
         self.ldap = ldap or LDAPDirectory()
         self._accounts: Dict[str, Account] = {}
         self._ids = IdAllocator()
-        self.pairing_notifications: List[tuple] = []
 
     def __len__(self) -> int:
         return len(self._accounts)
@@ -167,7 +166,6 @@ class IdentityBackend:
         account = self.get(username)
         account.pairing_status = status
         self.ldap.modify(account.dn, {"mfaPairingType": [status.value]})
-        self.pairing_notifications.append((username, status))
 
     def pairing_type(self, username: str) -> PairingStatus:
         """The LDAP-sourced pairing type (what PAM queries, Figure 2)."""

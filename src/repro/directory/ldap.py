@@ -17,7 +17,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from sys import intern
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.common.errors import NotFoundError
 
@@ -34,13 +35,17 @@ def _dn_parent(dn: str) -> str:
     return dn.partition(",")[2]
 
 
-@dataclass
+@dataclass(slots=True)
 class LDAPEntry:
     """One directory entry: a DN and multi-valued attributes.
 
     An entry stored in an :class:`LDAPDirectory` reports changes of its
     indexed attribute to that directory, so mutating what ``get`` or
     ``search`` handed out keeps the index exact.
+
+    Like slapd's entries, which point at one shared ``AttributeDescription``
+    per attribute type, every entry keys its values by one interned name
+    per attribute type, and holds each value list at its exact size.
     """
 
     dn: str
@@ -58,15 +63,19 @@ class LDAPEntry:
         values = self.get(attr)
         return values[0] if values else default
 
-    def set(self, attr: str, values: Iterable[str]) -> None:
-        attr = attr.lower()
-        values = [str(v) for v in values]
+    def set(self, attr: str, values: Any) -> None:
+        """Replace ``attr``'s values: an iterable of values, or one value (a
+        ``str`` is one value, never its characters)."""
+        attr = intern(attr.lower())
+        if isinstance(values, str) or not hasattr(values, "__iter__"):
+            values = (values,)
+        values = list(map(str, values))[:]  # a slice is allocated exactly
         if attr == INDEXED_ATTR and self._directory is not None:
             self._directory._reindex(self, self.attributes.get(attr, ()), values)
         self.attributes[attr] = values
 
     def add_value(self, attr: str, value: str) -> None:
-        attr = attr.lower()
+        attr = intern(attr.lower())
         value = str(value)
         values = self.attributes.setdefault(attr, [])
         if attr == INDEXED_ATTR and self._directory is not None:
@@ -241,14 +250,13 @@ class LDAPDirectory:
 
     # -- entries -------------------------------------------------------------
 
-    def add(self, dn: str, attributes: Dict[str, Iterable[str]]) -> LDAPEntry:
+    def add(self, dn: str, attributes: Dict[str, Any]) -> LDAPEntry:
+        """Add an entry; each attribute's values go through ``LDAPEntry.set``."""
         norm = _normalize_dn(dn)
         if norm in self._entries:
             raise ValueError(f"entry already exists: {dn}")
         entry = LDAPEntry(dn=norm)
         for attr, values in attributes.items():
-            if isinstance(values, str):
-                values = [values]
             entry.set(attr, values)
         # Entry ids only grow, so id order is the order ``_entries`` iterates.
         self._next_entry_id += 1
@@ -268,15 +276,14 @@ class LDAPDirectory:
     def exists(self, dn: str) -> bool:
         return _normalize_dn(dn) in self._entries
 
-    def modify(self, dn: str, changes: Dict[str, Optional[Iterable[str]]]) -> LDAPEntry:
-        """Replace-style modify; a value of ``None`` deletes the attribute."""
+    def modify(self, dn: str, changes: Dict[str, Any]) -> LDAPEntry:
+        """Replace-style modify (values as ``LDAPEntry.set`` takes them); a
+        value of ``None`` deletes the attribute."""
         entry = self.get(dn)
         for attr, values in changes.items():
             if values is None:
                 entry.remove_attr(attr)
             else:
-                if isinstance(values, str):
-                    values = [values]
                 entry.set(attr, values)
         return entry
 

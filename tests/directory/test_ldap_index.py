@@ -200,10 +200,17 @@ def test_shared_uid_comes_back_in_directory_order():
     ]
 
 
+class Unprintable:
+    """A value with no text form: storing it fails after ``uid`` is set."""
+
+    def __str__(self):
+        raise TypeError("no text form")
+
+
 def test_failed_add_files_nothing():
     directory = LDAPDirectory()
     with pytest.raises(TypeError):
-        directory.add(DNS[0], {"uid": "al", "mail": 5})
+        directory.add(DNS[0], {"uid": "al", "mail": [Unprintable()]})
     assert directory.search(SUFFIX, "(uid=al)") == []
     assert not directory.exists(DNS[0])
 

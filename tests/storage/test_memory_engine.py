@@ -1,9 +1,13 @@
 """In-memory engine: CRUD, indices, and undo-log transaction semantics."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
+import repro.storage.memory as memory_module
 from repro.common.errors import NotFoundError, ValidationError
+from repro.otpserver.server import _TOKEN_COLUMNS
 from repro.storage import InMemoryEngine, TableSchema
 
 
@@ -71,7 +75,8 @@ class TestCRUD:
 
 class TestIndexHoldsLiveValuesOnly:
     """A removed row takes its index entries with it: the index of a table
-    whose rows come and go does not grow with every value ever stored."""
+    whose rows come and go does not grow with every value ever stored.  A
+    value one row holds is filed as that row's bare pk."""
 
     @pytest.fixture
     def tokens(self):
@@ -88,8 +93,8 @@ class TestIndexHoldsLiveValuesOnly:
             tokens.insert("tokens", {"serial": f"S{n}", "user_id": f"u{n}", "type": "sms"})
             tokens.delete("tokens", f"S{n}")
         indices = tokens._table("tokens").indices
-        assert indices["user_id"] == {"kept": {"keep"}}
-        assert indices["type"] == {"soft": {"keep"}}
+        assert indices["user_id"] == {"kept": "keep"}
+        assert indices["type"] == {"soft": "keep"}
         assert tokens.select("tokens", where={"user_id": "u7"}) == []
         assert tokens.count("tokens", where={"user_id": "u7"}) == 0
         assert tokens.count("tokens", where={"type": "sms"}) == 0
@@ -105,10 +110,41 @@ class TestIndexHoldsLiveValuesOnly:
                 tokens.update("tokens", "S1", {"user_id": "u4"})
                 raise RuntimeError("abort")
         indices = tokens._table("tokens").indices
-        assert indices["user_id"] == {"u2": {"S1"}}
-        assert indices["type"] == {"soft": {"S1"}}
+        assert indices["user_id"] == {"u2": "S1"}
+        assert indices["type"] == {"soft": "S1"}
         assert tokens.select("tokens", where={"user_id": "u2"})[0]["serial"] == "S1"
         assert tokens.count("tokens", where={"user_id": "u1"}) == 0
+
+
+class TestFootprint:
+    def test_token_table_bytes_per_row(self):
+        """A token row is one list, and a user's one token is filed in the
+        ``user_id`` index as its bare serial, not in a set of one."""
+        tracemalloc.start()
+        try:
+            engine = InMemoryEngine()
+            engine.create_table(
+                "tokens",
+                TableSchema(_TOKEN_COLUMNS, "serial", indexed=("user_id", "token_type")),
+            )
+            for n in range(5_000):
+                engine.insert(
+                    "tokens",
+                    {
+                        "serial": f"TOTP{n:08d}",
+                        "user_id": f"{n:06d}",
+                        "token_type": "soft",
+                        "active": True,
+                        "failcount": 0,
+                    },
+                )
+            held = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, memory_module.__file__)]
+            )
+        finally:
+            tracemalloc.stop()
+        assert engine.row_count("tokens") == 5_000
+        assert sum(stat.size for stat in held.statistics("filename")) <= 400 * 5_000
 
 
 class TestUndoLogTransactions:
