@@ -14,8 +14,9 @@ Invalidation rules:
   not recoverable from the key alone).
 * ``insert`` invalidates nothing — misses are never cached, so there is no
   stale negative entry to correct.
-* an aborted transaction clears the whole cache: reads inside the block
-  may have cached uncommitted state that the rollback then reverted.
+* an aborted (or refused) transaction clears the whole cache: reads
+  inside the block may have cached uncommitted state that the rollback
+  then reverted.
 
 ``select``/``count`` pass straight through (range scans would thrash a
 point cache).  Cached values are raw storage rows, so nothing outside a
@@ -25,11 +26,10 @@ write to the row — no schema addition, no policy change — can stale one.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Set
 
 from repro.common.cache import MISSING, BoundedCache
-from repro.storage.engine import Predicate, Row, StorageEngine
+from repro.storage.engine import Predicate, Row, StorageEngine, Transaction
 from repro.storage.schema import TableSchema
 
 
@@ -136,14 +136,26 @@ class CachingEngine:
     def row_count(self, table: Optional[str] = None) -> int:
         return self.inner.row_count(table)
 
-    @contextmanager
-    def transaction(self):
+    def transaction(self) -> Transaction:
+        return Transaction(self)
+
+    def begin(self) -> None:
+        self.inner.begin()
+
+    def commit(self) -> None:
         try:
-            with self.inner.transaction():
-                yield self
-        except BaseException:
+            self.inner.commit()
+        except BaseException:  # refused: the block was rolled back below
             self._clear()
             raise
+
+    def rollback(self) -> None:
+        # Cleared while the inner block still holds its locks: a read the
+        # block cached is gone before another thread could hit it.
+        try:
+            self._clear()
+        finally:
+            self.inner.rollback()
 
     def __getattr__(self, name: str):
         # Surface engine-specific extras (shard_sizes, ...) transparently.

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import (
     Any,
     Callable,
-    ContextManager,
     Dict,
     List,
     Optional,
@@ -71,7 +70,23 @@ class StorageEngine(Protocol):
     def row_count(self, table: Optional[str] = None) -> int: ...
 
     # -- transactions ------------------------------------------------------
-    def transaction(self) -> ContextManager[Any]: ...
+    def begin(self) -> None:
+        """Open a block (a savepoint inside an open one) and hold this
+        engine's lock until the matching :meth:`commit` or :meth:`rollback`."""
+        ...
+
+    def commit(self) -> None:
+        """Close the innermost block and keep its writes; a layer that
+        raises here has already rolled the block back."""
+        ...
+
+    def rollback(self) -> None:
+        """Close the innermost block and undo its writes."""
+        ...
+
+    def transaction(self) -> "Transaction":
+        """``Transaction(self)``: the block's ``with`` statement."""
+        ...
 
     # -- operator view -----------------------------------------------------
     def describe(self) -> Dict[str, Any]:
@@ -81,6 +96,32 @@ class StorageEngine(Protocol):
         stack; a wrapper fills in what it owns over its inner engine's
         answer (:meth:`InMemoryEngine.describe` has the defaults)."""
         ...
+
+
+class Transaction:
+    """``with engine.transaction():`` over the begin/commit/rollback protocol.
+
+    Entering begins the engine's block and hands back the engine; leaving
+    commits it, or rolls it back on any exception, which then propagates.
+    Every layer of a stack implements the three methods by calling its
+    inner layer's, so a block costs one call per layer (and per shard) on
+    the way in and one on the way out.
+    """
+
+    __slots__ = ("engine",)
+
+    def __init__(self, engine: StorageEngine) -> None:
+        self.engine = engine
+
+    def __enter__(self) -> StorageEngine:
+        self.engine.begin()
+        return self.engine
+
+    def __exit__(self, kind, value, traceback) -> None:
+        if kind is None:
+            self.engine.commit()
+        else:
+            self.engine.rollback()
 
 
 def find_layer(engine: Any, attr: str) -> Optional[Any]:

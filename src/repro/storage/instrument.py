@@ -13,11 +13,11 @@ operation, so ``build_engine`` leaves it out when telemetry is off.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.clock import Clock, WallClock
-from repro.storage.engine import Predicate, Row, StorageEngine
+from repro.storage.engine import Predicate, Row, StorageEngine, Transaction
 from repro.storage.schema import TableSchema
 from repro.telemetry import resolve_registry
 
@@ -27,6 +27,14 @@ OP_LATENCY_BUCKETS = (
     1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5,
     1e-4, 2.5e-4, 5e-4, 1e-3, 5e-3, 2.5e-2, 1e-1,
 )
+
+
+class _BlockStarts(threading.local):
+    """Each thread's open blocks' start times, innermost last: two threads'
+    blocks never share one."""
+
+    def __init__(self) -> None:
+        self.stack: List[float] = []
 
 
 class InstrumentedEngine:
@@ -58,6 +66,7 @@ class InstrumentedEngine:
         )
         self._c_commit = txn.labels(outcome="commit")
         self._c_abort = txn.labels(outcome="abort")
+        self._starts = _BlockStarts()
 
     def _timed(self, op: str, table: str, fn, *args):
         start = self._clock.now()
@@ -125,19 +134,31 @@ class InstrumentedEngine:
 
     # -- transactions ---------------------------------------------------------
 
-    @contextmanager
-    def transaction(self):
-        start = self._clock.now()
+    def transaction(self) -> Transaction:
+        return Transaction(self)
+
+    def begin(self) -> None:
+        start = self._clock.now()  # the block's time includes its lock wait
+        self.inner.begin()
+        self._starts.stack.append(start)
+
+    def commit(self) -> None:
         try:
-            with self.inner.transaction():
-                yield self
+            self.inner.commit()
         except BaseException:
             self._c_abort.inc()
             raise
         else:
             self._c_commit.inc()
         finally:
-            self._h_txn.observe(self._clock.now() - start)
+            self._h_txn.observe(self._clock.now() - self._starts.stack.pop())
+
+    def rollback(self) -> None:
+        try:
+            self.inner.rollback()
+        finally:
+            self._c_abort.inc()
+            self._h_txn.observe(self._clock.now() - self._starts.stack.pop())
 
     def __getattr__(self, name: str):
         # Surface engine-specific extras (describe, shard_sizes, cache_info, ...).

@@ -24,12 +24,11 @@ everything, including committed inner blocks.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.clock import Clock, WallClock
 from repro.common.errors import NotFoundError, ValidationError
-from repro.storage.engine import Predicate, Row
+from repro.storage.engine import Predicate, Row, Transaction
 from repro.storage.schema import TableSchema
 
 
@@ -190,7 +189,8 @@ class InMemoryEngine:
         self._clock = clock or WallClock()
         #: LIFO of inverse operations recorded while a transaction is open.
         self._log: List[tuple] = []
-        self._txn_depth = 0
+        #: The log's length at each open block's begin, outermost first.
+        self._marks: List[int] = []
 
     # -- plumbing -----------------------------------------------------------
 
@@ -245,7 +245,7 @@ class InMemoryEngine:
         with self._lock:
             t = self._open(table)
             stored = t.insert(row)
-            if self._txn_depth:
+            if self._marks:
                 self._log.append(("insert", table, stored[t.pk_at]))
             return dict(zip(t.columns, stored))
 
@@ -275,7 +275,7 @@ class InMemoryEngine:
         with self._lock:
             t = self._open(table)
             old, row = t.update(pk, changes)
-            if self._txn_depth:
+            if self._marks:
                 self._log.append(("update", table, pk, old))
             return dict(zip(t.columns, row))
 
@@ -283,7 +283,7 @@ class InMemoryEngine:
         with self._lock:
             t = self._open(table)
             row = t.delete(pk)
-            if self._txn_depth:
+            if self._marks:
                 self._log.append(("delete", table, row))
             return dict(zip(t.columns, row))
 
@@ -403,7 +403,7 @@ class InMemoryEngine:
             t = self._table(table)
             if t.rows:
                 raise ValidationError(f"{table}: bulk_load into non-empty table")
-            if self._txn_depth:
+            if self._marks:
                 raise ValidationError(f"{table}: bulk_load inside a transaction")
             for row in rows:
                 stored = list(map(row.get, t.columns))
@@ -413,21 +413,27 @@ class InMemoryEngine:
 
     # -- transactions ---------------------------------------------------------
 
-    @contextmanager
-    def transaction(self):
+    def transaction(self) -> Transaction:
         """All-or-nothing block; nested blocks behave like savepoints."""
-        with self._lock:
-            mark = len(self._log)
-            self._txn_depth += 1
-            try:
-                yield self
-            except BaseException:
-                self._rollback_to(mark)
-                raise
-            finally:
-                self._txn_depth -= 1
-                if self._txn_depth == 0:
-                    self._log.clear()
+        return Transaction(self)
+
+    def begin(self) -> None:
+        self._lock.acquire()
+        self._marks.append(len(self._log))
+
+    def commit(self) -> None:
+        self._marks.pop()
+        if not self._marks:
+            self._log.clear()
+        self._lock.release()
+
+    def rollback(self) -> None:
+        try:
+            self._rollback_to(self._marks.pop())
+        finally:
+            if not self._marks:
+                self._log.clear()
+            self._lock.release()
 
     def _rollback_to(self, mark: int) -> None:
         while len(self._log) > mark:

@@ -17,9 +17,10 @@ routing lock before touching the shard, so two threads racing to insert
 the same value on different shards cannot both win.
 
 Transactions span every shard: all shard locks are taken in a fixed order
-(no deadlocks), each shard opens its own undo-log transaction, and an
-abort rolls all of them back, after which the routing index is rebuilt
-from the surviving rows.
+(no deadlocks) and each shard opens its own block.  The routing index
+keeps an undo log of the bumps the block's own thread made; an abort
+undoes them, newest first, while every shard is still held, then rolls
+the shards back.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ from __future__ import annotations
 import bisect
 import hashlib
 import threading
-from contextlib import ExitStack, contextmanager
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.common.errors import NotFoundError, ValidationError
-from repro.storage.engine import Predicate, Row, StorageEngine
+from repro.storage.engine import Predicate, Row, StorageEngine, Transaction
 from repro.storage.memory import InMemoryEngine
 from repro.storage.schema import TableSchema
 
@@ -66,6 +66,13 @@ class HashRing:
         return self._shards[index % len(self._shards)]
 
 
+class _RouteLog(threading.local):
+    """Where this thread logs its route bumps: the open block's undo log,
+    or None outside one (and in every thread but the block's own)."""
+
+    log: Optional[List[tuple]] = None
+
+
 class ShardedEngine:
     """N engines behind one :class:`StorageEngine` surface."""
 
@@ -82,6 +89,12 @@ class ShardedEngine:
         # (table, column) -> value -> {shard index: row refcount}
         self._routes: Dict[Tuple[str, str], Dict[Any, Dict[int, int]]] = {}
         self._route_lock = threading.Lock()
+        #: ``(table, column, value, shard, delta)`` per bump the open block's
+        #: thread made, and the log's length at each nested begin; only the
+        #: thread holding every shard touches either.
+        self._route_log: List[tuple] = []
+        self._route_marks: List[int] = []
+        self._logging = _RouteLog()
 
     def set_shard_latency(self, index: int, latency: float) -> None:
         """Retune one shard's simulated round trip (chaos slow-shard fault).
@@ -170,15 +183,22 @@ class ShardedEngine:
             owners.pop(index, None)
             if not owners:
                 self._routes[(table, column)].pop(value, None)
+        log = self._logging.log
+        if log is not None:
+            log.append((table, column, value, index, delta))
 
-    def _rebuild_routes(self) -> None:
-        with self._route_lock:
-            for key in self._routes:
-                self._routes[key] = {}
-        for table, schema in self._schemas.items():
-            for index, shard in enumerate(self.shards):
-                for row in shard.select(table):
-                    self._route_adjust(table, row, index, +1)
+    def _undo_routes(self, log: List[tuple], mark: int, below: int) -> None:
+        """Undo the bumps logged since ``mark`` on shards ``< below``, newest
+        first, and keep the rest logged (the caller holds the route lock)."""
+        kept = []
+        for entry in reversed(log[mark:]):
+            table, column, value, index, delta = entry
+            if index < below:
+                self._route_bump(table, column, value, index, -delta)
+            else:
+                kept.append(entry)
+        del log[mark:]  # and the inverses just logged, in a nested block
+        log.extend(reversed(kept))
 
     # -- row operations -----------------------------------------------------
 
@@ -295,19 +315,66 @@ class ShardedEngine:
 
     # -- transactions ---------------------------------------------------------
 
-    @contextmanager
-    def transaction(self):
-        """One atomic block across every shard.
+    def transaction(self) -> Transaction:
+        """One atomic block across every shard."""
+        return Transaction(self)
 
-        Shard locks are acquired in shard order for the whole block, so a
-        cross-shard write set commits or aborts as a unit; on abort the
-        routing index is rebuilt from the rolled-back shards.
-        """
+    def begin(self) -> None:
+        """Begin every shard in shard order, so two blocks cannot deadlock
+        on each other's shard locks."""
+        begun = 0
         try:
-            with ExitStack() as stack:
-                for shard in self.shards:
-                    stack.enter_context(shard.transaction())
-                yield self
+            for shard in self.shards:
+                shard.begin()
+                begun += 1
         except BaseException:
-            self._rebuild_routes()
+            self._roll_back(begun)
             raise
+        self._route_marks.append(len(self._route_log))
+        self._logging.log = self._route_log
+
+    def _end_block(self) -> Tuple[List[tuple], int]:
+        """Pop the innermost block's mark; returns the log it indexes.  The
+        outermost block hands this thread's log over before any shard is
+        released, so the next block starts on a fresh one."""
+        log = self._route_log
+        mark = self._route_marks.pop()
+        if not self._route_marks:
+            self._route_log = []
+            self._logging.log = None
+        return log, mark
+
+    def commit(self) -> None:
+        """Commit every shard in reverse shard order.  If one refuses, it has
+        rolled itself back, the shards below it roll back too, and their
+        route bumps are undone before another thread can claim a route."""
+        log, mark = self._end_block()
+        with self._route_lock:
+            index = len(self.shards)
+            try:
+                while index:
+                    index -= 1
+                    self.shards[index].commit()
+            except BaseException:
+                self._undo_routes(log, mark, index + 1)
+                self._roll_back(index)
+                raise
+
+    def rollback(self) -> None:
+        """Restore the routes, then roll back every shard in reverse order."""
+        log, mark = self._end_block()
+        with self._route_lock:
+            self._undo_routes(log, mark, len(self.shards))
+        self._roll_back(len(self.shards))
+
+    def _roll_back(self, count: int) -> None:
+        """Roll back shards ``count - 1`` down to 0, every one of them even
+        if one raises (the first error propagates)."""
+        error = None
+        for index in range(count - 1, -1, -1):
+            try:
+                self.shards[index].rollback()
+            except BaseException as exc:
+                error = error or exc
+        if error is not None:
+            raise error

@@ -26,12 +26,11 @@ import hashlib
 import json
 import threading
 import zlib
-from contextlib import contextmanager
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, ValidationError
 from repro.simcore.digest import canonical_line
-from repro.storage.engine import Predicate, Row, StorageEngine
+from repro.storage.engine import Predicate, Row, StorageEngine, Transaction
 from repro.storage.memory import InMemoryEngine
 from repro.storage.schema import TableSchema
 from repro.telemetry import resolve_registry
@@ -99,20 +98,25 @@ class WriteAheadLog:
         self.last_lsn = 0
 
     def append(self, record: dict) -> dict:
-        """Assign the next LSN, render canonically, persist; returns the record."""
-        lsn = self.last_lsn = self.last_lsn + 1
+        """Assign the next LSN, render canonically, persist; returns the record.
+
+        A refused write (the file closed) raises and leaves the log as it
+        was: the LSN is not spent, so the next record still follows on.
+        """
+        lsn = self.last_lsn + 1
         record = dict(record, lsn=lsn)
         line = canonical_line(record)
-        self.bytes_written += len(line) + 10  # "crc " prefix + newline
-        if record.get("op") == "snapshot":
-            self.snapshots += 1
-            self.last_snapshot_lsn = lsn
         if self._file is None:
             self._records.append(record)
         else:  # after close() the write raises rather than drop the record
             crc = zlib.crc32(line.encode("utf-8"))
             self._file.write(f"{crc:08x} {line}\n")
             self._file.flush()
+        self.last_lsn = lsn
+        self.bytes_written += len(line) + 10  # "crc " prefix + newline
+        if record.get("op") == "snapshot":
+            self.snapshots += 1
+            self.last_snapshot_lsn = lsn
         return record
 
     def read(self) -> List[dict]:
@@ -272,8 +276,11 @@ class WALEngine:
     order and replay reconstructs the exact state.  Reads bypass the WAL
     lock entirely (the inner engine has its own).  Mutations inside a
     ``transaction()`` block are buffered and land as one atomic ``txn``
-    record at commit — an abort leaves no trace in the log, and a crash
-    between append and apply cannot split a transaction.
+    record at commit, appended while the inner block is still open and
+    only then committed there — an abort leaves no trace in the log, a
+    refused append leaves none in the engine, and a crash between append
+    and apply cannot split a transaction.  A lone write outside a block
+    is applied, then logged: a refused append leaves it live.
     """
 
     def __init__(
@@ -412,28 +419,49 @@ class WALEngine:
 
     # -- transactions ---------------------------------------------------------
 
-    @contextmanager
-    def transaction(self):
+    def transaction(self) -> Transaction:
         """Buffer the block's records; commit appends one atomic record."""
-        with self._lock:
-            self._txn_buffers.append([])
-            try:
-                with self.inner.transaction():
-                    yield self
-            except BaseException:
-                self._txn_buffers.pop()  # inner engine rolled back: no trace
-                raise
-            else:
-                buffer = self._txn_buffers.pop()
-                if not buffer:
-                    return
-                if self._txn_buffers:
-                    # Committed savepoint: fold into the enclosing block.
-                    self._txn_buffers[-1].extend(buffer)
-                elif len(buffer) == 1:
-                    self._log(buffer[0])
-                else:
-                    self._log({"op": "txn", "ops": buffer})
+        return Transaction(self)
+
+    def begin(self) -> None:
+        self._lock.acquire()
+        try:
+            self.inner.begin()
+        except BaseException:
+            self._lock.release()
+            raise
+        self._txn_buffers.append([])
+
+    def commit(self) -> None:
+        """Log the block, then commit the inner engine's: what is live is
+        what the log holds.  A refused append rolls the block back."""
+        logged = self.wal.last_lsn
+        try:
+            buffer = self._txn_buffers.pop()
+            if buffer and self._txn_buffers:
+                # Committed savepoint: fold into the enclosing block.
+                self._txn_buffers[-1].extend(buffer)
+            elif buffer:
+                self._log(buffer[0] if len(buffer) == 1 else {"op": "txn", "ops": buffer})
+        except BaseException:
+            if self.wal.last_lsn == logged:
+                self.inner.rollback()
+            else:  # logged; what failed came after the append
+                self.inner.commit()
+            raise
+        else:
+            self.inner.commit()
+        finally:
+            self._lock.release()
+
+    def rollback(self) -> None:
+        """Drop the block's records (an abort leaves no trace in the log)
+        and roll the inner engine back."""
+        try:
+            self._txn_buffers.pop()
+            self.inner.rollback()
+        finally:
+            self._lock.release()
 
     def __getattr__(self, name: str):
         # Surface engine-specific extras (set_latency, shard_sizes, ...).

@@ -230,6 +230,53 @@ def test_a_storage_op_runs_no_per_column_call(admin_init_profile):
 
 
 @pytest.fixture(scope="module")
+def admin_remove_profile(tmp_path_factory):
+    """One warm ``/admin/remove`` (``OTPServer.unpair``, a transaction) on
+    loginbench's ``admin_churn`` storage stack: four WAL-logged shards to
+    disk under a read-through cache, telemetry on."""
+    center = MFACenter(
+        clock=VirtualClock.at("2016-10-05T09:00:00"),
+        rng=random.Random(20160810),
+        storage=StorageConfig(
+            shards=4, durability=True, cache_capacity=2048, snapshot_every=5000,
+            wal_dir=str(tmp_path_factory.mktemp("wal")),
+        ),
+        telemetry=True,
+    )
+    uids = [center.create_user(name).uid for name in ("alice", "bob")]
+    api = AdminAPI(center.otp, rng=random.Random(1))
+    api.add_admin("helpdesk", "helpdesk-secret")
+    admin = AdminAPIClient(api, "helpdesk", "helpdesk-secret", rng=random.Random(2))
+    for uid in uids:
+        admin.call("POST", "/admin/init", {"user": uid, "type": "soft"})
+
+    def remove(run):
+        body = run(admin.call, "POST", "/admin/remove", {"user": uids.pop()})
+        assert body["removed"] == 1
+
+    return profile_second_call(remove)
+
+
+def test_a_transaction_is_one_begin_and_one_commit_per_layer(admin_remove_profile):
+    """docs/ARCHITECTURE.md "Storage engines": a block is one ``begin`` on
+    the way in and one ``commit`` on the way out, per layer and per shard,
+    with no generator context manager or ``ExitStack`` between them."""
+    assert not any(_is(file, "contextlib.py") for file, _ in admin_remove_profile)
+    for layer, calls in (
+        ("instrument.py", 1), ("cache.py", 1), ("sharding.py", 1),
+        ("wal.py", 4), ("memory.py", 4),  # one per shard
+    ):
+        assert count(admin_remove_profile, f"storage/{layer}", "begin") == calls
+        assert count(admin_remove_profile, f"storage/{layer}", "commit") == calls
+    assert count(admin_remove_profile, "storage/sharding.py", "_rebuild_routes") == 0
+    # ... the block did its work (the token row left), and all of it,
+    # transaction included, is at most 265 calls (~340 with a generator
+    # context manager per layer and shard).
+    assert count(admin_remove_profile, "storage/wal.py", "delete") == 1
+    assert sum(admin_remove_profile.values()) <= 265
+
+
+@pytest.fixture(scope="module")
 def warm_success_profile(tmp_path_factory):
     """One warm valid validate on the production storage stack: two
     WAL-logged shards to disk, telemetry on.  The profiled success follows

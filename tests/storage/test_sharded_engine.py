@@ -135,7 +135,7 @@ class TestShardedTransactions:
                     engine.insert("tokens", {"serial": f"S{i}", "user_id": f"u{i}"})
                 raise RuntimeError("boom")
         assert engine.row_count("tokens") == 8
-        # Routing index rebuilt: lookups and counts still exact.
+        # Routing index restored: lookups and counts still exact.
         assert engine.get_by_unique("tokens", "user_id", "u3")["serial"] == "S3"
         assert engine.count("tokens", where={"type": "soft"}) == 4
         assert engine.select("tokens", where={"user_id": "u25"}) == []
