@@ -423,8 +423,9 @@ class OTPServer:
         (every ``MFACenter``), the storage uid itself on a bare server.
         ``code=None`` (the "null request") triggers the SMS challenge for
         SMS-paired users; any other value is checked as a token code.
-        ``source`` feeds the policy engine's per-source admission control
-        when the caller knows the requesting address.
+        ``source`` (the requesting address, when known) is the origin of
+        ``EvaluatePolicy``'s ``AuthRequest`` (ACL and risk), the address a
+        honeytoken alarm names, and what ``ApplyOutcome`` passes to ``record_success``.
         """
         if not self.telemetry.enabled:
             return self._pipeline.run(user_id, code, source)

@@ -124,8 +124,6 @@ class AdoptionModel:
     """
 
     announcement_day: int
-    phase2_day: int
-    phase3_day: int
 
     def pairs_after_phase2_announcement(
         self, user: UserProfile, rng: random.Random

@@ -35,17 +35,19 @@ class DailyMetrics:
     # Verification of the sampled real-login cross-check.
     real_logins_run: int = 0
     real_login_mismatches: int = 0
+    #: The day series above, in column order.
+    _SERIES = (
+        "unique_mfa_users",
+        "external_mfa",
+        "external_nonmfa",
+        "internal",
+        "mfa_tickets",
+        "other_tickets",
+        "new_pairings",
+    )
 
     def __post_init__(self) -> None:
-        for name in (
-            "unique_mfa_users",
-            "external_mfa",
-            "external_nonmfa",
-            "internal",
-            "mfa_tickets",
-            "other_tickets",
-            "new_pairings",
-        ):
+        for name in self._SERIES:
             setattr(self, name, np.zeros(self.days, dtype=np.int64))
 
     # -- day helpers -------------------------------------------------------------
@@ -67,12 +69,6 @@ class DailyMetrics:
     def all_traffic(self) -> np.ndarray:
         """The black bars: internal plus external."""
         return self.internal + self.external_total
-
-    @property
-    def automated_nonmfa_indicator(self) -> np.ndarray:
-        """Red minus blue: the paper's indicator of automated, non-MFA
-        external traffic."""
-        return self.external_nonmfa
 
     # -- Figure 5 composites -------------------------------------------------------
 
@@ -118,16 +114,6 @@ class DailyMetrics:
         return float(series[lo:hi].mean())
 
     # -- export ------------------------------------------------------------------------
-
-    _SERIES = (
-        "unique_mfa_users",
-        "external_mfa",
-        "external_nonmfa",
-        "internal",
-        "mfa_tickets",
-        "other_tickets",
-        "new_pairings",
-    )
 
     def to_csv(self, path: str) -> int:
         """Write the daily series as CSV for downstream plotting.

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple
 
 from repro.directory.identity import AccountClass
 
@@ -93,7 +93,6 @@ class UserProfile:
     automated_daily_connections: float  # scripted SSH/SCP events per day
     # Adoption behaviour
     eagerness: float  # in (0, 1]: how early the user opts in voluntarily
-    adapts_workflow_day: Optional[int] = None  # set by the rollout for automated users
     uses_multiplexing: bool = False
 
     @property
@@ -211,13 +210,3 @@ class Population:
 
     def service_accounts(self) -> List[UserProfile]:
         return [u for u in self.users if u.is_service_account]
-
-    def staff_threshold_activity(self) -> float:
-        """The Section 4.1 targeting cutoff: the most active staff member's
-        daily connection volume."""
-        staff = [
-            u.login_rate * u.sessions_per_active_day
-            for u in self.users
-            if u.account_class is AccountClass.STAFF
-        ]
-        return max(staff) if staff else 0.0

@@ -12,12 +12,13 @@ Timeline reproduced::
 
 State-changing operations run against the real infrastructure: accounts are
 created in the identity back end, pairings enroll real tokens in the OTP
-server, gateway/community exemptions are real ACL rules, and the
-enforcement-mode switches call :meth:`HPCSystem.set_mode`.  Traffic counts
-come from the behaviour models; a sampled fraction of interactive logins is
-executed through the full SSH → PAM → RADIUS → OTP path and cross-checked
-against the statistical expectation (mismatches are counted and should be
-zero).
+server, gateway/community exemptions are one real ACL line, and the
+enforcement-mode switches call :meth:`HPCSystem.set_mode`.  The behaviour
+models say when people pair, log in and run scripts; what each user-day's
+external traffic meets is ``system.policy``'s own :class:`Decision`.  A
+sampled fraction of interactive logins runs the full SSH → PAM → RADIUS →
+OTP path and is cross-checked against that decision, outcome and prompt
+kind (mismatches are counted and should be zero).
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from repro.common.clock import VirtualClock
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
 from repro.directory.identity import AccountClass
+from repro.pam.modules.token import PROMPT
+from repro.policy import AuthRequest, Decision, EnforcementMode, PolicyAction
 from repro.sim.behavior import (
     BLOCKED_PAIRS_SAME_DAY_PROB,
     BROKEN_AUTOMATION_ADAPTS_DAYS,
@@ -83,10 +86,9 @@ class _UserState:
     """Mutable per-user rollout state."""
 
     profile: UserProfile
-    paired: bool = False
+    pairing: Optional[str] = None  # the type enrolled via center.pair_*
     pair_scheduled_day: Optional[int] = None
     countdown_encounters: int = 0
-    exempt: bool = False
     device: Optional[TOTPGenerator] = None  # soft/hard real generators
     phone: Optional[str] = None  # sms pairings
     static_code: Optional[str] = None  # training pairings
@@ -108,15 +110,11 @@ class RolloutSimulation:
         self.population = Population(cfg.population_size, seed=cfg.seed + 2)
         self.metrics = DailyMetrics(START, cfg.days)
         self.tickets = TicketModel(cfg.population_size)
-        self.adoption = AdoptionModel(
-            announcement_day=(cfg.announcement - START).days,
-            phase2_day=(cfg.phase2 - START).days,
-            phase3_day=(cfg.phase3 - START).days,
-        )
+        self.adoption = AdoptionModel(announcement_day=(cfg.announcement - START).days)
         self.adaptation = AdaptationModel(
             outreach_day=(OUTREACH - START).days,
-            phase2_day=self.adoption.phase2_day,
-            phase3_day=self.adoption.phase3_day,
+            phase2_day=(cfg.phase2 - START).days,
+            phase3_day=(cfg.phase3 - START).days,
         )
         self._phone_counter = 5_550_000
         self._next_new_user = 0
@@ -143,11 +141,6 @@ class RolloutSimulation:
                 account_class=user.account_class,
             )
             state = _UserState(profile=user)
-            if user.is_service_account:
-                # Real ACL exemption, as staff configured for gateways and
-                # community accounts.
-                self.system.add_exemption(accounts=user.username, origins="ALL")
-                state.exempt = True
             if user.account_class is AccountClass.TRAINING:
                 # Each training account pairs before "its" workshop.
                 state.workshop_day = self.rng.randrange(5, cfg.days - 10)
@@ -157,6 +150,11 @@ class RolloutSimulation:
                 )
                 state.adapted_split = self.adaptation.adapted_split(self.rng)
             self._states[user.username] = state
+        # Real ACL exemption, as staff configured for gateways and community
+        # accounts: one line naming them all.
+        service = ",".join(u.username for u in self.population.service_accounts())
+        if service:
+            self.system.add_exemption(accounts=service)
 
     def _mass_email(self, subject: str, body: str) -> int:
         addresses = [
@@ -171,7 +169,7 @@ class RolloutSimulation:
     # -- pairing (real enrollments) -------------------------------------------------
 
     def _pair(self, state: _UserState, day: int) -> None:
-        if state.paired:
+        if state.pairing is not None:
             return
         username = state.profile.username
         preference = state.profile.device_preference
@@ -191,7 +189,7 @@ class RolloutSimulation:
         else:  # soft
             _, secret = self.center.pair_soft(username)
             state.device = TOTPGenerator(secret=secret, clock=self.clock)
-        state.paired = True
+        state.pairing = preference
         state.pair_scheduled_day = None
         self.metrics.new_pairings[day] += 1
         self.metrics.pairing_types[preference] = (
@@ -256,10 +254,17 @@ class RolloutSimulation:
         self._ran = True
         return self.metrics
 
+    def _decide(self, state: _UserState) -> Decision:
+        """The deployment's decision on this user's external logins today
+        (from one fixed address: a drawn one would shift every later draw)."""
+        return self.system.policy.evaluate(
+            AuthRequest(state.profile.username, "198.51.100.1", pairing=state.pairing)
+        )
+
     def _day_tick(self, day: int) -> None:
         cfg = self.config
-        phase2_day = self.adoption.phase2_day
-        phase3_day = self.adoption.phase3_day
+        phase2_day = (cfg.phase2 - START).days
+        phase3_day = (cfg.phase3 - START).days
         announcement_day = self.adoption.announcement_day
         d = day_date(START, day)
         if day == announcement_day:
@@ -279,7 +284,7 @@ class RolloutSimulation:
             # reacts by pairing the following day (the Sep 7 peak).
             for state in self._states.values():
                 if (
-                    not state.paired
+                    state.pairing is None
                     and state.pair_scheduled_day is None
                     and not state.profile.is_service_account
                     and state.profile.device_preference != "training"
@@ -302,8 +307,10 @@ class RolloutSimulation:
             user = state.profile
             if user.is_service_account:
                 conns = automated_connections(user, d, self.rng)
-                # Exempt gateway traffic: external, never MFA, all phases.
-                self.metrics.external_nonmfa[day] += conns
+                if conns and self._decide(state).mode is EnforcementMode.FULL:
+                    deadline_lockouts_today += 1  # no exemption: scripts break
+                else:
+                    self.metrics.external_nonmfa[day] += conns
                 continue
             # Scheduled pairing (decided yesterday at a countdown prompt).
             if state.pair_scheduled_day == day:
@@ -311,13 +318,13 @@ class RolloutSimulation:
             # Training workshops pair on their session day.
             if (
                 state.workshop_day == day
-                and not state.paired
+                and state.pairing is None
                 and user.account_class is AccountClass.TRAINING
             ):
                 self._pair(state, day)
             # Voluntary opt-in during phases 1-2.
             if (
-                not state.paired
+                state.pairing is None
                 and user.device_preference != "training"
                 and day < phase3_day
                 and self.rng.random() < self.adoption.voluntary_hazard(user, day)
@@ -325,13 +332,14 @@ class RolloutSimulation:
                 self._pair(state, day)
             # Mandatory-deadline day: holdouts pair proactively.
             if (
-                not state.paired
+                state.pairing is None
                 and day == phase3_day
                 and user.device_preference != "training"
                 and self.adoption.pairs_at_deadline(user, self.rng)
             ):
                 self._pair(state, day)
 
+            decision = None  # asked for at the first external login or script
             active = logs_in_today(user, d, self.rng)
             if active:
                 sessions = interactive_sessions(user, self.rng)
@@ -343,28 +351,31 @@ class RolloutSimulation:
                 internal = sessions - external
                 self.metrics.internal[day] += internal
                 if external:
-                    if state.paired:
-                        # Paired users are challenged in every mode >= paired.
+                    decision = self._decide(state)
+                    if decision.pairing is not None:
+                        # Challenged with a paired device: an MFA login.
                         self.metrics.external_mfa[day] += external
                         self.metrics.unique_mfa_users[day] += 1
-                        self._maybe_real_login(state, day, expect_success=True)
-                    elif day >= phase3_day:
-                        # Unpaired in full mode: denied; pair same day
-                        # (portal) with high probability, else a lockout
-                        # ticket.
+                        self._maybe_real_login(state, decision)
+                    elif not decision.allows_entry:
+                        # Challenged with nothing to answer (full mode):
+                        # denied; pair same day (portal) with high
+                        # probability, else a lockout ticket.
                         deadline_lockouts_today += 1
-                        self._maybe_real_login(state, day, expect_success=False)
+                        self._maybe_real_login(state, decision)
                         if user.device_preference != "training" and (
                             self.rng.random() < BLOCKED_PAIRS_SAME_DAY_PROB
                         ):
                             self._pair(state, day)
-                            # Their retry succeeds with MFA.
+                            # Their retry is a new login, challenged with
+                            # the new device: it succeeds with MFA.
+                            decision = self._decide(state)
                             self.metrics.external_mfa[day] += external
                             self.metrics.unique_mfa_users[day] += 1
                     else:
                         self.metrics.external_nonmfa[day] += external
-                        self._maybe_real_login(state, day, expect_success=True)
-                        if day >= phase2_day:
+                        self._maybe_real_login(state, decision)
+                        if decision.action is PolicyAction.NOTIFY:
                             # Countdown message seen; decide tomorrow.
                             state.countdown_encounters += 1
                             countdown_encounters_today += 1
@@ -379,26 +390,26 @@ class RolloutSimulation:
             # Automated individual traffic.
             if user.automated:
                 conns = automated_connections(user, d, self.rng)
-                if conns == 0:
-                    pass
-                elif state.adaptation_day is not None and day >= state.adaptation_day:
-                    internal_share, mux_share, variance_share = state.adapted_split
-                    self.metrics.internal[day] += int(conns * internal_share)
-                    # Multiplexing: one MFA-authenticated master per day
-                    # carries what used to be dozens of connections.
-                    if state.paired:
-                        self.metrics.external_mfa[day] += max(
-                            1, int(conns * mux_share * 0.05)
-                        )
-                    self.metrics.external_nonmfa[day] += int(conns * variance_share)
-                elif day >= phase3_day:
-                    # Unadapted, unexempted automation breaks at the
-                    # deadline; they adapt within days.
-                    adapts_by = day + BROKEN_AUTOMATION_ADAPTS_DAYS
-                    state.adaptation_day = min(state.adaptation_day or adapts_by, adapts_by)
-                    deadline_lockouts_today += 1
-                else:
-                    self.metrics.external_nonmfa[day] += conns
+                if conns:
+                    decision = decision or self._decide(state)
+                    if state.adaptation_day is not None and day >= state.adaptation_day:
+                        internal_share, mux_share, variance_share = state.adapted_split
+                        self.metrics.internal[day] += int(conns * internal_share)
+                        # Multiplexing: one MFA-authenticated master per day
+                        # carries what used to be dozens of connections.
+                        if decision.pairing is not None:
+                            self.metrics.external_mfa[day] += max(
+                                1, int(conns * mux_share * 0.05)
+                            )
+                        self.metrics.external_nonmfa[day] += int(conns * variance_share)
+                    elif decision.mode is EnforcementMode.FULL:
+                        # Unadapted, unexempted automation breaks once the
+                        # ladder is full; they adapt within days.
+                        adapts_by = day + BROKEN_AUTOMATION_ADAPTS_DAYS
+                        state.adaptation_day = min(state.adaptation_day or adapts_by, adapts_by)
+                        deadline_lockouts_today += 1
+                    else:
+                        self.metrics.external_nonmfa[day] += conns
 
         self.metrics.mfa_tickets[day] = self.tickets.mfa_tickets(
             d,
@@ -411,7 +422,7 @@ class RolloutSimulation:
 
     # -- the real-path consistency check ----------------------------------------------
 
-    def _maybe_real_login(self, state: _UserState, day: int, expect_success: bool) -> None:
+    def _maybe_real_login(self, state: _UserState, decision: Decision) -> None:
         if self.rng.random() >= self.config.real_login_fraction:
             return
         user = state.profile
@@ -444,7 +455,7 @@ class RolloutSimulation:
                 return "000000"
 
             extra["token code"] = read_sms
-        result, _ = client.connect(
+        result, conversation = client.connect(
             node,
             user.username,
             password=f"pw-{user.username}",
@@ -452,5 +463,16 @@ class RolloutSimulation:
             extra_answers=extra,
         )
         self.metrics.real_logins_run += 1
-        if bool(result.success) != expect_success:
+        # The conversation shows what the decision calls for: the token
+        # prompt for a challenge, the acknowledge prompt for a countdown
+        # notice, neither for anything else.
+        shown = conversation.prompts_seen
+        challenged = PROMPT in shown
+        notified = any("acknowledge" in prompt for prompt in shown)
+        passes = decision.pairing is not None or decision.allows_entry
+        if (
+            bool(result.success) != passes
+            or challenged != (decision.action is PolicyAction.CHALLENGE)
+            or notified != (decision.action is PolicyAction.NOTIFY)
+        ):
             self.metrics.real_login_mismatches += 1

@@ -9,11 +9,11 @@ the reproduction's in-process engines the same property:
   log can be shipped between replicas, written to a file, and reloaded
   with torn or corrupted tails detected rather than silently applied.
 * :class:`WALEngine` — wraps any :class:`~repro.storage.engine.StorageEngine`
-  and appends every committed mutation (``create_table`` / ``insert`` /
-  ``update`` / ``delete``, and whole transactions as single atomic ``txn``
-  records) after the inner engine accepts it.  Optional snapshot records
-  embed the full state every ``snapshot_every`` mutations so recovery is
-  snapshot + tail, not the whole history.
+  and logs every committed mutation (``create_table`` / ``insert`` /
+  ``update`` / ``delete``; a transaction as one atomic ``txn`` record,
+  appended before the inner engine commits it; a lone write is applied,
+  then logged).  Optional snapshot records embed the full state every
+  ``snapshot_every`` mutations so recovery is snapshot + tail.
 * :func:`replay` — rebuild an engine from a record sequence.  Recovery is
   deterministic: the same WAL always reconstructs the same state, witnessed
   by :func:`state_digest` (SHA-256 over the canonical rendering every other

@@ -7,7 +7,6 @@ from repro.directory.ldap import LDAPEntry
 from repro.pam.conversation import CallbackConversation, ScriptedConversation
 from repro.portal.store import HardTokenStore
 from repro.otpserver.tokens import HardTokenBatch
-from repro.sim import RolloutConfig, RolloutSimulation
 from repro.ssh.client import PromptAnswers
 
 
@@ -68,14 +67,3 @@ class TestStoreOrdersFor:
         store.order("bob")
         assert len(store.orders_for("alice")) == 2
         assert store.orders_for("carol") == []
-
-
-class TestAutomatedNonMFAIndicator:
-    def test_equals_red_minus_blue(self):
-        sim = RolloutSimulation(
-            RolloutConfig(population_size=300, seed=4, real_login_fraction=0.0)
-        )
-        m = sim.run()
-        assert (
-            m.automated_nonmfa_indicator == m.external_total - m.external_mfa
-        ).all()

@@ -74,9 +74,6 @@ class TestPopulation:
         automated = [u for u in individuals if u.automated]
         assert 0.01 <= len(automated) / len(individuals) <= 0.08
 
-    def test_staff_threshold_positive(self, population):
-        assert population.staff_threshold_activity() > 0
-
 
 class TestCalendar:
     def test_weekday_full_activity(self):
@@ -133,7 +130,7 @@ class TestBehavior:
 class TestAdoptionModel:
     @pytest.fixture
     def model(self):
-        return AdoptionModel(announcement_day=9, phase2_day=36, phase3_day=64)
+        return AdoptionModel(announcement_day=9)
 
     def test_no_hazard_before_announcement(self, model):
         assert model.voluntary_hazard(make_user(), 5) == 0.0

@@ -4,7 +4,8 @@ from datetime import date
 
 import pytest
 
-from repro.sim import RolloutConfig, RolloutSimulation
+from repro.policy import Decision, EnforcementMode, PolicyAction
+from repro.sim import RolloutConfig, RolloutSimulation, rollout
 from repro.sim.behavior import SPRING_SEMESTER
 
 
@@ -106,7 +107,7 @@ class TestPhaseMachinery:
         stragglers = [
             state.profile
             for state in sim._states.values()
-            if not state.paired
+            if state.pairing is None
             and not state.profile.is_service_account
             and state.profile.account_class is not AccountClass.TRAINING
         ]
@@ -118,3 +119,95 @@ class TestPhaseMachinery:
                 sim.population.users
             )
             assert mean_rate < active_mean
+
+
+class TestOneLadder:
+    """The figures follow the deployment's ladder and ACL, not a copy."""
+
+    @staticmethod
+    def simulation(real_login_fraction=0.0):
+        return RolloutSimulation(
+            RolloutConfig(
+                population_size=400, seed=7, real_login_fraction=real_login_fraction
+            )
+        )
+
+    def test_flipped_ladder_moves_figure6(self):
+        """A countdown with no deadline fails closed to ``full``: from phase 2
+        on, unpaired users are refused rather than reminded."""
+        flipped = self.simulation(real_login_fraction=0.02)
+        set_mode = flipped.system.set_mode
+
+        def countdown_without_deadline(mode, deadline=None):
+            set_mode(mode, None if mode == "countdown" else deadline)
+
+        flipped.system.set_mode = countdown_without_deadline
+        plain = self.simulation(real_login_fraction=0.02)
+        window = slice(
+            plain.metrics.day_of(date(2016, 9, 6)), plain.metrics.day_of(date(2016, 10, 3)) + 1
+        )
+        flipped_pairings = flipped.run().new_pairings[window]
+        assert (flipped_pairings != plain.run().new_pairings[window]).any()
+        # The real stack made the same calls the figures were built from.
+        assert flipped.metrics.real_logins_run > 0
+        assert flipped.metrics.real_login_mismatches == 0
+
+    def test_real_login_checks_the_prompt_kind(self):
+        """A sampled login that succeeds still disagrees when it showed a
+        token prompt where the decision called for a countdown notice."""
+        sim = self.simulation(real_login_fraction=1.0)
+        state = next(
+            s for s in sim._states.values() if s.profile.device_preference == "soft"
+        )
+        sim._pair(state, 0)
+        sim._maybe_real_login(state, sim._decide(state))
+        assert (sim.metrics.real_logins_run, sim.metrics.real_login_mismatches) == (1, 0)
+        notice = Decision(PolicyAction.NOTIFY, mode=EnforcementMode.COUNTDOWN)
+        sim.clock.advance(60)  # a fresh code: the replay guard refuses the last one
+        sim._maybe_real_login(state, notice)
+        assert (sim.metrics.real_logins_run, sim.metrics.real_login_mismatches) == (2, 1)
+
+    def test_service_account_without_acl_line_breaks_at_full(self, monkeypatch):
+        """Exemption is the ACL's: a gateway left off its line is reminded
+        like anyone unpaired, and its scripts break the day the ladder is
+        full."""
+        plain, stripped = self.simulation(), self.simulation()
+        service = stripped.population.service_accounts()
+        gateway = max(service, key=lambda u: u.automated_daily_connections)
+        others = ",".join(u.username for u in service if u is not gateway)
+        stripped.system.acl.set_text(f"+ : {others} : ALL : ALL\n")
+        decisions = {}
+        decide = stripped._decide
+
+        def recording_decide(state):
+            decision = decide(state)
+            decisions.setdefault(state.profile.username, []).append(decision)
+            return decision
+
+        gateway_connections = {}
+        draw = rollout.automated_connections
+
+        def recording_draw(user, d, rng):
+            conns = draw(user, d, rng)
+            if user is gateway:
+                gateway_connections[d] = conns
+            return conns
+
+        stripped._decide = recording_decide
+        monkeypatch.setattr(rollout, "automated_connections", recording_draw)
+        stripped.run()
+        plain.run()
+        phase3 = plain.metrics.day_of(plain.config.phase3)
+        before, after = plain.metrics.external_nonmfa, stripped.metrics.external_nonmfa
+        assert (before[:phase3] == after[:phase3]).all()
+        assert gateway_connections[plain.config.phase3] > 0
+        assert before[phase3] - after[phase3] == gateway_connections[plain.config.phase3]
+        assert {d.mode for d in decisions[gateway.username]} == {
+            EnforcementMode.PAIRED, EnforcementMode.COUNTDOWN, EnforcementMode.FULL
+        }
+        assert all(
+            d.action is PolicyAction.EXEMPT
+            for u in service
+            if u is not gateway
+            for d in decisions.get(u.username, ())
+        )

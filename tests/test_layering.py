@@ -614,6 +614,7 @@ RETIRED_FIELDS = {
     "AdoptionModel": (
         "voluntary_scale", "voluntary_halflife", "countdown_first_prob",
         "countdown_repeat_prob", "phase2_announce_prob", "deadline_prob",
+        "phase2_day", "phase3_day",
     ),
     "TicketModel": (
         "baseline_per_10k", "pairing_ticket_prob", "countdown_ticket_prob",
