@@ -235,7 +235,7 @@ def _cmd_storage(args) -> int:
     import os
 
     from repro.common.errors import ConfigurationError
-    from repro.storage import load_wal, replay, state_digest
+    from repro.storage import load_wal, replay, state_digest, wal_digests
 
     if args.replay is not None:
         path = args.replay
@@ -258,16 +258,10 @@ def _cmd_storage(args) -> int:
         )
     except ConfigurationError as exc:  # a shard WAL written by an earlier run
         args.error(str(exc))
-    engine = center.otp.db.engine
-    stats = center.otp.status("storage")
     out = {
         "login": "GRANTED" if result.success else "DENIED",
-        # One log file per shard; an unsharded stack is its own one shard.
-        "digests": {
-            entry["wal"]["path"]: state_digest(shard)
-            for entry, shard in zip(stats["shards"], getattr(engine, "shards", [engine]))
-        },
-        "stats": stats,
+        "digests": wal_digests(center.otp.db.engine),
+        "stats": center.otp.status("storage"),
     }
     print(json.dumps(out, indent=2))
     return 0 if result.success else 1

@@ -31,13 +31,14 @@ class AuditEvent:
 class PipelineContext:
     """Everything the stages know about one validation attempt."""
 
-    #: The submitted login name — the key policy uses (exemptions, rate
-    #: limits, risk feeds and flags), because it is the name PAM also has.
+    #: The submitted login name — the key policy uses (exemptions, risk
+    #: feeds and flags), because it is the name PAM also has.
     user_id: str
     code: Optional[str]
-    #: Requesting source address, when the caller knows it (RADIUS batch
-    #: entry points pass it through for admission control); ``None`` means
-    #: admission control is skipped.
+    #: Requesting source address, when the caller knows it.  It feeds
+    #: ``EvaluatePolicy``'s ``AuthRequest`` (ACL and risk), the honeytoken
+    #: alarm, and ``ApplyOutcome``'s ``record_success``; ``None`` leaves
+    #: the request's source empty and records no risk success.
     source: Optional[str] = None
 
     # -- resolved by the stages ---------------------------------------------

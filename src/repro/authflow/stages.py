@@ -9,7 +9,7 @@ monolith:
 * :class:`ResolveIdentity` — load the user's token rows; no pairing
   finishes early.
 * :class:`EvaluatePolicy` — consult the :class:`~repro.policy.PolicyEngine`
-  (admission control, exemptions, ladder) and apply the lockout state.
+  (ACL exemptions, risk, ladder) and apply the lockout state.
 * :class:`ReplayGuard` — route the SMS "null request", enforce the
   challenge lifecycle's one-time bookkeeping (outstanding/expired), and
   reject codeless requests against non-SMS tokens.
@@ -68,8 +68,8 @@ class ResolveIdentity:
     through the server's :class:`~repro.resolvers.chain.ResolverChain`;
     from here on **storage keys on the resolved uid** (``ctx.uid``: token
     rows, SMS challenges, audit rows — the key admin operations use) and
-    **policy keys on the login name** (``ctx.user_id``: exemptions, rate
-    limits, risk feeds and flags — the name PAM also has).  An
+    **policy keys on the login name** (``ctx.user_id``: exemptions, risk
+    feeds and flags — the name PAM also has).  An
     unresolved name is NO_TOKEN; a chain where every candidate resolver
     is down is an explicit (audited) REJECT — unavailability must never
     read as "this user does not exist".

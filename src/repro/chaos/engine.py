@@ -43,6 +43,7 @@ from repro.common.clock import Clock
 from repro.common.resilience import stable_seed
 from repro.otpserver.sms_gateway import CarrierProfile
 from repro.simcore import EventLog
+from repro.storage import find_layer
 
 
 class ChaosEngine:
@@ -316,8 +317,6 @@ class ChaosEngine:
         lost write shows up both as an invariant violation and as a digest
         change in the determinism check.
         """
-        from repro.storage import find_layer
-
         if self._storage is None:
             raise TypeError("plan has a shard-crash fault but no storage target")
         target = find_layer(self._storage, "crash_primary")
@@ -349,27 +348,18 @@ class ChaosEngine:
     def _set_shard_latency(self, shard: int, latency: float) -> None:
         if self._storage is None:
             raise TypeError("plan has a slow-shard fault but no storage target")
-        # Walk instrumentation/cache wrappers down to the sharded (or
-        # plain in-memory) engine that owns the latency knob.
-        engine = self._storage
-        while True:
-            if hasattr(engine, "set_shard_latency"):
-                engine.set_shard_latency(shard, latency)
-                return
-            inner = getattr(engine, "inner", None)
-            if inner is None:
-                break
-            engine = inner
-        if hasattr(engine, "set_latency"):
-            if shard != 0:
-                raise TypeError(
-                    f"storage stack is unsharded; shard {shard} does not exist"
-                )
-            engine.set_latency(latency)
+        sharded = find_layer(self._storage, "set_shard_latency")
+        if sharded is not None:
+            sharded.set_shard_latency(shard, latency)
             return
-        raise TypeError(
-            f"storage stack ({type(engine).__name__}) has no latency knob"
-        )
+        knob = find_layer(self._storage, "set_latency")
+        if knob is None:
+            raise TypeError(
+                f"storage stack ({type(self._storage).__name__}) has no latency knob"
+            )
+        if shard != 0:
+            raise TypeError(f"storage stack is unsharded; shard {shard} does not exist")
+        knob.set_latency(latency)
 
     # -- teardown -----------------------------------------------------------
 

@@ -262,7 +262,7 @@ class MFACenter:
                 clock=self.clock,
                 telemetry=self.telemetry,
             )
-            self.radius_backend = QueuedBackend(self.otp, self.ingest_queue)
+            self.radius_backend = QueuedBackend(self.ingest_queue)
             self.otp.status_sections["queue"] = self.ingest_queue.snapshot
         self.radius_servers: List[RADIUSServer] = []
         for i in range(num_radius_servers):

@@ -406,25 +406,20 @@ class IngestQueue:
 
 
 class QueuedBackend:
-    """A :class:`TokenBackend` that fronts another with an
-    :class:`IngestQueue`.
+    """A :class:`TokenBackend` whose ``validate`` goes through an
+    :class:`IngestQueue` (the queue's runner is the real backend's).
 
     ``validate`` (the synchronous seam RADIUS servers call per datagram)
     submits and waits — with no worker threads the ticket is caller-runs,
     so a single login still resolves in the same event under virtual
     time and concurrent logins each drain for themselves.  Deferred work
-    goes to ``.queue`` directly.
+    goes to ``.queue`` directly; the administrative surface (enrolment,
+    pairing queries, audit) stays on the backend itself.
     """
 
-    def __init__(self, inner, queue: IngestQueue) -> None:
-        self._inner = inner
+    def __init__(self, queue: IngestQueue) -> None:
         self.queue = queue
 
     def validate(self, user_id, code, source=None) -> ValidateResult:
         request = (user_id, code) if source is None else (user_id, code, source)
         return self.queue.submit(request).result()
-
-    def __getattr__(self, name):
-        # Administrative surface (enroll, pairing queries, audit) passes
-        # through to the wrapped backend untouched.
-        return getattr(self._inner, name)

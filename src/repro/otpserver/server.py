@@ -170,7 +170,7 @@ class OTPServer:
         #: (``attach_federation``), or ``None``.
         self.federation = None
         # The policy engine every validate consults.  The default engine
-        # (full ladder, no exemptions, no admission control) reproduces
+        # (full ladder, no exemptions, no risk engine) reproduces
         # the paper's always-challenge server; the lockout threshold comes
         # from this server's config so the two can never disagree.
         self.policy = policy or PolicyEngine(

@@ -1,7 +1,9 @@
 """Pluggable storage engines for the OTP path (the MariaDB stand-in tier).
 
 The package extracts the relational store behind
-:class:`repro.otpserver.database.Database` into a composable engine stack:
+:class:`repro.otpserver.database.Database` into a composable engine stack
+(each wrapper a :class:`~repro.storage.engine.Layer` that declares only
+what it changes; :func:`find_layer` reaches one layer's extras):
 
 * :class:`InMemoryEngine` — dict-backed tables with **undo-log
   transactions** (abort cost is O(ops touched), not O(database size));
@@ -42,6 +44,7 @@ from repro.storage.wal import (
     load_wal,
     replay,
     state_digest,
+    wal_digests,
 )
 from repro.telemetry import resolve_registry
 
@@ -147,4 +150,5 @@ __all__ = [
     "load_wal",
     "replay",
     "state_digest",
+    "wal_digests",
 ]

@@ -17,6 +17,8 @@ Invalidation rules:
 * an aborted (or refused) transaction clears the whole cache: reads
   inside the block may have cached uncommitted state that the rollback
   then reverted.
+* a point read whose fetch overlapped an invalidation fills nothing: the
+  row it fetched may be the one that write replaced.
 
 ``select``/``count`` pass straight through (range scans would thrash a
 point cache).  Cached values are raw storage rows, so nothing outside a
@@ -26,21 +28,22 @@ write to the row — no schema addition, no policy change — can stale one.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, Set
 
 from repro.common.cache import MISSING, BoundedCache
-from repro.storage.engine import Predicate, Row, StorageEngine, Transaction
-from repro.storage.schema import TableSchema
+from repro.storage.engine import Layer, Row, StorageEngine
 
 
-class CachingEngine:
+class CachingEngine(Layer):
     """Read-through wrapper with write invalidation."""
 
     def __init__(self, inner: StorageEngine, capacity: int) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self._cache = BoundedCache(capacity)
         #: Cached unique-lookup keys per table, for O(per-table) invalidation.
         self._unique_keys: Dict[str, Set[tuple]] = {}
+        #: Bumped by every invalidation; a fetch that saw it move fills nothing.
+        self._generation = 0
         self._lock = threading.Lock()
 
     # -- cache plumbing -----------------------------------------------------
@@ -48,10 +51,13 @@ class CachingEngine:
     def _read_through(self, key: tuple, table: str, fetch, *args: Any) -> Row:
         with self._lock:
             row = self._cache.get(key)
+            generation = self._generation
         if row is not MISSING:
             return dict(row)
         row = fetch(table, *args)
         with self._lock:
+            if self._generation != generation:
+                return row
             if key[1] == "unique":
                 self._unique_keys.setdefault(table, set()).add(key)
             evicted = self._cache.put(key, dict(row))
@@ -61,12 +67,14 @@ class CachingEngine:
 
     def _invalidate_row(self, table: str, pk: Any) -> None:
         with self._lock:
+            self._generation += 1
             self._cache.pop((table, "pk", pk))
             for key in self._unique_keys.pop(table, ()):
                 self._cache.pop(key)
 
     def _clear(self) -> None:
         with self._lock:
+            self._generation += 1
             self._cache.clear()
             self._unique_keys.clear()
 
@@ -93,21 +101,7 @@ class CachingEngine:
         key = (table, "unique", column, value)
         return self._read_through(key, table, self.inner.get_by_unique, column, value)
 
-    def select(
-        self,
-        table: str,
-        where: Optional[Row] = None,
-        predicate: Optional[Predicate] = None,
-    ) -> List[Row]:
-        return self.inner.select(table, where, predicate)
-
-    def count(self, table: str, where: Optional[Row] = None) -> int:
-        return self.inner.count(table, where)
-
     # -- writes -------------------------------------------------------------
-
-    def insert(self, table: str, row: Row) -> Row:
-        return self.inner.insert(table, row)
 
     def update(self, table: str, pk: Any, changes: Row) -> Row:
         row = self.inner.update(table, pk, changes)
@@ -118,29 +112,6 @@ class CachingEngine:
         row = self.inner.delete(table, pk)
         self._invalidate_row(table, pk)
         return row
-
-    # -- schema / misc -------------------------------------------------------
-
-    def create_table(self, name: str, schema: TableSchema) -> None:
-        self.inner.create_table(name, schema)
-
-    def has_table(self, name: str) -> bool:
-        return self.inner.has_table(name)
-
-    def tables(self) -> List[str]:
-        return self.inner.tables()
-
-    def schema(self, table: str) -> TableSchema:
-        return self.inner.schema(table)
-
-    def row_count(self, table: Optional[str] = None) -> int:
-        return self.inner.row_count(table)
-
-    def transaction(self) -> Transaction:
-        return Transaction(self)
-
-    def begin(self) -> None:
-        self.inner.begin()
 
     def commit(self) -> None:
         try:
@@ -156,7 +127,3 @@ class CachingEngine:
             self._clear()
         finally:
             self.inner.rollback()
-
-    def __getattr__(self, name: str):
-        # Surface engine-specific extras (shard_sizes, ...) transparently.
-        return getattr(self.inner, name)

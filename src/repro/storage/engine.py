@@ -124,18 +124,72 @@ class Transaction:
             self.engine.rollback()
 
 
-def find_layer(engine: Any, attr: str) -> Optional[Any]:
-    """Walk an engine stack's ``.inner`` chain to the first layer *defining*
-    ``attr`` in its class (not merely delegating it via ``__getattr__``).
+class Layer:
+    """One layer of an engine stack over ``inner``: the reads, schema ops,
+    ``insert``, ``begin``, ``transaction`` and ``describe`` pass through; each
+    layer declares its writes.  :func:`find_layer` reaches a layer's extras."""
 
-    The assembled stack is instrumentation → cache → sharding/replication →
-    memory; capabilities like the cache's ``cache_info`` or the
-    replication layer's ``crash_primary`` live on one specific layer.
-    Returns ``None`` when no layer owns the attribute.
+    def __init__(self, inner: StorageEngine) -> None:
+        self.inner = inner
+
+    def create_table(self, name: str, schema: TableSchema) -> None:
+        self.inner.create_table(name, schema)
+
+    def has_table(self, name: str) -> bool:
+        return self.inner.has_table(name)
+
+    def tables(self) -> List[str]:
+        return self.inner.tables()
+
+    def schema(self, table: str) -> TableSchema:
+        return self.inner.schema(table)
+
+    def insert(self, table: str, row: Row) -> Row:
+        return self.inner.insert(table, row)
+
+    def get(self, table: str, pk: Any) -> Row:
+        return self.inner.get(table, pk)
+
+    def exists(self, table: str, pk: Any) -> bool:
+        return self.inner.exists(table, pk)
+
+    def get_by_unique(self, table: str, column: str, value: Any) -> Row:
+        return self.inner.get_by_unique(table, column, value)
+
+    def select(
+        self,
+        table: str,
+        where: Optional[Row] = None,
+        predicate: Optional[Predicate] = None,
+    ) -> List[Row]:
+        return self.inner.select(table, where, predicate)
+
+    def count(self, table: str, where: Optional[Row] = None) -> int:
+        return self.inner.count(table, where)
+
+    def row_count(self, table: Optional[str] = None) -> int:
+        return self.inner.row_count(table)
+
+    def begin(self) -> None:
+        self.inner.begin()
+
+    def transaction(self) -> Transaction:
+        # Over this layer, not ``inner``: the block runs through this begin.
+        return Transaction(self)
+
+    def describe(self) -> Dict[str, Any]:
+        return self.inner.describe()
+
+
+def find_layer(engine: Any, attr: str) -> Optional[Any]:
+    """The first layer down an engine stack's ``.inner`` chain that has
+    ``attr``, or ``None``: the one way to reach an extra such as the cache's
+    ``cache_info`` or the replication layer's ``crash_primary``, since no
+    layer forwards what it does not declare.
     """
     layer = engine
     while layer is not None:
-        if any(attr in vars(klass) for klass in type(layer).__mro__):
+        if hasattr(layer, attr):
             return layer
         layer = getattr(layer, "inner", None)
     return None

@@ -17,8 +17,7 @@ import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.clock import Clock, WallClock
-from repro.storage.engine import Predicate, Row, StorageEngine, Transaction
-from repro.storage.schema import TableSchema
+from repro.storage.engine import Layer, Predicate, Row, StorageEngine
 from repro.telemetry import resolve_registry
 
 #: Bucket bounds tuned for in-process/microsecond-scale engine operations
@@ -37,7 +36,7 @@ class _BlockStarts(threading.local):
         self.stack: List[float] = []
 
 
-class InstrumentedEngine:
+class InstrumentedEngine(Layer):
     """Times and counts every operation of the wrapped engine."""
 
     def __init__(
@@ -46,7 +45,7 @@ class InstrumentedEngine:
         telemetry=None,
         clock: Optional[Clock] = None,
     ) -> None:
-        self.inner = inner
+        super().__init__(inner)
         # Durations come off the injected clock: wall time in production,
         # simulated seconds when the deployment runs on a VirtualClock (a
         # virtual-latency round trip then shows up in the histogram).
@@ -115,27 +114,7 @@ class InstrumentedEngine:
     def count(self, table: str, where: Optional[Row] = None) -> int:
         return self._timed("count", table, self.inner.count, table, where)
 
-    # -- schema / misc -------------------------------------------------------
-
-    def create_table(self, name: str, schema: TableSchema) -> None:
-        self.inner.create_table(name, schema)
-
-    def has_table(self, name: str) -> bool:
-        return self.inner.has_table(name)
-
-    def tables(self) -> List[str]:
-        return self.inner.tables()
-
-    def schema(self, table: str) -> TableSchema:
-        return self.inner.schema(table)
-
-    def row_count(self, table: Optional[str] = None) -> int:
-        return self.inner.row_count(table)
-
     # -- transactions ---------------------------------------------------------
-
-    def transaction(self) -> Transaction:
-        return Transaction(self)
 
     def begin(self) -> None:
         start = self._clock.now()  # the block's time includes its lock wait
@@ -159,7 +138,3 @@ class InstrumentedEngine:
         finally:
             self._c_abort.inc()
             self._h_txn.observe(self._clock.now() - self._starts.stack.pop())
-
-    def __getattr__(self, name: str):
-        # Surface engine-specific extras (describe, shard_sizes, cache_info, ...).
-        return getattr(self.inner, name)

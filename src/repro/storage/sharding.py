@@ -31,7 +31,7 @@ import threading
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.common.errors import NotFoundError, ValidationError
-from repro.storage.engine import Predicate, Row, StorageEngine, Transaction
+from repro.storage.engine import Predicate, Row, StorageEngine, Transaction, find_layer
 from repro.storage.memory import InMemoryEngine
 from repro.storage.schema import TableSchema
 
@@ -99,15 +99,15 @@ class ShardedEngine:
     def set_shard_latency(self, index: int, latency: float) -> None:
         """Retune one shard's simulated round trip (chaos slow-shard fault).
 
-        Only meaningful when the shard engine exposes ``set_latency`` (the
-        in-memory engine does); anything else raises so a misconfigured
-        fault plan fails loudly instead of silently injecting nothing.
+        The knob is the shard's first layer with ``set_latency``: a replica
+        group (every node of it), or the in-memory engine under a WAL.  A
+        shard without one raises so a misconfigured fault plan fails loudly.
         """
         shard = self.shards[index]
-        set_latency = getattr(shard, "set_latency", None)
-        if set_latency is None:
+        knob = find_layer(shard, "set_latency")
+        if knob is None:
             raise TypeError(f"shard {index} ({type(shard).__name__}) has no latency knob")
-        set_latency(latency)
+        knob.set_latency(latency)
 
     # -- schema -------------------------------------------------------------
 

@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, ValidationError
 from repro.simcore.digest import canonical_line
-from repro.storage.engine import Predicate, Row, StorageEngine, Transaction
+from repro.storage.engine import Layer, Row, StorageEngine, find_layer
 from repro.storage.memory import InMemoryEngine
 from repro.storage.schema import TableSchema
 from repro.telemetry import resolve_registry
@@ -41,6 +41,7 @@ __all__ = [
     "load_wal",
     "replay",
     "state_digest",
+    "wal_digests",
 ]
 
 
@@ -266,10 +267,18 @@ def state_digest(engine: StorageEngine) -> str:
     ).hexdigest()
 
 
+def wal_digests(engine: StorageEngine) -> Dict[str, str]:
+    """Each shard's WAL path mapped to the live digest a replay of that file
+    must reproduce; an unsharded stack is its own one shard."""
+    sharded = find_layer(engine, "shards")
+    logs = [find_layer(shard, "wal") for shard in (sharded.shards if sharded else [engine])]
+    return {log.wal.path: log.state_digest() for log in logs}
+
+
 # -- the engine wrapper -------------------------------------------------------
 
 
-class WALEngine:
+class WALEngine(Layer):
     """Logs every committed mutation of the wrapped engine.
 
     Ordering contract: one lock serializes mutations, so WAL order is apply
@@ -293,7 +302,7 @@ class WALEngine:
     ) -> None:
         if snapshot_every < 0:
             raise ValueError("snapshot_every must be >= 0")
-        self.inner = inner if inner is not None else InMemoryEngine()
+        super().__init__(inner if inner is not None else InMemoryEngine())
         self.wal = wal or WriteAheadLog(path)
         self.snapshot_every = snapshot_every
         self._lock = threading.RLock()
@@ -345,7 +354,7 @@ class WALEngine:
     def state_digest(self) -> str:
         return state_digest(self.inner)
 
-    # -- schema -------------------------------------------------------------
+    # -- mutations (logged) -------------------------------------------------
 
     def create_table(self, name: str, schema: TableSchema) -> None:
         with self._lock:
@@ -353,17 +362,6 @@ class WALEngine:
             self._log(
                 {"op": "create_table", "table": name, "schema": schema.to_dict()}
             )
-
-    def has_table(self, name: str) -> bool:
-        return self.inner.has_table(name)
-
-    def tables(self) -> List[str]:
-        return self.inner.tables()
-
-    def schema(self, table: str) -> TableSchema:
-        return self.inner.schema(table)
-
-    # -- mutations (logged) -------------------------------------------------
 
     def insert(self, table: str, row: Row) -> Row:
         with self._lock:
@@ -392,36 +390,7 @@ class WALEngine:
             self._log({"op": "delete", "table": table, "pk": encode_value(pk)})
             return row
 
-    # -- reads (not logged) ---------------------------------------------------
-
-    def get(self, table: str, pk: Any) -> Row:
-        return self.inner.get(table, pk)
-
-    def exists(self, table: str, pk: Any) -> bool:
-        return self.inner.exists(table, pk)
-
-    def get_by_unique(self, table: str, column: str, value: Any) -> Row:
-        return self.inner.get_by_unique(table, column, value)
-
-    def select(
-        self,
-        table: str,
-        where: Optional[Row] = None,
-        predicate: Optional[Predicate] = None,
-    ) -> List[Row]:
-        return self.inner.select(table, where, predicate)
-
-    def count(self, table: str, where: Optional[Row] = None) -> int:
-        return self.inner.count(table, where)
-
-    def row_count(self, table: Optional[str] = None) -> int:
-        return self.inner.row_count(table)
-
     # -- transactions ---------------------------------------------------------
-
-    def transaction(self) -> Transaction:
-        """Buffer the block's records; commit appends one atomic record."""
-        return Transaction(self)
 
     def begin(self) -> None:
         self._lock.acquire()
@@ -462,7 +431,3 @@ class WALEngine:
             self.inner.rollback()
         finally:
             self._lock.release()
-
-    def __getattr__(self, name: str):
-        # Surface engine-specific extras (set_latency, shard_sizes, ...).
-        return getattr(self.inner, name)

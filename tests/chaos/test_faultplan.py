@@ -22,8 +22,10 @@ from repro.common.clock import VirtualClock
 from repro.crypto.totp import TOTPGenerator
 from repro.otpserver.sms_gateway import SMSGateway
 from repro.radius.transport import UDPFabric
+from repro.storage import StorageConfig, build_engine, find_layer
 from repro.storage.memory import InMemoryEngine
 from repro.storage.sharding import ShardedEngine
+from repro.telemetry import Registry
 
 
 class TestFaultValidation:
@@ -188,6 +190,14 @@ class TestEngineDatagrams:
         assert not hasattr(engine, "telemetry")
 
 
+def _nodes(shard):
+    """One shard's in-memory nodes: the shard itself, or the primary under
+    its WAL followed by any replicas."""
+    if not hasattr(shard, "inner"):
+        return [shard]
+    return [shard.inner, *(replica.engine for replica in getattr(shard, "replicas", ()))]
+
+
 class TestStatefulFaults:
     def test_slow_shard_applied_and_reverted(self):
         sharded = ShardedEngine([InMemoryEngine(), InMemoryEngine()])
@@ -222,6 +232,42 @@ class TestStatefulFaults:
         chaos2 = ChaosEngine(plan2, VirtualClock(0.0), seed=8, storage=InMemoryEngine())
         with pytest.raises(TypeError):
             chaos2.tick()
+
+    @pytest.mark.parametrize(
+        "config, telemetry",
+        [
+            (StorageConfig(shards=2), False),
+            (StorageConfig(shards=2, durability=True), False),
+            (StorageConfig(shards=2, durability=True, cache_capacity=8), True),
+            (StorageConfig(durability=True), False),
+            (StorageConfig(shards=2, replicas=1), False),
+        ],
+        ids=["sharded", "sharded-wal", "sharded-wal-cache-telemetry", "wal", "replicated"],
+    )
+    def test_slow_shard_reaches_every_node_of_its_shard(self, config, telemetry):
+        engine = build_engine(config, telemetry=Registry() if telemetry else None)
+        sharded = find_layer(engine, "shard_sizes")
+        shards = sharded.shards if sharded else [find_layer(engine, "snapshot")]
+        target = len(shards) - 1  # shard 1, or shard 0 when unsharded
+        clock = VirtualClock(0.0)
+        plan = FaultPlan(
+            "p", "", (SlowShard(start=10, duration=10, shard=target, latency=0.5),)
+        )
+        chaos = ChaosEngine(plan, clock, seed=9, storage=engine)
+
+        def latencies():
+            return [[node.latency for node in _nodes(shard)] for shard in shards]
+
+        idle = latencies()
+        clock.set(10)
+        chaos.tick()
+        assert latencies() == [
+            [0.5 if index == target else 0.0 for _ in nodes]
+            for index, nodes in enumerate(idle)
+        ]
+        clock.set(25)
+        chaos.tick()
+        assert latencies() == idle
 
     def test_shard_crash_promotes_then_rejoins(self):
         from repro.storage import ReplicatedEngine, TableSchema

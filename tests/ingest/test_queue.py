@@ -350,16 +350,11 @@ class TestQueuedBackend:
             def validate(self, user, code):
                 return ValidateResult(ValidateStatus.OK, reason="inner")
 
-            def unpair(self, user):
-                return "passthrough"
-
         inner = Inner()
         queue = IngestQueue(inner.validate, clock=clock)
-        backend = QueuedBackend(inner, queue)
+        backend = QueuedBackend(queue)
         assert backend.validate("alice", "1").reason == "inner"
         assert queue.snapshot()["completed_total"] == 1
-        # Administrative surface passes through untouched.
-        assert backend.unpair("alice") == "passthrough"
 
 
 class TestConfigValidation:

@@ -1,6 +1,8 @@
 """Read-through cache and the instrumentation wrapper."""
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.storage import (
     StorageConfig,
     TableSchema,
     build_engine,
+    find_layer,
 )
 from repro.telemetry import Registry
 
@@ -138,6 +141,72 @@ class TestWriteInvalidation:
         assert cached.get("tokens", "S1")["n"] == 1  # rolled-back truth
 
 
+class PausingEngine(InMemoryEngine):
+    """Its first ``get`` reads the row, then waits to be released."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = threading.Event()
+        self.release = threading.Event()
+        self.paused = False
+
+    def get(self, table, pk):
+        row = super().get(table, pk)
+        if not self.paused:
+            self.paused = True
+            self.read.set()
+            assert self.release.wait(timeout=10)
+        return row
+
+
+class TestReadThroughRace:
+    def test_a_fetch_overtaken_by_a_write_does_not_fill(self):
+        """A write and its invalidation that land between a miss's fetch and
+        its fill must not leave the fetched (old) row cached."""
+        inner = PausingEngine()
+        inner.create_table("t", TableSchema(("k", "v"), "k"))
+        inner.insert("t", {"k": 1, "v": "old"})
+        cache = CachingEngine(inner, capacity=8)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(cache.get("t", 1)))
+        reader.start()
+        assert inner.read.wait(timeout=10)
+        cache.update("t", 1, {"v": "new"})
+        inner.release.set()
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert read == [{"k": 1, "v": "old"}]  # it read before the write
+        assert inner.get("t", 1)["v"] == "new"
+        assert cache.get("t", 1)["v"] == "new"
+
+    def test_threads_reading_and_writing_leave_no_stale_entry(self):
+        inner = InMemoryEngine()
+        inner.create_table("t", TableSchema(("k", "v"), "k"))
+        for k in range(4):
+            inner.insert("t", {"k": k, "v": ""})
+        cache = CachingEngine(inner, capacity=8)
+
+        def work(name):
+            for i in range(300):
+                k = i % 4
+                cache.get("t", k)
+                cache.update("t", k, {"v": f"{name}{i}"})
+
+        threads = [threading.Thread(target=work, args=(n,)) for n in "abcd"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k in range(4):
+            assert cache.get("t", k) == inner.get("t", k)
+
+
 class TestInstrumentedEngine:
     def test_op_series_recorded(self):
         registry = Registry()
@@ -220,9 +289,11 @@ class TestBuildEngine:
         engine.create_table("t", TableSchema(("k",), "k"))
         for i in range(9):
             engine.insert("t", {"k": i})
-        # Engine-specific extras surface through both wrappers.
-        assert sum(engine.shard_sizes("t")) == 9
-        assert engine.cache_info()["capacity"] == 16
+        # Each extra lives on its own layer, reached with find_layer; the
+        # outermost engine forwards neither.
+        assert sum(find_layer(engine, "shard_sizes").shard_sizes("t")) == 9
+        assert find_layer(engine, "cache_info").cache_info()["capacity"] == 16
+        assert not hasattr(engine, "shard_sizes")
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):

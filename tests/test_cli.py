@@ -81,3 +81,23 @@ def test_storage_demo_refuses_a_used_directory(capsys, tmp_path):
         assert handle.read() == written
     assert main(["storage", "--replay", f"{wals}/shard0.wal"]) == 0
     assert '"dropped": 0' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "stack", [[], ["--replicas", "1"], ["--shards", "1"]], ids=["2-shards", "replicas", "1-shard"]
+)
+def test_storage_demo_digests_every_shard_wal(capsys, tmp_path, stack):
+    """``storage --demo`` prints one live digest per shard WAL, and each is
+    what ``storage --replay`` of that file recovers."""
+    import json
+
+    wals = tmp_path / "wals"
+    assert main(["storage", "--demo", str(wals), *stack]) == 0
+    demo = json.loads(capsys.readouterr().out)
+    shards = 1 if stack == ["--shards", "1"] else 2
+    assert sorted(demo["digests"]) == [str(wals / f"shard{i}.wal") for i in range(shards)]
+    assert [entry["wal"]["path"] for entry in demo["stats"]["shards"]] == list(demo["digests"])
+    assert len(set(demo["digests"].values())) == shards  # each shard holds rows of its own
+    for path, live in demo["digests"].items():
+        assert main(["storage", "--replay", path]) == 0
+        assert json.loads(capsys.readouterr().out)["digest"] == live, path

@@ -421,6 +421,41 @@ RETIRED_COLUMN_LOOPS = (
 )
 
 
+def test_no_layer_forwards_what_it_does_not_declare():
+    """docs/ARCHITECTURE.md "Storage engines": a wrapper subclasses
+    ``storage.engine.Layer`` and declares only what it changes; an extra is
+    reached with ``find_layer``.  Shrink-only, as above: nothing under
+    ``src/`` forwards unknown attributes, and no class but ``Layer``
+    declares a method only to call the same one on ``self.inner``."""
+    assert _spelled_in_src(("def __getattr__",)) == []
+    pass_through = sorted(
+        f"{path.relative_to(SRC)}:{klass.name}.{method.name}"
+        for path in SRC.rglob("*.py")
+        for klass in ast.walk(ast.parse(path.read_text()))
+        if isinstance(klass, ast.ClassDef) and klass.name != "Layer"
+        for method in klass.body
+        if isinstance(method, ast.FunctionDef) and _only_calls_inner(method)
+    )
+    assert pass_through == []
+
+
+def _only_calls_inner(method: ast.FunctionDef) -> bool:
+    """``method``'s body is one ``[return] self.inner.<its name>(...)``."""
+    body = [
+        node for node in method.body
+        if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))
+    ]  # fmt: skip
+    if len(body) != 1 or not isinstance(body[0], (ast.Return, ast.Expr)):
+        return False
+    call = body[0].value
+    return (
+        isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == method.name
+        and ast.unparse(call.func.value) == "self.inner"
+    )
+
+
 def test_status_code_does_not_probe_the_stack_shape():
     """Each storage layer reports itself (``describe``); the code that
     serves or prints the operator view never walks the stack to find out
@@ -654,6 +689,7 @@ RETIRED_PARAMETERS = {
     "RADIUSClient": ("policy", "retries"),
     "MFACenter": ("radius_policy",),
     "SSHDaemon": ("accounting",),
+    "QueuedBackend": ("inner",),
 }
 
 
