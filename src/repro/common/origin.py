@@ -60,11 +60,7 @@ class OriginMatcher:
         return cls(raw=text, network=network & mask, mask=mask)
 
     def matches(self, ip: str) -> bool:
-        return self.covers(ipv4_to_int(ip))
-
-    def covers(self, address: Optional[int]) -> bool:
-        """:meth:`matches` for an origin a rule walker parsed once already
-        (``None``: it was not an address)."""
         if self.match_all:
             return True
+        address = ipv4_to_int(ip)
         return address is not None and (address & self.mask) == self.network

@@ -74,7 +74,6 @@ class HPCSystem:
         self.acl = InMemoryExemptionACL(
             f"+ : ALL : {ip_prefix}.0/24 : ALL\n", clock=center.clock
         )
-        self._extra_acl_lines: List[str] = []
         # ``lockout`` and ``risk`` are the *deployment's*, shared with the
         # OTP server's pipeline engine: PAM and the back end see one
         # verdict, one flag log, one set of counters per attempt stream.
@@ -133,22 +132,19 @@ class HPCSystem:
 
     # -- exemption policy --------------------------------------------------------
 
-    def _rebuild_acl(self) -> None:
-        base = f"+ : ALL : {self.ip_prefix}.0/24 : ALL\n"
-        self.acl.set_text(base + "\n".join(self._extra_acl_lines) + "\n")
-
     def add_exemption(
         self, accounts: str = "ALL", origins: str = "ALL", expiry: str = "ALL"
     ) -> None:
-        """Append a grant rule (the staff 'temporary variance' operation)."""
-        self._extra_acl_lines.append(f"+ : {accounts} : {origins} : {expiry}")
-        self._rebuild_acl()
+        """Append a grant rule (the staff 'temporary variance' operation).
+        A malformed field raises :class:`ConfigurationError` and changes
+        nothing."""
+        self.acl.append(f"+ : {accounts} : {origins} : {expiry}")
 
     def add_denial(
         self, accounts: str = "ALL", origins: str = "ALL", expiry: str = "ALL"
     ) -> None:
-        self._extra_acl_lines.append(f"- : {accounts} : {origins} : {expiry}")
-        self._rebuild_acl()
+        """Append a denial rule; a malformed field raises as above."""
+        self.acl.append(f"- : {accounts} : {origins} : {expiry}")
 
     def login_node(self, index: int = 0) -> SSHDaemon:
         return self.daemons[index]

@@ -16,20 +16,35 @@ Line format (first matching, unexpired rule wins; default deny)::
     + : jdoe : 203.0.113.7 : 2016-10-15
     - : ALL : 198.51.100.0/24 : ALL
 
+A dated variance covers the whole named day: it lapses at 00:00 UTC of the
+day after.
+
 "Changes take effect immediately upon write to disk" — the ACL re-reads
 its file whenever the mtime changes, so operators edit exemptions live.
+
+The rules are compiled when they load, into origin buckets: one per
+distinct prefix mask among the rules' origins (a dict from network to the
+ascending positions of the rules naming it), plus one ``ALL`` bucket, the
+only one a source that is not an address can reach.  ``check`` probes a
+bucket with one dict lookup, in order of the bucket's lowest position, and
+stops once no bucket left can hold an earlier rule than the best match so
+far: an exemption costs the same at 200 rules as at one, and grants exactly
+what the first-match walk down the list would.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from datetime import datetime
-from typing import List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.common.clock import Clock, WallClock, parse_date
 from repro.common.errors import ConfigurationError
 from repro.common.origin import OriginMatcher, ipv4_to_int
+
+_DAY_SECONDS = 86400.0
 
 
 @dataclass(frozen=True)
@@ -39,24 +54,15 @@ class ExemptionRule:
     grant: bool
     accounts: Tuple[str, ...]  # empty tuple == ALL
     origins: Tuple[OriginMatcher, ...]
-    expiry: Optional[datetime]  # None == ALL (never expires)
+    expiry: Optional[datetime]  # 00:00 of the last day covered; None == ALL
     lineno: int = 0
 
-    def matches(self, username: str, address: Optional[int], now: float) -> bool:
-        """``address`` is the origin as :func:`ipv4_to_int` read it."""
-        if self.accounts and username not in self.accounts:
-            return False
-        for origin in self.origins:
-            if origin.covers(address):
-                # "temporary variances that will automatically expire"
-                return self.expiry is None or now <= self.expiry.timestamp()
-        return False
 
-
-def parse_rules(text: str) -> List[ExemptionRule]:
-    """Parse ACL text; raises :class:`ConfigurationError` with line numbers."""
+def parse_rules(text: str, first_lineno: int = 1) -> List[ExemptionRule]:
+    """Parse ACL text; raises :class:`ConfigurationError` with line numbers
+    (the first line of ``text`` is line ``first_lineno``)."""
     rules: List[ExemptionRule] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=first_lineno):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -85,9 +91,8 @@ def parse_rules(text: str) -> List[ExemptionRule]:
             expiry: Optional[datetime] = None
         else:
             try:
-                # The expiry covers the whole named day.
                 expiry = parse_date(expiry_field).replace(
-                    hour=23, minute=59, second=59
+                    hour=0, minute=0, second=0, microsecond=0
                 )
             except ValueError as exc:
                 raise ConfigurationError(
@@ -97,6 +102,45 @@ def parse_rules(text: str) -> List[ExemptionRule]:
             ExemptionRule(permission == "+", accounts, origins, expiry, lineno)
         )
     return rules
+
+
+class _Compiled:
+    """Rules in the form :meth:`ExemptionACL.check` probes them (see the
+    module docstring).  Only ever extended: a reload builds a new one."""
+
+    def __init__(self, rules: Iterable[ExemptionRule] = ()) -> None:
+        self.rules: List[ExemptionRule] = []
+        #: Per position: (grant, accounts or empty for ALL, the timestamp
+        #: the rule lapses at or None).
+        self.entries: List[Tuple[bool, FrozenSet[str], Optional[float]]] = []
+        #: (lowest position, mask, table) by lowest position.  The table
+        #: maps a network to its ascending positions; the ALL bucket's mask
+        #: is None and its table is the positions themselves.
+        self.buckets: List[tuple] = []
+        self._by_mask: Dict[Optional[int], tuple] = {}
+        self.extend(rules)
+
+    def extend(self, rules: Iterable[ExemptionRule]) -> None:
+        for rule in rules:
+            position = len(self.entries)
+            lapses = None
+            if rule.expiry is not None:  # it covers the whole named day
+                lapses = rule.expiry.timestamp() + _DAY_SECONDS
+            # Entry first: a concurrent check never finds a position whose
+            # entry is missing.
+            self.entries.append((rule.grant, frozenset(rule.accounts), lapses))
+            self.rules.append(rule)
+            for origin in rule.origins:
+                mask = None if origin.match_all else origin.mask
+                bucket = self._by_mask.get(mask)
+                if bucket is None:
+                    bucket = (position, mask, [] if mask is None else {})
+                    self._by_mask[mask] = bucket
+                    self.buckets.append(bucket)
+                table = bucket[2]
+                positions = table if mask is None else table.setdefault(origin.network, [])
+                if not positions or positions[-1] != position:
+                    positions.append(position)
 
 
 class ExemptionACL:
@@ -111,10 +155,18 @@ class ExemptionACL:
     def __init__(self, path: str, clock: Optional[Clock] = None) -> None:
         self.path = path
         self._clock = clock or WallClock()
-        self._rules: List[ExemptionRule] = []
+        self._compiled = _Compiled()
         self._mtime: Optional[float] = None
         self.last_error: Optional[str] = None
         self.reload()
+
+    def _load(self, text: str) -> None:
+        try:
+            self._compiled = _Compiled(parse_rules(text))
+            self.last_error = None
+        except ConfigurationError as exc:
+            self._compiled = _Compiled()
+            self.last_error = str(exc)
 
     def reload(self) -> None:
         """Force a re-read of the file (missing file == empty policy)."""
@@ -123,16 +175,11 @@ class ExemptionACL:
                 text = handle.read()
             self._mtime = os.stat(self.path).st_mtime
         except FileNotFoundError:
-            self._rules = []
+            self._compiled = _Compiled()
             self._mtime = None
             self.last_error = None
             return
-        try:
-            self._rules = parse_rules(text)
-            self.last_error = None
-        except ConfigurationError as exc:
-            self._rules = []
-            self.last_error = str(exc)
+        self._load(text)
 
     def _maybe_reload(self) -> None:
         try:
@@ -146,18 +193,36 @@ class ExemptionACL:
 
     def rules(self) -> List[ExemptionRule]:
         self._maybe_reload()
-        return list(self._rules)
+        return list(self._compiled.rules)
 
     def check(self, username: str, ip: str) -> bool:
         """True iff an exemption is granted.  First match wins; default deny."""
         self._maybe_reload()
-        # Read once per request, in the form every rule uses them.
+        compiled = self._compiled
+        entries = compiled.entries
+        # Read once per request, in the form every bucket uses them.
         address = ipv4_to_int(ip)
         now = self._clock.now()
-        for rule in self._rules:
-            if rule.matches(username, address, now):
-                return rule.grant
-        return False
+        end = best = len(entries)
+        for lowest, mask, table in compiled.buckets:
+            if lowest >= best:
+                break  # no bucket left holds a rule before the best match
+            if mask is None:
+                positions = table
+            elif address is not None and (network := address & mask) in table:
+                positions = table[network]
+            else:
+                continue
+            for position in positions:
+                if position >= best:
+                    break
+                _, accounts, lapses = entries[position]
+                if (not accounts or username in accounts) and (
+                    lapses is None or now < lapses
+                ):
+                    best = position
+                    break
+        return best != end and entries[best][0]
 
 
 class InMemoryExemptionACL(ExemptionACL):
@@ -169,16 +234,26 @@ class InMemoryExemptionACL(ExemptionACL):
         self.path = "<memory>"
         self._mtime = None
         self.last_error = None
-        self._rules = []
+        # Writers take turns (a rule's position is the count before it);
+        # checks read without it.
+        self._write_lock = threading.Lock()
         self.set_text(text)
 
     def set_text(self, text: str) -> None:
-        try:
-            self._rules = parse_rules(text)
-            self.last_error = None
-        except ConfigurationError as exc:
-            self._rules = []
-            self.last_error = str(exc)
+        with self._write_lock:
+            self._load(text)
+            self._lines = len(text.splitlines())
+
+    def append(self, line: str) -> None:
+        """Add ``line``'s rule after every other, parsing only that line.
+        A malformed line — or text of more than one line — raises
+        :class:`ConfigurationError` and changes nothing."""
+        with self._write_lock:
+            lineno = self._lines + 1
+            if len(line.splitlines()) > 1:
+                raise ConfigurationError(f"ACL line {lineno}: more than one line")
+            self._compiled.extend(parse_rules(line, first_lineno=lineno))
+            self._lines = lineno
 
     def reload(self) -> None:  # nothing to re-read
         pass

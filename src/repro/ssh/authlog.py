@@ -17,7 +17,7 @@ IP port N ssh2") plus the center's custom entry-audit records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.clock import Clock
 
@@ -64,6 +64,9 @@ class AuthLog:
         self._clock = clock
         self._entries: List[AuthLogEntry] = []
         self._max = max_entries
+        #: (username, remote_ip) -> when the log last accepted its public
+        #: key; holds only what the entries kept still show.
+        self._publickey_accepted: Dict[Tuple[str, str], float] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -85,9 +88,16 @@ class AuthLog:
             tty=tty,
         )
         self._entries.append(entry)
+        if event == "accepted_publickey":
+            self._publickey_accepted[username, remote_ip] = entry.timestamp
         if len(self._entries) > self._max:
             # Rotate like logrotate would: drop the oldest half.
             self._entries = self._entries[self._max // 2 :]
+            self._publickey_accepted = {
+                (kept.username, kept.remote_ip): kept.timestamp
+                for kept in self._entries
+                if kept.event == "accepted_publickey"
+            }
         return entry
 
     def recent(
@@ -114,11 +124,11 @@ class AuthLog:
         self, username: str, remote_ip: str, window_seconds: float = 30.0
     ) -> bool:
         """The exact question ``pam_pubkey_success`` asks: did sshd log an
-        accepted public key for this user+origin moments ago?"""
-        for entry in self.recent(window_seconds, "accepted_publickey", username):
-            if entry.remote_ip == remote_ip:
-                return True
-        return False
+        accepted public key for this user+origin moments ago?  One lookup:
+        the log's clock never runs back, so the latest acceptance is the
+        one a scan of the window would find."""
+        accepted = self._publickey_accepted.get((username, remote_ip))
+        return accepted is not None and accepted >= self._clock.now() - window_seconds
 
     def entries(self) -> List[AuthLogEntry]:
         return list(self._entries)

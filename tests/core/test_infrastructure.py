@@ -268,6 +268,30 @@ class TestExemptionManagement:
                                    token="000000")
         assert not result.success
 
+    @pytest.mark.parametrize(
+        "add, fields",
+        [
+            ("add_exemption", {"origins": "10.0.0.0/40"}),
+            ("add_exemption", {"accounts": "gw", "expiry": "someday"}),
+            ("add_denial", {"accounts": " , "}),
+            ("add_exemption", {"accounts": "gw : ALL : ALL\n+ : ALL"}),
+        ],
+    )
+    def test_a_malformed_variance_raises_and_changes_nothing(
+        self, center, add, fields
+    ):
+        system = center.add_system("stampede", mode="full")
+        center.create_user("alice", password="pw")
+        system.add_exemption(accounts="alice", origins="198.51.100.0/24")
+        before = system.acl.rules()
+        with pytest.raises(ConfigurationError):
+            getattr(system, add)(**fields)
+        assert system.acl.rules() == before
+        internal = SSHClient(f"{system.ip_prefix}.42")
+        assert internal.connect(system.login_node(), "alice", password="pw")[0].success
+        client = SSHClient("198.51.100.9")
+        assert client.connect(system.login_node(), "alice", password="pw")[0].success
+
 
 class TestExemptionManagementOnFiles(OnFiles, TestExemptionManagement):
     pass

@@ -1,6 +1,9 @@
 """Exemption ACL: syntax, matching, expiry, ALL wildcards, hot reload."""
 
+import cProfile
 import os
+import sys
+import threading
 import time
 
 import pytest
@@ -186,6 +189,13 @@ class TestExpiry:
         clock.advance(5 * 3600)  # past midnight
         assert not a.check("alice", "1.2.3.4")
 
+    def test_covers_the_last_second_of_the_named_day(self):
+        clock = VirtualClock.at("2016-12-31T23:59:59.5")
+        a = acl("+ : jdoe : 203.0.113.7 : 2016-12-31", clock)
+        assert a.check("jdoe", "203.0.113.7")
+        clock.advance(0.5)  # 00:00 UTC of the next day
+        assert not a.check("jdoe", "203.0.113.7")
+
     def test_temporary_variance_expires_in_place(self, clock):
         """The paper's temporary variances expire without a config change."""
         a = acl("+ : alice : ALL : 2016-09-20", clock)
@@ -240,6 +250,112 @@ class TestHotReload:
         a.set_text("garbage")
         assert not a.check("alice", "1.2.3.4")
         assert a.last_error
+
+
+class TestAppend:
+    def test_append_adds_a_rule_after_the_others(self, clock):
+        a = acl("- : mallory : ALL : ALL\n", clock)
+        a.append("+ : ALL : 10.0.0.0/8 : ALL")
+        a.append("+ : mallory,bob : 8.8.8.8 : 2016-09-15")
+        assert a.check("alice", "10.1.2.3")
+        assert not a.check("mallory", "10.1.2.3")  # the earlier denial wins
+        assert a.check("bob", "8.8.8.8")
+        assert [r.lineno for r in a.rules()] == [1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "+ : alice : ALL",
+            "* : alice : ALL : ALL",
+            "+ : alice : 10.0.0.0/33 : ALL",
+            "+ : alice : ALL : someday",
+            "+ : alice : ALL : ALL\n+ : ALL : ALL : ALL",
+        ],
+    )
+    def test_a_malformed_line_raises_and_changes_nothing(self, clock, line):
+        a = acl("+ : alice : 10.0.0.0/8 : ALL\n", clock)
+        before = a.rules()
+        with pytest.raises(ConfigurationError):
+            a.append(line)
+        assert a.rules() == before
+        assert a.last_error is None
+        assert a.check("alice", "10.1.2.3")
+        assert not a.check("bob", "10.1.2.3")
+        a.append("+ : bob : ALL : ALL")
+        assert a.check("bob", "10.1.2.3")
+        assert a.rules()[-1].lineno == 2
+
+
+    def test_concurrent_appends_lose_no_rule(self, clock):
+        """Four writers append while two readers check: every rule lands at
+        its own position and grants its account."""
+        a = acl("- : mallory : ALL : ALL\n", clock)
+        writers, per_writer = 4, 150
+        stop = threading.Event()
+        granted_mallory = []
+
+        def write(w):
+            for i in range(per_writer):
+                a.append(f"+ : u{w}x{i} : ALL : ALL")
+
+        def read():
+            while not stop.is_set():
+                if a.check("mallory", "10.1.2.3"):
+                    granted_mallory.append(True)
+                a.check("u0x0", "10.1.2.3")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write, args=(w,)) for w in range(writers)]
+            readers = [threading.Thread(target=read) for _ in range(2)]
+            for thread in threads + readers:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads + readers)
+        assert not granted_mallory
+        rules = a.rules()
+        assert len(rules) == 1 + writers * per_writer
+        assert sorted(r.lineno for r in rules) == list(range(1, len(rules) + 1))
+        for w in range(writers):
+            for i in range(per_writer):
+                assert a.check(f"u{w}x{i}", "10.1.2.3")
+
+
+def _calls(acl_, username, ip):
+    """``acl_.check(username, ip)`` and the interpreter calls it made."""
+    profiler = cProfile.Profile()
+    granted = profiler.runcall(acl_.check, username, ip)
+    return granted, sum(entry.callcount for entry in profiler.getstats())
+
+
+class TestCheckCost:
+    @pytest.mark.parametrize(
+        "username, ip, granted",
+        [("alice", "198.51.100.7", True), ("alice", "8.8.8.8", False)],
+    )
+    def test_a_check_costs_the_same_at_2000_rules_as_at_one(
+        self, clock, username, ip, granted
+    ):
+        """The only match is the last rule: a walk tries every rule first."""
+        shapes = [
+            "+ : user{i} : 129.114.{a}.0/24 : ALL",
+            "+ : ALL : 203.0.{a}.{b} : 2016-01-31",
+            "- : user{i} : ALL : ALL",
+            "+ : user{i},other : 10.{a}.0.0/16,192.0.2.{a} : ALL",
+        ]
+        lines = [shapes[i % 4].format(i=i, a=i % 250, b=i // 250) for i in range(1999)]
+        last = "+ : alice : 198.51.100.0/24 : ALL"
+        large = acl("\n".join(lines + [last]), clock)
+        assert len(large.rules()) == 2000
+        assert _calls(large, username, ip) == _calls(acl(last, clock), username, ip)
+        assert large.check(username, ip) is granted
 
 
 class TestConversationBase:

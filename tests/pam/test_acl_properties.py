@@ -1,8 +1,9 @@
 """Property-based checks of the exemption ACL against stdlib references."""
 
 import ipaddress
+from datetime import datetime, timedelta, timezone
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common.clock import VirtualClock
 from repro.pam.acl import InMemoryExemptionACL, OriginMatcher
@@ -127,3 +128,92 @@ class TestOriginsAreAnyText:
     def test_origins_field_parses_or_is_a_configuration_error(self, field):
         acl = InMemoryExemptionACL(f"+ : alice : {field} : ALL", clock=VirtualClock(0.0))
         assert (acl.last_error is None) or not acl.check("alice", "10.1.2.3")
+
+
+#: Addresses the rules and the sources share, so that origins nest and overlap.
+POOL = ["0.0.0.0", "10.0.0.1", "10.0.1.7", "10.1.2.3", "129.114.9.9", "203.0.113.7",
+        "255.255.255.255"]
+NOT_ADDRESSES = ["", "not-an-ip", "10.0.0.256", "10.0.0", "１0.0.0.1", "ALL"]
+DAY = datetime(2016, 9, 15, tzinfo=timezone.utc)
+
+origin = st.one_of(
+    st.just("ALL"),
+    st.sampled_from(POOL),
+    st.builds(
+        "{}/{}".format,
+        st.sampled_from(POOL),
+        st.one_of(st.sampled_from([0, 8, 16, 24, 32]), prefix_len),
+    ),
+    st.builds("{}/{}".format, ipv4, prefix_len),
+)
+accounts = st.one_of(
+    st.just("ALL"),
+    st.lists(st.sampled_from(["alice", "bob", "gw"]), min_size=1, max_size=2,
+             unique=True).map(",".join),
+)
+expiry = st.one_of(
+    st.just("ALL"),
+    st.integers(-2, 2).map(lambda days: (DAY + timedelta(days=days)).date().isoformat()),
+)
+dated_rule = st.tuples(
+    permissions, accounts, st.lists(origin, min_size=1, max_size=3), expiry
+)
+# Seconds from 00:00 of DAY, with the day boundaries themselves likely.
+offset = st.one_of(
+    st.floats(-86400.0, 2 * 86400.0),
+    st.sampled_from([k * 86400.0 + d for k in (-1, 0, 1, 2) for d in (-0.5, 0.0, 0.5)]),
+)
+source = st.one_of(st.sampled_from(POOL), ipv4, st.sampled_from(NOT_ADDRESSES))
+
+
+def linear_first_match(rules, username, ip, now):
+    """The exemption the first-match walk down the list grants."""
+    address = reference_address(ip)
+    for permission, accounts_, origins, expiry_ in rules:
+        if accounts_ != "ALL" and username not in accounts_.split(","):
+            continue
+        if expiry_ != "ALL":
+            lapses = datetime.fromisoformat(expiry_).replace(tzinfo=timezone.utc)
+            if now >= (lapses + timedelta(days=1)).timestamp():
+                continue
+        if any(
+            o == "ALL"
+            or (address is not None and address in ipaddress.ip_network(o, strict=False))
+            for o in origins
+        ):
+            return permission == "+"
+    return False
+
+
+class TestBucketsAgainstTheWalk:
+    """The compiled check grants exactly what a linear first-match walk
+    over the same rules does."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        rules=st.lists(dated_rule, max_size=40),
+        split=st.integers(0, 40),
+        username=st.sampled_from(["alice", "bob", "mallory"]),
+        ip=source,
+        seconds=offset,
+    )
+    # The /8 bucket is probed first and finds rule 2; the ALL bucket must
+    # still be searched below it, and no further.
+    @example(
+        rules=[
+            ("+", "bob", ["10.0.0.0/8"], "ALL"),
+            ("+", "bob", ["ALL"], "ALL"),
+            ("+", "alice", ["10.0.0.0/8"], "ALL"),
+            ("-", "alice", ["ALL"], "ALL"),
+        ],
+        split=4, username="alice", ip="10.1.2.3", seconds=0.0,
+    )
+    def test_check_equals_the_linear_walk(self, rules, split, username, ip, seconds):
+        now = DAY.timestamp() + seconds
+        lines = [f"{p} : {a} : {','.join(o)} : {e}" for p, a, o, e in rules]
+        # Half loaded as text, the rest appended a line at a time.
+        acl = InMemoryExemptionACL("\n".join(lines[:split]), clock=VirtualClock(now))
+        for line in lines[split:]:
+            acl.append(line)
+        assert acl.last_error is None
+        assert acl.check(username, ip) is linear_first_match(rules, username, ip, now)

@@ -1,5 +1,7 @@
 """Secure log: formatting, windowed queries, rotation."""
 
+import random
+
 import pytest
 
 from repro.common.clock import VirtualClock
@@ -73,3 +75,31 @@ class TestRotation:
         assert len(log) <= 101
         # The newest entries survive rotation.
         assert log.entries()[-1].username == "u149"
+
+    def test_publickey_lookup_answers_what_a_scan_of_the_kept_log_does(self, clock):
+        """Across rotations and at the window's edges, the lookup agrees
+        with a scan of the entries the log still holds."""
+        log = AuthLog(clock, max_entries=8)
+        rng = random.Random(5)
+        pairs = [(u, ip) for u in ("alice", "bob") for ip in ("1.1.1.1", "2.2.2.2")]
+        for _ in range(400):
+            user, ip = rng.choice(pairs)
+            log.append(rng.choice(["accepted_publickey", "session_open"]), user, ip)
+            clock.advance(rng.choice([0.0, 0.5, 10.0, 30.0]))
+            for user, ip in pairs:
+                for window in (0.0, 10.0, 30.0):
+                    scanned = any(
+                        entry.remote_ip == ip
+                        for entry in log.recent(window, "accepted_publickey", user)
+                    )
+                    assert log.publickey_accepted_recently(user, ip, window) == scanned
+
+    def test_rotated_out_acceptance_is_forgotten(self, clock):
+        log = AuthLog(clock, max_entries=4)
+        log.append("accepted_publickey", "alice", "1.1.1.1")
+        clock.advance(30)  # the window's edge: still this connection
+        assert log.publickey_accepted_recently("alice", "1.1.1.1", 30.0)
+        for _ in range(4):
+            log.append("session_open", "bob", "2.2.2.2")
+        assert "alice" not in {entry.username for entry in log.entries()}
+        assert not log.publickey_accepted_recently("alice", "1.1.1.1", 30.0)
