@@ -21,6 +21,12 @@ that never fires is absent from the snapshot and the exposition text — and
 a child bound before ``reset()`` keeps working after it (it holds the key,
 not a cell).
 
+A caller holding several observations of one event (a pipeline run's stage
+times) hands them to the histogram's private batch update instead: one lock
+acquisition for the lot, so a scrape sees all of them or none.  A read of
+more than one of a cell's fields (a snapshot, a mean, a quantile) holds that
+same lock, so it never sees an observation's new count beside its old buckets.
+
 Design constraints:
 
 * no external dependencies — the snapshot/export layer produces the
@@ -37,7 +43,8 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from functools import partial
-from typing import Dict, Iterable, List, Optional, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: A label set normalized to a hashable, order-independent key.
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -224,6 +231,35 @@ class Histogram(_Instrument):
             if cell.max is None or value > cell.max:
                 cell.max = value
 
+    def _observe_run(self, keys: Sequence[LabelKey], values: Sequence[float]) -> None:
+        """``_observe(keys[i], values[i])`` for every slot, under one lock
+        acquisition: a scrape sees all of one run (a pipeline's stage
+        times) or none of it.  A NaN slot — a stage that did not run — is
+        dropped like any NaN."""
+        # Every bucket index in one C pass (a NaN maps to 0, then is skipped).
+        indexes = list(map(bisect_left, repeat(self.buckets), values))
+        with self._lock:
+            series = self._series
+            for key, value, index in zip(keys, values, indexes):
+                if value != value:
+                    continue
+                # ``_observe``'s update, inlined: a frame per cell is what
+                # this method exists to save.
+                try:
+                    cell = series[key]
+                except KeyError:
+                    key = self._admit(key)
+                    cell = series.get(key)
+                    if cell is None:
+                        cell = series[key] = _HistogramSeries(len(self.buckets))
+                cell.bucket_counts[index] += 1
+                cell.count += 1
+                cell.sum += value
+                if cell.min is None or value < cell.min:
+                    cell.min = value
+                if cell.max is None or value > cell.max:
+                    cell.max = value
+
     def labels(self, **labels: object) -> BoundHistogram:
         return BoundHistogram(self, label_key(labels))
 
@@ -239,52 +275,54 @@ class Histogram(_Instrument):
         return series.sum if series else 0.0
 
     def mean(self, **labels: object) -> float:
-        series = self._series.get(label_key(labels))
-        if not series or not series.count:
-            return 0.0
-        return series.sum / series.count
+        with self._lock:
+            series = self._series.get(label_key(labels))
+            if not series or not series.count:
+                return 0.0
+            return series.sum / series.count
 
     def bucket_counts(self, **labels: object) -> List[int]:
         """Per-bucket (non-cumulative) counts; last entry is the +Inf bucket."""
-        series = self._series.get(label_key(labels))
-        return list(series.bucket_counts) if series else [0] * (len(self.buckets) + 1)
+        with self._lock:
+            series = self._series.get(label_key(labels))
+            return list(series.bucket_counts) if series else [0] * (len(self.buckets) + 1)
 
     def quantile(self, q: float, **labels: object) -> float:
         """Bucket-boundary quantile estimate (the Prometheus approximation)."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
-        series = self._series.get(label_key(labels))
-        if not series or not series.count:
-            return 0.0
-        target = q * series.count
-        cumulative = 0
-        for i, bound in enumerate(self.buckets):
-            if not series.bucket_counts[i]:
-                continue  # an empty bucket holds no observation to answer with
-            cumulative += series.bucket_counts[i]
-            if cumulative >= target:
-                return bound
-        return series.max if series.max is not None else self.buckets[-1]
+        with self._lock:
+            series = self._series.get(label_key(labels))
+            if not series or not series.count:
+                return 0.0
+            target = q * series.count
+            cumulative = 0
+            for i, bound in enumerate(self.buckets):
+                if not series.bucket_counts[i]:
+                    continue  # an empty bucket holds no observation to answer with
+                cumulative += series.bucket_counts[i]
+                if cumulative >= target:
+                    return bound
+            return series.max if series.max is not None else self.buckets[-1]
 
     def snapshot(self) -> dict:
         out = []
         with self._lock:
-            items = sorted(self._series.items())
-        for key, series in items:
-            out.append(
-                {
-                    "labels": dict(key),
-                    "count": series.count,
-                    "sum": series.sum,
-                    "min": series.min,
-                    "max": series.max,
-                    "buckets": [
-                        {"le": bound, "count": series.bucket_counts[i]}
-                        for i, bound in enumerate(self.buckets)
-                    ]
-                    + [{"le": "+Inf", "count": series.bucket_counts[-1]}],
-                }
-            )
+            for key, series in sorted(self._series.items()):
+                out.append(
+                    {
+                        "labels": dict(key),
+                        "count": series.count,
+                        "sum": series.sum,
+                        "min": series.min,
+                        "max": series.max,
+                        "buckets": [
+                            {"le": bound, "count": series.bucket_counts[i]}
+                            for i, bound in enumerate(self.buckets)
+                        ]
+                        + [{"le": "+Inf", "count": series.bucket_counts[-1]}],
+                    }
+                )
         return {
             "name": self.name,
             "kind": self.kind,

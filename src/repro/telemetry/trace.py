@@ -2,10 +2,12 @@
 
 A full SSH login crosses six layers (sshd → PAM modules → RADIUS client →
 RADIUS server → OTP validate → SMS gateway), all in-process and synchronous.
-The tracer exploits that: it keeps a stack of open spans, so a span opened
-while another is active becomes its child with no explicit context passing
-— the RADIUS server's span nests under the client's because the fabric
-delivers the datagram within the same call chain.
+The tracer exploits that: it keeps a stack of open spans per thread (one
+``threading.local`` attribute, read once per open and once per close), so a
+span opened while another is active becomes its child with no explicit
+context passing — the RADIUS server's span nests under the client's because
+the fabric delivers the datagram within the same call chain.  The span a
+tracer opens is itself the ``with`` handle: no wrapper object per span.
 
 When the outermost span closes, the finished trace (its root span) lands in
 a bounded ring buffer that tests and operators query:
@@ -32,17 +34,29 @@ DEFAULT_MAX_TRACES = 256
 
 
 class Span:
-    """One timed layer of a trace, with attributes and child spans."""
+    """One timed layer of a trace, with attributes and child spans.
 
-    __slots__ = ("name", "start", "end", "attributes", "children", "status")
+    A span :meth:`Tracer.span` opens is its own ``with`` handle: leaving
+    the block closes it on that tracer.
+    """
 
-    def __init__(self, name: str, start: float, attributes: Optional[Dict[str, object]] = None) -> None:
+    __slots__ = ("name", "start", "end", "attributes", "children", "status", "_tracer")
+
+    def __init__(self, tracer: "Tracer", name: str, start: float, attributes: Optional[Dict[str, object]] = None) -> None:
         self.name = name
         self.start = start
         self.end: Optional[float] = None
         self.attributes: Dict[str, object] = attributes or {}
         self.children: List["Span"] = []
         self.status = "ok"
+        self._tracer = tracer
+
+    def __enter__(self) -> "Span":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self._tracer._finish(self, exc)
+        return False
 
     def annotate(self, key: str, value: object) -> None:
         self.attributes[key] = value
@@ -102,21 +116,12 @@ class Span:
         return f"Span({self.name!r}, children={len(self.children)}, status={self.status!r})"
 
 
-class _SpanContext:
-    """The ``with tracer.span(...)`` handle; closes the span on exit."""
+class _OpenSpans(threading.local):
+    """Each thread's open spans, innermost last: a worker validating one
+    user never becomes a child of another worker's span."""
 
-    __slots__ = ("_tracer", "_span")
-
-    def __init__(self, tracer: "Tracer", span: Span) -> None:
-        self._tracer = tracer
-        self._span = span
-
-    def __enter__(self) -> Span:
-        return self._span
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._tracer._finish(self._span, exc)
-        return False
+    def __init__(self) -> None:
+        self.stack: List[Span] = []
 
 
 class Tracer:
@@ -124,31 +129,23 @@ class Tracer:
 
     def __init__(self, clock: Optional[Clock] = None, max_traces: int = DEFAULT_MAX_TRACES) -> None:
         self._clock = clock or WallClock()
-        # Each thread builds its own span tree: a worker validating one
-        # user must not become a child of another worker's span.  Finished
-        # traces from every thread land in the shared ring buffer.
-        self._local = threading.local()
+        # Each thread builds its own span tree; finished traces from every
+        # thread land in the shared ring buffer.
+        self._open = _OpenSpans()
         self._lock = threading.Lock()
         self.traces: Deque[Span] = deque(maxlen=max_traces)
         self.spans_started = 0
 
-    @property
-    def _stack(self) -> List[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def span(self, name: str, **attributes: object) -> _SpanContext:
+    def span(self, name: str, **attributes: object) -> Span:
         """Open a span; it becomes a child of the currently open span."""
-        span = Span(name, self._clock.now(), attributes or None)
-        stack = self._stack
+        span = Span(self, name, self._clock.now(), attributes or None)
+        stack = self._open.stack
         if stack:
             stack[-1].children.append(span)
         stack.append(span)
         with self._lock:
             self.spans_started += 1
-        return _SpanContext(self, span)
+        return span
 
     def _finish(self, span: Span, exc: Optional[BaseException]) -> None:
         span.end = self._clock.now()
@@ -157,7 +154,7 @@ class Tracer:
             span.attributes.setdefault("error", repr(exc))
         # Pop down to (and including) the span: robust against a child the
         # caller leaked open — it is force-closed with its parent.
-        stack = self._stack
+        stack = self._open.stack
         while stack:
             top = stack.pop()
             if top is span:
@@ -170,7 +167,7 @@ class Tracer:
                 self.traces.append(span)
 
     def current_span(self) -> Optional[Span]:
-        stack = self._stack
+        stack = self._open.stack
         return stack[-1] if stack else None
 
     def last_trace(self) -> Optional[Span]:
@@ -185,17 +182,23 @@ class Tracer:
 
     def reset(self) -> None:
         """Clear the calling thread's open spans and the shared buffer."""
-        self._stack.clear()
+        self._open.stack.clear()
         with self._lock:
             self.traces.clear()
             self.spans_started = 0
 
 
 class NoopSpan:
-    """Absorbs annotations; shared singleton, allocates nothing."""
+    """Absorbs annotations; its own ``with`` handle; a shared singleton."""
 
     __slots__ = ()
     status = "ok"
+
+    def __enter__(self) -> "NoopSpan":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        return False
 
     def annotate(self, key: str, value: object) -> None:
         pass
@@ -207,19 +210,6 @@ class NoopSpan:
 NOOP_SPAN = NoopSpan()
 
 
-class _NoopSpanContext:
-    __slots__ = ()
-
-    def __enter__(self) -> NoopSpan:
-        return NOOP_SPAN
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NOOP_SPAN_CONTEXT = _NoopSpanContext()
-
-
 class NoopTracer:
     """Same surface as :class:`Tracer`; every operation is free."""
 
@@ -227,8 +217,8 @@ class NoopTracer:
     traces: tuple = ()
     spans_started = 0
 
-    def span(self, name: str, **attributes: object) -> _NoopSpanContext:
-        return _NOOP_SPAN_CONTEXT
+    def span(self, name: str, **attributes: object) -> NoopSpan:
+        return NOOP_SPAN
 
     def current_span(self) -> None:
         return None

@@ -1,6 +1,7 @@
 """The staged validate pipeline: locks, threads, policy hooks, telemetry."""
 
 import random
+import sys
 import threading
 
 import pytest
@@ -135,6 +136,48 @@ class TestStageClock:
         seconds = telemetry.histogram("authflow_stage_seconds")
         assert [seconds.sum(stage=s.name) for s in stages] == [2.0, 3.0, 0.0, 5.0]
         assert [seconds.count(stage=s.name) for s in stages] == [1, 1, 0, 1]
+
+
+class TestOneUpdatePerRun:
+    """A run's stage times reach the histogram as one update: a scrape taken
+    while caller threads run the pipeline never shows half a run."""
+
+    def test_a_scrape_never_shows_half_a_run(self, clock):
+        telemetry = Registry()
+        names = ("first", "second", "third", "deciding")
+        stages = [TestStageClock._Stage(name, clock, 0.0) for name in names[:-1]]
+        stages.append(TestStageClock._Stage(names[-1], clock, 0.0, finish=True))
+        pipeline = AuthPipeline(stages, telemetry=telemetry, clock=clock)
+        seconds = telemetry.histogram("authflow_stage_seconds")
+        done = threading.Event()
+        torn = []
+
+        def work(worker):
+            for n in range(2500):
+                pipeline.run(f"user{worker}-{n}", "123456")
+
+        def scrape():
+            while not done.is_set():
+                counts = [series["count"] for series in seconds.snapshot()["series"]]
+                if len(set(counts)) > 1:
+                    torn.append(counts)
+
+        workers = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+        scraper = threading.Thread(target=scrape)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            scraper.start()
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=120.0)
+        finally:
+            done.set()
+            scraper.join(timeout=120.0)
+            sys.setswitchinterval(interval)
+        assert torn == []
+        assert [seconds.count(stage=name) for name in names] == [10_000] * 4
 
 
 def validate_many(server, requests, threads=8):

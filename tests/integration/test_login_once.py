@@ -20,6 +20,7 @@ from repro.crypto.totp import TOTPGenerator
 from repro.otpserver.admin_api import AdminAPI, AdminAPIClient
 from repro.ssh import SSHClient
 from repro.storage import StorageConfig
+from repro.telemetry import trace
 from repro.ssh.keys import KeyPair
 
 SMS_PHONE = "5125550000"
@@ -299,6 +300,54 @@ def test_a_warm_success_writes_nothing(warm_success_profile):
     assert count(warm_success_profile, "storage/memory.py", "update") == 0
     # ... and the row those zeros speak for was read.
     assert count(warm_success_profile, "storage/memory.py", "select") == 1
+
+
+@pytest.fixture(scope="module")
+def telemetry_on_profile(tmp_path_factory):
+    """One warm valid validate on loginbench's ``validate_backend`` stack:
+    four WAL-logged shards to disk under a read-through cache, the ingest
+    queue, risk, the resolver chain and telemetry on."""
+    center = MFACenter(
+        clock=VirtualClock.at("2016-10-05T09:00:00"),
+        rng=random.Random(20160810),
+        storage=StorageConfig(
+            shards=4, durability=True, cache_capacity=2048, snapshot_every=5000,
+            wal_dir=str(tmp_path_factory.mktemp("wal")),
+        ),
+        ingest=True, risk=True, resolvers=True, telemetry=True,
+    )
+    center.create_user("trainee", password="pw-trainee")
+    code = center.pair_training("trainee", "424242")
+
+    def validate(run):
+        assert run(center.radius_backend.validate, "trainee", code).ok
+
+    return profile_second_call(validate)
+
+
+def test_telemetry_on_updates_the_stage_histogram_once(telemetry_on_profile):
+    """docs/ARCHITECTURE.md "Telemetry": a pipeline run hands its stage times
+    to the histogram in one batch, not one observation per stage."""
+    run = ("authflow/pipeline.py", "run")
+    edges = telemetry_on_profile.edges
+    assert edges.get((run, ("telemetry/metrics.py", "_observe")), 0) == 0
+    assert edges.get((run, ("telemetry/metrics.py", "_observe_run")), 0) == 1
+
+
+def test_a_span_pays_for_no_stack_lookup(telemetry_on_profile):
+    """A span is its own ``with`` handle and reads its thread's open spans
+    as a plain attribute: no wrapper object, no property, no ``getattr``."""
+    assert not hasattr(trace, "_SpanContext")
+    assert not hasattr(trace.Tracer, "_stack")
+    getattrs = sum(
+        n
+        for (caller, callee), n in telemetry_on_profile.edges.items()
+        if caller[0] == "telemetry/trace.py" and callee[0] == "~" and "getattr" in callee[1]
+    )
+    assert getattrs == 0
+    # ... and the spans those zeros speak for were opened and closed.
+    assert count(telemetry_on_profile, "telemetry/trace.py", "span") >= 1
+    assert count(telemetry_on_profile, "telemetry/trace.py", "__exit__") >= 1
 
 
 def count(profile, file_name, function):

@@ -2,8 +2,13 @@
 
 import inspect
 import json
+import math
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.clock import VirtualClock
 from repro.common.errors import ConfigurationError
@@ -152,6 +157,108 @@ class TestHistogram:
         assert h.sum() == 0.0
         assert h.mean() == 0.0
         assert h.quantile(0.5) == 0.0
+
+
+#: A pipeline's stage label keys, five stages' worth.
+STAGE_KEYS = tuple(label_key({"stage": name}) for name in ("a", "b", "c", "d", "e"))
+RUN_BOUNDS = (0.0, 1.0, 100.0)
+#: One slot of a run: a stage time (on a bound, past the last bound, +Inf,
+#: anything finite), a NaN, or ``None`` — a stage that did not run, which
+#: the batch sees as the NaN its run list starts with.
+slots = st.one_of(
+    st.sampled_from(RUN_BOUNDS),
+    st.just(math.inf),
+    st.just(math.nan),
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+)
+runs = st.lists(
+    st.lists(st.tuples(st.sampled_from(STAGE_KEYS), slots), max_size=7), max_size=20
+)
+
+
+def _feed(runs, batched, max_series):
+    histogram = Histogram("stage_seconds", buckets=RUN_BOUNDS, max_series=max_series)
+    for run in runs:
+        if batched:
+            keys = [key for key, _ in run]
+            values = [math.nan if value is None else value for _, value in run]
+            histogram._observe_run(keys, values)
+        else:
+            for key, value in run:
+                if value is not None:
+                    histogram._observe(key, value)
+    return histogram.snapshot(), histogram.overflow_count
+
+
+def _switching_fast(threads):
+    """Start and join ``threads`` with the interpreter switching threads
+    every microsecond."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+class TestObserveRun:
+    """``Histogram._observe_run``: a run's observations under one lock, and
+    nothing else different from one ``_observe`` per value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(runs=runs, max_series=st.sampled_from((512, 3)))
+    def test_a_batch_is_one_observe_per_value(self, runs, max_series):
+        assert _feed(runs, True, max_series) == _feed(runs, False, max_series)
+
+    def test_runs_from_threads_are_exact(self):
+        h = Histogram("h", buckets=(1.0, 2.0))
+        values = [0.5, math.nan, 1.5, 3.0, 0.5]
+
+        def work():
+            for _ in range(200):
+                h._observe_run(STAGE_KEYS, values)
+
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        _switching_fast(threads)
+        assert [h.count(stage=s) for s in "abcde"] == [1600, 0, 1600, 1600, 1600]
+        assert h.bucket_counts(stage="c") == [0, 1600, 0]
+        assert h.sum(stage="d") == 3.0 * 1600
+
+
+class TestConsistentReads:
+    """A read taken while other threads observe agrees with itself: every
+    field of a cell is read under the lock an observation writes under."""
+
+    def test_a_snapshot_agrees_with_itself(self):
+        """50,000 scrapes while three threads observe 1.0 into one series:
+        each scrape's ``_count``, ``_sum`` and buckets tell one story."""
+        h = Histogram("h", buckets=(0.5, 2.0))
+        h.observe(1.0)
+        stop = threading.Event()
+        torn = []
+
+        def observe():
+            while not stop.is_set():
+                h.observe(1.0)
+
+        def scrape():
+            try:
+                for _ in range(50_000):
+                    (series,) = h.snapshot()["series"]
+                    buckets = [bucket["count"] for bucket in series["buckets"]]
+                    if buckets != [0, series["count"], 0] or series["sum"] != series["count"]:
+                        torn.append(series)
+            finally:
+                stop.set()
+
+        threads = [threading.Thread(target=observe) for _ in range(3)]
+        _switching_fast(threads + [threading.Thread(target=scrape)])
+        assert torn == []
 
 
 class TestRegistry:
