@@ -24,7 +24,7 @@ from repro.common.clock import VirtualClock
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
 from repro.ssh import SSHClient
-from repro.storage import ReplicaGroup, TableSchema
+from repro.storage import TableSchema, WALEngine
 
 LOGINS = 12
 #: Nominal per-datagram RADIUS round trip, charged by a latency fault.
@@ -109,7 +109,7 @@ def test_storage_promotion_latency():
     must stay well under a second even over a 10k-row shard; rejoin replays
     the whole log into a fresh node and is allowed more.
     """
-    group = ReplicaGroup(replicas=2)
+    group = WALEngine(replicas=2)
     group.create_table(
         "t", TableSchema(("id", "v", "blob"), "id", indexed=("v",))
     )

@@ -43,7 +43,7 @@ from repro.common.clock import Clock
 from repro.common.resilience import stable_seed
 from repro.otpserver.sms_gateway import CarrierProfile
 from repro.simcore import EventLog
-from repro.storage import find_layer
+from repro.storage import find_layer, shards_of
 
 
 class ChaosEngine:
@@ -232,7 +232,8 @@ class ChaosEngine:
 
     def _apply(self, fault, entering: bool) -> None:
         if isinstance(fault, SlowShard):
-            self._set_shard_latency(fault.shard, fault.latency if entering else 0.0)
+            knob = self._shard_layer("slow-shard", fault.shard, "set_latency")
+            knob.set_latency(fault.latency if entering else 0.0)
         elif isinstance(fault, ShardCrash):
             self._crash_shard(fault.shard, entering)
         elif isinstance(fault, BatchBackfill):
@@ -309,24 +310,37 @@ class ChaosEngine:
             failovers=snap["failovers"],
         )
 
+    def _shard_layer(self, fault: str, shard: int, attr: str):
+        """The layer of shard ``shard`` that has ``attr``: one path for every
+        stack, sharded or not; a plan the stack cannot serve raises."""
+        if self._storage is None:
+            raise TypeError(f"plan has a {fault} fault but no storage target")
+        shards = shards_of(self._storage)
+        if shard >= len(shards):
+            raise TypeError(
+                f"plan aims a {fault} fault at shard {shard}; the storage "
+                f"stack has {len(shards)}"
+            )
+        layer = find_layer(shards[shard], attr)
+        if layer is None:
+            raise TypeError(
+                f"plan has a {fault} fault but shard {shard} has no {attr} "
+                f"({type(shards[shard]).__name__})"
+            )
+        return layer
+
     def _crash_shard(self, shard: int, entering: bool) -> None:
-        """Kill (or rejoin) one shard's primary on a replicated stack.
+        """Kill (or rejoin) one shard's primary on a replicated stack
+        (``StorageConfig(replicas=...)``).
 
         The promotion/rejoin reports carry state digests computed by the
         storage layer; their ``match`` booleans land in the event log, so a
         lost write shows up both as an invariant violation and as a digest
         change in the determinism check.
         """
-        if self._storage is None:
-            raise TypeError("plan has a shard-crash fault but no storage target")
-        target = find_layer(self._storage, "crash_primary")
-        if target is None:
-            raise TypeError(
-                "plan has a shard-crash fault but the storage stack is not "
-                "replicated (need StorageConfig(replicas=...))"
-            )
+        target = self._shard_layer("shard-crash", shard, "crash_primary")
         if entering:
-            info = target.crash_primary(shard)
+            info = target.crash_primary()
             self.record(
                 "shard_crash",
                 shard=shard,
@@ -336,7 +350,7 @@ class ChaosEngine:
                 digest_match=info["match"],
             )
         else:
-            info = target.rejoin(shard)
+            info = target.rejoin()
             self.record(
                 "shard_rejoin",
                 shard=shard,
@@ -344,22 +358,6 @@ class ChaosEngine:
                 lsn=info["lsn"],
                 digest_match=info["match"],
             )
-
-    def _set_shard_latency(self, shard: int, latency: float) -> None:
-        if self._storage is None:
-            raise TypeError("plan has a slow-shard fault but no storage target")
-        sharded = find_layer(self._storage, "set_shard_latency")
-        if sharded is not None:
-            sharded.set_shard_latency(shard, latency)
-            return
-        knob = find_layer(self._storage, "set_latency")
-        if knob is None:
-            raise TypeError(
-                f"storage stack ({type(self._storage).__name__}) has no latency knob"
-            )
-        if shard != 0:
-            raise TypeError(f"storage stack is unsharded; shard {shard} does not exist")
-        knob.set_latency(latency)
 
     # -- teardown -----------------------------------------------------------
 

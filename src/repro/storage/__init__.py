@@ -3,18 +3,18 @@
 The package extracts the relational store behind
 :class:`repro.otpserver.database.Database` into a composable engine stack
 (each wrapper a :class:`~repro.storage.engine.Layer` that declares only
-what it changes; :func:`find_layer` reaches one layer's extras):
+what it changes; :func:`shards_of` reaches a stack's shards and
+:func:`find_layer` one layer's extras):
 
 * :class:`InMemoryEngine` — dict-backed tables with **undo-log
   transactions** (abort cost is O(ops touched), not O(database size));
-* :class:`ShardedEngine` — consistent-hash placement across N engines with
+* :class:`WALEngine` — one durable shard: write-ahead logging with CRC'd
+  canonical-JSON records, periodic snapshots, deterministic :func:`replay`
+  recovery (same log ⇒ same :func:`state_digest`), and optionally N
+  synchronous log-shipping replicas with deterministic promotion on a
+  primary crash and rejoin-by-replay;
+* :class:`ShardedEngine` — consistent-hash placement across N shards with
   per-shard lock striping and routed secondary lookups;
-* :class:`WALEngine` — write-ahead logging with CRC'd canonical-JSON
-  records, periodic snapshots, and deterministic :func:`replay` recovery
-  (same log ⇒ same :func:`state_digest`);
-* :class:`ReplicatedEngine` — each shard a primary + N log-shipping
-  replicas, with deterministic promotion on primary crash and
-  rejoin-by-replay;
 * :class:`CachingEngine` — read-through cache over point lookups with
   write-invalidation;
 * :class:`InstrumentedEngine` — op latency/count series in the telemetry
@@ -32,10 +32,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.storage.cache import CachingEngine
-from repro.storage.engine import Row, StorageEngine, find_layer
+from repro.storage.engine import Row, StorageEngine, find_layer, shards_of
 from repro.storage.instrument import InstrumentedEngine
 from repro.storage.memory import InMemoryEngine
-from repro.storage.replication import ReplicatedEngine, ReplicaGroup
 from repro.storage.schema import TableSchema
 from repro.storage.sharding import HashRing, ShardedEngine
 from repro.storage.wal import (
@@ -86,8 +85,9 @@ class StorageConfig:
 def build_engine(
     config: StorageConfig = None, telemetry=None, clock=None
 ) -> StorageEngine:
-    """Assemble cache → (replication | WAL) → shards → memory, instrumented
-    when telemetry is on.
+    """Assemble cache → shards → WAL (+ replicas) → memory, instrumented
+    when telemetry is on.  Every shard is built by one recipe; a
+    ``ShardedEngine`` goes over them only when there is more than one.
 
     ``clock`` is the deployment clock simulated latency is charged to and
     op durations are read from; None keeps wall time (real sleeps).
@@ -98,32 +98,21 @@ def build_engine(
     def node() -> InMemoryEngine:
         return InMemoryEngine(latency=config.latency, clock=clock)
 
-    if config.replicas > 0:
-        engine: StorageEngine = ReplicatedEngine(
-            shards=config.shards,
+    def shard(index: int) -> StorageEngine:
+        if not config.durable:
+            return node()
+        return WALEngine(
+            node(),
+            path=f"{config.wal_dir}/shard{index}.wal" if config.wal_dir else None,
+            snapshot_every=config.snapshot_every,
+            telemetry=telemetry,
             replicas=config.replicas,
             engine_factory=node,
-            snapshot_every=config.snapshot_every,
-            wal_dir=config.wal_dir,
-            telemetry=telemetry,
         )
-    elif config.durable:
-        def walled(index: int) -> WALEngine:
-            return WALEngine(
-                node(),
-                path=f"{config.wal_dir}/shard{index}.wal" if config.wal_dir else None,
-                snapshot_every=config.snapshot_every,
-                telemetry=telemetry,
-            )
 
-        if config.shards == 1:
-            engine = walled(0)
-        else:
-            engine = ShardedEngine([walled(index) for index in range(config.shards)])
-    elif config.shards == 1:
-        engine = node()
-    else:
-        engine = ShardedEngine([node() for _ in range(config.shards)])
+    engine = shard(0) if config.shards == 1 else ShardedEngine(
+        [shard(index) for index in range(config.shards)]
+    )
     if config.cache_capacity:
         engine = CachingEngine(engine, config.cache_capacity)
     if not telemetry.enabled:
@@ -136,8 +125,6 @@ __all__ = [
     "HashRing",
     "InMemoryEngine",
     "InstrumentedEngine",
-    "ReplicaGroup",
-    "ReplicatedEngine",
     "Row",
     "ShardedEngine",
     "StorageConfig",
@@ -149,6 +136,7 @@ __all__ = [
     "find_layer",
     "load_wal",
     "replay",
+    "shards_of",
     "state_digest",
     "wal_digests",
 ]

@@ -184,8 +184,8 @@ class Layer:
 def find_layer(engine: Any, attr: str) -> Optional[Any]:
     """The first layer down an engine stack's ``.inner`` chain that has
     ``attr``, or ``None``: the one way to reach an extra such as the cache's
-    ``cache_info`` or the replication layer's ``crash_primary``, since no
-    layer forwards what it does not declare.
+    ``cache_info`` or the WAL layer's ``crash_primary``, since no layer
+    forwards what it does not declare.
     """
     layer = engine
     while layer is not None:
@@ -193,3 +193,11 @@ def find_layer(engine: Any, attr: str) -> Optional[Any]:
             return layer
         layer = getattr(layer, "inner", None)
     return None
+
+
+def shards_of(engine: Any) -> List[Any]:
+    """The stack's shards, in ring order: the sharded layer's ``shards``, or
+    ``[engine]`` for an unsharded stack (its own one shard).  The one way to
+    reach a shard; :func:`find_layer` then reaches that shard's extras."""
+    sharded = find_layer(engine, "shards")
+    return sharded.shards if sharded is not None else [engine]

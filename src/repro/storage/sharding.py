@@ -28,11 +28,10 @@ from __future__ import annotations
 import bisect
 import hashlib
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import NotFoundError, ValidationError
-from repro.storage.engine import Predicate, Row, StorageEngine, Transaction, find_layer
-from repro.storage.memory import InMemoryEngine
+from repro.storage.engine import Predicate, Row, StorageEngine, Transaction
 from repro.storage.schema import TableSchema
 
 #: Ring points per shard: enough that keys spread evenly across shards.
@@ -76,9 +75,7 @@ class _RouteLog(threading.local):
 class ShardedEngine:
     """N engines behind one :class:`StorageEngine` surface."""
 
-    def __init__(self, shards: Union[int, Sequence[StorageEngine]]) -> None:
-        if isinstance(shards, int):
-            shards = [InMemoryEngine() for _ in range(shards)]
+    def __init__(self, shards: Sequence[StorageEngine]) -> None:
         self.shards: List[StorageEngine] = list(shards)
         if not self.shards:
             raise ValueError("sharded engine needs at least one shard")
@@ -95,19 +92,6 @@ class ShardedEngine:
         self._route_log: List[tuple] = []
         self._route_marks: List[int] = []
         self._logging = _RouteLog()
-
-    def set_shard_latency(self, index: int, latency: float) -> None:
-        """Retune one shard's simulated round trip (chaos slow-shard fault).
-
-        The knob is the shard's first layer with ``set_latency``: a replica
-        group (every node of it), or the in-memory engine under a WAL.  A
-        shard without one raises so a misconfigured fault plan fails loudly.
-        """
-        shard = self.shards[index]
-        knob = find_layer(shard, "set_latency")
-        if knob is None:
-            raise TypeError(f"shard {index} ({type(shard).__name__}) has no latency knob")
-        knob.set_latency(latency)
 
     # -- schema -------------------------------------------------------------
 

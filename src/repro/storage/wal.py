@@ -1,4 +1,4 @@
-"""Write-ahead logging, snapshots and deterministic replay.
+"""Write-ahead logging, log-shipping replicas and deterministic replay.
 
 The paper's LinOTP keeps pairings and lockout counters in "an encrypted
 MariaDB relational database" — durable by construction.  This module gives
@@ -8,12 +8,19 @@ the reproduction's in-process engines the same property:
   canonical JSON (sorted keys, no whitespace) prefixed with a CRC32, so a
   log can be shipped between replicas, written to a file, and reloaded
   with torn or corrupted tails detected rather than silently applied.
-* :class:`WALEngine` — wraps any :class:`~repro.storage.engine.StorageEngine`
-  and logs every committed mutation (``create_table`` / ``insert`` /
-  ``update`` / ``delete``; a transaction as one atomic ``txn`` record,
-  appended before the inner engine commits it; a lone write is applied,
-  then logged).  Optional snapshot records embed the full state every
-  ``snapshot_every`` mutations so recovery is snapshot + tail.
+* :class:`WALEngine` — one durable shard.  It wraps any
+  :class:`~repro.storage.engine.StorageEngine` and logs every committed
+  mutation (``create_table`` / ``insert`` / ``update`` / ``delete``; a
+  transaction as one atomic ``txn`` record, appended before the inner
+  engine commits it; a lone write is applied, then logged).  Optional
+  snapshot records embed the full state every ``snapshot_every`` mutations
+  so recovery is snapshot + tail.  With ``replicas`` > 0 every appended
+  record is also shipped, synchronously, to that many followers, so a
+  follower is never behind at an operation boundary — the "no lost
+  pairings" bar under a primary crash.  :meth:`WALEngine.crash_primary`
+  promotes deterministically (highest ``applied_lsn``, ties to the lowest
+  node id) and :meth:`WALEngine.rejoin` rebuilds the crashed node purely
+  by replaying the log.
 * :func:`replay` — rebuild an engine from a record sequence.  Recovery is
   deterministic: the same WAL always reconstructs the same state, witnessed
   by :func:`state_digest` (SHA-256 over the canonical rendering every other
@@ -30,7 +37,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, ValidationError
 from repro.simcore.digest import canonical_line
-from repro.storage.engine import Layer, Row, StorageEngine, find_layer
+from repro.storage.engine import Layer, Row, StorageEngine, find_layer, shards_of
 from repro.storage.memory import InMemoryEngine
 from repro.storage.schema import TableSchema
 from repro.telemetry import resolve_registry
@@ -205,24 +212,18 @@ def apply_record(engine: StorageEngine, record: dict) -> None:
         raise ValidationError(f"unknown WAL record op {op!r}")
 
 
-def restore_snapshot(engine: StorageEngine, state: dict) -> None:
+def restore_snapshot(engine: InMemoryEngine, state: dict) -> None:
     """Load a snapshot record's embedded state into a fresh engine."""
     for name in state["table_order"]:
         table = state["tables"][name]
         engine.create_table(name, TableSchema.from_dict(table["schema"]))
-        rows = [decode_row(row) for row in table["rows"]]
-        bulk_load = getattr(engine, "bulk_load", None)
-        if bulk_load is not None:
-            bulk_load(name, rows)
-        else:  # pragma: no cover - engines without the fast path
-            for row in rows:
-                engine.insert(name, row)
+        engine.bulk_load(name, [decode_row(row) for row in table["rows"]])
 
 
 def replay(
     records: Sequence[dict],
-    engine_factory: Callable[[], StorageEngine] = InMemoryEngine,
-) -> StorageEngine:
+    engine_factory: Callable[[], InMemoryEngine] = InMemoryEngine,
+) -> InMemoryEngine:
     """Rebuild an engine from a WAL: latest snapshot, then the tail.
 
     Pure function of the record sequence — the determinism contract is
@@ -270,16 +271,27 @@ def state_digest(engine: StorageEngine) -> str:
 def wal_digests(engine: StorageEngine) -> Dict[str, str]:
     """Each shard's WAL path mapped to the live digest a replay of that file
     must reproduce; an unsharded stack is its own one shard."""
-    sharded = find_layer(engine, "shards")
-    logs = [find_layer(shard, "wal") for shard in (sharded.shards if sharded else [engine])]
+    logs = [find_layer(shard, "wal") for shard in shards_of(engine)]
     return {log.wal.path: log.state_digest() for log in logs}
 
 
 # -- the engine wrapper -------------------------------------------------------
 
 
+class _Replica:
+    """One follower: an engine plus how far into the WAL it has applied."""
+
+    __slots__ = ("node_id", "engine", "applied_lsn")
+
+    def __init__(self, node_id: int, engine: StorageEngine, applied_lsn: int = 0) -> None:
+        self.node_id = node_id
+        self.engine = engine
+        self.applied_lsn = applied_lsn
+
+
 class WALEngine(Layer):
-    """Logs every committed mutation of the wrapped engine.
+    """Logs every committed mutation of the wrapped engine, and ships each
+    appended record to this shard's replicas.
 
     Ordering contract: one lock serializes mutations, so WAL order is apply
     order and replay reconstructs the exact state.  Reads bypass the WAL
@@ -290,20 +302,26 @@ class WALEngine(Layer):
     refused append leaves none in the engine, and a crash between append
     and apply cannot split a transaction.  A lone write outside a block
     is applied, then logged: a refused append leaves it live.
+
+    ``inner`` is the primary (node 0); ``replicas`` followers (nodes 1..N)
+    are built with ``engine_factory``, which also builds a rejoining node.
     """
 
     def __init__(
         self,
         inner: Optional[StorageEngine] = None,
-        wal: Optional[WriteAheadLog] = None,
         path: Optional[str] = None,
         snapshot_every: int = 0,
         telemetry=None,
+        replicas: int = 0,
+        engine_factory: Callable[[], InMemoryEngine] = InMemoryEngine,
     ) -> None:
         if snapshot_every < 0:
             raise ValueError("snapshot_every must be >= 0")
-        super().__init__(inner if inner is not None else InMemoryEngine())
-        self.wal = wal or WriteAheadLog(path)
+        if replicas < 0:
+            raise ValueError(f"replica count must be >= 0, got {replicas}")
+        super().__init__(inner if inner is not None else engine_factory())
+        self.wal = WriteAheadLog(path)
         self.snapshot_every = snapshot_every
         self._lock = threading.RLock()
         #: Stack of per-transaction record buffers (nested = savepoints).
@@ -315,25 +333,35 @@ class WALEngine(Layer):
         self._c_appends = {op: appends.labels(op=op) for op in RECORD_OPS}
         # Telemetry off: an append makes no counter call at all.
         self._counted = registry.enabled
+        self._engine_factory = engine_factory
+        self.primary_id = 0
+        self.replicas = [_Replica(node, engine_factory()) for node in range(1, replicas + 1)]
+        self.promotions = 0
+        self._crashed: Optional[int] = None  # node id awaiting rejoin
 
     # -- logging plumbing ---------------------------------------------------
 
-    def _log(self, record: dict) -> List[dict]:
-        """Buffer under a transaction, else append; returns what the log
-        gained, in LSN order (nothing, or a record and its snapshot)."""
+    def _log(self, record: dict) -> None:
+        """Buffer under a transaction, else append and ship to every
+        replica; a snapshot the append triggers follows it, shipped as a
+        position mark only (the replicas already hold that state)."""
         if self._txn_buffers:
             self._txn_buffers[-1].append(record)
-            return []
-        gained = [self.wal.append(record)]
+            return
+        record = self.wal.append(record)
         if self._counted:
             self._c_appends[record["op"]].inc()
-        lsn = gained[0]["lsn"]
+        lsn = record["lsn"]
+        for replica in self.replicas:
+            if record["op"] != "snapshot":
+                apply_record(replica.engine, record)
+            replica.applied_lsn = lsn
         if self.snapshot_every and lsn - self.wal.last_snapshot_lsn >= self.snapshot_every:
-            # This class's ``_log``, not a subclass's: a subclass ships the
-            # snapshot with the record that triggered it, once.
-            snapshot = {"op": "snapshot", "state": capture_state(self.inner)}
-            gained += WALEngine._log(self, snapshot)
-        return gained
+            self.wal.append({"op": "snapshot", "state": capture_state(self.inner)})
+            if self._counted:
+                self._c_appends["snapshot"].inc()
+            for replica in self.replicas:
+                replica.applied_lsn = self.wal.last_lsn
 
     def snapshot(self) -> int:
         """Write a full-state snapshot record; returns its LSN."""
@@ -343,11 +371,104 @@ class WALEngine(Layer):
             self._log({"op": "snapshot", "state": capture_state(self.inner)})
             return self.wal.last_lsn
 
+    # -- failure handling (what the ShardCrash chaos fault drives) ----------
+
+    def crash_primary(self) -> Dict[str, object]:
+        """Kill the primary and deterministically promote a replica.
+
+        Returns the promotion report: old/new node ids, the crashed
+        primary's state digest and the promoted node's digest after
+        catch-up — equality is the zero-loss witness the kill-a-shard
+        chaos invariant asserts.
+        """
+        with self._lock:
+            if self._txn_buffers:
+                raise ValidationError("cannot crash a primary mid-transaction")
+            if not self.replicas:
+                raise ValidationError(
+                    "no replica to promote (crashed primary with replicas exhausted)"
+                )
+            if self._crashed is not None:
+                raise ValidationError("a node is already down")
+            pre_digest = state_digest(self.inner)
+            # Deterministic promotion: most caught-up wins, ties to the
+            # lowest node id — every run picks the same new primary.
+            best = max(self.replicas, key=lambda replica: (replica.applied_lsn, -replica.node_id))
+            for record in self.wal.read()[best.applied_lsn:]:  # record n at n - 1
+                if record["op"] != "snapshot":
+                    apply_record(best.engine, record)
+                best.applied_lsn = record["lsn"]
+            self._crashed = self.primary_id
+            self.primary_id = best.node_id
+            self.inner = best.engine
+            self.replicas.remove(best)
+            self.promotions += 1
+            post_digest = state_digest(self.inner)
+            return {
+                "old_primary": self._crashed,
+                "new_primary": self.primary_id,
+                "lsn": self.wal.last_lsn,
+                "pre_digest": pre_digest,
+                "post_digest": post_digest,
+                "match": pre_digest == post_digest,
+            }
+
+    def rejoin(self) -> Dict[str, object]:
+        """The crashed node returns, rebuilt purely by log replay.
+
+        The node's old engine state is discarded (the crash lost it); a
+        fresh engine replays latest-snapshot + tail from the WAL and
+        re-enters as a replica at the current head.
+        """
+        with self._lock:
+            if self._crashed is None:
+                raise ValidationError("no crashed node to rejoin")
+            records = self.wal.read()
+            rebuilt = replay(records, self._engine_factory)
+            head = self.wal.last_lsn
+            replica = _Replica(self._crashed, rebuilt, applied_lsn=head)
+            self.replicas.append(replica)
+            self.replicas.sort(key=lambda entry: entry.node_id)
+            self._crashed = None
+            rebuilt_digest = state_digest(rebuilt)
+            primary_digest = state_digest(self.inner)
+            return {
+                "node": replica.node_id,
+                "caught_up_records": len(records),
+                "lsn": head,
+                "rejoined_digest": rebuilt_digest,
+                "primary_digest": primary_digest,
+                "match": rebuilt_digest == primary_digest,
+            }
+
+    def set_latency(self, latency: float) -> None:
+        """Retune the simulated round trip on every node (a slow volume
+        degrades the shard, not whichever engine happens to be primary)."""
+        self.inner.set_latency(latency)
+        for replica in self.replicas:
+            replica.engine.set_latency(latency)
+
+    # -- introspection ------------------------------------------------------
+
     def describe(self) -> Dict[str, Any]:
-        """The wrapped engine's status with this log as its shard's ``wal``."""
+        """The primary's status with this log as its shard's ``wal`` and
+        these nodes as its ``replication``."""
         status = self.inner.describe()
-        status["shards"][0]["wal"] = {
-            **self.wal.stats(), "snapshot_every": self.snapshot_every,
+        shard = status["shards"][0]
+        shard["wal"] = {**self.wal.stats(), "snapshot_every": self.snapshot_every}
+        head = self.wal.last_lsn
+        shard["replication"] = {
+            "primary": self.primary_id,
+            "promotions": self.promotions,
+            "crashed_node": self._crashed,
+            "replicas": [
+                {
+                    "node": replica.node_id,
+                    "applied_lsn": replica.applied_lsn,
+                    "caught_up": replica.applied_lsn == head,
+                }
+                for replica in self.replicas
+            ],
         }
         return status
 

@@ -22,7 +22,7 @@ from repro.common.clock import VirtualClock
 from repro.crypto.totp import TOTPGenerator
 from repro.otpserver.sms_gateway import SMSGateway
 from repro.radius.transport import UDPFabric
-from repro.storage import StorageConfig, build_engine, find_layer
+from repro.storage import StorageConfig, TableSchema, build_engine, find_layer, shards_of
 from repro.storage.memory import InMemoryEngine
 from repro.storage.sharding import ShardedEngine
 from repro.telemetry import Registry
@@ -195,7 +195,7 @@ def _nodes(shard):
     its WAL followed by any replicas."""
     if not hasattr(shard, "inner"):
         return [shard]
-    return [shard.inner, *(replica.engine for replica in getattr(shard, "replicas", ()))]
+    return [shard.inner, *(replica.engine for replica in shard.replicas)]
 
 
 class TestStatefulFaults:
@@ -246,8 +246,7 @@ class TestStatefulFaults:
     )
     def test_slow_shard_reaches_every_node_of_its_shard(self, config, telemetry):
         engine = build_engine(config, telemetry=Registry() if telemetry else None)
-        sharded = find_layer(engine, "shard_sizes")
-        shards = sharded.shards if sharded else [find_layer(engine, "snapshot")]
+        shards = [find_layer(shard, "set_latency") for shard in shards_of(engine)]
         target = len(shards) - 1  # shard 1, or shard 0 when unsharded
         clock = VirtualClock(0.0)
         plan = FaultPlan(
@@ -270,9 +269,7 @@ class TestStatefulFaults:
         assert latencies() == idle
 
     def test_shard_crash_promotes_then_rejoins(self):
-        from repro.storage import ReplicatedEngine, TableSchema
-
-        replicated = ReplicatedEngine(shards=2, replicas=2)
+        replicated = build_engine(StorageConfig(shards=2, replicas=2))
         replicated.create_table(
             "t", TableSchema(("id", "v"), "id")
         )
@@ -285,7 +282,7 @@ class TestStatefulFaults:
         engine = ChaosEngine(plan, clock, seed=7, storage=replicated)
         clock.set(10)
         engine.tick()
-        group = replicated.groups[0]
+        group = shards_of(replicated)[0]
         assert group.promotions == 1
         crash_events = [e for e in engine.events if e["kind"] == "shard_crash"]
         assert crash_events and crash_events[0]["digest_match"] is True

@@ -23,7 +23,7 @@ from repro.ingest import PriorityClass
 from repro.resolvers import ResolverConfig
 from repro.resolvers import chain as chain_module
 from repro.ssh import SSHClient
-from repro.storage import StorageConfig, find_layer
+from repro.storage import StorageConfig, find_layer, shards_of
 from repro.telemetry import render_status_text
 from tests.test_layering import RETIRED_SERIES
 
@@ -67,7 +67,7 @@ def center():
     engine = center.otp.db.engine
     serial = engine.select("tokens")[0]["serial"]
     assert engine.get("tokens", serial) == engine.get("tokens", serial)
-    find_layer(center.otp.db.engine, "crash_primary").crash_primary(0)
+    find_layer(shards_of(center.otp.db.engine)[0], "crash_primary").crash_primary()
     return center
 
 
@@ -93,7 +93,7 @@ def _node(center, index):
 
 
 def _shards(center):
-    return find_layer(center.otp.db.engine, "shard_sizes").shards
+    return shards_of(center.otp.db.engine)
 
 
 def _cache(center):

@@ -23,6 +23,7 @@ from repro.storage import (
     StorageConfig,
     WALEngine,
     find_layer,
+    shards_of,
 )
 
 STACKS = {
@@ -105,7 +106,7 @@ class TestShapeIndependence:
             assert storage["cache"] == cache.cache_info()
         logs = [shard["wal"] for shard in storage["shards"]]
         if config.durable:
-            walled = sharded.shards if sharded is not None else [find_layer(engine, "snapshot")]
+            walled = [find_layer(shard, "wal") for shard in shards_of(engine)]
             assert logs == [
                 {**shard.wal.stats(), "snapshot_every": config.snapshot_every}
                 for shard in walled
@@ -119,7 +120,7 @@ class TestShapeIndependence:
             assert shard["replication"]["promotions"] == 0
             assert shard["replication"]["crashed_node"] is None
             for replica in group:
-                assert replica["caught_up"] and replica["alive"]
+                assert replica["caught_up"]
                 assert replica["applied_lsn"] == shard["wal"]["last_lsn"]
 
         # /admin/policy, /admin/resolvers, /admin/queue: the subsystems' own.
@@ -177,7 +178,7 @@ class TestBareServer:
         for engine in (
             InMemoryEngine(),
             WALEngine(InMemoryEngine()),
-            ShardedEngine(3),
+            ShardedEngine([InMemoryEngine() for _ in range(3)]),
             ShardedEngine([WALEngine(), WALEngine()]),
         ):
             server = OTPServer(rng=random.Random(1), storage=engine)

@@ -1,17 +1,18 @@
-"""Replica groups: log shipping, deterministic promotion, rejoin-by-replay."""
+"""A WAL engine's replicas: log shipping, deterministic promotion,
+rejoin-by-replay."""
 
 import pytest
 
 from repro.common.errors import ValidationError
 from repro.storage import (
-    ReplicaGroup,
-    ReplicatedEngine,
     StorageConfig,
     TableSchema,
+    WALEngine,
     build_engine,
     find_layer,
     load_wal,
     replay,
+    shards_of,
     state_digest,
 )
 
@@ -24,7 +25,7 @@ SCHEMA = TableSchema(
 
 
 def _group(replicas=2, **kwargs):
-    group = ReplicaGroup(replicas=replicas, **kwargs)
+    group = WALEngine(replicas=replicas, **kwargs)
     group.create_table("t", SCHEMA)
     return group
 
@@ -155,7 +156,7 @@ class TestRejoin:
 class TestReplicatedEngine:
     def test_build_engine_assembles_replication(self):
         engine = build_engine(StorageConfig(shards=2, replicas=2))
-        assert find_layer(engine, "crash_primary") is not None
+        assert all(find_layer(shard, "crash_primary") for shard in shards_of(engine))
         shards = engine.describe()["shards"]
         assert len(shards) == 2
         assert [len(s["replication"]["replicas"]) for s in shards] == [2, 2]
@@ -166,29 +167,30 @@ class TestReplicatedEngine:
         assert not StorageConfig().durable
 
     def test_cross_shard_behaviour_survives_promotion(self):
-        engine = ReplicatedEngine(shards=3, replicas=2)
+        engine = build_engine(StorageConfig(shards=3, replicas=2))
         engine.create_table("t", SCHEMA)
         _fill(engine, count=30)
-        digests = [group.state_digest() for group in engine.groups]
-        for shard in range(3):
-            assert engine.crash_primary(shard)["match"] is True
-        assert [group.state_digest() for group in engine.groups] == digests
+        groups = shards_of(engine)
+        digests = [group.state_digest() for group in groups]
+        for group in groups:
+            assert group.crash_primary()["match"] is True
+        assert [group.state_digest() for group in groups] == digests
         assert engine.row_count("t") == 30
         # Unique routing still enforced across shards after promotions.
         with pytest.raises(ValidationError):
             engine.insert("t", {"id": 999, "name": "n5", "secret": b""})
-        for shard in range(3):
-            assert engine.rejoin(shard)["match"] is True
+        for group in groups:
+            assert group.rejoin()["match"] is True
         assert _all_caught_up(engine)
         assert [s["replication"]["promotions"] for s in engine.describe()["shards"]] == [1] * 3
 
     def test_replication_stats_shape(self):
-        engine = ReplicatedEngine(shards=2, replicas=1)
+        engine = build_engine(StorageConfig(shards=2, replicas=1))
         engine.create_table("t", SCHEMA)
         _fill(engine, count=4)
         shards = engine.describe()["shards"]
         assert len(shards) == 2
-        for shard, group in zip(shards, engine.groups):
+        for shard, group in zip(shards, shards_of(engine)):
             assert shard["tables"] == {"t": group.row_count("t")}
             assert shard["wal"] == {**group.wal.stats(), "snapshot_every": 0}
             assert shard["replication"] == {
@@ -199,7 +201,6 @@ class TestReplicatedEngine:
                     {
                         "node": 1,
                         "applied_lsn": group.wal.last_lsn,
-                        "alive": True,
                         "caught_up": True,
                     }
                 ],
@@ -215,10 +216,10 @@ class TestReplicatedEngine:
         assert [r["node"] for r in replication["replicas"]] == [2]
 
     def test_wal_files_per_shard(self, tmp_path):
-        engine = ReplicatedEngine(shards=2, replicas=1, wal_dir=str(tmp_path))
+        engine = build_engine(StorageConfig(shards=2, replicas=1, wal_dir=str(tmp_path)))
         engine.create_table("t", SCHEMA)
         _fill(engine, count=6)
-        for group in engine.groups:
+        for group in shards_of(engine):
             group.wal.close()
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "shard0.wal",
@@ -231,18 +232,19 @@ class TestFileBackedGroups:
     from it and a rejoining node is rebuilt by replaying it."""
 
     def test_crash_write_rejoin_replays_the_file(self, tmp_path):
-        engine = ReplicatedEngine(
-            shards=2, replicas=1, wal_dir=str(tmp_path), snapshot_every=50
+        engine = build_engine(
+            StorageConfig(shards=2, replicas=1, wal_dir=str(tmp_path), snapshot_every=50)
         )
         engine.create_table("t", SCHEMA)
         _fill(engine, count=120)
-        crashed = engine.crash_primary(0)
+        group = shards_of(engine)[0]
+        crashed = group.crash_primary()
         _fill(engine, start=120, count=80)
-        rejoined = engine.rejoin(0)
+        rejoined = group.rejoin()
         assert crashed["match"] is True and rejoined["match"] is True
         records, dropped = load_wal(str(tmp_path / "shard0.wal"))
         assert dropped == 0 and records[-1]["lsn"] == rejoined["lsn"]
         assert rejoined["caught_up_records"] == len(records)
         assert state_digest(replay(records)) == rejoined["primary_digest"]
-        assert engine.groups[0].wal.snapshots >= 1
+        assert group.wal.snapshots >= 1
         assert _all_caught_up(engine)

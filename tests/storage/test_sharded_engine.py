@@ -19,7 +19,7 @@ def _schema():
 
 @pytest.fixture
 def engine():
-    e = ShardedEngine(4)
+    e = ShardedEngine([InMemoryEngine() for _ in range(4)])
     e.create_table("tokens", _schema())
     return e
 
@@ -110,7 +110,7 @@ class TestShardedCRUD:
         engine.insert("tokens", {"serial": "S200", "user_id": "u4"})
 
     def test_shard_rows_in_describe(self):
-        engine = ShardedEngine(2)
+        engine = ShardedEngine([InMemoryEngine() for _ in range(2)])
         engine.create_table("tokens", _schema())
         _fill(engine, 12)
         engine.delete("tokens", "S4")
@@ -141,7 +141,7 @@ class TestShardedTransactions:
         assert engine.select("tokens", where={"user_id": "u25"}) == []
 
     def test_concurrent_unique_inserts_single_winner(self):
-        engine = ShardedEngine(4)
+        engine = ShardedEngine([InMemoryEngine() for _ in range(4)])
         engine.create_table("tokens", _schema())
         errors = []
         barrier = threading.Barrier(8)

@@ -214,7 +214,7 @@ class TestAnAbortedCrossShardBlock:
 
     @staticmethod
     def _engine():
-        engine = ShardedEngine(2)
+        engine = ShardedEngine([InMemoryEngine() for _ in range(2)])
         engine.create_table("t", SCHEMA)
         for pk in range(8):
             engine.insert("t", {"id": pk, "s": f"S-{pk}", "u": "x"})
@@ -349,7 +349,7 @@ def test_racing_blocks_and_lone_writes_keep_routes_and_counts_exact():
     interpreter switching threads as often as it can."""
     threads, rounds = 6, 400
     registry = Registry()
-    sharded = ShardedEngine(4)
+    sharded = ShardedEngine([InMemoryEngine() for _ in range(4)])
     engine = InstrumentedEngine(sharded, telemetry=registry)
     engine.create_table("t", SCHEMA)
     outcomes = [[0, 0] for _ in range(threads)]  # commits, aborts

@@ -300,21 +300,37 @@ class TestFileBackedLog:
         assert log.read() == []
         log.close()
 
-    def test_an_append_returns_its_record_and_snapshot_once(self):
-        gained = []
+    def test_a_replica_applies_each_record_once_and_follows_every_lsn(self):
+        applied = []
 
-        class Recording(WALEngine):
-            def _log(self, record):
-                appended = super()._log(record)
-                gained.extend(appended)
-                return appended
+        class Recording(InMemoryEngine):
+            def create_table(self, name, schema):
+                applied.append(("create_table", name))
+                super().create_table(name, schema)
 
-        engine = Recording(InMemoryEngine(), snapshot_every=3)
+            def insert(self, table, row):
+                applied.append(("insert", row["id"]))
+                return super().insert(table, row)
+
+        engine = WALEngine(
+            InMemoryEngine(), snapshot_every=3, replicas=1, engine_factory=Recording
+        )
+        (replica,) = engine.replicas
+        heads, followed = [], []
         engine.create_table("t", SCHEMA)
+        heads.append(engine.wal.last_lsn)
+        followed.append(replica.applied_lsn)
         for pk in range(5):
             engine.insert("t", {"id": pk, "val": None, "blob": None})
-        assert gained == engine.wal.read()
-        assert [r["op"] for r in gained].count("snapshot") == 2
+            heads.append(engine.wal.last_lsn)
+            followed.append(replica.applied_lsn)
+        records = engine.wal.read()
+        assert [r["op"] for r in records].count("snapshot") == 2
+        assert applied == [("create_table", "t")] + [("insert", pk) for pk in range(5)]
+        assert len(applied) == sum(r["op"] != "snapshot" for r in records)
+        # The snapshots at LSN 4 and 8 move the replica's mark too.
+        assert followed == heads == [1, 2, 4, 5, 6, 8]
+        assert state_digest(replica.engine) == engine.state_digest()
 
 
 def _framed(payload: bytes) -> bytes:

@@ -2,7 +2,8 @@
 
 A scripted session — inserts with ``bytes`` columns, updates, deletes, a
 multi-op transaction, an aborted transaction and a snapshot — runs on a
-sharded WAL stack and on a replicated one.  The sha256 of every shard's
+sharded WAL stack, a sharded replicated one and a one-shard replicated
+one.  The sha256 of every shard's
 WAL file, the engine's ``state_digest`` and the digest of each shard
 rebuilt offline from its file are pinned: a change that makes a storage op
 cheaper must leave every byte it writes, and every state it leaves, as it
@@ -16,12 +17,14 @@ import pytest
 from repro.common.errors import ValidationError
 from repro.storage import (
     InMemoryEngine,
-    ReplicatedEngine,
     ShardedEngine,
+    StorageConfig,
     TableSchema,
     WALEngine,
+    build_engine,
     load_wal,
     replay,
+    shards_of,
     state_digest,
 )
 
@@ -87,7 +90,7 @@ def _digests(engine, paths):
     return files, state_digest(engine), rebuilt
 
 
-#: The logical state both stacks end in.
+#: The logical state every stack ends in.
 STATE = "b7880a77d12027943778454115d2a5f56cebb6c34c034a060389e35b9cd09a82"
 
 SHARDED_FILES = [
@@ -112,6 +115,10 @@ REPLICATED_REBUILT = [
     "c588536d6c278421fa324872c264aa9a677868040a6264f8db06f2db7909a8ab",
 ]
 
+#: One shard holds every row, so its file rebuilds the whole state.
+SINGLE_FILES = ["08c1598d5998b0491359fb24a668944dac6caa2062cca282631e5875f08631b0"]
+SINGLE_REBUILT = [STATE]
+
 
 def test_sharded_wal_bytes_and_state_are_pinned(tmp_path):
     paths = [tmp_path / f"shard{index}.wal" for index in range(4)]
@@ -129,25 +136,35 @@ def test_sharded_wal_bytes_and_state_are_pinned(tmp_path):
     assert (files, state, rebuilt) == (SHARDED_FILES, STATE, SHARDED_REBUILT)
 
 
-def test_replicated_wal_bytes_and_state_are_pinned(tmp_path):
-    engine = ReplicatedEngine(
-        shards=2, replicas=2, wal_dir=str(tmp_path), snapshot_every=7
-    )
+def _replicated_session(config, tmp_path):
+    """Run the session on ``build_engine(config)``; every replica must end
+    caught up with its primary.  Returns the pinned digests."""
+    engine = build_engine(config)
+    shards = shards_of(engine)
 
     def snapshot():
-        for group in engine.groups:
-            group.snapshot()
+        for shard in shards:
+            shard.snapshot()
 
     _session(engine, snapshot)
-    for group in engine.groups:
-        group.wal.close()
+    for shard in shards:
+        shard.wal.close()
         assert all(
-            state_digest(replica.engine) == state_digest(group.inner)
-            and replica.applied_lsn == group.wal.last_lsn
-            for replica in group.replicas
+            state_digest(replica.engine) == state_digest(shard.inner)
+            and replica.applied_lsn == shard.wal.last_lsn
+            for replica in shard.replicas
         )
-    paths = [tmp_path / f"shard{index}.wal" for index in range(2)]
-    files, state, rebuilt = _digests(engine, paths)
-    assert (files, state, rebuilt) == (
+    paths = [tmp_path / f"shard{index}.wal" for index in range(config.shards)]
+    return _digests(engine, paths)
+
+
+def test_replicated_wal_bytes_and_state_are_pinned(tmp_path):
+    config = StorageConfig(shards=2, replicas=2, wal_dir=str(tmp_path), snapshot_every=7)
+    assert _replicated_session(config, tmp_path) == (
         REPLICATED_FILES, STATE, REPLICATED_REBUILT,
     )
+
+
+def test_one_shard_replicated_wal_bytes_and_state_are_pinned(tmp_path):
+    config = StorageConfig(replicas=2, wal_dir=str(tmp_path), snapshot_every=7)
+    assert _replicated_session(config, tmp_path) == (SINGLE_FILES, STATE, SINGLE_REBUILT)

@@ -374,6 +374,18 @@ def test_retired_throttle_stays_out_of_src():
     assert _identifiers_in_src(RETIRED_THROTTLE_NAMES) == []
 
 
+#: The durable-shard fork: ``ReplicaGroup`` was a ``WALEngine`` that also
+#: shipped records, ``ReplicatedEngine`` a ``ShardedEngine`` that only built
+#: the groups and forwarded crash/rejoin to them, and ``set_shard_latency``
+#: a third way to reach one shard.  Shrink-only, as above: a ``WALEngine``
+#: ships to its own replicas, and ``storage.shards_of`` reaches a shard.
+RETIRED_STORAGE_NAMES = ("ReplicatedEngine", "ReplicaGroup", "set_shard_latency")
+
+
+def test_retired_replication_fork_stays_out_of_src():
+    assert _identifiers_in_src(RETIRED_STORAGE_NAMES) == []
+
+
 #: The hand-rolled eviction loops that ``common.cache`` replaced.  Shrink-only,
 #: as above: a keyed, bounded record is a ``BoundedCache`` under its owner's
 #: lock.
@@ -488,12 +500,14 @@ INVENTORY_ONLY = {
 #: RFC 2866 accounting behind ``SSHDaemon(accounting=)`` (the authlog's
 #: ``session_open`` rows and the node's login tallies) and ``pam_geo_check``
 #: (the risk engine's impossible-travel signal, which both policy-backed
-#: PAM modules already act on).  Shrink-only, as above: neither the modules
-#: nor their classes come back.
+#: PAM modules already act on).  ``storage.replication`` went the same way:
+#: its replica group is ``WALEngine``'s own replicas.  Shrink-only, as above:
+#: neither the modules nor their classes come back.
 RETIRED_INVENTORY = {
     "radius.proxy": ("RADIUSProxy",),
     "radius.accounting": ("AccountingServer", "AccountingClient", "AcctStatusType"),
     "pam.modules.geo": ("PamGeoCheckModule",),
+    "storage.replication": ("ReplicatedEngine", "ReplicaGroup"),
 }
 
 
@@ -676,8 +690,8 @@ RETIRED_FIELDS = {
 
 #: ``__init__`` parameters that only tests passed, now module constants (or,
 #: for ``IngestQueue.limiter`` and ``PolicyEngine.rate_limit``, a deleted
-#: admission throttle, and for ``SSHDaemon.accounting`` the deleted RFC 2866
-#: emitter).
+#: admission throttle, for ``SSHDaemon.accounting`` the deleted RFC 2866
+#: emitter, and for ``WALEngine.wal`` a ready log no caller passed).
 #: Shrink-only, as above: none of them comes back.
 RETIRED_PARAMETERS = {
     "IngestQueue": ("limiter",),
@@ -690,6 +704,7 @@ RETIRED_PARAMETERS = {
     "MFACenter": ("radius_policy",),
     "SSHDaemon": ("accounting",),
     "QueuedBackend": ("inner",),
+    "WALEngine": ("wal",),
 }
 
 
