@@ -10,6 +10,9 @@ Implements, from scratch, the primitives the paper's components depend on:
   :mod:`repro.crypto.totp`) — the six-digit, 30-second token codes all four
   device types produce, including the ±300 s drift tolerance and the
   resynchronization search LinOTP admins can trigger.
+* A prepared-key RFC 2104 HMAC (:mod:`repro.crypto.mac`) — the one batched
+  MAC: drift windows, the HOTP look-ahead, resync and the sealer hash a
+  key's pad blocks once and MAC many messages in one pass.
 * HTTP Digest authentication (:mod:`repro.crypto.digest_auth`) — how the
   portal authenticates to the LinOTP admin REST API.
 * HMAC-signed URLs (:mod:`repro.crypto.signing`) — the out-of-band email

@@ -5,16 +5,22 @@ database" (Section 3.1).  Our database substrate is in-memory, but we keep
 the property that secrets are never stored in the clear: the
 :class:`SecretSealer` wraps seeds with an HMAC-SHA256-derived keystream plus
 an integrity tag before they reach a table row, and unseals them only inside
-the validation path.
+the validation path.  The master key never changes, so the sealer prepares
+it once (:class:`~repro.crypto.mac.PreparedKey`): an unseal MACs its tag
+and its keystream blocks in one pass, a seal (which needs the ciphertext
+before the tag) its keystream in one and its tag in a second.
 """
 
 from __future__ import annotations
 
 import hmac
 import random
+import struct
+from typing import List
 
 from repro.common.ids import random_octets
 from repro.crypto.base32 import b32encode
+from repro.crypto.mac import PreparedKey
 
 #: RFC 4226 recommends seeds of at least 128 bits; 160 matches SHA-1 output
 #: length and is what Feitian ships in the c200.
@@ -41,11 +47,21 @@ def secret_to_base32(secret: bytes) -> str:
     return b32encode(secret, pad=False)
 
 
-def _xor(data: bytes, stream: bytes) -> bytes:
-    """``data ^ stream`` (equal lengths) as one big-integer operation."""
-    return (
-        int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
-    ).to_bytes(len(data), "big")
+#: A keystream block is one HMAC-SHA256 output.
+_BLOCK_LEN = 32
+_BLOCK_INDEX = struct.Struct(">I").pack
+
+
+def _block_messages(nonce: bytes, length: int) -> List[bytes]:
+    """The messages ``nonce || counter`` of a ``length``-byte keystream."""
+    return list(map(nonce.__add__, map(_BLOCK_INDEX, range(-(-length // _BLOCK_LEN)))))
+
+
+def _xor(data: bytes, blocks: List[bytes]) -> bytes:
+    """``data`` XOR the keystream ``blocks``, as one big-integer operation."""
+    n = len(data)
+    stream = int.from_bytes(b"".join(blocks)[:n], "big")
+    return (int.from_bytes(data, "big") ^ stream).to_bytes(n, "big")
 
 
 class SecretSealer:
@@ -67,25 +83,14 @@ class SecretSealer:
     def __init__(self, master_key: bytes, rng: random.Random | None = None) -> None:
         if len(master_key) < 16:
             raise ValueError("master key must be at least 16 bytes")
-        self._key = master_key
+        self._key = PreparedKey(master_key, "sha256")
         self._rng = rng or random.Random()
-
-    def _keystream(self, nonce: bytes, length: int) -> bytes:
-        out = bytearray()
-        counter = 0
-        while len(out) < length:
-            out.extend(
-                hmac.digest(self._key, nonce + counter.to_bytes(4, "big"), "sha256")
-            )
-            counter += 1
-        return bytes(out[:length])
 
     def seal(self, secret: bytes) -> bytes:
         """Return ``nonce || ciphertext || tag`` for storage."""
         nonce = random_octets(self._rng, self._NONCE_LEN)
-        stream = self._keystream(nonce, len(secret))
-        ciphertext = _xor(secret, stream)
-        tag = hmac.digest(self._key, nonce + ciphertext, "sha256")
+        ciphertext = _xor(secret, self._key.macs(_block_messages(nonce, len(secret))))
+        tag = self._key.mac(nonce + ciphertext)
         return nonce + ciphertext + tag[: self._TAG_LEN]
 
     def unseal(self, blob: bytes) -> bytes:
@@ -95,8 +100,9 @@ class SecretSealer:
         nonce = blob[: self._NONCE_LEN]
         ciphertext = blob[self._NONCE_LEN : -self._TAG_LEN]
         tag = blob[-self._TAG_LEN :]
-        expected = hmac.digest(self._key, nonce + ciphertext, "sha256")
+        expected, *stream = self._key.macs(
+            [nonce + ciphertext, *_block_messages(nonce, len(ciphertext))]
+        )
         if not hmac.compare_digest(expected[: self._TAG_LEN], tag):
             raise ValueError("sealed blob failed integrity check")
-        stream = self._keystream(nonce, len(ciphertext))
         return _xor(ciphertext, stream)

@@ -14,16 +14,26 @@ sides of that transaction:
 Replay protection ("the provided token code is nullified") is enforced by
 the validator remembering the highest step it has accepted per key and
 refusing codes at or below it.
+
+The search itself is the pure :func:`verify_totp`: one :func:`hotp` probe
+of the center step, then, only on a miss, the rest of the window and the
+consumed steps in one :func:`~repro.crypto.hotp.hotps` pass under a
+:class:`~repro.crypto.mac.PreparedKey`.  :func:`resync_step` scans its wide
+window the same way, ring by ring outward.  :class:`TOTPValidator` holds
+only the per-key floor and learned offset around them.
 """
 
 from __future__ import annotations
 
 import hmac
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from itertools import compress, repeat
+from operator import and_, eq
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.clock import Clock, WallClock
-from repro.crypto.hotp import hotp
+from repro.crypto.hotp import hotp, hotps
+from repro.crypto.mac import PreparedKey
 
 #: The step length every device in the paper uses.
 DEFAULT_STEP = 30
@@ -54,6 +64,81 @@ def totp_at(
 ) -> str:
     """Compute the TOTP code valid at ``timestamp``."""
     return hotp(secret, time_step(timestamp, step, t0), digits=digits, algorithm=algorithm)
+
+
+def verify_totp(
+    secret: bytes, code: str, center: int, floor: int, window: int, digits: int = 6
+) -> Tuple[Optional[int], str]:
+    """Find the step ``code`` was shown at, within ``window`` steps of ``center``.
+
+    Returns ``(step, "")`` for the first step above ``floor`` (the highest
+    step already accepted) that matches, searching outward: center, +1, -1,
+    +2, -2, ...  Otherwise ``(None, reason)``: :data:`REASON_REPLAY` when the
+    code matches a consumed step from the window's low edge up to ``floor``,
+    else :data:`REASON_NO_MATCH` (or :data:`REASON_MALFORMED`).
+
+    The center is one :func:`hotp` call, so the common no-drift code
+    matches on the first probe; a miss MACs the rest of the window and the
+    consumed steps in one :func:`hotps` pass.  Every candidate is compared in
+    constant time.
+    """
+    if len(code) != digits or not code.isdigit():
+        return None, REASON_MALFORMED
+    if center > floor and hmac.compare_digest(hotp(secret, center, digits), code):
+        return center, ""
+    fresh = [s for d in range(1, window + 1) for s in (center + d, center - d) if s > floor]
+    steps = fresh + list(range(max(0, center - window), floor + 1))
+    codes = hotps(PreparedKey(secret), steps, digits)
+    matches = list(map(hmac.compare_digest, codes, repeat(code)))
+    if True not in matches:
+        return None, REASON_NO_MATCH
+    first = matches.index(True)
+    return (steps[first], "") if first < len(fresh) else (None, REASON_REPLAY)
+
+
+def resync_step(
+    secret: bytes, code1: str, code2: str, center: int, search: int, digits: int = 6
+) -> Optional[int]:
+    """The step nearest ``center`` that shows ``code1`` and then ``code2``.
+
+    Distances up to ``search`` are tried outward, ``+d`` before ``-d``, and
+    negative steps never match.  The center pair is probed with
+    :func:`hotp`; the rest is scanned in rings of doubling width, each one
+    :func:`hotps` pass, stopping at the first ring that holds the pair.
+    Codes compare with ``==``: they come unchecked from the admin API, and
+    ``hmac.compare_digest`` raises on non-ASCII text.
+    """
+    if (
+        center >= 0
+        and hotp(secret, center, digits) == code1
+        and hotp(secret, center + 1, digits) == code2
+    ):
+        return center
+    key = PreparedKey(secret)
+    near, far = 0, 1
+    while near < search:
+        far = min(far, search)
+        # Steps center-far .. center-near-1 and center+near+1 .. center+far,
+        # each side with the code of the step after its last; none below 0.
+        back = range(max(0, center - far), center - near + 1)
+        fore = range(max(0, center + near + 1), center + far + 2)
+        codes = hotps(key, [*back, *fore], digits)
+        split = len(back)
+        behind = _pairs(back, codes[:split], code1, code2)
+        ahead = _pairs(fore, codes[split:], code1, code2)
+        if ahead and (not behind or ahead[0] - center <= center - behind[-1]):
+            return ahead[0]
+        if behind:
+            return behind[-1]
+        near, far = far, 2 * far
+    return None
+
+
+def _pairs(steps: range, codes: Sequence[str], code1: str, code2: str) -> List[int]:
+    """The ``steps`` (ascending) showing ``code1`` whose next step shows ``code2``."""
+    firsts = map(eq, codes, repeat(code1))
+    seconds = map(eq, codes[1:], repeat(code2))
+    return list(compress(steps, map(and_, firsts, seconds)))
 
 
 @dataclass
@@ -136,36 +221,22 @@ class TOTPValidator:
     def validate(self, key_id: str, secret: bytes, code: str) -> ValidationOutcome:
         """Check ``code`` against ``secret`` within the drift window.
 
-        On success the matched step is recorded so the same code (or any
-        earlier one) can never be accepted again for ``key_id`` — this is
-        the "token code is nullified" behaviour from Section 3.2.
+        The window is centered on this instant's step plus the key's learned
+        offset; the clock is read once, so the offset learned is measured
+        from the same step the window was centered on.  On success the
+        matched step is recorded so the same code (or any earlier one) can
+        never be accepted again for ``key_id`` — this is the "token code is
+        nullified" behaviour from Section 3.2.
         """
-        if len(code) != self.digits or not code.isdigit():
-            return ValidationOutcome(False, reason=REASON_MALFORMED)
-        center = time_step(self.clock.now(), self.step) + self._offsets.get(key_id, 0)
+        now = time_step(self.clock.now(), self.step)
+        center = now + self._offsets.get(key_id, 0)
         floor = self._last_accepted.get(key_id, -1)
-        # Search outward from the center so the common no-drift case matches
-        # on the first probe.
-        for distance in range(self.window + 1):
-            for sign in ((0,) if distance == 0 else (1, -1)):
-                step = center + sign * distance
-                if step <= floor:
-                    continue
-                expected = hotp(secret, step, digits=self.digits)
-                if hmac.compare_digest(expected, code):
-                    self._last_accepted[key_id] = step
-                    true_center = time_step(self.clock.now(), self.step)
-                    self._offsets[key_id] = step - true_center
-                    return ValidationOutcome(True, offset=step - true_center)
-        if floor >= center - self.window:
-            # The code may have been correct but already consumed.
-            expected_consumed = any(
-                hmac.compare_digest(hotp(secret, s, digits=self.digits), code)
-                for s in range(max(0, center - self.window), floor + 1)
-            )
-            if expected_consumed:
-                return ValidationOutcome(False, reason=REASON_REPLAY)
-        return ValidationOutcome(False, reason=REASON_NO_MATCH)
+        step, reason = verify_totp(secret, code, center, floor, self.window, self.digits)
+        if step is None:
+            return ValidationOutcome(False, reason=reason)
+        self._last_accepted[key_id] = step
+        self._offsets[key_id] = step - now
+        return ValidationOutcome(True, offset=step - now)
 
     def resync(
         self, key_id: str, secret: bytes, code1: str, code2: str, search: int = 1000
@@ -173,24 +244,19 @@ class TOTPValidator:
         """Resynchronize a badly drifted token from two consecutive codes.
 
         Mirrors the LinOTP admin "re-synchronize tokens" operation: scan a
-        wide window for a step where ``code1`` and ``code2`` appear in
-        consecutive steps, then anchor the replay floor there.
+        wide window (:func:`resync_step`) for a step where ``code1`` and
+        ``code2`` appear in consecutive steps, then anchor the replay floor
+        there.
         """
         center = time_step(self.clock.now(), self.step)
-        for distance in range(search + 1):
-            for sign in ((0,) if distance == 0 else (1, -1)):
-                step = center + sign * distance
-                if step < 0:
-                    continue
-                if hotp(secret, step, digits=self.digits) == code1 and hotp(
-                    secret, step + 1, digits=self.digits
-                ) == code2:
-                    self._last_accepted[key_id] = step + 1
-                    # Remember the device's drift so the next validate()
-                    # centers its window on the device's clock, not ours.
-                    self._offsets[key_id] = (step + 1) - center
-                    return ValidationOutcome(True, offset=step - center)
-        return ValidationOutcome(False, reason="resync failed: no consecutive match")
+        step = resync_step(secret, code1, code2, center, search, self.digits)
+        if step is None:
+            return ValidationOutcome(False, reason="resync failed: no consecutive match")
+        self._last_accepted[key_id] = step + 1
+        # Remember the device's drift so the next validate() centers its
+        # window on the device's clock, not ours.
+        self._offsets[key_id] = (step + 1) - center
+        return ValidationOutcome(True, offset=step - center)
 
     def forget(self, key_id: str) -> None:
         """Drop replay/drift state for a key (used when a token is unpaired)."""

@@ -16,7 +16,8 @@ The contract (:class:`IdentityResolver`) is deliberately tiny:
   user), and raises :class:`ResolverUnavailableError` when the source
   itself is down — the distinction the chain's failover logic lives on;
 * ``health()`` is the resolver's own liveness view;
-* ``stats()`` is its counters, surfaced through ``status("resolvers")``.
+* ``snapshot()`` is its counters, surfaced through ``status("resolvers")``
+  (under the ``stats`` key).
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class IdentityResolver:
 
     Subclasses implement :meth:`_lookup`; this base counts outcomes (under
     a lock never held across the lookup itself — the chain calls from
-    every validate thread) and exposes the ``health()``/``stats()`` halves
+    every validate thread) and exposes the ``health()``/``snapshot()`` halves
     of the protocol.
     """
 
@@ -103,7 +104,7 @@ class IdentityResolver:
         """The resolver's own liveness view (chain adds circuit state)."""
         return {"available": True}
 
-    def stats(self) -> Dict[str, object]:
+    def snapshot(self) -> Dict[str, object]:
         with self._lock:
             return {
                 "lookups": self.lookups,

@@ -222,7 +222,7 @@ class ResolverChain:
             name: {
                 **tracked[name],
                 "health": resolver.health(),
-                "stats": resolver.stats(),
+                "stats": resolver.snapshot(),
             }
             for name, resolver in self._resolvers.items()
         }

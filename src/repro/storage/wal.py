@@ -132,7 +132,7 @@ class WriteAheadLog:
         ``n - 1``): the file's, or the in-memory list's."""
         return load_wal(self.path)[0] if self.path else self._records
 
-    def stats(self) -> Dict[str, object]:
+    def snapshot(self) -> Dict[str, object]:
         return {
             "records": self.last_lsn,
             "last_lsn": self.last_lsn,
@@ -455,7 +455,7 @@ class WALEngine(Layer):
         these nodes as its ``replication``."""
         status = self.inner.describe()
         shard = status["shards"][0]
-        shard["wal"] = {**self.wal.stats(), "snapshot_every": self.snapshot_every}
+        shard["wal"] = {**self.wal.snapshot(), "snapshot_every": self.snapshot_every}
         head = self.wal.last_lsn
         shard["replication"] = {
             "primary": self.primary_id,

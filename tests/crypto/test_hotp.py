@@ -1,9 +1,10 @@
 """HOTP: RFC 4226 vectors, verification windows, parameter validation."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto.hotp import hotp, verify_hotp
+from tests.crypto import reference
 
 SECRET = b"12345678901234567890"
 
@@ -80,3 +81,20 @@ class TestVerify:
     def test_behind_counter_not_accepted(self):
         # Codes before the stored counter never verify (replay).
         assert verify_hotp(SECRET, RFC_CODES[1], counter=3, look_ahead=10) is None
+
+    @given(
+        counter=st.integers(min_value=0, max_value=2**40),
+        look_ahead=st.integers(min_value=-1, max_value=30),
+        at=st.integers(min_value=-3, max_value=35),
+        digits=st.integers(min_value=6, max_value=8),
+        algorithm=st.sampled_from(["sha1", "sha256", "sha512"]),
+    )
+    @settings(max_examples=200)
+    def test_the_look_ahead_matches_the_per_counter_reference(
+        self, counter, look_ahead, at, digits, algorithm
+    ):
+        # The code shown ``at`` presses from the stored counter (before,
+        # inside or past the look-ahead), and a code nothing shows.
+        for code in (hotp(SECRET, max(0, counter + at), digits, algorithm), "0" * digits):
+            args = (SECRET, code, counter, look_ahead, digits, algorithm)
+            assert verify_hotp(*args) == reference.verify_hotp(*args)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.crypto.secrets import SecretSealer, generate_secret, secret_to_base32
+from tests.crypto import reference
 
 KEY = b"0123456789abcdef0123456789abcdef"
 
@@ -124,3 +125,28 @@ class TestStoredFormat:
             flipped[bit // 8] ^= 1 << (bit % 8)
             with pytest.raises(ValueError, match="integrity"):
                 sealer.unseal(bytes(flipped))
+
+
+class TestAgainstThePerBlockReference:
+    """The prepared-key sealer seals the per-block one-shot sealer's exact
+    bytes, and each unseals the other's blobs."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        secrets=st.lists(st.binary(min_size=0, max_size=100), min_size=1, max_size=5),
+    )
+    def test_same_bytes_for_a_seeded_rng(self, seed, secrets):
+        ours = SecretSealer(KEY, rng=random.Random(seed))
+        theirs = reference.SecretSealer(KEY, rng=random.Random(seed))
+        for secret in secrets:
+            blob = ours.seal(secret)
+            assert blob == theirs.seal(secret)
+            assert ours.unseal(blob) == theirs.unseal(blob) == secret
+
+    @given(secret=st.binary(min_size=0, max_size=70), flip=st.integers(min_value=0))
+    def test_a_tampered_reference_blob_still_raises(self, secret, flip):
+        blob = bytearray(reference.SecretSealer(KEY, rng=random.Random(5)).seal(secret))
+        bit = flip % (len(blob) * 8)
+        blob[bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(ValueError, match="integrity"):
+            SecretSealer(KEY).unseal(bytes(blob))

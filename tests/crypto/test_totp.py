@@ -1,16 +1,21 @@
 """TOTP: RFC 6238 vectors, drift window, replay nullification, resync."""
 
+import cProfile
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.clock import VirtualClock
+from repro.common.clock import Clock, VirtualClock
+from repro.crypto.hotp import hotp
 from repro.crypto.totp import (
     DEFAULT_DRIFT,
     TOTPGenerator,
     TOTPValidator,
+    ValidationOutcome,
     time_step,
     totp_at,
 )
+from tests.crypto import reference
 
 SECRET = b"12345678901234567890"
 
@@ -178,3 +183,126 @@ class TestResync:
         assert validator.resync("t1", SECRET, code1, code2, search=200).ok
         # The two resync codes can no longer be used to authenticate.
         assert not validator.validate("t1", SECRET, code2).ok
+
+
+class TickingClock(Clock):
+    """A clock that moves one millisecond every time it is read."""
+
+    def __init__(self, millis: int) -> None:
+        self.millis = millis
+
+    def now(self) -> float:
+        self.millis += 1
+        return (self.millis - 1) / 1000
+
+
+class TestOneClockRead:
+    def test_an_on_time_code_in_a_steps_last_millisecond_learns_no_drift(self):
+        # The check starts in the last millisecond of step 999; a second
+        # clock read would land in step 1000 and learn a drift of -1.
+        clock = TickingClock(30 * 1000 * 1000 - 1)
+        validator = TOTPValidator(clock=clock)
+        code = hotp(SECRET, 999)
+        assert validator.validate("t1", SECRET, code) == ValidationOutcome(True, offset=0)
+        assert validator._offsets["t1"] == 0
+        assert validator._last_accepted["t1"] == 999
+
+
+class TestAgainstThePerStepReference:
+    """The kernel-backed validator gives the per-step search's verdicts and
+    leaves the same replay floor and learned offset behind, op after op."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_outcomes_and_state(self, data):
+        window = data.draw(st.integers(min_value=0, max_value=10), label="window")
+        drift = window * 30 + data.draw(st.integers(min_value=0, max_value=29))
+        # Steps near 0 (where the window and the replay range are clipped)
+        # and a realistic epoch.
+        start = data.draw(
+            st.one_of(
+                st.integers(min_value=0, max_value=900),
+                st.integers(min_value=1_400_000_000, max_value=1_500_000_000),
+            ),
+            label="start",
+        )
+        clocks = VirtualClock(start), VirtualClock(start)
+        ours = TOTPValidator(clock=clocks[0], drift=drift)
+        theirs = reference.TOTPValidator(clock=clocks[1], drift=drift)
+        submitted = ["000000"]
+        for _ in range(data.draw(st.integers(min_value=1, max_value=8), label="ops")):
+            advance = data.draw(st.integers(min_value=0, max_value=120), label="advance")
+            for clock in clocks:
+                clock.advance(advance)
+            now = clocks[0].now()
+            if data.draw(st.booleans(), label="set state"):
+                # Any learned offset, and a floor anywhere from "never
+                # accepted" to past the window's far edge.
+                offset = data.draw(st.integers(min_value=-15, max_value=15), label="offset")
+                center = time_step(now) + offset
+                floor = max(-1, center + data.draw(st.integers(-15, 15), label="floor"))
+                for validator in (ours, theirs):
+                    validator._offsets["k"], validator._last_accepted["k"] = offset, floor
+            kind = data.draw(
+                st.sampled_from(["right", "wrong", "replayed", "consumed", "malformed", "resync"]),
+                label="kind",
+            )
+            skew = data.draw(st.integers(min_value=-450, max_value=450), label="skew")
+            if kind == "resync":
+                code1 = totp_at(SECRET, max(0, now + skew))
+                code2 = totp_at(SECRET, max(0, now + skew) + 30)
+                search = data.draw(st.integers(min_value=0, max_value=40), label="search")
+                outcomes = [v.resync("k", SECRET, code1, code2, search) for v in (ours, theirs)]
+            else:
+                if kind == "right":
+                    code = totp_at(SECRET, max(0, now + skew))
+                elif kind == "wrong":
+                    code = f"{data.draw(st.integers(0, 999_999), label='wrong'):06d}"
+                elif kind == "replayed":
+                    code = data.draw(st.sampled_from(submitted), label="replayed")
+                elif kind == "consumed":
+                    floor = theirs._last_accepted.get("k", -1)
+                    back = data.draw(st.integers(min_value=0, max_value=12), label="back")
+                    code = hotp(SECRET, max(0, floor - back))
+                else:
+                    code = data.draw(st.sampled_from(["", "12345", "1234567", "12a456"]))
+                submitted.append(code)
+                outcomes = [v.validate("k", SECRET, code) for v in (ours, theirs)]
+            assert outcomes[0] == outcomes[1]
+            assert ours._last_accepted == theirs._last_accepted
+            assert ours._offsets == theirs._offsets
+
+
+def _calls(function, *args):
+    """``(calls, result)``: the interpreter calls ``function(*args)`` makes,
+    as cProfile counts them, and what it returned."""
+    profiler = cProfile.Profile()
+    result = profiler.runcall(function, *args)
+    return sum(entry.callcount for entry in profiler.getstats()) - 1, result
+
+
+class TestResyncCost:
+    def make(self):
+        clock = VirtualClock(1_000_000.0)
+        return clock, TOTPValidator(clock=clock), reference.TOTPValidator(clock=clock)
+
+    def test_a_resync_that_matches_nowhere_makes_five_times_fewer_calls(self):
+        _, ours, theirs = self.make()
+        # 2,001 one-shot HMACs per code at the reference; rings here.
+        calls, outcome = _calls(ours.resync, "t1", SECRET, "000000", "000001")
+        reference_calls, reference_outcome = _calls(
+            theirs.resync, "t1", SECRET, "000000", "000001"
+        )
+        assert not outcome.ok and outcome == reference_outcome
+        assert calls * 5 <= reference_calls
+
+    @pytest.mark.parametrize("distance", [-700, -3, -1, 1, 2, 500, 1000])
+    def test_the_rings_find_the_nearest_pair_at_any_distance(self, distance):
+        clock, ours, theirs = self.make()
+        at = clock.now() + 30 * distance
+        codes = totp_at(SECRET, at), totp_at(SECRET, at + 30)
+        outcome = ours.resync("t1", SECRET, *codes)
+        assert outcome == theirs.resync("t1", SECRET, *codes)
+        assert outcome.ok and outcome.offset == distance
+        assert ours._offsets == theirs._offsets
+        assert ours._last_accepted == theirs._last_accepted

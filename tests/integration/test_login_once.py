@@ -16,7 +16,7 @@ import pytest
 
 from repro.common.clock import VirtualClock
 from repro.core import MFACenter
-from repro.crypto.totp import TOTPGenerator
+from repro.crypto.totp import TOTPGenerator, time_step, totp_at
 from repro.otpserver.admin_api import AdminAPI, AdminAPIClient
 from repro.ssh import SSHClient
 from repro.storage import StorageConfig
@@ -280,6 +280,60 @@ def test_a_transaction_is_one_begin_and_one_commit_per_layer(admin_remove_profil
 
 
 @pytest.fixture(scope="module")
+def admin_resync_profile(tmp_path_factory):
+    """One warm ``/admin/resync`` on loginbench's ``admin_churn`` storage
+    stack, from a device's next two codes: the pair sits one step ahead of
+    the server's step, as in the benchmark's ``resync`` op."""
+    clock = VirtualClock.at("2016-10-05T09:00:00")
+    center = MFACenter(
+        clock=clock,
+        rng=random.Random(20160810),
+        storage=StorageConfig(
+            shards=4, durability=True, cache_capacity=2048, snapshot_every=5000,
+            wal_dir=str(tmp_path_factory.mktemp("wal")),
+        ),
+        telemetry=True,
+    )
+    uids = [center.create_user(name).uid for name in ("alice", "bob")]
+    api = AdminAPI(center.otp, rng=random.Random(1))
+    api.add_admin("helpdesk", "helpdesk-secret")
+    admin = AdminAPIClient(api, "helpdesk", "helpdesk-secret", rng=random.Random(2))
+    secrets = {
+        uid: bytes.fromhex(
+            admin.call("POST", "/admin/init", {"user": uid, "type": "soft"})["otpkey"]
+        )
+        for uid in uids
+    }
+
+    def resync(run):
+        uid = uids.pop()
+        step = time_step(clock.now())
+        params = {
+            "user": uid,
+            "otp1": totp_at(secrets[uid], 30.0 * (step + 1)),
+            "otp2": totp_at(secrets[uid], 30.0 * (step + 2)),
+        }
+        assert run(admin.call, "POST", "/admin/resync", params)["resynced"]
+
+    return profile_second_call(resync)
+
+
+#: ``admin_resync_profile``'s calls with the per-step scan: three one-shot
+#: ``hotp`` calls for the center pair and the pair one step out.
+RESYNC_CALLS_AT_THE_PER_STEP_SCAN = 125
+
+
+def test_a_near_center_resync_costs_no_more_than_per_step_probes(admin_resync_profile):
+    """A resync probes the center pair with ``hotp``, then scans outward in
+    prepared-key rings; a pair one step out costs no more calls than the
+    per-step scan's three one-shot ``hotp``s did (and the unseal before it
+    is cheaper)."""
+    assert count(admin_resync_profile, "crypto/hotp.py", "hotp") == 1
+    assert count(admin_resync_profile, "crypto/totp.py", "resync_step") == 1
+    assert sum(admin_resync_profile.values()) <= RESYNC_CALLS_AT_THE_PER_STEP_SCAN
+
+
+@pytest.fixture(scope="module")
 def warm_success_profile(tmp_path_factory):
     """One warm valid validate on the production storage stack: two
     WAL-logged shards to disk, telemetry on.  The profiled success follows
@@ -394,6 +448,68 @@ def builtin(profile, fragment):
 def test_the_password_rounds_loop_inside_one_call(login_profile):
     assert builtin(login_profile, "pbkdf2_hmac") == 1
     assert builtin(login_profile, "openssl_sha256") == 0
+
+
+@pytest.fixture(scope="module")
+def backend_soft_token(tmp_path_factory):
+    """loginbench's ``validate_backend`` stack (as ``telemetry_on_profile``)
+    with one soft token, and a code none of its drift window's 21 steps
+    shows."""
+    clock = VirtualClock.at("2016-10-05T09:00:00")
+    center = MFACenter(
+        clock=clock,
+        rng=random.Random(20160810),
+        storage=StorageConfig(
+            shards=4, durability=True, cache_capacity=2048, snapshot_every=5000,
+            wal_dir=str(tmp_path_factory.mktemp("wal")),
+        ),
+        ingest=True, risk=True, resolvers=True, telemetry=True,
+    )
+    center.create_user("alice", password="pw-alice")
+    _, secret = center.pair_soft("alice")
+    now = time_step(clock.now())
+    window = {totp_at(secret, 30.0 * s) for s in range(now - 10, now + 11)}
+    wrong = next(c for c in (f"{n:06d}" for n in range(10**6)) if c not in window)
+    return center, wrong
+
+
+@pytest.fixture(scope="module")
+def backend_wrong_code_profile(backend_soft_token):
+    """One warm wrong-code validate on the ``validate_backend`` stack."""
+    center, wrong = backend_soft_token
+
+    def validate(run):
+        assert not run(center.radius_backend.validate, "alice", wrong).ok
+
+    return profile_second_call(validate)
+
+
+@pytest.fixture(scope="module")
+def unseal_profile(backend_soft_token):
+    """One warm unseal of the soft token's stored secret."""
+    center, _ = backend_soft_token
+    (row,) = center.otp.tokens.select(where={"user_id": center.uid_of("alice")})
+    return profile_second_call(
+        lambda run: run(center.otp._sealer.unseal, row["sealed_secret"])
+    )
+
+
+def test_a_wrong_code_macs_its_window_in_one_pass(backend_wrong_code_profile):
+    """docs/ARCHITECTURE.md "Hot path": a miss probes the center step with
+    one ``hotp`` and MACs the other 20 steps under one prepared key, not one
+    one-shot ``hmac.digest`` per step."""
+    assert count(backend_wrong_code_profile, "crypto/hotp.py", "hotp") <= 1
+    assert count(backend_wrong_code_profile, "hmac.py", "digest") <= 1
+    # ... and the window those counts speak for was MACed: one pass for it,
+    # one for the unseal before it.
+    assert count(backend_wrong_code_profile, "crypto/mac.py", "macs") == 2
+
+
+def test_an_unseal_macs_under_the_prepared_master_key(unseal_profile):
+    """The sealer's master key is prepared once: an unseal MACs its tag and
+    keystream in one kernel pass and no one-shot ``hmac.digest``."""
+    assert count(unseal_profile, "hmac.py", "digest") == 0
+    assert count(unseal_profile, "crypto/mac.py", "macs") == 1
 
 
 def test_a_public_key_connect_draws_once_and_derives_once(pubkey_profile):

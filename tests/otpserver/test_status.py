@@ -108,7 +108,7 @@ class TestShapeIndependence:
         if config.durable:
             walled = [find_layer(shard, "wal") for shard in shards_of(engine)]
             assert logs == [
-                {**shard.wal.stats(), "snapshot_every": config.snapshot_every}
+                {**shard.wal.snapshot(), "snapshot_every": config.snapshot_every}
                 for shard in walled
             ]
             assert all(log["records"] == log["last_lsn"] > 0 for log in logs)

@@ -39,7 +39,7 @@ class TestDirectoryResolver:
     def test_unknown_user_is_an_authoritative_miss(self, identity):
         resolver = DirectoryResolver(identity)
         assert resolver.resolve("mallory") is None
-        assert resolver.stats() == {"lookups": 1, "hits": 0, "misses": 1, "errors": 0}
+        assert resolver.snapshot() == {"lookups": 1, "hits": 0, "misses": 1, "errors": 0}
 
     def test_realm_suffix_is_split_off_before_lookup(self, identity):
         found = DirectoryResolver(identity).resolve("alice@center")
@@ -59,7 +59,7 @@ class TestLDAPSimResolver:
         resolver.set_outage(True)
         with pytest.raises(ResolverUnavailableError, match="down"):
             resolver.resolve("alice")
-        assert resolver.stats()["errors"] == 1
+        assert resolver.snapshot()["errors"] == 1
         resolver.set_outage(False)
         assert resolver.resolve("alice") is not None
 
@@ -101,7 +101,7 @@ class TestLDAPSimResolver:
         resolver = LDAPSimResolver(identity.ldap, clock=clock)
         for crafted in ["a)(uid=alice", "(", ")", "x\\y", "a\x00b"]:
             assert resolver.resolve(crafted) is None
-        assert resolver.stats()["errors"] == 0
+        assert resolver.snapshot()["errors"] == 0
 
     def test_escape_filter_value_covers_rfc4515_metacharacters(self):
         assert escape_filter_value("alice") == "alice"

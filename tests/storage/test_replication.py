@@ -192,7 +192,7 @@ class TestReplicatedEngine:
         assert len(shards) == 2
         for shard, group in zip(shards, shards_of(engine)):
             assert shard["tables"] == {"t": group.row_count("t")}
-            assert shard["wal"] == {**group.wal.stats(), "snapshot_every": 0}
+            assert shard["wal"] == {**group.wal.snapshot(), "snapshot_every": 0}
             assert shard["replication"] == {
                 "primary": 0,
                 "promotions": 0,

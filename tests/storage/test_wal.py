@@ -265,7 +265,7 @@ class TestFileBackedLog:
             tracemalloc.stop()
         engine.wal.close()
         assert sum(stat.size for stat in held.statistics("filename")) < 64 * 1024
-        assert engine.wal.stats()["records"] == engine.wal.last_lsn == 5_001
+        assert engine.wal.snapshot()["records"] == engine.wal.last_lsn == 5_001
 
     def test_read_is_the_file(self, tmp_path):
         path = str(tmp_path / "t.wal")

@@ -451,6 +451,20 @@ def test_no_layer_forwards_what_it_does_not_declare():
     assert pass_through == []
 
 
+def test_one_introspection_verb():
+    """A component's introspection view is ``snapshot()``: no class under
+    ``src/`` answers ``stats()`` beside it.  Shrink-only, as above."""
+    answering = sorted(
+        f"{path.relative_to(SRC)}:{klass.name}"
+        for path in SRC.rglob("*.py")
+        for klass in ast.walk(ast.parse(path.read_text()))
+        if isinstance(klass, ast.ClassDef)
+        for method in klass.body
+        if isinstance(method, ast.FunctionDef) and method.name == "stats"
+    )
+    assert answering == []
+
+
 def _only_calls_inner(method: ast.FunctionDef) -> bool:
     """``method``'s body is one ``[return] self.inner.<its name>(...)``."""
     body = [
