@@ -23,6 +23,7 @@ from repro.chaos import ChaosEngine, FaultPlan, LatencyFault
 from repro.common.clock import VirtualClock
 from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator
+from repro.radius import client as radius_client
 from repro.ssh import SSHClient
 from repro.storage import TableSchema, WALEngine
 
@@ -31,7 +32,7 @@ LOGINS = 12
 NOMINAL_RTT = 0.05
 
 
-def login_latencies(down_servers: int = 0, health_aware: bool = True):
+def login_latencies(down_servers: int = 0):
     """Per-login simulated seconds for a fresh deployment."""
     clock = VirtualClock.at("2016-10-05T09:00:00")
     center = MFACenter(
@@ -50,12 +51,6 @@ def login_latencies(down_servers: int = 0, health_aware: bool = True):
         (LatencyFault(start=0, duration=10 ** 6, delay=NOMINAL_RTT, target="10.0.0."),),
     )
     ChaosEngine(plan, clock, seed=3, fabric=center.fabric)
-    if not health_aware:
-        for daemon in system.daemons:
-            for entry in daemon.pam_stack.entries:
-                radius = getattr(entry.module, "_radius", None)
-                if radius is not None:
-                    radius.health_aware = False
     for i in range(down_servers):
         center.fabric.set_down(center.radius_servers[i].address)
     client = SSHClient(source_ip="198.51.100.3")
@@ -69,10 +64,12 @@ def login_latencies(down_servers: int = 0, health_aware: bool = True):
     return latencies
 
 
-def test_one_down_median_within_2x_all_healthy():
+def test_one_down_median_within_2x_all_healthy(monkeypatch):
     healthy = login_latencies(down_servers=0)
     degraded = login_latencies(down_servers=1)
-    blind = login_latencies(down_servers=1, health_aware=False)
+    with monkeypatch.context() as blind_mode:
+        blind_mode.setattr(radius_client, "HEALTH_AWARE", False)
+        blind = login_latencies(down_servers=1)
     print("\n=== failover login latency (simulated seconds) ===")
     print(f"    all healthy      median={median(healthy):.3f} worst={max(healthy):.3f}")
     print(f"    1/3 down (aware) median={median(degraded):.3f} worst={max(degraded):.3f}")

@@ -34,6 +34,9 @@ per server, and a circuit breaker ejects servers that keep failing:
 Scores, states and a per-server transition count are kept on
 :class:`ServerHealth` and read through :meth:`HealthTracker.snapshot` —
 ``OTPServer.status()`` shows which servers each client has given up on.
+:attr:`HealthTracker.ejected` counts the circuits that are not CLOSED, so a
+client whose every circuit is closed orders its attempts without reading
+the clock or any circuit.
 """
 
 from __future__ import annotations
@@ -134,6 +137,9 @@ class HealthTracker:
         self._health: Dict[str, ServerHealth] = {
             s: ServerHealth(address=s) for s in servers
         }
+        #: Circuits that are not CLOSED; written by :meth:`_transition`
+        #: under the lock, read lock-free.
+        self.ejected = 0
 
     def add(self, server: str) -> None:
         """Start tracking a subject registered after construction."""
@@ -164,6 +170,10 @@ class HealthTracker:
         """Caller holds the lock."""
         if health.state is state:
             return
+        if health.state is CircuitState.CLOSED:
+            self.ejected += 1
+        elif state is CircuitState.CLOSED:
+            self.ejected -= 1
         health.transitions += 1
         health.state = state
         if state is not CircuitState.CLOSED:
@@ -181,7 +191,8 @@ class HealthTracker:
             health.consecutive_failures = 0
             health.probe_failures = 0
             health.score = HEALTH_DECAY * health.score + (1 - HEALTH_DECAY)
-            self._transition(health, CircuitState.CLOSED, now)
+            if health.state is not CircuitState.CLOSED:
+                self._transition(health, CircuitState.CLOSED, now)
 
     def on_failure(self, server: str, now: float) -> None:
         with self._lock:

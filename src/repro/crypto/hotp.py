@@ -83,9 +83,10 @@ def verify_hotp(
     counter past it) or ``None`` if nothing in ``[counter, counter +
     look_ahead]`` matches.  ``counter`` itself is one :func:`hotp` call; only
     a miss MACs the look-ahead, in one :func:`hotps` pass.  Comparison is
-    constant-time per candidate.
+    constant-time per candidate.  A code with a non-ASCII character matches
+    nothing (``hmac.compare_digest`` raises on non-ASCII text).
     """
-    if look_ahead < 0:
+    if look_ahead < 0 or not code.isascii():
         return None
     if hmac.compare_digest(hotp(secret, counter, digits, algorithm), code):
         return counter

@@ -46,6 +46,11 @@ REASON_MALFORMED = "malformed code"
 REASON_REPLAY = "code already used"
 REASON_NO_MATCH = "no matching step in drift window"
 
+#: What a code may hold: ``str.isdigit`` passes ``"١٢٣٤٥٦"`` too, which
+#: ``hmac.compare_digest`` refuses as non-ASCII; stripping these from a
+#: code leaves nothing in one call.
+_ASCII_DIGITS = "0123456789"
+
 
 def time_step(timestamp: float, step: int = DEFAULT_STEP, t0: int = 0) -> int:
     """Map a POSIX timestamp to its TOTP step counter (RFC 6238 ``T``)."""
@@ -75,14 +80,15 @@ def verify_totp(
     step already accepted) that matches, searching outward: center, +1, -1,
     +2, -2, ...  Otherwise ``(None, reason)``: :data:`REASON_REPLAY` when the
     code matches a consumed step from the window's low edge up to ``floor``,
-    else :data:`REASON_NO_MATCH` (or :data:`REASON_MALFORMED`).
+    else :data:`REASON_NO_MATCH`, or :data:`REASON_MALFORMED` for a code that
+    is not ``digits`` ASCII digits.
 
     The center is one :func:`hotp` call, so the common no-drift code
     matches on the first probe; a miss MACs the rest of the window and the
     consumed steps in one :func:`hotps` pass.  Every candidate is compared in
     constant time.
     """
-    if len(code) != digits or not code.isdigit():
+    if len(code) != digits or code.strip(_ASCII_DIGITS):
         return None, REASON_MALFORMED
     if center > floor and hmac.compare_digest(hotp(secret, center, digits), code):
         return center, ""

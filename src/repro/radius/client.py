@@ -12,8 +12,15 @@ per-server EWMA score and circuit breaker eject servers that keep timing
 out, retransmits wait out a deterministic jittered backoff schedule (both
 from :mod:`repro.common.resilience`), and an optional deadline budget
 bounds how much simulated time one authenticate() may burn before giving
-up.  Pass ``health_aware=False`` for the paper's original behaviour (the
-failover benchmark compares the two).
+up.  While every circuit is closed the attempt order is the precomputed
+rotation, and with no budget no deadline is built, so a healthy round trip
+reads no circuit and no clock to plan itself.
+
+A request is one concatenation of attribute bytes (NAS-Identifier encoded
+once, at construction), and a verified reply is read in one scan.  A reply
+that is forged, corrupt, answers another request or carries a Reply-Message
+that is not UTF-8 counts as no reply: the server's health suffers and the
+request is retransmitted.
 """
 
 from __future__ import annotations
@@ -21,10 +28,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.clock import Clock, VirtualClock
 from repro.common.errors import ConfigurationError, ProtocolError
+from repro.common.ids import random_octets
 from repro.common.resilience import (
     BackoffSchedule,
     CircuitState,
@@ -32,13 +40,7 @@ from repro.common.resilience import (
     stable_seed,
 )
 from repro.radius.dictionary import Attr, PacketCode
-from repro.radius.packet import (
-    RADIUSPacket,
-    encode_packet,
-    hide_password,
-    new_request_authenticator,
-    verify_response,
-)
+from repro.radius.packet import decode_response, encode, hide_password, tlv
 from repro.radius.transport import UDPFabric
 from repro.telemetry import NOOP_REGISTRY
 
@@ -54,6 +56,9 @@ ATTEMPT_TIMEOUT = 1.0
 #: its RFC 5080 duplicate-detection cache -- a different server
 #: replay-rejects.  Three is the classic RADIUS retransmit count.
 RETRIES = 3
+#: Order attempts by circuit health; False is the paper's blind round-robin
+#: (the failover benchmark compares the two).
+HEALTH_AWARE = True
 
 
 class AuthStatus(str, Enum):
@@ -90,7 +95,6 @@ class RADIUSClient:
         telemetry=None,
         clock: Optional[Clock] = None,
         deadline_budget: Optional[float] = None,
-        health_aware: bool = True,
         wait_clock: Optional[Clock] = None,
     ) -> None:
         if not servers:
@@ -121,8 +125,13 @@ class RADIUSClient:
                 wait_clock = clock
         self._clock = clock
         self._wait_clock = wait_clock
-        self.health_aware = health_aware
         self.health = HealthTracker(self._servers)
+        # The attempt order while every circuit is closed, per start index.
+        self._rotations = [
+            tuple((server, False) for server in self._servers[i:] + self._servers[:i])
+            for i in range(len(self._servers))
+        ]
+        self._nas_identifier = tlv(Attr.NAS_IDENTIFIER, NAS_IDENTIFIER.encode())
         # Backoff schedules are keyed per (source, server): deterministic
         # across runs (CRC-based seed, no shared-RNG draws) yet distinct
         # across the fleet so retries never synchronize.
@@ -148,10 +157,6 @@ class RADIUSClient:
             "sends avoided because the target's circuit was open",
         )
 
-    def _next_identifier(self) -> int:
-        self._identifier = (self._identifier + 1) % 256
-        return self._identifier
-
     # -- time ----------------------------------------------------------------
 
     def _elapse(self, seconds: float) -> None:
@@ -161,7 +166,7 @@ class RADIUSClient:
 
     # -- server ordering ------------------------------------------------------
 
-    def _attempt_plan(self, start: int) -> List[Tuple[str, bool]]:
+    def _attempt_plan(self, start: int) -> Sequence[Tuple[str, bool]]:
         """Order of ``(server, is_probe)`` for one call.
 
         Probe-due ejected servers go first (half-open trials — the only
@@ -170,16 +175,17 @@ class RADIUSClient:
         still-cooling ejected servers as last resorts so a total-outage
         recovery is never invisible.  Every server reached gets the full
         retransmit budget: a single-shot attempt whose Access-Accept is
-        lost has no dup-cache rescue and poisons the one-time code.
+        lost has no dup-cache rescue and poisons the one-time code.  While
+        every circuit is closed that order is the rotation, precomputed.
         """
-        rotated = self._servers[start:] + self._servers[:start]
-        if not self.health_aware:
-            return [(server, False) for server in rotated]
+        rotation = self._rotations[start]
+        if not HEALTH_AWARE or not self.health.ejected:
+            return rotation
         now = self._clock.now()
         probes: List[Tuple[str, bool]] = []
         closed: List[Tuple[str, bool]] = []
         cooling: List[Tuple[str, bool]] = []
-        for server in rotated:
+        for server, _ in rotation:
             if self.health.probe_due(server, now):
                 probes.append((server, True))
             elif self.health.state(server) is CircuitState.CLOSED:
@@ -222,28 +228,29 @@ class RADIUSClient:
     ) -> Tuple[AuthResponse, bool]:
         """The round trip, and whether the deadline budget cut it short;
         ``live`` says whether the failover counters record."""
-        authenticator = new_request_authenticator(self._rng)
-        request = RADIUSPacket(
-            PacketCode.ACCESS_REQUEST, self._next_identifier(), authenticator
+        authenticator = random_octets(self._rng, 16)
+        self._identifier = identifier = (self._identifier + 1) % 256
+        attrs = (
+            tlv(Attr.USER_NAME, username.encode())
+            + tlv(Attr.USER_PASSWORD, hide_password(password, self._secret, authenticator))
+            + self._nas_identifier
         )
-        request.add(Attr.USER_NAME, username)
-        request.add(Attr.USER_PASSWORD, hide_password(password, self._secret, authenticator))
-        request.add(Attr.NAS_IDENTIFIER, NAS_IDENTIFIER)
         if state is not None:
-            request.add(Attr.STATE, state)
-        wire = encode_packet(request, self._secret)
+            attrs += tlv(Attr.STATE, state)
+        wire = encode(PacketCode.ACCESS_REQUEST, identifier, authenticator, attrs)
 
         start = self._next_start
-        self._next_start = (self._next_start + 1) % len(self._servers)
+        self._next_start = (start + 1) % len(self._servers)
         source = source_override or self._source
-        deadline = self._clock.deadline(self._deadline_budget)
+        budget = self._deadline_budget
+        deadline = None if budget is None else self._clock.deadline(budget)
         # Retransmit to the same server before failing over: the server's
         # duplicate-detection cache (RFC 5080) can then replay a response
         # whose first copy was lost, instead of re-consuming the one-time
         # code on a different server.
         deadline_hit = False
         for index, (server, is_probe) in enumerate(self._attempt_plan(start)):
-            if deadline.expired():
+            if deadline is not None and deadline.expired():
                 deadline_hit = True
                 break
             if index and not is_probe and live:
@@ -251,7 +258,7 @@ class RADIUSClient:
             if is_probe:
                 self.health.begin_probe(server, self._clock.now())
             for attempt in range(RETRIES):
-                if deadline.expired():
+                if deadline is not None and deadline.expired():
                     deadline_hit = True
                     break
                 if attempt:
@@ -260,34 +267,20 @@ class RADIUSClient:
                     self._elapse(self._backoff[server].delay(attempt))
                 self.per_server_attempts[server] += 1
                 response_bytes = self._fabric.send_request(server, wire, source)
-                if response_bytes is None:
-                    self._elapse(ATTEMPT_TIMEOUT)
-                    self.health.on_failure(server, self._clock.now())
-                    continue  # timeout: retransmit
-                try:
-                    response = verify_response(
-                        response_bytes, authenticator, self._secret
+                if response_bytes is not None:
+                    response = self._to_auth_response(
+                        response_bytes, authenticator, identifier, server
                     )
-                except ProtocolError:
-                    self._elapse(ATTEMPT_TIMEOUT)
-                    self.health.on_failure(server, self._clock.now())
-                    continue  # forged/corrupt response is treated as a timeout
-                if response.identifier != request.identifier:
-                    self._elapse(ATTEMPT_TIMEOUT)
-                    self.health.on_failure(server, self._clock.now())
-                    continue
-                self.health.on_success(server, self._clock.now())
-                return self._to_auth_response(response, server), False
+                    if response is not None:
+                        self.health.on_success(server, self._clock.now())
+                        return response, False
+                # A timeout, or a reply no better than one: retransmit.
+                self._elapse(ATTEMPT_TIMEOUT)
+                self.health.on_failure(server, self._clock.now())
             if deadline_hit:
                 break
-        if self.health_aware and live:
-            ejected = sum(
-                1
-                for s in self._servers
-                if self.health.state(s) is not CircuitState.CLOSED
-            )
-            if ejected:
-                self._m_skipped.inc(ejected)
+        if HEALTH_AWARE and live and self.health.ejected:
+            self._m_skipped.inc(self.health.ejected)
         message = (
             "RADIUS deadline budget exhausted"
             if deadline_hit
@@ -304,13 +297,38 @@ class RADIUSClient:
             entry["attempts"] = self.per_server_attempts[server]
         return snap
 
-    @staticmethod
-    def _to_auth_response(packet: RADIUSPacket, server: str) -> AuthResponse:
-        message = packet.get_str(Attr.REPLY_MESSAGE) or ""
-        if packet.code == PacketCode.ACCESS_ACCEPT:
+    def _to_auth_response(
+        self, data: bytes, authenticator: bytes, identifier: int, server: str
+    ) -> Optional[AuthResponse]:
+        """The reply to this request as the PAM module sees it; ``None`` for
+        one that is forged or corrupt, answers another identifier or carries
+        a Reply-Message that is not UTF-8."""
+        try:
+            code, answered, _, attributes = decode_response(
+                data, authenticator, self._secret
+            )
+        except ProtocolError:
+            return None
+        if answered != identifier:
+            return None
+        message = state = None
+        for attr, value in attributes:
+            if attr == Attr.REPLY_MESSAGE:
+                if message is None:
+                    message = value
+            elif attr == Attr.STATE:
+                if state is None:
+                    state = value
+        text = ""
+        if message is not None:
+            try:
+                text = message.decode()
+            except UnicodeDecodeError:
+                return None
+        if code == PacketCode.ACCESS_ACCEPT:
             status = AuthStatus.ACCEPT
-        elif packet.code == PacketCode.ACCESS_CHALLENGE:
+        elif code == PacketCode.ACCESS_CHALLENGE:
             status = AuthStatus.CHALLENGE
         else:
             status = AuthStatus.REJECT
-        return AuthResponse(status, message, packet.get(Attr.STATE), server)
+        return AuthResponse(status, text, state, server)

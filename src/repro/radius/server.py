@@ -6,47 +6,54 @@ recovers the hidden User-Password — the token code, or empty for the SMS
 "null request" — asks the OTP back end to validate, and answers with
 Access-Accept, Access-Reject or Access-Challenge exactly as Section 3.2
 describes.
+
+A request is read in one scan of its decoded attributes (User-Name,
+User-Password, every Proxy-State), and a reply is signed over a
+Reply-Message encoded once per verdict, with only a challenge's State and
+the echoed Proxy-States appended.  A request whose User-Name is missing or
+is not UTF-8 is rejected without reaching the back end.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.cache import MISSING, BoundedCache
 from repro.common.errors import ProtocolError
 from repro.common.results import TokenBackend, ValidateStatus
 from repro.radius.dictionary import Attr, PacketCode
-from repro.radius.packet import (
-    RADIUSPacket,
-    decode_packet,
-    encode_packet,
-    recover_password,
-)
+from repro.radius.packet import MAX_ATTRIBUTE, decode, encode, recover_password, tlv
 from repro.radius.transport import UDPFabric
 from repro.telemetry import NOOP_REGISTRY
 
 #: Requests remembered for duplicate detection; the oldest is forgotten first.
 DUPLICATE_WINDOW = 1024
 
-#: ValidateStatus -> (packet code, reply message)
-_STATUS_MAP = {
-    ValidateStatus.OK: (PacketCode.ACCESS_ACCEPT, "authentication successful"),
-    ValidateStatus.REJECT: (PacketCode.ACCESS_REJECT, "invalid token code"),
-    ValidateStatus.LOCKED: (
+def _canned(code: PacketCode, message: str) -> Tuple[PacketCode, bytes]:
+    """A verdict's packet code and its Reply-Message attribute on the wire."""
+    return code, tlv(Attr.REPLY_MESSAGE, message.encode())
+
+
+#: ValidateStatus -> (packet code, Reply-Message attribute), encoded once.
+_REPLIES = {
+    ValidateStatus.OK: _canned(PacketCode.ACCESS_ACCEPT, "authentication successful"),
+    ValidateStatus.REJECT: _canned(PacketCode.ACCESS_REJECT, "invalid token code"),
+    ValidateStatus.LOCKED: _canned(
         PacketCode.ACCESS_REJECT,
         "account temporarily deactivated after repeated failures",
     ),
-    ValidateStatus.NO_TOKEN: (PacketCode.ACCESS_REJECT, "no MFA device pairing"),
-    ValidateStatus.CHALLENGE_SENT: (
+    ValidateStatus.NO_TOKEN: _canned(PacketCode.ACCESS_REJECT, "no MFA device pairing"),
+    ValidateStatus.CHALLENGE_SENT: _canned(
         PacketCode.ACCESS_CHALLENGE,
         "an SMS token code has been sent to your phone; enter it now",
     ),
-    ValidateStatus.CHALLENGE_PENDING: (
+    ValidateStatus.CHALLENGE_PENDING: _canned(
         PacketCode.ACCESS_CHALLENGE,
         "an SMS token code has already been sent; enter it when it arrives",
     ),
 }
+_NO_USER_NAME = _canned(PacketCode.ACCESS_REJECT, "User-Name is required")
 
 
 class RADIUSServer:
@@ -64,6 +71,8 @@ class RADIUSServer:
         self.name = name or address
         self._backend = backend
         self._clients: Dict[str, bytes] = {}
+        # The prefix entries of ``_clients``, in the order they were added.
+        self._prefixes: Dict[str, bytes] = {}
         # Guards the counts and the duplicate window; never held across validate.
         self._lock = threading.Lock()
         self.handled = 0
@@ -81,16 +90,18 @@ class RADIUSServer:
         fabric.register(address, self.handle_datagram)
 
     def add_client(self, source: str, secret: bytes) -> None:
-        """Authorize a NAS (login node) or proxy by source address."""
+        """Authorize a NAS (login node) or proxy by source address, or a
+        subnet of them by a prefix ending in ``.`` (``"129.114."``)."""
         self._clients[source] = secret
+        if source.endswith("."):
+            self._prefixes[source] = secret
 
     def _secret_for(self, source: str) -> Optional[bytes]:
         if source in self._clients:
             return self._clients[source]
-        # Allow prefix entries like "129.114." covering a login-node subnet.
-        for prefix, secret in self._clients.items():
-            if prefix.endswith(".") and source.startswith(prefix):
-                return secret
+        for prefix in self._prefixes:
+            if source.startswith(prefix):
+                return self._prefixes[prefix]
         return None
 
     def handle_datagram(self, datagram: bytes, source: str) -> Optional[bytes]:
@@ -114,12 +125,12 @@ class RADIUSServer:
                 self.rejected_clients += 1
             return None, ("drop", "unknown_client")
         try:
-            request = decode_packet(datagram)
+            code, identifier, authenticator, attributes = decode(datagram)
         except ProtocolError:
             return None, ("drop", "undecodable")
-        if request.code != PacketCode.ACCESS_REQUEST:
+        if code != PacketCode.ACCESS_REQUEST:
             return None, ("drop", "not_access_request")
-        cache_key = (source, request.identifier, request.authenticator)
+        cache_key = (source, identifier, authenticator)
         with self._lock:
             cached = self._responses.get(cache_key)
             if cached is not MISSING:
@@ -134,10 +145,13 @@ class RADIUSServer:
             self.handled += 1
         response: Optional[bytes] = None
         try:
-            response = self._respond(request, secret)
+            response = self._respond(identifier, authenticator, attributes, secret)
             if response is None:
                 return None, ("drop", "bad_password_attribute")
             return response, None
+        except ProtocolError:
+            # Proxy-States that leave no room for the reply in one packet.
+            return None, ("drop", "reply_too_large")
         finally:
             # The response replaces the claim; no response (a dropped
             # packet, a raising back end) releases it.
@@ -147,40 +161,56 @@ class RADIUSServer:
                 else:
                     self._responses.put(cache_key, response)
 
-    def _respond(self, request: RADIUSPacket, secret: bytes) -> Optional[bytes]:
-        """The reply; ``None`` when User-Password does not decrypt."""
-        username = request.get_str(Attr.USER_NAME)
-        if username is None:
-            return self._reply(
-                request, secret, PacketCode.ACCESS_REJECT, "User-Name is required"
-            )
-        hidden = request.get(Attr.USER_PASSWORD)
-        code: Optional[str] = None
-        if hidden is not None:
-            try:
-                code = recover_password(hidden, secret, request.authenticator)
-            except ProtocolError:
-                return None
-        result = self._backend.validate(username, code if code else None)
-        # Reply with the canned per-status message, never the back end's
-        # internal reason — drift-window details and replay diagnostics
-        # would hand an attacker an oracle.
-        return self._reply(request, secret, *_STATUS_MAP[result.status])
+    def _respond(
+        self,
+        identifier: int,
+        authenticator: bytes,
+        attributes: List[Tuple[int, bytes]],
+        secret: bytes,
+    ) -> Optional[bytes]:
+        """The signed reply; ``None`` when User-Password does not decrypt.
 
-    def _reply(
-        self, request: RADIUSPacket, secret: bytes, code: PacketCode, message: str
-    ) -> bytes:
-        """Every answer this server sends.  RFC 2865 section 5.33: the reply
-        copies each Proxy-State of the request unmodified and in order."""
-        response = RADIUSPacket(code, request.identifier)
-        response.add(Attr.REPLY_MESSAGE, message)
-        if code == PacketCode.ACCESS_CHALLENGE:
-            # Opaque challenge state the client must echo back with the code.
-            username = request.get_str(Attr.USER_NAME) or ""
-            response.add(Attr.STATE, f"sms-challenge:{username}".encode())
-        for proxy_state in request.get_all(Attr.PROXY_STATE):
-            response.add(Attr.PROXY_STATE, proxy_state)
-        return encode_packet(response, secret, request.authenticator)
+        One scan finds the first User-Name and User-Password and every
+        Proxy-State, which RFC 2865 section 5.33 has each reply copy
+        unmodified and in order.
+        """
+        name = hidden = None
+        proxy_states = b""
+        for attr, value in attributes:
+            if attr == Attr.USER_NAME:
+                if name is None:
+                    name = value
+            elif attr == Attr.USER_PASSWORD:
+                if hidden is None:
+                    hidden = value
+            elif attr == Attr.PROXY_STATE:
+                proxy_states += tlv(Attr.PROXY_STATE, value)
+        username = None
+        if name is not None:
+            try:
+                username = name.decode()
+            except UnicodeDecodeError:
+                pass  # unreadable is as good as absent
+        if username is None:
+            code, attrs = _NO_USER_NAME
+        else:
+            password = None
+            if hidden is not None:
+                try:
+                    password = recover_password(hidden, secret, authenticator)
+                except ProtocolError:
+                    return None
+            result = self._backend.validate(username, password or None)
+            # Reply with the canned per-status message, never the back end's
+            # internal reason — drift-window details and replay diagnostics
+            # would hand an attacker an oracle.
+            code, attrs = _REPLIES[result.status]
+            if code == PacketCode.ACCESS_CHALLENGE:
+                # Opaque challenge state the client must echo back with the
+                # code; cut to one attribute's worth for a very long name.
+                state = b"sms-challenge:" + name
+                attrs += tlv(Attr.STATE, state[:MAX_ATTRIBUTE])
+        return encode(code, identifier, authenticator, attrs + proxy_states, secret)
 
     def snapshot(self) -> Dict[str, object]:
         """This server's entry in the ``radius`` section of ``status()``."""

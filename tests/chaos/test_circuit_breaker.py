@@ -244,8 +244,9 @@ class TestClientCircuits:
         clock.advance(5)  # well inside the probe interval; code not consumed
         assert client.authenticate("grace", devices["grace"].current_code()).ok
 
-    def test_blind_mode_keeps_paper_behaviour(self, rig):
+    def test_blind_mode_keeps_paper_behaviour(self, rig, monkeypatch):
         clock, fabric, farm, _, devices = rig
+        monkeypatch.setattr(client_module, "HEALTH_AWARE", False)
         blind = RADIUSClient(
             fabric,
             [s.address for s in farm],
@@ -253,7 +254,6 @@ class TestClientCircuits:
             "10.1.1.6",
             rng=random.Random(8),
             clock=clock,
-            health_aware=False,
         )
         device = devices["grace"]
         fabric.set_down(farm[0].address)

@@ -82,6 +82,12 @@ class TestVerify:
         # Codes before the stored counter never verify (replay).
         assert verify_hotp(SECRET, RFC_CODES[1], counter=3, look_ahead=10) is None
 
+    @pytest.mark.parametrize("code", ["١٢٣٤٥٦", "１２３４５６", "75522é"])
+    def test_non_ascii_code_matches_nothing(self, code):
+        # ``hmac.compare_digest`` raises on non-ASCII text: such a code is
+        # refused before any candidate is compared.
+        assert verify_hotp(SECRET, code, counter=0, look_ahead=10) is None
+
     @given(
         counter=st.integers(min_value=0, max_value=2**40),
         look_ahead=st.integers(min_value=-1, max_value=30),

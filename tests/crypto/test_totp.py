@@ -9,11 +9,13 @@ from repro.common.clock import Clock, VirtualClock
 from repro.crypto.hotp import hotp
 from repro.crypto.totp import (
     DEFAULT_DRIFT,
+    REASON_MALFORMED,
     TOTPGenerator,
     TOTPValidator,
     ValidationOutcome,
     time_step,
     totp_at,
+    verify_totp,
 )
 from tests.crypto import reference
 
@@ -127,6 +129,13 @@ class TestValidator:
         _, validator = self.make()
         for bad in ("", "12345", "1234567", "12345a", "      "):
             assert not validator.validate("t1", SECRET, bad).ok
+
+    @pytest.mark.parametrize("code", ["١٢٣٤٥٦", "１２３４５６", "۱۲۳۴۵۶"])
+    def test_non_ascii_digits_are_malformed(self, code):
+        # ``str.isdigit`` passes these six-digit codes; ``hmac.compare_digest``
+        # would raise on them.
+        assert code.isdigit()
+        assert verify_totp(SECRET, code, 100, -1, 10) == (None, REASON_MALFORMED)
 
     def test_earlier_step_rejected_after_later_accepted(self):
         clock, validator = self.make()

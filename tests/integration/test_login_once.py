@@ -437,8 +437,27 @@ def test_the_radius_codec_runs_no_per_byte_generator(login_profile):
     # RFC 2865's own four: hide, recover, sign the response, verify it.
     md5 = sum(n for (_, name), n in login_profile.items() if "openssl_md5" in name)
     assert md5 == 4
-    # The attribute bytes are built once per packet sent (request, response).
-    assert count(login_profile, "packet.py", "_attr_bytes") == 2
+
+
+def test_a_healthy_round_trip_reads_no_circuit_and_no_attribute_by_type(login_profile):
+    """docs/ARCHITECTURE.md "A login computes a value once": with every
+    circuit closed and no deadline budget the client plans its attempts with
+    no probe, state or clock read; a request is one concatenation of
+    attribute bytes and a reply one scan, so no packet object is filled or
+    queried attribute by attribute."""
+    assert count(login_profile, "resilience.py", "probe_due") == 0
+    assert count(login_profile, "common/resilience.py", "state") == 0
+    assert count(login_profile, "clock.py", "deadline") == 0
+    assert count(login_profile, "clock.py", "__init__") == 0  # a Deadline's
+    assert count(login_profile, "clock.py", "expired") == 0
+    for method in ("add", "get", "get_str"):
+        assert count(login_profile, "packet.py", method) == 0
+    # ... and the round trip those zeros speak for ran: one request, one
+    # reply, two attributes written by type on the request.
+    assert count(login_profile, "radius/client.py", "_attempt_plan") == 1
+    assert count(login_profile, "radius/packet.py", "encode") == 2
+    assert count(login_profile, "radius/packet.py", "decode") == 2
+    assert count(login_profile, "radius/packet.py", "tlv") == 2
 
 
 def builtin(profile, fragment):

@@ -714,7 +714,7 @@ RETIRED_PARAMETERS = {
     "RiskEngine": ("weights", "deny_threshold", "flag_log_limit"),
     "HealthTracker": ("policy",),
     "ResolverChain": ("policy",),
-    "RADIUSClient": ("policy", "retries"),
+    "RADIUSClient": ("policy", "retries", "health_aware"),
     "MFACenter": ("radius_policy",),
     "SSHDaemon": ("accounting",),
     "QueuedBackend": ("inner",),
