@@ -518,12 +518,15 @@ class OTPServer:
         # Tokens and any outstanding SMS challenge disappear together: the
         # undo log guarantees no half-unpaired state is ever visible.
         with self.db.transaction():
-            for row in self._user_tokens(user_id):
+            rows = self._user_tokens(user_id)
+            for row in rows:
                 self.tokens.delete(row["serial"])
-                self._validator.forget(row["serial"])
                 removed += 1
             if self.challenges.exists(user_id):
                 self.challenges.delete(user_id)
+        # After the commit: a rolled-back unpair keeps its replay floors.
+        for row in rows:
+            self._validator.forget(row["serial"])
         self.audit.record("unpair", user_id, detail=f"{removed} token(s)")
         return removed
 

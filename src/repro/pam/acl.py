@@ -22,10 +22,8 @@ day after.
 "Changes take effect immediately upon write to disk" — the ACL re-reads
 its file whenever the mtime changes, so operators edit exemptions live.
 
-The rules are compiled when they load, into origin buckets: one per
-distinct prefix mask among the rules' origins (a dict from network to the
-ascending positions of the rules naming it), plus one ``ALL`` bucket, the
-only one a source that is not an address can reach.  ``check`` probes a
+The rules are compiled when they load, each rule's position filed under its
+origins in an :class:`~repro.common.origin.OriginIndex`.  ``check`` probes a
 bucket with one dict lookup, in order of the bucket's lowest position, and
 stops once no bucket left can hold an earlier rule than the best match so
 far: an exemption costs the same at 200 rules as at one, and grants exactly
@@ -38,11 +36,11 @@ import os
 import threading
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.common.clock import Clock, WallClock, parse_date
 from repro.common.errors import ConfigurationError
-from repro.common.origin import OriginMatcher, ipv4_to_int
+from repro.common.origin import OriginIndex, OriginMatcher, ipv4_to_int
 
 _DAY_SECONDS = 86400.0
 
@@ -104,20 +102,16 @@ def parse_rules(text: str, first_lineno: int = 1) -> List[ExemptionRule]:
     return rules
 
 
-class _Compiled:
-    """Rules in the form :meth:`ExemptionACL.check` probes them (see the
-    module docstring).  Only ever extended: a reload builds a new one."""
+class _Compiled(OriginIndex):
+    """Rules as :meth:`ExemptionACL.check` probes them (a bucket's first value
+    is its lowest position).  Only ever extended: a reload builds a new one."""
 
     def __init__(self, rules: Iterable[ExemptionRule] = ()) -> None:
+        super().__init__()
         self.rules: List[ExemptionRule] = []
         #: Per position: (grant, accounts or empty for ALL, the timestamp
         #: the rule lapses at or None).
         self.entries: List[Tuple[bool, FrozenSet[str], Optional[float]]] = []
-        #: (lowest position, mask, table) by lowest position.  The table
-        #: maps a network to its ascending positions; the ALL bucket's mask
-        #: is None and its table is the positions themselves.
-        self.buckets: List[tuple] = []
-        self._by_mask: Dict[Optional[int], tuple] = {}
         self.extend(rules)
 
     def extend(self, rules: Iterable[ExemptionRule]) -> None:
@@ -131,16 +125,7 @@ class _Compiled:
             self.entries.append((rule.grant, frozenset(rule.accounts), lapses))
             self.rules.append(rule)
             for origin in rule.origins:
-                mask = None if origin.match_all else origin.mask
-                bucket = self._by_mask.get(mask)
-                if bucket is None:
-                    bucket = (position, mask, [] if mask is None else {})
-                    self._by_mask[mask] = bucket
-                    self.buckets.append(bucket)
-                table = bucket[2]
-                positions = table if mask is None else table.setdefault(origin.network, [])
-                if not positions or positions[-1] != position:
-                    positions.append(position)
+                self.add(origin, position)
 
 
 class ExemptionACL:
@@ -155,7 +140,6 @@ class ExemptionACL:
     def __init__(self, path: str, clock: Optional[Clock] = None) -> None:
         self.path = path
         self._clock = clock or WallClock()
-        self._compiled = _Compiled()
         self._mtime: Optional[float] = None
         self.last_error: Optional[str] = None
         self.reload()
@@ -175,10 +159,7 @@ class ExemptionACL:
                 text = handle.read()
             self._mtime = os.stat(self.path).st_mtime
         except FileNotFoundError:
-            self._compiled = _Compiled()
-            self._mtime = None
-            self.last_error = None
-            return
+            text, self._mtime = "", None
         self._load(text)
 
     def _maybe_reload(self) -> None:
@@ -230,10 +211,7 @@ class InMemoryExemptionACL(ExemptionACL):
     thousands of per-system policies without touching the filesystem."""
 
     def __init__(self, text: str = "", clock: Optional[Clock] = None) -> None:
-        self._clock = clock or WallClock()
-        self.path = "<memory>"
-        self._mtime = None
-        self.last_error = None
+        super().__init__("<memory>", clock)
         # Writers take turns (a rule's position is the count before it);
         # checks read without it.
         self._write_lock = threading.Lock()

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.common.clock import Clock
-from repro.common.origin import OriginMatcher
+from repro.common.origin import OriginIndex, OriginMatcher
 
 EARTH_RADIUS_KM = 6371.0
 #: Airliner cruise: travel between two logins faster than this is fake.
@@ -44,24 +44,13 @@ class GeoPoint:
         return 2 * EARTH_RADIUS_KM * math.asin(math.sqrt(a))
 
 
-class GeoDatabase:
-    """Longest-prefix-match IP → :class:`GeoPoint` registry."""
-
-    def __init__(self) -> None:
-        self._entries: List[Tuple[OriginMatcher, int, GeoPoint]] = []
+class GeoDatabase(OriginIndex):
+    """Longest-prefix IP → :class:`GeoPoint` table; equal ranges: first wins."""
 
     def add_range(self, cidr: str, point: GeoPoint) -> None:
-        matcher = OriginMatcher.parse(cidr)
-        prefix_len = bin(matcher.mask).count("1") if not matcher.match_all else 0
-        self._entries.append((matcher, prefix_len, point))
-        # Keep longest prefixes first so lookup() returns the most specific.
-        self._entries.sort(key=lambda e: -e[1])
+        self.add(OriginMatcher.parse(cidr), point)
 
-    def lookup(self, ip: str) -> Optional[GeoPoint]:
-        for matcher, _, point in self._entries:
-            if matcher.matches(ip):
-                return point
-        return None
+    lookup = OriginIndex.longest
 
     @classmethod
     def with_sample_data(cls) -> "GeoDatabase":

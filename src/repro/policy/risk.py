@@ -54,7 +54,7 @@ from enum import Enum
 from typing import Deque, Dict, List, Optional, Set
 
 from repro.common.clock import Clock
-from repro.common.origin import OriginMatcher
+from repro.common.origin import OriginIndex, OriginMatcher, ipv4_to_int
 from repro.policy.geo import GeoVelocityMonitor
 
 
@@ -117,12 +117,7 @@ class RiskEngine:
         self.step_up_threshold = step_up_threshold
         self._known_origins: Dict[str, Set[str]] = {}
         self._failures: Dict[str, List[float]] = {}
-        self._watchlist: List[OriginMatcher] = []
-        #: Memoized per-IP watchlist verdicts.  ``assess`` sits on every
-        #: login's hot path and re-parsing the dotted quad against each
-        #: matcher dominated its cost; the verdict for a given address
-        #: only changes when the watchlist itself does.
-        self._watchlist_verdicts: Dict[str, bool] = {}
+        self._watchlist = OriginIndex()
         # Every validate thread feeds and reads this engine: one lock for
         # the feeds, the counters and the flag log.
         self._lock = threading.Lock()
@@ -149,14 +144,13 @@ class RiskEngine:
                 known = self._known_origins[username] = set()
             if ip not in known:
                 known.add(ip)
-            self._failures.pop(username, None)
+            if username in self._failures:
+                del self._failures[username]
 
     def add_watchlist(self, cidr: str) -> None:
         """Operator action: flag a hostile network range."""
-        matcher = OriginMatcher.parse(cidr)
         with self._lock:
-            self._watchlist.append(matcher)
-            self._watchlist_verdicts.clear()
+            self._watchlist.add(OriginMatcher.parse(cidr), cidr)
 
     # -- scoring --------------------------------------------------------------------
 
@@ -172,17 +166,6 @@ class RiskEngine:
             live = [t for t in timestamps if t >= cutoff]
             self._failures[username] = live
             return len(live)
-
-    def _watchlisted(self, ip: str) -> bool:
-        if not self._watchlist:
-            return False
-        verdict = self._watchlist_verdicts.get(ip)
-        if verdict is None:
-            verdict = any(m.matches(ip) for m in self._watchlist)
-            if len(self._watchlist_verdicts) >= 65536:
-                self._watchlist_verdicts.clear()
-            self._watchlist_verdicts[ip] = verdict
-        return verdict
 
     def assess(self, username: str, ip: str) -> RiskDecision:
         """Score one attempt (before the credentials are even checked)."""
@@ -203,9 +186,16 @@ class RiskEngine:
         if hour % 24 < 5:
             score += UNUSUAL_HOUR_WEIGHT
             signals.append("unusual_hour")
-        if self._watchlist and self._watchlisted(ip):
-            score += WATCHLISTED_NETWORK_WEIGHT
-            signals.append("watchlisted_network")
+        watchlist = self._watchlist.buckets
+        if watchlist:  # the index's walk, inline: no call per mask
+            address = ipv4_to_int(ip)
+            for _, mask, networks in watchlist:
+                if mask is None or (
+                    address is not None and (address & mask) in networks
+                ):
+                    score += WATCHLISTED_NETWORK_WEIGHT
+                    signals.append("watchlisted_network")
+                    break
         if self._geo is not None:
             verdict = self._geo.observe(username, ip)
             if not verdict.plausible:

@@ -83,25 +83,26 @@ def encode(
 
 
 def decode(data: bytes) -> Decoded:
-    """Parse wire bytes; raises :class:`ProtocolError` on malformed input."""
+    """Parse wire bytes; raises :class:`ProtocolError` on malformed input.
+    Octets past the Length field are padding (RFC 2865 section 3)."""
     size = len(data)
     if size < _HEADER_SIZE:
         raise ProtocolError(f"packet of {size} bytes is shorter than the header")
     code, identifier, length, authenticator = HEADER.unpack_from(data)
-    if length != size:
-        raise ProtocolError(f"length field {length} does not match {size} bytes")
+    if length < _HEADER_SIZE or length > MAX_PACKET or length > size:
+        raise ProtocolError(f"length field {length} does not fit {size} bytes")
     try:
         packet_code = _PACKET_CODES[code]
     except KeyError as exc:
         raise ProtocolError(f"unknown packet code {code}") from exc
     attributes: List[Tuple[int, bytes]] = []
     pos = _HEADER_SIZE
-    while pos < size:
-        if pos + 2 > size:
+    while pos < length:
+        if pos + 2 > length:
             raise ProtocolError("truncated attribute header")
         attr_len = data[pos + 1]
         end = pos + attr_len
-        if attr_len < 2 or end > size:
+        if attr_len < 2 or end > length:
             raise ProtocolError(f"invalid attribute length {attr_len}")
         # ``+=`` a one-pair tuple: the list grows with no call per attribute.
         attributes += ((data[pos], data[pos + 2 : end]),)
@@ -116,13 +117,14 @@ def decode_response(
 
     A forged or corrupted response — or one protected by the wrong shared
     secret — fails here, which is how RADIUS clients authenticate servers.
-    The digest is over the datagram as received: :func:`decode` checked that
-    its length field and TLVs cover it exactly, so these are the bytes
-    encoding the decoded packet again would give.
+    The digest is over the octets the length field covers: :func:`decode`
+    checked that the TLVs cover them exactly, so these are the bytes
+    encoding the decoded packet again would give, and padding is not signed.
     """
     decoded = decode(data)
+    end = data[2] << 8 | data[3]  # the length field
     expected = _response_digest(
-        data[:4], request_authenticator, data[_HEADER_SIZE:], secret
+        data[:4], request_authenticator, data[_HEADER_SIZE:end], secret
     )
     if not hmac.compare_digest(expected, decoded[2]):
         raise ProtocolError("response authenticator verification failed")

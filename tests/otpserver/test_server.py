@@ -280,6 +280,21 @@ class TestAdminOperations:
         assert not server.has_pairing("alice")
         assert server.validate("alice", "123456").status is ValidateStatus.NO_TOKEN
 
+    def test_a_rolled_back_unpair_keeps_the_replay_floor(self, server, clock, monkeypatch):
+        device = soft_device(server, clock)
+        code = device.current_code()
+        assert server.validate("alice", code).ok
+
+        def fail(user_id):
+            raise RuntimeError("challenge store down")
+
+        monkeypatch.setattr(server.challenges, "exists", lambda user_id: True)
+        monkeypatch.setattr(server.challenges, "delete", fail)
+        with pytest.raises(RuntimeError):
+            server.unpair("alice")
+        assert server.has_pairing("alice")
+        assert not server.validate("alice", code).ok  # still a replay
+
     def test_unpair_clears_sms_challenge(self, server):
         server.enroll_sms("carol", "5125551234")
         server.validate("carol", None)

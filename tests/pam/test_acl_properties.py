@@ -6,7 +6,8 @@ from datetime import datetime, timedelta, timezone
 from hypothesis import example, given, settings, strategies as st
 
 from repro.common.clock import VirtualClock
-from repro.pam.acl import InMemoryExemptionACL, OriginMatcher
+from repro.pam.acl import InMemoryExemptionACL
+from tests.pam.test_acl import holds
 
 ipv4 = st.integers(min_value=0, max_value=2**32 - 1).map(
     lambda v: str(ipaddress.IPv4Address(v))
@@ -18,19 +19,16 @@ class TestCIDRAgainstStdlib:
     @given(network_ip=ipv4, prefix=prefix_len, candidate=ipv4)
     def test_matches_ipaddress_module(self, network_ip, prefix, candidate):
         network = ipaddress.ip_network(f"{network_ip}/{prefix}", strict=False)
-        matcher = OriginMatcher.parse(f"{network.network_address}/{prefix}")
         expected = ipaddress.ip_address(candidate) in network
-        assert matcher.matches(candidate) == expected
+        assert holds(f"{network.network_address}/{prefix}", candidate) == expected
 
     @given(ip=ipv4)
     def test_single_ip_self_match(self, ip):
-        matcher = OriginMatcher.parse(ip)
-        assert matcher.matches(ip)
+        assert holds(ip, ip)
 
     @given(ip=ipv4, other=ipv4)
     def test_single_ip_only_matches_itself(self, ip, other):
-        matcher = OriginMatcher.parse(ip)
-        assert matcher.matches(other) == (ip == other)
+        assert holds(ip, other) == (ip == other)
 
 
 usernames = st.sampled_from(["alice", "bob", "gateway01", "mallory"])
@@ -119,7 +117,7 @@ class TestOriginsAreAnyText:
         )
     )
     def test_non_ascii_spelling_is_never_inside_a_range(self, origin):
-        assert not OriginMatcher.parse("0.0.0.0/0").matches(origin)
+        assert not holds("0.0.0.0/0", origin)
         assert not InMemoryExemptionACL(
             "+ : ALL : 0.0.0.0/0 : ALL", clock=VirtualClock(0.0)
         ).check("alice", origin)

@@ -52,6 +52,38 @@ class TestWireFormat:
         with pytest.raises(ProtocolError, match="length field"):
             decode_packet(bytes(wire))
 
+    @pytest.mark.parametrize("pad", [1, 3, 4096])
+    def test_octets_past_the_length_field_are_padding(self, pad):
+        # RFC 2865 section 3: treated as padding and ignored on reception.
+        wire = encode_packet(make_request(), SECRET)
+        padded = decode_packet(wire + b"\x00" * pad)
+        assert padded == decode_packet(wire)
+
+    def test_a_padded_response_verifies_over_the_octets_its_length_covers(self):
+        request = make_request()
+        response = RADIUSPacket(PacketCode.ACCESS_ACCEPT, request.identifier)
+        response.add(Attr.REPLY_MESSAGE, "ok")
+        wire = encode_packet(response, SECRET, request.authenticator)
+        verified = verify_response(wire + b"\xff\xff", request.authenticator, SECRET)
+        assert verified.get_str(Attr.REPLY_MESSAGE) == "ok"
+
+    @pytest.mark.parametrize(
+        "length, size",
+        [(19, 20), (0, 20), (4097, 4097), (4618, 4618), (4096, 4095)],
+        ids=["under-header", "zero", "one-over-max", "oversized", "past-the-datagram"],
+    )
+    def test_a_length_out_of_bounds_is_discarded(self, length, size):
+        # RFC 2865 section 3: Length is 20 to 4096, and a datagram shorter
+        # than its Length is silently discarded.
+        # Whole TLVs fill the datagram: only its Length is wrong.
+        full, rest = divmod(size - 20, 255)
+        attrs = (bytes((Attr.REPLY_MESSAGE, 255)) + b"x" * 253) * full
+        if rest:
+            attrs += bytes((Attr.REPLY_MESSAGE, rest)) + b"x" * (rest - 2)
+        header = bytes((PacketCode.ACCESS_REQUEST, 1)) + length.to_bytes(2, "big")
+        with pytest.raises(ProtocolError, match="length field"):
+            decode_packet(header + bytes(16) + attrs)
+
     def test_unknown_code_rejected(self):
         wire = bytearray(encode_packet(make_request(), SECRET))
         wire[0] = 99

@@ -180,6 +180,20 @@ class TestReceivePath:
         assert server.rejected_clients == (1 if source != NAS else 0)
         assert otp.validate_requests == 0
 
+    def test_a_padded_request_is_answered_as_the_unpadded_one(self, farm, otp):
+        otp.enroll_static("alice", "424242")
+        wire = farm[0].handle_datagram(raw_request() + b"\x00" * 7, NAS)
+        assert decode_packet(wire).code == PacketCode.ACCESS_ACCEPT
+
+    def test_a_request_longer_than_4096_octets_is_dropped_unvalidated(self, farm, otp):
+        otp.enroll_static("alice", "424242")
+        hops = (bytes((Attr.PROXY_STATE, 255)) + b"p" * 253) * 17
+        wire = raw_request() + hops  # its Length field names every octet
+        wire = wire[:2] + len(wire).to_bytes(2, "big") + wire[4:]
+        assert len(wire) > 4096
+        assert farm[0].handle_datagram(wire, NAS) is None
+        assert otp.validate_requests == 0
+
     def test_missing_user_name_is_rejected_without_validating(self, farm, otp):
         wire = farm[0].handle_datagram(raw_request(9, username=None), NAS)
         response = decode_packet(wire)

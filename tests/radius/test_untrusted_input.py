@@ -98,8 +98,11 @@ def test_a_user_name_that_is_not_utf8_is_rejected_unvalidated():
 def test_proxy_states_that_leave_no_room_for_the_reply_are_dropped():
     server = RADIUSServer(SERVERS[0], UDPFabric(), FixedBackend(ValidateStatus.OK))
     server.add_client("10.", SECRET)
-    hops = [(Attr.PROXY_STATE, bytes(253))] * 16  # 4,080 octets of them
+    # 4,070 octets of them: the request is 4,093 octets, the reply would
+    # not fit in 4,096.
+    hops = [(Attr.PROXY_STATE, bytes(253))] * 15 + [(Attr.PROXY_STATE, bytes(243))]
     wire = datagram(PacketCode.ACCESS_REQUEST, 1, bytes(16), [(Attr.USER_NAME, b"a")] + hops)
+    assert len(wire) <= 4096
     assert server.handle_datagram(wire, NAS) is None
     # The claim was released: a retransmission is validated again.
     assert server.handle_datagram(wire, NAS) is None

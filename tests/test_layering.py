@@ -392,11 +392,29 @@ def test_retired_replication_fork_stays_out_of_src():
 RETIRED_CACHE_NAMES = (
     "OrderedDict", ".popitem(", ".move_to_end(",
     "_response_cache", "DEFAULT_CAPACITY", "DEFAULT_CACHE_CAPACITY",
+    "_watchlist_verdicts", "_watchlisted",
 )  # fmt: skip
 
 
 def test_one_eviction_implementation():
     assert _spelled_in_src(RETIRED_CACHE_NAMES) == []
+
+
+def test_only_the_origin_index_files_ranges():
+    """docs/ARCHITECTURE.md "A login computes a value once": the exemption
+    ACL, the risk watchlist and the GeoIP table file their ranges in
+    ``common.origin.OriginIndex``, the one per-mask network table.  No other
+    module reads a parsed origin's mask, network or ALL flag, which is what
+    building a table of its own would take."""
+    readers = sorted(
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in SRC.rglob("*.py")
+        if path != SRC / "common" / "origin.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("mask", "network", "match_all")
+    )
+    assert readers == []
 
 
 def test_octets_and_rounds_loop_in_c_not_in_the_interpreter():
