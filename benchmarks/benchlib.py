@@ -2,7 +2,11 @@
 
 Benchmarks print human-readable tables, but CI also wants comparable
 numbers across commits: :func:`emit_bench` writes/merges ``BENCH_*.json``
-artifacts (ops/sec, percentiles, population sizes) into ``$BENCH_DIR``.
+artifacts (ops/sec, percentiles, population sizes) into ``$BENCH_DIR``,
+``bench/`` when it is unset.  The ``BENCH_*.json`` files at the repo root
+are committed baselines (``check_regression.py`` compares a fresh run
+against them); refreshing one is a deliberate copy, never a side effect
+of running a bench.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ from typing import List
 def emit_bench(name: str, payload: dict) -> Path:
     """Merge ``payload`` into ``BENCH_<name>.json`` for CI artifact upload.
 
-    Files land in ``$BENCH_DIR`` (or the working directory).  Merging lets
-    several tests in one module contribute sections to the same file.
+    Files land in ``$BENCH_DIR`` (or ``bench/`` under the working
+    directory, git-ignored).  Merging lets several tests in one module
+    contribute sections to the same file.
     """
-    directory = Path(os.environ.get("BENCH_DIR", "."))
+    directory = Path(os.environ.get("BENCH_DIR", "bench"))
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"BENCH_{name}.json"
     merged = json.loads(path.read_text()) if path.exists() else {}

@@ -73,8 +73,10 @@ def test_queued_overhead_within_ten_percent():
         for i in range(N_OPS):
             assert server.validate(users[i % N_USERS], "424242").ok
 
-    # Live-mode queue, inline drive: the per-datagram path a RADIUS server
-    # takes through QueuedBackend.validate — submit, pump one, resolve.
+    # Live-mode queue, inline drive: the ticket path — submit, pump one,
+    # resolve — a validate takes behind queued work; at an idle queue
+    # QueuedBackend.validate (IngestQueue.call) skips it, so this is the
+    # dearer of its two paths.
     queue = IngestQueue(server.validate, clock=WallClock())
 
     def queued():

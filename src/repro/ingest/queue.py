@@ -27,6 +27,17 @@ runs it:
   :class:`~repro.simcore.EventScheduler`, for virtual-time simulation
   (drain rate = ``items_per_pump / interval``).
 
+The synchronous seam, ``call`` (what :class:`QueuedBackend` validates
+through), has one rule for an **idle arrival**: at an open queue with
+nothing queued — nothing ready and nothing backing off — a pushed item
+would be the next one popped, by its own waiter, so it runs on the
+caller's thread instead: no ticket, no work item, no heap round trip, no
+clock read but the service cost's, and a wait of exactly 0.0.  It still
+passes through the one service routine (``_run``) the pump's ``_service``
+shares: the same counters and SLA hit, service cost, requeue on a
+transient failure and REJECT on any other exception.  ``submit``,
+``submit_item`` and ``submit_many`` never run work inline.
+
 Transient failures (:class:`~repro.common.errors.TransientBackendError`)
 requeue with exponential backoff (``RETRY_BASE_DELAY`` doubling per
 attempt up to ``RETRY_MAX_DELAY``) up to ``MAX_RETRIES`` times; any
@@ -38,7 +49,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.common.clock import Clock, WallClock
 from repro.common.errors import TransientBackendError
@@ -106,7 +117,8 @@ class _ClassStats:
 
     def observe_wait(self, waited: float, sla: float) -> None:
         self.wait_total += waited
-        self.wait_max = max(self.wait_max, waited)
+        if waited > self.wait_max:
+            self.wait_max = waited
         if waited <= sla:
             self.sla_hits += 1
         else:
@@ -154,6 +166,23 @@ class IngestQueue:
         """Classify one request by shape and enqueue it."""
         return self.submit_item(request)
 
+    def call(self, request: Tuple) -> ValidateResult:
+        """Submit one request and wait for its result.
+
+        An idle arrival runs on the caller's thread, counted as submitted
+        in the lock section that saw the queue idle (module docstring); a
+        busy or closed queue takes ``submit_item(request).result()``.
+        """
+        cls = classify_request(request)
+        with self._lock:
+            idle = not self._closed and not self._heap
+            if idle:
+                self._stats[cls].submitted += 1
+        if not idle:
+            return self.submit_item(request, cls).result()
+        outcome = self._run(cls, request, 0.0)
+        return outcome.result() if type(outcome) is Ticket else outcome
+
     def submit_many(
         self,
         requests: Sequence[Sequence],
@@ -169,27 +198,50 @@ class IngestQueue:
         if type(request) is not tuple:
             request = tuple(request)
         cls = priority or classify_request(request)
-        ticket = Ticket(drain=self._drain_for_ticket)
         with self._lock:
             if self._closed:
-                self._resolve_shed(ticket, cls, "queue closed", "closed", arrival=True)
-                return ticket
+                return self._refuse(cls, "queue closed", "closed")
             if len(self._heap) >= self.config.max_depth and not self._evict_for(cls):
-                self._resolve_shed(
-                    ticket, cls, f"queue full ({cls.value} rejected)", "backpressure",
-                    arrival=True,
+                return self._refuse(
+                    cls, f"queue full ({cls.value} rejected)", "backpressure"
                 )
-                return ticket
-            self._seq += 1
-            item = WorkItem(
+            self._stats[cls].submitted += 1
+            return self._push(cls, request, self._clock.now())
+
+    def _push(
+        self,
+        cls: PriorityClass,
+        request: Tuple,
+        enqueued_at: float,
+        ready_at: float = 0.0,
+        attempts: int = 0,
+    ) -> Ticket:
+        """Number, build and push one work item; its ticket.  Under the lock."""
+        self._seq += 1
+        ticket = Ticket(drain=self._drain_for_ticket)
+        self._heap.push(
+            WorkItem(
                 seq=self._seq,
                 priority=cls,
                 request=request,
                 ticket=ticket,
-                enqueued_at=self._clock.now(),
+                enqueued_at=enqueued_at,
+                ready_at=ready_at,
+                attempts=attempts,
             )
-            self._heap.push(item)
-            self._stats[cls].submitted += 1
+        )
+        return ticket
+
+    def _refuse(self, cls: PriorityClass, detail: str, cause: str) -> Ticket:
+        """Shed an arrival at the door.  It still counts as submitted
+        traffic, so shed-rate math has a denominator; an evicted item was
+        counted when it was admitted."""
+        stats = self._stats[cls]
+        stats.submitted += 1
+        if cause == "backpressure":
+            stats.rejected += 1
+        ticket = Ticket(drain=self._drain_for_ticket)
+        self._resolve_shed(ticket, cls, detail, cause)
         return ticket
 
     def _evict_for(self, incoming: PriorityClass) -> bool:
@@ -208,73 +260,87 @@ class IngestQueue:
         return True
 
     def _resolve_shed(
-        self,
-        ticket: Ticket,
-        cls: PriorityClass,
-        detail: str,
-        cause: str,
-        arrival: bool = False,
+        self, ticket: Ticket, cls: PriorityClass, detail: str, cause: str
     ) -> None:
-        """Fail one ticket with a shed reason.  ``arrival`` marks items
-        refused at the door (they still count as submitted traffic so
-        shed-rate math has a denominator); evicted items were already
-        counted when admitted."""
-        stats = self._stats[cls]
-        stats.shed += 1
-        if arrival:
-            stats.submitted += 1
-            if cause == "backpressure":
-                stats.rejected += 1
+        """Fail one ticket with a shed reason."""
+        self._stats[cls].shed += 1
         self._m_shed[cls, cause].inc()
         ticket.resolve(ValidateResult(ValidateStatus.REJECT, reason=f"shed: {detail}"))
 
     # -- service -------------------------------------------------------------
 
     def _service(self, item: WorkItem) -> None:
-        """Run one item to resolution (or back into the queue on backoff).
+        """Run one popped item; its ticket resolves unless a transient
+        failure put it back in the queue."""
+        waited = max(0.0, self._clock.now() - item.enqueued_at)
+        outcome = self._run(item.priority, item.request, waited, item)
+        if type(outcome) is not Ticket:
+            item.ticket.resolve(outcome)
 
-        Called outside the lock — the runner does real validation work.
+    def _run(
+        self,
+        cls: PriorityClass,
+        request: Tuple,
+        waited: float,
+        item: Optional[WorkItem] = None,
+    ) -> Union[ValidateResult, Ticket]:
+        """The one service routine: accounting, service cost, the runner,
+        transient retries and backend errors.  It never waits on a ticket.
+
+        ``item`` is the popped work item, or None for an idle arrival run
+        on its caller's thread (:meth:`call`).  Returns the result, or, when
+        a transient failure requeued the request with its backoff, the
+        ticket it now resolves on: ``item``'s own, or a new item's for an
+        idle arrival.  A retry's wait counts from its first admission; an
+        idle arrival read no clock when it arrived, so its item is stamped
+        with the clock read beside the service cost's charge, or, with no
+        cost to charge, the failure instant: a runner that spends clock
+        time and then fails transiently has that time in its retries'
+        waits through ``submit``, not through ``call``.  Called outside the
+        lock — the runner does real validation work.
         """
-        now = self._clock.now()
-        policy = self._heap.policy_for(item.priority)
-        waited = max(0.0, now - item.enqueued_at)
-        stats = self._stats[item.priority]
+        stats = self._stats[cls]
+        sla = self._heap.policy_for(cls).sla_seconds
         if self._timed:
-            self._m_wait[item.priority].observe(waited)
+            self._m_wait[cls].observe(waited)
+        began = None
         if self.config.service_cost_seconds > 0:
+            if item is None:
+                began = self._clock.now()
             self._clock.sleep(self.config.service_cost_seconds)
         errored = False
         try:
-            result = self._runner(*item.request)
+            result = self._runner(*request)
         except TransientBackendError as exc:
-            item.attempts += 1
-            if item.attempts <= MAX_RETRIES:
-                delay = min(
-                    RETRY_MAX_DELAY, RETRY_BASE_DELAY * (2 ** (item.attempts - 1))
-                )
+            attempts = 1 if item is None else item.attempts + 1
+            if attempts <= MAX_RETRIES:
+                delay = min(RETRY_MAX_DELAY, RETRY_BASE_DELAY * (2 ** (attempts - 1)))
                 with self._lock:
-                    stats.observe_wait(waited, policy.sla_seconds)
-                    item.ready_at = self._clock.now() + delay
-                    self._heap.push(item)
+                    stats.observe_wait(waited, sla)
                     stats.retries += 1
-                return
+                    now = self._clock.now()
+                    if item is None:
+                        admitted = now if began is None else began
+                        return self._push(cls, request, admitted, now + delay, attempts)
+                    item.attempts = attempts
+                    item.ready_at = now + delay
+                    self._heap.push(item)
+                return item.ticket
             result = ValidateResult(
                 ValidateStatus.REJECT,
-                reason=(
-                    f"backend unavailable after {item.attempts} attempts: {exc}"
-                ),
+                reason=f"backend unavailable after {attempts} attempts: {exc}",
             )
-        except Exception as exc:  # noqa: BLE001 — a runner bug fails its own ticket only
+        except Exception as exc:  # noqa: BLE001 — a runner bug fails its own request only
             errored = True
             result = ValidateResult(
                 ValidateStatus.REJECT, reason=f"backend error: {exc}"
             )
         with self._lock:
-            stats.observe_wait(waited, policy.sla_seconds)
+            stats.observe_wait(waited, sla)
             stats.completed += 1
             if errored:
                 stats.errors += 1
-        item.ticket.resolve(result)
+        return result
 
     def pump(self, max_items: Optional[int] = None) -> int:
         """Service ready items on the caller's thread; the service loop.
@@ -410,9 +476,10 @@ class QueuedBackend:
     :class:`IngestQueue` (the queue's runner is the real backend's).
 
     ``validate`` (the synchronous seam RADIUS servers call per datagram)
-    submits and waits — with no worker threads the ticket is caller-runs,
-    so a single login still resolves in the same event under virtual
-    time and concurrent logins each drain for themselves.  Deferred work
+    is :meth:`IngestQueue.call`: at an idle queue it runs on the caller's
+    thread, and behind queued work the ticket is caller-runs — so a single
+    login still resolves in the same event under virtual time and
+    concurrent logins each drain for themselves.  Deferred work
     goes to ``.queue`` directly; the administrative surface (enrolment,
     pairing queries, audit) stays on the backend itself.
     """
@@ -422,4 +489,4 @@ class QueuedBackend:
 
     def validate(self, user_id, code, source=None) -> ValidateResult:
         request = (user_id, code) if source is None else (user_id, code, source)
-        return self.queue.submit(request).result()
+        return self.queue.call(request)

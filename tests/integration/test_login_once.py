@@ -531,6 +531,30 @@ def test_an_unseal_macs_under_the_prepared_master_key(unseal_profile):
     assert count(unseal_profile, "crypto/mac.py", "macs") == 1
 
 
+def test_an_idle_queue_validate_runs_on_its_callers_thread(durable_queue_profile):
+    """docs/ARCHITECTURE.md "Admission control & SLA tiers": a validate that
+    finds the ingest queue idle builds no ticket and no work item, takes no
+    heap round trip and reads no clock in the queue."""
+    calls = durable_queue_profile
+    for method in ("__init__", "result", "resolve"):  # the Ticket's
+        assert count(calls, "common/results.py", method) == 0
+    for method in ("push", "pop", "__post_init__"):  # the heap's; a WorkItem's
+        assert count(calls, "ingest/priority.py", method) == 0
+
+    def from_queue(callee):
+        return sum(
+            n
+            for (caller, target), n in calls.edges.items()
+            if caller[0] == "ingest/queue.py" and target == callee
+        )
+
+    assert from_queue(("<string>", "__init__")) == 0  # a dataclass __init__
+    assert from_queue(("common/clock.py", "now")) == 0
+    # ... and both validates went through the queue's one service routine.
+    assert count(calls, "ingest/queue.py", "call") == 2
+    assert count(calls, "ingest/queue.py", "_run") == 2
+
+
 def test_a_public_key_connect_draws_once_and_derives_once(pubkey_profile):
     for file in ("daemon.py", "keys.py", "secrets.py", "ids.py"):
         assert count(pubkey_profile, file, "<genexpr>") == 0
