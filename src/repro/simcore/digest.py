@@ -11,15 +11,21 @@ byte-identical digests — the cheap witness that nothing nondeterministic
 from __future__ import annotations
 
 import hashlib
-import json
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from typing import List, Optional
 
 from repro.common.clock import Clock
 
+#: The C encoder ``JSONEncoder(sort_keys=True, separators=(",", ":")).encode``
+#: builds per call, built once, with no cycle check (a cycle: RecursionError).
+_render = c_make_encoder(
+    None, JSONEncoder().default, encode_basestring_ascii, None, ":", ",", True, False, True
+)
 
-#: One event as byte-stable JSON: one encoder's bound method (``json.dumps``
-#: with keywords builds a fresh ``JSONEncoder`` per call — per WAL record).
-canonical_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+def canonical_line(event: object) -> str:
+    """One event as byte-stable JSON: sorted keys, no whitespace."""
+    return "".join(_render(event, 0))
 
 
 class EventLog:

@@ -104,8 +104,9 @@ class Transaction:
     Entering begins the engine's block and hands back the engine; leaving
     commits it, or rolls it back on any exception, which then propagates.
     Every layer of a stack implements the three methods by calling its
-    inner layer's, so a block costs one call per layer (and per shard) on
-    the way in and one on the way out.
+    inner layer's, so a block costs one call per layer (and per shard it
+    touches: a sharded stack begins a shard at the block's first op there)
+    on the way in and one on the way out.
     """
 
     __slots__ = ("engine",)

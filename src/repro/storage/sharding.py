@@ -16,19 +16,22 @@ through the same structure: an insert *claims* its unique values under the
 routing lock before touching the shard, so two threads racing to insert
 the same value on different shards cannot both win.
 
-Transactions span every shard: all shard locks are taken in a fixed order
-(no deadlocks) and each shard opens its own block.  The routing index
-keeps an undo log of the bumps the block's own thread made; an abort
-undoes them, newest first, while every shard is still held, then rolls
-the shards back.
+A block takes the engine's block lock (blocks run one at a time) and
+begins a shard at its first op there, once per open level; it ends only
+those shards, highest first.  No deadlock: only the block's thread holds
+several shard locks, a lone op waits on nothing while it holds its shard's,
+and nobody waits for a shard lock while holding the route lock.  An abort
+undoes the route bumps the block's own thread made, newest first, before
+any shard is let go; a unique value the block released stays claimed
+against other threads until the outermost block ends.
 """
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from bisect import bisect_right
+from hashlib import blake2b
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import NotFoundError, ValidationError
 from repro.storage.engine import Predicate, Row, StorageEngine, Transaction
@@ -41,8 +44,7 @@ VIRTUAL_NODES = 64
 def stable_hash(key: str) -> int:
     """A process-independent 64-bit hash (``hash()`` is salted per run).  A
     lone surrogate — login names are outside input — hashes, never raises."""
-    data = key.encode("utf-8", "surrogatepass")
-    digest = hashlib.blake2b(data, digest_size=8).digest()
+    digest = blake2b(key.encode("utf-8", "surrogatepass"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 
@@ -57,19 +59,26 @@ class HashRing:
             for vnode in range(VIRTUAL_NODES):
                 points.append((stable_hash(f"shard{shard}:vnode{vnode}"), shard))
         points.sort()
-        self._hashes = [h for h, _ in points]
-        self._shards = [s for _, s in points]
+        self.points = [h for h, _ in points]
+        #: The shard owning the arc up to each point; past the last, the first.
+        self.owners = [s for _, s in points] + [points[0][1]]
 
     def shard_for(self, key: str) -> int:
-        index = bisect.bisect_right(self._hashes, stable_hash(key))
-        return self._shards[index % len(self._shards)]
+        return self.owners[bisect_right(self.points, stable_hash(key))]
 
 
 class _RouteLog(threading.local):
-    """Where this thread logs its route bumps: the open block's undo log,
-    or None outside one (and in every thread but the block's own)."""
+    """This thread's open block's route undo log, else None (in every thread
+    but the block's own): a row op's "in a block?" test, read with no call."""
 
     log: Optional[List[tuple]] = None
+
+
+class _Tables(dict):
+    """Table name -> schema: a row op's one subscript, no frame on a hit."""
+
+    def __missing__(self, table: str) -> TableSchema:
+        raise NotFoundError(f"no such table: {table}")
 
 
 class ShardedEngine:
@@ -80,17 +89,22 @@ class ShardedEngine:
         if not self.shards:
             raise ValueError("sharded engine needs at least one shard")
         self._ring = HashRing(len(self.shards))
-        self._schemas: Dict[str, TableSchema] = {}
+        self._schemas: Dict[str, TableSchema] = _Tables()
         #: table -> its indexed then unique columns, each once (what is routed)
         self._routed: Dict[str, Tuple[str, ...]] = {}
         # (table, column) -> value -> {shard index: row refcount}
         self._routes: Dict[Tuple[str, str], Dict[Any, Dict[int, int]]] = {}
         self._route_lock = threading.Lock()
-        #: ``(table, column, value, shard, delta)`` per bump the open block's
-        #: thread made, and the log's length at each nested begin; only the
-        #: thread holding every shard touches either.
+        #: Held from a block's begin to its end: blocks run one at a time.
+        self._block_lock = threading.RLock()
+        #: The open block's state: the shards it has begun (each once per open
+        #: level), ``(table, column, value, shard, delta)`` per route bump its
+        #: thread made with the log's length at each open begin, and ``(table,
+        #: column, value)`` per unique value it released, held until it ends.
+        self._begun: List[int] = []
         self._route_log: List[tuple] = []
         self._route_marks: List[int] = []
+        self._held: Set[tuple] = set()
         self._logging = _RouteLog()
 
     # -- schema -------------------------------------------------------------
@@ -113,15 +127,25 @@ class ShardedEngine:
         return list(self._schemas)
 
     def schema(self, table: str) -> TableSchema:
-        try:
-            return self._schemas[table]
-        except KeyError:
-            raise NotFoundError(f"no such table: {table}") from None
+        return self._schemas[table]
 
     # -- placement ----------------------------------------------------------
 
     def _shard_of(self, table: str, pk: Any) -> int:
-        return self._ring.shard_for(f"{table}/{pk!r}")
+        """``HashRing.shard_for(f"{table}/{pk!r}")`` in one frame, the hash inlined."""
+        key = f"{table}/{pk!r}".encode("utf-8", "surrogatepass")
+        point = int.from_bytes(blake2b(key, digest_size=8).digest(), "big")
+        return self._ring.owners[bisect_right(self._ring.points, point)]
+
+    def _open(self, index: int) -> StorageEngine:
+        """Shard ``index`` for this thread's open block, begun at its first op
+        there once per open level (outside a block: ``self.shards[index]``)."""
+        shard = self.shards[index]
+        if index not in self._begun:
+            for _ in self._route_marks:  # one mark per open level
+                shard.begin()
+            self._begun.append(index)
+        return shard
 
     def shard_sizes(self, table: Optional[str] = None) -> List[int]:
         return [shard.row_count(table) for shard in self.shards]
@@ -149,12 +173,15 @@ class ShardedEngine:
 
     def _route_adjust(self, table: str, row: Row, index: int, delta: int) -> None:
         schema = self._schemas[table]
+        hold = delta < 0 and self._logging.log is not None  # held until it ends
         with self._route_lock:
             for col in self._routed[table]:
                 value = row[col]
                 if col in schema.unique and col not in schema.indexed and value is None:
                     continue  # NULLs never participate in unique constraints
                 self._route_bump(table, col, value, index, delta)
+                if hold and col in schema.unique:
+                    self._held.add((table, col, value))
 
     def _route_bump(
         self, table: str, column: str, value: Any, index: int, delta: int
@@ -187,7 +214,7 @@ class ShardedEngine:
     # -- row operations -----------------------------------------------------
 
     def insert(self, table: str, row: Row) -> Row:
-        schema = self.schema(table)
+        schema = self._schemas[table]
         pk = row.get(schema.primary_key)
         if pk is None:
             raise ValidationError(f"{table}: missing primary key")
@@ -200,7 +227,9 @@ class ShardedEngine:
                 value = row.get(col)
                 if value is None:
                     continue
-                if self._routes[(table, col)].get(value):
+                if self._routes[(table, col)].get(value) or (
+                    self._logging.log is None and (table, col, value) in self._held
+                ):
                     for undo_col, undo_value in claimed:
                         self._route_bump(table, undo_col, undo_value, index, -1)
                     raise ValidationError(
@@ -209,7 +238,8 @@ class ShardedEngine:
                 self._route_bump(table, col, value, index, +1)
                 claimed.append((col, value))
         try:
-            stored = self.shards[index].insert(table, row)
+            shard = self.shards[index] if self._logging.log is None else self._open(index)
+            stored = shard.insert(table, row)
         except BaseException:
             with self._route_lock:
                 for col, value in claimed:
@@ -224,54 +254,59 @@ class ShardedEngine:
         return stored
 
     def get(self, table: str, pk: Any) -> Row:
-        self.schema(table)
-        return self.shards[self._shard_of(table, pk)].get(table, pk)
+        index = self._shard_of(table, pk)
+        shard = self.shards[index] if self._logging.log is None else self._open(index)
+        return shard.get(table, pk)
 
     def exists(self, table: str, pk: Any) -> bool:
-        self.schema(table)
-        return self.shards[self._shard_of(table, pk)].exists(table, pk)
+        index = self._shard_of(table, pk)
+        shard = self.shards[index] if self._logging.log is None else self._open(index)
+        return shard.exists(table, pk)
 
     def get_by_unique(self, table: str, column: str, value: Any) -> Row:
-        schema = self.schema(table)
-        if column not in schema.unique:
+        if column not in self._schemas[table].unique:
             raise ValidationError(f"{table}: {column} has no unique index")
         for index in self._route_shards(table, column, value):
+            shard = self.shards[index] if self._logging.log is None else self._open(index)
             try:
-                return self.shards[index].get_by_unique(table, column, value)
+                return shard.get_by_unique(table, column, value)
             except NotFoundError:
                 continue
         raise NotFoundError(f"{table}: no row with {column}={value!r}")
 
     def update(self, table: str, pk: Any, changes: Row) -> Row:
-        schema = self.schema(table)
+        schema = self._schemas[table]
         index = self._shard_of(table, pk)
         for col in schema.unique:
             if col in changes and changes[col] is not None:
                 owners = self._route_shards(table, col, changes[col])
-                if any(owner != index for owner in owners):
+                if any(owner != index for owner in owners) or (
+                    self._logging.log is None and (table, col, changes[col]) in self._held
+                ):
                     raise ValidationError(
                         f"{table}: unique constraint violated on "
                         f"{col}={changes[col]!r}"
                     )
+        shard = self.shards[index] if self._logging.log is None else self._open(index)
         tracked = [c for c in self._routed[table] if c in changes]
-        old = self.shards[index].get(table, pk) if tracked else None
-        row = self.shards[index].update(table, pk, changes)
+        old = shard.get(table, pk) if tracked else None
+        row = shard.update(table, pk, changes)
         if tracked:
             self._route_adjust(table, old, index, -1)
             self._route_adjust(table, row, index, +1)
         return row
 
     def delete(self, table: str, pk: Any) -> Row:
-        self.schema(table)
         index = self._shard_of(table, pk)
-        row = self.shards[index].delete(table, pk)
+        shard = self.shards[index] if self._logging.log is None else self._open(index)
+        row = shard.delete(table, pk)
         self._route_adjust(table, row, index, -1)
         return row
 
     # -- queries ------------------------------------------------------------
 
     def _shards_for_query(self, table: str, where: Optional[Row]) -> Iterable[int]:
-        schema = self.schema(table)
+        schema = self._schemas[table]
         if where:
             if schema.primary_key in where:
                 return [self._shard_of(table, where[schema.primary_key])]
@@ -288,74 +323,81 @@ class ShardedEngine:
     ) -> List[Row]:
         results: List[Row] = []
         for index in self._shards_for_query(table, where):
-            results.extend(self.shards[index].select(table, where, predicate))
+            shard = self.shards[index] if self._logging.log is None else self._open(index)
+            results.extend(shard.select(table, where, predicate))
         return results
 
     def count(self, table: str, where: Optional[Row] = None) -> int:
-        return sum(
-            self.shards[index].count(table, where)
-            for index in self._shards_for_query(table, where)
-        )
+        total = 0
+        for index in self._shards_for_query(table, where):
+            shard = self.shards[index] if self._logging.log is None else self._open(index)
+            total += shard.count(table, where)
+        return total
 
     # -- transactions ---------------------------------------------------------
 
     def transaction(self) -> Transaction:
-        """One atomic block across every shard."""
+        """One atomic block over the shards it touches."""
         return Transaction(self)
 
     def begin(self) -> None:
-        """Begin every shard in shard order, so two blocks cannot deadlock
-        on each other's shard locks."""
-        begun = 0
-        try:
-            for shard in self.shards:
-                shard.begin()
-                begun += 1
-        except BaseException:
-            self._roll_back(begun)
-            raise
+        """Take the block lock; nested, a savepoint on every shard the block holds."""
+        self._block_lock.acquire()
+        for index in self._begun:
+            self.shards[index].begin()
         self._route_marks.append(len(self._route_log))
         self._logging.log = self._route_log
 
-    def _end_block(self) -> Tuple[List[tuple], int]:
-        """Pop the innermost block's mark; returns the log it indexes.  The
-        outermost block hands this thread's log over before any shard is
-        released, so the next block starts on a fresh one."""
+    def _end_block(self) -> Tuple[List[tuple], int, List[int]]:
+        """Pop the innermost mark: the log it indexes and the begun shards,
+        highest first (the outermost block leaves fresh state to the next)."""
         log = self._route_log
         mark = self._route_marks.pop()
+        begun = sorted(self._begun, reverse=True)
         if not self._route_marks:
-            self._route_log = []
+            self._route_log, self._begun = [], []
             self._logging.log = None
-        return log, mark
+        return log, mark, begun
 
     def commit(self) -> None:
-        """Commit every shard in reverse shard order.  If one refuses, it has
-        rolled itself back, the shards below it roll back too, and their
-        route bumps are undone before another thread can claim a route."""
-        log, mark = self._end_block()
-        with self._route_lock:
-            index = len(self.shards)
-            try:
-                while index:
-                    index -= 1
-                    self.shards[index].commit()
-            except BaseException:
-                self._undo_routes(log, mark, index + 1)
-                self._roll_back(index)
-                raise
+        """Commit the begun shards, highest first.  If one refuses, it has
+        rolled itself back, the begun shards below it roll back too, and
+        their route bumps are undone before another thread can claim a route."""
+        log, mark, begun = self._end_block()
+        committed = 0
+        try:
+            with self._route_lock:
+                try:
+                    for index in begun:
+                        self.shards[index].commit()
+                        committed += 1
+                except BaseException:
+                    self._undo_routes(log, mark, begun[committed] + 1)
+                    self._roll_back(begun[committed + 1:])
+                    raise
+                finally:
+                    if not self._route_marks:
+                        self._held.clear()
+        finally:
+            self._block_lock.release()
 
     def rollback(self) -> None:
-        """Restore the routes, then roll back every shard in reverse order."""
-        log, mark = self._end_block()
-        with self._route_lock:
-            self._undo_routes(log, mark, len(self.shards))
-        self._roll_back(len(self.shards))
+        """Restore the routes, then roll back the begun shards, highest first."""
+        log, mark, begun = self._end_block()
+        try:
+            with self._route_lock:
+                self._undo_routes(log, mark, len(self.shards))
+                if not self._route_marks:
+                    self._held.clear()
+            self._roll_back(begun)
+        finally:
+            self._block_lock.release()
 
-    def _roll_back(self, count: int) -> None:
-        """Roll back shards ``count - 1`` down to 0, every one of them even
-        if one raises (the first error propagates)."""
+    def _roll_back(self, indices: List[int]) -> None:
+        """Roll back each of these shards, every one of them even if one
+        raises (the first error propagates)."""
         error = None
-        for index in range(count - 1, -1, -1):
+        for index in indices:
             try:
                 self.shards[index].rollback()
             except BaseException as exc:

@@ -55,16 +55,11 @@ __all__ = [
 # -- canonical value encoding -------------------------------------------------
 #
 # Rows hold sealed secrets as raw bytes; JSON cannot.  Bytes are tagged so
-# a replayed row is byte-identical to the original, not a lossy repr.
+# a replayed row is byte-identical to the original, not a lossy repr.  A
+# value is tagged where it is written, ``{_BYTES_TAG: v.hex()} if
+# v.__class__ is bytes else v``: a row costs one comprehension, a pk no call.
 
 _BYTES_TAG = "__bytes__"
-
-
-def encode_value(value: Any) -> Any:
-    """A JSON-safe rendering of one column value (bytes become tagged hex)."""
-    if isinstance(value, bytes):
-        return {_BYTES_TAG: value.hex()}
-    return value
 
 
 def decode_value(value: Any) -> Any:
@@ -74,7 +69,6 @@ def decode_value(value: Any) -> Any:
 
 
 def encode_row(row: Row) -> Dict[str, Any]:
-    # encode_value, inlined: a row costs one comprehension, not two calls a column.
     return {c: {_BYTES_TAG: v.hex()} if v.__class__ is bytes else v for c, v in row.items()}
 
 
@@ -122,7 +116,7 @@ class WriteAheadLog:
             self._file.flush()
         self.last_lsn = lsn
         self.bytes_written += len(line) + 10  # "crc " prefix + newline
-        if record.get("op") == "snapshot":
+        if record["op"] == "snapshot":
             self.snapshots += 1
             self.last_snapshot_lsn = lsn
         return record
@@ -495,20 +489,17 @@ class WALEngine(Layer):
     def update(self, table: str, pk: Any, changes: Row) -> Row:
         with self._lock:
             row = self.inner.update(table, pk, changes)
+            tagged = {_BYTES_TAG: pk.hex()} if pk.__class__ is bytes else pk
             self._log(
-                {
-                    "op": "update",
-                    "table": table,
-                    "pk": encode_value(pk),
-                    "changes": encode_row(changes),
-                }
+                {"op": "update", "table": table, "pk": tagged, "changes": encode_row(changes)}
             )
             return row
 
     def delete(self, table: str, pk: Any) -> Row:
         with self._lock:
             row = self.inner.delete(table, pk)
-            self._log({"op": "delete", "table": table, "pk": encode_value(pk)})
+            tagged = {_BYTES_TAG: pk.hex()} if pk.__class__ is bytes else pk
+            self._log({"op": "delete", "table": table, "pk": tagged})
             return row
 
     # -- transactions ---------------------------------------------------------

@@ -19,7 +19,7 @@ from repro.core import MFACenter
 from repro.crypto.totp import TOTPGenerator, time_step, totp_at
 from repro.otpserver.admin_api import AdminAPI, AdminAPIClient
 from repro.ssh import SSHClient
-from repro.storage import StorageConfig
+from repro.storage import StorageConfig, find_layer
 from repro.telemetry import trace
 from repro.ssh.keys import KeyPair
 
@@ -250,22 +250,37 @@ def admin_remove_profile(tmp_path_factory):
     admin = AdminAPIClient(api, "helpdesk", "helpdesk-secret", rng=random.Random(2))
     for uid in uids:
         admin.call("POST", "/admin/init", {"user": uid, "type": "soft"})
+    sharded = find_layer(center.otp.db.engine, "shard_sizes")
 
     def remove(run):
-        body = run(admin.call, "POST", "/admin/remove", {"user": uids.pop()})
+        uid = uids.pop()
+        (token,) = center.otp.db.engine.select("tokens", where={"user_id": uid})
+        # The block reads and deletes the token row and probes the user's
+        # SMS challenge row: those two rows' shards are all it touches.
+        touched.append(len({
+            sharded._shard_of("tokens", token["serial"]),
+            sharded._shard_of("challenges", uid),
+        }))
+        body = run(admin.call, "POST", "/admin/remove", {"user": uid})
         assert body["removed"] == 1
 
-    return profile_second_call(remove)
+    touched = []
+    profile = profile_second_call(remove)
+    profile.shards_touched = touched[-1]
+    return profile
 
 
 def test_a_transaction_is_one_begin_and_one_commit_per_layer(admin_remove_profile):
     """docs/ARCHITECTURE.md "Storage engines": a block is one ``begin`` on
-    the way in and one ``commit`` on the way out, per layer and per shard,
-    with no generator context manager or ``ExitStack`` between them."""
+    the way in and one ``commit`` on the way out, per layer and per shard it
+    touches, with no generator context manager or ``ExitStack`` between
+    them."""
     assert not any(_is(file, "contextlib.py") for file, _ in admin_remove_profile)
+    touched = admin_remove_profile.shards_touched
+    assert touched < 4  # so a block that began every shard would show
     for layer, calls in (
         ("instrument.py", 1), ("cache.py", 1), ("sharding.py", 1),
-        ("wal.py", 4), ("memory.py", 4),  # one per shard
+        ("wal.py", touched), ("memory.py", touched),  # one per shard touched
     ):
         # The cache changes commit but not begin: its begin is Layer's.
         begin_in = "engine.py" if layer == "cache.py" else layer
@@ -273,10 +288,52 @@ def test_a_transaction_is_one_begin_and_one_commit_per_layer(admin_remove_profil
         assert count(admin_remove_profile, f"storage/{layer}", "commit") == calls
     assert count(admin_remove_profile, "storage/sharding.py", "_rebuild_routes") == 0
     # ... the block did its work (the token row left), and all of it,
-    # transaction included, is at most 265 calls (~340 with a generator
-    # context manager per layer and shard).
+    # transaction included, is at most 230 calls (~257 beginning and
+    # committing every shard, ~340 with a generator context manager per
+    # layer and shard as well).
     assert count(admin_remove_profile, "storage/wal.py", "delete") == 1
-    assert sum(admin_remove_profile.values()) <= 265
+    assert sum(admin_remove_profile.values()) <= 230
+
+
+@pytest.fixture(scope="module")
+def token_update_profile(tmp_path_factory):
+    """One warm lone token-row update (a failure count written back) on
+    loginbench's production storage stack: four WAL-logged shards to disk
+    under a read-through cache, telemetry on."""
+    center = MFACenter(
+        clock=VirtualClock.at("2016-10-05T09:00:00"),
+        rng=random.Random(20160810),
+        storage=StorageConfig(
+            shards=4, durability=True, cache_capacity=2048, snapshot_every=5000,
+            wal_dir=str(tmp_path_factory.mktemp("wal")),
+        ),
+        telemetry=True,
+    )
+    center.create_user("alice")
+    center.pair_soft("alice")
+    (token,) = center.otp.db.engine.select(
+        "tokens", where={"user_id": center.uid_of("alice")}
+    )
+    failcounts = iter(range(1, 10))
+
+    def update(run):
+        run(center.otp.tokens.update, token["serial"], {"failcount": next(failcounts)})
+
+    return profile_second_call(update)
+
+
+def test_a_lone_token_row_update_finds_its_shard_in_one_frame(token_update_profile):
+    """docs/ARCHITECTURE.md "Storage engines": a keyed op finds its table
+    with a subscript and its shard in one frame, and a WAL record renders
+    through one prebuilt C encoder.  The whole update is at most 50 calls
+    (~57 with a ``schema()`` frame, a ``HashRing`` hop and a ``stable_hash``
+    frame per keyed op, and ``JSONEncoder.encode`` per record)."""
+    assert count(token_update_profile, "storage/sharding.py", "_shard_of") == 1
+    for retired in ("schema", "shard_for", "stable_hash"):
+        assert count(token_update_profile, "storage/sharding.py", retired) == 0
+    assert token_update_profile.get(("encoder.py", "encode"), 0) == 0  # json's
+    assert count(token_update_profile, "storage/wal.py", "update") == 1
+    assert sum(token_update_profile.values()) <= 50
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,10 @@
 """Determinism guarantees: derived seeds, stream isolation, log digests."""
 
+import json
+
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.simcore import (
     EventLog,
     EventScheduler,
@@ -48,6 +53,16 @@ class TestRngStreams:
 class TestEventLogDigest:
     def test_canonical_line_is_key_sorted_and_compact(self):
         assert canonical_line({"b": 1, "a": 2}) == '{"a":2,"b":1}'
+
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+            lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+        )
+    )
+    def test_canonical_line_is_json_dumps_byte_for_byte(self, value):
+        reference = json.dumps(value, sort_keys=True, separators=(",", ":"))
+        assert canonical_line(value) == reference
 
     def test_same_events_same_digest(self):
         logs = []

@@ -46,6 +46,15 @@ class TestHashRing:
             counts[ring.shard_for(f"tokens/S{i}")] += 1
         assert min(counts) > 200  # no dead shard, no 10x skew
 
+    def test_the_engine_places_a_row_where_the_ring_does(self, engine):
+        """``_shard_of`` inlines the ring's hash: the same shard for every key,
+        a lone surrogate and a bytes pk among them."""
+        ring = HashRing(4)
+        for table, pk in [("tokens", f"S{i}") for i in range(500)] + [
+            ("challenges", "uid-\udc80"), ("tokens", b"\x00\xff"), ("t", 7), ("t", None),
+        ]:
+            assert engine._shard_of(table, pk) == ring.shard_for(f"{table}/{pk!r}")
+
     def test_consistency_on_growth(self):
         """Growing the ring moves only a minority of keys."""
         small, large = HashRing(4), HashRing(5)

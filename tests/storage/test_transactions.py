@@ -10,8 +10,12 @@ tests pin what the protocol promises across the layers:
   back with the one that refused;
 * an aborted cross-shard block puts its routing index back before it lets
   go of any shard, undoing only the route changes its own thread made;
+* a sharded block locks only the shards it touches: a lone op on another
+  shard does not wait for it, and a unique value it deleted stays claimed
+  against other threads until it ends;
 * instrumented timing keeps each thread's block starts apart, and threads
-  racing blocks against lone writes keep routes and counters exact;
+  racing blocks against lone writes keep routes and counters exact and
+  end where a serial replay of what they committed ends;
 * a hypothesis state machine drives Instrumented → Caching → Sharded(4) →
   WAL (files) → memory through nested commits, aborts and refused commits
   against a dict model, checking rows, logs, routes and the transaction
@@ -298,6 +302,152 @@ class TestAnAbortedCrossShardBlock:
         assert engine._route_log == [] and engine._route_marks == []
 
 
+class TestABlockLocksOnlyWhatItTouches:
+    """docs/ARCHITECTURE.md "Storage engines": a sharded block begins a shard
+    at its first op there, so the shards it has not touched stay free."""
+
+    def test_a_lone_op_on_another_shard_does_not_wait_for_the_block(self):
+        engine = ShardedEngine([WALEngine() for _ in range(4)])
+        engine.create_table("t", SCHEMA)
+        mine = _pk_on_shard(engine, 0)
+        first, second = [pk for pk in range(100, 1000) if engine._shard_of("t", pk) == 2][:2]
+        engine.insert("t", {"id": first, "s": "F", "u": "x"})
+        seen = []
+
+        def lone_ops():
+            engine.insert("t", {"id": second, "s": "G", "u": "x"})
+            engine.update("t", first, {"u": "y"})
+            seen.append(engine.get("t", first))
+
+        with engine.transaction():
+            engine.insert("t", {"id": mine, "s": "M", "u": "x"})
+            worker = threading.Thread(target=lone_ops, daemon=True)
+            worker.start()
+            worker.join(PATIENCE)
+            stalled = worker.is_alive()
+        worker.join(PATIENCE)
+        assert not stalled, "a lone op on an untouched shard waited for the block"
+        assert seen == [{"id": first, "s": "F", "u": "y"}]
+        assert engine._routes == recomputed_routes(engine)
+        for shard in engine.shards:
+            assert shard.state_digest() == state_digest(replay(shard.wal.read()))
+
+    def test_a_value_the_open_block_deleted_stays_claimed(self):
+        engine = TestAnAbortedCrossShardBlock._engine()
+        other = _pk_on_shard(engine, 1 - engine._shard_of("t", 0))
+        outcomes = []
+
+        def claim():
+            for write in (
+                lambda: engine.insert("t", {"id": other, "s": "S-0", "u": "y"}),
+                lambda: engine.update("t", 1, {"s": "S-0"}),
+            ):
+                try:
+                    write()
+                    outcomes.append("took it")
+                except ValidationError:
+                    outcomes.append("refused")
+
+        with pytest.raises(RuntimeError):
+            with engine.transaction():
+                engine.delete("t", 0)
+                worker = threading.Thread(target=claim, daemon=True)
+                worker.start()
+                worker.join(PATIENCE)
+                raise RuntimeError("abort")
+        worker.join(PATIENCE)
+        assert outcomes == ["refused", "refused"]
+        assert [row["id"] for row in engine.select("t") if row["s"] == "S-0"] == [0]
+        assert engine._routes == recomputed_routes(engine)
+        # Once a block that deleted it commits, the value is free again.
+        with engine.transaction():
+            engine.delete("t", 0)
+        engine.insert("t", {"id": other, "s": "S-0", "u": "y"})
+        assert engine.get_by_unique("t", "s", "S-0")["id"] == other
+
+
+def test_blocks_touching_shards_high_to_low_race_lone_ops_to_a_serial_replay():
+    """Eight threads (more than the cores) run blocks that touch the shards
+    from the last down to the first, mixed with lone writes on their own
+    rows, with the interpreter switching threads as often as it can.  None
+    deadlocks, and the end state is each thread's committed writes replayed
+    serially."""
+    threads, rounds = 8, 40
+    sharded = ShardedEngine([WALEngine() for _ in range(4)])
+    sharded.create_table("t", SCHEMA)
+    owned = [[pk for pk in range(4000) if sharded._shard_of("t", pk) == shard]
+             for shard in range(4)]
+    journals = [[] for _ in range(threads)]
+    errors = []
+
+    def write(pk, u, journal, live):
+        if pk in live:
+            sharded.update("t", pk, {"u": u})
+            journal.append(("update", pk, {"u": u}))
+        else:
+            sharded.insert("t", {"id": pk, "s": f"s{pk}", "u": u})
+            journal.append(("insert", pk, {"id": pk, "s": f"s{pk}", "u": u}))
+            live.add(pk)
+
+    def worker(slot):
+        rng = random.Random(slot)
+        mine = [shard_pks[slot::threads][:6] for shard_pks in owned]
+        live = set()
+        try:
+            for round_no in range(rounds):
+                if rng.random() < 0.5:
+                    pending, staged = [], set(live)
+                    try:
+                        with sharded.transaction():
+                            for shard in (3, 2, 1, 0):
+                                write(rng.choice(mine[shard]), round_no, pending, staged)
+                            if rng.random() < 0.3:
+                                raise _Abort()
+                        journals[slot].extend(pending)
+                        live = staged
+                    except _Abort:
+                        pass
+                else:
+                    pk = rng.choice(rng.choice(mine))
+                    if pk in live and rng.random() < 0.3:
+                        sharded.delete("t", pk)
+                        journals[slot].append(("delete", pk, None))
+                        live.discard(pk)
+                    else:
+                        write(pk, -round_no, journals[slot], live)
+        except BaseException as exc:  # reported below, in the test's thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker, args=(slot,), daemon=True)
+                   for slot in range(threads)]
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in workers), "a thread is stuck"
+    assert errors == []
+    serial = InMemoryEngine()
+    serial.create_table("t", SCHEMA)
+    for journal in journals:
+        for op, pk, data in journal:
+            if op == "insert":
+                serial.insert("t", data)
+            elif op == "update":
+                serial.update("t", pk, data)
+            else:
+                serial.delete("t", pk)
+    assert state_digest(sharded) == state_digest(serial)
+    assert sharded._routes == recomputed_routes(sharded)
+    assert (sharded._begun, sharded._held, sharded._route_log) == ([], set(), [])
+    for shard in sharded.shards:
+        assert shard.state_digest() == state_digest(replay(shard.wal.read()))
+
+
 class _SteppedClock:
     """The test's time in the test's thread; in any other, the next of
     ``elsewhere``."""
@@ -559,7 +709,43 @@ class StorageStackMachine(RuleBasedStateMachine):
                 rows[pk] = source[pk]
         self.rows = rows
 
+    def _write(self, pk):
+        """Write one row, whichever rule applies: a shard touch that always
+        lands."""
+        if pk in self.rows:
+            self.update(pk, {"u": "d"})
+        else:
+            self.insert(pk, None, "d")
+
+    @precondition(lambda self: not self.blocks)
+    @rule(outer=PKS, inner=PKS, keep=st.booleans())
+    def first_touch_in_a_savepoint(self, outer, inner, keep):
+        """A shard the block first touches at depth 2 is begun at both
+        levels, so ending the savepoint leaves it held by the outer block."""
+        self.begin()
+        self._write(outer)
+        self.begin()
+        self._write(inner)
+        touched = list(dict.fromkeys(self.sharded._shard_of("t", pk) for pk in (outer, inner)))
+        assert self.sharded._begun == touched
+        if keep:
+            self.commit()
+        else:
+            self.abort()
+        assert self.sharded._begun == touched
+
+    @precondition(lambda self: len(self.blocks) == 1 and self.sharded._begun)
+    @rule()
+    def refused_commit_on_the_shard_touched_last(self):
+        self.refused_commit(self.sharded._begun[-1])
+
     # -- what must hold after every step ------------------------------------
+
+    @invariant()
+    def no_block_state_outlives_the_block(self):
+        if not self.blocks:
+            held = (self.sharded._begun, self.sharded._held, self.sharded._route_log)
+            assert held == ([], set(), [])
 
     @invariant()
     def live_rows_are_the_model(self):
