@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Protocol, runtime_checkable
 
 from repro.authflow.context import PipelineContext
-from repro.common.results import TokenType, ValidateResult, ValidateStatus
+from repro.common.results import TOKEN_TYPES, TokenType, ValidateResult, ValidateStatus
 from repro.crypto.hotp import verify_hotp
 from repro.crypto.totp import REASON_REPLAY, totp_at
 from repro.policy import AuthRequest, PolicyAction, PolicyEngine
@@ -112,7 +112,7 @@ class ResolveIdentity:
                 return
             ctx.identity = identity
             ctx.uid = identity.uid
-        ctx.rows = server._user_tokens(ctx.uid)
+        ctx.rows = server.tokens.select(where={"user_id": ctx.uid})
         if not ctx.rows:
             ctx.audit("validate", success=False, detail="no token")
             ctx.finish(
@@ -141,8 +141,8 @@ class EvaluatePolicy:
 
     def run(self, ctx: PipelineContext) -> None:
         # Pairing is already resolved — rows are loaded — so the request
-        # carries it as a literal instead of a lookup.
-        pairing = TokenType(ctx.rows[0]["token_type"])._value_ if ctx.rows else None
+        # carries the row's stored type string as a literal, not a lookup.
+        pairing = ctx.rows[0]["token_type"] if ctx.rows else None
         decision = self.policy.evaluate(
             AuthRequest(ctx.user_id, ctx.source or "", pairing=pairing),
             now=self.server.clock.now(),
@@ -175,7 +175,7 @@ class EvaluatePolicy:
             )
             return
         ctx.row = active[0]
-        ctx.token_type = TokenType(ctx.row["token_type"])
+        ctx.token_type = TOKEN_TYPES[ctx.row["token_type"]]
 
     def _alarm_if_decoy(self, ctx: PipelineContext, why: str) -> None:
         """A code submitted against a honeytoken pairing must alarm even
@@ -186,7 +186,7 @@ class EvaluatePolicy:
         if not ctx.code or not ctx.rows:
             return
         row = ctx.rows[0]
-        if TokenType(row["token_type"]) is not TokenType.HONEY:
+        if TOKEN_TYPES[row["token_type"]] is not TokenType.HONEY:
             return
         self.server.raise_honeytoken_alarm(
             ctx.user_id, row["serial"], False, ctx.source

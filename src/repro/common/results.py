@@ -12,7 +12,7 @@ import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Protocol, runtime_checkable
+from typing import Callable, Dict, Optional, Protocol, runtime_checkable
 
 
 class ValidateStatus(str, Enum):
@@ -42,6 +42,11 @@ class TokenType(str, Enum):
     #: the local account onto its ``user@homesite`` principal.  An optional
     #: sealed step-up PIN satisfies risk-driven STEP_UP locally.
     FEDERATED = "federated"
+
+
+#: A token row's stored ``token_type`` → its member: ``TokenType(value)`` as
+#: one dict probe (``Enum.__call__`` costs two frames a decode).
+TOKEN_TYPES: Dict[str, TokenType] = {member._value_: member for member in TokenType}
 
 
 @dataclass

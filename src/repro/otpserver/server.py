@@ -35,7 +35,7 @@ from repro.authflow import AuthPipeline, ConcurrencyConfig, default_stages
 from repro.common.clock import Clock, WallClock
 from repro.common.errors import NotFoundError, ValidationError
 from repro.common.ids import IdAllocator
-from repro.common.results import TokenType, ValidateResult, ValidateStatus
+from repro.common.results import TOKEN_TYPES, TokenType, ValidateResult, ValidateStatus
 from repro.crypto.secrets import SecretSealer, generate_secret
 from repro.crypto.totp import TOTPValidator
 from repro.otpserver.audit import AuditLog
@@ -390,7 +390,7 @@ class OTPServer:
             TokenRecord(
                 serial=row["serial"],
                 user_id=row["user_id"],
-                token_type=TokenType(row["token_type"]),
+                token_type=TOKEN_TYPES[row["token_type"]],
                 sealed_secret=row["sealed_secret"],
                 active=row["active"],
                 failcount=row["failcount"],
@@ -406,7 +406,7 @@ class OTPServer:
 
     def pairing_type(self, user_id: str) -> Optional[TokenType]:
         rows = self._user_tokens(user_id)
-        return TokenType(rows[0]["token_type"]) if rows else None
+        return TOKEN_TYPES[rows[0]["token_type"]] if rows else None
 
     def is_locked(self, user_id: str) -> bool:
         rows = self._user_tokens(user_id)
@@ -493,7 +493,7 @@ class OTPServer:
     def resync(self, user_id: str, code1: str, code2: str) -> bool:
         """Re-synchronize a drifted soft/hard token from two codes."""
         for row in self._user_tokens(user_id):
-            if TokenType(row["token_type"]) in (TokenType.SOFT, TokenType.HARD):
+            if TOKEN_TYPES[row["token_type"]] in (TokenType.SOFT, TokenType.HARD):
                 secret = self._sealer.unseal(row["sealed_secret"])
                 outcome = self._validator.resync(row["serial"], secret, code1, code2)
                 self.audit.record(

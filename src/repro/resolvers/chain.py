@@ -135,12 +135,6 @@ class ResolverChain:
             else:
                 self._cache.pop(username)
 
-    def _cache_put(self, username: str, identity: Optional[ResolvedIdentity]) -> None:
-        ttl = CACHE_TTL if identity is not None else NEGATIVE_TTL
-        expires = self.clock.now() + ttl
-        with self._lock:
-            self._cache.put(username, identity, expires)
-
     # -- resolution --------------------------------------------------------
 
     def _candidates(self, route: List[IdentityResolver], now: float):
@@ -173,6 +167,10 @@ class ResolverChain:
         Returns ``None`` on an authoritative miss (including an unrouted
         realm — fail closed).  Raises :class:`ResolverUnavailableError`
         only when every candidate on the route is down.
+
+        A route with no choice — one resolver while no circuit is ejected —
+        builds no candidate list.  A success reads the clock once after the
+        lookup, and fills the cache under the lock that counts a failover.
         """
         now = self.clock.now()
         with self._lock:
@@ -181,16 +179,21 @@ class ResolverChain:
                 if identity is None:
                     self.negative_hits += 1
                 return identity
-        _, realm = split_realm(username)
+        realm = split_realm(username)[1] if "@" in username else ""
         route = self._routes.get(realm)
         if not route:
+            expires = self.clock.now() + NEGATIVE_TTL
             with self._lock:
                 self.unrouted += 1
-            self._cache_put(username, None)
+                self._cache.put(username, None, expires)
             return None
+        if self._tracker.ejected or len(route) > 1:
+            candidates = self._candidates(route, now)
+        else:  # no choice: every circuit is closed, so this is _candidates'
+            candidates = ((route[0], False),)
         attempts = 0
         timed = self.telemetry.enabled
-        for resolver, needs_probe in self._candidates(route, now):
+        for resolver, needs_probe in candidates:
             attempts += 1
             if needs_probe:
                 self._tracker.begin_probe(resolver.name, self.clock.now())
@@ -200,13 +203,15 @@ class ResolverChain:
             except ResolverUnavailableError:
                 self._tracker.on_failure(resolver.name, self.clock.now())
                 continue
+            done = self.clock.now()  # the lookup's end, its success, the expiry's base
             if timed:
-                self._h_lookup_by_name[resolver.name].observe(self.clock.now() - began)
-            self._tracker.on_success(resolver.name, self.clock.now())
-            if attempts > 1:
-                with self._lock:
+                self._h_lookup_by_name[resolver.name].observe(done - began)
+            self._tracker.on_success(resolver.name, done)
+            expires = done + (CACHE_TTL if identity is not None else NEGATIVE_TTL)
+            with self._lock:
+                if attempts > 1:
                     self.failovers += 1
-            self._cache_put(username, identity)
+                self._cache.put(username, identity, expires)
             return identity
         raise ResolverUnavailableError(
             f"no resolver available for realm {realm or '(default)'!r}"

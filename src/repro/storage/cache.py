@@ -14,11 +14,14 @@ Invalidation rules:
   not recoverable from the key alone).
 * ``insert`` invalidates nothing — misses are never cached, so there is no
   stale negative entry to correct.
-* an aborted (or refused) transaction clears the whole cache: reads
-  inside the block may have cached uncommitted state that the rollback
-  then reverted.
+* an aborted (or refused) transaction clears the whole cache: aborts are
+  rare, and a cold cache is never wrong.
 * a point read whose fetch overlapped an invalidation fills nothing: the
   row it fetched may be the one that write replaced.
+* a read inside an open block fills nothing: the row may be the block's
+  uncommitted write, which another thread must not hit and its abort may
+  undo.  ``begin`` / ``commit`` / ``rollback`` count the calling thread's
+  open blocks.
 
 ``select``/``count`` pass straight through (range scans would thrash a
 point cache).  Cached values are raw storage rows, so nothing outside a
@@ -34,6 +37,12 @@ from repro.common.cache import MISSING, BoundedCache
 from repro.storage.engine import Layer, Row, StorageEngine
 
 
+class _OpenBlocks(threading.local):
+    """This thread's open blocks on the cache, read with no call."""
+
+    depth = 0
+
+
 class CachingEngine(Layer):
     """Read-through wrapper with write invalidation."""
 
@@ -45,6 +54,7 @@ class CachingEngine(Layer):
         #: Bumped by every invalidation; a fetch that saw it move fills nothing.
         self._generation = 0
         self._lock = threading.Lock()
+        self._blocks = _OpenBlocks()
 
     # -- cache plumbing -----------------------------------------------------
 
@@ -56,7 +66,7 @@ class CachingEngine(Layer):
             return dict(row)
         row = fetch(table, *args)
         with self._lock:
-            if self._generation != generation:
+            if self._generation != generation or self._blocks.depth:
                 return row
             if key[1] == "unique":
                 self._unique_keys.setdefault(table, set()).add(key)
@@ -113,7 +123,14 @@ class CachingEngine(Layer):
         self._invalidate_row(table, pk)
         return row
 
+    # -- transactions -------------------------------------------------------
+
+    def begin(self) -> None:
+        self.inner.begin()
+        self._blocks.depth += 1
+
     def commit(self) -> None:
+        self._blocks.depth -= 1
         try:
             self.inner.commit()
         except BaseException:  # refused: the block was rolled back below
@@ -121,8 +138,8 @@ class CachingEngine(Layer):
             raise
 
     def rollback(self) -> None:
-        # Cleared while the inner block still holds its locks: a read the
-        # block cached is gone before another thread could hit it.
+        # Cleared while the inner block still holds its locks.
+        self._blocks.depth -= 1
         try:
             self._clear()
         finally:

@@ -36,6 +36,20 @@ class _BlockStarts(threading.local):
         self.stack: List[float] = []
 
 
+class _SeriesByOp(dict):
+    """``(op, table)`` → its bound series: a hit is one subscript, no frame;
+    a miss binds the series."""
+
+    def __init__(self, histogram) -> None:
+        super().__init__()
+        self.histogram = histogram
+
+    def __missing__(self, key: Tuple[str, str]):
+        op, table = key
+        series = self[key] = self.histogram.labels(op=op, table=table)
+        return series
+
+
 class InstrumentedEngine(Layer):
     """Times and counts every operation of the wrapped engine."""
 
@@ -58,7 +72,7 @@ class InstrumentedEngine(Layer):
         )
         #: ``(op, table)`` → its bound series, filled on first use: tables
         #: are created after the wrapper is.
-        self._h_by_op: Dict[Tuple[str, str], Any] = {}
+        self._h_by_op: Dict[Tuple[str, str], Any] = _SeriesByOp(self._h_latency)
         self._h_txn = self._h_latency.labels(op="transaction", table="*")
         txn = telemetry.counter(
             "storage_transactions_total", "storage transactions by outcome"
@@ -67,41 +81,49 @@ class InstrumentedEngine(Layer):
         self._c_abort = txn.labels(outcome="abort")
         self._starts = _BlockStarts()
 
-    def _timed(self, op: str, table: str, fn, *args):
-        start = self._clock.now()
-        try:
-            return fn(*args)
-        finally:
-            elapsed = self._clock.now() - start
-            try:
-                series = self._h_by_op[op, table]
-            except KeyError:
-                series = self._h_by_op[op, table] = self._h_latency.labels(
-                    op=op, table=table
-                )
-            series.observe(elapsed)
-
-    # -- row operations -----------------------------------------------------
+    # -- row operations: each times itself, no helper frame in between -----
 
     def insert(self, table: str, row: Row) -> Row:
-        return self._timed("insert", table, self.inner.insert, table, row)
+        start = self._clock.now()
+        try:
+            return self.inner.insert(table, row)
+        finally:
+            self._h_by_op["insert", table].observe(self._clock.now() - start)
 
     def get(self, table: str, pk: Any) -> Row:
-        return self._timed("get", table, self.inner.get, table, pk)
+        start = self._clock.now()
+        try:
+            return self.inner.get(table, pk)
+        finally:
+            self._h_by_op["get", table].observe(self._clock.now() - start)
 
     def exists(self, table: str, pk: Any) -> bool:
-        return self._timed("exists", table, self.inner.exists, table, pk)
+        start = self._clock.now()
+        try:
+            return self.inner.exists(table, pk)
+        finally:
+            self._h_by_op["exists", table].observe(self._clock.now() - start)
 
     def get_by_unique(self, table: str, column: str, value: Any) -> Row:
-        return self._timed(
-            "get_by_unique", table, self.inner.get_by_unique, table, column, value
-        )
+        start = self._clock.now()
+        try:
+            return self.inner.get_by_unique(table, column, value)
+        finally:
+            self._h_by_op["get_by_unique", table].observe(self._clock.now() - start)
 
     def update(self, table: str, pk: Any, changes: Row) -> Row:
-        return self._timed("update", table, self.inner.update, table, pk, changes)
+        start = self._clock.now()
+        try:
+            return self.inner.update(table, pk, changes)
+        finally:
+            self._h_by_op["update", table].observe(self._clock.now() - start)
 
     def delete(self, table: str, pk: Any) -> Row:
-        return self._timed("delete", table, self.inner.delete, table, pk)
+        start = self._clock.now()
+        try:
+            return self.inner.delete(table, pk)
+        finally:
+            self._h_by_op["delete", table].observe(self._clock.now() - start)
 
     def select(
         self,
@@ -109,10 +131,18 @@ class InstrumentedEngine(Layer):
         where: Optional[Row] = None,
         predicate: Optional[Predicate] = None,
     ) -> List[Row]:
-        return self._timed("select", table, self.inner.select, table, where, predicate)
+        start = self._clock.now()
+        try:
+            return self.inner.select(table, where, predicate)
+        finally:
+            self._h_by_op["select", table].observe(self._clock.now() - start)
 
     def count(self, table: str, where: Optional[Row] = None) -> int:
-        return self._timed("count", table, self.inner.count, table, where)
+        start = self._clock.now()
+        try:
+            return self.inner.count(table, where)
+        finally:
+            self._h_by_op["count", table].observe(self._clock.now() - start)
 
     # -- transactions ---------------------------------------------------------
 

@@ -293,12 +293,17 @@ class InMemoryEngine:
         where: Optional[Row] = None,
         predicate: Optional[Predicate] = None,
     ) -> List[Row]:
-        """Return matching rows; equality ``where`` uses indices when it can."""
+        """Return matching rows; equality ``where`` uses indices when it can.
+
+        A one-column ``where`` that the primary key or an index answered is
+        exact (an index holds just what live rows hold): no row re-checks it.
+        """
         with self._lock:
             t = self._open(table)
             candidates = None
             if where:
-                for col, value in where.items():
+                for col in where:
+                    value = where[col]
                     if col == t.schema.primary_key:
                         candidates = [value] if value in t.rows else []
                         break
@@ -313,13 +318,13 @@ class InMemoryEngine:
                         pk = t.unique[col].get(value)
                         candidates = [pk] if pk is not None else []
                         break
+                if candidates is not None and len(where) == 1:
+                    where = None
             keys = candidates if candidates is not None else list(t.rows)
-            columns, position = t.columns, t.position
+            rows, columns, position = t.rows, t.columns, t.position
             results = []
             for pk in keys:
-                row = t.rows.get(pk)
-                if row is None:
-                    continue
+                row = rows[pk]
                 if where and any(
                     (row[position[c]] if c in position else None) != v
                     for c, v in where.items()

@@ -75,7 +75,8 @@ class _RouteLog(threading.local):
 
 
 class _Tables(dict):
-    """Table name -> schema: a row op's one subscript, no frame on a hit."""
+    """Table name -> its schema, or its routed columns: a row op's one
+    subscript, no frame on a hit, ``NotFoundError`` for an unknown table."""
 
     def __missing__(self, table: str) -> TableSchema:
         raise NotFoundError(f"no such table: {table}")
@@ -91,7 +92,7 @@ class ShardedEngine:
         self._ring = HashRing(len(self.shards))
         self._schemas: Dict[str, TableSchema] = _Tables()
         #: table -> its indexed then unique columns, each once (what is routed)
-        self._routed: Dict[str, Tuple[str, ...]] = {}
+        self._routed: Dict[str, Tuple[str, ...]] = _Tables()
         # (table, column) -> value -> {shard index: row refcount}
         self._routes: Dict[Tuple[str, str], Dict[Any, Dict[int, int]]] = {}
         self._route_lock = threading.Lock()
@@ -218,32 +219,13 @@ class ShardedEngine:
         pk = row.get(schema.primary_key)
         if pk is None:
             raise ValidationError(f"{table}: missing primary key")
-        claimed: List[Tuple[str, Any]] = []
         index = self._shard_of(table, pk)
-        # Claim unique values globally before the shard write: a concurrent
-        # insert of the same value on another shard sees the claim and fails.
-        with self._route_lock:
-            for col in schema.unique:
-                value = row.get(col)
-                if value is None:
-                    continue
-                if self._routes[(table, col)].get(value) or (
-                    self._logging.log is None and (table, col, value) in self._held
-                ):
-                    for undo_col, undo_value in claimed:
-                        self._route_bump(table, undo_col, undo_value, index, -1)
-                    raise ValidationError(
-                        f"{table}: unique constraint violated on {col}={value!r}"
-                    )
-                self._route_bump(table, col, value, index, +1)
-                claimed.append((col, value))
+        claimed = self._claim(table, row, index, None)
         try:
             shard = self.shards[index] if self._logging.log is None else self._open(index)
             stored = shard.insert(table, row)
         except BaseException:
-            with self._route_lock:
-                for col, value in claimed:
-                    self._route_bump(table, col, value, index, -1)
+            self._release(table, claimed, index)
             raise
         # Claimed unique columns are already routed (an unclaimed unique-only
         # column holds None, which is not routed); route the indexed rest.
@@ -275,26 +257,55 @@ class ShardedEngine:
         raise NotFoundError(f"{table}: no row with {column}={value!r}")
 
     def update(self, table: str, pk: Any, changes: Row) -> Row:
-        schema = self._schemas[table]
         index = self._shard_of(table, pk)
-        for col in schema.unique:
-            if col in changes and changes[col] is not None:
-                owners = self._route_shards(table, col, changes[col])
-                if any(owner != index for owner in owners) or (
-                    self._logging.log is None and (table, col, changes[col]) in self._held
-                ):
-                    raise ValidationError(
-                        f"{table}: unique constraint violated on "
-                        f"{col}={changes[col]!r}"
-                    )
-        shard = self.shards[index] if self._logging.log is None else self._open(index)
         tracked = [c for c in self._routed[table] if c in changes]
-        old = shard.get(table, pk) if tracked else None
-        row = shard.update(table, pk, changes)
+        claimed = self._claim(table, changes, index, index) if tracked else []
+        try:
+            shard = self.shards[index] if self._logging.log is None else self._open(index)
+            old = shard.get(table, pk) if tracked else None
+            row = shard.update(table, pk, changes)
+        except BaseException:
+            self._release(table, claimed, index)
+            raise
         if tracked:
             self._route_adjust(table, old, index, -1)
             self._route_adjust(table, row, index, +1)
+            self._release(table, claimed, index)  # the row's own route holds them now
         return row
+
+    def _claim(
+        self, table: str, values: Row, index: int, mine: Optional[int]
+    ) -> List[Tuple[str, Any]]:
+        """Claim the unique values in ``values`` for shard ``index`` before its
+        write, so a concurrent write of one of them on another shard sees the
+        claim and fails (two on one shard meet at that shard's own check).
+        A value is taken if a shard other than ``mine`` routes it (an update's
+        own shard may: it may be the row itself), or an open block of another
+        thread released it."""
+        claimed: List[Tuple[str, Any]] = []
+        with self._route_lock:
+            for col in self._schemas[table].unique:
+                value = values.get(col)
+                if value is None:
+                    continue
+                owners = self._routes[(table, col)].get(value)
+                if (owners and (mine not in owners or len(owners) > 1)) or (
+                    self._logging.log is None and (table, col, value) in self._held
+                ):
+                    for undo_col, undo_value in claimed:
+                        self._route_bump(table, undo_col, undo_value, index, -1)
+                    raise ValidationError(
+                        f"{table}: unique constraint violated on {col}={value!r}"
+                    )
+                self._route_bump(table, col, value, index, +1)
+                claimed.append((col, value))
+        return claimed
+
+    def _release(self, table: str, claimed: List[Tuple[str, Any]], index: int) -> None:
+        if claimed:
+            with self._route_lock:
+                for col, value in claimed:
+                    self._route_bump(table, col, value, index, -1)
 
     def delete(self, table: str, pk: Any) -> Row:
         index = self._shard_of(table, pk)
@@ -321,10 +332,26 @@ class ShardedEngine:
         where: Optional[Row] = None,
         predicate: Optional[Predicate] = None,
     ) -> List[Row]:
+        """``_shards_for_query``'s shards, routed in this frame: the validate
+        path's token-row read makes one call per layer."""
+        indices: Optional[Iterable[int]] = None
+        if where:
+            schema = self._schemas[table]
+            if schema.primary_key in where:
+                indices = (self._shard_of(table, where[schema.primary_key]),)
+            else:
+                for col in self._routed[table]:
+                    if col in where:
+                        with self._route_lock:
+                            owners = self._routes[(table, col)].get(where[col])
+                            indices = sorted(owners) if owners else ()
+                        break
+        if indices is None:
+            indices = range(len(self.shards))
         results: List[Row] = []
-        for index in self._shards_for_query(table, where):
+        for index in indices:
             shard = self.shards[index] if self._logging.log is None else self._open(index)
-            results.extend(shard.select(table, where, predicate))
+            results += shard.select(table, where, predicate)
         return results
 
     def count(self, table: str, where: Optional[Row] = None) -> int:

@@ -282,9 +282,7 @@ def test_a_transaction_is_one_begin_and_one_commit_per_layer(admin_remove_profil
         ("instrument.py", 1), ("cache.py", 1), ("sharding.py", 1),
         ("wal.py", touched), ("memory.py", touched),  # one per shard touched
     ):
-        # The cache changes commit but not begin: its begin is Layer's.
-        begin_in = "engine.py" if layer == "cache.py" else layer
-        assert count(admin_remove_profile, f"storage/{begin_in}", "begin") == calls
+        assert count(admin_remove_profile, f"storage/{layer}", "begin") == calls
         assert count(admin_remove_profile, f"storage/{layer}", "commit") == calls
     assert count(admin_remove_profile, "storage/sharding.py", "_rebuild_routes") == 0
     # ... the block did its work (the token row left), and all of it,
@@ -414,10 +412,10 @@ def test_a_warm_success_writes_nothing(warm_success_profile):
 
 
 @pytest.fixture(scope="module")
-def telemetry_on_profile(tmp_path_factory):
-    """One warm valid validate on loginbench's ``validate_backend`` stack:
-    four WAL-logged shards to disk under a read-through cache, the ingest
-    queue, risk, the resolver chain and telemetry on."""
+def backend_trainee(tmp_path_factory):
+    """loginbench's ``validate_backend`` stack: four WAL-logged shards to
+    disk under a read-through cache, the ingest queue, risk, the resolver
+    chain and telemetry on; one account and a valid code for it."""
     center = MFACenter(
         clock=VirtualClock.at("2016-10-05T09:00:00"),
         rng=random.Random(20160810),
@@ -428,7 +426,13 @@ def telemetry_on_profile(tmp_path_factory):
         ingest=True, risk=True, resolvers=True, telemetry=True,
     )
     center.create_user("trainee", password="pw-trainee")
-    code = center.pair_training("trainee", "424242")
+    return center, center.pair_training("trainee", "424242")
+
+
+@pytest.fixture(scope="module")
+def telemetry_on_profile(backend_trainee):
+    """One warm valid validate on loginbench's ``validate_backend`` stack."""
+    center, code = backend_trainee
 
     def validate(run):
         assert run(center.radius_backend.validate, "trainee", code).ok
@@ -459,6 +463,57 @@ def test_a_span_pays_for_no_stack_lookup(telemetry_on_profile):
     # ... and the spans those zeros speak for were opened and closed.
     assert count(telemetry_on_profile, "telemetry/trace.py", "span") >= 1
     assert count(telemetry_on_profile, "telemetry/trace.py", "__exit__") >= 1
+
+
+def profile_cold_lookup(center, code, stage=None):
+    """The profile of one warm valid validate whose resolver lookup misses
+    its cache: the whole validate, or only the run of the stage named."""
+    (target,) = [s for s in center.otp.pipeline.stages if s.name == stage] or [None]
+
+    def validate(run):
+        center.resolver_chain.invalidate("trainee")
+        if target is None:
+            assert run(center.radius_backend.validate, "trainee", code).ok
+            return
+        target.run = lambda ctx, original=target.run: run(original, ctx)
+        try:
+            assert center.radius_backend.validate("trainee", code).ok
+        finally:
+            del target.run
+
+    return profile_second_call(validate)
+
+
+def calls_made(profile):
+    """Every call in ``profile`` but the profiler's own ``disable``."""
+    return sum(n for (file, name), n in profile.items() if "'disable'" not in name)
+
+
+def test_a_validate_finds_its_account_and_token_row_in_one_probe_per_layer(
+    backend_trainee,
+):
+    """docs/ARCHITECTURE.md "The resolver chain" and "Storage engines": a
+    route with no choice builds no candidate list and fills its cache in the
+    lock section it already takes; the token-row read routes in the sharded
+    layer's own frame, is timed with no helper frame, and is not re-checked
+    against the index that answered it; the type decode is a dict probe."""
+    calls = profile_cold_lookup(*backend_trainee)
+    assert count(calls, "resolvers/chain.py", "_candidates") == 0
+    assert count(calls, "resolvers/chain.py", "_cache_put") == 0
+    assert count(calls, "storage/sharding.py", "_shards_for_query") == 0
+    assert count(calls, "storage/sharding.py", "_route_shards") == 0
+    assert count(calls, "storage/instrument.py", "_timed") == 0
+    assert count(calls, "storage/memory.py", "<genexpr>") == 0
+    # ... and the lookup and the read those zeros speak for did run.
+    assert count(calls, "resolvers/base.py", "resolve") == 1
+    for layer in ("instrument.py", "sharding.py", "memory.py"):
+        assert count(calls, f"storage/{layer}", "select") == 1
+    policy = profile_cold_lookup(*backend_trainee, stage="evaluate_policy")
+    assert count(policy, "enum.py", "__call__") == 0
+    assert count(policy, "policy/engine.py", "evaluate") == 1
+    resolve = profile_cold_lookup(*backend_trainee, stage="resolve_identity")
+    assert count(resolve, "resolvers/base.py", "resolve") == 1
+    assert calls_made(resolve) <= 45  # 45; 65 with those hops and `_user_tokens`
 
 
 def count(profile, file_name, function):

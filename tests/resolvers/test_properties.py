@@ -1,7 +1,7 @@
 """Property-based contracts of the resolver chain (Hypothesis).
 
-Three invariants the ISSUE pins, for any realm topology and any failure
-pattern an operator (or chaos plan) can produce:
+Four invariants, for any realm topology and any failure pattern an
+operator (or chaos plan) can produce:
 
 * **routing is exclusive** — a username resolves through exactly one
   realm route, or fails closed; no lookup ever crosses realms;
@@ -9,7 +9,10 @@ pattern an operator (or chaos plan) can produce:
   until ``NEGATIVE_TTL`` elapses, and refetched right after;
 * **failover/recovery ordering** — the EWMA score keeps a once-failed
   primary demoted below the healthy fallback until the primary actually
-  answers again, and recovery never routes through the dead resolver.
+  answers again, and recovery never routes through the dead resolver;
+* **no choice, no list** — where a route offers no choice (one resolver,
+  no circuit ejected anywhere) the chain skips ``_candidates``, and what it
+  tries is what ``_candidates`` would have listed.
 """
 
 import pytest
@@ -165,3 +168,68 @@ def test_failover_demotes_primary_until_it_answers_again(
     demoted = score("primary")
     assert chain.resolve("alice").resolver == "primary"
     assert score("primary") > demoted
+
+
+
+class LoggedResolver(TableResolver):
+    """A :class:`TableResolver` that also logs its name to a shared list, so
+    the order in which a lookup asked several resolvers shows."""
+
+    def __init__(self, name, users, log):
+        super().__init__(name, users)
+        self.log = log
+
+    def _lookup(self, username):
+        self.log.append(self.name)
+        return super()._lookup(username)
+
+
+step = st.one_of(
+    st.tuples(st.just("default"), st.lists(st.booleans(), min_size=2, max_size=2)),
+    st.tuples(st.just("partner"), st.booleans()),
+    st.tuples(st.just("advance"), st.sampled_from([1.0, 31.0, 250.0])),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(resolvers=st.integers(min_value=1, max_value=2), steps=st.lists(step, max_size=25))
+def test_a_route_with_no_choice_tries_what_candidates_lists(resolvers, steps):
+    """One or two resolvers on the default route, one on ``partner``; any of
+    them up or down at each lookup (a down partner is an ejected circuit on
+    another route).  Where the route offers no choice, ``_candidates`` lists
+    just its one resolver; and every default-route lookup asks the resolvers
+    ``_candidates`` lists, in its order, up to the first that answers."""
+    clock = fresh_clock()
+    chain = ResolverChain(clock=clock)
+    asked = []
+    route = [
+        chain.register(LoggedResolver(f"r{i}", ["alice"], asked)) for i in range(resolvers)
+    ]
+    partner = chain.register(TableResolver("p", users=["bob"]), realms=("partner",))
+    for kind, arg in steps:
+        if kind == "advance":
+            clock.advance(arg)
+            continue
+        chain.invalidate()
+        if kind == "partner":
+            partner.down = arg
+            try:
+                chain.resolve("bob@partner")
+            except ResolverUnavailableError:
+                pass
+            continue
+        for resolver, down in zip(route, arg):
+            resolver.down = down
+        listed = [r.name for r, _ in chain._candidates(route, clock.now())]
+        if len(route) == 1 and chain._tracker.ejected == 0:
+            assert chain._candidates(route, clock.now()) == [(route[0], False)]
+        up = [name for name in listed if not chain.resolver(name).down]
+        expect = listed[: listed.index(up[0]) + 1] if up else listed
+        asked.clear()
+        try:
+            found = chain.resolve("alice")
+        except ResolverUnavailableError:
+            assert not up
+        else:
+            assert found.resolver == up[0]
+        assert asked == expect

@@ -136,7 +136,7 @@ class TestWriteInvalidation:
         with pytest.raises(RuntimeError):
             with cached.transaction():
                 cached.update("tokens", "S1", {"n": 100})
-                cached.get("tokens", "S1")  # caches the uncommitted value
+                cached.get("tokens", "S1")  # reads the uncommitted value
                 raise RuntimeError("boom")
         assert cached.get("tokens", "S1")["n"] == 1  # rolled-back truth
 
@@ -205,6 +205,51 @@ class TestReadThroughRace:
         assert not any(thread.is_alive() for thread in threads)
         for k in range(4):
             assert cache.get("t", k) == inner.get("t", k)
+
+
+class TestAnOpenBlock:
+    def test_another_thread_never_reads_a_blocks_uncommitted_row(self):
+        """A read inside an open block fills nothing: another thread's get of
+        the row the block wrote and read back misses, waits for the block's
+        shard, and reads what the abort left."""
+        cached = build_engine(StorageConfig(shards=4, cache_capacity=64))
+        cached.create_table("t", TableSchema(("k", "v"), "k"))
+        cached.insert("t", {"k": 1, "v": 1})
+        in_block = threading.Event()
+        seen = []
+
+        def other_thread():
+            assert in_block.wait(timeout=10)
+            seen.append(cached.get("t", 1)["v"])
+
+        reader = threading.Thread(target=other_thread)
+        reader.start()
+        with pytest.raises(RuntimeError):
+            with cached.transaction():
+                cached.update("t", 1, {"v": 99})
+                assert cached.get("t", 1)["v"] == 99
+                in_block.set()
+                reader.join(timeout=0.2)  # a cache hit returns at once
+                raise RuntimeError("abort")
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert seen == [1]
+        assert cached.get("t", 1)["v"] == 1
+
+    def test_a_committed_blocks_rows_fill_again_after_it(self):
+        inner = CountingEngine()
+        cached = CachingEngine(inner, capacity=8)
+        cached.create_table("t", TableSchema(("k", "v"), "k"))
+        cached.insert("t", {"k": 1, "v": 1})
+        with cached.transaction():
+            cached.get("t", 1)
+            with cached.transaction():
+                cached.get("t", 1)
+            cached.get("t", 1)
+        assert inner.backend_reads == 3  # nothing filled inside the block
+        cached.get("t", 1)
+        cached.get("t", 1)
+        assert inner.backend_reads == 4  # outside it, one miss fills
 
 
 class TestInstrumentedEngine:

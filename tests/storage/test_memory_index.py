@@ -80,6 +80,9 @@ def assert_agrees(engine, model):
     wheres += [{"serial": serial} for serial in SERIALS[:-1]]  # a NULL is not filed
     wheres += [{"kind": kind, "owner": "u1"} for kind in KINDS]
     wheres += [{"note": "a"}, {"owner": "u2", "note": None}]
+    # An equality the pk or an index answers is still filtered on the second column.
+    wheres += [{"pk": pk, "kind": kind} for pk in PKS for kind in KINDS]
+    wheres += [{"serial": s, "owner": o} for s in SERIALS[:-1] for o in OWNERS]
     for where in wheres:
         expect = sorted(
             (r for r in model.values() if all(r[c] == v for c, v in where.items())),

@@ -1,11 +1,15 @@
 """Sharded engine: placement, routed lookups, global constraints, atomicity."""
 
 import threading
+import time
 
 import pytest
 
 from repro.common.errors import NotFoundError, ValidationError
 from repro.storage import HashRing, InMemoryEngine, ShardedEngine, TableSchema
+
+#: How long a test waits on another thread before calling it stuck.
+PATIENCE = 5.0
 
 
 def _schema():
@@ -169,6 +173,62 @@ class TestShardedTransactions:
             t.join()
         assert len(errors) == 7  # exactly one claim won
         assert engine.count("tokens") == 1
+
+    def test_concurrent_unique_updates_single_winner(self):
+        """Two rows on different shards updated to one unique value: the first
+        update claims it before its shard write, so the second is refused
+        while the first is still inside that write, not let through."""
+        entered, go = threading.Semaphore(0), threading.Event()
+
+        class Held(InMemoryEngine):
+            """Holds each update inside its shard write until ``go``."""
+
+            def update(self, table, pk, changes):
+                entered.release()
+                assert go.wait(PATIENCE)
+                return super().update(table, pk, changes)
+
+        engine = ShardedEngine([Held() for _ in range(4)])
+        engine.create_table("tokens", _schema())
+        first = "S0"
+        second = next(
+            f"S{i}" for i in range(1, 100)
+            if engine._shard_of("tokens", f"S{i}") != engine._shard_of("tokens", first)
+        )
+        engine.insert("tokens", {"serial": first, "user_id": "a"})
+        engine.insert("tokens", {"serial": second, "user_id": "b"})
+        outcomes = []
+
+        def update(serial):
+            try:
+                engine.update("tokens", serial, {"user_id": "contested"})
+                outcomes.append("updated")
+            except ValidationError:
+                outcomes.append("refused")
+
+        threads = [threading.Thread(target=update, args=(s,)) for s in (first, second)]
+        threads[0].start()
+        assert entered.acquire(timeout=PATIENCE)  # the first is in its write
+        threads[1].start()
+        # The second is refused at once, or (the race) enters its own write.
+        deadline = time.monotonic() + PATIENCE
+        while threads[1].is_alive() and not entered.acquire(timeout=0.01):
+            assert time.monotonic() < deadline, "the second update is stuck"
+        go.set()
+        for t in threads:
+            t.join(PATIENCE)
+        assert sorted(outcomes) == ["refused", "updated"]
+        holders = [
+            row["serial"]
+            for shard in engine.shards
+            for row in shard.select("tokens")
+            if row["user_id"] == "contested"
+        ]
+        assert holders == [first]
+        assert [r["serial"] for r in engine.select(
+            "tokens", where={"user_id": "contested"}
+        )] == [first]
+        assert engine.get("tokens", second)["user_id"] == "b"
 
     def test_threaded_disjoint_writes(self, engine):
         def worker(base):

@@ -204,7 +204,7 @@ def test_a_refused_commit_clears_what_the_block_cached(tmp_path):
     with pytest.raises(ValueError):
         with engine.transaction():
             engine.insert("t", {"id": pk, "s": "a", "u": "x"})
-            assert engine.get("t", pk)["s"] == "a"  # cached inside the block
+            assert engine.get("t", pk)["s"] == "a"  # read inside the block
     with pytest.raises(NotFoundError):
         engine.get("t", pk)
 
@@ -364,6 +364,49 @@ class TestABlockLocksOnlyWhatItTouches:
             engine.delete("t", 0)
         engine.insert("t", {"id": other, "s": "S-0", "u": "y"})
         assert engine.get_by_unique("t", "s", "S-0")["id"] == other
+
+
+def test_racing_unique_updates_leave_every_value_on_one_row():
+    """Eight threads (more than the cores) move their rows, spread over the
+    four shards, onto a few shared unique values and back, with the
+    interpreter switching threads as often as it can: an update claims its
+    value before its shard write, so no value ends on two rows, and the
+    routes are exactly the live rows'."""
+    threads, rounds = 8, 150
+    sharded = ShardedEngine([InMemoryEngine() for _ in range(4)])
+    sharded.create_table("t", SCHEMA)
+    for pk in range(threads * 4):
+        sharded.insert("t", {"id": pk, "s": f"own{pk}", "u": "x"})
+    errors = []
+
+    def worker(slot):
+        rng = random.Random(slot)
+        try:
+            for _ in range(rounds):
+                pk = rng.randrange(slot * 4, slot * 4 + 4)
+                try:
+                    sharded.update("t", pk, {"s": rng.choice(["A", "B", "C", f"own{pk}"])})
+                except ValidationError:
+                    pass
+        except BaseException as exc:  # reported below, in the test's thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker, args=(slot,), daemon=True)
+                   for slot in range(threads)]
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in workers), "a thread is stuck"
+    assert errors == []
+    held = [row["s"] for shard in sharded.shards for row in shard.select("t")]
+    assert len(held) == threads * 4 and len(set(held)) == len(held)
+    assert sharded._routes == recomputed_routes(sharded)
 
 
 def test_blocks_touching_shards_high_to_low_race_lone_ops_to_a_serial_replay():
