@@ -16,6 +16,8 @@ import os
 from pathlib import Path
 from typing import List
 
+from repro.storage import find_layer, shards_of
+
 
 def emit_bench(name: str, payload: dict) -> Path:
     """Merge ``payload`` into ``BENCH_<name>.json`` for CI artifact upload.
@@ -38,3 +40,11 @@ def percentile(samples: List[float], q: float) -> float:
     ordered = sorted(samples)
     index = min(len(ordered) - 1, max(0, round(q / 100.0 * (len(ordered) - 1))))
     return ordered[index]
+
+
+def slow_every_shard(engine, latency: float):
+    """Charge ``latency`` seconds per op on every shard of a built engine
+    (the MariaDB round-trip stand-in) and return the engine."""
+    for shard in shards_of(engine):
+        find_layer(shard, "set_latency").set_latency(latency)
+    return engine

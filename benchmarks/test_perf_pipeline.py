@@ -3,14 +3,14 @@
 The seed ``OTPServer`` wrapped every ``validate()`` in one server-wide
 critical section, so concurrent logins by *different* users serialized even
 when the storage tier underneath was sharded.  The authflow pipeline
-replaces that with per-user striped locks (``ConcurrencyConfig.lock_stripes``).
+replaces that with per-user striped locks (``authflow.locks.DEFAULT_STRIPES``).
 Two claims, asserted:
 
 * **Striped locks scale threaded multi-user validation.**  With a simulated
   per-op storage round trip, the default 64-stripe configuration must
-  deliver at least twice the threaded throughput of ``lock_stripes=1``
-  (the seed's single-lock behaviour, kept wireable for exactly this
-  comparison).
+  deliver at least twice the threaded throughput of one stripe (the
+  seed's single-lock behaviour: the constant monkeypatched to 1 for
+  exactly this comparison).
 * **The resolver chain is ~free for repeat users.**  Routing every login
   through the identity-resolver chain's warm TTL cache must cost at most
   5% of direct-lookup throughput on the same rig.
@@ -22,9 +22,9 @@ import random
 import threading
 import time
 
-from benchlib import emit_bench
+from benchlib import emit_bench, slow_every_shard
 
-from repro.authflow import ConcurrencyConfig
+from repro.authflow import locks
 from repro.common.clock import VirtualClock, WallClock
 from repro.otpserver import OTPServer
 from repro.storage import StorageConfig, build_engine
@@ -34,22 +34,18 @@ from repro.storage import StorageConfig, build_engine
 SIMULATED_OP_LATENCY = 150e-6
 
 
-def _pipeline_rig(stripes: int, n_users: int = 32):
-    """An OTP server on 4 storage shards with ``stripes`` validate locks."""
+def _pipeline_rig(n_users: int = 32):
+    """An OTP server on 4 storage shards with ``locks.DEFAULT_STRIPES``
+    validate locks."""
     clock = VirtualClock.at("2016-10-05T09:00:00")
     # The storage stack gets an explicit WallClock: its per-op latency must
     # really sleep (releasing the GIL) so thread scaling measures actual
     # lock contention — on the server's virtual clock the round trip would
     # be free and the comparison meaningless.
-    storage = build_engine(
-        StorageConfig(shards=4, latency=SIMULATED_OP_LATENCY), clock=WallClock()
+    storage = slow_every_shard(
+        build_engine(StorageConfig(shards=4), clock=WallClock()), SIMULATED_OP_LATENCY
     )
-    server = OTPServer(
-        clock=clock,
-        rng=random.Random(1),
-        storage=storage,
-        concurrency=ConcurrencyConfig(lock_stripes=stripes),
-    )
+    server = OTPServer(clock=clock, rng=random.Random(1), storage=storage)
     users = [f"user{i:03d}" for i in range(n_users)]
     for user in users:
         server.enroll_static(user, "424242")
@@ -82,9 +78,12 @@ def _threaded_throughput(server, users, n_threads: int = 4, per_thread: int = 15
 
 
 class TestStripedLockThroughput:
-    def test_striped_locks_double_threaded_validate_throughput(self):
-        single, users1 = _pipeline_rig(stripes=1)
-        striped, users64 = _pipeline_rig(stripes=64)
+    def test_striped_locks_double_threaded_validate_throughput(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(locks, "DEFAULT_STRIPES", 1)  # the seed's one lock
+            single, users1 = _pipeline_rig()
+        striped, users64 = _pipeline_rig()
+        assert (single.pipeline.locks.stripes, striped.pipeline.locks.stripes) == (1, 64)
         tput_single = _threaded_throughput(single, users1)
         tput_striped = _threaded_throughput(striped, users64)
         speedup = tput_striped / tput_single
@@ -131,8 +130,8 @@ class TestResolverChainOverhead:
     def test_warm_chain_within_5pct_of_direct_lookup(self):
         from repro.resolvers import FlatFileResolver, ResolverChain
 
-        direct, users = _pipeline_rig(stripes=64)
-        chained, _ = _pipeline_rig(stripes=64)
+        direct, users = _pipeline_rig()
+        chained, _ = _pipeline_rig()
         chain = ResolverChain(clock=chained.clock)
         flat = FlatFileResolver(name="flatfile")
         for user in users:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 import time
 
-from benchlib import emit_bench
+from benchlib import emit_bench, slow_every_shard
 
 from repro.common.clock import VirtualClock, WallClock
 from repro.ingest import IngestConfig, IngestQueue, PriorityClass
@@ -45,8 +45,8 @@ def _server(op_latency: float = SIMULATED_OP_LATENCY) -> OTPServer:
     clock = VirtualClock.at("2016-10-05T09:00:00")
     # The storage stack sleeps on a real clock so every path pays the
     # same simulated round trips (see test_perf_pipeline.py).
-    storage = build_engine(
-        StorageConfig(shards=2, latency=op_latency), clock=WallClock()
+    storage = slow_every_shard(
+        build_engine(StorageConfig(shards=2), clock=WallClock()), op_latency
     )
     server = OTPServer(clock=clock, rng=random.Random(1), storage=storage)
     for i in range(N_USERS):

@@ -27,7 +27,7 @@ import threading
 import time
 from pathlib import Path
 
-from benchlib import emit_bench, percentile
+from benchlib import emit_bench, percentile, slow_every_shard
 from repro.common.clock import VirtualClock, WallClock
 from repro.otpserver import OTPServer
 from repro.storage import (
@@ -122,9 +122,9 @@ def _login_rig(shards: int, n_users: int = 32):
     server = OTPServer(
         clock=clock,
         rng=random.Random(1),
-        storage=build_engine(
-            StorageConfig(shards=shards, latency=SIMULATED_OP_LATENCY),
-            clock=WallClock(),
+        storage=slow_every_shard(
+            build_engine(StorageConfig(shards=shards), clock=WallClock()),
+            SIMULATED_OP_LATENCY,
         ),
     )
     users = [f"user{i:03d}" for i in range(n_users)]

@@ -1,8 +1,14 @@
 """Command-line entry point: ``python -m repro <command>``.
 
 ``python -m repro --help`` lists the commands and ``python -m repro
-<command> --help`` a command's flags; an unknown command or flag, or a
-missing or malformed value, prints the usage on stderr and exits 2.
+<command> --help`` a command's flags; an unknown command or flag, a
+missing or malformed value, a count out of range or an unreadable file
+prints the usage on stderr and exits 2.
+
+Each view has one rendering: ``demo`` is the quickstart login alone,
+``status`` the operator view as JSON, ``telemetry`` the Prometheus-text
+scrape (series, then the operator view as ``repro_status`` lines, then
+the span tree), and ``storage`` the durability toolbox.
 """
 
 from __future__ import annotations
@@ -14,8 +20,6 @@ import sys
 def _cmd_report(args) -> int:
     from repro.analysis.report import evaluation_report
 
-    if args.seeds < 1:
-        args.error("--seeds N needs N >= 1")
     try:
         text = evaluation_report(
             population=args.population, seed=args.seed, seeds=args.seeds
@@ -75,62 +79,22 @@ def _demo_login(
 
 
 def _cmd_demo(args) -> int:
-    dump, replicas = args.telemetry_dump, args.replicas
-    center, result, _ = _demo_login(
-        telemetry=True if dump else None,
-        shards=args.shards,
-        durability=args.durability,
-        replicas=replicas,
-    )
+    _, result, _ = _demo_login()
     print("demo login:", "GRANTED" if result.success else "DENIED")
     print("session items:", result.session_items)
-    if args.durability or replicas:
-        shards = center.otp.status("storage")["shards"]
-        for shard in shards:
-            wal = shard["wal"]
-            print(
-                f"wal: {wal['records']} records, last lsn "
-                f"{wal['last_lsn']}, {wal['snapshots']} snapshots"
-            )
-        if replicas:
-            followers = [
-                replica
-                for shard in shards
-                for replica in shard["replication"]["replicas"]
-            ]
-            print(
-                f"replication: {len(shards)} shards x {replicas} replicas, "
-                f"all caught up: {all(r['caught_up'] for r in followers)}"
-            )
-    if dump:
-        print()
-        _print_telemetry(center)
     return 0 if result.success else 1
 
 
-def _print_telemetry(center, as_json: bool = False) -> None:
-    """The registry's series, then the state ``status()`` holds (as
-    ``repro_status`` lines; JSON: under ``"status"``), then the span trees."""
-    from repro.telemetry import (
-        render_json,
-        render_status_text,
-        render_text,
-        render_trace_text,
-    )
-
-    snapshot = center.telemetry.snapshot()
-    status = center.otp.status()
-    if as_json:
-        print(render_json({**snapshot, "status": status}))
-        return
-    print(render_text(snapshot), end="")
-    print(render_status_text(status))
-    print(render_trace_text(snapshot))
-
-
 def _cmd_telemetry(args) -> int:
+    """The registry's series, then the state ``status()`` holds (as
+    ``repro_status`` lines), then the span trees."""
+    from repro.telemetry import render_status_text, render_text, render_trace_text
+
     center, result, _ = _demo_login(telemetry=True, shards=args.shards)
-    _print_telemetry(center, as_json=args.json)
+    snapshot = center.telemetry.snapshot()
+    print(render_text(snapshot), end="")
+    print(render_status_text(center.otp.status()))
+    print(render_trace_text(snapshot))
     return 0 if result.success else 1
 
 
@@ -239,7 +203,10 @@ def _cmd_storage(args) -> int:
 
     if args.replay is not None:
         path = args.replay
-        records, dropped = load_wal(path)
+        try:
+            records, dropped = load_wal(path)
+        except OSError as exc:  # no such file, a directory, no permission
+            args.error(f"cannot read {path}: {exc.strerror}")
         engine = replay(records)
         out = {
             "path": path,
@@ -251,7 +218,10 @@ def _cmd_storage(args) -> int:
         print(json.dumps(out, indent=2))
         return 0
 
-    os.makedirs(args.demo, exist_ok=True)
+    try:
+        os.makedirs(args.demo, exist_ok=True)
+    except OSError as exc:
+        args.error(f"cannot use {args.demo}: {exc.strerror}")
     try:
         center, result, _ = _demo_login(
             shards=args.shards, durability=True, replicas=args.replicas, wal_dir=args.demo
@@ -265,6 +235,19 @@ def _cmd_storage(args) -> int:
     }
     print(json.dumps(out, indent=2))
     return 0 if result.success else 1
+
+
+def _at_least(minimum: int):
+    """An argparse ``type`` for a count: an integer no lower than
+    ``minimum``, so a bad count is a usage error before any work starts."""
+
+    def count(text: str) -> int:
+        value = int(text)  # ValueError: argparse reports "invalid count value"
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"needs N >= {minimum}, got {value}")
+        return value
+
+    return count
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -283,10 +266,13 @@ def _parser() -> argparse.ArgumentParser:
         sub.set_defaults(run=run, error=sub.error)
         return sub
 
+    def shards_flag(sub, default=1):
+        sub.add_argument("--shards", type=_at_least(1), default=default, metavar="N",
+                         help=f"shard the OTP back end's storage N ways (default {default})")
+
     def stack_flags(sub, shards=1):
-        sub.add_argument("--shards", type=int, default=shards, metavar="N",
-                         help=f"shard the OTP back end's storage N ways (default {shards})")
-        sub.add_argument("--replicas", type=int, default=0, metavar="N",
+        shards_flag(sub, shards)
+        sub.add_argument("--replicas", type=_at_least(0), default=0, metavar="N",
                          help="give every shard N log-shipping replicas")
 
     sub = command(
@@ -296,24 +282,18 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_argument("population", nargs="?", type=int, default=10_000,
                      help="accounts (default: the paper's 10,000)")
     sub.add_argument("seed", nargs="?", type=int, default=20160810)
-    sub.add_argument("--seeds", type=int, default=1, metavar="N",
+    sub.add_argument("--seeds", type=_at_least(1), default=1, metavar="N",
                      help="also run the next N-1 seeds and print each statistic's "
                           "cross-seed mean and range")
 
-    sub = command("demo", _cmd_demo, "The quickstart walkthrough: pair a token, log in.")
-    sub.add_argument("--telemetry-dump", action="store_true",
-                     help="print the login's telemetry snapshot, status view and span tree")
-    stack_flags(sub)
-    sub.add_argument("--durability", action="store_true", help="add write-ahead logging")
+    command("demo", _cmd_demo, "The quickstart walkthrough: pair a token, log in.")
 
     sub = command(
         "telemetry", _cmd_telemetry,
         "Run one instrumented login and dump the series, the operator view as "
         "repro_status{path=...} lines, and the span tree.",
     )
-    sub.add_argument("--json", action="store_true",
-                     help="one JSON document (the operator view under \"status\")")
-    sub.add_argument("--shards", type=int, default=1, metavar="N")
+    shards_flag(sub)
 
     sub = command(
         "qr", _cmd_qr, "Render text as a terminal QR code (the portal's pairing renderer)."
@@ -341,7 +321,6 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_argument("section", nargs="?", metavar="SECTION",
                      help="print one section (storage, queue, systems, sms, ...; "
                           "default: all of them)")
-    sub.add_argument("--json", action="store_true", help="JSON is the only rendering")
     stack_flags(sub)
     sub.add_argument("--durability", action="store_true", help="add write-ahead logging")
     sub.add_argument("--mode", default="full", metavar="MODE",

@@ -9,8 +9,8 @@ docs/ARCHITECTURE.md for the decision-flow diagram.
 """
 
 from repro.authflow.context import AuditEvent, PipelineContext
-from repro.authflow.locks import DEFAULT_STRIPES, StripedLockSet
-from repro.authflow.pipeline import AuthPipeline, ConcurrencyConfig
+from repro.authflow.locks import StripedLockSet
+from repro.authflow.pipeline import AuthPipeline
 from repro.authflow.stages import (
     ApplyOutcome,
     Audit,
@@ -27,8 +27,6 @@ __all__ = [
     "AuthPipeline",
     "ApplyOutcome",
     "Audit",
-    "ConcurrencyConfig",
-    "DEFAULT_STRIPES",
     "DispatchByTokenType",
     "EvaluatePolicy",
     "PipelineContext",

@@ -23,15 +23,17 @@ from typing import Tuple
 
 from repro.storage.sharding import stable_hash
 
-#: Default stripe count: enough that 4-16 worker threads practically
+#: Stripes per pipeline: enough that 4-16 worker threads practically
 #: never collide on distinct users, small enough to allocate eagerly.
+#: ``AuthPipeline`` reads it when it is built; benchmarks and tests
+#: monkeypatch it (1 is the seed's single server-wide validate lock).
 DEFAULT_STRIPES = 64
 
 
 class StripedLockSet:
     """N reentrant locks addressed by key hash."""
 
-    def __init__(self, stripes: int = DEFAULT_STRIPES) -> None:
+    def __init__(self, stripes: int) -> None:
         if stripes < 1:
             raise ValueError(f"need at least one lock stripe, got {stripes}")
         self._locks: Tuple[threading.RLock, ...] = tuple(

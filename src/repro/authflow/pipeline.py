@@ -30,30 +30,13 @@ what lets them overlap distinct users' storage round trips.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from repro.authflow import locks
 from repro.authflow.context import PipelineContext
-from repro.authflow.locks import DEFAULT_STRIPES, StripedLockSet
 from repro.common.clock import Clock, WallClock
 from repro.common.results import ValidateResult, ValidateStatus
 from repro.telemetry import label_key, resolve_registry
-
-
-@dataclass(frozen=True)
-class ConcurrencyConfig:
-    """Locking shape of one pipeline.
-
-    ``lock_stripes=1`` degenerates to a single server-wide validate lock
-    (the seed's behaviour, kept available as the benchmark baseline);
-    the default stripes the lock space so distinct users run in parallel.
-    """
-
-    lock_stripes: int = DEFAULT_STRIPES
-
-    def __post_init__(self) -> None:
-        if self.lock_stripes < 1:
-            raise ValueError("need at least one lock stripe")
 
 
 class AuthPipeline:
@@ -62,7 +45,6 @@ class AuthPipeline:
     def __init__(
         self,
         stages: Sequence,
-        concurrency: Optional[ConcurrencyConfig] = None,
         telemetry=None,
         clock: Optional[Clock] = None,
     ) -> None:
@@ -74,8 +56,9 @@ class AuthPipeline:
         # Stage durations (telemetry on only) read the injected clock: wall
         # seconds normally, simulated seconds on a VirtualClock.
         self._clock = clock or WallClock()
-        self.concurrency = concurrency or ConcurrencyConfig()
-        self.locks = StripedLockSet(self.concurrency.lock_stripes)
+        # Read per pipeline, not bound at import, so a monkeypatched
+        # ``locks.DEFAULT_STRIPES`` takes effect on the next one built.
+        self.locks = locks.StripedLockSet(locks.DEFAULT_STRIPES)
         self.telemetry = telemetry = resolve_registry(telemetry)
         self._m_stage_seconds = telemetry.histogram(
             "authflow_stage_seconds", "wall time spent per pipeline stage"

@@ -105,9 +105,11 @@ class AdminAPI:
             serial, secret = self.server.enroll_honeytoken(user)
             return {"serial": serial, "otpkey": secret.hex()}
         if token_type == "federated":
+            step_up_code = params.get("otpkey")
+            if step_up_code is not None and step_up_code.__class__ is not str:
+                raise ValidationError("parameter 'otpkey' must be a string")
             serial = self.server.enroll_federated(
-                user, _require(params, "principal"),
-                step_up_code=params.get("otpkey"),
+                user, _require(params, "principal"), step_up_code=step_up_code
             )
             return {"serial": serial}
         raise ValidationError(f"unknown token type {token_type!r}")
@@ -152,16 +154,24 @@ class AdminAPI:
         return self.server.status(section)
 
     def _handle_validate(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        result = self.server.validate(
-            _require(params, "user"), params.get("pass")
-        )
+        user, password = _require(params, "user"), params.get("pass")
+        # ``None`` is the null pass that starts an SMS challenge.
+        if password is not None and password.__class__ is not str:
+            raise ValidationError("parameter 'pass' must be a string")
+        result = self.server.validate(user, password)
         return {"status": result.status.value, "message": result.reason}
 
 
-def _require(params: Dict[str, Any], key: str) -> Any:
-    if key not in params or params[key] in (None, ""):
+def _require(params: Dict[str, Any], key: str) -> str:
+    """A required parameter: present, non-empty, and a ``str`` (a list or
+    a number from a JSON body is a 400 here, not a ``TypeError`` or an int
+    user id further in).  The class test makes no call."""
+    value = params[key] if key in params else None
+    if value is None or value == "":
         raise ValidationError(f"missing required parameter {key!r}")
-    return params[key]
+    if value.__class__ is not str:
+        raise ValidationError(f"parameter {key!r} must be a string")
+    return value
 
 
 class AdminAPIClient:

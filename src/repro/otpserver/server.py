@@ -31,7 +31,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.authflow import AuthPipeline, ConcurrencyConfig, default_stages
+from repro.authflow import AuthPipeline, default_stages
 from repro.common.clock import Clock, WallClock
 from repro.common.errors import NotFoundError, ValidationError
 from repro.common.ids import IdAllocator
@@ -44,7 +44,7 @@ from repro.otpserver.sms_gateway import SMSGateway
 from repro.otpserver.tokens import HardTokenBatch, TokenRecord
 from repro.policy import LockoutPolicy, PolicyEngine
 from repro.storage import StorageConfig, build_engine
-from repro.telemetry import NOOP_REGISTRY
+from repro.telemetry import resolve_registry
 
 
 #: Every code the server checks is this many digits, and a TOTP code
@@ -101,12 +101,11 @@ class OTPServer:
         telemetry=None,
         storage: Optional[object] = None,
         policy: Optional[PolicyEngine] = None,
-        concurrency: Optional[ConcurrencyConfig] = None,
     ) -> None:
         self.clock = clock or WallClock()
         self.config = config or OTPServerConfig()
         self._rng = rng or random.Random()
-        self.telemetry = telemetry if telemetry is not None else NOOP_REGISTRY
+        self.telemetry = resolve_registry(telemetry, clock=self.clock)
         self._tracer = self.telemetry.tracer()
         validated = self.telemetry.counter(
             "otp_validate_total", "OTP validate calls by status"
@@ -180,7 +179,6 @@ class OTPServer:
         )
         self._pipeline = AuthPipeline(
             default_stages(self, self.policy),
-            concurrency=concurrency,
             telemetry=self.telemetry,
             clock=self.clock,
         )

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.clock import Clock
 from repro.common.errors import ValidationError
-from repro.telemetry import NOOP_REGISTRY
+from repro.telemetry import resolve_registry
 
 
 #: Twilio's published rates from the paper (dollars).
@@ -80,7 +80,7 @@ class SMSGateway:
         self._clock = clock
         self.carrier = carrier or CarrierProfile()
         self._rng = rng or random.Random()
-        self.telemetry = telemetry if telemetry is not None else NOOP_REGISTRY
+        self.telemetry = resolve_registry(telemetry, clock=clock)
         self._tracer = self.telemetry.tracer()
         self._m_stalls = self.telemetry.counter(
             "sms_carrier_stalls_total", "messages the carrier sat on before retry"

@@ -42,7 +42,7 @@ from repro.common.resilience import (
 from repro.radius.dictionary import Attr, PacketCode
 from repro.radius.packet import decode_response, encode, hide_password, tlv
 from repro.radius.transport import UDPFabric
-from repro.telemetry import NOOP_REGISTRY
+from repro.telemetry import resolve_registry
 
 
 #: What every login node calls itself in NAS-Identifier.
@@ -109,8 +109,6 @@ class RADIUSClient:
         self._next_start = 0
         self._identifier = self._rng.randrange(256)
         self.per_server_attempts = {s: 0 for s in servers}
-        self.telemetry = telemetry if telemetry is not None else NOOP_REGISTRY
-        self._tracer = self.telemetry.tracer()
         # Time is read from ``clock`` and waiting (timeouts, backoff) is
         # charged to ``wait_clock.sleep()`` — injecting a VirtualClock makes
         # waits advance simulated time so deadline budgets bind; wait_clock
@@ -125,6 +123,8 @@ class RADIUSClient:
                 wait_clock = clock
         self._clock = clock
         self._wait_clock = wait_clock
+        self.telemetry = resolve_registry(telemetry, clock=clock)
+        self._tracer = self.telemetry.tracer()
         self.health = HealthTracker(self._servers)
         # The attempt order while every circuit is closed, per start index.
         self._rotations = [

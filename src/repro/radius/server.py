@@ -25,7 +25,7 @@ from repro.common.results import TokenBackend, ValidateStatus
 from repro.radius.dictionary import Attr, PacketCode
 from repro.radius.packet import MAX_ATTRIBUTE, decode, encode, recover_password, tlv
 from repro.radius.transport import UDPFabric
-from repro.telemetry import NOOP_REGISTRY
+from repro.telemetry import resolve_registry
 
 #: Requests remembered for duplicate detection; the oldest is forgotten first.
 DUPLICATE_WINDOW = 1024
@@ -79,7 +79,7 @@ class RADIUSServer:
         self.rejected_clients = 0
         self.duplicates_replayed = 0
         self.duplicates_dropped = 0
-        self.telemetry = telemetry if telemetry is not None else NOOP_REGISTRY
+        self.telemetry = resolve_registry(telemetry)
         self._tracer = self.telemetry.tracer()
         # RFC 5080 duplicate detection: retransmissions of a request we
         # already answered get the cached response replayed instead of

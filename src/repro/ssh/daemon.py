@@ -36,7 +36,7 @@ from repro.pam.framework import PAMResult, PAMSession, PAMStack
 from repro.pam.registry import PAMServiceManager
 from repro.ssh.authlog import AuthLog
 from repro.ssh.keys import KeyPair
-from repro.telemetry import NOOP_REGISTRY
+from repro.telemetry import resolve_registry
 
 
 @dataclass
@@ -99,7 +99,7 @@ class SSHDaemon:
         self._ids = IdAllocator()
         self.logins_accepted = 0
         self.logins_rejected = 0
-        self.telemetry = telemetry if telemetry is not None else NOOP_REGISTRY
+        self.telemetry = resolve_registry(telemetry, clock=self.clock)
         self._tracer = self.telemetry.tracer()
         self._m_channels = self.telemetry.counter(
             "ssh_multiplexed_channels_total", "channels attached without re-auth"

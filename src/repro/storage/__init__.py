@@ -23,7 +23,7 @@ what it changes; :func:`shards_of` reaches a stack's shards and
 :func:`build_engine` assembles the stack from a :class:`StorageConfig`;
 ``OTPServer``/``MFACenter`` accept either a config or a ready engine via
 their ``storage`` argument, and the CLI exposes
-``demo --shards N --durability --replicas N``.
+``status --shards N --durability --replicas N``.
 """
 
 from __future__ import annotations
@@ -52,18 +52,14 @@ from repro.telemetry import resolve_registry
 class StorageConfig:
     """How to assemble the engine stack for one deployment.
 
-    ``latency`` simulates the backing store's per-operation round trip
-    (seconds); it exists for capacity planning and the concurrency
-    benchmarks, and defaults to free.  ``durability`` turns on write-ahead
-    logging (per shard when sharded); ``replicas`` > 0 additionally gives
-    every shard that many log-shipping replicas (and implies durability,
-    since replication *is* log shipping); ``wal_dir`` persists each shard's
-    log to ``<wal_dir>/shardN.wal``.
+    ``durability`` turns on write-ahead logging (per shard when sharded);
+    ``replicas`` > 0 additionally gives every shard that many log-shipping
+    replicas (and implies durability, since replication *is* log shipping);
+    ``wal_dir`` persists each shard's log to ``<wal_dir>/shardN.wal``.
     """
 
     shards: int = 1
     cache_capacity: int = 0  # 0 disables the read-through cache
-    latency: float = 0.0
     durability: bool = False
     replicas: int = 0
     snapshot_every: int = 0
@@ -72,9 +68,7 @@ class StorageConfig:
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError("need at least one shard")
-        if self.cache_capacity < 0 or self.latency < 0:
-            raise ValueError("invalid storage configuration")
-        if self.replicas < 0 or self.snapshot_every < 0:
+        if self.cache_capacity < 0 or self.replicas < 0 or self.snapshot_every < 0:
             raise ValueError("invalid storage configuration")
 
     @property
@@ -89,14 +83,15 @@ def build_engine(
     when telemetry is on.  Every shard is built by one recipe; a
     ``ShardedEngine`` goes over them only when there is more than one.
 
-    ``clock`` is the deployment clock simulated latency is charged to and
-    op durations are read from; None keeps wall time (real sleeps).
+    ``clock`` is the deployment clock op durations are read from and a
+    shard's simulated round trip (``set_latency``, free until set) is
+    charged to; None keeps wall time (real sleeps).
     """
     config = config or StorageConfig()
     telemetry = resolve_registry(telemetry)
 
     def node() -> InMemoryEngine:
-        return InMemoryEngine(latency=config.latency, clock=clock)
+        return InMemoryEngine(clock=clock)
 
     def shard(index: int) -> StorageEngine:
         if not config.durable:

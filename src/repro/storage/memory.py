@@ -11,10 +11,11 @@ many rows the database holds; ``benchmarks/test_perf_storage.py`` asserts
 exactly that.
 
 A single re-entrant lock makes the engine safe for threaded callers; the
-sharded engine stripes that lock by wrapping one instance per shard.  The
-optional ``latency`` parameter sleeps once per operation *while holding the
-lock*, standing in for the MariaDB network/disk round trip so concurrency
-benchmarks exercise realistic contention instead of pure-Python overhead.
+sharded engine stripes that lock by wrapping one instance per shard.
+A latency set with ``set_latency`` (free until set) sleeps once per
+operation *while holding the lock*, standing in for the MariaDB
+network/disk round trip so concurrency benchmarks exercise realistic
+contention instead of pure-Python overhead.
 
 Nested ``transaction()`` blocks behave like savepoints: an inner abort
 rolls back only the inner block's operations; an outer abort rolls back
@@ -175,12 +176,10 @@ class _MemoryTable:
 class InMemoryEngine:
     """Thread-safe dict-backed engine with undo-log transactions."""
 
-    def __init__(self, latency: float = 0.0, clock: Optional[Clock] = None) -> None:
-        if latency < 0:
-            raise ValueError(f"latency must be non-negative, got {latency}")
+    def __init__(self, clock: Optional[Clock] = None) -> None:
         self._tables: Dict[str, _MemoryTable] = {}
         self._lock = threading.RLock()
-        self._latency = latency
+        self._latency = 0.0
         # The clock the simulated round trip is charged to: a WallClock
         # really sleeps (threaded benchmarks measure real contention); a
         # VirtualClock charges the wait to simulated time, which is how a
@@ -199,8 +198,9 @@ class InMemoryEngine:
         return self._latency
 
     def set_latency(self, latency: float) -> None:
-        """Retune the simulated round trip — the chaos engine's slow-shard
-        fault dials this up mid-run and back down when the window closes."""
+        """Set the simulated round trip — the concurrency benchmarks set it
+        once after ``build_engine``; the chaos engine's slow-shard fault dials
+        it up mid-run and back down when the window closes."""
         if latency < 0:
             raise ValueError(f"latency must be non-negative, got {latency}")
         self._latency = latency

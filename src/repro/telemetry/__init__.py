@@ -37,7 +37,6 @@ instrumented login and snapshot dump.
 """
 
 from repro.telemetry.export import (
-    render_json,
     render_status_text,
     render_text,
     render_trace_text,
@@ -83,7 +82,6 @@ __all__ = [
     "NoopTracer",
     "NOOP_TRACER",
     "render_text",
-    "render_json",
     "render_status_text",
     "render_trace_text",
 ]

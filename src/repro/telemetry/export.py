@@ -1,13 +1,13 @@
-"""Snapshot exporters: Prometheus-style text and plain JSON.
+"""Snapshot exporters: Prometheus-style text and indented span trees.
 
 Both operate on the dict produced by ``Registry.snapshot()`` so they can
-render a snapshot that crossed a process boundary (a file, a pipe from
-``python -m repro telemetry``) just as well as a live registry.
+render a snapshot that crossed a process boundary (a file, a pipe) just as
+well as a live registry.  ``python -m repro telemetry`` prints the text
+scrape; the operator view's JSON rendering is ``python -m repro status``.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict
 
 
@@ -94,11 +94,6 @@ def render_status_text(status: dict) -> str:
 
     walk(status, ())
     return "\n".join(lines) + "\n"
-
-
-def render_json(snapshot: dict, indent: int = 2) -> str:
-    """The snapshot as stable, sorted JSON."""
-    return json.dumps(snapshot, indent=indent, sort_keys=True)
 
 
 def render_trace_text(snapshot: dict) -> str:

@@ -7,11 +7,10 @@ import threading
 import pytest
 
 from repro.authflow import (
-    DEFAULT_STRIPES,
     AuthPipeline,
-    ConcurrencyConfig,
     StripedLockSet,
     default_stages,
+    locks,
 )
 from repro.common.clock import VirtualClock
 from repro.common.results import ValidateResult
@@ -45,16 +44,12 @@ class TestStripedLocks:
         with pytest.raises(ValueError):
             StripedLockSet(0)
 
-    def test_concurrency_config_validation(self):
-        with pytest.raises(ValueError):
-            ConcurrencyConfig(lock_stripes=0)
-
 
 class TestPipelineWiring:
     def test_server_exposes_pipeline_with_default_stripes(self, clock):
         server = make_server(clock)
         assert isinstance(server.pipeline, AuthPipeline)
-        assert server.pipeline.locks.stripes == DEFAULT_STRIPES
+        assert server.pipeline.locks.stripes == locks.DEFAULT_STRIPES == 64
 
     def test_stage_order(self, clock):
         server = make_server(clock)
@@ -68,12 +63,15 @@ class TestPipelineWiring:
             "audit",
         ]
 
-    def test_custom_stripe_count(self, clock):
-        server = make_server(clock, concurrency=ConcurrencyConfig(lock_stripes=4))
+    def test_custom_stripe_count(self, clock, monkeypatch):
+        # Read when the pipeline is built: a patched constant takes effect.
+        monkeypatch.setattr(locks, "DEFAULT_STRIPES", 4)
+        server = make_server(clock)
         assert server.pipeline.locks.stripes == 4
 
-    def test_policy_snapshot_includes_concurrency(self, clock):
-        server = make_server(clock, concurrency=ConcurrencyConfig(lock_stripes=4))
+    def test_policy_snapshot_includes_concurrency(self, clock, monkeypatch):
+        monkeypatch.setattr(locks, "DEFAULT_STRIPES", 4)
+        server = make_server(clock)
         snap = server.status("policy")
         assert snap["concurrency"] == {"lock_stripes": 4}
         assert snap["lockout"]["threshold"] == 20

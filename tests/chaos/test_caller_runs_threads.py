@@ -11,7 +11,7 @@ import sys
 import threading
 
 from repro.core import MFACenter
-from repro.storage import StorageConfig
+from repro.storage import StorageConfig, find_layer, shards_of
 
 THREADS = 8
 ROUNDS = 200
@@ -21,8 +21,10 @@ def test_concurrent_validates_all_finish(seed):
     center = MFACenter(
         rng=random.Random(seed),
         ingest=True,
-        storage=StorageConfig(shards=4, latency=150e-6),
+        storage=StorageConfig(shards=4),
     )
+    for shard in shards_of(center.otp.db.engine):
+        find_layer(shard, "set_latency").set_latency(150e-6)
     codes = {}
     for n in range(THREADS):
         center.create_user(f"user{n}", password="pw")

@@ -357,16 +357,15 @@ class TestNoopDefault:
 
 
 class TestCLISmoke:
-    def test_demo_telemetry_dump(self):
+    def test_telemetry_scrape(self):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src")
         proc = subprocess.run(
-            [sys.executable, "-m", "repro", "demo", "--telemetry-dump"],
+            [sys.executable, "-m", "repro", "telemetry"],
             capture_output=True, text=True, env=env, cwd=str(REPO_ROOT),
             timeout=120,
         )
-        assert proc.returncode == 0, proc.stderr
-        assert "demo login: GRANTED" in proc.stdout
+        assert proc.returncode == 0, proc.stderr  # exit 0: the login was granted
         assert (
             'repro_status{path="systems.stampede.nodes.login1.stampede.logins_accepted"} 1'
             in proc.stdout

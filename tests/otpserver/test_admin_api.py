@@ -6,7 +6,7 @@ import pytest
 
 from repro.common.clock import VirtualClock
 from repro.common.errors import ProtocolError, ValidationError
-from repro.crypto.digest_auth import NONCE_TABLE
+from repro.crypto.digest_auth import NONCE_TABLE, DigestClient
 from repro.crypto.totp import TOTPGenerator
 from repro.otpserver.admin_api import AdminAPI, AdminAPIClient
 from repro.otpserver.server import OTPServer
@@ -168,3 +168,54 @@ class TestRoutes:
         client.call("GET", "/admin/show", {"user": "alice"})
         # Later calls sign under the same nonce with the next count: one request.
         assert api.request_count == before + 3
+
+
+#: Every parameter a route reads, with a request that is valid apart from it:
+#: ``(method, path, params, the parameter under test)``.
+TYPED_PARAMETERS = [
+    ("POST", "/admin/init", {"user": "alice", "type": "soft"}, "user"),
+    ("POST", "/admin/init", {"user": "alice", "type": "soft"}, "type"),
+    ("POST", "/admin/init", {"user": "carol", "type": "sms", "phone": "5125551234"}, "phone"),
+    ("POST", "/admin/init", {"user": "dave", "type": "hard", "serial": "LSHW0001"}, "serial"),
+    ("POST", "/admin/init", {"user": "tr", "type": "static", "otpkey": "123456"}, "otpkey"),
+    ("POST", "/admin/init", {"user": "v", "type": "federated", "principal": "v@home"}, "principal"),
+    ("POST", "/admin/init", {"user": "v", "type": "federated", "principal": "v@home"}, "otpkey"),
+    ("POST", "/admin/remove", {"user": "alice"}, "user"),
+    ("POST", "/admin/resync", {"user": "alice", "otp1": "1", "otp2": "2"}, "user"),
+    ("POST", "/admin/resync", {"user": "alice", "otp1": "1", "otp2": "2"}, "otp1"),
+    ("POST", "/admin/resync", {"user": "alice", "otp1": "1", "otp2": "2"}, "otp2"),
+    ("POST", "/admin/reset", {"user": "alice"}, "user"),
+    ("GET", "/admin/show", {"user": "alice"}, "user"),
+    ("POST", "/validate/check", {"user": "alice", "pass": "123456"}, "user"),
+    ("POST", "/validate/check", {"user": "alice", "pass": "123456"}, "pass"),
+]  # fmt: skip
+
+WRONG_TYPES = {"int": 5, "list": ["alice"], "dict": {"name": "alice"}, "bytes": b"alice"}
+
+
+class TestParameterTypes:
+    """A parameter of the wrong type is a 400 naming it, on every route: a
+    list ``user`` used to raise ``TypeError`` out of ``request`` and an int
+    one to enroll a token under the uid ``5``."""
+
+    @pytest.mark.parametrize("kind", list(WRONG_TYPES))
+    @pytest.mark.parametrize(
+        ("method", "path", "params", "key"),
+        TYPED_PARAMETERS,
+        ids=[f"{path.rsplit('/', 1)[1]}-{params.get('type', '')}-{key}".replace("--", "-")
+             for _, path, params, key in TYPED_PARAMETERS],
+    )
+    def test_wrong_type_is_a_400_naming_the_parameter(
+        self, api, server, method, path, params, key, kind
+    ):
+        server.enroll_soft("alice")
+        before = server.user_tokens(5)
+        digest = DigestClient("portal", "s3cret", rng=random.Random(6))
+        bad = {**params, key: WRONG_TYPES[kind]}
+        challenge = api.request(method, path, bad).challenge
+        response = api.request(
+            method, path, bad, credentials=digest.respond(challenge, method, path)
+        )
+        assert response.status == 400
+        assert response.body == {"error": f"parameter {key!r} must be a string"}
+        assert server.user_tokens(5) == before == []

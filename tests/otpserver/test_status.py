@@ -244,7 +244,7 @@ class TestSubcommand:
         return code, (json.loads(captured.out) if captured.out else None), captured.err
 
     def test_whole_view_on_the_production_shape(self, capsys, reference):
-        code, view, _ = self._run(capsys, "--json", "--shards", "2", "--replicas", "1")
+        code, view, _ = self._run(capsys, "--shards", "2", "--replicas", "1")
         assert code == 0
         assert sorted(view) == [
             "audit", "fabric", "policy", "queue", "radius", "resolvers", "sms",
@@ -271,8 +271,15 @@ class TestSubcommand:
         assert "no status section 'bogus'" in err
 
     @pytest.mark.parametrize(
-        "argv", [["policy"], ["queue", "--stats"], ["resolvers"], ["storage"], ["storage", "--stats"]]
-    )
+        "argv",
+        [
+            ["policy"], ["queue", "--stats"], ["resolvers"], ["storage"], ["storage", "--stats"],
+            # One rendering per view: ``telemetry`` is the scrape, ``status``
+            # the JSON and the stack flags' home.
+            ["demo", "--telemetry-dump"], ["demo", "--shards", "2"],
+            ["telemetry", "--json"], ["status", "--json"],
+        ],
+    )  # fmt: skip
     def test_retired_subcommands_are_usage_errors(self, capsys, argv):
         assert main(argv) == 2
         assert "usage: python -m repro" in capsys.readouterr().err

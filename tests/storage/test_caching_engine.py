@@ -344,4 +344,4 @@ class TestBuildEngine:
         with pytest.raises(ValueError):
             StorageConfig(shards=0)
         with pytest.raises(ValueError):
-            StorageConfig(latency=-0.1)
+            StorageConfig(replicas=-1)

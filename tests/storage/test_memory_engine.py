@@ -229,11 +229,14 @@ class TestUndoLogTransactions:
 
 class TestLatency:
     def test_negative_latency_rejected(self):
+        engine = InMemoryEngine()
         with pytest.raises(ValueError):
-            InMemoryEngine(latency=-1.0)
+            engine.set_latency(-1.0)
+        assert engine.latency == 0.0
 
     def test_latency_is_paid_per_op(self):
-        engine = InMemoryEngine(latency=0.002)
+        engine = InMemoryEngine()
+        engine.set_latency(0.002)
         engine.create_table("t", TableSchema(("k",), "k"))
         import time
 

@@ -1,7 +1,6 @@
 """Unit tests for the metric primitives, registry and exporters."""
 
 import inspect
-import json
 import math
 import sys
 import threading
@@ -19,7 +18,6 @@ from repro.telemetry import (
     Histogram,
     Registry,
     label_key,
-    render_json,
     render_text,
     resolve_registry,
 )
@@ -373,9 +371,3 @@ class TestExporters:
 
     def test_text_disabled_marker(self):
         assert "telemetry disabled" in render_text(NOOP_REGISTRY.snapshot())
-
-    def test_json_round_trip(self):
-        snap = self._registry().snapshot()
-        parsed = json.loads(render_json(snap))
-        assert parsed["enabled"] is True
-        assert parsed["counters"][0]["name"] == "logins_total"

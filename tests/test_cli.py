@@ -11,6 +11,8 @@ import pytest
 from repro.__main__ import main
 
 #: command -> (arguments it cannot run without, one of its integer flags).
+#: ``demo`` takes no flags: its entry is the retired ``--shards``, which is a
+#: usage error with or without a value.
 COMMANDS = {
     "report": ((), "--seeds"),
     "demo": ((), "--shards"),
@@ -47,6 +49,35 @@ def test_bad_command_line_is_a_usage_error(capsys, tmp_path, monkeypatch, comman
     assert f"usage: python -m repro {command}" in captured.err
     assert "Traceback" not in captured.err
     assert list(tmp_path.iterdir()) == []  # ``storage --demo`` made no directory
+
+
+#: A value of the right type that no run can use: a count out of range, a
+#: file that cannot be read.  Each used to end in a traceback after the
+#: center was built (``ValueError`` from the storage config, exit 1), or in
+#: a ``FileNotFoundError`` from the WAL reader.
+BAD_VALUES = {
+    "demo-no-shards": ["demo", "--shards", "0"],
+    "status-no-shards": ["status", "--shards", "0"],
+    "status-negative-replicas": ["status", "--replicas", "-1"],
+    "telemetry-negative-shards": ["telemetry", "--shards", "-2"],
+    "storage-no-shards": ["storage", "--demo", "never-created", "--shards", "0"],
+    "storage-negative-replicas": ["storage", "--demo", "never-created", "--replicas", "-1"],
+    "storage-replay-missing-file": ["storage", "--replay", "no-such.wal"],
+    "storage-replay-directory": ["storage", "--replay", "."],
+    "storage-demo-under-a-file": ["storage", "--demo", "/dev/null/wals"],
+    "report-no-seeds": ["report", "300", "--seeds", "0"],
+}
+
+
+@pytest.mark.parametrize("argv", list(BAD_VALUES.values()), ids=list(BAD_VALUES))
+def test_a_bad_value_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"usage: python -m repro {argv[0]}" in captured.err
+    assert "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_misspelt_flag_does_not_run_the_default(capsys):

@@ -658,25 +658,21 @@ ROOT = SRC.parent.parent
 CONFIG_CLASSES = {
     "RolloutConfig", "AdoptionModel", "AdaptationModel", "TicketModel", "IngestConfig",
     "ClassPolicy", "StorageConfig", "ResolverConfig", "OTPServerConfig",
-    "CarrierProfile", "ConcurrencyConfig",
+    "CarrierProfile",
 }  # fmt: skip
 
 #: Fields only tests, the old bench fleet (``benchmarks/*.py``) or examples
 #: set.  Exact and shrink-only: the debt is listed here, not paid, and each
-#: entry waits on something named — the fleet's ``benchmarks/test_perf_*``
-#: (``lock_stripes``, ``latency``: ROADMAP item 1 deletes it), the
-#: paper-figure ablations (the lockout threshold, the drift window and the
-#: three rollout dates).  A field leaves the list by getting a caller in
+#: entry waits on something named — the paper-figure ablations (the
+#: lockout threshold, the drift window and the three rollout dates).  A field leaves the list by getting a caller in
 #: ``src/`` or by becoming a constant — or with the mechanism it turns on,
 #: when nothing else does.
 TEST_ONLY_FIELDS = {
-    ("ConcurrencyConfig", "lock_stripes"),
     ("OTPServerConfig", "drift_seconds"),
     ("OTPServerConfig", "lockout_threshold"),
     ("RolloutConfig", "announcement"),
     ("RolloutConfig", "phase2"),
     ("RolloutConfig", "phase3"),
-    ("StorageConfig", "latency"),
 }
 
 #: Call sites that set fields through a ``**mapping`` the AST cannot read:
@@ -717,13 +713,15 @@ RETIRED_FIELDS = {
     "OTPServerConfig": (
         "issuer", "digits", "totp_step", "sms_code_validity", "hotp_look_ahead",
     ),
-    "StorageConfig": ("virtual_nodes",),
+    "StorageConfig": ("virtual_nodes", "latency"),
+    "ConcurrencyConfig": None,
 }  # fmt: skip
 
 #: ``__init__`` parameters that only tests passed, now module constants (or,
 #: for ``IngestQueue.limiter`` and ``PolicyEngine.rate_limit``, a deleted
 #: admission throttle, for ``SSHDaemon.accounting`` the deleted RFC 2866
-#: emitter, and for ``WALEngine.wal`` a ready log no caller passed).
+#: emitter, for ``WALEngine.wal`` a ready log no caller passed, and for
+#: ``InMemoryEngine.latency`` the one setter left, ``set_latency``).
 #: Shrink-only, as above: none of them comes back.
 RETIRED_PARAMETERS = {
     "IngestQueue": ("limiter",),
@@ -737,6 +735,9 @@ RETIRED_PARAMETERS = {
     "SSHDaemon": ("accounting",),
     "QueuedBackend": ("inner",),
     "WALEngine": ("wal",),
+    "OTPServer": ("concurrency",),
+    "AuthPipeline": ("concurrency",),
+    "InMemoryEngine": ("latency",),
 }
 
 
@@ -826,9 +827,9 @@ def test_every_config_field_has_a_setter():
     }
     assert test_only == TEST_ONLY_FIELDS, sorted(test_only ^ TEST_ONLY_FIELDS)
     # Shrink-only, from the first census: 127 fields -> 78 -> 72 -> 70 -> 58,
-    # 42 -> 39 -> 37 -> 30 -> 9 -> 7.
-    assert len(TEST_ONLY_FIELDS) <= 7
-    assert len(setters) <= 32
+    # 42 -> 39 -> 37 -> 30 -> 9 -> 7 -> 5.
+    assert len(TEST_ONLY_FIELDS) <= 5
+    assert len(setters) <= 28
 
 
 def test_retired_config_fields_stay_retired():
