@@ -5,22 +5,22 @@ management database reserved for LDAP queries.  When a user account is
 created, an LDAP entry is generated including a unique user ID that becomes
 common to both databases."  This package provides both halves:
 
-* :mod:`repro.directory.ldap` — a DN-tree directory with an RFC 4515-subset
-  search-filter language.  The PAM token module queries it to distinguish
-  soft/SMS/hard pairings (Figure 2), and the portal reads pairing status
-  from it.
+* :mod:`repro.directory.ldap` — a DN-tree directory answering subtree
+  searches for a conjunction of literal ``(attr, value)`` equalities.
+  The PAM token module queries it by ``uid`` to distinguish soft/SMS/hard
+  pairings (Figure 2), and the back end's LDAP resolver maps a login name
+  to its unique user id through it.
 * :mod:`repro.directory.identity` — the account-management back end: user
   records, account classes (individual, staff, gateway, community,
   training), and the MFA pairing-status notifications the portal sends.
 """
 
 from repro.directory.identity import Account, AccountClass, IdentityBackend
-from repro.directory.ldap import LDAPDirectory, LDAPEntry, parse_filter
+from repro.directory.ldap import LDAPDirectory, LDAPEntry
 
 __all__ = [
     "LDAPDirectory",
     "LDAPEntry",
-    "parse_filter",
     "IdentityBackend",
     "Account",
     "AccountClass",

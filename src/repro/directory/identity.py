@@ -55,6 +55,10 @@ def _hash_password(username: str, password: str) -> str:
 _NO_SUCH_HASH = _hash_password("", "")
 
 
+def _dn_of(username: str) -> str:
+    return f"uid={username},ou=people,dc=center,dc=edu"
+
+
 @dataclass
 class Account:
     """One user account shared by the portal, LDAP, PAM and LinOTP."""
@@ -70,7 +74,7 @@ class Account:
 
     @property
     def dn(self) -> str:
-        return f"uid={self.username},ou=people,dc=center,dc=edu"
+        return _dn_of(self.username)
 
 
 class IdentityBackend:
@@ -101,8 +105,13 @@ class IdentityBackend:
         password: str = "",
         account_class: AccountClass = AccountClass.INDIVIDUAL,
     ) -> Account:
-        """Register an account and generate its LDAP entry."""
-        if username in self._accounts:
+        """Register an account and generate its LDAP entry.
+
+        A DN compares case-insensitively, so a name differing from an
+        existing one only in case is refused too — before a uid is allocated
+        or either store written, never with one store holding it alone.
+        """
+        if username in self._accounts or self.ldap.exists(_dn_of(username)):
             raise ValidationError(f"account {username!r} already exists")
         uid = self._ids.next("uid")
         account = Account(

@@ -1,24 +1,24 @@
-"""A small LDAP server model: DN-keyed entries plus RFC 4515 search filters.
+"""A small LDAP server model: DN-keyed entries answering equality searches.
 
 This stands in for the center's OpenLDAP service.  It stores multi-valued
-attributes under distinguished names, answers scoped searches with a filter
-language supporting equality, presence, substring, AND/OR/NOT, and keeps a
-``uidNumber``-style unique id in each user entry — the id the paper says is
-"common to both databases" (LDAP and LinOTP).
+attributes under distinguished names, answers subtree searches for a
+conjunction of literal equalities — the one question its clients ask, which
+entry has this ``uid`` — and keeps a ``uidNumber``-style unique id in each
+user entry — the id the paper says is "common to both databases" (LDAP and
+LinOTP).
 
 Like a production slapd configured with ``index uid eq``, the directory
-keeps an equality index on ``uid``: a search whose filter cannot match
-without a ``(uid=value)`` assertion holding tests only the entries filed
-under that value; every other filter scans.
+keeps an equality index on ``uid``: a search whose filter asserts a ``uid``
+value tests only the entries filed under that value; every other filter
+scans.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from operator import attrgetter
 from sys import intern
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.common.errors import NotFoundError
 
@@ -29,10 +29,6 @@ INDEXED_ATTR = "uid"
 def _normalize_dn(dn: str) -> str:
     # (lowering first is exact: it neither makes nor removes whitespace)
     return ",".join(map(str.strip, dn.lower().split(",")))
-
-
-def _dn_parent(dn: str) -> str:
-    return dn.partition(",")[2]
 
 
 @dataclass(slots=True)
@@ -89,124 +85,20 @@ class LDAPEntry:
         self.attributes.pop(attr, None)
 
 
-# ---------------------------------------------------------------------------
-# Search filters (RFC 4515 subset): (attr=value), (attr=*), substring
-# patterns with '*', and the boolean combinators &, |, !.  In a value a bare
-# '*' is the wildcard; '\xx' is the octet 0xXX, so '\2a' is a literal star.
-# ---------------------------------------------------------------------------
-
-FilterFn = Callable[[LDAPEntry], bool]
-#: ``(attr, lowered value)`` equalities without which a filter cannot match.
-Required = Tuple[Tuple[str, str], ...]
-#: A filter ready to run: its predicate and what it requires.
-CompiledFilter = Tuple[FilterFn, Required]
-
-_HEX_PAIR = re.compile("[0-9a-fA-F]{2}")
+#: A search filter: ``(attr, value)`` pairs, the conjunction
+#: ``(&(attr=value)...)`` of literal equalities.  It is plain data, so a
+#: caller builds it without importing this module, and there is no filter
+#: text: a value is compared, never parsed, so ``*``, ``(``, ``\`` or NUL in
+#: it are characters of the literal, not syntax to escape.
+Filter = Sequence[Tuple[str, str]]
 
 
-def _unescape(raw: str) -> str:
-    """Decode the ``\\xx`` escapes of one assertion value (UTF-8 octets)."""
-    if "\\" not in raw:
-        return raw
-    head, *rest = raw.split("\\")
-    octets = bytearray(head.encode("utf-8", "surrogatepass"))
-    for part in rest:
-        if not _HEX_PAIR.match(part):
-            raise ValueError(f"malformed escape '\\{part[:2]}' in filter value {raw!r}")
-        octets.append(int(part[:2], 16))
-        octets += part[2:].encode("utf-8", "surrogatepass")
-    return octets.decode("utf-8", "surrogatepass")
-
-
-def _match_substring(parts: List[str], value: str) -> bool:
-    value = value.lower()
-    if not value.startswith(parts[0]):
-        return False
-    if not value.endswith(parts[-1]):
-        return False
-    pos = len(parts[0])
-    for middle in parts[1:-1]:
-        found = value.find(middle, pos)
-        if found < 0:
+def _holds(entry: LDAPEntry, pairs: List[Tuple[str, str]]) -> bool:
+    attributes = entry.attributes
+    for attr, value in pairs:
+        if value not in map(str.lower, attributes.get(attr, ())):
             return False
-        pos = found + len(middle)
-    return pos <= len(value) - len(parts[-1])
-
-
-def equality_filter(attr: str, value: str) -> CompiledFilter:
-    """``(attr=value)`` for a *literal* ``value``: the parser's equality
-    leaf, and what a caller holding untrusted text (a login name) hands
-    :meth:`LDAPDirectory.search` directly — no filter text exists, so ``*``,
-    ``(`` or NUL in it are characters to compare, not syntax to escape."""
-    attr = attr.lower()
-    value = value.lower()
-    return (
-        lambda e, a=attr, v=value: v in map(str.lower, e.get(a)),
-        ((attr, value),),
-    )
-
-
-def _parse_expr(text: str, pos: int) -> Tuple[FilterFn, Required, int]:
-    if pos >= len(text) or text[pos] != "(":
-        raise ValueError(f"expected '(' at position {pos} in filter {text!r}")
-    pos += 1
-    if pos >= len(text):
-        raise ValueError("truncated filter")
-    op = text[pos]
-    if op in "&|":
-        pos += 1
-        subs: List[FilterFn] = []
-        required: Required = ()
-        while pos < len(text) and text[pos] == "(":
-            sub, sub_required, pos = _parse_expr(text, pos)
-            subs.append(sub)
-            required += sub_required
-        if pos >= len(text) or text[pos] != ")":
-            raise ValueError(f"unbalanced filter near position {pos}")
-        pos += 1
-        if op == "&":
-            # A conjunction needs everything each of its members needs.
-            return (lambda e, subs=subs: all(f(e) for f in subs)), required, pos
-        return (lambda e, subs=subs: any(f(e) for f in subs)), (), pos
-    if op == "!":
-        pos += 1
-        sub, _, pos = _parse_expr(text, pos)
-        if pos >= len(text) or text[pos] != ")":
-            raise ValueError(f"unbalanced '!' near position {pos}")
-        return (lambda e, sub=sub: not sub(e)), (), pos + 1
-    end = text.find(")", pos)
-    if end < 0:
-        raise ValueError("unterminated comparison in filter")
-    comparison = text[pos:end]
-    if "=" not in comparison:
-        raise ValueError(f"comparison missing '=': {comparison!r}")
-    attr, _, value = comparison.partition("=")
-    attr = attr.strip().lower()
-    if value == "*":
-        return (lambda e, a=attr: bool(e.get(a))), (), end + 1
-    if "*" in value:
-        parts = [_unescape(part).lower() for part in value.split("*")]
-        return (
-            lambda e, a=attr, p=parts: any(_match_substring(p, x) for x in e.get(a)),
-            (),
-            end + 1,
-        )
-    return (*equality_filter(attr, _unescape(value)), end + 1)
-
-
-def _compile_filter(text: str) -> CompiledFilter:
-    text = text.strip()
-    if not text.startswith("("):
-        text = f"({text})"
-    fn, required, pos = _parse_expr(text, 0)
-    if pos != len(text):
-        raise ValueError(f"trailing garbage after position {pos} in {text!r}")
-    return fn, required
-
-
-def parse_filter(text: str) -> FilterFn:
-    """Compile an LDAP filter string to a predicate over entries."""
-    return _compile_filter(text)[0]
+    return True
 
 
 class LDAPDirectory:
@@ -296,43 +188,27 @@ class LDAPDirectory:
         self._reindex(entry, entry.attributes.get(INDEXED_ATTR, ()), ())
         entry._directory = None  # a detached entry no longer reports changes
 
-    def search(
-        self,
-        base: str,
-        filter: Union[str, CompiledFilter] = "(objectclass=*)",
-        scope: str = "sub",
-    ) -> List[LDAPEntry]:
-        """Search under ``base`` with an RFC 4515 filter — its text, or one
-        already compiled (:func:`equality_filter`).
-
-        ``scope`` is ``base`` (the entry itself), ``one`` (direct children)
-        or ``sub`` (the whole subtree).  Results come in directory order.
-        """
+    def search(self, base: str, filter: Filter) -> List[LDAPEntry]:
+        """The entries of ``base``'s subtree (``base`` itself included) that
+        hold every equality of ``filter``, in directory order; no pairs is
+        the empty conjunction, which every entry holds.  Names and values
+        compare case-blind, as LDAP's caseIgnoreMatch does."""
         self.query_count += 1
-        if scope not in ("base", "one", "sub"):
-            raise ValueError(f"invalid scope {scope!r}")
-        base_norm = _normalize_dn(base)
-        predicate, required = (
-            _compile_filter(filter) if isinstance(filter, str) else filter
-        )
-        # Only entries filed under a required uid value can match; the scope
-        # test and the whole predicate still run on each of them, so the
+        pairs = [(attr.lower(), value.lower()) for attr, value in filter]
+        base = _normalize_dn(base)
+        suffix = "," + base
+        # Only entries filed under the filter's uid value can hold it; the
+        # subtree test and the whole filter still run on each of them, so the
         # index narrows the walk and never decides the answer.
-        candidates: Iterable[LDAPEntry] = self._entries.values()
-        for attr, value in required:
+        for attr, value in pairs:
             if attr == INDEXED_ATTR:
                 filed = self._by_uid.get(value, ())
                 candidates = (filed,) if isinstance(filed, LDAPEntry) else filed
                 break
-        if scope == "base":
-            return [e for e in candidates if e.dn == base_norm and predicate(e)]
-        if scope == "one":
-            return [
-                e for e in candidates if _dn_parent(e.dn) == base_norm and predicate(e)
-            ]
-        suffix = "," + base_norm
+        else:
+            candidates = self._entries.values()
         return [
             e
             for e in candidates
-            if (e.dn == base_norm or e.dn.endswith(suffix)) and predicate(e)
+            if (e.dn == base or e.dn.endswith(suffix)) and _holds(e, pairs)
         ]

@@ -18,7 +18,7 @@ table-qualified view over one engine table, so existing callers keep the
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.common.errors import NotFoundError
 from repro.storage import InMemoryEngine, StorageEngine, TableSchema
@@ -60,13 +60,9 @@ class Table:
     def delete(self, pk: Any) -> Dict[str, Any]:
         return self._engine.delete(self.name, pk)
 
-    def select(
-        self,
-        where: Optional[Dict[str, Any]] = None,
-        predicate: Optional[Callable[[Dict[str, Any]], bool]] = None,
-    ) -> List[Dict[str, Any]]:
+    def select(self, where: Optional[Dict[str, Any]] = None) -> List[Dict[str, Any]]:
         """Return matching rows; equality ``where`` uses indices when it can."""
-        return self._engine.select(self.name, where=where, predicate=predicate)
+        return self._engine.select(self.name, where=where)
 
     def count(self, where: Optional[Dict[str, Any]] = None) -> int:
         return self._engine.count(self.name, where=where)

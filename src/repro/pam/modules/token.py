@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.directory.ldap import equality_filter
 from repro.pam.framework import PAMResult, PAMSession
 from repro.policy import AuthRequest, EnforcementMode, PolicyAction, PolicyEngine
 from repro.radius.client import AuthStatus, RADIUSClient
@@ -80,7 +79,7 @@ class MFATokenModule:
     def _pairing_type(self, username: str) -> Optional[str]:
         # The login name is attacker-chosen text: compared as a literal uid,
         # never parsed, it cannot be a wildcard or a broken filter.
-        entries = self._ldap.search(self._base_dn, equality_filter("uid", username))
+        entries = self._ldap.search(self._base_dn, (("uid", username),))
         if not entries:
             return None
         pairing = entries[0].first("mfaPairingType", "unpaired")

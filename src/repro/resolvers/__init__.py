@@ -18,7 +18,6 @@ from repro.resolvers.backends import (
     DirectoryResolver,
     FlatFileResolver,
     LDAPSimResolver,
-    escape_filter_value,
 )
 from repro.resolvers.chain import ResolverChain
 from repro.resolvers.config import ResolverConfig, build_chain
@@ -48,7 +47,6 @@ __all__ = [
     "ResolverConfig",
     "ResolverUnavailableError",
     "build_chain",
-    "escape_filter_value",
     "split_assertion_code",
     "split_realm",
 ]

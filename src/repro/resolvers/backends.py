@@ -5,8 +5,8 @@ source — the shapes LinOTP's UserIdResolver supports:
 
 * :class:`DirectoryResolver` — today's in-process identity back end
   (:mod:`repro.directory.identity`), the authoritative account database;
-* :class:`LDAPSimResolver` — an RFC 4515 search against the LDAP model
-  (:mod:`repro.directory.ldap`) with injectable latency and fault knobs,
+* :class:`LDAPSimResolver` — a ``uid`` equality search against the LDAP
+  model (:mod:`repro.directory.ldap`) with injectable latency and fault knobs,
   so chaos plans and benchmarks can make the "remote" source slow or
   dark on demand;
 * :class:`FlatFileResolver` — passwd-style ``username:uid`` lines, the
@@ -29,25 +29,6 @@ from repro.resolvers.base import (
     split_realm,
 )
 
-#: RFC 4515 metacharacters and their mandatory hex escapes.
-_FILTER_ESCAPES = str.maketrans(
-    {"\\": "\\5c", "*": "\\2a", "(": "\\28", ")": "\\29", "\x00": "\\00"}
-)
-
-
-def escape_filter_value(value: str) -> str:
-    """Escape RFC 4515 metacharacters so ``value`` is a literal assertion.
-
-    Usernames flow into search filters verbatim, so without this a
-    username of ``*`` wildcard-matches the first posixAccount (identity
-    confusion) and one containing ``(``/``)`` breaks filter parsing.
-    Escaped, the metacharacters can only match accounts whose uid
-    literally contains them — for any real directory that means a crafted
-    username is an authoritative miss, never a wildcard hit or a crash.
-    """
-    return value.translate(_FILTER_ESCAPES)
-
-
 class DirectoryResolver(IdentityResolver):
     """Resolve against the center's identity back end (authoritative)."""
 
@@ -67,7 +48,7 @@ class DirectoryResolver(IdentityResolver):
 
 
 class LDAPSimResolver(IdentityResolver):
-    """Resolve via an LDAP subtree search, with latency/fault injection.
+    """Resolve via an LDAP ``uid`` equality search, with latency/fault injection.
 
     The knobs model the remote directory misbehaving:
 
@@ -120,18 +101,21 @@ class LDAPSimResolver(IdentityResolver):
         if self._latency > 0:
             self._clock.sleep(self._latency)
         local, realm = split_realm(username)
-        entries = self._ldap.search(
-            self._base,
-            f"(&(objectclass=posixaccount)(uid={escape_filter_value(local)}))",
-        )
-        if not entries:
-            return None
-        uid = entries[0].first("uidnumber")
-        if uid is None:
-            return None
-        return ResolvedIdentity(
-            username=username, uid=uid, realm=realm, resolver=self.name
-        )
+        # The login name is compared as a literal, never parsed.  The
+        # directory matches uids case-insensitively; the name resolves only
+        # to an entry whose uid is exactly it, as the account database keys
+        # it, so both resolvers map one name to one identity.
+        for entry in self._ldap.search(
+            self._base, (("objectclass", "posixaccount"), ("uid", local))
+        ):
+            if local in entry.get("uid"):
+                uid = entry.first("uidnumber")
+                if uid is None:
+                    return None
+                return ResolvedIdentity(
+                    username=username, uid=uid, realm=realm, resolver=self.name
+                )
+        return None
 
 
 class FlatFileResolver(IdentityResolver):

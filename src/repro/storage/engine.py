@@ -16,20 +16,11 @@ stored state.  All engines raise the shared error vocabulary
 
 from __future__ import annotations
 
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    runtime_checkable,
-)
+from typing import Any, Dict, List, Optional, Protocol, runtime_checkable
 
 from repro.storage.schema import TableSchema
 
 Row = Dict[str, Any]
-Predicate = Callable[[Row], bool]
 
 
 @runtime_checkable
@@ -62,7 +53,6 @@ class StorageEngine(Protocol):
         self,
         table: str,
         where: Optional[Row] = None,
-        predicate: Optional[Predicate] = None,
     ) -> List[Row]: ...
 
     def count(self, table: str, where: Optional[Row] = None) -> int: ...
@@ -161,9 +151,8 @@ class Layer:
         self,
         table: str,
         where: Optional[Row] = None,
-        predicate: Optional[Predicate] = None,
     ) -> List[Row]:
-        return self.inner.select(table, where, predicate)
+        return self.inner.select(table, where)
 
     def count(self, table: str, where: Optional[Row] = None) -> int:
         return self.inner.count(table, where)

@@ -17,7 +17,7 @@ import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.clock import Clock, WallClock
-from repro.storage.engine import Layer, Predicate, Row, StorageEngine
+from repro.storage.engine import Layer, Row, StorageEngine
 from repro.telemetry import resolve_registry
 
 #: Bucket bounds tuned for in-process/microsecond-scale engine operations
@@ -129,11 +129,10 @@ class InstrumentedEngine(Layer):
         self,
         table: str,
         where: Optional[Row] = None,
-        predicate: Optional[Predicate] = None,
     ) -> List[Row]:
         start = self._clock.now()
         try:
-            return self.inner.select(table, where, predicate)
+            return self.inner.select(table, where)
         finally:
             self._h_by_op["select", table].observe(self._clock.now() - start)
 

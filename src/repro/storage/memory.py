@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.clock import Clock, WallClock
 from repro.common.errors import NotFoundError, ValidationError
-from repro.storage.engine import Predicate, Row, Transaction
+from repro.storage.engine import Row, Transaction
 from repro.storage.schema import TableSchema
 
 
@@ -291,7 +291,6 @@ class InMemoryEngine:
         self,
         table: str,
         where: Optional[Row] = None,
-        predicate: Optional[Predicate] = None,
     ) -> List[Row]:
         """Return matching rows; equality ``where`` uses indices when it can.
 
@@ -330,10 +329,7 @@ class InMemoryEngine:
                     for c, v in where.items()
                 ):
                     continue
-                found = dict(zip(columns, row))
-                if predicate and not predicate(found):
-                    continue
-                results.append(found)
+                results.append(dict(zip(columns, row)))
             return results
 
     def count(self, table: str, where: Optional[Row] = None) -> int:

@@ -34,7 +34,7 @@ from hashlib import blake2b
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import NotFoundError, ValidationError
-from repro.storage.engine import Predicate, Row, StorageEngine, Transaction
+from repro.storage.engine import Row, StorageEngine, Transaction
 from repro.storage.schema import TableSchema
 
 #: Ring points per shard: enough that keys spread evenly across shards.
@@ -330,7 +330,6 @@ class ShardedEngine:
         self,
         table: str,
         where: Optional[Row] = None,
-        predicate: Optional[Predicate] = None,
     ) -> List[Row]:
         """``_shards_for_query``'s shards, routed in this frame: the validate
         path's token-row read makes one call per layer."""
@@ -351,7 +350,7 @@ class ShardedEngine:
         results: List[Row] = []
         for index in indices:
             shard = self.shards[index] if self._logging.log is None else self._open(index)
-            results += shard.select(table, where, predicate)
+            results += shard.select(table, where)
         return results
 
     def count(self, table: str, where: Optional[Row] = None) -> int:

@@ -37,6 +37,19 @@ class TestAccounts:
         with pytest.raises(ValidationError):
             identity.create_account("alice", "other@x.edu")
 
+    @pytest.mark.parametrize("name", ["ALICE", "Alice", "aLiCe"])
+    def test_a_case_variant_is_refused_before_either_store_is_written(
+        self, identity, name
+    ):
+        # The LDAP DN compares case-blind: the variant's entry would be alice's.
+        with pytest.raises(ValidationError, match="already exists"):
+            identity.create_account(name, "other@x.edu", password="pw2")
+        assert identity.usernames() == ["alice"]
+        assert not identity.check_password(name, "pw2")
+        assert len(identity.ldap) == 1
+        # ... and no uid was spent on it.
+        assert identity.create_account("bob", "b@x.edu").uid == "uid-000002"
+
     def test_get_missing_raises(self, identity):
         with pytest.raises(NotFoundError):
             identity.get("ghost")

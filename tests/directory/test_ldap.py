@@ -1,9 +1,9 @@
-"""LDAP directory: entries, modify semantics, filters, scopes."""
+"""LDAP directory: entries, modify semantics, equality filters, subtree search."""
 
 import pytest
 
 from repro.common.errors import NotFoundError
-from repro.directory.ldap import LDAPDirectory, LDAPEntry, parse_filter
+from repro.directory.ldap import LDAPDirectory
 
 
 @pytest.fixture
@@ -75,8 +75,9 @@ class TestOneValue:
         entry.set("uid", "bob")
         assert entry.get("uid") == ["bob"]
         # The uid index files the entry under the value, not its letters.
-        assert directory.search("dc=center,dc=edu", "(uid=b)") == []
-        assert [e.dn for e in directory.search("dc=center,dc=edu", "(uid=bob)")] == [
+        assert directory.search("dc=center,dc=edu", [("uid", "b")]) == []
+        hits = directory.search("dc=center,dc=edu", [("uid", "bob")])
+        assert [e.dn for e in hits] == [
             self.ALICE,
             "uid=bob,ou=people,dc=center,dc=edu",
         ]
@@ -96,122 +97,60 @@ class TestOneValue:
         assert alice_mail is bob_mail
 
 
+def holds(attributes, *pairs):
+    """Whether an entry with ``attributes`` holds the conjunction ``pairs``."""
+    directory = LDAPDirectory()
+    directory.add("cn=x,dc=center,dc=edu", attributes)
+    return bool(directory.search("dc=center,dc=edu", pairs))
+
+
 class TestFilters:
     def test_equality(self):
-        f = parse_filter("(uid=alice)")
-        assert f(LDAPEntry("x", {"uid": ["alice"]}))
-        assert not f(LDAPEntry("x", {"uid": ["bob"]}))
+        assert holds({"uid": "alice"}, ("uid", "alice"))
+        assert not holds({"uid": "bob"}, ("uid", "alice"))
+        assert not holds({"mail": "alice"}, ("uid", "alice"))
 
     def test_equality_case_insensitive(self):
-        f = parse_filter("(uid=ALICE)")
-        assert f(LDAPEntry("x", {"uid": ["alice"]}))
-
-    def test_presence(self):
-        f = parse_filter("(mail=*)")
-        assert f(LDAPEntry("x", {"mail": ["a@b"]}))
-        assert not f(LDAPEntry("x", {}))
-
-    def test_substring(self):
-        f = parse_filter("(mail=*@tacc.*)")
-        assert f(LDAPEntry("x", {"mail": ["bob@tacc.utexas.edu"]}))
-        assert not f(LDAPEntry("x", {"mail": ["alice@utexas.edu"]}))
-
-    def test_prefix_substring(self):
-        f = parse_filter("(uid=gate*)")
-        assert f(LDAPEntry("x", {"uid": ["gateway01"]}))
-        assert not f(LDAPEntry("x", {"uid": ["alice"]}))
+        assert holds({"uid": "alice"}, ("UID", "ALICE"))
+        assert holds({"cn": "Ren\u00e9e"}, ("cn", "REN\u00c9E"))
 
     def test_and(self):
-        f = parse_filter("(&(uid=alice)(mfaPairingType=soft))")
-        assert f(LDAPEntry("x", {"uid": ["alice"], "mfapairingtype": ["soft"]}))
-        assert not f(LDAPEntry("x", {"uid": ["alice"], "mfapairingtype": ["sms"]}))
+        pairs = (("uid", "alice"), ("mfaPairingType", "soft"))
+        assert holds({"uid": "alice", "mfaPairingType": "soft"}, *pairs)
+        assert not holds({"uid": "alice", "mfaPairingType": "sms"}, *pairs)
+        assert not holds({"mfaPairingType": "soft"}, *pairs)
 
-    def test_or(self):
-        f = parse_filter("(|(uid=alice)(uid=bob))")
-        assert f(LDAPEntry("x", {"uid": ["bob"]}))
-        assert not f(LDAPEntry("x", {"uid": ["carol"]}))
+    def test_any_value_of_a_multivalued_attribute_matches(self):
+        classes = {"objectClass": ["posixAccount", "inetOrgPerson"]}
+        assert holds(classes, ("objectclass", "inetorgperson"))
 
-    def test_not(self):
-        f = parse_filter("(!(mfaPairingType=unpaired))")
-        assert f(LDAPEntry("x", {"mfapairingtype": ["soft"]}))
-        assert not f(LDAPEntry("x", {"mfapairingtype": ["unpaired"]}))
-
-    def test_nested_boolean(self):
-        f = parse_filter("(&(objectClass=posixAccount)(!(uid=bob)))")
-        assert f(LDAPEntry("x", {"objectclass": ["posixAccount"], "uid": ["alice"]}))
-        assert not f(LDAPEntry("x", {"objectclass": ["posixAccount"], "uid": ["bob"]}))
-
-    def test_implicit_parens(self):
-        assert parse_filter("uid=alice")(LDAPEntry("x", {"uid": ["alice"]}))
+    def test_the_empty_conjunction_holds_for_every_entry(self):
+        assert holds({})
 
     @pytest.mark.parametrize(
-        "bad", ["(uid=alice", "(&(uid=a)", "(uid)", "(!(uid=a)", "(uid=a))"]
+        "value", ["*", "a*b", "(uid=*)", "al)ice", "\\2a", "()\\*\x00"]
     )
-    def test_malformed_rejected(self, bad):
-        with pytest.raises(ValueError):
-            parse_filter(bad)
-
-    def test_escaped_star_is_a_literal_star(self):
-        f = parse_filter("(uid=a\\2ab)")
-        assert f(LDAPEntry("x", {"uid": ["a*b"]}))
-        assert not f(LDAPEntry("x", {"uid": ["axb"]}))
-        assert not f(LDAPEntry("x", {"uid": ["a\\2ab"]}))
-
-    def test_escaped_star_alone_is_not_presence(self):
-        f = parse_filter("(uid=\\2A)")
-        assert f(LDAPEntry("x", {"uid": ["*"]}))
-        assert not f(LDAPEntry("x", {"uid": ["alice"]}))
-
-    def test_escapes_inside_a_substring_pattern(self):
-        f = parse_filter("(uid=a\\2a*\\29)")
-        assert f(LDAPEntry("x", {"uid": ["a*lice)"]}))
-        assert not f(LDAPEntry("x", {"uid": ["alice)"]}))
-        assert not f(LDAPEntry("x", {"uid": ["a*lice"]}))
-
-    def test_every_metacharacter_escape(self):
-        f = parse_filter("(uid=\\28\\29\\5c\\2a\\00)")
-        assert f(LDAPEntry("x", {"uid": ["()\\*\x00"]}))
-
-    def test_escapes_are_utf8_octets(self):
-        assert parse_filter("(cn=ren\\c3\\a9e)")(LDAPEntry("x", {"cn": ["Ren\u00e9e"]}))
-
-    @pytest.mark.parametrize(
-        "bad",
-        ["(uid=\\zz)", "(uid=a\\)", "(uid=\\2)", "(uid=a*\\g0)", "(uid=\\ff)", "(uid=\\ 1)"],
-    )
-    def test_malformed_escape_rejected(self, bad):
-        with pytest.raises(ValueError):
-            parse_filter(bad)
+    def test_filter_syntax_in_a_value_is_a_literal(self, value):
+        assert holds({"uid": value}, ("uid", value))
+        assert not holds({"uid": "axb"}, ("uid", value))
+        assert not holds({"uid": "alice"}, ("uid", value))
 
 
 class TestSearch:
     def test_sub_scope(self, directory):
-        results = directory.search("dc=center,dc=edu", "(uid=*)")
-        assert len(results) == 3
-
-    def test_one_scope(self, directory):
-        results = directory.search("ou=people,dc=center,dc=edu", "(uid=*)", scope="one")
-        assert {e.first("uid") for e in results} == {"alice", "bob"}
-
-    def test_base_scope(self, directory):
-        results = directory.search(
-            "uid=alice,ou=people,dc=center,dc=edu", "(uid=*)", scope="base"
-        )
-        assert len(results) == 1
-
-    def test_filter_applied(self, directory):
-        results = directory.search("dc=center,dc=edu", "(mfaPairingType=soft)")
+        everything = ()
+        assert len(directory.search("dc=center,dc=edu", everything)) == 3
+        results = directory.search("ou=people,dc=center,dc=edu", everything)
+        assert [e.first("uid") for e in results] == ["alice", "bob"]
+        # The base entry is in its own subtree.
+        results = directory.search("uid=alice,ou=people,dc=center,dc=edu", everything)
         assert [e.first("uid") for e in results] == ["alice"]
 
-    def test_invalid_scope(self, directory):
-        with pytest.raises(ValueError):
-            directory.search("dc=center,dc=edu", "(uid=*)", scope="tree")
-
-    def test_invalid_scope_rejected_before_any_entry_is_looked_at(self):
-        with pytest.raises(ValueError, match="invalid scope 'bogus'"):
-            LDAPDirectory().search("x", scope="bogus")
+    def test_filter_applied(self, directory):
+        results = directory.search("dc=center,dc=edu", [("mfaPairingType", "soft")])
+        assert [e.first("uid") for e in results] == ["alice"]
 
     def test_query_counter(self, directory):
         before = directory.query_count
-        directory.search("dc=center,dc=edu", "(uid=alice)")
+        directory.search("dc=center,dc=edu", [("uid", "alice")])
         assert directory.query_count == before + 1

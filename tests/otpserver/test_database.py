@@ -146,7 +146,7 @@ class TestConstraintsAndIndices:
         t = db.table("tokens")
         for i in range(5):
             t.insert({"serial": f"S{i}", "user_id": f"u{i}", "active": i % 2 == 0})
-        assert len(t.select(predicate=lambda r: r["active"])) == 3
+        assert len([r for r in t.select() if r["active"]]) == 3
 
 
 class TestTransactions:

@@ -1,17 +1,23 @@
 """Concrete resolver backends: directory, LDAP sim, flat file."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.common.clock import VirtualClock
+from repro.common.errors import ValidationError
+from repro.common.results import ValidateStatus
+from repro.core import MFACenter
+from repro.crypto.totp import TOTPGenerator
 from repro.directory.identity import IdentityBackend
 from repro.directory.ldap import LDAPDirectory
 from repro.resolvers import (
     DirectoryResolver,
     FlatFileResolver,
     LDAPSimResolver,
+    ResolverConfig,
     ResolverUnavailableError,
-    escape_filter_value,
 )
 
 
@@ -86,8 +92,8 @@ class TestLDAPSimResolver:
     def test_wildcard_username_is_a_miss_not_identity_confusion(
         self, identity, clock
     ):
-        # Unescaped, uid=* wildcard-matches the first posixAccount —
-        # logging in as "*" would resolve to some arbitrary real user.
+        # Parsed as filter text, uid=* would wildcard-match the first
+        # posixAccount — logging in as "*" would resolve to an arbitrary user.
         resolver = LDAPSimResolver(identity.ldap, clock=clock)
         assert resolver.resolve("*") is None
         assert resolver.resolve("ali*") is None
@@ -96,17 +102,12 @@ class TestLDAPSimResolver:
     def test_filter_metacharacters_miss_instead_of_crashing(
         self, identity, clock
     ):
-        # Unescaped parens broke parse_filter with an uncaught ValueError,
-        # crashing the whole validate request.
+        # A login name is compared, never parsed: a paren, backslash or NUL
+        # in it is a miss, never an error that fails the whole validate.
         resolver = LDAPSimResolver(identity.ldap, clock=clock)
         for crafted in ["a)(uid=alice", "(", ")", "x\\y", "a\x00b"]:
             assert resolver.resolve(crafted) is None
         assert resolver.snapshot()["errors"] == 0
-
-    def test_escape_filter_value_covers_rfc4515_metacharacters(self):
-        assert escape_filter_value("alice") == "alice"
-        assert escape_filter_value("*") == "\\2a"
-        assert escape_filter_value("a(b)c\\d\x00") == "a\\28b\\29c\\5cd\\00"
 
     @settings(max_examples=200, deadline=None)
     @given(uid=st.text(), other=st.text())
@@ -115,15 +116,15 @@ class TestLDAPSimResolver:
     @example(uid="al)ice", other="al")
     @example(uid="\\2a", other="*")
     @example(uid="", other="*")
-    def test_escaped_uid_finds_its_entry_and_no_other(self, uid, other):
+    def test_a_literal_uid_finds_its_entry_and_no_other(self, uid, other):
         base = "ou=people,dc=center,dc=edu"
         ldap = LDAPDirectory()
         ldap.add(f"cn=bystander,{base}", {"uid": "bystander"})
         target = ldap.add(f"cn=target,{base}", {"uid": uid})
-        hits = ldap.search(base, f"(uid={escape_filter_value(uid)})")
+        hits = ldap.search(base, [("uid", uid)])
         assert target in hits
         assert len(hits) == 1 or uid.lower() == "bystander"
-        found = target in ldap.search(base, f"(uid={escape_filter_value(other)})")
+        found = target in ldap.search(base, [("uid", other)])
         assert found == (other.lower() == uid.lower())
 
     @pytest.mark.parametrize("name", ["a*b", "al)ice", "(", "back\\slash", "*"])
@@ -134,6 +135,57 @@ class TestLDAPSimResolver:
         resolver = LDAPSimResolver(identity.ldap, clock=clock)
         assert resolver.resolve(name).uid == account.uid
         assert resolver.resolve("axb").uid == identity.get("axb").uid
+
+
+CASE_VARIANTS = [
+    "Alice", "alice", "ALICE", "aLICE", "alice@center",
+    "bob", "Bob", "BOB", "Bob@center",
+]
+
+
+class TestOneNameOneIdentity:
+    """Whichever resolver answers, a name maps to one identity.  The directory
+    compares uids case-blind, as LDAP does; the LDAP resolver keeps only an
+    entry whose uid is the name exactly, as the account database keys it."""
+
+    @pytest.mark.parametrize("name", CASE_VARIANTS)
+    def test_both_resolvers_map_a_case_variant_alike(self, clock, name):
+        identity = IdentityBackend()
+        identity.create_account("Alice", "a@example.edu")
+        identity.create_account("bob", "b@example.edu")
+        by_ldap = LDAPSimResolver(identity.ldap, clock=clock).resolve(name)
+        by_directory = DirectoryResolver(identity).resolve(name)
+        assert (by_ldap and by_ldap.uid) == (by_directory and by_directory.uid)
+
+    def test_both_chains_validate_a_case_variant_alike(self):
+        """Alice's code is hers alone on the LDAP-first chain too: a case
+        variant of her name is an unknown user on both chains."""
+        verdicts = []
+        for use_ldap in (False, True):
+            clock = VirtualClock.at("2016-10-05T09:00:00")
+            center = MFACenter(
+                clock=clock,
+                rng=random.Random(7),
+                resolvers=ResolverConfig(use_ldap=use_ldap),
+            )
+            center.create_user("Alice", password="pw")
+            _, secret = center.pair_soft("Alice")
+            with pytest.raises(ValidationError):
+                center.create_user("alice", password="pw2")
+            device = TOTPGenerator(secret=secret, clock=clock)
+            seen = []
+            for name in ("alice", "ALICE", "Alice", "aLICE"):
+                clock.advance(31)  # a fresh step: never a replay
+                seen.append(center.otp.validate(name, device.current_code()).status)
+            verdicts.append(seen)
+        directory_only, ldap_first = verdicts
+        assert ldap_first == directory_only
+        assert directory_only == [
+            ValidateStatus.NO_TOKEN,
+            ValidateStatus.NO_TOKEN,
+            ValidateStatus.OK,
+            ValidateStatus.NO_TOKEN,
+        ]
 
 
 class TestFlatFileResolver:

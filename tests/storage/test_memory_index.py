@@ -94,7 +94,7 @@ def assert_agrees(engine, model):
         # A returned row is the caller's copy: changing it changes nothing.
         for row in got:
             row.update(dict.fromkeys(COLUMNS, "mutated"))
-    by_owner = engine.select("t", predicate=lambda r: r["owner"] == "u1")
+    by_owner = [r for r in engine.select("t") if r["owner"] == "u1"]
     assert sorted(r["pk"] for r in by_owner) == sorted(
         pk for pk, r in model.items() if r["owner"] == "u1"
     )

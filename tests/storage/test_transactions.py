@@ -235,13 +235,13 @@ class TestAnAbortedCrossShardBlock:
 
         real_select = engine.shards[0].select
 
-        def select(table, where=None, predicate=None):
+        def select(table, where=None):
             # Another thread inserts while the abort is unwinding: only an
             # abort that rescans the shards ever reaches this hook.
             if armed.is_set() and not inserted.is_set():
                 threading.Thread(target=insert_new, daemon=True).start()
                 inserted.wait(PATIENCE)
-            return real_select(table, where, predicate)
+            return real_select(table, where)
 
         engine.shards[0].select = select
         with pytest.raises(RuntimeError):

@@ -400,6 +400,38 @@ def test_one_eviction_implementation():
     assert _spelled_in_src(RETIRED_CACHE_NAMES) == []
 
 
+#: The LDAP filter-text language: its parser, its escaping and its substring
+#: matcher.  Shrink-only, as above: the directory answers a conjunction of
+#: literal ``(attr, value)`` equalities, so a login name is compared and never
+#: parsed.
+RETIRED_FILTER_NAMES = (
+    "parse_filter", "escape_filter_value", "_parse_expr", "_compile_filter",
+    "_unescape", "_match_substring",
+)  # fmt: skip
+
+
+def test_one_way_to_ask_the_directory():
+    assert _spelled_in_src(RETIRED_FILTER_NAMES) == []
+
+
+def test_search_and_select_take_no_scope_and_no_predicate():
+    """Every directory search is a subtree search, and every storage select
+    an equality ``where``: no ``search`` or ``select`` in ``src/`` grows a
+    ``scope`` or ``predicate`` parameter back."""
+    offenders = sorted(
+        (str(path.relative_to(SRC)), node.name, arg.arg)
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name in ("search", "select")
+        for arg in (
+            *node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs,
+            *filter(None, (node.args.vararg, node.args.kwarg)),
+        )
+        if arg.arg in ("scope", "predicate")
+    )  # fmt: skip
+    assert offenders == []
+
+
 def test_only_the_origin_index_files_ranges():
     """docs/ARCHITECTURE.md "A login computes a value once": the exemption
     ACL, the risk watchlist and the GeoIP table file their ranges in
