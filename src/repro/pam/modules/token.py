@@ -78,12 +78,15 @@ class MFATokenModule:
 
     def _pairing_type(self, username: str) -> Optional[str]:
         # The login name is attacker-chosen text: compared as a literal uid,
-        # never parsed, it cannot be a wildcard or a broken filter.
-        entries = self._ldap.search(self._base_dn, (("uid", username),))
-        if not entries:
-            return None
-        pairing = entries[0].first("mfaPairingType", "unpaired")
-        return None if pairing == "unpaired" else pairing
+        # never parsed, it cannot be a wildcard or a broken filter.  The
+        # directory matches uids case-insensitively; only an entry whose uid
+        # is exactly the name is its pairing, as both resolvers key it.  Every
+        # hit holds a ``uid``, so its values are read with no accessor frame.
+        for entry in self._ldap.search(self._base_dn, (("uid", username),)):
+            if username in entry.attributes["uid"]:
+                pairing = entry.first("mfaPairingType", "unpaired")
+                return None if pairing == "unpaired" else pairing
+        return None
 
     # -- the module entry point ------------------------------------------------
 

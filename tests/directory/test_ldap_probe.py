@@ -115,7 +115,7 @@ class TestSameProbe:
 class TestSameHelpers:
     @given(
         dn=st.lists(
-            st.text(alphabet="aZ=é İß \t  ", max_size=8), min_size=1, max_size=5
+            st.text(alphabet="aZ=é İß \t\u00a0\u2003", max_size=8), min_size=1, max_size=5
         ).map(",".join)
     )
     def test_normalize_dn_is_the_old_expression(self, dn):

@@ -178,6 +178,16 @@ class TestTokenModuleModes:
         assert module.authenticate(session) is PAMResult.SUCCESS
         assert session.items["second_factor"] == "soft"
 
+    def test_a_case_variant_does_not_take_the_pairing(self, rig, clock):
+        """The directory compares uids case-blind; "ALICE" is not alice,
+        so in ``paired`` mode it is an unpaired name and asked no code."""
+        self.pair_soft(rig)
+        module = self.make_module(rig, "paired")
+        for name in ("ALICE", "Alice"):
+            session = make_session(clock, username=name)
+            assert module.authenticate(session) is PAMResult.SUCCESS, name
+            assert "second_factor" not in session.items
+
     def test_paired_mode_wrong_code_denied(self, rig, clock):
         self.pair_soft(rig)
         module = self.make_module(rig, "paired")
