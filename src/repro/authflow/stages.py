@@ -165,8 +165,10 @@ class EvaluatePolicy:
                 outcome_applies=False,
             )
             return
-        active = [r for r in ctx.rows if r["active"]]
-        if not active:
+        for row in ctx.rows:  # the first active row
+            if row["active"]:
+                break
+        else:
             ctx.audit("validate", success=False, detail="locked")
             self._alarm_if_decoy(ctx, "locked")
             ctx.finish(
@@ -174,8 +176,8 @@ class EvaluatePolicy:
                 outcome_applies=False,
             )
             return
-        ctx.row = active[0]
-        ctx.token_type = TOKEN_TYPES[ctx.row["token_type"]]
+        ctx.row = row
+        ctx.token_type = TOKEN_TYPES[row["token_type"]]
 
     def _alarm_if_decoy(self, ctx: PipelineContext, why: str) -> None:
         """A code submitted against a honeytoken pairing must alarm even
@@ -462,7 +464,7 @@ class ApplyOutcome:
         server = self.server
         row = ctx.row
         tokens = server.tokens
-        if ctx.result.ok:
+        if ctx.result.status is ValidateStatus.OK:
             # Write only the columns that differ from the row ResolveIdentity
             # read: a warm success writes nothing.  The read and this check
             # run under the login name's striped lock, so every validate

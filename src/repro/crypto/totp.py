@@ -210,6 +210,8 @@ class TOTPValidator:
         self.digits = digits
         self.step = step
         self.drift = drift
+        #: Drift tolerance expressed in steps on each side of "now".
+        self.window = drift // step
         # Highest accepted step per secret identity; keyed by an opaque id
         # the caller supplies (the token serial) so two tokens that happen to
         # share a secret in tests don't interfere.
@@ -218,11 +220,6 @@ class TOTPValidator:
         # successful validation refreshes it, so a slowly drifting fob keeps
         # working even once its total drift exceeds the window.
         self._offsets: Dict[str, int] = {}
-
-    @property
-    def window(self) -> int:
-        """Drift tolerance expressed in steps on each side of "now"."""
-        return self.drift // self.step
 
     def validate(self, key_id: str, secret: bytes, code: str) -> ValidationOutcome:
         """Check ``code`` against ``secret`` within the drift window.

@@ -180,7 +180,7 @@ class PriorityHeap:
             for cls in sorted(PriorityClass, key=CLASS_RANK.__getitem__)
         }
         self._lane_list = list(self._lanes.values())  # pop's iteration order
-        self._size = 0  # total queued items, maintained for O(1) len()
+        self.size = 0  # total queued items: an O(1) len(), the queue's idle test
 
     def policy_for(self, priority: PriorityClass) -> ClassPolicy:
         return self._lanes[priority].policy
@@ -193,7 +193,7 @@ class PriorityHeap:
             heapq.heappush(lane.delayed, (item.ready_at, item.seq, item))
         else:
             lane.items.append(item)
-        self._size += 1
+        self.size += 1
 
     def pop(self, now: float) -> Optional[WorkItem]:
         """The ready item with the best (effective-rank, seq) — or None."""
@@ -209,7 +209,7 @@ class PriorityHeap:
                 best, best_key = lane, key
         if best is None:
             return None
-        self._size -= 1
+        self.size -= 1
         return best.items.popleft()
 
     def shed_candidate(self) -> Optional[PriorityClass]:
@@ -230,7 +230,7 @@ class PriorityHeap:
         if cls is None:
             return None
         lane = self._lanes[cls]
-        self._size -= 1
+        self.size -= 1
         if lane.delayed:
             # Retries are the newest commitments; cancel those first,
             # newest ready-time last in the heap's sorted order.
@@ -245,7 +245,7 @@ class PriorityHeap:
         return min(times) if times else None
 
     def __len__(self) -> int:
-        return self._size
+        return self.size
 
     def depth(self, priority: PriorityClass) -> int:
         return self._lanes[priority].depth()
@@ -264,5 +264,5 @@ class PriorityHeap:
             out.extend(item for _, _, item in sorted(lane.delayed))
             lane.items.clear()
             lane.delayed.clear()
-        self._size = 0
+        self.size = 0
         return out

@@ -140,6 +140,8 @@ class IngestQueue:
         self._clock = clock or WallClock()
         self._lock = threading.Lock()
         self._heap = PriorityHeap()
+        #: Each class's queue-wait SLA, fixed when the heap is built.
+        self._sla = {cls: self._heap.policy_for(cls).sla_seconds for cls in PriorityClass}
         self._seq = 0
         self._stats: Dict[PriorityClass, _ClassStats] = {
             cls: _ClassStats() for cls in PriorityClass
@@ -175,7 +177,7 @@ class IngestQueue:
         """
         cls = classify_request(request)
         with self._lock:
-            idle = not self._closed and not self._heap
+            idle = not self._closed and not self._heap.size
             if idle:
                 self._stats[cls].submitted += 1
         if not idle:
@@ -300,7 +302,7 @@ class IngestQueue:
         lock — the runner does real validation work.
         """
         stats = self._stats[cls]
-        sla = self._heap.policy_for(cls).sla_seconds
+        sla = self._sla[cls]
         if self._timed:
             self._m_wait[cls].observe(waited)
         began = None
@@ -336,7 +338,10 @@ class IngestQueue:
                 ValidateStatus.REJECT, reason=f"backend error: {exc}"
             )
         with self._lock:
-            stats.observe_wait(waited, sla)
+            if item is None:  # an idle arrival waited 0.0: within any SLA (> 0)
+                stats.sla_hits += 1
+            else:
+                stats.observe_wait(waited, sla)
             stats.completed += 1
             if errored:
                 stats.errors += 1
@@ -428,7 +433,7 @@ class IngestQueue:
                     "rank": CLASS_RANK[cls],
                     "depth": self._heap.depth(cls),
                     "oldest_age_seconds": round(self._heap.oldest_age(cls, now), 6),
-                    "sla_seconds": self._heap.policy_for(cls).sla_seconds,
+                    "sla_seconds": self._sla[cls],
                     "submitted": s.submitted,
                     "completed": s.completed,
                     "shed": s.shed,

@@ -429,9 +429,9 @@ class OTPServer:
             return self._pipeline.run(user_id, code, source)
         with self._tracer.span("otp.validate", user=user_id) as span:
             result = self._pipeline.run(user_id, code, source)
-            span.annotate("status", result.status._value_)
+            span.attributes["status"] = result.status._value_
             if result.reason:
-                span.annotate("reason", result.reason)
+                span.attributes["reason"] = result.reason
             self._m_validate[result.status].inc()
             return result
 

@@ -37,7 +37,7 @@ class DirectoryResolver(IdentityResolver):
         self._identity = identity
 
     def _lookup(self, username: str) -> Optional[ResolvedIdentity]:
-        local, realm = split_realm(username)
+        local, realm = split_realm(username) if "@" in username else (username, "")
         try:
             account = self._identity.get(local)
         except NotFoundError:

@@ -8,6 +8,8 @@ chain fronts every account source a deployment knows about:
   no registered resolvers *fails closed*: the lookup misses (and the
   miss is negative-cached) rather than falling through to some other
   source — exactly one route answers for any username, or none does.
+  So does a name with an empty part around its last ``@`` (``alice@``,
+  ``@alice``): it is no second spelling of ``alice``.
 * **Health-aware failover** — each resolver gets an EWMA health score
   and a circuit breaker with the same CLOSED/HALF_OPEN/OPEN shape as
   the RADIUS client (:mod:`repro.common.resilience`, literally shared).
@@ -42,7 +44,6 @@ from repro.resolvers.base import (
     IdentityResolver,
     ResolvedIdentity,
     ResolverUnavailableError,
-    split_realm,
 )
 from repro.telemetry import resolve_registry
 
@@ -179,8 +180,10 @@ class ResolverChain:
                 if identity is None:
                     self.negative_hits += 1
                 return identity
-        realm = split_realm(username)[1] if "@" in username else ""
-        route = self._routes.get(realm)
+        local, at, realm = username.rpartition("@") if "@" in username else (username, "", "")
+        # An empty part around the last "@" names no account in any realm:
+        # "alice@" is not a second login name for "alice".
+        route = None if at and not (local and realm) else self._routes.get(realm)
         if not route:
             expires = self.clock.now() + NEGATIVE_TTL
             with self._lock:

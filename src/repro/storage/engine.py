@@ -115,13 +115,33 @@ class Transaction:
             self.engine.rollback()
 
 
+#: The ops a layer passes through to ``inner`` unless it declares its own.
+PASS_THROUGH = (
+    "create_table", "has_table", "tables", "schema", "insert", "get", "exists",
+    "get_by_unique", "select", "count", "row_count", "begin", "describe",
+)
+
+
 class Layer:
     """One layer of an engine stack over ``inner``: the reads, schema ops,
     ``insert``, ``begin``, ``transaction`` and ``describe`` pass through; each
-    layer declares its writes.  :func:`find_layer` reaches a layer's extras."""
+    layer declares its writes.  :func:`find_layer` reaches a layer's extras.
+
+    A layer costs no frame for an op it does not declare: :meth:`_bind` sets
+    it to the method ``inner``'s class defines (over an inner layer, the
+    forwarder below, never that layer's binding), so only a layer that swaps
+    ``inner`` must bind again."""
 
     def __init__(self, inner: StorageEngine) -> None:
         self.inner = inner
+        self._bind()
+
+    def _bind(self) -> None:
+        inner = self.inner
+        for op in PASS_THROUGH:
+            own = getattr(type(inner), op, None)
+            if getattr(type(self), op) is getattr(Layer, op) and own is not None:
+                setattr(self, op, own.__get__(inner))
 
     def create_table(self, name: str, schema: TableSchema) -> None:
         self.inner.create_table(name, schema)

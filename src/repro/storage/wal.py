@@ -395,6 +395,7 @@ class WALEngine(Layer):
             self._crashed = self.primary_id
             self.primary_id = best.node_id
             self.inner = best.engine
+            self._bind()  # the pass-through reads follow the new primary
             self.replicas.remove(best)
             self.promotions += 1
             post_digest = state_digest(self.inner)

@@ -55,7 +55,24 @@ class Span:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self._tracer._finish(self, exc)
+        tracer = self._tracer
+        self.end = tracer._clock.now()
+        if exc is not None:
+            self.status = "error"
+            self.attributes.setdefault("error", repr(exc))
+        # Pop down to (and including) this span: robust against a child the
+        # caller leaked open — it is force-closed with its parent.
+        stack = tracer._open.stack
+        while stack:
+            top = stack.pop()
+            if top is self:
+                break
+            if top.end is None:
+                top.end = self.end
+                top.status = "error"
+        if not stack:
+            with tracer._lock:
+                tracer.traces.append(self)
         return False
 
     def annotate(self, key: str, value: object) -> None:
@@ -146,25 +163,6 @@ class Tracer:
         with self._lock:
             self.spans_started += 1
         return span
-
-    def _finish(self, span: Span, exc: Optional[BaseException]) -> None:
-        span.end = self._clock.now()
-        if exc is not None:
-            span.status = "error"
-            span.attributes.setdefault("error", repr(exc))
-        # Pop down to (and including) the span: robust against a child the
-        # caller leaked open — it is force-closed with its parent.
-        stack = self._open.stack
-        while stack:
-            top = stack.pop()
-            if top is span:
-                break
-            if top.end is None:
-                top.end = span.end
-                top.status = "error"
-        if not stack:
-            with self._lock:
-                self.traces.append(span)
 
     def current_span(self) -> Optional[Span]:
         stack = self._open.stack

@@ -434,13 +434,12 @@ def test_a_warm_success_writes_nothing(warm_success_profile):
     assert count(warm_success_profile, "storage/memory.py", "select") == 1
 
 
-@pytest.fixture(scope="module")
-def backend_trainee(tmp_path_factory):
+def validate_backend_center(tmp_path_factory, clock):
     """loginbench's ``validate_backend`` stack: four WAL-logged shards to
     disk under a read-through cache, the ingest queue, risk, the resolver
-    chain and telemetry on; one account and a valid code for it."""
-    center = MFACenter(
-        clock=VirtualClock.at("2016-10-05T09:00:00"),
+    chain and telemetry on."""
+    return MFACenter(
+        clock=clock,
         rng=random.Random(20160810),
         storage=StorageConfig(
             shards=4, durability=True, cache_capacity=2048, snapshot_every=5000,
@@ -448,6 +447,13 @@ def backend_trainee(tmp_path_factory):
         ),
         ingest=True, risk=True, resolvers=True, telemetry=True,
     )
+
+
+@pytest.fixture(scope="module")
+def backend_trainee(tmp_path_factory):
+    """The ``validate_backend`` stack with one account and a valid code for it."""
+    clock = VirtualClock.at("2016-10-05T09:00:00")
+    center = validate_backend_center(tmp_path_factory, clock)
     center.create_user("trainee", password="pw-trainee")
     return center, center.pair_training("trainee", "424242")
 
@@ -486,6 +492,64 @@ def test_a_span_pays_for_no_stack_lookup(telemetry_on_profile):
     # ... and the spans those zeros speak for were opened and closed.
     assert count(telemetry_on_profile, "telemetry/trace.py", "span") >= 1
     assert count(telemetry_on_profile, "telemetry/trace.py", "__exit__") >= 1
+
+
+@pytest.fixture(scope="module")
+def soft_success_profile(tmp_path_factory):
+    """One warm valid soft-token validate on the ``validate_backend`` stack,
+    each at a fresh TOTP step: never a replay."""
+    clock = VirtualClock.at("2016-10-05T09:00:00")
+    center = validate_backend_center(tmp_path_factory, clock)
+    center.create_user("alice", password="pw-alice")
+    _, secret = center.pair_soft("alice")
+    device = TOTPGenerator(secret=secret, clock=clock)
+
+    def validate(run):
+        clock.advance(31)
+        assert run(center.radius_backend.validate, "alice", device.current_code()).ok
+
+    return profile_second_call(validate)
+
+
+#: Frames a valid validate used to enter only to forward to the next frame
+#: or to recompute a constant: ``Layer.select``, the stripe's blake2b hash,
+#: the idle queue's heap length, class policy and zero-wait accounting, the
+#: span close's second frame and the TOTP window property.
+FORWARDING_FRAMES = (
+    ("storage/engine.py", "select"),
+    ("authflow/locks.py", "stripe_for"),
+    ("storage/sharding.py", "stable_hash"),
+    ("ingest/priority.py", "__len__"),
+    ("ingest/priority.py", "policy_for"),
+    ("ingest/queue.py", "observe_wait"),
+    ("telemetry/trace.py", "_finish"),
+    ("crypto/totp.py", "window"),
+)
+#: ... and the ones only one caller paid: ``OTPServer.validate``'s span
+#: attributes, ``ApplyOutcome``'s ``ok`` property and ``_evaluate``'s
+#: exemption test.
+FORWARDING_EDGES = (
+    (("otpserver/server.py", "validate"), ("telemetry/trace.py", "annotate")),
+    (("authflow/stages.py", "run"), ("common/results.py", "ok")),
+    (("policy/engine.py", "_evaluate"), ("policy/engine.py", "is_exempt")),
+)
+
+
+@pytest.mark.parametrize(
+    "profile", ["telemetry_on_profile", "durable_queue_profile", "soft_success_profile"]
+)
+def test_a_valid_validate_runs_no_frame_that_only_forwards(request, profile):
+    """docs/ARCHITECTURE.md "Hot path": each layer of a valid validate pays
+    only for what it decides, records or computes — a storage layer costs
+    no frame for an op it does not declare."""
+    calls = request.getfixturevalue(profile)
+    assert [frame for frame in FORWARDING_FRAMES if count(calls, *frame)] == []
+    assert [edge for edge in FORWARDING_EDGES if calls.edges.get(edge)] == []
+    # ... and the layers those zeros speak for ran.
+    assert count(calls, "authflow/locks.py", "lock_for") >= 1
+    assert count(calls, "ingest/queue.py", "_run") >= 1
+    assert count(calls, "storage/memory.py", "select") >= 1
+    assert count(calls, "policy/engine.py", "_evaluate") >= 1
 
 
 def profile_cold_lookup(center, code, stage=None):
@@ -536,6 +600,7 @@ def test_a_validate_finds_its_account_and_token_row_in_one_probe_per_layer(
     assert count(policy, "policy/engine.py", "evaluate") == 1
     resolve = profile_cold_lookup(*backend_trainee, stage="resolve_identity")
     assert count(resolve, "resolvers/base.py", "resolve") == 1
+    assert count(resolve, "resolvers/base.py", "split_realm") == 0  # a bare name
     assert calls_made(resolve) <= 45  # 45; 65 with those hops and `_user_tokens`
 
 
@@ -609,19 +674,10 @@ def test_the_password_rounds_loop_inside_one_call(login_profile):
 
 @pytest.fixture(scope="module")
 def backend_soft_token(tmp_path_factory):
-    """loginbench's ``validate_backend`` stack (as ``telemetry_on_profile``)
-    with one soft token, and a code none of its drift window's 21 steps
-    shows."""
+    """The ``validate_backend`` stack with one soft token, and a code none
+    of its drift window's 21 steps shows."""
     clock = VirtualClock.at("2016-10-05T09:00:00")
-    center = MFACenter(
-        clock=clock,
-        rng=random.Random(20160810),
-        storage=StorageConfig(
-            shards=4, durability=True, cache_capacity=2048, snapshot_every=5000,
-            wal_dir=str(tmp_path_factory.mktemp("wal")),
-        ),
-        ingest=True, risk=True, resolvers=True, telemetry=True,
-    )
+    center = validate_backend_center(tmp_path_factory, clock)
     center.create_user("alice", password="pw-alice")
     _, secret = center.pair_soft("alice")
     now = time_step(clock.now())

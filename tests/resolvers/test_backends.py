@@ -187,6 +187,27 @@ class TestOneNameOneIdentity:
             ValidateStatus.NO_TOKEN,
         ]
 
+    @pytest.mark.parametrize("use_ldap", [False, True])
+    def test_an_empty_part_around_the_at_names_no_one(self, use_ldap):
+        """``alice@`` is no second login name for ``alice`` on either chain:
+        a name with an empty local part or realm around its last ``@`` is
+        unrouted, so policy and risk never key one token row two ways."""
+        clock = VirtualClock.at("2016-10-05T09:00:00")
+        center = MFACenter(
+            clock=clock,
+            rng=random.Random(7),
+            resolvers=ResolverConfig(use_ldap=use_ldap),
+        )
+        center.create_user("alice", password="pw")
+        _, secret = center.pair_soft("alice")
+        device = TOTPGenerator(secret=secret, clock=clock)
+        seen = []
+        for name in ("alice@", "@alice", "alice@@", "alice"):
+            clock.advance(31)  # a fresh step: never a replay
+            seen.append(center.radius_backend.validate(name, device.current_code()).status)
+        assert seen == [ValidateStatus.NO_TOKEN] * 3 + [ValidateStatus.OK]
+        assert center.resolver_chain.unrouted == 3
+
 
 class TestFlatFileResolver:
     def test_parses_simple_and_passwd_style_lines(self):

@@ -184,6 +184,37 @@ class TestReplicatedEngine:
         assert _all_caught_up(engine)
         assert [s["replication"]["promotions"] for s in engine.describe()["shards"]] == [1] * 3
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_promoted_shard_serves_reads_through_the_bound_pass_throughs(self, shards):
+        """docs/ARCHITECTURE.md "Storage engines": a read no layer declares is
+        bound to the inner engine's method when the stack is built, and a
+        promotion re-binds the shard's to the new primary — so a row written
+        after the crash reads back through the outermost engine, before and
+        after the old primary rejoins."""
+        engine = build_engine(
+            StorageConfig(shards=shards, replicas=1, cache_capacity=64), telemetry=True
+        )
+        engine.create_table("t", SCHEMA)
+        _fill(engine, count=4)
+        group = find_layer(shards_of(engine)[-1], "crash_primary")
+        group.crash_primary()
+        _fill(engine, start=100, count=8)
+        # A row the crashed shard's new primary holds, asked of that engine
+        # itself, not through any binding.
+        pk = next(i for i in range(100, 108) if group.inner.exists("t", i))
+        row = {"id": pk, "name": f"n{pk}", "secret": bytes([pk])}
+
+        def reads_back():
+            assert engine.select("t", {"id": pk}) == [row]
+            assert engine.get("t", pk) == row
+            assert engine.exists("t", pk)
+            assert engine.count("t", {"name": f"n{pk}"}) == 1
+            assert engine.row_count("t") == 12
+
+        reads_back()
+        assert group.rejoin()["match"] is True
+        reads_back()
+
     def test_replication_stats_shape(self):
         engine = build_engine(StorageConfig(shards=2, replicas=1))
         engine.create_table("t", SCHEMA)
