@@ -53,15 +53,14 @@ class PAMSession:
     conversation: Optional[Conversation] = None
     clock: Clock = field(default_factory=WallClock)
     items: Dict[str, Any] = field(default_factory=dict)
-    log: List[str] = field(default_factory=list)
     # The deployment's telemetry registry; the SSH daemon stamps its own in
     # so the stack and its modules report into the same span tree.  Defaults
     # to the free no-op registry for bare PAMSession construction.
     telemetry: Any = NOOP_REGISTRY
-
-    def record(self, message: str) -> None:
-        """Append to the session's debug trail (visible in test failures)."""
-        self.log.append(message)
+    remote_port: int = 0  # with remote_ip, the connection's name in the secure log
+    # The first exemption ask's ``PolicyEngine.screen``, for the modules after
+    # it; not an item, since items are what the stack hands back to sshd.
+    screen: Optional[tuple] = None
 
 
 class PAMModule(Protocol):
@@ -165,10 +164,10 @@ class PAMStack:
             if skip > 0:
                 skip -= 1
                 continue
-            name = entry.module.name
             if tracer is not None:
                 # Telemetry on (``tracer`` is None when off).  Opened by hand so
                 # one call site serves both; pam.stack's close ends a raiser's.
+                name = entry.module.name
                 scope = tracer.span("pam." + name)
                 module_span = scope.__enter__()
             try:
@@ -180,7 +179,6 @@ class PAMStack:
                 module_span.annotate("result", result)
                 scope.__exit__(None, None, None)
                 module_counter.inc(module=name, result=result)
-            session.record(f"{name}: {result}")
             action = entry.actions[result]
             if type(action) is int:
                 # Jump action: success contribution plus skipping N modules.
@@ -194,19 +192,13 @@ class PAMStack:
                 if recorded_failure is None:
                     return PAMResult.SUCCESS
                 return recorded_failure
-            elif action == "bad":
+            elif action == "bad" or action == "die":
                 if recorded_failure is None:
                     recorded_failure = (
                         code if code is not PAMResult.SUCCESS else PAMResult.AUTH_ERR
                     )
-            elif action == "die":
-                if recorded_failure is None:
-                    recorded_failure = (
-                        code if code is not PAMResult.SUCCESS else PAMResult.AUTH_ERR
-                    )
-                return recorded_failure
-            elif action == "ignore":
-                pass
+                if action == "die":
+                    return recorded_failure
             elif action == "reset":
                 recorded_failure = None
                 recorded_success = False

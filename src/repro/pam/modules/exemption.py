@@ -10,14 +10,14 @@ short-circuits past the token module; a denial is ignored and the user
 continues to the token prompt.
 
 The module asks the :class:`repro.policy.PolicyEngine` it is handed (its
-system's one engine, shared with the token module): the engine's ACL
-answers, and its risk rule may withhold the waiver.
+system's one engine, shared with the token module) for its screen of the
+attempt: the ACL answers, and the risk verdict may withhold the waiver.
 """
 
 from __future__ import annotations
 
 from repro.pam.framework import PAMResult, PAMSession
-from repro.policy import PolicyEngine
+from repro.policy import PolicyEngine, RiskAction
 
 
 class MFAExemptionModule:
@@ -33,13 +33,19 @@ class MFAExemptionModule:
         return self._policy
 
     def authenticate(self, session: PAMSession) -> PAMResult:
-        if self._policy.is_exempt(session.username, session.remote_ip):
-            if self._policy.step_up_required(session.username, session.remote_ip):
-                # Risk withholds the waiver: being `sufficient`, a SUCCESS
-                # here would skip the token module entirely, so the grant
-                # must be refused at this point for a step-up to bite.
-                session.items["risk_step_up"] = True
-                return PAMResult.AUTH_ERR
-            session.items["mfa_exempt"] = True
-            return PAMResult.SUCCESS
-        return PAMResult.AUTH_ERR
+        screen = session.screen
+        if screen is None or screen[0] is not self._policy:
+            screen = session.screen = self._policy.screen(
+                session.username, session.remote_ip
+            )
+        _, risk, exempt = screen
+        if not exempt:
+            return PAMResult.AUTH_ERR
+        if risk is not None and risk.action is not RiskAction.ALLOW:
+            # Risk withholds the waiver: being `sufficient`, a SUCCESS
+            # here would skip the token module entirely, so the grant
+            # must be refused at this point for a step-up to bite.
+            session.items["risk_step_up"] = True
+            return PAMResult.AUTH_ERR
+        session.items["mfa_exempt"] = True
+        return PAMResult.SUCCESS

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.pam.framework import PAMResult, PAMSession
 from repro.pam.modules.exemption import MFAExemptionModule
-from repro.pam.modules.pubkey import DEFAULT_WINDOW_SECONDS, PublicKeySuccessModule
+from repro.pam.modules.pubkey import PublicKeySuccessModule
 from repro.policy import PolicyEngine
 
 
@@ -26,13 +26,8 @@ class SolarisMFAModule:
 
     name = "pam_solaris_mfa"
 
-    def __init__(
-        self,
-        authlog,
-        policy: PolicyEngine,
-        window_seconds: float = DEFAULT_WINDOW_SECONDS,
-    ) -> None:
-        self._pubkey = PublicKeySuccessModule(authlog, window_seconds)
+    def __init__(self, authlog, policy: PolicyEngine) -> None:
+        self._pubkey = PublicKeySuccessModule(authlog)
         self._exemption = MFAExemptionModule(policy)
 
     @property

@@ -80,11 +80,11 @@ class MFATokenModule:
         # The login name is attacker-chosen text: compared as a literal uid,
         # never parsed, it cannot be a wildcard or a broken filter.  The
         # directory matches uids case-insensitively; only an entry whose uid
-        # is exactly the name is its pairing, as both resolvers key it.  Every
-        # hit holds a ``uid``, so its values are read with no accessor frame.
+        # is exactly the name is its pairing, as both resolvers key it.  Values
+        # are read by their stored (lower-case) names, with no accessor frame.
         for entry in self._ldap.search(self._base_dn, (("uid", username),)):
             if username in entry.attributes["uid"]:
-                pairing = entry.first("mfaPairingType", "unpaired")
+                pairing = (entry.attributes.get("mfapairingtype") or ("unpaired",))[0]
                 return None if pairing == "unpaired" else pairing
         return None
 
@@ -96,6 +96,7 @@ class MFATokenModule:
                 session.username,
                 session.remote_ip,
                 pairing_lookup=self._pairing_type,
+                screen=session.screen,
             ),
             now=session.clock.now(),
         )

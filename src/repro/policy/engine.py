@@ -134,10 +134,11 @@ class AuthRequest:
     ``pairing_lookup`` makes the LDAP round trip lazy: the engine only
     resolves the pairing type when the active ladder mode needs it, so
     ``off`` mode costs no directory query (matching the PAM module's
-    historical short-circuit).
+    historical short-circuit).  ``screen`` is a :meth:`PolicyEngine.screen`
+    already made for this attempt.
     """
 
-    __slots__ = ("username", "source_ip", "_pairing", "_lookup", "_resolved")
+    __slots__ = ("username", "source_ip", "_pairing", "_lookup", "_resolved", "screen")
 
     def __init__(
         self,
@@ -145,12 +146,14 @@ class AuthRequest:
         source_ip: str = "",
         pairing: Optional[str] = None,
         pairing_lookup: Optional[Callable[[str], Optional[str]]] = None,
+        screen: Optional[tuple] = None,
     ) -> None:
         self.username = username
         self.source_ip = source_ip
         self._pairing = pairing
         self._lookup = pairing_lookup
         self._resolved = pairing is not None or pairing_lookup is None
+        self.screen = screen
 
     def resolve_pairing(self) -> Optional[str]:
         """The user's pairing type (``None`` = unpaired), fetched once."""
@@ -273,27 +276,21 @@ class PolicyEngine:
             return RiskEngine(self.clock)
         return risk
 
-    # -- individual rule surfaces -------------------------------------------
+    # -- the PAM session's screen --------------------------------------------
 
-    def is_exempt(self, username: str, source_ip: str) -> bool:
-        """Figure 1's "MFA Exemption Granted?" (default deny)."""
-        return self.exemptions is not None and self.exemptions.check(
-            username, source_ip
-        )
-
-    def step_up_required(self, username: str, source_ip: str) -> bool:
-        """Does risk demand the second factor for this attempt?
-
-        The ``sufficient`` exemption module consults this before granting
-        an ACL waiver: it short-circuits past the token module, so a
-        step-up verdict must withhold the grant *there* — by the time
-        ``evaluate`` runs inside the token module, the stack has already
-        let the exempt user through.  Without a risk engine the answer is
-        always ``False`` and the ACL behaves exactly as before.
+    def screen(self, username: str, source_ip: str) -> tuple:
+        """``(self, risk verdict or None, ACL grant)``: Figure 1's "MFA
+        Exemption Granted?" with the verdict that may withhold it, asked
+        once per PAM session.  A request carrying it makes this engine's
+        :meth:`evaluate` neither score the attempt again (one attempt, one
+        flag) nor re-walk the ACL.
         """
-        if self.risk is None:
-            return False
-        return self.risk.evaluate(username, source_ip).action is not RiskAction.ALLOW
+        risk, exemptions = self.risk, self.exemptions
+        return (
+            self,
+            None if risk is None else risk.evaluate(username, source_ip),
+            exemptions is not None and exemptions.check(username, source_ip),
+        )
 
     # -- the one call every layer makes -------------------------------------
 
@@ -316,10 +313,16 @@ class PolicyEngine:
         return decision
 
     def _evaluate(self, request: AuthRequest, timestamp: float) -> Decision:
-        risk: Optional[RiskDecision] = None
+        screen = request.screen
+        if screen is not None and screen[0] is self:
+            _, risk, exempt = screen
+        else:
+            engine, exempt = self.risk, None  # the ACL is asked below, if at all
+            risk = None if engine is None else engine.evaluate(
+                request.username, request.source_ip
+            )
         step_up = False
-        if self.risk is not None:
-            risk = self.risk.evaluate(request.username, request.source_ip)
+        if risk is not None:
             if risk.action is RiskAction.DENY:
                 return _stamp_risk(
                     Decision(
@@ -330,10 +333,12 @@ class PolicyEngine:
                     risk,
                 )
             step_up = risk.action is RiskAction.STEP_UP
-        exemptions = self.exemptions  # is_exempt's test, with no frame of its own
-        if not step_up and exemptions is not None and exemptions.check(
-            request.username, request.source_ip
-        ):
+        if not step_up and exempt is None:
+            exemptions = self.exemptions
+            exempt = exemptions is not None and exemptions.check(
+                request.username, request.source_ip
+            )
+        if not step_up and exempt:
             return _stamp_risk(
                 Decision(PolicyAction.EXEMPT, "exemption ACL grant"), risk
             )

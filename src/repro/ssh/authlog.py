@@ -11,7 +11,8 @@ Two of the paper's mechanisms live off this log:
   initiated".
 
 Entries mirror OpenSSH's message shapes ("Accepted publickey for USER from
-IP port N ssh2") plus the center's custom entry-audit records.
+IP port N ssh2") plus the center's custom entry-audit records.  The port
+names the connection, so an acceptance vouches for that connection alone.
 """
 
 from __future__ import annotations
@@ -20,6 +21,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.clock import Clock
+
+#: The events sshd itself writes, by the verb of its line.
+_SSHD_VERBS = {
+    "accepted_publickey": "Accepted publickey",
+    "accepted_password": "Accepted password",
+    "failed_password": "Failed password",
+}
 
 
 @dataclass(frozen=True)
@@ -32,23 +40,16 @@ class AuthLogEntry:
     remote_ip: str
     detail: str = ""
     tty: bool = False
+    port: int = 0  # the client's source port
 
     def format(self) -> str:
         """The raw syslog-style line."""
-        if self.event == "accepted_publickey":
+        verb = _SSHD_VERBS.get(self.event)
+        if verb is not None:
+            suffix = f": {self.detail}" if self.event == "accepted_publickey" else ""
             return (
-                f"sshd: Accepted publickey for {self.username} from "
-                f"{self.remote_ip} port 22 ssh2: {self.detail}"
-            )
-        if self.event == "accepted_password":
-            return (
-                f"sshd: Accepted password for {self.username} from "
-                f"{self.remote_ip} port 22 ssh2"
-            )
-        if self.event == "failed_password":
-            return (
-                f"sshd: Failed password for {self.username} from "
-                f"{self.remote_ip} port 22 ssh2"
+                f"sshd: {verb} for {self.username} from "
+                f"{self.remote_ip} port {self.port} ssh2{suffix}"
             )
         tty_flag = "tty=yes" if self.tty else "tty=no"
         return (
@@ -64,9 +65,13 @@ class AuthLog:
         self._clock = clock
         self._entries: List[AuthLogEntry] = []
         self._max = max_entries
-        #: (username, remote_ip) -> when the log last accepted its public
-        #: key; holds only what the entries kept still show.
-        self._publickey_accepted: Dict[Tuple[str, str], float] = {}
+        #: (username, remote_ip, port) -> when the log last accepted that
+        #: connection's public key; holds only what the entries kept still show.
+        self._publickey_accepted: Dict[Tuple[str, str, int], float] = {}
+        #: The next connection's source port (from Linux's first ephemeral
+        #: one), never reused, on any node sharing the log: it counts on
+        #: past 65535 rather than wrap.
+        self.next_port = 32768
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -78,6 +83,7 @@ class AuthLog:
         remote_ip: str,
         detail: str = "",
         tty: bool = False,
+        port: int = 0,
     ) -> AuthLogEntry:
         entry = AuthLogEntry(
             timestamp=self._clock.now(),
@@ -86,15 +92,16 @@ class AuthLog:
             remote_ip=remote_ip,
             detail=detail,
             tty=tty,
+            port=port,
         )
         self._entries.append(entry)
         if event == "accepted_publickey":
-            self._publickey_accepted[username, remote_ip] = entry.timestamp
+            self._publickey_accepted[username, remote_ip, port] = entry.timestamp
         if len(self._entries) > self._max:
             # Rotate like logrotate would: drop the oldest half.
             self._entries = self._entries[self._max // 2 :]
             self._publickey_accepted = {
-                (kept.username, kept.remote_ip): kept.timestamp
+                (kept.username, kept.remote_ip, kept.port): kept.timestamp
                 for kept in self._entries
                 if kept.event == "accepted_publickey"
             }
@@ -121,13 +128,13 @@ class AuthLog:
         return out
 
     def publickey_accepted_recently(
-        self, username: str, remote_ip: str, window_seconds: float = 30.0
+        self, username: str, remote_ip: str, window_seconds: float = 30.0, port: int = 0
     ) -> bool:
         """The exact question ``pam_pubkey_success`` asks: did sshd log an
-        accepted public key for this user+origin moments ago?  One lookup:
-        the log's clock never runs back, so the latest acceptance is the
-        one a scan of the window would find."""
-        accepted = self._publickey_accepted.get((username, remote_ip))
+        accepted public key for this user and connection (origin and port)
+        moments ago?  One lookup: the log's clock never runs back, so the
+        latest acceptance is the one a scan of the window would find."""
+        accepted = self._publickey_accepted.get((username, remote_ip, port))
         return accepted is not None and accepted >= self._clock.now() - window_seconds
 
     def entries(self) -> List[AuthLogEntry]:

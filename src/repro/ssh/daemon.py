@@ -3,8 +3,9 @@
 Reproduces the authentication choreography of Section 3.4:
 
 1. sshd itself verifies an offered public key against ``authorized_keys``
-   and, on success, writes "Accepted publickey" to the secure log — the
-   only trace PAM gets of it.
+   and, on success, writes "Accepted publickey ... from IP port N" to the
+   secure log — the only trace PAM gets of it.  The connection's PAM
+   sessions carry its port, so the line speaks for it alone.
 2. The authentication decision is then handed to the PAM stack
    (keyboard-interactive): the node's libpam resolves the ``sshd`` service
    from its pam.d text once per connection — so an edit is live on the very
@@ -56,7 +57,6 @@ class SSHResult:
 
 @dataclass
 class _MasterConnection:
-    connection_id: str
     username: str
     source_ip: str
     channels: int = 1
@@ -129,17 +129,6 @@ class SSHDaemon:
         self.identity.add_public_key(username, fingerprint)
         self._verifiers[fingerprint] = keypair
 
-    def _verify_publickey(
-        self, username: str, key: KeyPair, fingerprint: str
-    ) -> bool:
-        if not self.identity.has_public_key(username, fingerprint):
-            return False
-        verifier = self._verifiers.get(fingerprint)
-        if verifier is None:
-            return False
-        challenge = random_octets(self._rng, 32)
-        return verifier.verify_with_public(challenge, key.sign(challenge))
-
     # -- connection handling ------------------------------------------------------
 
     def connect(
@@ -174,15 +163,19 @@ class SSHDaemon:
         if self.banner:
             conversation.info(self.banner)
 
+        authlog = self.authlog
+        port = authlog.next_port
+        authlog.next_port = port + 1
         account_ok = username in self.identity
-        pubkey_ok = False
         if key is not None and account_ok:
-            fingerprint = key.fingerprint  # two SHA-256s: derived once a connect
-            pubkey_ok = self._verify_publickey(username, key, fingerprint)
-            if pubkey_ok:
-                self.authlog.append(
-                    "accepted_publickey", username, source_ip, detail=fingerprint
-                )
+            fingerprint = key.fingerprint  # the connect's one SHA-256
+            verifier = self._verifiers.get(fingerprint)
+            if verifier is not None and self.identity.has_public_key(username, fingerprint):
+                challenge = random_octets(self._rng, 32)
+                if verifier.verify_with_public(challenge, key.sign(challenge)):
+                    authlog.append(
+                        "accepted_publickey", username, source_ip, fingerprint, port=port
+                    )
 
         try:
             stack = self.pam.stack(PAM_SERVICE)
@@ -192,6 +185,8 @@ class SSHDaemon:
         result = PAMResult.AUTH_ERR
         attempts = 0
         items: Dict[str, object] = {}
+        # Unknown accounts burn the full retry budget too (sshd does not
+        # reveal which part failed), but can never succeed.
         for attempts in range(1, MAX_AUTH_ATTEMPTS + 1):
             session = PAMSession(
                 username=username,
@@ -200,6 +195,7 @@ class SSHDaemon:
                 conversation=conversation,
                 clock=self.clock,
                 telemetry=self.telemetry,
+                remote_port=port,
             )
             try:
                 result = stack.authenticate(session)
@@ -213,10 +209,6 @@ class SSHDaemon:
             items = session.items
             if result is PAMResult.SUCCESS or result is PAMResult.ABORT:
                 break
-            if not account_ok:
-                # Unknown accounts burn the full retry budget (sshd does not
-                # reveal which part failed) but can never succeed.
-                continue
 
         # An unknown account can never enter, whatever the stack said.
         if not account_ok:
@@ -224,26 +216,24 @@ class SSHDaemon:
 
         if result is not PAMResult.SUCCESS:
             self.logins_rejected += 1
-            self.authlog.append("auth_failure", username, source_ip)
+            authlog.append("auth_failure", username, source_ip, port=port)
             return SSHResult(
-                False, username, detail=result.value, password_attempts=attempts
+                False, username, detail=result._value_, password_attempts=attempts
             )
 
         connection_id = self._ids.next("conn")
-        self._masters[connection_id] = _MasterConnection(
-            connection_id, username, source_ip
-        )
-        mfa_used = "second_factor" in items
-        self.authlog.append(
+        self._masters[connection_id] = _MasterConnection(username, source_ip)
+        authlog.append(
             "session_open",
             username,
             source_ip,
             detail=(
                 f"first={items.get('first_factor', 'unknown')} "
-                f"mfa={'yes' if mfa_used else 'no'} "
+                f"mfa={'yes' if 'second_factor' in items else 'no'} "
                 f"exempt={'yes' if items.get('mfa_exempt') else 'no'}"
             ),
             tty=tty,
+            port=port,
         )
         self.logins_accepted += 1
         return SSHResult(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.common.ids import random_octets
@@ -32,16 +32,17 @@ class KeyPair:
 
     private_seed: bytes
     comment: str = ""
+    #: The authorized_keys line (type + key material + comment), made once.
+    public_key: str = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        material = hashlib.sha256(b"pub:" + self.private_seed).hexdigest()
+        line = f"ssh-ed25519 {material} {self.comment}".strip()
+        object.__setattr__(self, "public_key", line)
 
     @classmethod
     def generate(cls, comment: str = "", rng: Optional[random.Random] = None) -> "KeyPair":
         return cls(random_octets(rng or random.Random(), 32), comment)
-
-    @property
-    def public_key(self) -> str:
-        """The authorized_keys line content (type + key material + comment)."""
-        material = hashlib.sha256(b"pub:" + self.private_seed).hexdigest()
-        return f"ssh-ed25519 {material} {self.comment}".strip()
 
     @property
     def fingerprint(self) -> str:

@@ -559,6 +559,97 @@ class TestPamSideRisk:
         assert risk_center.otp.validate_requests == 0
 
 
+#: Figure 1's ``pam_mfa_exemption`` line: a stack without it is waived, or
+#: stepped up, by the token module alone.
+EXEMPTION_LINE = "auth sufficient pam_mfa_exemption.so\n"
+#: The system's own /24 (ACL-exempt), watchlisted by the tests below.
+OWN_ORIGIN = "10.3.1.20"
+
+
+class TestOneScreenPerSession:
+    """A PAM session scores risk and walks the exemption ACL once, however
+    many modules ask: one attempt, one flag in the risk engine's log."""
+
+    @pytest.fixture
+    def night(self):
+        return VirtualClock.at("2016-10-05T03:00:00")  # UTC: an unusual hour
+
+    def watchlisted(self, night, text=None):
+        """A risk-on center whose system's own /24 is watchlisted, and its
+        paired user's code reader."""
+        center = MFACenter(clock=night, rng=random.Random(20160810), risk=True)
+        system = center.add_system("stampede", mode="full")
+        if text is not None:
+            system.login_node().pam.write_config("sshd", text)
+        center.create_user("alice", password="hunter2")
+        _, secret = center.pair_soft("alice")
+        center.risk_stage.add_watchlist("10.3.1.0/24")
+        return center, system, TOTPGenerator(secret=secret, clock=night).current_code
+
+    def test_a_stepped_up_mfa_login_is_flagged_once(self, night):
+        center, system, code = self.watchlisted(night)
+        result, conversation = SSHClient(OWN_ORIGIN).connect(
+            system.login_node(), "alice", password="hunter2", token=code
+        )
+        assert result.success
+        assert conversation.prompts_seen == ["Password: ", "Token Code: "]
+        assert result.session_items == {
+            "first_factor": "password",
+            "risk_step_up": True,
+            "risk_score": pytest.approx(0.45),
+            "risk_signals": ["unusual_hour", "watchlisted_network"],
+            "mfa_pairing": "soft",
+            "second_factor": "soft",
+        }
+        stage = center.risk_stage
+        # PAM's one screen, then the back end's own verdict on the validate.
+        assert (stage.flags_for("alice"), stage.assessed, stage.step_ups) == (1, 2, 1)
+
+    def test_the_solaris_stack_screens_once_too(self, night):
+        center, system, code = self.watchlisted(
+            night, SOLARIS_LINE + figure1_config("full")
+        )
+        result, _ = SSHClient(OWN_ORIGIN).connect(
+            system.login_node(), "alice", password="hunter2", token=code
+        )
+        assert result.success and result.session_items["risk_step_up"] is True
+        assert "mfa_exempt" not in result.session_items
+        assert center.risk_stage.flags_for("alice") == 1
+
+    @pytest.mark.parametrize("stack", ["no exemption line", "solaris"])
+    def test_an_exempt_origin_is_still_waived(self, clock, stack):
+        center = MFACenter(clock=clock, rng=random.Random(20160810), risk=True)
+        system = center.add_system("stampede", mode="full")
+        text = figure1_config("full")
+        if stack == "solaris":
+            text = SOLARIS_LINE + text
+        else:
+            text = text.replace(EXEMPTION_LINE, "")
+        system.login_node().pam.write_config("sshd", text)
+        center.create_user("alice", password="hunter2")
+        center.pair_soft("alice")
+        result, conversation = SSHClient(OWN_ORIGIN).connect(
+            system.login_node(), "alice", password="hunter2"
+        )
+        assert result.success and result.session_items["mfa_exempt"] is True
+        assert conversation.prompts_seen == ["Password: "]
+        assert center.risk_stage.assessed == 1
+
+    def test_an_exempt_origin_is_stepped_up_without_the_exemption_line(self, night):
+        center, system, code = self.watchlisted(
+            night, figure1_config("full").replace(EXEMPTION_LINE, "")
+        )
+        node = system.login_node()
+        refused, _ = SSHClient(OWN_ORIGIN).connect(node, "alice", password="hunter2")
+        assert not refused.success
+        result, conversation = SSHClient(OWN_ORIGIN).connect(
+            node, "alice", password="hunter2", token=code
+        )
+        assert result.success and result.session_items["second_factor"] == "soft"
+        assert "mfa_exempt" not in result.session_items
+        assert conversation.prompts_seen == ["Password: ", "Token Code: "]
+
+
 class TestFileBackedPAM:
     """MFACenter(pam_dir=...) drives login-node stacks from pam.d files."""
 

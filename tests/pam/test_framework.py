@@ -176,13 +176,6 @@ class TestStackSemantics:
         stack.append("[default=ignore success=ignore]", FixedModule(PAMResult.SUCCESS))
         assert stack.authenticate(session()) is PAMResult.AUTH_ERR
 
-    def test_session_log_records_modules(self):
-        stack = PAMStack("sshd")
-        stack.append("required", FixedModule(PAMResult.SUCCESS, name="mod_a"))
-        s = session()
-        stack.authenticate(s)
-        assert s.log == ["mod_a: success"]
-
 
 class TestConfigParsing:
     REGISTRY = {

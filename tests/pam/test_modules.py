@@ -111,6 +111,18 @@ class TestPublicKeySuccessModule:
         module = PublicKeySuccessModule(log)
         assert module.authenticate(make_session(clock)) is PAMResult.AUTH_ERR
 
+    def test_another_connections_acceptance_fails(self, clock):
+        """The line names its connection ("from IP port N"): a session on
+        another port from the same user and origin is not vouched for."""
+        log = AuthLog(clock)
+        log.append("accepted_publickey", "alice", "198.51.100.7", port=40001)
+        module = PublicKeySuccessModule(log)
+        session = make_session(clock)
+        session.remote_port = 40002
+        assert module.authenticate(session) is PAMResult.AUTH_ERR
+        session.remote_port = 40001
+        assert module.authenticate(session) is PAMResult.SUCCESS
+
     def test_password_events_dont_count(self, clock):
         log = AuthLog(clock)
         log.append("accepted_password", "alice", "198.51.100.7")
@@ -304,6 +316,16 @@ class TestSolarisModule:
         assert module.authenticate(session) is PAMResult.IGNORE
         assert session.items["first_factor"] == "publickey"
         assert "mfa_exempt" not in session.items
+
+    def test_another_connections_acceptance_is_not_a_public_key(self, clock):
+        log = AuthLog(clock)
+        log.append("accepted_publickey", "alice", "198.51.100.7", port=40001)
+        acl = InMemoryExemptionACL("+ : alice : ALL : ALL", clock=clock)
+        module = SolarisMFAModule(log, PolicyEngine(exemptions=acl))
+        session = make_session(clock)
+        session.remote_port = 40002
+        assert module.authenticate(session) is PAMResult.IGNORE
+        assert "first_factor" not in session.items
 
     def test_exempt_only_continues(self, clock):
         acl = InMemoryExemptionACL("+ : alice : ALL : ALL", clock=clock)

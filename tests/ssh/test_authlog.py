@@ -59,6 +59,13 @@ class TestQueries:
         clock.advance(31)
         assert not log.publickey_accepted_recently("alice", "1.2.3.4")
 
+    def test_publickey_acceptance_names_its_port(self, log, clock):
+        entry = log.append("accepted_publickey", "alice", "1.2.3.4", port=53422)
+        assert "from 1.2.3.4 port 53422 ssh2" in entry.format()
+        assert log.publickey_accepted_recently("alice", "1.2.3.4", 30.0, 53422)
+        assert not log.publickey_accepted_recently("alice", "1.2.3.4", 30.0, 53423)
+        assert not log.publickey_accepted_recently("alice", "1.2.3.4")
+
     def test_ordering_oldest_first(self, log, clock):
         log.append("session_open", "a", "1.1.1.1")
         clock.advance(1)

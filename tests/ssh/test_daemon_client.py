@@ -95,6 +95,55 @@ class TestFirstFactor:
         assert any("multi-factor" in m for m in conversation.displayed)
 
 
+class TestPublicKeyAcceptanceIsPerConnection:
+    """sshd's "Accepted publickey" line names its connection ("from IP port
+    N"): it vouches for that connection alone, not for whoever connects
+    next from the same user and origin inside the module's window."""
+
+    @pytest.fixture
+    def key(self, rig):
+        key = KeyPair.generate("alice", rng=random.Random(2))
+        for node in rig.system.daemons:
+            node.authorize_key("alice", key)
+        return key
+
+    @pytest.mark.parametrize("node", [0, 1])
+    def test_a_keyless_connect_from_an_exempt_origin_is_refused(
+        self, rig, clock, key, node
+    ):
+        own = "10.3.1.20"  # the system's own /24: exempt from the token
+        owner, _ = SSHClient(own).connect(rig.node, "alice", key=key)
+        assert owner.success and owner.session_items["first_factor"] == "publickey"
+        clock.advance(3)
+        intruder, conversation = SSHClient(own).connect(
+            rig.system.login_node(node), "alice"
+        )
+        assert not intruder.success
+        assert conversation.prompts_seen == ["Password: "]
+
+    def test_a_keyless_connect_from_outside_is_asked_for_the_password(
+        self, rig, clock, key
+    ):
+        outside = "198.51.100.7"
+        owner, _ = SSHClient(outside).connect(
+            rig.node, "alice", key=key, token=rig.device.current_code
+        )
+        assert owner.success
+        clock.advance(3)
+        intruder, conversation = SSHClient(outside).connect(rig.node, "alice")
+        assert not intruder.success
+        assert conversation.prompts_seen == ["Password: "]
+
+    def test_each_line_names_its_connection(self, rig, clock, key):
+        client = SSHClient("10.3.1.20")
+        for _ in range(2):
+            assert client.connect(rig.node, "alice", key=key)[0].success
+            clock.advance(1)
+        first, second = rig.node.authlog.recent(60, event="accepted_publickey")
+        assert first.port != second.port
+        assert f"from 10.3.1.20 port {first.port} ssh2" in first.format()
+
+
 class TestLoggingAndCounters:
     def test_session_open_logged_with_tty(self, rig):
         client = SSHClient("198.51.100.7")

@@ -414,6 +414,17 @@ def test_one_way_to_ask_the_directory():
     assert _spelled_in_src(RETIRED_FILTER_NAMES) == []
 
 
+#: The PAM front door's second asks and its write-only trail.  Shrink-only,
+#: as above: a session's one ``PolicyEngine.screen`` answers the exemption
+#: and the risk verdict for every module, and per-module results are
+#: counted in ``pam_module_results_total``.
+RETIRED_FRONT_DOOR_NAMES = ("is_exempt", "step_up_required", "session.record(")
+
+
+def test_a_pam_session_asks_the_policy_once_and_keeps_no_trail():
+    assert _spelled_in_src(RETIRED_FRONT_DOOR_NAMES) == []
+
+
 def test_search_and_select_take_no_scope_and_no_predicate():
     """Every directory search is a subtree search, and every storage select
     an equality ``where``: no ``search`` or ``select`` in ``src/`` grows a
