@@ -13,8 +13,8 @@ Two claims, asserted:
   work, refusing another batch submission (``queue full``) is a
   constant-time door turn-away that never touches the backend — asserted
   as shed throughput strictly above serviced throughput on the same rig.
-  A ``critical`` arrival at the full queue still evicts a batch item and
-  is served.
+  An ``interactive`` arrival at the full queue still evicts a batch item
+  and is served.
 
 ``BENCH_queue.json`` carries the numbers for the CI regression gate
 (``benchmarks/check_regression.py`` compares every ``*ops_per_sec``).
@@ -75,8 +75,7 @@ def test_queued_overhead_within_ten_percent():
 
     # Live-mode queue, inline drive: the ticket path — submit, pump one,
     # resolve — a validate takes behind queued work; at an idle queue
-    # QueuedBackend.validate (IngestQueue.call) skips it, so this is the
-    # dearer of its two paths.
+    # IngestQueue.validate skips it, so this is the dearer of its two paths.
     queue = IngestQueue(server.validate, clock=WallClock())
 
     def queued():
@@ -133,7 +132,7 @@ def test_shed_under_overload_is_cheap():
     def fill():
         queue = IngestQueue(server.validate, IngestConfig(max_depth=64), clock=clock)
         for i in range(64):
-            queue.submit_item((users[i % N_USERS], "424242"), PriorityClass.BATCH)
+            queue.submit((users[i % N_USERS], "424242"), PriorityClass.BATCH)
         return queue
 
     def overloaded(queue):
@@ -141,22 +140,21 @@ def test_shed_under_overload_is_cheap():
         # full: every further batch item is shed at the door without
         # touching the backend.
         for i in range(N_OPS):
-            result = queue.submit_item(
+            result = queue.submit(
                 (users[i % N_USERS], "424242"), PriorityClass.BATCH
             ).result()
             assert result.reason == "shed: queue full (batch rejected)"
 
-    def critical_lands(queue):
-        # Critical work still lands: it evicts one batch item and is served.
-        assert queue.submit_item(
-            (users[0], "424242"), PriorityClass.CRITICAL
-        ).result().ok
+    def interactive_lands(queue):
+        # An interactive login still lands: it evicts one batch item and is
+        # served.
+        assert queue.submit((users[0], "424242")).result().ok
         assert queue.snapshot()["classes"]["batch"]["shed"] == N_OPS + 1
 
     serviced()  # warm
     full = fill()
     overloaded(full)
-    critical_lands(full)
+    interactive_lands(full)
     serviced_ops = _best_throughput(serviced, N_OPS)
     full = fill()
     shed_ops = _best_throughput(lambda: overloaded(full), N_OPS)

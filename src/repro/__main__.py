@@ -167,9 +167,11 @@ def _status_scenario(**demo_options):
     # account's static code revalidates freely, so no lockout trips).
     center.create_user("resync", password="pw-resync")
     code = center.pair_training("resync")
-    for ticket in center.ingest_queue.submit_many(
-        [("resync", code)] * 20, priority=PriorityClass.BATCH
-    ):
+    tickets = [
+        center.ingest_queue.submit(("resync", code), PriorityClass.BATCH)
+        for _ in range(20)
+    ]
+    for ticket in tickets:
         ticket.result()
     return center, login.success and repeat.ok and federated.ok
 

@@ -112,10 +112,6 @@ class ChaosEngine:
     def record(self, kind: str, **fields) -> None:
         self.log.append(kind, **fields)
 
-    def event_log_lines(self) -> List[str]:
-        """Canonical JSON, one event per line — byte-stable across reruns."""
-        return self.log.lines()
-
     # -- the fabric hook ----------------------------------------------------
 
     def on_datagram(self, address: str, source: str = "") -> Optional[str]:

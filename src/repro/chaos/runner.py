@@ -128,10 +128,10 @@ def run_plan(plan: FaultPlan, seed: int) -> Report:
         work does, so the backfill window schedules one (and the engine
         cancels the returned handle when the window closes).
         """
-        center.ingest_queue.submit_many(
-            [resync_creds[i % len(resync_creds)] for i in range(items)],
-            priority=PriorityClass.BATCH,
-        )
+        for i in range(items):
+            center.ingest_queue.submit(
+                resync_creds[i % len(resync_creds)], PriorityClass.BATCH
+            )
         return center.ingest_queue.attach(
             scheduler,
             interval=PUMP_INTERVAL,

@@ -76,7 +76,7 @@ class TokenBackend(Protocol):
     Implementations: :class:`repro.otpserver.server.OTPServer` itself
     (with a resolver chain attached, ``user_id`` is the RADIUS User-Name
     and the pipeline's ``ResolveIdentity`` stage joins it to the storage
-    uid) and :class:`repro.ingest.QueuedBackend` in front of it.  ``code``
+    uid) and :class:`repro.ingest.IngestQueue` in front of it.  ``code``
     is ``None`` (or empty) for the SMS "null request"; ``source`` is the
     requesting address when the caller knows it.
     """

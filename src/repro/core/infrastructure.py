@@ -18,7 +18,7 @@ from repro.common.clock import Clock, WallClock
 from repro.common.errors import NotFoundError, ValidationError
 from repro.common.ids import random_octets
 from repro.directory.identity import AccountClass, IdentityBackend, PairingStatus
-from repro.ingest import IngestConfig, IngestQueue, QueuedBackend
+from repro.ingest import IngestConfig, IngestQueue
 from repro.otpserver import OTPServer, SMSGateway, TokenBackend
 from repro.otpserver.tokens import HardTokenBatch, random_static_code
 from repro.pam.acl import InMemoryExemptionACL
@@ -244,7 +244,7 @@ class MFACenter:
         self.radius_backend: TokenBackend = self.otp
         # Optional admission control: ``ingest`` is None (off), True (queue
         # with defaults), or a repro.ingest.IngestConfig.  When enabled the
-        # RADIUS farm talks to a QueuedBackend, so every validation goes
+        # queue is the RADIUS farm's back end, so every validation goes
         # through priority classes, backpressure, and SLA accounting.
         self.ingest_queue = None
         if ingest:
@@ -258,7 +258,7 @@ class MFACenter:
                 clock=self.clock,
                 telemetry=self.telemetry,
             )
-            self.radius_backend = QueuedBackend(self.ingest_queue)
+            self.radius_backend = self.ingest_queue
             self.otp.status_sections["queue"] = self.ingest_queue.snapshot
         self.radius_servers: List[RADIUSServer] = []
         for i in range(num_radius_servers):
@@ -463,15 +463,3 @@ class MFACenter:
     def uid_of(self, username: str) -> str:
         return self.identity.get(username).uid
 
-    def pairing_breakdown(self) -> Dict[str, float]:
-        """Table-1 percentages over currently paired users."""
-        counts: Dict[str, int] = {}
-        for account in (self.identity.get(u) for u in self.identity.usernames()):
-            status = account.pairing_status
-            if status is PairingStatus.UNPAIRED:
-                continue
-            counts[status.value] = counts.get(status.value, 0) + 1
-        total = sum(counts.values())
-        if total == 0:
-            return {}
-        return {k: 100.0 * v / total for k, v in counts.items()}

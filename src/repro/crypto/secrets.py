@@ -19,7 +19,6 @@ import struct
 from typing import List
 
 from repro.common.ids import random_octets
-from repro.crypto.base32 import b32encode
 from repro.crypto.mac import PreparedKey
 
 #: RFC 4226 recommends seeds of at least 128 bits; 160 matches SHA-1 output
@@ -40,11 +39,6 @@ def generate_secret(
     if nbytes < 16:
         raise ValueError(f"secret must be at least 16 bytes, got {nbytes}")
     return random_octets(rng or random.Random(), nbytes)
-
-
-def secret_to_base32(secret: bytes) -> str:
-    """Render a seed the way otpauth URIs and pairing pages display it."""
-    return b32encode(secret, pad=False)
 
 
 #: A keystream block is one HMAC-SHA256 output.

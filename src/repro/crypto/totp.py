@@ -170,12 +170,6 @@ class TOTPGenerator:
         """The code the device would display at an arbitrary instant."""
         return totp_at(self.secret, timestamp + self.skew, self.digits, self.step)
 
-    def seconds_remaining(self) -> float:
-        """Seconds until the displayed code rolls over."""
-        now = self.clock.now() + self.skew
-        return self.step - (now % self.step)
-
-
 @dataclass
 class ValidationOutcome:
     """Result of a validator check: success flag plus the matched offset.

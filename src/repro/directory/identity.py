@@ -155,10 +155,6 @@ class IdentityBackend:
         candidate = _hash_password(username, password)
         return hmac.compare_digest(candidate, stored) and usable
 
-    def set_password(self, username: str, password: str) -> None:
-        account = self.get(username)
-        account.password_hash = _hash_password(username, password)
-
     def add_public_key(self, username: str, key_fingerprint: str) -> None:
         """Register an authorized public key (its fingerprint)."""
         account = self.get(username)
@@ -182,16 +178,3 @@ class IdentityBackend:
         entry = self.ldap.get(account.dn)
         return PairingStatus(entry.first("mfaPairingType", "unpaired"))
 
-    def accounts_by_class(self, account_class: AccountClass) -> List[Account]:
-        return [a for a in self._accounts.values() if a.account_class == account_class]
-
-    def paired_fraction(self) -> float:
-        """Share of accounts with any MFA pairing — the adoption metric."""
-        if not self._accounts:
-            return 0.0
-        paired = sum(
-            1
-            for a in self._accounts.values()
-            if a.pairing_status != PairingStatus.UNPAIRED
-        )
-        return paired / len(self._accounts)

@@ -70,14 +70,6 @@ class LDAPEntry:
             self._directory._reindex(self, self.attributes.get(attr, ()), values)
         self.attributes[attr] = values
 
-    def add_value(self, attr: str, value: str) -> None:
-        attr = intern(attr.lower())
-        value = str(value)
-        values = self.attributes.setdefault(attr, [])
-        if attr == INDEXED_ATTR and self._directory is not None:
-            self._directory._reindex(self, values, [*values, value])
-        values.append(value)
-
     def remove_attr(self, attr: str) -> None:
         attr = attr.lower()
         if attr == INDEXED_ATTR and self._directory is not None:

@@ -1,19 +1,20 @@
 """Priority-queued admission control in front of the authflow pipeline.
 
-Interactive logins, SMS dispatch, batch resyncs and admin sweeps share
-one back end; this package decides who is served first and who is shed:
+Interactive logins, SMS dispatch and batch resyncs share one back end;
+this package decides who is served first and who is shed:
 
-* :mod:`repro.ingest.priority` — the five priority classes
-  (``critical``/``interactive``/``sms``/``admin``/``batch``), per-class
-  SLA windows, and the anti-starvation heap (age-based promotion capped
-  below ``interactive`` so backfills can never starve humans);
+* :mod:`repro.ingest.priority` — the three priority classes
+  (``interactive``/``sms``/``batch``), their ranks, SLA windows and
+  promotion windows in one table, and the anti-starvation heap (age-based
+  promotion, capped so a ``batch`` backfill never overtakes an
+  ``interactive`` login);
 * :mod:`repro.ingest.queue` — :class:`IngestQueue`, the bounded queue
   with backpressure shedding by class rank (batch dies before
-  critical), retry-with-backoff on
+  interactive), retry-with-backoff on
   :class:`~repro.common.errors.TransientBackendError`, and
-  depth/age/shed/SLA counters; plus :class:`QueuedBackend`, which
-  fronts any :class:`~repro.common.results.TokenBackend` with a
-  queue.
+  depth/age/shed/SLA counters.  The queue is itself a
+  :class:`~repro.common.results.TokenBackend`: ``validate`` is the RADIUS
+  farm's synchronous call, ``submit`` the one deferred door.
 
 One service loop, run by whoever has a thread to spend: the waiter
 itself (``Ticket.result()`` is caller-runs) or a
@@ -24,9 +25,8 @@ logic.
 
 from repro.ingest.priority import (
     CLASS_RANK,
-    DEFAULT_POLICIES,
+    CLASSES,
     SHED_ORDER,
-    ClassPolicy,
     PriorityClass,
     PriorityHeap,
     WorkItem,
@@ -34,20 +34,17 @@ from repro.ingest.priority import (
 from repro.ingest.queue import (
     IngestConfig,
     IngestQueue,
-    QueuedBackend,
     classify_request,
 )
 
 __all__ = [
     "CLASS_RANK",
-    "DEFAULT_POLICIES",
+    "CLASSES",
     "SHED_ORDER",
-    "ClassPolicy",
     "PriorityClass",
     "PriorityHeap",
     "WorkItem",
     "IngestConfig",
     "IngestQueue",
-    "QueuedBackend",
     "classify_request",
 ]

@@ -1,29 +1,29 @@
 """Priority classes and the admission heap.
 
-Five classes, ranked (lower rank = served first):
+Three classes, ranked (lower rank = served first):
 
-==============  ====  =======================================================
-class           rank  traffic
-==============  ====  =======================================================
-``critical``    0     incident-response / break-glass logins
-``interactive`` 1     a human at an SSH prompt waiting on ``/validate/check``
-``sms``         2     SMS challenge dispatch (null requests)
-``admin``       3     audit sweeps, admin console operations
-``batch``       4     resync backfills, job-array token refreshes
-==============  ====  =======================================================
+===============  ====  =====  ==============  ================================================
+class            rank  SLA    promotes every  traffic
+===============  ====  =====  ==============  ================================================
+``interactive``  1     1 s    never           a human at an SSH prompt waiting on ``validate``
+``sms``          2     2 s    30 s            SMS challenge dispatch (null requests)
+``batch``        4     120 s  60 s            resync backfills, job-array token refreshes
+===============  ====  =====  ==============  ================================================
 
 Shedding honours the reverse order: under backpressure ``batch`` dies
-first and ``critical`` last.
+first and ``interactive`` last.
 
-Anti-starvation: a lane whose head item has waited ``promote_after``
-seconds is treated one rank better per elapsed window, capped at
+Anti-starvation: a lane whose head item has waited its class's promotion
+window is treated one rank better per elapsed window, capped at
 ``MAX_PROMOTION`` ranks.  The cap is load-bearing for the SLA story — a
-10k-item ``batch`` backfill promotes at most to rank 2, so it can
-overtake ``admin`` work but never an ``interactive`` login, which is how
-interactive p99 stays flat while the backfill drains.
+10k-item ``batch`` backfill promotes at most to rank 2, so after two
+windows it draws level with ``sms`` work (the older head wins the tie) but
+never overtakes an ``interactive`` login, which is how interactive p99
+stays flat while the backfill drains.  Rank 3 is a gap, not a class: one
+window lifts ``batch`` to it, still behind ``sms``.
 
-The structure ("heap" by tradition; see ROADMAP item 2) is five FIFO
-deques plus rank arithmetic at pop time: selection is O(classes), every
+The structure ("heap" by tradition; see ROADMAP item 2) is one FIFO deque
+per class plus rank arithmetic at pop time: selection is O(classes), every
 operation is deterministic given the submission order and the clock, and
 FIFO-within-class holds by construction — properties the hypothesis
 suite in ``tests/ingest/test_priority.py`` pins down.
@@ -36,64 +36,35 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 
 class PriorityClass(str, Enum):
-    CRITICAL = "critical"
     INTERACTIVE = "interactive"
     SMS = "sms"
-    ADMIN = "admin"
     BATCH = "batch"
 
 
-#: Service order: lower rank pops first.
-CLASS_RANK: Dict[PriorityClass, int] = {
-    PriorityClass.CRITICAL: 0,
-    PriorityClass.INTERACTIVE: 1,
-    PriorityClass.SMS: 2,
-    PriorityClass.ADMIN: 3,
-    PriorityClass.BATCH: 4,
+#: Per class: its service rank (lower pops first), its queue-wait SLA in
+#: seconds (hit or miss counted at service time) and the age per one-rank
+#: promotion of its lane's head (``inf``: never promotes) — the table in the
+#: module docstring.
+CLASSES: Dict[PriorityClass, Tuple[int, float, float]] = {
+    PriorityClass.INTERACTIVE: (1, 1.0, math.inf),
+    PriorityClass.SMS: (2, 2.0, 30.0),
+    PriorityClass.BATCH: (4, 120.0, 60.0),
 }
 
-#: Shed order: worst rank first — batch before admin before sms before
-#: interactive before critical.
+#: Service order: lower rank pops first.
+CLASS_RANK: Dict[PriorityClass, int] = {cls: row[0] for cls, row in CLASSES.items()}
+
+#: Shed order: worst rank first — batch before sms before interactive.
 SHED_ORDER: Tuple[PriorityClass, ...] = tuple(
     sorted(PriorityClass, key=lambda c: -CLASS_RANK[c])
 )
 
 #: The most ranks age can buy a lane's head.
 MAX_PROMOTION = 2
-
-
-@dataclass(frozen=True)
-class ClassPolicy:
-    """Per-class service-level knobs.
-
-    ``sla_seconds`` is the queue-wait budget (hit/miss counted at service
-    time); ``promote_after`` is the age per one-rank promotion
-    (``inf`` = never promotes).
-    """
-
-    sla_seconds: float = 1.0
-    promote_after: float = math.inf
-
-    def __post_init__(self) -> None:
-        if self.sla_seconds <= 0:
-            raise ValueError(f"sla_seconds must be > 0, got {self.sla_seconds}")
-        if self.promote_after <= 0:
-            raise ValueError(f"promote_after must be > 0, got {self.promote_after}")
-
-
-#: Defaults shaped like the paper's deployment: a human waits about a
-#: second, an SMS a couple, batch work is best-effort but must not starve.
-DEFAULT_POLICIES: Dict[PriorityClass, ClassPolicy] = {
-    PriorityClass.CRITICAL: ClassPolicy(sla_seconds=0.5, promote_after=math.inf),
-    PriorityClass.INTERACTIVE: ClassPolicy(sla_seconds=1.0, promote_after=math.inf),
-    PriorityClass.SMS: ClassPolicy(sla_seconds=2.0, promote_after=30.0),
-    PriorityClass.ADMIN: ClassPolicy(sla_seconds=10.0, promote_after=60.0),
-    PriorityClass.BATCH: ClassPolicy(sla_seconds=120.0, promote_after=60.0),
-}
 
 
 @dataclass
@@ -123,21 +94,21 @@ class WorkItem:
 class _Lane:
     """One class's FIFO deque plus a ready-time heap for retries.
 
-    ``rank`` and ``promotes`` are precomputed at construction: the pop
-    loop touches every lane on every selection, so the hot path must not
-    re-derive them from the enum and policy each time.
+    ``rank``, ``promote_after`` and ``promotes`` are read from
+    :data:`CLASSES` at construction: the pop loop touches every lane on
+    every selection, so the hot path must not re-derive them each time.
     """
 
     priority: PriorityClass
-    policy: ClassPolicy
     items: deque = field(default_factory=deque)
     delayed: list = field(default_factory=list)  # heap of (ready_at, seq, item)
     rank: int = field(init=False)
+    promote_after: float = field(init=False)
     promotes: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        self.rank = CLASS_RANK[self.priority]
-        self.promotes = math.isfinite(self.policy.promote_after)
+        self.rank, _, self.promote_after = CLASSES[self.priority]
+        self.promotes = math.isfinite(self.promote_after)
 
     def mature(self, now: float) -> None:
         """Move retries whose backoff has elapsed into the FIFO."""
@@ -162,7 +133,7 @@ class _Lane:
         """The lane's service rank after age-based promotion of its head."""
         if not self.items or not self.promotes:
             return self.rank
-        promoted = int(self.head_age(now) // self.policy.promote_after)
+        promoted = int(self.head_age(now) // self.promote_after)
         return self.rank - min(MAX_PROMOTION, promoted)
 
 
@@ -176,14 +147,11 @@ class PriorityHeap:
     def __init__(self) -> None:
         # _lanes is in service (rank) order; shed walks it backwards.
         self._lanes: Dict[PriorityClass, _Lane] = {
-            cls: _Lane(cls, DEFAULT_POLICIES[cls])
+            cls: _Lane(cls)
             for cls in sorted(PriorityClass, key=CLASS_RANK.__getitem__)
         }
         self._lane_list = list(self._lanes.values())  # pop's iteration order
         self.size = 0  # total queued items: an O(1) len(), the queue's idle test
-
-    def policy_for(self, priority: PriorityClass) -> ClassPolicy:
-        return self._lanes[priority].policy
 
     def push(self, item: WorkItem) -> None:
         lane = self._lanes[item.priority]
@@ -255,14 +223,3 @@ class PriorityHeap:
 
     def classes(self) -> Iterable[PriorityClass]:
         return self._lanes.keys()
-
-    def drain(self) -> List[WorkItem]:
-        """Remove and return everything, service order — used by close()."""
-        out: List[WorkItem] = []
-        for lane in self._lanes.values():
-            out.extend(lane.items)
-            out.extend(item for _, _, item in sorted(lane.delayed))
-            lane.items.clear()
-            lane.delayed.clear()
-        self.size = 0
-        return out

@@ -1,18 +1,20 @@
-"""The priority ingestion queue fronting the authflow pipeline.
+"""The priority ingestion queue: the back end the RADIUS farm calls.
 
-:class:`IngestQueue` is the deferred seam into the back end: it sits
-between submitters (:class:`QueuedBackend` for each RADIUS validate,
-resync backfills, admin sweeps) and a runner — any
-``fn(*request) -> ValidateResult``, typically ``OTPServer.validate``.
-``submit`` / ``submit_item`` / ``submit_many`` return one live
-:class:`~repro.common.results.Ticket` per request, resolved when the
-item is serviced.
+:class:`IngestQueue` sits between its callers and a runner — any
+``fn(*request) -> ValidateResult``, typically ``OTPServer.validate``.  It
+has two doors:
+
+* ``validate(user_id, code, source=None)`` — the back end's one
+  synchronous call, what a RADIUS server makes per datagram;
+* ``submit(request, priority=None)`` — the one deferred door (resync
+  backfills): one live :class:`~repro.common.results.Ticket` per request,
+  resolved when the item is serviced.
 
 Admission has one shed path, **backpressure**: at ``max_depth``, an
 arrival outranking the worst queued class evicts one item from that
 class (its ticket resolves REJECT with a ``shed:`` reason); otherwise
 the arrival itself is rejected.  Eviction goes by class rank, so an
-overloaded queue sheds ``batch`` before ``critical``.
+overloaded queue sheds ``batch`` before ``interactive``.
 
 There is one service loop — the best ready item is popped under the
 lock, ``_service`` runs it outside — and whoever has a thread to spend
@@ -20,23 +22,21 @@ runs it:
 
 * ``Ticket.result()`` is **caller-runs**: every waiter services ready
   items until its own ticket is done, so single call sites need no
-  ceremony, concurrent ones cannot strand each other, and a
-  ``submit_many`` burst drains in parallel on as many threads as wait
-  on it;
+  ceremony, concurrent ones cannot strand each other, and a burst of
+  submits drains in parallel on as many threads as wait on it;
 * ``attach(scheduler)`` — a repeating ``pump`` event on a
   :class:`~repro.simcore.EventScheduler`, for virtual-time simulation
   (drain rate = ``items_per_pump / interval``).
 
-The synchronous seam, ``call`` (what :class:`QueuedBackend` validates
-through), has one rule for an **idle arrival**: at an open queue with
-nothing queued — nothing ready and nothing backing off — a pushed item
-would be the next one popped, by its own waiter, so it runs on the
-caller's thread instead: no ticket, no work item, no heap round trip, no
-clock read but the service cost's, and a wait of exactly 0.0.  It still
-passes through the one service routine (``_run``) the pump's ``_service``
-shares: the same counters and SLA hit, service cost, requeue on a
-transient failure and REJECT on any other exception.  ``submit``,
-``submit_item`` and ``submit_many`` never run work inline.
+``validate`` has one rule for an **idle arrival**: with nothing queued —
+nothing ready and nothing backing off — a pushed item would be the next
+one popped, by its own waiter, so it runs on the caller's thread instead:
+no ticket, no work item, no heap round trip, no clock read but the
+service cost's, and a wait of exactly 0.0.  It still passes through the
+one service routine (``_run``) the pump's ``_service`` shares: the same
+counters and SLA hit, service cost, requeue on a transient failure and
+REJECT on any other exception.  Behind queued work ``validate`` is
+``submit(request).result()``; ``submit`` never runs work inline.
 
 Transient failures (:class:`~repro.common.errors.TransientBackendError`)
 requeue with exponential backoff (``RETRY_BASE_DELAY`` doubling per
@@ -49,23 +49,22 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.common.clock import Clock, WallClock
 from repro.common.errors import TransientBackendError
 from repro.common.results import Ticket, ValidateResult, ValidateStatus
 from repro.ingest.priority import (
     CLASS_RANK,
+    CLASSES,
     PriorityClass,
     PriorityHeap,
     WorkItem,
 )
 from repro.telemetry import resolve_registry
 
-__all__ = ["IngestConfig", "IngestQueue", "QueuedBackend", "classify_request"]
+__all__ = ["IngestConfig", "IngestQueue", "classify_request"]
 
-#: Why an item is shed: refused at a closed queue, or for want of room.
-SHED_CAUSES = ("closed", "backpressure")
 #: Transient-failure requeues per item before its ticket resolves REJECT,
 #: and the backoff before each: doubling from the base, capped.
 MAX_RETRIES = 3
@@ -126,7 +125,8 @@ class _ClassStats:
 
 
 class IngestQueue:
-    """Priority-queued admission control in front of a validation runner."""
+    """Priority-queued admission control in front of a validation runner,
+    and itself a :class:`~repro.common.results.TokenBackend`."""
 
     def __init__(
         self,
@@ -141,20 +141,13 @@ class IngestQueue:
         self._lock = threading.Lock()
         self._heap = PriorityHeap()
         #: Each class's queue-wait SLA, fixed when the heap is built.
-        self._sla = {cls: self._heap.policy_for(cls).sla_seconds for cls in PriorityClass}
+        self._sla = {cls: CLASSES[cls][1] for cls in PriorityClass}
         self._seq = 0
         self._stats: Dict[PriorityClass, _ClassStats] = {
             cls: _ClassStats() for cls in PriorityClass
         }
-        self._closed = False
 
         telemetry = resolve_registry(telemetry)
-        shed = telemetry.counter("ingest_shed_total", "items shed by class and cause")
-        self._m_shed = {
-            (cls, cause): shed.labels(priority=cls.value, cause=cause)
-            for cls in PriorityClass
-            for cause in SHED_CAUSES
-        }
         wait = telemetry.histogram(
             "ingest_wait_seconds", "queue wait from admission to service"
         )
@@ -164,49 +157,38 @@ class IngestQueue:
 
     # -- admission -----------------------------------------------------------
 
-    def submit(self, request: Sequence) -> Ticket:
-        """Classify one request by shape and enqueue it."""
-        return self.submit_item(request)
-
-    def call(self, request: Tuple) -> ValidateResult:
-        """Submit one request and wait for its result.
+    def validate(
+        self, user_id: str, code: Optional[str], source: Optional[str] = None
+    ) -> ValidateResult:
+        """Validate one request and return its result.
 
         An idle arrival runs on the caller's thread, counted as submitted
         in the lock section that saw the queue idle (module docstring); a
-        busy or closed queue takes ``submit_item(request).result()``.
+        busy queue takes ``submit(request).result()``.
         """
-        cls = classify_request(request)
+        request = (user_id, code) if source is None else (user_id, code, source)
+        # classify_request's rule, read off the argument
+        cls = PriorityClass.SMS if not code else PriorityClass.INTERACTIVE
         with self._lock:
-            idle = not self._closed and not self._heap.size
+            idle = not self._heap.size
             if idle:
                 self._stats[cls].submitted += 1
         if not idle:
-            return self.submit_item(request, cls).result()
+            return self.submit(request).result()
         outcome = self._run(cls, request, 0.0)
         return outcome.result() if type(outcome) is Ticket else outcome
 
-    def submit_many(
-        self,
-        requests: Sequence[Sequence],
-        priority: Optional[PriorityClass] = None,
-    ) -> List[Ticket]:
-        """One live ticket per request, input order preserved."""
-        return [self.submit_item(tuple(r), priority) for r in requests]
-
-    def submit_item(
-        self, request: Tuple, priority: Optional[PriorityClass] = None
+    def submit(
+        self, request: Sequence, priority: Optional[PriorityClass] = None
     ) -> Ticket:
-        """Enqueue with an explicit class (``None`` = classify by shape)."""
+        """Enqueue one request (``priority`` None: classify it by shape);
+        its live ticket."""
         if type(request) is not tuple:
             request = tuple(request)
         cls = priority or classify_request(request)
         with self._lock:
-            if self._closed:
-                return self._refuse(cls, "queue closed", "closed")
             if len(self._heap) >= self.config.max_depth and not self._evict_for(cls):
-                return self._refuse(
-                    cls, f"queue full ({cls.value} rejected)", "backpressure"
-                )
+                return self._refuse(cls)
             self._stats[cls].submitted += 1
             return self._push(cls, request, self._clock.now())
 
@@ -234,16 +216,15 @@ class IngestQueue:
         )
         return ticket
 
-    def _refuse(self, cls: PriorityClass, detail: str, cause: str) -> Ticket:
-        """Shed an arrival at the door.  It still counts as submitted
-        traffic, so shed-rate math has a denominator; an evicted item was
-        counted when it was admitted."""
+    def _refuse(self, cls: PriorityClass) -> Ticket:
+        """Shed an arrival at a full queue's door.  It still counts as
+        submitted traffic, so shed-rate math has a denominator; an evicted
+        item was counted when it was admitted."""
         stats = self._stats[cls]
         stats.submitted += 1
-        if cause == "backpressure":
-            stats.rejected += 1
+        stats.rejected += 1
         ticket = Ticket(drain=self._drain_for_ticket)
-        self._resolve_shed(ticket, cls, detail, cause)
+        self._resolve_shed(ticket, cls, f"queue full ({cls.value} rejected)")
         return ticket
 
     def _evict_for(self, incoming: PriorityClass) -> bool:
@@ -257,16 +238,12 @@ class IngestQueue:
             victim.ticket,
             victim.priority,
             f"evicted for {incoming.value} under backpressure",
-            "backpressure",
         )
         return True
 
-    def _resolve_shed(
-        self, ticket: Ticket, cls: PriorityClass, detail: str, cause: str
-    ) -> None:
+    def _resolve_shed(self, ticket: Ticket, cls: PriorityClass, detail: str) -> None:
         """Fail one ticket with a shed reason."""
         self._stats[cls].shed += 1
-        self._m_shed[cls, cause].inc()
         ticket.resolve(ValidateResult(ValidateStatus.REJECT, reason=f"shed: {detail}"))
 
     # -- service -------------------------------------------------------------
@@ -290,16 +267,16 @@ class IngestQueue:
         transient retries and backend errors.  It never waits on a ticket.
 
         ``item`` is the popped work item, or None for an idle arrival run
-        on its caller's thread (:meth:`call`).  Returns the result, or, when
-        a transient failure requeued the request with its backoff, the
+        on its caller's thread (:meth:`validate`).  Returns the result, or,
+        when a transient failure requeued the request with its backoff, the
         ticket it now resolves on: ``item``'s own, or a new item's for an
         idle arrival.  A retry's wait counts from its first admission; an
         idle arrival read no clock when it arrived, so its item is stamped
         with the clock read beside the service cost's charge, or, with no
         cost to charge, the failure instant: a runner that spends clock
         time and then fails transiently has that time in its retries'
-        waits through ``submit``, not through ``call``.  Called outside the
-        lock — the runner does real validation work.
+        waits through ``submit``, not through ``validate``.  Called outside
+        the lock — the runner does real validation work.
         """
         stats = self._stats[cls]
         sla = self._sla[cls]
@@ -403,13 +380,6 @@ class IngestQueue:
             interval, lambda: self.pump(max_items=items_per_pump)
         )
 
-    def close(self) -> None:
-        """Refuse new arrivals and fail everything still queued (shed: closed)."""
-        with self._lock:
-            self._closed = True
-            for item in self._heap.drain():
-                self._resolve_shed(item.ticket, item.priority, "queue closed", "closed")
-
     # -- observability -------------------------------------------------------
 
     def depth(self) -> int:
@@ -475,23 +445,3 @@ class IngestQueue:
                 ),
             }
 
-
-class QueuedBackend:
-    """A :class:`TokenBackend` whose ``validate`` goes through an
-    :class:`IngestQueue` (the queue's runner is the real backend's).
-
-    ``validate`` (the synchronous seam RADIUS servers call per datagram)
-    is :meth:`IngestQueue.call`: at an idle queue it runs on the caller's
-    thread, and behind queued work the ticket is caller-runs — so a single
-    login still resolves in the same event under virtual time and
-    concurrent logins each drain for themselves.  Deferred work
-    goes to ``.queue`` directly; the administrative surface (enrolment,
-    pairing queries, audit) stays on the backend itself.
-    """
-
-    def __init__(self, queue: IngestQueue) -> None:
-        self.queue = queue
-
-    def validate(self, user_id, code, source=None) -> ValidateResult:
-        request = (user_id, code) if source is None else (user_id, code, source)
-        return self.queue.call(request)

@@ -500,16 +500,6 @@ class OTPServer:
                 return outcome.ok
         return False
 
-    def disable_token(self, serial: str) -> None:
-        self.tokens.update(serial, {"active": False})
-        row = self.tokens.get(serial)
-        self.audit.record("disable", row["user_id"], serial)
-
-    def enable_token(self, serial: str) -> None:
-        self.tokens.update(serial, {"active": True, "failcount": 0})
-        row = self.tokens.get(serial)
-        self.audit.record("enable", row["user_id"], serial)
-
     def unpair(self, user_id: str) -> int:
         """Remove the user's pairing (portal unpair or staff ticket)."""
         removed = 0

@@ -10,7 +10,7 @@ assert on the countdown-mode messaging and the "SMS already sent" replies.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 
 class ConversationError(RuntimeError):
@@ -44,9 +44,6 @@ class ScriptedConversation(Conversation):
         self._responses = list(responses or [])
         self.transcript: List[tuple] = []
 
-    def push_response(self, response: str) -> None:
-        self._responses.append(response)
-
     def _next_response(self, prompt: str) -> str:
         if not self._responses:
             raise ConversationError(f"no scripted response for prompt {prompt!r}")
@@ -72,22 +69,3 @@ class ScriptedConversation(Conversation):
         """All displayed info/error text, in order."""
         return [t[1] for t in self.transcript if t[0] in ("info", "error")]
 
-
-class CallbackConversation(Conversation):
-    """Adapter for applications that answer prompts with a function."""
-
-    def __init__(self, responder: Callable[[str, bool], str]) -> None:
-        self._responder = responder
-        self.displayed: List[str] = []
-
-    def prompt_echo_off(self, prompt: str) -> str:
-        return self._responder(prompt, False)
-
-    def prompt_echo_on(self, prompt: str) -> str:
-        return self._responder(prompt, True)
-
-    def info(self, message: str) -> None:
-        self.displayed.append(message)
-
-    def error(self, message: str) -> None:
-        self.displayed.append(message)

@@ -37,9 +37,6 @@ class PromptAnswers(Conversation):
         self.displayed: List[str] = []
         self.prompts_seen: List[str] = []
 
-    def set_answer(self, prompt_substring: str, answer: object) -> None:
-        self._answers[prompt_substring] = answer
-
     def _lookup(self, prompt: str) -> Optional[str]:
         for substring, answer in self._answers.items():
             if substring.lower() in prompt.lower():
@@ -148,8 +145,3 @@ class SSHClient:
             if result.success:
                 ok += 1
         return ok
-
-    def disconnect_all(self) -> None:
-        for master in self._masters.values():
-            master.daemon.disconnect(master.connection_id)
-        self._masters.clear()

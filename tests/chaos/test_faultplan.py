@@ -383,7 +383,7 @@ class TestEventLog:
         engine = ChaosEngine(plan, clock, seed=16)
         engine.on_datagram("a", "src")
         engine.record("attempt", index=0, ok=True)
-        lines = engine.event_log_lines()
+        lines = engine.log.lines()
         assert len(lines) == 2
         for line in lines:
             parsed = json.loads(line)

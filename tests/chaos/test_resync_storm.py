@@ -95,7 +95,7 @@ class TestDeterminism:
 
 
 class TestForcedOverloadShedOrder:
-    def test_batch_shed_before_critical_through_deployment_queue(self):
+    def test_batch_shed_before_interactive_through_deployment_queue(self):
         import random
 
         from repro.common.clock import VirtualClock
@@ -109,18 +109,21 @@ class TestForcedOverloadShedOrder:
         code = center.pair_training("alice")
         queue = center.ingest_queue
         # Nobody waits on the backfill, so it fills the queue to its bound.
-        backfill = queue.submit_many(
-            [("alice", code)] * queue.config.max_depth, priority=PriorityClass.BATCH
-        )
+        backfill = [
+            queue.submit(("alice", code), PriorityClass.BATCH)
+            for _ in range(queue.config.max_depth)
+        ]
         # More batch is refused at the door...
-        refused = queue.submit_item(("alice", code), PriorityClass.BATCH).result()
+        refused = queue.submit(("alice", code), PriorityClass.BATCH).result()
         assert not refused.ok and "queue full" in refused.reason
-        # ...while critical and interactive each evict a batch item and land.
-        critical = queue.submit_item(("alice", code), PriorityClass.CRITICAL)
-        interactive = queue.submit_item(("alice", code), PriorityClass.INTERACTIVE)
-        assert critical.result().ok and interactive.result().ok
+        # ...while an SMS trigger and an interactive login each evict a batch
+        # item and land.
+        sms = queue.submit(("alice", None))
+        interactive = queue.submit(("alice", code))
+        assert not sms.result().reason.startswith("shed:")
+        assert interactive.result().ok
         snap = queue.snapshot()
         assert snap["classes"]["batch"]["shed"] == 3
-        assert snap["classes"]["critical"]["shed"] == 0
+        assert snap["classes"]["sms"]["shed"] == 0
         assert snap["classes"]["interactive"]["shed"] == 0
         assert sum(not t.done() for t in backfill) == queue.config.max_depth - 2

@@ -107,19 +107,6 @@ class TestPairingConveniences:
         assert not center.otp.has_pairing(center.uid_of("alice"))
         assert center.identity.get("alice").pairing_status.value == "unpaired"
 
-    def test_pairing_breakdown(self, center):
-        for name, pair in [
-            ("u1", lambda: center.pair_soft("u1")),
-            ("u2", lambda: center.pair_soft("u2")),
-            ("u3", lambda: center.pair_sms("u3", "5125550001")),
-            ("u4", lambda: None),  # unpaired: excluded from the breakdown
-        ]:
-            center.create_user(name)
-            pair()
-        breakdown = center.pairing_breakdown()
-        assert breakdown["soft"] == pytest.approx(200 / 3)
-        assert breakdown["sms"] == pytest.approx(100 / 3)
-
 
 class TestModeSwitch:
     def test_live_mode_switch(self, center, clock):

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.crypto.secrets import SecretSealer, generate_secret, secret_to_base32
+from repro.crypto.secrets import SecretSealer, generate_secret
 from tests.crypto import reference
 
 KEY = b"0123456789abcdef0123456789abcdef"
@@ -28,12 +28,6 @@ class TestGenerateSecret:
         assert generate_secret(rng=random.Random(1)) != generate_secret(
             rng=random.Random(2)
         )
-
-    def test_base32_rendering_unpadded(self):
-        text = secret_to_base32(generate_secret(rng=random.Random(3)))
-        assert "=" not in text
-        assert text.isalnum()
-
 
 class TestSealer:
     def test_round_trip(self):

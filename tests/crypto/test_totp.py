@@ -70,12 +70,6 @@ class TestGenerator:
         drifted = TOTPGenerator(secret=SECRET, clock=clock, skew=90.0)
         assert drifted.current_code() == on_time.code_at(1_000_090)
 
-    def test_seconds_remaining(self):
-        clock = VirtualClock(1_000_010)  # 20s into the step at 999_990
-        gen = TOTPGenerator(secret=SECRET, clock=clock)
-        assert gen.seconds_remaining() == pytest.approx(10.0)
-
-
 class TestValidator:
     def make(self, start=1_000_000.0, drift=DEFAULT_DRIFT):
         clock = VirtualClock(start)

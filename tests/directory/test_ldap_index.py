@@ -54,7 +54,6 @@ steps = st.lists(
         st.tuples(st.just("modify_mail"), some_dn, st.booleans()),
         st.tuples(st.just("delete"), some_dn, uid_values),
         st.tuples(st.just("set"), handle, attr_case, uid_values),
-        st.tuples(st.just("add_value"), handle, attr_case, st.sampled_from(UIDS)),
         st.tuples(st.just("remove_attr"), handle, attr_case),
     ),
     max_size=25,
@@ -143,12 +142,6 @@ def apply(directory, model, step):
         if entry is not None:
             entry.set(attr, uids)
             model[dn]["uid"] = list(uids)
-    elif kind == "add_value":
-        _, how, attr, uid = step
-        dn, entry = pick(directory, model, how)
-        if entry is not None:
-            entry.add_value(attr, uid)
-            model[dn].setdefault("uid", []).append(uid)
     elif kind == "remove_attr":
         _, how, attr = step
         dn, entry = pick(directory, model, how)
@@ -174,7 +167,7 @@ def test_shared_uid_comes_back_in_directory_order():
     first = directory.add(DNS[0], {"uid": "cy"})
     directory.add(DNS[1], {"uid": "al"})
     directory.add(DNS[3], {"uid": ["bo", "AL"]})
-    first.add_value("uid", "Al")  # the oldest entry joins the value last
+    first.set("uid", ["cy", "Al"])  # the oldest entry joins the value last
     assert [e.dn for e in directory.search(SUFFIX, UID_AL)] == [
         DNS[0],
         DNS[1],

@@ -1,6 +1,6 @@
 """An arrival at an idle queue runs on its caller's thread.
 
-``IngestQueue.call`` at an open, empty queue skips the ticket, the work
+``IngestQueue.validate`` at an empty queue skips the ticket, the work
 item and the heap round trip; a push there would have been popped straight
 back by the same waiter, so the outcome must be exactly what
 ``submit(request).result()`` gives.  The differential below holds the two
@@ -18,15 +18,14 @@ from hypothesis import given, settings, strategies as st
 from repro.common.clock import VirtualClock, WallClock
 from repro.common.errors import TransientBackendError
 from repro.common.results import ValidateResult, ValidateStatus
-from repro.ingest import IngestConfig, IngestQueue, PriorityClass, QueuedBackend
+from repro.ingest import IngestConfig, IngestQueue, PriorityClass
 from repro.ingest import queue as queue_module
 from repro.telemetry import Registry
 
 START = "2016-10-05T09:00:00"
 
 #: One step of a schedule: the runner's verdict for one request (with the
-#: clock time it spends, or how many times it fails transiently first), or
-#: closing the queue.
+#: clock time it spends, or how many times it fails transiently first).
 steps = st.one_of(
     st.tuples(
         st.sampled_from(["ok", "reject"]),
@@ -39,7 +38,6 @@ steps = st.one_of(
         st.sampled_from(["424242", None]),
     ),
     st.tuples(st.just("boom"), st.just(0), st.sampled_from(["424242", None])),
-    st.tuples(st.just("close"), st.just(0), st.just(None)),
 )
 
 
@@ -84,13 +82,9 @@ class TestSameOutcomeAsSubmit:
     def test_call_matches_submit_then_result(self, schedule, cost, telemetry):
         called, called_clock, called_registry = twin(schedule, cost, telemetry)
         ticketed, ticketed_clock, ticketed_registry = twin(schedule, cost, telemetry)
-        for i, (kind, _, code) in enumerate(schedule):
-            if kind == "close":
-                called.close()
-                ticketed.close()
-            else:
-                request = (f"u{i}", code)
-                assert called.call(request) == ticketed.submit(request).result()
+        for i, (_, _, code) in enumerate(schedule):
+            user = f"u{i}"
+            assert called.validate(user, code) == ticketed.submit((user, code)).result()
             assert called.snapshot() == ticketed.snapshot()
             assert called_clock.now() == ticketed_clock.now()
         if telemetry:
@@ -102,8 +96,8 @@ class TestSameOutcomeAsSubmit:
     def test_an_idle_arrival_never_enters_the_heap(self):
         clock = VirtualClock.at(START)
         queue = IngestQueue(scripted_runner(clock, [("ok", 0.0, "1")]), clock=clock)
-        queue.submit_item = None  # the idle path must not reach it
-        assert queue.call(("u0", "1")).ok
+        queue.submit = None  # the idle path must not reach it
+        assert queue.validate("u0", "1").ok
         lane = queue.snapshot()["classes"]["interactive"]
         assert (lane["submitted"], lane["completed"], lane["sla_hits"]) == (1, 1, 1)
         assert lane["max_wait_seconds"] == 0.0
@@ -114,7 +108,7 @@ class TestRetryWaitAfterSpentTime:
     reads no clock when it arrives, so with no service cost its requeued
     item is stamped at the failure instant: the time the runner spent
     before failing is in the retry's wait through ``submit`` and not
-    through ``call``.  With a cost, the clock read beside its charge is
+    through ``validate``.  With a cost, the clock read beside its charge is
     the arrival instant and the two paths agree exactly."""
 
     @staticmethod
@@ -142,7 +136,7 @@ class TestRetryWaitAfterSpentTime:
                 )
             )
         called, ticketed = queues
-        assert called.call(("u0", "1")) == ticketed.submit(("u0", "1")).result()
+        assert called.validate("u0", "1") == ticketed.submit(("u0", "1")).result()
         return called.snapshot(), ticketed.snapshot()
 
     def test_with_a_service_cost_the_paths_agree(self):
@@ -168,7 +162,7 @@ class TestBusyQueue:
     """Queued work keeps its place: an arrival behind it takes ``submit``'s
     path and drains in service order until its own request is done."""
 
-    def test_queued_critical_runs_first_and_queued_batch_waits(self):
+    def test_queued_interactive_runs_first_and_queued_batch_waits(self):
         clock = VirtualClock.at(START)
         served = []
 
@@ -177,20 +171,12 @@ class TestBusyQueue:
             return ValidateResult(ValidateStatus.OK, reason=user)
 
         queue = IngestQueue(recorder, clock=clock)
-        queue.submit_item(("batch", "1"), PriorityClass.BATCH)
-        queue.submit_item(("crit", "1"), PriorityClass.CRITICAL)
-        assert queue.call(("alice", "1")).reason == "alice"
-        assert served == ["crit", "alice"]
+        queue.submit(("batch", "1"), PriorityClass.BATCH)
+        queue.submit(("bob", "1"))
+        assert queue.validate("alice", "1").reason == "alice"
+        assert served == ["bob", "alice"]
         assert queue.depth() == 1  # the batch item is still queued
         assert queue.pump() == 1 and served[-1] == "batch"
-
-    def test_a_closed_queue_sheds_the_arrival(self):
-        clock = VirtualClock.at(START)
-        queue = IngestQueue(scripted_runner(clock, [("ok", 0.0, "1")]), clock=clock)
-        queue.close()
-        result = queue.call(("u0", "1"))
-        assert not result.ok and result.reason == "shed: queue closed"
-        assert queue.snapshot()["completed_total"] == 0
 
     def test_an_arrival_behind_a_backoff_is_not_idle(self, monkeypatch):
         """A retry backing off is queued work: the next arrival queues too
@@ -203,11 +189,11 @@ class TestBusyQueue:
         assert queue.pump(max_items=1) == 1  # fails once: now backing off
         assert queue.depth() == 1 and not retry.done()
         queued = []
-        submit_item = queue.submit_item
-        queue.submit_item = lambda *args: queued.append(args) or submit_item(*args)
+        submit = queue.submit
+        queue.submit = lambda request: queued.append(request) or submit(request)
         start = clock.now()
-        assert queue.call(("u1", "1")).ok
-        assert [request for request, _ in queued] == [("u1", "1")]
+        assert queue.validate("u1", "1").ok
+        assert queued == [("u1", "1")]
         assert queue.depth() == 1 and clock.now() == start
         assert retry.result().ok and clock.now() == start + 1.0
 
@@ -231,12 +217,11 @@ class TestThreadedCallers:
             return ValidateResult(ValidateStatus.OK, reason=user)
 
         queue = IngestQueue(runner, clock=WallClock())
-        backend = QueuedBackend(queue)
         results = {}
 
         def caller(n):
             for i in range(50):
-                results[n, i] = backend.validate(f"t{n}-{i}", f"{i:06d}")
+                results[n, i] = queue.validate(f"t{n}-{i}", f"{i:06d}")
 
         threads = [threading.Thread(target=caller, args=(n,)) for n in range(8)]
         interval = sys.getswitchinterval()

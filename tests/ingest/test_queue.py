@@ -11,7 +11,6 @@ from repro.ingest import (
     IngestConfig,
     IngestQueue,
     PriorityClass,
-    QueuedBackend,
     classify_request,
 )
 from repro.ingest import queue as queue_module
@@ -37,7 +36,7 @@ class TestClassification:
 
     def test_explicit_priority_wins(self, clock):
         queue = IngestQueue(ok_runner, clock=clock)
-        queue.submit_item(("alice", "424242"), PriorityClass.BATCH)
+        queue.submit(("alice", "424242"), PriorityClass.BATCH)
         assert queue.snapshot()["classes"]["batch"]["submitted"] == 1
 
 
@@ -51,7 +50,7 @@ class TestInlineDrive:
 
     def test_submit_many_preserves_order(self, clock):
         queue = IngestQueue(ok_runner, clock=clock)
-        tickets = queue.submit_many([(f"u{i}", "1") for i in range(10)])
+        tickets = [queue.submit([f"u{i}", "1"]) for i in range(10)]
         reasons = [t.result().reason for t in tickets]
         assert reasons == [f"u{i}:1" for i in range(10)]
 
@@ -63,11 +62,11 @@ class TestInlineDrive:
             return ValidateResult(ValidateStatus.OK)
 
         queue = IngestQueue(recorder, clock=clock)
-        queue.submit_item(("batch1", "1"), PriorityClass.BATCH)
-        queue.submit_item(("crit1", "1"), PriorityClass.CRITICAL)
-        queue.submit_item(("inter1", "1"), PriorityClass.INTERACTIVE)
+        queue.submit(("batch1", "1"), PriorityClass.BATCH)
+        queue.submit(("sms1", None))
+        queue.submit(("inter1", "1"), PriorityClass.INTERACTIVE)
         queue.pump()
-        assert served == ["crit1", "inter1", "batch1"]
+        assert served == ["inter1", "sms1", "batch1"]
 
 
 class TestCallerRuns:
@@ -134,15 +133,15 @@ class TestCallerRuns:
             return ValidateResult(ValidateStatus.OK)
 
         queue = IngestQueue(recorder, clock=clock)
-        queue.submit_item(("batch1", "1"), PriorityClass.BATCH)
-        queue.submit_item(("admin1", "1"), PriorityClass.ADMIN)
-        last = queue.submit_item(("batch2", "1"), PriorityClass.BATCH)
+        queue.submit(("batch1", "1"), PriorityClass.BATCH)
         queue.submit(("sms1", None))
+        last = queue.submit(("batch2", "1"), PriorityClass.BATCH)
+        queue.submit(("sms2", None))
         queue.submit(("inter1", "1"))
-        queue.submit_item(("crit1", "1"), PriorityClass.CRITICAL)
+        queue.submit(("inter2", "1"))
         assert queue.depth() == 6
         assert last.result().ok
-        assert served == ["crit1", "inter1", "sms1", "admin1", "batch1", "batch2"]
+        assert served == ["inter1", "inter2", "sms1", "sms2", "batch1", "batch2"]
         snap = queue.snapshot()
         assert queue.depth() == snap["depth"] == 0
         assert (snap["submitted_total"], snap["completed_total"]) == (6, 6)
@@ -158,10 +157,10 @@ class TestCallerRuns:
 
 class TestThreadDrive:
     def test_workers_drain_submissions(self):
-        """One ``submit_many`` burst, drained in parallel by the plain
-        threads that wait on it."""
+        """One burst of submits, drained in parallel by the plain threads
+        that wait on it."""
         queue = IngestQueue(ok_runner, clock=WallClock())
-        tickets = queue.submit_many([(f"u{i}", "1") for i in range(50)])
+        tickets = [queue.submit((f"u{i}", "1")) for i in range(50)]
         results = [None] * len(tickets)
 
         def waiter(slot):
@@ -205,9 +204,7 @@ class TestSchedulerDrive:
         scheduler = EventScheduler(clock=clock)
         queue = IngestQueue(ok_runner, clock=clock)
         start = clock.now()
-        tickets = queue.submit_many(
-            [("u", "1")] * 100, priority=PriorityClass.BATCH
-        )
+        tickets = [queue.submit(("u", "1"), PriorityClass.BATCH) for _ in range(100)]
         handle = queue.attach(scheduler, interval=1.0, items_per_pump=10)
         scheduler.run_until(start + 10.0)
         handle.cancel()
@@ -271,17 +268,18 @@ class TestRetries:
 class TestBackpressure:
     def test_arrival_outranking_worst_evicts_it(self, clock):
         queue = IngestQueue(ok_runner, IngestConfig(max_depth=2), clock=clock)
-        victims = queue.submit_many([("b", "1")] * 2, priority=PriorityClass.BATCH)
-        keeper = queue.submit_item(("crit", "1"), PriorityClass.CRITICAL)
+        victims = [queue.submit(("b", "1"), PriorityClass.BATCH) for _ in range(2)]
+        keeper = queue.submit(("sms", None))
         shed = victims[1].result()  # newest batch item died at admission
-        assert not shed.ok and shed.reason.startswith("shed: evicted for critical")
+        assert not shed.ok and shed.reason.startswith("shed: evicted for sms")
         assert keeper.result().ok
         assert victims[0].result().ok
 
     def test_arrival_not_outranking_is_rejected(self, clock):
         queue = IngestQueue(ok_runner, IngestConfig(max_depth=2), clock=clock)
-        queue.submit_many([("c", "1")] * 2, priority=PriorityClass.CRITICAL)
-        refused = queue.submit_item(("b", "1"), PriorityClass.BATCH).result()
+        queue.submit(("s1", None))
+        queue.submit(("i1", "1"))
+        refused = queue.submit(("b", "1"), PriorityClass.BATCH).result()
         assert not refused.ok and "queue full" in refused.reason
         snap = queue.snapshot()
         assert snap["classes"]["batch"]["rejected"] == 1
@@ -289,36 +287,24 @@ class TestBackpressure:
 
     def test_equal_rank_never_evicts(self, clock):
         queue = IngestQueue(ok_runner, IngestConfig(max_depth=1), clock=clock)
-        first = queue.submit_item(("a", "1"), PriorityClass.INTERACTIVE)
-        second = queue.submit_item(("b", "1"), PriorityClass.INTERACTIVE)
+        first = queue.submit(("a", "1"), PriorityClass.INTERACTIVE)
+        second = queue.submit(("b", "1"), PriorityClass.INTERACTIVE)
         refused = second.result()
         assert not refused.ok and "queue full" in refused.reason
         assert first.result().ok
 
-    def test_overload_sheds_batch_before_critical(self, clock):
+    def test_overload_sheds_batch_before_interactive(self, clock):
         queue = IngestQueue(ok_runner, IngestConfig(max_depth=2), clock=clock)
-        queue.submit_many([("b", "1")] * 2, priority=PriorityClass.BATCH)
+        for _ in range(2):
+            queue.submit(("b", "1"), PriorityClass.BATCH)
         # Full of batch work: more batch is refused at the door...
-        refused = queue.submit_item(("b3", "1"), PriorityClass.BATCH).result()
+        refused = queue.submit(("b3", "1"), PriorityClass.BATCH).result()
         assert not refused.ok and "queue full" in refused.reason
-        # ...while critical evicts a batch item and is served.
-        assert queue.submit_item(("c", "1"), PriorityClass.CRITICAL).result().ok
+        # ...while interactive evicts a batch item and is served.
+        assert queue.submit(("i", "1")).result().ok
         snap = queue.snapshot()
         assert snap["classes"]["batch"]["shed"] == 2
-        assert snap["classes"]["critical"]["shed"] == 0
-
-
-class TestClose:
-    def test_close_sheds_queued_and_refuses_new(self, clock):
-        queue = IngestQueue(ok_runner, clock=clock)
-        queued = queue.submit_many([("u", "1")] * 3, priority=PriorityClass.BATCH)
-        queue.close()
-        for ticket in queued:
-            result = ticket.result()
-            assert not result.ok and result.reason == "shed: queue closed"
-        late = queue.submit(("u", "1")).result()
-        assert not late.ok and "queue closed" in late.reason
-        assert queue.depth() == 0
+        assert snap["classes"]["interactive"]["shed"] == 0
 
 
 class TestSnapshot:
@@ -337,7 +323,7 @@ class TestSnapshot:
 
     def test_oldest_age_tracks_clock(self, clock):
         queue = IngestQueue(ok_runner, clock=clock)
-        queue.submit_item(("u", "1"), PriorityClass.BATCH)
+        queue.submit(("u", "1"), PriorityClass.BATCH)
         clock.advance(7.0)
         lane = queue.snapshot()["classes"]["batch"]
         assert lane["depth"] == 1
@@ -345,15 +331,15 @@ class TestSnapshot:
 
 
 class TestQueuedBackend:
+    """The queue in its back-end role: ``validate`` is the synchronous door."""
+
     def test_validate_routes_through_queue(self, clock):
         class Inner:
             def validate(self, user, code):
                 return ValidateResult(ValidateStatus.OK, reason="inner")
 
-        inner = Inner()
-        queue = IngestQueue(inner.validate, clock=clock)
-        backend = QueuedBackend(queue)
-        assert backend.validate("alice", "1").reason == "inner"
+        queue = IngestQueue(Inner().validate, clock=clock)
+        assert queue.validate("alice", "1").reason == "inner"
         assert queue.snapshot()["completed_total"] == 1
 
 
@@ -373,7 +359,7 @@ class TestConcurrentSubmitters:
         lock = threading.Lock()
 
         def submitter(n):
-            tickets = queue.submit_many([(f"t{n}-{i}", "1") for i in range(20)])
+            tickets = [queue.submit((f"t{n}-{i}", "1")) for i in range(20)]
             resolved = [t.result(timeout=5.0) for t in tickets]
             with lock:
                 results.extend(resolved)

@@ -1,5 +1,5 @@
 """The two seams on a deployment: ``radius_backend.validate`` is the
-synchronous one, ``ingest_queue.submit*`` the deferred one; plus the
+synchronous one, ``ingest_queue.submit`` the deferred one; plus the
 :class:`Ticket` semantics both rest on.
 """
 
@@ -9,8 +9,8 @@ import pytest
 
 from repro.common.clock import VirtualClock
 from repro.core import MFACenter
-from repro.ingest import QueuedBackend
 from repro.otpserver import OTPServer, Ticket
+from repro.ssh import SSHClient
 
 
 @pytest.fixture
@@ -53,12 +53,31 @@ class TestIngestDeployment:
     def test_center_with_ingest_wraps_backend(self, clock):
         center = MFACenter(clock=clock, rng=random.Random(3), ingest=True)
         center.add_system("stampede", mode="full")
-        assert center.ingest_queue is not None
-        assert isinstance(center.radius_backend, QueuedBackend)
+        assert center.radius_backend is center.ingest_queue is not None
         center.create_user("alice", password="pw")
         code = center.pair_training("alice")
         assert center.radius_backend.validate("alice", code).ok
         assert center.ingest_queue.snapshot()["completed_total"] == 1
+
+    def test_ssh_login_validates_through_the_queue(self, clock, monkeypatch):
+        """The queue is the RADIUS farm's back end: a password + token SSH
+        login reaches ``IngestQueue.validate`` once, with the login name."""
+        center = MFACenter(clock=clock, rng=random.Random(3), ingest=True)
+        system = center.add_system("stampede", mode="full")
+        center.create_user("alice", password="pw")
+        code = center.pair_training("alice")
+        queue = center.ingest_queue
+        calls = []
+        validate = queue.validate
+        monkeypatch.setattr(
+            queue, "validate", lambda *a: calls.append(a) or validate(*a)
+        )
+        result, _ = SSHClient("198.51.100.7").connect(
+            system.login_node(), "alice", password="pw", token=code
+        )
+        assert result.success
+        assert calls == [("alice", code)]
+        assert queue.snapshot()["classes"]["interactive"]["completed"] == 1
 
     def test_submit_many_resolves_usernames(self, clock):
         """Deferred work takes login names too: the queue's runner is the
@@ -66,15 +85,16 @@ class TestIngestDeployment:
         center = MFACenter(clock=clock, rng=random.Random(2), ingest=True)
         center.create_user("alice", password="pw")
         code = center.pair_training("alice")
-        tickets = center.ingest_queue.submit_many(
-            [("alice", code), ("alice", "999999"), ("ghost", code)]
-        )
+        tickets = [
+            center.ingest_queue.submit(request)
+            for request in (("alice", code), ("alice", "999999"), ("ghost", code))
+        ]
         assert tickets[0].result().ok
         assert not tickets[1].result().ok
         assert tickets[2].result().reason == "unknown user"
 
     def test_source_address_survives_the_queue(self, clock, monkeypatch):
-        """``QueuedBackend.validate`` forwards ``source``; whatever the
+        """``IngestQueue.validate`` forwards ``source``; whatever the
         queue runs must take it through to the policy request."""
         center = MFACenter(clock=clock, rng=random.Random(3), ingest=True)
         center.create_user("alice", password="pw")
@@ -124,7 +144,7 @@ class TestIngestDeployment:
         assert body == client.call("GET", "/admin/status")["queue"]
         assert body["configured"] is True
         assert body["completed_total"] == 1
-        assert set(body["classes"]) >= {"critical", "interactive", "batch"}
+        assert set(body["classes"]) == {"interactive", "sms", "batch"}
 
     def test_admin_queue_route_unconfigured(self, otp):
         """No queue in front of the server: no section (a 404), not a stub."""

@@ -521,14 +521,16 @@ def soft_success_profile(tmp_path_factory):
 
 #: Frames a valid validate used to enter only to forward to the next frame
 #: or to recompute a constant: ``Layer.select``, the stripe's blake2b hash,
-#: the idle queue's heap length, class policy and zero-wait accounting, the
-#: span close's second frame and the TOTP window property.
+#: the idle queue's heap length, class policy, request classification and
+#: zero-wait accounting, the span close's second frame and the TOTP window
+#: property.
 FORWARDING_FRAMES = (
     ("storage/engine.py", "select"),
     ("authflow/locks.py", "stripe_for"),
     ("storage/sharding.py", "stable_hash"),
     ("ingest/priority.py", "__len__"),
     ("ingest/priority.py", "policy_for"),
+    ("ingest/queue.py", "classify_request"),
     ("ingest/queue.py", "observe_wait"),
     ("telemetry/trace.py", "_finish"),
     ("crypto/totp.py", "window"),
@@ -769,9 +771,15 @@ def test_an_idle_queue_validate_runs_on_its_callers_thread(durable_queue_profile
 
     assert from_queue(("<string>", "__init__")) == 0  # a dataclass __init__
     assert from_queue(("common/clock.py", "now")) == 0
-    # ... and both validates went through the queue's one service routine.
-    assert count(calls, "ingest/queue.py", "call") == 2
-    assert count(calls, "ingest/queue.py", "_run") == 2
+    # ... and both validates went through the queue's one service routine,
+    # straight from the queue's own ``validate``: the RADIUS server's back
+    # end is the queue, with no adapter frame and no ``call`` between.
+    assert count(calls, "ingest/queue.py", "validate") == 2
+    validate = ("ingest/queue.py", "validate")
+    assert calls.edges.get((validate, ("ingest/queue.py", "_run"))) == 2
+    assert {name for file, name in calls if file == "ingest/queue.py"} == {
+        "validate", "_run",
+    }
 
 
 def test_a_public_key_connect_draws_once_and_derives_once(pubkey_profile):

@@ -19,7 +19,7 @@ import pytest
 from repro.__main__ import _status_scenario
 from repro.common.clock import VirtualClock
 from repro.core import MFACenter
-from repro.ingest import PriorityClass
+from repro.ingest import IngestConfig, PriorityClass
 from repro.resolvers import ResolverConfig
 from repro.resolvers import chain as chain_module
 from repro.ssh import SSHClient
@@ -62,8 +62,16 @@ def center():
     down = center.radius_servers[2].address
     center.fabric.set_down(down)
     assert center.fabric.send_request(down, b"", "10.3.1.5") is None
-    center.ingest_queue.close()  # a closed queue refuses at the door
-    assert not center.ingest_queue.submit(("demo", "000000")).result().ok
+    # A full queue refuses at the door: hold it at depth 1 with one queued
+    # request (an unknown name, which no layer below the resolver sees),
+    # offer a second, then let the first run.
+    queue = center.ingest_queue
+    config, queue.config = queue.config, IngestConfig(max_depth=1)
+    held = queue.submit(("nobody", "000000"))
+    refused = queue.submit(("nobody", "000000")).result()
+    assert refused.reason == "shed: queue full (interactive rejected)"
+    queue.config = config
+    assert held.result().reason == "unknown user"
     engine = center.otp.db.engine
     serial = engine.select("tokens")[0]["serial"]
     assert engine.get("tokens", serial) == engine.get("tokens", serial)
@@ -114,6 +122,8 @@ FACTS = [
      lambda c: _queue(c, "batch").sla_hits),
     ("ingest_sla_total", "queue.classes.batch.sla_misses",
      lambda c: _queue(c, "batch").sla_misses),
+    ("ingest_shed_total", "queue.classes.interactive.shed",
+     lambda c: _queue(c, "interactive").shed),
     ("resolver_lookups_total", "resolvers.resolvers.ldap.stats.hits",
      lambda c: _resolver(c, "ldap").hits),
     ("resolver_lookups_total", "resolvers.resolvers.ldap.stats.misses",
@@ -225,7 +235,7 @@ def test_no_retired_series_is_registered(center):
     # What is left are events: of the center's own layers, these.
     assert {
         "otp_validate_total", "policy_decisions_total", "storage_wal_appends_total",
-        "ingest_shed_total", "ingest_wait_seconds", "storage_transactions_total",
+        "ingest_wait_seconds", "storage_transactions_total",
         "authflow_stage_seconds", "authflow_stage_errors_total", "storage_op_seconds",
         "resolver_lookup_seconds", "ssh_password_attempts", "sms_delivery_delay_seconds",
         "ssh_multiplexed_channels_total", "otp_sms_challenges_total",
@@ -256,7 +266,8 @@ def test_counts_in_the_scenario_are_not_vacuous(center):
     assert _at(status, "queue.classes.batch.sla_hits") == 20
     # Offered, not admitted: the arrival refused at the door counts.
     lane = _at(status, "queue.classes.interactive")
-    assert lane["submitted"] == lane["completed"] + lane["shed"] == 6
+    assert lane["submitted"] == lane["completed"] + lane["shed"] == 7
+    assert lane["shed"] == lane["rejected"] == 1
     assert _at(status, "resolvers.resolvers.ldap.stats.hits") >= 2
     assert _at(status, "radius.radius1.handled") == 1
     # The front tier: two logins in (the demo's, the SMS user's — whose second

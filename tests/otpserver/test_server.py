@@ -265,15 +265,6 @@ class TestAdminOperations:
         server.enroll_sms("carol", "5125551234")
         assert not server.resync("carol", "111111", "222222")
 
-    def test_disable_enable(self, server, clock):
-        device = soft_device(server, clock)
-        serial = server.user_tokens("alice")[0].serial
-        server.disable_token(serial)
-        assert server.validate("alice", device.current_code()).status is ValidateStatus.LOCKED
-        server.enable_token(serial)
-        clock.advance(31)
-        assert server.validate("alice", device.current_code()).ok
-
     def test_unpair_removes_everything(self, server, clock):
         soft_device(server, clock)
         assert server.unpair("alice") == 1

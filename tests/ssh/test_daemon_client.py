@@ -198,13 +198,6 @@ class TestMultiplexing:
         assert result2.success
         assert result2.connection_id != result.connection_id
 
-    def test_disconnect_all(self, rig):
-        client = SSHClient("198.51.100.7", multiplex=True)
-        client.connect(rig.node, "alice", password="pw", token=rig.device.current_code)
-        assert rig.node.open_connections()
-        client.disconnect_all()
-        assert not rig.node.open_connections()
-
 
 class TestPromptAnswers:
     def test_substring_routing(self):

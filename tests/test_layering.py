@@ -254,6 +254,7 @@ RETIRED_SERIES = (
     "otp_honeytoken_alarms_total",
     "storage_replica_ship_total",
     "chaos_faults_injected_total",
+    "ingest_shed_total",
 )
 RETIRED_SERIES_PLUMBING = (
     "_metered",
@@ -268,7 +269,7 @@ RETIRED_SERIES_PLUMBING = (
 
 
 def test_retired_twin_series_stay_out_of_src():
-    assert len(set(RETIRED_SERIES)) == 36
+    assert len(set(RETIRED_SERIES)) == 37
     assert _spelled_in_src([f'"{name}"' for name in RETIRED_SERIES]) == []
     assert _spelled_in_src(RETIRED_SERIES_PLUMBING) == []
     # ``common.resilience`` takes no registry from a layer above it, the
@@ -283,7 +284,7 @@ def test_retired_twin_series_stay_out_of_src():
 
 def test_every_registered_series_is_in_the_architecture_table():
     """What is left in the registry are events no attribute keeps: at most
-    24 names, each with its reason in docs/ARCHITECTURE.md "Telemetry"."""
+    23 names, each with its reason in docs/ARCHITECTURE.md "Telemetry"."""
     registered = set()
     for path in SRC.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -296,7 +297,7 @@ def test_every_registered_series_is_in_the_architecture_table():
                 and len(node.args) > 1  # a registration carries its help text
             ):
                 registered.add(node.args[0].value)
-    assert 0 < len(registered) <= 24
+    assert 0 < len(registered) <= 23
     table = (ROOT / "docs" / "ARCHITECTURE.md").read_text()
     assert [name for name in sorted(registered) if f"| `{name}" not in table] == []
 
@@ -423,6 +424,65 @@ RETIRED_FRONT_DOOR_NAMES = ("is_exempt", "step_up_required", "session.record(")
 
 def test_a_pam_session_asks_the_policy_once_and_keeps_no_trail():
     assert _spelled_in_src(RETIRED_FRONT_DOOR_NAMES) == []
+
+
+#: The ingest queue's second and third ways in, its adapter, its per-class
+#: config class and its close.  Shrink-only, as above: the queue is the back
+#: end (``IngestQueue.validate``), ``submit`` is its one deferred door, and
+#: each class's rank, SLA and promotion window are a row of
+#: ``ingest.priority.CLASSES``.
+RETIRED_INGEST_NAMES = (
+    "QueuedBackend", "submit_item", "submit_many", "ClassPolicy",
+    "DEFAULT_POLICIES", "policy_for", "SHED_CAUSES", "_closed",
+)  # fmt: skip
+
+
+def test_one_way_into_the_ingest_queue():
+    assert _spelled_in_src(RETIRED_INGEST_NAMES) == []
+    ingest = [SRC / "ingest" / name for name in ("queue.py", "priority.py")]
+    defined = {
+        node.name
+        for path in ingest
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert {"call", "close", "drain"} & defined == set()
+
+
+def test_every_priority_class_has_a_submitter_in_src():
+    """A class no code in ``src/`` names outside its own table is a lane
+    nothing fills: every ``PriorityClass`` member is spelled
+    ``PriorityClass.<NAME>`` in some other module."""
+    from repro.ingest import PriorityClass
+
+    table = SRC / "ingest" / "priority.py"
+    named = {
+        node.attr
+        for path in SRC.rglob("*.py")
+        if path != table
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "PriorityClass"
+    }
+    assert {member.name for member in PriorityClass} <= named
+    assert len(PriorityClass) <= 3
+
+
+#: Public methods and classes that only tests called.  Shrink-only, as
+#: above: a convenience with no caller in ``src/``, ``benchmarks/`` or
+#: ``examples/`` is deleted with its tests, not kept for them.  (Matched as
+#: identifiers, so a docstring may still name one.)
+RETIRED_CONVENIENCE_NAMES = (
+    "CallbackConversation", "push_response", "set_answer", "disconnect_all",
+    "add_value", "pairing_breakdown", "paired_fraction", "accounts_by_class",
+    "set_password", "enable_token", "disable_token", "seconds_remaining",
+    "secret_to_base32", "event_log_lines",
+)  # fmt: skip
+
+
+def test_retired_conveniences_stay_out_of_src():
+    assert _identifiers_in_src(RETIRED_CONVENIENCE_NAMES) == []
 
 
 def test_search_and_select_take_no_scope_and_no_predicate():
@@ -700,8 +760,7 @@ ROOT = SRC.parent.parent
 #: ``Policy`` or ``Model`` is counted as well, so a new one cannot dodge.
 CONFIG_CLASSES = {
     "RolloutConfig", "AdoptionModel", "AdaptationModel", "TicketModel", "IngestConfig",
-    "ClassPolicy", "StorageConfig", "ResolverConfig", "OTPServerConfig",
-    "CarrierProfile",
+    "StorageConfig", "ResolverConfig", "OTPServerConfig", "CarrierProfile",
 }  # fmt: skip
 
 #: Fields only tests, the old bench fleet (``benchmarks/*.py``) or examples
@@ -751,7 +810,7 @@ RETIRED_FIELDS = {
         "shed_classes", "policies", "retry_base_delay", "retry_max_delay",
         "admission_rate", "admission_burst",
     ),
-    "ClassPolicy": ("max_retries", "max_promotion"),
+    "ClassPolicy": None,
     "ResolverConfig": ("cache_ttl", "failover", "negative_ttl", "cache_capacity"),
     "OTPServerConfig": (
         "issuer", "digits", "totp_step", "sms_code_validity", "hotp_look_ahead",
@@ -776,7 +835,6 @@ RETIRED_PARAMETERS = {
     "RADIUSClient": ("policy", "retries", "health_aware"),
     "MFACenter": ("radius_policy",),
     "SSHDaemon": ("accounting",),
-    "QueuedBackend": ("inner",),
     "WALEngine": ("wal",),
     "OTPServer": ("concurrency",),
     "AuthPipeline": ("concurrency",),
@@ -872,7 +930,7 @@ def test_every_config_field_has_a_setter():
     # Shrink-only, from the first census: 127 fields -> 78 -> 72 -> 70 -> 58,
     # 42 -> 39 -> 37 -> 30 -> 9 -> 7 -> 5.
     assert len(TEST_ONLY_FIELDS) <= 5
-    assert len(setters) <= 28
+    assert len(setters) <= 26
 
 
 def test_retired_config_fields_stay_retired():
