@@ -21,12 +21,14 @@ from __future__ import annotations
 import random
 import threading
 import time
+from typing import Optional
 
 from benchlib import emit_bench, slow_every_shard
 
 from repro.authflow import locks
 from repro.common.clock import VirtualClock, WallClock
 from repro.otpserver import OTPServer
+from repro.resolvers import IdentityResolver, ResolvedIdentity, split_realm
 from repro.storage import StorageConfig, build_engine
 
 #: Simulated backing-store round trip per engine op (seconds) — the MariaDB
@@ -112,6 +114,24 @@ class TestStripedLockThroughput:
         )
 
 
+class _RigResolver(IdentityResolver):
+    """Resolves the rig's users, whose uid is their login name."""
+
+    name = "rig"
+
+    def __init__(self, users) -> None:
+        super().__init__()
+        self._users = frozenset(users)
+
+    def _lookup(self, username: str) -> Optional[ResolvedIdentity]:
+        local, realm = split_realm(username)
+        if local not in self._users:
+            return None
+        return ResolvedIdentity(
+            username=username, uid=local, realm=realm, resolver=self.name
+        )
+
+
 class TestResolverChainOverhead:
     """The ISSUE's warm-cache gate: once the chain's TTL cache holds the
     population, repeat-user resolution must cost <= 5% of direct lookup."""
@@ -128,15 +148,12 @@ class TestResolverChainOverhead:
         return total / (time.perf_counter() - start)
 
     def test_warm_chain_within_5pct_of_direct_lookup(self):
-        from repro.resolvers import FlatFileResolver, ResolverChain
+        from repro.resolvers import ResolverChain
 
         direct, users = _pipeline_rig()
         chained, _ = _pipeline_rig()
         chain = ResolverChain(clock=chained.clock)
-        flat = FlatFileResolver(name="flatfile")
-        for user in users:
-            flat.add(user, user)  # uid == username on this rig
-        chain.register(flat)
+        chain.register(_RigResolver(users))
         chained.attach_resolvers(chain)
 
         # Warm both rigs (JIT-free Python, but storage caches settle) and

@@ -72,11 +72,8 @@ def main() -> None:
     # --- the delayed-SMS failure (Section 5) --------------------------------
     print("\n--- carrier stall reproduction ---")
     stall_clock = VirtualClock.at("2016-09-20T10:00:00")
-    stalled_gateway = SMSGateway(
-        stall_clock,
-        carrier=CarrierProfile(stall_probability=1.0, stall_delay=700.0),
-        rng=random.Random(6),
-    )
+    stalled_gateway = SMSGateway(stall_clock, rng=random.Random(6))
+    stalled_gateway.carrier = CarrierProfile(stall_probability=1.0, stall_delay=700.0)
     otp = OTPServer(clock=stall_clock, sms_gateway=stalled_gateway,
                     rng=random.Random(7))
     otp.enroll_sms("unlucky", "5125559999")

@@ -27,17 +27,20 @@ def random_octets(rng: random.Random, n: int) -> bytes:
     return rng.getrandbits(32 * n).to_bytes(4 * n, "little")[3::4]
 
 
+#: Digits of an identifier's zero-padded counter.
+ID_WIDTH = 6
+
+
 class IdAllocator:
     """Allocates ``<tag>-<zero-padded counter>`` identifiers."""
 
-    def __init__(self, width: int = 6) -> None:
+    def __init__(self) -> None:
         self._counters: Dict[str, int] = defaultdict(int)
-        self._width = width
 
     def next(self, tag: str) -> str:
         """Return the next identifier for ``tag`` (first is ``<tag>-000001``)."""
         self._counters[tag] += 1
-        return f"{tag}-{self._counters[tag]:0{self._width}d}"
+        return f"{tag}-{self._counters[tag]:0{ID_WIDTH}d}"
 
     def peek(self, tag: str) -> int:
         """Return how many ids have been allocated for ``tag`` so far."""

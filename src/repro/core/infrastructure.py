@@ -171,7 +171,6 @@ class MFACenter:
         rng: Optional[random.Random] = None,
         num_radius_servers: int = 3,
         radius_secret: bytes = DEFAULT_RADIUS_SECRET,
-        fabric_loss_rate: float = 0.0,
         pam_dir: Optional[str] = None,
         telemetry=None,
         storage=None,
@@ -228,7 +227,7 @@ class MFACenter:
         self.otp.attach_federation(self.federation_verifier)
         self._federated_resolver = None
         self._federation_issuers: Dict[str, object] = {}
-        self.fabric = UDPFabric(loss_rate=fabric_loss_rate, rng=self.rng)
+        self.fabric = UDPFabric(rng=self.rng)
         self.radius_secret = radius_secret
         # Every login node's RADIUS client fails over on the constants of
         # ``repro.common.resilience`` (circuit breaker, backoff curve).

@@ -14,11 +14,11 @@ import hashlib
 import hmac
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.common.errors import NotFoundError, ValidationError
 from repro.common.ids import IdAllocator
-from repro.directory.ldap import LDAPDirectory
+from repro.directory.ldap import PEOPLE_BASE, LDAPDirectory
 
 
 class AccountClass(str, Enum):
@@ -56,7 +56,7 @@ _NO_SUCH_HASH = _hash_password("", "")
 
 
 def _dn_of(username: str) -> str:
-    return f"uid={username},ou=people,dc=center,dc=edu"
+    return f"uid={username},{PEOPLE_BASE}"
 
 
 @dataclass
@@ -84,8 +84,8 @@ class IdentityBackend:
     unique user id into each, as Section 3.1 describes.
     """
 
-    def __init__(self, ldap: Optional[LDAPDirectory] = None) -> None:
-        self.ldap = ldap or LDAPDirectory()
+    def __init__(self) -> None:
+        self.ldap = LDAPDirectory()
         self._accounts: Dict[str, Account] = {}
         self._ids = IdAllocator()
 

@@ -25,6 +25,10 @@ from repro.common.errors import NotFoundError
 #: The one attribute with an equality index (slapd's ``index uid eq``).
 INDEXED_ATTR = "uid"
 
+#: The center's directory suffix, and the subtree every account entry sits in.
+SUFFIX = "dc=center,dc=edu"
+PEOPLE_BASE = f"ou=people,{SUFFIX}"
+
 
 def _normalize_dn(dn: str) -> str:
     # (lowering first is exact: it neither makes nor removes whitespace)
@@ -96,7 +100,11 @@ def _holds(entry: LDAPEntry, pairs: List[Tuple[str, str]]) -> bool:
 class LDAPDirectory:
     """The directory service: add/modify/delete/search over a DN tree."""
 
-    def __init__(self, base_dn: str = "dc=center,dc=edu") -> None:
+    #: Where account entries live, for a client that holds the directory but
+    #: sits below it in the package order (the LDAP resolver).
+    people_base = PEOPLE_BASE
+
+    def __init__(self, base_dn: str = SUFFIX) -> None:
         self.base_dn = _normalize_dn(base_dn)
         self._entries: Dict[str, LDAPEntry] = {}
         # The equality index: lowered ``uid`` value -> the entry holding it,

@@ -22,6 +22,11 @@ never overtakes an ``interactive`` login, which is how interactive p99
 stays flat while the backfill drains.  Rank 3 is a gap, not a class: one
 window lifts ``batch`` to it, still behind ``sms``.
 
+``sms`` is the one class that can pass ``interactive``: an ``sms`` head
+that has waited two 30 s windows reaches rank 0 and pops ahead of a fresh
+login.  That bounds how long an SMS dispatch can starve behind a stream of
+logins — a minute, against a code that is valid for five.
+
 The structure ("heap" by tradition; see ROADMAP item 2) is one FIFO deque
 per class plus rank arithmetic at pop time: selection is O(classes), every
 operation is deterministic given the submission order and the clock, and

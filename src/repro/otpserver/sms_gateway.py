@@ -73,12 +73,12 @@ class SMSGateway:
     def __init__(
         self,
         clock: Clock,
-        carrier: Optional[CarrierProfile] = None,
         rng: Optional[random.Random] = None,
         telemetry=None,
     ) -> None:
         self._clock = clock
-        self.carrier = carrier or CarrierProfile()
+        #: The carrier every message rides; a rig or test assigns another.
+        self.carrier = CarrierProfile()
         self._rng = rng or random.Random()
         self.telemetry = resolve_registry(telemetry, clock=clock)
         self._tracer = self.telemetry.tracer()

@@ -130,9 +130,9 @@ class StackEntry:
 class PAMStack:
     """An ordered module stack for one service."""
 
-    def __init__(self, service: str, entries: Optional[List[StackEntry]] = None) -> None:
+    def __init__(self, service: str) -> None:
         self.service = service
-        self.entries: List[StackEntry] = entries or []
+        self.entries: List[StackEntry] = []
 
     def append(self, control: str, module: PAMModule, **options: str) -> None:
         self.entries.append(StackEntry(parse_control(control), module, options))

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.directory.ldap import PEOPLE_BASE
 from repro.pam.framework import PAMResult, PAMSession
 from repro.policy import AuthRequest, EnforcementMode, PolicyAction, PolicyEngine
 from repro.radius.client import AuthStatus, RADIUSClient
@@ -47,19 +48,14 @@ class MFATokenModule:
         ldap,
         radius: RADIUSClient,
         policy: PolicyEngine,
-        base_dn: str = "ou=people,dc=center,dc=edu",
+        base_dn: str = PEOPLE_BASE,
         info_url: str = "https://portal.center.edu/mfa",
-        passive_notice: bool = False,
     ) -> None:
         self._ldap = ldap
         self._radius = radius
         self._policy = policy
         self._base_dn = base_dn
         self._info_url = info_url
-        # Section 4.2's first messaging wave: in `paired` mode, show
-        # unpaired interactive users a passive one-line notice (no
-        # acknowledgement required — that escalation is `countdown` mode).
-        self._passive_notice = passive_notice
 
     @property
     def effective_mode(self) -> EnforcementMode:
@@ -127,11 +123,6 @@ class MFATokenModule:
 
         if decision.action is PolicyAction.ALLOW:
             # Unpaired user during the opt-in (`paired`) phase.
-            if self._passive_notice and session.conversation is not None:
-                session.conversation.info(
-                    "Multi-factor authentication is available; pair a "
-                    f"device at {self._info_url}"
-                )
             return PAMResult.SUCCESS
         if decision.action is PolicyAction.NOTIFY:
             return self._countdown_notice(session, decision.countdown_days)

@@ -159,10 +159,3 @@ class PAMServiceManager:
     def authenticate(self, service: str, session: PAMSession) -> PAMResult:
         """One authentication under the service's *current* policy."""
         return self.stack(service).authenticate(session)
-
-    def set_enforcement_mode(
-        self, service: str, mode: str, deadline: Optional[str] = None
-    ) -> None:
-        """Convenience for the operational act the paper describes: flip
-        the token module's mode by rewriting the service file."""
-        self.write_config(service, figure1_config(mode, deadline))

@@ -103,9 +103,6 @@ class Decision:
         pairing: Optional[str] = None,
         pairing_resolved: bool = False,
         countdown_days: int = 0,
-        risk_score: Optional[float] = None,
-        risk_action: Optional[str] = None,
-        risk_signals: Optional[list] = None,
     ) -> None:
         self.action = action
         self.reason = reason
@@ -115,9 +112,9 @@ class Decision:
         self.countdown_days = countdown_days
         # Risk verdict, stamped when the engine has a RiskEngine:
         # score in [0, 1], action "allow"/"step_up"/"deny", fired signals.
-        self.risk_score = risk_score
-        self.risk_action = risk_action
-        self.risk_signals = risk_signals
+        self.risk_score: Optional[float] = None
+        self.risk_action: Optional[str] = None
+        self.risk_signals: Optional[list] = None
 
     @property
     def allows_entry(self) -> bool:

@@ -25,9 +25,11 @@ impossible travel      0.50    :class:`~repro.policy.geo.GeoVelocityMonitor`
 watchlisted network    0.35    operator-maintained CIDR watchlist
 =====================  ======  ==========================================
 
-Scores clamp to [0, 1]; a login steps up at 0.3 (``step_up_threshold``,
-the one knob a deployment sets) and is denied at ``DENY_THRESHOLD`` (0.7).
-The weights and the deny bar are module constants.
+Scores clamp to [0, 1]; a login steps up at 0.3 (``step_up_threshold``)
+and is denied at ``DENY_THRESHOLD`` (0.7).  The weights and the deny bar
+are module constants; only a benchmark and an example set the step-up bar,
+and no deployment builds a ``GeoVelocityMonitor`` (ROADMAP item 11 decides
+both).
 
 Beyond scoring (:meth:`RiskEngine.assess`), the engine keeps what a
 score alone cannot answer after the fact (:meth:`RiskEngine.evaluate`):

@@ -14,11 +14,7 @@ from repro.resolvers.base import (
     ResolverUnavailableError,
     split_realm,
 )
-from repro.resolvers.backends import (
-    DirectoryResolver,
-    FlatFileResolver,
-    LDAPSimResolver,
-)
+from repro.resolvers.backends import DirectoryResolver, LDAPSimResolver
 from repro.resolvers.chain import ResolverChain
 from repro.resolvers.config import ResolverConfig, build_chain
 from repro.resolvers.federation import (
@@ -38,7 +34,6 @@ __all__ = [
     "AttestationVerifier",
     "DirectoryResolver",
     "FederatedResolver",
-    "FlatFileResolver",
     "IdentityResolver",
     "LDAPSimResolver",
     "NonceCache",

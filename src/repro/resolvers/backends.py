@@ -1,4 +1,4 @@
-"""Concrete identity resolvers: directory, LDAP, flat-file.
+"""Concrete identity resolvers: directory and LDAP.
 
 Each backend answers the resolver protocol over a different account
 source — the shapes LinOTP's UserIdResolver supports:
@@ -8,9 +8,7 @@ source — the shapes LinOTP's UserIdResolver supports:
 * :class:`LDAPSimResolver` — a ``uid`` equality search against the LDAP
   model (:mod:`repro.directory.ldap`) with injectable latency and fault knobs,
   so chaos plans and benchmarks can make the "remote" source slow or
-  dark on demand;
-* :class:`FlatFileResolver` — passwd-style ``username:uid`` lines, the
-  escape hatch every deployment keeps for service accounts.
+  dark on demand.
 
 Caching is the chain's job (:class:`~repro.resolvers.chain.ResolverChain`
 keeps the one TTL'd lookup cache); backends answer every call.
@@ -32,8 +30,10 @@ from repro.resolvers.base import (
 class DirectoryResolver(IdentityResolver):
     """Resolve against the center's identity back end (authoritative)."""
 
-    def __init__(self, identity, name: str = "directory") -> None:
-        super().__init__(name)
+    name = "directory"
+
+    def __init__(self, identity) -> None:
+        super().__init__()
         self._identity = identity
 
     def _lookup(self, username: str) -> Optional[ResolvedIdentity]:
@@ -60,19 +60,16 @@ class LDAPSimResolver(IdentityResolver):
       (for exercising the circuit breaker's probe ladder).
     """
 
+    name = "ldap"
+
     def __init__(
-        self,
-        ldap,
-        name: str = "ldap",
-        clock: Optional[Clock] = None,
-        base: str = "ou=people,dc=center,dc=edu",
-        latency: float = 0.0,
+        self, ldap, clock: Optional[Clock] = None, base: Optional[str] = None
     ) -> None:
-        super().__init__(name)
+        super().__init__()
         self._ldap = ldap
         self._clock = clock or WallClock()
-        self._base = base
-        self._latency = float(latency)
+        self._base = base or ldap.people_base
+        self._latency = 0.0
         self._outage = False
         self._failures_left = 0
 
@@ -117,45 +114,3 @@ class LDAPSimResolver(IdentityResolver):
                 )
         return None
 
-
-class FlatFileResolver(IdentityResolver):
-    """Resolve from passwd-style ``username:uid`` lines.
-
-    Blank lines and ``#`` comments are ignored, like every Unix table
-    file.  A real ``/etc/passwd`` excerpt parses as-is: when a line has
-    three or more fields and the second is non-numeric (a password
-    placeholder like ``x``, ``*``, ``!`` or a hash), the uid is the
-    third field; otherwise the second field is the uid.  Extra fields
-    beyond the uid are ignored.
-    """
-
-    def __init__(self, text: str = "", name: str = "flatfile") -> None:
-        super().__init__(name)
-        self._table: Dict[str, str] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(":")
-            if len(parts) < 2 or not parts[0]:
-                raise ValueError(f"malformed flat-file line: {line!r}")
-            if len(parts) >= 3 and not parts[1].isdigit():
-                uid = parts[2]
-            else:
-                uid = parts[1]
-            self._table[parts[0]] = uid
-
-    def add(self, username: str, uid: str) -> None:
-        self._table[username] = str(uid)
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def _lookup(self, username: str) -> Optional[ResolvedIdentity]:
-        local, realm = split_realm(username)
-        uid = self._table.get(local)
-        if uid is None:
-            return None
-        return ResolvedIdentity(
-            username=username, uid=uid, realm=realm, resolver=self.name
-        )

@@ -70,11 +70,13 @@ class IdentityResolver:
     Subclasses implement :meth:`_lookup`; this base counts outcomes (under
     a lock never held across the lookup itself — the chain calls from
     every validate thread) and exposes the ``health()``/``snapshot()`` halves
-    of the protocol.
+    of the protocol.  ``name`` (a class attribute) is the key a chain
+    registers the resolver under.
     """
 
-    def __init__(self, name: str) -> None:
-        self.name = name
+    name: str
+
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self.lookups = 0
         self.hits = 0

@@ -43,6 +43,12 @@ ASSERTION_PREFIX = "FED1"
 
 MIN_KEY_BYTES = 16
 
+#: The ``aud`` every issuer stamps and the verifier demands: this center.
+AUDIENCE = "hpc-center"
+
+#: Seconds an assertion stays valid when ``issue`` is not told otherwise.
+ASSERTION_TTL = 300.0
+
 
 class AssertionInvalid(ValidationError):
     """An attestation failed verification; ``str(exc)`` says why."""
@@ -69,21 +75,15 @@ class AttestationIssuer:
         site: str,
         key: bytes,
         clock: Optional[Clock] = None,
-        audience: str = "hpc-center",
-        ttl: float = 300.0,
         rng: Optional[random.Random] = None,
     ) -> None:
         if not site:
             raise ValueError("issuer site name must be non-empty")
         if len(key) < MIN_KEY_BYTES:
             raise ValueError(f"attestation key must be >= {MIN_KEY_BYTES} bytes")
-        if ttl <= 0:
-            raise ValueError("assertion TTL must be positive")
         self.site = site
         self._key = key
         self._clock = clock or WallClock()
-        self.audience = audience
-        self.ttl = float(ttl)
         self._rng = rng or random.Random()
         self.issued = 0
 
@@ -97,8 +97,8 @@ class AttestationIssuer:
         """Mint a bearer assertion for ``subject`` (the home-site user)."""
         now = self._clock.now()
         payload = {
-            "aud": audience or self.audience,
-            "exp": round(now + (ttl if ttl is not None else self.ttl), 3),
+            "aud": audience or AUDIENCE,
+            "exp": round(now + (ttl if ttl is not None else ASSERTION_TTL), 3),
             "iat": round(now, 3),
             "nonce": nonce or f"{self._rng.getrandbits(128):032x}",
             "site": self.site,
@@ -157,9 +157,8 @@ class NonceCache:
 class AttestationVerifier:
     """The center's verification side: trust registry + nonce ledger."""
 
-    def __init__(self, clock: Optional[Clock] = None, audience: str = "hpc-center") -> None:
+    def __init__(self, clock: Optional[Clock] = None) -> None:
         self._clock = clock or WallClock()
-        self.audience = audience
         self._trusted: Dict[str, bytes] = {}
         self.nonces = NonceCache(self._clock)
         self.verified = 0
@@ -204,7 +203,7 @@ class AttestationVerifier:
         if not hmac.compare_digest(expected, signature):
             self.rejected += 1
             raise AssertionInvalid("assertion signature invalid")
-        if audience != self.audience:
+        if audience != AUDIENCE:
             self.rejected += 1
             raise AssertionInvalid("assertion audience mismatch")
         if self._clock.now() >= expires:
@@ -232,8 +231,10 @@ def split_assertion_code(code: str):
 class FederatedResolver(IdentityResolver):
     """Map ``user@homesite`` principals onto local accounts."""
 
-    def __init__(self, name: str = "federated") -> None:
-        super().__init__(name)
+    name = "federated"
+
+    def __init__(self) -> None:
+        super().__init__()
         self._mappings: Dict[str, str] = {}
 
     def map(self, principal: str, uid: str) -> None:

@@ -52,7 +52,8 @@ LabelKey = Tuple[Tuple[str, str], ...]
 #: Where increments land once an instrument exceeds its series budget.
 OVERFLOW_KEY: LabelKey = (("__overflow__", "true"),)
 
-#: Series budget per instrument unless the registry overrides it.
+#: Series budget per instrument; past it, new label sets share the overflow
+#: series.
 DEFAULT_MAX_SERIES = 512
 
 #: Histogram bucket upper bounds tuned for seconds-scale latencies.
@@ -73,12 +74,11 @@ class _Instrument:
 
     kind = "instrument"
 
-    def __init__(self, name: str, help: str = "", max_series: int = DEFAULT_MAX_SERIES) -> None:
+    def __init__(self, name: str, help: str = "") -> None:
         if not name:
             raise ValueError("instrument name must be non-empty")
         self.name = name
         self.help = help
-        self._max_series = max_series
         self.overflow_count = 0
         # Guards every read-modify-write on the series dict: the OTP
         # pipeline's batch path drives these instruments from worker
@@ -92,7 +92,7 @@ class _Instrument:
         Called under the lock, from the private update of every kind — the
         one place the cap is applied, per update, for both calling forms.
         """
-        if len(self._series) >= self._max_series:
+        if len(self._series) >= DEFAULT_MAX_SERIES:
             self.overflow_count += 1
             return OVERFLOW_KEY
         return key
@@ -121,8 +121,8 @@ class Counter(_Instrument):
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str = "", max_series: int = DEFAULT_MAX_SERIES) -> None:
-        super().__init__(name, help, max_series)
+    def __init__(self, name: str, help: str = "") -> None:
+        super().__init__(name, help)
         self._series: Dict[LabelKey, float] = {}
 
     def _add(self, key: LabelKey, amount: float = 1.0) -> None:
@@ -199,9 +199,8 @@ class Histogram(_Instrument):
         name: str,
         help: str = "",
         buckets: Optional[Iterable[float]] = None,
-        max_series: int = DEFAULT_MAX_SERIES,
     ) -> None:
-        super().__init__(name, help, max_series)
+        super().__init__(name, help)
         bounds = tuple(sorted(buckets if buckets is not None else DEFAULT_BUCKETS))
         if not bounds:
             raise ValueError(f"histogram {name} needs at least one bucket bound")

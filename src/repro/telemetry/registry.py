@@ -14,8 +14,8 @@ from typing import Dict, Iterable, Optional, Union
 
 from repro.common.clock import Clock, WallClock
 from repro.common.errors import ConfigurationError
-from repro.telemetry.metrics import DEFAULT_MAX_SERIES, Counter, Histogram
-from repro.telemetry.trace import DEFAULT_MAX_TRACES, NOOP_TRACER, NoopTracer, Tracer
+from repro.telemetry.metrics import Counter, Histogram
+from repro.telemetry.trace import NOOP_TRACER, NoopTracer, Tracer
 
 
 class Registry:
@@ -23,16 +23,10 @@ class Registry:
 
     enabled = True
 
-    def __init__(
-        self,
-        clock: Optional[Clock] = None,
-        max_series: int = DEFAULT_MAX_SERIES,
-        max_traces: int = DEFAULT_MAX_TRACES,
-    ) -> None:
+    def __init__(self, clock: Optional[Clock] = None) -> None:
         self.clock = clock or WallClock()
-        self._max_series = max_series
         self._instruments: Dict[str, object] = {}
-        self._tracer = Tracer(self.clock, max_traces=max_traces)
+        self._tracer = Tracer(self.clock)
 
     def _get(self, name: str, kind: type, factory) -> object:
         instrument = self._instruments.get(name)
@@ -46,13 +40,13 @@ class Registry:
         return instrument
 
     def counter(self, name: str, help: str = "") -> Counter:
-        return self._get(name, Counter, lambda: Counter(name, help, self._max_series))
+        return self._get(name, Counter, lambda: Counter(name, help))
 
     def histogram(
         self, name: str, help: str = "", buckets: Optional[Iterable[float]] = None
     ) -> Histogram:
         return self._get(
-            name, Histogram, lambda: Histogram(name, help, buckets, self._max_series)
+            name, Histogram, lambda: Histogram(name, help, buckets)
         )
 
     def tracer(self) -> Tracer:

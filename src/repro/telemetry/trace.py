@@ -29,7 +29,7 @@ from typing import Deque, Dict, Iterator, List, Optional
 
 from repro.common.clock import Clock, WallClock
 
-#: How many finished traces a tracer retains by default.
+#: How many finished traces a tracer retains.
 DEFAULT_MAX_TRACES = 256
 
 
@@ -144,13 +144,13 @@ class _OpenSpans(threading.local):
 class Tracer:
     """Builds span trees from the synchronous call stack."""
 
-    def __init__(self, clock: Optional[Clock] = None, max_traces: int = DEFAULT_MAX_TRACES) -> None:
+    def __init__(self, clock: Optional[Clock] = None) -> None:
         self._clock = clock or WallClock()
         # Each thread builds its own span tree; finished traces from every
         # thread land in the shared ring buffer.
         self._open = _OpenSpans()
         self._lock = threading.Lock()
-        self.traces: Deque[Span] = deque(maxlen=max_traces)
+        self.traces: Deque[Span] = deque(maxlen=DEFAULT_MAX_TRACES)
         self.spans_started = 0
 
     def span(self, name: str, **attributes: object) -> Span:

@@ -25,8 +25,10 @@ NAMES = 12
 class CountingResolver(IdentityResolver):
     """Answers every name; counts its calls under its own lock."""
 
+    name = "counting"
+
     def __init__(self) -> None:
-        super().__init__("counting")
+        super().__init__()
         self.calls = 0
         self._calls_lock = threading.Lock()
 

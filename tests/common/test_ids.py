@@ -1,5 +1,6 @@
 """Identifier allocation: per-tag counters, formatting, independence."""
 
+from repro.common import ids as ids_module
 from repro.common.ids import IdAllocator
 
 
@@ -24,8 +25,9 @@ class TestIdAllocator:
         assert ids.peek("x") == 1
         assert ids.peek("x") == 1
 
-    def test_custom_width(self):
-        assert IdAllocator(width=3).next("s") == "s-001"
+    def test_custom_width(self, monkeypatch):
+        monkeypatch.setattr(ids_module, "ID_WIDTH", 3)
+        assert IdAllocator().next("s") == "s-001"
 
     def test_ids_are_unique_across_many(self):
         ids = IdAllocator()

@@ -17,8 +17,8 @@ def clock():
     return VirtualClock.at("2016-10-05T09:00:00")
 
 
-def build(clock, **kwargs):
-    center = MFACenter(clock=clock, rng=random.Random(7), **kwargs)
+def build(clock):
+    center = MFACenter(clock=clock, rng=random.Random(7))
     system = center.add_system("stampede", mode="full")
     center.create_user("alice", password="pw")
     _, secret = center.pair_soft("alice")
@@ -75,7 +75,8 @@ class TestRADIUSOutages:
 
 class TestPacketLoss:
     def test_logins_survive_lossy_network(self, clock):
-        center, system, device = build(clock, fabric_loss_rate=0.25)
+        center, system, device = build(clock)
+        center.fabric.loss_rate = 0.25
         client = SSHClient("198.51.100.7")
         successes = 0
         for _ in range(20):
@@ -154,11 +155,8 @@ class TestLockoutRecovery:
 class TestDelayedSMS:
     def test_stalled_sms_delivers_expired_code(self, clock):
         """The Section 5 carrier failure, reproduced end to end."""
-        gateway = SMSGateway(
-            clock,
-            carrier=CarrierProfile(stall_probability=1.0, stall_delay=600.0),
-            rng=random.Random(1),
-        )
+        gateway = SMSGateway(clock, rng=random.Random(1))
+        gateway.carrier = CarrierProfile(stall_probability=1.0, stall_delay=600.0)
         otp = OTPServer(clock=clock, sms_gateway=gateway, rng=random.Random(2))
         otp.enroll_sms("carol", "5125551234")
         assert otp.validate("carol", None).status.value == "challenge_sent"

@@ -97,8 +97,8 @@ class TestCarrierStall:
     def test_stall_delays_past_code_validity(self, clock):
         """The Section 5 failure: the carrier retries and delivers the code
         in an expired state."""
-        carrier = CarrierProfile(stall_probability=1.0, stall_delay=600.0)
-        gateway = SMSGateway(clock, carrier=carrier, rng=random.Random(2))
+        gateway = SMSGateway(clock, rng=random.Random(2))
+        gateway.carrier = CarrierProfile(stall_probability=1.0, stall_delay=600.0)
         message = gateway.send("5125551234", "code 222222")
         assert message.attempts == 2  # the retry is recorded
         clock.advance(300)  # the code's validity window
@@ -107,8 +107,10 @@ class TestCarrierStall:
         assert gateway.latest("5125551234") is not None  # finally lands
 
     def test_stall_rate_approximately_respected(self, clock):
-        carrier = CarrierProfile(stall_probability=0.2, base_delay=1.0, delay_jitter=0.0)
-        gateway = SMSGateway(clock, carrier=carrier, rng=random.Random(3))
+        gateway = SMSGateway(clock, rng=random.Random(3))
+        gateway.carrier = CarrierProfile(
+            stall_probability=0.2, base_delay=1.0, delay_jitter=0.0
+        )
         stalls = sum(
             1 for _ in range(500) if gateway.send("5125551234", "x").attempts == 2
         )

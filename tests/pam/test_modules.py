@@ -60,13 +60,12 @@ def rig(clock):
     return rig
 
 
-def token_module(rig, mode, deadline=None, **kwargs):
+def token_module(rig, mode, deadline=None):
     """A token module over an engine that carries just that ladder."""
     return MFATokenModule(
         ldap=rig.identity.ldap,
         radius=rig.radius,
         policy=PolicyEngine(ladder=EnforcementLadder(mode, deadline)),
-        **kwargs,
     )
 
 
@@ -408,18 +407,8 @@ class TestFigure1StackPaths:
 
 
 class TestPassiveNotice:
-    """Section 4.2's first messaging wave: a passive notice in paired mode."""
-
-    def test_unpaired_sees_notice_without_ack(self, rig, clock):
-        module = token_module(rig, "paired", passive_notice=True)
-        session = make_session(clock)
-        assert module.authenticate(session) is PAMResult.SUCCESS
-        messages = " ".join(session.conversation.messages())
-        assert "pair a device" in messages
-        # Passive: no prompt of any kind was issued.
-        assert not any(
-            t[0].startswith("prompt") for t in session.conversation.transcript
-        )
+    """Paired mode tells an unpaired user nothing at login: Section 4.2's
+    first messaging wave was portal news and mass email."""
 
     def test_default_is_silent(self, rig, clock):
         module = token_module(rig, "paired")
@@ -431,7 +420,7 @@ class TestPassiveNotice:
         _, secret = rig.otp.enroll_soft("alice")
         rig.identity.notify_pairing("alice", PairingStatus.SOFT)
         device = TOTPGenerator(secret=secret, clock=clock)
-        module = token_module(rig, "paired", passive_notice=True)
+        module = token_module(rig, "paired")
         session = make_session(clock, responses=[device.current_code()])
         assert module.authenticate(session) is PAMResult.SUCCESS
         assert not any(

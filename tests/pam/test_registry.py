@@ -87,25 +87,25 @@ class TestServiceFiles:
 
     def test_invalid_mode_rejected(self, rig):
         with pytest.raises(ConfigurationError):
-            rig.manager.set_enforcement_mode("sshd", "ludicrous")
+            rig.manager.write_config("sshd", figure1_config("ludicrous"))
 
 
 class TestLivePolicyFlip:
     """"in effect as soon as written to disk" — the whole point."""
 
     def test_paired_to_full_flip(self, rig):
-        rig.manager.set_enforcement_mode("sshd", "paired")
+        rig.manager.write_config("sshd", figure1_config("paired"))
         # Unpaired alice passes under `paired` mode...
         result = rig.manager.authenticate("sshd", session(rig.clock, ["pw"]))
         assert result is PAMResult.SUCCESS
         # ...the admin edits the file...
-        rig.manager.set_enforcement_mode("sshd", "full")
+        rig.manager.write_config("sshd", figure1_config("full"))
         # ...and the very next authentication enforces it.
         result = rig.manager.authenticate("sshd", session(rig.clock, ["pw", "123456"]))
         assert result is PAMResult.AUTH_ERR
 
     def test_full_mode_with_real_token(self, rig):
-        rig.manager.set_enforcement_mode("sshd", "full")
+        rig.manager.write_config("sshd", figure1_config("full"))
         _, secret = rig.center.pair_soft("alice")
         device = TOTPGenerator(secret=secret, clock=rig.clock)
         result = rig.manager.authenticate(
@@ -114,33 +114,35 @@ class TestLivePolicyFlip:
         assert result is PAMResult.SUCCESS
 
     def test_countdown_mode_via_file(self, rig):
-        rig.manager.set_enforcement_mode("sshd", "countdown", deadline="2016-10-04")
+        rig.manager.write_config(
+            "sshd", figure1_config("countdown", deadline="2016-10-04")
+        )
         s = session(rig.clock, ["pw", ""])
         assert rig.manager.authenticate("sshd", s) is PAMResult.SUCCESS
         assert s.items["mfa_countdown_days"] == 19
 
     def test_off_mode_via_file(self, rig):
-        rig.manager.set_enforcement_mode("sshd", "off")
+        rig.manager.write_config("sshd", figure1_config("off"))
         result = rig.manager.authenticate("sshd", session(rig.clock, ["pw"]))
         assert result is PAMResult.SUCCESS
 
     def test_pubkey_jump_wired_from_file(self, rig):
-        rig.manager.set_enforcement_mode("sshd", "off")
+        rig.manager.write_config("sshd", figure1_config("off"))
         rig.authlog.append("accepted_publickey", "alice", "198.51.100.7")
         s = session(rig.clock, [])  # no password available!
         assert rig.manager.authenticate("sshd", s) is PAMResult.SUCCESS
         assert s.items["first_factor"] == "publickey"
 
     def test_exemption_wired_from_file(self, rig):
-        rig.manager.set_enforcement_mode("sshd", "full")
+        rig.manager.write_config("sshd", figure1_config("full"))
         rig.acl.set_text("+ : alice : ALL : ALL\n")
         s = session(rig.clock, ["pw"])
         assert rig.manager.authenticate("sshd", s) is PAMResult.SUCCESS
         assert s.items["mfa_exempt"] is True
 
     def test_per_service_isolation(self, rig):
-        rig.manager.set_enforcement_mode("sshd", "full")
-        rig.manager.set_enforcement_mode("login", "off")
+        rig.manager.write_config("sshd", figure1_config("full"))
+        rig.manager.write_config("login", figure1_config("off"))
         assert (
             rig.manager.authenticate("login", session(rig.clock, ["pw"]))
             is PAMResult.SUCCESS
@@ -183,7 +185,7 @@ class TestBrokenEdit:
 
     @pytest.mark.parametrize("text", BROKEN_CONFIGS.values(), ids=BROKEN_CONFIGS)
     def test_nothing_authenticates_and_nothing_is_set(self, rig, text):
-        rig.manager.set_enforcement_mode("sshd", "full")
+        rig.manager.write_config("sshd", figure1_config("full"))
         rig.manager.stack("sshd")
         rig.manager.write_config("sshd", text)
         with pytest.raises(ConfigurationError):
@@ -199,7 +201,7 @@ class TestBrokenEdit:
         assert "pam_mfa_tokn.so" in rig.manager.last_error
         assert rig.manager.stack("sshd").entries == []  # cached, not re-parsed
         assert rig.manager.reload_count == 1
-        rig.manager.set_enforcement_mode("sshd", "off")
+        rig.manager.write_config("sshd", figure1_config("off"))
         assert rig.manager.authenticate("sshd", session(rig.clock, ["pw"])) is (
             PAMResult.SUCCESS
         )
@@ -211,7 +213,9 @@ class TestOneEngine:
     engine, and the token line is what sets its ladder."""
 
     def test_token_line_sets_the_ladder(self, rig):
-        rig.manager.set_enforcement_mode("sshd", "countdown", deadline="2016-10-04")
+        rig.manager.write_config(
+            "sshd", figure1_config("countdown", deadline="2016-10-04")
+        )
         stack = rig.manager.stack("sshd")
         assert rig.policy.snapshot()["ladder"]["configured_mode"] == "countdown"
         assert all(
@@ -221,7 +225,7 @@ class TestOneEngine:
         )
 
     def test_hand_edited_unknown_mode_fails_closed_to_full(self, rig):
-        rig.manager.set_enforcement_mode("sshd", "off")
+        rig.manager.write_config("sshd", figure1_config("off"))
         rig.manager.stack("sshd")
         rig.manager.write_config(
             "sshd", figure1_config("off").replace("mode=off", "mode=ludicrous")
@@ -232,9 +236,9 @@ class TestOneEngine:
         assert rig.policy.ladder.configured_mode.value == "full"
 
     def test_reload_keeps_the_radius_client(self, rig):
-        rig.manager.set_enforcement_mode("sshd", "paired")
+        rig.manager.write_config("sshd", figure1_config("paired"))
         before = rig.manager.stack("sshd").entries[-1].module
-        rig.manager.set_enforcement_mode("sshd", "full")
+        rig.manager.write_config("sshd", figure1_config("full"))
         after = rig.manager.stack("sshd").entries[-1].module
         assert after is not before
         assert after._radius is before._radius

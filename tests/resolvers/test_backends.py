@@ -1,4 +1,4 @@
-"""Concrete resolver backends: directory, LDAP sim, flat file."""
+"""Concrete resolver backends: directory and LDAP sim."""
 
 import random
 
@@ -14,7 +14,6 @@ from repro.directory.identity import IdentityBackend
 from repro.directory.ldap import LDAPDirectory
 from repro.resolvers import (
     DirectoryResolver,
-    FlatFileResolver,
     LDAPSimResolver,
     ResolverConfig,
     ResolverUnavailableError,
@@ -70,7 +69,8 @@ class TestLDAPSimResolver:
         assert resolver.resolve("alice") is not None
 
     def test_health_reports_outage_and_latency(self, identity, clock):
-        resolver = LDAPSimResolver(identity.ldap, clock=clock, latency=0.25)
+        resolver = LDAPSimResolver(identity.ldap, clock=clock)
+        resolver.set_latency(0.25)
         assert resolver.health() == {"available": True, "latency_seconds": 0.25}
         resolver.set_outage(True)
         assert resolver.health()["available"] is False
@@ -84,7 +84,8 @@ class TestLDAPSimResolver:
         assert resolver.resolve("alice") is not None
 
     def test_latency_spends_clock_time(self, identity, clock):
-        resolver = LDAPSimResolver(identity.ldap, clock=clock, latency=1.5)
+        resolver = LDAPSimResolver(identity.ldap, clock=clock)
+        resolver.set_latency(1.5)
         before = clock.now()
         resolver.resolve("alice")
         assert clock.now() - before == pytest.approx(1.5)
@@ -208,47 +209,3 @@ class TestOneNameOneIdentity:
         assert seen == [ValidateStatus.NO_TOKEN] * 3 + [ValidateStatus.OK]
         assert center.resolver_chain.unrouted == 3
 
-
-class TestFlatFileResolver:
-    def test_parses_simple_and_passwd_style_lines(self):
-        resolver = FlatFileResolver(
-            "# service accounts\n"
-            "backup:9001\n"
-            "\n"
-            "daemon:x:9002:9002:Daemon:/var/empty:/sbin/nologin\n"
-        )
-        assert len(resolver) == 2
-        assert resolver.resolve("backup").uid == "9001"
-        assert resolver.resolve("daemon").uid == "9002"
-
-    def test_malformed_line_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="malformed flat-file line"):
-            FlatFileResolver("no-colon-here")
-
-    def test_two_field_line_with_placeholder_uid_does_not_crash(self):
-        # 'alice:x' used to raise an uncaught IndexError reaching for a
-        # third field that is not there.
-        resolver = FlatFileResolver("alice:x")
-        assert resolver.resolve("alice").uid == "x"
-
-    def test_passwd_lines_with_non_x_password_fields_map_the_real_uid(self):
-        # Locked accounts ('*', '!') and hash-bearing rows are real
-        # /etc/passwd shapes; the uid is the third field for all of them.
-        resolver = FlatFileResolver(
-            "locked:*:9100:9100::/var/empty:/sbin/nologin\n"
-            "disabled:!:9101:9101::/var/empty:/sbin/nologin\n"
-            "hashed:$6$salt$digest:9102:9102::/home/hashed:/bin/sh\n"
-        )
-        assert resolver.resolve("locked").uid == "9100"
-        assert resolver.resolve("disabled").uid == "9101"
-        assert resolver.resolve("hashed").uid == "9102"
-
-    def test_numeric_second_field_is_the_uid_even_with_extra_fields(self):
-        resolver = FlatFileResolver("backup:9001:comment:ignored")
-        assert resolver.resolve("backup").uid == "9001"
-
-    def test_add_and_miss(self):
-        resolver = FlatFileResolver()
-        resolver.add("ops", "42")
-        assert resolver.resolve("ops").uid == "42"
-        assert resolver.resolve("nobody") is None

@@ -19,7 +19,8 @@ class StubResolver(IdentityResolver):
     """An in-memory resolver with a kill switch, for chain surgery."""
 
     def __init__(self, name, users=(), down=False):
-        super().__init__(name)
+        super().__init__()
+        self.name = name
         self.users = {u: f"uid-{u}" for u in users}
         self.down = down
 

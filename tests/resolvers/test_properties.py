@@ -29,7 +29,8 @@ class TableResolver(IdentityResolver):
     """Resolves a fixed username set; records what it was asked."""
 
     def __init__(self, name, users, down=False):
-        super().__init__(name)
+        super().__init__()
+        self.name = name
         self.users = set(users)
         self.down = down
         self.asked = []

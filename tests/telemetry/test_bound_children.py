@@ -13,12 +13,14 @@ moving every series it moved before children existed.
 import cProfile
 import sys
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.__main__ import _status_scenario
+from repro.telemetry import metrics
 from repro.telemetry import (
     NOOP_REGISTRY,
     OVERFLOW_KEY,
@@ -62,7 +64,12 @@ def _drive(sequence, choose_bound, max_series, reset_at):
     """Run ``sequence`` on a fresh registry; ``choose_bound(event_flag)``
     picks the calling form per event.  Children are all bound up front and
     kept across the reset."""
-    registry = Registry(max_series=max_series)
+    with mock.patch.object(metrics, "DEFAULT_MAX_SERIES", max_series):
+        return _drive_capped(sequence, choose_bound, reset_at)
+
+
+def _drive_capped(sequence, choose_bound, reset_at):
+    registry = Registry()
     instruments = {
         "events_total": registry.counter("events_total", "events"),
         "seconds": registry.histogram("seconds", "a latency", buckets=(0.0, 1.0, 100.0)),
@@ -130,8 +137,9 @@ def test_child_bound_before_reset_keeps_working():
     assert registry.histogram("h").bucket_counts(op="x") == [1, 1]
 
 
-def test_cap_applies_to_every_update_of_a_child():
-    counter = Counter("n", max_series=2)
+def test_cap_applies_to_every_update_of_a_child(monkeypatch):
+    monkeypatch.setattr(metrics, "DEFAULT_MAX_SERIES", 2)
+    counter = Counter("n")
     counter.inc(k="a")
     late = counter.labels(k="late")  # bound while there was still room
     counter.inc(k="b")
@@ -140,7 +148,8 @@ def test_cap_applies_to_every_update_of_a_child():
     assert counter.overflow_count == 3
     assert counter.series()[OVERFLOW_KEY] == 3.0
     assert counter.value(k="late") == 0.0
-    histogram = Histogram("h", max_series=1)
+    monkeypatch.setattr(metrics, "DEFAULT_MAX_SERIES", 1)
+    histogram = Histogram("h")
     histogram.observe(1.0, k="a")
     histogram.labels(k="b").observe(1.0)
     histogram.labels(k="c").observe(1.0)

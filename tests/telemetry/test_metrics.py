@@ -4,6 +4,7 @@ import inspect
 import math
 import sys
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.common.clock import VirtualClock
 from repro.common.errors import ConfigurationError
+from repro.telemetry import metrics
 from repro.telemetry import (
     NOOP_REGISTRY,
     OVERFLOW_KEY,
@@ -67,8 +69,9 @@ class TestCounter:
         assert c.total() == 0.0
         assert c.series() == {}
 
-    def test_cardinality_overflow(self):
-        c = Counter("n", max_series=3)
+    def test_cardinality_overflow(self, monkeypatch):
+        monkeypatch.setattr(metrics, "DEFAULT_MAX_SERIES", 3)
+        c = Counter("n")
         for i in range(5):
             c.inc(user=f"u{i}")
         # Three real series plus the collapsed overflow series.
@@ -176,7 +179,12 @@ runs = st.lists(
 
 
 def _feed(runs, batched, max_series):
-    histogram = Histogram("stage_seconds", buckets=RUN_BOUNDS, max_series=max_series)
+    with mock.patch.object(metrics, "DEFAULT_MAX_SERIES", max_series):
+        return _feed_capped(runs, batched)
+
+
+def _feed_capped(runs, batched):
+    histogram = Histogram("stage_seconds", buckets=RUN_BOUNDS)
     for run in runs:
         if batched:
             keys = [key for key, _ in run]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.clock import VirtualClock
 from repro.telemetry import NOOP_SPAN, NOOP_TRACER, Tracer
+from repro.telemetry import trace as trace_module
 
 
 @pytest.fixture
@@ -99,8 +100,9 @@ class TestAttributesAndStatus:
 
 
 class TestRetention:
-    def test_ring_buffer_cap(self, clock):
-        tracer = Tracer(clock, max_traces=3)
+    def test_ring_buffer_cap(self, clock, monkeypatch):
+        monkeypatch.setattr(trace_module, "DEFAULT_MAX_TRACES", 3)
+        tracer = Tracer(clock)
         for i in range(5):
             with tracer.span(f"t{i}"):
                 pass
