@@ -8,6 +8,12 @@ portal client and the LinOTP admin API simulation both use.  TLS itself is
 out of scope (the in-process transport is already private); what matters to
 reproduce is that the portal never sends the admin password in the clear
 and that replayed requests are rejected.
+
+For qop="auth", HA2 = H(method:uri) depends on the request line alone, so
+a server with fixed routes hashes it once per route: both halves take a
+``route_ha2`` table, ``{(method, uri): HA2}``, and a request on a route in
+it makes one MD5 per side, its response digest.  A request line outside
+the table is hashed for that request alone and stored nowhere.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ import random
 import re
 import threading
 from dataclasses import dataclass
-from typing import Dict, Optional
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.common.cache import MISSING, BoundedCache
 
@@ -41,8 +48,17 @@ def ha2(method: str, uri: str) -> str:
 def digest_response(
     _ha1: str, nonce: str, nc: str, cnonce: str, qop: str, _ha2: str
 ) -> str:
-    """The response field: H(HA1:nonce:nc:cnonce:qop:HA2)."""
-    return _h(f"{_ha1}:{nonce}:{nc}:{cnonce}:{qop}:{_ha2}")
+    """The response field: H(HA1:nonce:nc:cnonce:qop:HA2) — the one hash a
+    routed request makes on each side, so it is hashed in this frame."""
+    text = f"{_ha1}:{nonce}:{nc}:{cnonce}:{qop}:{_ha2}"
+    return hashlib.md5(text.encode("utf-8", "surrogatepass")).hexdigest()
+
+
+#: ``{(method, uri): HA2}`` for the routes a server serves.
+RouteHA2 = Mapping[Tuple[str, str], str]
+
+#: The table of a caller with no fixed routes: every request line is hashed.
+NO_ROUTES: RouteHA2 = MappingProxyType({})
 
 
 @dataclass
@@ -82,26 +98,34 @@ class DigestClient:
         self._ha1 = ""
         self._nc = 0
 
-    def respond(self, challenge: DigestChallenge, method: str, uri: str) -> DigestCredentials:
+    def respond(
+        self, challenge: DigestChallenge, method: str, uri: str,
+        route_ha2: RouteHA2 = NO_ROUTES,
+    ) -> DigestCredentials:
         """Build credentials for one request under ``challenge`` (a new
         challenge starts its nonce count at 1)."""
         if challenge != self._challenge:
             self._challenge = challenge
             self._ha1 = ha1(self.username, challenge.realm, self._password)
             self._nc = 0
-        return self.reuse(method, uri)
+        return self.reuse(method, uri, route_ha2)
 
-    def reuse(self, method: str, uri: str) -> Optional[DigestCredentials]:
+    def reuse(
+        self, method: str, uri: str, route_ha2: RouteHA2 = NO_ROUTES
+    ) -> Optional[DigestCredentials]:
         """Credentials under the last challenge answered, with the next
-        nonce count; None before the first challenge."""
+        nonce count; None before the first challenge.  HA2 is read from
+        ``route_ha2`` when the request line is in it."""
         challenge = self._challenge
         if challenge is None:
             return None
         self._nc += 1
         nc = f"{self._nc:08x}"
         cnonce = f"{self._rng.getrandbits(64):016x}"
+        route = (method, uri)
+        request_ha2 = route_ha2[route] if route in route_ha2 else ha2(method, uri)
         resp = digest_response(
-            self._ha1, challenge.nonce, nc, cnonce, challenge.qop, ha2(method, uri)
+            self._ha1, challenge.nonce, nc, cnonce, challenge.qop, request_ha2
         )
         return DigestCredentials(
             username=self.username,
@@ -148,16 +172,28 @@ class DigestVerifier:
             self._nonces.put(nonce, 0)
         return DigestChallenge(realm=self.realm, nonce=nonce)
 
-    def verify(self, creds: DigestCredentials, method: str, uri: str) -> bool:
+    def verify(
+        self, creds: DigestCredentials, method: str, uri: str,
+        route_ha2: RouteHA2 = NO_ROUTES,
+    ) -> bool:
         """Return True iff the credentials authenticate this request (any
-        field strings get a bool, never an exception)."""
+        field values get a bool, never an exception).  HA2 is read from
+        ``route_ha2`` when the request line is in it."""
+        if not (
+            creds.username.__class__ is str and creds.uri.__class__ is str
+            and creds.nonce.__class__ is str and creds.nc.__class__ is str
+            and creds.response.__class__ is str and method.__class__ is str
+        ):
+            return False  # a field used as a key or read as text; no route
         stored_ha1 = self._users.get(creds.username)
         if stored_ha1 is None or creds.uri != uri or creds.realm != self.realm:
             return False
         if not (_NC.fullmatch(creds.nc) and creds.response.isascii()):
             return False  # a malformed count; a response no hex digest equals
+        route = (method, uri)  # hashable: a str method, a uri equal to a str
+        request_ha2 = route_ha2[route] if route in route_ha2 else ha2(method, uri)
         expected = digest_response(
-            stored_ha1, creds.nonce, creds.nc, creds.cnonce, creds.qop, ha2(method, uri)
+            stored_ha1, creds.nonce, creds.nc, creds.cnonce, creds.qop, request_ha2
         )
         if not hmac.compare_digest(expected, creds.response):
             return False

@@ -10,6 +10,8 @@ Authentication over a TLS-secured connection."
 :class:`~repro.crypto.digest_auth.DigestVerifier`.  :class:`AdminAPIClient`
 is the portal side: it answers a 401 digest challenge once and signs later
 requests under the same nonce, never sending the admin password itself.
+Both sides read a route's digest HA2 from :data:`ROUTE_HA2`, hashed once
+at import, so a routed request makes one MD5 per side.
 The transport is a direct call (our stand-in for HTTPS on a private
 network), but request and response shapes are those of a JSON-over-HTTP API.
 """
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.common.errors import NotFoundError, ProtocolError, ValidationError
-from repro.crypto.digest_auth import DigestClient, DigestCredentials, DigestVerifier
+from repro.crypto.digest_auth import DigestClient, DigestCredentials, DigestVerifier, ha2
 from repro.otpserver.server import OTPServer
 
 
@@ -36,6 +38,20 @@ class APIResponse:
 
 Handler = Callable[[Dict[str, Any]], Dict[str, Any]]
 
+#: Every route of the admin API, ``(method, path)``, and its handler's name.
+ROUTES: Dict[Tuple[str, str], str] = {
+    ("POST", "/admin/init"): "_handle_init",
+    ("POST", "/admin/remove"): "_handle_remove",
+    ("POST", "/admin/resync"): "_handle_resync",
+    ("POST", "/admin/reset"): "_handle_reset",
+    ("GET", "/admin/show"): "_handle_show",
+    ("GET", "/admin/status"): "_handle_status",
+    ("POST", "/validate/check"): "_handle_validate",
+}
+
+#: Each route's digest HA2 = H(method:path): a constant of the route.
+ROUTE_HA2: Dict[Tuple[str, str], str] = {route: ha2(*route) for route in ROUTES}
+
 
 class AdminAPI:
     """Server side of the admin REST interface."""
@@ -46,13 +62,7 @@ class AdminAPI:
         self.server = server
         self._verifier = DigestVerifier(self.REALM, rng=rng)
         self._routes: Dict[Tuple[str, str], Handler] = {
-            ("POST", "/admin/init"): self._handle_init,
-            ("POST", "/admin/remove"): self._handle_remove,
-            ("POST", "/admin/resync"): self._handle_resync,
-            ("POST", "/admin/reset"): self._handle_reset,
-            ("GET", "/admin/show"): self._handle_show,
-            ("GET", "/admin/status"): self._handle_status,
-            ("POST", "/validate/check"): self._handle_validate,
+            route: getattr(self, name) for route, name in ROUTES.items()
         }
         self.request_count = 0
 
@@ -68,14 +78,20 @@ class AdminAPI:
         credentials: Optional[DigestCredentials] = None,
     ) -> APIResponse:
         """Dispatch one request.  Without valid credentials the response is
-        a 401 carrying a fresh digest challenge, like a real HTTP stack."""
+        a 401 carrying a fresh digest challenge, like a real HTTP stack; a
+        body that is not an object is a 400."""
         self.request_count += 1
-        params = params or {}
-        if credentials is None or not self._verifier.verify(credentials, method, path):
+        if credentials is None or not self._verifier.verify(
+            credentials, method, path, ROUTE_HA2
+        ):
             return APIResponse(401, {"error": "unauthorized"}, self._verifier.challenge())
         handler = self._routes.get((method, path))
         if handler is None:
             return APIResponse(404, {"error": f"no route {method} {path}"})
+        if params is None:
+            params = {}
+        elif params.__class__ is not dict:  # a JSON array, string or number
+            return APIResponse(400, {"error": "request body must be an object"})
         try:
             body = handler(params)
         except (ValidationError, ProtocolError) as exc:
@@ -192,10 +208,10 @@ class AdminAPIClient:
     ) -> Dict[str, Any]:
         """One request signed under the last challenge; a 401 (a first call,
         a forgotten nonce) is answered once and the request retried."""
-        creds = self._digest.reuse(method, path)
+        creds = self._digest.reuse(method, path, ROUTE_HA2)
         response = self._api.request(method, path, params, credentials=creds)
         if response.status == 401:
-            creds = self._digest.respond(response.challenge, method, path)
+            creds = self._digest.respond(response.challenge, method, path, ROUTE_HA2)
             response = self._api.request(method, path, params, credentials=creds)
             if response.status == 401:
                 raise ProtocolError("admin API rejected digest credentials")

@@ -83,6 +83,32 @@ class TestHandshake:
         assert not verifier.verify(creds, "GET", "/x")
 
 
+class TestRouteTable:
+    """A served route's HA2 comes from the caller's table; any other
+    request line is hashed for that request."""
+
+    def test_both_sides_read_ha2_from_the_table(self, verifier, client):
+        # A table entry that is not H(method:uri) shows it was read, not recomputed.
+        table = {("GET", "/x"): "0" * 32}
+        creds = client.respond(verifier.challenge(), "GET", "/x", table)
+        assert creds.response == digest_response(
+            ha1("portal", verifier.realm, "hunter2"), creds.nonce, creds.nc, creds.cnonce,
+            "auth", "0" * 32,
+        )
+        assert not verifier.verify(creds, "GET", "/x")  # hashes H(GET:/x)
+        assert verifier.verify(creds, "GET", "/x", table)
+
+    def test_a_line_outside_the_table_is_hashed(self, verifier, client):
+        table = {("GET", "/x"): ha2("GET", "/x")}
+        creds = client.respond(verifier.challenge(), "POST", "/y", table)
+        assert creds.response == digest_response(
+            ha1("portal", verifier.realm, "hunter2"), creds.nonce, creds.nc, creds.cnonce,
+            "auth", ha2("POST", "/y"),
+        )
+        assert verifier.verify(creds, "POST", "/y", table)
+        assert table == {("GET", "/x"): ha2("GET", "/x")}  # nothing stored
+
+
 class TestReplayProtection:
     def test_replayed_credentials_rejected(self, verifier, client):
         challenge = verifier.challenge()
@@ -154,13 +180,19 @@ def _valid_credentials():
 _VALID = _valid_credentials()[1]
 
 
+#: What a header parser might hand over for one field: text, or no text.
+_ANY_VALUE = (
+    st.text() | st.none() | st.integers() | st.lists(st.text(max_size=4), max_size=2)
+)
+
+
 def _field(name):
-    """A field's valid value or any string at all."""
-    return st.just(getattr(_VALID, name)) | st.text()
+    """A field's valid value or any value at all."""
+    return st.just(getattr(_VALID, name)) | _ANY_VALUE
 
 
 class TestMalformedHeaders:
-    """``verify`` is a boundary: whatever strings a header parser hands it,
+    """``verify`` is a boundary: whatever values a header parser hands it,
     the answer is a bool, never an exception."""
 
     @settings(max_examples=300, deadline=None)
@@ -170,8 +202,30 @@ class TestMalformedHeaders:
     @example(fields={**vars(_VALID), "response": "é" * 32})  # not ASCII
     @example(fields={**vars(_VALID), "cnonce": "\ud800"})  # a lone surrogate
     @example(fields={**vars(_VALID), "nc": "0x000001"})  # int() would parse it
+    @example(fields={**vars(_VALID), "nc": None})  # no count
+    @example(fields={**vars(_VALID), "nc": 5})
+    @example(fields={**vars(_VALID), "response": 7})
+    @example(fields={**vars(_VALID), "username": ["portal"]})  # unhashable
+    @example(fields={**vars(_VALID), "uri": ["/admin/show"]})
     def test_verify_answers_any_fields_with_a_bool(self, fields):
         verifier, valid = _valid_credentials()
         creds = DigestCredentials(**fields)
         result = verifier.verify(creds, "GET", "/admin/show")
         assert result is (creds == valid)
+
+    def test_a_signed_list_nonce_is_refused_not_raised(self):
+        # Only the password holder can sign it; it is still never a key.
+        verifier, valid = _valid_credentials()
+        nonce = [valid.nonce]
+        response = digest_response(
+            ha1("portal", valid.realm, "hunter2"), nonce, valid.nc, valid.cnonce,
+            valid.qop, ha2("GET", "/admin/show"),
+        )
+        creds = DigestCredentials(**{**vars(valid), "nonce": nonce, "response": response})
+        assert verifier.verify(creds, "GET", "/admin/show") is False
+
+    @pytest.mark.parametrize("method", [None, 5, ["GET"]])
+    def test_a_request_line_of_the_wrong_type_is_refused(self, method):
+        verifier, valid = _valid_credentials()
+        assert verifier.verify(valid, method, "/admin/show", {}) is False
+        assert verifier.verify(valid, "GET", ["/admin/show"], {}) is False

@@ -261,6 +261,49 @@ def test_a_storage_op_runs_no_per_column_call(admin_init_profile):
     assert count(admin_init_profile, "storage/memory.py", "insert") >= 1
 
 
+def digest_frames(profile):
+    """``{function: calls}`` of the profile's frames in ``crypto/digest_auth.py``."""
+    return {
+        name: n for (file, name), n in profile.items()
+        if _is(file, "crypto/digest_auth.py")
+    }
+
+
+def test_an_admin_request_makes_one_md5_per_side(admin_init_profile):
+    """docs/ARCHITECTURE.md "Pairing path": a route's HA2 is hashed once, at
+    import, so a warm request hashes only its response digest, once on the
+    client and once on the server."""
+    assert builtin(admin_init_profile, "openssl_md5") == 2
+    assert "ha2" not in digest_frames(admin_init_profile)
+    assert "_h" not in digest_frames(admin_init_profile)
+
+
+@pytest.fixture(scope="module")
+def admin_show_profile():
+    """One warm ``/admin/show`` of a paired user."""
+    center = MFACenter(clock=VirtualClock.at("2016-10-05T09:00:00"), rng=random.Random(20160810))
+    uid = center.create_user("alice").uid
+    api = AdminAPI(center.otp, rng=random.Random(1))
+    api.add_admin("portal", "portal-secret")
+    admin = AdminAPIClient(api, "portal", "portal-secret", rng=random.Random(2))
+    admin.call("POST", "/admin/init", {"user": uid, "type": "soft"})
+
+    def show(run):
+        (token,) = run(admin.call, "GET", "/admin/show", {"user": uid})["tokens"]
+        assert token["type"] == "soft"
+
+    return profile_second_call(show)
+
+
+def test_a_warm_admin_request_signs_and_verifies_in_four_frames(admin_show_profile):
+    """The client signs under its last nonce and the server verifies: one
+    response digest each, HA2 read from the route table on both sides."""
+    assert digest_frames(admin_show_profile) == {
+        "reuse": 1, "verify": 1, "digest_response": 2,
+    }
+    assert builtin(admin_show_profile, "openssl_md5") == 2
+
+
 @pytest.fixture(scope="module")
 def admin_remove_profile(tmp_path_factory):
     """One warm ``/admin/remove`` (``OTPServer.unpair``, a transaction) on

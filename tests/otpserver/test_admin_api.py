@@ -1,14 +1,15 @@
 """Admin REST API: routes, digest gate, client handshake."""
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.common.clock import VirtualClock
 from repro.common.errors import ProtocolError, ValidationError
-from repro.crypto.digest_auth import NONCE_TABLE, DigestClient
+from repro.crypto.digest_auth import NONCE_TABLE, DigestClient, ha2
 from repro.crypto.totp import TOTPGenerator
-from repro.otpserver.admin_api import AdminAPI, AdminAPIClient
+from repro.otpserver.admin_api import ROUTE_HA2, ROUTES, AdminAPI, AdminAPIClient
 from repro.otpserver.server import OTPServer
 from repro.otpserver.tokens import HardTokenBatch
 
@@ -50,6 +51,61 @@ class TestAuthenticationGate:
         server.enroll_soft("alice")
         body = client.call("GET", "/admin/show", {"user": "alice"})
         assert body["tokens"][0]["type"] == "soft"
+
+
+def signed(api, method, path):
+    """Fresh credentials for one request, answered from a 401's challenge
+    with no route table (every request line hashed)."""
+    digest = DigestClient("portal", "s3cret", rng=random.Random(6))
+    return digest.respond(api.request(method, path).challenge, method, path)
+
+
+#: Authorization fields of the wrong type, as a header parser might hand
+#: them over.
+WRONG_FIELDS = [
+    ("nc", None), ("nc", 5), ("response", 7), ("username", ["portal"]),
+    ("uri", ["/admin/show"]), ("nonce", None),
+]
+
+
+class TestAuthorizationFieldTypes:
+    @pytest.mark.parametrize(("name", "value"), WRONG_FIELDS)
+    def test_a_wrong_type_is_a_401_with_a_fresh_challenge(self, api, server, name, value):
+        server.enroll_soft("alice")
+        creds = dataclasses.replace(signed(api, "GET", "/admin/show"), **{name: value})
+        response = api.request("GET", "/admin/show", {"user": "alice"}, credentials=creds)
+        assert response.status == 401
+        assert response.challenge is not None
+        assert response.challenge.nonce != creds.nonce
+
+
+class TestRouteTable:
+    def test_every_route_has_its_ha2(self, api):
+        assert set(ROUTE_HA2) == set(ROUTES) == set(api._routes)
+        for (method, path), value in ROUTE_HA2.items():
+            assert value == ha2(method, path)
+
+    def test_an_unrouted_path_authenticates_then_404s(self, api):
+        creds = signed(api, "GET", "/admin/nonexistent")
+        response = api.request("GET", "/admin/nonexistent", {}, credentials=creds)
+        assert response.status == 404
+        assert response.body == {"error": "no route GET /admin/nonexistent"}
+
+    @pytest.mark.parametrize(
+        "sent_to", [("GET", "/admin/init"), ("POST", "/admin/remove")],
+        ids=["same-path", "same-method"],
+    )
+    def test_credentials_for_one_route_are_a_401_on_another(self, api, sent_to):
+        creds = signed(api, "POST", "/admin/init")
+        response = api.request(*sent_to, {"user": "alice"}, credentials=creds)
+        assert response.status == 401
+
+    def test_unrouted_requests_do_not_grow_the_table(self, client):
+        before = dict(ROUTE_HA2)
+        for i in range(100):
+            with pytest.raises(ValidationError, match="no route"):
+                client.call("GET", f"/admin/unrouted/{i}")
+        assert ROUTE_HA2 == before
 
 
 class TestNonceTable:
@@ -168,6 +224,21 @@ class TestRoutes:
         client.call("GET", "/admin/show", {"user": "alice"})
         # Later calls sign under the same nonce with the next count: one request.
         assert api.request_count == before + 3
+
+
+class TestRequestBody:
+    @pytest.mark.parametrize("body", [["user"], "user", 5], ids=["list", "str", "int"])
+    def test_a_body_that_is_not_an_object_is_a_400(self, api, server, body):
+        creds = signed(api, "POST", "/admin/init")
+        response = api.request("POST", "/admin/init", body, credentials=creds)
+        assert response.status == 400
+        assert response.body == {"error": "request body must be an object"}
+        assert server.user_tokens("user") == []
+
+    def test_no_body_is_an_empty_object(self, api):
+        creds = signed(api, "POST", "/admin/init")
+        response = api.request("POST", "/admin/init", None, credentials=creds)
+        assert response.body == {"error": "missing required parameter 'user'"}
 
 
 #: Every parameter a route reads, with a request that is valid apart from it:
