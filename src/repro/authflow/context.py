@@ -56,7 +56,8 @@ class PipelineContext:
     token_type: Optional[TokenType] = None
     decision: Optional[Decision] = None  # policy engine's answer
     challenge: Optional[dict] = None  # outstanding SMS challenge row
-    span: object = None  # the enclosing trace span, if any
+    #: The instant the running stage began, when the pipeline read one.
+    now: Optional[float] = None
 
     # -- outcome -------------------------------------------------------------
     #: Set once some stage has produced the final result.

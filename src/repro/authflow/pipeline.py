@@ -16,6 +16,8 @@ stage times into a list with a slot per stage (NaN for a stage that did
 not run) and hands the list to the histogram once, after the last stage:
 one update and one lock acquisition per run, and a scrape never sees half
 a run.  With telemetry off a run allocates nothing and reads no clock.
+With it on, each boundary read is also the next stage's instant
+(``PipelineContext.now``), which the stage asks instead of its clock.
 
 A stage that throws (a storage fault, an id no resolver can parse) fails
 the attempt *closed* — REJECT "internal error", an audit row naming the
@@ -78,9 +80,10 @@ class AuthPipeline:
         live = self.telemetry.enabled
         with self.locks.lock_for(user_id):
             # One clock read per stage boundary: the end of a stage is the
-            # start of the next one that runs (a skipped stage reads nothing).
+            # start of the next one that runs (a skipped stage reads nothing),
+            # and ``ctx.now`` hands it to that stage.
             if live:
-                boundary = self._clock.now()
+                ctx.now = self._clock.now()
                 durations = list(self._not_run)
             for slot, stage in enumerate(self.stages):
                 if ctx.result is not None and not stage.terminal:
@@ -100,8 +103,8 @@ class AuthPipeline:
                         self._m_stage_errors.inc(stage=stage.name)
                 finally:
                     if live:
-                        started, boundary = boundary, self._clock.now()
-                        durations[slot] = boundary - started
+                        started, ctx.now = ctx.now, self._clock.now()
+                        durations[slot] = ctx.now - started
         if live:
             self._m_stage_seconds._observe_run(self._stage_keys, durations)
         if ctx.result is None:

@@ -26,7 +26,9 @@ records always land.
 
 Stages hold a reference to the owning ``OTPServer`` and use its storage
 tables, sealer, validator, clock, SMS gateway and metrics — they are the
-thin remains of the former private methods, not reimplementations.
+thin remains of the former private methods, not reimplementations.  A
+stage's instant is ``ctx.now`` when set; a read after its storage op, lookup
+or sleep is its own.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ class ResolveIdentity:
         chain = server.resolvers
         if chain is not None:
             try:
-                identity = chain.resolve(ctx.user_id)
+                identity = chain.resolve(ctx.user_id, now=ctx.now)
             except ResolverUnavailableError as exc:
                 ctx.audit("validate", success=False, detail=str(exc))
                 ctx.finish(
@@ -145,7 +147,7 @@ class EvaluatePolicy:
         pairing = ctx.rows[0]["token_type"] if ctx.rows else None
         decision = self.policy.evaluate(
             AuthRequest(ctx.user_id, ctx.source or "", pairing=pairing),
-            now=self.server.clock.now(),
+            now=self.server.clock.now() if ctx.now is None else ctx.now,
         )
         ctx.decision = decision
         if decision.action in (PolicyAction.EXEMPT, PolicyAction.ALLOW):
@@ -257,7 +259,7 @@ class ReplayGuard:
         server = self.server
         row = ctx.row
         challenges = server.challenges
-        now = server.clock.now()
+        now = server.clock.now() if ctx.now is None else ctx.now
         if challenges.exists(ctx.uid):
             outstanding = challenges.get(ctx.uid)
             if outstanding["expires_at"] > now:
@@ -364,7 +366,7 @@ class DispatchByTokenType:
         server = self.server
         row = ctx.row
         secret = server._sealer.unseal(row["sealed_secret"])
-        outcome = server._validator.validate(row["serial"], secret, ctx.code)
+        outcome = server._validator.validate(row["serial"], secret, ctx.code, ctx.now)
         if outcome.reason == REASON_REPLAY and server.telemetry.enabled:
             server._m_replay.inc(serial=row["serial"])
         return ValidateResult(
@@ -517,15 +519,20 @@ class Audit:
         self.server = server
 
     def run(self, ctx: PipelineContext) -> None:
-        for event in ctx.audit_events:
+        events = ctx.audit_events
+        if not events:
+            return
+        at = self.server.clock.now() if ctx.now is None else ctx.now
+        for event in events:
             self.server.audit.record(
                 event.action,
                 ctx.uid,
                 event.serial,
                 success=event.success,
                 detail=event.detail,
+                at=at,
             )
-        ctx.audit_events.clear()
+        events.clear()
 
 
 def default_stages(server, policy: PolicyEngine) -> list:

@@ -178,13 +178,15 @@ class DigestVerifier:
     ) -> bool:
         """Return True iff the credentials authenticate this request (any
         field values get a bool, never an exception).  HA2 is read from
-        ``route_ha2`` when the request line is in it."""
+        ``route_ha2`` when the request line is in it.  A ``qop`` other than the
+        offered ``auth`` is refused (RFC 7616 §3.4)."""
         if not (
             creds.username.__class__ is str and creds.uri.__class__ is str
             and creds.nonce.__class__ is str and creds.nc.__class__ is str
             and creds.response.__class__ is str and method.__class__ is str
+            and creds.qop.__class__ is str and creds.qop == "auth"
         ):
-            return False  # a field used as a key or read as text; no route
+            return False  # a field used as a key or read as text, a qop not offered
         stored_ha1 = self._users.get(creds.username)
         if stored_ha1 is None or creds.uri != uri or creds.realm != self.realm:
             return False

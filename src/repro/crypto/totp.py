@@ -200,6 +200,8 @@ class TOTPValidator:
     ) -> None:
         if drift < 0:
             raise ValueError(f"drift must be non-negative, got {drift}")
+        if step <= 0:
+            raise ValueError(f"TOTP step must be positive, got {step}")
         self.clock = clock or WallClock()
         self.digits = digits
         self.step = step
@@ -215,17 +217,19 @@ class TOTPValidator:
         # working even once its total drift exceeds the window.
         self._offsets: Dict[str, int] = {}
 
-    def validate(self, key_id: str, secret: bytes, code: str) -> ValidationOutcome:
+    def validate(
+        self, key_id: str, secret: bytes, code: str, at: Optional[float] = None
+    ) -> ValidationOutcome:
         """Check ``code`` against ``secret`` within the drift window.
 
-        The window is centered on this instant's step plus the key's learned
-        offset; the clock is read once, so the offset learned is measured
-        from the same step the window was centered on.  On success the
-        matched step is recorded so the same code (or any earlier one) can
-        never be accepted again for ``key_id`` — this is the "token code is
-        nullified" behaviour from Section 3.2.
+        The window is centered on the step of ``at`` (``None``: the clock is
+        read once, now; :func:`time_step`, inline) plus the key's learned
+        offset, so the offset learned is measured from the same step.  On
+        success the matched step is recorded so the same code (or any earlier
+        one) can never be accepted again for ``key_id`` — this is the "token
+        code is nullified" behaviour from Section 3.2.
         """
-        now = time_step(self.clock.now(), self.step)
+        now = int((self.clock.now() if at is None else at) // self.step)
         center = now + self._offsets.get(key_id, 0)
         floor = self._last_accepted.get(key_id, -1)
         step, reason = verify_totp(secret, code, center, floor, self.window, self.digits)

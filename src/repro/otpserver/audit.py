@@ -52,10 +52,12 @@ class AuditLog:
         serial: str = "",
         success: bool = True,
         detail: str = "",
+        at: Optional[float] = None,
     ) -> AuditEntry:
+        """Append one row stamped ``at`` (``None``: this log's clock now)."""
         entry = AuditEntry(
             entry_id=self._ids.next("audit"),
-            timestamp=self._clock.now(),
+            timestamp=self._clock.now() if at is None else at,
             action=action,
             user_id=user_id,
             serial=serial,

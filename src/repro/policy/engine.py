@@ -256,7 +256,8 @@ class PolicyEngine:
         self.lockout = lockout or LockoutPolicy()
         #: The risk engine (``None`` = risk scoring disabled).  ``risk``
         #: is ``None``, ``True`` (a default engine on this clock) or a
-        #: ready :class:`RiskEngine`, which keeps the clock it was built on.
+        #: ready :class:`RiskEngine`, which keeps the clock it was built on
+        #: (:meth:`evaluate` scores an attempt at this engine's instant).
         self.risk: Optional[RiskEngine] = self._adopt_risk(risk)
         self.telemetry = resolve_registry(telemetry)
         decisions = self.telemetry.counter(
@@ -315,8 +316,9 @@ class PolicyEngine:
             _, risk, exempt = screen
         else:
             engine, exempt = self.risk, None  # the ACL is asked below, if at all
+            # Scored at the instant this engine was asked about.
             risk = None if engine is None else engine.evaluate(
-                request.username, request.source_ip
+                request.username, request.source_ip, timestamp
             )
         step_up = False
         if risk is not None:

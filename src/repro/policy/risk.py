@@ -121,7 +121,7 @@ class RiskEngine:
         self._failures: Dict[str, List[float]] = {}
         self._watchlist = OriginIndex()
         # Every validate thread feeds and reads this engine: one lock for
-        # the feeds, the counters and the flag log.
+        # the feeds, the scoring, the counters and the flag log.
         self._lock = threading.Lock()
         self.assessed = 0
         self.step_ups = 0
@@ -157,21 +157,25 @@ class RiskEngine:
     # -- scoring --------------------------------------------------------------------
 
     def _recent_failures(self, username: str, now: float) -> int:
-        with self._lock:
-            timestamps = self._failures.get(username)
-            if not timestamps:
-                return 0
-            cutoff = now - FAILURE_WINDOW
-            if timestamps[0] >= cutoff:
-                # Append-only and time-ordered: nothing aged out, skip the copy.
-                return len(timestamps)
-            live = [t for t in timestamps if t >= cutoff]
-            self._failures[username] = live
-            return len(live)
+        """The account's failures inside the burst window.  Caller holds the lock."""
+        timestamps = self._failures.get(username)
+        if not timestamps:
+            return 0
+        cutoff = now - FAILURE_WINDOW
+        if timestamps[0] >= cutoff:
+            # Append-only and time-ordered: nothing aged out, skip the copy.
+            return len(timestamps)
+        live = [t for t in timestamps if t >= cutoff]
+        self._failures[username] = live
+        return len(live)
 
     def assess(self, username: str, ip: str) -> RiskDecision:
         """Score one attempt (before the credentials are even checked)."""
-        now = self._clock.now()
+        with self._lock:
+            return self._score(username, ip, self._clock.now())
+
+    def _score(self, username: str, ip: str, now: float) -> RiskDecision:
+        """The verdict on an attempt made at ``now``.  Caller holds the lock."""
         hour = int(now // 3600)
         score = 0.0
         signals: List[str] = []
@@ -205,7 +209,7 @@ class RiskEngine:
                 signals.append("impossible_travel")
         if not signals and score < self.step_up_threshold:
             # The overwhelmingly common quiet verdict, allocation-free:
-            # every login pays for `assess`, so the nothing-fired path
+            # every login is scored, so the nothing-fired path
             # reuses one immutable decision (guarded against a zero
             # step-up threshold, where even a 0.0 score must step up).
             return QUIET_ALLOW
@@ -220,10 +224,14 @@ class RiskEngine:
 
     # -- the verdict ---------------------------------------------------------
 
-    def evaluate(self, username: str, source_ip: str) -> RiskDecision:
-        """Score one attempt; STEP_UP and DENY verdicts are flagged."""
-        decision = self.assess(username, source_ip or "")
+    def evaluate(
+        self, username: str, source_ip: str, now: Optional[float] = None
+    ) -> RiskDecision:
+        """Score one attempt made at ``now`` (``None``: this engine's clock now)
+        and count it in one lock section; STEP_UP and DENY verdicts are flagged."""
         with self._lock:
+            now = self._clock.now() if now is None else now
+            decision = self._score(username, source_ip or "", now)
             self.assessed += 1
             if decision is QUIET_ALLOW:
                 # The overwhelmingly common verdict, recognised by identity:

@@ -162,18 +162,23 @@ class ResolverChain:
         )
         return probes + closed
 
-    def resolve(self, username: str) -> Optional[ResolvedIdentity]:
+    def resolve(
+        self, username: str, now: Optional[float] = None
+    ) -> Optional[ResolvedIdentity]:
         """Resolve ``username`` through its realm's route.
 
         Returns ``None`` on an authoritative miss (including an unrouted
         realm — fail closed).  Raises :class:`ResolverUnavailableError`
         only when every candidate on the route is down.
 
-        A route with no choice — one resolver while no circuit is ejected —
-        builds no candidate list.  A success reads the clock once after the
-        lookup, and fills the cache under the lock that counts a failover.
+        ``now`` (``None``: read the clock) is the call's instant; a failed
+        lookup's read starts the next attempt.  A route with no choice — one
+        resolver while no circuit is ejected — builds no candidate list.  A
+        success reads the clock once after the lookup, and fills the cache
+        under the lock that counts a failover.
         """
-        now = self.clock.now()
+        if now is None:
+            now = self.clock.now()
         with self._lock:
             identity = self._cache.get(username, now)
             if identity is not MISSING:
@@ -185,7 +190,7 @@ class ResolverChain:
         # "alice@" is not a second login name for "alice".
         route = None if at and not (local and realm) else self._routes.get(realm)
         if not route:
-            expires = self.clock.now() + NEGATIVE_TTL
+            expires = now + NEGATIVE_TTL
             with self._lock:
                 self.unrouted += 1
                 self._cache.put(username, None, expires)
@@ -199,16 +204,16 @@ class ResolverChain:
         for resolver, needs_probe in candidates:
             attempts += 1
             if needs_probe:
-                self._tracker.begin_probe(resolver.name, self.clock.now())
-            began = self.clock.now() if timed else 0.0
+                self._tracker.begin_probe(resolver.name, now)
             try:
                 identity = resolver.resolve(username)
             except ResolverUnavailableError:
-                self._tracker.on_failure(resolver.name, self.clock.now())
+                now = self.clock.now()  # the failure's instant, the next start
+                self._tracker.on_failure(resolver.name, now)
                 continue
             done = self.clock.now()  # the lookup's end, its success, the expiry's base
             if timed:
-                self._h_lookup_by_name[resolver.name].observe(done - began)
+                self._h_lookup_by_name[resolver.name].observe(done - now)
             self._tracker.on_success(resolver.name, done)
             expires = done + (CACHE_TTL if identity is not None else NEGATIVE_TTL)
             with self._lock:

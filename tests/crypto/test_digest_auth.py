@@ -224,6 +224,23 @@ class TestMalformedHeaders:
         creds = DigestCredentials(**{**vars(valid), "nonce": nonce, "response": response})
         assert verifier.verify(creds, "GET", "/admin/show") is False
 
+    @settings(max_examples=100, deadline=None)
+    @given(qop=st.sampled_from([None, "", "auth-int", "AUTH", "auth "]) | _ANY_VALUE)
+    @example(qop="auth-int")  # claims a body hash it never sent
+    @example(qop="")
+    @example(qop=5)
+    @example(qop=["auth"])
+    def test_a_signed_qop_it_never_offered_is_refused(self, qop):
+        # The password holder signs over the qop it names; only the offered
+        # "auth" verifies (RFC 7616 §3.4), and any other value is a bool.
+        verifier, valid = _valid_credentials()
+        response = digest_response(
+            ha1("portal", valid.realm, "hunter2"), valid.nonce, valid.nc,
+            valid.cnonce, qop, ha2("GET", "/admin/show"),
+        )
+        creds = DigestCredentials(**{**vars(valid), "qop": qop, "response": response})
+        assert verifier.verify(creds, "GET", "/admin/show") is (qop == "auth")
+
     @pytest.mark.parametrize("method", [None, 5, ["GET"]])
     def test_a_request_line_of_the_wrong_type_is_refused(self, method):
         verifier, valid = _valid_credentials()

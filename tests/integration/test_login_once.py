@@ -548,12 +548,17 @@ def test_a_span_pays_for_no_stack_lookup(telemetry_on_profile):
 @pytest.fixture(scope="module")
 def soft_success_profile(tmp_path_factory):
     """One warm valid soft-token validate on the ``validate_backend`` stack,
-    each at a fresh TOTP step: never a replay."""
+    each at a fresh TOTP step: never a replay.  A mistyped code came first,
+    so the risk engine holds a recent failure for the account and scores its
+    failure burst; the profiled validate hits the resolver cache and writes
+    nothing (the warm-up success reset the failure count)."""
     clock = VirtualClock.at("2016-10-05T09:00:00")
     center = validate_backend_center(tmp_path_factory, clock)
     center.create_user("alice", password="pw-alice")
     _, secret = center.pair_soft("alice")
     device = TOTPGenerator(secret=secret, clock=clock)
+    mistyped = f"{(int(device.current_code()) + 500_000) % 10**6:06d}"
+    assert not center.radius_backend.validate("alice", mistyped).ok
 
     def validate(run):
         clock.advance(31)
@@ -601,6 +606,60 @@ def test_a_valid_validate_runs_no_frame_that_only_forwards(request, profile):
     assert count(calls, "ingest/queue.py", "_run") >= 1
     assert count(calls, "storage/memory.py", "select") >= 1
     assert count(calls, "policy/engine.py", "_evaluate") >= 1
+
+
+#: Who may ask the clock during a warm traced validate that hits the
+#: resolver cache and writes nothing: the pipeline once per stage boundary
+#: (six stages), the storage timing layer around the token-row read, and
+#: the ``otp.validate`` span.
+CLOCK_READERS = {
+    "authflow/pipeline.py": 7,
+    "storage/instrument.py": 2,
+    "telemetry/trace.py": 2,
+}
+
+
+def test_a_traced_validate_reads_the_clock_once_per_stage(soft_success_profile):
+    """docs/ARCHITECTURE.md "Telemetry": with telemetry on, each stage takes
+    its instant from the pipeline's boundary read; the resolver chain, the
+    policy and risk engines, the TOTP validator and the audit log ask no
+    clock of their own."""
+    calls = soft_success_profile
+    readers = {}
+    for (caller, callee), n in calls.edges.items():
+        if callee == ("common/clock.py", "now"):
+            readers[caller[0]] = readers.get(caller[0], 0) + n
+    assert readers == CLOCK_READERS
+    assert count(calls, "common/clock.py", "now") == 11
+    # ... and the readers those zeros speak for ran.
+    for frame in (
+        ("resolvers/chain.py", "resolve"),
+        ("policy/risk.py", "evaluate"),
+        ("crypto/totp.py", "validate"),
+        ("otpserver/audit.py", "record"),
+    ):
+        assert count(calls, *frame) >= 1, frame
+
+
+def test_the_risk_engine_scores_and_counts_in_one_lock_section(soft_success_profile):
+    """The failure-burst count runs under ``RiskEngine.evaluate``'s lock,
+    not a second one of its own."""
+    calls = soft_success_profile
+    lock_exits = sum(
+        n
+        for (caller, callee), n in calls.edges.items()
+        if caller[0] == "policy/risk.py" and callee[0] == "~"
+        and "__exit__" in callee[1] and "lock" in callee[1]
+    )
+    assert lock_exits == 1
+    assert count(calls, "policy/risk.py", "_recent_failures") == 1
+
+
+def test_a_totp_check_computes_its_step_inline(soft_success_profile):
+    """``TOTPValidator.validate`` takes the step of the stage's instant
+    without a ``time_step`` frame."""
+    assert count(soft_success_profile, "crypto/totp.py", "time_step") == 0
+    assert count(soft_success_profile, "crypto/totp.py", "validate") == 1
 
 
 def profile_cold_lookup(center, code, stage=None):

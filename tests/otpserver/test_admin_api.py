@@ -79,6 +79,23 @@ class TestAuthorizationFieldTypes:
         assert response.challenge.nonce != creds.nonce
 
 
+    @pytest.mark.parametrize("qop", ["auth-int", ""])
+    def test_a_qop_never_offered_is_a_401_with_a_fresh_challenge(self, api, server, qop):
+        # A client that signs over a qop the challenge did not offer claims
+        # a protection the server never agreed to: RFC 7616 refuses it.
+        server.enroll_soft("alice")
+        offered = api.request("GET", "/admin/show").challenge
+        edited = dataclasses.replace(offered, qop=qop)
+        creds = DigestClient("portal", "s3cret", rng=random.Random(6)).respond(
+            edited, "GET", "/admin/show"
+        )
+        assert creds.qop == qop
+        response = api.request("GET", "/admin/show", {"user": "alice"}, credentials=creds)
+        assert response.status == 401
+        assert response.challenge is not None
+        assert response.challenge.nonce != creds.nonce
+
+
 class TestRouteTable:
     def test_every_route_has_its_ha2(self, api):
         assert set(ROUTE_HA2) == set(ROUTES) == set(api._routes)
