@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.common.errors import NotFoundError, ValidationError
 from repro.common.ids import IdAllocator
@@ -55,11 +55,19 @@ def _hash_password(username: str, password: str) -> str:
 _NO_SUCH_HASH = _hash_password("", "")
 
 
+#: The directory values every account entry repeats, one tuple each: every
+#: entry holds a reference to it (``LDAPEntry.set`` keeps a tuple of ``str``
+#: as it is), so ten thousand entries hold each of these facts once.
+_OBJECT_CLASSES = ("posixAccount", "inetOrgPerson")
+_ACCOUNT_CLASS_VALUES = {member: (member.value,) for member in AccountClass}
+_PAIRING_VALUES = {member: (member.value,) for member in PairingStatus}
+
+
 def _dn_of(username: str) -> str:
     return f"uid={username},{PEOPLE_BASE}"
 
 
-@dataclass
+@dataclass(slots=True)
 class Account:
     """One user account shared by the portal, LDAP, PAM and LinOTP."""
 
@@ -68,7 +76,8 @@ class Account:
     account_class: AccountClass
     email: str
     password_hash: str = ""
-    public_keys: List[str] = field(default_factory=list)
+    #: Authorized key fingerprints; a keyless account shares the empty tuple.
+    public_keys: Tuple[str, ...] = ()
     pairing_status: PairingStatus = PairingStatus.UNPAIRED
     active: bool = True
 
@@ -125,12 +134,12 @@ class IdentityBackend:
         self.ldap.add(
             account.dn,
             {
-                "objectClass": ["posixAccount", "inetOrgPerson"],
-                "uid": [username],
-                "uidNumber": [uid],
-                "mail": [email],
-                "accountClass": [account_class.value],
-                "mfaPairingType": [PairingStatus.UNPAIRED.value],
+                "objectClass": _OBJECT_CLASSES,
+                "uid": username,
+                "uidNumber": uid,
+                "mail": email,
+                "accountClass": _ACCOUNT_CLASS_VALUES[account_class],
+                "mfaPairingType": _PAIRING_VALUES[PairingStatus.UNPAIRED],
             },
         )
         return account
@@ -159,7 +168,7 @@ class IdentityBackend:
         """Register an authorized public key (its fingerprint)."""
         account = self.get(username)
         if key_fingerprint not in account.public_keys:
-            account.public_keys.append(key_fingerprint)
+            account.public_keys = (*account.public_keys, key_fingerprint)
 
     def has_public_key(self, username: str, key_fingerprint: str) -> bool:
         account = self._accounts.get(username)
@@ -170,7 +179,7 @@ class IdentityBackend:
         and the LDAP ``mfaPairingType`` attribute the PAM token module reads."""
         account = self.get(username)
         account.pairing_status = status
-        self.ldap.modify(account.dn, {"mfaPairingType": [status.value]})
+        self.ldap.modify(account.dn, {"mfaPairingType": _PAIRING_VALUES[status]})
 
     def pairing_type(self, username: str) -> PairingStatus:
         """The LDAP-sourced pairing type (what PAM queries, Figure 2)."""

@@ -35,29 +35,40 @@ def _normalize_dn(dn: str) -> str:
     return ",".join(map(str.strip, dn.lower().split(",")))
 
 
+def _index_key(value: str) -> str:
+    """``value`` lowered, as the index files it: the value's own string when
+    it is lower case already, so the key is no second copy of it."""
+    lowered = value.lower()
+    return value if lowered == value else lowered
+
+
 @dataclass(slots=True)
 class LDAPEntry:
     """One directory entry: a DN and multi-valued attributes.
 
     An entry stored in an :class:`LDAPDirectory` reports changes of its
-    indexed attribute to that directory, so mutating what ``get`` or
-    ``search`` handed out keeps the index exact.
+    indexed attribute to that directory: ``set`` and ``remove_attr`` on an
+    entry that ``get`` or ``search`` handed out keep the index exact, and
+    the values themselves are immutable tuples, so nothing can change them
+    behind it.
 
     Like slapd's entries, which point at one shared ``AttributeDescription``
     per attribute type, every entry keys its values by one interned name
-    per attribute type, and holds each value list at its exact size.
+    per attribute type.  A tuple of ``str`` handed to ``set`` is kept as it
+    is, so a writer that hands every entry one tuple for a value they all
+    repeat (the object classes, say) stores that value once.
     """
 
     dn: str
-    attributes: Dict[str, List[str]] = field(default_factory=dict)
+    attributes: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     _directory: Optional["LDAPDirectory"] = field(
         default=None, init=False, repr=False, compare=False
     )
     #: Position in directory order (slapd's entry id); set by ``add``.
     _entry_id: int = field(default=0, init=False, repr=False, compare=False)
 
-    def get(self, attr: str) -> List[str]:
-        return self.attributes.get(attr.lower(), [])
+    def get(self, attr: str) -> Tuple[str, ...]:
+        return self.attributes.get(attr.lower(), ())
 
     def first(self, attr: str, default: Optional[str] = None) -> Optional[str]:
         values = self.get(attr)
@@ -69,7 +80,8 @@ class LDAPEntry:
         attr = intern(attr.lower())
         if isinstance(values, str) or not hasattr(values, "__iter__"):
             values = (values,)
-        values = list(map(str, values))[:]  # a slice is allocated exactly
+        if type(values) is not tuple or not all(type(v) is str for v in values):
+            values = tuple(map(str, values))
         if attr == INDEXED_ATTR and self._directory is not None:
             self._directory._reindex(self, self.attributes.get(attr, ()), values)
         self.attributes[attr] = values
@@ -123,8 +135,8 @@ class LDAPDirectory:
         self, entry: LDAPEntry, old_values: Iterable[str], new_values: Iterable[str]
     ) -> None:
         """Refile ``entry`` as its indexed attribute goes from old to new."""
-        old = set(map(str.lower, old_values))
-        new = set(map(str.lower, new_values))
+        old = set(map(_index_key, old_values))
+        new = set(map(_index_key, new_values))
         for key in old - new:
             filed = self._by_uid[key]
             if filed is entry:

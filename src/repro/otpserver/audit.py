@@ -16,7 +16,7 @@ from repro.common.clock import Clock
 from repro.common.ids import IdAllocator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditEntry:
     """One audit row: who, what, when, and the outcome."""
 

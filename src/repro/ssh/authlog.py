@@ -30,7 +30,7 @@ _SSHD_VERBS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuthLogEntry:
     """One log line, parsed."""
 

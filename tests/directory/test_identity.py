@@ -2,12 +2,22 @@
 
 import cProfile
 import tracemalloc
+from dataclasses import fields
 
 import pytest
 
+import repro.directory.identity as identity_module
 import repro.directory.ldap as ldap_module
+from repro.common.clock import VirtualClock
 from repro.common.errors import NotFoundError, ValidationError
-from repro.directory.identity import AccountClass, IdentityBackend, PairingStatus
+from repro.directory.identity import (
+    Account,
+    AccountClass,
+    IdentityBackend,
+    PairingStatus,
+)
+from repro.otpserver.audit import AuditLog
+from repro.ssh.authlog import AuthLog
 
 
 @pytest.fixture
@@ -133,7 +143,7 @@ class TestPublicKeys:
     def test_idempotent_add(self, identity):
         identity.add_public_key("alice", "SHA256:abc")
         identity.add_public_key("alice", "SHA256:abc")
-        assert identity.get("alice").public_keys == ["SHA256:abc"]
+        assert identity.get("alice").public_keys == ("SHA256:abc",)
 
 
 class TestPairingNotifications:
@@ -154,19 +164,65 @@ class TestPairingNotifications:
 
 
 class TestFootprint:
-    def test_directory_bytes_per_account(self):
-        """An account's LDAP entry holds its data, not one attribute-name
-        string per entry and spare slots in every value list."""
+    ACCOUNTS = 5_000
+
+    @pytest.fixture(scope="class")
+    def held(self):
+        """Bytes per account that each directory module still holds after
+        ``ACCOUNTS`` accounts are created and paired."""
         tracemalloc.start()
         try:
             backend = IdentityBackend()
-            for n in range(5_000):
+            for n in range(self.ACCOUNTS):
                 backend.create_account(f"user{n:05d}", f"user{n:05d}@center.edu")
                 backend.notify_pairing(f"user{n:05d}", PairingStatus.SOFT)
-            held = tracemalloc.take_snapshot().filter_traces(
-                [tracemalloc.Filter(True, ldap_module.__file__)]
-            )
+            snapshot = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()
-        assert len(backend.ldap) == 5_000
-        assert sum(stat.size for stat in held.statistics("filename")) <= 1_000 * 5_000
+        assert len(backend.ldap) == self.ACCOUNTS
+        per_account = {}
+        for module in (ldap_module, identity_module):
+            traces = snapshot.filter_traces([tracemalloc.Filter(True, module.__file__)])
+            total = sum(stat.size for stat in traces.statistics("filename"))
+            per_account[module] = total / self.ACCOUNTS
+        return per_account
+
+    def test_directory_bytes_per_account(self, held):
+        """An account's LDAP entry holds its data, not one attribute-name
+        string per entry, a value list per attribute, its own copy of the
+        values every account repeats or a second copy of its lower-case
+        name in the ``uid`` index."""
+        assert held[ldap_module] <= 650
+
+    def test_account_record_bytes_per_account(self, held):
+        """An account record is its fields: no instance dict, and no list
+        for the keys a keyless account does not have."""
+        assert held[identity_module] <= 130
+
+    def test_entries_share_the_values_every_account_repeats(self):
+        backend = IdentityBackend()
+        for name in ("alice", "bob"):
+            backend.create_account(name, f"{name}@center.edu")
+            backend.notify_pairing(name, PairingStatus.SOFT)
+        alice, bob = (
+            backend.ldap.get(backend.get(name).dn) for name in ("alice", "bob")
+        )
+        for attr in ("objectclass", "accountclass", "mfapairingtype"):
+            assert alice.get(attr) is bob.get(attr), attr
+
+    def test_records_carry_no_instance_dict(self):
+        clock = VirtualClock.at("2016-08-10T12:00:00")
+        account = IdentityBackend().create_account("alice", "alice@center.edu")
+        rows = [
+            account,
+            AuditLog(clock).record("validate", "u1"),
+            AuthLog(clock).append("session_open", "alice", "10.0.0.1"),
+        ]
+        for row in rows:
+            assert not hasattr(row, "__dict__"), type(row).__name__
+
+    def test_a_keyless_account_holds_no_list(self):
+        account = IdentityBackend().create_account("alice", "alice@center.edu")
+        held = [getattr(account, f.name) for f in fields(Account)]
+        assert not any(isinstance(value, list) for value in held)
+        assert account.public_keys == ()

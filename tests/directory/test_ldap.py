@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import NotFoundError
-from repro.directory.ldap import LDAPDirectory
+from repro.directory.ldap import PEOPLE_BASE, LDAPDirectory
 
 
 @pytest.fixture
@@ -53,7 +53,7 @@ class TestEntries:
 
     def test_modify_delete_attribute(self, directory):
         directory.modify("uid=bob,ou=people,dc=center,dc=edu", {"mail": None})
-        assert directory.get("uid=bob,ou=people,dc=center,dc=edu").get("mail") == []
+        assert directory.get("uid=bob,ou=people,dc=center,dc=edu").get("mail") == ()
 
     def test_delete_entry(self, directory):
         directory.delete("uid=bob,ou=people,dc=center,dc=edu")
@@ -61,7 +61,28 @@ class TestEntries:
 
     def test_multivalued_attributes(self, directory):
         entry = directory.get("uid=alice,ou=people,dc=center,dc=edu")
-        assert entry.get("objectClass") == ["posixAccount", "inetOrgPerson"]
+        assert entry.get("objectClass") == ("posixAccount", "inetOrgPerson")
+
+
+class TestHandedOutValues:
+    """What ``get`` and ``search`` hand out cannot change behind the index."""
+
+    def test_a_value_list_cannot_be_changed_in_place(self):
+        directory = LDAPDirectory()
+        entry = directory.add("uid=alice," + PEOPLE_BASE, {"uid": ["alice"]})
+        with pytest.raises(AttributeError):
+            entry.get("uid").append("mallory")
+        (found,) = directory.search(PEOPLE_BASE, ())
+        with pytest.raises(TypeError):
+            found.attributes["uid"][0] = "mallory"
+        for name in ("alice", "mallory"):
+            walked = [
+                e
+                for e in directory.search(PEOPLE_BASE, ())
+                if name in map(str.lower, e.get("uid"))
+            ]
+            assert directory.search(PEOPLE_BASE, (("uid", name),)) == walked, name
+        assert entry.get("uid") == ("alice",)
 
 
 class TestOneValue:
@@ -73,7 +94,7 @@ class TestOneValue:
     def test_set_keeps_a_string_whole(self, directory):
         entry = directory.get(self.ALICE)
         entry.set("uid", "bob")
-        assert entry.get("uid") == ["bob"]
+        assert entry.get("uid") == ("bob",)
         # The uid index files the entry under the value, not its letters.
         assert directory.search("dc=center,dc=edu", [("uid", "b")]) == []
         hits = directory.search("dc=center,dc=edu", [("uid", "bob")])
@@ -84,9 +105,9 @@ class TestOneValue:
 
     def test_a_value_that_is_not_iterable_is_one_value(self, directory):
         entry = directory.add("cn=answer,dc=center,dc=edu", {"cn": 42})
-        assert entry.get("cn") == ["42"]
+        assert entry.get("cn") == ("42",)
         directory.modify(self.ALICE, {"uidNumber": 7})
-        assert directory.get(self.ALICE).get("uidNumber") == ["7"]
+        assert directory.get(self.ALICE).get("uidNumber") == ("7",)
 
     def test_entries_share_one_name_per_attribute_type(self, directory):
         alice = directory.get(self.ALICE)

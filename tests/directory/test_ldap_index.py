@@ -106,15 +106,15 @@ def apply(directory, model, step):
             attributes["mail"] = "someone@center.edu"
         directory.add(dn, attributes)
         model[dn] = {
-            "objectclass": ["posixAccount"],
-            "uid": list(uids),
-            **({"mail": ["someone@center.edu"]} if with_mail else {}),
+            "objectclass": ("posixAccount",),
+            "uid": tuple(uids),
+            **({"mail": ("someone@center.edu",)} if with_mail else {}),
         }
     elif kind == "modify_uid":
         _, dn, attr, uids = step
         if dn in model:
             directory.modify(dn, {attr: uids})
-            model[dn]["uid"] = list(uids)
+            model[dn]["uid"] = tuple(uids)
     elif kind == "modify_drop_uid":
         _, dn, attr = step
         if dn in model:
@@ -126,7 +126,7 @@ def apply(directory, model, step):
             directory.modify(dn, {"mail": ["new@center.edu"] if present else None})
             model[dn].pop("mail", None)
             if present:
-                model[dn]["mail"] = ["new@center.edu"]
+                model[dn]["mail"] = ("new@center.edu",)
     elif kind == "delete":
         _, dn, uids = step
         if dn in model:
@@ -141,7 +141,7 @@ def apply(directory, model, step):
         dn, entry = pick(directory, model, how)
         if entry is not None:
             entry.set(attr, uids)
-            model[dn]["uid"] = list(uids)
+            model[dn]["uid"] = tuple(uids)
     elif kind == "remove_attr":
         _, how, attr = step
         dn, entry = pick(directory, model, how)
