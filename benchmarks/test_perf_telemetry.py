@@ -23,8 +23,10 @@ from repro.ssh import SSHClient
 from repro.telemetry import NOOP_REGISTRY
 
 #: Generous upper bound on telemetry touchpoints per login (spans opened,
-#: counters bumped, histograms observed).  A traced soft-token login opens
-#: 9 spans and lands ~20 instrument calls; 100 leaves a wide margin.
+#: counters bumped, histograms observed).  A traced soft-token login on this
+#: file's rig opens 9 spans and makes 13 instrument updates (ten counter
+#: increments, two observations and one pipeline run's stage times): 22
+#: touchpoints, so 100 leaves a wide margin.
 OPS_PER_LOGIN = 100
 
 

@@ -68,14 +68,23 @@ class AuthPipeline:
         self._stage_keys = tuple(label_key({"stage": s.name}) for s in self.stages)
         #: A run's stage times before it starts: NaN, "did not run".
         self._not_run = (math.nan,) * len(self.stages)
-        self._m_stage_errors = telemetry.counter(
+        errors = telemetry.counter(
             "authflow_stage_errors_total", "stage exceptions failed closed, by stage"
         )
+        self._m_stage_errors = tuple(errors.labels(stage=s.name) for s in self.stages)
 
     def run(
-        self, user_id: str, code: Optional[str], source: Optional[str] = None
+        self,
+        user_id: str,
+        code: Optional[str],
+        source: Optional[str] = None,
+        span=None,
     ) -> ValidateResult:
-        """One validation attempt under the user's striped lock."""
+        """One validation attempt under the user's striped lock.  With
+        telemetry on, ``span`` (the caller's open span, if it has one) ends at
+        the run's last stage boundary: the lock release and the stage-time
+        update after it (and the histogram fold that update may run) are
+        not part of the span."""
         ctx = PipelineContext(user_id=user_id, code=code, source=source)
         live = self.telemetry.enabled
         with self.locks.lock_for(user_id):
@@ -100,12 +109,14 @@ class AuthPipeline:
                     error = f"{stage.name} raised {type(exc).__name__}"
                     ctx.audit("validate", success=False, detail=f"internal error: {error}")
                     if live:
-                        self._m_stage_errors.inc(stage=stage.name)
+                        self._m_stage_errors[slot].inc()
                 finally:
                     if live:
                         started, ctx.now = ctx.now, self._clock.now()
                         durations[slot] = ctx.now - started
         if live:
+            if span is not None:
+                span.end = ctx.now
             self._m_stage_seconds._observe_run(self._stage_keys, durations)
         if ctx.result is None:
             raise RuntimeError(

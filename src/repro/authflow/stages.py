@@ -266,7 +266,7 @@ class ReplayGuard:
                 # "LinOTP will not forward to Twilio and instead ... a
                 # response message ... that the SMS has already been sent."
                 if server.telemetry.enabled:
-                    server._m_sms_challenges.inc(result="pending")
+                    server._m_sms_challenges["pending"].inc()
                 ctx.finish(
                     ValidateResult(
                         ValidateStatus.CHALLENGE_PENDING,
@@ -292,7 +292,7 @@ class ReplayGuard:
         )
         ctx.audit("sms_challenge", serial=row["serial"])
         if server.telemetry.enabled:
-            server._m_sms_challenges.inc(result="sent")
+            server._m_sms_challenges["sent"].inc()
         ctx.finish(
             ValidateResult(
                 ValidateStatus.CHALLENGE_SENT, "SMS token code sent", serial=row["serial"]

@@ -115,14 +115,17 @@ class OTPServer:
         }
         self._m_lockouts = self.telemetry.counter(
             "otp_lockouts_total", "tokens deactivated by the 20-strike rule"
-        )
+        ).labels()
         self._m_replay = self.telemetry.counter(
             "otp_replay_floor_hits_total",
             "correct-but-consumed codes rejected by the replay floor",
         )
-        self._m_sms_challenges = self.telemetry.counter(
+        challenges = self.telemetry.counter(
             "otp_sms_challenges_total", "SMS challenge starts by result"
         )
+        self._m_sms_challenges = {
+            result: challenges.labels(result=result) for result in ("pending", "sent")
+        }
         self.sms = sms_gateway or SMSGateway(
             self.clock, rng=self._rng, telemetry=self.telemetry
         )
@@ -428,7 +431,8 @@ class OTPServer:
         if not self.telemetry.enabled:
             return self._pipeline.run(user_id, code, source)
         with self._tracer.span("otp.validate", user=user_id) as span:
-            result = self._pipeline.run(user_id, code, source)
+            # The run stamps the span's end at its last stage boundary.
+            result = self._pipeline.run(user_id, code, source, span)
             span.attributes["status"] = result.status._value_
             if result.reason:
                 span.attributes["reason"] = result.reason

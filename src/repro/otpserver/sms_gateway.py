@@ -84,12 +84,12 @@ class SMSGateway:
         self._tracer = self.telemetry.tracer()
         self._m_stalls = self.telemetry.counter(
             "sms_carrier_stalls_total", "messages the carrier sat on before retry"
-        )
+        ).labels()
         self._m_delay = self.telemetry.histogram(
             "sms_delivery_delay_seconds",
             "carrier delivery latency (send to scheduled delivery)",
             buckets=(1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 300.0, 600.0, 1200.0),
-        )
+        ).labels()
         self._in_flight: Dict[str, List[SMSMessage]] = {}
         self._inboxes: Dict[str, List[SMSMessage]] = {}
         self.messages_sent = 0
@@ -130,8 +130,8 @@ class SMSGateway:
                 self._m_stalls.inc()
             self._m_delay.observe(delay)
             us_destination = message.cost == PER_MESSAGE_US
-            span.annotate("destination", "us" if us_destination else "intl")
-            span.annotate("delay", round(delay, 3))
+            span.attributes["destination"] = "us" if us_destination else "intl"
+            span.attributes["delay"] = round(delay, 3)
             return message
 
     def _queue(self, to_number: str, body: str) -> Tuple[SMSMessage, float]:

@@ -23,12 +23,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Dict, List, Optional, Protocol, Union
+from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple, Union
 
 from repro.common.clock import Clock, WallClock
 from repro.common.errors import ConfigurationError
 from repro.pam.conversation import Conversation, ConversationError
-from repro.telemetry import NOOP_REGISTRY
+from repro.telemetry import NOOP_REGISTRY, LabelChildren
 
 
 class PAMResult(Enum):
@@ -133,30 +133,31 @@ class PAMStack:
     def __init__(self, service: str) -> None:
         self.service = service
         self.entries: List[StackEntry] = []
+        # The instruments this stack reports into, resolved on its first
+        # traced run against a registry.
+        self._bound: Optional[SessionTelemetry] = None
 
     def append(self, control: str, module: PAMModule, **options: str) -> None:
         self.entries.append(StackEntry(parse_control(control), module, options))
 
     def authenticate(self, session: PAMSession) -> PAMResult:
         """Run the stack to a final verdict."""
-        if not session.telemetry.enabled:
+        telemetry = session.telemetry
+        if not telemetry.enabled:
             return self._run(session, None)
-        tracer = session.telemetry.tracer()
-        with tracer.span("pam.stack", service=self.service) as span:
-            verdict = self._run(session, tracer)
-            span.annotate("result", verdict._value_)
-            session.telemetry.counter(
-                "pam_stack_results_total", "PAM stack verdicts by service"
-            ).inc(service=self.service, result=verdict._value_)
+        bound = self._bound
+        if bound is None or bound.registry is not telemetry:
+            bound = self._bound = SessionTelemetry(telemetry, _STACK_COUNTERS)
+        with bound.tracer.span("pam.stack", service=self.service) as span:
+            verdict = self._run(session, bound)
+            result = verdict._value_
+            span.attributes["result"] = result
+            bound.counters["pam_stack_results_total"][self.service, result].inc()
             return verdict
 
-    def _run(self, session: PAMSession, tracer) -> PAMResult:
+    def _run(self, session: PAMSession, bound: Optional[SessionTelemetry]) -> PAMResult:
         if not self.entries:
             raise ConfigurationError(f"service {self.service!r} has an empty stack")
-        if tracer is not None:
-            module_counter = session.telemetry.counter(
-                "pam_module_results_total", "per-module return codes"
-            )
         recorded_failure: Optional[PAMResult] = None
         recorded_success = False
         skip = 0
@@ -164,21 +165,20 @@ class PAMStack:
             if skip > 0:
                 skip -= 1
                 continue
-            if tracer is not None:
-                # Telemetry on (``tracer`` is None when off).  Opened by hand so
+            if bound is not None:
+                # Telemetry on (``bound`` is None when off).  Opened by hand so
                 # one call site serves both; pam.stack's close ends a raiser's.
                 name = entry.module.name
-                scope = tracer.span("pam." + name)
-                module_span = scope.__enter__()
+                module_span = bound.tracer.span("pam." + name)
             try:
                 code = entry.module.authenticate(session)
             except ConversationError:
                 code = PAMResult.ABORT
             result = code._value_
-            if tracer is not None:
-                module_span.annotate("result", result)
-                scope.__exit__(None, None, None)
-                module_counter.inc(module=name, result=result)
+            if bound is not None:
+                module_span.attributes["result"] = result
+                module_span.__exit__(None, None, None)
+                bound.counters["pam_module_results_total"][name, result].inc()
             action = entry.actions[result]
             if type(action) is int:
                 # Jump action: success contribution plus skipping N modules.
@@ -208,6 +208,36 @@ class PAMStack:
             return PAMResult.SUCCESS
         # Nothing contributed a verdict: fail closed, as libpam does.
         return PAMResult.AUTH_ERR
+
+
+class SessionTelemetry:
+    """A PAM component's instruments in the registry its sessions bring,
+    resolved on the component's first traced run against that registry:
+    the tracer, and a ``LabelChildren`` map per counter it reports into, by
+    counter name — each child bound the first time it fires, PAM's
+    services, modules, return codes, modes and pairing types being closed
+    sets.  A component keeps one and makes a new one when a session brings
+    another registry (``bound.registry is not session.telemetry``)."""
+
+    __slots__ = ("registry", "tracer", "counters")
+
+    def __init__(
+        self, registry, counters: Dict[str, Tuple[str, Tuple[str, ...]]]
+    ) -> None:
+        """``counters``: name → (help line, label names)."""
+        self.registry = registry
+        self.tracer = registry.tracer()
+        self.counters = {
+            name: LabelChildren(registry.counter(name, help), labels)
+            for name, (help, labels) in counters.items()
+        }
+
+
+#: What a stack reports into: a verdict per service, a return code per module.
+_STACK_COUNTERS = {
+    "pam_stack_results_total": ("PAM stack verdicts by service", ("service", "result")),
+    "pam_module_results_total": ("per-module return codes", ("module", "result")),
+}
 
 
 ModuleFactory = Callable[[Dict[str, str]], PAMModule]

@@ -29,13 +29,22 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.directory.ldap import PEOPLE_BASE
-from repro.pam.framework import PAMResult, PAMSession
+from repro.pam.framework import PAMResult, PAMSession, SessionTelemetry
 from repro.policy import AuthRequest, EnforcementMode, PolicyAction, PolicyEngine
 from repro.radius.client import AuthStatus, RADIUSClient
 
 __all__ = ["PROMPT", "MFATokenModule"]
 
 PROMPT = "Token Code: "
+
+
+#: What the module reports into: its decisions by effective mode and pairing.
+_TOKEN_COUNTERS = {
+    "pam_token_enforcement_total": (
+        "token-module decisions by effective mode and pairing type",
+        ("mode", "pairing"),
+    ),
+}
 
 
 class MFATokenModule:
@@ -56,6 +65,9 @@ class MFATokenModule:
         self._policy = policy
         self._base_dn = base_dn
         self._info_url = info_url
+        # The instruments this module reports into, resolved on its first
+        # traced run against a registry (as ``PAMStack`` does).
+        self._bound: Optional[SessionTelemetry] = None
 
     @property
     def effective_mode(self) -> EnforcementMode:
@@ -115,11 +127,14 @@ class MFATokenModule:
             return PAMResult.SUCCESS
 
         session.items["mfa_pairing"] = decision.pairing
-        if session.telemetry.enabled:
-            session.telemetry.counter(
-                "pam_token_enforcement_total",
-                "token-module decisions by effective mode and pairing type",
-            ).inc(mode=decision.mode._value_, pairing=decision.pairing or "unpaired")
+        telemetry = session.telemetry
+        if telemetry.enabled:
+            bound = self._bound
+            if bound is None or bound.registry is not telemetry:
+                bound = self._bound = SessionTelemetry(telemetry, _TOKEN_COUNTERS)
+            bound.counters["pam_token_enforcement_total"][
+                decision.mode._value_, decision.pairing or "unpaired"
+            ].inc()
 
         if decision.action is PolicyAction.ALLOW:
             # Unpaired user during the opt-in (`paired`) phase.

@@ -138,14 +138,16 @@ class RADIUSClient:
         self._backoff: Dict[str, BackoffSchedule] = {
             s: BackoffSchedule(stable_seed(source, s)) for s in self._servers
         }
-        self._m_retransmits = self.telemetry.counter(
+        retransmits = self.telemetry.counter(
             "radius_client_retransmits_total",
             "same-server retransmissions after a timeout",
         )
-        self._m_failovers = self.telemetry.counter(
+        self._m_retransmits = {s: retransmits.labels(server=s) for s in self._servers}
+        failovers = self.telemetry.counter(
             "radius_client_failovers_total",
             "server switches after a server exhausted its retries",
         )
+        self._m_failovers = {s: failovers.labels(to_server=s) for s in self._servers}
         responses = self.telemetry.counter(
             "radius_client_responses_total", "authenticate() outcomes by status"
         )
@@ -155,7 +157,7 @@ class RADIUSClient:
         self._m_skipped = self.telemetry.counter(
             "radius_client_ejected_skips_total",
             "sends avoided because the target's circuit was open",
-        )
+        ).labels()
 
     # -- time ----------------------------------------------------------------
 
@@ -213,13 +215,14 @@ class RADIUSClient:
             return self._authenticate(*args, False)[0]
         with self._tracer.span("radius.client.authenticate", user=username) as span:
             auth_response, deadline_hit = self._authenticate(*args, True)
+            attributes = span.attributes
             if auth_response.server:
-                span.annotate("server", auth_response.server)
-            span.annotate("status", auth_response.status._value_)
+                attributes["server"] = auth_response.server
+            attributes["status"] = auth_response.status._value_
             if auth_response.status is AuthStatus.TIMEOUT:
                 if deadline_hit:
-                    span.annotate("deadline_exhausted", True)
-                span.set_status("error")
+                    attributes["deadline_exhausted"] = True
+                span.status = "error"
             self._m_responses[auth_response.status].inc()
             return auth_response
 
@@ -254,7 +257,7 @@ class RADIUSClient:
                 deadline_hit = True
                 break
             if index and not is_probe and live:
-                self._m_failovers.inc(to_server=server)
+                self._m_failovers[server].inc()
             if is_probe:
                 self.health.begin_probe(server, self._clock.now())
             for attempt in range(RETRIES):
@@ -263,7 +266,7 @@ class RADIUSClient:
                     break
                 if attempt:
                     if live:
-                        self._m_retransmits.inc(server=server)
+                        self._m_retransmits[server].inc()
                     self._elapse(self._backoff[server].delay(attempt))
                 self.per_server_attempts[server] += 1
                 response_bytes = self._fabric.send_request(server, wire, source)

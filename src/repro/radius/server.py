@@ -113,7 +113,8 @@ class RADIUSServer:
         with self._tracer.span("radius.server.handle", server=self.name) as span:
             response, note = self._receive(datagram, source)
             if note is not None:
-                span.annotate(*note)
+                key, value = note
+                span.attributes[key] = value
             return response
 
     def _receive(self, datagram: bytes, source: str) -> tuple:

@@ -103,12 +103,12 @@ class SSHDaemon:
         self._tracer = self.telemetry.tracer()
         self._m_channels = self.telemetry.counter(
             "ssh_multiplexed_channels_total", "channels attached without re-auth"
-        )
+        ).labels(host=self.hostname)
         self._m_attempts = self.telemetry.histogram(
             "ssh_password_attempts",
             "PAM stack runs consumed per connection",
             buckets=(1.0, 2.0, 3.0),
-        )
+        ).labels()
 
     @property
     def pam_stack(self) -> PAMStack:
@@ -146,9 +146,9 @@ class SSHDaemon:
             "ssh.connect", host=self.hostname, user=username, source=source_ip
         ) as span:
             result = self._connect(username, source_ip, conversation, key, tty)
-            span.annotate("result", "accepted" if result.success else "rejected")
+            span.attributes["result"] = "accepted" if result.success else "rejected"
             if result.detail:
-                span.annotate("detail", result.detail)
+                span.attributes["detail"] = result.detail
             self._m_attempts.observe(result.password_attempts)
             return result
 
@@ -252,7 +252,7 @@ class SSHDaemon:
             return False
         master.channels += 1
         if self.telemetry.enabled:
-            self._m_channels.inc(host=self.hostname)
+            self._m_channels.inc()
         self.authlog.append(
             "multiplexed_channel",
             master.username,

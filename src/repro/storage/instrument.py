@@ -14,11 +14,11 @@ operation, so ``build_engine`` leaves it out when telemetry is off.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from repro.common.clock import Clock, WallClock
 from repro.storage.engine import Layer, Row, StorageEngine
-from repro.telemetry import resolve_registry
+from repro.telemetry import LabelChildren, resolve_registry
 
 #: Bucket bounds tuned for in-process/microsecond-scale engine operations
 #: (the registry default is tuned for whole-login latencies).
@@ -34,20 +34,6 @@ class _BlockStarts(threading.local):
 
     def __init__(self) -> None:
         self.stack: List[float] = []
-
-
-class _SeriesByOp(dict):
-    """``(op, table)`` → its bound series: a hit is one subscript, no frame;
-    a miss binds the series."""
-
-    def __init__(self, histogram) -> None:
-        super().__init__()
-        self.histogram = histogram
-
-    def __missing__(self, key: Tuple[str, str]):
-        op, table = key
-        series = self[key] = self.histogram.labels(op=op, table=table)
-        return series
 
 
 class InstrumentedEngine(Layer):
@@ -72,7 +58,7 @@ class InstrumentedEngine(Layer):
         )
         #: ``(op, table)`` → its bound series, filled on first use: tables
         #: are created after the wrapper is.
-        self._h_by_op: Dict[Tuple[str, str], Any] = _SeriesByOp(self._h_latency)
+        self._h_by_op = LabelChildren(self._h_latency, ("op", "table"))
         self._h_txn = self._h_latency.labels(op="transaction", table="*")
         txn = telemetry.counter(
             "storage_transactions_total", "storage transactions by outcome"

@@ -26,10 +26,11 @@ never mirrored per request.
 
 The rule for how a label set reaches an instrument: labels are resolved
 where they are known.  A site whose label values form a closed set binds a
-child once (``child = histogram.labels(stage=name)``; binding creates no
-series) and updates it with no label arguments (``child.observe(value)``);
-the keyword form (``counter.inc(server=address)``) is for open-valued
-labels.  Both are one implementation — see :mod:`repro.telemetry.metrics`.
+child once (``child = histogram.labels(stage=name)``, or on first use
+through a ``LabelChildren`` map; binding creates no series) and updates it
+with no label arguments (``child.observe(value)``); the keyword form
+(``counter.inc(serial=serial)``) is for open-valued labels.  Both are one
+implementation — see :mod:`repro.telemetry.metrics`.
 
 Enable it for a deployment with ``MFACenter(telemetry=True)`` and read
 ``center.telemetry`` — or ``python -m repro telemetry`` for a one-shot
@@ -46,6 +47,7 @@ from repro.telemetry.metrics import (
     DEFAULT_MAX_SERIES,
     Counter,
     Histogram,
+    LabelChildren,
     OVERFLOW_KEY,
     label_key,
 )
@@ -67,6 +69,7 @@ from repro.telemetry.trace import (
 __all__ = [
     "Counter",
     "Histogram",
+    "LabelChildren",
     "DEFAULT_BUCKETS",
     "DEFAULT_MAX_SERIES",
     "OVERFLOW_KEY",

@@ -10,22 +10,27 @@ counter carries ``{module=pam_unix, result=success}`` next to
 A label set reaches an instrument one of two ways.  A site whose label
 values form a closed set known up front (a stage name, a validate status)
 binds once — ``child = instrument.labels(stage="replay_guard")`` — and then
-calls ``child.observe(value)`` / ``child.inc()`` with
-no label arguments: the key was normalized at binding, so an update is the
-instrument's private update and nothing else.  A site whose label values
-are open (a server address, a phone destination) keeps the keyword form,
-``instrument.inc(server=address)``, which normalizes per event.  Both end
-in the same private update, so the lock, the series lookup and the
-cardinality cap are one piece of code.  Binding creates no series — a child
-that never fires is absent from the snapshot and the exposition text — and
-a child bound before ``reset()`` keeps working after it (it holds the key,
-not a cell).
+calls ``child.observe(value)`` / ``child.inc()`` with no label arguments:
+the key was normalized at binding, so an update is the instrument's
+private update and nothing else (a closed set whose members are learned as
+they occur — a storage table — binds each on first use through a
+:class:`LabelChildren` map).  A site whose label values are open (a
+replayed token's serial) keeps the keyword form,
+``instrument.inc(serial=serial)``, which normalizes per event.  Both end
+in the same private update, so the lock and the cardinality cap are one
+piece of code per kind.  Binding creates no series — a child that never
+fires is absent from the snapshot and the exposition text — and a child
+bound before ``reset()`` keeps working after it (it holds the key, not a
+cell).
 
-A caller holding several observations of one event (a pipeline run's stage
-times) hands them to the histogram's private batch update instead: one lock
-acquisition for the lot, so a scrape sees all of them or none.  A read of
-more than one of a cell's fields (a snapshot, a mean, a quantile) holds that
-same lock, so it never sees an observation's new count beside its old buckets.
+A histogram update pays only for the fact it records: it stores the value
+(and its label key) in the next slot of a fixed buffer under the lock and
+returns.  The buffer is folded into the series — bucket indexes, counts,
+sums in arrival order, min and max, each a C pass over the held values —
+when it fills, and under the same lock before anything reads a series.  A
+caller holding several observations of one event (a pipeline run's stage
+times) hands them over as one update, one slot: a scrape sees all of them
+or none, and never an observation's new count beside its old buckets.
 
 Design constraints:
 
@@ -41,9 +46,11 @@ Design constraints:
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left
-from functools import partial
-from itertools import repeat
+from bisect import bisect_left, bisect_right
+from collections import deque
+from functools import partial, reduce
+from itertools import chain, compress, repeat
+from operator import add, eq
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: A label set normalized to a hashable, order-independent key.
@@ -55,6 +62,12 @@ OVERFLOW_KEY: LabelKey = (("__overflow__", "true"),)
 #: Series budget per instrument; past it, new label sets share the overflow
 #: series.
 DEFAULT_MAX_SERIES = 512
+
+#: Histogram updates held per instrument before they are folded into their
+#: series (a read folds whatever is held first).
+BUFFERED_UPDATES = 256
+
+_INF = float("inf")
 
 #: Histogram bucket upper bounds tuned for seconds-scale latencies.
 DEFAULT_BUCKETS: Tuple[float, ...] = (
@@ -70,7 +83,7 @@ def label_key(labels: Dict[str, object]) -> LabelKey:
 
 
 class _Instrument:
-    """Shared series bookkeeping for both metric kinds."""
+    """What both metric kinds share: a name, a help line and the lock."""
 
     kind = "instrument"
 
@@ -79,28 +92,26 @@ class _Instrument:
             raise ValueError("instrument name must be non-empty")
         self.name = name
         self.help = help
-        self.overflow_count = 0
         # Guards every read-modify-write on the series dict: the OTP
         # pipeline's batch path drives these instruments from worker
         # threads, and a lost increment is a silently wrong dashboard.
         self._lock = threading.Lock()
 
-    def _admit(self, key: LabelKey) -> LabelKey:
-        """Where an update to a label set with no series yet lands: its own
-        new series while the budget lasts, the overflow series after.
 
-        Called under the lock, from the private update of every kind — the
-        one place the cap is applied, per update, for both calling forms.
-        """
-        if len(self._series) >= DEFAULT_MAX_SERIES:
-            self.overflow_count += 1
-            return OVERFLOW_KEY
-        return key
+class LabelChildren(dict):
+    """Label values → the instrument's child bound to them, bound on first
+    use: for a closed label set whose members are learned as they occur (a
+    storage table, a pairing type).  A hit is one subscript and no frame.
+    Keys are value tuples in ``names`` order."""
 
-    def reset(self) -> None:
-        with self._lock:
-            self._series.clear()
-            self.overflow_count = 0
+    def __init__(self, instrument, names: Tuple[str, ...]) -> None:
+        super().__init__()
+        self.instrument = instrument
+        self.names = names
+
+    def __missing__(self, values: Tuple[object, ...]):
+        child = self[values] = self.instrument.labels(**dict(zip(self.names, values)))
+        return child
 
 
 class BoundCounter:
@@ -124,6 +135,16 @@ class Counter(_Instrument):
     def __init__(self, name: str, help: str = "") -> None:
         super().__init__(name, help)
         self._series: Dict[LabelKey, float] = {}
+        self.overflow_count = 0
+
+    def _admit(self, key: LabelKey) -> LabelKey:
+        """Where an update to a label set with no series yet lands: its own
+        new series while the budget lasts, the overflow series after.
+        Called under the lock, per update, for both calling forms."""
+        if len(self._series) >= DEFAULT_MAX_SERIES:
+            self.overflow_count += 1
+            return OVERFLOW_KEY
+        return key
 
     def _add(self, key: LabelKey, amount: float = 1.0) -> None:
         if amount < 0:
@@ -153,6 +174,11 @@ class Counter(_Instrument):
     def series(self) -> Dict[LabelKey, float]:
         with self._lock:
             return dict(self._series)
+
+    def reset(self) -> None:
+        with self._lock:
+            self._series.clear()
+            self.overflow_count = 0
 
     def snapshot(self) -> dict:
         return {
@@ -186,11 +212,16 @@ class BoundHistogram:
     __slots__ = ("observe",)
 
     def __init__(self, histogram: "Histogram", key: LabelKey) -> None:
-        self.observe = partial(histogram._observe, key)
+        self.observe = partial(histogram._observe, (key,))
 
 
 class Histogram(_Instrument):
-    """Observation distribution: cumulative-style buckets + sum/count/min/max."""
+    """Observation distribution: cumulative-style buckets + sum/count/min/max.
+
+    An update only stores what it was handed — a slot of a fixed buffer,
+    under the lock — and the buffer is folded into the series when it fills
+    and, under the same lock, before anything reads them.
+    """
 
     kind = "histogram"
 
@@ -206,76 +237,169 @@ class Histogram(_Instrument):
             raise ValueError(f"histogram {name} needs at least one bucket bound")
         self.buckets = bounds
         self._series: Dict[LabelKey, _HistogramSeries] = {}
+        self._overflow_count = 0
+        # The updates not folded yet, oldest first: slot ``i < _pending`` holds
+        # one update's label keys and values (a lone observation's as
+        # one-tuples, a run's as handed over).
+        self._room = BUFFERED_UPDATES
+        self._keys: List[Sequence[LabelKey]] = [()] * self._room
+        self._values: List[Sequence[float]] = [()] * self._room
+        self._pending = 0
 
-    def _observe(self, key: LabelKey, value: float) -> None:
-        if value != value:
-            # NaN: dropped.  Counted once, it would turn the series' sum —
-            # and every later mean and ``_sum`` line — into NaN for good.
-            return
-        index = bisect_left(self.buckets, value)  # first bound >= value, else +Inf
+    def _observe(self, keys: Tuple[LabelKey], value: float) -> None:
+        """One observation of the series ``keys[0]`` (a bound child hands
+        over the same one-tuple every time)."""
+        # What the fold will do with the value — add it to a float sum,
+        # compare it with a bound — tried here, at no call: a value it could
+        # not take (None, a str) raises TypeError at this call, before it is
+        # held, not in whichever later call folds the buffer.
+        0.0 + value <= _INF
         with self._lock:
-            series = self._series
-            try:
-                cell = series[key]
-            except KeyError:
-                key = self._admit(key)
-                cell = series.get(key)
-                if cell is None:
-                    cell = series[key] = _HistogramSeries(len(self.buckets))
-            cell.bucket_counts[index] += 1
-            cell.count += 1
-            cell.sum += value
-            if cell.min is None or value < cell.min:
-                cell.min = value
-            if cell.max is None or value > cell.max:
-                cell.max = value
+            slot = self._pending
+            self._keys[slot] = keys
+            self._values[slot] = (value,)
+            self._pending = slot = slot + 1
+            if slot == self._room:
+                self._fold()
 
     def _observe_run(self, keys: Sequence[LabelKey], values: Sequence[float]) -> None:
-        """``_observe(keys[i], values[i])`` for every slot, under one lock
-        acquisition: a scrape sees all of one run (a pipeline's stage
-        times) or none of it.  A NaN slot — a stage that did not run — is
-        dropped like any NaN."""
-        # Every bucket index in one C pass (a NaN maps to 0, then is skipped).
-        indexes = list(map(bisect_left, repeat(self.buckets), values))
+        """``values[i]`` observed into the series ``keys[i]`` for every slot
+        (the two are as long as each other), as one update: a scrape sees
+        all of one run (a pipeline's stage times) or none of it.  A NaN
+        slot — a stage that did not run — is dropped like any NaN.  The
+        histogram keeps both sequences until its next fold: the caller hands
+        over numbers, in sequences it no longer changes."""
         with self._lock:
-            series = self._series
-            for key, value, index in zip(keys, values, indexes):
-                if value != value:
-                    continue
-                # ``_observe``'s update, inlined: a frame per cell is what
-                # this method exists to save.
-                try:
-                    cell = series[key]
-                except KeyError:
-                    key = self._admit(key)
-                    cell = series.get(key)
-                    if cell is None:
-                        cell = series[key] = _HistogramSeries(len(self.buckets))
-                cell.bucket_counts[index] += 1
-                cell.count += 1
-                cell.sum += value
-                if cell.min is None or value < cell.min:
-                    cell.min = value
-                if cell.max is None or value > cell.max:
-                    cell.max = value
+            slot = self._pending
+            self._keys[slot] = keys
+            self._values[slot] = values
+            self._pending = slot = slot + 1
+            if slot == self._room:
+                self._fold()
+
+    def _fold(self) -> None:
+        """Fold the held updates into their series, exactly as one update per
+        observation in arrival order would have: NaNs dropped, new series
+        admitted (and the budget applied, one overflow per update) in
+        first-arrival order, each series' observations folded oldest first.
+        Called under the lock."""
+        pending = self._pending
+        if not pending:
+            return
+        self._pending = 0
+        keys = list(chain.from_iterable(self._keys[:pending]))
+        values = list(chain.from_iterable(self._values[:pending]))
+        present = list(map(eq, values, values))  # False for NaN
+        if not all(present):
+            # NaN, dropped: counted once, it would turn the series' sum — and
+            # every later mean and ``_sum`` line — into NaN for good.
+            keys = list(compress(keys, present))
+            values = list(compress(values, present))
+        # A bound child and a pipeline hand over the same key objects every
+        # time, so the observations are routed by object identity: each
+        # distinct object, first arrival first, is resolved to the series it
+        # lands in once, and its observations go to that series' column in
+        # one C pass (equal objects, and label sets past the budget, share a
+        # column, their observations still in arrival order).
+        ids = list(map(id, keys))
+        series = self._series
+        columns: Dict[LabelKey, List[float]] = {}
+        column_of: Dict[int, List[float]] = {}
+        overflowed = set()
+        for ident, key in dict(zip(ids, keys)).items():
+            target = key if key in series else self._admit(key)
+            if target != key:
+                overflowed.add(ident)
+            column_of[ident] = columns.setdefault(target, [])
+        if overflowed:
+            self._overflow_count += sum(map(overflowed.__contains__, ids))
+        if len(columns) == 1:
+            columns = dict.fromkeys(columns, values)  # one series: every value
+        else:
+            deque(map(list.append, map(column_of.__getitem__, ids), values), 0)
+        for key, column in columns.items():
+            self._fold_series(key, column)
+
+    def _fold_series(self, key: LabelKey, values: Sequence[float]) -> None:
+        """Fold one series' observations (no NaN), oldest first, into its
+        cell."""
+        cell = self._series[key]
+        # One addition per observation, oldest first: the sum a running
+        # ``+=`` gives, to the bit (``sum()`` compensates on 3.12).
+        cell.sum = reduce(add, values, cell.sum)
+        n = len(values)
+        cell.count += n
+        # Sorted, stably: the first of equal values stays first, so the
+        # minimum and maximum kept are the ones that arrived first, as a
+        # running ``<`` / ``>`` keeps them.
+        ordered = sorted(values)
+        low, high = ordered[0], ordered[bisect_left(ordered, ordered[-1])]
+        if cell.min is None or low < cell.min:
+            cell.min = low
+        if cell.max is None or high > cell.max:
+            cell.max = high
+        # A value's bucket is the first bound >= it: the observations at or
+        # under each bound, less those under the bound before.
+        counts = cell.bucket_counts
+        below = 0
+        for index, at_or_under in enumerate(map(bisect_right, repeat(ordered), self.buckets)):
+            counts[index] += at_or_under - below
+            below = at_or_under
+        counts[-1] += n - below  # over the last bound: +Inf
+
+    def _admit(self, key: LabelKey) -> LabelKey:
+        """Where the observations of a label set with no series land: its own
+        new series while the budget lasts, the overflow series (made if need
+        be) after.  Called under the lock, in first-arrival order; the
+        caller counts the overflows, one per update."""
+        series = self._series
+        if len(series) < DEFAULT_MAX_SERIES:
+            series[key] = _HistogramSeries(len(self.buckets))
+            return key
+        if OVERFLOW_KEY not in series:
+            series[OVERFLOW_KEY] = _HistogramSeries(len(self.buckets))
+            if key == OVERFLOW_KEY:
+                self._overflow_count += 1  # its own first update; the rest find it
+        return OVERFLOW_KEY
+
+    @property
+    def overflow_count(self) -> int:
+        """Updates that found the series budget spent."""
+        with self._lock:
+            self._fold()
+            return self._overflow_count
+
+    def reset(self) -> None:
+        with self._lock:
+            self._pending = 0
+            self._series.clear()
+            self._overflow_count = 0
 
     def labels(self, **labels: object) -> BoundHistogram:
         return BoundHistogram(self, label_key(labels))
 
     def observe(self, value: float, **labels: object) -> None:
-        self._observe(label_key(labels), value)
+        self._observe((label_key(labels),), value)
+
+    def _cell(self, labels: Dict[str, object]) -> Optional[_HistogramSeries]:
+        """The folded series for a label set (``None`` if it has none).
+        Called under the lock."""
+        self._fold()
+        return self._series.get(label_key(labels))
 
     def count(self, **labels: object) -> int:
-        series = self._series.get(label_key(labels))
-        return series.count if series else 0
+        with self._lock:
+            series = self._cell(labels)
+            return series.count if series else 0
 
     def sum(self, **labels: object) -> float:
-        series = self._series.get(label_key(labels))
-        return series.sum if series else 0.0
+        with self._lock:
+            series = self._cell(labels)
+            return series.sum if series else 0.0
 
     def mean(self, **labels: object) -> float:
         with self._lock:
-            series = self._series.get(label_key(labels))
+            series = self._cell(labels)
             if not series or not series.count:
                 return 0.0
             return series.sum / series.count
@@ -283,7 +407,7 @@ class Histogram(_Instrument):
     def bucket_counts(self, **labels: object) -> List[int]:
         """Per-bucket (non-cumulative) counts; last entry is the +Inf bucket."""
         with self._lock:
-            series = self._series.get(label_key(labels))
+            series = self._cell(labels)
             return list(series.bucket_counts) if series else [0] * (len(self.buckets) + 1)
 
     def quantile(self, q: float, **labels: object) -> float:
@@ -291,7 +415,7 @@ class Histogram(_Instrument):
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
         with self._lock:
-            series = self._series.get(label_key(labels))
+            series = self._cell(labels)
             if not series or not series.count:
                 return 0.0
             target = q * series.count
@@ -307,6 +431,7 @@ class Histogram(_Instrument):
     def snapshot(self) -> dict:
         out = []
         with self._lock:
+            self._fold()
             for key, series in sorted(self._series.items()):
                 out.append(
                     {

@@ -62,7 +62,8 @@ class Registry:
             instrument = self._instruments[name]
             snap[instrument.kind + "s"].append(instrument.snapshot())
         if include_traces:
-            snap["traces"] = [root.to_dict() for root in self._tracer.traces]
+            # Rendered from a copy: other threads keep closing root spans.
+            snap["traces"] = [root.to_dict() for root in self._tracer.finished_traces()]
         return snap
 
     def reset(self) -> None:

@@ -2,12 +2,17 @@
 
 A full SSH login crosses six layers (sshd → PAM modules → RADIUS client →
 RADIUS server → OTP validate → SMS gateway), all in-process and synchronous.
-The tracer exploits that: it keeps a stack of open spans per thread (one
-``threading.local`` attribute, read once per open and once per close), so a
+The tracer exploits that: it keeps a stack of open spans per thread (a
+``threading.local``, looked up once per open and once per close), so a
 span opened while another is active becomes its child with no explicit
 context passing — the RADIUS server's span nests under the client's because
 the fabric delivers the datagram within the same call chain.  The span a
 tracer opens is itself the ``with`` handle: no wrapper object per span.
+Opening a span takes no lock (the thread counts the spans of the tree it is
+building); the root's close adds that count to ``spans_started`` and the
+root to the ring in one lock section.  A caller that already holds a span's
+closing instant may stamp ``span.end`` before the block ends; the close then
+reads no clock.
 
 When the outermost span closes, the finished trace (its root span) lands in
 a bounded ring buffer that tests and operators query:
@@ -56,13 +61,15 @@ class Span:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         tracer = self._tracer
-        self.end = tracer._clock.now()
+        if self.end is None:  # a caller holding the closing instant stamped it
+            self.end = tracer._clock.now()
         if exc is not None:
             self.status = "error"
             self.attributes.setdefault("error", repr(exc))
         # Pop down to (and including) this span: robust against a child the
         # caller leaked open — it is force-closed with its parent.
-        stack = tracer._open.stack
+        open_spans = tracer._open
+        stack = open_spans.stack
         while stack:
             top = stack.pop()
             if top is self:
@@ -71,7 +78,10 @@ class Span:
                 top.end = self.end
                 top.status = "error"
         if not stack:
+            # The tree is finished: its span count and its root join the
+            # tracer's totals in one lock section.
             with tracer._lock:
+                tracer.spans_started += open_spans.opened
                 tracer.traces.append(self)
         return False
 
@@ -83,7 +93,8 @@ class Span:
 
     @property
     def duration(self) -> float:
-        """Seconds from start to end (0.0 while still open)."""
+        """Seconds from start to end (0.0 until an end is stamped: at the
+        close, or before it by a caller holding the closing instant)."""
         return 0.0 if self.end is None else self.end - self.start
 
     def walk(self) -> Iterator["Span"]:
@@ -134,11 +145,13 @@ class Span:
 
 
 class _OpenSpans(threading.local):
-    """Each thread's open spans, innermost last: a worker validating one
-    user never becomes a child of another worker's span."""
+    """Each thread's open spans, innermost last, and how many spans the tree
+    they belong to has opened: a worker validating one user never becomes a
+    child of another worker's span."""
 
     def __init__(self) -> None:
         self.stack: List[Span] = []
+        self.opened = 0
 
 
 class Tracer:
@@ -151,17 +164,22 @@ class Tracer:
         self._open = _OpenSpans()
         self._lock = threading.Lock()
         self.traces: Deque[Span] = deque(maxlen=DEFAULT_MAX_TRACES)
+        #: Spans opened in every finished tree (a tree counts when its root
+        #: closes).
         self.spans_started = 0
 
     def span(self, name: str, **attributes: object) -> Span:
-        """Open a span; it becomes a child of the currently open span."""
+        """Open a span; it becomes a child of the currently open span.
+        Opening takes no lock: the thread's tree counts its own spans."""
         span = Span(self, name, self._clock.now(), attributes or None)
-        stack = self._open.stack
+        open_spans = self._open
+        stack = open_spans.stack
         if stack:
             stack[-1].children.append(span)
+            open_spans.opened += 1
+        else:
+            open_spans.opened = 1
         stack.append(span)
-        with self._lock:
-            self.spans_started += 1
         return span
 
     def current_span(self) -> Optional[Span]:
@@ -170,6 +188,12 @@ class Tracer:
 
     def last_trace(self) -> Optional[Span]:
         return self.traces[-1] if self.traces else None
+
+    def finished_traces(self) -> List[Span]:
+        """Every retained finished trace, oldest first, copied under the
+        lock: roots other threads close meanwhile cannot disturb it."""
+        with self._lock:
+            return list(self.traces)
 
     def take_traces(self) -> List[Span]:
         """Drain and return every retained finished trace, oldest first."""
@@ -181,6 +205,7 @@ class Tracer:
     def reset(self) -> None:
         """Clear the calling thread's open spans and the shared buffer."""
         self._open.stack.clear()
+        self._open.opened = 0
         with self._lock:
             self.traces.clear()
             self.spans_started = 0
@@ -223,6 +248,9 @@ class NoopTracer:
 
     def last_trace(self) -> None:
         return None
+
+    def finished_traces(self) -> list:
+        return []
 
     def take_traces(self) -> list:
         return []

@@ -540,9 +540,87 @@ def test_a_span_pays_for_no_stack_lookup(telemetry_on_profile):
         if caller[0] == "telemetry/trace.py" and callee[0] == "~" and "getattr" in callee[1]
     )
     assert getattrs == 0
-    # ... and the spans those zeros speak for were opened and closed.
-    assert count(telemetry_on_profile, "telemetry/trace.py", "span") >= 1
-    assert count(telemetry_on_profile, "telemetry/trace.py", "__exit__") >= 1
+    # ... and the one span those zeros speak for was opened and closed.
+    assert count(telemetry_on_profile, "telemetry/trace.py", "span") == 1
+    assert count(telemetry_on_profile, "telemetry/trace.py", "__exit__") == 1
+
+
+def perf_rig_login(telemetry):
+    """``benchmarks/test_perf_telemetry.py``'s rig: a warm soft-token login
+    from outside, the device's code read at the prompt."""
+    clock = VirtualClock.at("2016-10-05T09:00:00")
+    center = MFACenter(clock=clock, rng=random.Random(1), telemetry=telemetry)
+    system = center.add_system("stampede", mode="full")
+    center.create_user("alice", password="pw")
+    _, secret = center.pair_soft("alice")
+    device = TOTPGenerator(secret=secret, clock=clock)
+    client = SSHClient("198.51.100.7")
+    node = system.login_node()
+
+    def login(run):
+        clock.advance(31)
+        result, _ = run(client.connect, node, "alice", password="pw", token=device.current_code)
+        assert result.success
+
+    return login
+
+
+@pytest.fixture(scope="module")
+def traced_login_profile():
+    """One warm soft-token SSH login on ``MFACenter(telemetry=True)``."""
+    return profile_second_call(perf_rig_login(True))
+
+
+@pytest.fixture(scope="module")
+def untraced_login_profile():
+    """... and its telemetry-off twin."""
+    return profile_second_call(perf_rig_login(None))
+
+
+#: What telemetry adds to that login, in interpreter calls: nine spans, 58
+#: (each an open, an ``__init__``, a stack push, a child link but for the
+#: root, a close and its pop; five of them entered by ``with``); 22 more
+#: clock reads (span opens and closes, the pipeline's stage boundaries); ten
+#: counter and three histogram updates, 26 (each the update and its lock
+#: release); the root's one lock section, 2 (the release and the ring
+#: append); and the storage timing layer's ``select`` frame.
+TRACED_LOGIN_TAX = 109
+
+
+def test_a_traced_login_pays_once_per_fact(traced_login_profile, untraced_login_profile):
+    """docs/ARCHITECTURE.md "Telemetry": a traced login pays only for the
+    facts it records — no label set is normalized, no instrument is looked
+    up, no attribute is written through a frame, no span open takes a lock."""
+    calls = traced_login_profile
+    total = sum(calls.values())
+    assert total <= 355
+    assert total - sum(untraced_login_profile.values()) == TRACED_LOGIN_TAX
+    assert count(calls, "telemetry/metrics.py", "label_key") == 0
+    assert count(calls, "telemetry/registry.py", "counter") == 0
+    assert [
+        edge for edge, n in calls.edges.items()
+        if edge[0][0].startswith("pam/") and edge[1][0] == "telemetry/registry.py"
+    ] == []
+    assert count(calls, "telemetry/trace.py", "annotate") == 0
+    span_locks = sum(
+        n
+        for (caller, callee), n in calls.edges.items()
+        if caller == ("telemetry/trace.py", "span") and "lock" in callee[1]
+    )
+    assert span_locks == 0
+    # ... and what those zeros speak for ran: nine spans in one tree, closed
+    # under one lock section, and every instrument update.
+    assert count(calls, "telemetry/trace.py", "span") == 9
+    assert count(calls, "telemetry/trace.py", "__exit__") == 9
+    close_locks = sum(
+        n
+        for (caller, callee), n in calls.edges.items()
+        if caller == ("telemetry/trace.py", "__exit__") and "lock" in callee[1]
+    )
+    assert close_locks == 1
+    assert count(calls, "telemetry/metrics.py", "_add") == 10
+    assert count(calls, "telemetry/metrics.py", "_observe") == 2
+    assert count(calls, "telemetry/metrics.py", "_observe_run") == 1
 
 
 @pytest.fixture(scope="module")
@@ -611,11 +689,12 @@ def test_a_valid_validate_runs_no_frame_that_only_forwards(request, profile):
 #: Who may ask the clock during a warm traced validate that hits the
 #: resolver cache and writes nothing: the pipeline once per stage boundary
 #: (six stages), the storage timing layer around the token-row read, and
-#: the ``otp.validate`` span.
+#: the ``otp.validate`` span's open (its end is the pipeline's last
+#: boundary read).
 CLOCK_READERS = {
     "authflow/pipeline.py": 7,
     "storage/instrument.py": 2,
-    "telemetry/trace.py": 2,
+    "telemetry/trace.py": 1,
 }
 
 
@@ -630,7 +709,7 @@ def test_a_traced_validate_reads_the_clock_once_per_stage(soft_success_profile):
         if callee == ("common/clock.py", "now"):
             readers[caller[0]] = readers.get(caller[0], 0) + n
     assert readers == CLOCK_READERS
-    assert count(calls, "common/clock.py", "now") == 11
+    assert count(calls, "common/clock.py", "now") == 10
     # ... and the readers those zeros speak for ran.
     for frame in (
         ("resolvers/chain.py", "resolve"),

@@ -236,7 +236,7 @@ def test_bound_update_cost_is_flat(labels, other_series):
     for warm in (inc, observe):
         warm(1.0)  # steady state: the series exists
     assert _calls(inc) <= 2  # the update, the lock release
-    assert _calls(observe, 0.02) <= 3  # ... and the bucket bisect
+    assert _calls(observe, 0.02) <= 2  # the same: the bucket is found on read
 
 
 def test_keyword_update_costs_no_more_than_it_did():

@@ -1,5 +1,6 @@
 """Unit tests for the metric primitives, registry and exporters."""
 
+import bisect
 import inspect
 import math
 import sys
@@ -193,7 +194,7 @@ def _feed_capped(runs, batched):
         else:
             for key, value in run:
                 if value is not None:
-                    histogram._observe(key, value)
+                    histogram._observe((key,), value)
     return histogram.snapshot(), histogram.overflow_count
 
 
@@ -234,6 +235,265 @@ class TestObserveRun:
         assert [h.count(stage=s) for s in "abcde"] == [1600, 0, 1600, 1600, 1600]
         assert h.bucket_counts(stage="c") == [0, 1600, 0]
         assert h.sum(stage="d") == 3.0 * 1600
+
+
+class PerObservation:
+    """The reference model: one histogram updated the way it was before it
+    buffered — each observation folded into its cell at once, in arrival
+    order, the series budget applied per update."""
+
+    def __init__(self, bounds, max_series):
+        self.bounds = bounds
+        self.max_series = max_series
+        self.series = {}
+        self.overflow_count = 0
+
+    def observe(self, key, value):
+        if value != value:
+            return
+        cell = self.series.get(key)
+        if cell is None:
+            if len(self.series) >= self.max_series:
+                self.overflow_count += 1
+                key = OVERFLOW_KEY
+                cell = self.series.get(key)
+            if cell is None:
+                cell = self.series[key] = {
+                    "buckets": [0] * (len(self.bounds) + 1),
+                    "count": 0, "sum": 0.0, "min": None, "max": None,
+                }
+        cell["buckets"][bisect.bisect_left(self.bounds, value)] += 1
+        cell["count"] += 1
+        cell["sum"] += value
+        if cell["min"] is None or value < cell["min"]:
+            cell["min"] = value
+        if cell["max"] is None or value > cell["max"]:
+            cell["max"] = value
+
+    def snapshot_series(self):
+        return [
+            {
+                "labels": dict(key),
+                "count": cell["count"],
+                "sum": cell["sum"],
+                "min": cell["min"],
+                "max": cell["max"],
+                "buckets": [
+                    {"le": bound, "count": cell["buckets"][i]}
+                    for i, bound in enumerate(self.bounds)
+                ]
+                + [{"le": "+Inf", "count": cell["buckets"][-1]}],
+            }
+            for key, cell in sorted(self.series.items())
+        ]
+
+    def quantile(self, q, key):
+        """The Prometheus bucket-boundary estimate, over the model's cell."""
+        cell = self.series.get(key)
+        if not cell or not cell["count"]:
+            return 0.0
+        target, cumulative = q * cell["count"], 0
+        for i, bound in enumerate(self.bounds):
+            if cell["buckets"][i]:
+                cumulative += cell["buckets"][i]
+                if cumulative >= target:
+                    return bound
+        return cell["max"]
+
+
+def exact(value):
+    """``value`` with every float spelled out bit for bit (``-0.0``, NaN and
+    the last ulp of a sum all distinguishable)."""
+    if isinstance(value, float):
+        return ("float", value.hex())
+    if isinstance(value, dict):
+        return {k: exact(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [exact(v) for v in value]
+    return (type(value).__name__, value)
+
+
+FOLD_BOUNDS = (-1.0, 0.0, 1.0, 100.0)
+#: Label sets by index; the last is the overflow series' own key.
+FOLD_LABELS = ({}, {"stage": "a"}, {"stage": "b"}, {"op": "x", "t": "y"}, {"stage": "c"},
+               dict(OVERFLOW_KEY))
+fold_values = st.one_of(
+    st.sampled_from(FOLD_BOUNDS),
+    st.sampled_from((math.inf, -math.inf, math.nan, -0.0, 0.0, 1, 3)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+fold_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("bound"), st.integers(0, len(FOLD_LABELS) - 1), fold_values),
+        st.tuples(st.just("keyword"), st.integers(0, len(FOLD_LABELS) - 1), fold_values),
+        st.tuples(
+            st.just("run"),
+            st.lists(
+                st.tuples(
+                    st.integers(0, len(FOLD_LABELS) - 1), st.one_of(st.none(), fold_values)
+                ),
+                max_size=7,
+            ),
+        ),
+        st.tuples(st.just("read"), st.integers(0, len(FOLD_LABELS) - 1)),
+    ),
+    max_size=80,
+)
+
+
+class TestBufferedFold:
+    """Updates buffer and fold on read (or when the buffer fills); every
+    read must still say exactly what one update per observation says."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        steps=fold_steps,
+        buffered=st.sampled_from((1, 2, 3, 7, metrics.BUFFERED_UPDATES)),
+        max_series=st.sampled_from((512, 3, 1)),
+    )
+    def test_any_interleaving_reads_as_per_observation(self, steps, buffered, max_series):
+        with mock.patch.object(metrics, "BUFFERED_UPDATES", buffered), mock.patch.object(
+            metrics, "DEFAULT_MAX_SERIES", max_series
+        ):
+            histogram = Histogram("h", buckets=FOLD_BOUNDS)
+            model = PerObservation(FOLD_BOUNDS, max_series)
+            keys = [label_key(labels) for labels in FOLD_LABELS]
+            children = [histogram.labels(**labels) for labels in FOLD_LABELS]
+            for step in steps:
+                if step[0] == "bound":
+                    _, index, value = step
+                    children[index].observe(value)
+                    model.observe(keys[index], value)
+                elif step[0] == "keyword":
+                    _, index, value = step
+                    histogram.observe(value, **FOLD_LABELS[index])
+                    model.observe(keys[index], value)
+                elif step[0] == "run":
+                    run = step[1]
+                    histogram._observe_run(
+                        [keys[index] for index, _ in run],
+                        [math.nan if value is None else value for _, value in run],
+                    )
+                    for index, value in run:
+                        if value is not None:
+                            model.observe(keys[index], value)
+                else:
+                    self._reads_agree(histogram, model, FOLD_LABELS[step[1]])
+            for labels in FOLD_LABELS + ({"stage": "never"},):
+                self._reads_agree(histogram, model, labels)
+            assert exact(histogram.snapshot()["series"]) == exact(model.snapshot_series())
+            assert histogram.overflow_count == model.overflow_count
+
+    @staticmethod
+    def _reads_agree(histogram, model, labels):
+        key = label_key(labels)
+        cell = model.series.get(key)
+        count = cell["count"] if cell else 0
+        total = cell["sum"] if cell else 0.0
+        assert histogram.count(**labels) == count
+        assert exact(histogram.sum(**labels)) == exact(total)
+        assert exact(histogram.mean(**labels)) == exact(total / count if count else 0.0)
+        assert histogram.bucket_counts(**labels) == (
+            cell["buckets"] if cell else [0] * (len(FOLD_BOUNDS) + 1)
+        )
+        for q in (0.0, 0.5, 0.99, 1.0):
+            assert exact(histogram.quantile(q, **labels)) == exact(model.quantile(q, key))
+        assert histogram.overflow_count == model.overflow_count
+
+    def test_a_full_buffer_folds_without_a_read(self, monkeypatch):
+        monkeypatch.setattr(metrics, "BUFFERED_UPDATES", 4)
+        histogram = Histogram("h", buckets=(1.0,))
+        observe = histogram.labels().observe
+        for _ in range(4):
+            observe(0.5)
+        assert histogram._pending == 0
+        assert histogram._series[()].count == 4
+        observe(0.5)
+        assert histogram._pending == 1
+
+    @pytest.mark.parametrize("bad", [None, "0.5", 1j])
+    def test_a_value_no_fold_can_take_fails_at_its_own_call(self, bad):
+        histogram = Histogram("h", buckets=(1.0,))
+        child = histogram.labels(op="x")
+        child.observe(0.5)
+        histogram._observe_run(STAGE_KEYS[:2], (2.0, 0.25))
+        with pytest.raises(TypeError):
+            child.observe(bad)
+        with pytest.raises(TypeError):
+            histogram.observe(bad, op="y")
+        child.observe(0.75)
+        # Nothing of the refused values was held: every other update reads
+        # exactly, and the refused label set has no series.
+        assert histogram.count(op="x") == 2
+        assert histogram.sum(op="x") == 1.25
+        assert histogram.bucket_counts(stage="a") == [0, 1]
+        assert histogram.bucket_counts(stage="b") == [1, 0]
+        assert histogram.count(op="y") == 0
+        assert [s["labels"] for s in histogram.snapshot()["series"]] == [
+            {"op": "x"}, {"stage": "a"}, {"stage": "b"},
+        ]
+
+    def test_reset_drops_what_is_buffered(self):
+        histogram = Histogram("h", buckets=(1.0,))
+        histogram.observe(0.5, op="x")
+        histogram.reset()
+        assert histogram.count(op="x") == 0
+        assert histogram.snapshot()["series"] == []
+
+
+class TestExactUnderThreads:
+    """Eight threads observe, hand over runs and trace while a ninth
+    scrapes: the totals are exact, and no scrape sees half a run or a
+    ``_count`` that disagrees with its buckets."""
+
+    ROUNDS = 400
+    RUN = (0.5, math.nan, 1.5, 3.0, 0.5)  # stage "b" did not run
+
+    def test_totals_and_scrapes_are_exact(self):
+        registry = Registry(clock=VirtualClock(0.0))
+        histogram = registry.histogram("h", buckets=(1.0, 2.0))
+        tracer = registry.tracer()
+        bound = histogram.labels(worker="shared").observe
+        stop = threading.Event()
+        problems = []
+
+        def work():
+            for _ in range(self.ROUNDS):
+                histogram._observe_run(STAGE_KEYS, list(self.RUN))
+                bound(1.5)
+                histogram.observe(0.25, worker="keyword")
+                with tracer.span("root"):
+                    with tracer.span("child"):
+                        pass
+
+        def scrape():
+            while not stop.is_set():
+                snapshot = registry.snapshot()
+                (metric,) = snapshot["histograms"]
+                counts = {}
+                for series in metric["series"]:
+                    buckets = sum(bucket["count"] for bucket in series["buckets"])
+                    if buckets != series["count"]:
+                        problems.append(("torn", series))
+                    counts[tuple(sorted(series["labels"].items()))] = series["count"]
+                run = {counts.get((("stage", s),), 0) for s in "acde"}
+                if len(run) != 1:
+                    problems.append(("half a run", counts))
+
+        workers = [threading.Thread(target=work) for _ in range(8)]
+        scraper = threading.Thread(target=scrape)
+        scraper.start()
+        _switching_fast(workers)
+        stop.set()
+        scraper.join(timeout=120.0)
+        assert problems == []
+        total = 8 * self.ROUNDS
+        assert [histogram.count(stage=s) for s in "abcde"] == [total, 0, total, total, total]
+        assert histogram.bucket_counts(stage="d") == [0, 0, total]
+        assert histogram.sum(stage="c") == 1.5 * total
+        assert histogram.count(worker="shared") == total
+        assert histogram.count(worker="keyword") == total
+        assert tracer.spans_started == 2 * total
 
 
 class TestConsistentReads:

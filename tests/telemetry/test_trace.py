@@ -1,9 +1,12 @@
 """Unit tests for the span/tracer layer."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.common.clock import VirtualClock
-from repro.telemetry import NOOP_SPAN, NOOP_TRACER, Tracer
+from repro.telemetry import NOOP_SPAN, NOOP_TRACER, Registry, Tracer
 from repro.telemetry import trace as trace_module
 
 
@@ -136,3 +139,41 @@ class TestNoopTracer:
         assert NOOP_TRACER.last_trace() is None
         assert NOOP_TRACER.current_span() is None
         assert NOOP_TRACER.take_traces() == []
+
+
+class TestScrapeWhileTracing:
+    def test_a_snapshot_renders_a_copy_of_the_ring(self):
+        """One thread keeps closing root spans into a full ring while the
+        main thread scrapes: no scrape sees the ring change under it."""
+        registry = Registry(clock=VirtualClock(0.0))
+        tracer = registry.tracer()
+        for _ in range(trace_module.DEFAULT_MAX_TRACES):
+            with tracer.span("warm"):
+                pass
+        stop = threading.Event()
+
+        def trace():
+            while not stop.is_set():
+                with tracer.span("root"):
+                    with tracer.span("child"):
+                        pass
+
+        worker = threading.Thread(target=trace)
+        errors = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        worker.start()
+        try:
+            for _ in range(3_000):
+                try:
+                    snapshot = registry.snapshot()
+                except RuntimeError as exc:  # "deque mutated during iteration"
+                    errors.append(exc)
+                else:
+                    assert len(snapshot["traces"]) == trace_module.DEFAULT_MAX_TRACES
+        finally:
+            stop.set()
+            worker.join(timeout=120.0)
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert errors == []
